@@ -47,6 +47,7 @@ from repro.serving import (
     ContinuousBatcher,
     ModelServingEngine,
     Request,
+    ServingConfig,
     SimulatedRequest,
     sweep_batch_windows,
 )
@@ -139,7 +140,7 @@ def main() -> None:
     padded_encoder = TransformerEncoder.init(BERT_LARGE, num_layers=num_layers, seed=0)
     sparsify_encoder(padded_encoder, VNMSparsifier(n=2, m=8, v=64))
     padded_engine = ModelServingEngine(
-        padded_encoder, padding="ladder", name="bert-large-padded"
+        padded_encoder, config=ServingConfig(padding="ladder", name="bert-large-padded")
     )
     padded_results = padded_engine.serve(requests)
     padded_identical = all(
@@ -162,9 +163,8 @@ def main() -> None:
     sparsify_encoder(cont_encoder, VNMSparsifier(n=2, m=8, v=64))
     cont_engine = ModelServingEngine(
         cont_encoder,
-        padding="ladder",
+        config=ServingConfig(padding="ladder", name="bert-large-continuous"),
         batcher=ContinuousBatcher.ladder(),
-        name="bert-large-continuous",
     )
     cont_results = cont_engine.serve_continuous(timed, step_us=100.0)
     cont_identical = all(

@@ -466,6 +466,104 @@ class DispatchDecision:
         self.failovers[key] = self.failovers.get(key, 0) + 1
 
 
+class CircuitBreaker:
+    """Per-backend failure streaks, quarantine countdowns and health counters.
+
+    The failover policy of one executor, separate from what it executes:
+    :class:`KernelDispatcher` owns one for real kernel calls, and the serving
+    simulator's modelled executor owns one for modelled calls, so both walk
+    the candidates of a :class:`DispatchDecision` identically.
+    ``failure_threshold`` consecutive failures quarantine a backend; it then
+    sits out ``probe_interval`` executes that pass it over before one probe
+    attempt at its ranked position — success re-admits it, failure sends it
+    back for a full interval.
+    """
+
+    def __init__(self, failure_threshold: int = 3, probe_interval: int = 4) -> None:
+        if failure_threshold < 1:
+            raise ValueError("failure_threshold must be >= 1")
+        if probe_interval < 1:
+            raise ValueError("probe_interval must be >= 1")
+        #: Consecutive execute failures after which a backend is quarantined.
+        self.failure_threshold = failure_threshold
+        #: Executes a quarantined backend sits out before one probe attempt.
+        self.probe_interval = probe_interval
+        #: Consecutive-failure streak per backend (reset on any success).
+        self._streaks: Dict[str, int] = {}
+        #: Quarantined backends mapped to the number of executes remaining
+        #: before a probe attempt; 0 means the next execute probes it.
+        self._quarantine: Dict[str, int] = {}
+        #: Cumulative health counters.
+        self.failures = 0
+        self.failovers = 0
+        self.quarantines = 0
+        self.readmissions = 0
+
+    def is_quarantined(self, name: str) -> bool:
+        """True while ``name`` is sitting out the candidate walk."""
+        return name in self._quarantine
+
+    def quarantined(self) -> Tuple[str, ...]:
+        """Currently quarantined backend names (sorted)."""
+        return tuple(sorted(self._quarantine))
+
+    def candidate_order(self, decision: DispatchDecision) -> List[str]:
+        """Candidates for one execute: healthy by rank, then quarantined.
+
+        Quarantined backends tick one step closer to their probe on every
+        execute that passes them over; one with an expired countdown is
+        admitted at its ranked position (the probe attempt).  Quarantined
+        candidates are kept at the tail as a last resort so an execute never
+        fails without trying every registered candidate.
+        """
+        ranked = [decision.backend] + [
+            name for name, _ in decision.ranking if name != decision.backend
+        ]
+        admitted: List[str] = []
+        deferred: List[str] = []
+        for name in ranked:
+            remaining = self._quarantine.get(name)
+            if remaining is None or remaining <= 0:
+                admitted.append(name)
+            else:
+                self._quarantine[name] = remaining - 1
+                deferred.append(name)
+        return admitted + deferred
+
+    def record_failure(self, name: str) -> None:
+        """``name`` failed one execute: extend its streak, maybe quarantine."""
+        self.failures += 1
+        streak = self._streaks.get(name, 0) + 1
+        self._streaks[name] = streak
+        if name in self._quarantine:
+            # A failed probe: back to the penalty box for a full interval.
+            self._quarantine[name] = self.probe_interval
+        elif streak >= self.failure_threshold:
+            self._quarantine[name] = self.probe_interval
+            self.quarantines += 1
+
+    def record_success(self, name: str, after_failure: bool = False) -> None:
+        """``name`` served the execute; ``after_failure`` marks a failover
+        (an earlier candidate of the same walk failed)."""
+        self._streaks.pop(name, None)
+        if name in self._quarantine:
+            # A successful probe re-admits the backend immediately.
+            del self._quarantine[name]
+            self.readmissions += 1
+        if after_failure:
+            self.failovers += 1
+
+    def stats(self) -> Dict[str, object]:
+        """The health counters plus who is quarantined right now."""
+        return {
+            "failures": self.failures,
+            "failovers": self.failovers,
+            "quarantines": self.quarantines,
+            "readmissions": self.readmissions,
+            "quarantined": list(self.quarantined()),
+        }
+
+
 class KernelDispatcher:
     """Registry mapping (formats, pattern, shape regime) to the best backend.
 
@@ -523,24 +621,8 @@ class KernelDispatcher:
         self._observed_counts: Dict[Tuple, int] = {}
         self.observations = 0
         self.measured_reranks = 0
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if probe_interval < 1:
-            raise ValueError("probe_interval must be >= 1")
-        #: Consecutive execute failures after which a backend is quarantined.
-        self.failure_threshold = failure_threshold
-        #: Executes a quarantined backend sits out before one probe attempt.
-        self.probe_interval = probe_interval
-        #: Consecutive-failure streak per backend (reset on any success).
-        self._consecutive_failures: Dict[str, int] = {}
-        #: Quarantined backends mapped to the number of executes remaining
-        #: before a probe attempt; 0 means the next execute probes it.
-        self._quarantine: Dict[str, int] = {}
-        #: Cumulative health counters (surfaced by :meth:`health_stats`).
-        self.backend_failures = 0
-        self.failover_count = 0
-        self.quarantine_events = 0
-        self.readmission_events = 0
+        #: Backend health: failure streaks, quarantine and failover counters.
+        self.breaker = CircuitBreaker(failure_threshold, probe_interval)
 
     # ------------------------------------------------------------------
     # Registry
@@ -713,29 +795,11 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     def is_quarantined(self, name: str) -> bool:
         """True while ``name`` is sitting out the candidate walk."""
-        return name in self._quarantine
+        return self.breaker.is_quarantined(name)
 
     def quarantined(self) -> Tuple[str, ...]:
         """Currently quarantined backend names (sorted)."""
-        return tuple(sorted(self._quarantine))
-
-    def _record_failure(self, name: str) -> None:
-        self.backend_failures += 1
-        streak = self._consecutive_failures.get(name, 0) + 1
-        self._consecutive_failures[name] = streak
-        if name in self._quarantine:
-            # A failed probe: back to the penalty box for a full interval.
-            self._quarantine[name] = self.probe_interval
-        elif streak >= self.failure_threshold:
-            self._quarantine[name] = self.probe_interval
-            self.quarantine_events += 1
-
-    def _record_success(self, name: str) -> None:
-        self._consecutive_failures.pop(name, None)
-        if name in self._quarantine:
-            # A successful probe re-admits the backend immediately.
-            del self._quarantine[name]
-            self.readmission_events += 1
+        return self.breaker.quarantined()
 
     def health_stats(self) -> Dict[str, object]:
         """Circuit-breaker counters plus the measured-runtime summary
@@ -756,11 +820,7 @@ class KernelDispatcher:
         for agg in observed.values():
             agg["mean_ewma_us"] = round(agg.pop("_sum") / agg.pop("_n"), 3)
         return {
-            "failures": self.backend_failures,
-            "failovers": self.failover_count,
-            "quarantines": self.quarantine_events,
-            "readmissions": self.readmission_events,
-            "quarantined": list(self.quarantined()),
+            **self.breaker.stats(),
             "observations": self.observations,
             "measured_reranks": self.measured_reranks,
             "observed_backends": {name: observed[name] for name in sorted(observed)},
@@ -801,29 +861,6 @@ class KernelDispatcher:
                     )
         return self.backend(name).execute(operand, b)
 
-    def _candidate_order(self, decision: DispatchDecision) -> List[str]:
-        """Candidates for one execute: healthy by rank, then quarantined.
-
-        Quarantined backends tick one step closer to their probe on every
-        execute that passes them over; one with an expired countdown is
-        admitted at its ranked position (the probe attempt).  Quarantined
-        candidates are kept at the tail as a last resort so an execute never
-        fails without trying every registered candidate.
-        """
-        ranked = [decision.backend] + [
-            name for name, _ in decision.ranking if name != decision.backend
-        ]
-        admitted: List[str] = []
-        deferred: List[str] = []
-        for name in ranked:
-            remaining = self._quarantine.get(name)
-            if remaining is None or remaining <= 0:
-                admitted.append(name)
-            else:
-                self._quarantine[name] = remaining - 1
-                deferred.append(name)
-        return admitted + deferred
-
     def execute(
         self,
         operand: SpmmOperand,
@@ -851,7 +888,7 @@ class KernelDispatcher:
         out: Optional[np.ndarray] = None
         errors: List[str] = []
         first_failed: Optional[str] = None
-        for name in self._candidate_order(decision):
+        for name in self.breaker.candidate_order(decision):
             try:
                 if self.observe_runtimes:
                     started = time.perf_counter()
@@ -862,15 +899,14 @@ class KernelDispatcher:
                     out = self._attempt(operand, b, name, decision)
             except BackendExecutionError as exc:
                 failed = exc.backend or name
-                self._record_failure(failed)
+                self.breaker.record_failure(failed)
                 errors.append(f"{failed}: {exc}")
                 if first_failed is None:
                     first_failed = name
                 continue
-            self._record_success(name)
+            self.breaker.record_success(name, after_failure=first_failed is not None)
             if first_failed is not None:
                 decision.record_failover(first_failed, name)
-                self.failover_count += 1
             break
         if out is None:
             raise BackendExecutionError(

@@ -38,10 +38,10 @@ subsystem (the ROADMAP's "heavy traffic" direction):
 * :mod:`~repro.serving.config` — :class:`ServingConfig`, the one typed
   home for engine knobs (scheduling, padding, admission control, KV
   geometry, warming, sharding), plus the :func:`create_engine` factory.
-* :mod:`~repro.serving.simulate` — throughput/latency simulator for
-  batch-window sweeps (requests/s vs window) on the modelled GPU, with
-  fixed-grid, async arrival-deadline, or window-free continuous
-  scheduling.
+* :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO
+  simulator on the modelled GPU: one replay over the real
+  :class:`ContinuousBatcher` and circuit breaker (plus fixed-grid and
+  async arrival-deadline window closings), one :class:`SimReport`.
 
 The core guarantee, property-tested end to end: batched execution of N
 compatible requests is bit-identical to N sequential single-request calls —
@@ -97,15 +97,12 @@ from .faults import (
 )
 from .model_engine import ModelServingEngine
 from .simulate import (
-    ChaosSimReport,
-    ServingSimReport,
+    SimReport,
     SimulatedRequest,
-    SLOSimReport,
     bursty_arrivals,
     diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
-    per_class_breakdown,
     plan_async_closings,
     poisson_arrivals,
     simulate_chaos,
@@ -129,7 +126,6 @@ __all__ = [
     "AsyncWindowBatcher",
     "BackendExecutionError",
     "BucketKey",
-    "ChaosSimReport",
     "CompletionRecord",
     "ContinuousBatcher",
     "DecodeRequest",
@@ -142,14 +138,13 @@ __all__ = [
     "ModelServingEngine",
     "Request",
     "RequestOutcome",
-    "SLOSimReport",
     "SchedulingConfig",
     "ShapeBucketBatcher",
     "ShardedDispatcher",
     "ShardingConfig",
     "ServingConfig",
     "ServingEngine",
-    "ServingSimReport",
+    "SimReport",
     "SimulatedRequest",
     "bursty_arrivals",
     "create_engine",
@@ -158,7 +153,6 @@ __all__ = [
     "merge_arrivals",
     "outcome_counts",
     "pareto_lengths",
-    "per_class_breakdown",
     "plan_async_closings",
     "plan_continuous_batch",
     "plan_continuous_batch_reference",

@@ -6,11 +6,9 @@ batcher, now shard topology — until constructing a server meant threading
 the same half-dozen knobs through three different signatures.
 :class:`ServingConfig` consolidates them into one frozen dataclass accepted
 by all three engines (``config=...``), with :func:`create_engine` as the
-one-call front door.  The old keyword paths keep working: engine kwargs the
-config subsumes (``padding=``, the decoder's ``block_size=`` /
-``capacity_blocks=`` / ``kv_budget_blocks=``) are deprecated aliases that
-emit :class:`DeprecationWarning` and conflict loudly with an explicit
-``config``.
+one-call front door.  The config is the only path: the engines take no
+``padding=`` / ``block_size=`` / ``capacity_blocks=`` / ``kv_budget_blocks=``
+keywords of their own.
 
 Scheduling is part of the config: ``scheduling`` picks which batcher family
 an engine builds by default (``"window"`` whole-window flush, ``"async"``
@@ -24,7 +22,6 @@ placement at construction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -40,26 +37,6 @@ from ..hardware.spec import NVLINK, GPUSpec, InterconnectSpec
 
 #: Scheduling drivers a config can select for the default batcher.
 SCHEDULING_MODES = ("window", "async", "continuous")
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: deprecated aliases only warn when a caller actually used them.
-UNSET = object()
-
-
-def warn_deprecated_kwarg(kwarg: str, config_field: str, config) -> None:
-    """Emit the legacy-kwarg warning; reject a conflicting explicit config."""
-    warnings.warn(
-        f"the {kwarg}= engine keyword is deprecated; pass "
-        f"config=ServingConfig({config_field}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if config is not None:
-        raise TypeError(
-            f"cannot pass both config= and the deprecated {kwarg}= keyword; "
-            f"set {config_field} on the ServingConfig"
-        )
-
 
 @dataclass(frozen=True)
 class ShardingConfig:

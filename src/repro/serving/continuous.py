@@ -159,8 +159,7 @@ class SchedulingConfig:
         ``max_queue_depth`` and ``class_weights`` are set, the global bound
         is split proportionally to the weights (rounded up, so every
         weighted class can queue at least one request) — the class-weighted
-        bounded queues of the SLO admission controller.  Shared by the
-        batcher and :func:`~repro.serving.simulate.simulate_slo`.
+        bounded queues of the SLO admission controller.
         """
         depths = self.class_queue_depths
         if priority_class < len(depths) and depths[priority_class] is not None:
@@ -210,10 +209,7 @@ def plan_continuous_batch(
 
     The continuous scheduling policy as an executable specification — the
     *reference* sibling of the incremental :class:`ContinuousBatcher`
-    (which must emit the identical chunk sequence; property-tested), and
-    the planner the analytic replay in
-    :func:`~repro.serving.simulate.simulate_serving` calls directly (the
-    same sharing pattern as ``plan_batches`` / ``plan_async_closings``):
+    (which must emit the identical chunk sequence; property-tested):
 
     1. group items by ``key_of(item)`` (the bucket identity);
     2. order each bucket by ``(arrival_of(item), id_of(item))`` — oldest

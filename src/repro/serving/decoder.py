@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from .batcher import BucketKey, Request
-from .config import UNSET, ServingConfig, warn_deprecated_kwarg
+from .config import ServingConfig
 from .continuous import CompletionRecord, ContinuousBatcher
 from .engine import (
     OutcomeTrackingMixin,
@@ -187,21 +187,16 @@ class DecoderServingEngine(OutcomeTrackingMixin):
         The model decoded with.  Its sparse projections are re-routed
         through this engine's dispatcher.
     batcher:
-        A :class:`~repro.serving.continuous.ContinuousBatcher` (default: a
-        fresh ladder).  When ``kv_budget_blocks`` is set and no batcher is
-        given, the default batcher is built with that budget and a cost
-        function of ``ceil((prompt + new_tokens) / block_size)`` blocks.
-    block_size / capacity_blocks:
-        The shared :class:`~repro.models.kv_cache.PagedKVCache` geometry.
-        Deprecated as direct keywords — set them on the
-        :class:`~repro.serving.config.ServingConfig` instead.
-    kv_budget_blocks:
-        Optional admission-level KV budget (see
-        :class:`~repro.serving.continuous.ContinuousBatcher`).  Deprecated
-        as a direct keyword — set it on the config instead.
+        A :class:`~repro.serving.continuous.ContinuousBatcher` (default:
+        the config's — a fresh ladder whose ``kv_budget_blocks`` admission,
+        when set, costs a request ``ceil((prompt + new_tokens) /
+        block_size)`` blocks).
     config:
-        A :class:`~repro.serving.config.ServingConfig` consolidating the
-        KV geometry, admission control, warming and sharding knobs.
+        A :class:`~repro.serving.config.ServingConfig` holding the shared
+        :class:`~repro.models.kv_cache.PagedKVCache` geometry
+        (``block_size`` / ``capacity_blocks``), admission control
+        (``kv_budget_blocks`` and the queue bounds), warming and sharding
+        knobs; the defaults apply without one.
     """
 
     def __init__(
@@ -209,27 +204,12 @@ class DecoderServingEngine(OutcomeTrackingMixin):
         encoder: TransformerEncoder,
         batcher: Optional[ContinuousBatcher] = None,
         dispatcher: Optional[KernelDispatcher] = None,
-        block_size=UNSET,
-        capacity_blocks=UNSET,
-        kv_budget_blocks=UNSET,
         warm: bool = True,
         name: str = "decoder-serving",
         config: Optional[ServingConfig] = None,
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
             raise TypeError("encoder must be a TransformerEncoder")
-        if block_size is UNSET:
-            block_size = config.block_size if config is not None else 16
-        else:
-            warn_deprecated_kwarg("block_size", "block_size", config)
-        if capacity_blocks is UNSET:
-            capacity_blocks = config.capacity_blocks if config is not None else 512
-        else:
-            warn_deprecated_kwarg("capacity_blocks", "capacity_blocks", config)
-        if kv_budget_blocks is UNSET:
-            kv_budget_blocks = config.kv_budget_blocks if config is not None else None
-        else:
-            warn_deprecated_kwarg("kv_budget_blocks", "kv_budget_blocks", config)
         self.config = config
         if config is not None:
             name = config.name or name
@@ -247,21 +227,19 @@ class DecoderServingEngine(OutcomeTrackingMixin):
         bind_encoder = getattr(self.dispatcher, "bind_encoder", None)
         if bind_encoder is not None:
             bind_encoder(encoder)
+        knobs = config if config is not None else ServingConfig()
         self.kv = PagedKVCache(
             num_layers=len(encoder.layers),
             num_heads=encoder.config.num_heads,
             head_dim=encoder.config.head_dim,
-            block_size=block_size,
-            capacity_blocks=capacity_blocks,
+            block_size=knobs.block_size,
+            capacity_blocks=knobs.capacity_blocks,
         )
-        if batcher is not None:
-            self.batcher = batcher
-        elif config is not None:
-            self.batcher = config.build_batcher(kind="decoder", kv_cost=self._default_kv_cost)
-        else:
-            self.batcher = ContinuousBatcher.ladder(
-                kv_budget_blocks=kv_budget_blocks, kv_cost=self._default_kv_cost
-            )
+        self.batcher = (
+            batcher
+            if batcher is not None
+            else knobs.build_batcher(kind="decoder", kv_cost=self._default_kv_cost)
+        )
         #: new_tokens per submitted request (alive until the request retires).
         self._new_tokens: Dict[str, int] = {}
         #: in-flight decodes, in admission order (the advance order).

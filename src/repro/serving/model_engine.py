@@ -60,7 +60,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .batcher import MicroBatch, Request, ShapeBucketBatcher
-from .config import UNSET, ServingConfig, warn_deprecated_kwarg
+from .config import ServingConfig
 from .continuous import CompletionRecord
 from .engine import (
     AsyncDriverMixin,
@@ -115,11 +115,6 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
         (:meth:`ShapeBucketBatcher.ladder`) in ``padding="ladder"`` mode;
         pass an :class:`~repro.serving.batcher.AsyncWindowBatcher` built
         the same way for arrival-deadline window closing via :meth:`poll`.
-    padding:
-        ``"exact"`` (default) refuses any batcher that would zero-pad a
-        sequence; ``"ladder"`` pads to bucket rungs behind the attention
-        mask.  Both are bit-exact per request; ladder mode trades a little
-        padded compute for far fuller buckets under ragged traffic.
     warm:
         When True (default), eagerly build every sparse projection's SpMM
         plan and pre-rank the dispatch decisions of ``warm_buckets`` so the
@@ -129,13 +124,14 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
         construction.
     config:
         A :class:`~repro.serving.config.ServingConfig` consolidating the
-        knobs above (padding mode, scheduling family for the default
-        batcher, warming, sharding).  When its ``sharding`` block is
+        knobs above plus the padding mode: ``padding="exact"`` (default)
+        refuses any batcher that would zero-pad a sequence; ``"ladder"``
+        pads to bucket rungs behind the attention mask.  Both are bit-exact
+        per request; ladder mode trades a little padded compute for far
+        fuller buckets under ragged traffic.  When its ``sharding`` block is
         enabled, the engine builds a
         :class:`~repro.serving.sharded.ShardedDispatcher` and solves
-        min-cut placement for the encoder at construction.  Passing the
-        deprecated ``padding=`` keyword alongside an explicit config is an
-        error.
+        min-cut placement for the encoder at construction.
     """
 
     def __init__(
@@ -143,7 +139,6 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
         encoder: TransformerEncoder,
         dispatcher: Optional[KernelDispatcher] = None,
         batcher: Optional[ShapeBucketBatcher] = None,
-        padding=UNSET,
         warm: bool = True,
         warm_buckets: Sequence[int] = (),
         name: str = "encoder-serving",
@@ -151,25 +146,18 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
             raise TypeError("encoder must be a TransformerEncoder")
-        if padding is UNSET:
-            padding = config.padding if config is not None else "exact"
-        else:
-            warn_deprecated_kwarg("padding", "padding", config)
-        if padding not in ("exact", "ladder"):
-            raise ValueError(f"padding must be 'exact' or 'ladder', got {padding!r}")
         self.config = config
         if config is not None:
             name = config.name or name
             warm = config.warm
             warm_buckets = config.warm_buckets or warm_buckets
-            if batcher is None:
-                batcher = config.build_batcher(kind="encoder")
             if dispatcher is None:
                 dispatcher = config.build_dispatcher(name=name)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         self.name = name
-        self.padding = padding
+        knobs = config if config is not None else ServingConfig()
+        self.padding = knobs.padding
         self.dispatcher = (
             dispatcher if dispatcher is not None else KernelDispatcher(name=f"{name}.dispatcher")
         )
@@ -179,12 +167,7 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
         bind_encoder = getattr(self.dispatcher, "bind_encoder", None)
         if bind_encoder is not None:
             bind_encoder(encoder)
-        if batcher is not None:
-            self.batcher = batcher
-        elif padding == "ladder":
-            self.batcher = ShapeBucketBatcher.ladder()
-        else:
-            self.batcher = ShapeBucketBatcher.exact_length()
+        self.batcher = batcher if batcher is not None else knobs.build_batcher(kind="encoder")
         self.trace = ExecutionTrace()
         self.total_requests = 0
         self.total_batches = 0

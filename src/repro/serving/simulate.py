@@ -1,48 +1,46 @@
-"""Throughput/latency simulation of the dynamic-batching server.
+"""Throughput/latency simulation of the serving stack on the modelled GPU.
 
-The engine executes real numerics; this module answers the capacity
-question — *what does a batch window buy on the modelled GPU?* — without
-moving any data.  Requests are replayed against a windowed batching policy:
-arrivals inside ``[w*T, (w+1)*T)`` are closed into micro-batches at the
-window boundary, each micro-batch costs the dispatched backend's modelled
-kernel time at the batch's true column count, and a single serial executor
-(one GPU stream) drains the batches.  Every simulated launch is recorded as
-a :class:`~repro.hardware.trace.KernelExecution` so serving sweeps produce
-the same trace records as the figure-level evaluation harness.
+The engines execute real numerics; this module answers the capacity
+questions — *what does a batch window buy? who sheds under overload? what
+does a flaky backend cost?* — without moving any data.  There is **one**
+replay (:class:`_ModelledEngine`): shape-only requests go to a real
+:class:`~repro.serving.continuous.ContinuousBatcher`, each chunk it
+schedules is charged to one serial modelled-GPU stream whose failover walk
+is the dispatcher's own :class:`~repro.kernels.dispatch.CircuitBreaker`,
+and every run returns one :class:`SimReport` — so admission, scheduling
+and failover agree with the live engines by construction.  Every launch is
+recorded as a :class:`~repro.hardware.trace.KernelExecution`, so serving
+sweeps produce the same trace records as the figure-level harness.
 
-Larger windows trade queueing delay for kernel efficiency: the modelled
-SpMM time is strongly sublinear in C (fixed launch/tile overheads amortise,
-tiles fill), so batching B requests costs far less than B single calls.
-``sweep_batch_windows`` exposes exactly the requests/s-vs-window curve the
-ROADMAP asks sweeps to report.
+:func:`simulate_serving`, :func:`simulate_chaos` and :func:`simulate_slo`
+only map their arguments onto that replay.  The windowed policies of
+``simulate_serving`` (fixed grid, async arrival deadlines) close windows
+analytically and feed the same stream: larger windows trade queueing
+delay for kernel efficiency, because the modelled SpMM time is strongly
+sublinear in C (fixed launch/tile overheads amortise, tiles fill).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batcher import BucketKey, ShapeBucketBatcher
+from .batcher import BucketKey, Request, ShapeBucketBatcher
 from .config import ServingConfig
-from .continuous import (
-    SHED_POLICIES,
-    SHED_DROP_EXPIRED,
-    SchedulingConfig,
-    plan_continuous_batch,
-    plan_slo_batch,
-)
+from .continuous import POLICY_FCFS, SHED_REJECT_NEWEST, ContinuousBatcher, SchedulingConfig
 from .faults import (
     OUTCOME_FAILED,
     OUTCOME_OK,
     OUTCOME_SHED,
     OUTCOME_STATES,
     OUTCOME_TIMED_OUT,
+    FaultInjector,
     FaultPlan,
 )
 from ..hardware.trace import ExecutionTrace
-from ..kernels.dispatch import KernelDispatcher, SpmmOperand
+from ..kernels.dispatch import CircuitBreaker, KernelDispatcher, SpmmOperand
 
 
 @dataclass(frozen=True)
@@ -80,21 +78,10 @@ def uniform_arrivals(
     prefix: str = "req",
 ) -> List[SimulatedRequest]:
     """Evenly spaced arrivals at ``rate_rps`` with cycling token counts."""
-    if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
+    _check_traffic_args(num_requests, tokens, None)
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
-    if not tokens:
-        raise ValueError("tokens must be non-empty")
-    gap_us = 1e6 / rate_rps
-    return [
-        SimulatedRequest(
-            request_id=f"{prefix}-{i:06d}",
-            tokens=int(tokens[i % len(tokens)]),
-            arrival_us=i * gap_us,
-        )
-        for i in range(num_requests)
-    ]
+    return _stamp_requests(np.arange(num_requests) * (1e6 / rate_rps), tokens, None, prefix, 0)
 
 
 def poisson_arrivals(
@@ -115,14 +102,9 @@ def poisson_arrivals(
     ``deadline_after_us`` stamps every request with a deadline that many
     microseconds after its arrival.
     """
-    if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
+    _check_traffic_args(num_requests, tokens, deadline_after_us)
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
-    if not tokens:
-        raise ValueError("tokens must be non-empty")
-    if deadline_after_us is not None and deadline_after_us < 0:
-        raise ValueError("deadline_after_us must be non-negative")
     rng = np.random.default_rng(int(seed))
     arrivals = np.cumsum(rng.exponential(1e6 / rate_rps, size=num_requests))
     return _stamp_requests(arrivals, tokens, deadline_after_us, prefix, priority_class)
@@ -296,81 +278,179 @@ def merge_arrivals(*streams: Sequence[SimulatedRequest]) -> List[SimulatedReques
     return sorted(merged, key=lambda r: (r.arrival_us, r.request_id))
 
 
-@dataclass
-class ServingSimReport:
-    """Outcome of one simulated serving run."""
+def _latency_stat(values: Iterable[float], q: Optional[float] = None) -> float:
+    """Mean (``q=None``) or ``q``-th percentile of a latency sample.
 
-    window_us: float
+    The one source of every :class:`SimReport` latency statistic.  ``NaN``
+    on an empty sample: "nothing completed" is *no data*, never a zero
+    latency — ``0.0`` once let empty chaos runs sail through latency floors
+    (``tools/check_bench_trend.py`` skips NaN with a warning instead).
+    """
+    sample = list(values)
+    if not sample:
+        return float("nan")
+    return float(np.mean(sample) if q is None else np.percentile(sample, q))
+
+
+@dataclass
+class SimReport:
+    """Outcome of one simulated serving run, whichever entry point ran it.
+
+    Everything is derived from the per-request terminal states and the
+    completion latencies of the ``ok`` requests.  Deterministic: the same
+    (requests, knobs, fault plan) replays to the identical report.
+    """
+
     num_requests: int
-    num_batches: int
     makespan_us: float
-    #: Completion latency (finish - arrival) per request, microseconds.
+    #: Chunks charged to the modelled executor (served or failed).
+    num_batches: int = 0
+    #: Terminal state per request id (one of OUTCOME_STATES).
+    outcomes: Dict[str, str] = field(default_factory=dict)
+    #: Completion latency (finish - arrival) of the ok requests only.
     latencies_us: Dict[str, float] = field(default_factory=dict)
+    #: Priority class per request id (empty = every request was class 0).
+    classes: Dict[str, int] = field(default_factory=dict)
+    #: Classes the scheduling config names (normalizes :meth:`per_class`).
+    num_classes: int = 1
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    #: Window-closing policy the run used ("fixed" grid or "async" deadlines).
-    window_policy: str = "fixed"
-    #: Bucket policy the run used ("ladder" padded rungs or "exact" lengths).
+    #: Run labels for sweep alignment: window value and closing policy,
+    #: bucket policy, cross-class scheduling policy, arrival-time
+    #: compression and fault-plan seed.
+    window_us: float = 0.0
+    window_policy: str = "continuous"
     bucketing: str = "ladder"
+    policy: str = POLICY_FCFS
+    load_factor: float = 1.0
+    seed: int = 0
+    #: Circuit-breaker and fault-injection traffic of the modelled executor.
+    failovers: int = 0
+    quarantines: int = 0
+    readmissions: int = 0
+    injected_failures: int = 0
+    injected_latency_us: float = 0.0
+
+    def counts(self) -> Dict[str, int]:
+        """Requests per terminal state (all four keys always present)."""
+        out = {state: 0 for state in OUTCOME_STATES}
+        for status in self.outcomes.values():
+            out[status] += 1
+        return out
+
+    def _rate(self, state: str) -> float:
+        return self.counts()[state] / self.num_requests if self.num_requests else 0.0
+
+    @property
+    def availability(self) -> float:
+        """Fraction of requests that completed ``ok``."""
+        return self._rate(OUTCOME_OK)
+
+    @property
+    def shed_rate(self) -> float:
+        """Fraction of requests refused by admission control."""
+        return self._rate(OUTCOME_SHED)
+
+    @property
+    def violation_rate(self) -> float:
+        """Fraction of requests that missed their deadline."""
+        return self._rate(OUTCOME_TIMED_OUT)
 
     @property
     def throughput_rps(self) -> float:
-        """Served requests per second over the simulated makespan."""
+        """``ok`` completions per second of simulated makespan."""
         if self.makespan_us <= 0:
             return 0.0
-        return self.num_requests / (self.makespan_us * 1e-6)
+        return len(self.latencies_us) / (self.makespan_us * 1e-6)
 
     @property
     def mean_batch_size(self) -> float:
-        return self.num_requests / self.num_batches if self.num_batches else 0.0
-
-    @property
-    def mean_latency_us(self) -> float:
-        values = list(self.latencies_us.values())
-        return float(np.mean(values)) if values else 0.0
-
-    @property
-    def p95_latency_us(self) -> float:
-        values = list(self.latencies_us.values())
-        return float(np.percentile(values, 95)) if values else float("nan")
-
-    @property
-    def p99_latency_us(self) -> float:
-        """Tail completion latency — the metric continuous batching targets.
-
-        ``NaN`` when no request completed: an empty run has *no data*, not a
-        zero-microsecond tail — ``0.0`` here once let empty chaos runs sail
-        through latency floors (``tools/check_bench_trend.py`` now treats
-        NaN as "no data" and warns instead of passing).
-        """
-        values = list(self.latencies_us.values())
-        return float(np.percentile(values, 99)) if values else float("nan")
-
-    @property
-    def p999_latency_us(self) -> float:
-        """Extreme-tail completion latency (ROADMAP item 3 asks for p999)."""
-        values = list(self.latencies_us.values())
-        return float(np.percentile(values, 99.9)) if values else float("nan")
+        """Mean size of the batches a backend actually served."""
+        sizes = [e.meta["batch_size"] for e in self.trace.executions]
+        return sum(sizes) / len(sizes) if sizes else 0.0
 
     @property
     def kernel_time_us(self) -> float:
         """Total modelled kernel time (the GPU-busy portion of the makespan)."""
         return self.trace.total_time_us
 
+    @property
+    def mean_latency_us(self) -> float:
+        return _latency_stat(self.latencies_us.values())
+
+    @property
+    def p50_latency_us(self) -> float:
+        return _latency_stat(self.latencies_us.values(), 50)
+
+    @property
+    def p95_latency_us(self) -> float:
+        return _latency_stat(self.latencies_us.values(), 95)
+
+    @property
+    def p99_latency_us(self) -> float:
+        """Tail completion latency — the metric continuous batching targets."""
+        return _latency_stat(self.latencies_us.values(), 99)
+
+    @property
+    def p999_latency_us(self) -> float:
+        """Extreme-tail completion latency."""
+        return _latency_stat(self.latencies_us.values(), 99.9)
+
+    def per_class(self) -> Dict[int, Dict[str, object]]:
+        """Per-priority-class outcome/latency blocks, normalized.
+
+        Always covers classes ``0..num_classes-1`` even when unused (zero
+        counts, ``NaN`` percentiles) plus every class actually observed, so
+        the schema is stable whether or not the run used priority classes.
+        """
+        blocks: Dict[int, Dict[str, object]] = {}
+        for cls in sorted(set(range(max(self.num_classes, 1))).union(self.classes.values())):
+            rids = [rid for rid, c in self.classes.items() if c == cls]
+            # A class block is this report restricted to the class's requests.
+            sub = SimReport(
+                num_requests=len(rids),
+                makespan_us=self.makespan_us,
+                outcomes={r: self.outcomes[r] for r in rids if r in self.outcomes},
+                latencies_us={r: self.latencies_us[r] for r in rids if r in self.latencies_us},
+            )
+            blocks[cls] = {
+                "requests": sub.num_requests,
+                **sub.counts(),
+                "shed_rate": sub.shed_rate,
+                "violation_rate": sub.violation_rate,
+                "p50_latency_us": sub.p50_latency_us,
+                "p99_latency_us": sub.p99_latency_us,
+                "p999_latency_us": sub.p999_latency_us,
+            }
+        return blocks
+
     def summary(self) -> Dict[str, object]:
-        """Flat record for tables/JSON (one row of the window sweep)."""
+        """Flat record for tables/JSON (one row of any sweep)."""
         return {
             "window_us": self.window_us,
             "window_policy": self.window_policy,
             "bucketing": self.bucketing,
+            "policy": self.policy,
+            "load_factor": self.load_factor,
+            "seed": self.seed,
             "requests": self.num_requests,
             "batches": self.num_batches,
             "mean_batch_size": round(self.mean_batch_size, 2),
             "throughput_rps": round(self.throughput_rps, 1),
+            "availability": round(self.availability, 4),
+            "shed_rate": round(self.shed_rate, 4),
+            "violation_rate": round(self.violation_rate, 4),
+            **self.counts(),
             "mean_latency_us": round(self.mean_latency_us, 1),
+            "p50_latency_us": round(self.p50_latency_us, 1),
             "p95_latency_us": round(self.p95_latency_us, 1),
             "p99_latency_us": round(self.p99_latency_us, 1),
             "p999_latency_us": round(self.p999_latency_us, 1),
             "kernel_time_us": round(self.kernel_time_us, 1),
+            "failovers": self.failovers,
+            "quarantines": self.quarantines,
+            "readmissions": self.readmissions,
+            "injected_failures": self.injected_failures,
+            "per_class": self.per_class(),
         }
 
 
@@ -414,9 +494,166 @@ def plan_async_closings(
     return closings
 
 
-#: How a :class:`~repro.serving.config.ServingConfig`'s scheduling mode maps
-#: onto the simulator's window policies.
-_POLICY_OF_SCHEDULING = {"window": "fixed", "async": "async", "continuous": "continuous"}
+class _ModelledEngine:
+    """A serving engine on the modelled clock: real batcher, modelled GPU.
+
+    Scheduling is a real :class:`ContinuousBatcher`: ``batcher`` only
+    contributes its ladder and ``max_batch_size``, ``bucketing`` mirrors the
+    model engine's ``padding`` modes (``"ladder"`` rounds token counts up
+    the rungs, so a batch costs the kernel at its *padded* column count;
+    ``"exact"`` only groups identical token counts), and ``admission``
+    (``max_queue_depth`` / ``shed_policy`` / ``scheduling``) is the
+    batcher's own, validated there.
+
+    Execution is one serial GPU stream charging each chunk the dispatched
+    backend's modelled kernel time.  Under a :class:`FaultPlan` a failed
+    attempt still costs its time and the walk continues down the dispatch
+    ranking under a :class:`CircuitBreaker`, as in
+    :meth:`KernelDispatcher.execute`; without one the first candidate serves.
+    """
+
+    def __init__(
+        self,
+        operand: SpmmOperand,
+        requests: Sequence[SimulatedRequest],
+        dispatcher: Optional[KernelDispatcher],
+        batcher: Optional[ShapeBucketBatcher],
+        bucketing: str,
+        plan: Optional[FaultPlan] = None,
+        failure_threshold: int = 3,
+        probe_interval: int = 4,
+        labels: Optional[Dict[str, object]] = None,
+        **admission,
+    ) -> None:
+        if bucketing not in {"ladder", "exact"}:
+            raise ValueError(f"unknown bucketing {bucketing!r}; use 'ladder' or 'exact'")
+        if not requests:
+            raise ValueError("requests must be non-empty")
+        batcher = batcher if batcher is not None else ShapeBucketBatcher()
+        self.batcher = ContinuousBatcher(
+            token_buckets=(1,) if bucketing == "exact" else batcher.token_buckets,
+            max_batch_size=batcher.max_batch_size,
+            **admission,
+        )
+        self.operand = operand
+        self.requests = requests
+        self.dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
+        self.injector = FaultInjector(plan if plan is not None else FaultPlan())
+        self.breaker = CircuitBreaker(failure_threshold, probe_interval)
+        # ``report.makespan_us`` doubles as the clock: a serial stream next
+        # frees exactly when everything charged to it so far has finished.
+        self.report = SimReport(
+            num_requests=len(requests),
+            makespan_us=0.0,
+            classes={req.request_id: req.priority_class for req in requests},
+            num_classes=self.batcher.scheduling.num_classes,
+            bucketing=bucketing,
+            policy=self.batcher.scheduling.policy,
+            seed=self.injector.plan.seed,
+            **(labels or {}),
+        )
+
+    def run(self, token_bucket: int, chunk: Sequence, ready_us: float) -> None:
+        """Charge one chunk of a ``token_bucket`` rung, ready at ``ready_us``.
+
+        Members report ``failed`` when every backend failed, ``timed_out``
+        when the chunk finished past their deadline, else ``ok``.
+        """
+        report = self.report
+        decision = self.dispatcher.dispatch(self.operand, token_bucket)
+        start_us = max(ready_us, report.makespan_us)
+        elapsed_us = 0.0
+        served = failed_over = False
+        for name in self.breaker.candidate_order(decision):
+            fault, _ = self.injector.on_call(name)
+            modelled = self.dispatcher.estimate(
+                self.operand, len(chunk) * token_bucket, backend=name
+            )
+            elapsed_us += modelled.time_us + fault.latency_us
+            if fault.fail:
+                self.breaker.record_failure(name)
+                failed_over = True
+                continue
+            self.breaker.record_success(name, after_failure=failed_over)
+            execution = modelled.as_execution(category="gemm")
+            execution.meta.update(
+                backend=name,
+                batch_size=len(chunk),
+                token_bucket=token_bucket,
+                start_us=start_us,
+                request_ids=tuple(req.request_id for req in chunk),
+            )
+            report.trace.record(execution)
+            served = True
+            break
+        report.makespan_us = finish_us = start_us + elapsed_us
+        report.num_batches += 1
+        for req in chunk:
+            if not served:
+                report.outcomes[req.request_id] = OUTCOME_FAILED
+            elif req.deadline_us is not None and finish_us > req.deadline_us:
+                report.outcomes[req.request_id] = OUTCOME_TIMED_OUT
+            else:
+                report.outcomes[req.request_id] = OUTCOME_OK
+                report.latencies_us[req.request_id] = finish_us - req.arrival_us
+
+    def finish(self) -> SimReport:
+        """Stamp the health counters; returns the report."""
+        report = self.report
+        report.failovers = self.breaker.failovers
+        report.quarantines = self.breaker.quarantines
+        report.readmissions = self.breaker.readmissions
+        report.injected_failures = self.injector.injected_failures
+        report.injected_latency_us = self.injector.injected_latency_us
+        return report
+
+    def replay(self) -> SimReport:
+        """The one arrival-clock replay: executor-driven, no windows.
+
+        Whenever the stream frees, everything arrived by that instant is
+        submitted — as a shape-only :class:`Request` — and the batcher's
+        most urgent chunk runs immediately.  Sheds, drop-expired evictions,
+        deadline expiry (an expired request never occupies a batch slot),
+        per-class bounds and the weighted-fair deficit are the batcher's
+        own; this loop holds no queue or admission state.  Deterministic:
+        no wall clock, no global RNG.
+        """
+        requests, batcher, outcomes = self.requests, self.batcher, self.report.outcomes
+        # Shape-only payloads: row-slices of one zero-stride view, so a
+        # simulated request of any size costs no memory for its "activations".
+        blank = np.broadcast_to(
+            np.float32(0.0), (max(r.tokens for r in requests), self.operand.k)
+        )
+        order = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
+        submitted = 0
+        while submitted < len(order) or batcher.pending:
+            now_us = self.report.makespan_us
+            if not batcher.pending and order[submitted].arrival_us > now_us:
+                now_us = order[submitted].arrival_us
+            while submitted < len(order) and order[submitted].arrival_us <= now_us:
+                sim = order[submitted]
+                submitted += 1
+                batcher.submit(
+                    Request(
+                        sim.request_id,
+                        blank[: sim.tokens],
+                        arrival_us=sim.arrival_us,
+                        deadline_us=sim.deadline_us,
+                        priority_class=sim.priority_class,
+                    )
+                )
+            for req in batcher.take_shed():
+                outcomes[req.request_id] = OUTCOME_SHED
+            for req in batcher.take_expired() + batcher.expire_due(now_us):
+                outcomes[req.request_id] = OUTCOME_TIMED_OUT
+            batch = batcher.next_batch(now_us)
+            if batch is not None:
+                self.run(batch.key.token_bucket, batch.requests, now_us)
+        return self.finish()
+
+
+#: :class:`~repro.serving.config.ServingConfig` scheduling mode per window policy.
+_SCHEDULING_OF_POLICY = {"fixed": "window", "async": "async", "continuous": "continuous"}
 
 
 def simulate_serving(
@@ -428,155 +665,71 @@ def simulate_serving(
     window_policy: Optional[str] = None,
     bucketing: Optional[str] = None,
     config: Optional[ServingConfig] = None,
-) -> ServingSimReport:
-    """Replay ``requests`` through a windowed dynamic batcher on the model.
+) -> SimReport:
+    """Replay ``requests`` through a batching policy on the modelled GPU.
 
-    ``config`` lets one :class:`~repro.serving.config.ServingConfig` drive
-    the simulator the same way it drives the live engines: ``scheduling``
-    picks the window policy (window→fixed, async→async,
-    continuous→continuous), ``padding`` picks the bucketing mode,
-    ``token_buckets`` / ``max_batch_size`` shape the default batcher, and
-    ``sharding`` builds a sharded dispatcher.  Explicitly passed
-    ``window_policy`` / ``bucketing`` / ``dispatcher`` / ``batcher``
-    arguments win over the config.
+    ``window_policy`` selects how batches form.  ``"continuous"`` is
+    :meth:`_ModelledEngine.replay` — no windows, so queueing delay is
+    bounded by the executor's busy time (the tail-latency gap the policy
+    exists to close); ``window_us`` is only recorded for sweep alignment
+    (every value, including 0, produces the same run).  ``"fixed"`` closes
+    every bucket at multiples of ``window_us`` (the grid policy) and
+    ``"async"`` closes each bucket on its own arrival deadline
+    (:func:`plan_async_closings`); for both, ``window_us <= 0`` means no
+    batching — every request is dispatched alone the moment it arrives
+    (the per-request baseline of the sweeps).  ``bucketing``
+    (:class:`_ModelledEngine`) composes with every policy, so exact/padded
+    x fixed/async/continuous sweeps run side by side.
 
-    ``window_us <= 0`` means no batching: every request is dispatched alone
-    the moment it arrives (the per-request baseline of the sweeps).  The
-    exception is ``window_policy="continuous"``, which has no windows to
-    disable — it ignores ``window_us`` entirely (every window value,
-    including 0, produces the same run; the value is only recorded on the
-    report for sweep alignment).
-
-    ``window_policy`` selects how windows close when batching is on:
-    ``"fixed"`` closes every bucket at multiples of ``window_us`` (the grid
-    policy), ``"async"`` closes each bucket on its own arrival deadline —
-    first arrival + ``window_us`` — so queueing delay is bounded by the
-    window for *every* request instead of depending on where in the grid it
-    happened to arrive (see :func:`plan_async_closings`), and
-    ``"continuous"`` has no windows at all: whenever the executor frees, it
-    forms one batch from *everything arrived by that instant* (the FCFS
-    chunk policy of
-    :func:`~repro.serving.continuous.plan_continuous_batch`, mirroring the
-    live ``ContinuousBatcher``) and runs it immediately.  Under continuous
-    scheduling ``window_us`` is recorded but never waited on — a request's
-    queueing delay is bounded by the executor's busy time, not by a window,
-    which is exactly the tail-latency gap the policy exists to close.
-
-    ``bucketing`` selects how requests group inside a closing, mirroring
-    the model engine's ``padding`` modes: ``"ladder"`` rounds token counts
-    up the batcher's rungs (padded buckets — each batch costs the kernel at
-    its *padded* column count, the price of fuller batches), ``"exact"``
-    only groups identical token counts (no padded columns, but ragged
-    traffic fragments into near-singleton batches).  Both compose with
-    either ``window_policy``, so exact/padded x fixed/async sweeps run side
-    by side.
+    ``config`` drives the simulator the way it drives the live engines:
+    ``scheduling`` picks the window policy (window→fixed), ``padding`` the
+    bucketing, ``token_buckets`` / ``max_batch_size`` shape the default
+    batcher, ``sharding`` builds a sharded dispatcher, and
+    ``max_queue_depth`` / ``shed_policy`` / ``scheduling_policy`` bind to
+    the batcher as :meth:`ServingConfig.build_batcher` binds them for an
+    engine — including its ``ValueError`` when the scheduling in effect
+    cannot honour them.  Explicit ``window_policy`` / ``bucketing`` /
+    ``dispatcher`` / ``batcher`` arguments win over the config.
     """
-    if config is not None:
-        if window_policy is None:
-            window_policy = _POLICY_OF_SCHEDULING[config.scheduling]
-        if bucketing is None:
-            bucketing = config.padding
-        if dispatcher is None:
-            dispatcher = config.build_dispatcher(name="simulate")
-        if batcher is None:
-            buckets = {"token_buckets": config.token_buckets} if config.token_buckets else {}
-            batcher = ShapeBucketBatcher(max_batch_size=config.max_batch_size, **buckets)
-    window_policy = window_policy if window_policy is not None else "fixed"
-    bucketing = bucketing if bucketing is not None else "ladder"
-    if window_policy not in {"fixed", "async", "continuous"}:
+    knobs = config if config is not None else ServingConfig(padding="ladder")
+    window_policy = window_policy or ("fixed" if knobs.scheduling == "window" else knobs.scheduling)
+    bucketing = bucketing or knobs.padding
+    if window_policy not in _SCHEDULING_OF_POLICY:
         raise ValueError(
             f"unknown window_policy {window_policy!r}; use 'fixed', 'async' or 'continuous'"
         )
-    if bucketing not in {"ladder", "exact"}:
-        raise ValueError(f"unknown bucketing {bucketing!r}; use 'ladder' or 'exact'")
-    dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
-    batcher = batcher if batcher is not None else ShapeBucketBatcher()
-    if not requests:
-        raise ValueError("requests must be non-empty")
-
-    def bucket_tokens(tokens: int) -> int:
-        return tokens if bucketing == "exact" else batcher.token_bucket(tokens)
-
-    trace = ExecutionTrace()
-    latencies: Dict[str, float] = {}
-    num_batches = 0
-    gpu_free_us = 0.0
-    makespan_us = 0.0
-
-    def execute_chunk(key: BucketKey, chunk: List[SimulatedRequest], ready_us: float) -> float:
-        """Run one planned chunk on the serial executor; returns its finish time."""
-        nonlocal num_batches, gpu_free_us, makespan_us
-        c_total = len(chunk) * key.token_bucket
-        decision = dispatcher.dispatch(operand, key.token_bucket)
-        modelled = dispatcher.estimate(operand, c_total, backend=decision.backend)
-        start_us = max(ready_us, gpu_free_us)
-        finish_us = start_us + modelled.time_us
-        gpu_free_us = finish_us
-        makespan_us = max(makespan_us, finish_us)
-        num_batches += 1
-        execution = modelled.as_execution(category="gemm")
-        execution.meta.update(
-            {
-                "backend": decision.backend,
-                "batch_size": len(chunk),
-                "token_bucket": key.token_bucket,
-                "start_us": start_us,
-            }
-        )
-        trace.record(execution)
-        for req in chunk:
-            latencies[req.request_id] = finish_us - req.arrival_us
-        return finish_us
-
+    if knobs.kv_budget_blocks is not None:
+        raise ValueError("kv_budget_blocks is decode admission; simulated requests hold no KV")
+    # The config itself says what the scheduling in effect can honour
+    # (explicit arguments overlaid first), exactly as for an engine.
+    built = replace(
+        knobs, scheduling=_SCHEDULING_OF_POLICY[window_policy], padding=bucketing
+    ).build_batcher(kind="encoder")
+    batcher = batcher if batcher is not None else built
+    if dispatcher is None:
+        dispatcher = knobs.build_dispatcher(name="simulate")
+    engine = _ModelledEngine(
+        operand,
+        requests,
+        dispatcher,
+        batcher,
+        bucketing,
+        max_queue_depth=knobs.max_queue_depth,
+        shed_policy=knobs.shed_policy,
+        scheduling=knobs.scheduling_policy,
+        labels={"window_us": window_us, "window_policy": window_policy},
+    )
     if window_policy == "continuous":
-        # Executor-driven, no windows: whenever the executor frees, admit
-        # everything that has arrived by that instant and run the single
-        # most urgent bucket chunk (the live ContinuousBatcher's policy).
-        order = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        pending: List[SimulatedRequest] = []
-        admitted = 0
-        while admitted < len(order) or pending:
-            now_us = gpu_free_us
-            if not pending and order[admitted].arrival_us > now_us:
-                now_us = order[admitted].arrival_us
-            while admitted < len(order) and order[admitted].arrival_us <= now_us:
-                pending.append(order[admitted])
-                admitted += 1
-            key, chunk = plan_continuous_batch(
-                pending,
-                key_of=lambda r: BucketKey(
-                    features=operand.k, token_bucket=bucket_tokens(r.tokens)
-                ),
-                arrival_of=lambda r: r.arrival_us,
-                id_of=lambda r: r.request_id,
-                max_batch_size=batcher.max_batch_size,
-            )
-            taken = {r.request_id for r in chunk}
-            pending = [r for r in pending if r.request_id not in taken]
-            execute_chunk(key, chunk, now_us)
-        return ServingSimReport(
-            window_us=window_us,
-            num_requests=len(requests),
-            num_batches=num_batches,
-            makespan_us=makespan_us,
-            latencies_us=latencies,
-            trace=trace,
-            window_policy=window_policy,
-            bucketing=bucketing,
-        )
+        return engine.replay()
 
-    # Close windows at multiples of window_us (fixed), at per-bucket arrival
-    # deadlines (async), or per request when batching is disabled; within a
-    # closing, group with the batcher's deterministic bucketing.
-    if window_us <= 0:
-        closings: List[Tuple[float, List[SimulatedRequest]]] = [
-            (req.arrival_us, [req])
-            for req in sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        ]
-    elif window_policy == "async":
-        closings = plan_async_closings(
-            requests, window_us, bucket_of=lambda r: bucket_tokens(r.tokens)
-        )
+    def key_of(req: SimulatedRequest) -> BucketKey:
+        return BucketKey(operand.k, engine.batcher.token_bucket(req.tokens))
+
+    # Close windows at per-bucket arrival deadlines (async) or at multiples
+    # of window_us (fixed); with batching disabled every request closes its
+    # own zero-length window.  A closing drains by the batcher's own policy.
+    if window_policy == "async" or window_us <= 0:
+        closings = plan_async_closings(requests, max(window_us, 0.0), bucket_of=key_of)
     else:
         grouped: Dict[int, List[SimulatedRequest]] = {}
         for req in requests:
@@ -584,30 +737,10 @@ def simulate_serving(
         closings = [
             ((w + 1) * window_us, members) for w, members in sorted(grouped.items())
         ]
-
     for close_us, members in closings:
-        # Exactly the real batcher's grouping policy (shared implementation),
-        # applied to the simulated requests.
-        planned = batcher.plan_batches(
-            members,
-            key_of=lambda r: BucketKey(
-                features=operand.k, token_bucket=bucket_tokens(r.tokens)
-            ),
-            id_of=lambda r: r.request_id,
-        )
-        for key, chunk in planned:
-            execute_chunk(key, chunk, close_us)
-
-    return ServingSimReport(
-        window_us=window_us,
-        num_requests=len(requests),
-        num_batches=num_batches,
-        makespan_us=makespan_us,
-        latencies_us=latencies,
-        trace=trace,
-        window_policy=window_policy,
-        bucketing=bucketing,
-    )
+        for key, chunk in engine.batcher.plan_batches(members, key_of, lambda r: r.request_id):
+            engine.run(key.token_bucket, chunk, close_us)
+    return engine.finish()
 
 
 def sweep_batch_windows(
@@ -618,7 +751,7 @@ def sweep_batch_windows(
     batcher: Optional[ShapeBucketBatcher] = None,
     window_policy: str = "fixed",
     bucketing: str = "ladder",
-) -> List[ServingSimReport]:
+) -> List[SimReport]:
     """Requests/s vs batch window: one simulated run per window setting.
 
     A shared dispatcher keeps the decision/tuner caches warm across the
@@ -644,151 +777,6 @@ def sweep_batch_windows(
     ]
 
 
-def per_class_breakdown(
-    outcomes: Dict[str, str],
-    classes: Dict[str, int],
-    latencies_us: Dict[str, float],
-    num_classes: int = 1,
-) -> Dict[int, Dict[str, object]]:
-    """Per-priority-class outcome/latency blocks, normalized.
-
-    One block per class covering outcome counts, shed/violation rates and
-    p50/p99/p999 completion latency.  Always covers classes
-    ``0..num_classes-1`` even when unused (zero counts, ``NaN``
-    percentiles — "no data", never "zero latency"), plus every class
-    actually observed, so the schema is stable whether or not the run used
-    priority classes at all.  Shared by :class:`ChaosSimReport` and
-    :class:`SLOSimReport`.
-    """
-    ids = set(range(max(num_classes, 1)))
-    ids.update(classes.values())
-    by_class: Dict[int, List[str]] = {cls: [] for cls in ids}
-    for rid, cls in classes.items():
-        by_class[cls].append(rid)
-    blocks: Dict[int, Dict[str, object]] = {}
-    for cls in sorted(ids):
-        rids = by_class[cls]
-        counts = {state: 0 for state in OUTCOME_STATES}
-        for rid in rids:
-            status = outcomes.get(rid)
-            if status is not None:
-                counts[status] += 1
-        lat = [latencies_us[rid] for rid in rids if rid in latencies_us]
-
-        def pct(q: float) -> float:
-            return float(np.percentile(lat, q)) if lat else float("nan")
-
-        n = len(rids)
-        blocks[cls] = {
-            "requests": n,
-            **counts,
-            "shed_rate": counts[OUTCOME_SHED] / n if n else 0.0,
-            "violation_rate": counts[OUTCOME_TIMED_OUT] / n if n else 0.0,
-            "p50_latency_us": pct(50),
-            "p99_latency_us": pct(99),
-            "p999_latency_us": pct(99.9),
-        }
-    return blocks
-
-
-@dataclass
-class ChaosSimReport:
-    """Outcome of one chaos scenario: availability, goodput, tails, health.
-
-    Everything is derived from the per-request terminal states and the
-    completion latencies of the ``ok`` requests.  Deterministic: the same
-    (requests, fault plan, knobs) replays to the identical report.
-    """
-
-    seed: int
-    num_requests: int
-    makespan_us: float
-    #: Terminal state per request id (one of OUTCOME_STATES).
-    outcomes: Dict[str, str] = field(default_factory=dict)
-    #: Completion latency (finish - arrival) of the ok requests only.
-    latencies_us: Dict[str, float] = field(default_factory=dict)
-    #: Priority class per request id (empty = every request was class 0).
-    classes: Dict[str, int] = field(default_factory=dict)
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    #: Circuit-breaker traffic of the modelled executor.
-    failovers: int = 0
-    quarantines: int = 0
-    readmissions: int = 0
-    injected_failures: int = 0
-    injected_latency_us: float = 0.0
-
-    def counts(self) -> Dict[str, int]:
-        """Requests per terminal state (all four keys always present)."""
-        out = {state: 0 for state in OUTCOME_STATES}
-        for status in self.outcomes.values():
-            out[status] += 1
-        return out
-
-    def per_class(self) -> Dict[int, Dict[str, object]]:
-        """Per-priority-class counts/rates/percentiles (normalized: a
-        class-free run reports one zero-padded class-0 block)."""
-        return per_class_breakdown(self.outcomes, self.classes, self.latencies_us)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of requests that completed ``ok``."""
-        return self.counts()[OUTCOME_OK] / self.num_requests if self.num_requests else 0.0
-
-    @property
-    def goodput_rps(self) -> float:
-        """``ok`` completions per second of simulated makespan."""
-        if self.makespan_us <= 0:
-            return 0.0
-        return self.counts()[OUTCOME_OK] / (self.makespan_us * 1e-6)
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of requests refused by admission control."""
-        return self.counts()[OUTCOME_SHED] / self.num_requests if self.num_requests else 0.0
-
-    def _percentile(self, q: float) -> float:
-        # NaN, not 0.0, on empty samples: "nothing completed" must never be
-        # reportable as "zero latency" (the bench-trend gate skips NaN with
-        # a warning instead of treating it as a passing floor).
-        values = list(self.latencies_us.values())
-        return float(np.percentile(values, q)) if values else float("nan")
-
-    @property
-    def p50_latency_us(self) -> float:
-        return self._percentile(50)
-
-    @property
-    def p99_latency_us(self) -> float:
-        return self._percentile(99)
-
-    @property
-    def p999_latency_us(self) -> float:
-        return self._percentile(99.9)
-
-    def summary(self) -> Dict[str, object]:
-        """Flat record for tables/JSON (one chaos-scenario row)."""
-        counts = self.counts()
-        return {
-            "seed": self.seed,
-            "requests": self.num_requests,
-            "availability": round(self.availability, 4),
-            "goodput_rps": round(self.goodput_rps, 1),
-            "shed_rate": round(self.shed_rate, 4),
-            "ok": counts[OUTCOME_OK],
-            "failed": counts[OUTCOME_FAILED],
-            "timed_out": counts[OUTCOME_TIMED_OUT],
-            "shed": counts[OUTCOME_SHED],
-            "p50_latency_us": round(self.p50_latency_us, 1),
-            "p99_latency_us": round(self.p99_latency_us, 1),
-            "p999_latency_us": round(self.p999_latency_us, 1),
-            "failovers": self.failovers,
-            "quarantines": self.quarantines,
-            "readmissions": self.readmissions,
-            "injected_failures": self.injected_failures,
-            "per_class": self.per_class(),
-        }
-
-
 def simulate_chaos(
     operand: SpmmOperand,
     requests: Sequence[SimulatedRequest],
@@ -797,272 +785,33 @@ def simulate_chaos(
     batcher: Optional[ShapeBucketBatcher] = None,
     bucketing: str = "ladder",
     max_queue_depth: Optional[int] = None,
-    shed_policy: str = "reject-newest",
+    shed_policy: str = SHED_REJECT_NEWEST,
     failure_threshold: int = 3,
     probe_interval: int = 4,
-) -> ChaosSimReport:
+) -> SimReport:
     """Replay a fault + overload scenario through the continuous scheduler.
 
-    The measurement surface of the fault-tolerance layer: the executor runs
-    the same window-free FCFS chunk policy as ``simulate_serving``'s
-    continuous mode, but consults a :class:`~repro.serving.faults.FaultPlan`
-    per (backend, call index) — a failed attempt costs its modelled time
-    and the executor walks down the dispatch ranking exactly like
-    :meth:`KernelDispatcher.execute` (circuit breaker included:
-    ``failure_threshold`` consecutive failures quarantine a backend,
-    ``probe_interval`` passed-over executes later it gets one probe).
-    Admission control (``max_queue_depth`` / ``shed_policy``) sheds under
-    overload, and deadlines are enforced both at scheduling time (expired
-    requests never occupy a batch slot) and at completion time (a chunk
-    finishing past a member's deadline reports it ``timed_out``).
-
-    Deterministic end to end: no wall-clock, no global RNG — the same
-    inputs replay to the identical :class:`ChaosSimReport`.
+    The measurement surface of the fault-tolerance layer: the replay of
+    ``simulate_serving``'s continuous mode with ``plan`` consulted per
+    (backend, call index) and the failover walk under a
+    :class:`~repro.kernels.dispatch.CircuitBreaker` (``failure_threshold``
+    consecutive failures quarantine a backend, ``probe_interval``
+    passed-over executes later it gets one probe).  Admission control
+    (``max_queue_depth`` / ``shed_policy``) sheds under overload, and
+    deadlines are enforced at scheduling time and at completion time.
     """
-    if bucketing not in {"ladder", "exact"}:
-        raise ValueError(f"unknown bucketing {bucketing!r}; use 'ladder' or 'exact'")
-    if shed_policy not in SHED_POLICIES:
-        raise ValueError(f"shed_policy must be one of {SHED_POLICIES}, got {shed_policy!r}")
-    if max_queue_depth is not None and max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1 (or None for unbounded)")
-    if failure_threshold < 1 or probe_interval < 1:
-        raise ValueError("failure_threshold and probe_interval must be >= 1")
-    if not requests:
-        raise ValueError("requests must be non-empty")
-    dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
-    batcher = batcher if batcher is not None else ShapeBucketBatcher()
-
-    def bucket_tokens(tokens: int) -> int:
-        return tokens if bucketing == "exact" else batcher.token_bucket(tokens)
-
-    trace = ExecutionTrace()
-    outcomes: Dict[str, str] = {}
-    latencies: Dict[str, float] = {}
-    report = ChaosSimReport(seed=plan.seed, num_requests=len(requests), makespan_us=0.0)
-    report.classes = {req.request_id: req.priority_class for req in requests}
-    # Modelled executor health state (mirrors KernelDispatcher's breaker).
-    calls: Dict[str, int] = {}
-    streaks: Dict[str, int] = {}
-    quarantine: Dict[str, int] = {}
-    gpu_free_us = 0.0
-    makespan_us = 0.0
-
-    def execute_chunk(key: BucketKey, chunk: List[SimulatedRequest], ready_us: float) -> None:
-        nonlocal gpu_free_us, makespan_us
-        c_total = len(chunk) * key.token_bucket
-        decision = dispatcher.dispatch(operand, key.token_bucket)
-        ranked = [decision.backend] + [
-            name for name, _ in decision.ranking if name != decision.backend
-        ]
-        admitted: List[str] = []
-        deferred: List[str] = []
-        for name in ranked:
-            remaining = quarantine.get(name)
-            if remaining is None or remaining <= 0:
-                admitted.append(name)
-            else:
-                quarantine[name] = remaining - 1
-                deferred.append(name)
-        start_us = max(ready_us, gpu_free_us)
-        elapsed_us = 0.0
-        served: Optional[str] = None
-        first_failed = False
-        for name in admitted + deferred:
-            index = calls.get(name, 0)
-            calls[name] = index + 1
-            fault = plan.decide(name, index)
-            modelled = dispatcher.estimate(operand, c_total, backend=name)
-            elapsed_us += modelled.time_us + fault.latency_us
-            report.injected_latency_us += fault.latency_us
-            if fault.fail:
-                report.injected_failures += 1
-                first_failed = True
-                streaks[name] = streaks.get(name, 0) + 1
-                if name in quarantine:
-                    quarantine[name] = probe_interval
-                elif streaks[name] >= failure_threshold:
-                    quarantine[name] = probe_interval
-                    report.quarantines += 1
-                continue
-            streaks.pop(name, None)
-            if name in quarantine:
-                del quarantine[name]
-                report.readmissions += 1
-            if first_failed:
-                report.failovers += 1
-            served = name
-            execution = modelled.as_execution(category="gemm")
-            execution.meta.update(
-                {
-                    "backend": name,
-                    "batch_size": len(chunk),
-                    "token_bucket": key.token_bucket,
-                    "start_us": start_us,
-                }
-            )
-            trace.record(execution)
-            break
-        finish_us = start_us + elapsed_us
-        gpu_free_us = finish_us
-        makespan_us = max(makespan_us, finish_us)
-        for req in chunk:
-            if served is None:
-                outcomes[req.request_id] = OUTCOME_FAILED
-            elif req.deadline_us is not None and finish_us > req.deadline_us:
-                outcomes[req.request_id] = OUTCOME_TIMED_OUT
-            else:
-                outcomes[req.request_id] = OUTCOME_OK
-                latencies[req.request_id] = finish_us - req.arrival_us
-
-    order = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-    pending: List[SimulatedRequest] = []
-    admitted_idx = 0
-    while admitted_idx < len(order) or pending:
-        now_us = gpu_free_us
-        if not pending and admitted_idx < len(order) and order[admitted_idx].arrival_us > now_us:
-            now_us = order[admitted_idx].arrival_us
-        while admitted_idx < len(order) and order[admitted_idx].arrival_us <= now_us:
-            req = order[admitted_idx]
-            admitted_idx += 1
-            if max_queue_depth is not None and len(pending) >= max_queue_depth:
-                if shed_policy == SHED_DROP_EXPIRED:
-                    doomed = [
-                        p
-                        for p in pending
-                        if p.deadline_us is not None and p.deadline_us < req.arrival_us
-                    ]
-                    if doomed:
-                        gone = {p.request_id for p in doomed}
-                        pending = [p for p in pending if p.request_id not in gone]
-                        for p in doomed:
-                            outcomes[p.request_id] = OUTCOME_TIMED_OUT
-                if max_queue_depth is not None and len(pending) >= max_queue_depth:
-                    outcomes[req.request_id] = OUTCOME_SHED
-                    continue
-            pending.append(req)
-        # Scheduling-time deadline enforcement: expired requests never
-        # occupy a batch slot.
-        expired = [p for p in pending if p.deadline_us is not None and p.deadline_us < now_us]
-        if expired:
-            gone = {p.request_id for p in expired}
-            pending = [p for p in pending if p.request_id not in gone]
-            for p in expired:
-                outcomes[p.request_id] = OUTCOME_TIMED_OUT
-        if not pending:
-            continue
-        key, chunk = plan_continuous_batch(
-            pending,
-            key_of=lambda r: BucketKey(features=operand.k, token_bucket=bucket_tokens(r.tokens)),
-            arrival_of=lambda r: r.arrival_us,
-            id_of=lambda r: r.request_id,
-            max_batch_size=batcher.max_batch_size,
-        )
-        taken = {r.request_id for r in chunk}
-        pending = [r for r in pending if r.request_id not in taken]
-        execute_chunk(key, chunk, now_us)
-
-    report.makespan_us = makespan_us
-    report.outcomes = outcomes
-    report.latencies_us = latencies
-    report.trace = trace
-    return report
-
-
-@dataclass
-class SLOSimReport:
-    """Outcome of one SLO-scheduling run: per-class tails, sheds, violations.
-
-    The per-class counterpart of :class:`ChaosSimReport` (same outcome
-    vocabulary, same NaN-on-empty percentile convention): everything the
-    brownout/overload sweeps read — shed and deadline-violation rates and
-    p50/p99/p999 completion latency — is available both globally and
-    broken out by priority class (:meth:`per_class`).  Deterministic: the
-    same (requests, scheduling, knobs) replays to the identical report.
-    """
-
-    policy: str
-    num_requests: int
-    makespan_us: float
-    load_factor: float = 1.0
-    num_batches: int = 0
-    #: Terminal state per request id (one of OUTCOME_STATES).
-    outcomes: Dict[str, str] = field(default_factory=dict)
-    #: Completion latency (finish - arrival) of the ok requests only.
-    latencies_us: Dict[str, float] = field(default_factory=dict)
-    #: Priority class per request id.
-    classes: Dict[str, int] = field(default_factory=dict)
-    #: Classes the scheduling config names (normalizes :meth:`per_class`).
-    num_classes: int = 1
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-
-    def counts(self) -> Dict[str, int]:
-        """Requests per terminal state (all four keys always present)."""
-        out = {state: 0 for state in OUTCOME_STATES}
-        for status in self.outcomes.values():
-            out[status] += 1
-        return out
-
-    def per_class(self) -> Dict[int, Dict[str, object]]:
-        """Per-priority-class counts/rates/percentiles, normalized (zeroed
-        blocks for configured-but-unused classes)."""
-        return per_class_breakdown(
-            self.outcomes, self.classes, self.latencies_us, self.num_classes
-        )
-
-    @property
-    def availability(self) -> float:
-        """Fraction of requests that completed ``ok``."""
-        return self.counts()[OUTCOME_OK] / self.num_requests if self.num_requests else 0.0
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of requests refused by admission control."""
-        return self.counts()[OUTCOME_SHED] / self.num_requests if self.num_requests else 0.0
-
-    @property
-    def violation_rate(self) -> float:
-        """Fraction of requests that missed their deadline."""
-        return (
-            self.counts()[OUTCOME_TIMED_OUT] / self.num_requests
-            if self.num_requests
-            else 0.0
-        )
-
-    def _percentile(self, q: float) -> float:
-        values = list(self.latencies_us.values())
-        return float(np.percentile(values, q)) if values else float("nan")
-
-    @property
-    def p50_latency_us(self) -> float:
-        return self._percentile(50)
-
-    @property
-    def p99_latency_us(self) -> float:
-        return self._percentile(99)
-
-    @property
-    def p999_latency_us(self) -> float:
-        return self._percentile(99.9)
-
-    def summary(self) -> Dict[str, object]:
-        """Flat record for tables/JSON (one row of an overload sweep)."""
-        counts = self.counts()
-        return {
-            "policy": self.policy,
-            "load_factor": self.load_factor,
-            "requests": self.num_requests,
-            "batches": self.num_batches,
-            "availability": round(self.availability, 4),
-            "shed_rate": round(self.shed_rate, 4),
-            "violation_rate": round(self.violation_rate, 4),
-            "ok": counts[OUTCOME_OK],
-            "timed_out": counts[OUTCOME_TIMED_OUT],
-            "shed": counts[OUTCOME_SHED],
-            "p50_latency_us": round(self.p50_latency_us, 1),
-            "p99_latency_us": round(self.p99_latency_us, 1),
-            "p999_latency_us": round(self.p999_latency_us, 1),
-            "per_class": self.per_class(),
-        }
+    return _ModelledEngine(
+        operand,
+        requests,
+        dispatcher,
+        batcher,
+        bucketing,
+        max_queue_depth=max_queue_depth,
+        shed_policy=shed_policy,
+        plan=plan,
+        failure_threshold=failure_threshold,
+        probe_interval=probe_interval,
+    ).replay()
 
 
 def simulate_slo(
@@ -1073,174 +822,48 @@ def simulate_slo(
     batcher: Optional[ShapeBucketBatcher] = None,
     bucketing: str = "ladder",
     max_queue_depth: Optional[int] = None,
-    shed_policy: str = "reject-newest",
+    shed_policy: str = SHED_REJECT_NEWEST,
     load_factor: float = 1.0,
-) -> SLOSimReport:
-    """Replay a traffic trace through the real SLO scheduler, per class.
+) -> SimReport:
+    """Replay a traffic trace under an SLO scheduling policy, per class.
 
-    The capacity-question surface of SLO-aware scheduling: the executor
-    runs the same serial modelled-GPU clock as ``simulate_serving``'s
-    continuous mode, but chunk selection is :func:`plan_slo_batch` under
-    ``scheduling`` — the *identical* planner the live
-    :class:`~repro.serving.continuous.ContinuousBatcher` schedules with,
-    weighted-fair deficit state included — and admission control applies
-    the same per-class queue bounds
-    (:meth:`SchedulingConfig.queue_bound_of`).  Deadlines are enforced at
-    scheduling time (expired requests never occupy a slot) and at
-    completion time; both report ``timed_out`` — the *violations* of the
-    per-class SLO report.
+    The same replay with the live batcher built under ``scheduling``, so
+    chunk selection (priority / weighted-fair across classes, EDF within,
+    deficit state included) and the per-class queue bounds are the
+    engines' own.  Deadline misses at scheduling and at completion time
+    both report ``timed_out`` — the *violations* of
+    :meth:`SimReport.per_class`.
 
     ``load_factor`` compresses the trace's arrival times by that factor
     (deadline offsets preserved), so overload and brownout behaviour can
     be swept from one base trace (:func:`sweep_slo_overload`).
-    Deterministic end to end: no wall clock, no global RNG.
     """
-    if bucketing not in {"ladder", "exact"}:
-        raise ValueError(f"unknown bucketing {bucketing!r}; use 'ladder' or 'exact'")
-    if shed_policy not in SHED_POLICIES:
-        raise ValueError(f"shed_policy must be one of {SHED_POLICIES}, got {shed_policy!r}")
-    if max_queue_depth is not None and max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1 (or None for unbounded)")
     if load_factor <= 0:
         raise ValueError("load_factor must be positive")
-    if not requests:
-        raise ValueError("requests must be non-empty")
-    scheduling = scheduling if scheduling is not None else SchedulingConfig()
-    dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
-    batcher = batcher if batcher is not None else ShapeBucketBatcher()
     if load_factor != 1.0:
         requests = [
-            SimulatedRequest(
-                request_id=r.request_id,
-                tokens=r.tokens,
+            replace(
+                r,
                 arrival_us=r.arrival_us / load_factor,
                 deadline_us=(
                     r.arrival_us / load_factor + (r.deadline_us - r.arrival_us)
                     if r.deadline_us is not None
                     else None
                 ),
-                priority_class=r.priority_class,
             )
             for r in requests
         ]
-
-    def bucket_tokens(tokens: int) -> int:
-        return tokens if bucketing == "exact" else batcher.token_bucket(tokens)
-
-    trace = ExecutionTrace()
-    outcomes: Dict[str, str] = {}
-    latencies: Dict[str, float] = {}
-    served_by_class: Dict[int, int] = {}
-    pending_by_class: Dict[int, int] = {}
-    gpu_free_us = 0.0
-    makespan_us = 0.0
-    num_batches = 0
-
-    def over_capacity(cls: int, queued: int) -> bool:
-        if max_queue_depth is not None and queued >= max_queue_depth:
-            return True
-        bound = scheduling.queue_bound_of(cls, max_queue_depth)
-        return bound is not None and pending_by_class.get(cls, 0) >= bound
-
-    def drop(reqs: List[SimulatedRequest], pending: List[SimulatedRequest]):
-        gone = {r.request_id for r in reqs}
-        for r in reqs:
-            pending_by_class[r.priority_class] -= 1
-        return [p for p in pending if p.request_id not in gone]
-
-    def execute_chunk(key: BucketKey, chunk: List[SimulatedRequest], ready_us: float) -> None:
-        nonlocal gpu_free_us, makespan_us, num_batches
-        c_total = len(chunk) * key.token_bucket
-        decision = dispatcher.dispatch(operand, key.token_bucket)
-        modelled = dispatcher.estimate(operand, c_total, backend=decision.backend)
-        start_us = max(ready_us, gpu_free_us)
-        finish_us = start_us + modelled.time_us
-        gpu_free_us = finish_us
-        makespan_us = max(makespan_us, finish_us)
-        num_batches += 1
-        execution = modelled.as_execution(category="gemm")
-        execution.meta.update(
-            {
-                "backend": decision.backend,
-                "batch_size": len(chunk),
-                "token_bucket": key.token_bucket,
-                "start_us": start_us,
-            }
-        )
-        trace.record(execution)
-        for req in chunk:
-            if req.deadline_us is not None and finish_us > req.deadline_us:
-                outcomes[req.request_id] = OUTCOME_TIMED_OUT
-            else:
-                outcomes[req.request_id] = OUTCOME_OK
-                latencies[req.request_id] = finish_us - req.arrival_us
-
-    order = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-    pending: List[SimulatedRequest] = []
-    admitted_idx = 0
-    while admitted_idx < len(order) or pending:
-        now_us = gpu_free_us
-        if not pending and admitted_idx < len(order) and order[admitted_idx].arrival_us > now_us:
-            now_us = order[admitted_idx].arrival_us
-        while admitted_idx < len(order) and order[admitted_idx].arrival_us <= now_us:
-            req = order[admitted_idx]
-            admitted_idx += 1
-            cls = req.priority_class
-            if over_capacity(cls, len(pending)):
-                if shed_policy == SHED_DROP_EXPIRED:
-                    doomed = [
-                        p
-                        for p in pending
-                        if p.deadline_us is not None and p.deadline_us < req.arrival_us
-                    ]
-                    if doomed:
-                        pending = drop(doomed, pending)
-                        for p in doomed:
-                            outcomes[p.request_id] = OUTCOME_TIMED_OUT
-                if over_capacity(cls, len(pending)):
-                    outcomes[req.request_id] = OUTCOME_SHED
-                    continue
-            pending.append(req)
-            pending_by_class[cls] = pending_by_class.get(cls, 0) + 1
-        # Scheduling-time deadline enforcement.
-        expired = [p for p in pending if p.deadline_us is not None and p.deadline_us < now_us]
-        if expired:
-            pending = drop(expired, pending)
-            for p in expired:
-                outcomes[p.request_id] = OUTCOME_TIMED_OUT
-        if not pending:
-            continue
-        key, chunk = plan_slo_batch(
-            pending,
-            key_of=lambda r: BucketKey(features=operand.k, token_bucket=bucket_tokens(r.tokens)),
-            arrival_of=lambda r: r.arrival_us,
-            id_of=lambda r: r.request_id,
-            max_batch_size=batcher.max_batch_size,
-            class_of=lambda r: r.priority_class,
-            deadline_of=lambda r: r.deadline_us,
-            policy=scheduling.policy,
-            class_weights=scheduling.class_weights,
-            served_by_class=served_by_class,
-        )
-        pending = drop(chunk, pending)
-        for req in chunk:
-            served_by_class[req.priority_class] = (
-                served_by_class.get(req.priority_class, 0) + 1
-            )
-        execute_chunk(key, chunk, now_us)
-
-    return SLOSimReport(
-        policy=scheduling.policy,
-        num_requests=len(requests),
-        makespan_us=makespan_us,
-        load_factor=load_factor,
-        num_batches=num_batches,
-        outcomes=outcomes,
-        latencies_us=latencies,
-        classes={req.request_id: req.priority_class for req in requests},
-        num_classes=scheduling.num_classes,
-        trace=trace,
-    )
+    return _ModelledEngine(
+        operand,
+        requests,
+        dispatcher,
+        batcher,
+        bucketing,
+        max_queue_depth=max_queue_depth,
+        shed_policy=shed_policy,
+        scheduling=scheduling,
+        labels={"load_factor": load_factor},
+    ).replay()
 
 
 def sweep_slo_overload(
@@ -1250,7 +873,7 @@ def sweep_slo_overload(
     scheduling: Optional[SchedulingConfig] = None,
     dispatcher: Optional[KernelDispatcher] = None,
     **kwargs,
-) -> List[SLOSimReport]:
+) -> List[SimReport]:
     """Overload/brownout sweep: one :func:`simulate_slo` run per load factor.
 
     Each factor compresses the base trace's arrival times by that much

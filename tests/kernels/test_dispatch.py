@@ -574,6 +574,48 @@ class TestFailoverAndQuarantine:
             KernelDispatcher(probe_interval=0)
 
 
+@pytest.mark.faults
+class TestCircuitBreaker:
+    def test_quarantine_probe_and_readmission_lifecycle(self):
+        """The breaker on its own, no kernels: threshold -> quarantine,
+        passed-over countdown -> probe at the ranked position, failed probe
+        -> a full interval again, success -> readmitted."""
+        from repro.kernels.dispatch import CircuitBreaker, DispatchDecision
+
+        decision = DispatchDecision(
+            signature=(), backend="fast", costs={"fast": 1.0, "mid": 2.0, "slow": 3.0}
+        )
+        breaker = CircuitBreaker(failure_threshold=2, probe_interval=2)
+        assert breaker.candidate_order(decision) == ["fast", "mid", "slow"]
+        breaker.record_failure("fast")
+        assert not breaker.is_quarantined("fast")  # streak 1 < threshold
+        breaker.record_failure("fast")
+        assert breaker.quarantined() == ("fast",)
+        # Two executes pass it over (kept at the tail as a last resort)...
+        assert breaker.candidate_order(decision) == ["mid", "slow", "fast"]
+        assert breaker.candidate_order(decision) == ["mid", "slow", "fast"]
+        # ...then it is probed at its ranked position; a failed probe costs a
+        # full interval again without counting as a second quarantine.
+        assert breaker.candidate_order(decision) == ["fast", "mid", "slow"]
+        breaker.record_failure("fast")
+        assert breaker.candidate_order(decision) == ["mid", "slow", "fast"]
+        assert breaker.candidate_order(decision) == ["mid", "slow", "fast"]
+        assert breaker.candidate_order(decision)[0] == "fast"
+        breaker.record_success("fast")
+        assert not breaker.is_quarantined("fast")
+        breaker.record_success("mid", after_failure=True)
+        assert breaker.stats() == {
+            "failures": 3,
+            "failovers": 1,
+            "quarantines": 1,
+            "readmissions": 1,
+            "quarantined": [],
+        }
+        # A success resets the streak: one more failure does not quarantine.
+        breaker.record_failure("fast")
+        assert not breaker.is_quarantined("fast")
+
+
 class TestNarrowedTunerException:
     def test_plain_valueerror_from_tuner_propagates(self, operand, monkeypatch):
         """The dispatcher's proxy re-costing must catch ONLY the typed

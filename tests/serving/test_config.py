@@ -2,8 +2,8 @@
 
 Pins the api_redesign contract: every serving engine constructs from a
 :class:`ServingConfig` (directly or through :func:`create_engine`), the
-legacy per-engine keywords still work but emit ``DeprecationWarning`` (and
-conflict loudly with an explicit config), and all three engines report one
+legacy per-engine keywords are gone (they raise ``TypeError``), and all
+three engines report one
 normalized ``stats()`` schema — the ``outcomes`` / ``admission`` /
 ``continuous`` / ``dispatch_health`` / ``sharding`` blocks are always
 present, zeroed when the corresponding feature is unused.
@@ -25,6 +25,7 @@ from repro.serving import (
     ContinuousBatcher,
     DecodeRequest,
     DecoderServingEngine,
+    FaultPlan,
     ModelServingEngine,
     Request,
     SchedulingConfig,
@@ -35,7 +36,9 @@ from repro.serving import (
     ShardingConfig,
     SimulatedRequest,
     create_engine,
+    simulate_chaos,
     simulate_serving,
+    uniform_arrivals,
 )
 
 HIDDEN = 64
@@ -191,31 +194,19 @@ class TestCreateEngine:
 
 
 class TestDeprecatedKwargs:
-    def test_model_engine_padding_warns_but_works(self, rng):
-        with pytest.warns(DeprecationWarning, match="padding="):
-            engine = ModelServingEngine(make_encoder(), padding="ladder")
-        assert engine.padding == "ladder"
-        x = rng.normal(size=(5, HIDDEN)).astype(np.float32)
-        assert engine.serve([Request("r0", x)])["r0"].shape == (5, HIDDEN)
-
     @pytest.mark.parametrize(
-        "kwarg,value", [("block_size", 8), ("capacity_blocks", 64), ("kv_budget_blocks", 32)]
+        "engine_cls,kwarg,value",
+        [
+            (ModelServingEngine, "padding", "ladder"),
+            (DecoderServingEngine, "block_size", 8),
+            (DecoderServingEngine, "capacity_blocks", 64),
+            (DecoderServingEngine, "kv_budget_blocks", 32),
+        ],
     )
-    def test_decoder_kv_kwargs_warn_but_work(self, kwarg, value):
-        with pytest.warns(DeprecationWarning, match=f"{kwarg}="):
-            engine = DecoderServingEngine(make_encoder(), **{kwarg: value})
-        if kwarg == "block_size":
-            assert engine.kv.block_size == value
-
-    def test_deprecated_kwarg_conflicts_with_config(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="both config="):
-                ModelServingEngine(
-                    make_encoder(), padding="ladder", config=ServingConfig()
-                )
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="both config="):
-                DecoderServingEngine(make_encoder(), block_size=8, config=ServingConfig())
+    def test_removed_engine_keywords_raise(self, engine_cls, kwarg, value):
+        """The deprecated aliases are gone: ServingConfig is the only path."""
+        with pytest.raises(TypeError, match=kwarg):
+            engine_cls(make_encoder(), **{kwarg: value})
 
     def test_config_path_does_not_warn(self):
         with warnings.catch_warnings():
@@ -347,6 +338,37 @@ class TestConfigDrivenSimulation:
             config=ServingConfig(sharding=ShardingConfig(tp_degree=2)),
         )
         assert sharded.num_requests == 6
+
+    def test_config_admission_knobs_are_honoured(self, operand):
+        """Regression: ``simulate_serving(config=...)`` used to drop the
+        admission/SLO knobs silently (200/200 served on a trace where the
+        same bound sheds most of the load)."""
+        requests = uniform_arrivals(200, rate_rps=2_000_000, tokens=[3, 9, 17, 33])
+        config = ServingConfig(
+            scheduling="continuous", padding="ladder", max_queue_depth=2
+        )
+        report = simulate_serving(operand, requests, window_us=0.0, config=config)
+        chaos = simulate_chaos(operand, requests, FaultPlan(), max_queue_depth=2)
+        assert report.counts()["shed"] == chaos.counts()["shed"] > 0
+        assert report.outcomes == chaos.outcomes
+
+    def test_config_knobs_the_simulation_cannot_honour_raise(self, operand):
+        requests = [SimulatedRequest("s0", tokens=8, arrival_us=0.0)]
+        with pytest.raises(ValueError, match="continuous"):
+            simulate_serving(
+                operand, requests, window_us=10.0,
+                config=ServingConfig(scheduling="window", max_queue_depth=2),
+            )
+        with pytest.raises(ValueError, match="continuous"):
+            simulate_serving(
+                operand, requests, window_us=10.0, window_policy="async",
+                config=ServingConfig(scheduling="continuous", max_queue_depth=2),
+            )
+        with pytest.raises(ValueError, match="kv_budget_blocks"):
+            simulate_serving(
+                operand, requests, window_us=0.0,
+                config=ServingConfig(scheduling="continuous", kv_budget_blocks=4),
+            )
 
     def test_explicit_args_win(self, operand):
         requests = [SimulatedRequest("s0", tokens=8, arrival_us=0.0)]

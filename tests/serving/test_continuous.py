@@ -22,6 +22,7 @@ from repro.serving import (
     ModelServingEngine,
     Request,
     SchedulingConfig,
+    ServingConfig,
     ServingEngine,
     plan_continuous_batch,
     plan_continuous_batch_reference,
@@ -61,7 +62,10 @@ def continuous_engine(padding="ladder", num_layers=1, **batcher_kwargs):
         else ContinuousBatcher.exact_length(**batcher_kwargs)
     )
     return ModelServingEngine(
-        make_encoder(num_layers), padding=padding, batcher=batcher, name=f"cont-{padding}"
+        make_encoder(num_layers),
+        config=ServingConfig(padding=padding),
+        batcher=batcher,
+        name=f"cont-{padding}",
     )
 
 
@@ -384,7 +388,9 @@ class TestContinuousServingBitExactness:
     @pytest.mark.parametrize("padding", ["ladder", "exact"])
     def test_interleavings_and_cadences_preserve_bits(self, rng, padding):
         requests = make_requests(rng, self.LENGTHS)
-        baseline = ModelServingEngine(make_encoder(), padding=padding).serve(requests)
+        baseline = ModelServingEngine(
+            make_encoder(), config=ServingConfig(padding=padding)
+        ).serve(requests)
         for arrivals in self.ARRIVAL_PATTERNS:
             for step_us in (0.0, 75.0, 1500.0):
                 engine = continuous_engine(padding)
@@ -443,7 +449,9 @@ def run_slo_golden_cell(rng, padding, policy, arrivals, step_us, classes=None):
     *when* requests run, never their numbers."""
     lengths = [1, 5, 7, 8, 9, 12, 17, 17]
     requests = make_requests(rng, lengths)
-    baseline = ModelServingEngine(make_encoder(), padding=padding).serve(requests)
+    baseline = ModelServingEngine(
+        make_encoder(), config=ServingConfig(padding=padding)
+    ).serve(requests)
     classes = classes if classes is not None else [i % 3 for i in range(len(lengths))]
     scheduling = SchedulingConfig(policy=policy, class_weights=(1, 2, 4))
     engine = continuous_engine(padding, scheduling=scheduling)
@@ -592,7 +600,9 @@ class TestContinuousApi:
         """padding='exact' + a ladder continuous batcher must fail loudly at
         execution, exactly like the windowed engines do."""
         engine = ModelServingEngine(
-            make_encoder(), padding="exact", batcher=ContinuousBatcher.ladder()
+            make_encoder(),
+            config=ServingConfig(padding="exact"),
+            batcher=ContinuousBatcher.ladder(),
         )
         with pytest.raises(ValueError, match="padding='ladder'"):
             engine.serve_continuous(make_requests(rng, [5]))  # 5 pads to rung 8

@@ -24,6 +24,7 @@ from repro.serving import (
     DecoderServingEngine,
     Request,
     SchedulingConfig,
+    ServingConfig,
     ShapeBucketBatcher,
     decode_reference,
 )
@@ -58,7 +59,7 @@ def decoder_engine(encoder, padding="ladder", **kwargs):
         if padding == "ladder"
         else ContinuousBatcher.exact_length()
     )
-    return DecoderServingEngine(encoder, batcher=batcher, **kwargs)
+    return DecoderServingEngine(encoder, batcher=batcher, config=ServingConfig(**kwargs))
 
 
 def arrivals_for(pattern, n):
@@ -207,7 +208,7 @@ class TestRungOccupancy:
 
     def test_completion_frees_slot_and_kv_reservation(self, rng):
         engine = DecoderServingEngine(
-            make_encoder(), block_size=4, kv_budget_blocks=64
+            make_encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=64)
         )
         req = DecodeRequest("free-0", rng.normal(size=(5, HIDDEN)).astype(np.float32), 3)
         engine.submit(req)
@@ -221,7 +222,7 @@ class TestRungOccupancy:
 class TestKVBudgetAdmission:
     def test_budget_sheds_beyond_reserved_blocks(self, rng):
         engine = DecoderServingEngine(
-            make_encoder(), block_size=4, kv_budget_blocks=3
+            make_encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=3)
         )
         fits = DecodeRequest("kv-fit", rng.normal(size=(5, HIDDEN)).astype(np.float32), 3)
         too_big = DecodeRequest(
@@ -238,7 +239,7 @@ class TestKVBudgetAdmission:
 
     def test_budget_admits_again_after_release(self, rng):
         engine = DecoderServingEngine(
-            make_encoder(), block_size=4, kv_budget_blocks=2
+            make_encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=2)
         )
         first = DecodeRequest("kvr-0", rng.normal(size=(5, HIDDEN)).astype(np.float32), 3)
         engine.serve([first])  # completes; reservation released
@@ -254,8 +255,6 @@ class TestPreemptionGoldenCells:
     them — preemption moves work, never numerics."""
 
     def _engine(self, **scheduling_kwargs):
-        from repro.serving import ServingConfig
-
         scheduling = SchedulingConfig(
             policy="priority", preemption=True, **scheduling_kwargs
         )
@@ -372,7 +371,7 @@ class TestPreemptionGoldenCells:
 class TestCacheLifecycle:
     def test_exhaustion_raises_with_block_accounting(self, rng):
         engine = DecoderServingEngine(
-            make_encoder(), block_size=2, capacity_blocks=2
+            make_encoder(), config=ServingConfig(block_size=2, capacity_blocks=2)
         )
         engine.submit(
             DecodeRequest("ex-0", rng.normal(size=(5, HIDDEN)).astype(np.float32), 2)
@@ -384,7 +383,7 @@ class TestCacheLifecycle:
         """Serving wave after wave reuses the same small pool: peak usage is
         bounded by the concurrent footprint, not the request count."""
         engine = DecoderServingEngine(
-            make_encoder(), block_size=4, capacity_blocks=16
+            make_encoder(), config=ServingConfig(block_size=4, capacity_blocks=16)
         )
         for wave in range(4):
             reqs = [
@@ -411,7 +410,7 @@ class TestCacheLifecycle:
         """When the pool runs dry, registered prefixes are evicted LRU to
         make room for live sequences (the ``evictions`` counter)."""
         engine = DecoderServingEngine(
-            make_encoder(), block_size=2, capacity_blocks=8
+            make_encoder(), config=ServingConfig(block_size=2, capacity_blocks=8)
         )
         for i in range(4):
             prompt = rng.normal(size=(4, HIDDEN)).astype(np.float32)
@@ -453,7 +452,7 @@ class TestDecoderIntakeAndStats:
             engine.step(0.0)
 
     def test_stats_schema_is_normalized(self, rng):
-        engine = DecoderServingEngine(make_encoder(), kv_budget_blocks=32)
+        engine = DecoderServingEngine(make_encoder(), config=ServingConfig(kv_budget_blocks=32))
         engine.serve(
             [DecodeRequest("st-0", rng.normal(size=(5, HIDDEN)).astype(np.float32), 2)]
         )

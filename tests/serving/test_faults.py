@@ -38,8 +38,9 @@ from repro.serving import (
     ModelServingEngine,
     Request,
     SchedulingConfig,
+    ServingConfig,
     ServingEngine,
-    ServingSimReport,
+    SimReport,
     SimulatedRequest,
     decode_reference,
     outcome_counts,
@@ -303,7 +304,9 @@ class TestModelEngineUnderFaults:
         expected = [baseline_encoder.forward(x[None])[0] for x in payloads]
 
         engine = ModelServingEngine(
-            self._encoder(), padding="ladder", batcher=ContinuousBatcher.ladder()
+            self._encoder(),
+            config=ServingConfig(padding="ladder"),
+            batcher=ContinuousBatcher.ladder(),
         )
         plan = FaultPlan.seeded(
             [b.name for b in engine.dispatcher.backends],
@@ -350,7 +353,7 @@ class TestDecoderEngineUnderFaults:
         expected = [decode_reference(baseline_encoder, p, new_tokens=4) for p in prompts]
 
         engine = DecoderServingEngine(
-            self._encoder(), block_size=4, kv_budget_blocks=64
+            self._encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=64)
         )
         # A decode touches the dispatcher once per layer per token — dozens
         # of chances per request to land on an all-backends-faulted call
@@ -628,7 +631,7 @@ class TestChaosSimulation:
         where the answer is known analytically (linear interpolation over
         1..1000 puts p99.9 at 999.001)."""
         latencies = {f"r{i:04d}": float(i) for i in range(1, 1001)}
-        report = ServingSimReport(
+        report = SimReport(
             window_us=0.0,
             num_requests=1000,
             num_batches=1000,

@@ -34,6 +34,7 @@ from repro.serving import (
     ContinuousBatcher,
     ModelServingEngine,
     Request,
+    ServingConfig,
 )
 
 HIDDEN = 64
@@ -152,7 +153,7 @@ def assert_padded_golden_cell(pattern, num_layers, lengths, backend, rng):
     engine = ModelServingEngine(
         encoder,
         dispatcher=backend_dispatcher(backend),
-        padding="ladder",
+        config=ServingConfig(padding="ladder"),
         name=f"golden-padded-{backend}",
     )
     requests = make_requests(rng, lengths)
@@ -229,7 +230,7 @@ def assert_continuous_golden_cell(pattern, lengths, backend, arrival_idx, step_u
         engine = ModelServingEngine(
             encoder,
             dispatcher=backend_dispatcher(backend),
-            padding=padding,
+            config=ServingConfig(padding=padding),
             batcher=batcher,
             name=f"golden-continuous-{padding}-{backend}",
         )
@@ -290,7 +291,9 @@ class TestGoldenMatrix:
         lengths = [1, 5, 7, 9, 9, 12, 17]
         requests = make_requests(rng, lengths)
         exact = ModelServingEngine(make_encoder((16, 2, 8), 1), name="exact")
-        padded = ModelServingEngine(make_encoder((16, 2, 8), 1), padding="ladder", name="padded")
+        padded = ModelServingEngine(
+            make_encoder((16, 2, 8), 1), config=ServingConfig(padding="ladder"), name="padded"
+        )
         exact_out = exact.serve(requests)
         padded_out = padded.serve(requests)
         for rid in exact_out:
@@ -302,11 +305,13 @@ class TestGoldenMatrix:
         changes which rung-buckets close together, never the numbers."""
         encoder = make_encoder((16, 2, 8), 1)
         requests = make_requests(rng, [1, 5, 7, 9, 12, 17])
-        one_window = ModelServingEngine(encoder, padding="ladder").serve(requests)
+        one_window = ModelServingEngine(
+            encoder, config=ServingConfig(padding="ladder")
+        ).serve(requests)
         for window_us in (25.0, 400.0):
             engine = ModelServingEngine(
                 encoder,
-                padding="ladder",
+                config=ServingConfig(padding="ladder"),
                 batcher=AsyncWindowBatcher.ladder(window_us=window_us),
             )
             timed = [
@@ -476,7 +481,7 @@ class TestModelEngineApi:
 
     def test_rejects_unknown_padding_mode(self):
         with pytest.raises(ValueError, match="padding"):
-            ModelServingEngine(make_encoder((16, 2, 8), 1), padding="zeros")
+            ModelServingEngine(make_encoder((16, 2, 8), 1), config=ServingConfig(padding="zeros"))
 
     def test_feature_mismatch_rejected_with_clear_error(self, rng):
         engine = ModelServingEngine(make_encoder((16, 2, 8), 1))
@@ -492,7 +497,9 @@ class TestModelEngineApi:
         """The padded mode reuses _validate: a mismatched request fails at
         intake with the same message naming the request id and the
         expected hidden width, and leaves nothing queued."""
-        engine = ModelServingEngine(make_encoder((16, 2, 8), 1), padding="ladder")
+        engine = ModelServingEngine(
+            make_encoder((16, 2, 8), 1), config=ServingConfig(padding="ladder")
+        )
         bad = Request("bad-padded", rng.normal(size=(4, HIDDEN + 1)).astype(np.float32))
         with pytest.raises(ValueError, match=r"'bad-padded'.*\b64\b"):
             engine.submit(bad)

@@ -28,14 +28,17 @@ from repro.serving import (
     ContinuousBatcher,
     Request,
     SchedulingConfig,
+    ServingConfig,
     SimulatedRequest,
     bursty_arrivals,
+    create_engine,
     diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
     plan_continuous_batch,
     plan_slo_batch,
     plan_slo_batch_reference,
+    simulate_serving,
     simulate_slo,
     sweep_slo_overload,
 )
@@ -589,6 +592,69 @@ def two_tenant_overload():
         seed=2, deadline_after_us=300.0, prefix="high", priority_class=1,
     )
     return merge_arrivals(low, high)
+
+
+class TestSimulatorMatchesLiveEngine:
+    """The simulator schedules on the engines' own ``ContinuousBatcher``, so
+    a live engine stepped at the simulator's chunk start times must run the
+    identical chunk sequence and shed the identical requests."""
+
+    @pytest.mark.parametrize(
+        "scheduling",
+        [
+            SchedulingConfig(),
+            SchedulingConfig(policy="priority", class_weights=(1, 4)),
+            SchedulingConfig(policy="weighted-fair", class_weights=(1, 3)),
+        ],
+        ids=lambda s: s.policy,
+    )
+    def test_chunk_sequence_and_sheds_agree(self, operand, rng, scheduling):
+        trace = merge_arrivals(
+            bursty_arrivals(
+                90, base_rate_rps=50_000.0, burst_rate_rps=2_000_000.0,
+                tokens=pareto_lengths(90, min_tokens=4, max_tokens=64, seed=3),
+                seed=1, prefix="low", priority_class=0,
+            ),
+            bursty_arrivals(
+                30, base_rate_rps=20_000.0, burst_rate_rps=500_000.0,
+                tokens=[8, 16], seed=2, prefix="high", priority_class=1,
+            ),
+        )
+        config = ServingConfig(
+            scheduling="continuous", max_queue_depth=6, scheduling_policy=scheduling
+        )
+        report = simulate_serving(
+            operand, trace, window_us=0.0, bucketing="ladder", config=config
+        )
+        simulated = [
+            (e.meta["token_bucket"], e.meta["batch_size"], e.meta["request_ids"])
+            for e in report.trace.executions
+        ]
+        assert report.counts()["shed"] > 0  # the bound genuinely bites
+
+        engine = create_engine(operand, config)
+        live = []
+        submitted = 0
+        for execution in report.trace.executions:
+            now_us = execution.meta["start_us"]
+            while submitted < len(trace) and trace[submitted].arrival_us <= now_us:
+                sim = trace[submitted]
+                submitted += 1
+                engine.submit(
+                    Request(
+                        sim.request_id,
+                        rng.normal(size=(sim.tokens, K_FEATURES)).astype(np.float32),
+                        arrival_us=sim.arrival_us,
+                        priority_class=sim.priority_class,
+                    )
+                )
+            ran = tuple(engine.step(now_us))
+            record = engine.completions[ran[0]]
+            live.append((record.rung, record.batch_size, ran))
+        assert submitted == len(trace) and engine.batcher.pending == 0
+        assert live == simulated
+        shed = {rid for rid, state in report.outcomes.items() if state == "shed"}
+        assert {rid for rid, o in engine.outcomes.items() if o.status == "shed"} == shed
 
 
 class TestSimulateSLO:

@@ -7,7 +7,7 @@ baseline fails, and the committed ``BENCH_engine.json`` must hold its own
 gates (the record the docs quote cannot document a regression).
 
 NaN is the "no data" sentinel (a latency percentile over zero completed
-requests — see :class:`repro.serving.simulate.ServingSimReport`): both
+requests — see :class:`repro.serving.simulate.SimReport`): both
 sides of that contract are pinned here — empty-sample percentiles return
 NaN rather than a fake 0.0, and the gate *skips* NaN entries with a
 warning instead of letting ``nan < floor`` (always False) wave them
@@ -174,29 +174,34 @@ class TestNaNIsNoData:
 
     def test_empty_sample_percentiles_are_nan_not_zero(self):
         """The producer side of the sentinel: a report with zero completed
-        requests must report NaN percentiles (``0.0`` used to masquerade
-        as an impossibly perfect latency)."""
-        from repro.serving.simulate import ChaosSimReport, ServingSimReport
+        requests must report NaN percentiles and a NaN mean (``0.0`` used to
+        masquerade as an impossibly perfect latency)."""
+        from repro.serving.simulate import SimReport
 
-        report = ServingSimReport(
+        report = SimReport(
             window_us=100.0,
             num_requests=0,
             num_batches=0,
             makespan_us=0.0,
             latencies_us={},
         )
+        assert math.isnan(report.mean_latency_us)
         assert math.isnan(report.p95_latency_us)
         assert math.isnan(report.p99_latency_us)
         assert math.isnan(report.p999_latency_us)
-        chaos = ChaosSimReport(
+        assert all(
+            math.isnan(report.per_class()[0][key])
+            for key in ("p50_latency_us", "p99_latency_us", "p999_latency_us")
+        )
+        chaos = SimReport(
             seed=0, num_requests=0, makespan_us=0.0, outcomes={}, latencies_us={}
         )
         assert math.isnan(chaos.p99_latency_us)
 
     def test_nonempty_percentiles_unchanged(self):
-        from repro.serving.simulate import ServingSimReport
+        from repro.serving.simulate import SimReport
 
-        report = ServingSimReport(
+        report = SimReport(
             window_us=0.0,
             num_requests=4,
             num_batches=4,
