@@ -1,18 +1,13 @@
-"""Distributed (tensor-parallel) inference: latency model and placement.
+"""Distributed (tensor-parallel) inference: placement and communication.
 
 Section 9 of the paper discusses Spatha as a building block for distributed
 DL systems, where data/operator/pipeline parallelism are combined and the
-SpMM kernels accelerate the per-device operator shards.  This module
-extends the Figure-15 latency model with a Megatron-style tensor-parallel
-execution of the encoder and, for the sharded serving tier
-(:mod:`repro.serving.sharded`), with an explicit *placement* layer:
+SpMM kernels accelerate the per-device operator shards.  This module is the
+*placement* layer of the sharded serving tier
+(:mod:`repro.serving.sharded`), which prices Megatron-style tensor
+parallelism (column-parallel QKV/FFN-expansion projections, row-parallel
+output projections) with a ring all-reduce model over the interconnect:
 
-* :func:`tensor_parallel_trace` — every weight GEMM is sharded across
-  ``tp_degree`` devices (column-parallel for the QKV/FFN-expansion
-  projections, row-parallel for the output projections), so each device
-  runs a GEMM with a 1/tp-sized dimension; each transformer block adds the
-  two all-reduces of the activations that tensor parallelism requires,
-  priced with a simple ring all-reduce model over the interconnect.
 * :func:`encoder_layer_graph` — a live :class:`TransformerEncoder` becomes
   a weighted :class:`LayerGraph`: nodes are the six projections of each
   block (weighted by dense-equivalent FLOPs per token), edges are the
@@ -42,17 +37,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .config import ModelConfig
-from .latency import SparsityPlan, model_inference_trace
 from ..hardware.spec import (  # noqa: F401  (re-exported for back-compat)
     NVLINK,
     PCIE4,
     DeviceGroupSpec,
-    GPUSpec,
     InterconnectSpec,
-    rtx3090,
 )
-from ..hardware.trace import ExecutionTrace, KernelExecution
 
 #: Wire bytes per activation element (FP16 on the interconnect, matching
 #: the tensor-core compute precision the kernels model).
@@ -509,128 +499,3 @@ def placement_comm_time_us(
 ) -> float:
     """Total modelled communication time of one forward over ``tokens``."""
     return sum(e.time_us(tokens, link) for e in placement_comm_events(placement))
-
-
-# ----------------------------------------------------------------------
-# Tensor-parallel latency model (paper Section 9)
-# ----------------------------------------------------------------------
-def tensor_parallel_trace(
-    config: ModelConfig,
-    batch_size: int,
-    tp_degree: int,
-    seq_len: Optional[int] = None,
-    plan: Optional[SparsityPlan] = None,
-    num_layers: Optional[int] = None,
-    gpu: Optional[GPUSpec] = None,
-    link: InterconnectSpec = NVLINK,
-) -> ExecutionTrace:
-    """Latency trace of one device in a tensor-parallel group.
-
-    The per-device compute is modelled by shrinking the weight dimensions by
-    ``tp_degree`` (heads and FFN width are split evenly); the two
-    all-reduces per layer are added as ``comm``-category communication
-    kernels.  ``tp_degree=1`` reduces to the single-GPU model.
-    """
-    if tp_degree < 1:
-        raise ValueError("tp_degree must be >= 1")
-    if config.num_heads % tp_degree or config.intermediate_size % tp_degree:
-        raise ValueError(
-            f"tp_degree ({tp_degree}) must divide the head count ({config.num_heads}) "
-            f"and the FFN width ({config.intermediate_size})"
-        )
-    gpu = gpu or rtx3090()
-    seq = seq_len or config.max_seq_len
-    layers = num_layers if num_layers is not None else config.num_layers
-
-    # Per-device shard of the architecture: attention heads and FFN width are
-    # divided across the group; the hidden size (and therefore the activation
-    # tensors that get all-reduced) stays full-size.
-    shard = ModelConfig(
-        name=f"{config.name}-tp{tp_degree}",
-        hidden_size=config.hidden_size,
-        num_layers=config.num_layers,
-        num_heads=config.num_heads,
-        intermediate_size=config.intermediate_size // tp_degree,
-        max_seq_len=config.max_seq_len,
-        vocab_size=config.vocab_size,
-    )
-    trace = model_inference_trace(
-        shard, batch_size=batch_size, seq_len=seq, plan=plan, num_layers=layers, gpu=gpu
-    )
-
-    # The attention projections are also sharded: remove (tp-1)/tp of their
-    # GEMM time.  (The FFN shrinkage is already captured by the shard config;
-    # attention Q/K/V/output keep hidden x hidden shapes there, so rescale.)
-    if tp_degree > 1:
-        rescaled = ExecutionTrace()
-        for ex in trace.executions:
-            if ex.category == "gemm" and "attention." in str(ex.meta.get("layer", "")):
-                rescaled.record(
-                    KernelExecution(
-                        kernel=ex.kernel,
-                        category=ex.category,
-                        time_us=ex.time_us / tp_degree,
-                        flops=ex.flops / tp_degree,
-                        dense_flops=ex.dense_flops / tp_degree,
-                        bytes_moved=ex.bytes_moved / tp_degree,
-                        meta=dict(ex.meta),
-                    )
-                )
-            elif ex.category == "matmul":
-                rescaled.record(
-                    KernelExecution(
-                        kernel=ex.kernel,
-                        category=ex.category,
-                        time_us=ex.time_us / tp_degree,
-                        flops=ex.flops / tp_degree,
-                        dense_flops=ex.dense_flops / tp_degree,
-                        bytes_moved=ex.bytes_moved / tp_degree,
-                        meta=dict(ex.meta),
-                    )
-                )
-            else:
-                rescaled.record(ex)
-        trace = rescaled
-
-    # Two all-reduces of the (tokens x hidden) activations per layer.
-    tokens = batch_size * seq
-    activation_bytes = tokens * config.hidden_size * ACTIVATION_WIRE_BYTES
-    comm_us = allreduce_time_us(activation_bytes, tp_degree, link)
-    for layer_idx in range(layers):
-        for which in ("attention", "ffn"):
-            trace.record(
-                KernelExecution(
-                    kernel="allreduce",
-                    category="comm",
-                    time_us=comm_us,
-                    bytes_moved=activation_bytes,
-                    meta={"layer": f"encoder.layer.{layer_idx}.{which}.allreduce", "tp": tp_degree},
-                )
-            )
-    return trace
-
-
-def tensor_parallel_study(
-    config: ModelConfig,
-    batch_size: int,
-    tp_degrees=(1, 2, 4),
-    plan: Optional[SparsityPlan] = None,
-    seq_len: Optional[int] = None,
-    num_layers: Optional[int] = None,
-    link: InterconnectSpec = NVLINK,
-    gpu: Optional[GPUSpec] = None,
-) -> Dict[int, Dict[str, float]]:
-    """Latency and communication share across tensor-parallel degrees."""
-    out: Dict[int, Dict[str, float]] = {}
-    for tp in tp_degrees:
-        trace = tensor_parallel_trace(
-            config, batch_size, tp, seq_len=seq_len, plan=plan, num_layers=num_layers, link=link, gpu=gpu
-        )
-        comm_us = sum(e.time_us for e in trace.executions if e.kernel == "allreduce")
-        out[tp] = {
-            "total_ms": trace.total_time_ms,
-            "gemm_ms": trace.gemm_time_us() / 1e3,
-            "comm_ms": comm_us / 1e3,
-            "comm_fraction": comm_us / trace.total_time_us if trace.total_time_us else 0.0,
-        }
-    return out

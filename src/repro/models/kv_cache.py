@@ -40,11 +40,21 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "KVCacheExhausted",
     "LayerKV",
     "SequenceKV",
     "PagedKVCache",
     "prompt_fingerprint",
 ]
+
+
+class KVCacheExhausted(RuntimeError):
+    """No free block and no evictable prefix left.
+
+    Typed so the decode engine can fail the one request that needed the
+    block (a recorded outcome, everything it held returned) instead of the
+    error escaping ``serve()`` with sequences still holding every block.
+    """
 
 
 def prompt_fingerprint(prompt: np.ndarray) -> str:
@@ -242,7 +252,7 @@ class PagedKVCache:
         if not self._free:
             self._evict_prefixes_for_space()
         if not self._free:
-            raise RuntimeError(
+            raise KVCacheExhausted(
                 f"KV cache exhausted: all {self.capacity_blocks} blocks of "
                 f"{self.block_size} token slots are held by live sequences"
             )

@@ -6,11 +6,11 @@ subsystem (the ROADMAP's "heavy traffic" direction):
 * :mod:`~repro.serving.batcher` — shape-bucketing dynamic batcher: requests
   whose activation shapes fall into the same bucket are padded to the
   bucket boundary and stacked into one batched 3-D RHS.
-* :mod:`~repro.serving.engine` — the execution front-end: drains the
-  batcher, runs each micro-batch through the warmed
-  :class:`~repro.kernels.dispatch.KernelDispatcher`, splits the batched
-  output back per request, and records modelled kernel executions into an
-  :class:`~repro.hardware.trace.ExecutionTrace`.
+* :mod:`~repro.serving.engine` — ``EngineCore``, the one intake / step /
+  replay / outcome / stats implementation all three engines subclass, and
+  the single-operator :class:`ServingEngine`: each micro-batch runs through
+  the warmed :class:`~repro.kernels.dispatch.KernelDispatcher` and records
+  its modelled execution into an :class:`~repro.hardware.trace.ExecutionTrace`.
 * :mod:`~repro.serving.model_engine` — model-level serving:
   :class:`ModelServingEngine` routes whole
   :class:`~repro.models.transformer.TransformerEncoder` forward passes

@@ -144,35 +144,21 @@ class MicroBatch:
         """Total true token count (``sum(valid_lengths)``)."""
         return sum(req.tokens for req in self.requests)
 
-    def stacked_rhs(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def stacked_rhs(self) -> np.ndarray:
         """The batched RHS: ``(B, features, token_bucket)``.
 
         Each request's activations are transposed to ``(K, C)`` and padded
         with zero columns up to the bucket boundary.  Zero columns produce
         zero output columns that :meth:`split_output` trims away; they never
         touch the real columns (GEMM columns are independent).
-
-        ``out``, when given, must be a float32 buffer of exactly that shape;
-        it is *fully* overwritten (valid columns, then explicit zero
-        padding), so a pooled buffer yields values identical to a fresh
-        allocation.
         """
         key = self.key
-        shape = (self.batch_size, key.features, key.token_bucket)
-        if out is None:
-            rhs = np.zeros(shape, dtype=np.float32)
-            for i, req in enumerate(self.requests):
-                rhs[i, :, : req.tokens] = req.activations.T
-            return rhs
-        if out.shape != shape or out.dtype != np.float32:
-            raise ValueError(f"out must be float32 {shape}, got {out.dtype} {out.shape}")
+        rhs = np.zeros((self.batch_size, key.features, key.token_bucket), dtype=np.float32)
         for i, req in enumerate(self.requests):
-            t = req.tokens
-            out[i, :, :t] = req.activations.T
-            out[i, :, t:] = 0.0
-        return out
+            rhs[i, :, : req.tokens] = req.activations.T
+        return rhs
 
-    def stacked_activations(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def stacked_activations(self) -> np.ndarray:
         """The batched layer-facing activations: ``(B, token_bucket, features)``.
 
         The model-serving layout (sequences stay un-transposed): each
@@ -182,24 +168,11 @@ class MicroBatch:
         (``"ladder"``) mode the engine pairs this tensor with the
         :attr:`valid_lengths` attention mask, because bare zero rows would
         *not* be numerics-neutral through attention's softmax.
-
-        ``out``, when given, must be a float32 buffer of exactly that shape;
-        it is fully overwritten (valid rows, then explicit zero padding), so
-        a pooled buffer yields values identical to a fresh allocation.
         """
         key = self.key
-        shape = (self.batch_size, key.token_bucket, key.features)
-        if out is None:
-            out = np.zeros(shape, dtype=np.float32)
-            for i, req in enumerate(self.requests):
-                out[i, : req.tokens] = req.activations
-            return out
-        if out.shape != shape or out.dtype != np.float32:
-            raise ValueError(f"out must be float32 {shape}, got {out.dtype} {out.shape}")
+        out = np.zeros((self.batch_size, key.token_bucket, key.features), dtype=np.float32)
         for i, req in enumerate(self.requests):
-            t = req.tokens
-            out[i, :t] = req.activations
-            out[i, t:] = 0.0
+            out[i, : req.tokens] = req.activations
         return out
 
     def split_hidden(self, out: np.ndarray) -> Dict[str, np.ndarray]:
@@ -389,6 +362,33 @@ class ShapeBucketBatcher:
             self._seen_ids -= gone
         return sorted(expired, key=lambda r: r.request_id)
 
+    # The admission surface every driver reads.  A window batcher admits
+    # everything, so it sheds and evicts nothing and its counters are zero;
+    # :class:`~repro.serving.continuous.ContinuousBatcher` overrides all three.
+    def take_shed(self) -> List[Request]:
+        """Requests refused admission since the last call (never any here)."""
+        return []
+
+    def take_expired(self) -> List[Request]:
+        """Requests evicted by drop-expired shedding (never any here)."""
+        return []
+
+    def admission_stats(self) -> Dict[str, object]:
+        """The zeroed admission schema: same keys as the continuous
+        batcher's, ``shed_policy: None`` marking admission control absent."""
+        return {
+            "max_queue_depth": None,
+            "shed_policy": None,
+            "shed": 0,
+            "expired": 0,
+            "pending": self.pending,
+            "kv_budget_blocks": None,
+            "kv_reserved": 0,
+            "occupied_slots": 0,
+            "policy": None,
+            "per_class": {0: {"shed": 0, "expired": 0, "pending": 0}},
+        }
+
     def plan_batches(self, items, key_of, id_of) -> List[Tuple[BucketKey, List]]:
         """The batching policy, shared by :meth:`drain` and the simulator.
 
@@ -416,10 +416,14 @@ class ShapeBucketBatcher:
         pending = self._pending
         self._pending = []
         self._seen_ids = set()
+        return self._micro_batches(pending)
+
+    def _micro_batches(self, requests: List[Request]) -> List[MicroBatch]:
+        """:meth:`plan_batches` over live requests, as executable batches."""
         return [
             MicroBatch(key=key, requests=members)
             for key, members in self.plan_batches(
-                pending, self.bucket_key, lambda r: r.request_id
+                requests, self.bucket_key, lambda r: r.request_id
             )
         ]
 
@@ -479,12 +483,7 @@ class AsyncWindowBatcher(ShapeBucketBatcher):
         self._pending = [r for r in self._pending if self.bucket_key(r) not in due]
         for req in taken:
             self._seen_ids.discard(req.request_id)
-        return [
-            MicroBatch(key=key, requests=members)
-            for key, members in self.plan_batches(
-                taken, self.bucket_key, lambda r: r.request_id
-            )
-        ]
+        return self._micro_batches(taken)
 
     def next_deadline_us(self) -> Optional[float]:
         """The earliest pending close time (``None`` when the queue is empty).

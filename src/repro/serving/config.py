@@ -172,14 +172,6 @@ class ServingConfig:
     # ------------------------------------------------------------------
     # Derived builders the engines call
     # ------------------------------------------------------------------
-    def _admission_kwargs(self, kv_cost: Optional[Callable] = None) -> dict:
-        return {
-            "max_queue_depth": self.max_queue_depth,
-            "shed_policy": self.shed_policy,
-            "kv_budget_blocks": self.kv_budget_blocks,
-            "kv_cost": kv_cost,
-        }
-
     def build_batcher(self, kind: str = "operand", kv_cost: Optional[Callable] = None):
         """The default batcher for an engine of ``kind``.
 
@@ -208,8 +200,13 @@ class ServingConfig:
         extra: dict = {"max_batch_size": self.max_batch_size}
         if continuous:
             cls = ContinuousBatcher
-            extra.update(self._admission_kwargs(kv_cost))
-            extra["scheduling"] = self.scheduling_policy
+            extra.update(
+                max_queue_depth=self.max_queue_depth,
+                shed_policy=self.shed_policy,
+                kv_budget_blocks=self.kv_budget_blocks,
+                kv_cost=kv_cost,
+                scheduling=self.scheduling_policy,
+            )
         elif self.scheduling == "async":
             cls = AsyncWindowBatcher
             extra["window_us"] = self.window_us

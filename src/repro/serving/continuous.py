@@ -815,10 +815,20 @@ class ContinuousBatcher(ShapeBucketBatcher):
         """
         if not self.scheduling.preemption:
             return None
+        planned = self._plan_slo(now_us, capacity_of=None)  # ignoring occupancy
+        if planned is None:
+            return None
+        key, chunk = planned
+        if self.max_batch_size - self._occupancy.get(key, 0) > 0:
+            return None
+        return key, chunk[0]
+
+    def _plan_slo(self, now_us: float, capacity_of) -> Optional[Tuple[BucketKey, List[Request]]]:
+        """One :func:`plan_slo_batch` pass over what has arrived by ``now_us``."""
         arrived = self.arrived(now_us)
         if not arrived:
             return None
-        planned = plan_slo_batch(
+        return plan_slo_batch(
             arrived,
             self.bucket_key,
             lambda r: r.arrival_us,
@@ -829,13 +839,8 @@ class ContinuousBatcher(ShapeBucketBatcher):
             policy=self.scheduling.policy,
             class_weights=self.scheduling.class_weights,
             served_by_class=self._served_by_class,
+            capacity_of=capacity_of,
         )
-        if planned is None:
-            return None
-        key, chunk = planned
-        if self.max_batch_size - self._occupancy.get(key, 0) > 0:
-            return None
-        return key, chunk[0]
 
     def requeue(self, request: Request) -> BucketKey:
         """Re-admit preempted work, bypassing admission control entirely.
@@ -987,21 +992,8 @@ class ContinuousBatcher(ShapeBucketBatcher):
         the FCFS fast path's O(chunk) incrementality for a planner pass
         over what has arrived — scheduling only; execution is untouched.
         """
-        arrived = self.arrived(now_us)
-        if not arrived:
-            return None
-        planned = plan_slo_batch(
-            arrived,
-            self.bucket_key,
-            lambda r: r.arrival_us,
-            lambda r: r.request_id,
-            self.max_batch_size,
-            class_of=lambda r: r.priority_class,
-            deadline_of=lambda r: r.deadline_us,
-            policy=self.scheduling.policy,
-            class_weights=self.scheduling.class_weights,
-            served_by_class=self._served_by_class,
-            capacity_of=lambda key: self.max_batch_size - self._occupancy.get(key, 0),
+        planned = self._plan_slo(
+            now_us, lambda key: self.max_batch_size - self._occupancy.get(key, 0)
         )
         if planned is None:
             return None
@@ -1040,9 +1032,4 @@ class ContinuousBatcher(ShapeBucketBatcher):
         self._seen_ids = set()
         for request in items:
             self.release_kv(request.request_id)
-        return [
-            MicroBatch(key=key, requests=members)
-            for key, members in self.plan_batches(
-                items, self.bucket_key, lambda r: r.request_id
-            )
-        ]
+        return self._micro_batches(items)

@@ -52,16 +52,11 @@ import numpy as np
 from .batcher import BucketKey, Request
 from .config import ServingConfig
 from .continuous import CompletionRecord, ContinuousBatcher
-from .engine import (
-    OutcomeTrackingMixin,
-    admission_stats_of,
-    continuous_stats_of,
-    sharding_stats_of,
-)
-from .faults import OUTCOME_FAILED, OUTCOME_OK, RequestOutcome
+from .engine import EngineCore
+from .faults import OUTCOME_FAILED, OUTCOME_OK
 from ..kernels.dispatch import BackendExecutionError, KernelDispatcher
 from ..models.functional import causal_mask
-from ..models.kv_cache import PagedKVCache, prompt_fingerprint
+from ..models.kv_cache import KVCacheExhausted, PagedKVCache, prompt_fingerprint
 from ..models.transformer import TransformerEncoder
 
 __all__ = ["DecodeRequest", "DecoderServingEngine", "decode_reference"]
@@ -150,7 +145,7 @@ class _Resident:
     generated: List[np.ndarray] = field(default_factory=list)
 
 
-class DecoderServingEngine(OutcomeTrackingMixin):
+class DecoderServingEngine(EngineCore):
     """Continuous-batching decode server over one shared paged KV cache.
 
     Drive it like the other continuous engines — ``submit`` between steps,
@@ -210,56 +205,51 @@ class DecoderServingEngine(OutcomeTrackingMixin):
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
             raise TypeError("encoder must be a TransformerEncoder")
-        self.config = config
-        if config is not None:
-            name = config.name or name
-            warm = config.warm
-            if dispatcher is None:
-                dispatcher = config.build_dispatcher(name=name)
+        #: new_tokens per submitted request (alive until the request retires).
+        self._new_tokens: Dict[str, int] = {}
+        new_tokens = self._new_tokens
+        knobs = config if config is not None else ServingConfig()
+        block_size = knobs.block_size
+
+        def kv_cost(request: Request) -> int:
+            """Projected block footprint: the whole sequence, prompt + decode.
+
+            Closes over the mapping and the block size, *not* the engine: the
+            batcher keeps this function, and a bound method here made
+            engine -> batcher -> engine a cycle, so a dropped engine (two KV
+            stores + its encoder) waited for the cyclic collector instead of
+            dying by refcount.
+            """
+            total = request.tokens + new_tokens.get(request.request_id, 1)
+            return -(-total // block_size)
+
+        if batcher is None:
+            batcher = knobs.build_batcher(kind="decoder", kv_cost=kv_cost)
+        super().__init__("decoder", name, config, dispatcher, batcher, warm)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
-        self.name = name
-        self.dispatcher = (
-            dispatcher if dispatcher is not None else KernelDispatcher(name=f"{name}.dispatcher")
-        )
         encoder.set_dispatcher(self.dispatcher)
         # Sharded dispatchers solve placement for the encoder they serve.
-        bind_encoder = getattr(self.dispatcher, "bind_encoder", None)
-        if bind_encoder is not None:
-            bind_encoder(encoder)
-        knobs = config if config is not None else ServingConfig()
+        self.dispatcher.bind_encoder(encoder)
         self.kv = PagedKVCache(
             num_layers=len(encoder.layers),
             num_heads=encoder.config.num_heads,
             head_dim=encoder.config.head_dim,
-            block_size=knobs.block_size,
+            block_size=block_size,
             capacity_blocks=knobs.capacity_blocks,
         )
-        self.batcher = (
-            batcher
-            if batcher is not None
-            else knobs.build_batcher(kind="decoder", kv_cost=self._default_kv_cost)
-        )
-        #: new_tokens per submitted request (alive until the request retires).
-        self._new_tokens: Dict[str, int] = {}
-        #: in-flight decodes, in admission order (the advance order).
-        self._residents: Dict[str, _Resident] = {}
-        #: preempted decodes parked with their KV blocks and generated state
-        #: intact, keyed by request id; they resume bit-exactly when their
-        #: re-queued request is scheduled again.
+        #: ``_residents`` (from the core) holds the in-flight decodes, in
+        #: admission order — the advance order.  Preempted decodes park here
+        #: with their KV blocks and generated state intact, keyed by request
+        #: id; they resume bit-exactly when their re-queued request is
+        #: scheduled again.
         self._preempted: Dict[str, _Resident] = {}
-        self.total_requests = 0
         self.total_decode_steps = 0
         self.prefills = 0
         self.prefills_skipped = 0
         self.preemptions = 0
         self.resumes = 0
-        #: Continuous-serving bookkeeping (same schema as the other engines).
-        self.steps_executed = 0
-        self.completions: Dict[str, CompletionRecord] = {}
-        #: Per-request terminal states (ok / failed / timed_out / shed).
-        self.outcomes: Dict[str, RequestOutcome] = {}
-        if warm:
+        if self._warm_on_build:
             self.dispatcher.warm_many(
                 [lin.operand for _, lin in encoder.named_sparse_layers()], cs=(1,)
             )
@@ -267,11 +257,6 @@ class DecoderServingEngine(OutcomeTrackingMixin):
     # ------------------------------------------------------------------
     # Request intake
     # ------------------------------------------------------------------
-    def _default_kv_cost(self, request: Request) -> int:
-        """Projected block footprint: the whole sequence, prompt + decode."""
-        total = request.tokens + self._new_tokens.get(request.request_id, 1)
-        return -(-total // self.kv.block_size)
-
     def submit(self, request: DecodeRequest) -> Optional[BucketKey]:
         """Queue one decode job; returns its rung (``None`` when shed)."""
         if not isinstance(request, DecodeRequest):
@@ -298,7 +283,7 @@ class DecoderServingEngine(OutcomeTrackingMixin):
     # ------------------------------------------------------------------
     # The multi-step loop
     # ------------------------------------------------------------------
-    def step(self, now_us: float) -> Dict[str, np.ndarray]:
+    def _run_step(self, now_us: float) -> Dict[str, np.ndarray]:
         """Admit at most one micro-batch, then advance every resident.
 
         Newly admitted requests prefill this step and start decoding on
@@ -306,17 +291,10 @@ class DecoderServingEngine(OutcomeTrackingMixin):
         appends generated positions).  Returns the requests completed at
         this step: ``{request_id: (new_tokens, hidden)}``.
         """
-        next_batch = getattr(self.batcher, "next_batch", None)
-        if next_batch is None:
-            raise TypeError(
-                "DecoderServingEngine needs a step-schedulable batcher "
-                "(ContinuousBatcher.ladder() / ContinuousBatcher.exact_length())"
-            )
-        self._drain_admission()
-        self._expire_pending(now_us)
+        self._free_evicted_parked()
         self._preempt_for(now_us)
         step_index = self.steps_executed
-        batch = next_batch(now_us)
+        batch = self.batcher.next_batch(now_us)
         newly: List[_Resident] = []
         if batch is not None:
             for req in batch.requests:
@@ -344,11 +322,8 @@ class DecoderServingEngine(OutcomeTrackingMixin):
         bit-exactly once a slot frees up again.  Occupancy strictly drops
         every iteration, so the loop terminates.
         """
-        preemption_target = getattr(self.batcher, "preemption_target", None)
-        if preemption_target is None:
-            return
         while True:
-            target = preemption_target(now_us)
+            target = self.batcher.preemption_target(now_us)
             if target is None:
                 return
             key, head = target
@@ -361,15 +336,15 @@ class DecoderServingEngine(OutcomeTrackingMixin):
             self.batcher.requeue(resident.request)
             self.preemptions += 1
 
-    def _expire_pending(self, now_us: float) -> None:
-        """Queue expiry, plus teardown of preempted-then-expired decodes.
+    def _free_evicted_parked(self) -> None:
+        """Tear down preempted decodes the queue has since evicted.
 
         A preempted decode waits in the queue like any request, so its
         deadline can pass before a slot frees up; when the batcher evicts
-        it, its parked KV blocks must be freed too (the eviction already
-        returned its budget reservation).
+        it (the core's expiry and admission hooks ran just before this
+        step's body), its parked KV blocks must be freed too (the eviction
+        already returned its budget reservation).
         """
-        super()._expire_pending(now_us)
         for rid in [r for r in self._preempted if not self.batcher.is_queued(r)]:
             del self._preempted[rid]
             self.kv.free(rid)
@@ -407,7 +382,7 @@ class DecoderServingEngine(OutcomeTrackingMixin):
                     feed = self.encoder.forward_step(req.activations[t][None], handle)
                 self.kv.register_prefix(fingerprint, rid, feed)
                 self.prefills += 1
-        except BackendExecutionError as exc:
+        except (BackendExecutionError, KVCacheExhausted) as exc:
             self.kv.free(rid)
             self.batcher.release_kv(rid)
             self._new_tokens.pop(rid, None)
@@ -430,7 +405,7 @@ class DecoderServingEngine(OutcomeTrackingMixin):
             rid = resident.request.request_id
             try:
                 out = self.encoder.forward_step(resident.feed, resident.handle)
-            except BackendExecutionError as exc:
+            except (BackendExecutionError, KVCacheExhausted) as exc:
                 self._retire(resident, OUTCOME_FAILED, str(exc), now_us)
                 continue
             resident.feed = out
@@ -465,52 +440,16 @@ class DecoderServingEngine(OutcomeTrackingMixin):
     # ------------------------------------------------------------------
     # Replay drivers
     # ------------------------------------------------------------------
-    def serve_continuous(
-        self, requests: Iterable[DecodeRequest], step_us: Optional[float] = None
-    ) -> Dict[str, np.ndarray]:
-        """Replay decode jobs against their arrival clock through the step loop.
-
-        Same clock discipline as the single-step engines' driver — each
-        iteration admits every request arrived by ``now``, runs one
-        :meth:`step`, advances the clock by ``step_us`` after a step that
-        did work and jumps to the next arrival otherwise — but the loop
-        also runs while *residents* are still decoding, since a decode
-        outlives the step that admitted it.  ``step_us=None`` takes the
-        cadence from the engine's config (0 when unconfigured).
-        """
-        if step_us is None:
-            step_us = self.config.step_us if self.config is not None else 0.0
-        if step_us < 0:
-            raise ValueError("step_us must be non-negative")
-        queue = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        results: Dict[str, np.ndarray] = {}
-        now = queue[0].arrival_us if queue else 0.0
-        admitted = 0
-        while admitted < len(queue) or self.batcher.pending or self._residents:
-            while admitted < len(queue) and queue[admitted].arrival_us <= now:
-                self.submit(queue[admitted])
-                admitted += 1
-            before = self.steps_executed
-            results.update(self.step(now))
-            if self.steps_executed != before:
-                now += step_us
-            else:
-                upcoming = [
-                    t
-                    for t in (
-                        queue[admitted].arrival_us if admitted < len(queue) else None,
-                        self.batcher.next_event_us(),
-                    )
-                    if t is not None
-                ]
-                if not upcoming:
-                    break
-                now = max(now, min(upcoming))
-        return results
-
     def serve(self, requests: Iterable[DecodeRequest]) -> Dict[str, np.ndarray]:
-        """Convenience: replay a whole window back to back (``step_us=0``)."""
+        """Convenience: replay a whole window at the config's step cadence
+        (back to back by default).  The replay loop is the core's
+        ``serve_continuous``; it keeps stepping while residents decode."""
         return self.serve_continuous(requests)
+
+    def flush(self) -> Dict[str, np.ndarray]:
+        # The inherited whole-window drain would empty the queue and then
+        # have no one-step execution to run it through.
+        raise TypeError("a decode spans many steps; drive the decoder with step() / serve()")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -530,10 +469,6 @@ class DecoderServingEngine(OutcomeTrackingMixin):
             "preemptions": self.preemptions,
             "resumes": self.resumes,
             "preempted_parked": len(self._preempted),
-            "continuous": continuous_stats_of(self),
-            "outcomes": self.outcome_stats(),
-            "dispatch_health": self.dispatcher.health_stats(),
-            "admission": admission_stats_of(self.batcher),
-            "sharding": sharding_stats_of(self.dispatcher),
+            **self._shared_stats(),
             "cache": self.cache_stats(),
         }

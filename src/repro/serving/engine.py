@@ -1,4 +1,12 @@
-"""The serving execution front-end.
+"""The serving execution front-end: one engine core, and the operator engine.
+
+:class:`EngineCore` is the request lifecycle all three serving engines run
+— intake, the three scheduling drivers, fault isolation, per-request
+outcomes and the shared ``stats()`` blocks are written once here, and an
+engine supplies only what it serves (see the class docstring for its two
+hooks).  :class:`~repro.serving.model_engine.ModelServingEngine` and
+:class:`~repro.serving.decoder.DecoderServingEngine` subclass it from
+their own modules; this module also holds the smallest engine:
 
 ``ServingEngine`` glues the pieces into a request/response loop around one
 sparse operator (a pruned weight and optional bias — one ``SparseLinear``'s
@@ -27,9 +35,9 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .batcher import MicroBatch, Request, ShapeBucketBatcher
+from .batcher import AsyncWindowBatcher, MicroBatch, Request, ShapeBucketBatcher
 from .config import ServingConfig
-from .continuous import CompletionRecord
+from .continuous import CompletionRecord, ContinuousBatcher
 from .faults import (
     OUTCOME_FAILED,
     OUTCOME_OK,
@@ -48,103 +56,31 @@ from ..kernels.dispatch import (
 )
 
 
-def admission_stats_of(batcher) -> Dict[str, object]:
-    """The batcher's admission counters, normalized to one schema.
+class EngineCore:
+    """The one request lifecycle every serving engine runs.
 
-    Engines' ``stats()['admission']`` always carries these keys: batchers
-    without admission control (plain :class:`ShapeBucketBatcher`, async
-    windows) report zeroed counters with ``shed_policy: None`` rather than
-    the key going missing — consumers keyed on ``stats()['admission']``
-    must not break when the serving policy changes underneath them.
-    """
-    stats_fn = getattr(batcher, "admission_stats", None)
-    if stats_fn is not None:
-        return stats_fn()
-    return {
-        "max_queue_depth": None,
-        "shed_policy": None,
-        "shed": 0,
-        "expired": 0,
-        "pending": getattr(batcher, "pending", 0),
-        "kv_budget_blocks": None,
-        "kv_reserved": 0,
-        "occupied_slots": 0,
-        "policy": None,
-        "per_class": {0: {"shed": 0, "expired": 0, "pending": 0}},
-    }
+    Intake (``submit`` / ``serve``), the three scheduling drivers
+    (whole-window ``flush``, async-window ``poll`` / ``serve_arrivals``,
+    continuous ``step`` / ``serve_continuous``), fault isolation,
+    per-request outcomes and the normalized ``stats()`` blocks live here
+    once.  A subclass says what it serves through two hooks:
 
+    * :meth:`_execute_batch` — the numerics of one micro-batch (one batched
+      kernel call, one batched encoder forward).  Every driver funnels
+      through it, which is why scheduling can never touch a request's bits.
+    * :meth:`_run_step` — what one continuous step runs.  The default pops
+      one micro-batch and completes it inside the step: a one-shot request
+      is the one-step case of the resident lifecycle.  The decoder
+      overrides it with preempt -> admit -> advance, where a request stays
+      resident across steps (Orca's iteration-level scheduling).
 
-def continuous_stats_of(engine) -> Dict[str, object]:
-    """The step-loop counters every engine's ``stats()['continuous']`` emits.
+    (``_validate`` is the intake check: the feature width an engine
+    accepts.)  The drivers are scheduling-only — window timing and step
+    cadence change *when* a request executes, never its numbers — so
+    outputs are bit-identical to a single-window ``serve`` of the same
+    request set under all three.
 
-    Same normalization contract as :func:`admission_stats_of`: the key is
-    always present with the same schema, zeroed when the engine has never
-    stepped."""
-    return {
-        "steps": getattr(engine, "steps_executed", 0),
-        "completions": len(getattr(engine, "completions", ())),
-    }
-
-
-def sharding_stats_of(dispatcher) -> Dict[str, object]:
-    """The shard-topology block every engine's ``stats()['sharding']`` emits.
-
-    Same normalization contract as :func:`admission_stats_of`: a sharded
-    dispatcher reports its per-shard load, placement quality and modelled
-    communication; a plain single-device dispatcher reports the zeroed
-    ``tp_degree=1`` schema rather than the key going missing.
-    """
-    stats_fn = getattr(dispatcher, "sharding_stats", None)
-    if stats_fn is not None:
-        return stats_fn()
-    return {
-        "tp_degree": 1,
-        "placement_policy": None,
-        "per_shard_calls": [],
-        "per_shard_modelled_us": [],
-        "load_balance": None,
-        "cut_bytes_per_token": 0.0,
-        "comm_time_us": 0.0,
-        "comm_events": 0,
-    }
-
-
-class StackBufferPool:
-    """Reusable float32 stacking buffers, keyed by exact shape.
-
-    The engines stack every micro-batch into a fresh zeroed tensor; under
-    continuous serving that is one or two allocations per step for the same
-    handful of (batch, bucket) shapes.  The pool hands back the same buffer
-    for the same shape instead.  Numerics-free by construction: the
-    ``MicroBatch`` stackers *fully* overwrite a provided buffer (valid
-    cells, then explicit zero padding), so pooled and fresh buffers hold
-    identical values, and no kernel backend retains a reference to its RHS
-    (they all convert or copy), so reuse across steps cannot alias.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._buffers: Dict[tuple, np.ndarray] = {}
-
-    def take(self, shape: tuple) -> np.ndarray:
-        """A float32 buffer of ``shape`` (contents arbitrary — overwrite it)."""
-        buf = self._buffers.get(shape)
-        if buf is None:
-            if len(self._buffers) >= self.capacity:
-                self._buffers.clear()
-            buf = np.empty(shape, dtype=np.float32)
-            self._buffers[shape] = buf
-        return buf
-
-
-class OutcomeTrackingMixin:
-    """Fault-tolerant batch execution and per-request outcome bookkeeping.
-
-    Host classes provide ``batcher`` and ``_execute_batch`` and initialise
-    ``outcomes`` (a ``{request_id: RequestOutcome}`` dict).  The mixin
-    wraps ``_execute_batch`` into :meth:`_run_batch`, which
+    Fault tolerance wraps ``_execute_batch`` into :meth:`_run_batch`, which
 
     * screens **poisoned payloads** — a request whose activations are
       non-finite is recorded ``failed`` and removed before the batched
@@ -156,13 +92,106 @@ class OutcomeTrackingMixin:
       sequential execution, the surviving requests' outputs are unchanged
       by the split;
     * records a :class:`~repro.serving.faults.RequestOutcome` per request
-      (``ok`` / ``failed`` here; the deadline and admission hooks below
-      add ``timed_out`` / ``shed``).
+      (``ok`` / ``failed`` here; the deadline and admission hooks add
+      ``timed_out`` / ``shed``).
 
     Only ``BackendExecutionError`` is treated as a request-level fault;
     configuration errors (shape mismatches, routing guards) still raise.
+
+    Collaborators are written-down interfaces, not probed capabilities:
+    every batcher answers ``admission_stats`` / ``take_shed`` /
+    ``take_expired`` / ``expire_due`` (the window batchers zeroed and
+    empty), every dispatcher answers ``sharding_stats`` / ``comm_kernels``
+    / ``bind_encoder`` (a single device is the ``tp_degree=1`` case), and
+    ``step`` / ``poll`` name the batcher class they need.
     """
 
+    def __init__(
+        self,
+        kind: str,
+        name: str,
+        config: Optional[ServingConfig],
+        dispatcher,
+        batcher: Optional[ShapeBucketBatcher],
+        warm: bool,
+        warm_buckets: Sequence[int] = (),
+    ) -> None:
+        """Resolve the shared knobs: a passed ``config`` supplies name,
+        warming policy and the default batcher / (sharded) dispatcher of
+        engine ``kind``; an explicit ``dispatcher`` / ``batcher`` wins.
+        Warming is each subclass's last constructor line (what it warms
+        only exists once the subclass is wired up)."""
+        if config is not None:
+            name = config.name or name
+            warm = config.warm
+            warm_buckets = config.warm_buckets or warm_buckets
+        self.config = config if config is not None else ServingConfig()
+        self.name = name
+        if dispatcher is None:
+            dispatcher = self.config.build_dispatcher(name=name)  # None unless sharded
+        if dispatcher is None:
+            # One operator shares the process-wide dispatcher; a served model
+            # gets a private one, so two engines never share memoized dispatch
+            # signatures unless explicitly given one dispatcher.
+            dispatcher = (
+                default_dispatcher()
+                if kind == "operand"
+                else KernelDispatcher(name=f"{name}.dispatcher")
+            )
+        self.dispatcher = dispatcher
+        self.batcher = batcher if batcher is not None else self.config.build_batcher(kind=kind)
+        self._warm_on_build = warm
+        self._warm_buckets = tuple(warm_buckets)
+        self.total_requests = 0
+        #: Continuous-serving bookkeeping (populated by the step loop).
+        self.steps_executed = 0
+        self.completions: Dict[str, CompletionRecord] = {}
+        #: In-flight multi-step work by request id; one-step engines never
+        #: hold any (their requests complete inside the step that ran them).
+        self._residents: Dict[str, object] = {}
+        #: Per-request terminal states (ok / failed / timed_out / shed).
+        self.outcomes: Dict[str, RequestOutcome] = {}
+
+    # ------------------------------------------------------------------
+    # The two hooks (and the intake check)
+    # ------------------------------------------------------------------
+    def _validate(self, request: Request) -> None:
+        """Raise ``ValueError`` when ``request`` is not this engine's width."""
+        raise NotImplementedError
+
+    def _execute_batch(self, batch: MicroBatch) -> Dict[str, np.ndarray]:
+        """One micro-batch's numerics: ``{request_id: output}``."""
+        raise NotImplementedError
+
+    def _run_step(self, now_us: float) -> Dict[str, np.ndarray]:
+        """One continuous step of a one-shot engine: pop the most urgent
+        micro-batch, run it tolerantly, record a
+        :class:`~repro.serving.continuous.CompletionRecord` per completed
+        request."""
+        batch = self.batcher.next_batch(now_us)
+        if batch is None:
+            return {}
+        results = self._run_batch(batch, now_us)
+        step_index = self.steps_executed
+        self.steps_executed += 1
+        for req in batch.requests:
+            # CompletionRecords describe *successful* completions; failed
+            # batchmates get a RequestOutcome instead.
+            if req.request_id not in results:
+                continue
+            self.completions[req.request_id] = CompletionRecord(
+                request_id=req.request_id,
+                step=step_index,
+                completed_us=float(now_us),
+                rung=batch.key.token_bucket,
+                batch_size=batch.batch_size,
+                arrival_us=req.arrival_us,
+            )
+        return results
+
+    # ------------------------------------------------------------------
+    # Fault isolation and outcomes
+    # ------------------------------------------------------------------
     def _record_outcome(
         self, request_id: str, status: str, detail: str = "", now_us: float = 0.0
     ) -> None:
@@ -218,10 +247,7 @@ class OutcomeTrackingMixin:
         became undeliverable), so the record is invariant to how late the
         driver's next step happened to run.
         """
-        expire_due = getattr(self.batcher, "expire_due", None)
-        if expire_due is None:
-            return
-        for req in expire_due(now_us):
+        for req in self.batcher.expire_due(now_us):
             self._record_outcome(
                 req.request_id,
                 OUTCOME_TIMED_OUT,
@@ -230,175 +256,70 @@ class OutcomeTrackingMixin:
             )
 
     def _drain_admission(self) -> None:
-        """Collect shed/evicted requests from an admission-control batcher."""
-        take_shed = getattr(self.batcher, "take_shed", None)
-        if take_shed is not None:
-            for req in take_shed():
-                self._record_outcome(
-                    req.request_id,
-                    OUTCOME_SHED,
-                    "rejected by admission control (queue full)",
-                    req.arrival_us,
-                )
-        take_expired = getattr(self.batcher, "take_expired", None)
-        if take_expired is not None:
-            for req in take_expired():
-                self._record_outcome(
-                    req.request_id,
-                    OUTCOME_TIMED_OUT,
-                    "evicted by drop-expired shedding",
-                    req.deadline_us if req.deadline_us is not None else req.arrival_us,
-                )
-
-    def outcome_stats(self) -> Dict[str, int]:
-        """Outcome counts per terminal state (all four keys present)."""
-        return outcome_counts(self.outcomes.values())
-
-
-class ContinuousDriverMixin:
-    """The continuous-batching step loop shared by the serving engines.
-
-    Host classes provide ``batcher``, ``submit`` and ``_execute_batch``
-    (and initialise ``steps_executed`` / ``completions``); the mixin turns
-    a step-schedulable batcher
-    (:class:`~repro.serving.continuous.ContinuousBatcher`) into the
-    continuous serving loop: admission between steps, deterministic
-    re-bucketing, one batched (masked) forward per step.  Like the async
-    windows, the policy is scheduling-only — outputs stay bit-identical to
-    a single-window ``serve`` of the same request set, for every arrival
-    interleaving and step cadence.
-    """
-
-    def step(self, now_us: float) -> Dict[str, np.ndarray]:
-        """Execute at most one micro-batch at ``now_us``.
-
-        Admits nothing itself — callers ``submit`` arrivals between steps
-        (that is the continuous-batching contract: a request submitted
-        before this call joins its rung's chunk immediately, even though
-        its batchmates have been queued since earlier steps).  Returns the
-        completed requests' outputs (``{}`` on an idle step) and records a
-        :class:`~repro.serving.continuous.CompletionRecord` per completed
-        request in :attr:`completions`.
-        """
-        next_batch = getattr(self.batcher, "next_batch", None)
-        if next_batch is None:
-            raise TypeError(
-                "step() needs a step-schedulable batcher (ContinuousBatcher); "
-                "use flush() with a plain ShapeBucketBatcher or poll() with an "
-                "AsyncWindowBatcher"
+        """Collect the requests admission control shed or evicted at submit."""
+        for req in self.batcher.take_shed():
+            self._record_outcome(
+                req.request_id,
+                OUTCOME_SHED,
+                "rejected by admission control (queue full)",
+                req.arrival_us,
             )
-        # Outcome hooks: collect what admission control shed at submit time
-        # and evict deadline-passed requests before they occupy batch slots.
-        self._drain_admission()
-        self._expire_pending(now_us)
-        batch = next_batch(now_us)
-        if batch is None:
-            return {}
-        results = self._run_batch(batch, now_us)
-        step_index = self.steps_executed
-        self.steps_executed += 1
-        for req in batch.requests:
-            # CompletionRecords describe *successful* completions; failed
-            # batchmates get a RequestOutcome instead.
-            if req.request_id not in results:
-                continue
-            self.completions[req.request_id] = CompletionRecord(
-                request_id=req.request_id,
-                step=step_index,
-                completed_us=float(now_us),
-                rung=batch.key.token_bucket,
-                batch_size=batch.batch_size,
-                arrival_us=req.arrival_us,
+        for req in self.batcher.take_expired():
+            self._record_outcome(
+                req.request_id,
+                OUTCOME_TIMED_OUT,
+                "evicted by drop-expired shedding",
+                req.deadline_us if req.deadline_us is not None else req.arrival_us,
             )
-        return results
 
-    def serve_continuous(
-        self, requests: Iterable[Request], step_us: Optional[float] = None
-    ) -> Dict[str, np.ndarray]:
-        """Replay requests against their arrival clock through the step loop.
+    # ------------------------------------------------------------------
+    # Intake and the whole-window driver
+    # ------------------------------------------------------------------
+    def submit(self, request: Request):
+        """Queue one request; returns its bucket (``None`` when shed)."""
+        self._validate(request)
+        return self.batcher.submit(request)
 
-        The continuous counterpart of ``serve_arrivals``: the clock opens at
-        the first arrival, each iteration admits every request that has
-        arrived by ``now``, and :meth:`step` executes one micro-batch;
-        after an executed step the clock advances by ``step_us`` (the step
-        cadence — ``0.0`` means steps run back to back; ``None`` reads the
-        engine config's ``step_us``), and an idle step
-        jumps the clock to the next pending arrival.  Runs until every
-        request has completed — including requests ``submit``-ted directly
-        onto the engine beforehand (their ``arrival_us`` is honoured via
-        the batcher's ``next_event_us``, mirroring how ``serve_arrivals``
-        drains pre-queued deadlines).
-
-        Intake is streaming, not atomic: each request is validated when its
-        arrival is admitted, so a malformed request fails at its own
-        arrival after earlier requests have already been served.
-        """
-        if step_us is None:
-            config = getattr(self, "config", None)
-            step_us = config.step_us if config is not None else 0.0
-        if step_us < 0:
-            raise ValueError("step_us must be non-negative")
-        if not hasattr(self.batcher, "next_batch"):
-            raise TypeError(
-                "serve_continuous() needs a step-schedulable batcher "
-                "(ContinuousBatcher.ladder() / ContinuousBatcher.exact_length())"
-            )
-        queue = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
+    def flush(self) -> Dict[str, np.ndarray]:
+        """Execute everything queued; returns ``{request_id: output}``
+        (per-request shape, padding trimmed)."""
         results: Dict[str, np.ndarray] = {}
-        now = queue[0].arrival_us if queue else 0.0
-        admitted = 0
-        while admitted < len(queue) or self.batcher.pending:
-            while admitted < len(queue) and queue[admitted].arrival_us <= now:
-                self.submit(queue[admitted])
-                admitted += 1
-            out = self.step(now)
-            if out:
-                results.update(out)
-                now += step_us
-            else:
-                # Idle step: nothing arrived yet — jump to the earliest
-                # upcoming arrival (explicit list or pre-queued on the
-                # batcher).  Both are strictly > now, so the loop advances.
-                upcoming = [
-                    t
-                    for t in (
-                        queue[admitted].arrival_us if admitted < len(queue) else None,
-                        self.batcher.next_event_us(),
-                    )
-                    if t is not None
-                ]
-                if not upcoming:
-                    break
-                now = max(now, min(upcoming))
+        self._drain_admission()
+        for batch in self.batcher.drain():
+            results.update(self._run_batch(batch))
         return results
 
+    def serve(self, requests: Iterable[Request]) -> Dict[str, np.ndarray]:
+        """Convenience: submit a window's worth of requests and flush.
 
-class AsyncDriverMixin:
-    """The async window drivers shared by the serving engines.
+        Atomic on intake: the whole window is validated before anything is
+        queued, so a rejected request cannot strand earlier ones in the
+        queue to leak into an unrelated later flush.
+        """
+        window = list(requests)
+        for request in window:
+            if isinstance(request, Request):  # submit_many rejects the rest
+                self._validate(request)
+        self.batcher.submit_many(window)
+        return self.flush()
 
-    Host classes provide ``batcher``, ``submit`` and ``_execute_batch``;
-    the mixin turns a deadline-aware batcher
-    (:class:`~repro.serving.batcher.AsyncWindowBatcher`) into a polling
-    loop.  Window timing only changes *when* a request executes, never its
-    numbers, so outputs stay bit-identical to a single-window ``serve`` of
-    the same request set.
-    """
-
+    # ------------------------------------------------------------------
+    # The async-window driver
+    # ------------------------------------------------------------------
     def poll(self, now_us: float) -> Dict[str, np.ndarray]:
         """Execute only the async windows that are due at ``now_us``.
 
         Buckets whose oldest request has not yet waited out the window stay
         queued for a later poll (or a final ``flush``).
         """
-        drain_due = getattr(self.batcher, "drain_due", None)
-        if drain_due is None:
+        if not isinstance(self.batcher, AsyncWindowBatcher):
             raise TypeError(
                 "poll() needs a deadline-aware batcher (AsyncWindowBatcher); "
                 "use flush() with a plain ShapeBucketBatcher"
             )
         self._expire_pending(now_us)
         results: Dict[str, np.ndarray] = {}
-        for batch in drain_due(now_us):
+        for batch in self.batcher.drain_due(now_us):
             results.update(self._run_batch(batch, now_us))
         return results
 
@@ -420,16 +341,120 @@ class AsyncDriverMixin:
             results.update(self.poll(deadline))
         return results
 
+    # ------------------------------------------------------------------
+    # The continuous driver
+    # ------------------------------------------------------------------
+    def _require_continuous(self, caller: str) -> None:
+        if not isinstance(self.batcher, ContinuousBatcher):
+            raise TypeError(
+                f"{caller} needs a step-schedulable batcher (ContinuousBatcher); "
+                "use flush() with a plain ShapeBucketBatcher or poll() with an "
+                "AsyncWindowBatcher"
+            )
 
-class ServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDriverMixin):
+    def step(self, now_us: float) -> Dict[str, np.ndarray]:
+        """Run one continuous step at ``now_us``; returns what completed.
+
+        Admits nothing itself — callers ``submit`` arrivals between steps
+        (that is the continuous-batching contract: a request submitted
+        before this call joins its rung's chunk immediately, even though
+        its batchmates have been queued since earlier steps).  Returns the
+        completed requests' outputs (``{}`` when nothing completed) and
+        records a :class:`~repro.serving.continuous.CompletionRecord` per
+        completed request in :attr:`completions`.
+        """
+        self._require_continuous("step()")
+        # Outcome hooks: collect what admission control shed at submit time
+        # and evict deadline-passed requests before they occupy batch slots.
+        self._drain_admission()
+        self._expire_pending(now_us)
+        return self._run_step(now_us)
+
+    def serve_continuous(
+        self, requests: Iterable[Request], step_us: Optional[float] = None
+    ) -> Dict[str, np.ndarray]:
+        """Replay requests against their arrival clock through the step loop.
+
+        The continuous counterpart of ``serve_arrivals``: the clock opens at
+        the first arrival, each iteration admits every request that has
+        arrived by ``now``, and :meth:`step` runs; after an executed step
+        (``steps_executed`` moved — whether or not any request came out
+        ``ok``) the clock advances by ``step_us`` (the step cadence —
+        ``0.0`` means steps run back to back; ``None`` reads the engine
+        config's ``step_us``), and an idle step jumps the clock to the next
+        pending arrival.  Runs while anything is pending *or in flight* — a
+        decode outlives the step that admitted it — including requests
+        ``submit``-ted directly onto the engine beforehand (their
+        ``arrival_us`` is honoured via the batcher's ``next_event_us``,
+        mirroring how ``serve_arrivals`` drains pre-queued deadlines).
+
+        Intake is streaming, not atomic: each request is validated when its
+        arrival is admitted, so a malformed request fails at its own
+        arrival after earlier requests have already been served.
+        """
+        if step_us is None:
+            step_us = self.config.step_us
+        if step_us < 0:
+            raise ValueError("step_us must be non-negative")
+        self._require_continuous("serve_continuous()")
+        queue = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
+        results: Dict[str, np.ndarray] = {}
+        now = queue[0].arrival_us if queue else 0.0
+        admitted = 0
+        while admitted < len(queue) or self.batcher.pending or self._residents:
+            while admitted < len(queue) and queue[admitted].arrival_us <= now:
+                self.submit(queue[admitted])
+                admitted += 1
+            before = self.steps_executed
+            results.update(self.step(now))
+            if self.steps_executed != before:
+                now += step_us
+            else:
+                # Idle step: nothing arrived yet — jump to the earliest
+                # upcoming arrival (explicit list or pre-queued on the
+                # batcher).  Both are strictly > now, so the loop advances.
+                upcoming = [
+                    t
+                    for t in (
+                        queue[admitted].arrival_us if admitted < len(queue) else None,
+                        self.batcher.next_event_us(),
+                    )
+                    if t is not None
+                ]
+                if not upcoming:
+                    break
+                now = max(now, min(upcoming))
+        return results
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def _shared_stats(self) -> Dict[str, object]:
+        """The normalized blocks every engine's ``stats()`` carries.
+
+        Always present with one schema, zeroed when the feature is unused
+        (window batchers report zeroed admission counters with
+        ``shed_policy: None``, a single-device dispatcher the
+        ``tp_degree=1`` sharding block) — consumers keyed on these blocks
+        must not break when the serving policy changes underneath them.
+        """
+        return {
+            "continuous": {
+                "steps": self.steps_executed,
+                "completions": len(self.completions),
+            },
+            "outcomes": outcome_counts(self.outcomes.values()),
+            "dispatch_health": self.dispatcher.health_stats(),
+            "admission": self.batcher.admission_stats(),
+            "sharding": self.dispatcher.sharding_stats(),
+        }
+
+
+class ServingEngine(EngineCore):
     """Dynamic-batching server for one sparse linear operator.
 
-    Three scheduling drivers share the one execution path (and therefore
-    the bit-exactness guarantee): ``flush``/``serve`` close whole windows,
-    ``poll``/``serve_arrivals`` close async arrival-deadline windows
-    (:class:`~repro.serving.batcher.AsyncWindowBatcher`), and
-    ``step``/``serve_continuous`` run the continuous-batching step loop
-    (:class:`~repro.serving.continuous.ContinuousBatcher`).
+    An :class:`EngineCore` whose micro-batch is one batched kernel call;
+    all three of the core's scheduling drivers apply.
 
     Parameters
     ----------
@@ -469,35 +494,17 @@ class ServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDriverMixi
         name: str = "serving",
         config: Optional["ServingConfig"] = None,
     ) -> None:
-        self.config = config
-        if config is not None:
-            name = config.name or name
-            warm = config.warm
-            warm_buckets = config.warm_buckets or warm_buckets
-            if batcher is None:
-                batcher = config.build_batcher(kind="operand")
-            if dispatcher is None:
-                dispatcher = config.build_dispatcher(name=name)
+        super().__init__("operand", name, config, dispatcher, batcher, warm, warm_buckets)
         if isinstance(operand, VNMSparseMatrix):
-            operand = SpmmOperand.from_vnm(operand, name=name)
+            operand = SpmmOperand.from_vnm(operand, name=self.name)
         if not isinstance(operand, SpmmOperand):
             raise TypeError("operand must be an SpmmOperand or VNMSparseMatrix")
         self.operand = operand
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float32)
-        self.dispatcher = dispatcher if dispatcher is not None else default_dispatcher()
-        self.batcher = batcher if batcher is not None else ShapeBucketBatcher()
-        self.name = name
         self.trace = ExecutionTrace()
-        self.total_requests = 0
         self.total_batches = 0
-        #: Continuous-serving bookkeeping (populated by the step loop).
-        self.steps_executed = 0
-        self.completions: Dict[str, CompletionRecord] = {}
-        #: Per-request terminal states (ok / failed / timed_out / shed).
-        self.outcomes: Dict[str, RequestOutcome] = {}
-        self._stack_buffers = StackBufferPool()
-        if warm:
-            self.dispatcher.warm(self.operand, cs=warm_buckets)
+        if self._warm_on_build:
+            self.dispatcher.warm(self.operand, cs=self._warm_buckets)
 
     # ------------------------------------------------------------------
     # Request intake
@@ -527,13 +534,11 @@ class ServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDriverMixi
             **kwargs,
         )
 
-    def submit(self, request: Request) -> None:
-        """Queue one request for the next flush."""
+    def _validate(self, request: Request) -> None:
         if request.features != self.operand.k:
             raise ValueError(
                 f"request features ({request.features}) != operand K ({self.operand.k})"
             )
-        self.batcher.submit(request)
 
     # ------------------------------------------------------------------
     # Execution
@@ -548,11 +553,7 @@ class ServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDriverMixi
                 f"match the served layer's input width (operand K = {self.operand.k}); "
                 f"submit requests with activations of shape (tokens, {self.operand.k})"
             )
-        rhs = batch.stacked_rhs(  # (B, K, C_bucket), pooled across steps
-            out=self._stack_buffers.take(
-                (batch.batch_size, batch.key.features, batch.key.token_bucket)
-            )
-        )
+        rhs = batch.stacked_rhs()  # (B, K, C_bucket)
         out = self.dispatcher.execute(self.operand, rhs, bias=self.bias)
         decision = self.dispatcher.dispatch(self.operand, batch.key.token_bucket)
         modelled = self.dispatcher.estimate(
@@ -572,33 +573,6 @@ class ServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDriverMixi
         self.total_requests += batch.batch_size
         return batch.split_output(out)
 
-    def flush(self) -> Dict[str, np.ndarray]:
-        """Execute everything queued; returns ``{request_id: output}``.
-
-        Outputs have shape ``(tokens, R)`` per request (padding trimmed).
-        """
-        results: Dict[str, np.ndarray] = {}
-        self._drain_admission()
-        for batch in self.batcher.drain():
-            results.update(self._run_batch(batch))
-        return results
-
-    def serve(self, requests: Iterable[Request]) -> Dict[str, np.ndarray]:
-        """Convenience: submit a window's worth of requests and flush.
-
-        Atomic on intake: the whole window is validated before anything is
-        queued, so a rejected request cannot strand earlier ones in the
-        queue to leak into an unrelated later flush.
-        """
-        batch = list(requests)
-        for request in batch:
-            if isinstance(request, Request) and request.features != self.operand.k:
-                raise ValueError(
-                    f"request features ({request.features}) != operand K ({self.operand.k})"
-                )
-        self.batcher.submit_many(batch)
-        return self.flush()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -610,11 +584,7 @@ class ServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDriverMixi
             "mean_batch_size": (self.total_requests / self.total_batches)
             if self.total_batches
             else 0.0,
-            "continuous": continuous_stats_of(self),
-            "outcomes": self.outcome_stats(),
-            "dispatch_health": self.dispatcher.health_stats(),
-            "admission": admission_stats_of(self.batcher),
-            "sharding": sharding_stats_of(self.dispatcher),
+            **self._shared_stats(),
             "modelled_kernel_time_us": self.trace.total_time_us,
             "trace": self.trace.summary(),
         }

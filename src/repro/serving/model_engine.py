@@ -43,35 +43,21 @@ Two batching policies deliver it:
   bitwise equality needs that, not just exact zeros), and the engine
   slices the valid rows back out.  Fuller buckets, same bits.
 
-Orthogonally to the padding mode, three *scheduling* drivers decide when a
-queued request executes: whole-window ``flush``/``serve``, async
-arrival-deadline windows (``poll``/``serve_arrivals`` with an
-:class:`~repro.serving.batcher.AsyncWindowBatcher`), and the
-continuous-batching step loop (``step``/``serve_continuous`` with a
-:class:`~repro.serving.continuous.ContinuousBatcher`, where requests join
-open rungs between steps instead of waiting out a window).  Scheduling
-never touches numerics, so the guarantee holds under all three.
+Orthogonally to the padding mode, the three *scheduling* drivers of
+:class:`~repro.serving.engine.EngineCore` (whole windows, async windows,
+the continuous step loop) decide when a queued request executes.
+Scheduling never touches numerics, so the guarantee holds under all three.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .batcher import MicroBatch, Request, ShapeBucketBatcher
 from .config import ServingConfig
-from .continuous import CompletionRecord
-from .engine import (
-    AsyncDriverMixin,
-    ContinuousDriverMixin,
-    OutcomeTrackingMixin,
-    StackBufferPool,
-    admission_stats_of,
-    continuous_stats_of,
-    sharding_stats_of,
-)
-from .faults import RequestOutcome
+from .engine import EngineCore
 from ..hardware.trace import ExecutionTrace
 from ..kernels.dispatch import KernelDispatcher
 from ..kernels.spatha import SpmmPlan
@@ -80,16 +66,14 @@ from ..models.layers import SparseLinear
 from ..models.transformer import TransformerEncoder
 
 
-class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDriverMixin):
+class ModelServingEngine(EngineCore):
     """Dynamic-batching server for a whole :class:`TransformerEncoder`.
 
-    Three scheduling drivers share the one execution path (and therefore
-    the model-level bit-exactness guarantee): ``flush``/``serve`` close
-    whole windows, ``poll``/``serve_arrivals`` close async arrival-deadline
-    windows (pass an :class:`~repro.serving.batcher.AsyncWindowBatcher`),
-    and ``step``/``serve_continuous`` run the continuous-batching step loop
-    (pass a :class:`~repro.serving.continuous.ContinuousBatcher` — requests
-    join open ladder rungs between steps instead of waiting out windows).
+    An :class:`~repro.serving.engine.EngineCore` whose micro-batch is one
+    batched encoder forward; all three of the core's scheduling drivers
+    apply (pass an :class:`~repro.serving.batcher.AsyncWindowBatcher` for
+    ``poll``, a :class:`~repro.serving.continuous.ContinuousBatcher` for
+    ``step`` — requests join open ladder rungs between steps).
 
     An engine takes ownership of the encoder's execution routing:
     constructing it injects the engine's dispatcher into every sparse
@@ -146,51 +130,25 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
             raise TypeError("encoder must be a TransformerEncoder")
-        self.config = config
-        if config is not None:
-            name = config.name or name
-            warm = config.warm
-            warm_buckets = config.warm_buckets or warm_buckets
-            if dispatcher is None:
-                dispatcher = config.build_dispatcher(name=name)
+        super().__init__("encoder", name, config, dispatcher, batcher, warm, warm_buckets)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
-        self.name = name
-        knobs = config if config is not None else ServingConfig()
-        self.padding = knobs.padding
-        self.dispatcher = (
-            dispatcher if dispatcher is not None else KernelDispatcher(name=f"{name}.dispatcher")
-        )
+        self.padding = self.config.padding
         encoder.set_dispatcher(self.dispatcher)
         # Sharded dispatchers solve placement for the encoder they serve:
         # every sparse operand is bound to its owning shard up front.
-        bind_encoder = getattr(self.dispatcher, "bind_encoder", None)
-        if bind_encoder is not None:
-            bind_encoder(encoder)
-        self.batcher = batcher if batcher is not None else knobs.build_batcher(kind="encoder")
+        self.dispatcher.bind_encoder(encoder)
         self.trace = ExecutionTrace()
-        self.total_requests = 0
         self.total_batches = 0
         #: Token-level padding accounting (ladder mode; exact mode pads 0).
         self.total_valid_tokens = 0
         self.total_padded_tokens = 0
-        #: Continuous-serving bookkeeping (populated by the step loop).
-        self.steps_executed = 0
-        self.completions: Dict[str, CompletionRecord] = {}
-        #: Per-request terminal states (ok / failed / timed_out / shed).
-        self.outcomes: Dict[str, RequestOutcome] = {}
         #: Engine-lifetime plan registry: qualified layer name -> SpmmPlan.
         self.plans: Dict[str, SpmmPlan] = {}
         self.plan_hits = 0
         self.plan_misses = 0
-        #: Step-loop amortization: pooled stacking buffers and memoized
-        #: padding masks — both numerics-free (buffers are fully
-        #: overwritten per batch; masks are pure functions of
-        #: (rung, valid_lengths) and read-only downstream).
-        self._stack_buffers = StackBufferPool()
-        self._mask_cache: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
-        if warm:
-            self.warm(warm_buckets)
+        if self._warm_on_build:
+            self.warm(self._warm_buckets)
 
     def _sparse_layers(self) -> List[Tuple[str, SparseLinear]]:
         """The encoder's *live* sparse projections.
@@ -249,11 +207,6 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
                 f"submit activations of shape (tokens, {self.hidden_size})"
             )
 
-    def submit(self, request: Request) -> None:
-        """Queue one request for the next flush/poll."""
-        self._validate(request)
-        self.batcher.submit(request)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -284,29 +237,9 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
             self.trace.record(execution)
         # Sharded serving: one comm-category kernel per collective the
         # placement implies for this batch's token volume.
-        comm_kernels = getattr(self.dispatcher, "comm_kernels", None)
-        if comm_kernels is not None:
-            for execution in comm_kernels(total_tokens, batch.batch_size):
-                execution.meta["serving"] = self.name
-                self.trace.record(execution)
-
-    def _padding_mask_for(self, batch: MicroBatch) -> np.ndarray:
-        """The batch's additive attention mask, memoized per
-        ``(rung, valid_lengths)``.
-
-        Continuous traffic repeats a small set of length signatures step
-        after step; the mask is a pure function of the signature and is
-        only ever *read* downstream (attention adds it into fresh score
-        tensors), so sharing one array across batches is numerics-free.
-        """
-        key = (batch.key.token_bucket, batch.valid_lengths)
-        mask = self._mask_cache.get(key)
-        if mask is None:
-            if len(self._mask_cache) >= 512:
-                self._mask_cache.clear()
-            mask = padding_mask(batch.valid_lengths, batch.key.token_bucket)
-            self._mask_cache[key] = mask
-        return mask
+        for execution in self.dispatcher.comm_kernels(total_tokens, batch.batch_size):
+            execution.meta["serving"] = self.name
+            self.trace.record(execution)
 
     def _execute_batch(self, batch: MicroBatch) -> Dict[str, np.ndarray]:
         if batch.key.features != self.hidden_size:
@@ -340,18 +273,14 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
                     f"owns the encoder, or build a fresh engine"
                 )
             self._plan_for(qualified_name, lin)  # cross-request plan reuse
-        hidden = batch.stacked_activations(  # (B, bucket, hidden), pooled
-            out=self._stack_buffers.take(
-                (batch.batch_size, batch.key.token_bucket, batch.key.features)
-            )
-        )
+        hidden = batch.stacked_activations()  # (B, bucket, hidden)
         if padded:
             # Ladder mode with real padding: run the one batched forward
             # behind the right-padding attention mask — padded keys get
             # exactly zero attention weight and the masked encoder executes
             # every sequence at its true length, so the valid rows sliced
             # out below are bit-for-bit the standalone forward.
-            mask = self._padding_mask_for(batch)
+            mask = padding_mask(batch.valid_lengths, batch.key.token_bucket)
             out = self.encoder.forward(hidden, attention_mask=mask)
         else:
             out = self.encoder.forward(hidden)  # (B, seq, hidden), slab-exact
@@ -361,26 +290,6 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
         self.total_valid_tokens += batch.valid_tokens
         self.total_padded_tokens += batch.padded_tokens
         return batch.split_hidden(out)
-
-    def flush(self) -> Dict[str, np.ndarray]:
-        """Run everything queued through the encoder; ``{request_id: (tokens, hidden)}``."""
-        results: Dict[str, np.ndarray] = {}
-        self._drain_admission()
-        for batch in self.batcher.drain():
-            results.update(self._run_batch(batch))
-        return results
-
-    # poll() / serve_arrivals() are inherited from AsyncDriverMixin (the
-    # async drivers are identical for the single-operator and model engines).
-
-    def serve(self, requests: Iterable[Request]) -> Dict[str, np.ndarray]:
-        """Submit a window's worth of requests and flush (atomic on intake)."""
-        window = list(requests)
-        for request in window:
-            if isinstance(request, Request):
-                self._validate(request)
-        self.batcher.submit_many(window)
-        return self.flush()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -411,11 +320,7 @@ class ModelServingEngine(OutcomeTrackingMixin, AsyncDriverMixin, ContinuousDrive
                 if self.total_padded_tokens
                 else 0.0,
             },
-            "continuous": continuous_stats_of(self),
-            "outcomes": self.outcome_stats(),
-            "dispatch_health": self.dispatcher.health_stats(),
-            "admission": admission_stats_of(self.batcher),
-            "sharding": sharding_stats_of(self.dispatcher),
+            **self._shared_stats(),
             "sparse_projections": len(self._sparse_layers()),
             "plan_cache": {
                 "size": len(self.plans),

@@ -55,9 +55,10 @@ class ShardedDispatcher:
     Drop-in compatible with the :class:`KernelDispatcher` surface the
     serving engines use (``execute`` / ``dispatch`` / ``estimate`` /
     ``warm`` / ``warm_many`` / ``health_stats`` / ``cache_stats`` /
-    ``gpu``), so an engine built on a sharded dispatcher needs no special
-    execution path.  Operands not bound to any shard fall back to shard 0,
-    exactly like a single-device dispatcher.
+    ``gpu``) — and the other way round, a plain dispatcher answers
+    ``bind_encoder`` / ``comm_kernels`` / ``sharding_stats`` as the
+    ``tp_degree=1`` case — so engines never ask which one they hold.
+    Operands not bound to any shard fall back to shard 0.
     """
 
     def __init__(

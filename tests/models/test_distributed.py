@@ -1,17 +1,13 @@
-"""Tests for the tensor-parallel latency extension (paper Section 9 discussion)."""
+"""Tests for the tensor-parallel communication model and shard placement (paper Section 9 discussion)."""
 
 import pytest
 
-from repro.models.config import BERT_LARGE, GPT3_175B
 from repro.models.distributed import (
     NVLINK,
     PCIE4,
     InterconnectSpec,
     allreduce_time_us,
-    tensor_parallel_study,
-    tensor_parallel_trace,
 )
-from repro.models.latency import SparsityPlan, model_inference_trace
 
 
 class TestAllreduceModel:
@@ -32,61 +28,6 @@ class TestAllreduceModel:
         with pytest.raises(ValueError):
             InterconnectSpec(bandwidth_gbps=0.0)
 
-
-class TestTensorParallelTrace:
-    def test_tp1_matches_single_gpu_model(self):
-        tp1 = tensor_parallel_trace(BERT_LARGE, batch_size=8, tp_degree=1, seq_len=128, num_layers=2)
-        single = model_inference_trace(BERT_LARGE, batch_size=8, seq_len=128, num_layers=2)
-        assert tp1.total_time_us == pytest.approx(single.total_time_us, rel=1e-6)
-
-    def test_tp_reduces_gemm_time(self):
-        tp1 = tensor_parallel_trace(BERT_LARGE, batch_size=8, tp_degree=1, seq_len=128, num_layers=2)
-        tp4 = tensor_parallel_trace(BERT_LARGE, batch_size=8, tp_degree=4, seq_len=128, num_layers=2)
-        assert tp4.gemm_time_us() < tp1.gemm_time_us()
-
-    def test_tp_adds_communication(self):
-        tp4 = tensor_parallel_trace(BERT_LARGE, batch_size=8, tp_degree=4, seq_len=128, num_layers=2)
-        comm = [e for e in tp4.executions if e.kernel == "allreduce"]
-        assert len(comm) == 2 * 2  # two all-reduces per layer
-        assert all(e.time_us > 0 for e in comm)
-
-    def test_invalid_tp_degree(self):
-        with pytest.raises(ValueError):
-            tensor_parallel_trace(BERT_LARGE, batch_size=8, tp_degree=0)
-        with pytest.raises(ValueError):
-            tensor_parallel_trace(BERT_LARGE, batch_size=8, tp_degree=3)  # 16 heads % 3 != 0
-
-    def test_sparse_plan_composes_with_tp(self):
-        dense = tensor_parallel_trace(GPT3_175B, batch_size=1, tp_degree=4, num_layers=1)
-        sparse = tensor_parallel_trace(
-            GPT3_175B, batch_size=1, tp_degree=4, num_layers=1, plan=SparsityPlan(v=64, n=2, m=16)
-        )
-        assert sparse.gemm_time_us() < dense.gemm_time_us()
-        # Communication is unchanged by weight sparsity.
-        comm_d = sum(e.time_us for e in dense.executions if e.kernel == "allreduce")
-        comm_s = sum(e.time_us for e in sparse.executions if e.kernel == "allreduce")
-        assert comm_s == pytest.approx(comm_d, rel=1e-9)
-
-
-class TestTensorParallelStudy:
-    def test_study_schema_and_trends(self):
-        study = tensor_parallel_study(BERT_LARGE, batch_size=8, tp_degrees=(1, 2, 4),
-                                      seq_len=128, num_layers=2)
-        assert set(study) == {1, 2, 4}
-        assert study[1]["comm_ms"] == 0.0
-        # Communication share grows with the TP degree; GEMM time shrinks.
-        assert study[4]["comm_fraction"] > study[2]["comm_fraction"] >= 0.0
-        assert study[4]["gemm_ms"] < study[1]["gemm_ms"]
-
-    def test_sparsity_increases_comm_fraction(self):
-        """Once the GEMMs are sparse, communication weighs relatively more —
-        the trade-off the paper's distributed-systems discussion points at."""
-        dense = tensor_parallel_study(BERT_LARGE, batch_size=8, tp_degrees=(4,), seq_len=128, num_layers=2)
-        sparse = tensor_parallel_study(
-            BERT_LARGE, batch_size=8, tp_degrees=(4,), seq_len=128, num_layers=2,
-            plan=SparsityPlan(v=64, n=2, m=16),
-        )
-        assert sparse[4]["comm_fraction"] > dense[4]["comm_fraction"]
 
 # ----------------------------------------------------------------------
 # Layer graphs and balanced min-cut placement (sharded serving)

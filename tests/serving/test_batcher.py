@@ -384,11 +384,6 @@ class TestAsyncWindowPolicy:
         with pytest.raises(ValueError):
             engine.submit(req)  # but not while it is pending
 
-    def test_poll_requires_deadline_aware_batcher(self, rng, vnm_weight):
-        engine = fresh_engine(vnm_weight, None)
-        with pytest.raises(TypeError):
-            engine.poll(0.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AsyncWindowBatcher(window_us=-1.0)

@@ -9,14 +9,16 @@ normalized ``stats()`` schema — the ``outcomes`` / ``admission`` /
 present, zeroed when the corresponding feature is unused.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.formats.vnm import VNMSparseMatrix
 from repro.integration import VNMSparsifier, sparsify_encoder
-from repro.kernels.dispatch import SpmmOperand
+from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
 from repro.models import TransformerEncoder, tiny_config
 from repro.pruning.masks import apply_mask
 from repro.pruning.vnm import vnm_mask
@@ -25,7 +27,9 @@ from repro.serving import (
     ContinuousBatcher,
     DecodeRequest,
     DecoderServingEngine,
+    FaultInjector,
     FaultPlan,
+    FaultSpec,
     ModelServingEngine,
     Request,
     SchedulingConfig,
@@ -217,41 +221,141 @@ class TestDeprecatedKwargs:
 
 #: Normalized stats blocks every engine must expose, feature used or not.
 NORMALIZED_BLOCKS = ("outcomes", "admission", "continuous", "dispatch_health", "sharding")
-SHARDING_KEYS = {
-    "tp_degree",
-    "placement_policy",
-    "per_shard_calls",
-    "per_shard_modelled_us",
-    "load_balance",
-    "cut_bytes_per_token",
-    "comm_time_us",
-    "comm_events",
+ZEROED_CLASS = {"shed": 0, "expired": 0, "pending": 0}
+#: A single-device dispatcher is the tp_degree=1 case of the sharded schema.
+ZEROED_SHARDING = {
+    "tp_degree": 1,
+    "placement_policy": None,
+    "per_shard_calls": [],
+    "per_shard_modelled_us": [],
+    "load_balance": None,
+    "cut_bytes_per_token": 0.0,
+    "comm_time_us": 0.0,
+    "comm_events": 0,
 }
+SHARDING_KEYS = set(ZEROED_SHARDING)
+#: What a batcher without admission control reports (window batchers).
+ZEROED_ADMISSION = {
+    "max_queue_depth": None,
+    "shed_policy": None,
+    "shed": 0,
+    "expired": 0,
+    "pending": 0,
+    "kv_budget_blocks": None,
+    "kv_reserved": 0,
+    "occupied_slots": 0,
+    "policy": None,
+    "per_class": {0: ZEROED_CLASS},
+}
+ENGINE_KINDS = ("operand", "encoder", "decoder")
+
+
+def build_engine(kind, operand, config=None, **kwargs):
+    """One engine of ``kind`` through the front door, on a private
+    dispatcher (the operand engine's default is the process-wide one, which
+    a fault-injecting test must not arm)."""
+    target = operand if kind == "operand" else make_encoder()
+    kwargs.setdefault("dispatcher", KernelDispatcher())
+    return create_engine(target, config=config, kind=kind, **kwargs)
+
+
+def make_request(kind, rid, rng, tokens, arrival_us=0.0):
+    if kind == "decoder":
+        prompt = rng.normal(size=(tokens, HIDDEN)).astype(np.float32)
+        return DecodeRequest(rid, prompt, new_tokens=2, arrival_us=arrival_us)
+    width = 128 if kind == "operand" else HIDDEN
+    return Request(
+        rid, rng.normal(size=(tokens, width)).astype(np.float32), arrival_us=arrival_us
+    )
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+class TestEngineCoreContract:
+    """What all three engines inherit from the one ``EngineCore``, asserted
+    once per kind instead of once per engine module."""
+
+    def test_shared_stats_blocks_and_zeroed_schemas(self, kind, operand):
+        engine = build_engine(kind, operand)
+        stats = engine.stats()
+        for block in NORMALIZED_BLOCKS:
+            assert isinstance(stats[block], dict), f"{kind} lacks {block!r}"
+        assert stats["continuous"] == {"steps": 0, "completions": 0}
+        assert stats["outcomes"] == {"ok": 0, "failed": 0, "timed_out": 0, "shed": 0}
+        assert stats["sharding"] == ZEROED_SHARDING
+        admission = stats["admission"]
+        if isinstance(engine.batcher, ContinuousBatcher):
+            # Admission control present but unused: live policy, zero counts.
+            assert kind == "decoder"
+            expected = dict(ZEROED_ADMISSION, shed_policy="reject-newest", policy="fcfs")
+        else:
+            expected = ZEROED_ADMISSION
+        assert admission == expected
+
+    def test_continuous_batcher_reports_the_same_schema(self, kind, operand):
+        engine = build_engine(kind, operand, ServingConfig(scheduling="continuous"))
+        admission = engine.stats()["admission"]
+        assert set(admission) == set(ZEROED_ADMISSION)
+        assert admission["policy"] == "fcfs"
+        assert admission["per_class"] == {0: ZEROED_CLASS}
+
+    def test_step_and_poll_name_the_batcher_they_need(self, kind, operand, rng):
+        engine = build_engine(kind, operand, batcher=ShapeBucketBatcher.ladder())
+        with pytest.raises(TypeError, match=r"step\(\) needs a step-schedulable batcher \(ContinuousBatcher\)"):
+            engine.step(0.0)
+        with pytest.raises(TypeError, match=r"step-schedulable batcher \(ContinuousBatcher\)"):
+            engine.serve_continuous([make_request(kind, "r0", rng, 5)])
+        assert engine.batcher.pending == 0  # refused before anything queued
+        with pytest.raises(TypeError, match=r"deadline-aware batcher \(AsyncWindowBatcher\)"):
+            engine.poll(0.0)
+        continuous = build_engine(kind, operand, ServingConfig(scheduling="continuous"))
+        with pytest.raises(TypeError, match="AsyncWindowBatcher"):
+            continuous.poll(0.0)
+
+    def test_replay_with_no_ok_request_terminates_with_one_outcome_each(
+        self, kind, operand, rng
+    ):
+        """Every backend fails every call, so every executed batch yields no
+        ``ok`` request.  The replay still terminates, every request holds
+        exactly one outcome, and the clock follows the unified rule: it
+        advances by ``step_us`` after an *executed* step even when nothing
+        came out ok (the one-step engines used to advance only ``if out``,
+        which ran the second rung's batch at t=0)."""
+        engine = build_engine(kind, operand, ServingConfig(scheduling="continuous"))
+        plan = FaultPlan(
+            [FaultSpec(backend.name, "persistent") for backend in engine.dispatcher.backends]
+        )
+        FaultInjector(plan).arm(engine.dispatcher)
+        # Two rungs, both arrived at t=0: two steps, one batch each.
+        requests = [make_request(kind, "a", rng, 4), make_request(kind, "b", rng, 12)]
+        results = engine.serve_continuous(requests, step_us=10.0)
+        assert results == {}
+        assert sorted(engine.outcomes) == ["a", "b"]
+        assert {o.status for o in engine.outcomes.values()} == {"failed"}
+        assert engine.stats()["outcomes"] == {"ok": 0, "failed": 2, "timed_out": 0, "shed": 0}
+        assert engine.steps_executed == 2
+        assert [engine.outcomes[r].completed_us for r in ("a", "b")] == [0.0, 10.0]
+        assert engine.batcher.pending == 0
+        assert engine.stats()["admission"]["occupied_slots"] == 0
+
+    def test_dropped_engine_dies_by_refcount(self, kind, operand, rng):
+        """No reference cycle through the engine: the decoder used to hand
+        its batcher a bound method (engine -> batcher -> engine), so a
+        dropped decode engine kept two KV stores and its encoder alive until
+        the cyclic collector happened to run — which is what moved
+        ``peak_rss_mb`` between benchmark set-ups."""
+        engine = build_engine(kind, operand)
+        assert len(engine.serve([make_request(kind, "r0", rng, 5)])) == 1
+        ref = weakref.ref(engine)
+        gc.collect()
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestNormalizedStatsSchema:
-    def engines(self, operand):
-        return [
-            create_engine(operand),
-            create_engine(make_encoder()),
-            create_engine(make_encoder(), kind="decoder"),
-        ]
-
-    def test_blocks_present_in_all_engines(self, operand):
-        for engine in self.engines(operand):
-            stats = engine.stats()
-            for block in NORMALIZED_BLOCKS:
-                assert block in stats, f"{type(engine).__name__} lacks {block!r}"
-                assert isinstance(stats[block], dict)
-
-    def test_sharding_block_zeroed_when_unsharded(self, operand):
-        for engine in self.engines(operand):
-            block = engine.stats()["sharding"]
-            assert set(block) == SHARDING_KEYS
-            assert block["tp_degree"] == 1
-            assert block["comm_time_us"] == 0.0
-            assert block["comm_events"] == 0
-
     def test_sharding_block_live_when_sharded(self, rng):
         engine = create_engine(
             make_encoder(), config=ServingConfig(sharding=ShardingConfig(tp_degree=2))
@@ -268,22 +372,6 @@ class TestNormalizedStatsSchema:
         engine.serve([Request("r0", rng.normal(size=(4, 128)).astype(np.float32))])
         outcomes = engine.stats()["outcomes"]
         assert outcomes["ok"] == 1
-
-    def test_admission_block_carries_policy_and_per_class_everywhere(self, operand):
-        """The SLO fields are part of the normalized schema: every engine's
-        admission block has ``policy`` and ``per_class``, zeroed/None when
-        the feature is unused (non-continuous batchers report policy=None
-        with one zeroed class-0 block)."""
-        zeroed = {"shed": 0, "expired": 0, "pending": 0}
-        for engine in self.engines(operand):
-            admission = engine.stats()["admission"]
-            assert "policy" in admission
-            assert "per_class" in admission
-            if isinstance(engine.batcher, ContinuousBatcher):
-                assert admission["policy"] == "fcfs"
-            else:
-                assert admission["policy"] is None
-            assert admission["per_class"] == {0: zeroed}
 
     def test_per_class_block_reflects_configured_classes(self, rng):
         """A configured class shows up zeroed even before any traffic, and

@@ -584,13 +584,6 @@ class TestCompletionMetadata:
 
 
 class TestContinuousApi:
-    def test_step_requires_continuous_batcher(self, rng):
-        engine = ModelServingEngine(make_encoder())
-        with pytest.raises(TypeError, match="ContinuousBatcher"):
-            engine.step(0.0)
-        with pytest.raises(TypeError, match="ContinuousBatcher"):
-            engine.serve_continuous(make_requests(rng, [5]))
-
     def test_negative_cadence_rejected(self, rng):
         engine = continuous_engine("ladder")
         with pytest.raises(ValueError, match="step_us"):

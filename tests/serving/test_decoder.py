@@ -25,7 +25,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ShapeBucketBatcher,
     decode_reference,
 )
 
@@ -369,15 +368,37 @@ class TestPreemptionGoldenCells:
 
 
 class TestCacheLifecycle:
-    def test_exhaustion_raises_with_block_accounting(self, rng):
+    def test_exhaustion_is_a_failed_outcome_with_block_accounting(self, rng):
+        """The ROADMAP wedge: four 9-token prompts x 4 new tokens need 16
+        blocks of 4 slots and the pool has 6.  Exhaustion used to escape
+        ``serve()`` with three sequences holding every block and no outcome
+        recorded; now the request that needed the block fails alone —
+        everything it held returns — and whoever fits still decodes the
+        reference bits."""
+        encoder = make_encoder()
         engine = DecoderServingEngine(
-            make_encoder(), config=ServingConfig(block_size=2, capacity_blocks=2)
+            encoder, config=ServingConfig(block_size=4, capacity_blocks=6)
         )
-        engine.submit(
-            DecodeRequest("ex-0", rng.normal(size=(5, HIDDEN)).astype(np.float32), 2)
+        requests = make_decode_requests(rng, (9, 9, 9, 9), (4, 4, 4, 4), [0.0] * 4)
+        results = engine.serve(requests)
+        assert engine.stats()["outcomes"] == {"ok": 1, "failed": 3, "timed_out": 0, "shed": 0}
+        assert sorted(engine.outcomes) == sorted(r.request_id for r in requests)
+        (served,) = results
+        (request,) = [r for r in requests if r.request_id == served]
+        assert np.array_equal(
+            results[served], decode_reference(encoder, request.prompt, request.new_tokens)
         )
-        with pytest.raises(RuntimeError, match="KV cache exhausted"):
-            engine.step(0.0)
+        for rid, outcome in engine.outcomes.items():
+            if rid != served:
+                assert "KV cache exhausted" in outcome.detail
+        # Nothing is left holding anything: sequences, blocks (the pressure
+        # evicted every registered prefix too), rung slots, reservations.
+        cache = engine.cache_stats()
+        assert cache["sequences"] == 0
+        assert cache["blocks_in_use"] == 0
+        assert engine.stats()["residents"] == 0
+        assert engine.stats()["admission"]["occupied_slots"] == 0
+        assert engine.batcher.kv_reserved == 0
 
     def test_blocks_reclaimed_across_waves(self, rng):
         """Serving wave after wave reuses the same small pool: peak usage is
@@ -436,13 +457,6 @@ class TestDecoderIntakeAndStats:
         with pytest.raises(ValueError, match="prompt"):
             DecodeRequest("bad-p", np.zeros((0, HIDDEN), dtype=np.float32), 2)
 
-    def test_step_requires_continuous_batcher(self):
-        engine = DecoderServingEngine(
-            make_encoder(), batcher=ShapeBucketBatcher.ladder()
-        )
-        with pytest.raises(TypeError, match="step-schedulable"):
-            engine.step(0.0)
-
     def test_direct_batcher_queueing_is_rejected_at_admission(self, rng):
         engine = DecoderServingEngine(make_encoder())
         engine.batcher.submit(
@@ -460,19 +474,6 @@ class TestDecoderIntakeAndStats:
         assert stats["continuous"]["completions"] == 1
         assert stats["continuous"]["steps"] == engine.steps_executed
         admission = stats["admission"]
-        for key in (
-            "max_queue_depth",
-            "shed_policy",
-            "shed",
-            "expired",
-            "pending",
-            "kv_budget_blocks",
-            "kv_reserved",
-            "occupied_slots",
-            "policy",
-            "per_class",
-        ):
-            assert key in admission
         assert admission["kv_budget_blocks"] == 32
         # SLO scheduling unused: FCFS policy, one zeroed per-class block,
         # and the preemption counters sit at zero — normalized, not absent.
