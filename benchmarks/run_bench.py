@@ -354,7 +354,9 @@ def bench_model_serving(entries, hidden, intermediate, num_layers, num_requests,
     )
     encoder = TransformerEncoder.init(cfg, seed=0)
     sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
-    engine = ModelServingEngine(encoder, warm_buckets=sorted(set(lengths)))
+    engine = ModelServingEngine(
+        encoder, config=ServingConfig(warm_buckets=sorted(set(lengths)))
+    )
     requests = [
         Request(f"enc-{i:04d}", rng.normal(size=(lengths[i % len(lengths)], hidden)).astype(np.float32))
         for i in range(num_requests)
@@ -421,9 +423,10 @@ def bench_model_serving_sharded(
     engine = ModelServingEngine(
         build_encoder(),
         config=ServingConfig(
-            sharding=ShardingConfig(tp_degree=tp_degree), name="bench-sharded"
+            sharding=ShardingConfig(tp_degree=tp_degree),
+            name="bench-sharded",
+            warm_buckets=sorted(set(lengths)),
         ),
-        warm_buckets=sorted(set(lengths)),
     )
     requests = [
         Request(f"shd-{i:04d}", rng.normal(size=(lengths[i % len(lengths)], hidden)).astype(np.float32))
@@ -696,19 +699,6 @@ def bench_model_serving_continuous(
     entry["p50_latency_us_continuous"] = p(latencies["continuous"].values(), 50)
     entry["p99_latency_us_continuous"] = p(latencies["continuous"].values(), 99)
     entry["steps_continuous"] = steps_in_replay["continuous"]
-    # Feed the dispatcher's measurement loop and persist what it saw: one
-    # extra replay with runtime observation on, OUTSIDE the timed/compared
-    # region (measured reranks may legally switch backends, and observation
-    # itself costs a clock read per kernel).  The recorded EWMAs show the
-    # measured per-backend runtimes the ranking would blend in production.
-    cont_engine.dispatcher.observe_runtimes = True
-    replay_continuous()
-    health = cont_engine.dispatcher.health_stats()
-    entry["dispatch_observed"] = {
-        "observations": health["observations"],
-        "measured_reranks": health["measured_reranks"],
-        "observed_backends": health["observed_backends"],
-    }
     print(
         f"{'':28s} {'':28s} p99 latency {entry['p99_latency_us_async']:9.1f} -> "
         f"{entry['p99_latency_us_continuous']:9.1f} us "

@@ -74,7 +74,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     lengths = [9, 17, 17, 17, 33, 33, 64, 64, 64, 17]
     engine = ModelServingEngine(
-        encoder, warm_buckets=sorted(set(lengths)), name="bert-large-server"
+        encoder,
+        config=ServingConfig(warm_buckets=sorted(set(lengths)), name="bert-large-server"),
     )
     print(
         f"warmed {len(engine.plans)} SpMM plans, "
@@ -117,8 +118,7 @@ def main() -> None:
     async_engine = ModelServingEngine(
         async_encoder,
         batcher=AsyncWindowBatcher.exact_length(window_us=500.0),
-        warm_buckets=sorted(set(lengths)),
-        name="bert-large-async",
+        config=ServingConfig(warm_buckets=sorted(set(lengths)), name="bert-large-async"),
     )
     timed = [
         Request(r.request_id, r.activations, arrival_us=i * 120.0)

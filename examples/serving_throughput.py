@@ -36,6 +36,7 @@ from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
 from repro.models.config import BERT_LARGE
 from repro.serving import (
     Request,
+    ServingConfig,
     ServingEngine,
     SimulatedRequest,
     sweep_batch_windows,
@@ -75,10 +76,14 @@ def main() -> None:
         Request(f"req-{i:03d}", rng.normal(size=(t, intermediate)).astype(np.float32))
         for i, t in enumerate(token_counts)
     ]
-    engine = ServingEngine(operand, bias=bias, dispatcher=dispatcher, name="ffn-server")
+    engine = ServingEngine(
+        operand, bias=bias, dispatcher=dispatcher, config=ServingConfig(name="ffn-server")
+    )
     batched = engine.serve(requests)
 
-    solo = ServingEngine(operand, bias=bias, dispatcher=dispatcher, name="ffn-solo")
+    solo = ServingEngine(
+        operand, bias=bias, dispatcher=dispatcher, config=ServingConfig(name="ffn-solo")
+    )
     sequential = {}
     for request in requests:
         sequential.update(solo.serve([request]))

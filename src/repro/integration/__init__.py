@@ -1,27 +1,11 @@
-"""STen-style integration layer (paper Section 7.2.2, Listing 1)."""
+"""Model-integration layer (paper Section 7.2.2, Listing 1)."""
 
-from .linear import SpmmLinear, sparsify_encoder
-from .sparsifier import VNMSparsifier, numpy_tensor_to_vnm
-from .sten import (
-    SparseTensorWrapper,
-    clear_registry,
-    find_sparsifier_implementation,
-    register_sparsifier_implementation,
-    registry_size,
-    sparsify,
-)
+from .linear import sparsify_encoder
+from .sparsifier import VNMSparsifier
 from .vnm_tensor import VNMTensor
 
 __all__ = [
-    "SpmmLinear",
     "sparsify_encoder",
     "VNMSparsifier",
-    "numpy_tensor_to_vnm",
-    "SparseTensorWrapper",
-    "clear_registry",
-    "find_sparsifier_implementation",
-    "register_sparsifier_implementation",
-    "registry_size",
-    "sparsify",
     "VNMTensor",
 ]

@@ -1,10 +1,11 @@
-"""``Spmm`` module and model sparsification pass (Listing 1 / Section 7.2.2).
+"""The model sparsification pass (Listing 1 / Section 7.2.2).
 
 The paper replaces ``torch.nn.Linear`` modules whose weights were marked
 sparse with an ``Spmm`` module that unpacks the ``VNMTensor`` (values,
-columns, metadata) and calls ``spatha.spmm``.  This module provides the
-numpy equivalent plus :func:`sparsify_encoder`, the convenience pass that
-walks a :class:`~repro.models.transformer.TransformerEncoder`, applies a
+columns, metadata) and calls ``spatha.spmm``.  Here that module is
+:class:`~repro.models.layers.SparseLinear`, and :func:`sparsify_encoder` is
+the convenience pass that walks a
+:class:`~repro.models.transformer.TransformerEncoder`, applies a
 :class:`~repro.integration.sparsifier.VNMSparsifier` to a selected list of
 weights and swaps the corresponding layers — the "few lines of code" user
 experience the paper advertises.
@@ -12,114 +13,12 @@ experience the paper advertises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence
 
 from .sparsifier import VNMSparsifier
-from .vnm_tensor import VNMTensor
-from ..kernels.dispatch import KernelDispatcher, SpmmOperand, default_dispatcher
 from ..kernels.spatha import Spatha
 from ..models.layers import DenseLinear, SparseLinear
 from ..models.transformer import TransformerEncoder
-
-
-@dataclass
-class SpmmLinear:
-    """Drop-in replacement of a dense linear layer running on Spatha.
-
-    Mirrors the ``Spmm(torch.nn.Module)`` of the paper's Listing 1: it is
-    constructed *from* the original dense layer plus the sparsified weight
-    and keeps the original bias.
-    """
-
-    weight: VNMTensor
-    bias: Optional[np.ndarray] = None
-    name: str = "spmm_linear"
-    spatha: Spatha = field(default_factory=Spatha)
-    dispatcher: Optional[KernelDispatcher] = None
-
-    def __post_init__(self) -> None:
-        self._operand = SpmmOperand.from_vnm(self.weight.matrix, name=self.name)
-
-    def _dispatcher(self) -> KernelDispatcher:
-        return self.dispatcher if self.dispatcher is not None else default_dispatcher()
-
-    @classmethod
-    def from_dense(
-        cls,
-        original: DenseLinear,
-        sparsifier: VNMSparsifier,
-        spatha: Optional[Spatha] = None,
-    ) -> "SpmmLinear":
-        """Build the module the way Listing 1 does: sparsify ``original.weight``."""
-        vnm = sparsifier.sparsify(original.weight)
-        return cls(
-            weight=vnm,
-            bias=None if original.bias is None else original.bias.copy(),
-            name=original.name,
-            spatha=spatha or Spatha(),
-        )
-
-    @property
-    def out_features(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_features(self) -> int:
-        return self.weight.shape[1]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """``y = dispatch(weight)(x) + bias`` — Listing 1 through the registry.
-
-        Accepts activations of shape ``(..., in_features)``; padding added
-        by the sparsifier on the K dimension is matched by zero-padding the
-        activations (zero rows contribute nothing to the product).  3-D
-        (and higher) activations go through the batched ``(B, K, C)`` RHS
-        path — the whole batch runs in one kernel call.  The backend is
-        chosen by the kernel dispatcher (Spatha's planned engine for the
-        V:N:M weight unless the cost model prefers the dense fallback).
-        """
-        x = np.asarray(x, dtype=np.float32)
-        if x.shape[-1] != self.in_features:
-            raise ValueError(f"input feature dimension {x.shape[-1]} != {self.in_features}")
-        dispatcher = self._dispatcher()
-        padded_r, padded_k = self.weight.padded_shape
-        if x.ndim >= 3:
-            lead = x.shape[:-2]
-            seq = x.shape[-2]
-            x3 = x.reshape(-1, seq, x.shape[-1])
-            rhs = np.swapaxes(x3, 1, 2)  # (B, in_features, seq)
-            if padded_k != self.in_features:
-                padded = np.zeros((x3.shape[0], padded_k, seq), dtype=np.float32)
-                padded[:, : self.in_features] = rhs
-                rhs = padded
-            out = dispatcher.execute(self._operand, rhs)  # (B, padded_r, seq)
-            out = out[:, : self.out_features]
-            if self.bias is not None:
-                out = out + self.bias.reshape(-1, 1)
-            return np.swapaxes(out, 1, 2).reshape(*lead, seq, self.out_features)
-        flat = x.reshape(-1, x.shape[-1])  # (tokens, in_features)
-        rhs = flat.T
-        if padded_k != self.in_features:
-            rhs = np.zeros((padded_k, flat.shape[0]), dtype=np.float32)
-            rhs[: self.in_features] = flat.T
-        out = dispatcher.execute(self._operand, rhs)  # (padded_r, tokens)
-        out = out[: self.out_features]
-        if self.bias is not None:
-            out = out + self.bias.reshape(-1, 1)
-        return out.T.reshape(*x.shape[:-1], self.out_features)
-
-    def to_sparse_linear(self) -> SparseLinear:
-        """Convert to the model-layer abstraction (for latency accounting)."""
-        return SparseLinear(
-            sparse_weight=self.weight.matrix,
-            bias=self.bias,
-            name=self.name,
-            spatha=self.spatha,
-            dispatcher=self.dispatcher,
-        )
 
 
 def sparsify_encoder(
@@ -167,9 +66,15 @@ def sparsify_encoder(
             return None
         if not isinstance(layer, DenseLinear):
             return None
-        module = SpmmLinear.from_dense(layer, sparsifier, spatha=shared_spatha)
+        weight = sparsifier.sparsify(layer.weight)
         replaced.append(name)
-        return module.to_sparse_linear()
+        return SparseLinear(
+            sparse_weight=weight.matrix,
+            logical_shape=weight.original_shape,
+            bias=None if layer.bias is None else layer.bias.copy(),
+            name=layer.name,
+            spatha=shared_spatha,
+        )
 
     encoder.apply_to_linears(convert)
     if selected is not None:

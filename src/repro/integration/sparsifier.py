@@ -4,8 +4,6 @@ Mirrors the class of the same name in the paper's Listing 1: it carries the
 ``n``, ``m`` and ``v`` hyper-parameters, prunes an incoming dense weight to
 the V:N:M pattern (magnitude pruning by default, the second-order pruner on
 request) and produces a :class:`~repro.integration.vnm_tensor.VNMTensor`.
-The registered STen implementation (`torch_tensor_to_vnm` in the paper)
-lives at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .sten import SparseTensorWrapper, register_sparsifier_implementation
 from .vnm_tensor import VNMTensor
 from ..formats.vnm import VNMSparseMatrix
 from ..pruning.masks import apply_mask
@@ -75,19 +72,3 @@ class VNMSparsifier:
 
         matrix = VNMSparseMatrix.from_dense(pruned, v=self.v, n=self.n, m=self.m, strict=True)
         return VNMTensor(matrix=matrix, original_shape=original_shape)
-
-    # The paper's function name; kept as an alias so Listing 1 reads the same.
-    def vnm_sparsifier(self, tensor: np.ndarray) -> VNMTensor:
-        """Alias of :meth:`sparsify` (the name used in the paper's listing)."""
-        return self.sparsify(tensor)
-
-
-@register_sparsifier_implementation(sparsifier=VNMSparsifier, inp=np.ndarray, out=VNMTensor)
-def numpy_tensor_to_vnm(sparsifier: VNMSparsifier, tensor: np.ndarray, grad_fmt=None) -> SparseTensorWrapper:
-    """STen registration: dense numpy tensor -> VNMTensor (Listing 1).
-
-    The wrapper keeps the dense original so verification (and, in the real
-    system, the dense-gradient path) can reference it.
-    """
-    vnm = sparsifier.sparsify(tensor)
-    return SparseTensorWrapper.wrapped_from_dense(vnm, tensor, grad_fmt)

@@ -12,14 +12,17 @@ the sparsified inner dimension, ``C`` output columns):
   Implemented on top of :mod:`repro.hardware.roofline`.
 
 This module defines :class:`GemmProblem` (the problem description),
-:class:`KernelResult` (the combined functional/performance answer), and the
-fp16 matmul reference used by all numerical tests.
+:class:`KernelResult` (the combined functional/performance answer), the
+fp16 matmul reference used by all numerical tests, and the two helpers the
+dispatch route shares: :class:`BoundedCache` (every kernel-layer memo) and
+:func:`demote_nonfinite_slabs` (the one non-finite screen).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -200,3 +203,80 @@ def reference_matmul_fp16_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a16.shape[-1] != b16.shape[-2]:
         raise ValueError(f"incompatible shapes {a16.shape} @ {b16.shape}")
     return np.matmul(a16, b16)
+
+
+#: Entries one kernel-layer memo may hold (dispatch decisions, exact-C
+#: estimates, tuner records).  The working sets are tens of entries — 12
+#: projections x a bucket ladder in serving, 36 cells in the sweep — so the
+#: bound only bites on unbounded key streams (one entry per distinct C),
+#: where it trades a re-run of the pure cost model for a fixed footprint.
+MEMO_BOUND = 1024
+
+
+class BoundedCache:
+    """A memo of at most :data:`MEMO_BOUND` entries with traffic counters.
+
+    Past the bound the oldest entry goes (first in, first out: a hit costs
+    a dict lookup and nothing else, which is what the ~40 us C=1 call
+    chain can afford; an evicted hot entry is recomputed once and is the
+    newest again).  ``hits`` / ``misses`` count ``get`` calls and are
+    cumulative — :meth:`clear` drops the entries, not the counters.
+    Values must not be ``None`` (``get`` returns it for a miss).
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable):
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def put(self, key: Hashable, value) -> None:
+        entries = self._entries
+        entries[key] = value
+        while len(entries) > MEMO_BOUND:
+            entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+def demote_nonfinite_slabs(
+    b16: np.ndarray,
+    b: np.ndarray,
+    fast: Callable[[np.ndarray], np.ndarray],
+    safe: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``fast(b)``, except that non-finite slabs of the RHS run ``safe``.
+
+    A dense-GEMM schedule multiplies the decompressed operand's zeros
+    against *every* B row, so a non-finite value in a row the sparse
+    structure never selects would leak NaN (``0 * inf``) into the output;
+    a sparse-format schedule only touches stored entries, like the loop
+    reference.  ``b16`` holds the fp16-rounded values of ``b`` (any float
+    dtype) — the kernels execute on rounded operands, so a finite float32
+    >= 65520 is already inf inside them.
+
+    The hot path is one float64 sum: every finite fp16 value is <= 65504,
+    so the sum is non-finite only when an element is (NaN/Inf propagate),
+    and it needs no bool temporary.  Only when it trips is each slab of a
+    3-D RHS screened on its own and run as its own 2-D call — a slab's
+    schedule may depend only on its own values, or one non-finite request
+    would flip its batchmates' schedule and break batched == sequential
+    bit-exactness.
+    """
+    if np.isfinite(np.sum(b16, dtype=np.float64)):
+        return fast(b)
+    if b.ndim == 2:
+        return safe(b)
+    flagged = ~np.isfinite(np.sum(b16, axis=(1, 2), dtype=np.float64))
+    return np.stack([(safe if bad else fast)(b[i]) for i, bad in enumerate(flagged)])

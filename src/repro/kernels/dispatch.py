@@ -21,22 +21,25 @@ Design rules, enforced by the consistency tests:
   backend is the argmin of the modelled times over the supported backends.
 * **Memoization** — decisions are cached per problem *signature*
   (format set, V:N:M pattern, R, K, and the power-of-two bucket of C), so
-  serving traffic that revisits a shape regime pays the ranking once.
+  serving traffic that revisits a shape regime pays the ranking once; the
+  memos are :class:`~repro.kernels.common.BoundedCache` instances, so a
+  stream of ever-new C values cannot grow them without limit.
 * **Slab-exact batching** — a 3-D ``(B, K, C)`` RHS produces, slab for
   slab, the bits of the corresponding 2-D calls (Spatha's plan guarantees
-  this natively; the other backends run one 2-D call per slab).
+  this natively; the other backends run one 2-D call per slab).  A
+  non-finite slab demotes the dense GEMM to a sparse-format schedule for
+  *that slab only* (:func:`~repro.kernels.common.demote_nonfinite_slabs`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cublas, cusparse, sputnik
-from .common import GemmProblem, KernelResult
+from .common import BoundedCache, GemmProblem, KernelResult, demote_nonfinite_slabs
 from .cusparse import CusparseBlockedEllConfig
 from .spatha import SpmmPlan, UnsupportedTilingError
 from .spatha import spmm as spatha_spmm
@@ -103,13 +106,19 @@ class SpmmOperand:
         self.blocked_ell = blocked_ell
         self.allow_dense = allow_dense
         self.name = name
+        #: Names of the formats this operand can be executed from (sorted);
+        #: fixed at construction, like the views themselves.
+        present = {
+            FORMAT_VNM: vnm is not None,
+            FORMAT_CSR: csr is not None,
+            FORMAT_BLOCKED_ELL: blocked_ell is not None,
+            FORMAT_DENSE: allow_dense,
+        }
+        self.formats: Tuple[str, ...] = tuple(sorted(f for f, has in present.items() if has))
         self._dense = None if dense is None else np.asarray(dense, dtype=np.float32)
         self._dense16: Optional[np.ndarray] = None
         self._sparsity: Optional[float] = None
         self._content_signature: Optional[Tuple] = None
-        #: Full dispatch signature per shape bucket (every component is
-        #: operand-intrinsic and immutable, so dispatchers share the memo).
-        self._sig_cache: Dict[int, Tuple] = {}
         shapes = {
             tuple(m.shape) for m in (vnm, csr, blocked_ell, self._dense) if m is not None
         }
@@ -166,20 +175,6 @@ class SpmmOperand:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def formats(self) -> Tuple[str, ...]:
-        """Names of the formats this operand can be executed from (sorted)."""
-        out = []
-        if self.vnm is not None:
-            out.append(FORMAT_VNM)
-        if self.csr is not None:
-            out.append(FORMAT_CSR)
-        if self.blocked_ell is not None:
-            out.append(FORMAT_BLOCKED_ELL)
-        if self.allow_dense:
-            out.append(FORMAT_DENSE)
-        return tuple(sorted(out))
-
-    @property
     def pattern(self) -> Optional[Tuple[int, int, int]]:
         """The ``(V, N, M)`` pattern when a V:N:M view exists."""
         if self.vnm is None:
@@ -213,7 +208,11 @@ class SpmmOperand:
         This is the first half of :func:`~repro.kernels.common.reference_matmul_fp16`
         hoisted out of the per-call path, so repeated dense-fallback
         executions (a serving loop) do not re-round the operand every call.
+        With a V:N:M view it is the Spatha plan's array — the dense schedule
+        and the dense fallback multiply by the same matrix, held once.
         """
+        if self.vnm is not None:
+            return SpmmPlan.for_matrix(self.vnm).dense16
         if self._dense16 is None:
             self._dense16 = np.asarray(self.dense(), dtype=np.float16).astype(np.float32)
         return self._dense16
@@ -271,17 +270,6 @@ def _validate_rhs(operand: SpmmOperand, b: np.ndarray) -> np.ndarray:
             f"B must have shape ({operand.k}, C) or (batch, {operand.k}, C), got {b.shape}"
         )
     return b
-
-
-def _fp16_finite(b: np.ndarray) -> bool:
-    """True when ``b`` stays finite after the kernels' fp16 rounding.
-
-    The backends execute on fp16-rounded operands, so a large-but-finite
-    float32 value (>= 65520) still becomes inf inside the kernel — the
-    finiteness guard must look at the rounded values, as SpmmPlan does.
-    """
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.asarray(b, dtype=np.float16)).all())
 
 
 def _per_slab(fn, b: np.ndarray) -> np.ndarray:
@@ -442,23 +430,15 @@ class DispatchDecision:
     #: C at which the costs were evaluated (the bucket's first-seen C).
     decided_at_c: int = 0
     #: Failovers taken at execute time under this decision, keyed
-    #: ``"failed->served"``.  Absent measurements the decision never changes
-    #: — ``backend`` stays the cost argmin so re-admitted backends are
-    #: routed to again — this is the audit trail of which calls had to walk
-    #: down the ranking.
+    #: ``"failed->served"``.  The decision itself never changes — ``backend``
+    #: stays the cost argmin so re-admitted backends are routed to again —
+    #: this is the audit trail of which calls had to walk down the ranking.
     failovers: Dict[str, int] = field(default_factory=dict)
-    #: Measurement-blended effective cost (us) per candidate: the measured
-    #: EWMA where this signature has observed runtimes, the modelled cost
-    #: rescaled onto the measured scale otherwise.  Empty until the
-    #: dispatcher has at least one observation for the signature; once
-    #: populated it overrides ``costs`` in :attr:`ranking` (and may re-rank
-    #: ``backend``) so decisions track reality, not just the model.
-    measured: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ranking(self) -> List[Tuple[str, float]]:
-        """Candidates sorted fastest first (measurement-blended when fed)."""
-        return sorted((self.measured or self.costs).items(), key=lambda kv: kv[1])
+        """Candidates sorted fastest first, on the modelled clock."""
+        return sorted(self.costs.items(), key=lambda kv: kv[1])
 
     def record_failover(self, failed: str, served: str) -> None:
         """Count one execute-time failover from ``failed`` to ``served``."""
@@ -580,8 +560,6 @@ class KernelDispatcher:
         name: str = "",
         failure_threshold: int = 3,
         probe_interval: int = 4,
-        observe_runtimes: bool = False,
-        measurement_alpha: float = 0.25,
     ) -> None:
         self.gpu = gpu or rtx3090()
         self.backends: List[Backend] = list(backends) if backends is not None else default_backends()
@@ -589,38 +567,17 @@ class KernelDispatcher:
         #: prefixed onto dispatch errors so a multi-engine process can tell
         #: whose dispatcher rejected an operand.
         self.name = name
-        self._decisions: Dict[Tuple, DispatchDecision] = {}
-        #: Decision-cache traffic counters: a hit is a ``dispatch`` call
-        #: answered from the memo, a miss one that ranked the backends.
-        #: Serving engines surface these on ``stats()`` to prove
-        #: cross-request reuse; they accumulate across ``clear_cache``.
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: Memoized :class:`DispatchDecision` per signature.  A hit is a
+        #: ``dispatch`` call answered from the memo, a miss one that ranked
+        #: the backends; serving engines surface the counters on ``stats()``
+        #: to prove cross-request reuse.
+        self._decisions = BoundedCache()
         #: Memoized :meth:`estimate` results, keyed by (signature, exact C,
         #: backend, operand name) — the cost models are pure functions of
-        #: that key, and the serving engines call ``estimate`` per layer per
-        #: step, which dominated the continuous step loop before memoization.
-        self._estimates: Dict[Tuple, KernelResult] = {}
-        self.estimate_hits = 0
-        self.estimate_misses = 0
-        if not 0.0 < measurement_alpha <= 1.0:
-            raise ValueError("measurement_alpha must be in (0, 1]")
-        #: When True, :meth:`execute` wall-clock-times every successful
-        #: backend call and feeds it to :meth:`record_runtime` automatically.
-        #: Off by default: a measured re-rank changes which backend later
-        #: identical calls route to, which is exactly what you want in a
-        #: long-lived server and exactly what you do not want while
-        #: asserting batched-vs-sequential bit-equality mid-run (each call
-        #: is still bit-for-bit its backend's direct invocation either way).
-        self.observe_runtimes = observe_runtimes
-        #: EWMA smoothing factor for measured runtimes (1.0 = latest only).
-        self.measurement_alpha = measurement_alpha
-        #: Measured-runtime EWMA (us) per (signature, backend), plus sample
-        #: counts; cumulative counters surfaced in :meth:`health_stats`.
-        self._observed: Dict[Tuple, float] = {}
-        self._observed_counts: Dict[Tuple, int] = {}
-        self.observations = 0
-        self.measured_reranks = 0
+        #: that key, the serving engines call ``estimate`` per layer per
+        #: step, and a miss on a V:N:M operand is a whole tuner sweep
+        #: (milliseconds, on the blocking path of a served request).
+        self._estimates = BoundedCache()
         #: Backend health: failure streaks, quarantine and failover counters.
         self.breaker = CircuitBreaker(failure_threshold, probe_interval)
 
@@ -661,23 +618,17 @@ class KernelDispatcher:
         Includes :meth:`SpmmOperand.content_signature` so same-shape
         operands with different sparsity/structure never alias to one
         cached decision (distinct layers of a model may legitimately
-        dispatch to different backends).  Memoized per bucket on the
-        operand — the serving engines rebuild it several times per layer
-        per step, and every component is immutable.
+        dispatch to different backends).  Rebuilt per call: it costs about
+        a microsecond of a ~57 us C=1 ``SparseLinear.forward``.
         """
-        bucket = self.shape_bucket(c)
-        sig = operand._sig_cache.get(bucket)
-        if sig is None:
-            sig = (
-                operand.formats,
-                operand.pattern,
-                operand.r,
-                operand.k,
-                bucket,
-                operand.content_signature(),
-            )
-            operand._sig_cache[bucket] = sig
-        return sig
+        return (
+            operand.formats,
+            operand.pattern,
+            operand.r,
+            operand.k,
+            self.shape_bucket(c),
+            operand.content_signature(),
+        )
 
     def dispatch(self, operand: SpmmOperand, c: int) -> DispatchDecision:
         """Rank the supported backends for this problem (memoized).
@@ -689,9 +640,7 @@ class KernelDispatcher:
         sig = self.signature(operand, c)
         decision = self._decisions.get(sig)
         if decision is not None:
-            self.cache_hits += 1
             return decision
-        self.cache_misses += 1
         costs: Dict[str, float] = {}
         for backend in self.backends:
             if not backend.supports(operand):
@@ -704,8 +653,7 @@ class KernelDispatcher:
             )
         best = min(costs.items(), key=lambda kv: kv[1])[0]
         decision = DispatchDecision(signature=sig, backend=best, costs=costs, decided_at_c=c)
-        self._decisions[sig] = decision
-        self._apply_measurements(decision)
+        self._decisions.put(sig, decision)
         return decision
 
     def estimate(self, operand: SpmmOperand, c: int, backend: Optional[str] = None) -> KernelResult:
@@ -722,73 +670,10 @@ class KernelDispatcher:
         name = backend or self.dispatch(operand, c).backend
         key = (self.signature(operand, c), int(c), name, operand.name)
         result = self._estimates.get(key)
-        if result is not None:
-            self.estimate_hits += 1
-            return result
-        self.estimate_misses += 1
-        result = self.backend(name).estimate(operand, c, self.gpu)
-        self._estimates[key] = result
+        if result is None:
+            result = self.backend(name).estimate(operand, c, self.gpu)
+            self._estimates.put(key, result)
         return result
-
-    # ------------------------------------------------------------------
-    # Measured runtimes (the measurement-fed half of the ranking)
-    # ------------------------------------------------------------------
-    def record_runtime(self, operand: SpmmOperand, c: int, backend: str, measured_us: float) -> None:
-        """Feed one measured wall-clock runtime for ``backend`` on this problem.
-
-        Updates the per-(signature, backend) EWMA and immediately re-blends
-        the signature's cached decision (see :meth:`_apply_measurements`),
-        so the ranking tracks observed reality instead of the static cost
-        model alone.  Callers with out-of-band timings (the bench harness, a
-        serving sidecar) use this directly; set ``observe_runtimes=True`` to
-        have :meth:`execute` feed itself.
-        """
-        if not measured_us > 0:
-            raise ValueError(f"measured_us must be positive, got {measured_us}")
-        name = self.backend(backend).name  # validates the backend exists
-        self._observe(self.signature(operand, c), name, float(measured_us))
-
-    def _observe(self, sig: Tuple, name: str, measured_us: float) -> None:
-        key = (sig, name)
-        prev = self._observed.get(key)
-        alpha = self.measurement_alpha
-        self._observed[key] = (
-            measured_us if prev is None else alpha * measured_us + (1.0 - alpha) * prev
-        )
-        self._observed_counts[key] = self._observed_counts.get(key, 0) + 1
-        self.observations += 1
-        decision = self._decisions.get(sig)
-        if decision is not None:
-            self._apply_measurements(decision)
-
-    def _blend(self, sig: Tuple, costs: Dict[str, float]) -> Dict[str, float]:
-        """Effective cost per candidate: measured where observed, calibrated
-        model elsewhere.
-
-        Measured wall-clock (CPU) and modelled (simulated-GPU) times live on
-        different scales, so candidates without observations cannot compete
-        on raw modelled numbers.  The median observed/modelled ratio across
-        the observed candidates calibrates the model onto the measured
-        scale; unobserved candidates enter the ranking at
-        ``modelled * scale``.  Empty when the signature has no observations.
-        """
-        observed = {n: self._observed[(sig, n)] for n in costs if (sig, n) in self._observed}
-        if not observed:
-            return {}
-        ratios = sorted(observed[n] / costs[n] for n in observed if costs[n] > 0)
-        scale = ratios[len(ratios) // 2] if ratios else 1.0
-        return {n: observed.get(n, cost * scale) for n, cost in costs.items()}
-
-    def _apply_measurements(self, decision: DispatchDecision) -> None:
-        """Re-blend one decision's effective costs; re-rank if reality won."""
-        measured = self._blend(decision.signature, decision.costs)
-        if not measured:
-            return
-        decision.measured = measured
-        best = min(measured.items(), key=lambda kv: kv[1])[0]
-        if best != decision.backend:
-            decision.backend = best
-            self.measured_reranks += 1
 
     # ------------------------------------------------------------------
     # Backend health (circuit breaker)
@@ -802,64 +687,29 @@ class KernelDispatcher:
         return self.breaker.quarantined()
 
     def health_stats(self) -> Dict[str, object]:
-        """Circuit-breaker counters plus the measured-runtime summary
-        (separate from :meth:`cache_stats`).
-
-        ``observed_backends`` aggregates the per-signature EWMAs per
-        backend: ``samples`` fed, and the mean EWMA in us — enough to see
-        *which* backends real traffic exercised and how they actually
-        timed; ``measured_reranks`` counts decisions whose best backend
-        flipped because of measurements.
-        """
-        observed: Dict[str, Dict[str, float]] = {}
-        for (sig, name), ewma in self._observed.items():
-            agg = observed.setdefault(name, {"samples": 0, "_sum": 0.0, "_n": 0})
-            agg["samples"] += self._observed_counts[(sig, name)]
-            agg["_sum"] += ewma
-            agg["_n"] += 1
-        for agg in observed.values():
-            agg["mean_ewma_us"] = round(agg.pop("_sum") / agg.pop("_n"), 3)
-        return {
-            **self.breaker.stats(),
-            "observations": self.observations,
-            "measured_reranks": self.measured_reranks,
-            "observed_backends": {name: observed[name] for name in sorted(observed)},
-        }
+        """The circuit breaker's counters (separate from :meth:`cache_stats`)."""
+        return self.breaker.stats()
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _attempt(self, operand: SpmmOperand, b: np.ndarray, name: str, decision: DispatchDecision) -> np.ndarray:
         """Run one candidate backend, honouring the non-finite demotion."""
-        if name == CublasDenseBackend.name and len(decision.costs) > 1:
-            # Same guard as SpmmPlan's dense->gather demotion: the dense
-            # fallback multiplies the decompressed operand's zeros against
-            # every B row, so a non-finite value in a row the sparse
-            # structure never selects would leak NaN (0 * inf) into the
-            # output.  The sparse-format backends only touch stored
-            # entries, so route to the fastest of those instead.  The check
-            # is per *slab*: a slab's backend may depend only on its own
-            # values, otherwise one non-finite request in a serving
-            # micro-batch would flip its batchmates' backend and break the
-            # batched == sequential bit-exactness guarantee.
-            fallback = next(
-                fname for fname, _ in decision.ranking if fname != CublasDenseBackend.name
-            )
-            if b.ndim == 2:
-                if not _fp16_finite(b):
-                    return self.backend(fallback).execute(operand, b)
-            else:
-                finite = [_fp16_finite(b[i]) for i in range(b.shape[0])]
-                if not all(finite):
-                    dense_backend = self.backend(name)
-                    sparse_backend = self.backend(fallback)
-                    return np.stack(
-                        [
-                            (dense_backend if fin else sparse_backend).execute(operand, b[i])
-                            for i, fin in enumerate(finite)
-                        ]
-                    )
-        return self.backend(name).execute(operand, b)
+        backend = self.backend(name)
+        if name != CublasDenseBackend.name or len(decision.costs) == 1:
+            return backend.execute(operand, b)
+        # The dense fallback with a sparse-format candidate beside it: the
+        # fastest of those serves any slab that is non-finite after the
+        # kernels' fp16 rounding.
+        sparse = self.backend(next(n for n, _ in decision.ranking if n != name))
+        with np.errstate(over="ignore"):
+            b16 = np.asarray(b, dtype=np.float16)
+        return demote_nonfinite_slabs(
+            b16,
+            b,
+            lambda rhs: backend.execute(operand, rhs),
+            lambda rhs: sparse.execute(operand, rhs),
+        )
 
     def execute(
         self,
@@ -890,13 +740,7 @@ class KernelDispatcher:
         first_failed: Optional[str] = None
         for name in self.breaker.candidate_order(decision):
             try:
-                if self.observe_runtimes:
-                    started = time.perf_counter()
-                    out = self._attempt(operand, b, name, decision)
-                    elapsed_us = max((time.perf_counter() - started) * 1e6, 1e-3)
-                    self._observe(decision.signature, name, elapsed_us)
-                else:
-                    out = self._attempt(operand, b, name, decision)
+                out = self._attempt(operand, b, name, decision)
             except BackendExecutionError as exc:
                 failed = exc.backend or name
                 self.breaker.record_failure(failed)
@@ -961,18 +805,16 @@ class KernelDispatcher:
         """Decision/estimate-cache counters: entries held plus cumulative traffic."""
         return {
             "size": self.cache_size(),
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
+            "hits": self._decisions.hits,
+            "misses": self._decisions.misses,
             "estimate_size": len(self._estimates),
-            "estimate_hits": self.estimate_hits,
-            "estimate_misses": self.estimate_misses,
+            "estimate_hits": self._estimates.hits,
+            "estimate_misses": self._estimates.misses,
         }
 
     def clear_cache(self) -> None:
         """Drop all memoized decisions and estimates (backends keep their
-        tuner caches; measured-runtime EWMAs survive too — they describe
-        reality, and re-ranking a re-decided signature should still see
-        them).
+        tuner caches).
 
         The hit/miss counters are cumulative traffic statistics and survive
         the clear (the next ``dispatch`` of a dropped signature counts as a

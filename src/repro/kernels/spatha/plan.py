@@ -38,11 +38,12 @@ CPU analogue of that preparation step:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .config import KernelConfig
+from ..common import demote_nonfinite_slabs
 from ...formats.vnm import VNMSparseMatrix
 
 #: Calibrated single-core throughputs used by the ``auto`` strategy chooser
@@ -94,10 +95,7 @@ class SpmmPlan:
         self.gather_indices = matrix.selected_column_indices()  # (R/V, K/M*4)
         self.metadata = matrix.packed_metadata()
         self._dense16: Optional[np.ndarray] = None
-        # The auto strategy depends only on C, and serving re-executes one
-        # plan hundreds of times per window at a handful of distinct C
-        # values — memoize the cost-model verdict per column count.
-        self._strategy_cache: Dict[int, str] = {}
+        self._resolved = strategy if strategy != "auto" else self._auto_strategy()
 
     # ------------------------------------------------------------------
     # Cached plan lookup
@@ -142,19 +140,29 @@ class SpmmPlan:
             )
         return self._dense16
 
-    def resolve_strategy(self, c: int) -> str:
-        """The strategy ``execute`` will use for a C-column RHS."""
-        if self.strategy != "auto":
-            return self.strategy
+    def _auto_strategy(self) -> str:
+        """The cost model's verdict, per RHS column.
+
+        Both modelled costs are linear in C, so the choice belongs to the
+        operand alone and is settled once, at plan build.
+        """
         a = self.matrix
         r, k = a.shape
         kc = self.condensed_k
-        gather_bytes = a.row_blocks * kc * c * 4.0
-        gather_cost = gather_bytes / _GATHER_BYTES_PER_SECOND + (
-            2.0 * r * kc * c / _BLOCK_GEMM_FLOPS
+        gather_cost = a.row_blocks * kc * 4.0 / _GATHER_BYTES_PER_SECOND + (
+            2.0 * r * kc / _BLOCK_GEMM_FLOPS
         )
-        dense_cost = 2.0 * r * k * c / _DENSE_GEMM_FLOPS
+        dense_cost = 2.0 * r * k / _DENSE_GEMM_FLOPS
         return "dense" if dense_cost <= gather_cost else "gather"
+
+    def resolve_strategy(self, c: int) -> str:
+        """The strategy ``execute`` will use for a C-column RHS."""
+        return self._resolved
+
+    def _execute_dense(self, b16: np.ndarray) -> np.ndarray:
+        """Dense schedule: matmul broadcasts (R, K) @ (B, K, C) into one GEMM
+        per slab, so each slab's result is bit-identical to its 2-D call."""
+        return np.matmul(self.dense16, b16)
 
     # ------------------------------------------------------------------
     # Execution
@@ -172,26 +180,10 @@ class SpmmPlan:
                 f"B must have shape ({a.k}, C) or (batch, {a.k}, C), got {b.shape}"
             )
         b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-        c = b.shape[-1]
-        strategy = self._strategy_cache.get(c)
-        if strategy is None:
-            strategy = self.resolve_strategy(c)
-            self._strategy_cache[c] = strategy
-        if strategy == "dense" and not np.isfinite(np.sum(b16, dtype=np.float64)):
-            # The dense schedule multiplies the zero entries of the
-            # densified operand against *every* B row, so a non-finite
-            # value in a row no block selects would leak NaN (0 * inf)
-            # into the output.  The gather schedule only ever touches the
-            # selected rows — exactly like the loop reference — so it is
-            # the correct formulation for non-finite inputs.  The screen
-            # is a float64 sum: every finite fp16-representable value is
-            # <= 65504, so the sum can only be non-finite when an element
-            # is (NaN/Inf propagate), and it needs no bool temporary.
-            strategy = "gather"
-        if strategy == "dense":
-            # matmul broadcasts (R, K) @ (B, K, C) into one GEMM per slab,
-            # so each slab's result is bit-identical to its 2-D call.
-            out = np.matmul(self.dense16, b16)
+        if self._resolved == "dense":
+            # A non-finite slab takes the gather schedule, which only ever
+            # touches the selected rows — exactly like the loop reference.
+            out = demote_nonfinite_slabs(b16, b16, self._execute_dense, self._execute_gather)
         else:
             out = self._execute_gather(b16)
 

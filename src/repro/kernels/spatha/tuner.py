@@ -5,19 +5,20 @@ per problem ("can be tuned depending on the input dynamics, such as GEMM
 size or the V:N:M format configuration").  The tuner enumerates the
 candidate configurations (:func:`repro.kernels.spatha.config.candidate_configs`)
 and ranks them with the performance model — the simulated analogue of an
-on-device exhaustive search.  Results are cached per problem signature so
-sweeps that revisit the same shape (every figure does) pay the search once.
+on-device exhaustive search.  Results are cached per problem signature (in a
+:class:`~repro.kernels.common.BoundedCache`) so sweeps that revisit the same
+shape (every figure does) pay the search once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .config import KernelConfig, candidate_configs, default_config
 from .perf_model import estimate_time
 from .tiles import UnsupportedTilingError
-from ..common import GemmProblem, KernelResult
+from ..common import BoundedCache, GemmProblem, KernelResult
 from ...hardware.spec import GPUSpec, rtx3090
 
 
@@ -60,7 +61,7 @@ class SpathaTuner:
 
     def __init__(self, gpu: Optional[GPUSpec] = None) -> None:
         self.gpu = gpu or rtx3090()
-        self._cache: Dict[Tuple, TuningRecord] = {}
+        self._cache = BoundedCache()
 
     @staticmethod
     def _signature(problem: GemmProblem) -> Tuple:
@@ -71,8 +72,9 @@ class SpathaTuner:
         if problem.v is None or problem.n is None or problem.m is None:
             raise ValueError("tuning requires a fully specified V:N:M problem")
         sig = self._signature(problem)
-        if sig in self._cache:
-            return self._cache[sig]
+        record = self._cache.get(sig)
+        if record is not None:
+            return record
         record = TuningRecord(problem=problem)
         for config in candidate_configs(problem.v, problem.c):
             try:
@@ -95,7 +97,7 @@ class SpathaTuner:
                 ) from exc
             record.results.append((fallback, result.time_us))
         record.results.sort(key=lambda pair: pair[1])
-        self._cache[sig] = record
+        self._cache.put(sig, record)
         return record
 
     def best_config(self, problem: GemmProblem) -> KernelConfig:

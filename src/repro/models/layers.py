@@ -16,7 +16,7 @@ in :mod:`repro.integration`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -107,6 +107,11 @@ class SparseLinear:
     the candidates are Spatha's planned engine and the dense cuBLAS
     fallback.  The ``spatha`` handle is kept for the performance-model
     accounting (:meth:`kernel_result`).
+
+    ``logical_shape`` is the ``(out_features, in_features)`` of the layer
+    when the sparsifier zero-padded the weight up to V/M-divisible
+    (:attr:`VNMTensor.original_shape <repro.integration.vnm_tensor.VNMTensor>`);
+    ``None`` means the weight's own shape.
     """
 
     sparse_weight: VNMSparseMatrix
@@ -114,14 +119,25 @@ class SparseLinear:
     name: str = "sparse_linear"
     spatha: Spatha = field(default_factory=Spatha)
     dispatcher: Optional[KernelDispatcher] = None
+    logical_shape: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.sparse_weight, VNMSparseMatrix):
             raise TypeError("sparse_weight must be a VNMSparseMatrix")
+        padded = self.sparse_weight.shape
+        rows, cols = padded if self.logical_shape is None else self.logical_shape
+        self.logical_shape = (int(rows), int(cols))
+        if not (0 < rows <= padded[0] and 0 < cols <= padded[1]):
+            raise ValueError(
+                f"logical_shape {self.logical_shape} must fit the weight's shape {padded}"
+            )
         if self.bias is not None:
             self.bias = np.asarray(self.bias, dtype=np.float32)
-            if self.bias.shape != (self.sparse_weight.shape[0],):
+            if self.bias.shape != (self.out_features,):
                 raise ValueError("bias must have shape (out_features,)")
+        # Settled here, not compared per call: ``forward`` is the C=1 decode
+        # hot path and ``sparse_weight.shape`` is a computed property.
+        self._padded = self.logical_shape != padded
         self._operand = SpmmOperand.from_vnm(self.sparse_weight, name=self.name)
 
     @classmethod
@@ -149,11 +165,11 @@ class SparseLinear:
 
     @property
     def out_features(self) -> int:
-        return self.sparse_weight.shape[0]
+        return self.logical_shape[0]
 
     @property
     def in_features(self) -> int:
-        return self.sparse_weight.shape[1]
+        return self.logical_shape[1]
 
     @property
     def sparsity(self) -> float:
@@ -178,6 +194,8 @@ class SparseLinear:
         way.
         """
         x = np.asarray(x, dtype=np.float32)
+        if self._padded:
+            return self._forward_padded(x)
         dispatcher = self._dispatcher()
         if x.ndim >= 3:
             lead = x.shape[:-2]
@@ -189,6 +207,27 @@ class SparseLinear:
         out = dispatcher.execute(self._operand, flat.T, bias=self.bias).T
         return out.reshape(*x.shape[:-1], self.out_features)
 
+    def _forward_padded(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` for a weight the sparsifier zero-padded.
+
+        The activations are zero-padded on K to match (zero rows contribute
+        nothing to the product), the padded output rows are cropped, and the
+        bias lands on the cropped rows.  Same 2-D / batched split as the
+        unpadded path, so batched execution stays slab-bit-exact.
+        """
+        out_features, in_features = self.logical_shape
+        if x.shape[-1] != in_features:
+            raise ValueError(f"input feature dimension {x.shape[-1]} != {in_features}")
+        rows = x.reshape((-1, x.shape[-2], in_features) if x.ndim >= 3 else (-1, in_features))
+        rhs = np.zeros(
+            rows.shape[:-2] + (self.sparse_weight.shape[1], rows.shape[-2]), dtype=np.float32
+        )
+        rhs[..., :in_features, :] = np.swapaxes(rows, -1, -2)
+        out = self._dispatcher().execute(self._operand, rhs)[..., :out_features, :]
+        if self.bias is not None:
+            out = out + self.bias.reshape(-1, 1)
+        return np.swapaxes(out, -1, -2).reshape(*x.shape[:-1], out_features)
+
     def warm_plan(self) -> None:
         """Build (and memoize) the weight's SpMM execution plan eagerly.
 
@@ -198,10 +237,11 @@ class SparseLinear:
         self._dispatcher().warm(self._operand)
 
     def gemm_problem(self, tokens: int) -> GemmProblem:
-        """The sparse R x K x C problem this layer performs."""
+        """The sparse R x K x C problem this layer launches (the padded
+        shape when the sparsifier padded the weight)."""
         w = self.sparse_weight
         return GemmProblem.from_nm(
-            r=self.out_features, k=self.in_features, c=tokens, n=w.n, m=w.m, v=w.v, name=self.name
+            r=w.shape[0], k=w.shape[1], c=tokens, n=w.n, m=w.m, v=w.v, name=self.name
         )
 
     def kernel_result(self, tokens: int, gpu: Optional[GPUSpec] = None) -> KernelResult:

@@ -199,8 +199,6 @@ class DecoderServingEngine(EngineCore):
         encoder: TransformerEncoder,
         batcher: Optional[ContinuousBatcher] = None,
         dispatcher: Optional[KernelDispatcher] = None,
-        warm: bool = True,
-        name: str = "decoder-serving",
         config: Optional[ServingConfig] = None,
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
@@ -225,7 +223,7 @@ class DecoderServingEngine(EngineCore):
 
         if batcher is None:
             batcher = knobs.build_batcher(kind="decoder", kv_cost=kv_cost)
-        super().__init__("decoder", name, config, dispatcher, batcher, warm)
+        super().__init__("decoder", "decoder-serving", config, dispatcher, batcher)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         encoder.set_dispatcher(self.dispatcher)
@@ -249,7 +247,7 @@ class DecoderServingEngine(EngineCore):
         self.prefills_skipped = 0
         self.preemptions = 0
         self.resumes = 0
-        if self._warm_on_build:
+        if self.config.warm:
             self.dispatcher.warm_many(
                 [lin.operand for _, lin in encoder.named_sparse_layers()], cs=(1,)
             )

@@ -31,7 +31,8 @@ and under any of the three scheduling drivers defined here (whole-window
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -113,20 +114,15 @@ class EngineCore:
         config: Optional[ServingConfig],
         dispatcher,
         batcher: Optional[ShapeBucketBatcher],
-        warm: bool,
-        warm_buckets: Sequence[int] = (),
     ) -> None:
-        """Resolve the shared knobs: a passed ``config`` supplies name,
-        warming policy and the default batcher / (sharded) dispatcher of
-        engine ``kind``; an explicit ``dispatcher`` / ``batcher`` wins.
-        Warming is each subclass's last constructor line (what it warms
-        only exists once the subclass is wired up)."""
-        if config is not None:
-            name = config.name or name
-            warm = config.warm
-            warm_buckets = config.warm_buckets or warm_buckets
+        """Resolve the shared knobs: ``config`` supplies the name (``name``
+        is the engine class's default label), warming policy and the default
+        batcher / (sharded) dispatcher of engine ``kind``; an explicit
+        ``dispatcher`` / ``batcher`` wins.  Warming (``config.warm`` /
+        ``config.warm_buckets``) is each subclass's last constructor line
+        (what it warms only exists once the subclass is wired up)."""
         self.config = config if config is not None else ServingConfig()
-        self.name = name
+        self.name = name = self.config.name or name
         if dispatcher is None:
             dispatcher = self.config.build_dispatcher(name=name)  # None unless sharded
         if dispatcher is None:
@@ -140,8 +136,6 @@ class EngineCore:
             )
         self.dispatcher = dispatcher
         self.batcher = batcher if batcher is not None else self.config.build_batcher(kind=kind)
-        self._warm_on_build = warm
-        self._warm_buckets = tuple(warm_buckets)
         self.total_requests = 0
         #: Continuous-serving bookkeeping (populated by the step loop).
         self.steps_executed = 0
@@ -468,19 +462,16 @@ class ServingEngine(EngineCore):
         process-wide one).
     batcher:
         Shape-bucketing batcher (defaults to the standard bucket ladder).
-    warm:
-        When True (default) the operand's execution plan is built eagerly
-        so the first window does not pay operand preparation.
-    warm_buckets:
-        Token-bucket sizes whose dispatch decisions are pre-ranked at
-        construction, so the first request of those shapes also skips the
-        cost-model sweep (pass the bucket ladder you expect traffic on).
     config:
-        A :class:`~repro.serving.config.ServingConfig` consolidating the
-        knobs above: it supplies the default batcher (per its
-        ``scheduling`` mode), name, warming policy and — when its sharding
-        block is enabled — a sharded dispatcher.  Explicitly passed
-        ``dispatcher``/``batcher`` win over the config's defaults.
+        The :class:`~repro.serving.config.ServingConfig`: it supplies the
+        default batcher (per its ``scheduling`` mode), the engine name, the
+        warming policy — ``warm`` builds the operand's execution plan
+        eagerly so the first window does not pay operand preparation,
+        ``warm_buckets`` pre-ranks the dispatch decisions of those token
+        buckets so the first request of those shapes also skips the
+        cost-model sweep — and, when its sharding block is enabled, a
+        sharded dispatcher.  Explicitly passed ``dispatcher``/``batcher``
+        win over the config's defaults.
     """
 
     def __init__(
@@ -489,12 +480,9 @@ class ServingEngine(EngineCore):
         bias: Optional[np.ndarray] = None,
         dispatcher: Optional[KernelDispatcher] = None,
         batcher: Optional[ShapeBucketBatcher] = None,
-        warm: bool = True,
-        warm_buckets: Sequence[int] = (),
-        name: str = "serving",
         config: Optional["ServingConfig"] = None,
     ) -> None:
-        super().__init__("operand", name, config, dispatcher, batcher, warm, warm_buckets)
+        super().__init__("operand", "serving", config, dispatcher, batcher)
         if isinstance(operand, VNMSparseMatrix):
             operand = SpmmOperand.from_vnm(operand, name=self.name)
         if not isinstance(operand, SpmmOperand):
@@ -503,15 +491,18 @@ class ServingEngine(EngineCore):
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float32)
         self.trace = ExecutionTrace()
         self.total_batches = 0
-        if self._warm_on_build:
-            self.dispatcher.warm(self.operand, cs=self._warm_buckets)
+        if self.config.warm:
+            self.dispatcher.warm(self.operand, cs=self.config.warm_buckets)
 
     # ------------------------------------------------------------------
     # Request intake
     # ------------------------------------------------------------------
     @classmethod
-    def for_layer(cls, layer, **kwargs) -> "ServingEngine":
-        """Build an engine serving a :class:`~repro.models.layers.SparseLinear`.
+    def for_layer(
+        cls, layer, config: Optional["ServingConfig"] = None, **kwargs
+    ) -> "ServingEngine":
+        """Build an engine serving a :class:`~repro.models.layers.SparseLinear`
+        (named after the layer unless ``config`` names it).
 
         Rejects layer types without a dispatchable operand up front (a
         ``DenseLinear`` used to die later with an opaque ``AttributeError``)
@@ -526,11 +517,14 @@ class ServingEngine(EngineCore):
                 f"(e.g. SparseLinear), got {type(layer).__name__}; wrap dense "
                 f"layers' weights in an SpmmOperand and use ServingEngine(...) directly"
             )
+        config = config if config is not None else ServingConfig()
+        if config.name is None:
+            config = replace(config, name=layer.name)
         return cls(
             operand=operand,
             bias=layer.bias,
             dispatcher=kwargs.pop("dispatcher", layer.dispatcher),
-            name=kwargs.pop("name", layer.name),
+            config=config,
             **kwargs,
         )
 

@@ -99,20 +99,16 @@ class ModelServingEngine(EngineCore):
         (:meth:`ShapeBucketBatcher.ladder`) in ``padding="ladder"`` mode;
         pass an :class:`~repro.serving.batcher.AsyncWindowBatcher` built
         the same way for arrival-deadline window closing via :meth:`poll`.
-    warm:
-        When True (default), eagerly build every sparse projection's SpMM
-        plan and pre-rank the dispatch decisions of ``warm_buckets`` so the
-        first window pays neither operand preparation nor the tuner sweep.
-    warm_buckets:
-        Token-bucket sizes (sequence lengths here) to pre-rank at
-        construction.
     config:
-        A :class:`~repro.serving.config.ServingConfig` consolidating the
-        knobs above plus the padding mode: ``padding="exact"`` (default)
-        refuses any batcher that would zero-pad a sequence; ``"ladder"``
-        pads to bucket rungs behind the attention mask.  Both are bit-exact
-        per request; ladder mode trades a little padded compute for far
-        fuller buckets under ragged traffic.  When its ``sharding`` block is
+        The :class:`~repro.serving.config.ServingConfig`.  ``warm``
+        (default True) eagerly builds every sparse projection's SpMM plan
+        and pre-ranks the dispatch decisions of ``warm_buckets`` (sequence
+        lengths here), so the first window pays neither operand preparation
+        nor the tuner sweep.  ``padding="exact"`` (default) refuses any
+        batcher that would zero-pad a sequence; ``"ladder"`` pads to bucket
+        rungs behind the attention mask.  Both are bit-exact per request;
+        ladder mode trades a little padded compute for far fuller buckets
+        under ragged traffic.  When its ``sharding`` block is
         enabled, the engine builds a
         :class:`~repro.serving.sharded.ShardedDispatcher` and solves
         min-cut placement for the encoder at construction.
@@ -123,14 +119,11 @@ class ModelServingEngine(EngineCore):
         encoder: TransformerEncoder,
         dispatcher: Optional[KernelDispatcher] = None,
         batcher: Optional[ShapeBucketBatcher] = None,
-        warm: bool = True,
-        warm_buckets: Sequence[int] = (),
-        name: str = "encoder-serving",
         config: Optional[ServingConfig] = None,
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
             raise TypeError("encoder must be a TransformerEncoder")
-        super().__init__("encoder", name, config, dispatcher, batcher, warm, warm_buckets)
+        super().__init__("encoder", "encoder-serving", config, dispatcher, batcher)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         self.padding = self.config.padding
@@ -147,8 +140,8 @@ class ModelServingEngine(EngineCore):
         self.plans: Dict[str, SpmmPlan] = {}
         self.plan_hits = 0
         self.plan_misses = 0
-        if self._warm_on_build:
-            self.warm(self._warm_buckets)
+        if self.config.warm:
+            self.warm(self.config.warm_buckets)
 
     def _sparse_layers(self) -> List[Tuple[str, SparseLinear]]:
         """The encoder's *live* sparse projections.

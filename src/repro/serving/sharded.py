@@ -160,9 +160,6 @@ class ShardedDispatcher:
         self.shard_modelled_us[shard] += result.time_us
         return result
 
-    def record_runtime(self, operand: SpmmOperand, c: int, backend: str, measured_us: float) -> None:
-        self.shards[self.shard_of(operand)].record_runtime(operand, c, backend, measured_us)
-
     def warm(self, operand: SpmmOperand, cs: Sequence[int] = ()) -> None:
         self.shards[self.shard_of(operand)].warm(operand, cs)
 
@@ -177,8 +174,7 @@ class ShardedDispatcher:
     def health_stats(self) -> Dict[str, object]:
         """Circuit-breaker counters summed across shards.
 
-        Scalar counters add up; ``quarantined`` unions (shard-qualified);
-        ``observed_backends`` merges per backend name.
+        Scalar counters add up; ``quarantined`` unions (shard-qualified).
         """
         merged: Dict[str, object] = {
             "failures": 0,
@@ -186,18 +182,12 @@ class ShardedDispatcher:
             "quarantines": 0,
             "readmissions": 0,
             "quarantined": [],
-            "observations": 0,
-            "measured_reranks": 0,
-            "observed_backends": {},
         }
         for i, shard in enumerate(self.shards):
             stats = shard.health_stats()
-            for key in ("failures", "failovers", "quarantines", "readmissions",
-                        "observations", "measured_reranks"):
+            for key in ("failures", "failovers", "quarantines", "readmissions"):
                 merged[key] += stats[key]
             merged["quarantined"].extend(f"shard{i}:{b}" for b in stats["quarantined"])
-            for backend, agg in stats["observed_backends"].items():
-                merged["observed_backends"].setdefault(backend, dict(agg))
         return merged
 
     def cache_stats(self) -> Dict[str, int]:

@@ -1,57 +1,15 @@
-"""Tests for the STen-style integration layer (paper Listing 1)."""
+"""Tests for the model-integration layer (paper Listing 1)."""
 
 import numpy as np
 import pytest
 
 from repro.formats.vnm import check_vnm_pattern
-from repro.integration.linear import SpmmLinear, sparsify_encoder
+from repro.integration.linear import sparsify_encoder
 from repro.integration.sparsifier import VNMSparsifier
-from repro.integration.sten import (
-    SparseTensorWrapper,
-    find_sparsifier_implementation,
-    register_sparsifier_implementation,
-    sparsify,
-)
 from repro.integration.vnm_tensor import VNMTensor
-from repro.kernels.spatha import Spatha
 from repro.models.config import tiny_config
 from repro.models.layers import DenseLinear, SparseLinear, init_dense_linear
 from repro.models.transformer import TransformerEncoder
-
-
-class TestStenRegistry:
-    def test_vnm_implementation_registered_on_import(self):
-        fn = find_sparsifier_implementation(VNMSparsifier, np.ndarray, VNMTensor)
-        assert callable(fn)
-
-    def test_sparsify_dispatch(self, rng):
-        wrapper = sparsify(VNMSparsifier(n=2, m=8, v=16), rng.normal(size=(32, 64)), VNMTensor)
-        assert isinstance(wrapper, SparseTensorWrapper)
-        assert isinstance(wrapper.wrapped_tensor, VNMTensor)
-        assert wrapper.shape == (32, 64)
-
-    def test_missing_implementation(self):
-        class OtherSparsifier:
-            pass
-
-        with pytest.raises(KeyError):
-            find_sparsifier_implementation(OtherSparsifier, np.ndarray, VNMTensor)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-
-            @register_sparsifier_implementation(sparsifier=VNMSparsifier, inp=np.ndarray, out=VNMTensor)
-            def duplicate(sparsifier, tensor, grad_fmt=None):  # pragma: no cover
-                return None
-
-    def test_wrapper_to_dense(self, rng):
-        dense = rng.normal(size=(32, 64))
-        wrapper = sparsify(VNMSparsifier(n=2, m=8, v=16), dense, VNMTensor)
-        recon = wrapper.to_dense()
-        assert recon.shape == dense.shape
-        # The reconstruction is the pruned weight: a subset of the original.
-        nz = recon != 0
-        assert np.allclose(recon[nz], dense.astype(np.float32)[nz], atol=1e-5)
 
 
 class TestVNMSparsifier:
@@ -72,10 +30,6 @@ class TestVNMSparsifier:
         w = rng.normal(size=(16, 32))
         vnm = sparsifier.sparsify(w)
         assert vnm.sparsity == pytest.approx(0.75)
-
-    def test_listing1_alias(self, rng):
-        sparsifier = VNMSparsifier(n=2, m=8, v=16)
-        assert isinstance(sparsifier.vnm_sparsifier(rng.normal(size=(16, 32))), VNMTensor)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
@@ -103,32 +57,54 @@ class TestVNMTensor:
         assert vnm.density() == pytest.approx(0.25, abs=0.01)
 
 
-class TestSpmmLinear:
+def sparsified(original, sparsifier=VNMSparsifier(n=2, m=8, v=16)):
+    """A dense layer through the sparsifier, the way sparsify_encoder builds it."""
+    weight = sparsifier.sparsify(original.weight)
+    layer = SparseLinear(
+        sparse_weight=weight.matrix,
+        logical_shape=weight.original_shape,
+        bias=original.bias,
+        name=original.name,
+    )
+    return layer, weight
+
+
+class TestSparsifiedLinear:
     def test_forward_matches_sparse_dense_layer(self, rng):
         original = init_dense_linear(32, 64, seed=3)
-        sparsifier = VNMSparsifier(n=2, m=8, v=16)
-        module = SpmmLinear.from_dense(original, sparsifier, spatha=Spatha(autotune=False))
+        layer, weight = sparsified(original)
         x = rng.normal(size=(5, 64)).astype(np.float32)
-        expected = DenseLinear(weight=module.weight.to_dense(), bias=original.bias).forward(x)
-        assert np.allclose(module.forward(x), expected, atol=5e-2, rtol=1e-2)
+        expected = DenseLinear(weight=weight.to_dense(), bias=original.bias).forward(x)
+        assert np.allclose(layer.forward(x), expected, atol=5e-2, rtol=1e-2)
 
-    def test_forward_with_padded_weight(self, rng):
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)], ids=["2d", "3d"])
+    def test_forward_with_padded_weight(self, rng, lead):
         original = init_dense_linear(30, 60, seed=3)
-        module = SpmmLinear.from_dense(original, VNMSparsifier(n=2, m=8, v=16), spatha=Spatha(autotune=False))
-        x = rng.normal(size=(4, 60)).astype(np.float32)
-        out = module.forward(x)
-        assert out.shape == (4, 30)
-        expected = DenseLinear(weight=module.weight.to_dense(), bias=original.bias).forward(x)
+        layer, weight = sparsified(original)
+        assert (layer.out_features, layer.in_features) == (30, 60)
+        # The launched problem is the padded one.
+        problem = layer.gemm_problem(4)
+        assert (problem.r, problem.k) == (32, 64)
+        x = rng.normal(size=lead + (60,)).astype(np.float32)
+        out = layer.forward(x)
+        assert out.shape == lead + (30,)
+        expected = DenseLinear(weight=weight.to_dense(), bias=original.bias).forward(x)
         assert np.allclose(out, expected, atol=5e-2, rtol=1e-2)
 
-    def test_input_dim_validated(self, rng):
-        module = SpmmLinear.from_dense(init_dense_linear(32, 64), VNMSparsifier(n=2, m=8, v=16))
+    @pytest.mark.parametrize("shape", [(32, 64), (30, 60)], ids=["exact", "padded"])
+    def test_input_dim_validated(self, rng, shape):
+        layer, _ = sparsified(init_dense_linear(*shape))
         with pytest.raises(ValueError):
-            module.forward(rng.normal(size=(4, 63)))
+            layer.forward(rng.normal(size=(4, shape[1] - 1)))
 
-    def test_to_sparse_linear(self):
-        module = SpmmLinear.from_dense(init_dense_linear(32, 64), VNMSparsifier(n=2, m=8, v=16))
-        assert isinstance(module.to_sparse_linear(), SparseLinear)
+    def test_logical_shape_must_fit_the_weight(self):
+        weight = VNMSparsifier(n=2, m=8, v=16).sparsify(init_dense_linear(32, 64).weight)
+        with pytest.raises(ValueError, match="logical_shape"):
+            SparseLinear(sparse_weight=weight.matrix, logical_shape=(33, 64))
+        with pytest.raises(ValueError, match="bias"):
+            SparseLinear(
+                sparse_weight=weight.matrix, logical_shape=(30, 60), bias=np.zeros(32)
+            )
 
 
 class TestSparsifyEncoder:
@@ -143,6 +119,18 @@ class TestSparsifyEncoder:
         assert encoder.count_sparse_layers() == 12
         x = rng.normal(size=(1, 8, 64)).astype(np.float32)
         assert np.isfinite(encoder.forward(x)).all()
+
+    def test_sparsify_non_divisible_shapes(self, rng):
+        """Shapes the pattern does not divide are padded by the sparsifier
+        and cropped by the layer (used to die on the bias-shape check)."""
+        cfg = tiny_config(hidden_size=40, intermediate_size=72, num_layers=1, num_heads=4)
+        encoder = TransformerEncoder.init(cfg, seed=0)
+        replaced = sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
+        assert len(replaced) == len(list(encoder.named_linear_layers())) == 6
+        assert encoder.count_sparse_layers() == 6
+        out = encoder.forward(rng.normal(size=(2, 5, 40)).astype(np.float32))
+        assert out.shape == (2, 5, 40)
+        assert np.isfinite(out).all()
 
     def test_sparsify_with_filter(self, encoder):
         replaced = sparsify_encoder(

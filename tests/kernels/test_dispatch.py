@@ -6,7 +6,9 @@ import pytest
 from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.vnm import VNMSparseMatrix
+from repro.kernels import common as kernels_common
 from repro.kernels import cublas, sputnik
+from repro.kernels.common import BoundedCache
 from repro.kernels.dispatch import (
     Backend,
     CublasDenseBackend,
@@ -216,11 +218,11 @@ class TestDispatchDecisions:
         dispatcher = KernelDispatcher()
         assert dispatcher.warm_many(operands, cs=(8, 64)) == 2
         assert dispatcher.cache_size() == 4  # 2 operands x 2 buckets, distinct sigs
-        hits_before = dispatcher.cache_hits
+        hits_before = dispatcher.cache_stats()["hits"]
         for op in operands:
             for c in (8, 64):
                 dispatcher.dispatch(op, c)
-        assert dispatcher.cache_hits == hits_before + 4  # all pre-ranked
+        assert dispatcher.cache_stats()["hits"] == hits_before + 4  # all pre-ranked
 
     def test_no_supported_backend_raises(self, pruned):
         dispatcher = KernelDispatcher(backends=[CublasDenseBackend()])
@@ -254,82 +256,6 @@ class TestDispatchDecisions:
         dispatcher = KernelDispatcher()
         dispatcher.register(FreeLunch())
         assert dispatcher.dispatch(operand, 24).backend == "free-lunch"
-
-
-class TestMeasuredDispatch:
-    """The measurement-fed half of the ranking: record_runtime/EWMA/reranks."""
-
-    def test_injected_measurements_rerank_the_decision(self, operand):
-        dispatcher = KernelDispatcher()
-        decision = dispatcher.dispatch(operand, 24)
-        modelled_best = decision.backend
-        loser = next(n for n in sorted(decision.costs) if n != modelled_best)
-        assert decision.measured == {}
-
-        # Reality disagrees with the model: the modelled winner is slow,
-        # the modelled loser fast.  The cached decision must flip.
-        dispatcher.record_runtime(operand, 24, modelled_best, 5000.0)
-        dispatcher.record_runtime(operand, 24, loser, 1.0)
-
-        assert decision.backend == loser
-        assert decision.ranking[0][0] == loser
-        assert dispatcher.measured_reranks >= 1
-        # Later dispatches reuse the reranked cached decision.
-        assert dispatcher.dispatch(operand, 24).backend == loser
-
-    def test_blend_scales_unobserved_candidates_onto_measured_scale(self, operand):
-        dispatcher = KernelDispatcher()
-        decision = dispatcher.dispatch(operand, 24)
-        name = decision.backend
-        dispatcher.record_runtime(operand, 24, name, 100.0)
-        # Every candidate gets an effective cost; the observed one is the
-        # EWMA itself, the others are modelled * (observed/modelled) scale.
-        assert set(decision.measured) == set(decision.costs)
-        assert decision.measured[name] == pytest.approx(100.0)
-        scale = 100.0 / decision.costs[name]
-        for other, cost in decision.costs.items():
-            if other != name:
-                assert decision.measured[other] == pytest.approx(cost * scale)
-
-    def test_ewma_smoothing_and_health_stats(self, operand):
-        dispatcher = KernelDispatcher()  # default alpha 0.25
-        decision = dispatcher.dispatch(operand, 24)
-        name = decision.backend
-        dispatcher.record_runtime(operand, 24, name, 100.0)
-        dispatcher.record_runtime(operand, 24, name, 200.0)
-        stats = dispatcher.health_stats()
-        assert stats["observations"] == 2
-        assert stats["observed_backends"][name]["samples"] == 2
-        # EWMA: 0.25 * 200 + 0.75 * 100
-        assert stats["observed_backends"][name]["mean_ewma_us"] == pytest.approx(125.0)
-
-    def test_record_runtime_validates_inputs(self, operand):
-        dispatcher = KernelDispatcher()
-        with pytest.raises(ValueError):
-            dispatcher.record_runtime(operand, 24, "spatha-plan", 0.0)
-        with pytest.raises(ValueError):
-            dispatcher.record_runtime(operand, 24, "spatha-plan", -1.0)
-        with pytest.raises(KeyError):
-            dispatcher.record_runtime(operand, 24, "no-such-backend", 1.0)
-        with pytest.raises(ValueError):
-            KernelDispatcher(measurement_alpha=0.0)
-        with pytest.raises(ValueError):
-            KernelDispatcher(measurement_alpha=1.5)
-
-    def test_observe_runtimes_feeds_execute(self, operand, rng):
-        dispatcher = KernelDispatcher(observe_runtimes=True)
-        b = rng.normal(size=(64, 8)).astype(np.float32)
-        dispatcher.execute(operand, b)
-        stats = dispatcher.health_stats()
-        assert stats["observations"] >= 1
-        assert stats["observed_backends"]  # at least the executing backend
-
-    def test_observation_off_by_default_keeps_model_ranking(self, operand, rng):
-        dispatcher = KernelDispatcher()
-        b = rng.normal(size=(64, 8)).astype(np.float32)
-        dispatcher.execute(operand, b)
-        assert dispatcher.health_stats()["observations"] == 0
-        assert dispatcher.dispatch(operand, 8).measured == {}
 
 
 class TestDispatchedExecution:
@@ -394,30 +320,33 @@ class TestDispatchedExecution:
 
         assert np.array_equal(out, spatha_spmm(vnm, b))
 
-    def test_nonfinite_demotion_is_per_slab(self):
+    @pytest.mark.parametrize("c", [1, 8, 64])
+    @pytest.mark.parametrize("decided", ["cublas-dense", "spatha-plan"])
+    def test_nonfinite_demotion_is_per_slab(self, rng, decided, c):
         """Regression: a non-finite slab in a batched RHS must demote only
-        ITSELF to the sparse backend — demoting the whole batch would make
-        a request's backend (and bits) depend on its batchmates, breaking
-        the serving guarantee that batched == sequential execution."""
-        a_dense = np.zeros((8, 8), dtype=np.float32)
-        a_dense[:, 0] = 1.0  # only column 0 selected by the sparse structure
-        vnm = VNMSparseMatrix.from_dense(a_dense, v=8, n=2, m=8, strict=True)
-        op = SpmmOperand.from_vnm(vnm)  # candidates: spatha-plan + cublas-dense
+        ITSELF to the sparse schedule — demoting the whole batch would make
+        a request's schedule (and bits) depend on its batchmates, breaking
+        the serving guarantee that batched == sequential execution.  Holds
+        whichever backend the decision names: the dense fallback screens in
+        the dispatcher, the plan's dense strategy screens in the plan."""
+        dense = rng.normal(size=(256, 256)).astype(np.float32)
+        op = SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(dense, v=16, n=2, m=8, strict=False))
         dispatcher = KernelDispatcher()
-        assert dispatcher.dispatch(op, 4).backend == "cublas-dense"  # tiny problem
+        dispatcher.dispatch(op, c).backend = decided  # steer the memoized decision
 
-        batch = np.ones((3, 8, 4), dtype=np.float32)
-        batch[1, 5] = 1e6  # overflows fp16 in an unselected row of slab 1 only
-        out = dispatcher.execute(op, batch)
-        assert np.isfinite(out).all()
-        # Every slab matches its own sequential single-slab execution.
-        for i in range(3):
-            assert np.array_equal(out[i], dispatcher.execute(op, batch[i])), i
-        # And the finite slabs still took the dense fast path (identical to
-        # a dense-only dispatcher's output on those slabs).
-        dense_only = KernelDispatcher(backends=[CublasDenseBackend()])
-        for i in (0, 2):
-            assert np.array_equal(out[i], dense_only.execute(op, batch[i]))
+        batch = rng.normal(size=(4, 256, c)).astype(np.float32)
+        batch[2, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = dispatcher.execute(op, batch)
+            # Every slab matches its own sequential single-slab execution.
+            for i in range(4):
+                assert np.array_equal(
+                    out[i], dispatcher.execute(op, batch[i]), equal_nan=True
+                ), i
+        # And the finite slabs kept the decided backend's own schedule.
+        for i in (0, 1, 3):
+            assert np.isfinite(out[i]).all()
+            assert np.array_equal(out[i], dispatcher.backend(decided).execute(op, batch[i]))
 
     def test_dense_only_operand_keeps_dense_on_nonfinite(self):
         """With no sparse backend available the dense fallback still runs
@@ -645,3 +574,58 @@ class TestNarrowedTunerException:
         decision = KernelDispatcher().dispatch(op, 16)
         assert "spatha-plan" in decision.costs
         assert decision.costs["spatha-plan"] > 0
+
+
+class TestBoundedMemos:
+    """Every kernel-layer memo is a BoundedCache: a stream of ever-new C
+    values cannot grow the dispatcher or the tuner without limit, and an
+    evicted entry recomputes to the identical modelled result."""
+
+    def test_bounded_cache_evicts_and_counts(self, monkeypatch):
+        monkeypatch.setattr(kernels_common, "MEMO_BOUND", 3)
+        cache = BoundedCache()
+        for key in "abc":
+            cache.put(key, key.upper())
+        assert cache.get("a") == "A"
+        cache.put("d", "D")
+        assert len(cache) == 3
+        assert cache.get("a") is None  # the oldest entry went, hit or not
+        assert [cache.get(k) for k in "bcd"] == ["B", "C", "D"]
+        assert (cache.hits, cache.misses) == (4, 1)
+        cache.clear()
+        assert len(cache) == 0
+        assert (cache.hits, cache.misses) == (4, 1)  # cumulative traffic
+        assert cache.get("a") is None
+        assert (cache.hits, cache.misses) == (4, 2)
+
+    def test_dispatcher_and_tuner_stay_bounded(self, monkeypatch, rng):
+        bound = 4
+        monkeypatch.setattr(kernels_common, "MEMO_BOUND", bound)
+        dense = rng.normal(size=(32, 64)).astype(np.float32)
+        op = SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(dense, v=16, n=2, m=8, strict=False))
+        dispatcher = KernelDispatcher()
+        tuner = dispatcher.backend("spatha-plan")._tuner_for(dispatcher.gpu)
+        columns = range(1, 4 * bound + 1)  # 16 distinct C, 5 shape buckets
+
+        def geomean_speedup():
+            ratios = [
+                dispatcher.estimate(op, c, backend="cublas-dense").time_us
+                / dispatcher.estimate(op, c).time_us
+                for c in columns
+            ]
+            return float(np.exp(np.mean(np.log(ratios))))
+
+        first = {c: dispatcher.estimate(op, c, backend="spatha-plan").time_us for c in columns}
+        before = geomean_speedup()
+        stats = dispatcher.cache_stats()
+        assert stats["size"] <= bound and stats["estimate_size"] <= bound
+        assert tuner.cache_size() <= bound
+        assert stats["estimate_misses"] > bound  # the stream really overflowed it
+        # C=1 was evicted long ago; it recomputes to the identical result.
+        misses = stats["estimate_misses"]
+        assert dispatcher.estimate(op, 1, backend="spatha-plan").time_us == first[1]
+        assert dispatcher.cache_stats()["estimate_misses"] == misses + 1
+        assert tuner.tune(op.problem(1)).best_time_us == first[1]
+        assert geomean_speedup() == before
+        assert dispatcher.cache_stats()["estimate_size"] <= bound
+        assert tuner.cache_size() <= bound

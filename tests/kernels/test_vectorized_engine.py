@@ -106,6 +106,24 @@ class TestSpmmPlanEquivalence:
             assert np.array_equal(out, ref), strategy
 
 
+    @pytest.mark.parametrize("c", [1, 8, 64])
+    def test_nonfinite_slab_does_not_flip_its_batchmates(self, rng, c):
+        """Slab-exactness with a non-finite batchmate: only the flagged slab
+        leaves the dense schedule, so ``execute(stack)[i]`` stays the bits of
+        ``execute(stack[i])`` for every slab (a whole-batch demotion flipped
+        the finite slabs to the gather schedule at C = 1 and 8)."""
+        a = make_vnm(rng, 256, 256, 16, 2, 8)
+        plan = SpmmPlan(a)
+        assert plan.resolve_strategy(c) == "dense"
+        stack = rng.normal(size=(4, 256, c)).astype(np.float32)
+        stack[2, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = plan.execute(stack)
+            for i in range(4):
+                assert np.array_equal(out[i], plan.execute(stack[i]), equal_nan=True), i
+        assert np.isfinite(out[[0, 1, 3]]).all()
+
+
 class TestSpmmPlanCaching:
     def test_plan_is_memoized_per_matrix(self, rng):
         a = make_vnm(rng, 16, 32, 4, 2, 8)

@@ -63,9 +63,8 @@ def continuous_engine(padding="ladder", num_layers=1, **batcher_kwargs):
     )
     return ModelServingEngine(
         make_encoder(num_layers),
-        config=ServingConfig(padding=padding),
+        config=ServingConfig(padding=padding, name=f"cont-{padding}"),
         batcher=batcher,
-        name=f"cont-{padding}",
     )
 
 

@@ -74,7 +74,9 @@ def assert_golden_cell(pattern, num_layers, lengths, backend, rng):
     """One grid cell: batched serving == sequential forward, bit for bit."""
     encoder = make_encoder(pattern, num_layers)
     engine = ModelServingEngine(
-        encoder, dispatcher=backend_dispatcher(backend), name=f"golden-{backend}"
+        encoder,
+        dispatcher=backend_dispatcher(backend),
+        config=ServingConfig(name=f"golden-{backend}"),
     )
     requests = make_requests(rng, lengths)
     batched = engine.serve(requests)
@@ -153,8 +155,7 @@ def assert_padded_golden_cell(pattern, num_layers, lengths, backend, rng):
     engine = ModelServingEngine(
         encoder,
         dispatcher=backend_dispatcher(backend),
-        config=ServingConfig(padding="ladder"),
-        name=f"golden-padded-{backend}",
+        config=ServingConfig(padding="ladder", name=f"golden-padded-{backend}"),
     )
     requests = make_requests(rng, lengths)
     batched = engine.serve(requests)
@@ -230,9 +231,10 @@ def assert_continuous_golden_cell(pattern, lengths, backend, arrival_idx, step_u
         engine = ModelServingEngine(
             encoder,
             dispatcher=backend_dispatcher(backend),
-            config=ServingConfig(padding=padding),
+            config=ServingConfig(
+                padding=padding, name=f"golden-continuous-{padding}-{backend}"
+            ),
             batcher=batcher,
-            name=f"golden-continuous-{padding}-{backend}",
         )
         requests = [
             Request(r.request_id, r.activations, arrival_us=a)
@@ -290,9 +292,11 @@ class TestGoldenMatrix:
         each engine owns its routing)."""
         lengths = [1, 5, 7, 9, 9, 12, 17]
         requests = make_requests(rng, lengths)
-        exact = ModelServingEngine(make_encoder((16, 2, 8), 1), name="exact")
+        exact = ModelServingEngine(
+            make_encoder((16, 2, 8), 1), config=ServingConfig(name="exact")
+        )
         padded = ModelServingEngine(
-            make_encoder((16, 2, 8), 1), config=ServingConfig(padding="ladder"), name="padded"
+            make_encoder((16, 2, 8), 1), config=ServingConfig(padding="ladder", name="padded")
         )
         exact_out = exact.serve(requests)
         padded_out = padded.serve(requests)
@@ -352,7 +356,7 @@ class TestGoldenMatrix:
 class TestPlanCache:
     def test_cold_engine_counts_misses_then_hits(self, rng):
         encoder = make_encoder((16, 2, 8), 2)
-        engine = ModelServingEngine(encoder, warm=False)
+        engine = ModelServingEngine(encoder, config=ServingConfig(warm=False))
         assert engine.stats()["plan_cache"]["size"] == 0
         engine.serve(make_requests(rng, [9, 9]))  # one exact-length batch
         stats = engine.stats()
@@ -364,7 +368,9 @@ class TestPlanCache:
         assert stats["plan_cache"]["hits"] == 12
 
     def test_warmed_engine_never_misses(self, rng):
-        engine = ModelServingEngine(make_encoder((8, 2, 4), 1), warm_buckets=(9,))
+        engine = ModelServingEngine(
+            make_encoder((8, 2, 4), 1), config=ServingConfig(warm_buckets=(9,))
+        )
         for window in range(3):
             engine.serve(make_requests(rng, [9, 9, 9], prefix=f"w{window}"))
         stats = engine.stats()
@@ -383,7 +389,9 @@ class TestPlanCache:
             assert engine.plans[name] is SpmmPlan.for_matrix(layer.sparse_weight)
 
     def test_warm_buckets_prepay_dispatch_ranking(self):
-        engine = ModelServingEngine(make_encoder((16, 2, 8), 1), warm_buckets=(9, 17))
+        engine = ModelServingEngine(
+            make_encoder((16, 2, 8), 1), config=ServingConfig(warm_buckets=(9, 17))
+        )
         warm_stats = engine.dispatcher.cache_stats()
         assert warm_stats["size"] > 0
         # Every (operand, bucket) pair was visited at warm time; same-shape
@@ -407,7 +415,7 @@ class TestDispatcherIsolation:
         engine_a.serve(make_requests(rng, [9, 9, 17]))
         assert dispatcher_a.cache_size() > 0
         assert dispatcher_b.cache_size() == 0  # b never served traffic
-        assert dispatcher_b.cache_misses == 0
+        assert dispatcher_b.cache_stats()["misses"] == 0
 
         size_a = dispatcher_a.cache_size()
         engine_b.serve(make_requests(rng, [9, 9, 17]))
@@ -465,9 +473,9 @@ class TestDispatcherIsolation:
         otherwise execute through — and populate the caches of — a
         dispatcher its trace does not report)."""
         encoder = make_encoder((16, 2, 8), 1)
-        engine_a = ModelServingEngine(encoder, name="engine-a")
+        engine_a = ModelServingEngine(encoder, config=ServingConfig(name="engine-a"))
         engine_a.serve(make_requests(rng, [9, 9]))  # fine while it owns routing
-        engine_b = ModelServingEngine(encoder, name="engine-b")
+        engine_b = ModelServingEngine(encoder, config=ServingConfig(name="engine-b"))
         with pytest.raises(RuntimeError, match="no longer routed"):
             engine_a.serve(make_requests(rng, [9, 9], prefix="late"))
         # The new owner serves normally.

@@ -170,7 +170,9 @@ class TestShardedGoldenMatrix:
     def test_decoder_cell(self, rng):
         """Sharding composes with paged-KV decode serving, bit for bit."""
         prompts = [rng.normal(size=(t, HIDDEN)).astype(np.float32) for t in (4, 7)]
-        single = DecoderServingEngine(make_encoder((16, 2, 8), 2), name="decode-single")
+        single = DecoderServingEngine(
+            make_encoder((16, 2, 8), 2), config=ServingConfig(name="decode-single")
+        )
         sharded = DecoderServingEngine(
             make_encoder((16, 2, 8), 2),
             config=ServingConfig(sharding=ShardingConfig(tp_degree=2)),
