@@ -62,6 +62,18 @@ from .layers import DenseLinear, SparseLinear, init_dense_linear
 LinearLike = Union[DenseLinear, SparseLinear]
 
 
+def check_token_stack(tokens: np.ndarray, kv_caches, hidden_size: int) -> np.ndarray:
+    """``tokens`` as the float32 ``(k >= 1, 1, hidden)`` stack ``forward_steps`` takes."""
+    tokens = np.asarray(tokens, dtype=np.float32)
+    if tokens.ndim != 3 or tokens.shape[0] == 0 or tokens.shape[1:] != (1, hidden_size):
+        raise ValueError(
+            f"tokens must have shape (k >= 1, 1, {hidden_size}), got {tokens.shape}"
+        )
+    if len(kv_caches) != tokens.shape[0]:
+        raise ValueError(f"{tokens.shape[0]} token slabs but {len(kv_caches)} kv caches")
+    return tokens
+
+
 @dataclass
 class MultiHeadAttention:
     """Functional multi-head self-attention with pluggable projections."""
@@ -227,6 +239,31 @@ class MultiHeadAttention:
         if return_probs:
             return out, probs[0, :, 0, :]
         return out
+
+    def forward_steps(self, tokens: np.ndarray, kv_caches) -> np.ndarray:
+        """:meth:`forward_step` for a ``(k, 1, hidden)`` slab stack of tokens.
+
+        ``kv_caches[i]`` is the per-layer KV view slab ``i`` appends to; the
+        same view may repeat, in position order (a prompt's positions
+        prefilled as one stack).  The four projections run once on the
+        stack — slab-exact, so slab ``i`` carries the bits of the lone call
+        — and only attention loops: per slab, append then attend over that
+        cache's gathered K/V at its true length, the shapes and strides
+        :meth:`forward_step` uses.  Stacked along the slab axis on purpose:
+        column ``c`` of a C=k GEMM is *not* the C=1 result.
+        """
+        x = check_token_stack(tokens, kv_caches, self.config.hidden_size)
+        heads = self.config.num_heads
+        q = split_heads(self.query.forward(x), heads)  # (k, heads, 1, d)
+        k_new = split_heads(self.key.forward(x), heads)[:, :, 0, :]  # (k, heads, d)
+        v_new = split_heads(self.value.forward(x), heads)[:, :, 0, :]
+        context = np.empty_like(x)
+        for i, kv_cache in enumerate(kv_caches):
+            k_all, v_all = kv_cache.append(k_new[i], v_new[i])  # (t, heads, d)
+            scores = attention_scores(q[i : i + 1], k_all.transpose(1, 0, 2)[None])
+            probs = softmax(scores, axis=-1)  # (1, heads, 1, t)
+            context[i] = merge_heads(attention_context(probs, v_all.transpose(1, 0, 2)[None]))[0]
+        return self.output.forward(context)
 
     def _forward_causal(self, hidden: np.ndarray, return_probs: bool):
         """Causal-mask forward as per-position true-shape execution.

@@ -32,6 +32,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+# Typed float32 on purpose: a ``np.float64`` scalar (what ``np.sqrt`` returns)
+# promotes a float32 activation to float64 under NumPy >= 2 (NEP 50) and not
+# under NumPy 1.x, so the served bits would depend on the NumPy major version.
+_GELU_SCALE = np.float32(np.sqrt(2.0 / np.pi))
+_GELU_CUBIC = np.float32(0.044715)
+
 
 def softmax(x: np.ndarray, axis: int = -1, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Numerically stable softmax along ``axis``, with optional masking.
@@ -66,7 +72,18 @@ def softmax(x: np.ndarray, axis: int = -1, mask: Optional[np.ndarray] = None) ->
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian Error Linear Unit (tanh approximation, as used by BERT/GPT)."""
     x = np.asarray(x, dtype=np.float32)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    # One float32 temporary carried through the chain; ``x * x * x`` rather
+    # than ``x**3`` (pow is ~10x a multiply).  Nothing is kept between calls.
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= _GELU_CUBIC
+    t += x
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -104,8 +121,10 @@ def attention_scores(
     k = np.asarray(k, dtype=np.float32)
     if q.shape[-1] != k.shape[-1]:
         raise ValueError("q and k must share the head dimension")
-    scale = scale if scale is not None else 1.0 / np.sqrt(q.shape[-1])
-    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    # float32 whoever supplied it: a typed float64 scale would promote.
+    scale = np.float32(scale if scale is not None else 1.0 / np.sqrt(q.shape[-1]))
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= scale
     if mask is not None:
         scores = scores + np.asarray(mask, dtype=np.float32)
     return scores

@@ -165,6 +165,19 @@ class _PagedSequence:
         self.length += 1
         return position
 
+    def truncate(self, length: int) -> None:
+        """Forget the positions past ``length`` (undo a step that raised).
+
+        Only the counters move.  Blocks stay held: a tail block the undone
+        ``extend()`` allocated or copied-on-write is private to this
+        sequence, so the next ``extend()`` lands in it with no second
+        allocation or copy and the retried appends overwrite its slots.
+        """
+        if not 0 <= length <= self.length:
+            raise ValueError(f"cannot truncate a {self.length}-token sequence to {length}")
+        self.length = length
+        self.written = [min(w, length) for w in self.written]
+
     def view(self, layer: int) -> _PagedLayerView:
         return _PagedLayerView(self, layer)
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 
 import numpy as np
 
-from .attention import LinearLike, MultiHeadAttention
+from .attention import LinearLike, MultiHeadAttention, check_token_stack
 from .config import ModelConfig
 from .functional import (
     gelu,
@@ -146,6 +146,20 @@ class EncoderLayer:
             token = token[None]
         row = self.attention.forward_step(token, kv_view)  # (1, hidden)
         hidden = layer_norm(token + row, self.ln1_gamma, self.ln1_beta)
+        ffn_out = self.ffn.forward(hidden)
+        return layer_norm(hidden + ffn_out, self.ln2_gamma, self.ln2_beta)
+
+    def forward_steps(self, tokens: np.ndarray, kv_views) -> np.ndarray:
+        """:meth:`forward_step` for a ``(k, 1, hidden)`` slab stack of tokens.
+
+        ``kv_views[i]`` is this layer's KV view for slab ``i``.  Residual
+        adds, LayerNorms, GELU and the six projections run once on the
+        stack and attention per slab; all are slab-exact, so slab ``i`` is
+        bit-for-bit the lone ``forward_step(tokens[i], kv_views[i])``.
+        """
+        tokens = np.asarray(tokens, dtype=np.float32)
+        rows = self.attention.forward_steps(tokens, kv_views)  # (k, 1, hidden)
+        hidden = layer_norm(tokens + rows, self.ln1_gamma, self.ln1_beta)
         ffn_out = self.ffn.forward(hidden)
         return layer_norm(hidden + ffn_out, self.ln2_gamma, self.ln2_beta)
 
@@ -286,6 +300,32 @@ class TransformerEncoder:
         for layer in self.layers:
             token = layer.forward_step(token, kv_cache.view(layer.index))
         return token
+
+    def forward_steps(self, tokens: np.ndarray, kv_caches) -> np.ndarray:
+        """One decode step for ``k`` tokens at once: a ``(k, 1, hidden)`` stack.
+
+        The slab-stacked sibling of :meth:`forward_step` (which stays, as
+        the oracle): slab ``i`` of the result is bit-for-bit
+        ``forward_step(tokens[i], kv_caches[i])``.  Every cache is
+        ``extend()``-ed first, then each layer runs its token-wise
+        operators once on the stack and attention per slab at that cache's
+        true length — Orca's selective batching, along the slab axis
+        because the column axis is not bit-stable.
+
+        The same cache may repeat, in position order: a layer's causal
+        dependencies are only on its own earlier K/V, so a prompt prefills
+        layer-major as ``forward_steps(prompt[:, None, :], [cache] *
+        len(prompt))``, row ``t`` being the causal forward's position ``t``.
+
+        If this raises, the caches hold a partial step; a paged sequence is
+        restored with ``truncate(length_before)``.
+        """
+        tokens = check_token_stack(tokens, kv_caches, self.config.hidden_size)
+        for kv_cache in kv_caches:
+            kv_cache.extend()
+        for layer in self.layers:
+            tokens = layer.forward_steps(tokens, [kv.view(layer.index) for kv in kv_caches])
+        return tokens
 
     def warm_spmm_plans(self) -> int:
         """Eagerly build the SpMM execution plan of every sparse layer.

@@ -13,8 +13,9 @@ serves that shape of traffic on top of the continuous-batching scheduler:
   across steps, so :meth:`ContinuousBatcher.next_batch` never over-admits
   a rung whose slots are occupied by in-flight decodes;
 * **prefill** runs the prompt through
-  :meth:`~repro.models.transformer.TransformerEncoder.forward_step`
-  position by position into the engine's shared
+  :meth:`~repro.models.transformer.TransformerEncoder.forward_steps`
+  layer-major — its positions are the slabs of one stack against one
+  cache — into the engine's shared
   :class:`~repro.models.kv_cache.PagedKVCache` — fixed-size blocks,
   explicit alloc/free, reference counting (``cache_stats()`` reports the
   block-table accounting);
@@ -25,6 +26,9 @@ serves that shape of traffic on top of the continuous-batching scheduler:
   copy-on-write isolating the shared partial block on first append
   (``cow_copies``);
 * **decode**: every engine step advances every resident by one token —
+  one ``forward_steps`` call on the ``(residents, 1, hidden)`` stack of
+  their feeds, so each projection, LayerNorm and GELU runs once per step
+  and only attention runs per resident (``stats()["stacking"]``) —
   the newest output feeds back as the next input (this substrate has no
   vocabulary, so "the generated token" is the hidden-state row itself);
   a resident that reaches ``new_tokens`` leaves its step with a
@@ -36,10 +40,13 @@ Bit-exactness is inherited, not re-proven: the causal forward path is
 (see :mod:`repro.models.attention`), and ``forward_step`` against the
 paged cache runs the very same operations at the very same shapes — the
 cache only skips recomputing values recomputation would reproduce
-identically.  So cached decoding is bit-for-bit the per-step full
-recompute (:func:`decode_reference`), at every step, under any arrival
-interleaving, step cadence and bucket policy — the golden matrix in
-``tests/serving/test_decoder.py`` pins the whole grid.
+identically — and slab ``i`` of ``forward_steps`` is ``forward_step`` on
+slab ``i`` by the slab-exactness of every token-wise operator (stacked
+along the slab axis, never the column axis).  So cached decoding is
+bit-for-bit the per-step full recompute (:func:`decode_reference`), at
+every step, under any arrival interleaving, step cadence and bucket policy
+— the golden matrix in ``tests/serving/test_decoder.py`` pins the whole
+grid.
 """
 
 from __future__ import annotations
@@ -247,6 +254,12 @@ class DecoderServingEngine(EngineCore):
         self.prefills_skipped = 0
         self.preemptions = 0
         self.resumes = 0
+        #: What ran as a slab stack: decode steps and the slabs (residents)
+        #: in them, prompt positions prefilled layer-major, and decode steps
+        #: that rolled back to the per-resident loop after a stack raised.
+        self.stacking = dict.fromkeys(
+            ("stacked_steps", "stacked_slabs", "prefill_slabs", "fallback_steps"), 0
+        )
         if self.config.warm:
             self.dispatcher.warm_many(
                 [lin.operand for _, lin in encoder.named_sparse_layers()], cs=(1,)
@@ -376,10 +389,15 @@ class DecoderServingEngine(EngineCore):
                 feed = np.array(entry.last_output, dtype=np.float32, copy=True)
                 self.prefills_skipped += 1
             else:
-                for t in range(req.tokens):
-                    feed = self.encoder.forward_step(req.activations[t][None], handle)
+                # Layer-major prefill: the prompt's positions are the slabs
+                # of one stack against one cache.  Copied, so the resident's
+                # feed does not pin the whole (tokens, 1, hidden) output.
+                feed = self.encoder.forward_steps(
+                    req.activations[:, None, :], [handle] * req.tokens
+                )[-1].copy()
                 self.kv.register_prefix(fingerprint, rid, feed)
                 self.prefills += 1
+                self.stacking["prefill_slabs"] += req.tokens
         except (BackendExecutionError, KVCacheExhausted) as exc:
             self.kv.free(rid)
             self.batcher.release_kv(rid)
@@ -393,21 +411,48 @@ class DecoderServingEngine(EngineCore):
         )
 
     def _advance_residents(self, now_us: float, step_index: int) -> Dict[str, np.ndarray]:
-        """One decode token for every resident; returns the completions."""
+        """One decode token for every resident; returns the completions.
+
+        The feeds run as one ``(residents, 1, hidden)`` slab stack through
+        ``forward_steps`` (a lone resident too: a one-slab stack) and the
+        rows scatter back as copies, not views that pin the stack.  A
+        backend failure or KV exhaustion raised for the stack does not say
+        *whose* it is, so the step rolls every sequence back to its pre-step
+        length and re-runs resident by resident through ``forward_step``,
+        where the error fails exactly the request that hits it — in
+        admission order, so a resident retiring earlier in the step still
+        frees its blocks for the ones after it.
+        """
         if not self._residents:
             return {}
         advancing = list(self._residents.values())
         batch_size = len(advancing)
         results: Dict[str, np.ndarray] = {}
-        for resident in advancing:
+        lengths = [resident.handle.length for resident in advancing]
+        try:
+            outs = self.encoder.forward_steps(
+                np.stack([resident.feed for resident in advancing]),
+                [resident.handle for resident in advancing],
+            )
+            self.stacking["stacked_steps"] += 1
+            self.stacking["stacked_slabs"] += batch_size
+        except (BackendExecutionError, KVCacheExhausted):
+            for resident, length in zip(advancing, lengths):
+                resident.handle.truncate(length)
+            outs = None
+            self.stacking["fallback_steps"] += 1
+        for i, resident in enumerate(advancing):
             rid = resident.request.request_id
-            try:
-                out = self.encoder.forward_step(resident.feed, resident.handle)
-            except (BackendExecutionError, KVCacheExhausted) as exc:
-                self._retire(resident, OUTCOME_FAILED, str(exc), now_us)
-                continue
+            if outs is not None:
+                out = outs[i].copy()
+            else:
+                try:
+                    out = self.encoder.forward_step(resident.feed, resident.handle)
+                except (BackendExecutionError, KVCacheExhausted) as exc:
+                    self._retire(resident, OUTCOME_FAILED, str(exc), now_us)
+                    continue
             resident.feed = out
-            resident.generated.append(out[0].copy())
+            resident.generated.append(out[0])
             self.total_decode_steps += 1
             if len(resident.generated) == resident.new_tokens:
                 results[rid] = np.stack(resident.generated)
@@ -467,6 +512,7 @@ class DecoderServingEngine(EngineCore):
             "preemptions": self.preemptions,
             "resumes": self.resumes,
             "preempted_parked": len(self._preempted),
+            "stacking": dict(self.stacking),
             **self._shared_stats(),
             "cache": self.cache_stats(),
         }

@@ -114,6 +114,67 @@ class TestBlockTable:
             cache.create("a")
 
 
+class TestTruncate:
+    """``truncate`` undoes a step that raised: counters only, blocks kept."""
+
+    def test_fresh_tail_block_is_reused_without_a_second_allocation(self, rng):
+        cache = paged(block_size=2, capacity_blocks=4, num_layers=2)
+        seq = cache.create("a")
+        rows = [kv_pair(rng) for _ in range(3)]
+        for k, v in rows[:2]:  # exactly one full block
+            seq.extend()
+            seq.view(0).append(k, v)
+            seq.view(1).append(k, v)
+        seq.extend()  # crosses the boundary: allocates the tail block
+        seq.view(0).append(*kv_pair(rng))  # the failed step got through layer 0 only
+        held = list(seq.block_ids)
+        assert cache.blocks_in_use == 2
+
+        seq.truncate(2)
+        assert (seq.length, seq.written) == (2, [2, 2])
+        assert seq.block_ids == held and cache.blocks_in_use == 2  # blocks stay held
+
+        seq.extend()  # the retry lands in the kept block
+        assert seq.block_ids == held and cache.blocks_in_use == 2
+        k, v = rows[2]
+        got_k, got_v = seq.view(0).append(k, v)  # and overwrites the stale slot
+        assert np.array_equal(got_k, np.stack([r[0] for r in rows]))
+        assert np.array_equal(got_v, np.stack([r[1] for r in rows]))
+        assert cache.free("a") == 2 and cache.blocks_in_use == 0
+
+    def test_copied_on_write_tail_block_is_not_copied_again(self, rng):
+        cache = paged(block_size=2, capacity_blocks=8)
+        owner = cache.create("owner")
+        for _ in range(3):  # two blocks, the second half full
+            owner.extend()
+            owner.view(0).append(*kv_pair(rng))
+        cache.register_prefix("fp", "owner", last_output=np.zeros((1, 4), np.float32))
+        sharer = cache.create("sharer")
+        cache.attach_prefix("fp", "sharer")
+        shared_k, _ = sharer.gathered(0)
+
+        sharer.extend()  # shared partial block: copy-on-write
+        assert cache.cow_copies == 1
+        private = list(sharer.block_ids)
+        in_use = cache.blocks_in_use
+        sharer.truncate(3)
+        sharer.extend()  # the copy is already private: no second copy
+        assert cache.cow_copies == 1
+        assert sharer.block_ids == private and cache.blocks_in_use == in_use
+        new_k, _ = sharer.view(0).append(*kv_pair(rng))
+        assert np.array_equal(new_k[:3], shared_k)  # the copied prefix survived
+
+    def test_bounds(self, rng):
+        seq = paged().create("a")
+        seq.extend()
+        with pytest.raises(ValueError, match="truncate"):
+            seq.truncate(2)
+        with pytest.raises(ValueError, match="truncate"):
+            seq.truncate(-1)
+        seq.truncate(1)  # a no-op is fine
+        assert seq.length == 1
+
+
 class TestPrefixSharingMechanics:
     def _prefill(self, cache, seq, rng, tokens):
         for _ in range(tokens):

@@ -467,6 +467,10 @@ class TestDecoderIntakeAndStats:
 
     def test_stats_schema_is_normalized(self, rng):
         engine = DecoderServingEngine(make_encoder(), config=ServingConfig(kv_budget_blocks=32))
+        # Present and zeroed before any step — normalized, not absent.
+        assert engine.stats()["stacking"] == {
+            "stacked_steps": 0, "stacked_slabs": 0, "prefill_slabs": 0, "fallback_steps": 0,
+        }
         engine.serve(
             [DecodeRequest("st-0", rng.normal(size=(5, HIDDEN)).astype(np.float32), 2)]
         )
@@ -484,6 +488,50 @@ class TestDecoderIntakeAndStats:
         assert stats["preempted_parked"] == 0
         assert stats["cache"]["block_size"] == engine.kv.block_size
         assert stats["outcomes"]["ok"] == 1
+        # One 5-token layer-major prefill, two one-resident stacked steps.
+        assert stats["stacking"] == {
+            "stacked_steps": 2, "stacked_slabs": 2, "prefill_slabs": 5, "fallback_steps": 0,
+        }
+        assert stats["decode_steps"] == 2 and stats["prefills"] == 1
+
+    @pytest.mark.parametrize("residents", [1, 3, 5])
+    def test_one_dispatch_per_projection_per_step(self, rng, residents):
+        """A step's token-wise work is one call per projection whatever the
+        resident count: 6 x num_layers dispatcher calls, not that times r —
+        and the engine's own counters say what it stacked."""
+        num_layers = 2
+        engine = decoder_engine(make_encoder(num_layers=num_layers))
+        calls = []
+        execute = engine.dispatcher.execute
+
+        def counting_execute(*args, **kwargs):
+            calls.append(1)
+            return execute(*args, **kwargs)
+
+        engine.dispatcher.execute = counting_execute
+        for request in make_decode_requests(
+            rng, (6,) * residents, (3,) * residents, [0.0] * residents
+        ):
+            engine.submit(request)
+        engine.step(0.0)  # admission + prefill: one call per projection per prompt
+        assert len(calls) == 6 * num_layers * residents
+        for step in (1, 2):
+            before = len(calls)
+            engine.step(float(step))
+            assert len(calls) - before == 6 * num_layers
+        stats = engine.stats()
+        assert stats["stacking"] == {
+            "stacked_steps": 2,
+            "stacked_slabs": 2 * residents,
+            "prefill_slabs": 6 * residents,
+            "fallback_steps": 0,
+        }
+        # Unchanged meanings: one decode step per resident per engine step.
+        assert stats["decode_steps"] == 2 * residents
+        assert stats["prefills"] == residents
+        results = engine.step(3.0)
+        assert len(results) == residents
+        assert {rec.batch_size for rec in engine.completions.values()} == {residents}
 
     def test_completion_records_are_deterministic(self, rng):
         def run():

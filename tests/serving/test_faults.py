@@ -333,14 +333,18 @@ class TestModelEngineUnderFaults:
         assert ok_count >= 1
 
 
+def sparse_decoder_encoder(num_layers=1, seed=0):
+    cfg = tiny_config(
+        hidden_size=HIDDEN, num_layers=num_layers, num_heads=4, intermediate_size=128
+    )
+    encoder = TransformerEncoder.init(cfg, seed=seed)
+    sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
+    return encoder
+
+
 class TestDecoderEngineUnderFaults:
     def _encoder(self, seed=0):
-        cfg = tiny_config(
-            hidden_size=HIDDEN, num_layers=1, num_heads=4, intermediate_size=128
-        )
-        encoder = TransformerEncoder.init(cfg, seed=seed)
-        sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
-        return encoder
+        return sparse_decoder_encoder(seed=seed)
 
     def test_survivors_bit_exact_and_kv_blocks_reclaimed(self, rng):
         """Decoder acceptance under chaos: a backend failure mid-decode fails
@@ -641,3 +645,209 @@ class TestChaosSimulation:
         assert report.p999_latency_us == pytest.approx(999.001)
         assert report.p99_latency_us == pytest.approx(990.01)
         assert "p999_latency_us" in report.summary()
+
+
+
+class _CallClock:
+    """Predicts every backend's next call index along a dispatch sequence.
+
+    ``FaultSpec`` indices are per backend, so making *every* candidate fail
+    one chosen dispatched call means knowing how many calls each backend
+    has seen when that call arrives: a fault-free projection costs its
+    chosen backend one call, a call failed on every candidate costs each
+    candidate one.
+    """
+
+    def __init__(self, dispatcher):
+        self.dispatcher = dispatcher
+        self.counts = {}
+
+    @staticmethod
+    def projections(*layers):
+        """The layers' projections, in the order a step dispatches them."""
+        return [
+            lin
+            for layer in layers
+            for lin in (*layer.attention.weight_gemm_layers(), layer.ffn.intermediate, layer.ffn.output)
+        ]
+
+    def run(self, projections, times=1):
+        """``times`` fault-free passes over ``projections``."""
+        for lin in projections * times:
+            chosen = self.dispatcher.dispatch(lin.operand, 1).backend
+            self.counts[chosen] = self.counts.get(chosen, 0) + 1
+
+    def fail_everywhere(self, lin):
+        """Transient specs failing ``lin``'s next dispatched call on every candidate."""
+        specs = []
+        for name, _ in self.dispatcher.dispatch(lin.operand, 1).ranking:
+            specs.append(FaultSpec(name, "transient", at_call=self.counts.get(name, 0)))
+            self.counts[name] = self.counts.get(name, 0) + 1
+        return specs
+
+
+class TestStackedDecodeUnderFaults:
+    """A decode step runs all residents as one slab stack, so a backend
+    failure or KV exhaustion arrives for the stack, not for a request.  The
+    engine rolls the step back and re-runs it resident by resident; these
+    cells pin that the error still fails exactly who it hit, that nobody is
+    recorded twice, and that nothing leaks."""
+
+    def _encoder(self):
+        return sparse_decoder_encoder(num_layers=2)
+
+    def _requests(self, rng, new_tokens, prompt_tokens=6):
+        # Equal prompt lengths share a rung: one micro-batch admits them all,
+        # so the next step stacks every one of them.
+        return [
+            DecodeRequest(
+                f"stack-{i:04d}",
+                rng.normal(size=(prompt_tokens, HIDDEN)).astype(np.float32),
+                new_tokens=n,
+            )
+            for i, n in enumerate(new_tokens)
+        ]
+
+    def _expected(self, requests):
+        reference = self._encoder()
+        return {
+            r.request_id: decode_reference(reference, r.prompt, r.new_tokens) for r in requests
+        }
+
+    @staticmethod
+    def _spy_outcomes(engine):
+        """Every ``_record_outcome`` call's request id, in order."""
+        recorded = []
+        record = engine._record_outcome
+
+        def spy(request_id, *args, **kwargs):
+            recorded.append(request_id)
+            record(request_id, *args, **kwargs)
+
+        engine._record_outcome = spy
+        return recorded
+
+    @staticmethod
+    def _assert_settled(engine, requests, recorded):
+        """Exactly one outcome per submitted id; nothing held by anyone."""
+        assert sorted(recorded) == sorted(r.request_id for r in requests)
+        assert sorted(engine.outcomes) == sorted(recorded)
+        cache = engine.cache_stats()
+        prefix_blocks = {b for e in engine.kv._prefixes.values() for b in e.block_ids}
+        assert cache["sequences"] == 0
+        assert cache["blocks_in_use"] == len(prefix_blocks)
+        assert cache["blocks_free"] + cache["blocks_in_use"] == cache["capacity_blocks"]
+        assert engine.batcher.kv_reserved == 0
+        assert engine.stats()["admission"]["occupied_slots"] == 0
+        assert engine.stats()["residents"] == 0
+
+    @pytest.mark.parametrize("retry_fails", [False, True], ids=["retries-ok", "one-retry-fails"])
+    def test_fault_mid_stack_rolls_back_and_fails_only_who_it_hits(self, rng, retry_fails):
+        """Every candidate fails the *same* dispatched call — layer 1's query
+        projection of the first three-resident stack — so the error escapes
+        the dispatcher with layer 0's K/V already appended for all three.
+        The step rolls back and falls back; each lone retry that succeeds
+        decodes the reference bits.  With ``retry_fails`` the middle
+        resident's own retry is failed the same way: it alone fails."""
+        requests = self._requests(rng, new_tokens=(3, 4, 5))
+        expected = self._expected(requests)
+        encoder = self._encoder()
+        engine = DecoderServingEngine(
+            encoder, config=ServingConfig(block_size=4, capacity_blocks=64)
+        )
+        clock = _CallClock(engine.dispatcher)
+        whole_stack = clock.projections(*encoder.layers)
+        clock.run(whole_stack, times=len(requests))  # three layer-major prefills
+        clock.run(clock.projections(encoder.layers[0]))  # the stacked step's layer 0
+        specs = clock.fail_everywhere(encoder.layers[1].attention.query)
+        if retry_fails:
+            clock.run(whole_stack)  # resident 0's lone retry
+            specs += clock.fail_everywhere(encoder.layers[0].attention.query)
+        injector = FaultInjector(FaultPlan(specs)).arm(engine.dispatcher)
+        recorded = self._spy_outcomes(engine)
+
+        results = engine.serve(requests)
+
+        failed = {requests[1].request_id} if retry_fails else set()
+        for request in requests:
+            outcome = engine.outcomes[request.request_id]
+            if request.request_id in failed:
+                assert outcome.status == OUTCOME_FAILED and "injected fault" in outcome.detail
+                assert request.request_id not in results
+            else:
+                assert outcome.ok
+                assert np.array_equal(results[request.request_id], expected[request.request_id])
+        stats = engine.stats()
+        assert stats["stacking"]["fallback_steps"] == 1
+        assert injector.injected_failures == len(specs)
+        assert stats["dispatch_health"]["failures"] == len(specs)
+        # The rolled-back step is counted once: one decode step per delivered row.
+        assert stats["decode_steps"] == sum(len(rows) for rows in results.values())
+        self._assert_settled(engine, requests, recorded)
+
+    def test_persistent_fault_armed_mid_run_fails_residents_one_by_one(self, rng):
+        """Every backend goes down for good between two steps.  The next
+        stack raises, the fallback gives each resident its own attempt and
+        its own ``failed`` outcome; whoever finished before the outage keeps
+        the reference bits, and the queued late-comer fails at prefill."""
+        requests = self._requests(rng, new_tokens=(1, 4, 4, 4))
+        late = DecodeRequest(
+            "stack-late", rng.normal(size=(9, HIDDEN)).astype(np.float32), new_tokens=2
+        )
+        expected = self._expected(requests)
+        engine = DecoderServingEngine(
+            self._encoder(), config=ServingConfig(block_size=4, capacity_blocks=64)
+        )
+        recorded = self._spy_outcomes(engine)
+        for request in requests:
+            engine.submit(request)
+        engine.step(0.0)  # admission + prefill
+        done = engine.step(1.0)  # one healthy four-resident stack
+        assert list(done) == [requests[0].request_id]
+        assert engine.stats()["stacking"] == {
+            "stacked_steps": 1, "stacked_slabs": 4, "prefill_slabs": 24, "fallback_steps": 0,
+        }
+
+        names = [b.name for b in engine.dispatcher.backends]
+        FaultInjector(FaultPlan([FaultSpec(n, "persistent") for n in names])).arm(engine.dispatcher)
+        engine.submit(late)
+        assert engine.step(2.0) == {}
+        while engine.batcher.pending or engine.stats()["residents"]:
+            assert engine.step(3.0) == {}
+
+        assert np.array_equal(done[requests[0].request_id], expected[requests[0].request_id])
+        for request in (*requests[1:], late):
+            outcome = engine.outcomes[request.request_id]
+            assert outcome.status == OUTCOME_FAILED and "injected fault" in outcome.detail
+        stats = engine.stats()
+        assert stats["outcomes"] == {"ok": 1, "failed": 4, "timed_out": 0, "shed": 0}
+        assert stats["stacking"]["fallback_steps"] == 1  # one stack raised, three lone failures
+        assert stats["stacking"]["stacked_steps"] == 1
+        self._assert_settled(engine, (*requests, late), recorded)
+
+    def test_exhaustion_during_stacked_extends_fails_who_needed_the_block(self, rng):
+        """Three 4-token prompts fill one 4-slot block each and the pool has
+        five: on the first stacked step all three cross a block boundary,
+        the third ``extend()`` finds the pool dry and raises for the stack.
+        After the rollback the first two re-extend into the blocks they kept
+        (no second allocation) and decode the reference bits; the third
+        fails alone."""
+        requests = self._requests(rng, new_tokens=(3, 3, 3), prompt_tokens=4)
+        expected = self._expected(requests)
+        engine = DecoderServingEngine(
+            self._encoder(), config=ServingConfig(block_size=4, capacity_blocks=5)
+        )
+        recorded = self._spy_outcomes(engine)
+        results = engine.serve(requests)
+
+        for request in requests[:2]:
+            assert engine.outcomes[request.request_id].ok
+            assert np.array_equal(results[request.request_id], expected[request.request_id])
+        starved = engine.outcomes[requests[2].request_id]
+        assert starved.status == OUTCOME_FAILED and "KV cache exhausted" in starved.detail
+        assert requests[2].request_id not in results
+        stats = engine.stats()
+        assert stats["stacking"]["fallback_steps"] == 1
+        assert stats["cache"]["peak_blocks_in_use"] == 5
+        assert stats["decode_steps"] == 6
+        self._assert_settled(engine, requests, recorded)
