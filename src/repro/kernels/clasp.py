@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .common import GemmProblem, KernelResult
+from ..formats.base import quantize_fp16
 from ..formats.cvse import CVSEMatrix
 from ..hardware.memory import TrafficRecord, TransactionModel, matrix_bytes
 from ..hardware.occupancy import BlockResources
@@ -70,8 +71,8 @@ def spmm(a_sparse: CVSEMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != a_sparse.ncols_total:
         raise ValueError(f"B must have shape ({a_sparse.ncols_total}, C), got {b.shape}")
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-    data16 = np.asarray(a_sparse.data, dtype=np.float16).astype(np.float32)
+    b16 = quantize_fp16(b)
+    data16 = quantize_fp16(a_sparse.data)
     out = np.zeros((a_sparse.nrows, b.shape[1]), dtype=np.float32)
     l = a_sparse.l
     n_blocks = a_sparse.nrows // l

@@ -15,7 +15,7 @@ This module defines :class:`GemmProblem` (the problem description),
 :class:`KernelResult` (the combined functional/performance answer), the
 fp16 matmul reference used by all numerical tests, and the two helpers the
 dispatch route shares: :class:`BoundedCache` (every kernel-layer memo) and
-:func:`demote_nonfinite_slabs` (the one non-finite screen).
+:func:`demote_nonfinite_slabs` (per-slab demotion once the fp16 screen trips).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
+from ..formats.base import fp16_finite, quantize_fp16
 from ..hardware.roofline import KernelCost
 from ..hardware.trace import KernelExecution
 
@@ -176,8 +177,8 @@ def reference_matmul_fp16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     This mirrors the numerics of tensor-core MMA instructions and is the
     ground truth every functional kernel is tested against.
     """
-    a16 = np.asarray(a, dtype=np.float16).astype(np.float32)
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
+    a16 = quantize_fp16(a)
+    b16 = quantize_fp16(b)
     if a16.ndim != 2 or b16.ndim != 2:
         raise ValueError("reference_matmul_fp16 expects 2-D operands")
     if a16.shape[1] != b16.shape[0]:
@@ -196,8 +197,8 @@ def reference_matmul_fp16_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     this next to the 2-D reference keeps one definition of the fp16 GEMM
     numerics.
     """
-    a16 = np.asarray(a, dtype=np.float16).astype(np.float32)
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
+    a16 = quantize_fp16(a)
+    b16 = quantize_fp16(b)
     if a16.ndim < 1 or b16.ndim < 2:
         raise ValueError("reference_matmul_fp16_batched expects matmul-compatible operands")
     if a16.shape[-1] != b16.shape[-2]:
@@ -251,32 +252,23 @@ class BoundedCache:
 
 
 def demote_nonfinite_slabs(
-    b16: np.ndarray,
     b: np.ndarray,
     fast: Callable[[np.ndarray], np.ndarray],
     safe: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """``fast(b)``, except that non-finite slabs of the RHS run ``safe``.
+    """Run a RHS the fp16 screen flagged: ``safe`` on its non-finite slabs.
 
     A dense-GEMM schedule multiplies the decompressed operand's zeros
     against *every* B row, so a non-finite value in a row the sparse
     structure never selects would leak NaN (``0 * inf``) into the output;
     a sparse-format schedule only touches stored entries, like the loop
-    reference.  ``b16`` holds the fp16-rounded values of ``b`` (any float
-    dtype) — the kernels execute on rounded operands, so a finite float32
-    >= 65520 is already inf inside them.
-
-    The hot path is one float64 sum: every finite fp16 value is <= 65504,
-    so the sum is non-finite only when an element is (NaN/Inf propagate),
-    and it needs no bool temporary.  Only when it trips is each slab of a
-    3-D RHS screened on its own and run as its own 2-D call — a slab's
-    schedule may depend only on its own values, or one non-finite request
-    would flip its batchmates' schedule and break batched == sequential
-    bit-exactness.
+    reference.  Callers run ``fast(b)`` directly while the finite flag of
+    the operand rounding (:func:`~repro.formats.base.quantize_fp16_checked`)
+    is set.  Otherwise each slab of a 3-D RHS is screened on its own and
+    run as its own 2-D call: a slab's schedule may depend only on its own
+    values, or one non-finite request would flip its batchmates' schedule
+    and break batched == sequential bit-exactness.
     """
-    if np.isfinite(np.sum(b16, dtype=np.float64)):
-        return fast(b)
     if b.ndim == 2:
         return safe(b)
-    flagged = ~np.isfinite(np.sum(b16, axis=(1, 2), dtype=np.float64))
-    return np.stack([(safe if bad else fast)(b[i]) for i, bad in enumerate(flagged)])
+    return np.stack([(fast if fp16_finite(slab) else safe)(slab) for slab in b])

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .common import GemmProblem, KernelResult, reference_matmul_fp16
+from ..formats.base import quantize_fp16, quantize_fp16_checked
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..hardware.memory import TrafficRecord, TransactionModel, matrix_bytes
 from ..hardware.occupancy import BlockResources
@@ -102,8 +103,8 @@ def spmm(a_sparse: BlockedEllMatrix, b: np.ndarray) -> np.ndarray:
 def _spmm_slot_batched(a_sparse: BlockedEllMatrix, b: np.ndarray) -> np.ndarray:
     """Stacked-matmul formulation: vectorized over block rows, one pass per
     ELL slot."""
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-    blocks16 = np.asarray(a_sparse.blocks, dtype=np.float16).astype(np.float32)
+    b16, finite = quantize_fp16_checked(b)
+    blocks16 = quantize_fp16(a_sparse.blocks)
     bsize = a_sparse.b
     c = b.shape[1]
     nbr, ell_cols = a_sparse.block_cols.shape
@@ -115,12 +116,11 @@ def _spmm_slot_batched(a_sparse: BlockedEllMatrix, b: np.ndarray) -> np.ndarray:
     # skips these slots entirely.
     blocks16 = np.where(valid[:, :, None, None], blocks16, 0.0)
     cols = np.maximum(a_sparse.block_cols, 0)
-    mask_padding = not np.isfinite(b16).all()
     b_tiles = b16.reshape(a_sparse.ncols // bsize, bsize, c)
     out = np.zeros((nbr, bsize, c), dtype=np.float32)
     for slot in range(ell_cols):
         contrib = np.matmul(blocks16[:, slot], b_tiles[cols[:, slot]])
-        if mask_padding:
+        if not finite:
             contrib = np.where(valid[:, slot, None, None], contrib, 0.0)
         out += contrib
     return out.reshape(a_sparse.nrows, c)
@@ -133,8 +133,8 @@ def spmm_loop_reference(a_sparse: BlockedEllMatrix, b: np.ndarray) -> np.ndarray
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != a_sparse.ncols:
         raise ValueError(f"B must have shape ({a_sparse.ncols}, C), got {b.shape}")
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-    blocks16 = np.asarray(a_sparse.blocks, dtype=np.float16).astype(np.float32)
+    b16 = quantize_fp16(b)
+    blocks16 = quantize_fp16(a_sparse.blocks)
     bsize = a_sparse.b
     out = np.zeros((a_sparse.nrows, b.shape[1]), dtype=np.float32)
     nbr, ell_cols = a_sparse.block_cols.shape

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .common import GemmProblem, KernelResult, reference_matmul_fp16
+from ..formats.base import quantize_fp16
 from ..formats.metadata import metadata_bytes
 from ..formats.nm import NMSparseMatrix
 from ..hardware.memory import TrafficRecord, TransactionModel, matrix_bytes
@@ -68,8 +69,8 @@ def spmm(a_sparse: NMSparseMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != a_sparse.k:
         raise ValueError(f"B must have shape ({a_sparse.k}, C), got {b.shape}")
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-    vals = np.asarray(a_sparse.values, dtype=np.float16).astype(np.float32)
+    b16 = quantize_fp16(b)
+    vals = quantize_fp16(a_sparse.values)
     cols = a_sparse.column_indices()  # (R, K/M*N) absolute columns
     # Gather the B rows each stored value multiplies and accumulate.
     gathered = b16[cols]  # (R, nnz_per_row, C)

@@ -44,6 +44,7 @@ from .cusparse import CusparseBlockedEllConfig
 from .spatha import SpmmPlan, UnsupportedTilingError
 from .spatha import spmm as spatha_spmm
 from .spatha.tuner import SpathaTuner
+from ..formats.base import fp16_finite, quantize_fp16
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.vnm import VNMSparseMatrix
@@ -214,7 +215,7 @@ class SpmmOperand:
         if self.vnm is not None:
             return SpmmPlan.for_matrix(self.vnm).dense16
         if self._dense16 is None:
-            self._dense16 = np.asarray(self.dense(), dtype=np.float16).astype(np.float32)
+            self._dense16 = quantize_fp16(self.dense())
         return self._dense16
 
     def sparsity(self) -> float:
@@ -404,9 +405,7 @@ class CublasDenseBackend(Backend):
         # fp16 rounding of the operand is just hoisted into the memoized
         # dense16 view — so the result stays bit-for-bit the direct call's.
         a16 = operand.dense16()
-        return _per_slab(
-            lambda slab: a16 @ np.asarray(slab, dtype=np.float16).astype(np.float32), b
-        )
+        return _per_slab(lambda slab: a16 @ quantize_fp16(slab), b)
 
 
 def default_backends() -> List[Backend]:
@@ -434,11 +433,20 @@ class DispatchDecision:
     #: stays the cost argmin so re-admitted backends are routed to again —
     #: this is the audit trail of which calls had to walk down the ranking.
     failovers: Dict[str, int] = field(default_factory=dict)
+    _order: List[str] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def ranking(self) -> List[Tuple[str, float]]:
         """Candidates sorted fastest first, on the modelled clock."""
         return sorted(self.costs.items(), key=lambda kv: kv[1])
+
+    @property
+    def order(self) -> List[str]:
+        """``backend``, then the other candidates fastest first — ranked once
+        (again only if ``backend`` is re-pointed); treat it as read-only."""
+        if not self._order or self._order[0] != self.backend:
+            self._order = [self.backend] + [n for n, _ in self.ranking if n != self.backend]
+        return self._order
 
     def record_failover(self, failed: str, served: str) -> None:
         """Count one execute-time failover from ``failed`` to ``served``."""
@@ -494,14 +502,14 @@ class CircuitBreaker:
         execute that passes them over; one with an expired countdown is
         admitted at its ranked position (the probe attempt).  Quarantined
         candidates are kept at the tail as a last resort so an execute never
-        fails without trying every registered candidate.
+        fails without trying every registered candidate.  With nothing
+        quarantined this is ``decision.order`` itself (read-only).
         """
-        ranked = [decision.backend] + [
-            name for name, _ in decision.ranking if name != decision.backend
-        ]
+        if not self._quarantine:
+            return decision.order
         admitted: List[str] = []
         deferred: List[str] = []
-        for name in ranked:
+        for name in decision.order:
             remaining = self._quarantine.get(name)
             if remaining is None or remaining <= 0:
                 admitted.append(name)
@@ -562,7 +570,7 @@ class KernelDispatcher:
         probe_interval: int = 4,
     ) -> None:
         self.gpu = gpu or rtx3090()
-        self.backends: List[Backend] = list(backends) if backends is not None else default_backends()
+        self.backends = backends if backends is not None else default_backends()
         #: Diagnostic label (serving engines set it to "<engine>.dispatcher");
         #: prefixed onto dispatch errors so a multi-engine process can tell
         #: whose dispatcher rejected an operand.
@@ -584,23 +592,30 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     # Registry
     # ------------------------------------------------------------------
+    @property
+    def backends(self) -> List[Backend]:
+        """The registered backends in registry order (assign to replace them)."""
+        return self._backends
+
+    @backends.setter
+    def backends(self, backends: Sequence[Backend]) -> None:
+        self._backends: List[Backend] = list(backends)
+        self._by_name: Dict[str, Backend] = {b.name: b for b in self._backends}
+
     def register(self, backend: Backend, prepend: bool = False) -> None:
         """Add a backend (its ``name`` must be unique)."""
-        if any(b.name == backend.name for b in self.backends):
+        if backend.name in self._by_name:
             raise ValueError(f"backend {backend.name!r} is already registered")
-        if prepend:
-            self.backends.insert(0, backend)
-        else:
-            self.backends.append(backend)
+        self.backends = [backend] + self.backends if prepend else self.backends + [backend]
         self._decisions.clear()
         self._estimates.clear()
 
     def backend(self, name: str) -> Backend:
         """Look a backend up by registry name."""
-        for b in self.backends:
-            if b.name == name:
-                return b
-        raise KeyError(f"no backend named {name!r}; registered: {[b.name for b in self.backends]}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no backend named {name!r}; registered: {list(self._by_name)}") from None
 
     # ------------------------------------------------------------------
     # Signatures and decisions
@@ -696,16 +711,13 @@ class KernelDispatcher:
     def _attempt(self, operand: SpmmOperand, b: np.ndarray, name: str, decision: DispatchDecision) -> np.ndarray:
         """Run one candidate backend, honouring the non-finite demotion."""
         backend = self.backend(name)
-        if name != CublasDenseBackend.name or len(decision.costs) == 1:
+        if name != CublasDenseBackend.name or len(decision.costs) == 1 or fp16_finite(b):
             return backend.execute(operand, b)
         # The dense fallback with a sparse-format candidate beside it: the
         # fastest of those serves any slab that is non-finite after the
         # kernels' fp16 rounding.
         sparse = self.backend(next(n for n, _ in decision.ranking if n != name))
-        with np.errstate(over="ignore"):
-            b16 = np.asarray(b, dtype=np.float16)
         return demote_nonfinite_slabs(
-            b16,
             b,
             lambda rhs: backend.execute(operand, rhs),
             lambda rhs: sparse.execute(operand, rhs),

@@ -44,6 +44,7 @@ import numpy as np
 
 from .config import KernelConfig
 from ..common import demote_nonfinite_slabs
+from ...formats.base import quantize_fp16, quantize_fp16_checked
 from ...formats.vnm import VNMSparseMatrix
 
 #: Calibrated single-core throughputs used by the ``auto`` strategy chooser
@@ -87,11 +88,15 @@ class SpmmPlan:
             raise TypeError("SpmmPlan expects a VNMSparseMatrix operand")
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; use one of {_STRATEGIES}")
-        self.matrix = matrix
+        # Copied out, not a reference back: the plan is memoized on the
+        # matrix, and a cycle would leave both to the cyclic collector.
+        self.shape = matrix.shape
+        self.v = matrix.v
+        self.row_blocks = matrix.row_blocks
         self.strategy = strategy
         self.config = config
         # One-time preparation (memoized on the matrix across plans).
-        self.condensed16 = np.asarray(matrix.to_condensed(), dtype=np.float16).astype(np.float32)
+        self.condensed16 = quantize_fp16(matrix.to_condensed())
         self.gather_indices = matrix.selected_column_indices()  # (R/V, K/M*4)
         self.metadata = matrix.packed_metadata()
         self._dense16: Optional[np.ndarray] = None
@@ -133,11 +138,14 @@ class SpmmPlan:
 
     @property
     def dense16(self) -> np.ndarray:
-        """The fp16-rounded dense operand (built lazily, cached)."""
+        """The fp16-rounded dense operand (built lazily, cached): the
+        condensed operand scattered to its columns, as ``to_dense`` does."""
         if self._dense16 is None:
-            self._dense16 = np.asarray(self.matrix.to_dense(), dtype=np.float16).astype(
-                np.float32
-            )
+            cond = self.condensed16.reshape(self.row_blocks, self.v, -1)
+            dense = np.zeros((self.row_blocks, self.v, self.shape[1]), dtype=np.float32)
+            cols = np.broadcast_to(self.gather_indices[:, None, :], cond.shape)
+            np.put_along_axis(dense, cols, cond, axis=2)
+            self._dense16 = dense.reshape(self.shape)
         return self._dense16
 
     def _auto_strategy(self) -> str:
@@ -146,10 +154,9 @@ class SpmmPlan:
         Both modelled costs are linear in C, so the choice belongs to the
         operand alone and is settled once, at plan build.
         """
-        a = self.matrix
-        r, k = a.shape
+        r, k = self.shape
         kc = self.condensed_k
-        gather_cost = a.row_blocks * kc * 4.0 / _GATHER_BYTES_PER_SECOND + (
+        gather_cost = self.row_blocks * kc * 4.0 / _GATHER_BYTES_PER_SECOND + (
             2.0 * r * kc / _BLOCK_GEMM_FLOPS
         )
         dense_cost = 2.0 * r * k / _DENSE_GEMM_FLOPS
@@ -173,22 +180,21 @@ class SpmmPlan:
         ``b`` may be ``(K, C)`` (returns ``(R, C)``) or a batch
         ``(B, K, C)`` (returns ``(B, R, C)``).
         """
-        a = self.matrix
+        r, k = self.shape
         b = np.asarray(b)
-        if b.ndim not in (2, 3) or b.shape[-2] != a.k:
-            raise ValueError(
-                f"B must have shape ({a.k}, C) or (batch, {a.k}, C), got {b.shape}"
-            )
-        b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-        if self._resolved == "dense":
+        if b.ndim not in (2, 3) or b.shape[-2] != k:
+            raise ValueError(f"B must have shape ({k}, C) or (batch, {k}, C), got {b.shape}")
+        b16, finite = quantize_fp16_checked(b)
+        if self._resolved == "gather":
+            out = self._execute_gather(b16)
+        elif finite:
+            out = self._execute_dense(b16)
+        else:
             # A non-finite slab takes the gather schedule, which only ever
             # touches the selected rows — exactly like the loop reference.
-            out = demote_nonfinite_slabs(b16, b16, self._execute_dense, self._execute_gather)
-        else:
-            out = self._execute_gather(b16)
+            out = demote_nonfinite_slabs(b16, self._execute_dense, self._execute_gather)
 
         if bias is not None:
-            r = a.shape[0]
             bias = np.asarray(bias, dtype=np.float32)
             if bias.shape not in {(r,), (r, 1)}:
                 raise ValueError(f"bias must have shape ({r},), got {bias.shape}")
@@ -204,19 +210,18 @@ class SpmmPlan:
         call (slab-bit-exactness; chunking does not change any per-block
         GEMM, only how many are stacked per ``matmul`` dispatch).
         """
-        a = self.matrix
-        r = a.shape[0]
+        r = self.shape[0]
         c = b16.shape[-1]
-        v = a.v
+        v = self.v
         kc = self.condensed_k
-        cond = self.condensed16.reshape(a.row_blocks, v, kc)
+        cond = self.condensed16.reshape(self.row_blocks, v, kc)
         batched = b16.ndim == 3
         slabs = b16.shape[0] if batched else 1
         out = np.empty((slabs, r, c), dtype=np.float32)
-        out_blocks = out.reshape(slabs, a.row_blocks, v, c)
+        out_blocks = out.reshape(slabs, self.row_blocks, v, c)
         chunk = max(1, int(_GATHER_CHUNK_BYTES // max(1, slabs * kc * c * 4)))
-        for lo in range(0, a.row_blocks, chunk):
-            hi = min(lo + chunk, a.row_blocks)
+        for lo in range(0, self.row_blocks, chunk):
+            hi = min(lo + chunk, self.row_blocks)
             if batched:
                 b_sel = b16[:, self.gather_indices[lo:hi]]  # (B, chunk, K/M*4, C)
             else:

@@ -30,6 +30,7 @@ import numpy as np
 from .config import KernelConfig
 from .plan import SpmmPlan
 from ..common import reference_matmul_fp16
+from ...formats.base import quantize_fp16
 from ...formats.vnm import VNMSparseMatrix
 
 
@@ -101,8 +102,8 @@ def spmm_loop_reference(
     if b.ndim != 2 or b.shape[0] != a.k:
         raise ValueError(f"B must have shape ({a.k}, C), got {b.shape}")
 
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-    cond = np.asarray(a.to_condensed(), dtype=np.float16).astype(np.float32)  # (R, K/M*4)
+    b16 = quantize_fp16(b)
+    cond = quantize_fp16(a.to_condensed())  # (R, K/M*4)
     sel_cols = a.selected_column_indices()  # (R/V, K/M*4)
 
     r = a.shape[0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .config import KernelConfig
 from .tiles import TileCounts, condensed_k
-from ..common import GemmProblem
+from ..common import BoundedCache, GemmProblem
 from ...formats.vnm import SELECTED_COLUMNS
 from ...hardware.banks import conflict_degree_for_layout
 from ...hardware.memory import TrafficRecord, TransactionModel, dtype_bytes
@@ -50,6 +50,20 @@ class StageBreakdown:
     #: Bytes of stage-3 SMEM staging traffic (reported separately so the
     #: ablation benchmarks can show where the 32-bit penalty comes from).
     stage3_smem_bytes: float
+
+
+#: Stage-3 conflict factors per (layout, access bits, BSc): a pure function
+#: of the tile config, which every tuner sweep would otherwise re-simulate.
+_CONFLICTS = BoundedCache()
+
+
+def _conflict_degree(layout: str, access_bits: int, bsc: int) -> float:
+    key = (layout, access_bits, bsc)
+    degree = _CONFLICTS.get(key)
+    if degree is None:
+        degree = conflict_degree_for_layout(layout, access_bits=access_bits, bsc=bsc)
+        _CONFLICTS.put(key, degree)
+    return degree
 
 
 def _b_refetch_factor(row_blocks: int) -> float:
@@ -148,10 +162,10 @@ def compute_stage_breakdown(
 
     if config.wide_output_stores:
         output_tx = TransactionModel(access_bits=128)
-        conflict = conflict_degree_for_layout("spatha_padded", access_bits=128, bsc=config.bs_c)
+        conflict = _conflict_degree("spatha_padded", 128, config.bs_c)
     else:
         output_tx = TransactionModel(access_bits=32)
-        conflict = conflict_degree_for_layout("naive_row_major", access_bits=32, bsc=config.bs_c)
+        conflict = _conflict_degree("naive_row_major", 32, config.bs_c)
         conflict = max(conflict, 2.0)  # un-padded narrow stores never go conflict-free
 
     return StageBreakdown(

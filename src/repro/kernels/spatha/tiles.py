@@ -25,6 +25,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from .config import KernelConfig, UnsupportedTilingError
+from ...formats.base import quantize_fp16
 from ...formats.vnm import SELECTED_COLUMNS, VNMSparseMatrix
 
 
@@ -134,9 +135,9 @@ def simulate_tiled_spmm(a: VNMSparseMatrix, b: np.ndarray, config: KernelConfig)
     out = np.zeros((r, c), dtype=np.float32)
 
     cond = a.to_condensed()  # (R, K/M*4), fp32
-    cond = np.asarray(cond, dtype=np.float16).astype(np.float32)
+    cond = quantize_fp16(cond)
     sel_cols = a.selected_column_indices()  # (R/V, K/M*4) absolute B rows
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
+    b16 = quantize_fp16(b)
     kc = cond.shape[1]
 
     for rows, cols in iterate_output_tiles(r, c, config):

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .common import GemmProblem, KernelResult
+from ..formats.base import quantize_fp16
 from ..formats.csr import CSRMatrix
 from ..hardware.memory import TrafficRecord, TransactionModel, matrix_bytes
 from ..hardware.occupancy import BlockResources
@@ -69,11 +70,11 @@ def spmm(a_sparse: CSRMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != a_sparse.ncols:
         raise ValueError(f"B must have shape ({a_sparse.ncols}, C), got {b.shape}")
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
+    b16 = quantize_fp16(b)
     rows = a_sparse.shape[0]
     if a_sparse.data.size == 0:
         return np.zeros((rows, b.shape[1]), dtype=np.float32)
-    data16 = np.asarray(a_sparse.data, dtype=np.float16).astype(np.float32)
+    data16 = quantize_fp16(a_sparse.data)
     try:
         from scipy.sparse import csr_matrix
     except ImportError:  # pragma: no cover - scipy ships with the toolchain
@@ -103,10 +104,10 @@ def spmm_loop_reference(a_sparse: CSRMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != a_sparse.ncols:
         raise ValueError(f"B must have shape ({a_sparse.ncols}, C), got {b.shape}")
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
+    b16 = quantize_fp16(b)
     rows = a_sparse.shape[0]
     out = np.zeros((rows, b.shape[1]), dtype=np.float32)
-    data16 = np.asarray(a_sparse.data, dtype=np.float16).astype(np.float32)
+    data16 = quantize_fp16(a_sparse.data)
     for r in range(rows):
         lo, hi = a_sparse.indptr[r], a_sparse.indptr[r + 1]
         if hi > lo:

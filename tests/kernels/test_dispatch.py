@@ -8,7 +8,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels import common as kernels_common
 from repro.kernels import cublas, sputnik
-from repro.kernels.common import BoundedCache
+from repro.kernels.common import BoundedCache, GemmProblem
 from repro.kernels.dispatch import (
     Backend,
     CublasDenseBackend,
@@ -348,6 +348,38 @@ class TestDispatchedExecution:
             assert np.isfinite(out[i]).all()
             assert np.array_equal(out[i], dispatcher.backend(decided).execute(op, batch[i]))
 
+    @pytest.mark.parametrize("rhs", ["transposed", "strided", "swapaxes_stack", "inf_slab_stack"])
+    def test_plan_dense_schedule_and_dense_fallback_are_bit_identical(self, rng, rhs):
+        """Both backends round the RHS through the one ``quantize_fp16`` and
+        multiply by the one ``dense16``, so a failover between them changes
+        no bit — on non-contiguous views too, and with a non-finite slab
+        (each demotes only that slab, to the same gather schedule)."""
+        dense = rng.normal(size=(128, 256)).astype(np.float32)
+        vnm = VNMSparseMatrix.from_dense(dense, v=16, n=2, m=8, strict=False)
+        op = SpmmOperand.from_vnm(vnm)
+        assert SpmmPlan.for_matrix(vnm).resolve_strategy(16) == "dense"
+        if rhs == "transposed":
+            b = rng.normal(size=(16, 256)).astype(np.float32).T
+        elif rhs == "strided":
+            b = rng.normal(size=(512, 16)).astype(np.float32)[::2]
+        else:
+            b = rng.normal(size=(4, 16, 256)).astype(np.float32).swapaxes(1, 2)
+        if rhs == "inf_slab_stack":
+            b[2, 5, 3] = np.inf
+        outs = {}
+        for name in ("spatha-plan", "cublas-dense"):
+            dispatcher = KernelDispatcher()
+            dispatcher.dispatch(op, 16).backend = name  # steer the memoized decision
+            with np.errstate(invalid="ignore"):
+                outs[name] = dispatcher.execute(op, b)
+        assert np.array_equal(
+            outs["spatha-plan"].view(np.uint32), outs["cublas-dense"].view(np.uint32)
+        )
+        if rhs != "inf_slab_stack":
+            slabs = b if b.ndim == 3 else b[None]
+            direct = np.stack([cublas.gemm(vnm.to_dense(), slab) for slab in slabs])
+            assert np.array_equal(outs["cublas-dense"].reshape(direct.shape), direct)
+
     def test_dense_only_operand_keeps_dense_on_nonfinite(self):
         """With no sparse backend available the dense fallback still runs
         (NaN is then the honest dense-math answer, same as cublas.gemm)."""
@@ -544,6 +576,33 @@ class TestCircuitBreaker:
         breaker.record_failure("fast")
         assert not breaker.is_quarantined("fast")
 
+    def test_healthy_walk_reuses_the_decisions_ranked_order(self):
+        """Nothing quarantined: no re-sort and no new list per execute, and
+        re-pointing ``backend`` (the tests' steering) re-ranks once."""
+        from repro.kernels.dispatch import CircuitBreaker, DispatchDecision
+
+        decision = DispatchDecision(
+            signature=(), backend="fast", costs={"slow": 3.0, "fast": 1.0, "mid": 2.0}
+        )
+        breaker = CircuitBreaker()
+        order = breaker.candidate_order(decision)
+        assert order == ["fast", "mid", "slow"]
+        assert breaker.candidate_order(decision) is order is decision.order
+        decision.backend = "slow"
+        assert breaker.candidate_order(decision) == ["slow", "fast", "mid"]
+
+    def test_backend_lookup_follows_reassignment(self):
+        """The name index is rebuilt whenever the registry list is replaced
+        (the fault injector arms a dispatcher that way)."""
+        dispatcher = KernelDispatcher()
+        dense = dispatcher.backend("cublas-dense")
+        wrapped = type("Wrapped", (CublasDenseBackend,), {})()
+        dispatcher.backends = [wrapped if b is dense else b for b in dispatcher.backends]
+        assert dispatcher.backend("cublas-dense") is wrapped
+        dispatcher.backends = [b for b in dispatcher.backends if b is not wrapped]
+        with pytest.raises(KeyError):
+            dispatcher.backend("cublas-dense")
+
 
 class TestNarrowedTunerException:
     def test_plain_valueerror_from_tuner_propagates(self, operand, monkeypatch):
@@ -629,3 +688,30 @@ class TestBoundedMemos:
         assert geomean_speedup() == before
         assert dispatcher.cache_stats()["estimate_size"] <= bound
         assert tuner.cache_size() <= bound
+
+    def test_bank_conflict_memo_is_bounded_and_exact(self, monkeypatch):
+        """The stage-3 bank simulation depends only on the tile config, so
+        it is memoized per (layout, store width, BSc) instead of re-run per
+        candidate per C; every tuned time is the same bits before and after
+        eviction, and the same as the unmemoized simulation."""
+        from repro.hardware.banks import conflict_degree_for_layout
+        from repro.kernels.spatha import stages
+        from repro.kernels.spatha.tuner import SpathaTuner
+
+        monkeypatch.setattr(kernels_common, "MEMO_BOUND", 2)
+        monkeypatch.setattr(stages, "_CONFLICTS", BoundedCache())
+        problems = [GemmProblem.from_nm(1024, 1024, c, n=2, m=8, v=64) for c in (1, 64, 512)]
+
+        def sweep():
+            return [SpathaTuner().tune(p).results for p in problems]
+
+        first = sweep()
+        memo = stages._CONFLICTS
+        assert len(memo) <= 2 and memo.misses > 2  # three tile widths overflowed it
+        assert sweep() == first
+        monkeypatch.setattr(
+            stages,
+            "_conflict_degree",
+            lambda layout, bits, bsc: conflict_degree_for_layout(layout, access_bits=bits, bsc=bsc),
+        )
+        assert sweep() == first

@@ -6,9 +6,13 @@ loop references — bit-exactly where the schedule guarantees it (the plan's
 ``gather`` strategy), to fp16 accumulation tolerance otherwise.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.formats.base import quantize_fp16
 from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.vnm import VNMSparseMatrix
@@ -162,6 +166,29 @@ class TestSpmmPlanCaching:
         assert np.array_equal(plan.gather_indices, a.selected_column_indices())
         assert np.array_equal(plan.metadata, a.packed_metadata())
         assert plan.condensed_k == a.groups_per_row * 4
+
+    @pytest.mark.parametrize("case", VNM_CASES, ids=str)
+    def test_dense16_is_the_rounded_dense_operand(self, rng, case):
+        rows, cols, _, v, n, m = case
+        a = make_vnm(rng, rows, cols, v, n, m)
+        dense16 = SpmmPlan(a).dense16
+        assert np.array_equal(dense16.view(np.uint32), quantize_fp16(a.to_dense()).view(np.uint32))
+
+    def test_dropped_matrix_and_its_plan_die_by_refcount(self, rng):
+        """The plan is memoized on the matrix and keeps no reference back,
+        so both go the moment the last outside reference does."""
+        a = make_vnm(rng, 64, 128, 16, 2, 8)
+        plan = SpmmPlan.for_matrix(a)
+        plan.execute(rng.normal(size=(128, 4)).astype(np.float32))
+        assert plan.dense16 is not None  # warmed: the lazy view is built
+        refs = [weakref.ref(a), weakref.ref(plan), weakref.ref(plan.dense16)]
+        gc.collect()
+        gc.disable()
+        try:
+            del a, plan
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestSputnikVectorized:

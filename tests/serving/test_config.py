@@ -342,17 +342,49 @@ class TestEngineCoreContract:
         its batcher a bound method (engine -> batcher -> engine), so a
         dropped decode engine kept two KV stores and its encoder alive until
         the cyclic collector happened to run — which is what moved
-        ``peak_rss_mb`` between benchmark set-ups."""
+        ``peak_rss_mb`` between benchmark set-ups.  The engines that own
+        their encoder free every warmed plan of its weights with it (a plan
+        memoized on its matrix used to point back at it)."""
         engine = build_engine(kind, operand)
         assert len(engine.serve([make_request(kind, "r0", rng, 5)])) == 1
-        ref = weakref.ref(engine)
+        refs = [weakref.ref(engine)]
+        if kind != "operand":  # the fixture keeps the operand's plan alive
+            plans = list(engine.encoder.spmm_plan_registry().values())
+            assert plans
+            refs += [weakref.ref(p) for p in plans] + [weakref.ref(p.dense16) for p in plans]
+            del plans
         gc.collect()
         gc.disable()
         try:
             del engine
-            assert ref() is None
+            assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+
+def test_bench_sized_encoder_engine_leaves_no_cyclic_garbage(rng):
+    """Build, warm, serve and drop the benchmark's encoder engine (h256 /
+    i1024, 2 layers, 16:2:8) with the cyclic collector off: everything goes
+    by refcount, so peak RSS cannot depend on when a collection runs."""
+
+    def build_serve_drop():
+        cfg = tiny_config(hidden_size=256, intermediate_size=1024, num_layers=2, num_heads=4)
+        encoder = TransformerEncoder.init(cfg, seed=0)
+        sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
+        engine = create_engine(
+            encoder, config=ServingConfig(padding="ladder", warm_buckets=(8, 16, 32, 64, 128))
+        )
+        x = rng.normal(size=(24, 256)).astype(np.float32)
+        assert len(engine.serve([Request("r0", x)])) == 1
+
+    build_serve_drop()  # first calls build process-wide state (lazy imports)
+    gc.collect()
+    gc.disable()
+    try:
+        build_serve_drop()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestNormalizedStatsSchema:
