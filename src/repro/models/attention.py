@@ -47,6 +47,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .functional import (
+    attend,
     attention_context,
     attention_scores,
     grouped_by_length,
@@ -163,10 +164,12 @@ class MultiHeadAttention:
         k = split_heads(self.key.forward(hidden), self.config.num_heads)
         v = split_heads(self.value.forward(hidden), self.config.num_heads)
 
-        scores = attention_scores(q, k)
-        probs = softmax(scores, axis=-1, mask=mask)
-        context = merge_heads(attention_context(probs, v))
-        out = self.output.forward(context)
+        if mask is None:
+            context, probs = attend(q, k, v)
+        else:
+            probs = softmax(attention_scores(q, k), axis=-1, mask=mask)
+            context = attention_context(probs, v)
+        out = self.output.forward(merge_heads(context))
         if return_probs:
             return out, probs
         return out
@@ -230,12 +233,8 @@ class MultiHeadAttention:
         k_new = split_heads(self.key.forward(h3), heads)[0, :, 0, :]  # (heads, d)
         v_new = split_heads(self.value.forward(h3), heads)[0, :, 0, :]
         k_all, v_all = kv_cache.append(k_new, v_new)  # (t, heads, d)
-        k4 = k_all.transpose(1, 0, 2)[None]  # (1, heads, t, d)
-        v4 = v_all.transpose(1, 0, 2)[None]
-        scores = attention_scores(q, k4)  # (1, heads, 1, t)
-        probs = softmax(scores, axis=-1)
-        context = merge_heads(attention_context(probs, v4))  # (1, 1, hidden)
-        out = self.output.forward(context)[0]  # (1, hidden)
+        context, probs = attend(q, k_all.transpose(1, 0, 2)[None], v_all.transpose(1, 0, 2)[None])
+        out = self.output.forward(merge_heads(context))[0]  # (1, hidden)
         if return_probs:
             return out, probs[0, :, 0, :]
         return out
@@ -248,21 +247,22 @@ class MultiHeadAttention:
         prefilled as one stack).  The four projections run once on the
         stack — slab-exact, so slab ``i`` carries the bits of the lone call
         — and only attention loops: per slab, append then attend over that
-        cache's gathered K/V at its true length, the shapes and strides
-        :meth:`forward_step` uses.  Stacked along the slab axis on purpose:
-        column ``c`` of a C=k GEMM is *not* the C=1 result.
+        cache's K/V at its true length, the shapes and strides
+        :meth:`forward_step` uses, writing the context straight into a
+        head-split view of the output.  Stacked along the slab axis on
+        purpose: column ``c`` of a C=k GEMM is *not* the C=1 result.
         """
         x = check_token_stack(tokens, kv_caches, self.config.hidden_size)
-        heads = self.config.num_heads
+        heads, d = self.config.num_heads, self.config.head_dim
         q = split_heads(self.query.forward(x), heads)  # (k, heads, 1, d)
         k_new = split_heads(self.key.forward(x), heads)[:, :, 0, :]  # (k, heads, d)
         v_new = split_heads(self.value.forward(x), heads)[:, :, 0, :]
         context = np.empty_like(x)
+        context_heads = split_heads(context, heads)  # a view: (k, heads, 1, d)
+        scale = np.float32(1.0 / np.sqrt(d))
         for i, kv_cache in enumerate(kv_caches):
             k_all, v_all = kv_cache.append(k_new[i], v_new[i])  # (t, heads, d)
-            scores = attention_scores(q[i : i + 1], k_all.transpose(1, 0, 2)[None])
-            probs = softmax(scores, axis=-1)  # (1, heads, 1, t)
-            context[i] = merge_heads(attention_context(probs, v_all.transpose(1, 0, 2)[None]))[0]
+            attend(q[i], k_all.transpose(1, 0, 2), v_all.transpose(1, 0, 2), scale, out=context_heads[i])
         return self.output.forward(context)
 
     def _forward_causal(self, hidden: np.ndarray, return_probs: bool):

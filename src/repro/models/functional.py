@@ -28,7 +28,7 @@ are, by construction, those of incremental KV-cached decoding (see
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,11 +91,17 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     x = np.asarray(x, dtype=np.float32)
     gamma = np.asarray(gamma, dtype=np.float32)
     beta = np.asarray(beta, dtype=np.float32)
-    if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
         raise ValueError("gamma/beta must have shape (hidden,)")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return gamma * (x - mean) / np.sqrt(var + eps) + beta
+    # ``x.mean()`` / ``x.var()``'s ufunc steps, centring once; their intp divide (f64 rounded
+    # to f32 under NumPy >= 2) is correctly rounded like the f32 ``/ n``: the same bits.
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n
+    out = gamma * centred
+    out /= np.sqrt(var + eps)
+    out += beta
+    return out
 
 
 def dropout_eval(x: np.ndarray) -> np.ndarray:
@@ -135,6 +141,20 @@ def attention_context(probs: np.ndarray, v: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float32)
     v = np.asarray(v, dtype=np.float32)
     return np.matmul(probs, v)
+
+
+def attend(q, k, v, scale=None, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Unmasked float32 attention ``(softmax(Q Kᵀ·scale) V, probs)``; ``out`` gets the context.
+
+    Bit-for-bit ``attention_context(softmax(attention_scores(q, k, scale)), v)``:
+    the same ufuncs in the same order, without the wrappers and temporaries."""
+    scale = np.float32(1.0 / np.sqrt(q.shape[-1]) if scale is None else scale)
+    probs = np.matmul(q, k.swapaxes(-1, -2))
+    probs *= scale
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    return np.matmul(probs, v, out=out), probs
 
 
 def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:

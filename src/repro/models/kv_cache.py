@@ -15,24 +15,27 @@ against:
   per-position true-shape operations, the cache merely skips recomputing
   values that recomputation would reproduce identically.
 
-- :class:`PagedKVCache` — the serving store, after vLLM's PagedAttention:
-  K/V live in fixed-size blocks (``block_size`` token slots, all layers),
-  each sequence holds a block table, and blocks are explicitly allocated,
-  reference-counted and freed.  Requests submitted with a common prompt
-  share the prompt's blocks (``prefix_hits``); a sequence appending into a
-  shared partial block first copies it (``cow_copies`` — copy-on-write).
-  Registered prefixes are evicted LRU when the pool runs dry
-  (``evictions``).  :meth:`PagedKVCache.cache_stats` reports all of it.
+- :class:`PagedKVCache` — the serving store, after vLLM: fixed-size blocks
+  (``block_size`` token slots, all layers) are explicitly allocated,
+  reference-counted and freed as the unit of admission, while each sequence
+  owns one token-major ``(layers, capacity, heads, head_dim)`` K and V
+  extent that attention reads in place — no per-step gather.  Requests
+  with a common prompt share its blocks (``prefix_hits``) and copy its rows
+  once; appending into a shared partial block takes a private block id
+  (``cow_copies`` — copy-on-write is accounting only).  Registered prefixes
+  are evicted LRU when the pool runs dry (``evictions``).
 
-Bit-exactness note: both stores return the gathered K/V as freshly-built
-contiguous ``(tokens, heads, head_dim)`` float32 arrays, so every matmul
+Bit-exactness note: :class:`LayerKV` returns fresh contiguous ``(tokens,
+heads, head_dim)`` float32 stacks, the paged store the views
+``extent[layer, :tokens]`` with exactly their strides, so every matmul
 downstream sees identical values at identical shapes and strides whichever
-store fed it.
+store fed it.  A view is read before the sequence's next write.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -46,6 +49,13 @@ __all__ = [
     "PagedKVCache",
     "prompt_fingerprint",
 ]
+
+
+def _mapped(shape: Tuple[int, ...]) -> np.ndarray:
+    """A float32 array in its own anonymous mapping.  K/V rows come and go
+    with requests; off the malloc heap they return their pages when dropped
+    instead of leaving holes the process's other allocations fragment."""
+    return np.frombuffer(mmap.mmap(-1, 4 * int(np.prod(shape))), dtype=np.float32).reshape(shape)
 
 
 class KVCacheExhausted(RuntimeError):
@@ -79,7 +89,7 @@ class LayerKV:
         """Store the new token's ``(heads, head_dim)`` K/V; return all so far.
 
         The gathered arrays are fresh contiguous ``(tokens, heads,
-        head_dim)`` float32 — the same layout :class:`PagedKVCache` gathers,
+        head_dim)`` float32 — the layout of :class:`PagedKVCache`'s views,
         so downstream matmuls are bit-identical across stores.
         """
         k = np.ascontiguousarray(k, dtype=np.float32)
@@ -111,7 +121,7 @@ class SequenceKV:
 
 @dataclass
 class _PrefixEntry:
-    """A registered shared prompt: registry-held block references."""
+    """A registered shared prompt: registry-held block references and rows."""
 
     fingerprint: str
     block_ids: List[int]
@@ -119,6 +129,10 @@ class _PrefixEntry:
     #: Encoder output at the final prompt position — what seeds decoding,
     #: cached so sharers skip the whole prefill.
     last_output: np.ndarray
+    #: The prompt's ``(layers, length, heads, head_dim)`` K/V, copied from the
+    #: owner (pinning its whole extent would also hold its decode rows).
+    keys: np.ndarray
+    values: np.ndarray
 
 
 class _PagedLayerView:
@@ -136,14 +150,16 @@ class _PagedLayerView:
 
 
 class _PagedSequence:
-    """A live sequence's block table inside a :class:`PagedKVCache`."""
+    """A live sequence's block table and K/V extents inside a :class:`PagedKVCache`."""
 
-    def __init__(self, cache: "PagedKVCache", seq_id: str) -> None:
+    def __init__(self, cache: "PagedKVCache", seq_id: str, keys: np.ndarray, values: np.ndarray) -> None:
         self.cache = cache
         self.seq_id = seq_id
         self.block_ids: List[int] = []
         self.length = 0
         self.written = [0] * cache.num_layers
+        self.keys = keys
+        self.values = values
 
     def extend(self) -> int:
         """Allocate the slot for the next token position (COW if shared)."""
@@ -155,23 +171,31 @@ class _PagedSequence:
         else:
             block_id = self.block_ids[block_index]
             if cache._refcount[block_id] > 1:
-                # Shared partial block (prefix sharing): copy before writing.
-                fresh = cache._alloc_block()
-                cache._k_store[:, fresh] = cache._k_store[:, block_id]
-                cache._v_store[:, fresh] = cache._v_store[:, block_id]
-                cache._refcount[block_id] -= 1
-                self.block_ids[block_index] = fresh
+                # Shared partial block (prefix sharing): the rows are already
+                # private, so copy-on-write only swaps in a private block id.
+                self.block_ids[block_index] = cache._alloc_block()
+                cache._release_block(block_id)
                 cache.cow_copies += 1
+        if position == self.keys.shape[1]:
+            self._reserve(2 * position)
         self.length += 1
         return position
+
+    def _reserve(self, tokens: int) -> None:
+        """Move the written rows into extents of at least ``tokens`` rows."""
+        keys, values = self.keys, self.values
+        self.keys, self.values = self.cache._take_extents(tokens)
+        self.keys[:, : self.length] = keys[:, : self.length]
+        self.values[:, : self.length] = values[:, : self.length]
+        self.cache._recycle(keys, values)
 
     def truncate(self, length: int) -> None:
         """Forget the positions past ``length`` (undo a step that raised).
 
-        Only the counters move.  Blocks stay held: a tail block the undone
-        ``extend()`` allocated or copied-on-write is private to this
+        Only the counters move.  Blocks and rows stay: a tail block the
+        undone ``extend()`` allocated or copied-on-write is private to this
         sequence, so the next ``extend()`` lands in it with no second
-        allocation or copy and the retried appends overwrite its slots.
+        allocation, and the retried appends overwrite the stale rows.
         """
         if not 0 <= length <= self.length:
             raise ValueError(f"cannot truncate a {self.length}-token sequence to {length}")
@@ -182,7 +206,6 @@ class _PagedSequence:
         return _PagedLayerView(self, layer)
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        cache = self.cache
         position = self.written[layer]
         if position >= self.length:
             raise RuntimeError(
@@ -190,38 +213,29 @@ class _PagedSequence:
             )
         k = np.asarray(k, dtype=np.float32)
         v = np.asarray(v, dtype=np.float32)
-        expected = (cache.num_heads, cache.head_dim)
+        expected = self.keys.shape[2:]
         if k.shape != expected or v.shape != expected:
             raise ValueError(f"k/v must have shape {expected}, got {k.shape}/{v.shape}")
-        block_id = self.block_ids[position // cache.block_size]
-        offset = position % cache.block_size
-        cache._k_store[layer, block_id, offset] = k
-        cache._v_store[layer, block_id, offset] = v
+        self.keys[layer, position] = k
+        self.values[layer, position] = v
         self.written[layer] = position + 1
         return self.gathered(layer)
 
     def gathered(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
-        """All cached K/V of ``layer`` as contiguous ``(t, heads, head_dim)``."""
-        cache = self.cache
+        """All cached K/V of ``layer``: contiguous ``(t, heads, head_dim)`` views."""
         tokens = self.written[layer]
         if tokens == 0:
             raise RuntimeError(f"sequence {self.seq_id!r} layer {layer} has no cached tokens")
-        blocks_needed = -(-tokens // cache.block_size)
-        ids = self.block_ids[:blocks_needed]
-        flat_shape = (blocks_needed * cache.block_size, cache.num_heads, cache.head_dim)
-        k = np.ascontiguousarray(cache._k_store[layer, ids].reshape(flat_shape)[:tokens])
-        v = np.ascontiguousarray(cache._v_store[layer, ids].reshape(flat_shape)[:tokens])
-        return k, v
+        return self.keys[layer, :tokens], self.values[layer, :tokens]
 
 
 class PagedKVCache:
-    """Block-table KV storage shared by every sequence of a decoder engine.
+    """Block-table KV accounting shared by every sequence of a decoder engine.
 
-    Storage is ``(num_layers, capacity_blocks, block_size, heads, head_dim)``
-    for keys and values; a block holds ``block_size`` consecutive token
-    slots of one sequence across all layers.  Blocks are reference-counted:
-    a block reaches the free list only when no sequence *and* no registered
-    prefix holds it.
+    ``capacity_blocks`` blocks of ``block_size`` token slots (all layers)
+    bound what sequences and registered prefixes hold; the rows live in the
+    sequences' extents.  Blocks are reference-counted: a block reaches the
+    free list only when no sequence *and* no registered prefix holds it.
     """
 
     def __init__(
@@ -239,9 +253,7 @@ class PagedKVCache:
         self.head_dim = head_dim
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
-        shape = (num_layers, capacity_blocks, block_size, num_heads, head_dim)
-        self._k_store = np.zeros(shape, dtype=np.float32)
-        self._v_store = np.zeros(shape, dtype=np.float32)
+        self._spare: List[Tuple[np.ndarray, np.ndarray]] = []
         self._free: List[int] = list(range(capacity_blocks - 1, -1, -1))
         self._refcount = [0] * capacity_blocks
         self._sequences: Dict[str, _PagedSequence] = {}
@@ -289,12 +301,30 @@ class PagedKVCache:
                 self._release_block(block_id)
             self.evictions += 1
 
+    def _take_extents(self, tokens: int) -> Tuple[np.ndarray, np.ndarray]:
+        """K/V extents of at least ``tokens`` rows: the smallest spare pair
+        that fits, else a fresh pair of whole blocks."""
+        fits = sorted((k.shape[1], i) for i, (k, _) in enumerate(self._spare) if k.shape[1] >= tokens)
+        if fits:
+            return self._spare.pop(fits[0][1])
+        rows = max(-(-tokens // self.block_size), 1) * self.block_size
+        shape = (self.num_layers, rows, self.num_heads, self.head_dim)
+        return _mapped(shape), _mapped(shape)
+
+    def _recycle(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Keep a released extent pair for reuse: the newest, at most one pair
+        per live sequence (an idle cache keeps none)."""
+        self._spare.append((keys, values))
+        del self._spare[: max(len(self._spare) - len(self._sequences), 0)]
+
     # -- sequences ----------------------------------------------------------
 
-    def create(self, seq_id: str) -> _PagedSequence:
+    def create(self, seq_id: str, tokens: Optional[int] = None) -> _PagedSequence:
+        """Open a sequence; ``tokens`` sizes its extents once (else: one block, doubling)."""
         if seq_id in self._sequences:
             raise ValueError(f"sequence {seq_id!r} already exists")
-        sequence = _PagedSequence(self, seq_id)
+        keys, values = self._take_extents(self.block_size if tokens is None else tokens)
+        sequence = _PagedSequence(self, seq_id, keys, values)
         self._sequences[seq_id] = sequence
         return sequence
 
@@ -302,18 +332,20 @@ class PagedKVCache:
         return self._sequences[seq_id]
 
     def free(self, seq_id: str) -> int:
-        """Release a sequence's block references; returns blocks dereferenced."""
+        """Release a sequence's blocks and extents; returns blocks dereferenced."""
         sequence = self._sequences.pop(seq_id)
         for block_id in sequence.block_ids:
             self._release_block(block_id)
         count = len(sequence.block_ids)
         sequence.block_ids = []
+        self._recycle(sequence.keys, sequence.values)
+        sequence.keys = sequence.values = None  # a stale handle must not write into a reused extent
         return count
 
     # -- prefix sharing -----------------------------------------------------
 
     def register_prefix(self, fingerprint: str, seq_id: str, last_output: np.ndarray) -> None:
-        """Pin ``seq_id``'s current blocks as a shareable prompt prefix."""
+        """Pin ``seq_id``'s current blocks (and a copy of its rows) as a shareable prompt prefix."""
         if fingerprint in self._prefixes:
             self._prefixes.move_to_end(fingerprint)
             return
@@ -324,19 +356,26 @@ class PagedKVCache:
             )
         for block_id in sequence.block_ids:
             self._refcount[block_id] += 1
+        shape = (self.num_layers, sequence.length, self.num_heads, self.head_dim)
+        keys, values = _mapped(shape), _mapped(shape)
+        keys[...] = sequence.keys[:, : sequence.length]
+        values[...] = sequence.values[:, : sequence.length]
         self._prefixes[fingerprint] = _PrefixEntry(
             fingerprint=fingerprint,
             block_ids=list(sequence.block_ids),
             length=sequence.length,
             last_output=np.array(last_output, dtype=np.float32, copy=True),
+            keys=keys,
+            values=values,
         )
 
     def attach_prefix(self, fingerprint: str, seq_id: str) -> Optional[_PrefixEntry]:
         """Attach a fresh sequence to a registered prefix, sharing its blocks.
 
-        Returns the entry (length + cached final-position output) on a hit,
-        ``None`` on a miss.  The sequence must be empty: sharing replaces
-        prefill, it cannot splice into a decoded sequence.
+        The prompt's rows are copied in once.  Returns the entry (length +
+        cached final-position output) on a hit, ``None`` on a miss.  The
+        sequence must be empty: sharing replaces prefill, it cannot splice
+        into a decoded sequence.
         """
         entry = self._prefixes.get(fingerprint)
         if entry is None:
@@ -344,6 +383,10 @@ class PagedKVCache:
         sequence = self._sequences[seq_id]
         if sequence.length != 0:
             raise RuntimeError(f"sequence {seq_id!r} is not empty; cannot attach a prefix")
+        if sequence.keys.shape[1] < entry.length:
+            sequence._reserve(entry.length)
+        sequence.keys[:, : entry.length] = entry.keys
+        sequence.values[:, : entry.length] = entry.values
         for block_id in entry.block_ids:
             self._refcount[block_id] += 1
         sequence.block_ids = list(entry.block_ids)

@@ -27,8 +27,9 @@ subsystem (the ROADMAP's "heavy traffic" direction):
 * :mod:`~repro.serving.decoder` — multi-step decode serving:
   :class:`DecoderServingEngine` keeps each request resident on its ladder
   rung for many steps, appending one token per step into a shared
-  :class:`~repro.models.kv_cache.PagedKVCache` (block tables, prefix
-  sharing, copy-on-write); cached decoding is bit-for-bit the per-step
+  :class:`~repro.models.kv_cache.PagedKVCache` (block tables for
+  admission, rows in sequence-owned extents attention reads in place,
+  prefix sharing); cached decoding is bit-for-bit the per-step
   full causal recompute (:func:`decode_reference`).
 * :mod:`~repro.serving.sharded` — multi-device serving:
   :class:`ShardedDispatcher` splits an encoder across N simulated devices

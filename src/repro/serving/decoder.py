@@ -16,15 +16,15 @@ serves that shape of traffic on top of the continuous-batching scheduler:
   :meth:`~repro.models.transformer.TransformerEncoder.forward_steps`
   layer-major — its positions are the slabs of one stack against one
   cache — into the engine's shared
-  :class:`~repro.models.kv_cache.PagedKVCache` — fixed-size blocks,
-  explicit alloc/free, reference counting (``cache_stats()`` reports the
-  block-table accounting);
+  :class:`~repro.models.kv_cache.PagedKVCache` — block tables under
+  explicit alloc/free and reference counting (``cache_stats()``), rows in
+  K/V extents the sequence owns, sized once from ``prompt + new_tokens``;
 * **prefix sharing**: the first request of a prompt registers its prompt
-  blocks (and the prompt's final-position output) under the prompt's
-  content fingerprint; later requests submitted with the *same* prompt
-  attach to those blocks and skip prefill entirely (``prefix_hits``),
-  copy-on-write isolating the shared partial block on first append
-  (``cow_copies``);
+  blocks and rows (and the prompt's final-position output) under the
+  prompt's content fingerprint; later requests submitted with the *same*
+  prompt attach to those blocks, copy the rows once and skip prefill
+  entirely (``prefix_hits``); the first append into the shared partial
+  block takes a private block id for it (``cow_copies``);
 * **decode**: every engine step advances every resident by one token —
   one ``forward_steps`` call on the ``(residents, 1, hidden)`` stack of
   their feeds, so each projection, LayerNorm and GELU runs once per step
@@ -172,16 +172,15 @@ class DecoderServingEngine(EngineCore):
     Prefix sharing: requests submitted with a byte-identical prompt share
     the prompt's cache blocks.  The first registers them (plus the
     prompt's final-position output) under the prompt's fingerprint; later
-    ones attach and skip prefill entirely, and copy-on-write keeps their
-    divergent decode tails isolated.  Because cached decode equals full
+    ones attach, copy the prompt's rows once and skip prefill entirely;
+    their divergent decode tails never meet.  Because cached decode equals full
     recompute bit for bit, sharers' outputs are unchanged by the sharing —
     only ``cache_stats()['prefix_hits']`` tells them apart.
 
     A backend failure mid-prefill or mid-decode fails only that request
     (``outcomes`` records it; its blocks, slot and budget return
     immediately); batchmates advance undisturbed, bits intact, because
-    residents never share mutable state — shared prefix blocks are
-    copy-on-write.
+    residents never share mutable state — each owns its rows.
 
     Parameters
     ----------
@@ -221,8 +220,8 @@ class DecoderServingEngine(EngineCore):
 
             Closes over the mapping and the block size, *not* the engine: the
             batcher keeps this function, and a bound method here made
-            engine -> batcher -> engine a cycle, so a dropped engine (two KV
-            stores + its encoder) waited for the cyclic collector instead of
+            engine -> batcher -> engine a cycle, so a dropped engine (its KV
+            cache + its encoder) waited for the cyclic collector instead of
             dying by refcount.
             """
             total = request.tokens + new_tokens.get(request.request_id, 1)
@@ -379,7 +378,8 @@ class DecoderServingEngine(EngineCore):
                 f"{self.name}: request {rid!r} was queued without a decode length; "
                 f"submit DecodeRequests through DecoderServingEngine.submit()"
             )
-        handle = self.kv.create(rid)
+        # Sized once for the whole sequence, the footprint kv_cost charges.
+        handle = self.kv.create(rid, tokens=req.tokens + new_tokens)
         fingerprint = prompt_fingerprint(req.activations)
         try:
             entry = self.kv.attach_prefix(fingerprint, rid)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.config import (
     BERT_BASE,
@@ -13,6 +15,7 @@ from repro.models.config import (
     tiny_config,
 )
 from repro.models.functional import (
+    attend,
     attention_context,
     attention_scores,
     gelu,
@@ -114,3 +117,78 @@ class TestFunctionalOps:
         probs = softmax(rng.normal(size=(1, 2, 4, 4)))
         v = rng.normal(size=(1, 2, 4, 8))
         assert attention_context(probs, v).shape == (1, 2, 4, 8)
+
+
+def _mean_var_layer_norm(x, gamma, beta, eps=1e-5):
+    """The two-pass formula ``layer_norm`` used to be: ``x.mean`` / ``x.var``."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return gamma * (x - mean) / np.sqrt(var + eps) + beta
+
+
+class TestOneDefinitionBits:
+    """The fused operators are bit-for-bit the compositions they replace."""
+
+    def test_one_pass_layer_norm_is_the_mean_var_formula(self):
+        """300 random shape / scale / offset cells, compared by uint32 view."""
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            lead = tuple(int(s) for s in rng.integers(1, 9, size=rng.integers(0, 3)))
+            hidden = int(rng.choice([1, 3, 7, 16, 64, 100, 256, 768, 1024]))
+            scale = 10.0 ** rng.uniform(-4, 4)
+            x = rng.normal(size=lead + (hidden,)) * scale + rng.normal() * scale * rng.integers(0, 3)
+            x = x.astype(np.float32)
+            gamma = rng.normal(size=hidden).astype(np.float32)
+            beta = rng.normal(size=hidden).astype(np.float32)
+            got = layer_norm(x, gamma, beta)
+            want = _mean_var_layer_norm(x, gamma, beta)
+            assert got.dtype == np.float32
+            assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes(), x.shape
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        heads=st.sampled_from([1, 2, 4, 8]),
+        seq_q=st.integers(1, 40),
+        seq_k=st.integers(1, 40),
+        head_dim=st.sampled_from([1, 8, 32, 64]),
+        log_scale=st.floats(-3, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_attend_is_the_scores_softmax_context_composition(
+        self, batch, heads, seq_q, seq_k, head_dim, log_scale, seed
+    ):
+        rng = np.random.default_rng(seed)
+        q, k, v = (
+            (rng.normal(size=(batch, heads, s, head_dim)) * 10.0**log_scale).astype(np.float32)
+            for s in (seq_q, seq_k, seq_k)
+        )
+        context, probs = attend(q, k, v)
+        want_probs = softmax(attention_scores(q, k), axis=-1)
+        want = attention_context(want_probs, v)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert context.dtype == np.float32 and context.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slabs=st.integers(1, 6),
+        heads=st.sampled_from([1, 2, 4, 8]),
+        seq_k=st.integers(1, 120),
+        head_dim=st.sampled_from([8, 32, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_attend_into_a_head_split_view_is_the_fresh_result(
+        self, slabs, heads, seq_k, head_dim, seed
+    ):
+        """The decode layout: one query row per slab, each slab's context
+        written into a head-split view of a ``(slabs, 1, hidden)`` buffer."""
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(slabs, heads, 1, head_dim)).astype(np.float32)
+        k = rng.normal(size=(slabs, seq_k, heads, head_dim)).astype(np.float32)
+        v = rng.normal(size=(slabs, seq_k, heads, head_dim)).astype(np.float32)
+        out = np.empty((slabs, 1, heads * head_dim), dtype=np.float32)
+        out_heads = split_heads(out, heads)
+        for i in range(slabs):
+            attend(q[i], k[i].transpose(1, 0, 2), v[i].transpose(1, 0, 2), out=out_heads[i])
+            fresh, _ = attend(q[i : i + 1], k[i].transpose(1, 0, 2)[None], v[i].transpose(1, 0, 2)[None])
+            assert out[i].tobytes() == merge_heads(fresh)[0].tobytes()

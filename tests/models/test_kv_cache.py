@@ -3,13 +3,18 @@
 The cache is numerics-free bookkeeping — the bits come out of the model's
 ``forward_step``, whichever store holds them.  These tests pin (a) that the
 paged store gathers bit-identical K/V to the reference :class:`SequenceKV`
-(so decoding through either is interchangeable), and (b) the explicit
-alloc/free/refcount/copy-on-write/eviction mechanics the serving engine's
-``cache_stats()`` reports.
+(so decoding through either is interchangeable), (b) that attention over
+the in-place views the paged store returns is bit-for-bit attention over a
+contiguous copy, (c) the explicit alloc/free/refcount/copy-on-write/eviction
+mechanics the serving engine's ``cache_stats()`` reports, and (d) the
+lifetime of the sequence-owned extents: sized once, recycled within a bound,
+never handed out while a sequence or a registered prefix still reads them.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import (
     LayerKV,
@@ -19,6 +24,7 @@ from repro.models import (
     prompt_fingerprint,
     tiny_config,
 )
+from repro.models.functional import attend, attention_context, attention_scores, softmax
 
 HEADS, HEAD_DIM = 2, 4
 
@@ -80,6 +86,66 @@ class TestGatherEquivalence:
             layer.append(np.zeros((2, 4), np.float32), np.zeros((2, 5), np.float32))
         seq = SequenceKV(2)
         assert seq.extend() == 0 and seq.length == 1
+
+
+def assert_view_attention_is_copy_attention(seq, layer, q):
+    """Decode attention over the store's in-place K/V views is bit-for-bit
+    attention over contiguous copies of them (the layout the store used to
+    gather every step), through the helper and the scores / softmax /
+    context composition alike."""
+    k_view, v_view = seq.gathered(layer)
+    k_copy, v_copy = np.ascontiguousarray(k_view), np.ascontiguousarray(v_view)
+    assert np.shares_memory(k_view, seq.keys) and np.shares_memory(v_view, seq.values)
+    for view, copy in ((k_view, k_copy), (v_view, v_copy)):
+        assert view.flags["C_CONTIGUOUS"] and view.strides == copy.strides
+    got, got_probs = attend(q, k_view.transpose(1, 0, 2), v_view.transpose(1, 0, 2))
+    want, want_probs = attend(q, k_copy.transpose(1, 0, 2), v_copy.transpose(1, 0, 2))
+    assert got.tobytes() == want.tobytes() and got_probs.tobytes() == want_probs.tobytes()
+    probs = softmax(attention_scores(q[None], k_copy.transpose(1, 0, 2)[None]), axis=-1)
+    composed = attention_context(probs, v_copy.transpose(1, 0, 2)[None])[0]
+    assert got.tobytes() == composed.tobytes() and got_probs.tobytes() == probs[0].tobytes()
+
+
+def decode_into_extent(heads, head_dim, seed, tokens, check_at):
+    """Append ``tokens`` positions to a two-layer sequence sized for more, and
+    check view-vs-copy attention on the second layer (an interior slice of
+    the extent) at every length in ``check_at``."""
+    rng = np.random.default_rng([heads, head_dim, seed])
+    spare = int(rng.integers(0, 40))
+    cache = PagedKVCache(
+        num_layers=2, num_heads=heads, head_dim=head_dim, block_size=16,
+        capacity_blocks=(tokens + spare) // 16 + 1,
+    )
+    seq = cache.create("s", tokens=tokens + spare)
+    for t in range(1, tokens + 1):
+        seq.extend()
+        for layer in range(2):
+            seq.view(layer).append(*rng.normal(size=(2, heads, head_dim)).astype(np.float32))
+        if t in check_at:
+            q = rng.normal(size=(heads, 1, head_dim)).astype(np.float32)
+            assert_view_attention_is_copy_attention(seq, 1, q)
+
+
+class TestViewAttentionBits:
+    """Attention reads K/V in place; its bits must not depend on that."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.integers(1, 250),
+        heads=st.sampled_from([1, 2, 4, 8]),
+        head_dim=st.sampled_from([8, 32, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_view_equals_copy(self, t, heads, head_dim, seed):
+        decode_into_extent(heads, head_dim, seed, t, check_at={t})
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("head_dim", [8, 32, 64])
+    @pytest.mark.parametrize("heads", [1, 2, 4, 8])
+    def test_full_grid(self, heads, head_dim, seed):
+        """Every t in 1..250 for every heads x head_dim x seed."""
+        decode_into_extent(heads, head_dim, seed, 250, check_at=range(1, 251))
 
 
 class TestBlockTable:
@@ -151,7 +217,7 @@ class TestTruncate:
         cache.register_prefix("fp", "owner", last_output=np.zeros((1, 4), np.float32))
         sharer = cache.create("sharer")
         cache.attach_prefix("fp", "sharer")
-        shared_k, _ = sharer.gathered(0)
+        shared_k = sharer.gathered(0)[0].copy()  # a snapshot: gathered() is a view
 
         sharer.extend()  # shared partial block: copy-on-write
         assert cache.cow_copies == 1
@@ -163,6 +229,25 @@ class TestTruncate:
         assert sharer.block_ids == private and cache.blocks_in_use == in_use
         new_k, _ = sharer.view(0).append(*kv_pair(rng))
         assert np.array_equal(new_k[:3], shared_k)  # the copied prefix survived
+
+    def test_rollback_keeps_blocks_and_rows(self, rng):
+        """The undone step's rows are forgotten by the counters only: the
+        extents, every row below the rollback point and the blocks stay."""
+        cache = paged(block_size=2, capacity_blocks=4, num_layers=2)
+        seq = cache.create("a", tokens=4)
+        for _ in range(3):
+            seq.extend()
+            for layer in (0, 1):
+                seq.view(layer).append(*kv_pair(rng))
+        keys, values, held = seq.keys, seq.values, list(seq.block_ids)
+        kept = keys[:, :3].copy(), values[:, :3].copy()
+        seq.extend()  # a step that raised after layer 0
+        seq.view(0).append(*kv_pair(rng))
+        seq.truncate(3)
+        assert seq.keys is keys and seq.values is values and seq.block_ids == held
+        assert np.array_equal(keys[:, :3], kept[0]) and np.array_equal(values[:, :3], kept[1])
+        k, v = seq.gathered(0)
+        assert k.shape[0] == 3 and np.shares_memory(k, keys) and np.shares_memory(v, values)
 
     def test_bounds(self, rng):
         seq = paged().create("a")
@@ -195,7 +280,7 @@ class TestPrefixSharingMechanics:
         assert cache.blocks_in_use == in_use_before  # attached, not copied
         assert cache.cache_stats()["prefix_hits"] == 1
 
-        owner_k_before, _ = cache.sequence("owner").gathered(0)
+        owner_k_before = cache.sequence("owner").gathered(0)[0].copy()
         sharer.extend()  # lands in the shared partial block -> COW
         sharer.view(0).append(*kv_pair(rng))
         assert cache.cow_copies == 1
@@ -237,8 +322,102 @@ class TestPrefixSharingMechanics:
         assert cache.attach_prefix("fp-0", cache.create("probe-a").seq_id) is None
         assert cache.attach_prefix("fp-1", "probe-a") is not None
 
+    def test_copy_on_write_that_evicts_its_own_prefix_frees_the_block(self, rng):
+        """The pool is dry when a sharer copies-on-write its shared partial
+        block; finding a fresh block evicts the very prefix it shared, so the
+        old block is down to the sharer's reference.  Dropping that reference
+        must return the block to the free list, not leave it held by nobody."""
+        cache = paged(block_size=2, capacity_blocks=3)
+        for name in ("a", "b"):  # one partial block each, registered, owner gone
+            self._prefill(cache, cache.create(name), rng, 1)
+            cache.register_prefix(f"fp-{name}", name, np.zeros((1, 4), np.float32))
+            cache.free(name)
+        sharer = cache.create("sharer")
+        cache.attach_prefix("fp-a", "sharer")
+        cache.register_prefix("fp-b", "b", np.zeros((1, 4), np.float32))  # fp-a is now LRU
+        self._prefill(cache, cache.create("filler"), rng, 1)  # the last free block
+        sharer.extend()  # COW: evicts fp-a (frees nothing), then fp-b
+        assert (cache.cow_copies, cache.evictions) == (1, 2)
+        held = {b for s in cache._sequences.values() for b in s.block_ids}
+        assert cache.blocks_free + len(held) == cache.capacity_blocks
+        assert cache._refcount == [int(b in held) for b in range(cache.capacity_blocks)]
+
     def test_fingerprint_is_content_and_shape_keyed(self):
         a = np.arange(12, dtype=np.float32).reshape(3, 4)
         assert prompt_fingerprint(a) == prompt_fingerprint(a.copy())
         assert prompt_fingerprint(a) != prompt_fingerprint(a.reshape(4, 3))
         assert prompt_fingerprint(a) != prompt_fingerprint(a + 1)
+
+
+class TestExtentLifetime:
+    """Each sequence owns its K/V extents: sized once when the caller knows
+    the length, recycled within a bound, never handed out while read."""
+
+    def test_sized_sequence_never_regrows(self, rng):
+        cache = paged(block_size=4, capacity_blocks=8, num_layers=2)
+        seq = cache.create("a", tokens=10)
+        keys, values = seq.keys, seq.values
+        assert keys.shape == values.shape == (2, 12, HEADS, HEAD_DIM)  # whole blocks
+        for _ in range(10):
+            seq.extend()
+            for layer in (0, 1):
+                seq.view(layer).append(*kv_pair(rng))
+        assert seq.keys is keys and seq.values is values
+
+    def test_unsized_sequence_doubles_and_keeps_its_rows(self, rng):
+        cache = paged(block_size=2, capacity_blocks=8)
+        seq, reference = cache.create("a"), LayerKV()
+        capacities = []
+        for _ in range(9):
+            k, v = kv_pair(rng)
+            seq.extend()
+            got_k, got_v = seq.view(0).append(k, v)
+            want_k, want_v = reference.append(k, v)
+            assert np.array_equal(got_k, want_k) and np.array_equal(got_v, want_v)
+            capacities.append(seq.keys.shape[1])
+        assert sorted(set(capacities)) == [2, 4, 8, 16]
+
+    def test_free_list_is_bounded_by_live_sequences_and_reused(self, rng):
+        cache = paged(block_size=2, capacity_blocks=16)
+        seqs = [cache.create(f"s{i}", tokens=2 * (i + 1)) for i in range(4)]
+        extents = {s.seq_id: s.keys for s in seqs}
+        for seq in seqs[:3]:
+            cache.free(seq.seq_id)
+            assert len(cache._spare) <= len(cache._sequences)
+        assert len(cache._spare) == 1  # one live sequence left: one spare pair
+        kept = cache._spare[0][0]
+        again = cache.create("again", tokens=3)
+        assert again.keys is kept and kept.shape[1] >= 3  # reused, not reallocated
+        cache.free("again"), cache.free("s3")
+        assert cache._spare == []  # an idle cache keeps nothing
+        assert kept is not extents["s3"]
+
+    def test_registered_rows_are_a_private_copy_of_the_prompt(self, rng):
+        """A prefix holds exactly its prompt's rows, not the owner's extent:
+        the owner decodes on, outgrows, frees and has its extents reused by
+        other sequences, and a later sharer still attaches the prompt's bits."""
+        cache = paged(block_size=2, capacity_blocks=16)
+        owner = cache.create("owner")  # unsized: grows after registering
+        for _ in range(3):
+            owner.extend()
+            owner.view(0).append(*kv_pair(rng))
+        prompt_rows = owner.gathered(0)[0].copy()
+        cache.register_prefix("fp", "owner", np.zeros((1, 4), np.float32))
+        entry = cache._prefixes["fp"]
+        assert entry.keys.shape == entry.values.shape == (1, 3, HEADS, HEAD_DIM)
+        assert not np.shares_memory(entry.keys, owner.keys)
+        for _ in range(6):  # the owner decodes on and outgrows its extents
+            owner.extend()
+            owner.view(0).append(*kv_pair(rng))
+        bystander = cache.create("bystander")
+        cache.free("owner")
+        cache.free("bystander")
+        for other in [cache.create(f"o{i}") for i in range(2)]:  # reuse the freed extents
+            for _ in range(4):
+                other.extend()
+                other.view(0).append(*kv_pair(rng))
+        assert np.array_equal(entry.keys[0], prompt_rows)
+        sharer = cache.create("sharer")
+        cache.attach_prefix("fp", "sharer")
+        assert np.array_equal(sharer.gathered(0)[0], prompt_rows)
+        assert not np.shares_memory(sharer.keys, entry.keys)  # copied once, then private

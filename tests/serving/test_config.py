@@ -344,8 +344,20 @@ class TestEngineCoreContract:
         the cyclic collector happened to run — which is what moved
         ``peak_rss_mb`` between benchmark set-ups.  The engines that own
         their encoder free every warmed plan of its weights with it (a plan
-        memoized on its matrix used to point back at it)."""
+        memoized on its matrix used to point back at it).  The decoder's KV
+        store goes with it: every K/V extent it ever handed out and every
+        registered prefix that holds one."""
         engine = build_engine(kind, operand)
+        extents = []
+        if kind == "decoder":
+            take = engine.kv._take_extents
+
+            def spy(tokens):
+                pair = take(tokens)
+                extents.extend(weakref.ref(a) for a in pair)
+                return pair
+
+            engine.kv._take_extents = spy
         assert len(engine.serve([make_request(kind, "r0", rng, 5)])) == 1
         refs = [weakref.ref(engine)]
         if kind != "operand":  # the fixture keeps the operand's plan alive
@@ -353,11 +365,18 @@ class TestEngineCoreContract:
             assert plans
             refs += [weakref.ref(p) for p in plans] + [weakref.ref(p.dense16) for p in plans]
             del plans
+        if kind == "decoder":
+            del engine.kv._take_extents, take, spy  # they hold the cache
+            entries = list(engine.kv._prefixes.values())
+            assert extents and entries
+            refs += extents + [weakref.ref(e) for e in entries]
+            refs += [weakref.ref(a) for e in entries for a in (e.keys, e.values)]
+            del entries
         gc.collect()
         gc.disable()
         try:
             del engine
-            assert [ref() for ref in refs] == [None] * len(refs)
+            assert [i for i, ref in enumerate(refs) if ref() is not None] == []
         finally:
             gc.enable()
 

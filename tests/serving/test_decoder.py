@@ -427,6 +427,35 @@ class TestCacheLifecycle:
         # always returned to zero between waves.
         assert engine.batcher.kv_reserved == 0
 
+    def test_each_sequence_takes_its_extents_once(self, rng):
+        """The engine sizes a sequence's K/V extents from prompt + new_tokens
+        (what ``kv_cost`` charges), so neither prefill, a prefix attach nor
+        any decode step regrows them: one take per admitted request."""
+        engine = DecoderServingEngine(
+            make_encoder(num_layers=2), config=ServingConfig(block_size=4, capacity_blocks=64)
+        )
+        sizes = []
+        take = engine.kv._take_extents
+
+        def spy(tokens):
+            sizes.append(tokens)
+            return take(tokens)
+
+        engine.kv._take_extents = spy
+        shared = rng.normal(size=(6, HIDDEN)).astype(np.float32)
+        requests = [
+            DecodeRequest("owner", shared, new_tokens=3),
+            DecodeRequest("unique", rng.normal(size=(9, HIDDEN)).astype(np.float32), new_tokens=5),
+            DecodeRequest("sharer", shared, new_tokens=7),
+        ]
+        results = engine.serve(requests)
+        del engine.kv._take_extents
+        assert sorted(sizes) == [9, 13, 14]
+        assert engine.stats()["prefills_skipped"] == 1
+        for request in requests:
+            want = decode_reference(make_encoder(num_layers=2), request.prompt, request.new_tokens)
+            assert np.array_equal(results[request.request_id], want)
+
     def test_prefix_eviction_frees_pool_under_pressure(self, rng):
         """When the pool runs dry, registered prefixes are evicted LRU to
         make room for live sequences (the ``evictions`` counter)."""
