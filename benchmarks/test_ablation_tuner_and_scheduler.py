@@ -1,4 +1,6 @@
-"""Additional ablations called out in DESIGN.md (beyond the paper's figures).
+"""Ablations beyond the paper's figures.
+
+The last row of the README's "Reproduction ledger":
 
 * Template auto-tuning: how much the tuned configuration gains over the
   default instantiation across problem shapes (the reason Spatha is

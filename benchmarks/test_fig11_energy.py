@@ -1,8 +1,8 @@
 """Figure 11 — energy evaluation of the V:N:M format.
 
 Reproduced on a synthesised 768 x 768 BERT-base query-projection weight
-(the trained-checkpoint substitution documented in DESIGN.md).  The
-qualitative claims checked:
+(the trained-checkpoint substitution in the README's "Reproduction
+ledger").  The qualitative claims checked:
 
 * unstructured ("ideal") selection dominates every structured policy;
 * the V:N:M format sits between ideal and vector-wise pruning, and even

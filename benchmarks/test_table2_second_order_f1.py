@@ -1,8 +1,8 @@
 """Table 2 — second-order pruning accuracy (SQuAD F1 surrogate).
 
 The SQuAD fine-tuning pipeline is replaced by the quadratic surrogate task
-documented in DESIGN.md; the pruning policies and sparsity levels are the
-paper's (1:N:M, 64:N:M, 128:N:M and vw_8 at 2:8 and 2:16).  Claims checked:
+(README, "Reproduction ledger"); the pruning policies and sparsity levels
+are the paper's (1:N:M, 64:N:M, 128:N:M and vw_8 at 2:8 and 2:16).  Claims checked:
 
 * every policy stays within a few points of the dense score at 2:8, and
   degrades moderately (not collapses) at 2:16;

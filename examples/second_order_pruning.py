@@ -2,7 +2,8 @@
 """Second-order V:N:M pruning with the structure-decay scheduler (Section 6).
 
 Demonstrates the accuracy-side contribution of the paper on the synthetic
-fine-tuning surrogate (see DESIGN.md for the SQuAD substitution):
+fine-tuning surrogate (the README's "Reproduction ledger" describes the
+SQuAD substitution):
 
 * magnitude vs second-order (OBS) mask selection at the same V:N:M pattern,
 * the effect of the OBS weight-compensation update,

@@ -3,8 +3,8 @@
 
 This walks the serving subsystem end to end on the paper's flagship
 workload shape — the BERT-large FFN output projection
-(``hidden x intermediate`` = 1024 x 4096, see
-:mod:`repro.models.workloads`):
+(``hidden x intermediate`` = 1024 x 4096, from
+:data:`repro.models.config.BERT_LARGE`):
 
 1. prune the weight to V:N:M and wrap it as a dispatchable operand,
 2. let the kernel dispatcher rank the registered backends with the

@@ -5,11 +5,12 @@ The package is organised as the paper is:
 
 * :mod:`repro.hardware` — simulated GPU substrate (RTX 3090 with SPTCs).
 * :mod:`repro.formats` — sparse storage formats, including the V:N:M format.
-* :mod:`repro.pruning` — magnitude / structured / second-order pruning and
-  the energy metric.
+* :mod:`repro.pruning` — magnitude / N:M / vector-wise / V:N:M /
+  second-order pruning and the energy metric.
 * :mod:`repro.kernels` — Spatha and the baseline SpMM/GEMM libraries.
 * :mod:`repro.models` — transformer substrate (BERT / GPT-2 / GPT-3).
-* :mod:`repro.integration` — STen-style sparsifier/tensor integration.
+* :mod:`repro.integration` — the sparsifier and the pass that swaps an
+  encoder's dense projections for V:N:M ``SparseLinear`` layers.
 * :mod:`repro.evaluation` — the experiment harness behind every figure and
   table of the paper's evaluation.
 """

@@ -19,12 +19,9 @@ from .reporting import (
     format_table,
     is_monotonic_decreasing,
     is_monotonic_increasing,
-    rows_from_mapping,
-    save_csv,
-    save_json,
     within_factor,
 )
-from .sweeps import SweepPoint, dense_baseline, k_sweep, library_point, sparsity_sweep, spatha_point
+from .sweeps import SweepPoint, dense_baseline, library_point, spatha_point
 
 __all__ = [
     "FIGURE13_PATTERNS",
@@ -43,14 +40,9 @@ __all__ = [
     "format_table",
     "is_monotonic_decreasing",
     "is_monotonic_increasing",
-    "rows_from_mapping",
-    "save_csv",
-    "save_json",
     "within_factor",
     "SweepPoint",
     "dense_baseline",
-    "k_sweep",
     "library_point",
-    "sparsity_sweep",
     "spatha_point",
 ]

@@ -1,11 +1,12 @@
 """One entry point per figure/table of the paper's evaluation.
 
-Each function regenerates the data behind one figure or table (the mapping
-is recorded in DESIGN.md's experiment index) and returns plain data
-structures; the corresponding benchmark in ``benchmarks/`` runs the
-function, prints the table and asserts the qualitative shape the paper
-reports.  Keeping the logic here (rather than in the benchmarks) makes the
-experiments importable from the examples and the tests as well.
+Each function regenerates the data behind one figure or table (the
+README's "Reproduction ledger" maps each to its benchmark and substitution)
+and returns plain data structures; the corresponding benchmark in
+``benchmarks/`` runs the function, prints the table and asserts the
+qualitative shape the paper reports.  Keeping the logic here (rather than
+in the benchmarks) makes the experiments importable from the examples and
+the tests as well.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sweeps import dense_baseline, k_sweep, library_point, sparsity_sweep, spatha_point
+from .sweeps import dense_baseline, library_point, spatha_point
 from ..hardware.isa import SPARSE_MMA_SHAPES
 from ..hardware.spec import GPUSpec, rtx3090
 from ..kernels.common import GemmProblem
@@ -141,7 +142,8 @@ def figure11_energy(
     """Energy retained by each selection policy (paper Figure 11).
 
     By default runs on a synthesised 768x768 BERT-base query projection
-    (the trained checkpoint substitution documented in DESIGN.md).
+    (the trained checkpoint substitution in the README's "Reproduction
+    ledger").
     """
     if weight is None:
         weight = synthetic_bert_weight(seed=seed)
@@ -267,8 +269,8 @@ def table2_second_order_f1(
     """Second-order pruning accuracy comparison (paper Table 2).
 
     The SQuAD fine-tuning pipeline is replaced by the quadratic surrogate
-    task (see DESIGN.md); the comparison covers the same four policies:
-    plain 1:N:M, 64:N:M, 128:N:M and vector-wise vw_8.
+    task (README, "Reproduction ledger"); the comparison covers the same
+    four policies: plain 1:N:M, 64:N:M, 128:N:M and vector-wise vw_8.
     """
     task = QuadraticTask.create(rows=rows, cols=cols, num_grad_samples=num_grad_samples, seed=seed)
     grads = task.grads

@@ -1,18 +1,15 @@
-"""Result formatting and persistence for the experiment harness.
+"""Result formatting for the experiment harness.
 
 Every benchmark regenerates a figure or table of the paper; this module
 renders those results as aligned text tables (what the benchmark harness
-prints), converts them to flat row dictionaries (what the CSV/JSON dumps
-contain) and provides the qualitative shape checks (monotonicity, ordering,
+prints) and provides the qualitative shape checks (monotonicity, ordering,
 crossover) that the benchmarks assert — the reproduction's stand-in for
 "does the plot look like the paper's plot".
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Number = Union[int, float]
 
@@ -47,51 +44,6 @@ def _format_cell(value: object) -> str:
             return f"{value:.2f}"
         return f"{value:.4f}"
     return str(value)
-
-
-def rows_from_mapping(data: Mapping[object, Mapping[str, Number]], key_name: str = "key") -> List[Dict[str, object]]:
-    """Flatten ``{key: {column: value}}`` into a list of row dictionaries."""
-    rows = []
-    for key, columns in data.items():
-        row: Dict[str, object] = {key_name: key}
-        row.update(columns)
-        rows.append(row)
-    return rows
-
-
-def save_json(data: object, path: Union[str, Path]) -> Path:
-    """Persist a result structure as JSON (creating parent directories)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, default=_json_default))
-    return path
-
-
-def save_csv(rows: Sequence[Mapping[str, object]], path: Union[str, Path]) -> Path:
-    """Persist flat rows as CSV (header from the union of keys)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("")
-        return path
-    keys: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(str(row.get(k, "")) for k in keys))
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def _json_default(obj: object) -> object:
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
-    return str(obj)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Parameter-sweep helpers shared by the figure-level harnesses.
+"""Per-point helpers shared by the figure-level harnesses.
 
 The paper's evaluation is a collection of sweeps: over the inner dimension
 K (Figures 9 and 12), over sparsity levels (Figures 10, 11 and 13), over
-vector sizes V (Figure 10) and over sparsification plans (Figure 15).  The
-helpers here run those sweeps against the kernel models and return plain
-dictionaries/lists that the reporting layer turns into tables.
+vector sizes V (Figure 10) and over sparsification plans (Figure 15).  Each
+harness in :mod:`repro.evaluation.figures` walks its own grid; the helpers
+here measure one point of it against the kernel models and normalise it to
+the cuBLAS baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..hardware.spec import GPUSpec, rtx3090
 from ..kernels import clasp, cublas, cusparselt, sputnik
@@ -80,74 +81,3 @@ def library_point(problem: GemmProblem, library: str, dense: KernelResult,
         speedup_vs_dense=dense.time_us / result.time_us,
         tflops_dense_equivalent=result.tflops_dense_equivalent,
     )
-
-
-def k_sweep(
-    r: int,
-    c: int,
-    k_values: Sequence[int],
-    n: int,
-    m: int,
-    v: int,
-    libraries: Sequence[str] = ("spatha",),
-    gpu: Optional[GPUSpec] = None,
-    spatha: Optional[Spatha] = None,
-    spatha_config: Optional[KernelConfig] = None,
-) -> Dict[int, List[SweepPoint]]:
-    """Sweep the inner dimension K for a fixed R x C and V:N:M pattern."""
-    gpu = gpu or rtx3090()
-    spatha = spatha or Spatha(gpu=gpu)
-    out: Dict[int, List[SweepPoint]] = {}
-    for k in k_values:
-        problem = GemmProblem.from_nm(r=r, k=k, c=c, n=n, m=m, v=v)
-        dense = dense_baseline(problem, gpu=gpu)
-        points: List[SweepPoint] = []
-        for lib in libraries:
-            if lib == "spatha":
-                points.append(spatha_point(problem, spatha, dense, config=spatha_config))
-            else:
-                points.append(library_point(problem, lib, dense, gpu=gpu))
-        out[k] = points
-    return out
-
-
-def sparsity_sweep(
-    r: int,
-    k: int,
-    c: int,
-    patterns: Sequence[Tuple[int, int]],
-    v: int,
-    libraries: Sequence[str] = ("spatha",),
-    gpu: Optional[GPUSpec] = None,
-    spatha: Optional[Spatha] = None,
-    vw_length: int = 8,
-) -> Dict[float, List[SweepPoint]]:
-    """Sweep sparsity levels (given as N:M patterns) for a fixed GEMM size."""
-    gpu = gpu or rtx3090()
-    spatha = spatha or Spatha(gpu=gpu)
-    out: Dict[float, List[SweepPoint]] = {}
-    for n, m in patterns:
-        sparsity = 1.0 - n / m
-        problem = GemmProblem.from_nm(r=r, k=k, c=c, n=n, m=m, v=v)
-        dense = dense_baseline(problem, gpu=gpu)
-        points: List[SweepPoint] = []
-        for lib in libraries:
-            if lib == "spatha":
-                points.append(spatha_point(problem, spatha, dense))
-            elif lib == "cusparselt":
-                if (n, m) == (2, 4):
-                    points.append(library_point(problem, lib, dense, gpu=gpu))
-            else:
-                points.append(
-                    library_point(problem, lib, dense, gpu=gpu, vector_length=vw_length)
-                )
-        out[sparsity] = points
-    return out
-
-
-def best_point(points: List[SweepPoint], library: str) -> Optional[SweepPoint]:
-    """The sweep point of ``library`` in a result list (None if absent)."""
-    for p in points:
-        if p.library == library:
-            return p
-    return None

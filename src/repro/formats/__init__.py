@@ -28,7 +28,6 @@ from .cvse import CVSEMatrix
 from .metadata import (
     BITS_PER_INDEX,
     INDICES_PER_WORD,
-    indices_from_mask_groups,
     metadata_bytes,
     pack_indices,
     unpack_indices,
@@ -49,7 +48,6 @@ __all__ = [
     "CVSEMatrix",
     "BITS_PER_INDEX",
     "INDICES_PER_WORD",
-    "indices_from_mask_groups",
     "metadata_bytes",
     "pack_indices",
     "unpack_indices",

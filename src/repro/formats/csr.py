@@ -142,16 +142,3 @@ class CSRMatrix(SparseFormat):
         if mean == 0:
             return 1.0
         return float(lengths.max() / mean)
-
-    def row_slice(self, start: int, stop: int) -> "CSRMatrix":
-        """Return the CSR sub-matrix of rows ``[start, stop)``."""
-        rows = self.indptr.size - 1
-        if not (0 <= start <= stop <= rows):
-            raise IndexError(f"row slice [{start}, {stop}) out of range for {rows} rows")
-        lo, hi = self.indptr[start], self.indptr[stop]
-        return CSRMatrix(
-            data=self.data[lo:hi].copy(),
-            indices=self.indices[lo:hi].copy(),
-            indptr=(self.indptr[start : stop + 1] - lo).copy(),
-            ncols=self.ncols,
-        )

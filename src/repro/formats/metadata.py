@@ -77,33 +77,3 @@ def metadata_bytes(nnz: int) -> float:
     if nnz < 0:
         raise ValueError("nnz must be non-negative")
     return nnz * BITS_PER_INDEX / 8.0
-
-
-def indices_from_mask_groups(mask: np.ndarray, group_size: int, keep: int) -> np.ndarray:
-    """Derive per-group position indices from a boolean keep-mask.
-
-    ``mask`` has shape ``(rows, cols)`` with ``cols`` a multiple of
-    ``group_size``; each group of ``group_size`` consecutive columns must
-    contain exactly ``keep`` True entries.  Returns an integer array of
-    shape ``(rows, cols // group_size, keep)`` with the in-group positions
-    of the kept values, sorted ascending (the order the hardware stores
-    them).
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError("mask must be 2-D")
-    rows, cols = mask.shape
-    if cols % group_size != 0:
-        raise ValueError(f"columns ({cols}) must be a multiple of the group size ({group_size})")
-    grouped = mask.reshape(rows, cols // group_size, group_size)
-    counts = grouped.sum(axis=2)
-    if not np.all(counts == keep):
-        bad = np.argwhere(counts != keep)
-        r, g = bad[0]
-        raise ValueError(
-            f"group ({int(r)}, {int(g)}) keeps {int(counts[r, g])} values, expected exactly {keep}"
-        )
-    # argsort of ~mask puts True positions first, preserving ascending order
-    # among equal keys because argsort is stable with kind='stable'.
-    order = np.argsort(~grouped, axis=2, kind="stable")
-    return order[:, :, :keep].astype(np.uint8)

@@ -19,16 +19,14 @@ The compressed representation (Figure 3) consists of three arrays:
     block were kept by the vector-wise stage.
 
 ``VNMSparseMatrix`` performs bit-exact compression/decompression and exposes
-the derived quantities the kernels need (absolute column indices, a
-condensed ``R x K/M*4`` view of the selected columns, the Figure-7 storage
-order, footprints).
+the derived quantities the kernels need (a condensed ``R x K/M*4`` view of
+the selected columns, the Figure-7 storage order, footprints).
 
 The derived views (:meth:`to_condensed`, :meth:`selected_column_indices`,
-:meth:`absolute_column_indices`, :meth:`packed_metadata`) are memoized per
-instance: the compressed arrays never change after construction, so every
-caller — the Spatha execution plan, the tiled simulation, repeated layer
-forwards — pays the derivation once.  The returned arrays are shared and
-must be treated as read-only.
+:meth:`packed_metadata`) are memoized per instance: the compressed arrays
+never change after construction, so every caller — the Spatha execution
+plan, repeated layer forwards — pays the derivation once.  The returned
+arrays are shared and must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -275,27 +273,6 @@ class VNMSparseMatrix(SparseFormat):
     def logical_sparsity(self) -> float:
         """Sparsity implied by the N:M ratio (``1 - N/M``)."""
         return 1.0 - self.n / self.m
-
-    def absolute_column_indices(self) -> np.ndarray:
-        """Absolute column of every stored value, shape ``(R, K/M*N)``.
-
-        Memoized; treat the result as read-only.
-        """
-        cached = self._memo.get("absolute_column_indices")
-        if cached is not None:
-            return cached
-        rows = self.values.shape[0]
-        groups = self.groups_per_row
-        row_blocks = self.row_blocks
-        midx = self.m_indices.reshape(row_blocks, self.v, groups, self.n).astype(np.int64)
-        cloc = self.column_loc.reshape(row_blocks, groups, SELECTED_COLUMNS).astype(np.int64)
-        cloc_b = np.broadcast_to(cloc[:, None, :, :], (row_blocks, self.v, groups, SELECTED_COLUMNS))
-        abs_cols = np.take_along_axis(cloc_b, midx, axis=3)
-        base = (np.arange(groups, dtype=np.int64) * self.m)[None, None, :, None]
-        result = (abs_cols + base).reshape(rows, groups * self.n)
-        result.setflags(write=False)
-        self._memo["absolute_column_indices"] = result
-        return result
 
     def selected_column_indices(self) -> np.ndarray:
         """Absolute columns chosen by the vector-wise stage, ``(R/V, K/M*4)``.

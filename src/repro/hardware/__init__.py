@@ -13,14 +13,9 @@ model (:mod:`~repro.hardware.roofline`) and kernel trace records
 
 from .banks import ConflictReport, conflict_degree_for_layout, simulate_access
 from .isa import (
-    DENSE_MMA_SHAPES,
     SPARSE_MMA_SHAPES,
-    InstructionCost,
     MmaShape,
     default_sparse_shape,
-    find_shape,
-    instruction_cost,
-    native_nm,
     sparse_mma_shapes,
 )
 from .memory import (
@@ -29,7 +24,6 @@ from .memory import (
     TransactionModel,
     dtype_bytes,
     gmem_cycles,
-    l2_cycles,
     matrix_bytes,
     smem_cycles,
     transfer_cycles,
@@ -48,13 +42,11 @@ from .roofline import KernelCost, compute_cycles_cuda_core, compute_cycles_tenso
 from .spec import (
     NVLINK,
     PCIE4,
-    PRESETS,
     DeviceGroupSpec,
     GPUSpec,
     InterconnectSpec,
     MemorySpec,
     a100_sxm,
-    get_gpu,
     rtx3090,
 )
 from .trace import ExecutionTrace, KernelExecution
@@ -63,21 +55,15 @@ __all__ = [
     "ConflictReport",
     "conflict_degree_for_layout",
     "simulate_access",
-    "DENSE_MMA_SHAPES",
     "SPARSE_MMA_SHAPES",
-    "InstructionCost",
     "MmaShape",
     "default_sparse_shape",
-    "find_shape",
-    "instruction_cost",
-    "native_nm",
     "sparse_mma_shapes",
     "DTYPE_BYTES",
     "TrafficRecord",
     "TransactionModel",
     "dtype_bytes",
     "gmem_cycles",
-    "l2_cycles",
     "matrix_bytes",
     "smem_cycles",
     "transfer_cycles",
@@ -95,13 +81,11 @@ __all__ = [
     "roofline_cost",
     "NVLINK",
     "PCIE4",
-    "PRESETS",
     "DeviceGroupSpec",
     "GPUSpec",
     "InterconnectSpec",
     "MemorySpec",
     "a100_sxm",
-    "get_gpu",
     "rtx3090",
     "ExecutionTrace",
     "KernelExecution",

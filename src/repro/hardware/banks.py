@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
-import numpy as np
-
 #: Number of shared-memory banks on all NVIDIA architectures since Kepler.
 NUM_BANKS = 32
 #: Width of a bank in bytes.
@@ -219,23 +217,3 @@ def conflict_degree_for_layout(layout: str, access_bits: int = 128, bsc: int = 6
         )
         return simulate_access(addrs, access_bytes=access_bytes).conflict_factor
     raise ValueError(f"unknown layout {layout!r}")
-
-
-def analyse_address_matrix(addresses: np.ndarray, access_bytes: int = 4) -> ConflictReport:
-    """Simulate a sequence of warp accesses given a 2D address matrix.
-
-    ``addresses`` has shape ``(iterations, warp_size)``; each row is one
-    warp-wide access.  Returns the aggregate report over all iterations.
-    """
-    addresses = np.asarray(addresses)
-    if addresses.ndim != 2:
-        raise ValueError("addresses must be a 2D (iterations, threads) array")
-    phases = 0
-    serialized = 0
-    worst = 0
-    for row in addresses:
-        report = simulate_access([int(a) for a in row], access_bytes=access_bytes)
-        phases += report.phases
-        serialized += report.serialized_passes
-        worst = max(worst, report.worst_degree)
-    return ConflictReport(phases=phases, serialized_passes=serialized, worst_degree=worst)

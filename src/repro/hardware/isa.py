@@ -4,16 +4,9 @@ Sparse Tensor Cores are programmed through the PTX ``mma.sp`` instruction.
 Each precision supports a small set of instruction *shapes* ``m x n x k``
 where ``m`` and ``n`` are fixed (16 and 8) and ``k`` is the sparsified
 dimension.  The paper's Table 1 enumerates the supported shapes; this module
-encodes that table and the corresponding dense ``mma`` shapes, and exposes
-helpers to pick a shape for a kernel configuration and to reason about the
-fragment sizes each instruction consumes.
-
-These descriptions drive two things in the reproduction:
-
-* the instruction-tile decomposition of Spatha's warp tiles
-  (:mod:`repro.kernels.spatha.tiles`), and
-* the per-instruction cycle costs used by the performance model
-  (:mod:`repro.kernels.spatha.perf_model`).
+encodes that table and the native N:M pattern of each precision, and picks
+the instruction shape a Spatha kernel configuration
+(:mod:`repro.kernels.spatha.config`) decomposes its warp tiles into.
 """
 
 from __future__ import annotations
@@ -120,15 +113,6 @@ NATIVE_NM_PATTERN: Dict[str, Tuple[int, int]] = {
     "uint4": (2, 4),
 }
 
-#: Dense mma shapes relevant to the half-precision kernels in the paper.
-DENSE_MMA_SHAPES: Dict[str, List[MmaShape]] = {
-    "fp16": [
-        MmaShape(16, 8, 8, "fp16", sparse=False),
-        MmaShape(16, 8, 16, "fp16", sparse=False),
-    ],
-}
-
-
 def sparse_mma_shapes(precision: str = "fp16") -> List[MmaShape]:
     """Return the list of supported ``mma.sp`` shapes for a precision.
 
@@ -153,72 +137,3 @@ def default_sparse_shape(precision: str = "fp16") -> MmaShape:
     """
     shapes = sparse_mma_shapes(precision)
     return max(shapes, key=lambda s: s.k)
-
-
-def find_shape(name: str, precision: str = "fp16", sparse: bool = True) -> MmaShape:
-    """Find an instruction shape by mnemonic (e.g. ``"m16n8k32"``).
-
-    Parameters
-    ----------
-    name:
-        Mnemonic of the shape.
-    precision:
-        Element precision.
-    sparse:
-        Whether to search sparse (``mma.sp``) or dense (``mma``) shapes.
-    """
-    table = SPARSE_MMA_SHAPES if sparse else DENSE_MMA_SHAPES
-    for shape in table.get(precision.lower(), []):
-        if shape.name == name:
-            return shape
-    raise KeyError(f"shape {name!r} not available for precision {precision!r} (sparse={sparse})")
-
-
-def native_nm(precision: str = "fp16") -> Tuple[int, int]:
-    """Return the (N, M) pattern natively supported by SPTCs.
-
-    For half precision this is (2, 4): every group of four values keeps at
-    most two non-zeros.
-    """
-    key = precision.lower()
-    if key not in NATIVE_NM_PATTERN:
-        raise KeyError(f"precision {precision!r} has no native N:M support")
-    return NATIVE_NM_PATTERN[key]
-
-
-@dataclass(frozen=True)
-class InstructionCost:
-    """Issue cost of one tensor-core instruction on one SM sub-partition.
-
-    ``mma.sp`` on Ampere has the same issue latency as the dense ``mma`` of
-    half the k extent; this is how the 2x math speedup materialises.
-    """
-
-    shape: MmaShape
-    issue_cycles: float
-
-    @property
-    def flops_per_cycle(self) -> float:
-        """Effective FLOPs per cycle retired by one warp issuing this op."""
-        return self.shape.flops / self.issue_cycles
-
-
-def instruction_cost(shape: MmaShape) -> InstructionCost:
-    """Cycle cost of issuing one tensor-core instruction from a warp.
-
-    The model uses the published Ampere throughput of 256 dense FP16 FMA
-    (512 FLOP) per tensor core per cycle, i.e. a full ``m16n8k16`` dense mma
-    retires in ~4 cycles per warp and ``m16n8k32`` sparse in the same ~4
-    cycles (double effective math).
-    """
-    # One SM sub-partition has one TC; a warp's mma occupies it for
-    # shape.flops / (512 FLOP/cycle) cycles for dense math.  Sparse shapes
-    # move twice the logical FLOPs through the same unit time.
-    dense_flops_per_tc_cycle = 512.0
-    logical_flops = shape.flops
-    if shape.sparse:
-        effective = logical_flops / 2.0
-    else:
-        effective = float(logical_flops)
-    cycles = max(1.0, effective / dense_flops_per_tc_cycle)
-    return InstructionCost(shape=shape, issue_cycles=cycles)

@@ -202,17 +202,6 @@ def gmem_cycles(bytes_moved: float, gpu: GPUSpec, tx: TransactionModel | None = 
     )
 
 
-def l2_cycles(bytes_moved: float, gpu: GPUSpec) -> float:
-    """Cycles to move ``bytes_moved`` through the L2 cache."""
-    return transfer_cycles(
-        bytes_moved,
-        gpu.l2.bandwidth_gbps,
-        gpu,
-        efficiency=0.9,
-        latency_cycles=gpu.l2.latency_cycles,
-    )
-
-
 def smem_cycles(
     bytes_moved: float,
     gpu: GPUSpec,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -246,29 +245,3 @@ def a100_sxm() -> GPUSpec:
         max_threads_per_sm=2048,
         max_warps_per_sm=64,
     )
-
-
-#: Registry of named presets, keyed by a short identifier.
-PRESETS: Dict[str, GPUSpec] = {
-    "rtx3090": rtx3090(),
-    "a100": a100_sxm(),
-}
-
-
-def get_gpu(name: str = "rtx3090") -> GPUSpec:
-    """Look up a GPU preset by short name.
-
-    Parameters
-    ----------
-    name:
-        One of ``"rtx3090"`` (paper's testbed, default) or ``"a100"``.
-
-    Raises
-    ------
-    KeyError
-        If the name is not a known preset.
-    """
-    key = name.lower()
-    if key not in PRESETS:
-        raise KeyError(f"unknown GPU preset {name!r}; known: {sorted(PRESETS)}")
-    return PRESETS[key]

@@ -11,7 +11,7 @@ Figure 15.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 
 @dataclass(frozen=True)
@@ -112,24 +112,6 @@ class ExecutionTrace:
     def comm_time_us(self) -> float:
         """Total time spent in modelled inter-device communication."""
         return self.time_by_category()["comm"]
-
-    def filter(self, category: Optional[str] = None, kernel: Optional[str] = None) -> "ExecutionTrace":
-        """Return a sub-trace matching the given category and/or kernel."""
-        selected = [
-            e
-            for e in self.executions
-            if (category is None or e.category == category)
-            and (kernel is None or e.kernel == kernel)
-        ]
-        return ExecutionTrace(executions=selected)
-
-    def speedup_over(self, baseline: "ExecutionTrace") -> float:
-        """End-to-end speedup of this trace relative to ``baseline``."""
-        mine = self.total_time_us
-        theirs = baseline.total_time_us
-        if mine <= 0:
-            raise ValueError("cannot compute speedup of an empty/zero-time trace")
-        return theirs / mine
 
     def summary(self) -> Dict[str, object]:
         """Dictionary summary suitable for JSON/CSV emission."""

@@ -1,18 +1,17 @@
-"""``VNMTensor`` — the container STen dispatches Spatha SpMMs on.
+"""``VNMTensor`` — what :class:`~repro.integration.sparsifier.VNMSparsifier` returns.
 
 The paper's Listing 1 introduces a ``VNMTensor`` class "that serves as a
-container for tensors in the V:N:M format"; the ``Spmm`` module then reads
-its ``values``, ``columns`` and ``metadata`` attributes and hands them to
-``spatha.spmm``.  This class exposes exactly those attributes on top of the
-reproduction's :class:`~repro.formats.vnm.VNMSparseMatrix`.
+container for tensors in the V:N:M format".  Here it pairs the compressed
+:class:`~repro.formats.vnm.VNMSparseMatrix` with the weight's logical shape,
+which :func:`~repro.integration.linear.sparsify_encoder` reads to build a
+:class:`~repro.models.layers.SparseLinear` that crops the sparsifier's
+divisibility padding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 from ..formats.vnm import VNMSparseMatrix
 
@@ -40,62 +39,3 @@ class VNMTensor:
         pr, pc = self.matrix.shape
         if r > pr or c > pc:
             raise ValueError("original shape cannot exceed the compressed (padded) shape")
-
-    # ------------------------------------------------------------------
-    # Attributes named as in the paper's Listing 1
-    # ------------------------------------------------------------------
-    @property
-    def values(self) -> np.ndarray:
-        """Non-zero values array (R x K/M*N)."""
-        return self.matrix.values
-
-    @property
-    def columns(self) -> np.ndarray:
-        """The column-loc structure (R/V x K/M*4)."""
-        return self.matrix.column_loc
-
-    @property
-    def metadata(self) -> np.ndarray:
-        """The 2-bit m-indices."""
-        return self.matrix.m_indices
-
-    # ------------------------------------------------------------------
-    # Tensor-like interface
-    # ------------------------------------------------------------------
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Logical (unpadded) shape."""
-        return self.original_shape
-
-    @property
-    def padded_shape(self) -> Tuple[int, int]:
-        """Shape after the sparsifier's divisibility padding."""
-        return self.matrix.shape
-
-    @property
-    def v(self) -> int:
-        return self.matrix.v
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    @property
-    def m(self) -> int:
-        return self.matrix.m
-
-    @property
-    def sparsity(self) -> float:
-        """Logical sparsity of the pattern (1 - N/M)."""
-        return self.matrix.logical_sparsity
-
-    def to_dense(self) -> np.ndarray:
-        """Densify and crop away the sparsifier's padding."""
-        dense = self.matrix.to_dense()
-        r, c = self.original_shape
-        return dense[:r, :c]
-
-    def density(self) -> float:
-        """Stored non-zeros over the logical (unpadded) element count."""
-        r, c = self.original_shape
-        return float(np.count_nonzero(self.to_dense())) / (r * c)

@@ -141,23 +141,3 @@ def estimate_time(
         cost=cost,
         details={"vector_length": config.vector_length, "stored": stored},
     )
-
-
-def run(
-    a_sparse: CVSEMatrix,
-    b: np.ndarray,
-    gpu: Optional[GPUSpec] = None,
-    config: Optional[ClaspConfig] = None,
-    name: str = "",
-) -> KernelResult:
-    """Functional + performance result for concrete CVSE operands."""
-    b = np.asarray(b)
-    r, k = a_sparse.shape
-    sparsity = 1.0 - a_sparse.nnz / float(r * k)
-    config = config or ClaspConfig(vector_length=a_sparse.l)
-    problem = GemmProblem(r=r, k=k, c=b.shape[1], sparsity=sparsity, name=name)
-    result = estimate_time(
-        problem, gpu=gpu, config=config, load_imbalance=max(1.0, a_sparse.load_imbalance())
-    )
-    result.output = spmm(a_sparse, b)
-    return result

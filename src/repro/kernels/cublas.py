@@ -131,19 +131,3 @@ def _estimate_with_config(problem: GemmProblem, gpu: GPUSpec, config: CublasConf
         cost=cost,
         details={"tile": (config.tile_r, config.tile_c), "blocks": total_blocks},
     )
-
-
-def run(
-    a: np.ndarray,
-    b: np.ndarray,
-    gpu: Optional[GPUSpec] = None,
-    config: Optional[CublasConfig] = None,
-    name: str = "",
-) -> KernelResult:
-    """Functional + performance result for concrete operands."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    problem = GemmProblem(r=a.shape[0], k=a.shape[1], c=b.shape[1], sparsity=0.0, name=name)
-    result = estimate_time(problem, gpu=gpu, config=config)
-    result.output = gemm(a, b)
-    return result

@@ -213,23 +213,3 @@ def estimate_time(
         cost=cost,
         details={"block_size": config.block_size, "padding_fraction": padding_fraction},
     )
-
-
-def run(
-    a_sparse: BlockedEllMatrix,
-    b: np.ndarray,
-    gpu: Optional[GPUSpec] = None,
-    config: Optional[CusparseBlockedEllConfig] = None,
-    name: str = "",
-) -> KernelResult:
-    """Functional + performance result for concrete Blocked-ELL operands."""
-    b = np.asarray(b)
-    r, k = a_sparse.shape
-    sparsity = 1.0 - np.count_nonzero(a_sparse.to_dense()) / float(r * k)
-    config = config or CusparseBlockedEllConfig(block_size=a_sparse.b)
-    problem = GemmProblem(r=r, k=k, c=b.shape[1], sparsity=sparsity, name=name)
-    result = estimate_time(
-        problem, gpu=gpu, config=config, padding_fraction=a_sparse.padding_fraction()
-    )
-    result.output = spmm(a_sparse, b)
-    return result

@@ -157,20 +157,3 @@ def estimate_time(
         cost=cost,
         details={"tile": (config.tile_r, config.tile_c), "blocks": total_blocks},
     )
-
-
-def run(
-    a_sparse: NMSparseMatrix,
-    b: np.ndarray,
-    gpu: Optional[GPUSpec] = None,
-    config: Optional[CusparseLtConfig] = None,
-    name: str = "",
-) -> KernelResult:
-    """Functional + performance result for concrete 2:4 operands."""
-    b = np.asarray(b)
-    problem = GemmProblem.from_nm(
-        r=a_sparse.shape[0], k=a_sparse.shape[1], c=b.shape[1], n=a_sparse.n, m=a_sparse.m, name=name
-    )
-    result = estimate_time(problem, gpu=gpu, config=config)
-    result.output = spmm(a_sparse, b)
-    return result

@@ -6,7 +6,7 @@ from .perf_model import SPATHA_COMPUTE_EFFICIENCY, estimate_time, speedup_vs_den
 from .plan import SpmmPlan
 from .spmm import spmm, spmm_dense_baseline, spmm_loop_reference, spmm_reference
 from .stages import StageBreakdown, compute_stage_breakdown
-from .tiles import TileCounts, compute_tile_counts, condensed_k, iterate_output_tiles, iterate_warp_tiles, simulate_tiled_spmm
+from .tiles import TileCounts, compute_tile_counts, condensed_k
 from .tuner import SpathaTuner, TuningRecord
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
     "UnsupportedTilingError",
     "compute_tile_counts",
     "condensed_k",
-    "iterate_output_tiles",
-    "iterate_warp_tiles",
-    "simulate_tiled_spmm",
     "SpathaTuner",
     "TuningRecord",
 ]

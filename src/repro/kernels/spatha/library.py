@@ -1,8 +1,8 @@
 """Spatha library facade.
 
 This module is the public face of the reproduction's Spatha: the handful of
-calls a downstream user needs — compress a pruned matrix into V:N:M, run
-the SpMM, and ask for the modelled execution time — without touching the
+calls a downstream user needs — run the SpMM on a V:N:M operand and ask
+for the modelled execution time — without touching the
 tile/stage machinery underneath.  It mirrors the surface the real library
 exposes through its PyTorch/STen integration (``spatha.vnm_sparsifier`` and
 ``spatha.spmm`` in the paper's Listing 1).
@@ -17,14 +17,10 @@ import numpy as np
 
 from .config import KernelConfig, default_config
 from .perf_model import estimate_time as _estimate_time
-from .plan import SpmmPlan
 from .spmm import spmm as _spmm
-from .spmm import spmm_reference
 from .tuner import SpathaTuner
 from ..common import GemmProblem, KernelResult
 from ...formats.vnm import VNMSparseMatrix
-from ...pruning.vnm import vnm_mask
-from ...pruning.masks import apply_mask
 from ...hardware.spec import GPUSpec, rtx3090
 
 
@@ -38,9 +34,9 @@ class Spatha:
         Hardware description used by the performance model (defaults to the
         paper's RTX 3090).
     autotune:
-        When True (default) :meth:`estimate` and :meth:`run` pick the best
-        template instantiation per problem; otherwise the default
-        configuration for the problem's V is used.
+        When True (default) :meth:`estimate` picks the best template
+        instantiation per problem; otherwise the default configuration for
+        the problem's V is used.
     """
 
     gpu: GPUSpec = None  # type: ignore[assignment]
@@ -51,23 +47,6 @@ class Spatha:
             self.gpu = rtx3090()
         self._tuner = SpathaTuner(gpu=self.gpu)
 
-    # ------------------------------------------------------------------
-    # Format helpers
-    # ------------------------------------------------------------------
-    def compress(self, dense: np.ndarray, v: int, n: int, m: int, prune: bool = True) -> VNMSparseMatrix:
-        """Compress a dense matrix into V:N:M, optionally pruning it first.
-
-        With ``prune=True`` (default) magnitude V:N:M pruning is applied;
-        with ``prune=False`` the matrix must already obey the pattern.
-        """
-        if prune:
-            pruned = apply_mask(np.asarray(dense, dtype=np.float64), vnm_mask(dense, v=v, n=n, m=m))
-            return VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m, strict=True)
-        return VNMSparseMatrix.from_dense(dense, v=v, n=n, m=m, strict=True)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def spmm(
         self,
         a: VNMSparseMatrix,
@@ -82,32 +61,6 @@ class Spatha:
         """
         return _spmm(a, b, bias=bias, config=config)
 
-    def plan(self, a: VNMSparseMatrix, config: Optional[KernelConfig] = None) -> SpmmPlan:
-        """The (memoized) batched execution plan for ``a``.
-
-        Building the plan ahead of time — e.g. for every sparse layer of a
-        model before serving — moves all operand preparation out of the
-        first forward pass.
-        """
-        return SpmmPlan.for_matrix(a, config=config)
-
-    def run(
-        self,
-        a: VNMSparseMatrix,
-        b: np.ndarray,
-        bias: Optional[np.ndarray] = None,
-        config: Optional[KernelConfig] = None,
-        name: str = "",
-    ) -> KernelResult:
-        """Functional + performance result for concrete operands."""
-        b = np.asarray(b)
-        problem = GemmProblem.from_nm(
-            r=a.shape[0], k=a.shape[1], c=b.shape[1], n=a.n, m=a.m, v=a.v, name=name
-        )
-        result = self.estimate(problem, config=config)
-        result.output = self.spmm(a, b, bias=bias, config=config)
-        return result
-
     def estimate(self, problem: GemmProblem, config: Optional[KernelConfig] = None) -> KernelResult:
         """Modelled execution time for a problem description."""
         if config is not None:
@@ -115,17 +68,3 @@ class Spatha:
         if self.autotune:
             return self._tuner.best_result(problem)
         return _estimate_time(problem, config=default_config(problem.v or 128), gpu=self.gpu)
-
-    def best_config(self, problem: GemmProblem) -> KernelConfig:
-        """The tuned template instantiation for ``problem``."""
-        return self._tuner.best_config(problem)
-
-    # ------------------------------------------------------------------
-    # Verification helper
-    # ------------------------------------------------------------------
-    @staticmethod
-    def verify(a: VNMSparseMatrix, b: np.ndarray, atol: float = 5e-2, rtol: float = 5e-3) -> bool:
-        """Check the fast SpMM path against the dense reference."""
-        fast = _spmm(a, b)
-        ref = spmm_reference(a, b)
-        return bool(np.allclose(fast, ref, atol=atol, rtol=rtol))

@@ -14,8 +14,7 @@ Three execution paths are provided:
   operand produces the block's output rows.  The plan's ``gather`` strategy
   is bit-identical to this path; tests assert the equivalence.
 * :func:`spmm_reference` — the semantic reference: decompress to dense and
-  multiply.  Tests assert all paths (and the tiled simulation in
-  :mod:`repro.kernels.spatha.tiles`) agree to fp16 accumulation tolerance.
+  multiply.  Tests assert all paths agree to fp16 accumulation tolerance.
 
 All paths use fp16 operand rounding with fp32 accumulation, matching
 tensor-core numerics.

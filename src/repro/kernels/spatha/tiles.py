@@ -9,24 +9,15 @@ The kernel decomposes an ``R x K x C`` problem into three nested levels:
   ``MMA_k`` condensed columns per ``mma.sp`` issue.
 
 This module computes the tiling arithmetic (grid size, warps per block,
-instruction counts, k-step counts) used by the performance model, and
-provides :func:`iterate_output_tiles` / :func:`simulate_tiled_spmm`, a
-functional execution that walks the exact tile hierarchy — used by the
-tests to show the decomposition covers every output element exactly once
-and reproduces the reference result.
+instruction counts, k-step counts) used by the performance model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
-
-import numpy as np
-
 from .config import KernelConfig, UnsupportedTilingError
-from ...formats.base import quantize_fp16
-from ...formats.vnm import SELECTED_COLUMNS, VNMSparseMatrix
+from ...formats.vnm import SELECTED_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -95,61 +86,3 @@ def compute_tile_counts(r: int, k: int, c: int, m: int, config: KernelConfig) ->
         mma_per_warp_per_kstep=mma_per_warp_per_kstep,
         total_mma_instructions=total_mma,
     )
-
-
-def iterate_output_tiles(r: int, c: int, config: KernelConfig) -> Iterator[Tuple[slice, slice]]:
-    """Yield the (row-slice, col-slice) of every thread-block output tile."""
-    if r % config.bs_r:
-        raise ValueError(f"R ({r}) must be divisible by BSr ({config.bs_r})")
-    for br in range(0, r, config.bs_r):
-        for bc in range(0, c, config.bs_c):
-            yield slice(br, br + config.bs_r), slice(bc, min(bc + config.bs_c, c))
-
-
-def iterate_warp_tiles(block_rows: slice, block_cols: slice, config: KernelConfig) -> Iterator[Tuple[slice, slice]]:
-    """Yield the (row-slice, col-slice) of every warp tile inside a block tile."""
-    r0, r1 = block_rows.start, block_rows.stop
-    c0, c1 = block_cols.start, block_cols.stop
-    for wr in range(r0, r1, config.ws_r):
-        for wc in range(c0, c1, config.ws_c):
-            yield slice(wr, min(wr + config.ws_r, r1)), slice(wc, min(wc + config.ws_c, c1))
-
-
-def simulate_tiled_spmm(a: VNMSparseMatrix, b: np.ndarray, config: KernelConfig) -> np.ndarray:
-    """Execute the SpMM by walking the exact tile hierarchy of the kernel.
-
-    For each thread-block tile the condensed A operand and the column-loc
-    selected B rows are gathered (stage 1), warp tiles accumulate their
-    partial products over k-steps of ``bs_k`` condensed columns (stage 2),
-    and the block writes its output tile (stage 3).  Numerically equivalent
-    to the fast path in :mod:`repro.kernels.spatha.spmm`; intended for
-    validation on small problems, not for speed.
-    """
-    b = np.asarray(b, dtype=np.float32)
-    r, k = a.shape
-    if b.shape[0] != k:
-        raise ValueError(f"B must have shape ({k}, C), got {b.shape}")
-    if config.bs_r != a.v:
-        raise ValueError(f"BSr ({config.bs_r}) must equal the format's V ({a.v})")
-    c = b.shape[1]
-    out = np.zeros((r, c), dtype=np.float32)
-
-    cond = a.to_condensed()  # (R, K/M*4), fp32
-    cond = quantize_fp16(cond)
-    sel_cols = a.selected_column_indices()  # (R/V, K/M*4) absolute B rows
-    b16 = quantize_fp16(b)
-    kc = cond.shape[1]
-
-    for rows, cols in iterate_output_tiles(r, c, config):
-        row_block = rows.start // a.v
-        b_sel = b16[sel_cols[row_block], cols]  # (K/M*4, tile_c) stage-1 gather
-        a_tile = cond[rows]  # (BSr, K/M*4)
-        for wrows, wcols in iterate_warp_tiles(rows, cols, config):
-            acc = np.zeros((wrows.stop - wrows.start, wcols.stop - wcols.start), dtype=np.float32)
-            for k0 in range(0, kc, config.bs_k):
-                k1 = min(k0 + config.bs_k, kc)
-                a_frag = a_tile[wrows.start - rows.start : wrows.stop - rows.start, k0:k1]
-                b_frag = b_sel[k0:k1, wcols.start - cols.start : wcols.stop - cols.start]
-                acc += a_frag @ b_frag
-            out[wrows, wcols] = acc
-    return out

@@ -176,22 +176,3 @@ def estimate_time(
         cost=cost,
         details={"nnz": nnz, "load_imbalance": load_imbalance},
     )
-
-
-def run(
-    a_sparse: CSRMatrix,
-    b: np.ndarray,
-    gpu: Optional[GPUSpec] = None,
-    config: Optional[SputnikConfig] = None,
-    name: str = "",
-) -> KernelResult:
-    """Functional + performance result for concrete CSR operands."""
-    b = np.asarray(b)
-    r, k = a_sparse.shape
-    sparsity = 1.0 - a_sparse.nnz / float(r * k)
-    problem = GemmProblem(r=r, k=k, c=b.shape[1], sparsity=sparsity, name=name)
-    result = estimate_time(
-        problem, gpu=gpu, config=config, load_imbalance=max(1.0, a_sparse.load_imbalance())
-    )
-    result.output = spmm(a_sparse, b)
-    return result

@@ -129,23 +129,6 @@ GPT3_175B = ModelConfig(
     approx_params="175B",
 )
 
-#: Registry of presets keyed by short name.
-MODEL_PRESETS: Dict[str, ModelConfig] = {
-    "bert-base": BERT_BASE,
-    "bert-large": BERT_LARGE,
-    "gpt2-large": GPT2_LARGE,
-    "gpt3-175b": GPT3_175B,
-}
-
-
-def get_model(name: str) -> ModelConfig:
-    """Look up a model preset by name (case-insensitive)."""
-    key = name.lower()
-    if key not in MODEL_PRESETS:
-        raise KeyError(f"unknown model {name!r}; known: {sorted(MODEL_PRESETS)}")
-    return MODEL_PRESETS[key]
-
-
 def tiny_config(hidden_size: int = 64, num_layers: int = 2, num_heads: int = 4,
                 intermediate_size: int = 128, max_seq_len: int = 32) -> ModelConfig:
     """A miniature configuration for functional tests and the quickstart."""

@@ -492,10 +492,3 @@ def placement_comm_events(placement: Placement) -> Tuple[CommEvent, ...]:
                 )
             )
     return tuple(events)
-
-
-def placement_comm_time_us(
-    placement: Placement, tokens: int, link: InterconnectSpec = NVLINK
-) -> float:
-    """Total modelled communication time of one forward over ``tokens``."""
-    return sum(e.time_us(tokens, link) for e in placement_comm_events(placement))

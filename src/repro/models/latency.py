@@ -197,18 +197,3 @@ def model_inference_trace(
 def latency_breakdown_ms(trace: ExecutionTrace) -> Dict[str, float]:
     """Per-category latency of a trace in milliseconds (Figure 15's bars)."""
     return {category: time_us / 1e3 for category, time_us in trace.time_by_category().items()}
-
-
-def gemm_time_reduction(dense_trace: ExecutionTrace, sparse_trace: ExecutionTrace) -> float:
-    """Factor by which sparsification reduced the GEMM time (paper: up to 11x)."""
-    sparse_gemm = sparse_trace.gemm_time_us()
-    if sparse_gemm <= 0:
-        raise ValueError("sparse trace has no GEMM time")
-    return dense_trace.gemm_time_us() / sparse_gemm
-
-
-def end_to_end_speedup(dense_trace: ExecutionTrace, sparse_trace: ExecutionTrace) -> float:
-    """Total-latency speedup of the sparse model over the dense one."""
-    if sparse_trace.total_time_us <= 0:
-        raise ValueError("sparse trace has zero total time")
-    return dense_trace.total_time_us / sparse_trace.total_time_us

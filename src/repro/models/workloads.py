@@ -1,4 +1,4 @@
-"""Benchmark workload generation: matrices "extracted from real-world LLMs".
+"""Benchmark workloads: matrices "extracted from real-world LLMs".
 
 The micro-benchmarks of the paper (Figures 9, 10, 12 and 13) run on weight
 matrices whose outer dimensions come from BERT linear layers — e.g. the
@@ -6,77 +6,23 @@ matrices whose outer dimensions come from BERT linear layers — e.g. the
 weight with a variable (scaled) inner dimension — while the energy study
 (Figure 11) uses the ``768 x 768`` query projection of BERT-base's encoder
 layer 8.  Since trained checkpoints are not available offline, this module
-synthesises weight matrices with the right shapes and trained-like
-statistics (see :func:`repro.pruning.second_order.proxy.synthesize_trained_layer`)
-and exposes the named K-sweeps the figures iterate over.
+synthesises that weight with trained-like statistics (see
+:func:`repro.pruning.second_order.proxy.synthesize_trained_layer`) and
+names the K sweep the figures iterate over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .config import BERT_BASE, BERT_LARGE, GPT3_175B, ModelConfig
-from ..kernels.common import GemmProblem
+from .config import BERT_BASE, ModelConfig
 from ..pruning.second_order.proxy import synthesize_trained_layer
 
 
 #: Inner-dimension (K) sweep of Figures 9 and 12: 768 .. 12288 in steps of 768.
 K_SWEEP: Tuple[int, ...] = tuple(768 * i for i in range(1, 17))
-
-#: Sparsity levels (and their 2:M patterns) of Figure 13.
-FIGURE13_SPARSITIES: Tuple[Tuple[float, int, int], ...] = (
-    (0.50, 2, 4),
-    (0.70, 2, 7),
-    (0.75, 2, 8),
-    (0.80, 2, 10),
-    (0.90, 2, 20),
-    (0.95, 2, 40),
-    (0.98, 2, 100),
-)
-
-
-@dataclass(frozen=True)
-class Workload:
-    """One benchmark GEMM together with its provenance."""
-
-    problem: GemmProblem
-    description: str
-
-
-def bert_base_gemm(k: int, batch_tokens: int = 4096) -> GemmProblem:
-    """BERT-base-shaped GEMM of Figure 12a: ``768 x K x 4096``."""
-    return GemmProblem(r=BERT_BASE.hidden_size, k=k, c=batch_tokens, name=f"bert-base-768xKx{batch_tokens}")
-
-
-def bert_large_gemm(k: int, batch_tokens: int = 4096) -> GemmProblem:
-    """BERT-large-shaped GEMM of Figures 9/10/12b: ``1024 x K x 4096``."""
-    return GemmProblem(r=BERT_LARGE.hidden_size, k=k, c=batch_tokens, name=f"bert-large-1024xKx{batch_tokens}")
-
-
-def gpt3_gemm(batch_tokens: int = 4096) -> GemmProblem:
-    """The GPT-3 FFN-sized matrix of the Figure 10 follow-up (36864 x 12288 x 4096)."""
-    return GemmProblem(r=3 * GPT3_175B.hidden_size, k=GPT3_175B.hidden_size, c=batch_tokens, name="gpt3-ffn")
-
-
-def k_sweep_problems(model: str = "bert-large", batch_tokens: int = 4096) -> Iterator[GemmProblem]:
-    """The K sweep of Figures 9/12 for the given model family."""
-    maker = bert_large_gemm if model == "bert-large" else bert_base_gemm
-    for k in K_SWEEP:
-        yield maker(k, batch_tokens)
-
-
-def bert_layer_problems(config: ModelConfig, batch_size: int, seq_len: int = 512) -> List[Workload]:
-    """The weight GEMMs of one encoder block (the Figure 13 workloads)."""
-    workloads = []
-    for gemm in config.gemm_problems(batch_size, seq_len):
-        problem = GemmProblem(r=gemm["r"], k=gemm["k"], c=gemm["c"], name=gemm["name"])
-        workloads.append(
-            Workload(problem=problem, description=f"{config.name} {gemm['name']} bs={batch_size}")
-        )
-    return workloads
 
 
 def synthetic_bert_weight(
@@ -88,7 +34,7 @@ def synthetic_bert_weight(
 
     The paper uses BERT-base's layer-8 query projection (768 x 768); the
     substitution generates a matrix of the same shape with transformer-like
-    magnitude statistics (documented in DESIGN.md).
+    magnitude statistics (README, "Reproduction ledger").
     """
     shapes = config.linear_layer_shapes()
     key = None
@@ -100,10 +46,3 @@ def synthetic_bert_weight(
         key = "attention.query"
     rows, cols = shapes[key]
     return synthesize_trained_layer(rows=rows, cols=cols, seed=seed)
-
-
-def divisible_k(k: int, m: int) -> int:
-    """Round ``k`` up to the next multiple of ``m`` (format padding)."""
-    if k <= 0 or m <= 0:
-        raise ValueError("k and m must be positive")
-    return ((k + m - 1) // m) * m

@@ -2,9 +2,8 @@
 
 Every selection policy the paper compares is implemented here:
 
-* unstructured magnitude pruning and GMP (:mod:`~repro.pruning.magnitude`),
+* unstructured magnitude pruning (:mod:`~repro.pruning.magnitude`),
 * vector-wise (column-vector) pruning (:mod:`~repro.pruning.vector_wise`),
-* block-wise pruning (:mod:`~repro.pruning.block_wise`),
 * row-wise N:M magnitude pruning (:mod:`~repro.pruning.nm`),
 * the paper's V:N:M two-stage magnitude pruning (:mod:`~repro.pruning.vnm`),
 * the second-order (OBS/Fisher) pruner with the structure-decay scheduler
@@ -12,24 +11,14 @@ Every selection policy the paper compares is implemented here:
 * the energy evaluation metric of Section 5 (:mod:`~repro.pruning.energy`).
 """
 
-from .block_wise import block_scores, block_wise_mask, block_wise_prune
-from .first_order import (
-    first_order_mask,
-    first_order_nm_mask,
-    first_order_prune,
-    first_order_vnm_mask,
-    movement_scores,
-    platon_scores,
-)
 from .energy import (
-    check_energy_ordering,
     energy_metric,
     energy_study,
     ideal_energy,
     vector_wise_energy,
     vnm_energy,
 )
-from .magnitude import gmp_prune, gmp_schedule, magnitude_mask, magnitude_prune
+from .magnitude import magnitude_mask
 from .masks import (
     PruningResult,
     apply_mask,
@@ -39,30 +28,17 @@ from .masks import (
     mask_sparsity,
     validate_weight_matrix,
 )
-from .nm import nm_mask, nm_pattern_for_sparsity, nm_prune
-from .vector_wise import columns_per_row_block, vector_scores, vector_wise_mask, vector_wise_prune
+from .nm import nm_mask, nm_pattern_for_sparsity
+from .vector_wise import vector_scores, vector_wise_mask
 from .vnm import pad_to_vnm_shape, select_block_columns, vnm_mask, vnm_prune, vnm_sparsity
 
 __all__ = [
-    "block_scores",
-    "block_wise_mask",
-    "block_wise_prune",
-    "first_order_mask",
-    "first_order_nm_mask",
-    "first_order_prune",
-    "first_order_vnm_mask",
-    "movement_scores",
-    "platon_scores",
-    "check_energy_ordering",
     "energy_metric",
     "energy_study",
     "ideal_energy",
     "vector_wise_energy",
     "vnm_energy",
-    "gmp_prune",
-    "gmp_schedule",
     "magnitude_mask",
-    "magnitude_prune",
     "PruningResult",
     "apply_mask",
     "check_mask_nm",
@@ -72,11 +48,8 @@ __all__ = [
     "validate_weight_matrix",
     "nm_mask",
     "nm_pattern_for_sparsity",
-    "nm_prune",
-    "columns_per_row_block",
     "vector_scores",
     "vector_wise_mask",
-    "vector_wise_prune",
     "pad_to_vnm_shape",
     "select_block_columns",
     "vnm_mask",

@@ -103,19 +103,3 @@ def energy_study(
         for l in vw_lengths:
             results[f"vw_{l}"].append(vector_wise_energy(w, s, l=l))
     return results
-
-
-def check_energy_ordering(study: Dict[str, List[float]], atol: float = 1e-9) -> bool:
-    """Sanity check used by tests: ideal dominates every structured policy."""
-    ideal = study.get("ideal")
-    if ideal is None:
-        raise KeyError("study must contain an 'ideal' series")
-    for label, series in study.items():
-        if label == "ideal":
-            continue
-        if len(series) != len(ideal):
-            raise ValueError(f"series {label!r} has a different length than 'ideal'")
-        for e_struct, e_ideal in zip(series, ideal):
-            if e_struct > e_ideal + atol:
-                return False
-    return True

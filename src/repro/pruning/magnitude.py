@@ -1,25 +1,17 @@
-"""Unstructured magnitude pruning and gradual magnitude pruning (GMP).
+"""Unstructured magnitude pruning.
 
 Magnitude pruning removes the weights with the smallest absolute values.
 The unstructured variant imposes no constraint on where the survivors live
 and therefore serves as the "ideal" selection policy in the paper's energy
 study (Figure 11): any structured format can at best match its retained
 energy at a given sparsity.
-
-Gradual magnitude pruning (GMP, Gale et al. 2019 / Kurtic & Alistarh 2022)
-raises the sparsity over a number of steps following a cubic schedule; the
-reproduction includes it both because the paper's background discusses it
-and because the structure-decay scheduler of Section 6.1.1 is its V:N:M
-analogue.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from .masks import PruningResult, apply_mask, validate_weight_matrix
+from .masks import validate_weight_matrix
 
 
 def magnitude_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
@@ -43,65 +35,3 @@ def magnitude_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
     mask = np.ones(w.size, dtype=bool)
     mask[prune_idx] = False
     return mask.reshape(w.shape)
-
-
-def magnitude_prune(weights: np.ndarray, sparsity: float) -> PruningResult:
-    """Apply unstructured magnitude pruning and return the result."""
-    mask = magnitude_mask(weights, sparsity)
-    return PruningResult(mask=mask, pruned_weights=apply_mask(weights, mask), target_sparsity=sparsity)
-
-
-def gmp_schedule(
-    target_sparsity: float,
-    num_steps: int,
-    initial_sparsity: float = 0.0,
-    exponent: float = 3.0,
-) -> List[float]:
-    """Cubic sparsity schedule used by gradual magnitude pruning.
-
-    Step ``t`` (1-based, out of ``num_steps``) prunes to
-
-    ``s_t = s_f + (s_i - s_f) * (1 - t / num_steps) ** exponent``
-
-    so the sparsity ramps quickly at first and flattens near the target,
-    which empirically gives fine-tuning time to recover accuracy.
-    """
-    if not 0.0 <= initial_sparsity <= target_sparsity <= 1.0:
-        raise ValueError("need 0 <= initial_sparsity <= target_sparsity <= 1")
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    schedule = []
-    for t in range(1, num_steps + 1):
-        frac = 1.0 - t / num_steps
-        s_t = target_sparsity + (initial_sparsity - target_sparsity) * frac**exponent
-        schedule.append(float(s_t))
-    return schedule
-
-
-def gmp_prune(
-    weights: np.ndarray,
-    target_sparsity: float,
-    num_steps: int = 10,
-    initial_sparsity: float = 0.0,
-) -> List[PruningResult]:
-    """Run gradual magnitude pruning, returning the result of every step.
-
-    The mask is monotone: a weight pruned at step ``t`` stays pruned at all
-    later steps (as in practical GMP implementations where pruned weights
-    are frozen at zero).
-    """
-    w = validate_weight_matrix(weights)
-    schedule = gmp_schedule(target_sparsity, num_steps, initial_sparsity)
-    results: List[PruningResult] = []
-    current = w.copy()
-    cumulative_mask = np.ones(w.shape, dtype=bool)
-    for s in schedule:
-        step_mask = magnitude_mask(current, s)
-        cumulative_mask &= step_mask
-        current = apply_mask(w, cumulative_mask)
-        results.append(
-            PruningResult(mask=cumulative_mask.copy(), pruned_weights=current.copy(), target_sparsity=s)
-        )
-    return results

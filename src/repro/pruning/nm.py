@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .masks import PruningResult, apply_mask, validate_weight_matrix
+from .masks import validate_weight_matrix
 
 
 def nm_mask(weights: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
@@ -32,16 +32,6 @@ def nm_mask(weights: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
     mask = np.zeros_like(groups, dtype=bool)
     np.put_along_axis(mask, keep_pos, True, axis=2)
     return mask.reshape(rows, cols)
-
-
-def nm_prune(weights: np.ndarray, n: int = 2, m: int = 4) -> PruningResult:
-    """Apply N:M magnitude pruning and return the result."""
-    mask = nm_mask(weights, n=n, m=m)
-    return PruningResult(
-        mask=mask,
-        pruned_weights=apply_mask(weights, mask),
-        target_sparsity=1.0 - n / m,
-    )
 
 
 def nm_pattern_for_sparsity(sparsity: float, n: int = 2, max_m: int = 256) -> tuple[int, int]:

@@ -2,7 +2,6 @@
 
 from .fisher import (
     BlockFisher,
-    diagonal_fisher,
     empirical_fisher_block,
     estimate_block_fisher,
     synthetic_gradients,
@@ -12,8 +11,6 @@ from .obs_vnm import SecondOrderConfig, second_order_nm_prune, second_order_vnm_
 from .proxy import DENSE_F1, FLOOR_F1, QuadraticTask, synthesize_trained_layer
 from .saliency import (
     GroupPruneDecision,
-    canonical_nm_basis,
-    canonical_pair_basis,
     group_saliency,
     obs_weight_update,
     solve_group,
@@ -29,7 +26,6 @@ from .scheduler import (
 
 __all__ = [
     "BlockFisher",
-    "diagonal_fisher",
     "empirical_fisher_block",
     "estimate_block_fisher",
     "synthetic_gradients",
@@ -42,8 +38,6 @@ __all__ = [
     "QuadraticTask",
     "synthesize_trained_layer",
     "GroupPruneDecision",
-    "canonical_nm_basis",
-    "canonical_pair_basis",
     "group_saliency",
     "obs_weight_update",
     "solve_group",

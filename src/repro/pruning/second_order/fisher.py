@@ -14,8 +14,8 @@ blocks are ignored.  The block inverses are then computed directly (the
 blocks are small) via the Woodbury identity applied to the low-rank
 gradient outer products, exactly as in M-FAC / oBERT.
 
-This module implements that estimator plus a diagonal-only variant and a
-synthetic gradient generator used by the Table 2 substitution task.
+This module implements that estimator and a synthetic gradient generator
+used by the Table 2 substitution task.
 """
 
 from __future__ import annotations
@@ -234,20 +234,6 @@ def estimate_block_fisher_reference(
     return BlockFisher(shape=(rows, cols), block_size=block_size, inverse_blocks=inv_blocks, damp=damp)
 
 
-def diagonal_fisher(grads: np.ndarray, weight_shape: tuple, damp: float = 1e-4) -> np.ndarray:
-    """Diagonal empirical Fisher (inverse not taken), reshaped to the layer.
-
-    Used by the cheap OBD-style column scoring of the V:N:M second-order
-    pruner's vector-wise stage.
-    """
-    g = np.asarray(grads, dtype=np.float64)
-    rows, cols = weight_shape
-    if g.ndim != 2 or g.shape[1] != rows * cols:
-        raise ValueError(f"grads must have shape (samples, {rows * cols}), got {g.shape}")
-    diag = (g**2).mean(axis=0) + damp
-    return diag.reshape(rows, cols)
-
-
 def synthetic_gradients(
     weights: np.ndarray,
     num_samples: int = 64,
@@ -257,9 +243,9 @@ def synthetic_gradients(
 ) -> np.ndarray:
     """Generate synthetic per-sample gradients around a trained-like layer.
 
-    The Table 2 substitution (see DESIGN.md) replaces SQuAD fine-tuning
-    gradients with a synthetic generator whose statistics mimic what
-    second-order pruning relies on: gradient magnitude correlates with
+    The Table 2 substitution (README, "Reproduction ledger") replaces SQuAD
+    fine-tuning gradients with a synthetic generator whose statistics mimic
+    what second-order pruning relies on: gradient magnitude correlates with
     weight magnitude (well-trained weights sit near a minimum where
     curvature scales with weight scale), plus correlated noise between
     neighbouring weights (token/feature correlation).

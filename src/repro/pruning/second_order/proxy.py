@@ -3,10 +3,10 @@
 The paper evaluates the second-order pruner by pruning BERT-base's encoder
 weights and measuring the SQuAD F1 score after fine-tuning (Table 2).  That
 pipeline needs PyTorch, the SQuAD dataset and GPU fine-tuning, none of
-which are available here.  The substitution (documented in DESIGN.md) keeps
-the part of the pipeline the paper's contribution actually exercises — the
-*mask selection under a curvature model* — and replaces the downstream
-accuracy measurement with an analytic surrogate:
+which are available here.  The substitution (README, "Reproduction
+ledger") keeps the part of the pipeline the paper's contribution actually
+exercises — the *mask selection under a curvature model* — and replaces
+the downstream accuracy measurement with an analytic surrogate:
 
 * a "trained layer" is synthesised with the heavy-tailed weight statistics
   of transformer linear layers (:func:`synthesize_trained_layer`);

@@ -357,23 +357,3 @@ def solve_groups(
     if method == "pairwise":
         return solve_groups_pairwise(weights, fisher_inv, keep)
     raise ValueError(f"unknown method {method!r}; use 'combinatorial', 'pairwise' or 'auto'")
-
-
-def canonical_pair_basis() -> List[List[int]]:
-    """The paper's pair-wise canonical basis ``E_Q = [[1,0],[0,1],[1,1]]``."""
-    return [[1, 0], [0, 1], [1, 1]]
-
-
-def canonical_nm_basis(n: int, m: int) -> List[List[int]]:
-    """All keep-patterns of an N:M group as 0/1 rows (the paper's 2:4 example).
-
-    For 2:4 this returns the six vectors
-    ``[1,1,0,0], [1,0,1,0], [1,0,0,1], [0,1,1,0], [0,1,0,1], [0,0,1,1]``.
-    """
-    if not 0 < n <= m:
-        raise ValueError(f"invalid N:M pattern {n}:{m}")
-    basis = []
-    for keep_set in combinations(range(m), n):
-        row = [1 if i in keep_set else 0 for i in range(m)]
-        basis.append(row)
-    return basis

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .masks import PruningResult, apply_mask, validate_weight_matrix
+from .masks import validate_weight_matrix
 
 
 def vector_scores(weights: np.ndarray, l: int, norm: str = "l1") -> np.ndarray:
@@ -63,25 +63,3 @@ def vector_wise_mask(weights: np.ndarray, sparsity: float, l: int = 8, norm: str
         vec_mask[prune_idx] = False
     vec_mask = vec_mask.reshape(scores.shape)  # (rows//l, cols)
     return np.repeat(vec_mask, l, axis=0)
-
-
-def vector_wise_prune(weights: np.ndarray, sparsity: float, l: int = 8, norm: str = "l1") -> PruningResult:
-    """Apply vector-wise pruning and return the result."""
-    mask = vector_wise_mask(weights, sparsity, l=l, norm=norm)
-    return PruningResult(mask=mask, pruned_weights=apply_mask(weights, mask), target_sparsity=sparsity)
-
-
-def columns_per_row_block(mask: np.ndarray, l: int) -> np.ndarray:
-    """Surviving vectors per row block — the load-balance statistic.
-
-    Vector-wise pruning with a global threshold produces a *different*
-    number of surviving vectors per row block, which is the source of the
-    inter-warp load imbalance the paper discusses in Section 3; this helper
-    exposes that distribution for the tests and the CLASP cost model.
-    """
-    m = np.asarray(mask, dtype=bool)
-    rows, cols = m.shape
-    if rows % l:
-        raise ValueError("rows must be divisible by l")
-    vec_kept = m.reshape(rows // l, l, cols).any(axis=1)
-    return vec_kept.sum(axis=1)

@@ -19,12 +19,9 @@ from repro.evaluation.reporting import (
     format_table,
     is_monotonic_decreasing,
     is_monotonic_increasing,
-    rows_from_mapping,
-    save_csv,
-    save_json,
     within_factor,
 )
-from repro.evaluation.sweeps import dense_baseline, k_sweep, library_point, sparsity_sweep
+from repro.evaluation.sweeps import dense_baseline, library_point
 from repro.kernels.common import GemmProblem
 
 
@@ -39,18 +36,6 @@ class TestReporting:
     def test_format_table_row_length_checked(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-    def test_rows_from_mapping(self):
-        rows = rows_from_mapping({"x": {"v": 1}}, key_name="k")
-        assert rows == [{"k": "x", "v": 1}]
-
-    def test_save_json_and_csv(self, tmp_path):
-        path = save_json({"a": [1, 2]}, tmp_path / "out" / "data.json")
-        assert path.exists()
-        csv_path = save_csv([{"a": 1, "b": 2}, {"a": 3}], tmp_path / "rows.csv")
-        content = csv_path.read_text().splitlines()
-        assert content[0] == "a,b"
-        assert len(content) == 3
 
     def test_monotonicity_helpers(self):
         assert is_monotonic_increasing([1, 2, 2, 3])
@@ -81,19 +66,6 @@ class TestSweeps:
         dense = dense_baseline(sparse_problem, gpu=gpu)
         assert dense.problem.sparsity == 0.0
         assert dense.kernel == "cublas_hgemm"
-
-    def test_k_sweep_schema(self, gpu):
-        out = k_sweep(r=256, c=512, k_values=(512, 1024), n=2, m=8, v=64,
-                      libraries=("spatha", "sputnik"), gpu=gpu)
-        assert set(out) == {512, 1024}
-        assert {p.library for p in out[512]} == {"spatha", "sputnik"}
-        assert all(p.speedup_vs_dense > 0 for pts in out.values() for p in pts)
-
-    def test_sparsity_sweep_skips_cusparselt_above_50(self, gpu):
-        out = sparsity_sweep(r=256, k=512, c=512, patterns=((2, 4), (2, 8)), v=64,
-                             libraries=("spatha", "cusparselt"), gpu=gpu)
-        assert any(p.library == "cusparselt" for p in out[0.5])
-        assert not any(p.library == "cusparselt" for p in out[0.75])
 
     def test_library_point_unknown_library(self, gpu):
         p = GemmProblem(64, 64, 64)

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.formats.blocked_ell import BlockedEllMatrix
-from repro.pruning.block_wise import block_wise_mask
-from repro.pruning.masks import apply_mask
 
 
 @pytest.fixture
 def block_pruned(rng):
-    w = rng.normal(size=(32, 32))
-    return apply_mask(w, block_wise_mask(w, 0.75, block=8)).astype(np.float32)
+    keep = np.kron(rng.random((4, 4)) >= 0.75, np.ones((8, 8), bool))
+    return np.where(keep, rng.normal(size=(32, 32)), 0.0).astype(np.float32)
 
 
 class TestConstruction:

@@ -74,16 +74,3 @@ class TestStatistics:
         fp = csr.footprint("fp16")
         assert fp.values_bytes == csr.nnz * 2
         assert fp.index_bytes > 0
-
-
-class TestRowSlice:
-    def test_slice_roundtrip(self, sparse_dense):
-        csr = CSRMatrix.from_dense(sparse_dense)
-        sl = csr.row_slice(4, 12)
-        assert sl.shape == (8, sparse_dense.shape[1])
-        assert np.array_equal(sl.to_dense(), sparse_dense[4:12])
-
-    def test_slice_out_of_range(self, sparse_dense):
-        csr = CSRMatrix.from_dense(sparse_dense)
-        with pytest.raises(IndexError):
-            csr.row_slice(0, 100)

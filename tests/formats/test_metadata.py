@@ -6,7 +6,6 @@ import pytest
 from repro.formats.metadata import (
     BITS_PER_INDEX,
     INDICES_PER_WORD,
-    indices_from_mask_groups,
     metadata_bytes,
     pack_indices,
     unpack_indices,
@@ -84,25 +83,3 @@ class TestMetadataBytes:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             metadata_bytes(-1)
-
-
-class TestIndicesFromMaskGroups:
-    def test_positions_sorted_ascending(self):
-        mask = np.array([[True, False, False, True, False, True, True, False]])
-        idx = indices_from_mask_groups(mask, group_size=4, keep=2)
-        assert idx.shape == (1, 2, 2)
-        assert list(idx[0, 0]) == [0, 3]
-        assert list(idx[0, 1]) == [1, 2]
-
-    def test_wrong_keep_count_raises(self):
-        mask = np.array([[True, True, True, False]])
-        with pytest.raises(ValueError):
-            indices_from_mask_groups(mask, group_size=4, keep=2)
-
-    def test_columns_not_divisible_raises(self):
-        with pytest.raises(ValueError):
-            indices_from_mask_groups(np.ones((1, 6), dtype=bool), group_size=4, keep=4)
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            indices_from_mask_groups(np.ones(8, dtype=bool), group_size=4, keep=2)

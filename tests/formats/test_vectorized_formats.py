@@ -36,29 +36,10 @@ class TestCSRVectorized:
 
 class TestCVSEVectorized:
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("l", [2, 4, 8])
-    def test_from_dense_matches_reference(self, seed, l):
-        rng = np.random.default_rng(seed)
-        dense = sparse_dense(rng, 16, 12)
-        vec = CVSEMatrix.from_dense(dense, l=l)
-        ref = CVSEMatrix.from_dense_reference(dense, l=l)
-        assert np.array_equal(vec.data, ref.data)
-        assert np.array_equal(vec.vector_cols, ref.vector_cols)
-        assert np.array_equal(vec.vector_ptr, ref.vector_ptr)
-
-    @pytest.mark.parametrize("seed", [0, 1])
     def test_to_dense_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         a = CVSEMatrix.from_dense(sparse_dense(rng, 16, 12), l=4)
         assert np.array_equal(a.to_dense(), a.to_dense_reference())
-
-    def test_empty_matrix_roundtrip(self):
-        dense = np.zeros((8, 6), dtype=np.float32)
-        vec = CVSEMatrix.from_dense(dense, l=4)
-        ref = CVSEMatrix.from_dense_reference(dense, l=4)
-        assert vec.num_vectors == ref.num_vectors == 0
-        assert np.array_equal(vec.to_dense(), dense)
-
 
 class TestBlockedEllVectorized:
     @pytest.mark.parametrize("seed", [0, 1])

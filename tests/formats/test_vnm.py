@@ -112,14 +112,6 @@ class TestDerivedViews:
         assert np.count_nonzero(cond) == np.count_nonzero(dense_vnm)
         assert np.abs(cond).sum() == pytest.approx(np.abs(dense_vnm).sum(), rel=1e-6)
 
-    def test_absolute_column_indices_consistent(self, vnm_matrix, dense_vnm):
-        cols = vnm_matrix.absolute_column_indices()
-        vals = vnm_matrix.values
-        for r in range(vals.shape[0]):
-            for j in range(vals.shape[1]):
-                if vals[r, j] != 0:
-                    assert dense_vnm[r, cols[r, j]] == pytest.approx(vals[r, j])
-
     def test_selected_column_indices_within_groups(self, vnm_matrix):
         sel = vnm_matrix.selected_column_indices()
         m = vnm_matrix.m

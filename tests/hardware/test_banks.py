@@ -1,13 +1,10 @@
 """Tests for the shared-memory bank-conflict simulator (paper Figure 8)."""
 
-import numpy as np
 import pytest
 
 from repro.hardware.banks import (
     BANK_WIDTH_BYTES,
     NUM_BANKS,
-    ConflictReport,
-    analyse_address_matrix,
     bank_of,
     conflict_degree_for_layout,
     row_major_store_addresses,
@@ -99,16 +96,3 @@ class TestLayouts:
             spatha_padded_store_addresses(range(4), bsc=0)
         with pytest.raises(ValueError):
             row_major_store_addresses(range(4), values_per_thread=0, row_width_elems=8)
-
-
-class TestAnalyseAddressMatrix:
-    def test_aggregates_over_iterations(self):
-        good = np.array([[4 * t for t in range(32)]] * 3)
-        report = analyse_address_matrix(good, access_bytes=4)
-        assert isinstance(report, ConflictReport)
-        assert report.phases == 3
-        assert report.conflict_free
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            analyse_address_matrix(np.zeros(4), access_bytes=4)

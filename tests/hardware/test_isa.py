@@ -3,12 +3,10 @@
 import pytest
 
 from repro.hardware.isa import (
+    NATIVE_NM_PATTERN,
     SPARSE_MMA_SHAPES,
     MmaShape,
     default_sparse_shape,
-    find_shape,
-    instruction_cost,
-    native_nm,
     sparse_mma_shapes,
 )
 
@@ -38,14 +36,7 @@ class TestTable1Contents:
                 assert s.m == 16 and s.n == 8
 
     def test_native_patterns(self):
-        assert native_nm("fp16") == (2, 4)
-        assert native_nm("fp32") == (1, 2)
-        assert native_nm("uint8") == (2, 4)
-        assert native_nm("uint4") == (2, 4)
-
-    def test_native_pattern_unknown_precision(self):
-        with pytest.raises(KeyError):
-            native_nm("fp64")
+        assert NATIVE_NM_PATTERN == {"fp16": (2, 4), "fp32": (1, 2), "uint8": (2, 4), "uint4": (2, 4)}
 
     def test_unknown_precision_raises(self):
         with pytest.raises(KeyError):
@@ -79,32 +70,3 @@ class TestMmaShape:
 class TestLookups:
     def test_default_sparse_shape_is_k32(self):
         assert default_sparse_shape("fp16").name == "m16n8k32"
-
-    def test_find_shape(self):
-        s = find_shape("m16n8k32", "fp16", sparse=True)
-        assert s.k == 32 and s.sparse
-
-    def test_find_shape_dense(self):
-        s = find_shape("m16n8k16", "fp16", sparse=False)
-        assert not s.sparse
-
-    def test_find_shape_missing(self):
-        with pytest.raises(KeyError):
-            find_shape("m16n8k64", "fp16", sparse=True)
-
-
-class TestInstructionCost:
-    def test_sparse_instruction_same_issue_cost_as_half_k_dense(self):
-        sparse = instruction_cost(find_shape("m16n8k32", "fp16", sparse=True))
-        dense = instruction_cost(find_shape("m16n8k16", "fp16", sparse=False))
-        assert sparse.issue_cycles == pytest.approx(dense.issue_cycles)
-
-    def test_sparse_doubles_flops_per_cycle(self):
-        sparse = instruction_cost(find_shape("m16n8k32", "fp16", sparse=True))
-        dense = instruction_cost(find_shape("m16n8k16", "fp16", sparse=False))
-        assert sparse.flops_per_cycle == pytest.approx(2 * dense.flops_per_cycle)
-
-    def test_cost_positive(self):
-        for shapes in SPARSE_MMA_SHAPES.values():
-            for s in shapes:
-                assert instruction_cost(s).issue_cycles >= 1.0

@@ -8,7 +8,6 @@ from repro.hardware.memory import (
     TransactionModel,
     dtype_bytes,
     gmem_cycles,
-    l2_cycles,
     matrix_bytes,
     smem_cycles,
     transfer_cycles,
@@ -97,9 +96,6 @@ class TestTransferCycles:
 
 
 class TestLevelModels:
-    def test_gmem_slower_than_l2(self, gpu):
-        assert gmem_cycles(1e7, gpu) > l2_cycles(1e7, gpu)
-
     def test_smem_scales_with_active_sms(self, gpu):
         one = smem_cycles(1e7, gpu, active_sms=1)
         many = smem_cycles(1e7, gpu, active_sms=82)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.hardware.spec import GPUSpec, MemorySpec, a100_sxm, get_gpu, rtx3090
+from repro.hardware.spec import GPUSpec, MemorySpec, a100_sxm, rtx3090
 
 
 class TestPresets:
@@ -23,17 +23,6 @@ class TestPresets:
 
     def test_a100_has_more_bandwidth_than_3090(self):
         assert a100_sxm().gmem.bandwidth_gbps > rtx3090().gmem.bandwidth_gbps
-
-    def test_get_gpu_default(self):
-        assert get_gpu().name == rtx3090().name
-
-    def test_get_gpu_case_insensitive(self):
-        assert get_gpu("RTX3090").num_sms == 82
-
-    def test_get_gpu_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_gpu("h100")
-
 
 class TestDerivedQuantities:
     def test_clock_conversion_roundtrip(self):

@@ -65,25 +65,6 @@ class TestExecutionTrace:
         trace.record(make_exec(category="other", time_us=3))
         assert trace.gemm_time_us() == 7
 
-    def test_filter(self):
-        trace = ExecutionTrace()
-        trace.record(make_exec(kernel="a", category="gemm"))
-        trace.record(make_exec(kernel="b", category="softmax"))
-        assert len(trace.filter(category="gemm").executions) == 1
-        assert len(trace.filter(kernel="b").executions) == 1
-        assert len(trace.filter(category="gemm", kernel="b").executions) == 0
-
-    def test_speedup_over(self):
-        fast = ExecutionTrace([make_exec(time_us=50)])
-        slow = ExecutionTrace([make_exec(time_us=100)])
-        assert fast.speedup_over(slow) == pytest.approx(2.0)
-
-    def test_speedup_over_empty_raises(self):
-        empty = ExecutionTrace()
-        slow = ExecutionTrace([make_exec(time_us=100)])
-        with pytest.raises(ValueError):
-            empty.speedup_over(slow)
-
     def test_summary_schema(self):
         trace = ExecutionTrace([make_exec()])
         summary = trace.summary()

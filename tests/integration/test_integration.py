@@ -16,20 +16,19 @@ class TestVNMSparsifier:
     def test_magnitude_sparsify(self, rng):
         vnm = VNMSparsifier(n=2, m=8, v=16).sparsify(rng.normal(size=(32, 64)))
         assert isinstance(vnm, VNMTensor)
-        assert vnm.sparsity == pytest.approx(0.75)
+        assert vnm.matrix.logical_sparsity == pytest.approx(0.75)
         assert check_vnm_pattern(vnm.matrix.to_dense(), v=16, n=2, m=8)
 
     def test_padding_for_awkward_shapes(self, rng):
         vnm = VNMSparsifier(n=2, m=8, v=16).sparsify(rng.normal(size=(30, 60)))
-        assert vnm.shape == (30, 60)
-        assert vnm.padded_shape == (32, 64)
-        assert vnm.to_dense().shape == (30, 60)
+        assert vnm.original_shape == (30, 60)
+        assert vnm.matrix.shape == (32, 64)
 
     def test_second_order_method(self, rng):
         sparsifier = VNMSparsifier(n=2, m=8, v=16, method="second_order")
         w = rng.normal(size=(16, 32))
         vnm = sparsifier.sparsify(w)
-        assert vnm.sparsity == pytest.approx(0.75)
+        assert vnm.matrix.logical_sparsity == pytest.approx(0.75)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
@@ -44,21 +43,9 @@ class TestVNMSparsifier:
             VNMSparsifier(n=2, m=8, v=16).sparsify(np.zeros(16))
 
 
-class TestVNMTensor:
-    def test_listing1_attribute_names(self, rng):
-        vnm = VNMSparsifier(n=2, m=8, v=16).sparsify(rng.normal(size=(32, 64)))
-        assert vnm.values.shape == (32, 64 // 8 * 2)
-        assert vnm.metadata.shape == vnm.values.shape
-        assert vnm.columns.shape == (32 // 16, 64 // 8 * 4)
-        assert (vnm.v, vnm.n, vnm.m) == (16, 2, 8)
-
-    def test_density(self, rng):
-        vnm = VNMSparsifier(n=2, m=8, v=16).sparsify(rng.normal(size=(32, 64)))
-        assert vnm.density() == pytest.approx(0.25, abs=0.01)
-
-
 def sparsified(original, sparsifier=VNMSparsifier(n=2, m=8, v=16)):
-    """A dense layer through the sparsifier, the way sparsify_encoder builds it."""
+    """A dense layer through the sparsifier, the way sparsify_encoder builds it,
+    and the pruned dense weight it must compute with."""
     weight = sparsifier.sparsify(original.weight)
     layer = SparseLinear(
         sparse_weight=weight.matrix,
@@ -66,21 +53,22 @@ def sparsified(original, sparsifier=VNMSparsifier(n=2, m=8, v=16)):
         bias=original.bias,
         name=original.name,
     )
-    return layer, weight
+    rows, cols = weight.original_shape
+    return layer, weight.matrix.to_dense()[:rows, :cols]
 
 
 class TestSparsifiedLinear:
     def test_forward_matches_sparse_dense_layer(self, rng):
         original = init_dense_linear(32, 64, seed=3)
-        layer, weight = sparsified(original)
+        layer, pruned = sparsified(original)
         x = rng.normal(size=(5, 64)).astype(np.float32)
-        expected = DenseLinear(weight=weight.to_dense(), bias=original.bias).forward(x)
+        expected = DenseLinear(weight=pruned, bias=original.bias).forward(x)
         assert np.allclose(layer.forward(x), expected, atol=5e-2, rtol=1e-2)
 
     @pytest.mark.parametrize("lead", [(4,), (2, 3)], ids=["2d", "3d"])
     def test_forward_with_padded_weight(self, rng, lead):
         original = init_dense_linear(30, 60, seed=3)
-        layer, weight = sparsified(original)
+        layer, pruned = sparsified(original)
         assert (layer.out_features, layer.in_features) == (30, 60)
         # The launched problem is the padded one.
         problem = layer.gemm_problem(4)
@@ -88,7 +76,7 @@ class TestSparsifiedLinear:
         x = rng.normal(size=lead + (60,)).astype(np.float32)
         out = layer.forward(x)
         assert out.shape == lead + (30,)
-        expected = DenseLinear(weight=weight.to_dense(), bias=original.bias).forward(x)
+        expected = DenseLinear(weight=pruned, bias=original.bias).forward(x)
         assert np.allclose(out, expected, atol=5e-2, rtol=1e-2)
 
     @pytest.mark.parametrize("shape", [(32, 64), (30, 60)], ids=["exact", "padded"])

@@ -1,20 +1,9 @@
 """Tests for Spatha's kernel configuration and tile decomposition."""
 
-import numpy as np
 import pytest
 
-from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels.spatha.config import KernelConfig, candidate_configs, default_config
-from repro.kernels.spatha.spmm import spmm_reference
-from repro.kernels.spatha.tiles import (
-    compute_tile_counts,
-    condensed_k,
-    iterate_output_tiles,
-    iterate_warp_tiles,
-    simulate_tiled_spmm,
-)
-from repro.pruning.masks import apply_mask
-from repro.pruning.vnm import vnm_mask
+from repro.kernels.spatha.tiles import compute_tile_counts, condensed_k
 
 
 class TestKernelConfig:
@@ -98,42 +87,3 @@ class TestTileArithmetic:
         logical_flops = 2 * r * condensed_k(k, m) * c
         covered = counts.total_mma_instructions * cfg.mma.flops
         assert covered >= logical_flops
-
-    def test_output_tiles_partition_output(self):
-        cfg = KernelConfig(bs_r=16, bs_c=8, ws_r=16, ws_c=8)
-        covered = np.zeros((32, 24), dtype=int)
-        for rows, cols in iterate_output_tiles(32, 24, cfg):
-            covered[rows, cols] += 1
-        assert np.all(covered == 1)
-
-    def test_warp_tiles_partition_block(self):
-        cfg = KernelConfig(bs_r=32, bs_c=16, ws_r=16, ws_c=8)
-        covered = np.zeros((32, 16), dtype=int)
-        for wr, wc in iterate_warp_tiles(slice(0, 32), slice(0, 16), cfg):
-            covered[wr, wc] += 1
-        assert np.all(covered == 1)
-
-
-class TestTiledExecution:
-    def test_tiled_simulation_matches_reference(self, rng):
-        v, n, m = 16, 2, 8
-        dense = rng.normal(size=(32, 64))
-        pruned = apply_mask(dense, vnm_mask(dense, v=v, n=n, m=m)).astype(np.float32)
-        a = VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m)
-        b = rng.normal(size=(64, 24)).astype(np.float32)
-        cfg = KernelConfig(bs_r=16, bs_c=8, ws_r=16, ws_c=8, bs_k=32, ws_k=32)
-        out = simulate_tiled_spmm(a, b, cfg)
-        assert np.allclose(out, spmm_reference(a, b), atol=2e-2, rtol=1e-2)
-
-    def test_bsr_must_match_v(self, vnm_matrix, activations):
-        cfg = KernelConfig(bs_r=16, bs_c=8, ws_r=16, ws_c=8)
-        with pytest.raises(ValueError):
-            simulate_tiled_spmm(vnm_matrix, activations, cfg)  # v=8 != bs_r=16
-
-    def test_shape_mismatch(self, rng):
-        dense = rng.normal(size=(16, 32))
-        pruned = apply_mask(dense, vnm_mask(dense, v=16, n=2, m=8)).astype(np.float32)
-        a = VNMSparseMatrix.from_dense(pruned, v=16, n=2, m=8)
-        cfg = KernelConfig(bs_r=16, bs_c=8, ws_r=16, ws_c=8)
-        with pytest.raises(ValueError):
-            simulate_tiled_spmm(a, np.ones((7, 3)), cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.formats.vnm import VNMSparseMatrix
+from repro.kernels.common import GemmProblem
 from repro.kernels.spatha import Spatha
 from repro.kernels.spatha.spmm import spmm, spmm_dense_baseline, spmm_reference
 from repro.pruning.masks import apply_mask
@@ -75,29 +76,8 @@ class TestSpmmNumerics:
 
 
 class TestSpathaFacade:
-    def test_compress_then_spmm(self, rng):
-        spatha = Spatha(autotune=False)
-        dense = rng.normal(size=(64, 96))
-        a = spatha.compress(dense, v=16, n=2, m=8)
-        assert isinstance(a, VNMSparseMatrix)
-        b = rng.normal(size=(96, 8)).astype(np.float32)
-        out = spatha.spmm(a, b)
-        assert out.shape == (64, 8)
-
-    def test_compress_strict_requires_pruned(self, rng):
-        spatha = Spatha(autotune=False)
-        dense = rng.normal(size=(64, 96)) + 5.0
-        with pytest.raises(ValueError):
-            spatha.compress(dense, v=16, n=2, m=8, prune=False)
-
-    def test_run_returns_time_and_output(self, rng):
+    def test_spmm_and_estimate(self, rng):
         spatha = Spatha(autotune=False)
         a, pruned, b = make_operands(rng, rows=128, cols=128, c=32, v=32, n=2, m=8)
-        res = spatha.run(a, b)
-        assert res.output.shape == (128, 32)
-        assert res.time_us > 0
-        assert np.allclose(res.output, spmm_dense_baseline(pruned, b), atol=2e-2, rtol=1e-2)
-
-    def test_verify_helper(self, rng):
-        a, _, b = make_operands(rng)
-        assert Spatha.verify(a, b)
+        assert np.allclose(spatha.spmm(a, b), spmm_dense_baseline(pruned, b), atol=2e-2, rtol=1e-2)
+        assert spatha.estimate(GemmProblem.from_nm(r=128, k=128, c=32, n=2, m=8, v=32)).time_us > 0

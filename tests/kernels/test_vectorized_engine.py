@@ -137,7 +137,6 @@ class TestSpmmPlanCaching:
         a = make_vnm(rng, 16, 32, 4, 2, 8)
         assert a.to_condensed() is a.to_condensed()
         assert a.selected_column_indices() is a.selected_column_indices()
-        assert a.absolute_column_indices() is a.absolute_column_indices()
         assert a.packed_metadata() is a.packed_metadata()
 
     def test_memoized_views_are_read_only(self, rng):
@@ -147,7 +146,6 @@ class TestSpmmPlanCaching:
         for view in (
             a.to_condensed(),
             a.selected_column_indices(),
-            a.absolute_column_indices(),
             a.packed_metadata(),
         ):
             with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from repro.models.config import (
     GPT2_LARGE,
     GPT3_175B,
     ModelConfig,
-    get_model,
     tiny_config,
 )
 from repro.models.functional import (
@@ -52,11 +51,6 @@ class TestModelConfig:
         problems = BERT_BASE.gemm_problems(batch_size=8, seq_len=512)
         assert all(p["c"] == 8 * 512 for p in problems)
         assert len(problems) == 6
-
-    def test_get_model(self):
-        assert get_model("bert-large") is BERT_LARGE
-        with pytest.raises(KeyError):
-            get_model("llama")
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -52,7 +52,6 @@ from repro.models.distributed import (
     partition_min_cut_reference,
     partition_round_robin,
     placement_comm_events,
-    placement_comm_time_us,
     send_recv_time_us,
 )
 
@@ -221,10 +220,14 @@ class TestCommEvents:
         encoder = TransformerEncoder.init(cfg, seed=0)
         sparsify_encoder(encoder, VNMSparsifier(n=2, m=4, v=4))
         graph = encoder_layer_graph(encoder)
-        placement = partition_min_cut(graph, 2)
-        fast = placement_comm_time_us(placement, tokens=128, link=NVLINK)
-        slow = placement_comm_time_us(placement, tokens=128, link=PCIE4)
-        more = placement_comm_time_us(placement, tokens=256, link=NVLINK)
+        events = placement_comm_events(partition_min_cut(graph, 2))
+
+        def comm_time_us(tokens, link):
+            return sum(e.time_us(tokens, link) for e in events)
+
+        fast = comm_time_us(128, NVLINK)
+        slow = comm_time_us(128, PCIE4)
+        more = comm_time_us(256, NVLINK)
         assert slow > fast > 0.0
         assert more > fast
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.pruning.second_order.fisher import (
     BlockFisher,
-    diagonal_fisher,
     empirical_fisher_block,
     estimate_block_fisher,
     synthetic_gradients,
@@ -92,15 +91,6 @@ class TestBlockFisher:
     def test_constructor_validation(self, rng):
         with pytest.raises(ValueError):
             BlockFisher(shape=(2, 16), block_size=8, inverse_blocks=np.zeros((3, 8, 8)), damp=1e-4)
-
-
-class TestDiagonalFisher:
-    def test_positive(self, rng):
-        w_shape = (4, 8)
-        g = rng.normal(size=(16, 32))
-        diag = diagonal_fisher(g, w_shape)
-        assert diag.shape == w_shape
-        assert np.all(diag > 0)
 
 
 class TestSyntheticGradients:

@@ -1,9 +1,9 @@
-"""Tests for unstructured magnitude pruning and GMP."""
+"""Tests for unstructured magnitude pruning."""
 
 import numpy as np
 import pytest
 
-from repro.pruning.magnitude import gmp_prune, gmp_schedule, magnitude_mask, magnitude_prune
+from repro.pruning.magnitude import magnitude_mask
 
 
 class TestMagnitudeMask:
@@ -32,55 +32,3 @@ class TestMagnitudeMask:
     def test_deterministic(self, rng):
         w = rng.normal(size=(16, 16))
         assert np.array_equal(magnitude_mask(w, 0.5), magnitude_mask(w, 0.5))
-
-    def test_prune_wrapper(self, rng):
-        w = rng.normal(size=(8, 8))
-        res = magnitude_prune(w, 0.5)
-        assert res.sparsity == pytest.approx(0.5)
-        assert np.count_nonzero(res.pruned_weights) == res.kept
-
-
-class TestGmpSchedule:
-    def test_ends_at_target(self):
-        sched = gmp_schedule(0.9, 5)
-        assert sched[-1] == pytest.approx(0.9)
-
-    def test_monotone_increasing(self):
-        sched = gmp_schedule(0.9, 10, initial_sparsity=0.1)
-        assert all(b >= a for a, b in zip(sched, sched[1:]))
-
-    def test_starts_above_initial(self):
-        sched = gmp_schedule(0.8, 4, initial_sparsity=0.2)
-        assert sched[0] >= 0.2
-
-    def test_single_step(self):
-        assert gmp_schedule(0.5, 1) == [pytest.approx(0.5)]
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            gmp_schedule(0.5, 0)
-        with pytest.raises(ValueError):
-            gmp_schedule(0.5, 4, initial_sparsity=0.9)
-        with pytest.raises(ValueError):
-            gmp_schedule(0.5, 4, exponent=0)
-
-
-class TestGmpPrune:
-    def test_final_sparsity_reached(self, rng):
-        w = rng.normal(size=(20, 20))
-        results = gmp_prune(w, 0.8, num_steps=5)
-        assert len(results) == 5
-        assert results[-1].sparsity == pytest.approx(0.8, abs=0.02)
-
-    def test_masks_are_monotone(self, rng):
-        """A weight pruned at step t stays pruned afterwards."""
-        w = rng.normal(size=(20, 20))
-        results = gmp_prune(w, 0.9, num_steps=6)
-        for prev, cur in zip(results, results[1:]):
-            assert np.all(cur.mask <= prev.mask)
-
-    def test_sparsity_non_decreasing(self, rng):
-        w = rng.normal(size=(20, 20))
-        results = gmp_prune(w, 0.9, num_steps=6)
-        sparsities = [r.sparsity for r in results]
-        assert all(b >= a - 1e-9 for a, b in zip(sparsities, sparsities[1:]))

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.pruning.second_order.saliency import (
-    canonical_nm_basis,
-    canonical_pair_basis,
     group_saliency,
     obs_weight_update,
     solve_group,
@@ -115,19 +113,3 @@ class TestSolvers:
     def test_unknown_method(self, diag_fisher_inv):
         with pytest.raises(ValueError):
             solve_group(np.ones(4), diag_fisher_inv, keep=2, method="magic")
-
-
-class TestCanonicalBases:
-    def test_pair_basis_matches_paper(self):
-        assert canonical_pair_basis() == [[1, 0], [0, 1], [1, 1]]
-
-    def test_nm_basis_24_has_six_patterns(self):
-        basis = canonical_nm_basis(2, 4)
-        assert len(basis) == 6
-        assert [1, 1, 0, 0] in basis
-        assert [0, 0, 1, 1] in basis
-        assert all(sum(row) == 2 for row in basis)
-
-    def test_nm_basis_invalid(self):
-        with pytest.raises(ValueError):
-            canonical_nm_basis(5, 4)

@@ -1,12 +1,11 @@
-"""Tests for vector-wise, block-wise, N:M and V:N:M pruning."""
+"""Tests for vector-wise, N:M and V:N:M pruning."""
 
 import numpy as np
 import pytest
 
-from repro.pruning.block_wise import block_scores, block_wise_mask, block_wise_prune
 from repro.pruning.masks import check_mask_nm, check_mask_vnm, mask_sparsity
-from repro.pruning.nm import nm_mask, nm_pattern_for_sparsity, nm_prune
-from repro.pruning.vector_wise import columns_per_row_block, vector_scores, vector_wise_mask, vector_wise_prune
+from repro.pruning.nm import nm_mask, nm_pattern_for_sparsity
+from repro.pruning.vector_wise import vector_scores, vector_wise_mask
 from repro.pruning.vnm import pad_to_vnm_shape, select_block_columns, vnm_mask, vnm_prune, vnm_sparsity
 
 
@@ -43,46 +42,6 @@ class TestVectorWise:
         with pytest.raises(ValueError):
             vector_wise_mask(rng.normal(size=(10, 4)), 0.5, l=4)
 
-    def test_load_imbalance_statistic(self, rng):
-        w = rng.normal(size=(32, 16))
-        mask = vector_wise_mask(w, 0.6, l=8)
-        counts = columns_per_row_block(mask, l=8)
-        assert counts.shape == (4,)
-        assert counts.sum() == mask.reshape(4, 8, 16).any(axis=1).sum()
-
-    def test_prune_wrapper(self, rng):
-        res = vector_wise_prune(rng.normal(size=(16, 8)), 0.5, l=4)
-        assert res.target_sparsity == 0.5
-
-
-class TestBlockWise:
-    def test_whole_blocks_pruned(self, rng):
-        w = rng.normal(size=(16, 16))
-        mask = block_wise_mask(w, 0.5, block=4)
-        blocks = mask.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
-        tiles = mask.reshape(4, 4, 4, 4)
-        _ = blocks
-        for i in range(4):
-            for j in range(4):
-                tile = tiles[i, :, j, :]
-                assert tile.all() or not tile.any()
-
-    def test_target_sparsity(self, rng):
-        w = rng.normal(size=(32, 32))
-        assert mask_sparsity(block_wise_mask(w, 0.75, block=8)) == pytest.approx(0.75, abs=0.1)
-
-    def test_scores_shape(self, rng):
-        assert block_scores(rng.normal(size=(16, 16)), 4).shape == (4, 4)
-
-    def test_shape_must_divide(self, rng):
-        with pytest.raises(ValueError):
-            block_wise_mask(rng.normal(size=(10, 16)), 0.5, block=4)
-
-    def test_prune_wrapper(self, rng):
-        res = block_wise_prune(rng.normal(size=(16, 16)), 0.5, block=4)
-        assert 0.3 < res.sparsity < 0.7
-
-
 class TestNM:
     def test_exact_pattern(self, rng):
         w = rng.normal(size=(16, 32))
@@ -106,10 +65,6 @@ class TestNM:
             nm_mask(rng.normal(size=(4, 8)), 5, 4)
         with pytest.raises(ValueError):
             nm_mask(rng.normal(size=(4, 9)), 2, 4)
-
-    def test_prune_wrapper(self, rng):
-        res = nm_prune(rng.normal(size=(8, 16)), 2, 8)
-        assert res.target_sparsity == pytest.approx(0.75)
 
     def test_pattern_for_sparsity(self):
         assert nm_pattern_for_sparsity(0.5) == (2, 4)

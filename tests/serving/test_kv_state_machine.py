@@ -3,10 +3,11 @@
 A Hypothesis ``RuleBasedStateMachine`` drives one
 :class:`~repro.serving.DecoderServingEngine` over a tiny
 :class:`~repro.models.PagedKVCache` through arbitrary interleavings of
-unique submits, shared-prompt submits (prefix attach and copy-on-write),
-steps, a backend fault on one dispatched call of a step (the stacked
-step's rollback and per-resident fallback) and, when the drawn
-configuration enables it, priority preemption.  After every rule:
+unique submits (some deadline-stamped), shared-prompt submits (prefix
+attach and copy-on-write), clock advances without a step, steps, a backend
+fault on one dispatched call of a step (the stacked step's rollback and
+per-resident fallback) and, when the drawn configuration enables it,
+priority preemption.  After every rule:
 
 - block conservation: ``blocks_free + |held| == capacity``, and each
   block's refcount equals its holder count (live sequences plus registered
@@ -18,7 +19,10 @@ configuration enables it, priority preemption.  After every rule:
 - no request is ever given a second outcome;
 - every ``ok`` output is bit-equal to the per-position ``forward_step``
   oracle over the reference :class:`~repro.models.SequenceKV` (which is
-  defined to equal :func:`~repro.serving.decode_reference`).
+  defined to equal :func:`~repro.serving.decode_reference`);
+- a step at ``now`` times out every queued or parked request whose
+  deadline is before ``now`` (deadlines are judged before execution, so a
+  resident decodes to completion).
 
 Teardown drains the engine and checks that every submitted request reached
 exactly one terminal outcome with nothing left held.  Tier-1 runs a few
@@ -38,6 +42,7 @@ from repro.kernels.dispatch import BackendExecutionError
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     OUTCOME_OK,
+    OUTCOME_TIMED_OUT,
     DecodeRequest,
     DecoderServingEngine,
     SchedulingConfig,
@@ -136,10 +141,15 @@ class DecoderKVMachine(RuleBasedStateMachine):
 
     # -- rules -------------------------------------------------------------
 
-    def _submit(self, prompt, new_tokens, priority_class):
+    def _submit(self, prompt, new_tokens, priority_class, deadline_us=None):
         rid = f"r{len(self.submitted):03d}"
         request = DecodeRequest(
-            rid, prompt, new_tokens, arrival_us=self.now, priority_class=priority_class
+            rid,
+            prompt,
+            new_tokens,
+            arrival_us=self.now,
+            deadline_us=deadline_us,
+            priority_class=priority_class,
         )
         self.submitted[rid] = request
         if self.engine.submit(request) is None:
@@ -150,10 +160,13 @@ class DecoderKVMachine(RuleBasedStateMachine):
         tokens=st.integers(1, 9),
         new_tokens=st.integers(1, 4),
         priority_class=st.integers(0, 1),
+        slack=st.none() | st.integers(0, 6),
     )
-    def submit_unique(self, seed, tokens, new_tokens, priority_class):
+    def submit_unique(self, seed, tokens, new_tokens, priority_class, slack):
+        """A fresh prompt, deadline-stamped at ``now + slack`` unless ``slack`` is None."""
         prompt = np.random.default_rng(seed).normal(size=(tokens, HIDDEN)).astype(np.float32)
-        self._submit(prompt, new_tokens, priority_class)
+        deadline_us = None if slack is None else self.now + slack
+        self._submit(prompt, new_tokens, priority_class, deadline_us)
 
     @rule(
         which=st.integers(0, len(SHARED_PROMPTS) - 1),
@@ -163,14 +176,29 @@ class DecoderKVMachine(RuleBasedStateMachine):
     def submit_shared(self, which, new_tokens, priority_class):
         self._submit(SHARED_PROMPTS[which], new_tokens, priority_class)
 
+    @rule(dt=st.integers(1, 8))
+    def advance_clock(self, dt):
+        """Time passes with no step: the next step expires what waited too long."""
+        self.now += float(dt)
+
     def _step(self):
-        results = self.engine.step(self.now)
+        engine = self.engine
+        overdue = [
+            rid
+            for rid, request in self.submitted.items()
+            if request.deadline_us is not None
+            and request.deadline_us < self.now
+            and engine.batcher.is_queued(rid)
+        ]
+        results = engine.step(self.now)
         self.now += 1.0
         self.shed_pending.clear()
         for rid, rows in results.items():
             request = self.submitted[rid]
-            assert self.engine.outcomes[rid].status == OUTCOME_OK
+            assert engine.outcomes[rid].status == OUTCOME_OK
             assert rows.tobytes() == oracle_rows(request.prompt, request.new_tokens).tobytes(), rid
+        for rid in overdue:
+            assert engine.outcomes[rid].status == OUTCOME_TIMED_OUT, rid
         self._assert_every_request_placed()
 
     @rule()
