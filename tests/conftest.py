@@ -19,6 +19,24 @@ from repro.pruning.nm import nm_mask
 from repro.pruning.vnm import vnm_mask
 
 
+#: The (sparsity, N, M) points of the paper's Figure 13 sweep, 50% to 98%.
+FIGURE13_PATTERNS = (
+    (0.50, 2, 4),
+    (0.70, 2, 7),
+    (0.75, 2, 8),
+    (0.80, 2, 10),
+    (0.90, 2, 20),
+    (0.95, 2, 40),
+    (0.98, 2, 100),
+)
+
+
+@pytest.fixture(params=FIGURE13_PATTERNS, ids=lambda p: f"{p[1]}:{p[2]}")
+def fig13_pattern(request):
+    """One ``(sparsity, n, m)`` point of Figure 13; a test taking it runs at all seven."""
+    return request.param
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator."""

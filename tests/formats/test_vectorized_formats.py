@@ -36,10 +36,25 @@ class TestCSRVectorized:
 
 class TestCVSEVectorized:
     @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("l", [2, 4, 8])
+    def test_from_dense_matches_reference(self, seed, l):
+        """The compressor is the loop; the per-vector reference decompressor
+        is its oracle: every kept vector in ascending column order per block,
+        and nothing else."""
+        rng = np.random.default_rng(seed)
+        dense = sparse_dense(rng, 16, 12)
+        a = CVSEMatrix.from_dense(dense, l=l)
+        assert np.array_equal(a.to_dense_reference(), dense)
+        kept = np.abs(dense).reshape(16 // l, l, 12).max(axis=1) > 0
+        assert np.array_equal(a.vectors_per_block(), kept.sum(axis=1))
+        assert np.array_equal(a.vector_cols, np.nonzero(kept)[1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
     def test_to_dense_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         a = CVSEMatrix.from_dense(sparse_dense(rng, 16, 12), l=4)
         assert np.array_equal(a.to_dense(), a.to_dense_reference())
+
 
 class TestBlockedEllVectorized:
     @pytest.mark.parametrize("seed", [0, 1])

@@ -112,6 +112,17 @@ class TestDerivedViews:
         assert np.count_nonzero(cond) == np.count_nonzero(dense_vnm)
         assert np.abs(cond).sum() == pytest.approx(np.abs(dense_vnm).sum(), rel=1e-6)
 
+    def test_absolute_column_indices_consistent(self, vnm_matrix, dense_vnm):
+        """column_loc picks the block's column, the m-index the position
+        among the four: together they name each stored value's dense column."""
+        sel = vnm_matrix.selected_column_indices()
+        v, n = vnm_matrix.v, vnm_matrix.n
+        vals = vnm_matrix.values
+        for r in range(vals.shape[0]):
+            for j in range(vals.shape[1]):
+                col = sel[r // v, (j // n) * SELECTED_COLUMNS + vnm_matrix.m_indices[r, j]]
+                assert dense_vnm[r, col] == vals[r, j]
+
     def test_selected_column_indices_within_groups(self, vnm_matrix):
         sel = vnm_matrix.selected_column_indices()
         m = vnm_matrix.m
@@ -146,3 +157,44 @@ class TestDerivedViews:
     def test_storage_order_invalid_args(self, vnm_matrix):
         with pytest.raises(ValueError):
             vnm_matrix.storage_order_values(ws_m=0)
+
+
+class TestFigure13Patterns:
+    """The format at every sparsity of the paper's sweep, M = 4 up to M = 100."""
+
+    V = 16
+
+    @pytest.fixture
+    def pruned(self, rng, fig13_pattern):
+        _, n, m = fig13_pattern
+        dense = rng.normal(size=(2 * self.V, 3 * m))
+        return apply_mask(dense, vnm_mask(dense, v=self.V, n=n, m=m)).astype(np.float32)
+
+    def test_roundtrip_exact(self, pruned, fig13_pattern):
+        _, n, m = fig13_pattern
+        sp = VNMSparseMatrix.from_dense(pruned, v=self.V, n=n, m=m)
+        assert np.array_equal(sp.to_dense(), pruned)
+        assert sp.logical_sparsity == pytest.approx(1 - n / m)
+
+    def test_footprint_matches_figure3_accounting(self, pruned, fig13_pattern):
+        _, n, m = fig13_pattern
+        r, k = pruned.shape
+        fp = VNMSparseMatrix.from_dense(pruned, v=self.V, n=n, m=m).footprint("fp16")
+        stored = r * k // m * n
+        assert fp.values_bytes == stored * 2
+        assert fp.metadata_bytes == stored * 2 / 8  # one 2-bit index per value
+        assert fp.index_bytes == r // self.V * (k // m) * SELECTED_COLUMNS
+
+    def test_metadata_names_every_nonzero(self, pruned, fig13_pattern):
+        """Stored values, their 2-bit m-indices and column_loc scatter back
+        onto exactly the non-zeros of the pruned matrix."""
+        _, n, m = fig13_pattern
+        sp = VNMSparseMatrix.from_dense(pruned, v=self.V, n=n, m=m)
+        rows = np.repeat(np.arange(pruned.shape[0]), sp.values.shape[1])
+        slots = (np.arange(sp.values.shape[1]) // n) * SELECTED_COLUMNS
+        cols = sp.selected_column_indices()[rows // self.V, np.tile(slots, pruned.shape[0])
+                                            + sp.m_indices.ravel()]
+        assert np.array_equal(pruned[rows, cols], sp.values.ravel())
+        hit = np.zeros(pruned.shape, dtype=bool)
+        hit[rows, cols] = True
+        assert not pruned[~hit].any()

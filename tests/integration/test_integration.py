@@ -79,6 +79,21 @@ class TestSparsifiedLinear:
         expected = DenseLinear(weight=pruned, bias=original.bias).forward(x)
         assert np.allclose(out, expected, atol=5e-2, rtol=1e-2)
 
+    def test_forward_at_every_figure13_sparsity(self, rng, fig13_pattern):
+        """50 input features fill whole M-groups only at 2:10; every other
+        pattern of the sweep runs the padded launch."""
+        _, n, m = fig13_pattern
+        groups = -(-50 // m)
+        original = init_dense_linear(32, 50, seed=3)
+        layer, pruned = sparsified(original, VNMSparsifier(n=n, m=m, v=16))
+        assert layer.gemm_problem(4).k == groups * m
+        # n per whole group; the zero padding adds no weights of its own.
+        kept = np.count_nonzero(pruned, axis=1)
+        assert np.all((n * (50 // m) <= kept) & (kept <= n * groups))
+        x = rng.normal(size=(4, 50)).astype(np.float32)
+        expected = DenseLinear(weight=pruned, bias=original.bias).forward(x)
+        assert np.allclose(layer.forward(x), expected, atol=5e-2, rtol=1e-2)
+
     @pytest.mark.parametrize("shape", [(32, 64), (30, 60)], ids=["exact", "padded"])
     def test_input_dim_validated(self, rng, shape):
         layer, _ = sparsified(init_dense_linear(*shape))

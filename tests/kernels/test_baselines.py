@@ -8,6 +8,7 @@ from repro.formats.cvse import CVSEMatrix
 from repro.formats.nm import NMSparseMatrix
 from repro.kernels import clasp, cublas, cusparselt, sputnik
 from repro.kernels.common import GemmProblem, reference_matmul_fp16
+from repro.kernels.dispatch import CublasDenseBackend, SpmmOperand, SputnikCsrBackend
 from repro.pruning.magnitude import magnitude_mask
 from repro.pruning.masks import apply_mask
 from repro.pruning.vector_wise import vector_wise_mask
@@ -18,6 +19,16 @@ class TestCublas:
         a = rng.normal(size=(16, 32)).astype(np.float32)
         b = rng.normal(size=(32, 8)).astype(np.float32)
         assert np.allclose(cublas.gemm(a, b), reference_matmul_fp16(a, b))
+
+    def test_backend_times_and_runs_the_operand(self, rng, gpu):
+        a = rng.normal(size=(16, 32)).astype(np.float32)
+        b = rng.normal(size=(32, 8)).astype(np.float32)
+        operand = SpmmOperand.from_dense(a, formats=())
+        backend = CublasDenseBackend()
+        res = backend.estimate(operand, c=8, gpu=gpu)
+        assert res.time_us > 0
+        assert res.problem.sparsity == 0.0
+        assert np.array_equal(backend.execute(operand, b), cublas.gemm(a, b))
 
     def test_time_grows_with_problem_size(self, gpu):
         small = cublas.estimate_time(GemmProblem(1024, 1024, 1024), gpu=gpu)
@@ -65,6 +76,14 @@ class TestCusparseLt:
         out = cusparselt.spmm(a_sparse, b)
         assert np.allclose(out, reference_matmul_fp16(a_pruned, b), atol=1e-2, rtol=1e-2)
 
+    def test_operand_problem_time_and_output(self, operands, gpu):
+        a_sparse, _, b = operands
+        r, k = a_sparse.shape
+        problem = GemmProblem.from_nm(r=r, k=k, c=b.shape[1], n=a_sparse.n, m=a_sparse.m)
+        assert problem.sparsity == pytest.approx(0.5)
+        assert cusparselt.estimate_time(problem, gpu=gpu).time_us > 0
+        assert cusparselt.spmm(a_sparse, b).shape == (32, 16)
+
     def test_only_50_percent_supported(self, gpu):
         with pytest.raises(ValueError):
             cusparselt.estimate_time(GemmProblem.from_nm(1024, 4096, 4096, 2, 8), gpu=gpu)
@@ -99,6 +118,18 @@ class TestSputnik:
         a_sparse, a_pruned, b = operands
         out = sputnik.spmm(a_sparse, b)
         assert np.allclose(out, reference_matmul_fp16(a_pruned, b), atol=1e-2, rtol=1e-2)
+
+    def test_backend_times_and_runs_the_operand(self, operands, gpu):
+        a_sparse, a_pruned, b = operands
+        operand = SpmmOperand(csr=a_sparse, allow_dense=False)
+        backend = SputnikCsrBackend()
+        res = backend.estimate(operand, c=16, gpu=gpu)
+        assert res.problem.sparsity == pytest.approx(0.9, abs=0.01)
+        # The CSR row skew slows the modelled kernel.
+        assert a_sparse.load_imbalance() > 1.0
+        balanced = sputnik.estimate_time(res.problem, gpu=gpu, load_imbalance=1.0)
+        assert res.time_us > balanced.time_us
+        assert np.array_equal(backend.execute(operand, b), sputnik.spmm(a_sparse, b))
 
     def test_slower_than_cublas_at_moderate_sparsity(self, gpu):
         """The paper: Sputnik only overtakes cuBLAS above ~90% sparsity on
@@ -142,6 +173,18 @@ class TestClasp:
         a_sparse, a_pruned, b = operands
         out = clasp.spmm(a_sparse, b)
         assert np.allclose(out, reference_matmul_fp16(a_pruned, b), atol=1e-2, rtol=1e-2)
+
+    def test_operand_problem_time_and_output(self, operands, gpu):
+        a_sparse, _, b = operands
+        r, k = a_sparse.shape
+        problem = GemmProblem(r=r, k=k, c=b.shape[1], sparsity=1.0 - a_sparse.nnz / (r * k))
+        assert problem.sparsity == pytest.approx(0.75, abs=0.01)
+        res = clasp.estimate_time(
+            problem, gpu=gpu, config=clasp.ClaspConfig(vector_length=a_sparse.l),
+            load_imbalance=max(1.0, a_sparse.load_imbalance()),
+        )
+        assert res.time_us > 0
+        assert clasp.spmm(a_sparse, b).shape == (32, 16)
 
     def test_faster_than_sputnik_at_same_sparsity(self, gpu):
         """Tensor-core execution gives CLASP the edge over scalar Sputnik."""

@@ -6,6 +6,7 @@ import pytest
 from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.kernels import cublas, cusparse
 from repro.kernels.common import GemmProblem, reference_matmul_fp16
+from repro.kernels.dispatch import CusparseBlockedEllBackend, SpmmOperand
 
 
 @pytest.fixture
@@ -21,6 +22,15 @@ class TestFunctional:
         a_sparse, pruned, b = operands
         out = cusparse.spmm(a_sparse, b)
         assert np.allclose(out, reference_matmul_fp16(pruned, b), atol=2e-2, rtol=1e-2)
+
+    def test_backend_times_and_runs_the_operand(self, operands, gpu):
+        a_sparse, pruned, b = operands
+        operand = SpmmOperand(blocked_ell=a_sparse, allow_dense=False)
+        backend = CusparseBlockedEllBackend()
+        res = backend.estimate(operand, c=16, gpu=gpu)
+        assert res.kernel == "cusparse_blocked_ell_spmm"
+        assert res.problem.sparsity == pytest.approx(1 - np.count_nonzero(pruned) / pruned.size)
+        assert np.array_equal(backend.execute(operand, b), cusparse.spmm(a_sparse, b))
 
     def test_wrong_operand_type(self, rng):
         with pytest.raises(TypeError):

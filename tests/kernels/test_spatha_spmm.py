@@ -5,7 +5,14 @@ import pytest
 
 from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels.common import GemmProblem
-from repro.kernels.spatha import Spatha
+from repro.kernels.spatha import (
+    Spatha,
+    SpathaTuner,
+    default_config,
+    estimate_time,
+    speedup_vs_dense,
+    theoretical_speedup_cap,
+)
 from repro.kernels.spatha.spmm import spmm, spmm_dense_baseline, spmm_reference
 from repro.pruning.masks import apply_mask
 from repro.pruning.vnm import vnm_mask
@@ -81,3 +88,37 @@ class TestSpathaFacade:
         a, pruned, b = make_operands(rng, rows=128, cols=128, c=32, v=32, n=2, m=8)
         assert np.allclose(spatha.spmm(a, b), spmm_dense_baseline(pruned, b), atol=2e-2, rtol=1e-2)
         assert spatha.estimate(GemmProblem.from_nm(r=128, k=128, c=32, n=2, m=8, v=32)).time_us > 0
+
+
+class TestFigure13Patterns:
+    """Spatha at every sparsity of the paper's sweep, 2:4 up to 2:100."""
+
+    @staticmethod
+    def problem(n, m, v=128):
+        return GemmProblem.from_nm(r=1024, k=4096, c=4096, n=n, m=m, v=v)
+
+    def test_spmm_matches_dense_baseline(self, rng, fig13_pattern):
+        _, n, m = fig13_pattern
+        a, pruned, b = make_operands(rng, rows=32, cols=3 * m, c=8, v=16, n=n, m=m)
+        assert np.allclose(spmm(a, b), spmm_dense_baseline(pruned, b), atol=2e-2, rtol=1e-2)
+
+    def test_speedup_over_cublas_within_the_cap(self, gpu, fig13_pattern):
+        _, n, m = fig13_pattern
+        assert 1.0 < speedup_vs_dense(self.problem(n, m), gpu=gpu) <= theoretical_speedup_cap(n, m)
+
+    def test_tuner_never_worse_than_default(self, gpu, fig13_pattern):
+        _, n, m = fig13_pattern
+        p = self.problem(n, m)
+        record = SpathaTuner(gpu=gpu).tune(p)
+        times = [t for _, t in record.results]
+        assert times == sorted(times)
+        assert record.best_time_us <= estimate_time(p, config=default_config(128), gpu=gpu).time_us
+
+    def test_larger_v_is_not_slower(self, gpu, fig13_pattern):
+        """Figure 10: with each V's default template, a taller vector never costs time."""
+        _, n, m = fig13_pattern
+        times = [
+            estimate_time(self.problem(n, m, v), config=default_config(v), gpu=gpu).time_us
+            for v in (32, 64, 128)
+        ]
+        assert times == sorted(times, reverse=True)

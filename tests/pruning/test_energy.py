@@ -47,6 +47,18 @@ class TestPolicies:
         assert vnm_energy(weight, v=1, n=2, m=8) <= ideal + 1e-9
         assert vector_wise_energy(weight, s, l=8) <= ideal + 1e-9
 
+    def test_ordering_at_every_figure13_sparsity(self, rng, fig13_pattern):
+        """Every V:N:M mask is an N:M mask, and an N:M mask keeps no more
+        weights than unstructured pruning at the sweep's sparsity, so the
+        optimal masks order as ideal >= 1:N:M >= 16:N:M all the way to 2:100."""
+        sparsity, n, m = fig13_pattern
+        weight = rng.normal(size=(32, 4 * m))
+        ideal = ideal_energy(weight, sparsity)
+        nm = vnm_energy(weight, v=1, n=n, m=m)
+        vnm = vnm_energy(weight, v=16, n=n, m=m)
+        assert ideal + 1e-9 >= nm >= vnm - 1e-9
+        assert vnm > 0.0
+
     def test_ideal_energy_decreases_with_sparsity(self, weight):
         energies = [ideal_energy(weight, s) for s in (0.5, 0.75, 0.9, 0.95)]
         assert all(b <= a for a, b in zip(energies, energies[1:]))

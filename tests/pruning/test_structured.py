@@ -135,3 +135,24 @@ class TestVNM:
         w = rng.normal(size=(32, 40))
         padded, _ = pad_to_vnm_shape(w, v=8, m=8)
         assert padded.shape == w.shape
+
+
+class TestFigure13Patterns:
+    """The pruners at every sparsity of the paper's sweep."""
+
+    def test_pattern_for_sparsity(self, fig13_pattern):
+        sparsity, n, m = fig13_pattern
+        assert nm_pattern_for_sparsity(sparsity) == (n, m)
+
+    def test_nm_mask_hits_the_pattern_exactly(self, rng, fig13_pattern):
+        _, n, m = fig13_pattern
+        mask = nm_mask(rng.normal(size=(8, 3 * m)), n, m)
+        assert np.all(mask.reshape(8, 3, m).sum(axis=2) == n)
+        assert mask_sparsity(mask) == pytest.approx(1 - n / m)
+
+    def test_vnm_mask_hits_the_pattern_exactly(self, rng, fig13_pattern):
+        _, n, m = fig13_pattern
+        mask = vnm_mask(rng.normal(size=(32, 3 * m)), v=16, n=n, m=m)
+        assert check_mask_vnm(mask, v=16, n=n, m=m)
+        assert np.all(mask.reshape(32, 3, m).sum(axis=2) == n)
+        assert mask_sparsity(mask) == pytest.approx(vnm_sparsity(n, m))
