@@ -115,38 +115,50 @@ def _array_diff(a, b):
     )
 
 
-def bench_spatha_spmm(entries, size, v, n, m, rng):
+def bench_spatha_spmm(entries, size, v, n, m, rng, columns=None):
+    columns = size if columns is None else columns
     dense = rng.normal(size=(size, size)).astype(np.float32)
     a = VNMSparseMatrix.from_dense(dense, v=v, n=n, m=m, strict=False)
-    b = rng.normal(size=(size, size)).astype(np.float32)
+    b = rng.normal(size=(size, columns)).astype(np.float32)
     plan = SpmmPlan.for_matrix(a)
     plan.execute(b)  # warm: preparation is paid once per operand
     entry = _entry(
         "spatha.spmm",
-        f"{size}x{size}x{size} {v}:{n}:{m}",
+        f"{size}x{size}x{columns} {v}:{n}:{m}",
         lambda: spmm_loop_reference(a, b),
         lambda: plan.execute(b),
         _array_diff,
     )
-    entry["strategy"] = plan.resolve_strategy(size)
+    entry["strategy"] = plan.resolve_strategy(columns)
     if not entry["bit_exact"]:
-        # Measured (not assumed): at this shape the auto chooser resolves
-        # to the dense GEMM schedule — the gather schedule is fancy-index
-        # bandwidth-bound here (~0.2 GB/s vs one ~100 GFLOP/s BLAS call)
-        # and loses despite doing M/4 less arithmetic.  The dense GEMM
-        # accumulates each fp32 dot product in a different order than the
-        # block-loop reference, so the outputs differ by accumulation
+        # The auto chooser resolved to the dense GEMM schedule: at this C
+        # one GEMM over the whole operand beats the gather schedule's
+        # per-row-block GEMMs despite M/4 times the arithmetic.  The dense
+        # GEMM accumulates each fp32 dot product in a different order than
+        # the block-loop reference, so the outputs differ by accumulation
         # reorder only; record the measured relative tolerance next to the
         # entry so the non-exact record is self-describing.
         ref = spmm_loop_reference(a, b)
         scale = float(np.abs(ref).max(initial=1.0))
         entry["reorder_rel_tol"] = float(entry["max_abs_diff"] / scale)
         entry["non_exact_reason"] = (
-            "auto strategy resolves to the dense GEMM schedule (gather is "
-            "memory-bound at this shape); fp32 accumulation order differs from "
-            "the loop reference within the recorded relative tolerance"
+            f"auto strategy resolves to the dense GEMM schedule at C={columns}, where "
+            f"one GEMM beats the gather schedule's {plan.row_blocks} block GEMMs of "
+            f"V={v} rows keeping {plan.condensed_k} of {size} columns; fp32 "
+            "accumulation order differs from the loop reference within the recorded "
+            "relative tolerance"
         )
     entries.append(entry)
+
+
+def bench_spatha_crossover(entries):
+    """One ``spatha.spmm`` cell on each side of the auto chooser's crossover
+    in C: 1024^2 128:2:16 gathers at C = 64 (bit-exact against the loop),
+    1024^2 32:2:8 runs the dense GEMM at C = 1024.  Seeded on their own, so
+    they draw nothing from the stream the other entries' inputs come from."""
+    rng = np.random.default_rng(1)
+    bench_spatha_spmm(entries, 1024, 128, 2, 16, rng, columns=64)
+    bench_spatha_spmm(entries, 1024, 32, 2, 8, rng, columns=1024)
 
 
 def bench_baseline_kernels(entries, size, rng):
@@ -1035,6 +1047,7 @@ def main():
     entries = []
     if args.quick:
         bench_spatha_spmm(entries, 512, 16, 2, 4, rng)
+        bench_spatha_crossover(entries)
         bench_baseline_kernels(entries, 256, rng)
         bench_formats(entries, 256, rng)
         bench_pruning(entries, 16, 64, rng)
@@ -1075,6 +1088,7 @@ def main():
         # per row block and the planned engine runs one large GEMM.
         bench_spatha_spmm(entries, 4096, 16, 2, 4, rng)
         bench_spatha_spmm(entries, 2048, 32, 2, 8, rng)
+        bench_spatha_crossover(entries)
         bench_baseline_kernels(entries, 1024, rng)
         bench_formats(entries, 1024, rng)
         bench_pruning(entries, 32, 128, rng)

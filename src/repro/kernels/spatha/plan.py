@@ -14,17 +14,24 @@ CPU analogue of that preparation step:
   :class:`~repro.formats.vnm.VNMSparseMatrix` itself, so every layer of a
   transformer forward and every point of a sweep pays preparation once;
 * execution is fully batched: no Python loop over row blocks.  Two
-  strategies are provided and an ``auto`` mode picks between them with a
-  small cost model calibrated on this host:
+  strategies are provided and an ``auto`` mode picks between them per
+  (operand, C) with a small host cost model:
 
   - ``"gather"`` — the faithful condensed-operand schedule: the selected B
-    rows of every row block are gathered (in bounded-memory chunks) and
-    multiplied with the condensed operand via one stacked ``matmul``.  This
-    is bit-identical to the retained loop reference.
-  - ``"dense"`` — scatter the (fp16-rounded) operand to its dense form once
-    at plan build, then execute each call as a single large GEMM.  On CPUs
-    a single BLAS call vastly outperforms per-block gathers for small V,
-    at the cost of ``M/4`` more arithmetic.
+    rows of every row block are gathered, in chunks small enough to stay in
+    cache until the GEMM reads them, and multiplied with the condensed
+    operand via one stacked ``matmul``.  This is bit-identical to the
+    retained loop reference.
+  - ``"dense"`` — scatter the (fp16-rounded) operand to its dense form once,
+    on first use, then execute each call as a single large GEMM: ``M/4``
+    times the arithmetic in one BLAS call instead of one small GEMM per row
+    block.
+
+  The gather schedule wins where tall row blocks multiply a narrow condensed
+  operand (64:2:8, 128:2:16, 64:2:32); the dense schedule wins at V = 16
+  and 2:8, where many small GEMMs lose to one large one, and at 2:4, where
+  the condensed operand is as wide as the dense one.  In between — 32:2:8,
+  say — the verdict depends on C.
 
 * the RHS may be 2-D ``(K, C)`` or batched 3-D ``(B, K, C)``; the batched
   form lets :mod:`repro.integration.linear` and the transformer layers run
@@ -38,27 +45,67 @@ CPU analogue of that preparation step:
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import KernelConfig
 from ..common import demote_nonfinite_slabs
 from ...formats.base import quantize_fp16, quantize_fp16_checked
 from ...formats.vnm import VNMSparseMatrix
 
-#: Calibrated single-core throughputs used by the ``auto`` strategy chooser
-#: (measured on the reference container: large square SGEMM sustains
-#: ~1e11 FLOP/s, thin per-block GEMMs ~2.5e10, fancy row gathers ~2e9 B/s).
-#: Only the *ratio* between them matters for the decision.
-_DENSE_GEMM_FLOPS = 1.0e11
-_BLOCK_GEMM_FLOPS = 2.5e10
-_GATHER_BYTES_PER_SECOND = 2.0e9
+#: Host cost model of the two schedules, in seconds per unit, fitted on an
+#: AVX-512 Xeon (2 MiB L2 per core) with one BLAS thread over 152
+#: (operand, C) cells: R and K from 256 to 4096, V from 16 to 128, M from
+#: 4 to 32, C from 1 to 2048.  Both costs are affine in C.
+#: Per call, each schedule pays ``_OPERAND_ELEMENT_S`` for every operand
+#: element it multiplies (R*K dense, R*kc gather), and the gather schedule
+#: also pays ``_ROW_BLOCK_S`` per row block, one small GEMM each.  Per RHS
+#: column, the dense schedule pays ``_DENSE_MAC_S`` per multiply-add; the
+#: gather schedule pays ``_BLOCK_MAC_S`` per condensed multiply-add plus
+#: ``_PANEL_ELEMENT_S`` per gathered B element (its copy, and its read by
+#: a GEMM that only V rows share).
+_OPERAND_ELEMENT_S = 6.9e-10
+_ROW_BLOCK_S = 5.9e-6
+_DENSE_MAC_S = 1.4e-11
+_BLOCK_MAC_S = 1.83e-11
+_PANEL_ELEMENT_S = 5.9e-10
 
-#: Upper bound on the temporary gathered-RHS buffer of the gather strategy.
-_GATHER_CHUNK_BYTES = 256 * 1024 * 1024
+#: Upper bound on the gathered-RHS buffer of one gather chunk: a quarter of
+#: a 2 MiB L2, so a chunk's panel is still in cache when its GEMMs read it
+#: (and beside it BLAS's packed copy).  Measured against 256 KiB, 1 MiB and
+#: 2 MiB; a 256 MiB chunk, which gathers the whole panel before any GEMM
+#: reads it, was 1.1x to 2.0x slower at C = 512.
+_GATHER_CHUNK_BYTES = 512 * 1024
 
 _STRATEGIES = ("auto", "dense", "gather")
+
+
+def auto_schedule(r: int, k: int, v: int, kc: int) -> Tuple[str, int, str]:
+    """The cost model's verdict for an ``R x K`` operand of V-row blocks and
+    condensed width ``kc``: ``(below, crossover, above)``.
+
+    A C-column RHS runs ``below`` when ``C < crossover`` and ``above``
+    otherwise.  Both modelled costs are affine in C, so their difference
+    changes sign at most once and one crossover describes every C; a
+    verdict that does not depend on C has ``below == above``.  Ties go to
+    the dense schedule.
+    """
+    blocks = r // v
+    # What the gather schedule saves per call, and what it costs extra per
+    # column: gather(C) < dense(C)  <=>  extra * C < saving.
+    saving = r * (k - kc) * _OPERAND_ELEMENT_S - blocks * _ROW_BLOCK_S
+    extra = r * kc * _BLOCK_MAC_S + blocks * kc * _PANEL_ELEMENT_S - r * k * _DENSE_MAC_S
+    if extra > 0:
+        below, crossover, above = "gather", math.ceil(saving / extra), "dense"
+    elif extra < 0:
+        below, crossover, above = "dense", math.floor(saving / extra) + 1, "gather"
+    else:
+        below = above = "gather" if saving > 0 else "dense"
+        crossover = 0
+    if crossover <= 1:  # no C >= 1 runs ``below``
+        return above, 0, above
+    return below, crossover, above
 
 
 class SpmmPlan:
@@ -72,18 +119,9 @@ class SpmmPlan:
     strategy:
         ``"auto"`` (default), ``"dense"`` or ``"gather"`` — see the module
         docstring.
-    config:
-        Optional kernel template configuration.  The numerics are
-        independent of the tiling; the config is carried so call sites can
-        pass one object around for the functional and performance paths.
     """
 
-    def __init__(
-        self,
-        matrix: VNMSparseMatrix,
-        strategy: str = "auto",
-        config: Optional[KernelConfig] = None,
-    ) -> None:
+    def __init__(self, matrix: VNMSparseMatrix, strategy: str = "auto") -> None:
         if not isinstance(matrix, VNMSparseMatrix):
             raise TypeError("SpmmPlan expects a VNMSparseMatrix operand")
         if strategy not in _STRATEGIES:
@@ -94,24 +132,24 @@ class SpmmPlan:
         self.v = matrix.v
         self.row_blocks = matrix.row_blocks
         self.strategy = strategy
-        self.config = config
         # One-time preparation (memoized on the matrix across plans).
         self.condensed16 = quantize_fp16(matrix.to_condensed())
         self.gather_indices = matrix.selected_column_indices()  # (R/V, K/M*4)
         self.metadata = matrix.packed_metadata()
         self._dense16: Optional[np.ndarray] = None
-        self._resolved = strategy if strategy != "auto" else self._auto_strategy()
+        if strategy == "auto":
+            self._below, self._crossover, self._above = auto_schedule(
+                *self.shape, self.v, self.condensed_k
+            )
+        else:
+            self._below = self._above = strategy
+            self._crossover = 0
 
     # ------------------------------------------------------------------
     # Cached plan lookup
     # ------------------------------------------------------------------
     @classmethod
-    def for_matrix(
-        cls,
-        matrix: VNMSparseMatrix,
-        strategy: str = "auto",
-        config: Optional[KernelConfig] = None,
-    ) -> "SpmmPlan":
+    def for_matrix(cls, matrix: VNMSparseMatrix, strategy: str = "auto") -> "SpmmPlan":
         """The memoized plan of ``matrix`` (built on first use).
 
         Plans are cached per (strategy,) on the matrix itself, so repeated
@@ -124,7 +162,7 @@ class SpmmPlan:
         key = ("spmm_plan", strategy)
         plan = matrix._memo.get(key)
         if plan is None:
-            plan = cls(matrix, strategy=strategy, config=config)
+            plan = cls(matrix, strategy=strategy)
             matrix._memo[key] = plan
         return plan
 
@@ -148,23 +186,15 @@ class SpmmPlan:
             self._dense16 = dense.reshape(self.shape)
         return self._dense16
 
-    def _auto_strategy(self) -> str:
-        """The cost model's verdict, per RHS column.
-
-        Both modelled costs are linear in C, so the choice belongs to the
-        operand alone and is settled once, at plan build.
-        """
-        r, k = self.shape
-        kc = self.condensed_k
-        gather_cost = self.row_blocks * kc * 4.0 / _GATHER_BYTES_PER_SECOND + (
-            2.0 * r * kc / _BLOCK_GEMM_FLOPS
-        )
-        dense_cost = 2.0 * r * k / _DENSE_GEMM_FLOPS
-        return "dense" if dense_cost <= gather_cost else "gather"
-
     def resolve_strategy(self, c: int) -> str:
-        """The strategy ``execute`` will use for a C-column RHS."""
-        return self._resolved
+        """The strategy ``execute`` will use for a C-column RHS.
+
+        Under ``auto`` it depends on C as well as the operand: the plan
+        keeps :func:`auto_schedule`'s crossover, settled at build, and
+        compares against it.  The same operand and C always get the same
+        schedule, hence the same bits.
+        """
+        return self._below if c < self._crossover else self._above
 
     def _execute_dense(self, b16: np.ndarray) -> np.ndarray:
         """Dense schedule: matmul broadcasts (R, K) @ (B, K, C) into one GEMM
@@ -185,7 +215,7 @@ class SpmmPlan:
         if b.ndim not in (2, 3) or b.shape[-2] != k:
             raise ValueError(f"B must have shape ({k}, C) or (batch, {k}, C), got {b.shape}")
         b16, finite = quantize_fp16_checked(b)
-        if self._resolved == "gather":
+        if self.resolve_strategy(b.shape[-1]) == "gather":
             out = self._execute_gather(b16)
         elif finite:
             out = self._execute_dense(b16)

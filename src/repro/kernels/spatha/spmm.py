@@ -79,7 +79,7 @@ def spmm(
     """
     if not isinstance(a, VNMSparseMatrix):
         raise TypeError("spatha.spmm expects a VNMSparseMatrix operand")
-    return SpmmPlan.for_matrix(a, config=config).execute(b, bias=bias)
+    return SpmmPlan.for_matrix(a).execute(b, bias=bias)
 
 
 def spmm_loop_reference(
