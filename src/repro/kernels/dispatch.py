@@ -34,7 +34,7 @@ Design rules, enforced by the consistency tests:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -458,9 +458,9 @@ class CircuitBreaker:
     """Per-backend failure streaks, quarantine countdowns and health counters.
 
     The failover policy of one executor, separate from what it executes:
-    :class:`KernelDispatcher` owns one for real kernel calls, and the serving
-    simulator's modelled executor owns one for modelled calls, so both walk
-    the candidates of a :class:`DispatchDecision` identically.
+    :meth:`walk` is the one candidate walk, and an executor only supplies
+    the attempt — :class:`KernelDispatcher` runs the backend's kernel, a
+    modelled engine charges the backend's modelled time.
     ``failure_threshold`` consecutive failures quarantine a backend; it then
     sits out ``probe_interval`` executes that pass it over before one probe
     attempt at its ranked position — success re-admits it, failure sends it
@@ -540,6 +540,36 @@ class CircuitBreaker:
             self.readmissions += 1
         if after_failure:
             self.failovers += 1
+
+    def walk(
+        self, decision: DispatchDecision, attempt: Callable[[str], object], owner: str
+    ) -> Tuple[str, Optional[str], object]:
+        """One execute: ``attempt(name)`` down :meth:`candidate_order` until one returns.
+
+        A candidate that raises :class:`BackendExecutionError` counts a
+        failure against the backend the error names (else the candidate)
+        and the walk moves on; the first that returns counts a success.
+        Returns ``(served, first_failed, result)``, ``first_failed`` being
+        ``None`` unless the walk failed over.  Raises
+        :class:`BackendExecutionError` when every candidate failed.
+        """
+        errors: List[str] = []
+        first_failed: Optional[str] = None
+        for name in self.candidate_order(decision):
+            try:
+                result = attempt(name)
+            except BackendExecutionError as exc:
+                failed = exc.backend or name
+                self.record_failure(failed)
+                errors.append(f"{failed}: {exc}")
+                if first_failed is None:
+                    first_failed = name
+                continue
+            self.record_success(name, after_failure=first_failed is not None)
+            return name, first_failed, result
+        raise BackendExecutionError(
+            f"{owner}: all candidate backends failed: " + "; ".join(errors)
+        )
 
     def stats(self) -> Dict[str, object]:
         """The health counters plus who is quarantined right now."""
@@ -747,28 +777,13 @@ class KernelDispatcher:
         """
         b = _validate_rhs(operand, b)
         decision = self.dispatch(operand, b.shape[-1])
-        out: Optional[np.ndarray] = None
-        errors: List[str] = []
-        first_failed: Optional[str] = None
-        for name in self.breaker.candidate_order(decision):
-            try:
-                out = self._attempt(operand, b, name, decision)
-            except BackendExecutionError as exc:
-                failed = exc.backend or name
-                self.breaker.record_failure(failed)
-                errors.append(f"{failed}: {exc}")
-                if first_failed is None:
-                    first_failed = name
-                continue
-            self.breaker.record_success(name, after_failure=first_failed is not None)
-            if first_failed is not None:
-                decision.record_failover(first_failed, name)
-            break
-        if out is None:
-            raise BackendExecutionError(
-                f"{self.name or 'dispatcher'}: all candidate backends failed "
-                f"for operand {operand.name or operand.shape}: " + "; ".join(errors)
-            )
+        served, first_failed, out = self.breaker.walk(
+            decision,
+            lambda name: self._attempt(operand, b, name, decision),
+            self.name or "dispatcher",
+        )
+        if first_failed is not None:
+            decision.record_failover(first_failed, served)
         if bias is not None:
             r = operand.r
             bias = np.asarray(bias, dtype=np.float32)

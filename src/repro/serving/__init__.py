@@ -40,9 +40,10 @@ subsystem (the ROADMAP's "heavy traffic" direction):
   home for engine knobs (scheduling, padding, admission control, KV
   geometry, warming, sharding), plus the :func:`create_engine` factory.
 * :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO
-  simulator on the modelled GPU: one replay over the real
-  :class:`ContinuousBatcher` and circuit breaker (plus fixed-grid and
-  async arrival-deadline window closings), one :class:`SimReport`.
+  simulator on the modelled GPU: a ``ServingEngine`` whose micro-batch
+  charges modelled kernel time instead of running, driven by the engine
+  core's own continuous, async-window and whole-window drivers; one
+  :class:`SimReport`.
 
 The core guarantee, property-tested end to end: batched execution of N
 compatible requests is bit-identical to N sequential single-request calls —
@@ -104,7 +105,6 @@ from .simulate import (
     diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
-    plan_async_closings,
     poisson_arrivals,
     simulate_chaos,
     simulate_serving,
@@ -154,7 +154,6 @@ __all__ = [
     "merge_arrivals",
     "outcome_counts",
     "pareto_lengths",
-    "plan_async_closings",
     "plan_continuous_batch",
     "plan_continuous_batch_reference",
     "plan_slo_batch",

@@ -389,28 +389,10 @@ class ShapeBucketBatcher:
             "per_class": {0: {"shed": 0, "expired": 0, "pending": 0}},
         }
 
-    def plan_batches(self, items, key_of, id_of) -> List[Tuple[BucketKey, List]]:
-        """The batching policy, shared by :meth:`drain` and the simulator.
-
-        Groups ``items`` by ``key_of(item)``, orders each group by
-        ``id_of(item)``, chunks at ``max_batch_size`` and emits the chunks
-        in bucket-key order.  Deterministic: the same item set always plans
-        identically, regardless of arrival order.
-        """
-        by_bucket: Dict[BucketKey, List] = {}
-        for item in items:
-            by_bucket.setdefault(key_of(item), []).append(item)
-        batches: List[Tuple[BucketKey, List]] = []
-        for key in sorted(by_bucket, key=lambda k: (k.features, k.token_bucket)):
-            members = sorted(by_bucket[key], key=id_of)
-            for lo in range(0, len(members), self.max_batch_size):
-                batches.append((key, members[lo : lo + self.max_batch_size]))
-        return batches
-
     def drain(self) -> List[MicroBatch]:
         """Group everything queued into micro-batches and clear the queue.
 
-        Deterministic (see :meth:`plan_batches`): the same request set
+        Deterministic (see :meth:`_micro_batches`): the same request set
         always drains identically, regardless of arrival order.
         """
         pending = self._pending
@@ -419,13 +401,18 @@ class ShapeBucketBatcher:
         return self._micro_batches(pending)
 
     def _micro_batches(self, requests: List[Request]) -> List[MicroBatch]:
-        """:meth:`plan_batches` over live requests, as executable batches."""
-        return [
-            MicroBatch(key=key, requests=members)
-            for key, members in self.plan_batches(
-                requests, self.bucket_key, lambda r: r.request_id
-            )
-        ]
+        """The window batching policy: group by bucket, order each group by
+        ``request_id``, chunk at ``max_batch_size``, emit in bucket-key
+        order — the same request set always batches identically."""
+        by_bucket: Dict[BucketKey, List[Request]] = {}
+        for req in requests:
+            by_bucket.setdefault(self.bucket_key(req), []).append(req)
+        batches: List[MicroBatch] = []
+        for key in sorted(by_bucket, key=lambda k: (k.features, k.token_bucket)):
+            members = sorted(by_bucket[key], key=lambda r: r.request_id)
+            for lo in range(0, len(members), self.max_batch_size):
+                batches.append(MicroBatch(key=key, requests=members[lo : lo + self.max_batch_size]))
+        return batches
 
 
 class AsyncWindowBatcher(ShapeBucketBatcher):
@@ -442,7 +429,7 @@ class AsyncWindowBatcher(ShapeBucketBatcher):
 
     The serving engines drive it with ``poll(now_us)``; numerics are
     untouched — a closed bucket drains through the exact same deterministic
-    :meth:`ShapeBucketBatcher.plan_batches` policy, so per-request outputs
+    :meth:`ShapeBucketBatcher.drain` policy, so per-request outputs
     stay invariant to arrival order *and* to the window size (the async
     property test pins this bit for bit).
     """
@@ -488,8 +475,8 @@ class AsyncWindowBatcher(ShapeBucketBatcher):
     def next_deadline_us(self) -> Optional[float]:
         """The earliest pending close time (``None`` when the queue is empty).
 
-        Drivers (the engines' run loops, the simulator) advance their clock
-        to this instant to close windows exactly on schedule.
+        ``serve_arrivals`` polls each of these instants in turn, so windows
+        close exactly on schedule.
         """
         if not self._pending:
             return None

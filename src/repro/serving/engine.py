@@ -145,6 +145,11 @@ class EngineCore:
         self._residents: Dict[str, object] = {}
         #: Per-request terminal states (ok / failed / timed_out / shed).
         self.outcomes: Dict[str, RequestOutcome] = {}
+        #: Instant the engine's modelled execution stream next frees.  Live
+        #: engines execute on the host and leave it at 0.0; the simulator's
+        #: modelled engine advances it, and ``serve_continuous`` never steps
+        #: before it.
+        self.busy_until_us = 0.0
 
     # ------------------------------------------------------------------
     # The two hooks (and the intake check)
@@ -306,11 +311,7 @@ class EngineCore:
         Buckets whose oldest request has not yet waited out the window stay
         queued for a later poll (or a final ``flush``).
         """
-        if not isinstance(self.batcher, AsyncWindowBatcher):
-            raise TypeError(
-                "poll() needs a deadline-aware batcher (AsyncWindowBatcher); "
-                "use flush() with a plain ShapeBucketBatcher"
-            )
+        self._require_async("poll()")
         self._expire_pending(now_us)
         results: Dict[str, np.ndarray] = {}
         for batch in self.batcher.drain_due(now_us):
@@ -320,20 +321,34 @@ class EngineCore:
     def serve_arrivals(self, requests: Iterable[Request]) -> Dict[str, np.ndarray]:
         """Replay requests against their arrival clock through async windows.
 
-        Each request is submitted at its ``arrival_us`` (closing any windows
-        due by then), and the remaining deadlines are polled once arrivals
-        are exhausted.
+        Each request is submitted at its ``arrival_us``.  Before that, every
+        window due by then is closed at its own deadline, earliest first,
+        and the remaining deadlines are polled the same way once arrivals
+        are exhausted: a window closes on time, not at the next arrival.
         """
+        self._require_async("serve_arrivals()")
         results: Dict[str, np.ndarray] = {}
         for request in sorted(requests, key=lambda r: (r.arrival_us, r.request_id)):
+            self._poll_deadlines(request.arrival_us, results)
             results.update(self.poll(request.arrival_us))
             self.submit(request)
+        self._poll_deadlines(float("inf"), results)
+        return results
+
+    def _poll_deadlines(self, until_us: float, results: Dict[str, np.ndarray]) -> None:
+        """Poll each pending window deadline up to ``until_us``, in order."""
         while True:
             deadline = self.batcher.next_deadline_us()
-            if deadline is None:
-                break
+            if deadline is None or deadline > until_us:
+                return
             results.update(self.poll(deadline))
-        return results
+
+    def _require_async(self, caller: str) -> None:
+        if not isinstance(self.batcher, AsyncWindowBatcher):
+            raise TypeError(
+                f"{caller} needs a deadline-aware batcher (AsyncWindowBatcher); "
+                "use flush() with a plain ShapeBucketBatcher"
+            )
 
     # ------------------------------------------------------------------
     # The continuous driver
@@ -375,8 +390,9 @@ class EngineCore:
         (``steps_executed`` moved — whether or not any request came out
         ``ok``) the clock advances by ``step_us`` (the step cadence —
         ``0.0`` means steps run back to back; ``None`` reads the engine
-        config's ``step_us``), and an idle step jumps the clock to the next
-        pending arrival.  Runs while anything is pending *or in flight* — a
+        config's ``step_us``) but never to before ``busy_until_us`` (always
+        0.0 live), and an idle step jumps the clock to the next pending
+        arrival.  Runs while anything is pending *or in flight* — a
         decode outlives the step that admitted it — including requests
         ``submit``-ted directly onto the engine beforehand (their
         ``arrival_us`` is honoured via the batcher's ``next_event_us``,
@@ -402,7 +418,7 @@ class EngineCore:
             before = self.steps_executed
             results.update(self.step(now))
             if self.steps_executed != before:
-                now += step_us
+                now = max(now + step_us, self.busy_until_us)
             else:
                 # Idle step: nothing arrived yet — jump to the earliest
                 # upcoming arrival (explicit list or pre-queued on the
@@ -549,23 +565,25 @@ class ServingEngine(EngineCore):
             )
         rhs = batch.stacked_rhs()  # (B, K, C_bucket)
         out = self.dispatcher.execute(self.operand, rhs, bias=self.bias)
-        decision = self.dispatcher.dispatch(self.operand, batch.key.token_bucket)
-        modelled = self.dispatcher.estimate(
-            self.operand, batch.padded_tokens, backend=decision.backend
+        backend = self.dispatcher.dispatch(self.operand, batch.key.token_bucket).backend
+        self._record(
+            batch, backend, self.dispatcher.estimate(self.operand, batch.padded_tokens, backend=backend)
         )
+        return batch.split_output(out)
+
+    def _record(self, batch: MicroBatch, backend: str, modelled, **meta) -> None:
+        """Trace one executed micro-batch at ``backend``'s modelled time."""
         execution = modelled.as_execution(category="gemm")
         execution.meta.update(
-            {
-                "serving": self.name,
-                "backend": decision.backend,
-                "batch_size": batch.batch_size,
-                "token_bucket": batch.key.token_bucket,
-            }
+            serving=self.name,
+            backend=backend,
+            batch_size=batch.batch_size,
+            token_bucket=batch.key.token_bucket,
+            **meta,
         )
         self.trace.record(execution)
         self.total_batches += 1
         self.total_requests += batch.batch_size
-        return batch.split_output(out)
 
     # ------------------------------------------------------------------
     # Introspection

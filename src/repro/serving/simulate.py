@@ -2,45 +2,34 @@
 
 The engines execute real numerics; this module answers the capacity
 questions — *what does a batch window buy? who sheds under overload? what
-does a flaky backend cost?* — without moving any data.  There is **one**
-replay (:class:`_ModelledEngine`): shape-only requests go to a real
-:class:`~repro.serving.continuous.ContinuousBatcher`, each chunk it
-schedules is charged to one serial modelled-GPU stream whose failover walk
-is the dispatcher's own :class:`~repro.kernels.dispatch.CircuitBreaker`,
-and every run returns one :class:`SimReport` — so admission, scheduling
-and failover agree with the live engines by construction.  Every launch is
-recorded as a :class:`~repro.hardware.trace.KernelExecution`, so serving
-sweeps produce the same trace records as the figure-level harness.
-
-:func:`simulate_serving`, :func:`simulate_chaos` and :func:`simulate_slo`
-only map their arguments onto that replay.  The windowed policies of
-``simulate_serving`` (fixed grid, async arrival deadlines) close windows
-analytically and feed the same stream: larger windows trade queueing
-delay for kernel efficiency, because the modelled SpMM time is strongly
-sublinear in C (fixed launch/tile overheads amortise, tiles fill).
+does a flaky backend cost?* — without moving any data.  It is an executor
+of the live engine: :class:`ModelledEngine` is a
+:class:`~repro.serving.engine.ServingEngine` whose micro-batch charges the
+dispatched backend's modelled kernel time to one serial stream, and
+shape-only requests go through the engine core's own drivers.  Intake,
+shedding, deadline expiry, bisection of a failed micro-batch, outcomes and
+the failover walk (:meth:`~repro.kernels.dispatch.CircuitBreaker.walk`)
+are therefore the live engine's, written once.  Every launch is recorded
+as a :class:`~repro.hardware.trace.KernelExecution`, and every run returns
+one :class:`SimReport`.  Larger windows trade queueing delay for kernel
+efficiency, because the modelled SpMM time is strongly sublinear in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .batcher import BucketKey, Request, ShapeBucketBatcher
+from .batcher import AsyncWindowBatcher, Request, ShapeBucketBatcher
 from .config import ServingConfig
 from .continuous import POLICY_FCFS, SHED_REJECT_NEWEST, ContinuousBatcher, SchedulingConfig
-from .faults import (
-    OUTCOME_FAILED,
-    OUTCOME_OK,
-    OUTCOME_SHED,
-    OUTCOME_STATES,
-    OUTCOME_TIMED_OUT,
-    FaultInjector,
-    FaultPlan,
-)
+from .engine import ServingEngine
+from .faults import OUTCOME_OK, OUTCOME_SHED, OUTCOME_STATES, OUTCOME_TIMED_OUT, FaultInjector, FaultPlan
 from ..hardware.trace import ExecutionTrace
-from ..kernels.dispatch import CircuitBreaker, KernelDispatcher, SpmmOperand
+from ..kernels.dispatch import BackendExecutionError, CircuitBreaker, KernelDispatcher, SpmmOperand
 
 
 @dataclass(frozen=True)
@@ -454,202 +443,136 @@ class SimReport:
         }
 
 
-def plan_async_closings(
-    requests: Sequence[SimulatedRequest],
-    window_us: float,
-    bucket_of,
-) -> List[Tuple[float, List[SimulatedRequest]]]:
-    """Arrival-deadline window closings, per bucket.
+class ModelledEngine(ServingEngine):
+    """A :class:`ServingEngine` on the modelled clock: the live lifecycle, no data moved.
 
-    The async policy of :class:`~repro.serving.batcher.AsyncWindowBatcher`,
-    replayed analytically: each *bucket's* window opens when its first
-    request arrives and closes exactly ``window_us`` later (requests
-    arriving strictly within the open window join it); there is no global
-    grid and no count trigger.  Returns ``(close_us, members)`` pairs
-    sorted by close time so a serial executor can drain them in order.
-
-    Boundary semantics match the live batcher: ``drain_due`` considers a
-    window due at ``arrival + window_us <= now``, and ``serve_arrivals``
-    polls *before* submitting each arrival — so a request arriving exactly
-    at a closing deadline misses that window and opens the next one.
-    """
-    by_bucket: Dict[object, List[SimulatedRequest]] = {}
-    for req in sorted(requests, key=lambda r: (r.arrival_us, r.request_id)):
-        by_bucket.setdefault(bucket_of(req), []).append(req)
-    closings: List[Tuple[float, List[SimulatedRequest]]] = []
-    for members in by_bucket.values():
-        window: List[SimulatedRequest] = []
-        deadline = float("-inf")
-        for req in members:
-            if not window or req.arrival_us >= deadline:
-                if window:
-                    closings.append((deadline, window))
-                window = [req]
-                deadline = req.arrival_us + window_us
-            else:
-                window.append(req)
-        if window:
-            closings.append((deadline, window))
-    closings.sort(key=lambda cw: (cw[0], cw[1][0].request_id))
-    return closings
-
-
-class _ModelledEngine:
-    """A serving engine on the modelled clock: real batcher, modelled GPU.
-
-    Scheduling is a real :class:`ContinuousBatcher`: ``batcher`` only
-    contributes its ladder and ``max_batch_size``, ``bucketing`` mirrors the
-    model engine's ``padding`` modes (``"ladder"`` rounds token counts up
-    the rungs, so a batch costs the kernel at its *padded* column count;
-    ``"exact"`` only groups identical token counts), and ``admission``
-    (``max_queue_depth`` / ``shed_policy`` / ``scheduling``) is the
-    batcher's own, validated there.
-
-    Execution is one serial GPU stream charging each chunk the dispatched
-    backend's modelled kernel time.  Under a :class:`FaultPlan` a failed
-    attempt still costs its time and the walk continues down the dispatch
-    ranking under a :class:`CircuitBreaker`, as in
-    :meth:`KernelDispatcher.execute`; without one the first candidate serves.
+    A micro-batch never reaches a kernel.  It is charged to one serial
+    stream, from when both the stream and the batch are ready
+    (``busy_until_us``), through the live failover walk with a modelled
+    attempt: each candidate costs its modelled kernel time at the batch's
+    padded column count plus any latency ``plan`` injects, and fails when
+    ``plan`` says so.  A served batch is traced on the backend that served
+    it, and its output per request is the instant it finished.  Each run
+    owns its :class:`CircuitBreaker`, so a dispatcher shared across a sweep
+    carries decisions and estimates between runs, never backend health.
+    It never builds a plan or runs an SpMM.
     """
 
     def __init__(
         self,
         operand: SpmmOperand,
-        requests: Sequence[SimulatedRequest],
-        dispatcher: Optional[KernelDispatcher],
-        batcher: Optional[ShapeBucketBatcher],
-        bucketing: str,
+        batcher: ShapeBucketBatcher,
+        dispatcher: Optional[KernelDispatcher] = None,
         plan: Optional[FaultPlan] = None,
         failure_threshold: int = 3,
         probe_interval: int = 4,
-        labels: Optional[Dict[str, object]] = None,
-        **admission,
     ) -> None:
-        if bucketing not in {"ladder", "exact"}:
-            raise ValueError(f"unknown bucketing {bucketing!r}; use 'ladder' or 'exact'")
-        if not requests:
-            raise ValueError("requests must be non-empty")
-        batcher = batcher if batcher is not None else ShapeBucketBatcher()
-        self.batcher = ContinuousBatcher(
-            token_buckets=(1,) if bucketing == "exact" else batcher.token_buckets,
-            max_batch_size=batcher.max_batch_size,
-            **admission,
+        super().__init__(
+            operand,
+            dispatcher=dispatcher if dispatcher is not None else KernelDispatcher(),
+            batcher=batcher,
+            config=ServingConfig(name="simulate", warm=False, step_us=0.0),
         )
-        self.operand = operand
-        self.requests = requests
-        self.dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
         self.injector = FaultInjector(plan if plan is not None else FaultPlan())
         self.breaker = CircuitBreaker(failure_threshold, probe_interval)
-        # ``report.makespan_us`` doubles as the clock: a serial stream next
-        # frees exactly when everything charged to it so far has finished.
-        self.report = SimReport(
-            num_requests=len(requests),
-            makespan_us=0.0,
-            classes={req.request_id: req.priority_class for req in requests},
-            num_classes=self.batcher.scheduling.num_classes,
-            bucketing=bucketing,
-            policy=self.batcher.scheduling.policy,
-            seed=self.injector.plan.seed,
-            **(labels or {}),
-        )
+        #: Micro-batches charged to the stream, served or failed.
+        self.charged_batches = 0
 
-    def run(self, token_bucket: int, chunk: Sequence, ready_us: float) -> None:
-        """Charge one chunk of a ``token_bucket`` rung, ready at ``ready_us``.
+    def _run_batch(self, batch, now_us: float = 0.0) -> Dict[str, float]:
+        # The stream takes the batch once both are ready.
+        self.busy_until_us = max(self.busy_until_us, now_us)
+        return super()._run_batch(batch, now_us)
 
-        Members report ``failed`` when every backend failed, ``timed_out``
-        when the chunk finished past their deadline, else ``ok``.
-        """
-        report = self.report
-        decision = self.dispatcher.dispatch(self.operand, token_bucket)
-        start_us = max(ready_us, report.makespan_us)
-        elapsed_us = 0.0
-        served = failed_over = False
-        for name in self.breaker.candidate_order(decision):
-            fault, _ = self.injector.on_call(name)
-            modelled = self.dispatcher.estimate(
-                self.operand, len(chunk) * token_bucket, backend=name
-            )
-            elapsed_us += modelled.time_us + fault.latency_us
+    def _execute_batch(self, batch) -> Dict[str, float]:
+        self.charged_batches += 1
+        start_us = self.busy_until_us
+
+        def charge(name: str):
+            fault, call = self.injector.on_call(name)
+            modelled = self.dispatcher.estimate(self.operand, batch.padded_tokens, backend=name)
+            self.busy_until_us += modelled.time_us + fault.latency_us
             if fault.fail:
-                self.breaker.record_failure(name)
-                failed_over = True
-                continue
-            self.breaker.record_success(name, after_failure=failed_over)
-            execution = modelled.as_execution(category="gemm")
-            execution.meta.update(
-                backend=name,
-                batch_size=len(chunk),
-                token_bucket=token_bucket,
-                start_us=start_us,
-                request_ids=tuple(req.request_id for req in chunk),
-            )
-            report.trace.record(execution)
-            served = True
-            break
-        report.makespan_us = finish_us = start_us + elapsed_us
-        report.num_batches += 1
-        for req in chunk:
-            if not served:
-                report.outcomes[req.request_id] = OUTCOME_FAILED
-            elif req.deadline_us is not None and finish_us > req.deadline_us:
-                report.outcomes[req.request_id] = OUTCOME_TIMED_OUT
-            else:
-                report.outcomes[req.request_id] = OUTCOME_OK
-                report.latencies_us[req.request_id] = finish_us - req.arrival_us
+                raise BackendExecutionError(f"injected fault on {name} (call {call})", backend=name)
+            return modelled
 
-    def finish(self) -> SimReport:
-        """Stamp the health counters; returns the report."""
-        report = self.report
-        report.failovers = self.breaker.failovers
-        report.quarantines = self.breaker.quarantines
-        report.readmissions = self.breaker.readmissions
-        report.injected_failures = self.injector.injected_failures
-        report.injected_latency_us = self.injector.injected_latency_us
-        return report
+        decision = self.dispatcher.dispatch(self.operand, batch.key.token_bucket)
+        served, _, modelled = self.breaker.walk(decision, charge, self.name)
+        ids = tuple(req.request_id for req in batch.requests)
+        self._record(batch, served, modelled, start_us=start_us, request_ids=ids)
+        return dict.fromkeys(ids, self.busy_until_us)
 
-    def replay(self) -> SimReport:
-        """The one arrival-clock replay: executor-driven, no windows.
 
-        Whenever the stream frees, everything arrived by that instant is
-        submitted — as a shape-only :class:`Request` — and the batcher's
-        most urgent chunk runs immediately.  Sheds, drop-expired evictions,
-        deadline expiry (an expired request never occupies a batch slot),
-        per-class bounds and the weighted-fair deficit are the batcher's
-        own; this loop holds no queue or admission state.  Deterministic:
-        no wall clock, no global RNG.
-        """
-        requests, batcher, outcomes = self.requests, self.batcher, self.report.outcomes
-        # Shape-only payloads: row-slices of one zero-stride view, so a
-        # simulated request of any size costs no memory for its "activations".
-        blank = np.broadcast_to(
-            np.float32(0.0), (max(r.tokens for r in requests), self.operand.k)
-        )
-        order = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        submitted = 0
-        while submitted < len(order) or batcher.pending:
-            now_us = self.report.makespan_us
-            if not batcher.pending and order[submitted].arrival_us > now_us:
-                now_us = order[submitted].arrival_us
-            while submitted < len(order) and order[submitted].arrival_us <= now_us:
-                sim = order[submitted]
-                submitted += 1
-                batcher.submit(
-                    Request(
-                        sim.request_id,
-                        blank[: sim.tokens],
-                        arrival_us=sim.arrival_us,
-                        deadline_us=sim.deadline_us,
-                        priority_class=sim.priority_class,
-                    )
-                )
-            for req in batcher.take_shed():
-                outcomes[req.request_id] = OUTCOME_SHED
-            for req in batcher.take_expired() + batcher.expire_due(now_us):
-                outcomes[req.request_id] = OUTCOME_TIMED_OUT
-            batch = batcher.next_batch(now_us)
-            if batch is not None:
-                self.run(batch.key.token_bucket, batch.requests, now_us)
-        return self.finish()
+def _batcher(template: Optional[ShapeBucketBatcher], bucketing: str, family=ContinuousBatcher, **knobs):
+    """A ``family`` batcher over ``template``'s ladder and ``max_batch_size``.
+
+    The ``batcher=`` argument of every entry point contributes only those
+    two; ``bucketing="exact"`` collapses the ladder to exact lengths, the
+    way the model engine's ``padding`` modes do.
+    """
+    if bucketing not in {"ladder", "exact"}:
+        raise ValueError(f"unknown bucketing {bucketing!r}; use 'ladder' or 'exact'")
+    template = template if template is not None else ShapeBucketBatcher()
+    return family(
+        token_buckets=(1,) if bucketing == "exact" else template.token_buckets,
+        max_batch_size=template.max_batch_size,
+        **knobs,
+    )
+
+
+def _serve_grid(engine: ModelledEngine, requests: List[Request], window_us: float) -> Dict[str, float]:
+    """The fixed policy: one ``serve`` per ``window_us`` grid cell, as the cell closes."""
+    cells: Dict[int, List[Request]] = {}
+    for req in requests:
+        cells.setdefault(int(req.arrival_us // window_us), []).append(req)
+    finished: Dict[str, float] = {}
+    for cell, members in sorted(cells.items()):
+        engine.busy_until_us = max(engine.busy_until_us, (cell + 1) * window_us)
+        finished.update(engine.serve(members))
+    return finished
+
+
+def _replay(
+    engine: ModelledEngine,
+    requests: Sequence[SimulatedRequest],
+    bucketing: str,
+    drive=ModelledEngine.serve_continuous,
+    scheduling: Optional[SchedulingConfig] = None,
+    **labels,
+) -> SimReport:
+    """``drive`` the engine over shape-only ``requests``; report the run."""
+    if not requests:
+        raise ValueError("requests must be non-empty")
+    # Shape-only payloads: row-slices of one zero-stride view, so a
+    # simulated request of any size costs no memory for its "activations".
+    blank = np.broadcast_to(np.float32(0.0), (max(r.tokens for r in requests), engine.operand.k))
+    finished = drive(
+        engine,
+        [
+            Request(r.request_id, blank[: r.tokens], r.arrival_us, r.deadline_us, r.priority_class)
+            for r in requests
+        ],
+    )
+    arrival_us = {r.request_id: r.arrival_us for r in requests}
+    scheduling = scheduling if scheduling is not None else SchedulingConfig()
+    return SimReport(
+        num_requests=len(requests),
+        makespan_us=engine.busy_until_us,
+        num_batches=engine.charged_batches,
+        outcomes={rid: outcome.status for rid, outcome in engine.outcomes.items()},
+        latencies_us={rid: t - arrival_us[rid] for rid, t in finished.items()},
+        classes={r.request_id: r.priority_class for r in requests},
+        num_classes=scheduling.num_classes,
+        trace=engine.trace,
+        bucketing=bucketing,
+        policy=scheduling.policy,
+        seed=engine.injector.plan.seed,
+        failovers=engine.breaker.failovers,
+        quarantines=engine.breaker.quarantines,
+        readmissions=engine.breaker.readmissions,
+        injected_failures=engine.injector.injected_failures,
+        injected_latency_us=engine.injector.injected_latency_us,
+        **labels,
+    )
 
 
 #: :class:`~repro.serving.config.ServingConfig` scheduling mode per window policy.
@@ -668,17 +591,16 @@ def simulate_serving(
 ) -> SimReport:
     """Replay ``requests`` through a batching policy on the modelled GPU.
 
-    ``window_policy`` selects how batches form.  ``"continuous"`` is
-    :meth:`_ModelledEngine.replay` — no windows, so queueing delay is
-    bounded by the executor's busy time (the tail-latency gap the policy
-    exists to close); ``window_us`` is only recorded for sweep alignment
-    (every value, including 0, produces the same run).  ``"fixed"`` closes
-    every bucket at multiples of ``window_us`` (the grid policy) and
-    ``"async"`` closes each bucket on its own arrival deadline
-    (:func:`plan_async_closings`); for both, ``window_us <= 0`` means no
-    batching — every request is dispatched alone the moment it arrives
-    (the per-request baseline of the sweeps).  ``bucketing``
-    (:class:`_ModelledEngine`) composes with every policy, so exact/padded
+    ``window_policy`` selects the engine driver.  ``"continuous"`` is
+    ``serve_continuous`` — no windows, so queueing delay is bounded by the
+    executor's busy time (the tail-latency gap the policy exists to close);
+    ``window_us`` is only recorded for sweep alignment (every value,
+    including 0, produces the same run).  ``"fixed"`` serves one window
+    per ``window_us`` grid cell when the cell closes, and ``"async"`` is
+    ``serve_arrivals``, closing each bucket on its own arrival deadline;
+    for both, ``window_us <= 0`` means no batching — every request is
+    dispatched alone the moment it arrives (the per-request baseline of
+    the sweeps).  ``bucketing`` composes with every policy, so exact/padded
     x fixed/async/continuous sweeps run side by side.
 
     ``config`` drives the simulator the way it drives the live engines:
@@ -705,42 +627,33 @@ def simulate_serving(
     built = replace(
         knobs, scheduling=_SCHEDULING_OF_POLICY[window_policy], padding=bucketing
     ).build_batcher(kind="encoder")
-    batcher = batcher if batcher is not None else built
+    template = batcher if batcher is not None else built
     if dispatcher is None:
         dispatcher = knobs.build_dispatcher(name="simulate")
-    engine = _ModelledEngine(
-        operand,
-        requests,
-        dispatcher,
-        batcher,
-        bucketing,
-        max_queue_depth=knobs.max_queue_depth,
-        shed_policy=knobs.shed_policy,
-        scheduling=knobs.scheduling_policy,
-        labels={"window_us": window_us, "window_policy": window_policy},
-    )
     if window_policy == "continuous":
-        return engine.replay()
-
-    def key_of(req: SimulatedRequest) -> BucketKey:
-        return BucketKey(operand.k, engine.batcher.token_bucket(req.tokens))
-
-    # Close windows at per-bucket arrival deadlines (async) or at multiples
-    # of window_us (fixed); with batching disabled every request closes its
-    # own zero-length window.  A closing drains by the batcher's own policy.
-    if window_policy == "async" or window_us <= 0:
-        closings = plan_async_closings(requests, max(window_us, 0.0), bucket_of=key_of)
+        drive = ModelledEngine.serve_continuous
+        queue = _batcher(
+            template,
+            bucketing,
+            max_queue_depth=knobs.max_queue_depth,
+            shed_policy=knobs.shed_policy,
+            scheduling=knobs.scheduling_policy,
+        )
+    elif window_policy == "async" or window_us <= 0:
+        drive = ModelledEngine.serve_arrivals
+        queue = _batcher(template, bucketing, AsyncWindowBatcher, window_us=max(window_us, 0.0))
     else:
-        grouped: Dict[int, List[SimulatedRequest]] = {}
-        for req in requests:
-            grouped.setdefault(int(req.arrival_us // window_us), []).append(req)
-        closings = [
-            ((w + 1) * window_us, members) for w, members in sorted(grouped.items())
-        ]
-    for close_us, members in closings:
-        for key, chunk in engine.batcher.plan_batches(members, key_of, lambda r: r.request_id):
-            engine.run(key.token_bucket, chunk, close_us)
-    return engine.finish()
+        drive = partial(_serve_grid, window_us=window_us)
+        queue = _batcher(template, bucketing, ShapeBucketBatcher)
+    return _replay(
+        ModelledEngine(operand, queue, dispatcher),
+        requests,
+        bucketing,
+        drive,
+        knobs.scheduling_policy,
+        window_us=window_us,
+        window_policy=window_policy,
+    )
 
 
 def sweep_batch_windows(
@@ -791,27 +704,20 @@ def simulate_chaos(
 ) -> SimReport:
     """Replay a fault + overload scenario through the continuous scheduler.
 
-    The measurement surface of the fault-tolerance layer: the replay of
-    ``simulate_serving``'s continuous mode with ``plan`` consulted per
-    (backend, call index) and the failover walk under a
+    The measurement surface of the fault-tolerance layer: the continuous
+    run of ``simulate_serving`` with ``plan`` consulted per (backend, call
+    index) and the failover walk under a
     :class:`~repro.kernels.dispatch.CircuitBreaker` (``failure_threshold``
     consecutive failures quarantine a backend, ``probe_interval``
-    passed-over executes later it gets one probe).  Admission control
-    (``max_queue_depth`` / ``shed_policy``) sheds under overload, and
-    deadlines are enforced at scheduling time and at completion time.
+    passed-over executes later it gets one probe).  As in the live engine,
+    a micro-batch every backend failed is bisected and its halves retried,
+    admission control (``max_queue_depth`` / ``shed_policy``) sheds under
+    overload, and a request whose deadline passes before it executes times
+    out.
     """
-    return _ModelledEngine(
-        operand,
-        requests,
-        dispatcher,
-        batcher,
-        bucketing,
-        max_queue_depth=max_queue_depth,
-        shed_policy=shed_policy,
-        plan=plan,
-        failure_threshold=failure_threshold,
-        probe_interval=probe_interval,
-    ).replay()
+    queue = _batcher(batcher, bucketing, max_queue_depth=max_queue_depth, shed_policy=shed_policy)
+    engine = ModelledEngine(operand, queue, dispatcher, plan, failure_threshold, probe_interval)
+    return _replay(engine, requests, bucketing)
 
 
 def simulate_slo(
@@ -827,12 +733,11 @@ def simulate_slo(
 ) -> SimReport:
     """Replay a traffic trace under an SLO scheduling policy, per class.
 
-    The same replay with the live batcher built under ``scheduling``, so
+    The continuous run with the live batcher built under ``scheduling``, so
     chunk selection (priority / weighted-fair across classes, EDF within,
     deficit state included) and the per-class queue bounds are the
-    engines' own.  Deadline misses at scheduling and at completion time
-    both report ``timed_out`` — the *violations* of
-    :meth:`SimReport.per_class`.
+    engines' own.  A request whose deadline passes before it executes
+    reports ``timed_out`` — the *violations* of :meth:`SimReport.per_class`.
 
     ``load_factor`` compresses the trace's arrival times by that factor
     (deadline offsets preserved), so overload and brownout behaviour can
@@ -845,25 +750,17 @@ def simulate_slo(
             replace(
                 r,
                 arrival_us=r.arrival_us / load_factor,
-                deadline_us=(
-                    r.arrival_us / load_factor + (r.deadline_us - r.arrival_us)
-                    if r.deadline_us is not None
-                    else None
-                ),
+                deadline_us=None
+                if r.deadline_us is None
+                else r.arrival_us / load_factor + (r.deadline_us - r.arrival_us),
             )
             for r in requests
         ]
-    return _ModelledEngine(
-        operand,
-        requests,
-        dispatcher,
-        batcher,
-        bucketing,
-        max_queue_depth=max_queue_depth,
-        shed_policy=shed_policy,
-        scheduling=scheduling,
-        labels={"load_factor": load_factor},
-    ).replay()
+    queue = _batcher(
+        batcher, bucketing, max_queue_depth=max_queue_depth, shed_policy=shed_policy, scheduling=scheduling
+    )
+    engine = ModelledEngine(operand, queue, dispatcher)
+    return _replay(engine, requests, bucketing, scheduling=scheduling, load_factor=load_factor)
 
 
 def sweep_slo_overload(

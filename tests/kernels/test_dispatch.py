@@ -576,6 +576,40 @@ class TestCircuitBreaker:
         breaker.record_failure("fast")
         assert not breaker.is_quarantined("fast")
 
+    def test_walk_fails_over_and_raises_when_every_candidate_fails(self):
+        """The one candidate walk: an attempt that raises is a failure of the
+        backend it names, the first that returns serves, and a walk with no
+        survivor raises naming its owner and every failure."""
+        from repro.kernels.dispatch import (
+            BackendExecutionError,
+            CircuitBreaker,
+            DispatchDecision,
+        )
+
+        decision = DispatchDecision(
+            signature=(), backend="fast", costs={"fast": 1.0, "mid": 2.0, "slow": 3.0}
+        )
+        breaker = CircuitBreaker(failure_threshold=2)
+        tried = []
+
+        def attempt(name):
+            tried.append(name)
+            if name != "slow":
+                raise BackendExecutionError(f"{name} down", backend=name)
+            return name.upper()
+
+        assert breaker.walk(decision, attempt, "owner") == ("slow", "fast", "SLOW")
+        assert tried == ["fast", "mid", "slow"]
+        assert (breaker.failures, breaker.failovers) == (2, 1)
+
+        def always_fails(name):
+            raise BackendExecutionError("down", backend=name)
+
+        with pytest.raises(BackendExecutionError, match="owner: all candidate backends failed"):
+            breaker.walk(decision, always_fails, "owner")
+        # Both streaks reached the threshold on the second walk.
+        assert breaker.quarantined() == ("fast", "mid")
+
     def test_healthy_walk_reuses_the_decisions_ranked_order(self):
         """Nothing quarantined: no re-sort and no new list per execute, and
         re-pointing ``backend`` (the tests' steering) re-ranks once."""

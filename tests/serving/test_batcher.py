@@ -22,7 +22,6 @@ from repro.serving import (
     ServingEngine,
     ShapeBucketBatcher,
     SimulatedRequest,
-    plan_async_closings,
     simulate_serving,
     sweep_batch_windows,
     uniform_arrivals,
@@ -391,39 +390,43 @@ class TestAsyncWindowPolicy:
         assert exact.token_buckets == (1,)
         assert exact.window_us == 5.0
 
-    def test_plan_async_closings_deadline_semantics(self):
-        reqs = [
-            SimulatedRequest("a", tokens=4, arrival_us=99.0),
-            SimulatedRequest("b", tokens=4, arrival_us=150.0),
-            SimulatedRequest("c", tokens=4, arrival_us=250.0),
-            SimulatedRequest("d", tokens=40, arrival_us=0.0),
-        ]
-        closings = plan_async_closings(reqs, window_us=100.0, bucket_of=lambda r: r.tokens)
-        as_ids = [(close, sorted(r.request_id for r in members)) for close, members in closings]
-        # Bucket 40: closes at 0+100.  Bucket 4: window opens at 99, b (150)
-        # joins before the 199 deadline, c (250) opens a fresh window.
-        assert as_ids == [(100.0, ["d"]), (199.0, ["a", "b"]), (350.0, ["c"])]
-        # Deadline property: every member arrives strictly within one window
-        # of the window's first arrival, and each request appears once.
-        for close, members in closings:
-            first = min(m.arrival_us for m in members)
-            assert close == pytest.approx(first + 100.0)
-            assert all(m.arrival_us < close for m in members)
-        assert sorted(m.request_id for _, ms in closings for m in ms) == ["a", "b", "c", "d"]
+    def _serve_async(self, rng, vnm_weight, tokens, arrivals, deadlines=None):
+        engine = fresh_engine(
+            vnm_weight, None, batcher=AsyncWindowBatcher(token_buckets=(8, 64), window_us=100.0)
+        )
+        deadlines = deadlines or [None] * len(tokens)
+        engine.serve_arrivals(
+            Request(rid, rng.normal(size=(t, K_FEATURES)).astype(np.float32), arrival_us=a, deadline_us=d)
+            for rid, t, a, d in zip("abcd", tokens, arrivals, deadlines)
+        )
+        return engine
+
+    def test_serve_arrivals_closes_windows_at_their_deadlines(self, rng, vnm_weight):
+        """Bucket 64 (d) closes at 0+100.  Bucket 8 opens at a's 99, b (150)
+        joins before the 199 deadline, c (250) opens a fresh window that
+        the final drain closes at 350: every window closes at its own
+        deadline, not at whichever arrival happens to come next."""
+        engine = self._serve_async(
+            rng, vnm_weight, tokens=[4, 4, 4, 40], arrivals=[99.0, 150.0, 250.0, 0.0]
+        )
+        closed = {rid: outcome.completed_us for rid, outcome in engine.outcomes.items()}
+        assert closed == {"d": 100.0, "a": 199.0, "b": 199.0, "c": 350.0}
+        assert engine.total_batches == 3
+
+    def test_window_closes_on_time_before_a_late_arrival(self, rng, vnm_weight):
+        """Regression: a window used to close only at the next arrival, so a
+        request whose window closed at 100 us with a 150 us deadline was
+        recorded ``timed_out`` when the next request arrived at 1000 us."""
+        engine = self._serve_async(
+            rng, vnm_weight, tokens=[4, 4], arrivals=[0.0, 1000.0], deadlines=[150.0, None]
+        )
+        assert engine.outcomes["a"].status == "ok"
+        assert engine.outcomes["a"].completed_us == 100.0
+        assert engine.outcomes["b"].completed_us == 1100.0
 
     def test_exact_deadline_arrival_opens_new_window(self, rng, vnm_weight):
-        """Boundary semantics must match the live batcher: a request landing
-        exactly at a window's closing deadline misses that window
-        (serve_arrivals polls before it submits)."""
-        sim = [
-            SimulatedRequest("a", tokens=4, arrival_us=0.0),
-            SimulatedRequest("b", tokens=4, arrival_us=100.0),  # exactly at a's deadline
-        ]
-        closings = plan_async_closings(sim, window_us=100.0, bucket_of=lambda r: r.tokens)
-        as_ids = [(close, [r.request_id for r in members]) for close, members in closings]
-        assert as_ids == [(100.0, ["a"]), (200.0, ["b"])]
-
-        # The live engine agrees: two separate single-request closings.
+        """A request landing exactly at a window's closing deadline misses
+        that window (the window is polled before the arrival is submitted)."""
         engine = fresh_engine(
             vnm_weight, None, batcher=AsyncWindowBatcher(token_buckets=(8,), window_us=100.0)
         )

@@ -528,9 +528,11 @@ class TestChaosSimulation:
             )
             for i in range(12)
         ]
-        # Call 0 of EVERY backend fails: the first chunk exhausts the whole
-        # ranking (4 failed); the burst overflows the depth-4 queue (4
-        # shed); the late chunk lands on call 1 and completes (4 ok).
+        # Call 0 of EVERY backend fails and the burst overflows the depth-4
+        # queue (4 shed).  The first chunk exhausts the whole ranking on
+        # call 0, so the engine bisects it, as a live engine does: each half
+        # of 2 is served on the next call of the top backend, and the late
+        # chunk after them (8 ok over 4 charged batches).
         backends = [b.name for b in KernelDispatcher().backends]
         plan = FaultPlan(
             [FaultSpec(backend=n, kind="transient", at_call=0, count=1) for n in backends]
@@ -540,9 +542,24 @@ class TestChaosSimulation:
             for _ in range(2)
         ]
         assert reports[0].counts() == reports[1].counts()
-        assert reports[0].counts() == {"ok": 4, "failed": 4, "timed_out": 0, "shed": 4}
-        assert reports[0].availability == 4 / 12
+        assert reports[0].counts() == {"ok": 8, "failed": 0, "timed_out": 0, "shed": 4}
+        assert reports[0].num_batches == 4
+        assert reports[0].availability == 8 / 12
         assert reports[0].summary() == reports[1].summary()
+
+    def test_deadlines_are_judged_before_execution(self, operand):
+        """The live engine's deadline rule: a request that starts executing
+        completes ``ok`` however late it finishes, and one whose deadline
+        passes while it waits queued is ``timed_out``.  Both arrive at t=0
+        with a 1 us deadline in different rungs; a chunk costs far more."""
+        requests = [
+            SimulatedRequest("a", tokens=12, deadline_us=1.0),
+            SimulatedRequest("b", tokens=40, deadline_us=1.0),
+        ]
+        report = simulate_chaos(operand, requests, FaultPlan())
+        assert report.outcomes == {"a": "ok", "b": "timed_out"}
+        assert report.num_batches == 1
+        assert report.latencies_us["a"] > 1.0
 
     def test_per_class_breakout_replays_identically_under_fault_seed(self, operand):
         """Chaos + priority traffic (the ISSUE's SLO satellite): two replays
@@ -576,9 +593,10 @@ class TestChaosSimulation:
 
     def test_pinned_per_class_counts_for_explicit_plan(self, operand):
         """Two-class pinned cell: with every backend's call 0 failing and a
-        depth-4 queue, the first chunk fails, the burst overflow sheds, and
-        the late wave completes — with EXACT per-class counts that must
-        never move across replays."""
+        depth-4 queue, the burst overflow sheds, the first chunk fails on
+        call 0 and its bisected halves are served on the next calls, and the
+        late wave completes — with EXACT per-class counts that must never
+        move across replays."""
         requests = [
             SimulatedRequest(
                 f"pin-{i:02d}",
@@ -598,13 +616,14 @@ class TestChaosSimulation:
         ]
         assert reports[0].per_class() == reports[1].per_class()
         per_class = reports[0].per_class()
-        # The burst alternates classes, so every phase splits evenly: the
-        # 4-failed first chunk, the 4 shed overflow, the 4 ok stragglers.
+        # The burst alternates classes, so every phase splits evenly: the 4
+        # shed overflow, the first chunk's 4 served after bisection, the 4
+        # ok stragglers.
         for cls in (0, 1):
             assert per_class[cls]["requests"] == 6
-            assert per_class[cls]["failed"] == 2
+            assert per_class[cls]["failed"] == 0
             assert per_class[cls]["shed"] == 2
-            assert per_class[cls]["ok"] == 2
+            assert per_class[cls]["ok"] == 4
             assert per_class[cls]["timed_out"] == 0
             assert per_class[cls]["shed_rate"] == pytest.approx(2 / 6)
             assert per_class[cls]["violation_rate"] == 0.0
