@@ -35,6 +35,12 @@ from repro.pruning.second_order.obs_vnm import (
     second_order_vnm_prune,
     second_order_vnm_prune_reference,
 )
+from repro.serving import (
+    ContinuousBatcher,
+    Request,
+    SchedulingConfig,
+    plan_slo_batch_reference,
+)
 
 IN_CI = os.environ.get("CI", "").lower() in {"1", "true", "yes"}
 PERF_GATES = os.environ.get("PERF_GATES", "").lower()
@@ -130,6 +136,70 @@ def test_perf_second_order_vnm_vs_loop(run_once):
     assert np.allclose(vec.pruned_weights, ref.pruned_weights, atol=1e-10)
     # Typically >10x; the floor is deliberately loose so scheduler noise on
     # the single-core CI box cannot flake the gate.
+    assert ref_t / vec_t > SPEEDUP_FLOOR
+
+
+@pytest.mark.parametrize("policy,queued", [("priority", 512), ("fcfs", 8)])
+def test_perf_batcher_plan_vs_reference(run_once, policy, queued):
+    """``ContinuousBatcher.next_batch`` against ``plan_slo_batch_reference``
+    on the same queued set: a two-class ladder queue refilled to ``queued``
+    requests before every call, a third of them with deadlines."""
+    rng = np.random.default_rng(3)
+    batcher = ContinuousBatcher.ladder(scheduling=SchedulingConfig(policy=policy))
+    payload = {n: np.zeros((n, 64), dtype=np.float32) for n in (8, 16, 32, 64, 128)}
+    serial = 0
+
+    def refill():
+        nonlocal serial
+        while batcher.pending < queued:
+            batcher.submit(
+                Request(
+                    f"q-{serial:06d}",
+                    payload[int(rng.choice((8, 16, 32, 64, 128)))],
+                    arrival_us=float(rng.uniform(0.0, 100.0)),
+                    deadline_us=float(rng.uniform(1e6, 2e6)) if serial % 3 == 0 else None,
+                    priority_class=serial % 2,
+                )
+            )
+            serial += 1
+
+    def timed_pair():
+        ref_times, vec_times = [], []
+        for _ in range(40):
+            refill()
+            items = list(batcher._by_id.values())
+            t0 = time.perf_counter()
+            ref_key, ref_chunk = plan_slo_batch_reference(
+                items,
+                key_of=batcher.bucket_key,
+                arrival_of=lambda r: r.arrival_us,
+                id_of=lambda r: r.request_id,
+                max_batch_size=batcher.max_batch_size,
+                class_of=lambda r: r.priority_class,
+                deadline_of=lambda r: r.deadline_us,
+                policy=policy,
+                served_by_class=dict(batcher._served_by_class),
+            )
+            t1 = time.perf_counter()
+            batch = batcher.next_batch(100.0)
+            t2 = time.perf_counter()
+            assert (batch.key, [r.request_id for r in batch.requests]) == (
+                ref_key, [r.request_id for r in ref_chunk]
+            )
+            ref_times.append(t1 - t0)
+            vec_times.append(t2 - t1)
+        return float(np.median(ref_times)), float(np.median(vec_times))
+
+    ref_t, vec_t = run_once(timed_pair)
+
+    print()
+    print(
+        format_table(
+            ["op", "queued", "reference (us)", "batcher (us)", "speedup"],
+            [[f"next_batch {policy}", queued, round(ref_t * 1e6, 1),
+              round(vec_t * 1e6, 1), round(ref_t / vec_t, 1)]],
+        )
+    )
     assert ref_t / vec_t > SPEEDUP_FLOOR
 
 

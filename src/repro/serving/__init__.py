@@ -75,9 +75,6 @@ from .continuous import (
     CompletionRecord,
     ContinuousBatcher,
     SchedulingConfig,
-    plan_continuous_batch,
-    plan_continuous_batch_reference,
-    plan_slo_batch,
     plan_slo_batch_reference,
 )
 from .decoder import DecodeRequest, DecoderServingEngine, decode_reference
@@ -154,9 +151,6 @@ __all__ = [
     "merge_arrivals",
     "outcome_counts",
     "pareto_lengths",
-    "plan_continuous_batch",
-    "plan_continuous_batch_reference",
-    "plan_slo_batch",
     "plan_slo_batch_reference",
     "poisson_arrivals",
     "simulate_chaos",

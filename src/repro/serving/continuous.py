@@ -12,24 +12,24 @@ encoder workloads where one request is one forward pass):
   joins a compatible open bucket immediately, even though its new
   batchmates have been queued since earlier steps;
 * each step executes **one** batched (masked) forward: the single most
-  urgent bucket chunk among everything arrived, oldest first (FCFS across
-  rungs), under the deterministic ladder/exact grouping of
-  :class:`~repro.serving.batcher.ShapeBucketBatcher`;
+  urgent bucket chunk among everything arrived (oldest first across rungs
+  under FCFS; by class, then earliest deadline, under the SLO policies of
+  :class:`SchedulingConfig`), under the deterministic ladder/exact
+  grouping of :class:`~repro.serving.batcher.ShapeBucketBatcher`;
 * completed sequences leave at the end of their step without blocking the
   rung — requests of the same rung that did not fit the chunk stay queued
   and are eligible again at the very next step, merged with whatever
   arrived meanwhile.
 
-The scheduler state is *incremental*: per-bucket queues are kept sorted at
-admission (insort by ``(arrival_us, request_id)``), urgency across rungs is
-a lazily-pruned min-heap fed at admission, and taking a chunk is an O(chunk)
-prefix removal.  A step therefore costs proportional to what it schedules,
-not to what is queued — the earlier implementation re-bucketed and re-sorted
-the whole pending list every step, which is what
-:func:`plan_continuous_batch` (kept as the executable reference policy)
-still spells out; the equivalence property test in
-``tests/serving/test_continuous.py`` pins the two to the same chunk
-sequence across randomized schedules, cadences and shed policies.
+Every policy is planned by one pass over the batcher's per-bucket queues,
+kept sorted by ``(arrival_us, request_id)`` at admission: FCFS compares the
+bucket heads (O(non-empty buckets) plus the chunk), the class policies
+collect each bucket's arrived prefix (O(arrived)).  A bucket's key is known
+from its queue, so no request is re-bucketed per step.
+:func:`plan_slo_batch_reference` spells the same policies out over a flat
+item list, and the chunk-sequence property test in
+``tests/serving/test_slo.py`` pins the batcher to it across randomized
+schedules, cadences, shed policies and held rung slots.
 
 Scheduling is the *only* thing that changes.  Execution still runs through
 the engines' ``_execute_batch`` (exact-length stacking, or the padded
@@ -44,9 +44,10 @@ per-request :class:`CompletionRecord` metadata.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush, nsmallest
+from operator import attrgetter, is_
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .batcher import (
@@ -77,11 +78,12 @@ class SchedulingConfig:
     engines' :class:`~repro.serving.config.ServingConfig`).
 
     ``policy`` arbitrates *across* priority classes; *within* the chosen
-    class, chunk selection is always earliest-deadline-first (requests
+    class, the two class policies select earliest-deadline-first (requests
     without a deadline rank last, then oldest arrival, ties by id):
 
-    * ``"fcfs"`` (default) — classes are ignored entirely; the scheduler
-      is exactly the :func:`plan_continuous_batch` policy of PR 5/7.
+    * ``"fcfs"`` (default) — classes and deadlines are ignored: the
+      bucket whose head has the oldest ``(arrival_us, request_id)`` runs,
+      its arrived members oldest first.
     * ``"priority"`` — strict priority: the highest populated class with
       schedulable work always wins (larger ``priority_class`` = more
       urgent; a steady stream of high-class work can starve class 0).
@@ -202,46 +204,6 @@ class CompletionRecord:
         return self.completed_us - self.arrival_us
 
 
-def plan_continuous_batch(
-    items, key_of, arrival_of, id_of, max_batch_size: int
-) -> Optional[Tuple[object, List]]:
-    """Pick the single most urgent bucket chunk from ``items`` (FCFS).
-
-    The continuous scheduling policy as an executable specification — the
-    *reference* sibling of the incremental :class:`ContinuousBatcher`
-    (which must emit the identical chunk sequence; property-tested):
-
-    1. group items by ``key_of(item)`` (the bucket identity);
-    2. order each bucket by ``(arrival_of(item), id_of(item))`` — oldest
-       first, ties broken by id so the plan is deterministic;
-    3. chunk each bucket at ``max_batch_size`` (later members stay queued
-       for the next step — they leave the rung open, not blocked);
-    4. return the chunk whose oldest member has waited longest, breaking
-       arrival ties by the oldest member's id (ids are unique across the
-       candidate set, so the ``(arrival, id)`` rank is always total).
-
-    Returns ``(key, chunk)``, or ``None`` when ``items`` is empty.
-    """
-    by_bucket = {}
-    for item in items:
-        by_bucket.setdefault(key_of(item), []).append(item)
-    best = None
-    for key, bucket_members in by_bucket.items():
-        members = sorted(bucket_members, key=lambda it: (arrival_of(it), id_of(it)))
-        chunk = members[:max_batch_size]
-        rank = (arrival_of(chunk[0]), id_of(chunk[0]))
-        if best is None or rank < best[0]:
-            best = (rank, key, chunk)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-#: Explicit alias for the reference policy (the incremental batcher's
-#: equivalence partner in the property tests).
-plan_continuous_batch_reference = plan_continuous_batch
-
-
 def _wf_wins(challenger, incumbent, served_by_class, weights) -> bool:
     """Deficit-style weighted-fair arbitration between two classes.
 
@@ -274,11 +236,12 @@ def plan_slo_batch_reference(
     served_by_class=None,
     capacity_of=None,
 ) -> Optional[Tuple[object, List]]:
-    """SLO-aware chunk selection as an executable specification (loop form).
+    """Chunk selection for every policy as an executable specification.
 
-    The :func:`plan_continuous_batch` contract grown three ways — this is
-    the ``*_reference`` sibling of :func:`plan_slo_batch` (identical chunk
-    sequences, property-tested in ``tests/serving/test_slo.py``):
+    The loop-form ``*_reference`` sibling of
+    :meth:`ContinuousBatcher.next_batch`, which must emit the identical
+    chunk sequence (property-tested in ``tests/serving/test_slo.py``).
+    Items are grouped by ``key_of(item)`` (the bucket identity), and:
 
     1. **Rung capacity.** ``capacity_of(key)``, when given, is the number
        of free slots on a rung; buckets at zero capacity are skipped
@@ -286,7 +249,9 @@ def plan_slo_batch_reference(
        capped at ``min(max_batch_size, capacity_of(key))``.
     2. **Cross-class arbitration** (``policy``): ``"fcfs"`` ignores
        classes — the schedulable item with the oldest ``(arrival, id)``
-       picks the winning bucket, exactly the continuous reference.
+       picks the winning bucket, and the chunk is that bucket oldest
+       first (ids are unique, so the rank is total and the plan
+       deterministic).
        ``"priority"`` restricts candidates to the highest schedulable
        class.  ``"weighted-fair"`` restricts to the class with the
        smallest ``served_by_class[c] / class_weights[c]`` ratio (exact
@@ -357,110 +322,23 @@ def plan_slo_batch_reference(
     return (best[1], best[2]) if best is not None else None
 
 
-def plan_slo_batch(
-    items,
-    key_of,
-    arrival_of,
-    id_of,
-    max_batch_size: int,
-    class_of=None,
-    deadline_of=None,
-    policy: str = POLICY_FCFS,
-    class_weights: Tuple[int, ...] = (),
-    served_by_class=None,
-    capacity_of=None,
-) -> Optional[Tuple[object, List]]:
-    """Single-pass implementation of :func:`plan_slo_batch_reference`.
-
-    Same contract, cheaper work: one scan memoizes per-rung capacity and
-    settles the winning class, a second scan tracks each bucket's most
-    urgent head without sorting, and only the winning bucket's candidates
-    are ordered — a partial sort capped at the chunk size
-    (``heapq.nsmallest``) instead of the reference's full sort of every
-    bucket.  Chunk sequences are pinned identical by the property test in
-    ``tests/serving/test_slo.py``.
-    """
-    if policy not in SCHEDULING_POLICIES:
-        raise ValueError(f"policy must be one of {SCHEDULING_POLICIES}, got {policy!r}")
-    class_of = class_of if class_of is not None else (lambda item: 0)
-    deadline_of = deadline_of if deadline_of is not None else (lambda item: None)
-    served_by_class = served_by_class if served_by_class is not None else {}
-
-    caps: Dict[object, int] = {}
-
-    def capacity(key) -> int:
-        cap = caps.get(key)
-        if cap is None:
-            cap = max_batch_size if capacity_of is None else min(max_batch_size, capacity_of(key))
-            caps[key] = cap = max(cap, 0)
-        return cap
-
-    if policy == POLICY_FCFS:
-
-        def eligible(item) -> bool:
-            return capacity(key_of(item)) > 0
-
-        def rank(item):
-            return (arrival_of(item), id_of(item))
-
-    else:
-        winner = None
-        if policy == POLICY_PRIORITY:
-            for item in items:
-                cls = class_of(item)
-                if (winner is None or cls > winner) and capacity(key_of(item)) > 0:
-                    winner = cls
-        else:  # weighted-fair
-
-            def weight(cls: int) -> int:
-                return class_weights[cls] if cls < len(class_weights) else 1
-
-            for item in items:
-                cls = class_of(item)
-                if _wf_wins(cls, winner, served_by_class, weight) and capacity(key_of(item)) > 0:
-                    winner = cls
-        if winner is None:
-            return None
-        chosen = winner
-
-        def eligible(item) -> bool:
-            return class_of(item) == chosen and capacity(key_of(item)) > 0
-
-        def rank(item):
-            deadline = deadline_of(item)
-            return (
-                deadline if deadline is not None else _NO_DEADLINE,
-                arrival_of(item),
-                id_of(item),
-            )
-
-    members: Dict[object, List] = {}
-    heads: Dict[object, Tuple] = {}
-    best_key = None
-    for item in items:
-        if not eligible(item):
-            continue
-        key = key_of(item)
-        item_rank = rank(item)
-        members.setdefault(key, []).append(item)
-        if key not in heads or item_rank < heads[key]:
-            heads[key] = item_rank
-        if best_key is None or heads[key] < heads[best_key]:
-            best_key = key
-    if best_key is None:
-        return None
-    chunk = nsmallest(capacity(best_key), members[best_key], key=rank)
-    return best_key, chunk
-
-
 def _arrival_rank(request: Request) -> Tuple[float, str]:
     """In-bucket scheduling order: oldest arrival first, ties by id."""
     return (request.arrival_us, request.request_id)
 
 
-def _bucket_rank(key: BucketKey) -> Tuple[int, int]:
-    """Deterministic bucket-key order (unique per key — it *is* the key)."""
-    return (key.features, key.token_bucket)
+def _edf_rank(request: Request) -> Tuple[float, float, str]:
+    """Within-class order of the SLO policies: tightest deadline first,
+    deadline-free requests last, then oldest arrival, ties by id."""
+    deadline = request.deadline_us
+    return (
+        deadline if deadline is not None else _NO_DEADLINE,
+        request.arrival_us,
+        request.request_id,
+    )
+
+
+_arrival_us = attrgetter("arrival_us")
 
 
 class ContinuousBatcher(ShapeBucketBatcher):
@@ -476,14 +354,15 @@ class ContinuousBatcher(ShapeBucketBatcher):
     any later arrivals (the "join an open bucket mid-flight" behaviour
     continuous batching exists for).
 
-    Scheduling state is incremental so the per-step cost tracks the chunk,
-    not the queue: each bucket's queue is kept sorted by
-    ``(arrival_us, request_id)`` at admission, cross-rung urgency is a
-    lazily-pruned min-heap of arrival times fed at admission, deadlines
-    live in a second lazy heap (so :meth:`expire_due` is a no-op when
-    nothing carries a deadline), and taking a chunk is an O(chunk) prefix
-    removal.  The emitted chunk sequence is identical to the
-    :func:`plan_continuous_batch` reference, property-tested.
+    Each bucket's queue is kept sorted by ``(arrival_us, request_id)`` at
+    admission, so a bucket's arrived members are a prefix of its queue and
+    its head is its oldest request.  One planner, :meth:`_plan`, serves
+    every :class:`SchedulingConfig` policy from those queues: FCFS compares
+    the heads of the schedulable buckets, the class policies pick a class
+    over the arrived prefixes and then rank by deadline.  Deadlines live in
+    a lazy heap (so :meth:`expire_due` is a no-op when nothing carries a
+    deadline).  The emitted chunk sequence is identical to the
+    :func:`plan_slo_batch_reference` specification, property-tested.
 
     Construct with :meth:`ShapeBucketBatcher.ladder` for padded-rung
     serving (``ContinuousBatcher.ladder()``, the common case) or
@@ -551,11 +430,9 @@ class ContinuousBatcher(ShapeBucketBatcher):
         #: KV blocks reserved by admitted-but-not-yet-released requests.
         self.kv_reserved = 0
         self._kv_cost_by_id: Dict[str, int] = {}
-        #: Rung slots held by in-flight multi-step sequences.
-        self._occupancy: Dict[BucketKey, int] = {}
-        #: Slot holders with their identity, for preemption arbitration:
-        #: per-rung list of ``(priority_class, request_id)``.  Only fed when
-        #: :meth:`acquire_slot` is told who is holding (decode engines).
+        #: Rung slots held by in-flight multi-step sequences: per-rung list
+        #: of ``(priority_class, request_id)`` — the held count and what
+        #: preemption arbitrates on.
         self._holders: Dict[BucketKey, List[Tuple[int, str]]] = {}
         #: Requests shed/evicted since the last take_*; drivers drain these
         #: into RequestOutcomes.
@@ -570,26 +447,20 @@ class ContinuousBatcher(ShapeBucketBatcher):
         #: Live queue depth per class (admission bookkeeping).
         self._pending_by_class: Dict[int, int] = {}
         #: Cumulative requests scheduled per class — the weighted-fair
-        #: deficit state :func:`plan_slo_batch` arbitrates on.
+        #: deficit state :meth:`_plan` arbitrates on.
         self._served_by_class: Dict[int, int] = {}
-        # Incremental scheduler state.  The parent's flat ``_pending`` list
-        # stays empty — these structures replace it (``_seen_ids`` is still
-        # maintained for the parent's duplicate-id validation):
-        #: per-bucket queues, each sorted by (arrival_us, request_id).
+        # Scheduler state.  The parent's flat ``_pending`` list stays empty
+        # — these structures replace it (``_seen_ids`` is still maintained
+        # for the parent's duplicate-id validation):
+        #: non-empty per-bucket queues, each sorted by (arrival_us, request_id).
         self._buckets: Dict[BucketKey, List[Request]] = {}
-        #: the bucket keys of ``_buckets`` kept sorted by ``_bucket_rank``:
-        #: insort on bucket creation, binary-search removal on bucket drain,
-        #: so :meth:`arrived` never re-sorts the key set per step.
-        self._sorted_keys: List[BucketKey] = []
         #: live queued requests by id (also the queue-depth source of truth).
         self._by_id: Dict[str, Request] = {}
-        #: admission sequence number per live id — heap entries carry the
-        #: seq they were pushed with, so entries for departed (or re-used)
-        #: ids are recognised as stale and pruned lazily.
+        #: admission sequence number per live id — deadline-heap entries
+        #: carry the seq they were pushed with, so entries for departed (or
+        #: re-used) ids are recognised as stale and pruned lazily.
         self._live_seq: Dict[str, int] = {}
         self._admit_seq = 0
-        #: cross-rung urgency: min-heap of (arrival_us, request_id, seq, key).
-        self._arrival_heap: List[Tuple[float, str, int, BucketKey]] = []
         #: expiry: min-heap of (deadline_us, request_id, seq); only fed by
         #: requests that actually carry a deadline.
         self._deadline_heap: List[Tuple[float, str, int]] = []
@@ -645,11 +516,7 @@ class ContinuousBatcher(ShapeBucketBatcher):
 
     def _enqueue(self, request: Request, kv_cost: int = 0) -> BucketKey:
         key = self.bucket_key(request)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = []
-            insort(self._sorted_keys, key, key=_bucket_rank)
-        insort(bucket, request, key=_arrival_rank)
+        insort(self._buckets.setdefault(key, []), request, key=_arrival_rank)
         if kv_cost:
             self._kv_cost_by_id[request.request_id] = kv_cost
             self.kv_reserved += kv_cost
@@ -661,14 +528,13 @@ class ContinuousBatcher(ShapeBucketBatcher):
         self._live_seq[rid] = seq
         cls = request.priority_class
         self._pending_by_class[cls] = self._pending_by_class.get(cls, 0) + 1
-        heappush(self._arrival_heap, (request.arrival_us, rid, seq, key))
         if request.deadline_us is not None:
             heappush(self._deadline_heap, (request.deadline_us, rid, seq))
         return key
 
     def _forget(self, request: Request) -> None:
-        """Drop a departed request's liveness: its heap entries turn stale
-        (pruned lazily on the next top access) and its id becomes reusable."""
+        """Drop a departed request's liveness: its deadline-heap entry turns
+        stale (pruned lazily) and its id becomes reusable."""
         rid = request.request_id
         del self._by_id[rid]
         del self._live_seq[rid]
@@ -680,38 +546,26 @@ class ContinuousBatcher(ShapeBucketBatcher):
         else:
             self._pending_by_class.pop(cls, None)
 
-    def _remove_queued(self, request: Request) -> None:
-        """Remove one queued request from the middle of its bucket (binary
-        search on the sort key; ids are unique, so the found slot is the
-        request itself), keeping any KV reservation it holds."""
-        key = self.bucket_key(request)
+    def _take(self, key: BucketKey, requests: List[Request]) -> None:
+        """Remove queued ``requests`` from bucket ``key``, dropping the
+        bucket once empty; KV reservations stay.  A prefix of the queue
+        (every FCFS chunk) is one slice deletion, anything else one
+        filtering pass by identity."""
         bucket = self._buckets[key]
-        del bucket[bisect_left(bucket, _arrival_rank(request), key=_arrival_rank)]
+        if all(map(is_, bucket, requests)):
+            del bucket[: len(requests)]
+        else:
+            taken = set(map(id, requests))
+            bucket[:] = [r for r in bucket if id(r) not in taken]
+        for request in requests:
+            self._forget(request)
         if not bucket:
-            self._drop_bucket(key)
-        self._forget(request)
+            del self._buckets[key]
 
     def _evict(self, request: Request) -> None:
         """Remove one queued request for good (expiry/shedding eviction)."""
-        self._remove_queued(request)
+        self._take(self.bucket_key(request), [request])
         self.release_kv(request.request_id)  # never ran; reservation returns now
-
-    def _drop_bucket(self, key: BucketKey) -> None:
-        """Forget an emptied bucket (and its slot in the sorted key order)."""
-        del self._buckets[key]
-        del self._sorted_keys[bisect_left(self._sorted_keys, _bucket_rank(key), key=_bucket_rank)]
-
-    def _live_arrival_top(self) -> Optional[Tuple[float, str, int, BucketKey]]:
-        """The heap's oldest *live* entry — the globally most urgent queued
-        request (and, the bucket queues being sorted on the same rank, the
-        head of its bucket).  Stale entries are pruned on the way."""
-        heap = self._arrival_heap
-        while heap:
-            entry = heap[0]
-            if self._live_seq.get(entry[1]) == entry[2]:
-                return entry
-            heappop(heap)
-        return None
 
     def take_shed(self) -> List[Request]:
         """Drain the shed log (requests refused admission since last call)."""
@@ -757,7 +611,7 @@ class ContinuousBatcher(ShapeBucketBatcher):
             "pending": self.pending,
             "kv_budget_blocks": self.kv_budget_blocks,
             "kv_reserved": self.kv_reserved,
-            "occupied_slots": sum(self._occupancy.values()),
+            "occupied_slots": sum(len(holders) for holders in self._holders.values()),
             "policy": self.scheduling.policy,
             "per_class": self.per_class_stats(),
         }
@@ -765,33 +619,26 @@ class ContinuousBatcher(ShapeBucketBatcher):
     # ------------------------------------------------------------------
     # Multi-step occupancy (decode engines)
     # ------------------------------------------------------------------
-    def acquire_slot(self, key: BucketKey, request: Optional[Request] = None) -> None:
-        """Mark one rung slot held by an in-flight multi-step sequence.
+    def acquire_slot(self, key: BucketKey, request: Request) -> None:
+        """Mark one rung slot held by ``request``, an in-flight multi-step
+        sequence (who holds it is what :meth:`preemption_victim` reads)."""
+        self._holders.setdefault(key, []).append((request.priority_class, request.request_id))
 
-        Passing the holding ``request`` records who holds the slot, which
-        is what preemption arbitrates on (:meth:`preemption_victim`);
-        anonymous holders (the legacy call shape) can never be preempted.
-        """
-        self._occupancy[key] = self._occupancy.get(key, 0) + 1
-        if request is not None:
-            self._holders.setdefault(key, []).append(
-                (request.priority_class, request.request_id)
-            )
+    def release_slot(self, key: BucketKey, request_id: str) -> None:
+        """Return the rung slot ``request_id`` holds (sequence completed,
+        failed, evicted or preempted)."""
+        holders = self._holders.get(key, [])
+        for i, (_, holder) in enumerate(holders):
+            if holder == request_id:
+                del holders[i]
+                if not holders:
+                    del self._holders[key]
+                return
+        raise RuntimeError(f"{request_id!r} holds no slot on rung {key}")
 
-    def release_slot(self, key: BucketKey, request_id: Optional[str] = None) -> None:
-        """Return a held rung slot (sequence completed, failed or evicted)."""
-        held = self._occupancy.get(key, 0)
-        if held <= 0:
-            raise RuntimeError(f"no held slot to release on rung {key}")
-        if held == 1:
-            del self._occupancy[key]
-        else:
-            self._occupancy[key] = held - 1
-        holders = self._holders.get(key)
-        if holders and request_id is not None:
-            holders[:] = [h for h in holders if h[1] != request_id]
-            if not holders:
-                del self._holders[key]
+    def occupied_slots(self, key: BucketKey) -> int:
+        """Slots currently held on one rung."""
+        return len(self._holders.get(key, ()))
 
     def preemption_victim(self, key: BucketKey, priority_class: int) -> Optional[str]:
         """The id of the slot holder a ``priority_class`` arrival may evict.
@@ -815,32 +662,13 @@ class ContinuousBatcher(ShapeBucketBatcher):
         """
         if not self.scheduling.preemption:
             return None
-        planned = self._plan_slo(now_us, capacity_of=None)  # ignoring occupancy
+        planned = self._plan(now_us, occupancy=False)
         if planned is None:
             return None
         key, chunk = planned
-        if self.max_batch_size - self._occupancy.get(key, 0) > 0:
+        if self.occupied_slots(key) < self.max_batch_size:
             return None
         return key, chunk[0]
-
-    def _plan_slo(self, now_us: float, capacity_of) -> Optional[Tuple[BucketKey, List[Request]]]:
-        """One :func:`plan_slo_batch` pass over what has arrived by ``now_us``."""
-        arrived = self.arrived(now_us)
-        if not arrived:
-            return None
-        return plan_slo_batch(
-            arrived,
-            self.bucket_key,
-            lambda r: r.arrival_us,
-            lambda r: r.request_id,
-            self.max_batch_size,
-            class_of=lambda r: r.priority_class,
-            deadline_of=lambda r: r.deadline_us,
-            policy=self.scheduling.policy,
-            class_weights=self.scheduling.class_weights,
-            served_by_class=self._served_by_class,
-            capacity_of=capacity_of,
-        )
 
     def requeue(self, request: Request) -> BucketKey:
         """Re-admit preempted work, bypassing admission control entirely.
@@ -854,10 +682,6 @@ class ContinuousBatcher(ShapeBucketBatcher):
         if request.request_id in self._seen_ids:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
         return self._enqueue(request, 0)
-
-    def occupied_slots(self, key: BucketKey) -> int:
-        """Slots currently held on one rung."""
-        return self._occupancy.get(key, 0)
 
     def release_kv(self, request_id: str) -> int:
         """Return a request's KV-budget reservation; returns the blocks freed.
@@ -881,22 +705,6 @@ class ContinuousBatcher(ShapeBucketBatcher):
     def is_queued(self, request_id: str) -> bool:
         """Whether ``request_id`` is currently waiting in the queue."""
         return request_id in self._by_id
-
-    def arrived(self, now_us: float) -> List[Request]:
-        """The queued requests whose ``arrival_us`` has passed at ``now_us``
-        (inclusive: a request arriving exactly at ``now_us`` is eligible).
-
-        Arrived members form a prefix of each sorted bucket and the bucket
-        keys are kept sorted incrementally (``_sorted_keys``), so this costs
-        O(buckets log + arrived) — no per-call re-sort of the key set, which
-        used to make every idle step O(B log B).  Returned in deterministic
-        (bucket key, then (arrival, id)) order.
-        """
-        out: List[Request] = []
-        for key in self._sorted_keys:
-            bucket = self._buckets[key]
-            out.extend(bucket[: bisect_right(bucket, now_us, key=lambda r: r.arrival_us)])
-        return out
 
     def expire_due(self, now_us: float) -> List[Request]:
         """Remove and return queued requests whose deadline passed at ``now_us``.
@@ -925,94 +733,99 @@ class ContinuousBatcher(ShapeBucketBatcher):
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    def _plan(
+        self, now_us: float, occupancy: bool = True
+    ) -> Optional[Tuple[BucketKey, List[Request]]]:
+        """The policy's chunk at ``now_us`` as ``(key, requests)``, or ``None``.
+
+        A bucket is a candidate when its head has arrived (inclusive:
+        ``arrival_us <= now_us``) and its rung has a free slot — all of
+        ``max_batch_size`` when ``occupancy`` is off, otherwise minus the
+        slots :meth:`acquire_slot` holds.  A chunk never exceeds its rung's
+        free slots.
+
+        * FCFS: the candidate whose head ranks first by ``(arrival_us,
+          request_id)`` wins, and its chunk is its arrived prefix.
+        * Priority / weighted-fair: the winning class is chosen over every
+          candidate's arrived members (the highest class, or
+          :func:`_wf_wins` on the served-per-weight deficit); among that
+          class's members the bucket holding the best EDF rank wins, and
+          its chunk is its class members in EDF order — class-pure.
+        """
+        policy = self.scheduling.policy
+        holders = self._holders if occupancy else None
+        best = None
+        arrived = []
+        for key, bucket in self._buckets.items():
+            if bucket[0].arrival_us > now_us:
+                continue
+            free = self.max_batch_size
+            if holders:  # skips hashing the key when no slot is held
+                free -= len(holders.get(key, ()))
+                if free <= 0:
+                    continue
+            if policy == POLICY_FCFS:
+                rank = _arrival_rank(bucket[0])
+                if best is None or rank < best[0]:
+                    best = (rank, key, bucket, free)
+            else:
+                cut = bisect_right(bucket, now_us, key=_arrival_us)
+                arrived.append((key, bucket[:cut], free))
+        if policy == POLICY_FCFS:
+            if best is None:
+                return None
+            _, key, bucket, free = best
+            return key, bucket[: min(free, bisect_right(bucket, now_us, key=_arrival_us))]
+        if not arrived:
+            return None
+        classes = {r.priority_class for _, members, _ in arrived for r in members}
+        if policy == POLICY_PRIORITY:
+            winner = max(classes)
+        else:  # weighted-fair
+            winner = None
+            for cls in classes:
+                if _wf_wins(cls, winner, self._served_by_class, self.scheduling.weight_of):
+                    winner = cls
+        for key, members, free in arrived:
+            members = [r for r in members if r.priority_class == winner]
+            if members:
+                head = min(map(_edf_rank, members))
+                if best is None or head < best[0]:
+                    best = (head, key, members, free)
+        _, key, members, free = best
+        return key, nsmallest(free, members, key=_edf_rank)
+
     def next_batch(self, now_us: float) -> Optional[MicroBatch]:
         """Pop the single most urgent micro-batch at ``now_us`` (or ``None``).
 
-        The :func:`plan_continuous_batch` policy, computed incrementally:
-        the arrival heap's live top is the oldest arrived request overall —
-        and therefore the head of its (sorted) bucket, whose arrived prefix,
-        capped at ``max_batch_size``, is exactly the reference chunk.  The
-        chunk's requests leave the queue (their ids become reusable);
-        everything else — later same-rung members included — stays queued
-        for the next step.  O(chunk) plus amortized heap maintenance.
-
-        Rungs whose slots are all held by in-flight multi-step sequences
-        (:meth:`acquire_slot`) are skipped — their queued heads wait for a
-        released slot while other rungs keep scheduling; with no held slots
-        (every single-step engine) the policy is exactly the reference.
-
-        Under a non-FCFS :class:`SchedulingConfig` the chunk instead comes
-        from :func:`plan_slo_batch` over the arrived set (priority or
-        weighted-fair across classes, EDF within) — the policies share one
-        planner, so the batcher can never drift from the property-tested
-        reference.
+        The chunk :meth:`_plan` picks leaves the queue (its ids become
+        reusable); everything else — later same-rung members included —
+        stays queued for the next step.  Rungs whose slots are all held by
+        in-flight multi-step sequences (:meth:`acquire_slot`) are skipped:
+        their queued heads wait for a released slot while other rungs keep
+        scheduling.
         """
-        if self.scheduling.policy != POLICY_FCFS:
-            return self._next_batch_slo(now_us)
-        deferred: List[Tuple[float, str, int, BucketKey]] = []
-        result: Optional[MicroBatch] = None
-        while True:
-            top = self._live_arrival_top()
-            if top is None or top[0] > now_us:
-                break
-            key = top[3]
-            free = self.max_batch_size - self._occupancy.get(key, 0)
-            if free <= 0:
-                # Full rung: park its head entry aside and look at the next
-                # most urgent request (possibly the same rung — parked one
-                # at a time until another rung's head, or nothing, remains).
-                deferred.append(heappop(self._arrival_heap))
-                continue
-            bucket = self._buckets[key]
-            limit = min(free, len(bucket))
-            cut = 0
-            while cut < limit and bucket[cut].arrival_us <= now_us:
-                cut += 1
-            chunk = bucket[:cut]
-            del bucket[:cut]
-            if not bucket:
-                self._drop_bucket(key)
-            for request in chunk:
-                self._forget(request)
-            result = MicroBatch(key=key, requests=chunk)
-            break
-        for entry in deferred:
-            heappush(self._arrival_heap, entry)
-        if result is not None:
-            for request in result.requests:  # FCFS chunks may mix classes
-                cls = request.priority_class
-                self._served_by_class[cls] = self._served_by_class.get(cls, 0) + 1
-        return result
-
-    def _next_batch_slo(self, now_us: float) -> Optional[MicroBatch]:
-        """Non-FCFS scheduling: one :func:`plan_slo_batch` call per step.
-
-        The SLO policies re-rank the whole arrived set (deadlines and the
-        weighted-fair deficit both move between steps), so this path trades
-        the FCFS fast path's O(chunk) incrementality for a planner pass
-        over what has arrived — scheduling only; execution is untouched.
-        """
-        planned = self._plan_slo(
-            now_us, lambda key: self.max_batch_size - self._occupancy.get(key, 0)
-        )
+        planned = self._plan(now_us)
         if planned is None:
             return None
         key, chunk = planned
-        for request in chunk:
-            self._remove_queued(request)
-        cls = chunk[0].priority_class  # non-FCFS chunks are class-pure
-        self._served_by_class[cls] = self._served_by_class.get(cls, 0) + len(chunk)
+        self._take(key, chunk)
+        served = self._served_by_class
+        for request in chunk:  # FCFS chunks may mix classes
+            cls = request.priority_class
+            served[cls] = served.get(cls, 0) + 1
         return MicroBatch(key=key, requests=chunk)
 
     def next_event_us(self) -> Optional[float]:
         """The earliest instant any queued request becomes schedulable.
 
         ``None`` when the queue is empty; otherwise the minimum pending
-        ``arrival_us`` (the arrival heap's live top).  Drivers advance
-        their clock here when a step finds nothing arrived yet.
+        ``arrival_us`` (the oldest bucket head).  Drivers advance their
+        clock here when a step finds nothing arrived yet.
         """
-        top = self._live_arrival_top()
-        return None if top is None else top[0]
+        if not self._buckets:
+            return None
+        return min(bucket[0].arrival_us for bucket in self._buckets.values())
 
     def drain(self) -> List[MicroBatch]:
         """Group everything queued into micro-batches and clear the queue.
@@ -1023,11 +836,9 @@ class ContinuousBatcher(ShapeBucketBatcher):
         """
         items = list(self._by_id.values())
         self._buckets.clear()
-        self._sorted_keys.clear()
         self._by_id.clear()
         self._live_seq.clear()
         self._pending_by_class.clear()
-        self._arrival_heap.clear()
         self._deadline_heap.clear()
         self._seen_ids = set()
         for request in items:

@@ -271,6 +271,14 @@ class DecoderServingEngine(EngineCore):
         """Queue one decode job; returns its rung (``None`` when shed)."""
         if not isinstance(request, DecodeRequest):
             raise TypeError("submit expects a DecodeRequest")
+        rid = request.request_id
+        # The batcher forgets an id once it is popped, so it cannot see a
+        # resident or parked holder; checked before any state changes.
+        if rid in self._residents or rid in self._preempted or self.batcher.is_queued(rid):
+            raise ValueError(
+                f"{self.name}: duplicate request_id {rid!r}: the engine still holds "
+                f"a request with that id (queued, decoding or preempted)"
+            )
         if request.prompt.shape[1] != self.hidden_size:
             raise ValueError(
                 f"{self.name}: request {request.request_id!r} has feature width "

@@ -16,7 +16,7 @@ import pytest
 from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels.dispatch import SpmmOperand
 from repro.models import TransformerEncoder, tiny_config
-from repro.serving.continuous import _bucket_rank
+from repro.serving.continuous import _arrival_rank
 from repro.serving import (
     ContinuousBatcher,
     ModelServingEngine,
@@ -24,8 +24,6 @@ from repro.serving import (
     SchedulingConfig,
     ServingConfig,
     ServingEngine,
-    plan_continuous_batch,
-    plan_continuous_batch_reference,
     simulate_serving,
     sweep_batch_windows,
     uniform_arrivals,
@@ -115,28 +113,6 @@ class TestContinuousBatcher:
         batcher.next_batch(0.0)
         batcher.submit(req)  # completed: the id may return
 
-    def test_plan_continuous_batch_deterministic_ties(self):
-        """Arrival ties break by id, bucket ties by key — no hidden state."""
-        from repro.serving import BucketKey
-
-        items = [
-            ("b", BucketKey(features=4, token_bucket=8), 0.0),
-            ("a", BucketKey(features=4, token_bucket=8), 0.0),
-            ("c", BucketKey(features=4, token_bucket=16), 0.0),
-        ]
-        key, chunk = plan_continuous_batch(
-            items,
-            key_of=lambda it: it[1],
-            arrival_of=lambda it: it[2],
-            id_of=lambda it: it[0],
-            max_batch_size=8,
-        )
-        # Same arrival everywhere: the bucket whose oldest id sorts first
-        # wins, and members come back oldest-then-id ordered.
-        assert key.token_bucket == 8
-        assert [it[0] for it in chunk] == ["a", "b"]
-        assert plan_continuous_batch([], lambda i: i, lambda i: 0, lambda i: i, 4) is None
-
 
 class TestSubmitValidatesExactlyOnce:
     """Regression: ``ContinuousBatcher.submit_many`` used to run the full
@@ -191,27 +167,27 @@ class TestSubmitValidatesExactlyOnce:
 
 
 class TestIncrementalSchedulerState:
-    """Satellite coverage for the incremental queues: arrival inclusivity,
-    ``next_event_us`` across partial drains and evictions, and the
-    chunk-sequence equivalence property against the reference planner."""
+    """Satellite coverage for the bucket queues: arrival inclusivity and
+    ``next_event_us`` across partial drains, evictions and bucket churn
+    (the chunk-sequence property against the reference planner lives in
+    ``test_slo.py``, over every policy)."""
 
     def test_arrived_is_inclusive_at_equality(self, rng):
         batcher = ContinuousBatcher.ladder()
         early, exact = make_requests(rng, [5, 7], arrivals=[50.0, 100.0], prefix="inc")
         batcher.submit(early)
         batcher.submit(exact)
-        assert [r.request_id for r in batcher.arrived(99.0)] == ["inc-0000"]
-        # arrival_us == now_us is eligible, both in arrived() ...
-        assert sorted(r.request_id for r in batcher.arrived(100.0)) == [
-            "inc-0000",
-            "inc-0001",
-        ]
-        # ... and for the chunk itself.
-        batch = batcher.next_batch(100.0)
-        taken = {r.request_id for r in batch.requests}
-        while batcher.pending:
-            taken |= {r.request_id for r in batcher.next_batch(100.0).requests}
-        assert taken == {"inc-0000", "inc-0001"}
+        # Same rung: only the arrived prefix of the bucket is scheduled ...
+        assert [r.request_id for r in batcher.next_batch(99.0).requests] == ["inc-0000"]
+        assert batcher.next_event_us() == 100.0
+        assert batcher.next_batch(99.99) is None
+        # ... and arrival_us == now_us is eligible.
+        assert [r.request_id for r in batcher.next_batch(100.0).requests] == ["inc-0001"]
+        both = ContinuousBatcher.ladder()
+        both.submit(early)
+        both.submit(exact)
+        taken = [r.request_id for r in both.next_batch(100.0).requests]
+        assert taken == ["inc-0000", "inc-0001"] and both.pending == 0
 
     def test_next_event_after_partial_drain(self, rng):
         batcher = ContinuousBatcher.ladder(max_batch_size=2)
@@ -229,7 +205,7 @@ class TestIncrementalSchedulerState:
     def test_next_event_after_shed_and_expiry(self, rng):
         payload = rng.normal(size=(4, HIDDEN)).astype(np.float32)
         # drop-expired: the expired head is evicted to admit the newcomer,
-        # and the arrival heap must not keep reporting it.
+        # and its bucket must not keep reporting it.
         batcher = ContinuousBatcher.ladder(max_queue_depth=1,
                                            shed_policy="drop-expired")
         batcher.submit(Request("ne-dead", payload, arrival_us=5.0, deadline_us=10.0))
@@ -237,7 +213,7 @@ class TestIncrementalSchedulerState:
         assert batcher.submit(Request("ne-live", payload, arrival_us=20.0)) is not None
         assert batcher.total_expired == 1
         assert batcher.next_event_us() == 20.0
-        # reject-newest: the shed request never enters the heap at all.
+        # reject-newest: the shed request never enters a bucket at all.
         rejecting = ContinuousBatcher.ladder(max_queue_depth=1)
         rejecting.submit(Request("sh-0", payload, arrival_us=5.0))
         assert rejecting.submit(Request("sh-1", payload, arrival_us=1.0)) is None
@@ -251,90 +227,13 @@ class TestIncrementalSchedulerState:
         assert [r.request_id for r in expiring.expire_due(60.0)] == ["ex-0"]
         assert expiring.next_event_us() == 40.0
 
-    @pytest.mark.parametrize(
-        "shed_kwargs",
-        [
-            {},
-            {"max_queue_depth": 6, "shed_policy": "reject-newest"},
-            {"max_queue_depth": 6, "shed_policy": "drop-expired"},
-        ],
-        ids=["unbounded", "reject-newest", "drop-expired"],
-    )
-    def test_chunk_sequence_matches_reference_planner(self, rng, shed_kwargs):
-        """The equivalence property: over random arrival schedules, step
-        cadences and shed policies, the incremental batcher emits exactly
-        the chunk sequence the reference planner computes from a mirrored
-        flat pending list."""
-        for _ in range(4):
-            batcher = ContinuousBatcher.ladder(max_batch_size=3, **shed_kwargs)
-            n = 24
-            lengths = rng.integers(1, 20, size=n)
-            arrivals = np.sort(rng.uniform(0.0, 1000.0, size=n))
-            reqs = [
-                Request(
-                    f"prop-{i:04d}",
-                    rng.normal(size=(int(t), HIDDEN)).astype(np.float32),
-                    arrival_us=float(a),
-                    deadline_us=(float(a + rng.uniform(5.0, 400.0))
-                                 if rng.random() < 0.5 else None),
-                )
-                for i, (t, a) in enumerate(zip(lengths, arrivals))
-            ]
-            mirror = {}
-            cadence = float(rng.uniform(20.0, 120.0))
-            now, i, steps = 0.0, 0, 0
-            while (i < len(reqs) or batcher.pending) and steps < 10_000:
-                steps += 1
-                # Admit everything that has arrived; the mirror only keeps
-                # what the batcher actually accepted, minus what shedding's
-                # drop-expired path evicted along the way.
-                before = len(batcher.expired_log)
-                while i < len(reqs) and reqs[i].arrival_us <= now:
-                    request = reqs[i]
-                    i += 1
-                    if batcher.submit(request) is not None:
-                        mirror[request.request_id] = request
-                for evicted in batcher.expired_log[before:]:
-                    mirror.pop(evicted.request_id, None)
-                for expired in batcher.expire_due(now):
-                    mirror.pop(expired.request_id)
-                reference = plan_continuous_batch_reference(
-                    [r for r in mirror.values() if r.arrival_us <= now],
-                    key_of=batcher.bucket_key,
-                    arrival_of=lambda r: r.arrival_us,
-                    id_of=lambda r: r.request_id,
-                    max_batch_size=batcher.max_batch_size,
-                )
-                batch = batcher.next_batch(now)
-                if reference is None:
-                    assert batch is None
-                else:
-                    ref_key, ref_chunk = reference
-                    assert batch is not None
-                    assert batch.key == ref_key
-                    assert [r.request_id for r in batch.requests] == [
-                        r.request_id for r in ref_chunk
-                    ]
-                    for r in batch.requests:
-                        mirror.pop(r.request_id)
-                # The incremental key order never drifts from the bucket
-                # map, through every creation/drain the schedule causes.
-                assert batcher._sorted_keys == sorted(
-                    batcher._buckets, key=_bucket_rank
-                )
-                if batch is None and i < len(reqs):
-                    now = max(now + cadence, reqs[i].arrival_us)
-                else:
-                    now += cadence
-            assert steps < 10_000, "scheduler failed to drain the schedule"
-            assert not mirror and batcher.pending == 0
-
-    def test_sorted_keys_track_bucket_churn(self, rng):
+    def test_bucket_map_tracks_bucket_churn(self, rng):
         """Bucket creation/destruction churn: lengths spanning many rungs,
         drained one chunk at a time so buckets are born and die constantly.
-        The incrementally maintained key order must equal a fresh sort at
-        every point, and :meth:`arrived` must report the same requests in
-        the same order as a scratch recomputation from the bucket map."""
+        At every point the bucket map holds exactly the queued requests,
+        each under its own key in ``(arrival, id)`` order with no empty
+        bucket left behind, ``next_event_us`` is the oldest queued arrival,
+        and every chunk is its bucket's oldest arrived members."""
         batcher = ContinuousBatcher.ladder(max_batch_size=2)
         n = 60
         lengths = (np.arange(n) % 70) + 1  # rungs 8/16/32/64 + exact tails
@@ -347,28 +246,39 @@ class TestIncrementalSchedulerState:
             )
             for i, (t, a) in enumerate(zip(lengths, arrivals))
         ]
+        queued = {}
 
-        def check_invariants(now):
-            assert batcher._sorted_keys == sorted(batcher._buckets, key=_bucket_rank)
-            expected = []
-            for key in sorted(batcher._buckets, key=_bucket_rank):
-                expected.extend(
-                    r for r in batcher._buckets[key] if r.arrival_us <= now
-                )
-            got = batcher.arrived(now)
-            assert [r.request_id for r in got] == [r.request_id for r in expected]
+        def check_invariants():
+            seen = []
+            for key, bucket in batcher._buckets.items():
+                assert bucket and bucket == sorted(bucket, key=_arrival_rank)
+                assert all(batcher.bucket_key(r) == key for r in bucket)
+                seen.extend(r.request_id for r in bucket)
+            assert sorted(seen) == sorted(queued) and batcher.pending == len(queued)
+            expected = min((r.arrival_us for r in queued.values()), default=None)
+            assert batcher.next_event_us() == expected
 
         i, now = 0, 0.0
         while i < len(reqs) or batcher.pending:
             while i < len(reqs) and reqs[i].arrival_us <= now:
                 batcher.submit(reqs[i])
+                queued[reqs[i].request_id] = reqs[i]
                 i += 1
-                check_invariants(now)  # after every bucket creation
-            if batcher.next_batch(now) is None and i < len(reqs):
+                check_invariants()  # after every bucket creation
+            batch = batcher.next_batch(now)
+            if batch is None and i < len(reqs):
                 now = reqs[i].arrival_us
-            check_invariants(now)  # after every chunk (bucket drains)
+            elif batch is not None:
+                mates = sorted(
+                    (r for r in queued.values() if batcher.bucket_key(r) == batch.key),
+                    key=_arrival_rank,
+                )
+                assert batch.requests == [r for r in mates if r.arrival_us <= now][:2]
+                for r in batch.requests:
+                    del queued[r.request_id]
+            check_invariants()  # after every chunk (bucket drains)
             now += 13.0
-        assert batcher._sorted_keys == [] and batcher._buckets == {}
+        assert batcher._buckets == {} and batcher.next_event_us() is None
 
 
 class TestContinuousServingBitExactness:

@@ -96,7 +96,7 @@ def run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us):
     stats = engine.cache_stats()
     assert stats["sequences"] == 0
     assert engine.batcher.kv_reserved == 0
-    assert sum(engine.batcher._occupancy.values()) == 0
+    assert engine.batcher.admission_stats()["occupied_slots"] == 0
 
 
 #: Tier-1 smoke: four cells spanning both padding modes, both layer counts,
@@ -298,7 +298,7 @@ class TestPreemptionGoldenCells:
         assert stats["preempted_parked"] == 0
         assert engine.cache_stats()["sequences"] == 0
         assert engine.batcher.kv_reserved == 0
-        assert sum(engine.batcher._occupancy.values()) == 0
+        assert engine.batcher.admission_stats()["occupied_slots"] == 0
 
     def test_preemption_runs_are_deterministic(self, rng):
         def run():
@@ -344,7 +344,7 @@ class TestPreemptionGoldenCells:
         assert engine.stats()["preempted_parked"] == 0
         assert engine.cache_stats()["sequences"] == 0
         assert engine.batcher.kv_reserved == 0
-        assert sum(engine.batcher._occupancy.values()) == 0
+        assert engine.batcher.admission_stats()["occupied_slots"] == 0
 
     def test_no_preemption_within_the_same_class(self, rng):
         """Equal classes never evict each other: the second request waits
@@ -479,6 +479,40 @@ class TestDecoderIntakeAndStats:
             engine.submit(
                 DecodeRequest("narrow", rng.normal(size=(4, 32)).astype(np.float32), 2)
             )
+
+    @pytest.mark.parametrize("held_as", ["resident", "queued"])
+    def test_submit_rejects_an_id_the_engine_still_holds(self, rng, held_as):
+        """Regression: a duplicate of a resident used to be accepted (the
+        batcher forgets an id once popped) and then raised out of
+        ``step()``; a duplicate of a queued request was rejected, but the
+        rejection dropped the *original*'s decode length.  Either way the
+        original ended with no outcome."""
+        encoder = make_encoder()
+        engine = DecoderServingEngine(encoder, config=ServingConfig(block_size=4))
+        prompt = rng.normal(size=(5, HIDDEN)).astype(np.float32)
+        original = DecodeRequest("a", prompt, new_tokens=3)
+        engine.submit(original)
+        if held_as == "resident":
+            engine.step(0.0)
+            assert "a" in engine._residents
+        twin = DecodeRequest("a", rng.normal(size=(6, HIDDEN)).astype(np.float32), 2)
+        with pytest.raises(ValueError, match="'a'"):
+            engine.submit(twin)
+        results = {}
+        now = 1.0
+        while engine.batcher.pending or engine._residents:
+            results.update(engine.step(now))
+            now += 1.0
+        assert engine.outcomes["a"].status == "ok"
+        assert np.array_equal(results["a"], decode_reference(encoder, prompt, 3))
+        # Nothing leaked: the only blocks still held are the registered
+        # prompt prefix's.
+        assert engine.cache_stats()["sequences"] == 0
+        assert engine.kv.blocks_in_use == sum(
+            len(entry.block_ids) for entry in engine.kv._prefixes.values()
+        ) == 2
+        assert engine.batcher.kv_reserved == 0
+        engine.submit(twin)  # retired: the id may return
 
     def test_decode_request_validation(self):
         with pytest.raises(ValueError, match="new_tokens"):

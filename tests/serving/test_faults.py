@@ -474,7 +474,7 @@ class TestDecoderEngineUnderFaults:
             assert engine.cache_stats()["sequences"] == 0
             assert engine.batcher.kv_reserved == 0
             assert engine.batcher.pending == 0
-            assert sum(engine.batcher._occupancy.values()) == 0
+            assert engine.batcher.admission_stats()["occupied_slots"] == 0
             assert engine.stats()["preempted_parked"] == 0
 
     def test_fault_free_decode_replays_identically_under_disarm(self, rng):

@@ -238,7 +238,7 @@ class DecoderKVMachine(RuleBasedStateMachine):
     @invariant()
     def slots_and_budget_are_conserved(self):
         batcher = self.engine.batcher
-        assert sum(batcher._occupancy.values()) == len(self.engine._residents)
+        assert batcher.admission_stats()["occupied_slots"] == len(self.engine._residents)
         assert batcher.kv_reserved == sum(batcher._kv_cost_by_id.values())
         assert not set(batcher._kv_cost_by_id) & set(self.engine.outcomes)
 

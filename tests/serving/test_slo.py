@@ -1,16 +1,16 @@
-"""SLO-aware scheduling: planner equivalence, preemption mechanics, traffic
-models, and the per-class overload acceptance criterion.
+"""SLO-aware scheduling: the reference planner, the batcher's chunk-sequence
+property, preemption mechanics, traffic models, and the per-class overload
+acceptance criterion.
 
-The property at the centre (the ISSUE's satellite 1): the optimized
-:func:`plan_slo_batch` emits exactly the chunk sequence of its loop-form
-sibling :func:`plan_slo_batch_reference` — across random arrivals,
-priority classes, deadlines, rung capacities and shed policies — and the
-live :class:`ContinuousBatcher` under a :class:`SchedulingConfig` never
-drifts from either.  Scheduling stays numerics-free, so these tests are
+The property at the centre: the live :class:`ContinuousBatcher` emits
+exactly the chunk sequence of the loop-form specification
+:func:`plan_slo_batch_reference`, under every policy — across random
+arrivals, priority classes, deadlines, shed policies, held rung slots and
+preemption re-queues.  Scheduling stays numerics-free, so these tests are
 pure bookkeeping; the bit-exactness cells live in ``test_continuous.py``
 and ``test_decoder.py``.
 
-The acceptance criterion from the ISSUE is pinned here end to end: under a
+The overload acceptance criterion is pinned here end to end: under a
 seeded bursty two-tenant overload, strict-priority scheduling puts the
 high class's p99 strictly below FCFS's, with shed/violations concentrated
 in the low class.  Every test is seeded — no statistical flake.
@@ -35,8 +35,6 @@ from repro.serving import (
     diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
-    plan_continuous_batch,
-    plan_slo_batch,
     plan_slo_batch_reference,
     simulate_serving,
     simulate_slo,
@@ -106,66 +104,29 @@ class TestSchedulingConfig:
         assert both.queue_bound_of(1, max_queue_depth=8) == 6
 
 
-class TestPlannerEquivalence:
-    """Satellite 1: ``plan_slo_batch`` == ``plan_slo_batch_reference``."""
+class TestReferencePlanner:
+    """Unit behaviour of :func:`plan_slo_batch_reference`, the one
+    executable specification of chunk selection."""
 
-    POLICIES = ["fcfs", "priority", "weighted-fair"]
-
-    def _random_items(self, rng, n):
-        buckets = [8, 16, 32]
-        return [
-            (
-                f"it-{i:03d}",
-                BucketKey(features=K_FEATURES, token_bucket=int(rng.choice(buckets))),
-                float(rng.uniform(0.0, 100.0)),
-                int(rng.integers(0, 4)),
-                float(rng.uniform(50.0, 500.0)) if rng.random() < 0.6 else None,
-            )
-            for i in range(n)
+    def test_fcfs_deterministic_ties(self):
+        """Arrival ties break by id, bucket ties by key — no hidden state."""
+        items = [
+            ("b", BucketKey(features=4, token_bucket=8), 0.0),
+            ("a", BucketKey(features=4, token_bucket=8), 0.0),
+            ("c", BucketKey(features=4, token_bucket=16), 0.0),
         ]
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_random_items_match_reference(self, rng, policy):
-        for trial in range(60):
-            items = self._random_items(rng, int(rng.integers(0, 14)))
-            caps = {8: int(rng.integers(0, 4)), 16: int(rng.integers(0, 4)), 32: 4}
-            served = {c: int(rng.integers(0, 10)) for c in range(4)}
-            kwargs = dict(
-                key_of=lambda it: it[1],
-                arrival_of=lambda it: it[2],
-                id_of=lambda it: it[0],
-                max_batch_size=3,
-                class_of=lambda it: it[3],
-                deadline_of=lambda it: it[4],
-                policy=policy,
-                class_weights=(1, 2, 4, 1),
-                served_by_class=served,
-                capacity_of=lambda key: caps[key.token_bucket],
-            )
-            expected = plan_slo_batch_reference(items, **kwargs)
-            got = plan_slo_batch(items, **kwargs)
-            if expected is None:
-                assert got is None, trial
-            else:
-                assert got is not None, trial
-                assert got[0] == expected[0], trial
-                assert [it[0] for it in got[1]] == [it[0] for it in expected[1]], trial
-
-    def test_fcfs_policy_matches_continuous_planner(self, rng):
-        """With no capacity limits the FCFS policy is exactly the original
-        continuous planner — the SLO layer is a strict superset."""
-        for _ in range(20):
-            items = self._random_items(rng, int(rng.integers(1, 12)))
-            kwargs = dict(
-                key_of=lambda it: it[1],
-                arrival_of=lambda it: it[2],
-                id_of=lambda it: it[0],
-                max_batch_size=4,
-            )
-            old = plan_continuous_batch(items, **kwargs)
-            new = plan_slo_batch(items, policy="fcfs", **kwargs)
-            assert new[0] == old[0]
-            assert [it[0] for it in new[1]] == [it[0] for it in old[1]]
+        kwargs = dict(
+            key_of=lambda it: it[1],
+            arrival_of=lambda it: it[2],
+            id_of=lambda it: it[0],
+            max_batch_size=8,
+        )
+        key, chunk = plan_slo_batch_reference(items, **kwargs)
+        # Same arrival everywhere: the bucket whose oldest id sorts first
+        # wins, and members come back oldest-then-id ordered.
+        assert key.token_bucket == 8
+        assert [it[0] for it in chunk] == ["a", "b"]
+        assert plan_slo_batch_reference([], **kwargs) is None
 
     def test_priority_takes_highest_class_with_capacity(self):
         key = BucketKey(features=4, token_bucket=8)
@@ -175,7 +136,7 @@ class TestPlannerEquivalence:
             ("high-late", key, 9.0, 2, None),
             ("higher-but-blocked", full, 1.0, 3, None),
         ]
-        key_got, chunk = plan_slo_batch(
+        key_got, chunk = plan_slo_batch_reference(
             items,
             key_of=lambda it: it[1],
             arrival_of=lambda it: it[2],
@@ -198,7 +159,7 @@ class TestPlannerEquivalence:
             ("loose", key, 5.0, 1, 900.0),
             ("tight", key, 9.0, 1, 100.0),
         ]
-        _, chunk = plan_slo_batch(
+        _, chunk = plan_slo_batch_reference(
             items,
             key_of=lambda it: it[1],
             arrival_of=lambda it: it[2],
@@ -224,55 +185,51 @@ class TestPlannerEquivalence:
             class_weights=(1, 3),
         )
         # 3:1 service so far matches the weights exactly: tie, higher class.
-        _, chunk = plan_slo_batch(items, served_by_class={0: 1, 1: 3}, **kwargs)
+        _, chunk = plan_slo_batch_reference(items, served_by_class={0: 1, 1: 3}, **kwargs)
         assert chunk[0][0] == "a1"
         # Class 1 over its share: the low class wins its turn.
-        _, chunk = plan_slo_batch(items, served_by_class={0: 1, 1: 6}, **kwargs)
+        _, chunk = plan_slo_batch_reference(items, served_by_class={0: 1, 1: 6}, **kwargs)
         assert chunk[0][0] == "a0"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            plan_slo_batch(
+            plan_slo_batch_reference(
                 [], key_of=None, arrival_of=None, id_of=None,
                 max_batch_size=1, policy="lifo",
             )
 
 
-class TestBatcherChunkSequenceProperty:
-    """The live batcher under a SchedulingConfig emits exactly the reference
-    planner's chunk sequence — the incremental/per-class bookkeeping never
-    drifts from the flat-list specification."""
+#: Shed configurations of the chunk-sequence property:
+#: ``(scheduling kwargs, batcher kwargs)``.
+SHED_CONFIGS = {
+    "unbounded": ({}, {}),
+    "reject-newest": ({}, {"max_queue_depth": 6, "shed_policy": "reject-newest"}),
+    "drop-expired": ({}, {"max_queue_depth": 6, "shed_policy": "drop-expired"}),
+    "class-bounds": (
+        {"class_queue_depths": (3, None, None, None)},
+        {"max_queue_depth": 8, "shed_policy": "reject-newest"},
+    ),
+}
 
-    @pytest.mark.parametrize(
-        "policy,scheduling_kwargs,shed_kwargs",
-        [
-            ("priority", {}, {}),
-            ("priority", {}, {"max_queue_depth": 6, "shed_policy": "drop-expired"}),
-            (
-                "priority",
-                {"class_queue_depths": (3, None, None, None)},
-                {"max_queue_depth": 8, "shed_policy": "reject-newest"},
-            ),
-            ("weighted-fair", {"class_weights": (1, 2, 4, 1)}, {}),
-            (
-                "weighted-fair",
-                {"class_weights": (1, 2, 4, 1)},
-                {"max_queue_depth": 6, "shed_policy": "drop-expired"},
-            ),
-        ],
-        ids=[
-            "priority",
-            "priority-drop-expired",
-            "priority-class-bounds",
-            "weighted-fair",
-            "weighted-fair-drop-expired",
-        ],
-    )
-    def test_chunk_sequence_matches_reference_planner(
-        self, rng, policy, scheduling_kwargs, shed_kwargs
-    ):
+
+class TestBatcherChunkSequenceProperty:
+    """The live batcher emits exactly the reference planner's chunk
+    sequence — the bucket queues, per-class bookkeeping and slot holders
+    never drift from the flat-list specification."""
+
+    @pytest.mark.parametrize("shed", list(SHED_CONFIGS))
+    @pytest.mark.parametrize("policy", ["fcfs", "priority", "weighted-fair"])
+    def test_chunk_sequence_matches_reference_planner(self, rng, policy, shed):
+        """Random arrivals, classes, deadlines and step cadences, with rung
+        slots randomly held (by outside holders and by scheduled requests)
+        and released, and held requests randomly preempted back into the
+        queue.  The mirror replays the same events on a flat pending list
+        and passes the held slots as the reference's ``capacity_of``."""
+        scheduling_kwargs, shed_kwargs = SHED_CONFIGS[shed]
+        if policy == "weighted-fair":
+            scheduling_kwargs = {**scheduling_kwargs, "class_weights": (1, 2, 4, 1)}
+        scheduling = SchedulingConfig(policy=policy, **scheduling_kwargs)
         for _ in range(3):
-            scheduling = SchedulingConfig(policy=policy, **scheduling_kwargs)
             batcher = ContinuousBatcher.ladder(
                 max_batch_size=3, scheduling=scheduling, **shed_kwargs
             )
@@ -292,6 +249,8 @@ class TestBatcherChunkSequenceProperty:
             ]
             mirror = {}
             mirror_served = {}
+            #: per rung: holder id -> the held request (None: outside holder)
+            held = {}
             cadence = float(rng.uniform(20.0, 120.0))
             now, i, steps = 0.0, 0, 0
             while (i < len(reqs) or batcher.pending) and steps < 10_000:
@@ -304,6 +263,27 @@ class TestBatcherChunkSequenceProperty:
                         mirror[request.request_id] = request
                 for evicted in batcher.expired_log[before:]:
                     mirror.pop(evicted.request_id, None)
+                # Slot churn: releases (some of them preemptions that put
+                # the holder back in the queue) and outside acquisitions.
+                for key in list(held):
+                    for rid in list(held[key]):
+                        if rng.random() < 0.25:
+                            batcher.release_slot(key, rid)
+                            request = held[key].pop(rid)
+                            if request is not None and rng.random() < 0.5:
+                                batcher.requeue(request)
+                                mirror[rid] = request
+                    if not held[key]:
+                        del held[key]
+                if i < len(reqs) and rng.random() < 0.3:
+                    outside = Request(
+                        f"hold-{steps:05d}",
+                        reqs[int(rng.integers(n))].activations,
+                        priority_class=int(rng.integers(0, 4)),
+                    )
+                    key = batcher.bucket_key(outside)
+                    batcher.acquire_slot(key, outside)
+                    held.setdefault(key, {})[outside.request_id] = None
                 for expired in batcher.expire_due(now):
                     mirror.pop(expired.request_id)
                 reference = plan_slo_batch_reference(
@@ -317,6 +297,7 @@ class TestBatcherChunkSequenceProperty:
                     policy=scheduling.policy,
                     class_weights=scheduling.class_weights,
                     served_by_class=mirror_served,
+                    capacity_of=lambda k: batcher.max_batch_size - len(held.get(k, ())),
                 )
                 batch = batcher.next_batch(now)
                 if reference is None:
@@ -328,15 +309,21 @@ class TestBatcherChunkSequenceProperty:
                     assert [r.request_id for r in batch.requests] == [
                         r.request_id for r in ref_chunk
                     ]
-                    cls = ref_chunk[0].priority_class  # non-FCFS: class-pure
-                    mirror_served[cls] = mirror_served.get(cls, 0) + len(ref_chunk)
                     for r in batch.requests:
                         mirror.pop(r.request_id)
+                        cls = r.priority_class
+                        mirror_served[cls] = mirror_served.get(cls, 0) + 1
+                        if rng.random() < 0.5:  # becomes a multi-step resident
+                            batcher.acquire_slot(batch.key, r)
+                            held.setdefault(batch.key, {})[r.request_id] = r
+                assert batcher.admission_stats()["occupied_slots"] == sum(
+                    len(holders) for holders in held.values()
+                )
                 if batch is None and i < len(reqs):
                     now = max(now + cadence, reqs[i].arrival_us)
                 else:
                     now += cadence
-            assert steps < 10_000, "SLO scheduler failed to drain the schedule"
+            assert steps < 10_000, "scheduler failed to drain the schedule"
             assert not mirror and batcher.pending == 0
 
     def test_scheduled_chunks_keep_their_kv_reservation(self, rng):
@@ -421,13 +408,6 @@ class TestPreemptionMechanics:
         assert batcher.preemption_victim(key, priority_class=0) is None
         batcher.release_slot(key, "a")
         assert batcher.preemption_victim(key, priority_class=1) == "b"
-
-    def test_anonymous_holders_are_never_victims(self):
-        batcher = self._batcher()
-        key = BucketKey(features=HIDDEN, token_bucket=8)
-        batcher.acquire_slot(key)  # legacy call without a request
-        assert batcher.occupied_slots(key) == 1
-        assert batcher.preemption_victim(key, priority_class=3) is None
 
     def test_target_requires_full_rung_and_enabled_preemption(self, rng):
         batcher = self._batcher()
