@@ -19,6 +19,7 @@ import argparse
 import json
 import platform
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from repro.serving import (
     merge_arrivals,
     outcome_counts,
     pareto_lengths,
-    simulate_slo,
+    simulate,
 )
 from repro.pruning.second_order.fisher import (
     estimate_block_fisher,
@@ -821,7 +822,7 @@ def bench_model_serving_slo(
     The same merged trace — a best-effort tenant with Pareto-tailed lengths
     bursting far past capacity, plus a smaller high-priority tenant, both
     with tight deadlines and a bounded admission queue — replays twice
-    through :func:`simulate_slo` (the real chunk planner and per-class
+    through :func:`simulate` (the real chunk planner and per-class
     admission arithmetic on the modelled kernel clock): once FCFS, once
     under ``SchedulingConfig(policy="priority")``.
 
@@ -856,11 +857,11 @@ def bench_model_serving_slo(
         ),
     )
     scheduling = SchedulingConfig(policy="priority", class_weights=(1, 4))
-    sim_kwargs = dict(max_queue_depth=24, shed_policy="drop-expired")
+    sim_config = ServingConfig(padding="ladder", max_queue_depth=24, shed_policy="drop-expired")
 
-    ref_t, fcfs = _time(lambda: simulate_slo(operand, trace, **sim_kwargs), 1)
+    ref_t, fcfs = _time(lambda: simulate(operand, trace, sim_config), 1)
     vec_t, prio = _time(
-        lambda: simulate_slo(operand, trace, scheduling=scheduling, **sim_kwargs), 1
+        lambda: simulate(operand, trace, replace(sim_config, scheduling_policy=scheduling)), 1
     )
     fcfs_high, prio_high = fcfs.per_class()[1], prio.per_class()[1]
     prio_low = prio.per_class()[0]

@@ -49,7 +49,7 @@ from repro.serving import (
     Request,
     ServingConfig,
     SimulatedRequest,
-    sweep_batch_windows,
+    simulate,
 )
 
 
@@ -199,15 +199,20 @@ def main() -> None:
     rows = []
     for bucketing in ("exact", "ladder"):
         for policy in ("async", "continuous"):
-            for report in sweep_batch_windows(
-                operand, sim_requests, windows, window_policy=policy, bucketing=bucketing
+            for report in (
+                simulate(
+                    operand,
+                    sim_requests,
+                    ServingConfig(scheduling=policy, padding=bucketing, window_us=w),
+                )
+                for w in windows
             ):
                 s = report.summary()
                 rows.append(
                     [
                         bucketing,
                         policy,
-                        f"{report.window_us:.0f} us",
+                        f"{report.config.window_us:.0f} us",
                         s["batches"],
                         s["mean_batch_size"],
                         s["throughput_rps"],

@@ -30,6 +30,8 @@ cross-request plan-cache reuse and held buckets on the step loop — see
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.evaluation.reporting import format_table
@@ -37,13 +39,11 @@ from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
 from repro.models.config import BERT_LARGE
 from repro.serving import (
-    ContinuousBatcher,
     Request,
     ServingConfig,
     ServingEngine,
     SimulatedRequest,
-    simulate_serving,
-    sweep_batch_windows,
+    simulate,
 )
 
 
@@ -104,17 +104,21 @@ def main() -> None:
         SimulatedRequest(f"sim-{i:05d}", tokens=token_counts[i % len(token_counts)], arrival_us=0.0)
         for i in range(512)
     ]
-    # The per-request baseline: a batcher that never stacks two requests.
-    per_request = simulate_serving(
-        operand, sim_requests, window_us=0.0, dispatcher=dispatcher,
-        batcher=ContinuousBatcher(max_batch_size=1),
+    # The held (async) window over the padded ladder, and its per-request
+    # baseline: a batcher that never stacks two requests.
+    held = ServingConfig(scheduling="async", padding="ladder")
+    per_request = simulate(
+        operand, sim_requests, replace(held, window_us=0.0, max_batch_size=1), dispatcher=dispatcher
     )
     windows = [50.0, 200.0, 1000.0, 5000.0]
-    reports = sweep_batch_windows(operand, sim_requests, windows, dispatcher=dispatcher)
+    reports = [
+        simulate(operand, sim_requests, replace(held, window_us=w), dispatcher=dispatcher)
+        for w in windows
+    ]
     rows = []
     for report in [per_request, *reports]:
         s = report.summary()
-        label = "per-request" if report is per_request else f"{report.window_us:.0f} us"
+        label = "per-request" if report is per_request else f"{report.config.window_us:.0f} us"
         rows.append([
             label,
             s["batches"],
@@ -131,7 +135,7 @@ def main() -> None:
     ))
     best = max(reports, key=lambda r: r.throughput_rps)
     gain = best.throughput_rps / per_request.throughput_rps
-    print(f"dynamic batching gain at the best window ({best.window_us:.0f} us): "
+    print(f"dynamic batching gain at the best window ({best.config.window_us:.0f} us): "
           f"{gain:.1f}x requests/s over per-request dispatch")
 
 

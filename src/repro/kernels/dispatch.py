@@ -351,10 +351,6 @@ class SpathaPlanBackend(Backend):
         # SpmmPlan, whose batched path is slab-bit-exact by construction.
         return spatha_spmm(operand.vnm, b)
 
-    def plan(self, operand: SpmmOperand) -> SpmmPlan:
-        """Warm (and return) the operand's memoized execution plan."""
-        return SpmmPlan.for_matrix(operand.vnm)
-
 
 class SputnikCsrBackend(Backend):
     """Sputnik's unstructured CSR SpMM (CUDA cores, no SPTC)."""
@@ -723,14 +719,6 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     # Backend health (circuit breaker)
     # ------------------------------------------------------------------
-    def is_quarantined(self, name: str) -> bool:
-        """True while ``name`` is sitting out the candidate walk."""
-        return self.breaker.is_quarantined(name)
-
-    def quarantined(self) -> Tuple[str, ...]:
-        """Currently quarantined backend names (sorted)."""
-        return self.breaker.quarantined()
-
     def health_stats(self) -> Dict[str, object]:
         """The circuit breaker's counters (separate from :meth:`cache_stats`)."""
         return self.breaker.stats()

@@ -41,9 +41,10 @@ subsystem (the ROADMAP's "heavy traffic" direction):
   home for engine knobs (scheduling, padding, admission control, KV
   geometry, warming, sharding), plus the :func:`create_engine` factory.
 * :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO
-  simulator on the modelled GPU: a ``ServingEngine`` whose micro-batch
-  charges modelled kernel time instead of running, driven by the engine
-  core's own step loop (with or without a hold); one :class:`SimReport`.
+  simulator on the modelled GPU: :func:`simulate` runs a ``ServingEngine``
+  whose micro-batch charges modelled kernel time instead of running,
+  driven by the engine core's own step loop under the same
+  :class:`ServingConfig` an engine reads; one :class:`SimReport`.
 
 The core guarantee, property-tested end to end: batched execution of N
 compatible requests is bit-identical to N sequential single-request calls —
@@ -92,15 +93,12 @@ from .simulate import (
     SimReport,
     SimulatedRequest,
     bursty_arrivals,
+    compress_arrivals,
     diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
     poisson_arrivals,
-    simulate_chaos,
-    simulate_serving,
-    simulate_slo,
-    sweep_batch_windows,
-    sweep_slo_overload,
+    simulate,
     uniform_arrivals,
 )
 
@@ -136,6 +134,7 @@ __all__ = [
     "SimReport",
     "SimulatedRequest",
     "bursty_arrivals",
+    "compress_arrivals",
     "create_engine",
     "decode_reference",
     "diurnal_arrivals",
@@ -144,10 +143,6 @@ __all__ = [
     "pareto_lengths",
     "plan_slo_batch_reference",
     "poisson_arrivals",
-    "simulate_chaos",
-    "simulate_serving",
-    "simulate_slo",
-    "sweep_batch_windows",
-    "sweep_slo_overload",
+    "simulate",
     "uniform_arrivals",
 ]

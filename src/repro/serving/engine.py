@@ -55,6 +55,7 @@ from ..kernels.dispatch import (
     SpmmOperand,
     default_dispatcher,
 )
+from ..models.layers import SparseLinear
 
 
 class EngineCore:
@@ -474,14 +475,13 @@ class ServingEngine(EngineCore):
         """Build an engine serving a :class:`~repro.models.layers.SparseLinear`
         (named after the layer unless ``config`` names it).
 
-        Rejects layer types without a dispatchable operand up front (a
-        ``DenseLinear`` used to die later with an opaque ``AttributeError``)
-        and stamps the layer's input width on the engine so mismatched
-        requests fail at intake with a readable message instead of deep
-        inside the kernel with a broadcast error.
+        Rejects any other layer type up front (a ``DenseLinear`` used to
+        die later with an opaque ``AttributeError``) and stamps the layer's
+        input width on the engine so mismatched requests fail at intake
+        with a readable message instead of deep inside the kernel with a
+        broadcast error.
         """
-        operand = getattr(layer, "operand", None)
-        if not isinstance(operand, SpmmOperand):
+        if not isinstance(layer, SparseLinear):
             raise TypeError(
                 f"for_layer needs a layer exposing a dispatchable SpmmOperand "
                 f"(e.g. SparseLinear), got {type(layer).__name__}; wrap dense "
@@ -491,7 +491,7 @@ class ServingEngine(EngineCore):
         if config.name is None:
             config = replace(config, name=layer.name)
         return cls(
-            operand=operand,
+            operand=layer.operand,
             bias=layer.bias,
             dispatcher=kwargs.pop("dispatcher", layer.dispatcher),
             config=config,

@@ -234,10 +234,6 @@ class FaultyBackend(Backend):
             )
         return self.inner.execute(operand, b)
 
-    def __getattr__(self, attr):
-        # Backend-specific extras (e.g. SpathaPlanBackend.plan) pass through.
-        return getattr(self.inner, attr)
-
 
 class FaultInjector:
     """Drives a :class:`FaultPlan` against live dispatcher backends.

@@ -123,12 +123,9 @@ class ShardedDispatcher:
         owner_by_name = placement.as_dict()
         self._owner.clear()
         self._layer.clear()
-        for qualified, lin in encoder.named_linear_layers():
-            operand = getattr(lin, "operand", None)
-            if operand is None:
-                continue
-            self._owner[id(operand)] = owner_by_name[qualified]
-            self._layer[id(operand)] = qualified
+        for qualified, lin in encoder.named_sparse_layers():
+            self._owner[id(lin.operand)] = owner_by_name[qualified]
+            self._layer[id(lin.operand)] = qualified
         self.placement = placement
         self.comm_events = placement_comm_events(placement)
         return placement

@@ -9,10 +9,18 @@ dispatched backend's modelled kernel time to one serial stream, and
 shape-only requests go through the engine core's own step loop.  Intake,
 shedding, deadline expiry, bisection of a failed micro-batch, outcomes and
 the failover walk (:meth:`~repro.kernels.dispatch.CircuitBreaker.walk`)
-are therefore the live engine's, written once.  Every launch is recorded
-as a :class:`~repro.hardware.trace.KernelExecution`, and every run returns
-one :class:`SimReport`.  Larger windows trade queueing delay for kernel
-efficiency, because the modelled SpMM time is strongly sublinear in C.
+are therefore the live engine's, written once.
+
+:func:`simulate` is the one entry point: it reads the same
+:class:`~repro.serving.config.ServingConfig` an engine reads (a missing
+config is ``ServingConfig()``), takes an optional fault plan, and returns
+one :class:`SimReport` carrying that config.  A sweep is a comprehension
+over ``dataclasses.replace(config, ...)``; offered load is a traffic
+transform (:func:`compress_arrivals`) beside the arrival generators.
+Every launch is recorded as a
+:class:`~repro.hardware.trace.KernelExecution`.  Larger windows trade
+queueing delay for kernel efficiency, because the modelled SpMM time is
+strongly sublinear in C.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .batcher import Request
-from .config import SCHEDULING_MODES, ServingConfig
-from .continuous import POLICY_FCFS, SHED_REJECT_NEWEST, ContinuousBatcher, SchedulingConfig
+from .config import ServingConfig
 from .engine import ServingEngine
 from .faults import OUTCOME_OK, OUTCOME_SHED, OUTCOME_STATES, OUTCOME_TIMED_OUT, FaultInjector, FaultPlan
+from .sharded import ShardedDispatcher
 from ..hardware.trace import ExecutionTrace
 from ..kernels.dispatch import BackendExecutionError, CircuitBreaker, KernelDispatcher, SpmmOperand
 
@@ -266,6 +274,32 @@ def merge_arrivals(*streams: Sequence[SimulatedRequest]) -> List[SimulatedReques
     return sorted(merged, key=lambda r: (r.arrival_us, r.request_id))
 
 
+def compress_arrivals(
+    requests: Sequence[SimulatedRequest], load_factor: float
+) -> List[SimulatedRequest]:
+    """Offer ``requests`` at ``load_factor`` times their load.
+
+    Arrival times are divided by the factor (2.0 = twice the offered load)
+    and each deadline keeps its offset from its arrival, so one seeded
+    trace answers the brownout question — *which class sheds, and whose
+    tail blows up, as load climbs past capacity?*
+    """
+    if load_factor <= 0:
+        raise ValueError("load_factor must be positive")
+    if load_factor == 1.0:
+        return list(requests)
+    return [
+        replace(
+            r,
+            arrival_us=r.arrival_us / load_factor,
+            deadline_us=None
+            if r.deadline_us is None
+            else r.arrival_us / load_factor + (r.deadline_us - r.arrival_us),
+        )
+        for r in requests
+    ]
+
+
 def _latency_stat(values: Iterable[float], q: Optional[float] = None) -> float:
     """Mean (``q=None``) or ``q``-th percentile of a latency sample.
 
@@ -282,11 +316,11 @@ def _latency_stat(values: Iterable[float], q: Optional[float] = None) -> float:
 
 @dataclass
 class SimReport:
-    """Outcome of one simulated serving run, whichever entry point ran it.
+    """Outcome of one :func:`simulate` run.
 
     Everything is derived from the per-request terminal states and the
     completion latencies of the ``ok`` requests.  Deterministic: the same
-    (requests, knobs, fault plan) replays to the identical report.
+    (requests, config, fault plan) replays to the identical report.
     """
 
     num_requests: int
@@ -299,17 +333,11 @@ class SimReport:
     latencies_us: Dict[str, float] = field(default_factory=dict)
     #: Priority class per request id (empty = every request was class 0).
     classes: Dict[str, int] = field(default_factory=dict)
-    #: Classes the scheduling config names (normalizes :meth:`per_class`).
-    num_classes: int = 1
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    #: Run labels for sweep alignment: window value and closing policy,
-    #: bucket policy, cross-class scheduling policy, arrival-time
-    #: compression and fault-plan seed.
-    window_us: float = 0.0
-    window_policy: str = "continuous"
-    bucketing: str = "ladder"
-    policy: str = POLICY_FCFS
-    load_factor: float = 1.0
+    #: The config the run was asked for (its labels: window, scheduling
+    #: mode, padding, cross-class policy and class count).
+    config: ServingConfig = field(default_factory=ServingConfig)
+    #: Seed of the fault plan the run replayed.
     seed: int = 0
     #: Circuit-breaker and fault-injection traffic of the modelled executor.
     failovers: int = 0
@@ -391,7 +419,8 @@ class SimReport:
         the schema is stable whether or not the run used priority classes.
         """
         blocks: Dict[int, Dict[str, object]] = {}
-        for cls in sorted(set(range(max(self.num_classes, 1))).union(self.classes.values())):
+        configured = range(self.config.scheduling_policy.num_classes)
+        for cls in sorted(set(configured).union(self.classes.values())):
             rids = [rid for rid, c in self.classes.items() if c == cls]
             # A class block is this report restricted to the class's requests.
             sub = SimReport(
@@ -414,11 +443,10 @@ class SimReport:
     def summary(self) -> Dict[str, object]:
         """Flat record for tables/JSON (one row of any sweep)."""
         return {
-            "window_us": self.window_us,
-            "window_policy": self.window_policy,
-            "bucketing": self.bucketing,
-            "policy": self.policy,
-            "load_factor": self.load_factor,
+            "window_us": self.config.window_us,
+            "window_policy": self.config.scheduling,
+            "bucketing": self.config.padding,
+            "policy": self.config.scheduling_policy.policy,
             "seed": self.seed,
             "requests": self.num_requests,
             "batches": self.num_batches,
@@ -451,29 +479,38 @@ class ModelledEngine(ServingEngine):
     attempt: each candidate costs its modelled kernel time at the batch's
     padded column count plus any latency ``plan`` injects, and fails when
     ``plan`` says so.  A served batch is traced on the backend that served
-    it, and its output per request is the instant it finished.  Each run
-    owns its :class:`CircuitBreaker`, so a dispatcher shared across a sweep
-    carries decisions and estimates between runs, never backend health.
-    It never builds a plan or runs an SpMM.
+    it, and its output per request is the instant it finished.
+
+    ``config`` is read as a model engine reads it (the batcher is
+    ``config.build_batcher(kind="encoder")``; a sharded config builds the
+    dispatcher; an unnamed engine is ``"simulate"``), with ``warm`` off:
+    it never builds a plan or runs an SpMM.  Each run owns its
+    :class:`CircuitBreaker`, with the thresholds of the dispatcher serving
+    the operand, so a dispatcher shared across a sweep carries decisions
+    and estimates between runs, never backend health.
     """
 
     def __init__(
         self,
         operand: SpmmOperand,
-        batcher: ContinuousBatcher,
+        config: ServingConfig,
         dispatcher: Optional[KernelDispatcher] = None,
         plan: Optional[FaultPlan] = None,
-        failure_threshold: int = 3,
-        probe_interval: int = 4,
     ) -> None:
+        if config.kv_budget_blocks is not None:
+            raise ValueError("kv_budget_blocks is decode admission; simulated requests hold no KV")
+        config = replace(config, name=config.name or "simulate", warm=False)
+        if dispatcher is None:
+            dispatcher = config.build_dispatcher(name=config.name) or KernelDispatcher()
         super().__init__(
-            operand,
-            dispatcher=dispatcher if dispatcher is not None else KernelDispatcher(),
-            batcher=batcher,
-            config=ServingConfig(name="simulate", warm=False, step_us=0.0),
+            operand, dispatcher=dispatcher, batcher=config.build_batcher(kind="encoder"), config=config
         )
         self.injector = FaultInjector(plan if plan is not None else FaultPlan())
-        self.breaker = CircuitBreaker(failure_threshold, probe_interval)
+        # The thresholds of the dispatcher serving the operand; the health is this run's own.
+        owner = dispatcher
+        if isinstance(owner, ShardedDispatcher):
+            owner = owner.shards[owner.shard_of(operand)]
+        self.breaker = CircuitBreaker(owner.breaker.failure_threshold, owner.breaker.probe_interval)
         #: Micro-batches charged to the stream, served or failed.
         self.charged_batches = 0
 
@@ -501,36 +538,34 @@ class ModelledEngine(ServingEngine):
         return dict.fromkeys(ids, self.busy_until_us)
 
 
-def _batcher(template: Optional[ContinuousBatcher], bucketing: str, **knobs) -> ContinuousBatcher:
-    """A fresh batcher over ``template``'s ladder and ``max_batch_size``.
-
-    The ``batcher=`` argument of every entry point contributes only those
-    two; ``bucketing="exact"`` collapses the ladder to exact lengths, the
-    way the model engine's ``padding`` modes do.
-    """
-    if bucketing not in {"ladder", "exact"}:
-        raise ValueError(f"unknown bucketing {bucketing!r}; use 'ladder' or 'exact'")
-    template = template if template is not None else ContinuousBatcher()
-    return ContinuousBatcher(
-        token_buckets=(1,) if bucketing == "exact" else template.token_buckets,
-        max_batch_size=template.max_batch_size,
-        **knobs,
-    )
-
-
-def _replay(
-    engine: ModelledEngine,
+def simulate(
+    operand: SpmmOperand,
     requests: Sequence[SimulatedRequest],
-    bucketing: str,
-    scheduling: Optional[SchedulingConfig] = None,
-    **labels,
+    config: Optional[ServingConfig] = None,
+    plan: Optional[FaultPlan] = None,
+    dispatcher: Optional[KernelDispatcher] = None,
 ) -> SimReport:
-    """Replay shape-only ``requests`` through the engine's step loop; report the run."""
+    """Replay shape-only ``requests`` on a :class:`ModelledEngine`; report the run.
+
+    ``config`` (default ``ServingConfig()``) drives the run the way it
+    drives a live engine: ``scheduling`` picks the step loop with or
+    without the ``window_us`` hold, ``padding`` the bucketing,
+    ``token_buckets`` / ``max_batch_size`` / ``max_queue_depth`` /
+    ``shed_policy`` / ``scheduling_policy`` the batcher, ``sharding`` the
+    dispatcher.  ``plan`` injects faults per (backend, call index).  A
+    ``dispatcher`` shared across runs keeps its decision and estimate
+    caches warm, as in a long-running server; the circuit breaker takes
+    its thresholds and starts healthy every run.  Sweeps are
+    comprehensions over ``dataclasses.replace(config, ...)``, and offered
+    load is a traffic transform (:func:`compress_arrivals`).
+    """
     if not requests:
         raise ValueError("requests must be non-empty")
+    config = config if config is not None else ServingConfig()
+    engine = ModelledEngine(operand, config, dispatcher, plan)
     # Shape-only payloads: row-slices of one zero-stride view, so a
     # simulated request of any size costs no memory for its "activations".
-    blank = np.broadcast_to(np.float32(0.0), (max(r.tokens for r in requests), engine.operand.k))
+    blank = np.broadcast_to(np.float32(0.0), (max(r.tokens for r in requests), operand.k))
     finished = engine.serve_continuous(
         [
             Request(r.request_id, blank[: r.tokens], r.arrival_us, r.deadline_us, r.priority_class)
@@ -538,7 +573,6 @@ def _replay(
         ],
     )
     arrival_us = {r.request_id: r.arrival_us for r in requests}
-    scheduling = scheduling if scheduling is not None else SchedulingConfig()
     return SimReport(
         num_requests=len(requests),
         makespan_us=engine.busy_until_us,
@@ -546,218 +580,12 @@ def _replay(
         outcomes={rid: outcome.status for rid, outcome in engine.outcomes.items()},
         latencies_us={rid: t - arrival_us[rid] for rid, t in finished.items()},
         classes={r.request_id: r.priority_class for r in requests},
-        num_classes=scheduling.num_classes,
         trace=engine.trace,
-        bucketing=bucketing,
-        policy=scheduling.policy,
+        config=config,
         seed=engine.injector.plan.seed,
         failovers=engine.breaker.failovers,
         quarantines=engine.breaker.quarantines,
         readmissions=engine.breaker.readmissions,
         injected_failures=engine.injector.injected_failures,
         injected_latency_us=engine.injector.injected_latency_us,
-        **labels,
     )
-
-
-def simulate_serving(
-    operand: SpmmOperand,
-    requests: Sequence[SimulatedRequest],
-    window_us: float,
-    dispatcher: Optional[KernelDispatcher] = None,
-    batcher: Optional[ContinuousBatcher] = None,
-    window_policy: Optional[str] = None,
-    bucketing: Optional[str] = None,
-    config: Optional[ServingConfig] = None,
-) -> SimReport:
-    """Replay ``requests`` through a batching policy on the modelled GPU.
-
-    Both window policies run the engine's ``serve_continuous``.
-    ``"async"`` holds each bucket until its oldest request has waited
-    ``window_us`` or its arrivals fill the rung (``window_us=0`` holds
-    nothing); ``"continuous"`` never holds, so queueing delay is bounded by
-    the executor's busy time (the tail-latency gap the policy exists to
-    close) and ``window_us`` is only recorded for sweep alignment.  The
-    per-request baseline is a ``batcher`` template with
-    ``max_batch_size=1``.  ``bucketing`` composes with both policies, so
-    exact/padded x async/continuous sweeps run side by side.
-
-    ``config`` drives the simulator the way it drives the live engines:
-    ``scheduling`` picks the window policy, ``padding`` the bucketing,
-    ``token_buckets`` / ``max_batch_size`` shape the default batcher,
-    ``sharding`` builds a sharded dispatcher, and ``max_queue_depth`` /
-    ``shed_policy`` / ``scheduling_policy`` bind to the batcher as
-    :meth:`ServingConfig.build_batcher` binds them for an engine.  Without
-    a config the policy is ``"async"`` over the padded ladder.  Explicit
-    ``window_policy`` / ``bucketing`` / ``dispatcher`` / ``batcher``
-    arguments win over the config.
-    """
-    knobs = config if config is not None else ServingConfig(scheduling="async", padding="ladder")
-    window_policy = window_policy or knobs.scheduling
-    bucketing = bucketing or knobs.padding
-    if window_policy not in SCHEDULING_MODES:
-        raise ValueError(
-            f"unknown window_policy {window_policy!r}; use 'async' or 'continuous'"
-        )
-    if knobs.kv_budget_blocks is not None:
-        raise ValueError("kv_budget_blocks is decode admission; simulated requests hold no KV")
-    if batcher is None:
-        batcher = replace(knobs, padding=bucketing).build_batcher(kind="encoder")
-    if dispatcher is None:
-        dispatcher = knobs.build_dispatcher(name="simulate")
-    queue = _batcher(
-        batcher,
-        bucketing,
-        max_queue_depth=knobs.max_queue_depth,
-        shed_policy=knobs.shed_policy,
-        scheduling=knobs.scheduling_policy,
-        window_us=max(window_us, 0.0) if window_policy == "async" else 0.0,
-    )
-    return _replay(
-        ModelledEngine(operand, queue, dispatcher),
-        requests,
-        bucketing,
-        knobs.scheduling_policy,
-        window_us=window_us,
-        window_policy=window_policy,
-    )
-
-
-def sweep_batch_windows(
-    operand: SpmmOperand,
-    requests: Sequence[SimulatedRequest],
-    windows_us: Sequence[float],
-    dispatcher: Optional[KernelDispatcher] = None,
-    batcher: Optional[ContinuousBatcher] = None,
-    window_policy: str = "async",
-    bucketing: str = "ladder",
-) -> List[SimReport]:
-    """Requests/s vs batch window: one simulated run per window setting.
-
-    A shared dispatcher keeps the decision/tuner caches warm across the
-    sweep, mirroring a long-running server.  ``window_policy`` and
-    ``bucketing`` are forwarded to :func:`simulate_serving` (``"async"``,
-    the default, sweeps the hold; ``"continuous"`` sweeps the hold-free
-    step scheduler — one identical row per window value, since nothing
-    waits on the window; ``"exact"`` sweeps exact-length buckets instead
-    of the padded ladder).
-    """
-    dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
-    return [
-        simulate_serving(
-            operand,
-            requests,
-            window_us=w,
-            dispatcher=dispatcher,
-            batcher=batcher,
-            window_policy=window_policy,
-            bucketing=bucketing,
-        )
-        for w in windows_us
-    ]
-
-
-def simulate_chaos(
-    operand: SpmmOperand,
-    requests: Sequence[SimulatedRequest],
-    plan: FaultPlan,
-    dispatcher: Optional[KernelDispatcher] = None,
-    batcher: Optional[ContinuousBatcher] = None,
-    bucketing: str = "ladder",
-    max_queue_depth: Optional[int] = None,
-    shed_policy: str = SHED_REJECT_NEWEST,
-    failure_threshold: int = 3,
-    probe_interval: int = 4,
-) -> SimReport:
-    """Replay a fault + overload scenario through the continuous scheduler.
-
-    The measurement surface of the fault-tolerance layer: the continuous
-    run of ``simulate_serving`` with ``plan`` consulted per (backend, call
-    index) and the failover walk under a
-    :class:`~repro.kernels.dispatch.CircuitBreaker` (``failure_threshold``
-    consecutive failures quarantine a backend, ``probe_interval``
-    passed-over executes later it gets one probe).  As in the live engine,
-    a micro-batch every backend failed is bisected and its halves retried,
-    admission control (``max_queue_depth`` / ``shed_policy``) sheds under
-    overload, and a request whose deadline passes before it executes times
-    out.
-    """
-    queue = _batcher(batcher, bucketing, max_queue_depth=max_queue_depth, shed_policy=shed_policy)
-    engine = ModelledEngine(operand, queue, dispatcher, plan, failure_threshold, probe_interval)
-    return _replay(engine, requests, bucketing)
-
-
-def simulate_slo(
-    operand: SpmmOperand,
-    requests: Sequence[SimulatedRequest],
-    scheduling: Optional[SchedulingConfig] = None,
-    dispatcher: Optional[KernelDispatcher] = None,
-    batcher: Optional[ContinuousBatcher] = None,
-    bucketing: str = "ladder",
-    max_queue_depth: Optional[int] = None,
-    shed_policy: str = SHED_REJECT_NEWEST,
-    load_factor: float = 1.0,
-) -> SimReport:
-    """Replay a traffic trace under an SLO scheduling policy, per class.
-
-    The continuous run with the live batcher built under ``scheduling``, so
-    chunk selection (priority / weighted-fair across classes, EDF within,
-    deficit state included) and the per-class queue bounds are the
-    engines' own.  A request whose deadline passes before it executes
-    reports ``timed_out`` — the *violations* of :meth:`SimReport.per_class`.
-
-    ``load_factor`` compresses the trace's arrival times by that factor
-    (deadline offsets preserved), so overload and brownout behaviour can
-    be swept from one base trace (:func:`sweep_slo_overload`).
-    """
-    if load_factor <= 0:
-        raise ValueError("load_factor must be positive")
-    if load_factor != 1.0:
-        requests = [
-            replace(
-                r,
-                arrival_us=r.arrival_us / load_factor,
-                deadline_us=None
-                if r.deadline_us is None
-                else r.arrival_us / load_factor + (r.deadline_us - r.arrival_us),
-            )
-            for r in requests
-        ]
-    queue = _batcher(
-        batcher, bucketing, max_queue_depth=max_queue_depth, shed_policy=shed_policy, scheduling=scheduling
-    )
-    engine = ModelledEngine(operand, queue, dispatcher)
-    return _replay(engine, requests, bucketing, scheduling=scheduling, load_factor=load_factor)
-
-
-def sweep_slo_overload(
-    operand: SpmmOperand,
-    requests: Sequence[SimulatedRequest],
-    load_factors: Sequence[float],
-    scheduling: Optional[SchedulingConfig] = None,
-    dispatcher: Optional[KernelDispatcher] = None,
-    **kwargs,
-) -> List[SimReport]:
-    """Overload/brownout sweep: one :func:`simulate_slo` run per load factor.
-
-    Each factor compresses the base trace's arrival times by that much
-    (2.0 = twice the offered load), so a single seeded trace answers the
-    brownout question — *which class sheds, and whose tail blows up, as
-    load climbs past capacity?*  A shared dispatcher keeps the
-    decision/tuner caches warm across the sweep, mirroring a long-running
-    server.
-    """
-    if not load_factors:
-        raise ValueError("load_factors must be non-empty")
-    dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
-    return [
-        simulate_slo(
-            operand,
-            requests,
-            scheduling=scheduling,
-            dispatcher=dispatcher,
-            load_factor=factor,
-            **kwargs,
-        )
-        for factor in load_factors
-    ]

@@ -458,10 +458,10 @@ class TestFailoverAndQuarantine:
         dispatcher, scripted = self._dispatcher(failure_threshold=2, probe_interval=3)
         b = rng.normal(size=(64, 12)).astype(np.float32)
         dispatcher.execute(operand, b)  # failure 1 (failover)
-        assert not dispatcher.is_quarantined("scripted")
+        assert not dispatcher.breaker.is_quarantined("scripted")
         dispatcher.execute(operand, b)  # failure 2 -> quarantined
-        assert dispatcher.is_quarantined("scripted")
-        assert dispatcher.quarantined() == ("scripted",)
+        assert dispatcher.breaker.is_quarantined("scripted")
+        assert dispatcher.breaker.quarantined() == ("scripted",)
         # While quarantined, the backend is not attempted at all while
         # its countdown runs (probe_interval executes pass it over).
         calls_before = scripted.execute_calls
@@ -472,7 +472,7 @@ class TestFailoverAndQuarantine:
         # execute admits it as a probe.
         scripted.failing = False
         out = dispatcher.execute(operand, b)
-        assert not dispatcher.is_quarantined("scripted")
+        assert not dispatcher.breaker.is_quarantined("scripted")
         assert dispatcher.health_stats()["readmissions"] == 1
         assert np.array_equal(out, ScriptedFailureBackend(failing=False).execute(operand, b))
 
@@ -480,14 +480,14 @@ class TestFailoverAndQuarantine:
         dispatcher, scripted = self._dispatcher(failure_threshold=1, probe_interval=2)
         b = rng.normal(size=(64, 12)).astype(np.float32)
         dispatcher.execute(operand, b)  # quarantined immediately (K=1)
-        assert dispatcher.is_quarantined("scripted")
+        assert dispatcher.breaker.is_quarantined("scripted")
         dispatcher.execute(operand, b)  # countdown 2 -> 1
         dispatcher.execute(operand, b)  # countdown 1 -> 0
         calls_before = scripted.execute_calls
         assert calls_before == 1  # only the original failure
         dispatcher.execute(operand, b)  # probe attempt -> fails -> requarantined
         assert scripted.execute_calls == calls_before + 1
-        assert dispatcher.is_quarantined("scripted")
+        assert dispatcher.breaker.is_quarantined("scripted")
         assert dispatcher.health_stats()["quarantines"] == 1  # one event, not two
 
     def test_quarantine_leaves_no_stale_decisions(self, operand, rng):
@@ -500,7 +500,7 @@ class TestFailoverAndQuarantine:
         decision = dispatcher.dispatch(operand, 12)
         cache_size = dispatcher.cache_size()
         dispatcher.execute(operand, b)  # fail -> quarantine
-        assert dispatcher.is_quarantined("scripted")
+        assert dispatcher.breaker.is_quarantined("scripted")
         # The memo still names the cost argmin and no new entries appeared.
         assert dispatcher.dispatch(operand, 12) is decision
         assert decision.backend == "scripted"
@@ -508,7 +508,7 @@ class TestFailoverAndQuarantine:
         dispatcher.execute(operand, b)  # passed over once (countdown 1 -> 0)
         scripted.failing = False
         dispatcher.execute(operand, b)  # probe succeeds -> readmitted
-        assert not dispatcher.is_quarantined("scripted")
+        assert not dispatcher.breaker.is_quarantined("scripted")
         # Same cached decision, and execution routes to the backend again.
         assert dispatcher.dispatch(operand, 12) is decision
         calls_before = scripted.execute_calls

@@ -8,6 +8,8 @@ to its bucket shape and the dispatcher's batched path is slab-bit-exact, so
 equality must be exact.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,16 +21,18 @@ from repro.pruning.vnm import vnm_mask
 from repro.serving import (
     ContinuousBatcher,
     Request,
+    ServingConfig,
     ServingEngine,
     SimulatedRequest,
-    simulate_serving,
-    sweep_batch_windows,
+    simulate,
     uniform_arrivals,
 )
 from repro.serving.batcher import BucketKey
 
 
 K_FEATURES = 128
+#: The held (async) window over the padded ladder.
+HELD = ServingConfig(scheduling="async", padding="ladder")
 
 
 @pytest.fixture
@@ -453,27 +457,24 @@ class TestHoldRule:
         operand = SpmmOperand.from_vnm(vnm_weight)
         reqs = uniform_arrivals(24, rate_rps=20000, tokens=[9, 17, 33])
         shuffled = list(reversed(reqs))
-        a = simulate_serving(operand, reqs, window_us=400.0, window_policy="async")
-        b = simulate_serving(operand, shuffled, window_us=400.0, window_policy="async")
+        config = replace(HELD, window_us=400.0)
+        a = simulate(operand, reqs, config)
+        b = simulate(operand, shuffled, config)
         assert a.summary() == b.summary()
-        assert a.window_policy == "async"
+        assert a.config.scheduling == "async"
         assert a.num_requests == 24
         # Queueing delay is bounded by the window under the async policy
         # (completion latency additionally includes GPU queueing, so compare
         # against the per-request baseline's service component).
         assert all(v >= 0 for v in a.latencies_us.values())
-        with pytest.raises(ValueError):
-            simulate_serving(operand, reqs, window_us=10.0, window_policy="nope")
 
     def test_sweep_accepts_async_policy(self, vnm_weight):
         from repro.kernels.dispatch import SpmmOperand
 
         operand = SpmmOperand.from_vnm(vnm_weight)
         reqs = uniform_arrivals(12, rate_rps=50000, tokens=[17])
-        reports = sweep_batch_windows(
-            operand, reqs, [0.0, 200.0], window_policy="async"
-        )
-        assert [r.window_policy for r in reports] == ["async", "async"]
+        reports = [simulate(operand, reqs, replace(HELD, window_us=w)) for w in [0.0, 200.0]]
+        assert [r.config.scheduling for r in reports] == ["async", "async"]
 
 
 class TestForLayerValidation:
@@ -516,7 +517,7 @@ class TestServingSimulation:
 
     def test_report_accounting(self, operand):
         reqs = uniform_arrivals(40, rate_rps=100000, tokens=[17, 33])
-        report = simulate_serving(operand, reqs, window_us=500.0)
+        report = simulate(operand, reqs, replace(HELD, window_us=500.0))
         assert report.num_requests == 40
         assert report.num_batches <= 40
         assert len(report.latencies_us) == 40
@@ -530,10 +531,8 @@ class TestServingSimulation:
         """More window -> fewer, bigger batches -> less total modelled
         kernel time (the sublinear-in-C amortisation batching exists for)."""
         reqs = uniform_arrivals(64, rate_rps=200000, tokens=[17])
-        per_request = simulate_serving(
-            operand, reqs, window_us=0.0, batcher=ContinuousBatcher(max_batch_size=1)
-        )
-        batched = simulate_serving(operand, reqs, window_us=2000.0)
+        per_request = simulate(operand, reqs, replace(HELD, window_us=0.0, max_batch_size=1))
+        batched = simulate(operand, reqs, replace(HELD, window_us=2000.0))
         assert per_request.num_batches == 64
         assert batched.num_batches < 16
         assert batched.kernel_time_us < per_request.kernel_time_us
@@ -543,21 +542,19 @@ class TestServingSimulation:
         """Under a backlog (all requests queued at t=0) batching must beat
         per-request dispatch on requests/s."""
         reqs = [SimulatedRequest(f"r{i:04d}", tokens=17, arrival_us=0.0) for i in range(128)]
-        per_request = simulate_serving(
-            operand, reqs, window_us=0.0, batcher=ContinuousBatcher(max_batch_size=1)
-        )
-        batched = simulate_serving(operand, reqs, window_us=50.0)
+        per_request = simulate(operand, reqs, replace(HELD, window_us=0.0, max_batch_size=1))
+        batched = simulate(operand, reqs, replace(HELD, window_us=50.0))
         assert batched.throughput_rps > per_request.throughput_rps
 
     def test_sweep_returns_one_report_per_window(self, operand):
         reqs = uniform_arrivals(20, rate_rps=50000, tokens=[9, 17])
         windows = [0.0, 200.0, 1000.0]
-        reports = sweep_batch_windows(operand, reqs, windows)
-        assert [r.window_us for r in reports] == windows
+        reports = [simulate(operand, reqs, replace(HELD, window_us=w)) for w in windows]
+        assert [r.config.window_us for r in reports] == windows
 
     def test_trace_meta_records_backend_and_batch(self, operand):
         reqs = uniform_arrivals(8, rate_rps=100000, tokens=[17])
-        report = simulate_serving(operand, reqs, window_us=1000.0)
+        report = simulate(operand, reqs, replace(HELD, window_us=1000.0))
         for e in report.trace.executions:
             assert e.category == "gemm"
             assert e.meta["backend"] in {"spatha-plan", "cublas-dense"}
@@ -565,7 +562,7 @@ class TestServingSimulation:
 
     def test_validation(self, operand):
         with pytest.raises(ValueError):
-            simulate_serving(operand, [], window_us=10.0)
+            simulate(operand, [], replace(HELD, window_us=10.0))
         with pytest.raises(ValueError):
             SimulatedRequest("r", tokens=0)
         with pytest.raises(ValueError):

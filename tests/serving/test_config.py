@@ -12,6 +12,7 @@ present, zeroed when the corresponding feature is unused.
 import gc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,7 @@ from repro.serving import (
     ShardingConfig,
     SimulatedRequest,
     create_engine,
-    simulate_chaos,
-    simulate_serving,
+    simulate,
     uniform_arrivals,
 )
 
@@ -422,53 +422,41 @@ class TestConfigDrivenSimulation:
         requests = [
             SimulatedRequest(f"s{i}", tokens=8, arrival_us=20.0 * i) for i in range(6)
         ]
-        report = simulate_serving(
+        report = simulate(
             operand,
             requests,
-            window_us=100.0,
-            config=ServingConfig(scheduling="continuous", padding="exact"),
+            ServingConfig(scheduling="continuous", padding="exact", window_us=100.0),
         )
-        assert report.window_policy == "continuous"
-        assert report.bucketing == "exact"
-        sharded = simulate_serving(
+        assert report.config.scheduling == "continuous"
+        assert report.config.padding == "exact"
+        sharded = simulate(
             operand,
             requests,
-            window_us=100.0,
-            config=ServingConfig(sharding=ShardingConfig(tp_degree=2)),
+            ServingConfig(sharding=ShardingConfig(tp_degree=2), window_us=100.0),
         )
         assert sharded.num_requests == 6
 
     def test_config_admission_knobs_are_honoured(self, operand):
-        """Regression: ``simulate_serving(config=...)`` used to drop the
+        """Regression: the simulator's config path used to drop the
         admission/SLO knobs silently (200/200 served on a trace where the
         same bound sheds most of the load)."""
         requests = uniform_arrivals(200, rate_rps=2_000_000, tokens=[3, 9, 17, 33])
         config = ServingConfig(
-            scheduling="continuous", padding="ladder", max_queue_depth=2
+            scheduling="continuous", padding="ladder", window_us=0.0, max_queue_depth=2
         )
-        report = simulate_serving(operand, requests, window_us=0.0, config=config)
-        chaos = simulate_chaos(operand, requests, FaultPlan(), max_queue_depth=2)
+        report = simulate(operand, requests, config)
+        chaos = simulate(operand, requests, config, FaultPlan())
+        unbounded = simulate(operand, requests, replace(config, max_queue_depth=None))
         assert report.counts()["shed"] == chaos.counts()["shed"] > 0
         assert report.outcomes == chaos.outcomes
+        assert unbounded.counts()["shed"] == 0
 
     def test_config_knobs_the_simulation_cannot_honour_raise(self, operand):
         requests = [SimulatedRequest("s0", tokens=8, arrival_us=0.0)]
         with pytest.raises(ValueError, match="kv_budget_blocks"):
-            simulate_serving(
-                operand, requests, window_us=0.0,
-                config=ServingConfig(scheduling="continuous", kv_budget_blocks=4),
+            simulate(
+                operand, requests, ServingConfig(scheduling="continuous", kv_budget_blocks=4)
             )
-
-    def test_explicit_args_win(self, operand):
-        requests = [SimulatedRequest("s0", tokens=8, arrival_us=0.0)]
-        report = simulate_serving(
-            operand,
-            requests,
-            window_us=0.0,
-            window_policy="async",
-            config=ServingConfig(scheduling="continuous"),
-        )
-        assert report.window_policy == "async"
 
     def test_serve_continuous_step_from_config(self, rng):
         engine = create_engine(

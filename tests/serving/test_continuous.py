@@ -24,8 +24,7 @@ from repro.serving import (
     SchedulingConfig,
     ServingConfig,
     ServingEngine,
-    simulate_serving,
-    sweep_batch_windows,
+    simulate,
     uniform_arrivals,
 )
 
@@ -535,6 +534,11 @@ class TestContinuousApi:
         assert np.array_equal(results["future-0000"], sequential)
 
 
+def ladder(scheduling, window_us):
+    """Simulator config: ``scheduling`` over the padded ladder."""
+    return ServingConfig(scheduling=scheduling, padding="ladder", window_us=window_us)
+
+
 class TestContinuousSimulation:
     @pytest.fixture
     def operand(self, rng):
@@ -547,24 +551,18 @@ class TestContinuousSimulation:
         schedule, every request served by both policies, and the continuous
         p99 completion latency is no worse than the held (async) loop's."""
         requests = uniform_arrivals(64, rate_rps=5000, tokens=[3, 9, 17, 33])
-        async_report = simulate_serving(
-            operand, requests, window_us=2000.0, window_policy="async"
-        )
-        cont_report = simulate_serving(
-            operand, requests, window_us=2000.0, window_policy="continuous"
-        )
+        async_report = simulate(operand, requests, ladder("async", 2000.0))
+        cont_report = simulate(operand, requests, ladder("continuous", 2000.0))
         assert cont_report.num_requests == async_report.num_requests == 64
         assert len(cont_report.latencies_us) == 64
         assert cont_report.p99_latency_us <= async_report.p99_latency_us
         assert cont_report.mean_latency_us <= async_report.mean_latency_us
-        assert cont_report.window_policy == "continuous"
+        assert cont_report.config.scheduling == "continuous"
 
     def test_arrival_order_invariant_summary(self, operand):
         requests = uniform_arrivals(24, rate_rps=20000, tokens=[9, 17, 33])
-        a = simulate_serving(operand, requests, window_us=400.0, window_policy="continuous")
-        b = simulate_serving(
-            operand, list(reversed(requests)), window_us=400.0, window_policy="continuous"
-        )
+        a = simulate(operand, requests, ladder("continuous", 400.0))
+        b = simulate(operand, list(reversed(requests)), ladder("continuous", 400.0))
         assert a.summary() == b.summary()
 
     def test_backlog_still_batches(self, operand):
@@ -574,7 +572,7 @@ class TestContinuousSimulation:
         requests = [
             uniform_arrivals(32, rate_rps=1e9, tokens=[17])[i] for i in range(32)
         ]
-        report = simulate_serving(operand, requests, window_us=100.0, window_policy="continuous")
+        report = simulate(operand, requests, ladder("continuous", 100.0))
         assert report.num_batches < 32
         assert report.mean_batch_size > 1.0
 
@@ -585,24 +583,17 @@ class TestContinuousSimulation:
         requests = [
             uniform_arrivals(32, rate_rps=1e9, tokens=[17])[i] for i in range(32)
         ]
-        zero = simulate_serving(operand, requests, window_us=0.0, window_policy="continuous")
-        some = simulate_serving(operand, requests, window_us=100.0, window_policy="continuous")
+        zero = simulate(operand, requests, ladder("continuous", 0.0))
+        some = simulate(operand, requests, ladder("continuous", 100.0))
         assert zero.num_batches == some.num_batches < 32
         assert zero.latencies_us == some.latencies_us
 
     def test_sweep_accepts_continuous_policy(self, operand):
         requests = uniform_arrivals(12, rate_rps=50000, tokens=[17])
-        reports = sweep_batch_windows(
-            operand, requests, [100.0, 2000.0], window_policy="continuous"
-        )
-        assert [r.window_policy for r in reports] == ["continuous", "continuous"]
+        reports = [simulate(operand, requests, ladder("continuous", w)) for w in [100.0, 2000.0]]
+        assert [r.config.scheduling for r in reports] == ["continuous", "continuous"]
         # Nothing waits on the window, so the sweep rows coincide (the
         # recorded window_us is the only difference).
         a, b = reports[0].summary(), reports[1].summary()
         a.pop("window_us"), b.pop("window_us")
         assert a == b
-
-    def test_unknown_policy_rejected(self, operand):
-        requests = uniform_arrivals(4, rate_rps=1000, tokens=[9])
-        with pytest.raises(ValueError, match="continuous"):
-            simulate_serving(operand, requests, window_us=10.0, window_policy="nope")

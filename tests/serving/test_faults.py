@@ -15,6 +15,7 @@ is bit-for-bit its sequential fault-free execution.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,13 +46,15 @@ from repro.serving import (
     decode_reference,
     outcome_counts,
     poisson_arrivals,
-    simulate_chaos,
+    simulate,
 )
 
 pytestmark = pytest.mark.faults
 
 #: The CI chaos job replays this module with several seeds; locally it's 0.
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
+#: The chaos simulator's config: the continuous step loop over the padded ladder.
+LADDER = ServingConfig(padding="ladder")
 
 K_FEATURES = 128
 HIDDEN = 64
@@ -183,14 +186,14 @@ class TestInjectorFailover:
         b = rng.normal(size=(K_FEATURES, 8)).astype(np.float32)
         dispatcher.execute(operand, b)  # fail 1 -> failover
         dispatcher.execute(operand, b)  # fail 2 -> quarantined
-        assert dispatcher.is_quarantined(victim)
+        assert dispatcher.breaker.is_quarantined(victim)
         assert dispatcher.health_stats()["quarantines"] == 1
         calls_when_quarantined = injector.calls(victim)
         for _ in range(2):
             dispatcher.execute(operand, b)  # countdown ticks, victim untouched
         assert injector.calls(victim) == calls_when_quarantined
         out = dispatcher.execute(operand, b)  # probe -> healed -> readmitted
-        assert not dispatcher.is_quarantined(victim)
+        assert not dispatcher.breaker.is_quarantined(victim)
         assert dispatcher.health_stats()["readmissions"] == 1
         assert np.array_equal(out, dispatcher.backend(victim).inner.execute(operand, b))
 
@@ -549,9 +552,9 @@ class TestChaosSimulation:
             ("cublas-dense", "spatha-plan"), seed=FAULT_SEED, failure_rate=0.15,
             latency_rate=0.1,
         )
-        kwargs = dict(max_queue_depth=8, shed_policy="drop-expired")
-        first = simulate_chaos(operand, self._requests(deadline_after_us=4000.0), plan, **kwargs)
-        second = simulate_chaos(operand, self._requests(deadline_after_us=4000.0), plan, **kwargs)
+        config = replace(LADDER, max_queue_depth=8, shed_policy="drop-expired")
+        first = simulate(operand, self._requests(deadline_after_us=4000.0), config, plan)
+        second = simulate(operand, self._requests(deadline_after_us=4000.0), config, plan)
         assert first.summary() == second.summary()
         assert first.outcomes == second.outcomes
         assert first.latencies_us == second.latencies_us
@@ -576,7 +579,7 @@ class TestChaosSimulation:
             [FaultSpec(backend=n, kind="transient", at_call=0, count=1) for n in backends]
         )
         reports = [
-            simulate_chaos(operand, requests, plan, max_queue_depth=4)
+            simulate(operand, requests, replace(LADDER, max_queue_depth=4), plan)
             for _ in range(2)
         ]
         assert reports[0].counts() == reports[1].counts()
@@ -594,7 +597,7 @@ class TestChaosSimulation:
             SimulatedRequest("a", tokens=12, deadline_us=1.0),
             SimulatedRequest("b", tokens=40, deadline_us=1.0),
         ]
-        report = simulate_chaos(operand, requests, FaultPlan())
+        report = simulate(operand, requests, LADDER, FaultPlan())
         assert report.outcomes == {"a": "ok", "b": "timed_out"}
         assert report.num_batches == 1
         assert report.latencies_us["a"] > 1.0
@@ -616,9 +619,9 @@ class TestChaosSimulation:
             )
             return sorted(low + high, key=lambda r: (r.arrival_us, r.request_id))
 
-        kwargs = dict(max_queue_depth=8, shed_policy="drop-expired")
-        first = simulate_chaos(operand, trace(), plan, **kwargs)
-        second = simulate_chaos(operand, trace(), plan, **kwargs)
+        config = replace(LADDER, max_queue_depth=8, shed_policy="drop-expired")
+        first = simulate(operand, trace(), config, plan)
+        second = simulate(operand, trace(), config, plan)
         assert first.per_class() == second.per_class()
         assert set(first.per_class()) == {0, 1}
         per_class = first.per_class()
@@ -649,7 +652,7 @@ class TestChaosSimulation:
             [FaultSpec(backend=n, kind="transient", at_call=0, count=1) for n in backends]
         )
         reports = [
-            simulate_chaos(operand, requests, plan, max_queue_depth=4)
+            simulate(operand, requests, replace(LADDER, max_queue_depth=4), plan)
             for _ in range(2)
         ]
         assert reports[0].per_class() == reports[1].per_class()
@@ -667,7 +670,7 @@ class TestChaosSimulation:
             assert per_class[cls]["violation_rate"] == 0.0
 
     def test_fault_free_plan_is_fully_available(self, operand):
-        report = simulate_chaos(operand, self._requests(n=16), FaultPlan())
+        report = simulate(operand, self._requests(n=16), LADDER, FaultPlan())
         assert report.counts() == {"ok": 16, "failed": 0, "timed_out": 0, "shed": 0}
         assert report.availability == 1.0
         assert report.failovers == 0
@@ -680,12 +683,33 @@ class TestChaosSimulation:
             KernelDispatcher().dispatch(operand, c).backend for c in (8, 16, 32)
         }
         plan = FaultPlan([FaultSpec(backend=n, kind="persistent") for n in chosen])
-        report = simulate_chaos(
-            operand, self._requests(n=16), plan, failure_threshold=2, probe_interval=2
-        )
+        dispatcher = KernelDispatcher(failure_threshold=2, probe_interval=2)
+        report = simulate(operand, self._requests(n=16), LADDER, plan, dispatcher)
         assert report.quarantines >= 1
         assert report.failovers >= 1
         assert report.availability == 1.0  # fallback ranking absorbs it
+
+    def test_backend_health_does_not_carry_across_runs(self, operand):
+        """A dispatcher shared across runs carries decisions and estimates,
+        never backend health: after a run that left the winning backend
+        quarantined (a probe interval longer than the run), a fault-free
+        run replays exactly as on a fresh dispatcher."""
+        chosen = {
+            KernelDispatcher().dispatch(operand, c).backend for c in (8, 16, 32)
+        }
+        plan = FaultPlan([FaultSpec(backend=n, kind="persistent") for n in chosen])
+        shared = KernelDispatcher(failure_threshold=2, probe_interval=100)
+        assert simulate(operand, self._requests(n=16), LADDER, plan, shared).quarantines >= 1
+        after = simulate(operand, self._requests(n=16), LADDER, dispatcher=shared)
+        fresh = simulate(
+            operand, self._requests(n=16), LADDER,
+            dispatcher=KernelDispatcher(failure_threshold=2, probe_interval=100),
+        )
+        assert after.outcomes == fresh.outcomes
+        assert after.latencies_us == fresh.latencies_us
+        backends = [e.meta["backend"] for e in after.trace.executions]
+        assert backends == [e.meta["backend"] for e in fresh.trace.executions]
+        assert set(backends) == chosen
 
     def test_p999_on_known_distribution(self):
         """p999 satellite: pin the extreme tail on a synthetic distribution
@@ -693,7 +717,6 @@ class TestChaosSimulation:
         1..1000 puts p99.9 at 999.001)."""
         latencies = {f"r{i:04d}": float(i) for i in range(1, 1001)}
         report = SimReport(
-            window_us=0.0,
             num_requests=1000,
             num_batches=1000,
             makespan_us=1_000_000.0,

@@ -12,6 +12,8 @@ each executes: real kernels behind the dispatcher's failover walk, or
 modelled charges behind the same walk.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,7 +24,6 @@ from repro.kernels.dispatch import CircuitBreaker, KernelDispatcher, SpmmOperand
 from repro.pruning.masks import apply_mask
 from repro.pruning.vnm import vnm_mask
 from repro.serving import (
-    ContinuousBatcher,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -31,7 +32,7 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
 )
-from repro.serving.continuous import SHED_POLICIES, SHED_REJECT_NEWEST
+from repro.serving.continuous import SHED_POLICIES
 from repro.serving.simulate import ModelledEngine
 
 K = 32
@@ -63,12 +64,13 @@ def _every_backend_fails(call):
     return FaultPlan([FaultSpec(backend=n, kind="transient", at_call=call) for n in BACKENDS])
 
 
-_FCFS = dict(scheduling=SchedulingConfig(), max_queue_depth=None, shed_policy=SHED_REJECT_NEWEST)
+#: Three rungs of three slots, FCFS, unbounded; examples vary the admission knobs.
+CONFIG = ServingConfig(padding="ladder", token_buckets=(8, 16, 32), max_batch_size=3, warm=False)
 #: Pinned cells for the rules the simulator used to get wrong: a chunk every
 #: backend fails is bisected (not failed whole), and a deadline is judged
 #: before execution (a chunk that starts late still completes ``ok``).
-BISECTION = ([_request(f"b{i}", 12) for i in range(4)], _every_backend_fails(0), _FCFS)
-DEADLINES = ([_request("a", 12, deadline_us=1.0), _request("b", 30, deadline_us=1.0)], FaultPlan(), _FCFS)
+BISECTION = ([_request(f"b{i}", 12) for i in range(4)], _every_backend_fails(0), CONFIG)
+DEADLINES = ([_request("a", 12, deadline_us=1.0), _request("b", 30, deadline_us=1.0)], FaultPlan(), CONFIG)
 
 
 @st.composite
@@ -98,12 +100,13 @@ def traces(draw):
             st.builds(_every_backend_fails, st.integers(0, 2)),
         )
     )
-    batcher = dict(
-        scheduling=draw(st.sampled_from(SCHEDULINGS)),
+    config = replace(
+        CONFIG,
+        scheduling_policy=draw(st.sampled_from(SCHEDULINGS)),
         max_queue_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
         shed_policy=draw(st.sampled_from(SHED_POLICIES)),
     )
-    return requests, plan, batcher
+    return requests, plan, config
 
 
 class _SteppedModelledEngine(ModelledEngine):
@@ -118,10 +121,6 @@ class _SteppedModelledEngine(ModelledEngine):
         return super().step(now_us)
 
 
-def _batcher(knobs):
-    return ContinuousBatcher(token_buckets=(8, 16, 32), max_batch_size=3, **knobs)
-
-
 def _records(engine):
     completions = {
         rid: (c.step, c.rung, c.batch_size, c.completed_us) for rid, c in engine.completions.items()
@@ -130,13 +129,11 @@ def _records(engine):
 
 
 def check_agreement(trace):
-    requests, plan, knobs = trace
-    modelled = _SteppedModelledEngine(OPERAND, _batcher(knobs), DISPATCHER, plan)
+    requests, plan, config = trace
+    modelled = _SteppedModelledEngine(OPERAND, config, DISPATCHER, plan)
     modelled.serve_continuous(requests, step_us=0.0)
 
-    live = ServingEngine(
-        OPERAND, dispatcher=DISPATCHER, batcher=_batcher(knobs), config=ServingConfig(warm=False)
-    )
+    live = ServingEngine(OPERAND, dispatcher=DISPATCHER, config=config)
     DISPATCHER.breaker = CircuitBreaker()
     injector = FaultInjector(plan).arm(DISPATCHER)
     try:

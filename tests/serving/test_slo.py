@@ -16,6 +16,8 @@ high class's p99 strictly below FCFS's, with shed/violations concentrated
 in the low class.  Every test is seeded — no statistical flake.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,14 +33,13 @@ from repro.serving import (
     ServingConfig,
     SimulatedRequest,
     bursty_arrivals,
+    compress_arrivals,
     create_engine,
     diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
     plan_slo_batch_reference,
-    simulate_serving,
-    simulate_slo,
-    sweep_slo_overload,
+    simulate,
 )
 
 HIDDEN = 64
@@ -648,11 +649,10 @@ class TestSimulatorMatchesLiveEngine:
             ),
         )
         config = ServingConfig(
-            scheduling="continuous", max_queue_depth=6, scheduling_policy=scheduling
+            scheduling="continuous", padding="ladder", max_queue_depth=6,
+            scheduling_policy=scheduling,
         )
-        report = simulate_serving(
-            operand, trace, window_us=0.0, bucketing="ladder", config=config
-        )
+        report = simulate(operand, trace, config)
         simulated = [
             (e.meta["token_bucket"], e.meta["batch_size"], e.meta["request_ids"])
             for e in report.trace.executions
@@ -685,19 +685,18 @@ class TestSimulatorMatchesLiveEngine:
 
 
 class TestSimulateSLO:
-    KWARGS = dict(max_queue_depth=24, shed_policy="drop-expired")
+    CONFIG = ServingConfig(padding="ladder", max_queue_depth=24, shed_policy="drop-expired")
+    PRIORITY = replace(
+        CONFIG, scheduling_policy=SchedulingConfig(policy="priority", class_weights=(1, 4))
+    )
 
     def test_priority_beats_fcfs_for_the_high_class(self, operand):
         """The acceptance criterion: under the seeded bursty two-tenant
         overload, strict priority puts the high class's p99 strictly below
         FCFS's, and shed/violations concentrate in the low class."""
         trace = two_tenant_overload()
-        fcfs = simulate_slo(operand, trace, **self.KWARGS)
-        prio = simulate_slo(
-            operand, trace,
-            scheduling=SchedulingConfig(policy="priority", class_weights=(1, 4)),
-            **self.KWARGS,
-        )
+        fcfs = simulate(operand, trace, self.CONFIG)
+        prio = simulate(operand, trace, self.PRIORITY)
         f, p = fcfs.per_class(), prio.per_class()
         assert p[1]["p99_latency_us"] < f[1]["p99_latency_us"]
         assert p[1]["violation_rate"] <= p[0]["violation_rate"]
@@ -706,21 +705,19 @@ class TestSimulateSLO:
 
     def test_replays_identically(self, operand):
         trace = two_tenant_overload()
-        scheduling = SchedulingConfig(policy="priority", class_weights=(1, 4))
-        runs = [
-            simulate_slo(operand, trace, scheduling=scheduling, **self.KWARGS)
-            for _ in range(2)
-        ]
+        runs = [simulate(operand, trace, self.PRIORITY) for _ in range(2)]
         assert runs[0].outcomes == runs[1].outcomes
         assert runs[0].latencies_us == runs[1].latencies_us
         assert runs[0].summary() == runs[1].summary()
 
     def test_weighted_fair_does_not_starve_the_low_class(self, operand):
         trace = two_tenant_overload()
-        report = simulate_slo(
+        report = simulate(
             operand, trace,
-            scheduling=SchedulingConfig(policy="weighted-fair", class_weights=(1, 4)),
-            **self.KWARGS,
+            replace(
+                self.CONFIG,
+                scheduling_policy=SchedulingConfig(policy="weighted-fair", class_weights=(1, 4)),
+            ),
         )
         per_class = report.per_class()
         assert per_class[0]["ok"] > 0
@@ -730,9 +727,9 @@ class TestSimulateSLO:
         """Configured-but-unused classes appear with zeroed counts and NaN
         percentiles — never silently missing, never fake 0.0 latencies."""
         reqs = [SimulatedRequest("only-0", tokens=8)]
-        report = simulate_slo(
+        report = simulate(
             operand, reqs,
-            scheduling=SchedulingConfig(class_weights=(1, 1, 1)),
+            ServingConfig(padding="ladder", scheduling_policy=SchedulingConfig(class_weights=(1, 1, 1))),
         )
         per_class = report.per_class()
         assert set(per_class) == {0, 1, 2}
@@ -745,12 +742,10 @@ class TestSimulateSLO:
 
     def test_brownout_sweep_degrades_monotonically_in_sheds(self, operand):
         trace = two_tenant_overload()
-        reports = sweep_slo_overload(
-            operand, trace, [0.5, 1.0, 2.0, 4.0],
-            scheduling=SchedulingConfig(policy="priority", class_weights=(1, 4)),
-            **self.KWARGS,
-        )
-        assert [r.load_factor for r in reports] == [0.5, 1.0, 2.0, 4.0]
+        reports = [
+            simulate(operand, compress_arrivals(trace, factor), self.PRIORITY)
+            for factor in [0.5, 1.0, 2.0, 4.0]
+        ]
         sheds = [r.shed_rate for r in reports]
         assert sheds == sorted(sheds)
         assert reports[-1].shed_rate > reports[0].shed_rate
@@ -768,10 +763,11 @@ class TestSimulateSLO:
                 for i in range(4)
             ],
         )
-        report = simulate_slo(
+        report = simulate(
             operand, reqs,
-            scheduling=SchedulingConfig(
-                policy="priority", class_queue_depths=(2, None)
+            ServingConfig(
+                padding="ladder",
+                scheduling_policy=SchedulingConfig(policy="priority", class_queue_depths=(2, None)),
             ),
         )
         per_class = report.per_class()
@@ -780,13 +776,17 @@ class TestSimulateSLO:
 
     def test_validation(self, operand):
         reqs = [SimulatedRequest("v-0", tokens=4)]
-        with pytest.raises(ValueError, match="bucketing"):
-            simulate_slo(operand, reqs, bucketing="diagonal")
-        with pytest.raises(ValueError, match="shed_policy"):
-            simulate_slo(operand, reqs, shed_policy="coin-flip")
         with pytest.raises(ValueError, match="load_factor"):
-            simulate_slo(operand, reqs, load_factor=0.0)
+            compress_arrivals(reqs, 0.0)
         with pytest.raises(ValueError, match="non-empty"):
-            simulate_slo(operand, [])
-        with pytest.raises(ValueError, match="load_factors"):
-            sweep_slo_overload(operand, reqs, [])
+            simulate(operand, [])
+
+    def test_compress_arrivals_keeps_deadline_offsets(self):
+        reqs = [
+            SimulatedRequest("c-0", tokens=4, arrival_us=100.0, deadline_us=400.0),
+            SimulatedRequest("c-1", tokens=4, arrival_us=300.0),
+        ]
+        assert compress_arrivals(reqs, 1.0) == reqs
+        doubled = compress_arrivals(reqs, 2.0)
+        assert [r.arrival_us for r in doubled] == [50.0, 150.0]
+        assert [r.deadline_us for r in doubled] == [350.0, None]

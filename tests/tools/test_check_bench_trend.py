@@ -179,7 +179,6 @@ class TestNaNIsNoData:
         from repro.serving.simulate import SimReport
 
         report = SimReport(
-            window_us=100.0,
             num_requests=0,
             num_batches=0,
             makespan_us=0.0,
@@ -202,7 +201,6 @@ class TestNaNIsNoData:
         from repro.serving.simulate import SimReport
 
         report = SimReport(
-            window_us=0.0,
             num_requests=4,
             num_batches=4,
             makespan_us=100.0,
