@@ -27,7 +27,7 @@ import numpy as np
 from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import CVSEMatrix
-from repro.formats.vnm import VNMSparseMatrix
+from repro.formats.vnm import VNMSparseMatrix, vnm_select, vnm_select_reference
 from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels import cusparse, sputnik
 from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
@@ -268,6 +268,24 @@ def bench_formats(entries, size, rng):
             ref_repeats=3,
         )
     )
+
+
+def bench_vnm_select(entries, shapes, patterns, rng):
+    """V:N:M magnitude selection (prune and compress) against its argsort
+    reference, on float32 weights like the ``spmm_sweep`` operands."""
+    for shape in shapes:
+        w = rng.normal(size=shape).astype(np.float32)
+        for v, n, m in patterns:
+            entries.append(
+                _entry(
+                    "vnm.select",
+                    f"{shape[0]}x{shape[1]} {v}:{n}:{m}",
+                    lambda: vnm_select_reference(w, v, n, m),
+                    lambda: vnm_select(w, v, n, m),
+                    lambda r, s: max(_array_diff(a, b) for a, b in zip(r, s)),
+                    ref_repeats=3,
+                )
+            )
 
 
 def bench_pruning(entries, rows, cols, rng):
@@ -1034,6 +1052,8 @@ def main():
         bench_spatha_crossover(entries)
         bench_baseline_kernels(entries, 256, rng)
         bench_formats(entries, 256, rng)
+        bench_vnm_select(entries, [(64, 64)], [(1, 2, 8)], rng)
+        bench_vnm_select(entries, [(256, 256)], [(64, 2, 8)], rng)
         bench_pruning(entries, 16, 64, rng)
         bench_serving(entries, size=256, num_requests=16, tokens=4, rng=rng)
         bench_model_serving(
@@ -1075,6 +1095,13 @@ def main():
         bench_spatha_crossover(entries)
         bench_baseline_kernels(entries, 1024, rng)
         bench_formats(entries, 1024, rng)
+        # The 12 spmm_sweep operands (BERT-large shapes x four patterns).
+        bench_vnm_select(
+            entries,
+            [(1024, 1024), (4096, 1024), (1024, 4096)],
+            [(64, 2, 4), (64, 2, 8), (128, 2, 16), (64, 2, 32)],
+            rng,
+        )
         bench_pruning(entries, 32, 128, rng)
         # Decode-style traffic (many small requests) is where dynamic
         # batching pays on this CPU engine: per-request dispatch overhead

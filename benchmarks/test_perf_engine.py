@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation.reporting import format_table
-from repro.formats.vnm import VNMSparseMatrix
+from repro.formats.vnm import VNMSparseMatrix, vnm_select, vnm_select_reference
 from repro.kernels.spatha import SpmmPlan, spmm_loop_reference
 from repro.pruning.second_order.obs_vnm import (
     second_order_vnm_prune,
@@ -137,6 +137,47 @@ def test_perf_second_order_vnm_vs_loop(run_once):
     # Typically >10x; the floor is deliberately loose so scheduler noise on
     # the single-core CI box cannot flake the gate.
     assert ref_t / vec_t > SPEEDUP_FLOOR
+
+
+#: ``vnm_select`` must not be slower than its argsort reference anywhere;
+#: its margin at the smallest tier-1 shape is only ~1.3x.
+NO_SLOWER_FLOOR = 1.0 if STRICT else 0.9
+
+
+@pytest.mark.parametrize(
+    "shape, pattern",
+    [((64, 64), (1, 2, 8)), ((64, 64), (1, 2, 4)), ((256, 256), (64, 2, 8)), ((128, 128), (2, 1, 16))],
+)
+def test_perf_vnm_select_vs_reference(run_once, shape, pattern):
+    """V:N:M selection against its argsort reference at tier-1 sizes
+    (``run_bench.py`` records the ``spmm_sweep`` sizes): interleaved
+    medians, bit-equal outputs."""
+    w = np.random.default_rng(4).normal(size=shape)
+    v, n, m = pattern
+
+    def timed_pair():
+        ref_times, vec_times = [], []
+        for _ in range(40):
+            t0 = time.perf_counter()
+            ref = vnm_select_reference(w, v, n, m)
+            t1 = time.perf_counter()
+            vec = vnm_select(w, v, n, m)
+            t2 = time.perf_counter()
+            ref_times.append(t1 - t0)
+            vec_times.append(t2 - t1)
+        assert all(np.array_equal(a, b) for a, b in zip(ref, vec))
+        return float(np.median(ref_times)), float(np.median(vec_times))
+
+    ref_t, vec_t = run_once(timed_pair)
+    print()
+    print(
+        format_table(
+            ["op", "shape", "reference (us)", "vectorized (us)", "speedup"],
+            [["vnm_select", f"{shape[0]}x{shape[1]} {v}:{n}:{m}", round(ref_t * 1e6, 1),
+              round(vec_t * 1e6, 1), round(ref_t / vec_t, 2)]],
+        )
+    )
+    assert ref_t / vec_t > NO_SLOWER_FLOOR
 
 
 @pytest.mark.parametrize("policy,queued", [("priority", 512), ("fcfs", 8)])

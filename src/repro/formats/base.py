@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,16 +42,27 @@ def as_float_matrix(dense: np.ndarray, name: str = "dense") -> np.ndarray:
 
 #: Magnitudes from here up round to infinity in fp16 (65504 plus half an ulp).
 _FP16_OVERFLOW = 65520.0
-#: Below this many elements NumPy's own cast beats the bit kernel (the two
-#: break even near 150 elements on one x86 core; both give the same bits).
+#: Below this many elements NumPy's own cast, with its finite check, beats
+#: the kernel.  On one x86 core (Xeon, 4 MiB L2) the two tie at 256
+#: normal-distributed elements (about 10 us, all per-call overhead); on
+#: inputs with values that underflow fp16, such as GELU outputs, the cast
+#: is slower and the kernel already wins there.  Both give the same bits.
 _KERNEL_MIN_SIZE = 256
-#: float32 exponent fields: the whole field, 2**15 (every smaller exponent
-#: is finite in fp16) and 2**-14 (the finest fp16 spacing, 2**-24, starts
-#: there); added to a field, the offset turns 2**e into 1.5 * 2**(e + 13).
+#: Elements per kernel pass.  A larger contiguous input is rounded in chunks
+#: of this size, so every pass after a chunk's first read hits L2.
+_CHUNK = 1 << 15
+#: The float32 exponent field: ANDed onto a value it leaves 2**e for a
+#: normal value, 0 for zero and float32 subnormals, inf for inf and NaN.
 _EXPONENT_BITS = np.uint32(0x7F800000)
-_FP16_TOP_EXPONENT = np.uint32(142 << 23)
-_FP16_MIN_EXPONENT = np.uint32(113 << 23)
-_MAGIC_OFFSET = np.uint32((13 << 23) | 0x400000)
+#: 2**15: every smaller power of two stays finite in fp16.
+_FP16_TOP = np.float32(2.0**15)
+#: 2**-14: the finest fp16 spacing, 2**-24, starts here.
+_FP16_MIN_NORMAL = np.float32(2.0**-14)
+#: 2**-25: only magnitudes up to here round to zero.
+_FP16_ZERO_TIE = np.float32(2.0**-25)
+#: 1.5 * 2**13: times 2**e it is the magic number whose float32 ulp is the
+#: fp16 ulp of a value of exponent e.
+_MAGIC_SCALE = np.float32(1.5 * 2.0**13)
 
 
 def fp16_finite(x: np.ndarray) -> bool:
@@ -66,33 +77,80 @@ def fp16_finite(x: np.ndarray) -> bool:
     )
 
 
+def _cast_fp16(x: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """NumPy's own round trip, and :func:`fp16_finite` of ``x`` (which
+    tells whether the cast may overflow, so the error state is only
+    switched when it must be)."""
+    if fp16_finite(x):
+        return x.astype(np.float16).astype(np.float32), True
+    with np.errstate(over="ignore"):
+        return x.astype(np.float16).astype(np.float32), False
+
+
+def _round_into(
+    x: np.ndarray, out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, bool]:
+    """Round float32 ``x`` (into ``out`` when given, else a new array laid
+    out like ``x``); return the result and the finite flag."""
+    c = np.bitwise_and(x.view(np.uint32), _EXPONENT_BITS, out=scratch).view(np.float32)
+    if np.maximum.reduce(c, axis=None) >= _FP16_TOP and not fp16_finite(x):
+        if out is None:
+            return _cast_fp16(x)
+        out[...] = _cast_fp16(x)[0]
+        return out, False
+    low = np.minimum.reduce(c, axis=None)
+    if low < _FP16_MIN_NORMAL:
+        np.maximum(c, _FP16_MIN_NORMAL, out=c)
+    c *= _MAGIC_SCALE
+    out = np.add(x, c, out=out)
+    out -= c
+    if low <= _FP16_ZERO_TIE:
+        np.copysign(out, x, out=out)
+    return out, True
+
+
 def quantize_fp16_checked(x: np.ndarray) -> Tuple[np.ndarray, bool]:
     """:func:`quantize_fp16` plus :func:`fp16_finite` of the input.
 
-    A float32 input in range skips NumPy's cast for a magic-number add:
-    with ``c = 1.5 * 2**(max(e, -14) + 13)`` for the element's exponent
-    ``e``, the float32 ulp of ``x + c`` is the element's fp16 ulp, so that
-    add rounds to nearest-even at fp16 granularity and ``- c`` is exact;
-    ``copysign`` keeps the sign of values that round to zero.  Bit for bit
-    the cast on every finite float32 below 65520 (a test sweeps all 2**32
-    patterns), at about half its cost past a few thousand elements.  One
-    integer reduction over the exponents clears the range check in the
-    common case (every ``|x| < 2**15``).  Other dtypes, non-finite or
-    overflowing values and small inputs take the cast.  Either way the
-    result keeps the input's memory layout.
+    A float32 input skips NumPy's cast for a magic-number add: with
+    ``c = 1.5 * 2**(max(e, -14) + 13)`` for the element's exponent ``e``,
+    the float32 ulp of ``x + c`` is the element's fp16 ulp, so that add
+    rounds to nearest-even at fp16 granularity and ``- c`` is exact.  Bit
+    for bit the cast on every finite float32 below 65520 (a test sweeps all
+    2**32 patterns).
+
+    The passes, per chunk of :data:`_CHUNK` elements (a C- or F-contiguous
+    input; any other layout is one chunk):
+
+    1. ``c = x & exponent field`` — 2**e as a float32;
+    2. max-reduce ``c``: below 2**15 every value is in range; otherwise
+       :func:`fp16_finite` decides, and a chunk holding a NaN, an inf or a
+       magnitude from 65520 up takes the cast and clears the flag;
+    3. min-reduce ``c``;
+    4. only if that minimum is below 2**-14: clamp ``c`` up to 2**-14;
+    5. ``c *= 1.5 * 2**13``;
+    6. ``out = x + c``; 7. ``out -= c``;
+    8. only if the minimum is at most 2**-25 (only such values round to
+       zero): ``copysign(out, x)`` restores the sign of -0.
+
+    Step 3 buys skipping steps 4 and 8 on most inputs; one holding zeros
+    or tiny values (GELU outputs) runs all eight.  Other dtypes and inputs under :data:`_KERNEL_MIN_SIZE` elements take
+    the cast.  Either way the result keeps the input's memory layout.
     """
     x = np.asarray(x)
-    if x.dtype == np.float32 and x.size >= _KERNEL_MIN_SIZE:
-        c = np.bitwise_and(x.view(np.uint32), _EXPONENT_BITS)
-        if np.maximum.reduce(c, axis=None) < _FP16_TOP_EXPONENT or fp16_finite(x):
-            np.maximum(c, _FP16_MIN_EXPONENT, out=c)
-            c += _MAGIC_OFFSET
-            c = c.view(np.float32)
-            y = x + c
-            y -= c
-            return np.copysign(y, x, out=y), True
-    with np.errstate(over="ignore"):
-        return x.astype(np.float16).astype(np.float32), fp16_finite(x)
+    if x.dtype != np.float32 or x.size < _KERNEL_MIN_SIZE:
+        return _cast_fp16(x)
+    if x.size <= _CHUNK or not (x.flags.c_contiguous or x.flags.f_contiguous):
+        return _round_into(x)
+    out = np.empty_like(x)
+    order = "C" if x.flags.c_contiguous else "F"
+    flat_x, flat_out = x.reshape(-1, order=order), out.reshape(-1, order=order)
+    scratch = np.empty(_CHUNK, dtype=np.uint32)
+    finite = True
+    for lo in range(0, x.size, _CHUNK):
+        hi = min(lo + _CHUNK, x.size)
+        finite &= _round_into(flat_x[lo:hi], flat_out[lo:hi], scratch[: hi - lo])[1]
+    return out, finite
 
 
 def quantize_fp16(matrix: np.ndarray) -> np.ndarray:

@@ -22,6 +22,19 @@ The compressed representation (Figure 3) consists of three arrays:
 the derived quantities the kernels need (a condensed ``R x K/M*4`` view of
 the selected columns, the Figure-7 storage order, footprints).
 
+Selection
+---------
+Magnitude V:N:M pruning (:func:`repro.pruning.vnm.vnm_mask`) and the
+compressor (:meth:`VNMSparseMatrix.from_dense`) pick their survivors with
+one routine, :func:`vnm_select`.  Its tie rule: in each block the four
+columns of largest saliency survive and in each row of those the ``n``
+largest magnitudes; equal scores go to the lower position and NaN ranks
+below every number — the order a stable ``argsort`` of the negated scores
+gives.  :func:`vnm_select_reference` is that argsort, kept as the
+executable spec; the two agree bit for bit.  Gathers and scatters between
+an ``R x K`` matrix and its ``R x K/M*4`` selected columns go through one
+flat index built from :meth:`VNMSparseMatrix.selected_column_indices`.
+
 The derived views (:meth:`to_condensed`, :meth:`selected_column_indices`,
 :meth:`packed_metadata`) are memoized per instance: the compressed arrays
 never change after construction, so every caller — the Spatha execution
@@ -32,7 +45,7 @@ arrays are shared and must be treated as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -79,6 +92,146 @@ def validate_vnm_shape(rows: int, cols: int, v: int, n: int, m: int) -> None:
         raise ValueError(f"rows ({rows}) must be divisible by V ({v})")
     if cols % m != 0:
         raise ValueError(f"cols ({cols}) must be divisible by M ({m})")
+
+
+class VNMSelection(NamedTuple):
+    """What V:N:M selection keeps of an ``R x K`` matrix."""
+
+    #: ``(R/V, K/M*4)`` int64 absolute columns of every block, ascending.
+    columns: np.ndarray
+    #: ``(R, K/M*4)`` the matrix at those columns.
+    selected: np.ndarray
+    #: ``(R, K/M*4)`` bool: the ``n`` survivors in every group of four.
+    keep: np.ndarray
+
+
+def _check_norm(norm: str) -> None:
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"unknown norm {norm!r}; use 'l1' or 'l2'")
+
+
+def _argsort_block_columns(arr: np.ndarray, v: int, m: int, norm: str) -> np.ndarray:
+    """Stable argsort of the negated ``norm`` mass of every column of every
+    ``V x M`` block: in-block indices ``(R/V, K/M, 4)``, ascending."""
+    _check_norm(norm)
+    rows, cols = arr.shape
+    blocks = arr.reshape(rows // v, v, cols // m, m)
+    if norm == "l1":
+        mass = np.abs(blocks).sum(axis=1)
+    else:
+        mass = np.sqrt((blocks**2).sum(axis=1))
+    order = np.argsort(-mass, axis=2, kind="stable")[:, :, :SELECTED_COLUMNS]
+    return np.sort(order, axis=2)
+
+
+def select_block_columns(arr: np.ndarray, v: int, m: int, norm: str = "l1") -> np.ndarray:
+    """Columns kept by the vector-wise stage for every ``V x M`` block.
+
+    Returns an int64 array of shape ``(R/V, K/M, 4)`` with the in-block
+    indices (ascending) of the four columns of largest ``norm`` mass,
+    summed in ``arr``'s dtype (read-only when M = 4: every column
+    survives and no mass is ranked).
+    """
+    if m == SELECTED_COLUMNS:
+        _check_norm(norm)
+        rows, cols = arr.shape
+        return np.broadcast_to(np.arange(m, dtype=np.int64), (rows // v, cols // m, m))
+    return _argsort_block_columns(arr, v, m, norm)
+
+
+def _absolute_columns(in_block: np.ndarray, m: int) -> np.ndarray:
+    """``(R/V, K/M, 4)`` in-block indices as ``(R/V, K/M*4)`` matrix columns."""
+    groups = in_block.shape[1]
+    return (in_block + np.arange(groups, dtype=np.int64)[:, None] * m).reshape(in_block.shape[0], -1)
+
+
+def _flat_index(columns: np.ndarray, rows: int, k: int) -> np.ndarray:
+    """Flat positions in a C-ordered ``(rows, k)`` matrix of every row's
+    selected ``columns`` (one row of ``columns`` per ``V``-row block)."""
+    row_blocks, width = columns.shape
+    base = (np.arange(rows, dtype=np.int64) * k).reshape(row_blocks, rows // row_blocks, 1)
+    return (base + columns[:, None, :]).reshape(rows, width)
+
+
+def _gather_columns(arr: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``arr`` (C-contiguous ``R x K``) at its blocks' selected ``columns``.
+
+    When every column is selected (M = 4) that is ``arr`` itself, shared.
+    """
+    if columns.shape[1] == arr.shape[1]:
+        return arr
+    return np.take(arr.reshape(-1), _flat_index(columns, *arr.shape))
+
+
+def scatter_columns(condensed: np.ndarray, columns: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of :func:`_gather_columns`: a new ``R x k`` matrix holding
+    ``condensed`` at the selected ``columns`` and zeros elsewhere."""
+    if columns.shape[1] == k:
+        return condensed.copy()
+    rows = condensed.shape[0]
+    out = np.zeros(rows * k, dtype=condensed.dtype)
+    out[_flat_index(columns, rows, k)] = condensed
+    return out.reshape(rows, k)
+
+
+def _keep_n_of_4(selected: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` largest magnitudes of every group of four, as a mask.
+
+    Six pairwise comparisons rank each position: ``b_ij`` says the later
+    position ``j`` strictly outranks ``i``, so a tie goes to the lower
+    position; NaN magnitudes become -1 first, so they rank last.  Rank
+    ``r_i`` is the number of positions outranking ``i``; ``i`` survives
+    when ``r_i < n``.
+    """
+    if n >= SELECTED_COLUMNS:
+        return np.ones(selected.shape, dtype=bool)
+    keep = np.empty(selected.shape, dtype=bool)
+    mag = np.abs(selected).reshape(-1, SELECTED_COLUMNS)
+    np.fmax(mag, -1, out=mag)
+    a0, a1, a2, a3 = (mag[:, i] for i in range(SELECTED_COLUMNS))
+    b01, b02, b03, b12, b13, b23 = (
+        np.greater(aj, ai).view(np.uint8)
+        for ai, aj in ((a0, a1), (a0, a2), (a0, a3), (a1, a2), (a1, a3), (a2, a3))
+    )
+    out = keep.reshape(-1, SELECTED_COLUMNS)
+    np.less(b01 + b02 + b03, n, out=out[:, 0])
+    np.less(1 + b12 + b13 - b01, n, out=out[:, 1])
+    np.less(2 + b23 - b02 - b12, n, out=out[:, 2])
+    np.less(3 - b03 - b13 - b23, n, out=out[:, 3])
+    return keep
+
+
+def vnm_select(arr: np.ndarray, v: int, n: int, m: int, norm: str = "l1") -> VNMSelection:
+    """V:N:M magnitude selection of a C-contiguous float matrix whose shape
+    suits ``v:n:m`` (the tie rule is in the module docstring).
+
+    The column choice argsorts the small ``(R/V, K/M, M)`` mass array; the
+    selected columns move with one flat-index gather and the N:4 stage is
+    :func:`_keep_n_of_4`'s six comparisons.  Bit for bit
+    :func:`vnm_select_reference`.
+    """
+    columns = _absolute_columns(select_block_columns(arr, v, m, norm), m)
+    selected = _gather_columns(arr, columns)
+    return VNMSelection(columns, selected, _keep_n_of_4(selected, n))
+
+
+def vnm_select_reference(arr: np.ndarray, v: int, n: int, m: int, norm: str = "l1") -> VNMSelection:
+    """:func:`vnm_select` by stable argsorts and ``take_along_axis`` /
+    ``put_along_axis`` over ``(R/V, V, K/M, 4)`` blocks: the executable
+    spec of the tie rule."""
+    rows, cols = arr.shape
+    row_blocks, groups = rows // v, cols // m
+    blocks = arr.reshape(row_blocks, v, groups, m)
+    in_block = _argsort_block_columns(arr, v, m, norm)
+    gather_idx = np.broadcast_to(in_block[:, None], (row_blocks, v, groups, SELECTED_COLUMNS))
+    selected = np.take_along_axis(blocks, gather_idx, axis=3)
+    pos_order = np.argsort(-np.abs(selected), axis=3, kind="stable")[:, :, :, :n]
+    keep = np.zeros(selected.shape, dtype=bool)
+    np.put_along_axis(keep, pos_order, True, axis=3)
+    width = groups * SELECTED_COLUMNS
+    return VNMSelection(
+        _absolute_columns(in_block, m), selected.reshape(rows, width), keep.reshape(rows, width)
+    )
 
 
 @dataclass
@@ -140,6 +293,9 @@ class VNMSparseMatrix(SparseFormat):
         ``strict=False`` the compressor itself applies magnitude V:N:M
         pruning: per block it keeps the four columns with the largest L1
         mass and then the ``n`` largest magnitudes per row among them.
+        Either way the survivors come from :func:`vnm_select` (tie rule in
+        the module docstring), which on a strict input recovers the columns
+        and positions that hold the non-zeros.
         """
         arr = as_float_matrix(dense)
         rows, cols = arr.shape
@@ -148,33 +304,13 @@ class VNMSparseMatrix(SparseFormat):
             raise ValueError(
                 f"matrix violates the {v}:{n}:{m} pattern; prune it first or pass strict=False"
             )
-        row_blocks = rows // v
-        groups = cols // m
-        blocks = arr.reshape(row_blocks, v, groups, m)
-
-        # Vector-wise stage: pick the 4 columns per (row-block, group) with
-        # the largest L1 mass.  For strict (already pruned) inputs this
-        # recovers the columns that hold the non-zeros.
-        mass = np.abs(blocks).sum(axis=1)  # (R/V, K/M, M)
-        col_order = np.argsort(-mass, axis=2, kind="stable")[:, :, :SELECTED_COLUMNS]
-        col_order = np.sort(col_order, axis=2)  # ascending column order within the block
-        column_loc = col_order.reshape(row_blocks, groups * SELECTED_COLUMNS).astype(np.int32)
-
-        # Gather the selected columns: (R/V, V, K/M, 4)
-        gather_idx = col_order[:, None, :, :]
-        gather_idx = np.broadcast_to(gather_idx, (row_blocks, v, groups, SELECTED_COLUMNS))
-        selected = np.take_along_axis(blocks, gather_idx, axis=3)
-
-        # N:4 stage: keep the n largest magnitudes per row of the selected
-        # columns (ties resolve to the lowest position, stable sort).
-        pos_order = np.argsort(-np.abs(selected), axis=3, kind="stable")[:, :, :, :n]
-        pos_order = np.sort(pos_order, axis=3)
-        values = np.take_along_axis(selected, pos_order, axis=3)
-
+        selection = vnm_select(arr, v, n, m)
+        kept = np.flatnonzero(selection.keep)  # ascending: row-major, then position
+        stored = (rows, cols // m * n)
         return cls(
-            values=values.reshape(rows, groups * n),
-            m_indices=pos_order.reshape(rows, groups * n).astype(np.uint8),
-            column_loc=column_loc,
+            values=np.take(selection.selected.reshape(-1), kept).reshape(stored),
+            m_indices=(kept % SELECTED_COLUMNS).astype(np.uint8).reshape(stored),
+            column_loc=(selection.columns % m).astype(np.int32),
             v=v,
             n=n,
             m=m,
@@ -185,26 +321,23 @@ class VNMSparseMatrix(SparseFormat):
     # Reconstruction
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
-        """Reconstruct the dense ``(R, K)`` matrix."""
+        """Reconstruct the dense ``(R, K)`` matrix: the condensed view
+        scattered to the selected columns."""
+        condensed = self._memo.get("condensed")
+        if condensed is None:
+            condensed = self._condense()
+        return scatter_columns(condensed, self.selected_column_indices(), self.k)
+
+    def _condense(self) -> np.ndarray:
+        """The values scattered to their m-indices within each group of four."""
         rows = self.values.shape[0]
-        groups = self.k // self.m
-        row_blocks = rows // self.v
-
-        vals = self.values.reshape(row_blocks, self.v, groups, self.n)
-        midx = self.m_indices.reshape(row_blocks, self.v, groups, self.n).astype(np.int64)
-        cloc = self.column_loc.reshape(row_blocks, groups, SELECTED_COLUMNS).astype(np.int64)
-
-        # Scatter values into the 4 selected columns, then scatter those
-        # columns into the M columns of the block.
-        selected = np.zeros((row_blocks, self.v, groups, SELECTED_COLUMNS), dtype=np.float32)
-        np.put_along_axis(selected, midx, vals, axis=3)
-
-        dense_blocks = np.zeros((row_blocks, self.v, groups, self.m), dtype=np.float32)
-        scatter_idx = np.broadcast_to(
-            cloc[:, None, :, :], (row_blocks, self.v, groups, SELECTED_COLUMNS)
-        )
-        np.put_along_axis(dense_blocks, scatter_idx, selected, axis=3)
-        return dense_blocks.reshape(rows, self.k)
+        slots = rows * self.groups_per_row
+        index = self.m_indices.reshape(slots, self.n) + (
+            np.arange(slots, dtype=np.int64) * SELECTED_COLUMNS
+        )[:, None]
+        condensed = np.zeros(slots * SELECTED_COLUMNS, dtype=np.float32)
+        condensed[index] = self.values.reshape(slots, self.n)
+        return condensed.reshape(rows, -1)
 
     def to_condensed(self) -> np.ndarray:
         """Return the ``R x (K/M*4)`` matrix of the selected columns.
@@ -219,14 +352,7 @@ class VNMSparseMatrix(SparseFormat):
         cached = self._memo.get("condensed")
         if cached is not None:
             return cached
-        rows = self.values.shape[0]
-        groups = self.k // self.m
-        row_blocks = rows // self.v
-        vals = self.values.reshape(row_blocks, self.v, groups, self.n)
-        midx = self.m_indices.reshape(row_blocks, self.v, groups, self.n).astype(np.int64)
-        selected = np.zeros((row_blocks, self.v, groups, SELECTED_COLUMNS), dtype=np.float32)
-        np.put_along_axis(selected, midx, vals, axis=3)
-        condensed = selected.reshape(rows, groups * SELECTED_COLUMNS)
+        condensed = self._condense()
         condensed.setflags(write=False)
         self._memo["condensed"] = condensed
         return condensed

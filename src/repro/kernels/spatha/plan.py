@@ -52,7 +52,7 @@ import numpy as np
 
 from ..common import demote_nonfinite_slabs
 from ...formats.base import quantize_fp16, quantize_fp16_checked
-from ...formats.vnm import VNMSparseMatrix
+from ...formats.vnm import VNMSparseMatrix, scatter_columns
 
 #: Host cost model of the two schedules, in seconds per unit, fitted on an
 #: AVX-512 Xeon (2 MiB L2 per core) with one BLAS thread over 152
@@ -179,11 +179,7 @@ class SpmmPlan:
         """The fp16-rounded dense operand (built lazily, cached): the
         condensed operand scattered to its columns, as ``to_dense`` does."""
         if self._dense16 is None:
-            cond = self.condensed16.reshape(self.row_blocks, self.v, -1)
-            dense = np.zeros((self.row_blocks, self.v, self.shape[1]), dtype=np.float32)
-            cols = np.broadcast_to(self.gather_indices[:, None, :], cond.shape)
-            np.put_along_axis(dense, cols, cond, axis=2)
-            self._dense16 = dense.reshape(self.shape)
+            self._dense16 = scatter_columns(self.condensed16, self.gather_indices, self.shape[1])
         return self._dense16
 
     def resolve_strategy(self, c: int) -> str:

@@ -30,7 +30,7 @@ from .masks import (
 )
 from .nm import nm_mask, nm_pattern_for_sparsity
 from .vector_wise import vector_scores, vector_wise_mask
-from .vnm import pad_to_vnm_shape, select_block_columns, vnm_mask, vnm_prune, vnm_sparsity
+from .vnm import pad_to_vnm_shape, vnm_mask, vnm_prune, vnm_sparsity
 
 __all__ = [
     "energy_metric",
@@ -51,7 +51,6 @@ __all__ = [
     "vector_scores",
     "vector_wise_mask",
     "pad_to_vnm_shape",
-    "select_block_columns",
     "vnm_mask",
     "vnm_prune",
     "vnm_sparsity",

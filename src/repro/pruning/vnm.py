@@ -9,6 +9,9 @@ column selection and row-wise N:M pruning:
 3. in each row of the four surviving columns, keep the ``N`` largest
    magnitudes (N:4 stage).
 
+Ties and NaN follow the rule stated once in :mod:`repro.formats.vnm`, whose
+:func:`~repro.formats.vnm.vnm_select` both this pruner and the compressor use.
+
 The result is a mask that simultaneously realises an arbitrary N:M sparsity
 ratio *and* maps onto the hardware's 2:4 support, which is the format-level
 contribution of the paper.  The functions here implement the magnitude
@@ -21,52 +24,22 @@ from __future__ import annotations
 import numpy as np
 
 from .masks import PruningResult, apply_mask, validate_weight_matrix
-from ..formats.vnm import SELECTED_COLUMNS, validate_vnm_shape
-
-
-def select_block_columns(weights: np.ndarray, v: int, m: int, norm: str = "l1") -> np.ndarray:
-    """Columns kept by the vector-wise stage for every ``V x M`` block.
-
-    Returns an int64 array of shape ``(R/V, K/M, 4)`` with the in-block
-    indices (ascending) of the four columns with the largest saliency.
-    """
-    w = validate_weight_matrix(weights)
-    rows, cols = w.shape
-    validate_vnm_shape(rows, cols, v, 1, m)
-    blocks = w.reshape(rows // v, v, cols // m, m)
-    if norm == "l1":
-        mass = np.abs(blocks).sum(axis=1)
-    elif norm == "l2":
-        mass = np.sqrt((blocks**2).sum(axis=1))
-    else:
-        raise ValueError(f"unknown norm {norm!r}; use 'l1' or 'l2'")
-    order = np.argsort(-mass, axis=2, kind="stable")[:, :, :SELECTED_COLUMNS]
-    return np.sort(order, axis=2).astype(np.int64)
+from ..formats.vnm import scatter_columns, validate_vnm_shape, vnm_select
 
 
 def vnm_mask(weights: np.ndarray, v: int, n: int = 2, m: int = 8, norm: str = "l1") -> np.ndarray:
     """Keep-mask of V:N:M magnitude pruning.
 
     Exactly ``n`` weights survive per row per ``m``-column group, and the
-    survivors of each ``V x M`` block are confined to four columns.
+    survivors of each ``V x M`` block are confined to four columns.  The
+    survivors are :func:`repro.formats.vnm.vnm_select`'s (its module
+    docstring states the tie rule), scattered back to the full shape.
     """
     w = validate_weight_matrix(weights)
     rows, cols = w.shape
     validate_vnm_shape(rows, cols, v, n, m)
-    row_blocks, groups = rows // v, cols // m
-    blocks = w.reshape(row_blocks, v, groups, m)
-
-    col_sel = select_block_columns(w, v, m, norm)  # (R/V, K/M, 4)
-    gather_idx = np.broadcast_to(col_sel[:, None, :, :], (row_blocks, v, groups, SELECTED_COLUMNS))
-    selected = np.take_along_axis(blocks, gather_idx, axis=3)
-
-    pos_order = np.argsort(-np.abs(selected), axis=3, kind="stable")[:, :, :, :n]
-    keep_sel = np.zeros((row_blocks, v, groups, SELECTED_COLUMNS), dtype=bool)
-    np.put_along_axis(keep_sel, pos_order, True, axis=3)
-
-    mask_blocks = np.zeros((row_blocks, v, groups, m), dtype=bool)
-    np.put_along_axis(mask_blocks, gather_idx, keep_sel, axis=3)
-    return mask_blocks.reshape(rows, cols)
+    selection = vnm_select(w, v, n, m, norm)
+    return scatter_columns(selection.keep, selection.columns, cols)
 
 
 def vnm_prune(weights: np.ndarray, v: int, n: int = 2, m: int = 8, norm: str = "l1") -> PruningResult:

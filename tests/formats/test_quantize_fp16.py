@@ -17,6 +17,7 @@ from repro.formats import base
 from repro.formats.base import fp16_finite, quantize_fp16, quantize_fp16_checked
 
 CROSSOVER = base._KERNEL_MIN_SIZE
+CHUNK = base._CHUNK
 SIGN = 0x80000000
 #: Bits of 65520.0, the smallest float32 magnitude that rounds to an fp16 inf.
 OVERFLOW_BITS = 0x477FF000
@@ -124,6 +125,52 @@ class TestBitExactCells:
         assert (quantize_fp16(x) == np.float32(1.0 + 2.0**-10)).all()
 
 
+class TestChunks:
+    """Past :data:`_CHUNK` elements a contiguous input is rounded chunk by
+    chunk: each chunk decides its own range check, clamp and sign repair,
+    and the flag covers all of them."""
+
+    SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_sizes_around_the_chunk(self, rng, size):
+        x = (rng.normal(size=size) * 1000.0).astype(np.float32)
+        y, finite = quantize_fp16_checked(x)
+        assert finite
+        assert_bits_equal(y, cast(x))
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["first_chunk", "last_chunk"])
+    @pytest.mark.parametrize("value", [np.float32(np.nan), np.float32(np.inf), np.float32(65520.0)])
+    def test_out_of_range_in_one_chunk(self, rng, value, where):
+        x = rng.normal(size=3 * CHUNK + 7).astype(np.float32)
+        x[where] = value
+        y, finite = quantize_fp16_checked(x)
+        assert not finite
+        assert_bits_equal(y, cast(x))
+
+    def test_a_large_finite_value_in_one_chunk(self, rng):
+        x = rng.normal(size=3 * CHUNK + 7).astype(np.float32)
+        x[CHUNK + 5] = np.float32(40000.0)
+        y, finite = quantize_fp16_checked(x)
+        assert finite and y[CHUNK + 5] == np.float32(40000.0)
+        assert_bits_equal(y, cast(x))
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float32(-0.0), np.float32(2.0**-25), np.float32(-(2.0**-25)), np.float32(2.0**-20)],
+    )
+    def test_tiny_value_in_only_one_chunk(self, rng, value):
+        """Every other magnitude is in [1, 2): only the chunk holding
+        ``value`` clamps, and only it repairs signs."""
+        x = rng.uniform(1.0, 2.0, size=3 * CHUNK + 7).astype(np.float32)
+        x[::3] *= np.float32(-1.0)
+        x[2 * CHUNK + 3] = value
+        y, finite = quantize_fp16_checked(x)
+        assert finite
+        assert_bits_equal(y, cast(x))
+        assert np.signbit(y[2 * CHUNK + 3]) == np.signbit(value)
+
+
 class TestShapesAndLayout:
     VIEWS = {
         "c": lambda a: a,
@@ -140,6 +187,14 @@ class TestShapesAndLayout:
     @pytest.mark.parametrize("view", sorted(VIEWS))
     def test_layout_follows_the_input(self, rng, view):
         x = self.VIEWS[view](rng.normal(size=(6, 40, 30)).astype(np.float32))
+        y, finite = quantize_fp16_checked(x)
+        want = cast(x)
+        assert finite and y.strides == want.strides
+        assert_bits_equal(y, want)
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    def test_layout_follows_the_input_past_the_chunk(self, rng, view):
+        x = self.VIEWS[view](rng.normal(size=(5, 160, 96)).astype(np.float32))
         y, finite = quantize_fp16_checked(x)
         want = cast(x)
         assert finite and y.strides == want.strides

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.formats.vnm import select_block_columns
 from repro.pruning.masks import check_mask_nm, check_mask_vnm, mask_sparsity
 from repro.pruning.nm import nm_mask, nm_pattern_for_sparsity
 from repro.pruning.vector_wise import vector_scores, vector_wise_mask
-from repro.pruning.vnm import pad_to_vnm_shape, select_block_columns, vnm_mask, vnm_prune, vnm_sparsity
+from repro.pruning.vnm import pad_to_vnm_shape, vnm_mask, vnm_prune, vnm_sparsity
 
 
 class TestVectorWise:
