@@ -420,10 +420,9 @@ class DispatchDecision:
 
     signature: Tuple
     backend: str
-    #: Modelled time (us) of every supported candidate, in registry order.
+    #: Modelled time (us) of every supported candidate, in registry order,
+    #: evaluated at the bucket's first-seen C.
     costs: Dict[str, float] = field(default_factory=dict)
-    #: C at which the costs were evaluated (the bucket's first-seen C).
-    decided_at_c: int = 0
     #: Failovers taken at execute time under this decision, keyed
     #: ``"failed->served"``.  The decision itself never changes — ``backend``
     #: stays the cost argmin so re-admitted backends are routed to again —
@@ -693,7 +692,7 @@ class KernelDispatcher:
                 f"formats {operand.formats}"
             )
         best = min(costs.items(), key=lambda kv: kv[1])[0]
-        decision = DispatchDecision(signature=sig, backend=best, costs=costs, decided_at_c=c)
+        decision = DispatchDecision(signature=sig, backend=best, costs=costs)
         self._decisions.put(sig, decision)
         return decision
 
@@ -843,10 +842,13 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     # :class:`~repro.serving.sharded.ShardedDispatcher` splits a model over
     # several of these; one device is the degenerate topology — nothing to
-    # place, no traffic — so the serving engines call the same three methods
+    # place, no traffic — so the serving engines call the same methods
     # on either and never ask which one they hold.
     def bind_encoder(self, encoder) -> None:
         """Nothing to place on a single device."""
+
+    def attribute_modelled(self, operand: SpmmOperand, time_us: float) -> None:
+        """One device owns every operand: nothing to attribute."""
 
     def comm_kernels(self, tokens: int, batch_size: int = 1) -> List:
         """No shard boundary, no modelled collectives."""

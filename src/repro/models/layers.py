@@ -228,14 +228,6 @@ class SparseLinear:
             out = out + self.bias.reshape(-1, 1)
         return np.swapaxes(out, -1, -2).reshape(*x.shape[:-1], out_features)
 
-    def warm_plan(self) -> None:
-        """Build (and memoize) the weight's SpMM execution plan eagerly.
-
-        Serving paths call this once at load time so the first forward pass
-        does not pay operand preparation.
-        """
-        self._dispatcher().warm(self._operand)
-
     def gemm_problem(self, tokens: int) -> GemmProblem:
         """The sparse R x K x C problem this layer launches (the padded
         shape when the sparsifier padded the weight)."""

@@ -7,6 +7,11 @@ residual/LayerNorm), built from the layer abstractions in
 for a V:N:M-sparse version.  The stack exposes iteration over its prunable
 layers — the interface the STen-style sparsification pass in
 :mod:`repro.integration` uses.
+
+Every forward takes true-shape input and there is no attention mask: a
+server batching ragged sequences runs one ``forward`` per length
+(:mod:`repro.serving.model_engine`), and the causal forward is
+:meth:`TransformerEncoder.forward_step` position by position.
 """
 
 from __future__ import annotations
@@ -18,14 +23,8 @@ import numpy as np
 
 from .attention import LinearLike, MultiHeadAttention, check_token_stack
 from .config import ModelConfig
-from .functional import (
-    gelu,
-    grouped_by_length,
-    layer_norm,
-    mask_is_causal,
-    resolve_padding_lengths,
-)
-from .kv_cache import LayerKV, SequenceKV
+from .functional import gelu, layer_norm
+from .kv_cache import SequenceKV
 from .layers import SparseLinear, init_dense_linear
 
 if TYPE_CHECKING:  # import cycle: kernels.spatha pulls in formats, not models
@@ -93,40 +92,10 @@ class EncoderLayer:
             index=index,
         )
 
-    def forward(self, hidden: np.ndarray, attention_mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Post-LN encoder block forward pass (BERT convention).
-
-        ``attention_mask`` is an optional additive mask (``0.0`` valid,
-        ``-inf`` masked; see :func:`~repro.models.functional.padding_mask`).
-        For a right-padding mask the block executes each group of
-        equal-valid-length sequences at its true shape, so every valid
-        token's output is bit-for-bit the unpadded forward of its sequence
-        and padded rows come out as zeros; the linear layers, LayerNorm and
-        GELU are per-row operators, but BLAS kernel selection is
-        shape-dependent, so even they are only bitwise-reproducible when
-        executed at the true sequence length (see
-        :mod:`repro.models.attention`).  A causal mask
-        (:func:`~repro.models.functional.causal_mask`) runs the whole block
-        per position — attention, residuals, LayerNorms and FFN all at the
-        one-row decode shape — which is bit-for-bit what KV-cached decoding
-        (:meth:`forward_step`) executes.  Other mask structures apply the
-        general masked attention (exact zero weights, no bitwise claim)
-        with every row treated as valid through the FFN and LayerNorms.
-        """
+    def forward(self, hidden: np.ndarray) -> np.ndarray:
+        """Post-LN encoder block forward pass (BERT convention)."""
         hidden = np.asarray(hidden, dtype=np.float32)
-        if attention_mask is not None:
-            lengths = resolve_padding_lengths(attention_mask, hidden)
-            if lengths is not None:
-                return grouped_by_length(hidden, lengths, self.forward)
-            if mask_is_causal(attention_mask):
-                if np.shape(attention_mask)[-1] != hidden.shape[1]:
-                    raise ValueError(
-                        f"causal mask covers {np.shape(attention_mask)[-1]} key positions "
-                        f"but the activations have {hidden.shape[1]} tokens; build the "
-                        f"mask with causal_mask({hidden.shape[1]})"
-                    )
-                return self._forward_causal(hidden)
-        attn_out = self.attention.forward(hidden, mask=attention_mask)
+        attn_out = self.attention.forward(hidden)
         hidden = layer_norm(hidden + attn_out, self.ln1_gamma, self.ln1_beta)
         ffn_out = self.ffn.forward(hidden)
         return layer_norm(hidden + ffn_out, self.ln2_gamma, self.ln2_beta)
@@ -162,16 +131,6 @@ class EncoderLayer:
         hidden = layer_norm(tokens + rows, self.ln1_gamma, self.ln1_beta)
         ffn_out = self.ffn.forward(hidden)
         return layer_norm(hidden + ffn_out, self.ln2_gamma, self.ln2_beta)
-
-    def _forward_causal(self, hidden: np.ndarray) -> np.ndarray:
-        """Causal forward of the whole block: per-position decode-shaped ops."""
-        batch, seq, _ = hidden.shape
-        out = np.empty_like(hidden)
-        for b in range(batch):
-            kv = LayerKV()
-            for t in range(seq):
-                out[b, t] = self.forward_step(hidden[b, t][None], kv)[0]
-        return out
 
     def named_linear_layers(self) -> Dict[str, LinearLike]:
         """All six prunable linear layers of this block, keyed by name."""
@@ -217,56 +176,14 @@ class TransformerEncoder:
             raise ValueError("num_layers must be positive")
         return cls(config=config, layers=[EncoderLayer.init(config, index=i, seed=seed) for i in range(n)])
 
-    def forward(
-        self,
-        hidden: np.ndarray,
-        layer_hook: Optional[Callable[[int, np.ndarray], None]] = None,
-        attention_mask: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def forward(self, hidden: np.ndarray) -> np.ndarray:
         """Run the full stack on ``(batch, seq, hidden)`` activations.
 
-        Sparse layers execute whole batches through the batched RHS path of
-        their memoized SpMM plans (see :meth:`warm_spmm_plans`).
-
-        ``attention_mask`` is an optional additive mask (``0.0`` valid,
-        ``-inf`` masked).  A right-padding mask
-        (:func:`~repro.models.functional.padding_mask`) makes the stack
-        padding-safe end to end: equal-valid-length sequences are grouped
-        *once* and each group runs through the whole stack at its true
-        shape, so valid rows of the output are bit-for-bit the unpadded
-        forward and padded rows stay zero — the contract padded-bucket
-        serving slices against.  (With a ``layer_hook``, the mask is
-        instead forwarded to every block so the hook keeps observing
-        full-batch per-layer outputs; same bits, one regroup per layer.)
-        Other mask structures are forwarded to every block's general
-        masked path.
-
-        ``layer_hook`` is an observation point for per-layer
-        instrumentation: it is called as ``layer_hook(layer_index, hidden)``
-        with each block's *output* activations (read-only by convention),
-        so callers can inspect intermediate activations without re-running
-        the stack.  (The serving engine's per-layer trace does not need it
-        — modelled kernel times come from the layer metadata, not the
-        activations.)
+        Every sequence of the batch has the same true length; sparse layers
+        execute the whole batch through the batched RHS path of their
+        memoized SpMM plans.
         """
         hidden = np.asarray(hidden, dtype=np.float32)
-        if attention_mask is not None and layer_hook is None:
-            lengths = resolve_padding_lengths(attention_mask, hidden)
-            if lengths is not None:
-                # Partition once for the whole stack: identical bits to
-                # per-layer grouping (same per-layer computation at the
-                # same (group, length, hidden) shapes) at one mask parse,
-                # slice and scatter per micro-batch instead of one per
-                # layer.
-                return grouped_by_length(hidden, lengths, self._forward_unmasked)
-        for layer in self.layers:
-            hidden = layer.forward(hidden, attention_mask=attention_mask)
-            if layer_hook is not None:
-                layer_hook(layer.index, hidden)
-        return hidden
-
-    def _forward_unmasked(self, hidden: np.ndarray) -> np.ndarray:
-        """The plain stack loop (one equal-length group of the padded path)."""
         for layer in self.layers:
             hidden = layer.forward(hidden)
         return hidden
@@ -285,9 +202,9 @@ class TransformerEncoder:
         :class:`~repro.models.kv_cache.PagedKVCache` sequence handle; the
         two are bit-interchangeable.  Returns the stack output for the
         token, ``(1, hidden)``.  Feeding each position of a sequence
-        through this method against one cache is bit-for-bit
-        ``forward(seq, attention_mask=causal_mask(len(seq)))`` — the
-        causal path *is* this computation, minus the cache reuse.
+        through this method against one fresh cache is the causal forward
+        of the sequence (:func:`~repro.serving.decoder.decode_reference`
+        recomputes exactly that at every step).
         """
         token = np.asarray(new_token, dtype=np.float32)
         if token.ndim == 1:
@@ -315,7 +232,8 @@ class TransformerEncoder:
         The same cache may repeat, in position order: a layer's causal
         dependencies are only on its own earlier K/V, so a prompt prefills
         layer-major as ``forward_steps(prompt[:, None, :], [cache] *
-        len(prompt))``, row ``t`` being the causal forward's position ``t``.
+        len(prompt))``, row ``t`` being :meth:`forward_step`'s output for
+        position ``t``.
 
         If this raises, the caches hold a partial step; a paged sequence is
         restored with ``truncate(length_before)``.
@@ -326,21 +244,6 @@ class TransformerEncoder:
         for layer in self.layers:
             tokens = layer.forward_steps(tokens, [kv.view(layer.index) for kv in kv_caches])
         return tokens
-
-    def warm_spmm_plans(self) -> int:
-        """Eagerly build the SpMM execution plan of every sparse layer.
-
-        Operand preparation (condensed view, gather indices, packed
-        metadata) is memoized per weight, so warming moves all of it out of
-        the first forward pass — the serving-path analogue of Spatha's
-        one-time operand setup.  Returns the number of plans built.
-        """
-        warmed = 0
-        for _, lin in self.named_linear_layers():
-            if isinstance(lin, SparseLinear):
-                lin.warm_plan()
-                warmed += 1
-        return warmed
 
     def named_sparse_layers(self) -> Iterator[Tuple[str, SparseLinear]]:
         """Iterate over the sparse projections only (the dispatchable ones)."""

@@ -6,7 +6,12 @@ batched kernel.  The batcher bridges the two with the standard serving
 trick (e.g. Triton's dynamic batcher): token counts are rounded up to a
 small set of *bucket boundaries*, requests that land in the same bucket are
 zero-padded to the boundary and stacked into one ``(B, K, C_bucket)`` RHS,
-and the padding columns are trimmed away after execution.
+and the padding columns are trimmed away after execution.  That is the
+single-operator path (:meth:`MicroBatch.stacked_rhs`), where GEMM columns
+are independent.  A whole encoder mixes tokens in attention, so the model
+engine never pads: it runs each equal-length group of a micro-batch as
+its own forward (:mod:`repro.serving.model_engine`), and the rung only
+decides which requests share a step and what the modelled kernel costs.
 
 This module holds what a scheduled batch is made of — :class:`Request`,
 :class:`BucketKey` and :class:`MicroBatch`; the one batcher that buckets
@@ -71,14 +76,6 @@ class Request:
             )
         object.__setattr__(self, "activations", arr)
 
-    def expired_at(self, now_us: float) -> bool:
-        """True when the deadline has passed at ``now_us``.
-
-        A request scheduled exactly at its deadline still completes on
-        time, so expiry is strict: ``deadline_us < now_us``.
-        """
-        return self.deadline_us is not None and self.deadline_us < now_us
-
     @property
     def tokens(self) -> int:
         return self.activations.shape[0]
@@ -113,18 +110,8 @@ class MicroBatch:
         return self.batch_size * self.key.token_bucket
 
     @property
-    def valid_lengths(self) -> Tuple[int, ...]:
-        """Per-request true token counts, in batch order.
-
-        The padded model-serving path turns these into the additive
-        attention mask (:func:`~repro.models.functional.padding_mask`)
-        that keeps padded key rows at exactly zero attention weight.
-        """
-        return tuple(req.tokens for req in self.requests)
-
-    @property
     def valid_tokens(self) -> int:
-        """Total true token count (``sum(valid_lengths)``)."""
+        """Total true token count (the sum of the requests' ``tokens``)."""
         return sum(req.tokens for req in self.requests)
 
     def stacked_rhs(self) -> np.ndarray:
@@ -140,40 +127,6 @@ class MicroBatch:
         for i, req in enumerate(self.requests):
             rhs[i, :, : req.tokens] = req.activations.T
         return rhs
-
-    def stacked_activations(self) -> np.ndarray:
-        """The batched layer-facing activations: ``(B, token_bucket, features)``.
-
-        The model-serving layout (sequences stay un-transposed): each
-        request's ``(tokens, features)`` activations occupy the leading rows
-        of its slab, zero-padded down to the bucket boundary.  In
-        exact-length mode no padding rows exist at all; in padded
-        (``"ladder"``) mode the engine pairs this tensor with the
-        :attr:`valid_lengths` attention mask, because bare zero rows would
-        *not* be numerics-neutral through attention's softmax.
-        """
-        key = self.key
-        out = np.zeros((self.batch_size, key.token_bucket, key.features), dtype=np.float32)
-        for i, req in enumerate(self.requests):
-            out[i, : req.tokens] = req.activations
-        return out
-
-    def split_hidden(self, out: np.ndarray) -> Dict[str, np.ndarray]:
-        """Split a batched ``(B, token_bucket, features_out)`` result per request.
-
-        The model-serving inverse of :meth:`stacked_activations`: trims the
-        padding rows and returns ``{request_id: (tokens, features_out)}``.
-        """
-        out = np.asarray(out)
-        if out.ndim != 3 or out.shape[:2] != (self.batch_size, self.key.token_bucket):
-            raise ValueError(
-                f"expected a ({self.batch_size}, {self.key.token_bucket}, F) batched output, "
-                f"got {out.shape}"
-            )
-        return {
-            req.request_id: out[i, : req.tokens].copy()
-            for i, req in enumerate(self.requests)
-        }
 
     def split_output(self, out: np.ndarray) -> Dict[str, np.ndarray]:
         """Split a batched ``(B, R, token_bucket)`` result back per request.

@@ -35,18 +35,19 @@ serves that shape of traffic on top of the continuous-batching scheduler:
   :class:`~repro.serving.continuous.CompletionRecord`, frees its KV
   blocks, returns its rung slot and releases its KV-budget reservation.
 
-Bit-exactness is inherited, not re-proven: the causal forward path is
-*defined* as per-position true-shape execution over a scratch KV store
-(see :mod:`repro.models.attention`), and ``forward_step`` against the
-paged cache runs the very same operations at the very same shapes — the
-cache only skips recomputing values recomputation would reproduce
-identically — and slab ``i`` of ``forward_steps`` is ``forward_step`` on
-slab ``i`` by the slab-exactness of every token-wise operator (stacked
-along the slab axis, never the column axis).  So cached decoding is
-bit-for-bit the per-step full recompute (:func:`decode_reference`), at
-every step, under any arrival interleaving, step cadence and bucket policy
-— the golden matrix in ``tests/serving/test_decoder.py`` pins the whole
-grid.
+Bit-exactness is inherited, not re-proven.  The causal forward of a
+sequence is *defined* as per-position true-shape execution:
+``encoder.forward_step`` over a fresh reference KV store, which
+:func:`decode_reference` recomputes from scratch at every step.
+``forward_step`` against the paged cache runs the very same operations at
+the very same shapes (the cache only skips recomputing values
+recomputation would reproduce identically), and slab ``i`` of
+``forward_steps`` is ``forward_step`` on slab ``i`` by the slab-exactness
+of every token-wise operator (stacked along the slab axis, never the
+column axis).  So cached decoding is bit-for-bit the per-step full
+recompute, at every step, under any arrival interleaving, step cadence
+and bucket policy — the golden matrix in ``tests/serving/test_decoder.py``
+pins the whole grid.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .continuous import CompletionRecord, ContinuousBatcher
 from .engine import EngineCore
 from .faults import OUTCOME_FAILED, OUTCOME_OK
 from ..kernels.dispatch import BackendExecutionError, KernelDispatcher
-from ..models.functional import causal_mask
 from ..models.kv_cache import KVCacheExhausted, PagedKVCache, prompt_fingerprint
 from ..models.transformer import TransformerEncoder
 
@@ -114,25 +114,30 @@ def decode_reference(
 
     The reference sibling of :class:`DecoderServingEngine`'s cached path
     (and the slow side of the decoder bench): step ``i`` re-runs the whole
-    sequence so far — prompt plus every generated row — through
-    ``encoder.forward`` under :func:`~repro.models.functional.causal_mask`
-    and takes the final position's output as the next generated row.
-    Returns the ``(new_tokens, hidden)`` stack of generated rows,
-    bit-for-bit what the KV-cached engine delivers.
+    sequence so far — prompt plus every generated row — position by
+    position through ``encoder.forward_step`` over a fresh
+    ``encoder.new_sequence_kv()``, and takes the final position's output as
+    the next generated row.  Returns the ``(new_tokens, hidden)`` stack of
+    generated rows, bit-for-bit what the KV-cached engine delivers.
     """
     prompt = np.asarray(prompt, dtype=np.float32)
     if prompt.ndim != 2 or prompt.shape[0] == 0:
         raise ValueError(f"prompt must be (tokens >= 1, hidden), got {prompt.shape}")
     if new_tokens < 1:
         raise ValueError(f"new_tokens must be >= 1, got {new_tokens}")
+
+    def last_row(xs: np.ndarray) -> np.ndarray:
+        kv = encoder.new_sequence_kv()
+        for x in xs:
+            out = encoder.forward_step(x[None], kv)
+        return out[0]
+
     xs = prompt
-    out = encoder.forward(xs[None], attention_mask=causal_mask(xs.shape[0]))[0]
-    feed = out[-1]
+    feed = last_row(xs)
     generated: List[np.ndarray] = []
     for _ in range(new_tokens):
         xs = np.concatenate([xs, feed[None]], axis=0)
-        out = encoder.forward(xs[None], attention_mask=causal_mask(xs.shape[0]))[0]
-        feed = out[-1]
+        feed = last_row(xs)
         generated.append(feed)
     return np.stack(generated)
 

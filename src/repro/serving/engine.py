@@ -520,9 +520,9 @@ class ServingEngine(EngineCore):
         rhs = batch.stacked_rhs()  # (B, K, C_bucket)
         out = self.dispatcher.execute(self.operand, rhs, bias=self.bias)
         backend = self.dispatcher.dispatch(self.operand, batch.key.token_bucket).backend
-        self._record(
-            batch, backend, self.dispatcher.estimate(self.operand, batch.padded_tokens, backend=backend)
-        )
+        modelled = self.dispatcher.estimate(self.operand, batch.padded_tokens, backend=backend)
+        self.dispatcher.attribute_modelled(self.operand, modelled.time_us)
+        self._record(batch, backend, modelled)
         return batch.split_output(out)
 
     def _record(self, batch: MicroBatch, backend: str, modelled, **meta) -> None:

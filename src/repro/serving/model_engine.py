@@ -3,10 +3,11 @@
 :class:`~repro.serving.engine.ServingEngine` serves a single sparse
 operator; real inference traffic wants the *model*.  ``ModelServingEngine``
 closes that gap: requests are ragged ``(tokens, hidden)`` activation
-sequences, micro-batches run one batched
-:meth:`~repro.models.transformer.TransformerEncoder.forward` per bucket —
-every sparse projection executing through the engine's kernel dispatcher on
-its batched RHS path — and the results are split back per request.
+sequences, and a micro-batch runs one batched
+:meth:`~repro.models.transformer.TransformerEncoder.forward` per distinct
+sequence length in it — every sparse projection executing through the
+engine's kernel dispatcher on its batched RHS path — whose rows are then
+handed back per request.
 
 Three serving-level resources are engine-scoped and shared across every
 request the engine ever serves:
@@ -25,23 +26,19 @@ request the engine ever serves:
 
 Bit-exactness is the core guarantee, now model-level: serving N requests
 batched is bit-for-bit equal to N sequential ``encoder.forward`` calls.
-Two batching policies deliver it:
-
-* ``padding="exact"`` (default) stacks only *same-length* sequences.
-  Every operator in the stack is slab-exact over the batch dimension — the
-  dispatcher's batched SpMM path by construction, the dense layers via the
-  batched-matmul formulation, and the attention matmuls / softmax /
-  LayerNorm / GELU because they reduce within a slab — so same-length
-  stacking needs no masking at all.  Under ragged traffic, though, most
-  exact buckets stay near-empty.
-* ``padding="ladder"`` rounds lengths up a powers-of-two bucket ladder,
-  zero-pads each sequence to its rung, and runs one batched
-  ``encoder.forward`` behind an additive attention mask
-  (:func:`~repro.models.functional.padding_mask`): padded key positions
-  get exactly zero softmax weight, the masked encoder executes every
-  sequence at its true length (see :mod:`repro.models.attention` for why
-  bitwise equality needs that, not just exact zeros), and the engine
-  slices the valid rows back out.  Fuller buckets, same bits.
+Every operator in the stack is slab-exact over the batch dimension — the
+dispatcher's batched SpMM path by construction, the dense layers via the
+batched-matmul formulation, and the attention matmuls / softmax /
+LayerNorm / GELU because they reduce within a slab — so stacking
+*same-length* sequences changes no bits.  A micro-batch is therefore run
+as equal-length groups, shortest first, each one forward at its true
+shape (Orca's selective batching: never pad; a padded GEMM can change the
+summation order of the valid rows, see :mod:`repro.models.attention`).
+``padding="exact"`` (default) buckets by exact length, so a micro-batch
+is one group; ``padding="ladder"`` rounds lengths up a powers-of-two
+ladder, so one step takes every length that shares a rung — fuller
+steps, same bits.  The modelled trace charges the ``B × rung`` launch a
+GPU would run.
 
 Orthogonally to the padding mode, the step loop of
 :class:`~repro.serving.engine.EngineCore` and its batcher's hold decide
@@ -62,7 +59,6 @@ from .engine import EngineCore
 from ..hardware.trace import ExecutionTrace
 from ..kernels.dispatch import KernelDispatcher
 from ..kernels.spatha import SpmmPlan
-from ..models.functional import padding_mask
 from ..models.layers import SparseLinear
 from ..models.transformer import TransformerEncoder
 
@@ -103,11 +99,10 @@ class ModelServingEngine(EngineCore):
         (default True) eagerly builds every sparse projection's SpMM plan
         and pre-ranks the dispatch decisions of ``warm_buckets`` (sequence
         lengths here), so the first window pays neither operand preparation
-        nor the tuner sweep.  ``padding="exact"`` (default) refuses any
-        batcher that would zero-pad a sequence; ``"ladder"`` pads to bucket
-        rungs behind the attention mask.  Both are bit-exact per request;
-        ladder mode trades a little padded compute for far fuller buckets
-        under ragged traffic.  When its ``sharding`` block is
+        nor the tuner sweep.  ``padding`` picks the default batcher's
+        buckets (``"exact"`` lengths or the ``"ladder"`` rungs); any batcher
+        is bit-exact per request, because each micro-batch runs as
+        equal-length groups.  When its ``sharding`` block is
         enabled, the engine builds a
         :class:`~repro.serving.sharded.ShardedDispatcher` and solves
         min-cut placement for the encoder at construction.
@@ -203,7 +198,8 @@ class ModelServingEngine(EngineCore):
     # Execution
     # ------------------------------------------------------------------
     def _record_layer_executions(self, batch: MicroBatch) -> None:
-        """Model one kernel launch per projection at the batch's true size."""
+        """Model one kernel launch per projection at the padded ``B × rung``
+        a GPU would run, attributing each sparse one to its owning shard."""
         seq = batch.key.token_bucket
         total_tokens = batch.batch_size * seq
         for qualified_name, lin in self.encoder.named_linear_layers():
@@ -212,6 +208,7 @@ class ModelServingEngine(EngineCore):
                 modelled = self.dispatcher.estimate(
                     lin.operand, total_tokens, backend=decision.backend
                 )
+                self.dispatcher.attribute_modelled(lin.operand, modelled.time_us)
                 backend = decision.backend
             else:
                 modelled = lin.kernel_result(total_tokens, gpu=self.dispatcher.gpu)
@@ -239,19 +236,6 @@ class ModelServingEngine(EngineCore):
                 f"{self.name}: micro-batch feature width ({batch.key.features}) does not "
                 f"match the encoder hidden size ({self.hidden_size})"
             )
-        padded = [r for r in batch.requests if r.tokens != batch.key.token_bucket]
-        if padded and self.padding == "exact":
-            # Without a mask, zero-padded key tokens would enter attention's
-            # softmax denominators and silently perturb the real tokens.
-            # Exact mode therefore refuses any batcher that pads.
-            raise ValueError(
-                f"{self.name}: requests {[r.request_id for r in padded]} would be "
-                f"zero-padded from their true length to the {batch.key.token_bucket}-token "
-                f"bucket, which is not numerics-neutral through attention/LayerNorm; "
-                f"use an exact-length batcher (ContinuousBatcher.exact_length()) "
-                f"or construct the engine with "
-                f"padding='ladder' to serve padded buckets behind the attention mask"
-            )
         for qualified_name, lin in self._sparse_layers():
             if lin.dispatcher is not self.dispatcher:
                 # A newer engine (or a direct set_dispatcher call) re-routed
@@ -265,23 +249,23 @@ class ModelServingEngine(EngineCore):
                     f"owns the encoder, or build a fresh engine"
                 )
             self._plan_for(qualified_name, lin)  # cross-request plan reuse
-        hidden = batch.stacked_activations()  # (B, bucket, hidden)
-        if padded:
-            # Ladder mode with real padding: run the one batched forward
-            # behind the right-padding attention mask — padded keys get
-            # exactly zero attention weight and the masked encoder executes
-            # every sequence at its true length, so the valid rows sliced
-            # out below are bit-for-bit the standalone forward.
-            mask = padding_mask(batch.valid_lengths, batch.key.token_bucket)
-            out = self.encoder.forward(hidden, attention_mask=mask)
-        else:
-            out = self.encoder.forward(hidden)  # (B, seq, hidden), slab-exact
+        # One forward per distinct length, shortest first: every sequence
+        # runs at its true shape, so no padded row reaches a GEMM or a
+        # softmax, and each output is bit-for-bit its sequential forward.
+        groups: Dict[int, List[Request]] = {}
+        for req in batch.requests:
+            groups.setdefault(req.tokens, []).append(req)
+        outputs: Dict[str, np.ndarray] = {}
+        for tokens in sorted(groups):
+            group = groups[tokens]
+            out = self.encoder.forward(np.stack([req.activations for req in group]))
+            outputs.update((req.request_id, out[i].copy()) for i, req in enumerate(group))
         self._record_layer_executions(batch)
         self.total_batches += 1
         self.total_requests += batch.batch_size
         self.total_valid_tokens += batch.valid_tokens
         self.total_padded_tokens += batch.padded_tokens
-        return batch.split_hidden(out)
+        return outputs
 
     # ------------------------------------------------------------------
     # Introspection

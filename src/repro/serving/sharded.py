@@ -56,8 +56,9 @@ class ShardedDispatcher:
     serving engines use (``execute`` / ``dispatch`` / ``estimate`` /
     ``warm`` / ``warm_many`` / ``health_stats`` / ``cache_stats`` /
     ``gpu``) — and the other way round, a plain dispatcher answers
-    ``bind_encoder`` / ``comm_kernels`` / ``sharding_stats`` as the
-    ``tp_degree=1`` case — so engines never ask which one they hold.
+    ``bind_encoder`` / ``attribute_modelled`` / ``comm_kernels`` /
+    ``sharding_stats`` as the ``tp_degree=1`` case — so engines never ask
+    which one they hold.
     Operands not bound to any shard fall back to shard 0.
     """
 
@@ -94,8 +95,8 @@ class ShardedDispatcher:
         self._layer: Dict[int, str] = {}
         #: Executes routed to each shard.
         self.shard_calls: List[int] = [0] * num_shards
-        #: Modelled kernel time attributed to each shard (accumulated from
-        #: the ``estimate`` calls the engines make when recording traffic).
+        #: Modelled kernel time attributed to each shard by
+        #: :meth:`attribute_modelled` as the engines record their traffic.
         self.shard_modelled_us: List[float] = [0.0] * num_shards
         #: Cumulative modelled communication recorded via :meth:`comm_kernels`.
         self.comm_time_us = 0.0
@@ -152,10 +153,7 @@ class ShardedDispatcher:
         return self.shards[self.shard_of(operand)].dispatch(operand, c)
 
     def estimate(self, operand: SpmmOperand, c: int, backend: Optional[str] = None):
-        shard = self.shard_of(operand)
-        result = self.shards[shard].estimate(operand, c, backend=backend)
-        self.shard_modelled_us[shard] += result.time_us
-        return result
+        return self.shards[self.shard_of(operand)].estimate(operand, c, backend=backend)
 
     def warm(self, operand: SpmmOperand, cs: Sequence[int] = ()) -> None:
         self.shards[self.shard_of(operand)].warm(operand, cs)
@@ -200,8 +198,12 @@ class ShardedDispatcher:
             shard.clear_cache()
 
     # ------------------------------------------------------------------
-    # Communication accounting
+    # Load and communication accounting
     # ------------------------------------------------------------------
+    def attribute_modelled(self, operand: SpmmOperand, time_us: float) -> None:
+        """Charge ``time_us`` of modelled kernel time to ``operand``'s shard."""
+        self.shard_modelled_us[self.shard_of(operand)] += time_us
+
     def comm_kernels(self, tokens: int, batch_size: int = 1) -> List[KernelExecution]:
         """Modelled comm kernels for one batch forward over ``tokens`` tokens.
 

@@ -526,6 +526,7 @@ class ModelledEngine(ServingEngine):
         def charge(name: str):
             fault, call = self.injector.on_call(name)
             modelled = self.dispatcher.estimate(self.operand, batch.padded_tokens, backend=name)
+            self.dispatcher.attribute_modelled(self.operand, modelled.time_us)
             self.busy_until_us += modelled.time_us + fault.latency_us
             if fault.fail:
                 raise BackendExecutionError(f"injected fault on {name} (call {call})", backend=name)

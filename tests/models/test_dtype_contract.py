@@ -24,6 +24,7 @@ from repro.models import functional as F
 from repro.models.layers import SparseLinear, init_dense_linear
 from repro.pruning.masks import apply_mask
 from repro.pruning.vnm import vnm_mask
+from repro.serving import ModelServingEngine, Request, ServingConfig, decode_reference
 
 HIDDEN, HEADS, SEQ, BATCH = 64, 4, 5, 3
 
@@ -41,13 +42,11 @@ _GAMMA, _BETA = np.ones(HIDDEN, dtype=np.float32), np.zeros(HIDDEN, dtype=np.flo
 
 FUNCTIONAL_OPS = {
     "softmax": lambda: F.softmax(_SCORES),
-    "softmax[mask]": lambda: F.softmax(_SCORES, mask=F.causal_mask(SEQ)),
     "gelu": lambda: F.gelu(_f32(BATCH, SEQ, HIDDEN)),
     "layer_norm": lambda: F.layer_norm(_f32(BATCH, SEQ, HIDDEN), _GAMMA, _BETA),
     "attention_scores": lambda: F.attention_scores(_Q, _K),
     "attention_scores[float scale]": lambda: F.attention_scores(_Q, _K, scale=0.25),
     "attention_scores[float64 scale]": lambda: F.attention_scores(_Q, _K, scale=np.float64(0.25)),
-    "attention_scores[mask]": lambda: F.attention_scores(_Q, _K, mask=F.causal_mask(SEQ)),
     "attention_context": lambda: F.attention_context(F.softmax(_SCORES), _K),
     "split_heads": lambda: F.split_heads(_f32(BATCH, SEQ, HIDDEN), HEADS),
     "merge_heads": lambda: F.merge_heads(_Q),
@@ -89,11 +88,6 @@ def _encoder(sparse):
 
 
 ENCODERS = {"dense": _encoder(False), "sparse": _encoder(True)}
-MASKS = {
-    "plain": None,
-    "causal": F.causal_mask(SEQ),
-    "padding": F.padding_mask([SEQ, 2, 4], SEQ),
-}
 
 
 def _module(encoder, level):
@@ -106,13 +100,10 @@ def _module(encoder, level):
     }[level]
 
 
-@pytest.mark.parametrize("mask", sorted(MASKS))
 @pytest.mark.parametrize("level", ["attention", "layer", "encoder"])
 @pytest.mark.parametrize("kind", sorted(ENCODERS))
-def test_forward_returns_float32(kind, level, mask):
-    module = _module(ENCODERS[kind], level)
-    keyword = "mask" if level == "attention" else "attention_mask"
-    out = module.forward(_f32(BATCH, SEQ, HIDDEN), **{keyword: MASKS[mask]})
+def test_forward_returns_float32(kind, level):
+    out = _module(ENCODERS[kind], level).forward(_f32(BATCH, SEQ, HIDDEN))
     assert out.dtype == np.float32
 
 
@@ -147,6 +138,34 @@ def test_forward_steps_returns_float32(kind, level):
     caches = [_step_cache(encoder, level) for _ in range(BATCH)]
     out = _module(encoder, level).forward_steps(_f32(BATCH, 1, HIDDEN), caches)
     assert out.dtype == np.float32 and out.shape == (BATCH, 1, HIDDEN)
+
+
+# -- the serving boundaries over the stack -----------------------------------
+
+
+@pytest.mark.parametrize("padding", ["exact", "ladder"])
+@pytest.mark.parametrize("kind", sorted(ENCODERS))
+def test_served_outputs_are_float32(kind, padding):
+    """float64 activations are cast once at intake; every length group of a
+    ragged window comes back float32."""
+    engine = ModelServingEngine(
+        _encoder(kind == "sparse"), config=ServingConfig(padding=padding, warm=False)
+    )
+    requests = [
+        Request(f"r{i}", np.random.default_rng(i).normal(size=(t, HIDDEN)))
+        for i, t in enumerate([3, SEQ, 9, SEQ])
+    ]
+    results = engine.serve(requests)
+    for req in requests:
+        assert results[req.request_id].dtype == np.float32
+        assert results[req.request_id].shape == (req.tokens, HIDDEN)
+
+
+@pytest.mark.parametrize("kind", sorted(ENCODERS))
+def test_decode_reference_returns_float32(kind):
+    prompt = np.random.default_rng(4).normal(size=(SEQ, HIDDEN))  # float64 prompt
+    out = decode_reference(ENCODERS[kind], prompt, 2)
+    assert out.dtype == np.float32 and out.shape == (2, HIDDEN)
 
 
 # -- linear layers and functional kernels ------------------------------------

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels.spatha import Spatha
 from repro.models.attention import MultiHeadAttention
 from repro.models.config import tiny_config
+from repro.models.functional import attend, split_heads
 from repro.models.layers import DenseLinear, SparseLinear, init_dense_linear
 from repro.models.transformer import EncoderLayer, TransformerEncoder
 
@@ -84,9 +86,13 @@ class TestMultiHeadAttention:
 
     def test_attention_probs_normalised(self, cfg, hidden):
         mha = MultiHeadAttention.init(cfg, seed=0)
-        _, probs = mha.forward(hidden, return_probs=True)
+        q, k, v = (split_heads(p.forward(hidden), cfg.num_heads) for p in (mha.query, mha.key, mha.value))
+        _, probs = attend(q, k, v)
         assert probs.shape == (2, cfg.num_heads, 16, 16)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+        # One key (a decode's first step): its weight is exactly 1.0.
+        _, single = attend(q[..., :1, :], k[..., :1, :], v[..., :1, :])
+        assert np.all(single == 1.0)
 
     def test_replace_projection(self, cfg):
         mha = MultiHeadAttention.init(cfg, seed=0)
@@ -100,14 +106,6 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention.init(cfg, seed=0)
         with pytest.raises(ValueError):
             mha.forward(rng.normal(size=(2, 16, cfg.hidden_size + 1)))
-
-    def test_flop_accounting(self, cfg):
-        mha = MultiHeadAttention.init(cfg, seed=0)
-        flops = mha.attention_matmul_flops(batch_size=2, seq_len=16)
-        d = cfg.head_dim
-        expected = 2 * (2 * 16 * d * 16) * cfg.num_heads * 2
-        assert flops == pytest.approx(expected)
-        assert mha.softmax_elements(2, 16) == 2 * cfg.num_heads * 16 * 16
 
 
 class TestEncoder:
@@ -161,3 +159,21 @@ class TestEncoder:
         layer = EncoderLayer.init(cfg, index=0, seed=0)
         out = layer.forward(hidden)
         assert not np.allclose(out, hidden)
+
+
+class TestSlabExactness:
+    """The premise of serving a micro-batch as equal-length groups: at every
+    level of the stack, stacking same-length sequences changes no bit of
+    any of them."""
+
+    @pytest.mark.parametrize("level", ["attention", "layer", "encoder"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_stacked_forward_is_each_sequence_forward(self, cfg, rng, sparse, level):
+        enc = TransformerEncoder.init(cfg, seed=0)
+        if sparse:
+            sparsify_encoder(enc, VNMSparsifier(n=2, m=8, v=16))
+        module = {"attention": enc.layers[0].attention, "layer": enc.layers[0], "encoder": enc}[level]
+        hidden = rng.normal(size=(4, 9, cfg.hidden_size)).astype(np.float32)
+        out = module.forward(hidden)
+        for i in range(len(hidden)):
+            assert out[i].tobytes() == module.forward(hidden[i : i + 1])[0].tobytes()

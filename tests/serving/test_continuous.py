@@ -497,16 +497,22 @@ class TestContinuousApi:
         with pytest.raises(ValueError, match="step_us"):
             engine.serve_continuous(make_requests(rng, [5]), step_us=-1.0)
 
-    def test_exact_mode_refuses_padding_continuous_batcher(self, rng):
-        """padding='exact' + a ladder continuous batcher must fail loudly at
-        execution, exactly like the windowed engines do."""
+    def test_exact_mode_serves_a_padding_continuous_batcher_bit_exact(self, rng):
+        """padding='exact' + a ladder continuous batcher: the engine runs
+        each rung's micro-batch as equal-length groups, so every request is
+        bit-equal to its sequential forward."""
+        encoder = make_encoder()
         engine = ModelServingEngine(
-            make_encoder(),
+            encoder,
             config=ServingConfig(padding="exact"),
             batcher=ContinuousBatcher.ladder(),
         )
-        with pytest.raises(ValueError, match="padding='ladder'"):
-            engine.serve_continuous(make_requests(rng, [5]))  # 5 pads to rung 8
+        requests = make_requests(rng, [5, 8, 5, 3], arrivals=[0.0, 0.0, 10.0, 20.0])
+        results = engine.serve_continuous(requests)  # 3, 5 and 8 share rung 8
+        assert set(results) == {req.request_id for req in requests}
+        for req in requests:
+            expected = encoder.forward(req.activations[None])[0]
+            assert results[req.request_id].tobytes() == expected.tobytes()
 
     def test_idle_step_returns_empty(self):
         engine = continuous_engine("ladder")

@@ -128,6 +128,39 @@ class TestGoldenDecodeMatrix:
         run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us)
 
 
+class TestDecodeReference:
+    """The oracle below the engine: one KV cache carried through the whole
+    decode — prefill, then one ``forward_step`` per generated row fed back
+    in — is bit-for-bit the recompute over a fresh cache every step."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("prompt_len,new_tokens", [(1, 4), (6, 3)])
+    def test_one_cache_carried_through_is_the_recompute(
+        self, rng, num_layers, prompt_len, new_tokens
+    ):
+        encoder = make_encoder(num_layers=num_layers)
+        prompt = rng.normal(size=(prompt_len, HIDDEN)).astype(np.float32)
+        kv = encoder.new_sequence_kv()
+        for x in prompt:
+            feed = encoder.forward_step(x[None], kv)
+        rows = []
+        for _ in range(new_tokens):
+            feed = encoder.forward_step(feed, kv)
+            rows.append(feed[0])
+        expected = decode_reference(encoder, prompt, new_tokens)
+        assert expected.shape == (new_tokens, HIDDEN)
+        assert expected.tobytes() == np.stack(rows).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape,new_tokens,match",
+        [((0, HIDDEN), 2, "prompt"), ((HIDDEN,), 2, "prompt"), ((3, HIDDEN), 0, "new_tokens")],
+        ids=["empty-prompt", "1d-prompt", "no-new-tokens"],
+    )
+    def test_rejects_bad_arguments(self, shape, new_tokens, match):
+        with pytest.raises(ValueError, match=match):
+            decode_reference(make_encoder(), np.zeros(shape, dtype=np.float32), new_tokens)
+
+
 class TestPrefixSharing:
     def test_shared_prompt_skips_prefill_and_keeps_bits(self, rng):
         encoder = make_encoder(num_layers=2)

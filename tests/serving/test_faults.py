@@ -318,21 +318,22 @@ class TestModelEngineUnderFaults:
         sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
         return encoder
 
-    def test_padded_batch_in_exact_mode_fails_with_an_outcome(self, rng):
-        """``padding="exact"`` refuses a ladder-padded micro-batch with a
-        configuration error; the popped requests are recorded ``failed``
-        on the way out instead of vanishing."""
+    def test_misconfigured_batch_fails_with_an_outcome(self, rng):
+        """A configuration error raised from ``_execute_batch`` — here
+        requests of the wrong width queued straight on the batcher, past
+        ``submit``'s validation — records every popped request ``failed``
+        on the way out instead of letting them vanish."""
         engine = ModelServingEngine(self._encoder(), batcher=ContinuousBatcher.ladder())
-        requests = [
-            Request(f"pad-{i}", rng.normal(size=(t, HIDDEN)).astype(np.float32))
-            for i, t in enumerate([5, 7])
-        ]
-        with pytest.raises(ValueError, match="zero-padded"):
-            engine.serve(requests)
+        for i, t in enumerate([5, 7]):
+            engine.batcher.submit(
+                Request(f"bad-{i}", rng.normal(size=(t, HIDDEN + 1)).astype(np.float32))
+            )
+        with pytest.raises(ValueError, match="feature width"):
+            engine.serve([])
         assert engine.batcher.pending == 0
         assert {rid: o.status for rid, o in engine.outcomes.items()} == {
-            "pad-0": OUTCOME_FAILED,
-            "pad-1": OUTCOME_FAILED,
+            "bad-0": OUTCOME_FAILED,
+            "bad-1": OUTCOME_FAILED,
         }
         assert all("ValueError" in o.detail for o in engine.outcomes.values())
 

@@ -22,11 +22,16 @@ from repro.serving import (
     ContinuousBatcher,
     DecodeRequest,
     DecoderServingEngine,
+    FaultPlan,
+    FaultSpec,
     ModelServingEngine,
     Request,
     ServingConfig,
+    ServingEngine,
     ShardedDispatcher,
     ShardingConfig,
+    SimulatedRequest,
+    simulate,
 )
 
 HIDDEN = 64
@@ -241,8 +246,104 @@ class TestShardedDispatcherSurface:
         t_slow = sum(k.time_us for k in slow.comm_kernels(tokens=64))
         assert t_slow > t_fast > 0.0
 
+    def test_estimate_is_a_query_not_a_charge(self, rng):
+        """Per-shard load is what the engine served, however often anyone
+        asks the dispatcher for an estimate."""
+        encoder = make_encoder((16, 2, 8), 1)
+        engine = ModelServingEngine(
+            encoder, config=ServingConfig(sharding=ShardingConfig(tp_degree=2))
+        )
+        engine.serve(make_requests(rng, [8, 8, 8, 8]))
+        before = engine.dispatcher.sharding_stats()
+        assert sum(before["per_shard_modelled_us"]) == pytest.approx(
+            engine.trace.gemm_time_us(), abs=1e-3
+        )
+        assert all(us > 0.0 for us in before["per_shard_modelled_us"])
+        for _, lin in encoder.named_sparse_layers():
+            for _ in range(10):
+                engine.dispatcher.estimate(lin.operand, 8)
+        assert engine.dispatcher.sharding_stats() == before
+        engine.serve(make_requests(rng, [5, 12, 12], prefix="more"))
+        after = engine.dispatcher.sharding_stats()
+        assert sum(after["per_shard_modelled_us"]) == pytest.approx(
+            engine.trace.gemm_time_us(), abs=1e-3
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardedDispatcher(num_shards=0)
         with pytest.raises(ValueError):
             ShardedDispatcher(placement_policy="magic")
+
+
+def bound_projection(num_shards=2):
+    """A dispatcher bound to a one-layer encoder, and a ``HIDDEN``-wide
+    projection of it that the placement put on the last shard it uses."""
+    dispatcher = ShardedDispatcher(num_shards=num_shards)
+    encoder = make_encoder((16, 2, 8), 1)
+    dispatcher.bind_encoder(encoder)
+    layers = [lin for _, lin in encoder.named_sparse_layers() if lin.operand.k == HIDDEN]
+    lin = max(layers, key=lambda lin: dispatcher.shard_of(lin.operand))
+    return dispatcher, lin
+
+
+class TestLoadAttribution:
+    """Per-shard modelled load is what the engines recorded, each launch
+    charged to the shard that owns its projection, by every engine."""
+
+    def test_model_engine_charges_each_projection_to_its_owner(self, rng):
+        encoder = make_encoder((16, 2, 8), 2)
+        engine = ModelServingEngine(
+            encoder,
+            config=ServingConfig(padding="ladder", sharding=ShardingConfig(tp_degree=2)),
+        )
+        engine.serve(make_requests(rng, [3, 9, 12, 16, 17]))
+        layers = dict(encoder.named_sparse_layers())
+        owed = [0.0, 0.0]
+        for execution in engine.trace.executions:
+            if execution.category == "gemm":
+                operand = layers[execution.meta["layer"]].operand
+                owed[engine.dispatcher.shard_of(operand)] += execution.time_us
+        assert all(us > 0.0 for us in owed)
+        assert engine.dispatcher.shard_modelled_us == pytest.approx(owed, abs=1e-9)
+
+    def test_operand_engine_charges_the_owning_shard(self, rng):
+        dispatcher, lin = bound_projection()
+        owner = dispatcher.shard_of(lin.operand)
+        engine = ServingEngine.for_layer(lin, dispatcher=dispatcher)
+        engine.serve(make_requests(rng, [4, 8, 8, 13]))
+        expected = [0.0, 0.0]
+        expected[owner] = engine.trace.gemm_time_us()
+        assert expected[owner] > 0.0
+        assert dispatcher.shard_modelled_us == pytest.approx(expected, abs=1e-9)
+
+    def test_modelled_engine_charges_every_attempt(self):
+        """The simulator charges failed attempts too: with one injected
+        failure the owning shard carries more than the traced (served)
+        time — exactly the serial stream's makespan — and estimates made
+        along the way add nothing."""
+        dispatcher, lin = bound_projection()
+        owner = dispatcher.shard_of(lin.operand)
+        requests = [SimulatedRequest(f"s{i}", tokens=8) for i in range(6)]
+        config = ServingConfig(padding="ladder")
+        clean = simulate(lin.operand, requests, config, dispatcher=dispatcher)
+        assert sum(dispatcher.shard_modelled_us) == pytest.approx(clean.trace.gemm_time_us())
+        before = list(dispatcher.shard_modelled_us)
+        chosen = dispatcher.dispatch(lin.operand, 8).backend
+        plan = FaultPlan([FaultSpec(backend=chosen, kind="transient", at_call=0, count=1)])
+        faulted = simulate(lin.operand, requests, config, plan, dispatcher=dispatcher)
+        charged = [after - b for after, b in zip(dispatcher.shard_modelled_us, before)]
+        assert faulted.injected_failures == 1 and faulted.failovers == 1
+        assert charged[owner] > faulted.trace.gemm_time_us()
+        assert charged[owner] == pytest.approx(faulted.makespan_us)
+        assert charged[1 - owner] == 0.0
+
+    def test_single_device_dispatcher_attributes_nothing(self, rng):
+        encoder = make_encoder((16, 2, 8), 1)
+        engine = ModelServingEngine(encoder)
+        engine.serve(make_requests(rng, [5, 8]))
+        before = engine.dispatcher.sharding_stats()
+        _, lin = next(iter(encoder.named_sparse_layers()))
+        engine.dispatcher.attribute_modelled(lin.operand, 123.0)
+        assert engine.dispatcher.sharding_stats() == before
+        assert before["per_shard_modelled_us"] == []

@@ -1,13 +1,14 @@
-"""The repo benchmark's tracer hooks exist on a live decoder engine.
+"""The repo benchmark's tracer hooks exist on live decoder and encoder engines.
 
 ``bench/instrument.py`` wraps instance methods of the engine it measures,
 and the decode workload reads a few counters, all by name.  A KV-store
 refactor that renames or bypasses one of them breaks only the traced
 benchmark run (``bench/run.py --trace 1``), minutes into CI.  This test
-drives the real instrumentation over a small decode, so the same break
-fails tier-1 in seconds: every wrap target must exist (``Tracer.wrap``
-looks each one up), every KV hook must record spans, and every counter the
-workload and the per-layer metrics read must be there.
+drives the real instrumentation over a small decode and a ragged encoder
+window, so the same break fails tier-1 in seconds: every wrap target must
+exist (``Tracer.wrap`` looks each one up), the hooks must record spans,
+and every counter the workloads and the per-layer metrics read must be
+there.
 """
 
 import sys
@@ -17,12 +18,12 @@ import numpy as np
 
 from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.models import TransformerEncoder, tiny_config
-from repro.serving import DecodeRequest, ServingConfig, create_engine
+from repro.serving import DecodeRequest, ModelServingEngine, Request, ServingConfig, create_engine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT))
 try:
-    from bench.instrument import instrument_decoder_engine
+    from bench.instrument import instrument_decoder_engine, instrument_model_engine
     from bench.trace import Tracer
 finally:
     sys.path.pop(0)
@@ -37,10 +38,53 @@ KV_SPANS = {
 }
 
 
-def test_every_decoder_hook_bench_uses_exists_and_fires():
+#: Spans a traced encoder workload reads, from the stack down to the batcher.
+ENCODER_SPANS = {
+    "models.transformer.forward",
+    "models.encoder_layer.forward",
+    "models.attention.forward",
+    "models.ffn.forward",
+    "models.layers.sparse_linear",
+    "kernels.dispatch.execute",
+    "serving.continuous.next_batch",
+}
+
+
+def make_encoder():
     cfg = tiny_config(hidden_size=HIDDEN, num_layers=2, num_heads=2, intermediate_size=2 * HIDDEN)
     encoder = TransformerEncoder.init(cfg, seed=0)
     sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
+    return encoder
+
+
+def test_every_encoder_hook_bench_uses_exists_and_fires():
+    engine = ModelServingEngine(make_encoder(), config=ServingConfig(padding="ladder"))
+    tracer, seen_batches = Tracer(), []
+    instrument_model_engine(tracer, engine, seen_batches)
+
+    rng = np.random.default_rng(0)
+    requests = [
+        Request(f"r{i}", rng.normal(size=(t, HIDDEN)).astype(np.float32))
+        for i, t in enumerate([3, 7, 7, 12, 5])
+    ]
+    assert len(engine.serve(requests)) == len(requests)
+
+    recorded = {tracer.names[code] for code in tracer.code}
+    assert ENCODER_SPANS <= recorded, sorted(ENCODER_SPANS - recorded)
+    assert seen_batches
+    # Read from stats() by the per-layer metrics.
+    stats = engine.stats()
+    for key in ("requests", "batches"):
+        assert isinstance(stats[key], int), key
+    for key in ("valid_tokens", "bucket_tokens"):
+        assert isinstance(stats["padding"][key], int), key
+    for key in ("hits", "misses"):
+        assert isinstance(stats["plan_cache"][key], int), key
+    assert engine.trace.executions
+
+
+def test_every_decoder_hook_bench_uses_exists_and_fires():
+    encoder = make_encoder()
     engine = create_engine(
         encoder,
         kind="decoder",
