@@ -34,7 +34,6 @@ from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
 from repro.kernels.spatha import SpmmPlan, spmm_loop_reference
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
-    ContinuousBatcher,
     DecodeRequest,
     DecoderServingEngine,
     FaultInjector,
@@ -527,11 +526,11 @@ def bench_model_serving_padded(
     realistic regime where exact-length bucketing degenerates to
     near-singleton buckets (most lengths appear once or twice per window)
     while the powers-of-two ladder consolidates them into a handful of
-    padded buckets behind the attention mask.  Both engines serve the same
+    padded buckets.  Both engines serve the same
     requests on identically initialised encoders and outputs are
     bit-identical (both policies are exact per request).
 
-    What the measured req/s gap is — and is not: the masked encoder
+    What the measured req/s gap is — and is not: the engine
     deliberately executes every sequence at its true shape (that is what
     keeps the bits), so the *executed* GEMM work is the same in both
     modes.  The wall-clock gain is serving-overhead consolidation — ~10x
@@ -619,7 +618,7 @@ def bench_model_serving_continuous(
     until ``window_us`` after its oldest arrival (or until it fills); the
     continuous engine's holds nothing, so it steps whenever the executor
     frees, admitting whatever has arrived by then.  Both replays execute
-    the real masked forwards and charge each step its *measured*
+    the real forwards and charge each step its *measured*
     wall-clock duration on a virtual serving clock, so per-request
     completion latency is measured execution under an analytic arrival
     process — deterministic load, real kernels.
@@ -630,7 +629,7 @@ def bench_model_serving_continuous(
     policies serve every request), outputs are bit-identical (same
     execution path), so the tail-latency drop is pure scheduling.
     """
-    def build_engine(batcher, name):
+    def build_engine(name, **knobs):
         cfg = tiny_config(
             hidden_size=hidden, num_layers=num_layers, num_heads=4,
             intermediate_size=intermediate,
@@ -638,8 +637,7 @@ def bench_model_serving_continuous(
         encoder = TransformerEncoder.init(cfg, seed=0)
         sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
         return ModelServingEngine(
-            encoder, batcher=batcher,
-            config=ServingConfig(padding="ladder", name=name),
+            encoder, config=ServingConfig(padding="ladder", name=name, **knobs)
         )
 
     lengths = [int(t) for t in rng.integers(1, max_len + 1, size=num_requests)]
@@ -649,8 +647,8 @@ def bench_model_serving_continuous(
         for i, t in enumerate(lengths)
     ]
     engines = {
-        "async": build_engine(ContinuousBatcher.ladder(window_us=window_us), "bench-async"),
-        "continuous": build_engine(ContinuousBatcher.ladder(), "bench-continuous"),
+        "async": build_engine("bench-async", scheduling="async", window_us=window_us),
+        "continuous": build_engine("bench-continuous"),
     }
     order = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
     arrival_of = {r.request_id: r.arrival_us for r in requests}
@@ -739,17 +737,15 @@ def bench_model_serving_faulted(
     bit-for-bit its fault-free output — failover and isolation never buy
     availability with numerics.
     """
-    def build_engine(name, max_queue_depth=None):
+    def build_engine(name, **knobs):
         cfg = tiny_config(
             hidden_size=hidden, num_layers=num_layers, num_heads=4,
             intermediate_size=intermediate,
         )
         encoder = TransformerEncoder.init(cfg, seed=0)
         sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
-        batcher = ContinuousBatcher.ladder(max_queue_depth=max_queue_depth)
         return ModelServingEngine(
-            encoder, batcher=batcher,
-            config=ServingConfig(padding="ladder", name=name),
+            encoder, config=ServingConfig(padding="ladder", name=name, **knobs)
         )
 
     lengths = [int(t) for t in rng.integers(1, max_len + 1, size=num_requests)]
@@ -773,14 +769,16 @@ def bench_model_serving_faulted(
         return engine.serve_continuous(fresh_requests(with_deadlines=False))
 
     def serve_faulted():
-        engine = build_engine("bench-faulted", max_queue_depth=max(4, num_requests // 4))
+        engine = build_engine(
+            "bench-faulted", max_queue_depth=max(4, num_requests // 4), step_us=step_us
+        )
         plan = FaultPlan.seeded(
             [b.name for b in engine.dispatcher.backends],
             seed=fault_seed,
             failure_rate=0.15,
         )
         FaultInjector(plan).arm(engine.dispatcher)
-        out = engine.serve_continuous(fresh_requests(with_deadlines=True), step_us=step_us)
+        out = engine.serve_continuous(fresh_requests(with_deadlines=True))
         faulted["engine"] = engine
         return out
 
@@ -893,8 +891,9 @@ def bench_model_serving_slo(
     sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
     engine = ModelServingEngine(
         encoder,
-        batcher=ContinuousBatcher.ladder(scheduling=scheduling),
-        config=ServingConfig(padding="ladder", name="bench-slo"),
+        config=ServingConfig(
+            padding="ladder", step_us=25.0, scheduling_policy=scheduling, name="bench-slo"
+        ),
     )
     live = [
         Request(
@@ -903,7 +902,7 @@ def bench_model_serving_slo(
         )
         for i, t in enumerate([5, 9, 12, 7, 16, 3, 8, 11])
     ]
-    out = engine.serve_continuous(live, step_us=25.0)
+    out = engine.serve_continuous(live)
     diff = max(
         _array_diff(out[r.request_id], encoder.forward(r.activations[None])[0])
         for r in live
@@ -984,7 +983,9 @@ def bench_decoder_continuous(
     ]
 
     ref_encoder = fresh_encoder()
-    engine = DecoderServingEngine(fresh_encoder(), config=ServingConfig(block_size=16))
+    engine = DecoderServingEngine(
+        fresh_encoder(), config=ServingConfig(block_size=16, step_us=step_us)
+    )
 
     def decode_recompute():
         return np.concatenate(
@@ -992,7 +993,7 @@ def bench_decoder_continuous(
         )
 
     def decode_cached():
-        out = engine.serve_continuous(requests, step_us=step_us)
+        out = engine.serve_continuous(requests)
         return np.concatenate([out[r.request_id] for r in requests])
 
     decode_recompute()
@@ -1125,7 +1126,7 @@ def main():
         )
         # Ragged-length traffic (uniform 1..48): exact-length bucketing
         # fragments into near-singleton buckets, the padded ladder refills
-        # them behind the attention mask at identical output bits.
+        # them at identical output bits.
         bench_model_serving_padded(
             entries, hidden=256, intermediate=1024, num_layers=2,
             num_requests=64, max_len=48, rng=rng,

@@ -15,12 +15,12 @@ The walk-through:
 3. serve a window of ragged requests through exact-length dynamic batching
    and verify batched == sequential ``encoder.forward``, bit for bit,
 4. replay the same traffic through the step loop with a 500 us hold
-   (``ContinuousBatcher.exact_length(window_us=500.0)``: a bucket waits for
-   company until its oldest request has waited the window) — same bits,
+   (``ServingConfig(scheduling="async", window_us=500.0)``: a bucket waits
+   for company until its oldest request has waited the window) — same bits,
 5. re-serve the same ragged window in padded-bucket mode
-   (``padding="ladder"``): lengths round up a powers-of-two ladder and run
-   behind the additive attention mask, consolidating the near-empty
-   exact-length buckets into a few full ones at — again — the same bits,
+   (``padding="ladder"``): lengths round up a powers-of-two ladder, each
+   still run at its true shape, consolidating the near-empty exact-length
+   buckets into a few full ones at — again — the same bits,
 6. serve the same traffic **continuously**
    (:class:`~repro.serving.continuous.ContinuousBatcher` +
    ``serve_continuous``): no windows at all — requests join open ladder
@@ -44,7 +44,6 @@ from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels.dispatch import SpmmOperand
 from repro.models import BERT_LARGE, TransformerEncoder
 from repro.serving import (
-    ContinuousBatcher,
     ModelServingEngine,
     Request,
     ServingConfig,
@@ -117,8 +116,12 @@ def main() -> None:
     sparsify_encoder(async_encoder, VNMSparsifier(n=2, m=8, v=64))
     async_engine = ModelServingEngine(
         async_encoder,
-        batcher=ContinuousBatcher.exact_length(window_us=500.0),
-        config=ServingConfig(warm_buckets=sorted(set(lengths)), name="bert-large-async"),
+        config=ServingConfig(
+            scheduling="async",
+            window_us=500.0,
+            warm_buckets=sorted(set(lengths)),
+            name="bert-large-async",
+        ),
     )
     timed = [
         Request(r.request_id, r.activations, arrival_us=i * 120.0)
@@ -134,8 +137,8 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 5. Padded-bucket serving: ragged lengths share ladder rungs behind
-    #    the attention mask — fuller buckets, identical bits.
+    # 5. Padded-bucket serving: ragged lengths share ladder rungs, each
+    #    run at its true shape — fuller buckets, identical bits.
     # ------------------------------------------------------------------
     padded_encoder = TransformerEncoder.init(BERT_LARGE, num_layers=num_layers, seed=0)
     sparsify_encoder(padded_encoder, VNMSparsifier(n=2, m=8, v=64))
@@ -163,10 +166,9 @@ def main() -> None:
     sparsify_encoder(cont_encoder, VNMSparsifier(n=2, m=8, v=64))
     cont_engine = ModelServingEngine(
         cont_encoder,
-        config=ServingConfig(padding="ladder", name="bert-large-continuous"),
-        batcher=ContinuousBatcher.ladder(),
+        config=ServingConfig(padding="ladder", step_us=100.0, name="bert-large-continuous"),
     )
-    cont_results = cont_engine.serve_continuous(timed, step_us=100.0)
+    cont_results = cont_engine.serve_continuous(timed)
     cont_identical = all(
         np.array_equal(cont_results[r.request_id], batched[r.request_id])
         for r in requests

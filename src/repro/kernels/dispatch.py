@@ -840,8 +840,8 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     # The sharded surface at tp_degree=1
     # ------------------------------------------------------------------
-    # :class:`~repro.serving.sharded.ShardedDispatcher` splits a model over
-    # several of these; one device is the degenerate topology — nothing to
+    # :class:`~repro.serving.sharded.ShardedDispatcher` subclasses this with
+    # a shard placement; one device is the degenerate topology — nothing to
     # place, no traffic — so the serving engines call the same methods
     # on either and never ask which one they hold.
     def bind_encoder(self, encoder) -> None:

@@ -33,10 +33,11 @@ subsystem (the ROADMAP's "heavy traffic" direction):
   prefix sharing); cached decoding is bit-for-bit the per-step
   full causal recompute (:func:`decode_reference`).
 * :mod:`~repro.serving.sharded` — multi-device serving:
-  :class:`ShardedDispatcher` splits an encoder across N simulated devices
-  by balanced min-cut placement (one kernel dispatcher per shard), routing
-  each projection's SpMM to its owner and pricing the implied all-reduce /
-  send-recv traffic with the interconnect ring model.
+  :class:`ShardedDispatcher` is a kernel dispatcher with a placement: it
+  splits an encoder across N simulated devices by balanced min-cut
+  placement, counts each projection's SpMM against its owner and prices
+  the implied all-reduce / send-recv traffic with the interconnect ring
+  model.
 * :mod:`~repro.serving.config` — :class:`ServingConfig`, the one typed
   home for engine knobs (scheduling, padding, admission control, KV
   geometry, warming, sharding), plus the :func:`create_engine` factory.
@@ -52,9 +53,8 @@ per operator (the engine canonicalises every request to its bucket shape,
 and the dispatcher's batched path is slab-bit-exact) *and* per model, in
 both batching modes (``padding="exact"`` stacks same-length sequences
 only, where every operator of the encoder is slab-exact over the batch
-dimension; ``padding="ladder"`` pads ragged sequences up a bucket ladder
-behind the additive attention mask, whose right-padding structure the
-masked encoder executes at true sequence lengths).
+dimension; ``padding="ladder"`` lets ragged lengths share a ladder rung
+and runs the micro-batch as equal-length groups, each at its true shape).
 """
 
 from .batcher import DEFAULT_TOKEN_BUCKETS, BucketKey, MicroBatch, Request

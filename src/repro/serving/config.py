@@ -8,7 +8,8 @@ the same half-dozen knobs through three different signatures.
 by all three engines (``config=...``), with :func:`create_engine` as the
 one-call front door.  The config is the only path: the engines take no
 ``padding=`` / ``block_size=`` / ``capacity_blocks=`` / ``kv_budget_blocks=``
-keywords of their own.
+/ ``batcher=`` keywords of their own, and every engine builds its one batcher
+with :meth:`ServingConfig.build_batcher`.
 
 Scheduling is part of the config: every engine builds one
 :class:`~repro.serving.continuous.ContinuousBatcher` and drives it with one
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
+from .batcher import DEFAULT_TOKEN_BUCKETS
 from .continuous import (
     SHED_POLICIES,
     SHED_REJECT_NEWEST,
@@ -67,18 +69,6 @@ class ShardingConfig:
         """Whether this config asks for an actual multi-shard split."""
         return self.tp_degree > 1
 
-    def build_dispatcher(
-        self, gpu: Optional[GPUSpec] = None, name: str = "sharded"
-    ) -> ShardedDispatcher:
-        """The sharded dispatcher this topology describes."""
-        return ShardedDispatcher(
-            num_shards=self.tp_degree,
-            gpu=gpu,
-            link=self.link,
-            placement_policy=self.placement_policy,
-            name=name,
-        )
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -91,12 +81,11 @@ class ServingConfig:
     scheduling:
         ``"continuous"`` (default: a bucket runs as soon as it has
         arrived work) or ``"async"`` (the same step loop with the
-        ``window_us`` hold).  An explicitly passed ``batcher=`` always wins
-        over this.
+        ``window_us`` hold).
     padding:
-        Model-engine batching policy: ``"exact"`` stacks same-length
-        sequences only; ``"ladder"`` pads up the bucket ladder behind the
-        attention mask.
+        Model-engine batching policy: ``"exact"`` buckets by exact length;
+        ``"ladder"`` shares a ladder rung between lengths (each length
+        still runs at its true shape).
     token_buckets:
         Bucket ladder override (``None`` keeps the engine kind's default
         ladder).
@@ -106,7 +95,7 @@ class ServingConfig:
         The hold of ``scheduling="async"``: the longest a bucket waits for
         its free slots to fill after its oldest arrival.
     step_us:
-        Default step cadence for ``serve_continuous`` replays.
+        Step cadence of ``serve`` / ``serve_continuous`` replays.
     max_queue_depth / shed_policy / kv_budget_blocks:
         Admission control (also the decoder's KV-budget admission).
     block_size / capacity_blocks:
@@ -172,18 +161,29 @@ class ServingConfig:
     # Derived builders the engines call
     # ------------------------------------------------------------------
     def build_batcher(self, kind: str = "operand", kv_cost: Optional[Callable] = None):
-        """The default :class:`ContinuousBatcher` for an engine of ``kind``.
+        """The :class:`ContinuousBatcher` of an engine of ``kind``.
 
-        ``kind`` is ``"operand"`` (single-operator engine: plain bucket
-        ladder), ``"encoder"`` (model engine: exact-length or ladder
-        buckets per ``padding``) or ``"decoder"`` (ladder, with
-        ``kv_cost`` pricing the KV budget).  ``scheduling="async"`` sets
-        the ``window_us`` hold; admission control and the scheduling
-        policy bind under either mode.
+        ``kind`` is ``"operand"`` (single-operator engine), ``"encoder"``
+        (model engine) or ``"decoder"`` (``kv_cost`` prices the KV budget).
+        The buckets are ``(1,)`` for an encoder with ``padding="exact"``
+        (every longer length is its own exact bucket), else
+        ``token_buckets`` or the default powers-of-two ladder.
+        ``scheduling="async"`` sets the ``window_us`` hold; admission
+        control and the scheduling policy bind under either mode.
         """
         if kind not in ("operand", "encoder", "decoder"):
             raise ValueError(f"unknown engine kind {kind!r}")
-        knobs = dict(
+        if kind == "encoder" and self.padding == "exact":
+            if self.token_buckets is not None:
+                raise ValueError(
+                    "token_buckets cannot be combined with padding='exact' "
+                    "(exact mode serves every length at its own singleton bucket)"
+                )
+            buckets = (1,)
+        else:
+            buckets = DEFAULT_TOKEN_BUCKETS if self.token_buckets is None else self.token_buckets
+        return ContinuousBatcher(
+            token_buckets=buckets,
             max_batch_size=self.max_batch_size,
             max_queue_depth=self.max_queue_depth,
             shed_policy=self.shed_policy,
@@ -192,25 +192,20 @@ class ServingConfig:
             scheduling=self.scheduling_policy,
             window_us=self.window_us if self.scheduling == "async" else 0.0,
         )
-        if kind == "encoder" and self.padding == "exact":
-            if self.token_buckets is not None:
-                raise ValueError(
-                    "token_buckets cannot be combined with padding='exact' "
-                    "(exact mode serves every length at its own singleton bucket)"
-                )
-            return ContinuousBatcher.exact_length(**knobs)
-        if self.token_buckets is not None:
-            return ContinuousBatcher(token_buckets=self.token_buckets, **knobs)
-        if kind in ("encoder", "decoder"):
-            return ContinuousBatcher.ladder(**knobs)
-        return ContinuousBatcher(**knobs)
 
     def build_dispatcher(self, gpu: Optional[GPUSpec] = None, name: str = "serving"):
         """A sharded dispatcher when sharding is enabled, else ``None``
         (the engine keeps its own single-device default)."""
-        if not self.sharding.enabled:
+        sharding = self.sharding
+        if not sharding.enabled:
             return None
-        return self.sharding.build_dispatcher(gpu=gpu, name=f"{name}.sharded")
+        return ShardedDispatcher(
+            num_shards=sharding.tp_degree,
+            gpu=gpu,
+            link=sharding.link,
+            placement_policy=sharding.placement_policy,
+            name=f"{name}.sharded",
+        )
 
 
 def create_engine(target, config: Optional[ServingConfig] = None, kind: Optional[str] = None, **kwargs):
@@ -220,8 +215,8 @@ def create_engine(target, config: Optional[ServingConfig] = None, kind: Optional
     ``kind="decoder"`` for the KV-cache decode engine) or a sparse operand /
     :class:`~repro.formats.vnm.VNMSparseMatrix` (→ the single-operator
     :class:`ServingEngine`).  Extra keyword arguments (``dispatcher=``,
-    ``batcher=``, ``bias=``, ...) pass through to the engine constructor
-    and win over the config's defaults.
+    ``bias=``) pass through to the engine constructor; an explicit
+    ``dispatcher`` wins over the config's default.
     """
     # Late imports: the engine modules import this one for the config type.
     from .decoder import DecoderServingEngine

@@ -9,8 +9,8 @@ pass):
 * **admission happens between steps** — a request that arrived while the
   previous step was executing joins a compatible open bucket immediately,
   even though its new batchmates have been queued since earlier steps;
-* each step executes **one** batched (masked) forward: the single most
-  urgent bucket chunk among everything arrived (oldest first across rungs
+* each step executes **one** micro-batch: the single most urgent
+  bucket chunk among everything arrived (oldest first across rungs
   under FCFS; by class, then earliest deadline, under the SLO policies of
   :class:`SchedulingConfig`);
 * completed sequences leave at the end of their step without blocking the
@@ -36,14 +36,13 @@ item list, and the chunk-sequence property test in
 schedules, cadences, holds, shed policies and held rung slots.
 
 Scheduling is the *only* thing that changes.  Execution still runs through
-the engines' ``_execute_batch`` (exact-length stacking, or the padded
-ladder behind the additive attention mask), where every sequence executes
-at its true shape — so continuous serving of N requests stays bit-for-bit
-N sequential ``encoder.forward`` calls, regardless of arrival
-interleaving, hold or step cadence.  The property tests in
-``tests/serving/test_continuous.py`` pin this across arrival orders, step
-cadences and exact/ladder modes, together with the determinism of the
-per-request :class:`CompletionRecord` metadata.
+the engines' ``_execute_batch`` (a ladder micro-batch runs as equal-length
+groups), where every sequence executes at its true shape — so continuous
+serving of N requests stays bit-for-bit N sequential ``encoder.forward``
+calls, regardless of arrival interleaving, hold or step cadence.  The
+property tests in ``tests/serving/test_continuous.py`` pin this across
+arrival orders, step cadences and exact/ladder modes, together with the
+determinism of the per-request :class:`CompletionRecord` metadata.
 """
 
 from __future__ import annotations
@@ -379,8 +378,8 @@ class ContinuousBatcher:
     ``token_buckets`` boundary that holds it (longer requests get an exact
     singleton bucket of their own length); requests of one bucket — same
     feature width, same padded count — stack into one micro-batch.
-    :meth:`ladder` builds the powers-of-two padded ladder,
-    :meth:`exact_length` the no-padding policy.
+    :meth:`ladder` builds the powers-of-two ladder; ``token_buckets=(1,)``
+    makes every length its own exact bucket.
 
     **Intake.** ``submit`` / ``submit_many`` validate once (type,
     finiteness, duplicate id against the queue; ``submit_many`` atomically
@@ -515,32 +514,18 @@ class ContinuousBatcher:
         self._deadline_heap: List[Tuple[float, str, int]] = []
 
     @classmethod
-    def exact_length(cls, max_batch_size: int = 64, **kwargs) -> "ContinuousBatcher":
-        """A batcher that only stacks requests of *identical* token counts.
-
-        With the ladder collapsed to ``(1,)`` every token count above 1 is
-        its own exact singleton bucket, so no request is ever padded.  This
-        is the conservative policy for model-level serving: an encoder's
-        attention mixes information *across* the tokens of a sequence, so
-        zero-padding is only safe behind an explicit attention mask (the
-        engine's ``padding="ladder"`` mode); without one, exact-length
-        buckets are the only bit-exact choice.
-        """
-        return cls(token_buckets=(1,), max_batch_size=max_batch_size, **kwargs)
-
-    @classmethod
     def ladder(
         cls, min_rung: int = 8, max_rung: int = 4096, max_batch_size: int = 64, **kwargs
     ) -> "ContinuousBatcher":
         """A powers-of-two bucket ladder from ``min_rung`` up to ``max_rung``.
 
-        The padded-bucket policy: token counts round *up* to the next rung
-        (doubling steps bound padding waste at <2x while keeping the rung
-        count logarithmic), requests above the top rung get exact singleton
-        buckets as usual.  This is what ``padding="ladder"`` model serving
-        batches with — ragged lengths that exact-length bucketing would
-        scatter into near-empty buckets share a rung instead, and the
-        attention mask keeps the padded rows at exactly zero weight.
+        Token counts round *up* to the next rung (doubling steps bound the
+        modelled padding at <2x while keeping the rung count logarithmic);
+        requests above the top rung get exact singleton buckets as usual.
+        The defaults are ``DEFAULT_TOKEN_BUCKETS``, what ``padding="ladder"``
+        model serving batches with: ragged lengths that exact-length
+        bucketing would scatter into near-empty buckets share a rung, and
+        the engine runs each length at its true shape.
         """
         if min_rung <= 0 or max_rung < min_rung:
             raise ValueError(f"need 0 < min_rung <= max_rung, got {min_rung}..{max_rung}")

@@ -59,7 +59,7 @@ import numpy as np
 
 from .batcher import BucketKey, Request
 from .config import ServingConfig
-from .continuous import CompletionRecord, ContinuousBatcher
+from .continuous import CompletionRecord
 from .engine import EngineCore
 from .faults import OUTCOME_FAILED, OUTCOME_OK
 from ..kernels.dispatch import BackendExecutionError, KernelDispatcher
@@ -192,23 +192,18 @@ class DecoderServingEngine(EngineCore):
     encoder:
         The model decoded with.  Its sparse projections are re-routed
         through this engine's dispatcher.
-    batcher:
-        A :class:`~repro.serving.continuous.ContinuousBatcher` (default:
-        the config's — a fresh ladder whose ``kv_budget_blocks`` admission,
-        when set, costs a request ``ceil((prompt + new_tokens) /
-        block_size)`` blocks).
     config:
         A :class:`~repro.serving.config.ServingConfig` holding the shared
         :class:`~repro.models.kv_cache.PagedKVCache` geometry
-        (``block_size`` / ``capacity_blocks``), admission control
-        (``kv_budget_blocks`` and the queue bounds), warming and sharding
-        knobs; the defaults apply without one.
+        (``block_size`` / ``capacity_blocks``), the batcher and its
+        admission control (``kv_budget_blocks`` costs a request
+        ``ceil((prompt + new_tokens) / block_size)`` blocks), warming and
+        sharding knobs; the defaults apply without one.
     """
 
     def __init__(
         self,
         encoder: TransformerEncoder,
-        batcher: Optional[ContinuousBatcher] = None,
         dispatcher: Optional[KernelDispatcher] = None,
         config: Optional[ServingConfig] = None,
     ) -> None:
@@ -232,9 +227,7 @@ class DecoderServingEngine(EngineCore):
             total = request.tokens + new_tokens.get(request.request_id, 1)
             return -(-total // block_size)
 
-        if batcher is None:
-            batcher = knobs.build_batcher(kind="decoder", kv_cost=kv_cost)
-        super().__init__("decoder", "decoder-serving", config, dispatcher, batcher)
+        super().__init__("decoder", "decoder-serving", config, dispatcher, kv_cost)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         encoder.set_dispatcher(self.dispatcher)

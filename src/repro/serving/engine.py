@@ -32,13 +32,13 @@ and under any hold or step cadence of the one ``step`` loop.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
 from .batcher import MicroBatch, Request
 from .config import ServingConfig
-from .continuous import CompletionRecord, ContinuousBatcher
+from .continuous import CompletionRecord
 from .faults import (
     OUTCOME_FAILED,
     OUTCOME_OK,
@@ -102,8 +102,9 @@ class EngineCore:
     so a popped request never vanishes without an outcome.
 
     Collaborators are written-down interfaces, not probed capabilities:
-    the batcher is a :class:`~repro.serving.continuous.ContinuousBatcher`
-    (checked at construction), and every dispatcher answers
+    the batcher is the one :meth:`ServingConfig.build_batcher` builds for
+    the engine ``kind``, and every dispatcher is a
+    :class:`~repro.kernels.dispatch.KernelDispatcher` answering
     ``sharding_stats`` / ``comm_kernels`` / ``bind_encoder`` (a single
     device is the ``tp_degree=1`` case).
     """
@@ -113,15 +114,16 @@ class EngineCore:
         kind: str,
         name: str,
         config: Optional[ServingConfig],
-        dispatcher,
-        batcher: Optional[ContinuousBatcher],
+        dispatcher: Optional[KernelDispatcher],
+        kv_cost: Optional[Callable[[Request], int]] = None,
     ) -> None:
         """Resolve the shared knobs: ``config`` supplies the name (``name``
-        is the engine class's default label), warming policy and the default
-        batcher / (sharded) dispatcher of engine ``kind``; an explicit
-        ``dispatcher`` / ``batcher`` wins.  Warming (``config.warm`` /
-        ``config.warm_buckets``) is each subclass's last constructor line
-        (what it warms only exists once the subclass is wired up)."""
+        is the engine class's default label), warming policy, the batcher of
+        engine ``kind`` (``kv_cost`` prices a decoder's KV budget) and the
+        default (sharded) dispatcher; an explicit ``dispatcher`` wins.
+        Warming (``config.warm`` / ``config.warm_buckets``) is each
+        subclass's last constructor line (what it warms only exists once the
+        subclass is wired up)."""
         self.config = config if config is not None else ServingConfig()
         self.name = name = self.config.name or name
         if dispatcher is None:
@@ -136,13 +138,7 @@ class EngineCore:
                 else KernelDispatcher(name=f"{name}.dispatcher")
             )
         self.dispatcher = dispatcher
-        if batcher is None:
-            batcher = self.config.build_batcher(kind=kind)
-        if not isinstance(batcher, ContinuousBatcher):
-            raise TypeError(
-                f"{name}: the batcher must be a ContinuousBatcher, got {type(batcher).__name__}"
-            )
-        self.batcher = batcher
+        self.batcher = self.config.build_batcher(kind=kind, kv_cost=kv_cost)
         self.total_requests = 0
         #: Continuous-serving bookkeeping (populated by the step loop).
         self.steps_executed = 0
@@ -335,17 +331,14 @@ class EngineCore:
         self._expire_pending(now_us)
         return self._run_step(now_us)
 
-    def serve_continuous(
-        self, requests: Iterable[Request], step_us: Optional[float] = None
-    ) -> Dict[str, np.ndarray]:
+    def serve_continuous(self, requests: Iterable[Request]) -> Dict[str, np.ndarray]:
         """Replay requests against their arrival clock through the step loop.
 
         The clock opens at the first arrival (0.0 with none), each iteration
         admits every request that has arrived by ``now``, and :meth:`step`
         runs; after an executed step (``steps_executed`` moved — whether or
-        not any request came out ``ok``) the clock advances by ``step_us``
-        (the step cadence — ``0.0`` means steps run back to back; ``None``
-        reads the engine config's ``step_us``) but never to before
+        not any request came out ``ok``) the clock advances by the config's
+        ``step_us`` (``0.0``: steps run back to back) but never to before
         ``busy_until_us`` (always 0.0 live), and an idle step jumps the
         clock to the next arrival or to the batcher's ``next_event_us`` (the
         instant its next bucket opens: an arrival, or the end of a hold),
@@ -357,10 +350,6 @@ class EngineCore:
         arrival is admitted, so a malformed request fails at its own
         arrival after earlier requests have already been served.
         """
-        if step_us is None:
-            step_us = self.config.step_us
-        if step_us < 0:
-            raise ValueError("step_us must be non-negative")
         queue = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
         results: Dict[str, np.ndarray] = {}
         now = queue[0].arrival_us if queue else 0.0
@@ -372,7 +361,7 @@ class EngineCore:
             before = self.steps_executed
             results.update(self.step(now))
             if self.steps_executed != before:
-                now = max(now + step_us, self.busy_until_us)
+                now = max(now + self.config.step_us, self.busy_until_us)
             else:
                 # Idle step: nothing schedulable yet — jump to the next
                 # arrival or the instant the batcher's next bucket opens.
@@ -430,30 +419,29 @@ class ServingEngine(EngineCore):
     dispatcher:
         Kernel dispatcher to execute through (defaults to the shared
         process-wide one).
-    batcher:
-        The :class:`~repro.serving.continuous.ContinuousBatcher` (defaults
-        to the config's: the standard bucket ladder).
     config:
         The :class:`~repro.serving.config.ServingConfig`: it supplies the
-        default batcher (per its ``scheduling`` mode), the engine name, the
-        warming policy — ``warm`` builds the operand's execution plan
+        batcher (the bucket ladder, held per ``scheduling``), the engine
+        name, the warming policy — ``warm`` builds the operand's execution plan
         eagerly so the first window does not pay operand preparation,
         ``warm_buckets`` pre-ranks the dispatch decisions of those token
         buckets so the first request of those shapes also skips the
         cost-model sweep — and, when its sharding block is enabled, a
-        sharded dispatcher.  Explicitly passed ``dispatcher``/``batcher``
-        win over the config's defaults.
+        sharded dispatcher.  An explicitly passed ``dispatcher`` wins over
+        the config's default.
     """
+
+    #: The engine kind the config builds the batcher and dispatcher for.
+    kind = "operand"
 
     def __init__(
         self,
         operand,
         bias: Optional[np.ndarray] = None,
         dispatcher: Optional[KernelDispatcher] = None,
-        batcher: Optional[ContinuousBatcher] = None,
         config: Optional["ServingConfig"] = None,
     ) -> None:
-        super().__init__("operand", "serving", config, dispatcher, batcher)
+        super().__init__(self.kind, "serving", config, dispatcher)
         if isinstance(operand, VNMSparseMatrix):
             operand = SpmmOperand.from_vnm(operand, name=self.name)
         if not isinstance(operand, SpmmOperand):
@@ -470,7 +458,7 @@ class ServingEngine(EngineCore):
     # ------------------------------------------------------------------
     @classmethod
     def for_layer(
-        cls, layer, config: Optional["ServingConfig"] = None, **kwargs
+        cls, layer, config: Optional[ServingConfig] = None, dispatcher: Optional[KernelDispatcher] = None
     ) -> "ServingEngine":
         """Build an engine serving a :class:`~repro.models.layers.SparseLinear`
         (named after the layer unless ``config`` names it).
@@ -493,9 +481,8 @@ class ServingEngine(EngineCore):
         return cls(
             operand=layer.operand,
             bias=layer.bias,
-            dispatcher=kwargs.pop("dispatcher", layer.dispatcher),
+            dispatcher=dispatcher if dispatcher is not None else layer.dispatcher,
             config=config,
-            **kwargs,
         )
 
     def _validate(self, request: Request) -> None:

@@ -48,13 +48,12 @@ the guarantee holds under any hold, cadence and arrival order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .batcher import MicroBatch, Request
 from .config import ServingConfig
-from .continuous import ContinuousBatcher
 from .engine import EngineCore
 from ..hardware.trace import ExecutionTrace
 from ..kernels.dispatch import KernelDispatcher
@@ -88,22 +87,16 @@ class ModelServingEngine(EngineCore):
         Kernel dispatcher to execute through.  Defaults to a *fresh*
         engine-private :class:`KernelDispatcher` — two engines never share
         memoized dispatch signatures unless explicitly given one dispatcher.
-    batcher:
-        The :class:`~repro.serving.continuous.ContinuousBatcher`.  Defaults
-        to exact-length bucketing (:meth:`ContinuousBatcher.exact_length`)
-        in ``padding="exact"`` mode and the powers-of-two ladder
-        (:meth:`ContinuousBatcher.ladder`) in ``padding="ladder"`` mode;
-        pass one built with ``window_us`` for a hold.
     config:
         The :class:`~repro.serving.config.ServingConfig`.  ``warm``
         (default True) eagerly builds every sparse projection's SpMM plan
         and pre-ranks the dispatch decisions of ``warm_buckets`` (sequence
         lengths here), so the first window pays neither operand preparation
-        nor the tuner sweep.  ``padding`` picks the default batcher's
-        buckets (``"exact"`` lengths or the ``"ladder"`` rungs); any batcher
-        is bit-exact per request, because each micro-batch runs as
-        equal-length groups.  When its ``sharding`` block is
-        enabled, the engine builds a
+        nor the tuner sweep.  ``padding`` picks the batcher's buckets
+        (``"exact"`` lengths or the ``"ladder"`` rungs, held per
+        ``scheduling``); either is bit-exact per request, because each
+        micro-batch runs as equal-length groups.  When its ``sharding``
+        block is enabled, the engine builds a
         :class:`~repro.serving.sharded.ShardedDispatcher` and solves
         min-cut placement for the encoder at construction.
     """
@@ -112,12 +105,11 @@ class ModelServingEngine(EngineCore):
         self,
         encoder: TransformerEncoder,
         dispatcher: Optional[KernelDispatcher] = None,
-        batcher: Optional[ContinuousBatcher] = None,
         config: Optional[ServingConfig] = None,
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
             raise TypeError("encoder must be a TransformerEncoder")
-        super().__init__("encoder", "encoder-serving", config, dispatcher, batcher)
+        super().__init__("encoder", "encoder-serving", config, dispatcher)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         self.padding = self.config.padding
@@ -135,7 +127,14 @@ class ModelServingEngine(EngineCore):
         self.plan_hits = 0
         self.plan_misses = 0
         if self.config.warm:
-            self.warm(self.config.warm_buckets)
+            # Build every sparse projection's plan and pre-rank the warm
+            # buckets.  Warm-time plan builds are *not* cache misses: the
+            # counters measure serving-time traffic, so a warmed engine
+            # serves with ``plan_misses == 0``.
+            self.dispatcher.warm_many(
+                [lin.operand for _, lin in self._sparse_layers()], cs=self.config.warm_buckets
+            )
+            self.plans.update(self.encoder.spmm_plan_registry())
 
     def _sparse_layers(self) -> List[Tuple[str, SparseLinear]]:
         """The encoder's *live* sparse projections.
@@ -148,21 +147,8 @@ class ModelServingEngine(EngineCore):
         return list(self.encoder.named_sparse_layers())
 
     # ------------------------------------------------------------------
-    # Warming / plan cache
+    # Plan cache
     # ------------------------------------------------------------------
-    def warm(self, buckets: Sequence[int] = ()) -> int:
-        """Build every sparse projection's plan and pre-rank ``buckets``.
-
-        Returns the number of operands warmed.  Warm-time plan builds are
-        *not* counted as cache misses — the counters measure serving-time
-        traffic, so a warmed engine serves with ``plan_misses == 0``.
-        """
-        warmed = self.dispatcher.warm_many(
-            [lin.operand for _, lin in self._sparse_layers()], cs=buckets
-        )
-        self.plans.update(self.encoder.spmm_plan_registry())
-        return warmed
-
     def _plan_for(self, qualified_name: str, layer: SparseLinear) -> SpmmPlan:
         """Registry lookup with hit/miss accounting (one per projection per batch).
 

@@ -1,10 +1,13 @@
 """Sharded multi-device dispatch for model serving.
 
 :class:`ShardedDispatcher` splits a served encoder across ``num_shards``
-simulated devices: every sparse projection is *owned* by exactly one shard
-(one :class:`~repro.kernels.dispatch.KernelDispatcher` per device, each
-with its own plan/decision caches and circuit breakers), and each
-projection's SpMM routes to its owner.  Ownership comes from the balanced
+simulated devices: every sparse projection is *owned* by exactly one shard,
+and each projection's SpMM is counted against its owner.  Sharding is a
+placement on one :class:`~repro.kernels.dispatch.KernelDispatcher` — one
+registry, one decision and estimate memo, one circuit breaker — because
+the shards are identical devices: plans are memoized on the weight and
+decisions and estimates are pure functions of the operand, so per-device
+copies would hold the same entries.  Ownership comes from the balanced
 min-cut placement of :mod:`repro.models.distributed` — per-shard modelled
 FLOP load stays balanced while the activation bytes crossing shard
 boundaries are minimised — and the traffic a placement implies (ring
@@ -14,52 +17,50 @@ point-to-point send/recv for every other cut edge) is priced with the
 ``comm``-category kernels on the serving trace.
 
 The bit-exactness guarantee is preserved by construction: sharding changes
-*where* each projection executes (which dispatcher owns its plan) and what
-communication is modelled, never the arithmetic — each SpMM still runs
-once, unsplit, through a standard :class:`KernelDispatcher`, so sharded
-serving output is bit-for-bit the single-device ``encoder.forward``.
+*where* each projection is accounted and what communication is modelled,
+never the arithmetic — each SpMM still runs once, unsplit, through the
+standard dispatch path, so sharded serving output is bit-for-bit the
+single-device ``encoder.forward``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..hardware.spec import NVLINK, GPUSpec, InterconnectSpec
 from ..hardware.trace import KernelExecution
-from ..kernels.dispatch import DispatchDecision, KernelDispatcher, SpmmOperand
+from ..kernels.dispatch import KernelDispatcher, SpmmOperand
 from ..models.distributed import (
     CommEvent,
     Placement,
     encoder_layer_graph,
     partition_min_cut,
-    partition_min_cut_reference,
     partition_round_robin,
     placement_comm_events,
 )
 
 #: Placement policies accepted by :meth:`ShardedDispatcher.bind_encoder`.
-PLACEMENT_POLICIES = ("min_cut", "min_cut_reference", "round_robin")
+PLACEMENT_POLICIES = ("min_cut", "round_robin")
 
 _PLACEMENT_SOLVERS = {
     "min_cut": partition_min_cut,
-    "min_cut_reference": partition_min_cut_reference,
     "round_robin": partition_round_robin,
 }
 
 
-class ShardedDispatcher:
-    """Route each projection's SpMM to its owning shard.
+class ShardedDispatcher(KernelDispatcher):
+    """A :class:`KernelDispatcher` with a shard placement over its operands.
 
-    Drop-in compatible with the :class:`KernelDispatcher` surface the
-    serving engines use (``execute`` / ``dispatch`` / ``estimate`` /
-    ``warm`` / ``warm_many`` / ``health_stats`` / ``cache_stats`` /
-    ``gpu``) — and the other way round, a plain dispatcher answers
+    Dispatch, estimates, warming, cache and health are the inherited
+    single-dispatcher ones; what a shard owns is added on top: the
+    operand -> shard placement, per-shard call counts and modelled load,
+    and the comm events the placement implies.  A plain dispatcher answers
     ``bind_encoder`` / ``attribute_modelled`` / ``comm_kernels`` /
-    ``sharding_stats`` as the ``tp_degree=1`` case — so engines never ask
-    which one they hold.
-    Operands not bound to any shard fall back to shard 0.
+    ``sharding_stats`` as the ``tp_degree=1`` case, so engines never ask
+    which one they hold.  Operands not bound to any shard fall back to
+    shard 0.
     """
 
     def __init__(
@@ -77,14 +78,10 @@ class ShardedDispatcher:
             raise ValueError(
                 f"unknown placement policy {placement_policy!r}; known: {PLACEMENT_POLICIES}"
             )
+        super().__init__(gpu=gpu, name=name, **dispatcher_kwargs)
         self.num_shards = num_shards
         self.link = link
         self.placement_policy = placement_policy
-        self.name = name
-        self.shards: List[KernelDispatcher] = [
-            KernelDispatcher(gpu=gpu, name=f"{name}.shard{i}", **dispatcher_kwargs)
-            for i in range(num_shards)
-        ]
         #: The placement solved by the last :meth:`bind_encoder` call.
         self.placement: Optional[Placement] = None
         #: Comm events one full forward pass implies under the placement.
@@ -102,11 +99,6 @@ class ShardedDispatcher:
         self.comm_time_us = 0.0
         self.comm_calls = 0
 
-    @property
-    def gpu(self) -> GPUSpec:
-        """The (shared) device model; all shards are identical devices."""
-        return self.shards[0].gpu
-
     # ------------------------------------------------------------------
     # Placement binding
     # ------------------------------------------------------------------
@@ -117,7 +109,7 @@ class ShardedDispatcher:
         policy, and maps every sparse projection's operand to its shard.
         Dense projections participate in the graph (they carry load and
         activation edges) but execute locally as before — only dispatched
-        SpMMs route.  Returns the solved :class:`Placement`.
+        SpMMs are counted per shard.  Returns the solved :class:`Placement`.
         """
         graph = encoder_layer_graph(encoder)
         placement = _PLACEMENT_SOLVERS[self.placement_policy](graph, self.num_shards)
@@ -139,63 +131,12 @@ class ShardedDispatcher:
         """Qualified layer name the operand was bound as, if any."""
         return self._layer.get(id(operand))
 
-    # ------------------------------------------------------------------
-    # KernelDispatcher-compatible surface
-    # ------------------------------------------------------------------
     def execute(
         self, operand: SpmmOperand, b: np.ndarray, bias: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        shard = self.shard_of(operand)
-        self.shard_calls[shard] += 1
-        return self.shards[shard].execute(operand, b, bias=bias)
-
-    def dispatch(self, operand: SpmmOperand, c: int) -> DispatchDecision:
-        return self.shards[self.shard_of(operand)].dispatch(operand, c)
-
-    def estimate(self, operand: SpmmOperand, c: int, backend: Optional[str] = None):
-        return self.shards[self.shard_of(operand)].estimate(operand, c, backend=backend)
-
-    def warm(self, operand: SpmmOperand, cs: Sequence[int] = ()) -> None:
-        self.shards[self.shard_of(operand)].warm(operand, cs)
-
-    def warm_many(self, operands: Sequence[SpmmOperand], cs: Sequence[int] = ()) -> int:
-        per_shard: Dict[int, List[SpmmOperand]] = {}
-        for op in operands:
-            per_shard.setdefault(self.shard_of(op), []).append(op)
-        return sum(
-            self.shards[shard].warm_many(ops, cs) for shard, ops in sorted(per_shard.items())
-        )
-
-    def health_stats(self) -> Dict[str, object]:
-        """Circuit-breaker counters summed across shards.
-
-        Scalar counters add up; ``quarantined`` unions (shard-qualified).
-        """
-        merged: Dict[str, object] = {
-            "failures": 0,
-            "failovers": 0,
-            "quarantines": 0,
-            "readmissions": 0,
-            "quarantined": [],
-        }
-        for i, shard in enumerate(self.shards):
-            stats = shard.health_stats()
-            for key in ("failures", "failovers", "quarantines", "readmissions"):
-                merged[key] += stats[key]
-            merged["quarantined"].extend(f"shard{i}:{b}" for b in stats["quarantined"])
-        return merged
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Decision/estimate-cache counters summed across shards."""
-        totals: Dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.cache_stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def clear_cache(self) -> None:
-        for shard in self.shards:
-            shard.clear_cache()
+        """Count the call against the operand's shard, then execute it."""
+        self.shard_calls[self.shard_of(operand)] += 1
+        return super().execute(operand, b, bias=bias)
 
     # ------------------------------------------------------------------
     # Load and communication accounting

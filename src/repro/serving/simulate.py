@@ -34,7 +34,6 @@ from .batcher import Request
 from .config import ServingConfig
 from .engine import ServingEngine
 from .faults import OUTCOME_OK, OUTCOME_SHED, OUTCOME_STATES, OUTCOME_TIMED_OUT, FaultInjector, FaultPlan
-from .sharded import ShardedDispatcher
 from ..hardware.trace import ExecutionTrace
 from ..kernels.dispatch import BackendExecutionError, CircuitBreaker, KernelDispatcher, SpmmOperand
 
@@ -481,14 +480,16 @@ class ModelledEngine(ServingEngine):
     ``plan`` says so.  A served batch is traced on the backend that served
     it, and its output per request is the instant it finished.
 
-    ``config`` is read as a model engine reads it (the batcher is
-    ``config.build_batcher(kind="encoder")``; a sharded config builds the
-    dispatcher; an unnamed engine is ``"simulate"``), with ``warm`` off:
-    it never builds a plan or runs an SpMM.  Each run owns its
-    :class:`CircuitBreaker`, with the thresholds of the dispatcher serving
-    the operand, so a dispatcher shared across a sweep carries decisions
-    and estimates between runs, never backend health.
+    ``config`` is read as a model engine reads it (the batcher and the
+    default dispatcher are those of ``kind="encoder"``: a private or, under
+    a sharded config, a sharded one; an unnamed engine is ``"simulate"``),
+    with ``warm`` off: it never builds a plan or runs an SpMM.  Each run
+    owns its :class:`CircuitBreaker`, with the dispatcher's thresholds, so
+    a dispatcher shared across a sweep carries decisions and estimates
+    between runs, never backend health.
     """
+
+    kind = "encoder"
 
     def __init__(
         self,
@@ -500,17 +501,11 @@ class ModelledEngine(ServingEngine):
         if config.kv_budget_blocks is not None:
             raise ValueError("kv_budget_blocks is decode admission; simulated requests hold no KV")
         config = replace(config, name=config.name or "simulate", warm=False)
-        if dispatcher is None:
-            dispatcher = config.build_dispatcher(name=config.name) or KernelDispatcher()
-        super().__init__(
-            operand, dispatcher=dispatcher, batcher=config.build_batcher(kind="encoder"), config=config
-        )
+        super().__init__(operand, dispatcher=dispatcher, config=config)
         self.injector = FaultInjector(plan if plan is not None else FaultPlan())
-        # The thresholds of the dispatcher serving the operand; the health is this run's own.
-        owner = dispatcher
-        if isinstance(owner, ShardedDispatcher):
-            owner = owner.shards[owner.shard_of(operand)]
-        self.breaker = CircuitBreaker(owner.breaker.failure_threshold, owner.breaker.probe_interval)
+        # The dispatcher's thresholds; the health is this run's own.
+        shared = self.dispatcher.breaker
+        self.breaker = CircuitBreaker(shared.failure_threshold, shared.probe_interval)
         #: Micro-batches charged to the stream, served or failed.
         self.charged_batches = 0
 

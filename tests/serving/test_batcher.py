@@ -58,6 +58,14 @@ def fresh_engine(vnm_weight, bias, **kwargs):
     return ServingEngine(vnm_weight, bias=bias, dispatcher=KernelDispatcher(), **kwargs)
 
 
+def held_engine(vnm_weight, bias, token_buckets, window_us, **knobs):
+    """An engine whose buckets are held ``window_us`` (``scheduling="async"``)."""
+    config = ServingConfig(
+        scheduling="async", token_buckets=token_buckets, window_us=window_us, **knobs
+    )
+    return fresh_engine(vnm_weight, bias, config=config)
+
+
 class TestBucketing:
     def test_token_bucket_rounds_up(self):
         batcher = ContinuousBatcher(token_buckets=(8, 32, 128))
@@ -333,13 +341,7 @@ class TestHoldRule:
         ]
         for window_us in (25.0, 300.0, 5000.0):
             for arrivals in arrival_patterns:
-                engine = fresh_engine(
-                    vnm_weight,
-                    bias,
-                    batcher=ContinuousBatcher(
-                        token_buckets=(8, 32, 64), window_us=window_us
-                    ),
-                )
+                engine = held_engine(vnm_weight, bias, (8, 32, 64), window_us)
                 results = engine.serve_continuous(self._timed(reqs, arrivals))
                 assert set(results) == set(baseline)
                 for rid in baseline:
@@ -350,8 +352,8 @@ class TestHoldRule:
                     )
 
     def test_hold_releases_only_waited_buckets(self, rng, vnm_weight):
-        batcher = ContinuousBatcher(token_buckets=(8, 32), window_us=100.0)
-        engine = fresh_engine(vnm_weight, None, batcher=batcher)
+        engine = held_engine(vnm_weight, None, (8, 32), 100.0)
+        batcher = engine.batcher
         early, late = self._timed(make_requests(rng, [5, 20]), [0.0, 90.0])
         engine.submit(early)
         engine.submit(late)
@@ -370,8 +372,7 @@ class TestHoldRule:
 
     def test_bucket_deadline_tracks_oldest_member(self, rng, vnm_weight):
         """A late same-bucket joiner must not extend the bucket's hold."""
-        batcher = ContinuousBatcher(token_buckets=(8, 32), window_us=100.0)
-        engine = fresh_engine(vnm_weight, None, batcher=batcher)
+        engine = held_engine(vnm_weight, None, (8, 32), 100.0)
         first, second = self._timed(make_requests(rng, [17, 20]), [10.0, 95.0])
         engine.submit(first)
         engine.submit(second)
@@ -384,8 +385,8 @@ class TestHoldRule:
         """Arrivals that fill the rung's free slots release the bucket at
         once, long before the hold would end; the rest of the queue waits
         on its own head's window."""
-        batcher = ContinuousBatcher(token_buckets=(8,), max_batch_size=2, window_us=1000.0)
-        engine = fresh_engine(vnm_weight, None, batcher=batcher)
+        engine = held_engine(vnm_weight, None, (8,), 1000.0, max_batch_size=2)
+        batcher = engine.batcher
         reqs = self._timed(make_requests(rng, [4, 4, 4]), [0.0, 10.0, 20.0])
         for req in reqs:
             engine.submit(req)
@@ -397,8 +398,7 @@ class TestHoldRule:
         assert set(engine.step(1020.0)) == {reqs[2].request_id}
 
     def test_ids_free_after_held_bucket_runs(self, rng, vnm_weight):
-        batcher = ContinuousBatcher(token_buckets=(8,), window_us=10.0)
-        engine = fresh_engine(vnm_weight, None, batcher=batcher)
+        engine = held_engine(vnm_weight, None, (8,), 10.0)
         (req,) = make_requests(rng, [4])
         engine.submit(req)
         engine.step(1000.0)
@@ -407,9 +407,7 @@ class TestHoldRule:
             engine.submit(req)  # but not while it is pending
 
     def _serve_held(self, rng, vnm_weight, tokens, arrivals, deadlines=None):
-        engine = fresh_engine(
-            vnm_weight, None, batcher=ContinuousBatcher(token_buckets=(8, 64), window_us=100.0)
-        )
+        engine = held_engine(vnm_weight, None, (8, 64), 100.0)
         deadlines = deadlines or [None] * len(tokens)
         engine.serve_continuous(
             Request(rid, rng.normal(size=(t, K_FEATURES)).astype(np.float32), arrival_us=a, deadline_us=d)
@@ -443,9 +441,7 @@ class TestHoldRule:
     def test_arrival_at_the_close_instant_joins_the_chunk(self, rng, vnm_weight):
         """Arrivals are inclusive: a request landing exactly when its
         bucket's hold ends is admitted before that step and rides along."""
-        engine = fresh_engine(
-            vnm_weight, None, batcher=ContinuousBatcher(token_buckets=(8,), window_us=100.0)
-        )
+        engine = held_engine(vnm_weight, None, (8,), 100.0)
         reqs = self._timed(make_requests(rng, [4, 4]), [0.0, 100.0])
         engine.serve_continuous(reqs)
         assert engine.total_batches == 1

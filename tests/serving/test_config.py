@@ -110,6 +110,19 @@ class TestServingConfig:
             assert isinstance(plain, ContinuousBatcher) and plain.window_us == 0.0
             assert isinstance(held, ContinuousBatcher) and held.window_us == 250.0
 
+    def test_build_batcher_picks_the_buckets(self):
+        """The one place buckets are chosen: ``(1,)`` for an exact-length
+        encoder, else ``token_buckets`` or the default ladder."""
+        ladder = ContinuousBatcher.ladder().token_buckets
+        assert ServingConfig().build_batcher(kind="encoder").token_buckets == (1,)
+        for kind in ("operand", "decoder"):
+            assert ServingConfig().build_batcher(kind=kind).token_buckets == ladder
+        for kind in ("operand", "encoder", "decoder"):
+            laddered = ServingConfig(padding="ladder").build_batcher(kind=kind)
+            assert laddered.token_buckets == ladder
+            custom = ServingConfig(padding="ladder", token_buckets=(4, 8))
+            assert custom.build_batcher(kind=kind).token_buckets == (4, 8)
+
     def test_exact_padding_rejects_token_buckets(self):
         with pytest.raises(ValueError):
             ServingConfig(token_buckets=(8, 16)).build_batcher(kind="encoder")
@@ -166,11 +179,13 @@ class TestCreateEngine:
         assert out["r0"].shape == (5, HIDDEN)
 
     def test_explicit_kwargs_win_over_config(self, operand):
-        batcher = ContinuousBatcher(max_batch_size=3)
+        dispatcher = KernelDispatcher()
         engine = create_engine(
-            operand, config=ServingConfig(max_batch_size=64), batcher=batcher
+            operand,
+            config=ServingConfig(sharding=ShardingConfig(tp_degree=2)),
+            dispatcher=dispatcher,
         )
-        assert engine.batcher is batcher
+        assert engine.dispatcher is dispatcher
 
 
 class TestDeprecatedKwargs:
@@ -181,6 +196,8 @@ class TestDeprecatedKwargs:
             (DecoderServingEngine, "block_size", 8),
             (DecoderServingEngine, "capacity_blocks", 64),
             (DecoderServingEngine, "kv_budget_blocks", 32),
+            (ModelServingEngine, "batcher", ContinuousBatcher()),
+            (DecoderServingEngine, "batcher", ContinuousBatcher()),
         ],
     )
     def test_removed_engine_keywords_raise(self, engine_cls, kwarg, value):
@@ -267,9 +284,16 @@ class TestEngineCoreContract:
         assert admission["policy"] == "fcfs"
         assert admission["per_class"] == {0: ZEROED_CLASS}
 
-    def test_engines_refuse_a_non_continuous_batcher(self, kind, operand):
-        with pytest.raises(TypeError, match="ContinuousBatcher"):
-            build_engine(kind, operand, batcher=object())
+    def test_sharded_dispatcher_is_one_kernel_dispatcher(self, kind, operand):
+        """Sharding is a placement on one dispatcher: the engine holds a
+        ``KernelDispatcher`` whatever the topology, with one memo and one
+        breaker for every shard."""
+        target = operand if kind == "operand" else make_encoder()
+        config = ServingConfig(sharding=ShardingConfig(tp_degree=2))
+        engine = create_engine(target, config=config, kind=kind)
+        assert isinstance(engine.dispatcher, ShardedDispatcher)
+        assert isinstance(engine.dispatcher, KernelDispatcher)
+        assert engine.stats()["sharding"]["tp_degree"] == 2
 
     def test_replay_with_no_ok_request_terminates_with_one_outcome_each(
         self, kind, operand, rng
@@ -280,14 +304,14 @@ class TestEngineCoreContract:
         advances by ``step_us`` after an *executed* step even when nothing
         came out ok (the one-step engines used to advance only ``if out``,
         which ran the second rung's batch at t=0)."""
-        engine = build_engine(kind, operand, ServingConfig(scheduling="continuous"))
+        engine = build_engine(kind, operand, ServingConfig(scheduling="continuous", step_us=10.0))
         plan = FaultPlan(
             [FaultSpec(backend.name, "persistent") for backend in engine.dispatcher.backends]
         )
         FaultInjector(plan).arm(engine.dispatcher)
         # Two rungs, both arrived at t=0: two steps, one batch each.
         requests = [make_request(kind, "a", rng, 4), make_request(kind, "b", rng, 12)]
-        results = engine.serve_continuous(requests, step_us=10.0)
+        results = engine.serve_continuous(requests)
         assert results == {}
         assert sorted(engine.outcomes) == ["a", "b"]
         assert {o.status for o in engine.outcomes.values()} == {"failed"}

@@ -1,8 +1,7 @@
 """Continuous batching: scheduling tests and the arrival-invariance property.
 
 The serving property under test: the continuous step loop — admission
-between steps, one
-batched (masked) forward per step — changes *when* requests execute and
+between steps, one micro-batch per step — changes *when* requests execute and
 *who* shares their micro-batch, never their numbers.  Serving N requests
 continuously is bit-for-bit N sequential ``encoder.forward`` calls for
 every arrival interleaving, step cadence, and exact/ladder mode; and the
@@ -52,16 +51,10 @@ def make_requests(rng, lengths, arrivals=None, prefix="req"):
     ]
 
 
-def continuous_engine(padding="ladder", num_layers=1, **batcher_kwargs):
-    batcher = (
-        ContinuousBatcher.ladder(**batcher_kwargs)
-        if padding == "ladder"
-        else ContinuousBatcher.exact_length(**batcher_kwargs)
-    )
+def continuous_engine(padding="ladder", num_layers=1, **knobs):
     return ModelServingEngine(
         make_encoder(num_layers),
-        config=ServingConfig(padding=padding, name=f"cont-{padding}"),
-        batcher=batcher,
+        config=ServingConfig(padding=padding, name=f"cont-{padding}", **knobs),
     )
 
 
@@ -301,12 +294,12 @@ class TestContinuousServingBitExactness:
         ).serve(requests)
         for arrivals in self.ARRIVAL_PATTERNS:
             for step_us in (0.0, 75.0, 1500.0):
-                engine = continuous_engine(padding)
+                engine = continuous_engine(padding, step_us=step_us)
                 timed = [
                     Request(r.request_id, r.activations, arrival_us=a)
                     for r, a in zip(requests, arrivals)
                 ]
-                results = engine.serve_continuous(timed, step_us=step_us)
+                results = engine.serve_continuous(timed)
                 assert set(results) == set(baseline)
                 for rid in baseline:
                     assert np.array_equal(results[rid], baseline[rid]), (
@@ -319,11 +312,11 @@ class TestContinuousServingBitExactness:
     def test_continuous_equals_sequential_forward(self, rng):
         """Direct form of the guarantee: each served output equals the
         standalone encoder.forward of that request, bit for bit."""
-        engine = continuous_engine("ladder", num_layers=2)
+        engine = continuous_engine("ladder", num_layers=2, step_us=25.0)
         requests = make_requests(
             rng, [3, 7, 9, 16, 17, 33], arrivals=[0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
         )
-        results = engine.serve_continuous(requests, step_us=25.0)
+        results = engine.serve_continuous(requests)
         for request in requests:
             sequential = engine.encoder.forward(request.activations[None])[0]
             assert np.array_equal(results[request.request_id], sequential), request.request_id
@@ -338,8 +331,8 @@ class TestContinuousServingBitExactness:
             for i, t in enumerate([5, 17, 17, 30])
         ]
         baseline = ServingEngine(operand).serve(requests)
-        engine = ServingEngine(operand, batcher=ContinuousBatcher())
-        results = engine.serve_continuous(requests, step_us=50.0)
+        engine = ServingEngine(operand, config=ServingConfig(step_us=50.0))
+        results = engine.serve_continuous(requests)
         for rid in baseline:
             assert np.array_equal(results[rid], baseline[rid]), rid
         assert engine.steps_executed >= 1
@@ -362,12 +355,12 @@ def run_slo_golden_cell(rng, padding, policy, arrivals, step_us, classes=None):
     ).serve(requests)
     classes = classes if classes is not None else [i % 3 for i in range(len(lengths))]
     scheduling = SchedulingConfig(policy=policy, class_weights=(1, 2, 4))
-    engine = continuous_engine(padding, scheduling=scheduling)
+    engine = continuous_engine(padding, step_us=step_us, scheduling_policy=scheduling)
     timed = [
         Request(r.request_id, r.activations, arrival_us=a, priority_class=c)
         for r, a, c in zip(requests, arrivals, classes)
     ]
-    results = engine.serve_continuous(timed, step_us=step_us)
+    results = engine.serve_continuous(timed)
     assert set(results) == set(baseline)
     for rid in baseline:
         assert np.array_equal(results[rid], baseline[rid]), (
@@ -418,15 +411,15 @@ class TestSLOSchedulingBitExactness:
         in the earliest step despite arriving last) while outputs stay
         bit-exact — scheduling moved work, never numerics."""
         engine = continuous_engine(
-            "ladder", max_batch_size=1,
-            scheduling=SchedulingConfig(policy="priority"),
+            "ladder", step_us=10.0, max_batch_size=1,
+            scheduling_policy=SchedulingConfig(policy="priority"),
         )
         low_a, low_b = make_requests(rng, [5, 6], arrivals=[0.0, 0.0], prefix="low")
         (vip,) = make_requests(rng, [7], arrivals=[0.0], prefix="vip")
         # Same instant, submitted last, lowest id-rank loses under FCFS —
         # only the class can put it first.
         vip = Request(vip.request_id, vip.activations, arrival_us=0.0, priority_class=2)
-        results = engine.serve_continuous([low_a, low_b, vip], step_us=10.0)
+        results = engine.serve_continuous([low_a, low_b, vip])
         recs = engine.completions
         assert recs["vip-0000"].step <= min(
             recs["low-0000"].step, recs["low-0001"].step
@@ -443,9 +436,9 @@ class TestCompletionMetadata:
         runs = []
         for _ in range(2):
             req_rng = np.random.default_rng(7)
-            engine = continuous_engine("ladder")
+            engine = continuous_engine("ladder", step_us=50.0)
             requests = make_requests(req_rng, lengths, arrivals)
-            engine.serve_continuous(requests, step_us=50.0)
+            engine.serve_continuous(requests)
             runs.append(dict(engine.completions))
         assert runs[0] == runs[1]
         records = runs[0]
@@ -479,10 +472,10 @@ class TestCompletionMetadata:
         """Chunked rung-mates complete across steps: the first chunk leaves,
         the remainder merges with a later arrival instead of waiting for a
         window."""
-        engine = continuous_engine("ladder", max_batch_size=2)
+        engine = continuous_engine("ladder", step_us=40.0, max_batch_size=2)
         first_wave = make_requests(rng, [3, 5, 7], arrivals=[0.0, 0.0, 0.0])
         (joiner,) = make_requests(rng, [8], arrivals=[30.0], prefix="join")
-        results = engine.serve_continuous(first_wave + [joiner], step_us=40.0)
+        results = engine.serve_continuous(first_wave + [joiner])
         assert len(results) == 4
         recs = engine.completions
         assert recs["req-0000"].step == recs["req-0001"].step == 0
@@ -492,28 +485,6 @@ class TestCompletionMetadata:
 
 
 class TestContinuousApi:
-    def test_negative_cadence_rejected(self, rng):
-        engine = continuous_engine("ladder")
-        with pytest.raises(ValueError, match="step_us"):
-            engine.serve_continuous(make_requests(rng, [5]), step_us=-1.0)
-
-    def test_exact_mode_serves_a_padding_continuous_batcher_bit_exact(self, rng):
-        """padding='exact' + a ladder continuous batcher: the engine runs
-        each rung's micro-batch as equal-length groups, so every request is
-        bit-equal to its sequential forward."""
-        encoder = make_encoder()
-        engine = ModelServingEngine(
-            encoder,
-            config=ServingConfig(padding="exact"),
-            batcher=ContinuousBatcher.ladder(),
-        )
-        requests = make_requests(rng, [5, 8, 5, 3], arrivals=[0.0, 0.0, 10.0, 20.0])
-        results = engine.serve_continuous(requests)  # 3, 5 and 8 share rung 8
-        assert set(results) == {req.request_id for req in requests}
-        for req in requests:
-            expected = encoder.forward(req.activations[None])[0]
-            assert results[req.request_id].tobytes() == expected.tobytes()
-
     def test_idle_step_returns_empty(self):
         engine = continuous_engine("ladder")
         assert engine.step(0.0) == {}

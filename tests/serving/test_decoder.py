@@ -19,7 +19,6 @@ import pytest
 from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
-    ContinuousBatcher,
     DecodeRequest,
     DecoderServingEngine,
     Request,
@@ -53,12 +52,10 @@ def make_decode_requests(rng, prompt_lengths, new_tokens, arrivals):
 
 
 def decoder_engine(encoder, padding="ladder", **kwargs):
-    batcher = (
-        ContinuousBatcher.ladder()
-        if padding == "ladder"
-        else ContinuousBatcher.exact_length()
-    )
-    return DecoderServingEngine(encoder, batcher=batcher, config=ServingConfig(**kwargs))
+    """A decoder on the default ladder, or on exact-length buckets."""
+    if padding == "exact":
+        kwargs["token_buckets"] = (1,)
+    return DecoderServingEngine(encoder, config=ServingConfig(**kwargs))
 
 
 def arrivals_for(pattern, n):
@@ -75,12 +72,14 @@ def arrivals_for(pattern, n):
 def run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us):
     """One golden-matrix cell: serve cached, compare against recompute."""
     encoder = make_encoder(num_layers=num_layers)
-    engine = decoder_engine(encoder, padding=padding, block_size=4, capacity_blocks=256)
+    engine = decoder_engine(
+        encoder, padding=padding, block_size=4, capacity_blocks=256, step_us=step_us
+    )
     new_tokens = [3 + (i % 3) for i in range(len(prompt_lengths))]
     requests = make_decode_requests(
         rng, prompt_lengths, new_tokens, arrivals_for(pattern, len(prompt_lengths))
     )
-    results = engine.serve_continuous(requests, step_us=step_us)
+    results = engine.serve_continuous(requests)
     assert sorted(results) == sorted(r.request_id for r in requests)
     for req in requests:
         expected = decode_reference(encoder, req.prompt, req.new_tokens)
@@ -164,14 +163,14 @@ class TestDecodeReference:
 class TestPrefixSharing:
     def test_shared_prompt_skips_prefill_and_keeps_bits(self, rng):
         encoder = make_encoder(num_layers=2)
-        engine = decoder_engine(encoder, block_size=4, capacity_blocks=128)
+        engine = decoder_engine(encoder, block_size=4, capacity_blocks=128, step_us=5.0)
         prompt = rng.normal(size=(9, HIDDEN)).astype(np.float32)
         requests = [
             DecodeRequest("owner", prompt, new_tokens=5, arrival_us=0.0),
             DecodeRequest("sharer-1", prompt.copy(), new_tokens=5, arrival_us=10.0),
             DecodeRequest("sharer-2", prompt.copy(), new_tokens=3, arrival_us=20.0),
         ]
-        results = engine.serve_continuous(requests, step_us=5.0)
+        results = engine.serve_continuous(requests)
         expected = decode_reference(encoder, prompt, 5)
         # Same prompt => identical generated rows (prefix length permitting),
         # whether the sequence prefilled or attached to the shared blocks.
@@ -208,9 +207,7 @@ class TestPrefixSharing:
 class TestRungOccupancy:
     def test_full_rung_defers_but_other_rungs_schedule(self, rng):
         encoder = make_encoder()
-        engine = DecoderServingEngine(
-            encoder, batcher=ContinuousBatcher.ladder(max_batch_size=1)
-        )
+        engine = DecoderServingEngine(encoder, config=ServingConfig(max_batch_size=1))
         a = DecodeRequest("occ-a", rng.normal(size=(5, HIDDEN)).astype(np.float32), 4)
         b = DecodeRequest("occ-b", rng.normal(size=(6, HIDDEN)).astype(np.float32), 2)
         c = DecodeRequest("occ-c", rng.normal(size=(40, HIDDEN)).astype(np.float32), 2)
@@ -292,10 +289,13 @@ class TestPreemptionGoldenCells:
         )
         return DecoderServingEngine(
             make_encoder(),
-            batcher=ContinuousBatcher.ladder(
-                max_batch_size=1, scheduling=scheduling
+            config=ServingConfig(
+                max_batch_size=1,
+                step_us=1.0,
+                block_size=4,
+                capacity_blocks=128,
+                scheduling_policy=scheduling,
             ),
-            config=ServingConfig(block_size=4, capacity_blocks=128),
         )
 
     def test_preempted_decode_resumes_bit_exact_from_retained_kv(self, rng):
@@ -313,7 +313,7 @@ class TestPreemptionGoldenCells:
         # class can only run by evicting the mid-flight low decode.
         key = engine.batcher.bucket_key(low.as_request())
         assert key == engine.batcher.bucket_key(high.as_request())
-        results = engine.serve_continuous([low, high], step_us=1.0)
+        results = engine.serve_continuous([low, high])
         assert engine.preemptions >= 1
         assert engine.resumes >= 1
         # The high class finished first despite arriving mid-decode...
@@ -345,7 +345,7 @@ class TestPreemptionGoldenCells:
                 )
                 for i in range(5)
             ]
-            engine.serve_continuous(reqs, step_us=1.0)
+            engine.serve_continuous(reqs)
             return (
                 engine.preemptions,
                 engine.resumes,
@@ -367,7 +367,7 @@ class TestPreemptionGoldenCells:
             "vip", rng.normal(size=(6, HIDDEN)).astype(np.float32),
             new_tokens=8, arrival_us=1.0, priority_class=1,
         )
-        results = engine.serve_continuous([low, high], step_us=1.0)
+        results = engine.serve_continuous([low, high])
         assert engine.preemptions >= 1
         assert engine.resumes == 0  # the victim never came back
         assert engine.outcomes["doomed"].status == "timed_out"
@@ -391,7 +391,7 @@ class TestPreemptionGoldenCells:
             "peer-b", rng.normal(size=(6, HIDDEN)).astype(np.float32),
             new_tokens=2, arrival_us=1.0, priority_class=1,
         )
-        results = engine.serve_continuous([a, b], step_us=1.0)
+        results = engine.serve_continuous([a, b])
         assert engine.preemptions == 0
         assert len(results) == 2
         assert (
@@ -631,11 +631,11 @@ class TestDecoderIntakeAndStats:
 
     def test_completion_records_are_deterministic(self, rng):
         def run():
-            engine = decoder_engine(make_encoder())
+            engine = decoder_engine(make_encoder(), step_us=2.0)
             requests = make_decode_requests(
                 rng_local, (5, 12, 5), (3, 2, 4), arrivals_for("staggered", 3)
             )
-            engine.serve_continuous(requests, step_us=2.0)
+            engine.serve_continuous(requests)
             return {
                 rid: (rec.step, rec.rung, rec.batch_size, rec.completed_us)
                 for rid, rec in engine.completions.items()

@@ -30,7 +30,6 @@ from repro.serving import (
     OUTCOME_FAILED,
     OUTCOME_SHED,
     OUTCOME_TIMED_OUT,
-    ContinuousBatcher,
     DecodeRequest,
     DecoderServingEngine,
     FaultInjector,
@@ -209,11 +208,7 @@ class TestInjectorFailover:
 
 class TestEngineOutcomes:
     def test_expired_deadline_reports_timed_out(self, vnm_weight, rng):
-        engine = ServingEngine(
-            vnm_weight,
-            dispatcher=KernelDispatcher(),
-            batcher=ContinuousBatcher.ladder(),
-        )
+        engine = ServingEngine(vnm_weight, dispatcher=KernelDispatcher())
         live, doomed = make_requests(rng, [5, 5], prefix="dl")
         doomed = Request(
             doomed.request_id, doomed.activations, arrival_us=0.0, deadline_us=10.0
@@ -231,7 +226,7 @@ class TestEngineOutcomes:
         engine = ServingEngine(
             vnm_weight,
             dispatcher=KernelDispatcher(),
-            batcher=ContinuousBatcher.ladder(max_batch_size=4, max_queue_depth=2),
+            config=ServingConfig(max_batch_size=4, max_queue_depth=2),
         )
         requests = make_requests(rng, [5, 5, 5], prefix="ovl")
         for req in requests:
@@ -323,7 +318,7 @@ class TestModelEngineUnderFaults:
         requests of the wrong width queued straight on the batcher, past
         ``submit``'s validation — records every popped request ``failed``
         on the way out instead of letting them vanish."""
-        engine = ModelServingEngine(self._encoder(), batcher=ContinuousBatcher.ladder())
+        engine = ModelServingEngine(self._encoder(), config=ServingConfig(padding="ladder"))
         for i, t in enumerate([5, 7]):
             engine.batcher.submit(
                 Request(f"bad-{i}", rng.normal(size=(t, HIDDEN + 1)).astype(np.float32))
@@ -345,11 +340,7 @@ class TestModelEngineUnderFaults:
         baseline_encoder = self._encoder()
         expected = [baseline_encoder.forward(x[None])[0] for x in payloads]
 
-        engine = ModelServingEngine(
-            self._encoder(),
-            config=ServingConfig(padding="ladder"),
-            batcher=ContinuousBatcher.ladder(),
-        )
+        engine = ModelServingEngine(self._encoder(), config=ServingConfig(padding="ladder"))
         plan = FaultPlan.seeded(
             [b.name for b in engine.dispatcher.backends],
             seed=FAULT_SEED,
@@ -468,9 +459,10 @@ class TestDecoderEngineUnderFaults:
             local = np.random.default_rng(FAULT_SEED + 7)
             engine = DecoderServingEngine(
                 self._encoder(),
-                batcher=ContinuousBatcher.ladder(
+                config=ServingConfig(
                     max_batch_size=1,
-                    scheduling=SchedulingConfig(policy="priority", preemption=True),
+                    step_us=1.0,
+                    scheduling_policy=SchedulingConfig(policy="priority", preemption=True),
                 ),
             )
             plan = FaultPlan.seeded(
@@ -480,7 +472,7 @@ class TestDecoderEngineUnderFaults:
             )
             FaultInjector(plan).arm(engine.dispatcher)
             requests = build_requests(local)
-            results = engine.serve_continuous(requests, step_us=1.0)
+            results = engine.serve_continuous(requests)
             return engine, requests, results
 
         first_engine, requests, first_results = run()

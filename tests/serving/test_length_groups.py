@@ -45,11 +45,11 @@ def make_requests(rng, lengths, arrivals=None):
     ]
 
 
-def ladder_engine(encoder, min_rung=8, max_rung=16):
+def ladder_engine(encoder):
+    """A ladder engine on the two rungs 8 and 16 (longer requests run at
+    their own exact bucket)."""
     return ModelServingEngine(
-        encoder,
-        config=ServingConfig(padding="ladder"),
-        batcher=ContinuousBatcher.ladder(min_rung=min_rung, max_rung=max_rung),
+        encoder, config=ServingConfig(padding="ladder", token_buckets=(8, 16))
     )
 
 
@@ -198,12 +198,13 @@ class TestGroupedExecution:
             config=ServingConfig(
                 padding="ladder",
                 scheduling=scheduling,
+                step_us=10.0,
                 sharding=ShardingConfig(tp_degree=tp_degree),
             ),
         )
         lengths = [3, 12, 9, 3, 16, 5, 12, 20]
         requests = make_requests(rng, lengths, arrivals=[0.0, 0.0, 5.0, 5.0, 40.0, 41.0, 90.0, 90.0])
-        results = engine.serve_continuous(requests, step_us=10.0)
+        results = engine.serve_continuous(requests)
         assert_sequential_bits(encoder, requests, results)
         assert engine.stats()["padding"]["valid_tokens"] == sum(lengths)
 

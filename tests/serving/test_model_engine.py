@@ -30,7 +30,6 @@ from repro.kernels.dispatch import (
 )
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
-    ContinuousBatcher,
     ModelServingEngine,
     Request,
     ServingConfig,
@@ -222,24 +221,18 @@ def assert_continuous_golden_cell(pattern, lengths, backend, arrival_idx, step_u
     arrivals = arrival_interleavings(len(lengths))[arrival_idx]
     for padding in ("exact", "ladder"):
         encoder = make_encoder(pattern, 1)
-        batcher = (
-            ContinuousBatcher.ladder()
-            if padding == "ladder"
-            else ContinuousBatcher.exact_length()
-        )
         engine = ModelServingEngine(
             encoder,
             dispatcher=backend_dispatcher(backend),
             config=ServingConfig(
-                padding=padding, name=f"golden-continuous-{padding}-{backend}"
+                padding=padding, step_us=step_us, name=f"golden-continuous-{padding}-{backend}"
             ),
-            batcher=batcher,
         )
         requests = [
             Request(r.request_id, r.activations, arrival_us=a)
             for r, a in zip(make_requests(rng, lengths), arrivals)
         ]
-        results = engine.serve_continuous(requests, step_us=step_us)
+        results = engine.serve_continuous(requests)
         assert set(results) == {r.request_id for r in requests}
         for request in requests:
             sequential = encoder.forward(request.activations[None])[0]
@@ -314,8 +307,7 @@ class TestGoldenMatrix:
         for window_us in (25.0, 400.0):
             engine = ModelServingEngine(
                 encoder,
-                config=ServingConfig(padding="ladder"),
-                batcher=ContinuousBatcher.ladder(window_us=window_us),
+                config=ServingConfig(scheduling="async", padding="ladder", window_us=window_us),
             )
             timed = [
                 Request(r.request_id, r.activations, arrival_us=i * 50.0)
@@ -341,7 +333,7 @@ class TestGoldenMatrix:
         one_window = ModelServingEngine(encoder).serve(requests)
         for window_us in (25.0, 400.0):
             engine = ModelServingEngine(
-                encoder, batcher=ContinuousBatcher.exact_length(window_us=window_us)
+                encoder, config=ServingConfig(scheduling="async", window_us=window_us)
             )
             timed = [
                 Request(r.request_id, r.activations, arrival_us=i * 50.0)
@@ -351,6 +343,19 @@ class TestGoldenMatrix:
             for rid in one_window:
                 assert np.array_equal(results[rid], one_window[rid]), (window_us, rid)
 
+    def test_exact_mode_pads_nothing(self, rng):
+        """The padding block and the batcher come from one config: exact
+        mode buckets every length alone, so a ragged window fills every
+        bucket row."""
+        engine = ModelServingEngine(make_encoder((16, 2, 8), 1))
+        engine.serve(make_requests(rng, [5, 8, 3, 5, 12]))
+        assert engine.batcher.token_buckets == (1,)
+        assert engine.stats()["padding"] == {
+            "mode": "exact",
+            "valid_tokens": 33,
+            "bucket_tokens": 33,
+            "fill": 1.0,
+        }
 
 class TestPlanCache:
     def test_cold_engine_counts_misses_then_hits(self, rng):
@@ -428,21 +433,6 @@ class TestDispatcherIsolation:
         engine = ModelServingEngine(make_encoder((16, 2, 8), 2), dispatcher=dispatcher)
         for _, layer in engine.encoder.named_sparse_layers():
             assert layer.dispatcher is dispatcher
-
-    def test_padding_batcher_in_exact_mode_is_bit_exact(self, rng):
-        """A padding batcher (the default bucket ladder) under the default
-        ``padding="exact"`` config: the engine runs each micro-batch as
-        equal-length groups, so every request still equals its sequential
-        forward bit for bit."""
-        encoder = make_encoder((16, 2, 8), 1)
-        engine = ModelServingEngine(encoder, batcher=ContinuousBatcher())
-        assert engine.padding == "exact"
-        requests = make_requests(rng, [5, 8, 3, 5, 12])  # rungs 8 and 16
-        results = engine.serve(requests)
-        for req in requests:
-            expected = encoder.forward(req.activations[None])[0]
-            assert results[req.request_id].tobytes() == expected.tobytes()
-        assert engine.stats()["padding"]["bucket_tokens"] > engine.stats()["padding"]["valid_tokens"]
 
     def test_layers_sparsified_after_construction_fail_loudly(self, rng):
         """Regression: the routing guard must see the encoder's *live*

@@ -131,7 +131,7 @@ def _records(engine):
 def check_agreement(trace):
     requests, plan, config = trace
     modelled = _SteppedModelledEngine(OPERAND, config, DISPATCHER, plan)
-    modelled.serve_continuous(requests, step_us=0.0)
+    modelled.serve_continuous(requests)
 
     live = ServingEngine(OPERAND, dispatcher=DISPATCHER, config=config)
     DISPATCHER.breaker = CircuitBreaker()
