@@ -190,7 +190,7 @@ def main() -> None:
     #    scheduling on the modelled GPU (FFN operand).
     # ------------------------------------------------------------------
     operand = SpmmOperand.from_vnm(
-        next(lin for name, lin in encoder.named_sparse_layers() if name.endswith("ffn.output")).sparse_weight,
+        next(lin for name, lin in encoder.named_sparse_layers() if name.endswith("ffn.output")).operand.vnm,
         name="bert-large.ffn.output",
     )
     sim_requests = [

@@ -9,8 +9,8 @@ The package is organised as the paper is:
   second-order pruning and the energy metric.
 * :mod:`repro.kernels` — Spatha and the baseline SpMM/GEMM libraries.
 * :mod:`repro.models` — transformer substrate (BERT / GPT-2 / GPT-3).
-* :mod:`repro.integration` — the sparsifier and the pass that swaps an
-  encoder's dense projections for V:N:M ``SparseLinear`` layers.
+* :mod:`repro.integration` — the sparsifier and the pass that gives an
+  encoder's ``Linear`` projections V:N:M weights.
 * :mod:`repro.evaluation` — the experiment harness behind every figure and
   table of the paper's evaluation.
 """

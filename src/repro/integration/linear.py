@@ -2,13 +2,13 @@
 
 The paper replaces ``torch.nn.Linear`` modules whose weights were marked
 sparse with an ``Spmm`` module that unpacks the ``VNMTensor`` (values,
-columns, metadata) and calls ``spatha.spmm``.  Here that module is
-:class:`~repro.models.layers.SparseLinear`, and :func:`sparsify_encoder` is
-the convenience pass that walks a
+columns, metadata) and calls ``spatha.spmm``.  Here both are the one
+:class:`~repro.models.layers.Linear`: :func:`sparsify_encoder` walks a
 :class:`~repro.models.transformer.TransformerEncoder`, applies a
 :class:`~repro.integration.sparsifier.VNMSparsifier` to a selected list of
-weights and swaps the corresponding layers — the "few lines of code" user
-experience the paper advertises.
+weights and swaps each selected dense layer for a ``Linear`` over the
+compressed V:N:M operand — the "few lines of code" user experience the
+paper advertises.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from .sparsifier import VNMSparsifier
-from ..kernels.spatha import Spatha
-from ..models.layers import DenseLinear, SparseLinear
+from ..kernels.dispatch import SpmmOperand
+from ..models.layers import Linear
 from ..models.transformer import TransformerEncoder
 
 
@@ -26,7 +26,6 @@ def sparsify_encoder(
     sparsifier: VNMSparsifier,
     weight_filter: Optional[Callable[[str], bool]] = None,
     weight_names: Optional[Sequence[str]] = None,
-    spatha: Optional[Spatha] = None,
 ) -> List[str]:
     """Sparsify the selected weights of an encoder in place.
 
@@ -43,8 +42,6 @@ def sparsify_encoder(
     weight_names:
         Alternatively, an explicit list of qualified names ("users can
         specify a list of weights to be made sparse").
-    spatha:
-        Shared Spatha handle (so all layers reuse one tuner cache).
 
     Returns
     -------
@@ -54,26 +51,22 @@ def sparsify_encoder(
     if weight_filter is not None and weight_names is not None:
         raise ValueError("pass either weight_filter or weight_names, not both")
     selected: Optional[set] = set(weight_names) if weight_names is not None else None
-    shared_spatha = spatha or Spatha()
     replaced: List[str] = []
 
-    def convert(name: str, layer):
-        if isinstance(layer, (SparseLinear,)):
+    def convert(name: str, layer: Linear):
+        if layer.operand.vnm is not None:
             return None
         if selected is not None and name not in selected:
             return None
         if weight_filter is not None and not weight_filter(name):
             return None
-        if not isinstance(layer, DenseLinear):
-            return None
         weight = sparsifier.sparsify(layer.weight)
         replaced.append(name)
-        return SparseLinear(
-            sparse_weight=weight.matrix,
-            logical_shape=weight.original_shape,
+        return Linear(
+            SpmmOperand.from_vnm(weight.matrix, name=layer.name),
             bias=None if layer.bias is None else layer.bias.copy(),
             name=layer.name,
-            spatha=shared_spatha,
+            logical_shape=weight.original_shape,
         )
 
     encoder.apply_to_linears(convert)

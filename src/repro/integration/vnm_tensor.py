@@ -4,7 +4,7 @@ The paper's Listing 1 introduces a ``VNMTensor`` class "that serves as a
 container for tensors in the V:N:M format".  Here it pairs the compressed
 :class:`~repro.formats.vnm.VNMSparseMatrix` with the weight's logical shape,
 which :func:`~repro.integration.linear.sparsify_encoder` reads to build a
-:class:`~repro.models.layers.SparseLinear` that crops the sparsifier's
+:class:`~repro.models.layers.Linear` that crops the sparsifier's
 divisibility padding.
 """
 

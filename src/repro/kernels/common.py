@@ -186,26 +186,6 @@ def reference_matmul_fp16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a16 @ b16
 
 
-def reference_matmul_fp16_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`reference_matmul_fp16` broadcast over leading batch dims.
-
-    Same numerics — fp16-rounded operands, fp32 accumulation — with
-    ``np.matmul`` broadcasting, so stacked activations run one GEMM per
-    slab.  Slab-exactness (slab ``i`` of a batch produces the bits of the
-    same operands multiplied alone) is what lets model-level serving batch
-    dense layers and stay bit-identical to per-request execution; keeping
-    this next to the 2-D reference keeps one definition of the fp16 GEMM
-    numerics.
-    """
-    a16 = quantize_fp16(a)
-    b16 = quantize_fp16(b)
-    if a16.ndim < 1 or b16.ndim < 2:
-        raise ValueError("reference_matmul_fp16_batched expects matmul-compatible operands")
-    if a16.shape[-1] != b16.shape[-2]:
-        raise ValueError(f"incompatible shapes {a16.shape} @ {b16.shape}")
-    return np.matmul(a16, b16)
-
-
 #: Entries one kernel-layer memo may hold (dispatch decisions, exact-C
 #: estimates, tuner records).  The working sets are tens of entries — 12
 #: projections x a bucket ladder in serving, 36 cells in the sweep — so the

@@ -25,8 +25,9 @@ Design rules, enforced by the consistency tests:
   memos are :class:`~repro.kernels.common.BoundedCache` instances, so a
   stream of ever-new C values cannot grow them without limit.
 * **Slab-exact batching** — a 3-D ``(B, K, C)`` RHS produces, slab for
-  slab, the bits of the corresponding 2-D calls (Spatha's plan guarantees
-  this natively; the other backends run one 2-D call per slab).  A
+  slab, the bits of the corresponding 2-D calls (Spatha's plan and the
+  dense cuBLAS fallback broadcast one ``matmul``, which runs one GEMM per
+  slab; Sputnik and cuSPARSE run one 2-D call per slab).  A
   non-finite slab demotes the dense GEMM to a sparse-format schedule for
   *that slab only* (:func:`~repro.kernels.common.demote_nonfinite_slabs`).
 """
@@ -400,8 +401,9 @@ class CublasDenseBackend(Backend):
         # Identical arithmetic to cublas.gemm(operand.dense(), slab) — the
         # fp16 rounding of the operand is just hoisted into the memoized
         # dense16 view — so the result stays bit-for-bit the direct call's.
-        a16 = operand.dense16()
-        return _per_slab(lambda slab: a16 @ quantize_fp16(slab), b)
+        # matmul broadcasts (R, K) @ (B, K, C) into one GEMM per slab, the
+        # call the Spatha plan's dense schedule makes.
+        return np.matmul(operand.dense16(), quantize_fp16(b))
 
 
 def default_backends() -> List[Backend]:
@@ -659,7 +661,7 @@ class KernelDispatcher:
         operands with different sparsity/structure never alias to one
         cached decision (distinct layers of a model may legitimately
         dispatch to different backends).  Rebuilt per call: it costs about
-        a microsecond of a ~57 us C=1 ``SparseLinear.forward``.
+        a microsecond of a ~57 us C=1 sparse ``Linear.forward``.
         """
         return (
             operand.formats,
@@ -797,7 +799,7 @@ class KernelDispatcher:
         """Warm a whole model's worth of operands in one call.
 
         The multi-operand form of :meth:`warm`: a model serving engine hands
-        over every sparse projection of its encoder plus the token buckets
+        over every projection of its encoder plus the token buckets
         it expects traffic on, and the dispatcher builds each operand's plan
         and pre-ranks each (operand, bucket) signature.  Returns the number
         of operands warmed.

@@ -28,15 +28,13 @@ against a KV cache, which is exactly what KV-cached decoding executes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, List
 
 import numpy as np
 
 from .config import ModelConfig
 from .functional import attend, merge_heads, split_heads
-from .layers import DenseLinear, SparseLinear, init_dense_linear
-
-LinearLike = Union[DenseLinear, SparseLinear]
+from .layers import Linear, init_dense_linear
 
 
 def check_token_stack(tokens: np.ndarray, kv_caches, hidden_size: int) -> np.ndarray:
@@ -56,10 +54,10 @@ class MultiHeadAttention:
     """Functional multi-head self-attention with pluggable projections."""
 
     config: ModelConfig
-    query: LinearLike
-    key: LinearLike
-    value: LinearLike
-    output: LinearLike
+    query: Linear
+    key: Linear
+    value: Linear
+    output: Linear
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "MultiHeadAttention":
@@ -73,7 +71,7 @@ class MultiHeadAttention:
             output=init_dense_linear(h, h, name="attention.output", seed=seed + 3),
         )
 
-    def projections(self) -> Dict[str, LinearLike]:
+    def projections(self) -> Dict[str, Linear]:
         """The four prunable projections, keyed by their layer names."""
         return {
             "attention.query": self.query,
@@ -82,7 +80,7 @@ class MultiHeadAttention:
             "attention.output": self.output,
         }
 
-    def replace_projection(self, name: str, layer: LinearLike) -> None:
+    def replace_projection(self, name: str, layer: Linear) -> None:
         """Swap one projection (used by the sparsification pass)."""
         mapping = {
             "attention.query": "query",
@@ -161,6 +159,6 @@ class MultiHeadAttention:
             attend(q[i], k_all.transpose(1, 0, 2), v_all.transpose(1, 0, 2), scale, out=context_heads[i])
         return self.output.forward(context)
 
-    def weight_gemm_layers(self) -> List[LinearLike]:
+    def weight_gemm_layers(self) -> List[Linear]:
         """The four projections in execution order."""
         return [self.query, self.key, self.value, self.output]

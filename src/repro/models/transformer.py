@@ -2,11 +2,11 @@
 
 The functional substrate for the end-to-end experiments: an encoder layer
 is the standard pre-LLM block (MHA + residual/LayerNorm + FFN +
-residual/LayerNorm), built from the layer abstractions in
-:mod:`repro.models.layers` so any of its six weight matrices can be swapped
-for a V:N:M-sparse version.  The stack exposes iteration over its prunable
-layers — the interface the STen-style sparsification pass in
-:mod:`repro.integration` uses.
+residual/LayerNorm), built from :class:`~repro.models.layers.Linear`
+layers so any of its six weight matrices can be swapped for a V:N:M-sparse
+version.  The stack exposes iteration over its prunable layers — the
+interface the STen-style sparsification pass in :mod:`repro.integration`
+uses.
 
 Every forward takes true-shape input and there is no attention mask: a
 server batching ragged sequences runs one ``forward`` per length
@@ -21,11 +21,11 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 
 import numpy as np
 
-from .attention import LinearLike, MultiHeadAttention, check_token_stack
+from .attention import MultiHeadAttention, check_token_stack
 from .config import ModelConfig
 from .functional import gelu, layer_norm
 from .kv_cache import SequenceKV
-from .layers import SparseLinear, init_dense_linear
+from .layers import Linear, init_dense_linear
 
 if TYPE_CHECKING:  # import cycle: kernels.spatha pulls in formats, not models
     from ..kernels.spatha import SpmmPlan
@@ -35,8 +35,8 @@ if TYPE_CHECKING:  # import cycle: kernels.spatha pulls in formats, not models
 class FeedForward:
     """The transformer FFN: intermediate (expansion) + output projections."""
 
-    intermediate: LinearLike
-    output: LinearLike
+    intermediate: Linear
+    output: Linear
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "FeedForward":
@@ -52,10 +52,10 @@ class FeedForward:
     def forward(self, hidden: np.ndarray) -> np.ndarray:
         return self.output.forward(gelu(self.intermediate.forward(hidden)))
 
-    def projections(self) -> Dict[str, LinearLike]:
+    def projections(self) -> Dict[str, Linear]:
         return {"ffn.intermediate": self.intermediate, "ffn.output": self.output}
 
-    def replace_projection(self, name: str, layer: LinearLike) -> None:
+    def replace_projection(self, name: str, layer: Linear) -> None:
         if name == "ffn.intermediate":
             self.intermediate = layer
         elif name == "ffn.output":
@@ -132,14 +132,14 @@ class EncoderLayer:
         ffn_out = self.ffn.forward(hidden)
         return layer_norm(hidden + ffn_out, self.ln2_gamma, self.ln2_beta)
 
-    def named_linear_layers(self) -> Dict[str, LinearLike]:
+    def named_linear_layers(self) -> Dict[str, Linear]:
         """All six prunable linear layers of this block, keyed by name."""
-        layers: Dict[str, LinearLike] = {}
+        layers: Dict[str, Linear] = {}
         layers.update(self.attention.projections())
         layers.update(self.ffn.projections())
         return layers
 
-    def replace_linear(self, name: str, layer: LinearLike) -> None:
+    def replace_linear(self, name: str, layer: Linear) -> None:
         """Swap one of the six linear layers by name."""
         if name.startswith("attention."):
             self.attention.replace_projection(name, layer)
@@ -150,10 +150,7 @@ class EncoderLayer:
 
     def sparsity_summary(self) -> Dict[str, float]:
         """Sparsity of every linear layer (0.0 for dense ones)."""
-        out = {}
-        for name, layer in self.named_linear_layers().items():
-            out[name] = layer.sparsity if isinstance(layer, SparseLinear) else 0.0
-        return out
+        return {name: layer.sparsity for name, layer in self.named_linear_layers().items()}
 
 
 @dataclass
@@ -179,9 +176,9 @@ class TransformerEncoder:
     def forward(self, hidden: np.ndarray) -> np.ndarray:
         """Run the full stack on ``(batch, seq, hidden)`` activations.
 
-        Every sequence of the batch has the same true length; sparse layers
-        execute the whole batch through the batched RHS path of their
-        memoized SpMM plans.
+        Every sequence of the batch has the same true length; every
+        projection executes the whole batch as one batched RHS through the
+        dispatcher.
         """
         hidden = np.asarray(hidden, dtype=np.float32)
         for layer in self.layers:
@@ -245,22 +242,22 @@ class TransformerEncoder:
             tokens = layer.forward_steps(tokens, [kv.view(layer.index) for kv in kv_caches])
         return tokens
 
-    def named_sparse_layers(self) -> Iterator[Tuple[str, SparseLinear]]:
-        """Iterate over the sparse projections only (the dispatchable ones)."""
+    def named_sparse_layers(self) -> Iterator[Tuple[str, Linear]]:
+        """Iterate over the V:N:M-sparse projections only."""
         for name, lin in self.named_linear_layers():
-            if isinstance(lin, SparseLinear):
+            if lin.operand.vnm is not None:
                 yield name, lin
 
     def set_dispatcher(self, dispatcher) -> int:
-        """Route every sparse layer through one injected kernel dispatcher.
+        """Route every projection through one injected kernel dispatcher.
 
-        This is how a serving engine scopes its caches: all sparse
-        projections of the encoder share the engine's dispatcher (one
-        decision cache, one tuner) instead of the process-wide default.
+        This is how a serving engine scopes its caches: all projections of
+        the encoder share the engine's dispatcher (one decision cache, one
+        tuner, one circuit breaker) instead of the process-wide default.
         Returns the number of layers re-routed.
         """
         routed = 0
-        for _, lin in self.named_sparse_layers():
+        for _, lin in self.named_linear_layers():
             lin.dispatcher = dispatcher
             routed += 1
         return routed
@@ -277,17 +274,17 @@ class TransformerEncoder:
         from ..kernels.spatha import SpmmPlan
 
         return {
-            name: SpmmPlan.for_matrix(lin.sparse_weight)
+            name: SpmmPlan.for_matrix(lin.operand.vnm)
             for name, lin in self.named_sparse_layers()
         }
 
-    def named_linear_layers(self) -> Iterator[Tuple[str, LinearLike]]:
+    def named_linear_layers(self) -> Iterator[Tuple[str, Linear]]:
         """Iterate over ``(qualified_name, layer)`` of every prunable layer."""
         for layer in self.layers:
             for name, lin in layer.named_linear_layers().items():
                 yield f"encoder.layer.{layer.index}.{name}", lin
 
-    def replace_linear(self, qualified_name: str, new_layer: LinearLike) -> None:
+    def replace_linear(self, qualified_name: str, new_layer: Linear) -> None:
         """Replace a layer addressed by its qualified name."""
         parts = qualified_name.split(".")
         if len(parts) < 4 or parts[0] != "encoder" or parts[1] != "layer":
@@ -297,7 +294,7 @@ class TransformerEncoder:
             raise KeyError(f"layer index {idx} out of range")
         self.layers[idx].replace_linear(".".join(parts[3:]), new_layer)
 
-    def apply_to_linears(self, fn: Callable[[str, LinearLike], Optional[LinearLike]]) -> int:
+    def apply_to_linears(self, fn: Callable[[str, Linear], Optional[Linear]]) -> int:
         """Apply ``fn`` to every prunable layer; replace it when fn returns a layer.
 
         Returns the number of layers replaced.
@@ -312,4 +309,4 @@ class TransformerEncoder:
 
     def count_sparse_layers(self) -> int:
         """Number of layers currently running through Spatha."""
-        return sum(1 for _, lin in self.named_linear_layers() if isinstance(lin, SparseLinear))
+        return sum(1 for _ in self.named_sparse_layers())

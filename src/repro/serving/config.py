@@ -96,8 +96,12 @@ class ServingConfig:
         its free slots to fill after its oldest arrival.
     step_us:
         Step cadence of ``serve`` / ``serve_continuous`` replays.
-    max_queue_depth / shed_policy / kv_budget_blocks:
-        Admission control (also the decoder's KV-budget admission).
+    max_queue_depth / shed_policy:
+        Admission control: the queue bound and how a full queue sheds.
+    kv_budget_blocks:
+        The decoder's KV budget, in blocks (``None``: ``capacity_blocks``).
+        A request's footprint is reserved when it is scheduled; one that
+        does not fit waits, and one larger than the budget fails at submit.
     block_size / capacity_blocks:
         Decoder paged-KV-cache geometry.
     warm / warm_buckets:
@@ -169,10 +173,19 @@ class ServingConfig:
         (every longer length is its own exact bucket), else
         ``token_buckets`` or the default powers-of-two ladder.
         ``scheduling="async"`` sets the ``window_us`` hold; admission
-        control and the scheduling policy bind under either mode.
+        control and the scheduling policy bind under either mode.  Only a
+        decoder holds KV: its budget is ``kv_budget_blocks``, else the
+        whole cache, and any other kind rejects a ``kv_budget_blocks``.
         """
         if kind not in ("operand", "encoder", "decoder"):
             raise ValueError(f"unknown engine kind {kind!r}")
+        kv_budget = self.kv_budget_blocks
+        if kind == "decoder":
+            kv_budget = self.capacity_blocks if kv_budget is None else kv_budget
+        elif kv_budget is not None:
+            raise ValueError(
+                f"kv_budget_blocks is decode admission; {kind!r} requests hold no KV"
+            )
         if kind == "encoder" and self.padding == "exact":
             if self.token_buckets is not None:
                 raise ValueError(
@@ -187,7 +200,7 @@ class ServingConfig:
             max_batch_size=self.max_batch_size,
             max_queue_depth=self.max_queue_depth,
             shed_policy=self.shed_policy,
-            kv_budget_blocks=self.kv_budget_blocks,
+            kv_budget_blocks=kv_budget,
             kv_cost=kv_cost,
             scheduling=self.scheduling_policy,
             window_us=self.window_us if self.scheduling == "async" else 0.0,

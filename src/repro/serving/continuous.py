@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush, nsmallest
+from heapq import heappop, heappush
 from operator import attrgetter, is_
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -226,6 +226,8 @@ def plan_slo_batch_reference(
     capacity_of=None,
     window_us: float = 0.0,
     now_us: Optional[float] = None,
+    need_of=None,
+    kv_room: Optional[int] = None,
 ) -> Optional[Tuple[object, List]]:
     """Chunk selection for every policy as an executable specification.
 
@@ -258,6 +260,14 @@ def plan_slo_batch_reference(
        first, deadline-free requests fall back to FCFS order.  The winning
        bucket is the one whose most urgent member wins, and its chunk is
        its candidates in that same urgency order, capped per (1).
+    5. **KV cut** (``kv_room`` given): ``need_of(item)`` is the KV blocks
+       an item still has to reserve (0 once it holds them: preempted work).
+       Walking a bucket's candidates in chunk order, an item whose need
+       exceeds the blocks left of ``kv_room`` cuts the chunk — no later
+       item with a need joins it — and a bucket whose chunk is empty is
+       not a candidate.  Under a class policy a class none of whose
+       buckets has a non-empty chunk drops out and the next class is
+       arbitrated.
 
     A non-FCFS chunk is **class-pure** (only the winning class's members),
     keeping strictness strict and the weighted-fair accounting exact.
@@ -274,6 +284,32 @@ def plan_slo_batch_reference(
     def capacity(key) -> int:
         cap = max_batch_size if capacity_of is None else min(max_batch_size, capacity_of(key))
         return max(cap, 0)
+
+    def kv_cut(members, cap):
+        if kv_room is None:
+            return members[:cap]
+        room, chunk = kv_room, []
+        for item in members:
+            need = need_of(item)
+            if need > room:
+                room = 0
+                continue
+            room -= need
+            chunk.append(item)
+            if len(chunk) == cap:
+                break
+        return chunk
+
+    def best_chunk(candidates, rank):
+        by_bucket = {}
+        for item in candidates:
+            by_bucket.setdefault(key_of(item), []).append(item)
+        best = None
+        for key, members in by_bucket.items():
+            chunk = kv_cut(sorted(members, key=rank), capacity(key))
+            if chunk and (best is None or rank(chunk[0]) < best[0]):
+                best = (rank(chunk[0]), key, chunk)
+        return best
 
     def schedulable_bucket(key, members) -> bool:
         cap = capacity(key)
@@ -297,44 +333,34 @@ def plan_slo_batch_reference(
         return None
 
     if policy == POLICY_FCFS:
-        candidates = schedulable
+        best = best_chunk(schedulable, lambda item: (arrival_of(item), id_of(item)))
+        return (best[1], best[2]) if best is not None else None
 
-        def rank(item):
-            return (arrival_of(item), id_of(item))
+    def weight(cls: int) -> int:
+        return class_weights[cls] if cls < len(class_weights) else 1
 
-    else:
+    def rank(item):
+        deadline = deadline_of(item)
+        return (
+            deadline if deadline is not None else _NO_DEADLINE,
+            arrival_of(item),
+            id_of(item),
+        )
+
+    classes = {class_of(item) for item in schedulable}
+    while classes:
         if policy == POLICY_PRIORITY:
-            winner = max(class_of(item) for item in schedulable)
+            winner = max(classes)
         else:  # weighted-fair
-
-            def weight(cls: int) -> int:
-                return class_weights[cls] if cls < len(class_weights) else 1
-
             winner = None
-            for cls in {class_of(item) for item in schedulable}:
+            for cls in classes:
                 if _wf_wins(cls, winner, served_by_class, weight):
                     winner = cls
-        candidates = [item for item in schedulable if class_of(item) == winner]
-
-        def rank(item):
-            deadline = deadline_of(item)
-            return (
-                deadline if deadline is not None else _NO_DEADLINE,
-                arrival_of(item),
-                id_of(item),
-            )
-
-    by_bucket = {}
-    for item in candidates:
-        by_bucket.setdefault(key_of(item), []).append(item)
-    best = None
-    for key, bucket_members in by_bucket.items():
-        members = sorted(bucket_members, key=rank)
-        chunk = members[: capacity(key)]
-        head = rank(chunk[0])
-        if best is None or head < best[0]:
-            best = (head, key, chunk)
-    return (best[1], best[2]) if best is not None else None
+        best = best_chunk([item for item in schedulable if class_of(item) == winner], rank)
+        if best is not None:
+            return best[1], best[2]
+        classes.discard(winner)
+    return None
 
 
 def _arrival_rank(request: Request) -> Tuple[float, str]:
@@ -431,12 +457,17 @@ class ContinuousBatcher:
     :meth:`next_batch` admits into a rung only up to ``max_batch_size``
     minus its held slots (a full rung's queue simply waits — other rungs
     stay schedulable).  **KV-memory budget**: with ``kv_budget_blocks``
-    set, admission also sheds a request whose projected KV footprint
-    (``kv_cost(request)`` blocks, default 1) would push the total reserved
-    past the budget; reservations are returned by :meth:`release_kv` when
-    the engine frees the sequence's blocks (or immediately, for requests
-    expired while still queued).  Both default off, leaving single-step
-    engines untouched.
+    set, a request's projected KV footprint (``kv_cost(request)`` blocks,
+    default 1) is reserved when it is scheduled, not when it is submitted
+    — vLLM's rule: a sequence runs only when its blocks can be had, and
+    the rest wait.  A chunk is cut at the first request whose footprint
+    does not fit the blocks left unreserved (a bucket whose chunk is cut
+    to nothing waits, like a full rung), so nothing is ever shed for KV;
+    only a request whose footprint exceeds the whole budget is refused at
+    submit (:meth:`take_failed`).  Preempted work keeps its reservation
+    and is never cut.  Reservations are returned by :meth:`release_kv`
+    when the engine frees the sequence's blocks.  Both default off,
+    leaving single-step engines untouched.
     """
 
     def __init__(
@@ -477,9 +508,11 @@ class ContinuousBatcher:
         self._kv_cost_fn = kv_cost
         #: SLO-aware scheduling knobs (default: plain FCFS, classes ignored).
         self.scheduling = scheduling if scheduling is not None else SchedulingConfig()
-        #: KV blocks reserved by admitted-but-not-yet-released requests.
+        #: KV blocks reserved by scheduled-but-not-yet-released requests.
         self.kv_reserved = 0
         self._kv_cost_by_id: Dict[str, int] = {}
+        #: Footprints of queued requests that hold no reservation yet.
+        self._kv_need: Dict[str, int] = {}
         #: Rung slots held by in-flight multi-step sequences: per-rung list
         #: of ``(priority_class, request_id)`` — the held count and what
         #: preemption arbitrates on.
@@ -488,6 +521,9 @@ class ContinuousBatcher:
         #: into RequestOutcomes.
         self.shed_log: List[Request] = []
         self.expired_log: List[Request] = []
+        #: Requests refused at submit because their KV footprint exceeds
+        #: the whole budget, each with the cause.
+        self.failed_log: List[Tuple[Request, str]] = []
         #: Cumulative brownout counters (never reset by take_*).
         self.total_shed = 0
         self.total_expired = 0
@@ -610,22 +646,26 @@ class ContinuousBatcher:
         see :meth:`SchedulingConfig.queue_bound_of`."""
         return self.scheduling.queue_bound_of(priority_class, self.max_queue_depth)
 
-    def _over_capacity(self, kv_cost: int, priority_class: int = 0) -> bool:
+    def _over_capacity(self, priority_class: int = 0) -> bool:
         if self.max_queue_depth is not None and self.pending >= self.max_queue_depth:
             return True
         bound = self.class_queue_bound(priority_class)
-        if bound is not None and self._pending_by_class.get(priority_class, 0) >= bound:
-            return True
-        return (
-            self.kv_budget_blocks is not None
-            and self.kv_reserved + kv_cost > self.kv_budget_blocks
-        )
+        return bound is not None and self._pending_by_class.get(priority_class, 0) >= bound
 
     def _admit(self, request: Request) -> Optional[BucketKey]:
-        """Admit or shed one validated request (``None`` when shed)."""
+        """Admit, shed or refuse one validated request (``None`` unless admitted)."""
         kv_cost = self._kv_cost_of(request)
+        if self.kv_budget_blocks is not None and kv_cost > self.kv_budget_blocks:
+            self.failed_log.append(
+                (
+                    request,
+                    f"KV footprint of {kv_cost} blocks exceeds the budget of "
+                    f"{self.kv_budget_blocks} blocks",
+                )
+            )
+            return None
         cls = request.priority_class
-        if self._over_capacity(kv_cost, cls):
+        if self._over_capacity(cls):
             if self.shed_policy == SHED_DROP_EXPIRED:
                 expired = self.expire_due(request.arrival_us)
                 self.expired_log.extend(expired)
@@ -635,7 +675,7 @@ class ContinuousBatcher:
                     self.total_expired_by_class[victim_cls] = (
                         self.total_expired_by_class.get(victim_cls, 0) + 1
                     )
-            if self._over_capacity(kv_cost, cls):
+            if self._over_capacity(cls):
                 self.shed_log.append(request)
                 self.total_shed += 1
                 self.total_shed_by_class[cls] = self.total_shed_by_class.get(cls, 0) + 1
@@ -646,8 +686,7 @@ class ContinuousBatcher:
         key = self.bucket_key(request)
         insort(self._buckets.setdefault(key, []), request, key=_arrival_rank)
         if kv_cost:
-            self._kv_cost_by_id[request.request_id] = kv_cost
-            self.kv_reserved += kv_cost
+            self._kv_need[request.request_id] = kv_cost
         self._admit_seq += 1
         seq = self._admit_seq
         rid = request.request_id
@@ -691,7 +730,8 @@ class ContinuousBatcher:
     def _evict(self, request: Request) -> None:
         """Remove one queued request for good (expiry/shedding eviction)."""
         self._take(self.bucket_key(request), [request])
-        self.release_kv(request.request_id)  # never ran; reservation returns now
+        self._kv_need.pop(request.request_id, None)
+        self.release_kv(request.request_id)  # preempted work's reservation returns now
 
     def take_shed(self) -> List[Request]:
         """Drain the shed log (requests refused admission since last call)."""
@@ -703,6 +743,13 @@ class ContinuousBatcher:
         """Drain the expiry log (requests evicted by drop-expired shedding)."""
         out = self.expired_log
         self.expired_log = []
+        return out
+
+    def take_failed(self) -> List[Tuple[Request, str]]:
+        """Drain the refusal log: ``(request, cause)`` for each request whose
+        KV footprint exceeds the whole budget."""
+        out = self.failed_log
+        self.failed_log = []
         return out
 
     def per_class_stats(self) -> Dict[int, Dict[str, int]]:
@@ -800,10 +847,10 @@ class ContinuousBatcher:
         """Re-admit preempted work, bypassing admission control entirely.
 
         A preempted sequence was already admitted once (and still holds its
-        KV reservation, tracked by the engine), so it must never be shed on
-        the way back in.  It re-enters its bucket at its original
-        ``(arrival_us, request_id)`` rank — the deterministic re-queue the
-        preemption golden cells pin.
+        KV reservation), so it must never be shed on the way back in, nor
+        cut by the KV budget when it is scheduled again.  It re-enters its
+        bucket at its original ``(arrival_us, request_id)`` rank — the
+        deterministic re-queue the preemption golden cells pin.
         """
         if request.request_id in self._by_id:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
@@ -813,9 +860,9 @@ class ContinuousBatcher:
         """Return a request's KV-budget reservation; returns the blocks freed.
 
         Engines call this when the sequence's cache blocks are actually
-        freed (completion or failure); queued-request expiry calls it
-        internally.  Unknown ids are a harmless no-op (the request was
-        admitted unbudgeted)."""
+        freed (completion or failure); the expiry of a queued preempted
+        request calls it internally.  Unknown ids are a harmless no-op (the
+        request never reserved)."""
         cost = self._kv_cost_by_id.pop(request_id, 0)
         self.kv_reserved -= cost
         return cost
@@ -880,10 +927,15 @@ class ContinuousBatcher:
           :func:`_wf_wins` on the served-per-weight deficit); among that
           class's members the bucket holding the best EDF rank wins, and
           its chunk is its class members in EDF order — class-pure.
+
+        Under a KV budget every chunk is :meth:`_kv_cut`; a bucket whose
+        chunk is cut to nothing is not a candidate, and a class with no
+        candidate bucket drops out of the arbitration.
         """
         policy = self.scheduling.policy
         holders = self._holders if occupancy else None
         hold = self.window_us
+        room = self._kv_room()
         best = None
         arrived = []
         for key, bucket in self._buckets.items():
@@ -899,7 +951,15 @@ class ContinuousBatcher:
             ):
                 continue  # held: the head is inside its window, slots unfilled
             if policy == POLICY_FCFS:
-                rank = _arrival_rank(bucket[0])
+                head = bucket[0]
+                if room is not None and self._kv_need.get(head.request_id, 0) > room:
+                    # The head's blocks cannot be had: only preempted work runs.
+                    cut = bisect_right(bucket, now_us, key=_arrival_us)
+                    chunk = self._kv_cut(bucket[:cut], free, room)
+                    if not chunk:
+                        continue
+                    head = chunk[0]
+                rank = _arrival_rank(head)
                 if best is None or rank < best[0]:
                     best = (rank, key, bucket, free)
             else:
@@ -909,35 +969,92 @@ class ContinuousBatcher:
             if best is None:
                 return None
             _, key, bucket, free = best
-            return key, bucket[: min(free, bisect_right(bucket, now_us, key=_arrival_us))]
-        if not arrived:
-            return None
+            cut = bisect_right(bucket, now_us, key=_arrival_us)
+            return key, self._kv_cut(bucket[:cut], free, room)
         classes = {r.priority_class for _, members, _ in arrived for r in members}
-        if policy == POLICY_PRIORITY:
-            winner = max(classes)
-        else:  # weighted-fair
-            winner = None
-            for cls in classes:
-                if _wf_wins(cls, winner, self._served_by_class, self.scheduling.weight_of):
-                    winner = cls
-        for key, members, free in arrived:
-            members = [r for r in members if r.priority_class == winner]
-            if members:
-                head = min(map(_edf_rank, members))
-                if best is None or head < best[0]:
-                    best = (head, key, members, free)
-        _, key, members, free = best
-        return key, nsmallest(free, members, key=_edf_rank)
+        while classes:
+            if policy == POLICY_PRIORITY:
+                winner = max(classes)
+            else:  # weighted-fair
+                winner = None
+                for cls in classes:
+                    if _wf_wins(cls, winner, self._served_by_class, self.scheduling.weight_of):
+                        winner = cls
+            for key, members, free in arrived:
+                members = [r for r in members if r.priority_class == winner]
+                if not members:
+                    continue
+                chunk = self._kv_cut(sorted(members, key=_edf_rank), free, room)
+                if chunk:
+                    head = _edf_rank(chunk[0])
+                    if best is None or head < best[0]:
+                        best = (head, key, chunk)
+            if best is not None:
+                return best[1], best[2]
+            classes.discard(winner)  # KV holds every chunk of this class
+        return None
+
+    def _kv_room(self) -> Optional[int]:
+        """KV blocks left unreserved (``None`` when unbudgeted)."""
+        if self.kv_budget_blocks is None:
+            return None
+        return self.kv_budget_blocks - self.kv_reserved
+
+    def _kv_cut(
+        self, members: List[Request], free: int, room: Optional[int]
+    ) -> List[Request]:
+        """The chunk: the first ``free`` of ``members`` (arrived, in the
+        policy's order) the KV budget lets run.
+
+        Unbudgeted (``room`` is ``None``), simply the first ``free``.
+        Otherwise a request whose footprint exceeds the ``room`` still
+        unreserved cuts the chunk — no later request with a footprint joins
+        it this step — while preempted work, which holds its blocks
+        already, is never cut.
+        """
+        if room is None:
+            return members[:free]
+        need_of = self._kv_need
+        chunk: List[Request] = []
+        for request in members:
+            need = need_of.get(request.request_id, 0)
+            if need > room:
+                room = 0  # the cut
+                continue
+            room -= need
+            chunk.append(request)
+            if len(chunk) == free:
+                break
+        return chunk
+
+    def _kv_start(self, bucket: List[Request], room: int) -> Optional[float]:
+        """The earliest arrival in ``bucket`` that can open a chunk under
+        the KV ``room``: preempted work, or the head of a scheduling order
+        (the bucket head; per class, its EDF head under a class policy)
+        whose footprint fits.  ``None`` when only a release can open it."""
+        need_of = self._kv_need
+        if self.scheduling.policy == POLICY_FCFS:
+            heads = [bucket[0]]
+        else:
+            by_class: Dict[int, Request] = {}
+            for request in bucket:
+                cls = request.priority_class
+                if cls not in by_class or _edf_rank(request) < _edf_rank(by_class[cls]):
+                    by_class[cls] = request
+            heads = list(by_class.values())
+        starts = [r.arrival_us for r in heads if need_of.get(r.request_id, 0) <= room]
+        starts.extend(r.arrival_us for r in bucket if r.request_id not in need_of)
+        return min(starts, default=None)
 
     def next_batch(self, now_us: float) -> Optional[MicroBatch]:
         """Pop the single most urgent micro-batch at ``now_us`` (or ``None``).
 
         The chunk :meth:`_plan` picks leaves the queue (its ids become
-        reusable); everything else — later same-rung members included —
-        stays queued for the next step.  Rungs whose slots are all held by
-        in-flight multi-step sequences (:meth:`acquire_slot`) are skipped:
-        their queued heads wait for a released slot while other rungs keep
-        scheduling.
+        reusable) and reserves its KV footprint; everything else — later
+        same-rung members included — stays queued for the next step.  Rungs
+        whose slots are all held by in-flight multi-step sequences
+        (:meth:`acquire_slot`) are skipped: their queued heads wait for a
+        released slot while other rungs keep scheduling.
         """
         planned = self._plan(now_us)
         if planned is None:
@@ -945,9 +1062,14 @@ class ContinuousBatcher:
         key, chunk = planned
         self._take(key, chunk)
         served = self._served_by_class
+        need_of = self._kv_need
         for request in chunk:  # FCFS chunks may mix classes
             cls = request.priority_class
             served[cls] = served.get(cls, 0) + 1
+            need = need_of.pop(request.request_id, 0)
+            if need:
+                self._kv_cost_by_id[request.request_id] = need
+                self.kv_reserved += need
         return MicroBatch(key=key, requests=chunk)
 
     def next_event_us(self) -> Optional[float]:
@@ -955,14 +1077,16 @@ class ContinuousBatcher:
 
         Per bucket with a free slot: its head's arrival plus the hold,
         or the arrival of the member that fills the free slots if that is
-        sooner (without a hold, simply the head's arrival).  ``None`` when
-        no bucket can open by the clock alone (empty queue, or every
-        queued rung fully held until a slot is released).  After a step
-        that found nothing to run at ``now``, this is strictly later than
+        sooner (without a hold, simply the head's arrival) — and, under a
+        KV budget, no sooner than :meth:`_kv_start`.  ``None`` when no
+        bucket can open by the clock alone (empty queue, or every queued
+        rung fully held or KV-cut until a release).  After a step that
+        found nothing to run at ``now``, this is strictly later than
         ``now`` — drivers advance their clock here.
         """
         hold = self.window_us
         holders = self._holders
+        room = self._kv_room()
         event = None
         for key, bucket in self._buckets.items():
             free = self.max_batch_size
@@ -975,6 +1099,11 @@ class ContinuousBatcher:
                 opens += hold
                 if len(bucket) >= free:
                     opens = min(opens, bucket[free - 1].arrival_us)
+            if room is not None:
+                start = self._kv_start(bucket, room)
+                if start is None:
+                    continue
+                opens = max(opens, start)
             if event is None or opens < event:
                 event = opens
         return event
@@ -997,6 +1126,7 @@ class ContinuousBatcher:
         ]
         for rid in self._by_id:
             self.release_kv(rid)
+        self._kv_need.clear()
         self._buckets.clear()
         self._by_id.clear()
         self._live_seq.clear()

@@ -190,15 +190,18 @@ class DecoderServingEngine(EngineCore):
     Parameters
     ----------
     encoder:
-        The model decoded with.  Its sparse projections are re-routed
-        through this engine's dispatcher.
+        The model decoded with.  Its projections are re-routed through
+        this engine's dispatcher.
     config:
         A :class:`~repro.serving.config.ServingConfig` holding the shared
         :class:`~repro.models.kv_cache.PagedKVCache` geometry
         (``block_size`` / ``capacity_blocks``), the batcher and its
-        admission control (``kv_budget_blocks`` costs a request
-        ``ceil((prompt + new_tokens) / block_size)`` blocks), warming and
-        sharding knobs; the defaults apply without one.
+        admission control, warming and sharding knobs; the defaults apply
+        without one.  A request's KV footprint is ``ceil((prompt +
+        new_tokens) / block_size)`` blocks, reserved against
+        ``kv_budget_blocks`` (default: the whole cache) when it is
+        scheduled: a request that does not fit waits for blocks to return,
+        and one whose footprint exceeds the budget fails at submit.
     """
 
     def __init__(
@@ -259,7 +262,7 @@ class DecoderServingEngine(EngineCore):
         )
         if self.config.warm:
             self.dispatcher.warm_many(
-                [lin.operand for _, lin in encoder.named_sparse_layers()], cs=(1,)
+                [lin.operand for _, lin in encoder.named_linear_layers()], cs=(1,)
             )
 
     # ------------------------------------------------------------------
@@ -292,7 +295,7 @@ class DecoderServingEngine(EngineCore):
         except Exception:
             del self._new_tokens[inner.request_id]
             raise
-        if key is None:  # shed at admission; outcome lands via take_shed()
+        if key is None:  # shed or refused; the outcome lands at the next step
             del self._new_tokens[inner.request_id]
         return key
 

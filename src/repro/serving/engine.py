@@ -9,8 +9,8 @@ supplies only what it serves (see the class docstring for its two hooks).
 their own modules; this module also holds the smallest engine:
 
 ``ServingEngine`` glues the pieces into a request/response loop around one
-sparse operator (a pruned weight and optional bias — one ``SparseLinear``'s
-worth of work, which is what LLM serving fans out millions of times):
+operator (a weight and optional bias — one ``Linear``'s worth of work,
+which is what LLM serving fans out millions of times):
 
 1. requests are queued into the
    :class:`~repro.serving.continuous.ContinuousBatcher`;
@@ -55,7 +55,7 @@ from ..kernels.dispatch import (
     SpmmOperand,
     default_dispatcher,
 )
-from ..models.layers import SparseLinear
+from ..models.layers import Linear
 
 
 class EngineCore:
@@ -271,7 +271,10 @@ class EngineCore:
             )
 
     def _drain_admission(self) -> None:
-        """Collect the requests admission control shed or evicted at submit."""
+        """Collect the requests admission control refused, shed or evicted
+        at submit."""
+        for req, cause in self.batcher.take_failed():
+            self._record_outcome(req.request_id, OUTCOME_FAILED, cause, req.arrival_us)
         for req in self.batcher.take_shed():
             self._record_outcome(
                 req.request_id,
@@ -460,20 +463,19 @@ class ServingEngine(EngineCore):
     def for_layer(
         cls, layer, config: Optional[ServingConfig] = None, dispatcher: Optional[KernelDispatcher] = None
     ) -> "ServingEngine":
-        """Build an engine serving a :class:`~repro.models.layers.SparseLinear`
-        (named after the layer unless ``config`` names it).
+        """Build an engine serving a :class:`~repro.models.layers.Linear` —
+        V:N:M or dense, the operand is the layer's own (named after the
+        layer unless ``config`` names it).
 
-        Rejects any other layer type up front (a ``DenseLinear`` used to
-        die later with an opaque ``AttributeError``) and stamps the layer's
-        input width on the engine so mismatched requests fail at intake
-        with a readable message instead of deep inside the kernel with a
+        Rejects any other argument up front and stamps the layer's input
+        width on the engine so mismatched requests fail at intake with a
+        readable message instead of deep inside the kernel with a
         broadcast error.
         """
-        if not isinstance(layer, SparseLinear):
+        if not isinstance(layer, Linear):
             raise TypeError(
-                f"for_layer needs a layer exposing a dispatchable SpmmOperand "
-                f"(e.g. SparseLinear), got {type(layer).__name__}; wrap dense "
-                f"layers' weights in an SpmmOperand and use ServingEngine(...) directly"
+                f"for_layer needs a Linear layer, got {type(layer).__name__}; wrap a "
+                f"bare weight in an SpmmOperand and use ServingEngine(...) directly"
             )
         config = config if config is not None else ServingConfig()
         if config.name is None:

@@ -5,16 +5,17 @@ operator; real inference traffic wants the *model*.  ``ModelServingEngine``
 closes that gap: requests are ragged ``(tokens, hidden)`` activation
 sequences, and a micro-batch runs one batched
 :meth:`~repro.models.transformer.TransformerEncoder.forward` per distinct
-sequence length in it — every sparse projection executing through the
-engine's kernel dispatcher on its batched RHS path — whose rows are then
-handed back per request.
+sequence length in it — every projection executing through the engine's
+kernel dispatcher on its batched RHS path — whose rows are then handed
+back per request.
 
 Three serving-level resources are engine-scoped and shared across every
 request the engine ever serves:
 
-* **the kernel dispatcher** — injected into all sparse projections
+* **the kernel dispatcher** — injected into every projection
   (:meth:`TransformerEncoder.set_dispatcher`), so the whole encoder shares
-  one decision cache and one tuner, isolated from other engines;
+  one decision cache, one tuner and one circuit breaker, isolated from
+  other engines;
 * **the plan registry** — one warmed
   :class:`~repro.kernels.spatha.SpmmPlan` per sparse projection, looked up
   per micro-batch with hit/miss counters surfaced on :meth:`stats` (the
@@ -27,8 +28,8 @@ request the engine ever serves:
 Bit-exactness is the core guarantee, now model-level: serving N requests
 batched is bit-for-bit equal to N sequential ``encoder.forward`` calls.
 Every operator in the stack is slab-exact over the batch dimension — the
-dispatcher's batched SpMM path by construction, the dense layers via the
-batched-matmul formulation, and the attention matmuls / softmax /
+dispatcher's batched path by construction (one GEMM per slab, dense or
+V:N:M), and the attention matmuls / softmax /
 LayerNorm / GELU because they reduce within a slab — so stacking
 *same-length* sequences changes no bits.  A micro-batch is therefore run
 as equal-length groups, shortest first, each one forward at its true
@@ -48,7 +49,7 @@ the guarantee holds under any hold, cadence and arrival order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .engine import EngineCore
 from ..hardware.trace import ExecutionTrace
 from ..kernels.dispatch import KernelDispatcher
 from ..kernels.spatha import SpmmPlan
-from ..models.layers import SparseLinear
+from ..models.layers import Linear
 from ..models.transformer import TransformerEncoder
 
 
@@ -71,9 +72,9 @@ class ModelServingEngine(EngineCore):
     steps.
 
     An engine takes ownership of the encoder's execution routing:
-    constructing it injects the engine's dispatcher into every sparse
-    projection.  Constructing a *second* engine on the same encoder
-    re-routes those layers to the newer engine; the displaced engine
+    constructing it injects the engine's dispatcher into every projection.
+    Constructing a *second* engine on the same encoder re-routes those
+    layers to the newer engine; the displaced engine
     detects this on its next batch and raises rather than silently
     executing through (and tracing against) a dispatcher that is no longer
     wired in.  Use one engine per encoder, or re-create the engine.
@@ -81,8 +82,8 @@ class ModelServingEngine(EngineCore):
     Parameters
     ----------
     encoder:
-        The model to serve.  Its sparse projections are re-routed through
-        this engine's dispatcher (cache scoping per engine).
+        The model to serve.  Its projections are re-routed through this
+        engine's dispatcher (cache scoping per engine).
     dispatcher:
         Kernel dispatcher to execute through.  Defaults to a *fresh*
         engine-private :class:`KernelDispatcher` — two engines never share
@@ -90,9 +91,9 @@ class ModelServingEngine(EngineCore):
     config:
         The :class:`~repro.serving.config.ServingConfig`.  ``warm``
         (default True) eagerly builds every sparse projection's SpMM plan
-        and pre-ranks the dispatch decisions of ``warm_buckets`` (sequence
-        lengths here), so the first window pays neither operand preparation
-        nor the tuner sweep.  ``padding`` picks the batcher's buckets
+        and pre-ranks every projection's dispatch decisions for
+        ``warm_buckets`` (sequence lengths here), so the first window pays
+        neither operand preparation nor the tuner sweep.  ``padding`` picks the batcher's buckets
         (``"exact"`` lengths or the ``"ladder"`` rungs, held per
         ``scheduling``); either is bit-exact per request, because each
         micro-batch runs as equal-length groups.  When its ``sharding``
@@ -115,7 +116,7 @@ class ModelServingEngine(EngineCore):
         self.padding = self.config.padding
         encoder.set_dispatcher(self.dispatcher)
         # Sharded dispatchers solve placement for the encoder they serve:
-        # every sparse operand is bound to its owning shard up front.
+        # every projection's operand is bound to its owning shard up front.
         self.dispatcher.bind_encoder(encoder)
         self.trace = ExecutionTrace()
         self.total_batches = 0
@@ -127,29 +128,20 @@ class ModelServingEngine(EngineCore):
         self.plan_hits = 0
         self.plan_misses = 0
         if self.config.warm:
-            # Build every sparse projection's plan and pre-rank the warm
-            # buckets.  Warm-time plan builds are *not* cache misses: the
+            # Build every sparse projection's plan and pre-rank every
+            # projection's warm buckets.  Warm-time plan builds are *not* cache misses: the
             # counters measure serving-time traffic, so a warmed engine
             # serves with ``plan_misses == 0``.
             self.dispatcher.warm_many(
-                [lin.operand for _, lin in self._sparse_layers()], cs=self.config.warm_buckets
+                [lin.operand for _, lin in encoder.named_linear_layers()],
+                cs=self.config.warm_buckets,
             )
             self.plans.update(self.encoder.spmm_plan_registry())
-
-    def _sparse_layers(self) -> List[Tuple[str, SparseLinear]]:
-        """The encoder's *live* sparse projections.
-
-        Looked up fresh on every use rather than snapshotted at
-        construction: layers sparsified after the engine was built must be
-        seen by the routing guard (they carry no engine dispatcher and have
-        to fail loudly, not silently execute through the process default).
-        """
-        return list(self.encoder.named_sparse_layers())
 
     # ------------------------------------------------------------------
     # Plan cache
     # ------------------------------------------------------------------
-    def _plan_for(self, qualified_name: str, layer: SparseLinear) -> SpmmPlan:
+    def _plan_for(self, qualified_name: str, layer: Linear) -> SpmmPlan:
         """Registry lookup with hit/miss accounting (one per projection per batch).
 
         The registry does not shadow the execution path: its entries are
@@ -165,7 +157,7 @@ class ModelServingEngine(EngineCore):
             self.plan_hits += 1
             return plan
         self.plan_misses += 1
-        plan = SpmmPlan.for_matrix(layer.sparse_weight)
+        plan = SpmmPlan.for_matrix(layer.operand.vnm)
         self.plans[qualified_name] = plan
         return plan
 
@@ -185,20 +177,13 @@ class ModelServingEngine(EngineCore):
     # ------------------------------------------------------------------
     def _record_layer_executions(self, batch: MicroBatch) -> None:
         """Model one kernel launch per projection at the padded ``B × rung``
-        a GPU would run, attributing each sparse one to its owning shard."""
+        a GPU would run, attributing each to its owning shard."""
         seq = batch.key.token_bucket
         total_tokens = batch.batch_size * seq
         for qualified_name, lin in self.encoder.named_linear_layers():
-            if isinstance(lin, SparseLinear):
-                decision = self.dispatcher.dispatch(lin.operand, seq)
-                modelled = self.dispatcher.estimate(
-                    lin.operand, total_tokens, backend=decision.backend
-                )
-                self.dispatcher.attribute_modelled(lin.operand, modelled.time_us)
-                backend = decision.backend
-            else:
-                modelled = lin.kernel_result(total_tokens, gpu=self.dispatcher.gpu)
-                backend = "cublas-dense"
+            backend = self.dispatcher.dispatch(lin.operand, seq).backend
+            modelled = self.dispatcher.estimate(lin.operand, total_tokens, backend=backend)
+            self.dispatcher.attribute_modelled(lin.operand, modelled.time_us)
             execution = modelled.as_execution(category="gemm")
             execution.meta.update(
                 {
@@ -222,7 +207,10 @@ class ModelServingEngine(EngineCore):
                 f"{self.name}: micro-batch feature width ({batch.key.features}) does not "
                 f"match the encoder hidden size ({self.hidden_size})"
             )
-        for qualified_name, lin in self._sparse_layers():
+        # The live projections, not a snapshot from construction: a layer
+        # sparsified after the engine was built carries no engine dispatcher
+        # and must fail loudly, not execute through the process default.
+        for qualified_name, lin in self.encoder.named_linear_layers():
             if lin.dispatcher is not self.dispatcher:
                 # A newer engine (or a direct set_dispatcher call) re-routed
                 # the encoder.  Executing anyway would populate the other
@@ -234,7 +222,8 @@ class ModelServingEngine(EngineCore):
                     f"constructed on the same encoder?); serve through the engine that "
                     f"owns the encoder, or build a fresh engine"
                 )
-            self._plan_for(qualified_name, lin)  # cross-request plan reuse
+            if lin.operand.vnm is not None:
+                self._plan_for(qualified_name, lin)  # cross-request plan reuse
         # One forward per distinct length, shortest first: every sequence
         # runs at its true shape, so no padded row reaches a GEMM or a
         # softmax, and each output is bit-for-bit its sequential forward.
@@ -283,7 +272,7 @@ class ModelServingEngine(EngineCore):
                 else 0.0,
             },
             **self._shared_stats(),
-            "sparse_projections": len(self._sparse_layers()),
+            "sparse_projections": self.encoder.count_sparse_layers(),
             "plan_cache": {
                 "size": len(self.plans),
                 "hits": self.plan_hits,

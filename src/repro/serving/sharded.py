@@ -1,8 +1,8 @@
 """Sharded multi-device dispatch for model serving.
 
 :class:`ShardedDispatcher` splits a served encoder across ``num_shards``
-simulated devices: every sparse projection is *owned* by exactly one shard,
-and each projection's SpMM is counted against its owner.  Sharding is a
+simulated devices: every projection is *owned* by exactly one shard, and
+each projection's GEMM is counted against its owner.  Sharding is a
 placement on one :class:`~repro.kernels.dispatch.KernelDispatcher` — one
 registry, one decision and estimate memo, one circuit breaker — because
 the shards are identical devices: plans are memoized on the weight and
@@ -106,17 +106,15 @@ class ShardedDispatcher(KernelDispatcher):
         """Solve placement for ``encoder`` and take ownership of its operands.
 
         Builds the encoder's layer graph, partitions it with the configured
-        policy, and maps every sparse projection's operand to its shard.
-        Dense projections participate in the graph (they carry load and
-        activation edges) but execute locally as before — only dispatched
-        SpMMs are counted per shard.  Returns the solved :class:`Placement`.
+        policy, and maps every projection's operand — V:N:M or dense, each
+        dispatches — to its shard.  Returns the solved :class:`Placement`.
         """
         graph = encoder_layer_graph(encoder)
         placement = _PLACEMENT_SOLVERS[self.placement_policy](graph, self.num_shards)
         owner_by_name = placement.as_dict()
         self._owner.clear()
         self._layer.clear()
-        for qualified, lin in encoder.named_sparse_layers():
+        for qualified, lin in encoder.named_linear_layers():
             self._owner[id(lin.operand)] = owner_by_name[qualified]
             self._layer[id(lin.operand)] = qualified
         self.placement = placement

@@ -498,8 +498,6 @@ class ModelledEngine(ServingEngine):
         dispatcher: Optional[KernelDispatcher] = None,
         plan: Optional[FaultPlan] = None,
     ) -> None:
-        if config.kv_budget_blocks is not None:
-            raise ValueError("kv_budget_blocks is decode admission; simulated requests hold no KV")
         config = replace(config, name=config.name or "simulate", warm=False)
         super().__init__(operand, dispatcher=dispatcher, config=config)
         self.injector = FaultInjector(plan if plan is not None else FaultPlan())

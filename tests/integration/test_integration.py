@@ -8,7 +8,8 @@ from repro.integration.linear import sparsify_encoder
 from repro.integration.sparsifier import VNMSparsifier
 from repro.integration.vnm_tensor import VNMTensor
 from repro.models.config import tiny_config
-from repro.models.layers import DenseLinear, SparseLinear, init_dense_linear
+from repro.kernels.dispatch import SpmmOperand
+from repro.models.layers import Linear, init_dense_linear
 from repro.models.transformer import TransformerEncoder
 
 
@@ -47,8 +48,8 @@ def sparsified(original, sparsifier=VNMSparsifier(n=2, m=8, v=16)):
     """A dense layer through the sparsifier, the way sparsify_encoder builds it,
     and the pruned dense weight it must compute with."""
     weight = sparsifier.sparsify(original.weight)
-    layer = SparseLinear(
-        sparse_weight=weight.matrix,
+    layer = Linear(
+        SpmmOperand.from_vnm(weight.matrix, name=original.name),
         logical_shape=weight.original_shape,
         bias=original.bias,
         name=original.name,
@@ -62,7 +63,7 @@ class TestSparsifiedLinear:
         original = init_dense_linear(32, 64, seed=3)
         layer, pruned = sparsified(original)
         x = rng.normal(size=(5, 64)).astype(np.float32)
-        expected = DenseLinear(weight=pruned, bias=original.bias).forward(x)
+        expected = Linear(SpmmOperand(dense=pruned), bias=original.bias).forward(x)
         assert np.allclose(layer.forward(x), expected, atol=5e-2, rtol=1e-2)
 
     @pytest.mark.parametrize("lead", [(4,), (2, 3)], ids=["2d", "3d"])
@@ -71,12 +72,12 @@ class TestSparsifiedLinear:
         layer, pruned = sparsified(original)
         assert (layer.out_features, layer.in_features) == (30, 60)
         # The launched problem is the padded one.
-        problem = layer.gemm_problem(4)
+        problem = layer.operand.problem(4)
         assert (problem.r, problem.k) == (32, 64)
         x = rng.normal(size=lead + (60,)).astype(np.float32)
         out = layer.forward(x)
         assert out.shape == lead + (30,)
-        expected = DenseLinear(weight=pruned, bias=original.bias).forward(x)
+        expected = Linear(SpmmOperand(dense=pruned), bias=original.bias).forward(x)
         assert np.allclose(out, expected, atol=5e-2, rtol=1e-2)
 
     def test_forward_at_every_figure13_sparsity(self, rng, fig13_pattern):
@@ -86,12 +87,12 @@ class TestSparsifiedLinear:
         groups = -(-50 // m)
         original = init_dense_linear(32, 50, seed=3)
         layer, pruned = sparsified(original, VNMSparsifier(n=n, m=m, v=16))
-        assert layer.gemm_problem(4).k == groups * m
+        assert layer.operand.problem(4).k == groups * m
         # n per whole group; the zero padding adds no weights of its own.
         kept = np.count_nonzero(pruned, axis=1)
         assert np.all((n * (50 // m) <= kept) & (kept <= n * groups))
         x = rng.normal(size=(4, 50)).astype(np.float32)
-        expected = DenseLinear(weight=pruned, bias=original.bias).forward(x)
+        expected = Linear(SpmmOperand(dense=pruned), bias=original.bias).forward(x)
         assert np.allclose(layer.forward(x), expected, atol=5e-2, rtol=1e-2)
 
     @pytest.mark.parametrize("shape", [(32, 64), (30, 60)], ids=["exact", "padded"])
@@ -103,10 +104,10 @@ class TestSparsifiedLinear:
     def test_logical_shape_must_fit_the_weight(self):
         weight = VNMSparsifier(n=2, m=8, v=16).sparsify(init_dense_linear(32, 64).weight)
         with pytest.raises(ValueError, match="logical_shape"):
-            SparseLinear(sparse_weight=weight.matrix, logical_shape=(33, 64))
+            Linear(SpmmOperand.from_vnm(weight.matrix), logical_shape=(33, 64))
         with pytest.raises(ValueError, match="bias"):
-            SparseLinear(
-                sparse_weight=weight.matrix, logical_shape=(30, 60), bias=np.zeros(32)
+            Linear(
+                SpmmOperand.from_vnm(weight.matrix), logical_shape=(30, 60), bias=np.zeros(32)
             )
 
 

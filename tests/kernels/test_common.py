@@ -8,7 +8,6 @@ from repro.kernels.common import (
     GemmProblem,
     KernelResult,
     reference_matmul_fp16,
-    reference_matmul_fp16_batched,
 )
 
 
@@ -98,18 +97,3 @@ class TestReferenceMatmul:
             reference_matmul_fp16(np.ones((2, 3)), np.ones((4, 2)))
         with pytest.raises(ValueError):
             reference_matmul_fp16(np.ones(3), np.ones((3, 2)))
-
-    def test_batched_variant_is_slab_exact_vs_2d_reference(self, rng):
-        """Each slab of the batched fp16 matmul must reproduce the 2-D
-        reference bit for bit — the property model-level serving's dense
-        layers rely on."""
-        a = rng.normal(size=(4, 6, 32)).astype(np.float32)
-        b = rng.normal(size=(32, 8)).astype(np.float32)
-        out = reference_matmul_fp16_batched(a, b)
-        assert out.shape == (4, 6, 8)
-        for i in range(4):
-            assert np.array_equal(out[i], reference_matmul_fp16(a[i], b))
-
-    def test_batched_variant_shape_validation(self):
-        with pytest.raises(ValueError):
-            reference_matmul_fp16_batched(np.ones((2, 4, 3)), np.ones((4, 2)))

@@ -276,11 +276,13 @@ class TestDispatchedExecution:
         with pytest.raises(ValueError):
             dispatcher.execute(operand, np.ones((63, 4), dtype=np.float32))
 
-    @pytest.mark.parametrize("formats", [("vnm",), ("csr",), ("blocked_ell",)])
+    @pytest.mark.parametrize("formats", [("vnm",), ("csr",), ("blocked_ell",), ()])
     def test_batched_execution_is_slab_exact(self, pruned, rng, formats):
+        """Each format's backend alone; ``()`` is a dense operand, whose
+        cuBLAS GEMM broadcasts one ``matmul`` over the slabs."""
         kwargs = dict(v=8, n=2, m=8) if "vnm" in formats else {}
         op = SpmmOperand.from_dense(
-            pruned, formats=formats, block_size=8, allow_dense=False, **kwargs
+            pruned, formats=formats, block_size=8, allow_dense=not formats, **kwargs
         )
         dispatcher = KernelDispatcher()
         batch = rng.normal(size=(3, 64, 10)).astype(np.float32)

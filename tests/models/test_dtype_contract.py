@@ -7,7 +7,7 @@ supports both, so a float64 constant meeting an activation makes the served
 bits depend on the NumPy major version (and cost a float64 pass).  The
 contract below is the version-proof statement of the rule: every public
 operator of ``models/functional.py``, every forward of ``models/``, both
-linear layers and the four functional kernels return float32 for float32
+kinds of linear weight and the four functional kernels return float32 for float32
 input.
 """
 
@@ -21,7 +21,8 @@ from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels import cublas, cusparse, spatha, sputnik
 from repro.models import TransformerEncoder, tiny_config
 from repro.models import functional as F
-from repro.models.layers import SparseLinear, init_dense_linear
+from repro.kernels.dispatch import SpmmOperand
+from repro.models.layers import Linear, init_dense_linear
 from repro.pruning.masks import apply_mask
 from repro.pruning.vnm import vnm_mask
 from repro.serving import ModelServingEngine, Request, ServingConfig, decode_reference
@@ -181,7 +182,8 @@ def _pruned(rows=32, cols=64):
 def test_linear_forward_returns_float32(kind, shape):
     layer = init_dense_linear(32, HIDDEN, seed=1)
     if kind == "sparse":
-        layer = SparseLinear.from_dense(layer, v=16, n=2, m=8)
+        weight = VNMSparsifier(n=2, m=8, v=16).sparsify(layer.weight)
+        layer = Linear(SpmmOperand.from_vnm(weight.matrix), bias=layer.bias)
     out = layer.forward(_f32(*shape))
     assert out.dtype == np.float32 and out.shape == shape[:-1] + (32,)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.integration import VNMSparsifier, sparsify_encoder
-from repro.kernels.spatha import Spatha
+from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
 from repro.models.attention import MultiHeadAttention
 from repro.models.config import tiny_config
 from repro.models.functional import attend, split_heads
-from repro.models.layers import DenseLinear, SparseLinear, init_dense_linear
+from repro.models.layers import Linear, init_dense_linear
 from repro.models.transformer import EncoderLayer, TransformerEncoder
 
 
@@ -20,6 +20,17 @@ def cfg():
 @pytest.fixture
 def hidden(rng, cfg):
     return rng.normal(size=(2, 16, cfg.hidden_size)).astype(np.float32)
+
+
+def vnm_linear(dense, v, n, m):
+    """A dense layer through the sparsifier, the way sparsify_encoder builds it."""
+    weight = VNMSparsifier(n=n, m=m, v=v).sparsify(dense.weight)
+    return Linear(
+        SpmmOperand.from_vnm(weight.matrix, name=dense.name),
+        bias=dense.bias,
+        name=dense.name,
+        logical_shape=weight.original_shape,
+    )
 
 
 class TestDenseLinear:
@@ -35,47 +46,50 @@ class TestDenseLinear:
         x = rng.normal(size=(2, 5, 16)).astype(np.float32)
         assert layer.forward(x).shape == (2, 5, 8)
 
-    def test_gemm_problem_dims(self):
+    def test_operand_problem_dims(self):
         layer = init_dense_linear(8, 16)
-        p = layer.gemm_problem(tokens=40)
+        p = layer.operand.problem(40)
         assert (p.r, p.k, p.c) == (8, 16, 40)
+        assert layer.operand.formats == ("dense",)
 
-    def test_kernel_result_positive_time(self, gpu):
+    def test_modelled_time_positive(self, gpu):
         layer = init_dense_linear(64, 64)
-        assert layer.kernel_result(tokens=256, gpu=gpu).time_us > 0
+        assert KernelDispatcher(gpu=gpu).estimate(layer.operand, 256).time_us > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DenseLinear(weight=np.zeros(4))
+            Linear(SpmmOperand(dense=np.zeros(4)))
         with pytest.raises(ValueError):
-            DenseLinear(weight=np.zeros((4, 4)), bias=np.zeros(3))
+            Linear(SpmmOperand(dense=np.zeros((4, 4))), bias=np.zeros(3))
+        with pytest.raises(TypeError):
+            Linear(np.zeros((4, 4)))
 
 
 class TestSparseLinear:
-    def test_from_dense_applies_vnm_pattern(self):
-        dense = init_dense_linear(32, 64, seed=1)
-        sparse = SparseLinear.from_dense(dense, v=16, n=2, m=8, spatha=Spatha(autotune=False))
+    def test_sparsifier_applies_vnm_pattern(self):
+        sparse = vnm_linear(init_dense_linear(32, 64, seed=1), v=16, n=2, m=8)
         assert sparse.sparsity == pytest.approx(0.75)
         assert sparse.out_features == 32 and sparse.in_features == 64
 
     def test_forward_close_to_dense_on_pruned_weight(self, rng):
         dense = init_dense_linear(32, 64, seed=1)
-        sparse = SparseLinear.from_dense(dense, v=16, n=2, m=8, spatha=Spatha(autotune=False))
+        sparse = vnm_linear(dense, v=16, n=2, m=8)
         x = rng.normal(size=(4, 64)).astype(np.float32)
         # The sparse layer equals a dense layer whose weight is the pruned one.
-        pruned_dense = DenseLinear(weight=sparse.sparse_weight.to_dense(), bias=dense.bias)
+        pruned_dense = Linear(SpmmOperand(dense=sparse.operand.vnm.to_dense()), bias=dense.bias)
         assert np.allclose(sparse.forward(x), pruned_dense.forward(x), atol=5e-2, rtol=1e-2)
 
-    def test_gemm_problem_carries_pattern(self):
-        dense = init_dense_linear(32, 64, seed=1)
-        sparse = SparseLinear.from_dense(dense, v=16, n=2, m=8, spatha=Spatha(autotune=False))
-        p = sparse.gemm_problem(tokens=128)
+    def test_operand_problem_carries_pattern(self):
+        sparse = vnm_linear(init_dense_linear(32, 64, seed=1), v=16, n=2, m=8)
+        p = sparse.operand.problem(128)
         assert (p.n, p.m, p.v) == (2, 8, 16)
 
-    def test_kernel_result_faster_than_dense(self, gpu):
+    def test_modelled_spmm_faster_than_dense(self, gpu):
         dense = init_dense_linear(1024, 4096, seed=1)
-        sparse = SparseLinear.from_dense(dense, v=128, n=2, m=16, spatha=Spatha(gpu=gpu, autotune=False))
-        assert sparse.kernel_result(4096).time_us < dense.kernel_result(4096, gpu=gpu).time_us
+        sparse = vnm_linear(dense, v=128, n=2, m=16)
+        dispatcher = KernelDispatcher(gpu=gpu)
+        spmm = dispatcher.estimate(sparse.operand, 4096, backend="spatha-plan")
+        assert spmm.time_us < dispatcher.estimate(dense.operand, 4096).time_us
 
 
 class TestMultiHeadAttention:

@@ -288,12 +288,17 @@ class TestServingEngineEquivalence:
             engine.serve([good, good])
         assert engine.batcher.pending == 0
 
-    def test_for_layer_constructor(self, rng, vnm_weight, bias):
-        from repro.models.layers import SparseLinear
+    @pytest.mark.parametrize("weight", ["vnm", "dense"])
+    def test_for_layer_constructor(self, rng, vnm_weight, bias, weight):
+        """A V:N:M and a dense ``Linear`` are both servable operands."""
+        from repro.models.layers import Linear
 
-        layer = SparseLinear(
-            sparse_weight=vnm_weight, bias=bias, dispatcher=KernelDispatcher()
+        operand = (
+            SpmmOperand.from_vnm(vnm_weight)
+            if weight == "vnm"
+            else SpmmOperand(dense=vnm_weight.to_dense())
         )
+        layer = Linear(operand, bias=bias, dispatcher=KernelDispatcher())
         engine = ServingEngine.for_layer(layer)
         (req,) = make_requests(rng, [6])
         out = engine.serve([req])[req.request_id]
@@ -477,11 +482,9 @@ class TestForLayerValidation:
     """Satellite fix: mismatched shapes fail loudly at intake, not deep in
     the kernel, and unsupported layer types are rejected up front."""
 
-    def test_for_layer_rejects_dense_layer(self):
-        from repro.models.layers import init_dense_linear
-
-        with pytest.raises(TypeError, match="SpmmOperand"):
-            ServingEngine.for_layer(init_dense_linear(8, 16))
+    def test_for_layer_rejects_what_is_not_a_linear(self, vnm_weight):
+        with pytest.raises(TypeError, match="Linear"):
+            ServingEngine.for_layer(vnm_weight)
 
     def test_bypassing_submit_still_fails_with_clear_error(self, rng, vnm_weight):
         """A request queued straight on the batcher (skipping submit's
@@ -494,11 +497,9 @@ class TestForLayerValidation:
             engine.serve([])
 
     def test_for_layer_engine_validates_request_width(self, rng, vnm_weight, bias):
-        from repro.models.layers import SparseLinear
+        from repro.models.layers import Linear
 
-        layer = SparseLinear(
-            sparse_weight=vnm_weight, bias=bias, dispatcher=KernelDispatcher()
-        )
+        layer = Linear(SpmmOperand.from_vnm(vnm_weight), bias=bias, dispatcher=KernelDispatcher())
         engine = ServingEngine.for_layer(layer)
         with pytest.raises(ValueError, match=f"operand K \\({K_FEATURES}\\)"):
             engine.submit(

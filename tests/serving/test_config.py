@@ -275,7 +275,9 @@ class TestEngineCoreContract:
         assert stats["continuous"] == {"steps": 0, "completions": 0}
         assert stats["outcomes"] == {"ok": 0, "failed": 0, "timed_out": 0, "shed": 0}
         assert stats["sharding"] == ZEROED_SHARDING
-        assert stats["admission"] == ZEROED_ADMISSION
+        # A decoder's KV budget defaults to the whole cache.
+        budget = ServingConfig().capacity_blocks if kind == "decoder" else None
+        assert stats["admission"] == {**ZEROED_ADMISSION, "kv_budget_blocks": budget}
 
     def test_continuous_batcher_reports_the_same_schema(self, kind, operand):
         engine = build_engine(kind, operand, ServingConfig(scheduling="continuous"))

@@ -521,7 +521,7 @@ class TestContinuousSimulation:
     def operand(self, rng):
         encoder = make_encoder()
         _, layer = next(iter(encoder.named_sparse_layers()))
-        return SpmmOperand.from_vnm(layer.sparse_weight)
+        return SpmmOperand.from_vnm(layer.operand.vnm)
 
     def test_p99_latency_beats_async_at_equal_offered_load(self, operand):
         """The acceptance property of the continuous policy: same arrival

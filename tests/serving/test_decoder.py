@@ -241,29 +241,45 @@ class TestRungOccupancy:
         )
         req = DecodeRequest("free-0", rng.normal(size=(5, HIDDEN)).astype(np.float32), 3)
         engine.submit(req)
+        assert engine.batcher.kv_reserved == 0  # reserved when scheduled
+        engine.step(0.0)
         assert engine.batcher.kv_reserved == 2  # ceil((5 + 3) / 4)
-        engine.serve_continuous([])  # drains the pre-queued request
+        engine.serve_continuous([])  # decodes the resident to completion
         assert engine.batcher.kv_reserved == 0
         assert engine.cache_stats()["sequences"] == 0
         assert engine.outcomes["free-0"].status == "ok"
 
 
 class TestKVBudgetAdmission:
-    def test_budget_sheds_beyond_reserved_blocks(self, rng):
+    def test_budget_defers_beyond_reserved_blocks(self, rng):
+        """A request whose footprint does not fit the blocks in-flight
+        sequences reserved waits in the queue (nothing is shed for KV); one
+        larger than the whole budget fails at submit, with the cause."""
         engine = DecoderServingEngine(
             make_encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=3)
         )
-        fits = DecodeRequest("kv-fit", rng.normal(size=(5, HIDDEN)).astype(np.float32), 3)
+        first = DecodeRequest("kv-fit", rng.normal(size=(5, HIDDEN)).astype(np.float32), 3)
+        second = DecodeRequest("kv-wait", rng.normal(size=(6, HIDDEN)).astype(np.float32), 2)
         too_big = DecodeRequest(
             "kv-big", rng.normal(size=(9, HIDDEN)).astype(np.float32), 8
         )
-        assert engine.submit(fits) is not None  # 2 of 3 blocks reserved
+        assert engine.submit(first) is not None
+        assert engine.submit(second) is not None
         assert engine.submit(too_big) is None  # needs ceil(17/4)=5 > 3
+        engine.step(0.0)
+        # 2 of 3 blocks reserved; the second needs 2 more and waits queued.
+        assert engine.batcher.kv_reserved == 2
+        assert engine.batcher.is_queued("kv-wait")
+        assert engine.outcomes["kv-big"].status == "failed"
+        assert "exceeds the budget of 3 blocks" in engine.outcomes["kv-big"].detail
         results = engine.serve_continuous([])
-        assert sorted(results) == ["kv-fit"]
-        assert engine.outcomes["kv-big"].status == "shed"
-        assert engine.stats()["admission"]["shed"] == 1
-        # The shed request never reserved anything; the served one released.
+        assert sorted(results) == ["kv-fit", "kv-wait"]
+        for request in (first, second):
+            assert np.array_equal(
+                results[request.request_id],
+                decode_reference(engine.encoder, request.prompt, request.new_tokens),
+            )
+        assert engine.stats()["admission"]["shed"] == 0
         assert engine.batcher.kv_reserved == 0
 
     def test_budget_admits_again_after_release(self, rng):
@@ -401,34 +417,46 @@ class TestPreemptionGoldenCells:
 
 
 class TestCacheLifecycle:
-    def test_exhaustion_is_a_failed_outcome_with_block_accounting(self, rng):
+    @pytest.mark.parametrize("kv_budget_blocks", [None, 16], ids=["default", "over-committed"])
+    def test_tight_pool_defers_or_fails_alone_with_block_accounting(self, rng, kv_budget_blocks):
         """The ROADMAP wedge: four 9-token prompts x 4 new tokens need 16
-        blocks of 4 slots and the pool has 6.  Exhaustion used to escape
-        ``serve()`` with three sequences holding every block and no outcome
-        recorded; now the request that needed the block fails alone —
+        blocks of 4 slots and the pool has 6.  Each needs 4, so under the
+        default budget (the whole cache) they wait their turn and all four
+        decode the reference bits.  A budget that over-commits the pool
+        lets it run dry: the request that needed the block fails alone —
         everything it held returns — and whoever fits still decodes the
         reference bits."""
         encoder = make_encoder()
         engine = DecoderServingEngine(
-            encoder, config=ServingConfig(block_size=4, capacity_blocks=6)
+            encoder,
+            config=ServingConfig(
+                block_size=4, capacity_blocks=6, kv_budget_blocks=kv_budget_blocks
+            ),
         )
         requests = make_decode_requests(rng, (9, 9, 9, 9), (4, 4, 4, 4), [0.0] * 4)
         results = engine.serve(requests)
-        assert engine.stats()["outcomes"] == {"ok": 1, "failed": 3, "timed_out": 0, "shed": 0}
+        ok = 4 if kv_budget_blocks is None else 1
+        assert engine.stats()["outcomes"] == {
+            "ok": ok, "failed": 4 - ok, "timed_out": 0, "shed": 0
+        }
         assert sorted(engine.outcomes) == sorted(r.request_id for r in requests)
-        (served,) = results
-        (request,) = [r for r in requests if r.request_id == served]
-        assert np.array_equal(
-            results[served], decode_reference(encoder, request.prompt, request.new_tokens)
-        )
-        for rid, outcome in engine.outcomes.items():
-            if rid != served:
-                assert "KV cache exhausted" in outcome.detail
-        # Nothing is left holding anything: sequences, blocks (the pressure
-        # evicted every registered prefix too), rung slots, reservations.
+        assert len(results) == ok
+        for request in requests:
+            if request.request_id in results:
+                assert np.array_equal(
+                    results[request.request_id],
+                    decode_reference(encoder, request.prompt, request.new_tokens),
+                )
+            else:
+                assert "KV cache exhausted" in engine.outcomes[request.request_id].detail
+        # Nothing is left holding anything but registered prefixes (which
+        # the over-committed pool's pressure evicted): sequences, blocks,
+        # rung slots, reservations.
         cache = engine.cache_stats()
         assert cache["sequences"] == 0
-        assert cache["blocks_in_use"] == 0
+        prefix_blocks = {b for entry in engine.kv._prefixes.values() for b in entry.block_ids}
+        assert cache["blocks_in_use"] == len(prefix_blocks)
+        assert kv_budget_blocks is None or not prefix_blocks
         assert engine.stats()["residents"] == 0
         assert engine.stats()["admission"]["occupied_slots"] == 0
         assert engine.batcher.kv_reserved == 0

@@ -366,6 +366,75 @@ class TestModelEngineUnderFaults:
         assert ok_count >= 1
 
 
+def ffn_only_encoder(seed=0):
+    """One block with only its FFN sparsified: the four attention
+    projections keep dense operands, whose one candidate is cuBLAS."""
+    cfg = tiny_config(hidden_size=HIDDEN, num_layers=1, num_heads=4, intermediate_size=128)
+    encoder = TransformerEncoder.init(cfg, seed=seed)
+    sparsify_encoder(
+        encoder, VNMSparsifier(n=2, m=8, v=16), weight_filter=lambda name: ".ffn." in name
+    )
+    return encoder
+
+
+class TestDenseProjectionsUnderFaults:
+    """Every projection dispatches, so a dense one faces the circuit
+    breaker like a sparse one: with one candidate, a fault on it is the
+    "every candidate failed" case, and the request it hits fails alone."""
+
+    LENGTHS = [5, 12, 30, 7, 12, 9]
+
+    @pytest.mark.parametrize("kind", ["encoder", "decoder"])
+    def test_failing_cublas_fails_who_it_hits_and_returns_everything(self, rng, kind):
+        payloads = [rng.normal(size=(t, HIDDEN)).astype(np.float32) for t in self.LENGTHS]
+        oracle = ffn_only_encoder()
+        if kind == "encoder":
+            engine = ModelServingEngine(ffn_only_encoder(), config=ServingConfig(padding="ladder"))
+            requests = [Request(f"dense-{i:04d}", x) for i, x in enumerate(payloads)]
+            expected = [oracle.forward(x[None])[0] for x in payloads]
+        else:
+            engine = DecoderServingEngine(
+                ffn_only_encoder(), config=ServingConfig(block_size=4, capacity_blocks=32)
+            )
+            requests = [DecodeRequest(f"dense-{i:04d}", x, 2) for i, x in enumerate(payloads)]
+            expected = [decode_reference(oracle, x, 2) for x in payloads]
+        plan = FaultPlan.seeded(["cublas-dense"], seed=FAULT_SEED, failure_rate=0.25)
+        FaultInjector(plan).arm(engine.dispatcher)
+        results = engine.serve_continuous(requests)
+
+        counts = outcome_counts(engine.outcomes.values())
+        assert counts["ok"] + counts["failed"] == len(requests)
+        assert counts["failed"] >= 1 and engine.dispatcher.health_stats()["failures"] >= 1
+        for request, rows in zip(requests, expected):
+            outcome = engine.outcomes[request.request_id]
+            if outcome.ok:
+                assert np.array_equal(results[request.request_id], rows)
+            else:
+                assert "all candidate backends failed" in outcome.detail
+        stats = engine.stats()
+        assert stats["admission"]["occupied_slots"] == 0 and engine.batcher.pending == 0
+        if kind == "decoder":
+            assert stats["residents"] == 0 and engine.batcher.kv_reserved == 0
+            cache = engine.cache_stats()
+            prefix_blocks = {b for e in engine.kv._prefixes.values() for b in e.block_ids}
+            assert cache["sequences"] == 0 and cache["blocks_in_use"] == len(prefix_blocks)
+
+    def test_failing_spatha_still_fails_over_to_cublas(self, rng):
+        """The sparse projections walk down to the dense fallback, which
+        computes their bits exactly; the dense ones never see Spatha."""
+        payloads = [rng.normal(size=(t, HIDDEN)).astype(np.float32) for t in self.LENGTHS]
+        oracle = ffn_only_encoder()
+        engine = ModelServingEngine(ffn_only_encoder(), config=ServingConfig(padding="ladder"))
+        FaultInjector(FaultPlan([FaultSpec("spatha-plan", "persistent")])).arm(engine.dispatcher)
+        requests = [Request(f"spatha-{i:04d}", x) for i, x in enumerate(payloads)]
+        results = engine.serve_continuous(requests)
+        assert all(outcome.ok for outcome in engine.outcomes.values())
+        for request, x in zip(requests, payloads):
+            assert np.array_equal(results[request.request_id], oracle.forward(x[None])[0])
+        health = engine.dispatcher.health_stats()
+        assert health["failovers"] >= 1 and health["quarantined"] == ["spatha-plan"]
+
+
 def sparse_decoder_encoder(num_layers=1, seed=0):
     cfg = tiny_config(
         hidden_size=HIDDEN, num_layers=num_layers, num_heads=4, intermediate_size=128
@@ -904,11 +973,13 @@ class TestStackedDecodeUnderFaults:
         the third ``extend()`` finds the pool dry and raises for the stack.
         After the rollback the first two re-extend into the blocks they kept
         (no second allocation) and decode the reference bits; the third
-        fails alone."""
+        fails alone.  (A budget of the whole cache would have held the
+        third back; this one over-commits the pool on purpose.)"""
         requests = self._requests(rng, new_tokens=(3, 3, 3), prompt_tokens=4)
         expected = self._expected(requests)
         engine = DecoderServingEngine(
-            self._encoder(), config=ServingConfig(block_size=4, capacity_blocks=5)
+            self._encoder(),
+            config=ServingConfig(block_size=4, capacity_blocks=5, kv_budget_blocks=6),
         )
         recorded = self._spy_outcomes(engine)
         results = engine.serve(requests)

@@ -17,6 +17,11 @@ priority preemption.  After every rule:
 - no request in two of {queued, resident, parked, terminal}, and after a
   step every submitted request is in exactly one;
 - no request is ever given a second outcome;
+- KV exhaustion defers: under a budget that fits the cache the pool never
+  runs dry and nothing is shed, a request waits in the queue until its
+  footprint fits the blocks in-flight decodes have not reserved, and only
+  one larger than the whole budget fails (at submit); reservations are
+  held by residents and parked decodes alone;
 - every ``ok`` output is bit-equal to the per-position ``forward_step``
   oracle over the reference :class:`~repro.models.SequenceKV` (which is
   defined to equal :func:`~repro.serving.decode_reference`);
@@ -42,6 +47,7 @@ from repro.kernels.dispatch import BackendExecutionError
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     OUTCOME_OK,
+    OUTCOME_SHED,
     OUTCOME_TIMED_OUT,
     DecodeRequest,
     DecoderServingEngine,
@@ -241,6 +247,21 @@ class DecoderKVMachine(RuleBasedStateMachine):
         assert batcher.admission_stats()["occupied_slots"] == len(self.engine._residents)
         assert batcher.kv_reserved == sum(batcher._kv_cost_by_id.values())
         assert not set(batcher._kv_cost_by_id) & set(self.engine.outcomes)
+
+    @invariant()
+    def kv_exhaustion_defers(self):
+        engine, batcher = self.engine, self.engine.batcher
+        assert batcher.kv_budget_blocks <= engine.kv.capacity_blocks
+        assert batcher.kv_reserved <= batcher.kv_budget_blocks
+        assert set(batcher._kv_cost_by_id) == set(engine._residents) | set(engine._preempted)
+        for rid, outcome in engine.outcomes.items():
+            assert outcome.status != OUTCOME_SHED, rid
+            assert "KV cache exhausted" not in outcome.detail, rid
+            request = self.submitted[rid]
+            tokens = request.prompt.shape[0] + request.new_tokens
+            footprint = -(-tokens // engine.config.block_size)
+            oversized = footprint > batcher.kv_budget_blocks
+            assert oversized == ("exceeds the budget" in outcome.detail), rid
 
     @invariant()
     def no_request_in_two_states(self):

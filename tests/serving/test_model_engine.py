@@ -30,9 +30,13 @@ from repro.kernels.dispatch import (
 )
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
+    DecodeRequest,
     ModelServingEngine,
     Request,
     ServingConfig,
+    ShardingConfig,
+    create_engine,
+    decode_reference,
 )
 
 HIDDEN = 64
@@ -390,7 +394,7 @@ class TestPlanCache:
 
         engine = ModelServingEngine(make_encoder((16, 2, 8), 1))
         for name, layer in engine.encoder.named_sparse_layers():
-            assert engine.plans[name] is SpmmPlan.for_matrix(layer.sparse_weight)
+            assert engine.plans[name] is SpmmPlan.for_matrix(layer.operand.vnm)
 
     def test_warm_buckets_prepay_dispatch_ranking(self):
         engine = ModelServingEngine(
@@ -522,9 +526,12 @@ class TestModelEngineApi:
             sum(per_layer.values())
         )
 
-    def test_mixed_dense_sparse_encoder_stays_bit_exact(self, rng):
-        """Only the FFN sparsified: the attention projections run the dense
-        slab-exact path, and batched == sequential must still hold."""
+    @pytest.mark.parametrize("kind", ["encoder", "decoder", "encoder-tp2"])
+    def test_mixed_dense_sparse_encoder_stays_bit_exact(self, rng, kind):
+        """Only the FFN sparsified: the attention projections run dense
+        through the same dispatcher, and every engine still serves the
+        sequential bits; a sharded engine counts all six projections'
+        calls per forward, dense ones included."""
         cfg = tiny_config(hidden_size=HIDDEN, num_layers=2, num_heads=4, intermediate_size=128)
         encoder = TransformerEncoder.init(cfg, seed=3)
         sparsify_encoder(
@@ -533,9 +540,32 @@ class TestModelEngineApi:
             weight_filter=lambda name: name.split(".", 3)[-1].startswith("ffn."),
         )
         assert encoder.count_sparse_layers() == 4
-        engine = ModelServingEngine(encoder)
-        requests = make_requests(rng, [5, 9, 9, 17])
+        lengths = [5, 9, 9, 17]
+        if kind == "decoder":
+            engine = create_engine(encoder, kind="decoder")
+            requests = [
+                DecodeRequest(f"dec-{i}", rng.normal(size=(t, HIDDEN)).astype(np.float32), 3)
+                for i, t in enumerate(lengths)
+            ]
+            served = engine.serve(requests)
+            for request in requests:
+                expected = decode_reference(encoder, request.prompt, request.new_tokens)
+                assert np.array_equal(served[request.request_id], expected)
+            return
+        sharding = ShardingConfig(tp_degree=2 if kind == "encoder-tp2" else 1)
+        engine = ModelServingEngine(encoder, config=ServingConfig(sharding=sharding))
+        requests = make_requests(rng, lengths)
         batched = engine.serve(requests)
+        stats = engine.stats()
+        if kind == "encoder-tp2":
+            forwards = len(set(lengths))  # one forward per distinct length
+            assert sum(stats["sharding"]["per_shard_calls"]) == 12 * forwards
+            owner = engine.dispatcher.placement.as_dict()
+            expected = [0, 0]
+            for name, lin in encoder.named_linear_layers():
+                assert engine.dispatcher.layer_of(lin.operand) == name
+                expected[owner[name]] += forwards
+            assert stats["sharding"]["per_shard_calls"] == expected
         for request in requests:
             sequential = encoder.forward(request.activations[None])[0]
             assert np.array_equal(batched[request.request_id], sequential)

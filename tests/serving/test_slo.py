@@ -203,6 +203,8 @@ SHED_CONFIGS = {
         {"class_queue_depths": (3, None, None, None)},
         {"max_queue_depth": 8, "shed_policy": "reject-newest"},
     ),
+    # Footprints of 1-3 blocks against 6: chunks are cut by the KV budget.
+    "kv-budget": ({}, {"kv_budget_blocks": 6, "kv_cost": lambda r: 1 + r.tokens // 8}),
 }
 
 
@@ -220,8 +222,10 @@ class TestBatcherChunkSequenceProperty:
         and released, and held requests randomly preempted back into the
         queue, with and without a hold.  The mirror replays the same events
         on a flat pending list and passes the held slots as the
-        reference's ``capacity_of``.  An idle step always leaves
-        ``next_event_us`` past the clock."""
+        reference's ``capacity_of`` and, under a KV budget, the blocks left
+        unreserved as its ``kv_room`` (a scheduled request holds its
+        footprint until it leaves its slot for good).  An idle step always
+        leaves ``next_event_us`` past the clock."""
         scheduling_kwargs, shed_kwargs = SHED_CONFIGS[shed]
         if policy == "weighted-fair":
             scheduling_kwargs = {**scheduling_kwargs, "class_weights": (1, 2, 4, 1)}
@@ -270,6 +274,8 @@ class TestBatcherChunkSequenceProperty:
                             if request is not None and rng.random() < 0.5:
                                 batcher.requeue(request)
                                 mirror[rid] = request
+                            else:
+                                batcher.release_kv(rid)
                     if not held[key]:
                         del held[key]
                 if i < len(reqs) and rng.random() < 0.3:
@@ -297,6 +303,14 @@ class TestBatcherChunkSequenceProperty:
                     capacity_of=lambda k: batcher.max_batch_size - len(held.get(k, ())),
                     window_us=window_us,
                     now_us=now,
+                    need_of=lambda r: (
+                        0 if r.request_id in batcher._kv_cost_by_id else batcher._kv_cost_of(r)
+                    ),
+                    kv_room=(
+                        None
+                        if batcher.kv_budget_blocks is None
+                        else batcher.kv_budget_blocks - batcher.kv_reserved
+                    ),
                 )
                 batch = batcher.next_batch(now)
                 if reference is None:
@@ -317,6 +331,8 @@ class TestBatcherChunkSequenceProperty:
                         if rng.random() < 0.5:  # becomes a multi-step resident
                             batcher.acquire_slot(batch.key, r)
                             held.setdefault(batch.key, {})[r.request_id] = r
+                        else:
+                            batcher.release_kv(r.request_id)
                 assert batcher.admission_stats()["occupied_slots"] == sum(
                     len(holders) for holders in held.values()
                 )
@@ -375,19 +391,18 @@ class TestBatcherChunkSequenceProperty:
             assert batcher.pending == 0
 
     def test_scheduled_chunks_keep_their_kv_reservation(self, rng):
-        """Leaving the queue to execute must NOT release the KV budget —
-        only shedding/expiry does (regression guard on the `_remove_queued`
-        vs `_evict` split)."""
+        """Leaving the queue to execute reserves the KV footprint, and only
+        ``release_kv`` returns it (a queued request holds none)."""
         batcher = ContinuousBatcher.ladder(
             scheduling=SchedulingConfig(policy="priority"),
             kv_budget_blocks=10,
             kv_cost=lambda r: 2,
         )
         batcher.submit(Request("kv-0", payload(rng, 5), priority_class=1))
-        assert batcher.kv_reserved == 2
+        assert batcher.kv_reserved == 0
         batch = batcher.next_batch(0.0)
         assert [r.request_id for r in batch.requests] == ["kv-0"]
-        assert batcher.kv_reserved == 2  # still held by the executing request
+        assert batcher.kv_reserved == 2  # held by the executing request
         assert batcher.release_kv("kv-0") == 2
         assert batcher.kv_reserved == 0
 
