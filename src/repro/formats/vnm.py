@@ -37,9 +37,12 @@ flat index built from :meth:`VNMSparseMatrix.selected_column_indices`.
 
 The derived views (:meth:`to_condensed`, :meth:`selected_column_indices`,
 :meth:`packed_metadata`) are memoized per instance: the compressed arrays
-never change after construction, so every caller — the Spatha execution
-plan, repeated layer forwards — pays the derivation once.  The returned
-arrays are shared and must be treated as read-only.
+never change after construction, so every caller pays the derivation
+once.  The returned arrays are shared and must be treated as read-only.
+The Spatha execution plan takes the indices and the metadata but not the
+fp32 condensed view: it rounds a transient :func:`condense` to fp16, so an
+operand that is only ever executed keeps no fp32 copy of its selected
+columns.
 """
 
 from __future__ import annotations
@@ -174,6 +177,22 @@ def scatter_columns(condensed: np.ndarray, columns: np.ndarray, k: int) -> np.nd
     return out.reshape(rows, k)
 
 
+def condense(values: np.ndarray, m_indices: np.ndarray, n: int) -> np.ndarray:
+    """A new ``R x (K/M*4)`` float32 condensed operand: the ``R x (K/M*n)``
+    stored ``values`` placed at their ``m_indices`` within each group of
+    four, zeros elsewhere.
+
+    Not memoized: :meth:`VNMSparseMatrix.to_condensed` caches the result
+    for its callers, while the Spatha plan rounds a transient one to fp16.
+    """
+    rows = values.shape[0]
+    slots = values.size // n
+    index = m_indices.reshape(slots, n) + (np.arange(slots, dtype=np.int64) * SELECTED_COLUMNS)[:, None]
+    condensed = np.zeros(slots * SELECTED_COLUMNS, dtype=np.float32)
+    condensed[index] = values.reshape(slots, n)
+    return condensed.reshape(rows, -1)
+
+
 def _keep_n_of_4(selected: np.ndarray, n: int) -> np.ndarray:
     """The ``n`` largest magnitudes of every group of four, as a mask.
 
@@ -267,9 +286,13 @@ class VNMSparseMatrix(SparseFormat):
             )
         if self.column_loc.size and (self.column_loc.min() < 0 or self.column_loc.max() >= self.m):
             raise ValueError(f"column_loc entries must lie in [0, M={self.m})")
-        # Memo for the derived views (and the kernels' execution plan).  The
+        # Memo for the derived views (and the kernels' execution plans).  The
         # compressed arrays are immutable after construction, so the cache
-        # is only ever invalidated by constructing a new matrix.
+        # is only ever invalidated by constructing a new matrix.  Exempt from
+        # the BoundedCache rule: its key set is fixed — the three views
+        # ("condensed", "selected_column_indices", "packed_metadata") plus
+        # one ("spmm_plan", strategy) per SpmmPlan strategy — so it holds at
+        # most six entries whatever the traffic, and dies with the matrix.
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -325,19 +348,8 @@ class VNMSparseMatrix(SparseFormat):
         scattered to the selected columns."""
         condensed = self._memo.get("condensed")
         if condensed is None:
-            condensed = self._condense()
+            condensed = condense(self.values, self.m_indices, self.n)
         return scatter_columns(condensed, self.selected_column_indices(), self.k)
-
-    def _condense(self) -> np.ndarray:
-        """The values scattered to their m-indices within each group of four."""
-        rows = self.values.shape[0]
-        slots = rows * self.groups_per_row
-        index = self.m_indices.reshape(slots, self.n) + (
-            np.arange(slots, dtype=np.int64) * SELECTED_COLUMNS
-        )[:, None]
-        condensed = np.zeros(slots * SELECTED_COLUMNS, dtype=np.float32)
-        condensed[index] = self.values.reshape(slots, self.n)
-        return condensed.reshape(rows, -1)
 
     def to_condensed(self) -> np.ndarray:
         """Return the ``R x (K/M*4)`` matrix of the selected columns.
@@ -352,7 +364,7 @@ class VNMSparseMatrix(SparseFormat):
         cached = self._memo.get("condensed")
         if cached is not None:
             return cached
-        condensed = self._condense()
+        condensed = condense(self.values, self.m_indices, self.n)
         condensed.setflags(write=False)
         self._memo["condensed"] = condensed
         return condensed

@@ -198,10 +198,12 @@ class BoundedCache:
     """A memo of at most :data:`MEMO_BOUND` entries with traffic counters.
 
     Past the bound the oldest entry goes (first in, first out: a hit costs
-    a dict lookup and nothing else, which is what the ~40 us C=1 call
-    chain can afford; an evicted hot entry is recomputed once and is the
-    newest again).  ``hits`` / ``misses`` count ``get`` calls and are
-    cumulative — :meth:`clear` drops the entries, not the counters.
+    a dict lookup and nothing else, which is what a C=1 dispatched call
+    can afford — ~8 us at 256x256 and ~16 us at 1024x256 or 256x1024,
+    16:2:8, on one AMD EPYC core with one BLAS thread; an evicted hot
+    entry is recomputed once and is the newest again).  ``hits`` /
+    ``misses`` count ``get`` calls and are cumulative — :meth:`clear`
+    drops the entries, not the counters.
     Values must not be ``None`` (``get`` returns it for a miss).
     """
 

@@ -661,7 +661,9 @@ class KernelDispatcher:
         operands with different sparsity/structure never alias to one
         cached decision (distinct layers of a model may legitimately
         dispatch to different backends).  Rebuilt per call: it costs about
-        a microsecond of a ~57 us C=1 sparse ``Linear.forward``.
+        0.24 us of a C=1 16:2:8 ``Linear.forward`` that takes ~10 us at
+        256x256 and ~19 us at 1024x256 or 256x1024 (one AMD EPYC core,
+        one BLAS thread).
         """
         return (
             operand.formats,
@@ -786,9 +788,11 @@ class KernelDispatcher:
 
         Builds the Spatha plan (when a V:N:M view exists) and, for every
         column count in ``cs``, pre-populates the dispatch decision of its
-        shape bucket — so a warmed server pays neither operand preparation
-        nor the cost-model ranking (including the tuner sweep) on its first
-        real request.
+        shape bucket — so a warmed server pays neither the plan's gather
+        indices and metadata nor the cost-model ranking (including the
+        tuner sweep) on its first real request.  The fp16 copy each of the
+        plan's schedules reads is rounded on that schedule's first call, so
+        a plan holds only the copies its traffic uses.
         """
         if operand.vnm is not None:
             SpmmPlan.for_matrix(operand.vnm)

@@ -8,11 +8,14 @@ real Spatha kernel avoids: the GPU library prepares the operand once
 ``mma.sp`` schedule for every activation batch.  :class:`SpmmPlan` is the
 CPU analogue of that preparation step:
 
-* all per-operand derivations — the fp16-rounded condensed operand, the
-  absolute gather indices of the selected B rows, the packed 2-bit
-  metadata — are computed once at plan construction and cached on the
-  :class:`~repro.formats.vnm.VNMSparseMatrix` itself, so every layer of a
-  transformer forward and every point of a sweep pays preparation once;
+* preparation is paid once per operand.  The absolute gather indices of
+  the selected B rows and the packed 2-bit metadata are the
+  :class:`~repro.formats.vnm.VNMSparseMatrix`'s memoized views, taken at
+  plan construction.  The fp16-rounded operand is prepared per schedule,
+  the first time that schedule runs: the condensed operand for the gather
+  schedule, the dense operand for the dense one.  A plan keeps only the
+  copies its schedules read, so an operand that runs dense at every C
+  holds no condensed copy at all;
 * execution is fully batched: no Python loop over row blocks.  Two
   strategies are provided and an ``auto`` mode picks between them per
   (operand, C) with a small host cost model:
@@ -22,7 +25,7 @@ CPU analogue of that preparation step:
     cache until the GEMM reads them, and multiplied with the condensed
     operand via one stacked ``matmul``.  This is bit-identical to the
     retained loop reference.
-  - ``"dense"`` — scatter the (fp16-rounded) operand to its dense form once,
+  - ``"dense"`` — scatter the fp16-rounded operand to its dense form once,
     on first use, then execute each call as a single large GEMM: ``M/4``
     times the arithmetic in one BLAS call instead of one small GEMM per row
     block.
@@ -52,7 +55,7 @@ import numpy as np
 
 from ..common import demote_nonfinite_slabs
 from ...formats.base import quantize_fp16, quantize_fp16_checked
-from ...formats.vnm import VNMSparseMatrix, scatter_columns
+from ...formats.vnm import SELECTED_COLUMNS, VNMSparseMatrix, condense, scatter_columns
 
 #: Host cost model of the two schedules, in seconds per unit, fitted on an
 #: AVX-512 Xeon (2 MiB L2 per core) with one BLAS thread over 152
@@ -114,8 +117,9 @@ class SpmmPlan:
     Parameters
     ----------
     matrix:
-        The sparse LHS.  Its derived views are memoized on the matrix, so
-        building several plans for one matrix re-uses the preparation.
+        The sparse LHS.  Its gather indices and packed metadata are
+        memoized on the matrix, so several plans for one matrix share them;
+        each plan rounds its own fp16 copies, per schedule, on first use.
     strategy:
         ``"auto"`` (default), ``"dense"`` or ``"gather"`` — see the module
         docstring.
@@ -126,16 +130,23 @@ class SpmmPlan:
             raise TypeError("SpmmPlan expects a VNMSparseMatrix operand")
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; use one of {_STRATEGIES}")
-        # Copied out, not a reference back: the plan is memoized on the
-        # matrix, and a cycle would leave both to the cyclic collector.
+        # The matrix's arrays and sizes, never the matrix itself (nor a
+        # closure over it): the plan is memoized on the matrix, and a cycle
+        # would leave both to the cyclic collector.
         self.shape = matrix.shape
         self.v = matrix.v
         self.row_blocks = matrix.row_blocks
         self.strategy = strategy
-        # One-time preparation (memoized on the matrix across plans).
-        self.condensed16 = quantize_fp16(matrix.to_condensed())
+        #: Width of the condensed operand (``K/M * 4``).
+        self.condensed_k = matrix.k // matrix.m * SELECTED_COLUMNS
         self.gather_indices = matrix.selected_column_indices()  # (R/V, K/M*4)
         self.metadata = matrix.packed_metadata()
+        # The stored arrays the fp16 copies are rounded from, each the first
+        # time its schedule runs.
+        self._values = matrix.values
+        self._m_indices = matrix.m_indices
+        self._n = matrix.n
+        self._condensed16: Optional[np.ndarray] = None
         self._dense16: Optional[np.ndarray] = None
         if strategy == "auto":
             self._below, self._crossover, self._above = auto_schedule(
@@ -169,17 +180,27 @@ class SpmmPlan:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
+    def _round_condensed(self) -> np.ndarray:
+        """A new fp16-rounded condensed operand (no fp32 copy is kept)."""
+        return quantize_fp16(condense(self._values, self._m_indices, self._n))
+
     @property
-    def condensed_k(self) -> int:
-        """Width of the condensed operand (``K/M * 4``)."""
-        return self.condensed16.shape[1]
+    def condensed16(self) -> np.ndarray:
+        """The fp16-rounded condensed operand the gather schedule reads,
+        ``(R, K/M*4)``: built the first time that schedule runs — a C on
+        the gather side of the crossover, or a non-finite slab — then
+        kept."""
+        if self._condensed16 is None:
+            self._condensed16 = self._round_condensed()
+        return self._condensed16
 
     @property
     def dense16(self) -> np.ndarray:
-        """The fp16-rounded dense operand (built lazily, cached): the
+        """The fp16-rounded dense operand the dense schedule reads: built
+        the first time that schedule runs, then kept.  A transient rounded
         condensed operand scattered to its columns, as ``to_dense`` does."""
         if self._dense16 is None:
-            self._dense16 = scatter_columns(self.condensed16, self.gather_indices, self.shape[1])
+            self._dense16 = scatter_columns(self._round_condensed(), self.gather_indices, self.shape[1])
         return self._dense16
 
     def resolve_strategy(self, c: int) -> str:

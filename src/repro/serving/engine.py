@@ -426,7 +426,7 @@ class ServingEngine(EngineCore):
         The :class:`~repro.serving.config.ServingConfig`: it supplies the
         batcher (the bucket ladder, held per ``scheduling``), the engine
         name, the warming policy — ``warm`` builds the operand's execution plan
-        eagerly so the first window does not pay operand preparation,
+        eagerly so the first window does not pay the plan build,
         ``warm_buckets`` pre-ranks the dispatch decisions of those token
         buckets so the first request of those shapes also skips the
         cost-model sweep — and, when its sharding block is enabled, a

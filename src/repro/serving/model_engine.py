@@ -93,7 +93,7 @@ class ModelServingEngine(EngineCore):
         (default True) eagerly builds every sparse projection's SpMM plan
         and pre-ranks every projection's dispatch decisions for
         ``warm_buckets`` (sequence lengths here), so the first window pays
-        neither operand preparation nor the tuner sweep.  ``padding`` picks the batcher's buckets
+        neither the plan build nor the tuner sweep.  ``padding`` picks the batcher's buckets
         (``"exact"`` lengths or the ``"ladder"`` rungs, held per
         ``scheduling``); either is bit-exact per request, because each
         micro-batch runs as equal-length groups.  When its ``sharding``

@@ -17,6 +17,7 @@ from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels import cusparse, sputnik
+from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
 from repro.kernels.spatha import SpmmPlan, spmm, spmm_loop_reference, spmm_reference
 
 # (rows, cols, c, v, n, m) — odd M, small V, single row-block, single group,
@@ -171,6 +172,58 @@ class TestSpmmPlanCaching:
         a = make_vnm(rng, rows, cols, v, n, m)
         dense16 = SpmmPlan(a).dense16
         assert np.array_equal(dense16.view(np.uint32), quantize_fp16(a.to_dense()).view(np.uint32))
+
+    @staticmethod
+    def _served(rng, a):
+        """``a``'s plan after warming and one dispatched call at each C."""
+        operand = SpmmOperand.from_vnm(a)
+        dispatcher = KernelDispatcher()
+        dispatcher.warm(operand, cs=(1, 64, 512))
+        for c in (1, 64, 512):
+            dispatcher.execute(operand, rng.normal(size=(a.k, c)).astype(np.float32))
+        return SpmmPlan.for_matrix(a)
+
+    @staticmethod
+    def _assert_rounded_copies(a, plan):
+        """Every fp16 copy the plan built has the bytes of the rounded view."""
+        if plan._condensed16 is not None:
+            assert plan._condensed16.tobytes() == quantize_fp16(a.to_condensed()).tobytes()
+        if plan._dense16 is not None:
+            assert plan._dense16.tobytes() == quantize_fp16(a.to_dense()).tobytes()
+
+    def test_served_dense_only_operand_keeps_one_fp16_copy(self, rng):
+        """A 2:4 operand runs the dense schedule at every C: its plan holds
+        ``dense16`` only, and no fp32 condensed view stays on the matrix."""
+        a = make_vnm(rng, 256, 256, 64, 2, 4)
+        plan = self._served(rng, a)
+        assert "condensed" not in a._memo
+        assert plan._dense16 is not None and plan._condensed16 is None
+        self._assert_rounded_copies(a, plan)
+
+    def test_served_gather_operand_keeps_its_condensed_copy(self, rng):
+        a = make_vnm(rng, 256, 512, 64, 2, 8)
+        plan = self._served(rng, a)
+        assert plan.resolve_strategy(512) == "gather"
+        assert "condensed" not in a._memo
+        assert plan._condensed16 is not None
+        self._assert_rounded_copies(a, plan)
+
+    def test_nonfinite_first_call_builds_the_condensed_copy(self, rng):
+        """A cold dense-only plan whose first call carries a non-finite slab
+        rounds the condensed operand for that slab's gather schedule, and
+        the stack stays slab-exact."""
+        a = make_vnm(rng, 256, 256, 64, 2, 4)
+        plan = SpmmPlan.for_matrix(a)
+        assert plan._condensed16 is None and plan._dense16 is None
+        stack = rng.normal(size=(3, 256, 8)).astype(np.float32)
+        stack[1, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = plan.execute(stack)
+            assert plan._condensed16 is not None and plan._dense16 is not None
+            for i in range(3):
+                assert np.array_equal(out[i], plan.execute(stack[i]), equal_nan=True), i
+            assert np.array_equal(out[1], spmm_loop_reference(a, stack[1]), equal_nan=True)
+        self._assert_rounded_copies(a, plan)
 
     def test_dropped_matrix_and_its_plan_die_by_refcount(self, rng):
         """The plan is memoized on the matrix and keeps no reference back,
