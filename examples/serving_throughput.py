@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Quickstart: multi-backend dispatch + dynamic batching on BERT-large FFN.
+"""Quickstart: Spatha dispatch + dynamic batching on BERT-large FFN.
 
 This walks the serving subsystem end to end on the paper's flagship
 workload shape — the BERT-large FFN output projection
@@ -7,8 +7,9 @@ workload shape — the BERT-large FFN output projection
 :data:`repro.models.config.BERT_LARGE`):
 
 1. prune the weight to V:N:M and wrap it as a dispatchable operand,
-2. let the kernel dispatcher rank the registered backends with the
-   tuner/perf-model estimates and pick the fastest,
+2. let the kernel dispatcher rank the operand's two candidates — Spatha's
+   V:N:M plan and the dense cuBLAS fallback — with the tuner/perf-model
+   estimates and pick the faster,
 3. serve a window of ragged requests through the shape-bucketing dynamic
    batcher — verifying that batched execution is bit-identical to serving
    every request alone,
@@ -60,10 +61,10 @@ def main() -> None:
     operand = SpmmOperand.from_vnm(sparse, name="bert-large.ffn.output")
     bias = rng.normal(0.0, 0.01, size=hidden).astype(np.float32)
     print(f"operand: {hidden}x{intermediate} {v}:{n}:{m} "
-          f"(sparsity {sparse.logical_sparsity:.2f}), formats {operand.formats}")
+          f"(sparsity {sparse.logical_sparsity:.2f})")
 
     # ------------------------------------------------------------------
-    # 2. Dispatch: rank the backends for a typical decoding batch width.
+    # 2. Dispatch: rank the candidates for a typical decoding batch width.
     # ------------------------------------------------------------------
     dispatcher = KernelDispatcher()
     decision = dispatcher.dispatch(operand, c=128)

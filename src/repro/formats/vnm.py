@@ -52,7 +52,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .base import FormatFootprint, SparseFormat, as_float_matrix
+from .base import FormatFootprint, SparseFormat, as_float_matrix, empty_aligned
 from .metadata import metadata_bytes, pack_indices, validate_indices
 from ..hardware.memory import dtype_bytes
 
@@ -168,12 +168,16 @@ def _gather_columns(arr: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 def scatter_columns(condensed: np.ndarray, columns: np.ndarray, k: int) -> np.ndarray:
     """Inverse of :func:`_gather_columns`: a new ``R x k`` matrix holding
-    ``condensed`` at the selected ``columns`` and zeros elsewhere."""
-    if columns.shape[1] == k:
-        return condensed.copy()
+    ``condensed`` at the selected ``columns`` and zeros elsewhere,
+    allocated :data:`~repro.formats.base.ALIGNMENT`-byte aligned (the
+    Spatha plan's ``dense16`` is built here)."""
     rows = condensed.shape[0]
-    out = np.zeros(rows * k, dtype=condensed.dtype)
-    out[_flat_index(columns, rows, k)] = condensed
+    out = empty_aligned(rows * k, condensed.dtype)
+    if columns.shape[1] == k:
+        out[...] = condensed.reshape(-1)
+    else:
+        out.fill(0)
+        out[_flat_index(columns, rows, k)] = condensed
     return out.reshape(rows, k)
 
 

@@ -4,11 +4,12 @@
   every speedup in the paper).
 * :mod:`~repro.kernels.cusparselt` — the vendor 2:4 SpMM library.
 * :mod:`~repro.kernels.sputnik` — unstructured CSR SpMM (no tensor cores).
+* :mod:`~repro.kernels.cusparse` — cuSPARSE's Blocked-ELL SpMM.
 * :mod:`~repro.kernels.clasp` — column-vector sparse SpMM on tensor cores
   (vectorSparse / CLASP).
 * :mod:`~repro.kernels.spatha` — the paper's V:N:M SpMM library.
-* :mod:`~repro.kernels.dispatch` — the multi-backend dispatch registry that
-  picks among the libraries per (format, pattern, shape regime).
+* :mod:`~repro.kernels.dispatch` — runs an operand on Spatha's plan or the
+  dense cuBLAS fallback, whichever the models rank faster, with failover.
 """
 
 from . import clasp, cublas, cusparse, cusparselt, dispatch, sputnik

@@ -7,52 +7,17 @@ block-wise pruning: math runs on dense Tensor Cores over the stored blocks
 (padding blocks included), so its efficiency depends directly on the block
 size and on how much ELL padding the sparsity structure forces.
 
-The model is included so block-wise pruning (Figure 2, scheme 1) has an
-executable counterpart, letting the examples contrast "prune 2-D blocks and
-run cuSPARSE" against "prune V:N:M and run Spatha" in both accuracy
-(energy) and speed.
+The functional kernel gives block-wise pruning (Figure 2, scheme 1) an
+executable counterpart: the benchmark's layer table times it beside Spatha
+on the same pruned weights, on the host clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .common import GemmProblem, KernelResult, reference_matmul_fp16
 from ..formats.base import quantize_fp16, quantize_fp16_checked
 from ..formats.blocked_ell import BlockedEllMatrix
-from ..hardware.memory import TrafficRecord, TransactionModel, matrix_bytes
-from ..hardware.occupancy import BlockResources
-from ..hardware.roofline import roofline_cost
-from ..hardware.spec import GPUSpec, rtx3090
-
-
-@dataclass(frozen=True)
-class CusparseBlockedEllConfig:
-    """Modelled kernel parameters of cuSPARSE's Blocked-ELL SpMM."""
-
-    #: Edge length of the square blocks (cuSPARSE supports 8..32 for fp16).
-    block_size: int = 16
-    tile_c: int = 64
-    threads: int = 128
-    registers_per_thread: int = 120
-    smem_bytes: int = 40 * 1024
-    #: Sustained fraction of the dense tensor-core peak on the stored blocks.
-    compute_efficiency: float = 0.30
-    pipeline_stages: int = 2
-    #: Host-side descriptor/algorithm-selection overhead per call, us.
-    runtime_overhead_us: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.block_size <= 0:
-            raise ValueError("block_size must be positive")
-        if not 0.0 < self.compute_efficiency <= 1.0:
-            raise ValueError("compute_efficiency must be in (0, 1]")
-        if self.runtime_overhead_us < 0:
-            raise ValueError("runtime_overhead_us must be non-negative")
-
 
 #: Calibrated constants of the formulation chooser: Python dispatch
 #: overhead per BLAS call, sustained block-GEMM throughput, and gather
@@ -147,69 +112,3 @@ def spmm_loop_reference(a_sparse: BlockedEllMatrix, b: np.ndarray) -> np.ndarray
             acc += blocks16[i, slot] @ b16[col * bsize : (col + 1) * bsize]
         out[i * bsize : (i + 1) * bsize] = acc
     return out
-
-
-def estimate_time(
-    problem: GemmProblem,
-    gpu: Optional[GPUSpec] = None,
-    config: Optional[CusparseBlockedEllConfig] = None,
-    padding_fraction: float = 0.1,
-) -> KernelResult:
-    """Modelled execution time of the Blocked-ELL SpMM.
-
-    Parameters
-    ----------
-    padding_fraction:
-        Fraction of stored ELL slots that are padding (wasted math and
-        traffic); block-wise pruning with a global threshold typically
-        leaves 5-30% padding because block rows keep different numbers of
-        blocks.
-    """
-    gpu = gpu or rtx3090()
-    config = config or CusparseBlockedEllConfig()
-    if not 0.0 <= padding_fraction < 1.0:
-        raise ValueError("padding_fraction must be in [0, 1)")
-
-    r, k, c = problem.r, problem.k, problem.c
-    density = problem.density
-    # Stored elements: the kept blocks plus the ELL padding slots.
-    stored = r * k * density / (1.0 - padding_fraction)
-    flops = 2.0 * stored * c
-
-    num_blocks_stored = stored / (config.block_size**2)
-    b_gather_bytes = num_blocks_stored * config.block_size * c * 2.0 * 0.5
-    traffic = TrafficRecord(
-        gmem_read_bytes=stored * 2.0 + num_blocks_stored * 4.0 + b_gather_bytes,
-        gmem_write_bytes=matrix_bytes(r, c, problem.precision),
-        smem_write_bytes=stored * 2.0 * max(1.0, c / config.tile_c) * 0.25,
-        smem_read_bytes=stored * 2.0 * max(1.0, c / config.tile_c) * 0.25,
-    )
-
-    rows_per_block = max(config.block_size * 4, 64)
-    total_blocks = max(1, -(-r // rows_per_block) * -(-c // config.tile_c))
-    resources = BlockResources(
-        threads=config.threads,
-        registers_per_thread=config.registers_per_thread,
-        smem_bytes=config.smem_bytes,
-    )
-    overhead_cycles = config.runtime_overhead_us * 1e-6 * gpu.sm_clock_hz
-    cost = roofline_cost(
-        gpu=gpu,
-        flops=flops,
-        traffic=traffic,
-        resources=resources,
-        total_blocks=total_blocks,
-        use_tensor_cores=True,
-        sparse_tensor_cores=False,
-        compute_efficiency=config.compute_efficiency,
-        gmem_tx=TransactionModel(access_bits=128),
-        smem_tx=TransactionModel(access_bits=64),
-        pipeline_stages=config.pipeline_stages,
-        extra_overhead_cycles=overhead_cycles,
-    )
-    return KernelResult(
-        kernel="cusparse_blocked_ell_spmm",
-        problem=problem,
-        cost=cost,
-        details={"block_size": config.block_size, "padding_fraction": padding_fraction},
-    )

@@ -1,35 +1,35 @@
-"""Multi-backend SpMM dispatch registry.
+"""SpMM dispatch: Spatha's V:N:M engine with a dense cuBLAS fallback.
 
-The libraries in this subpackage each consume their own storage format —
-Spatha's planned V:N:M engine, Sputnik's CSR, cuSPARSE's Blocked-ELL, and
-the dense cuBLAS fallback — and until now every call site hard-coded one of
-them.  This module adds the missing indirection: a registry mapping
-``(available formats, V:N:M pattern, shape regime)`` to the backend the
-performance models rank fastest, so integration layers and the serving
-engine can say "multiply by this sparse operand" and let the dispatcher
-pick the library.
+VENOM serves through one kernel family, Spatha's V:N:M SpMM, and keeps
+dense cuBLAS as the safe fallback.  An :class:`SpmmOperand` holds exactly
+one of a V:N:M matrix (candidates ``spatha-plan`` and ``cublas-dense``) or
+a dense matrix (candidate ``cublas-dense`` only); the dispatcher ranks the
+candidates on the performance models, executes the argmin and walks down
+the ranking when a backend fails.  Sputnik's CSR and cuSPARSE's Blocked-ELL
+kernels are the paper's baselines (:mod:`~repro.kernels.sputnik`,
+:mod:`~repro.kernels.cusparse`), called directly by the evaluation.
 
 Design rules, enforced by the consistency tests:
 
 * **Transparency** — ``dispatch`` only *selects*; execution calls the exact
-  public entry point of the chosen backend (``spatha.spmm``,
-  ``sputnik.spmm``, ``cusparse.spmm``, ``cublas.gemm``), so the dispatched
-  result is bit-for-bit the result of invoking that backend directly.
+  public entry point of the chosen backend (``spatha.spmm`` or the
+  ``cublas.gemm`` arithmetic), so the dispatched result is bit-for-bit the
+  result of invoking that backend directly.
 * **Cost ranking** — candidates are ranked by the same tuner/perf-model
   estimates the evaluation uses (:class:`~repro.kernels.spatha.tuner.SpathaTuner`
-  for Spatha, each baseline's ``estimate_time`` otherwise); the chosen
-  backend is the argmin of the modelled times over the supported backends.
-* **Memoization** — decisions are cached per problem *signature*
-  (format set, V:N:M pattern, R, K, and the power-of-two bucket of C), so
+  for Spatha, ``cublas.estimate_time`` for the fallback); the chosen
+  backend is the argmin of the modelled times.
+* **Memoization** — decisions are cached per problem *signature* (V:N:M
+  pattern, R, K, the power-of-two bucket of C, and the sparsity), so
   serving traffic that revisits a shape regime pays the ranking once; the
   memos are :class:`~repro.kernels.common.BoundedCache` instances, so a
   stream of ever-new C values cannot grow them without limit.
 * **Slab-exact batching** — a 3-D ``(B, K, C)`` RHS produces, slab for
   slab, the bits of the corresponding 2-D calls (Spatha's plan and the
-  dense cuBLAS fallback broadcast one ``matmul``, which runs one GEMM per
-  slab; Sputnik and cuSPARSE run one 2-D call per slab).  A
-  non-finite slab demotes the dense GEMM to a sparse-format schedule for
-  *that slab only* (:func:`~repro.kernels.common.demote_nonfinite_slabs`).
+  dense fallback broadcast one ``matmul``, which runs one GEMM per slab).
+  When the dense fallback serves a V:N:M operand, a non-finite slab is
+  demoted to ``spatha-plan`` for *that slab only*
+  (:func:`~repro.kernels.common.demote_nonfinite_slabs`).
 """
 
 from __future__ import annotations
@@ -39,23 +39,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import cublas, cusparse, sputnik
+from . import cublas
 from .common import BoundedCache, GemmProblem, KernelResult, demote_nonfinite_slabs
-from .cusparse import CusparseBlockedEllConfig
 from .spatha import SpmmPlan, UnsupportedTilingError
 from .spatha import spmm as spatha_spmm
 from .spatha.tuner import SpathaTuner
-from ..formats.base import fp16_finite, quantize_fp16
-from ..formats.blocked_ell import BlockedEllMatrix
-from ..formats.csr import CSRMatrix
+from ..formats.base import fp16_finite, quantize_fp16, quantize_fp16_aligned
 from ..formats.vnm import VNMSparseMatrix
 from ..hardware.spec import GPUSpec, rtx3090
-
-#: Canonical format names, used both as operand keys and backend tags.
-FORMAT_VNM = "vnm"
-FORMAT_CSR = "csr"
-FORMAT_BLOCKED_ELL = "blocked_ell"
-FORMAT_DENSE = "dense"
 
 #: Cost models require sparsity strictly below 1; an all-zero operand is
 #: clamped to this ceiling (its execution is trivial either way).
@@ -74,111 +65,44 @@ class BackendExecutionError(RuntimeError):
 
     def __init__(self, message: str, backend: str = "") -> None:
         super().__init__(message)
-        #: Registry name of the backend that failed ("" for the exhausted
-        #: multi-backend case).
+        #: Registry name of the backend that failed ("" when every
+        #: candidate failed).
         self.backend = backend
 
 
 class SpmmOperand:
-    """One logical sparse LHS carried in one or more storage formats.
+    """One logical LHS: a V:N:M matrix or a dense one, never both.
 
-    The dispatcher chooses among the backends whose format is present.  A
-    dense fallback view is always derivable (memoized on first use), so the
-    cuBLAS backend is a candidate for every operand unless explicitly
-    disabled with ``allow_dense=False``.
+    A V:N:M operand runs on Spatha's plan and can fall back to the dense
+    GEMM over its decompressed view (memoized on first use); a dense operand
+    has the dense GEMM as its only candidate.
     """
 
     def __init__(
         self,
         vnm: Optional[VNMSparseMatrix] = None,
-        csr: Optional[CSRMatrix] = None,
-        blocked_ell: Optional[BlockedEllMatrix] = None,
         dense: Optional[np.ndarray] = None,
-        allow_dense: bool = True,
         name: str = "",
     ) -> None:
+        if (vnm is None) == (dense is None):
+            raise ValueError("an operand holds exactly one of a V:N:M or a dense matrix")
         if vnm is not None and not isinstance(vnm, VNMSparseMatrix):
             raise TypeError("vnm must be a VNMSparseMatrix")
-        if csr is not None and not isinstance(csr, CSRMatrix):
-            raise TypeError("csr must be a CSRMatrix")
-        if blocked_ell is not None and not isinstance(blocked_ell, BlockedEllMatrix):
-            raise TypeError("blocked_ell must be a BlockedEllMatrix")
         self.vnm = vnm
-        self.csr = csr
-        self.blocked_ell = blocked_ell
-        self.allow_dense = allow_dense
         self.name = name
-        #: Names of the formats this operand can be executed from (sorted);
-        #: fixed at construction, like the views themselves.
-        present = {
-            FORMAT_VNM: vnm is not None,
-            FORMAT_CSR: csr is not None,
-            FORMAT_BLOCKED_ELL: blocked_ell is not None,
-            FORMAT_DENSE: allow_dense,
-        }
-        self.formats: Tuple[str, ...] = tuple(sorted(f for f, has in present.items() if has))
         self._dense = None if dense is None else np.asarray(dense, dtype=np.float32)
         self._dense16: Optional[np.ndarray] = None
         self._sparsity: Optional[float] = None
-        self._content_signature: Optional[Tuple] = None
-        shapes = {
-            tuple(m.shape) for m in (vnm, csr, blocked_ell, self._dense) if m is not None
-        }
-        if not shapes:
-            raise ValueError("operand needs at least one stored format")
-        if len(shapes) > 1:
-            raise ValueError(f"stored formats disagree on the logical shape: {sorted(shapes)}")
-        self.shape: Tuple[int, int] = next(iter(shapes))
+        self.shape: Tuple[int, int] = tuple(vnm.shape if vnm is not None else self._dense.shape)
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
     @classmethod
-    def from_vnm(cls, matrix: VNMSparseMatrix, allow_dense: bool = True, name: str = "") -> "SpmmOperand":
+    def from_vnm(cls, matrix: VNMSparseMatrix, name: str = "") -> "SpmmOperand":
         """Wrap an existing V:N:M operand (the layer-integration case)."""
-        return cls(vnm=matrix, allow_dense=allow_dense, name=name)
+        return cls(vnm=matrix, name=name)
 
-    @classmethod
-    def from_dense(
-        cls,
-        dense: np.ndarray,
-        formats: Sequence[str] = (FORMAT_CSR,),
-        v: Optional[int] = None,
-        n: Optional[int] = None,
-        m: Optional[int] = None,
-        block_size: int = 16,
-        allow_dense: bool = True,
-        name: str = "",
-    ) -> "SpmmOperand":
-        """Materialise the requested formats from one (already pruned) matrix.
-
-        The V:N:M format additionally needs the pattern parameters and the
-        matrix must already obey the pattern (compress with
-        :class:`~repro.integration.sparsifier.VNMSparsifier` otherwise).
-        """
-        arr = np.asarray(dense, dtype=np.float32)
-        kwargs: Dict[str, object] = {}
-        for fmt in formats:
-            if fmt == FORMAT_VNM:
-                if v is None or n is None or m is None:
-                    raise ValueError("the vnm format requires v, n and m")
-                kwargs["vnm"] = VNMSparseMatrix.from_dense(arr, v=v, n=n, m=m, strict=True)
-            elif fmt == FORMAT_CSR:
-                kwargs["csr"] = CSRMatrix.from_dense(arr)
-            elif fmt == FORMAT_BLOCKED_ELL:
-                kwargs["blocked_ell"] = BlockedEllMatrix.from_dense(arr, b=block_size)
-            elif fmt == FORMAT_DENSE:
-                pass  # the dense view is always derivable
-            else:
-                raise ValueError(f"unknown format {fmt!r}")
-        return cls(dense=arr, allow_dense=allow_dense, name=name, **kwargs)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def pattern(self) -> Optional[Tuple[int, int, int]]:
-        """The ``(V, N, M)`` pattern when a V:N:M view exists."""
+        """The ``(V, N, M)`` pattern of a V:N:M operand (``None`` when dense)."""
         if self.vnm is None:
             return None
         return (self.vnm.v, self.vnm.n, self.vnm.m)
@@ -192,20 +116,13 @@ class SpmmOperand:
         return self.shape[1]
 
     def dense(self) -> np.ndarray:
-        """The dense view (memoized; decompressed from a stored format)."""
+        """The dense view (memoized; decompressed from the V:N:M matrix)."""
         if self._dense is None:
-            if self.vnm is not None:
-                self._dense = self.vnm.to_dense()
-            elif self.csr is not None:
-                self._dense = self.csr.to_dense()
-            elif self.blocked_ell is not None:
-                self._dense = self.blocked_ell.to_dense()
-            else:  # pragma: no cover - constructor guarantees a format
-                raise ValueError("operand has no stored format")
+            self._dense = self.vnm.to_dense()
         return self._dense
 
     def dense16(self) -> np.ndarray:
-        """The fp16-rounded dense view as float32 (memoized).
+        """The fp16-rounded dense view as float32 (memoized, 64-byte aligned).
 
         This is the first half of :func:`~repro.kernels.common.reference_matmul_fp16`
         hoisted out of the per-call path, so repeated dense-fallback
@@ -216,7 +133,7 @@ class SpmmOperand:
         if self.vnm is not None:
             return SpmmPlan.for_matrix(self.vnm).dense16
         if self._dense16 is None:
-            self._dense16 = quantize_fp16(self.dense())
+            self._dense16 = quantize_fp16_aligned(self._dense)
         return self._dense16
 
     def sparsity(self) -> float:
@@ -225,30 +142,9 @@ class SpmmOperand:
             if self.vnm is not None:
                 sparsity = self.vnm.logical_sparsity
             else:
-                nnz = self.csr.nnz if self.csr is not None else int(np.count_nonzero(self.dense()))
-                sparsity = 1.0 - nnz / float(self.r * self.k)
+                sparsity = 1.0 - np.count_nonzero(self._dense) / float(self.r * self.k)
             self._sparsity = min(max(0.0, sparsity), _MAX_MODEL_SPARSITY)
         return self._sparsity
-
-    def content_signature(self) -> Tuple:
-        """The cost-model-relevant content of this operand (memoized).
-
-        Everything the backend estimators read beyond (R, K, C) must appear
-        here, otherwise two same-shape operands with different content
-        would alias to one cached dispatch decision: the sparsity, the
-        CSR load imbalance, and the Blocked-ELL block size / padding.
-        """
-        if self._content_signature is None:
-            sig: Tuple = (round(self.sparsity(), 4),)
-            if self.csr is not None:
-                sig += (round(float(max(1.0, self.csr.load_imbalance())), 3),)
-            if self.blocked_ell is not None:
-                sig += (
-                    self.blocked_ell.b,
-                    round(float(self.blocked_ell.padding_fraction()), 3),
-                )
-            self._content_signature = sig
-        return self._content_signature
 
     def problem(self, c: int) -> GemmProblem:
         """The ``R x K x C`` problem of multiplying this operand by a C-column RHS."""
@@ -274,30 +170,21 @@ def _validate_rhs(operand: SpmmOperand, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _per_slab(fn, b: np.ndarray) -> np.ndarray:
-    """Run a 2-D kernel per slab of a 3-D RHS (trivially slab-bit-exact)."""
-    if b.ndim == 2:
-        return fn(b)
-    return np.stack([fn(b[i]) for i in range(b.shape[0])])
-
-
 class Backend:
-    """One executable library in the registry.
+    """One executable library of the dispatcher.
 
-    Subclasses bind a storage format, a perf-model estimator and the
-    library's public execution entry point.  ``execute`` accepts a 2-D
-    ``(K, C)`` or 3-D ``(B, K, C)`` RHS and never re-implements numerics:
-    it forwards to the library function the tests invoke directly.
+    Subclasses bind a perf-model estimator and the library's public
+    execution entry point.  ``execute`` accepts a 2-D ``(K, C)`` or 3-D
+    ``(B, K, C)`` RHS and never re-implements numerics: it forwards to the
+    library function the tests invoke directly.
     """
 
     #: Registry name, e.g. ``"spatha-plan"``.
     name: str = ""
-    #: Format consumed (one of the FORMAT_* constants).
-    format: str = ""
 
     def supports(self, operand: SpmmOperand) -> bool:
-        """True when the operand carries this backend's storage format."""
-        return self.format in operand.formats
+        """True when this backend can execute the operand."""
+        raise NotImplementedError
 
     def estimate(self, operand: SpmmOperand, c: int, gpu: GPUSpec) -> KernelResult:
         """Modelled execution time on the simulated GPU."""
@@ -312,7 +199,6 @@ class SpathaPlanBackend(Backend):
     """Spatha's planned V:N:M engine, ranked by the template auto-tuner."""
 
     name = "spatha-plan"
-    format = FORMAT_VNM
 
     def __init__(self, tuner: Optional[SpathaTuner] = None) -> None:
         self._tuner = tuner
@@ -321,6 +207,9 @@ class SpathaPlanBackend(Backend):
         if self._tuner is None or self._tuner.gpu is not gpu:
             self._tuner = SpathaTuner(gpu=gpu)
         return self._tuner
+
+    def supports(self, operand: SpmmOperand) -> bool:
+        return operand.vnm is not None
 
     def estimate(self, operand: SpmmOperand, c: int, gpu: GPUSpec) -> KernelResult:
         tuner = self._tuner_for(gpu)
@@ -353,46 +242,13 @@ class SpathaPlanBackend(Backend):
         return spatha_spmm(operand.vnm, b)
 
 
-class SputnikCsrBackend(Backend):
-    """Sputnik's unstructured CSR SpMM (CUDA cores, no SPTC)."""
-
-    name = "sputnik-csr"
-    format = FORMAT_CSR
-
-    def estimate(self, operand: SpmmOperand, c: int, gpu: GPUSpec) -> KernelResult:
-        csr = operand.csr
-        return sputnik.estimate_time(
-            operand.problem(c), gpu=gpu, load_imbalance=max(1.0, csr.load_imbalance())
-        )
-
-    def execute(self, operand: SpmmOperand, b: np.ndarray) -> np.ndarray:
-        return _per_slab(lambda slab: sputnik.spmm(operand.csr, slab), b)
-
-
-class CusparseBlockedEllBackend(Backend):
-    """cuSPARSE Blocked-ELL SpMM (dense tensor cores over stored blocks)."""
-
-    name = "cusparse-blocked-ell"
-    format = FORMAT_BLOCKED_ELL
-
-    def estimate(self, operand: SpmmOperand, c: int, gpu: GPUSpec) -> KernelResult:
-        ell = operand.blocked_ell
-        return cusparse.estimate_time(
-            operand.problem(c),
-            gpu=gpu,
-            config=CusparseBlockedEllConfig(block_size=ell.b),
-            padding_fraction=ell.padding_fraction(),
-        )
-
-    def execute(self, operand: SpmmOperand, b: np.ndarray) -> np.ndarray:
-        return _per_slab(lambda slab: cusparse.spmm(operand.blocked_ell, slab), b)
-
-
 class CublasDenseBackend(Backend):
     """Dense cuBLAS HGEMM on the decompressed operand (the safe fallback)."""
 
     name = "cublas-dense"
-    format = FORMAT_DENSE
+
+    def supports(self, operand: SpmmOperand) -> bool:
+        return True
 
     def estimate(self, operand: SpmmOperand, c: int, gpu: GPUSpec) -> KernelResult:
         return cublas.estimate_time(operand.problem(c), gpu=gpu)
@@ -407,13 +263,8 @@ class CublasDenseBackend(Backend):
 
 
 def default_backends() -> List[Backend]:
-    """Fresh instances of the four standard backends."""
-    return [
-        SpathaPlanBackend(),
-        SputnikCsrBackend(),
-        CusparseBlockedEllBackend(),
-        CublasDenseBackend(),
-    ]
+    """Fresh instances of the two standard backends."""
+    return [SpathaPlanBackend(), CublasDenseBackend()]
 
 
 @dataclass
@@ -580,12 +431,14 @@ class CircuitBreaker:
 
 
 class KernelDispatcher:
-    """Registry mapping (formats, pattern, shape regime) to the best backend.
+    """Ranks an operand's candidate backends per shape regime and executes
+    the best one, failing over down the ranking.
 
     Decisions are memoized per :meth:`signature`; use a fresh dispatcher (or
     :meth:`clear_cache`) to force re-ranking.  Execution is transparent: the
-    chosen backend's public entry point is invoked on the operand's stored
-    format, so dispatched results are bit-for-bit the direct-call results.
+    chosen backend's public entry point is invoked on the operand, so
+    dispatched results are bit-for-bit the direct-call results.  Pass
+    ``backends=[...]`` to run with a subset (a single backend, say).
     """
 
     def __init__(
@@ -629,14 +482,6 @@ class KernelDispatcher:
         self._backends: List[Backend] = list(backends)
         self._by_name: Dict[str, Backend] = {b.name: b for b in self._backends}
 
-    def register(self, backend: Backend, prepend: bool = False) -> None:
-        """Add a backend (its ``name`` must be unique)."""
-        if backend.name in self._by_name:
-            raise ValueError(f"backend {backend.name!r} is already registered")
-        self.backends = [backend] + self.backends if prepend else self.backends + [backend]
-        self._decisions.clear()
-        self._estimates.clear()
-
     def backend(self, name: str) -> Backend:
         """Look a backend up by registry name."""
         try:
@@ -655,27 +500,25 @@ class KernelDispatcher:
         return 1 << (int(c) - 1).bit_length()
 
     def signature(self, operand: SpmmOperand, c: int) -> Tuple:
-        """The memoization key: formats, pattern, shape regime and content.
+        """The memoization key: pattern, R, K, shape regime and sparsity.
 
-        Includes :meth:`SpmmOperand.content_signature` so same-shape
-        operands with different sparsity/structure never alias to one
-        cached decision (distinct layers of a model may legitimately
-        dispatch to different backends).  Rebuilt per call: it costs about
-        0.24 us of a C=1 16:2:8 ``Linear.forward`` that takes ~10 us at
-        256x256 and ~19 us at 1024x256 or 256x1024 (one AMD EPYC core,
-        one BLAS thread).
+        The pattern is ``None`` for a dense operand, so a dense and a V:N:M
+        operand never share a decision; the sparsity (rounded to 4 places,
+        the only content the cost models read) keeps same-shape operands of
+        different sparsity apart.  Rebuilt per call: it costs well under
+        1 us of a C=1 16:2:8 ``Linear.forward`` that takes ~10 us at
+        256x256 (one AMD EPYC core, one BLAS thread).
         """
         return (
-            operand.formats,
             operand.pattern,
             operand.r,
             operand.k,
             self.shape_bucket(c),
-            operand.content_signature(),
+            round(operand.sparsity(), 4),
         )
 
     def dispatch(self, operand: SpmmOperand, c: int) -> DispatchDecision:
-        """Rank the supported backends for this problem (memoized).
+        """Rank the operand's candidate backends for this problem (memoized).
 
         The first call of a signature evaluates every candidate's cost model
         at the requested ``c`` and caches the full ranking; later calls in
@@ -691,9 +534,9 @@ class KernelDispatcher:
                 continue
             costs[backend.name] = backend.estimate(operand, c, self.gpu).time_us
         if not costs:
+            kind = "dense" if operand.vnm is None else "V:N:M"
             raise ValueError(
-                f"{self.name or 'dispatcher'}: no registered backend supports "
-                f"formats {operand.formats}"
+                f"{self.name or 'dispatcher'}: no registered backend runs a {kind} operand"
             )
         best = min(costs.items(), key=lambda kv: kv[1])[0]
         decision = DispatchDecision(signature=sig, backend=best, costs=costs)
@@ -732,12 +575,12 @@ class KernelDispatcher:
     def _attempt(self, operand: SpmmOperand, b: np.ndarray, name: str, decision: DispatchDecision) -> np.ndarray:
         """Run one candidate backend, honouring the non-finite demotion."""
         backend = self.backend(name)
-        if name != CublasDenseBackend.name or len(decision.costs) == 1 or fp16_finite(b):
+        spatha = SpathaPlanBackend.name
+        if name != CublasDenseBackend.name or spatha not in decision.costs or fp16_finite(b):
             return backend.execute(operand, b)
-        # The dense fallback with a sparse-format candidate beside it: the
-        # fastest of those serves any slab that is non-finite after the
-        # kernels' fp16 rounding.
-        sparse = self.backend(next(n for n, _ in decision.ranking if n != name))
+        # The dense fallback serving a V:N:M operand: Spatha's plan serves
+        # any slab that is non-finite after the kernels' fp16 rounding.
+        sparse = self.backend(spatha)
         return demote_nonfinite_slabs(
             b,
             lambda rhs: backend.execute(operand, rhs),
@@ -755,9 +598,10 @@ class KernelDispatcher:
         ``b`` may be ``(K, C)`` or a batch ``(B, K, C)``; batched execution
         is slab-bit-exact.  Without a bias the result is bit-for-bit the
         chosen backend's direct output; the bias epilogue adds
-        ``bias.reshape(R, 1)`` exactly like the Spatha plan does.  A
-        non-finite RHS demotes the dense fallback to the fastest
-        sparse-format backend (see :meth:`_attempt`).
+        ``bias.reshape(R, 1)`` exactly like the Spatha plan does; a
+        malformed bias raises before any backend runs.  A non-finite slab
+        served by the dense fallback of a V:N:M operand is demoted to
+        ``spatha-plan`` (see :meth:`_attempt`).
 
         When a candidate raises :class:`BackendExecutionError` the walk
         continues down the cost ranking; the result served by a fallback is
@@ -767,6 +611,11 @@ class KernelDispatcher:
         failure, and only when *every* candidate fails does the call raise.
         """
         b = _validate_rhs(operand, b)
+        r = operand.r
+        if bias is not None:
+            bias = np.asarray(bias, dtype=np.float32)
+            if bias.shape not in {(r,), (r, 1)}:
+                raise ValueError(f"bias must have shape ({r},), got {bias.shape}")
         decision = self.dispatch(operand, b.shape[-1])
         served, first_failed, out = self.breaker.walk(
             decision,
@@ -776,17 +625,13 @@ class KernelDispatcher:
         if first_failed is not None:
             decision.record_failover(first_failed, served)
         if bias is not None:
-            r = operand.r
-            bias = np.asarray(bias, dtype=np.float32)
-            if bias.shape not in {(r,), (r, 1)}:
-                raise ValueError(f"bias must have shape ({r},), got {bias.shape}")
             out += bias.reshape(r, 1)
         return out
 
     def warm(self, operand: SpmmOperand, cs: Sequence[int] = ()) -> None:
         """Prepare the operand for serving.
 
-        Builds the Spatha plan (when a V:N:M view exists) and, for every
+        Builds the Spatha plan of a V:N:M operand and, for every
         column count in ``cs``, pre-populates the dispatch decision of its
         shape bucket — so a warmed server pays neither the plan's gather
         indices and metadata nor the cost-model ranking (including the

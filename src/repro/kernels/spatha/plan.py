@@ -54,7 +54,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..common import demote_nonfinite_slabs
-from ...formats.base import quantize_fp16, quantize_fp16_checked
+from ...formats.base import quantize_fp16_aligned, quantize_fp16_checked
 from ...formats.vnm import SELECTED_COLUMNS, VNMSparseMatrix, condense, scatter_columns
 
 #: Host cost model of the two schedules, in seconds per unit, fitted on an
@@ -181,8 +181,9 @@ class SpmmPlan:
     # Derived quantities
     # ------------------------------------------------------------------
     def _round_condensed(self) -> np.ndarray:
-        """A new fp16-rounded condensed operand (no fp32 copy is kept)."""
-        return quantize_fp16(condense(self._values, self._m_indices, self._n))
+        """A new fp16-rounded condensed operand, 64-byte aligned (no fp32
+        copy is kept)."""
+        return quantize_fp16_aligned(condense(self._values, self._m_indices, self._n))
 
     @property
     def condensed16(self) -> np.ndarray:

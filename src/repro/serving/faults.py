@@ -217,7 +217,6 @@ class FaultyBackend(Backend):
     def __init__(self, inner: Backend, injector: "FaultInjector") -> None:
         self.inner = inner
         self.name = inner.name
-        self.format = inner.format
         self._injector = injector
 
     def supports(self, operand) -> bool:

@@ -8,7 +8,7 @@ from repro.formats.cvse import CVSEMatrix
 from repro.formats.nm import NMSparseMatrix
 from repro.kernels import clasp, cublas, cusparselt, sputnik
 from repro.kernels.common import GemmProblem, reference_matmul_fp16
-from repro.kernels.dispatch import CublasDenseBackend, SpmmOperand, SputnikCsrBackend
+from repro.kernels.dispatch import CublasDenseBackend, SpmmOperand
 from repro.pruning.magnitude import magnitude_mask
 from repro.pruning.masks import apply_mask
 from repro.pruning.vector_wise import vector_wise_mask
@@ -23,7 +23,7 @@ class TestCublas:
     def test_backend_times_and_runs_the_operand(self, rng, gpu):
         a = rng.normal(size=(16, 32)).astype(np.float32)
         b = rng.normal(size=(32, 8)).astype(np.float32)
-        operand = SpmmOperand.from_dense(a, formats=())
+        operand = SpmmOperand(dense=a)
         backend = CublasDenseBackend()
         res = backend.estimate(operand, c=8, gpu=gpu)
         assert res.time_us > 0
@@ -119,17 +119,14 @@ class TestSputnik:
         out = sputnik.spmm(a_sparse, b)
         assert np.allclose(out, reference_matmul_fp16(a_pruned, b), atol=1e-2, rtol=1e-2)
 
-    def test_backend_times_and_runs_the_operand(self, operands, gpu):
+    def test_row_skew_of_the_operand_slows_the_modelled_kernel(self, operands, gpu):
         a_sparse, a_pruned, b = operands
-        operand = SpmmOperand(csr=a_sparse, allow_dense=False)
-        backend = SputnikCsrBackend()
-        res = backend.estimate(operand, c=16, gpu=gpu)
-        assert res.problem.sparsity == pytest.approx(0.9, abs=0.01)
-        # The CSR row skew slows the modelled kernel.
+        problem = GemmProblem(32, 64, 16, sparsity=1.0 - a_sparse.nnz / a_pruned.size)
+        assert problem.sparsity == pytest.approx(0.9, abs=0.01)
         assert a_sparse.load_imbalance() > 1.0
-        balanced = sputnik.estimate_time(res.problem, gpu=gpu, load_imbalance=1.0)
-        assert res.time_us > balanced.time_us
-        assert np.array_equal(backend.execute(operand, b), sputnik.spmm(a_sparse, b))
+        skewed = sputnik.estimate_time(problem, gpu=gpu, load_imbalance=a_sparse.load_imbalance())
+        balanced = sputnik.estimate_time(problem, gpu=gpu, load_imbalance=1.0)
+        assert skewed.time_us > balanced.time_us
 
     def test_slower_than_cublas_at_moderate_sparsity(self, gpu):
         """The paper: Sputnik only overtakes cuBLAS above ~90% sparsity on

@@ -1,19 +1,19 @@
-"""Unit tests for the multi-backend dispatch registry."""
+"""Unit tests for the SpMM dispatcher: Spatha's plan with a cuBLAS fallback."""
 
 import numpy as np
 import pytest
 
-from repro.formats.blocked_ell import BlockedEllMatrix
-from repro.formats.csr import CSRMatrix
 from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels import common as kernels_common
-from repro.kernels import cublas, sputnik
+from repro.kernels import cublas
 from repro.kernels.common import BoundedCache, GemmProblem
 from repro.kernels.dispatch import (
     Backend,
     CublasDenseBackend,
     KernelDispatcher,
+    SpathaPlanBackend,
     SpmmOperand,
+    default_backends,
     default_dispatcher,
 )
 from repro.kernels.spatha import SpmmPlan
@@ -30,22 +30,24 @@ def pruned(rng):
 
 @pytest.fixture
 def operand(pruned):
-    return SpmmOperand.from_dense(
-        pruned, formats=("vnm", "csr", "blocked_ell"), v=8, n=2, m=8, block_size=8
-    )
+    return SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(pruned, v=8, n=2, m=8, strict=True))
 
 
 class TestSpmmOperand:
-    def test_formats_and_pattern(self, operand):
-        assert operand.formats == ("blocked_ell", "csr", "dense", "vnm")
+    def test_pattern_and_shape(self, operand, pruned):
         assert operand.pattern == (8, 2, 8)
         assert operand.shape == (32, 64)
+        dense = SpmmOperand(dense=pruned)
+        assert dense.pattern is None and dense.vnm is None
+        assert dense.shape == (32, 64)
 
-    def test_allow_dense_false_excludes_fallback(self, pruned):
-        op = SpmmOperand.from_dense(pruned, formats=("csr",), allow_dense=False)
-        assert op.formats == ("csr",)
+    def test_holds_exactly_one_matrix(self, operand, pruned):
+        with pytest.raises(ValueError, match="exactly one"):
+            SpmmOperand()
+        with pytest.raises(ValueError, match="exactly one"):
+            SpmmOperand(vnm=operand.vnm, dense=pruned)
 
-    def test_dense_view_matches_stored_formats(self, operand, pruned):
+    def test_dense_view_matches_the_vnm_matrix(self, operand, pruned):
         assert np.allclose(operand.dense(), pruned, atol=1e-6)
 
     def test_dense_view_memoized(self, operand):
@@ -53,47 +55,38 @@ class TestSpmmOperand:
 
     def test_from_vnm(self, pruned):
         vnm = VNMSparseMatrix.from_dense(pruned, v=8, n=2, m=8, strict=True)
-        op = SpmmOperand.from_vnm(vnm)
-        assert op.formats == ("dense", "vnm")
+        op = SpmmOperand.from_vnm(vnm, name="w")
+        assert op.vnm is vnm and op.name == "w"
         assert op.pattern == (8, 2, 8)
 
     def test_sparsity_from_pattern_and_counts(self, pruned):
         vnm_op = SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(pruned, v=8, n=2, m=8))
         assert vnm_op.sparsity() == pytest.approx(0.75)
-        csr_op = SpmmOperand.from_dense(pruned, formats=("csr",))
-        assert csr_op.sparsity() == pytest.approx(
+        dense_op = SpmmOperand(dense=pruned)
+        assert dense_op.sparsity() == pytest.approx(
             1.0 - np.count_nonzero(pruned) / pruned.size
         )
 
-    def test_rejects_empty_and_mismatched(self, pruned, rng):
-        with pytest.raises(ValueError):
-            SpmmOperand(allow_dense=False)
-        with pytest.raises(ValueError):
-            SpmmOperand(
-                csr=CSRMatrix.from_dense(pruned),
-                dense=rng.normal(size=(8, 8)).astype(np.float32),
-            )
+    def test_vnm_must_be_a_vnm_matrix(self, pruned):
+        with pytest.raises(TypeError):
+            SpmmOperand(vnm=pruned)
 
     def test_all_zero_operand_has_model_safe_sparsity(self):
-        op = SpmmOperand.from_dense(np.zeros((8, 16), dtype=np.float32), formats=("csr",))
+        op = SpmmOperand(dense=np.zeros((8, 16), dtype=np.float32))
         assert op.sparsity() < 1.0
         assert op.problem(4).sparsity < 1.0
 
-    def test_unknown_format_rejected(self, pruned):
-        with pytest.raises(ValueError):
-            SpmmOperand.from_dense(pruned, formats=("coo",))
+    def test_dense_operand_keeps_its_matrix(self, pruned):
+        op = SpmmOperand(dense=pruned)
+        assert op.dense() is op.dense()
+        assert np.array_equal(op.dense(), pruned)
 
 
 class TestDispatchDecisions:
     def test_chosen_backend_is_cost_argmin(self, operand):
         dispatcher = KernelDispatcher()
         decision = dispatcher.dispatch(operand, 24)
-        assert set(decision.costs) == {
-            "spatha-plan",
-            "sputnik-csr",
-            "cusparse-blocked-ell",
-            "cublas-dense",
-        }
+        assert set(decision.costs) == {"spatha-plan", "cublas-dense"}
         assert decision.backend == min(decision.costs, key=decision.costs.get)
         assert decision.ranking[0][0] == decision.backend
 
@@ -102,12 +95,8 @@ class TestDispatchDecisions:
         caller would compute by hand."""
         dispatcher = KernelDispatcher()
         decision = dispatcher.dispatch(operand, 24)
-        assert decision.costs["sputnik-csr"] == pytest.approx(
-            sputnik.estimate_time(
-                operand.problem(24),
-                gpu=dispatcher.gpu,
-                load_imbalance=max(1.0, operand.csr.load_imbalance()),
-            ).time_us
+        assert decision.costs["spatha-plan"] == pytest.approx(
+            SpathaPlanBackend().estimate(operand, 24, dispatcher.gpu).time_us
         )
         assert decision.costs["cublas-dense"] == pytest.approx(
             cublas.estimate_time(operand.problem(24), gpu=dispatcher.gpu).time_us
@@ -130,11 +119,14 @@ class TestDispatchDecisions:
         with pytest.raises(ValueError):
             KernelDispatcher.shape_bucket(0)
 
-    def test_signature_separates_formats_and_pattern(self, pruned):
+    def test_signature_separates_dense_and_vnm(self, operand, pruned):
         dispatcher = KernelDispatcher()
-        a = SpmmOperand.from_dense(pruned, formats=("csr",))
-        b = SpmmOperand.from_dense(pruned, formats=("vnm",), v=8, n=2, m=8)
-        assert dispatcher.signature(a, 16) != dispatcher.signature(b, 16)
+        dense = SpmmOperand(dense=pruned)
+        assert dispatcher.signature(dense, 16) != dispatcher.signature(operand, 16)
+        assert dispatcher.signature(operand, 16) == (
+            (8, 2, 8), 32, 64, 16, round(operand.sparsity(), 4)
+        )
+        assert set(dispatcher.dispatch(dense, 16).costs) == {"cublas-dense"}
 
     def test_same_shape_different_content_not_aliased(self, rng):
         """Two same-shape operands with different sparsity must get their
@@ -148,8 +140,8 @@ class TestDispatchDecisions:
         dense_dense = (rng.normal(size=shape) * (rng.random(size=shape) < 0.95)).astype(
             np.float32
         )
-        nearly_empty = SpmmOperand.from_dense(sparse_dense, formats=("csr",))
-        nearly_full = SpmmOperand.from_dense(dense_dense, formats=("csr",))
+        nearly_empty = SpmmOperand(dense=sparse_dense)
+        nearly_full = SpmmOperand(dense=dense_dense)
         shared = KernelDispatcher()
         d1 = shared.dispatch(nearly_empty, 64)
         d2 = shared.dispatch(nearly_full, 64)
@@ -165,7 +157,7 @@ class TestDispatchDecisions:
     def test_large_vnm_problem_prefers_spatha(self, rng):
         dense = rng.normal(size=(1024, 2048))
         pruned = apply_mask(dense, vnm_mask(dense, v=64, n=2, m=16)).astype(np.float32)
-        op = SpmmOperand.from_dense(pruned, formats=("vnm", "csr"), v=64, n=2, m=16)
+        op = SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(pruned, v=64, n=2, m=16))
         decision = KernelDispatcher().dispatch(op, 4096)
         assert decision.backend == "spatha-plan"
 
@@ -212,8 +204,8 @@ class TestDispatchDecisions:
             np.float32
         )
         operands = [
-            SpmmOperand.from_dense(pruned, formats=("csr",)),
-            SpmmOperand.from_dense(other_dense, formats=("csr",)),
+            SpmmOperand(dense=pruned),
+            SpmmOperand(dense=other_dense),
         ]
         dispatcher = KernelDispatcher()
         assert dispatcher.warm_many(operands, cs=(8, 64)) == 2
@@ -225,22 +217,28 @@ class TestDispatchDecisions:
         assert dispatcher.cache_stats()["hits"] == hits_before + 4  # all pre-ranked
 
     def test_no_supported_backend_raises(self, pruned):
-        dispatcher = KernelDispatcher(backends=[CublasDenseBackend()])
-        op = SpmmOperand.from_dense(pruned, formats=("csr",), allow_dense=False)
-        with pytest.raises(ValueError):
-            dispatcher.dispatch(op, 8)
+        dispatcher = KernelDispatcher(backends=[SpathaPlanBackend()])
+        with pytest.raises(ValueError, match="no registered backend runs a dense operand"):
+            dispatcher.dispatch(SpmmOperand(dense=pruned), 8)
 
-    def test_register_rejects_duplicates(self):
-        dispatcher = KernelDispatcher()
-        with pytest.raises(ValueError):
-            dispatcher.register(CublasDenseBackend())
+    def test_unknown_backend_lookup_raises(self):
         with pytest.raises(KeyError):
-            dispatcher.backend("nonexistent")
+            KernelDispatcher().backend("nonexistent")
+
+    def test_single_backend_dispatcher_serves_alone(self, operand, rng):
+        """``backends=[...]`` is how a caller pins one backend: a V:N:M
+        operand on a cuBLAS-only dispatcher runs the dense GEMM, its bits."""
+        dispatcher = KernelDispatcher(backends=[CublasDenseBackend()])
+        b = rng.normal(size=(64, 8)).astype(np.float32)
+        assert dispatcher.dispatch(operand, 8).backend == "cublas-dense"
+        assert np.array_equal(dispatcher.execute(operand, b), cublas.gemm(operand.dense(), b))
 
     def test_custom_backend_can_win(self, operand):
         class FreeLunch(Backend):
             name = "free-lunch"
-            format = "dense"
+
+            def supports(self, operand):
+                return True
 
             def estimate(self, operand, c, gpu):
                 result = CublasDenseBackend().estimate(operand, c, gpu)
@@ -253,8 +251,7 @@ class TestDispatchDecisions:
             def execute(self, operand, b):
                 return CublasDenseBackend().execute(operand, b)
 
-        dispatcher = KernelDispatcher()
-        dispatcher.register(FreeLunch())
+        dispatcher = KernelDispatcher(backends=[*default_backends(), FreeLunch()])
         assert dispatcher.dispatch(operand, 24).backend == "free-lunch"
 
 
@@ -276,15 +273,16 @@ class TestDispatchedExecution:
         with pytest.raises(ValueError):
             dispatcher.execute(operand, np.ones((63, 4), dtype=np.float32))
 
-    @pytest.mark.parametrize("formats", [("vnm",), ("csr",), ("blocked_ell",), ()])
-    def test_batched_execution_is_slab_exact(self, pruned, rng, formats):
-        """Each format's backend alone; ``()`` is a dense operand, whose
-        cuBLAS GEMM broadcasts one ``matmul`` over the slabs."""
-        kwargs = dict(v=8, n=2, m=8) if "vnm" in formats else {}
-        op = SpmmOperand.from_dense(
-            pruned, formats=formats, block_size=8, allow_dense=not formats, **kwargs
-        )
+    @pytest.mark.parametrize(
+        "kind, backend",
+        [("vnm", "spatha-plan"), ("vnm", "cublas-dense"), ("dense", "cublas-dense")],
+    )
+    def test_batched_execution_is_slab_exact(self, operand, pruned, rng, kind, backend):
+        """Each backend alone on each operand kind; the cuBLAS GEMM
+        broadcasts one ``matmul`` over the slabs."""
+        op = operand if kind == "vnm" else SpmmOperand(dense=pruned)
         dispatcher = KernelDispatcher()
+        dispatcher.dispatch(op, 10).backend = backend  # steer the memoized decision
         batch = rng.normal(size=(3, 64, 10)).astype(np.float32)
         out = dispatcher.execute(op, batch)
         for i in range(3):
@@ -382,6 +380,48 @@ class TestDispatchedExecution:
             direct = np.stack([cublas.gemm(vnm.to_dense(), slab) for slab in slabs])
             assert np.array_equal(outs["cublas-dense"].reshape(direct.shape), direct)
 
+    def test_malformed_bias_raises_before_any_backend_runs(self, operand, rng):
+        """Regression: the bias was checked after the kernel had run, so a
+        malformed bias ran a backend, advanced an armed injector's call
+        counter and recorded a breaker success before it raised."""
+        from repro.serving.faults import FaultInjector, FaultPlan
+
+        dispatcher = KernelDispatcher()
+        injector = FaultInjector(FaultPlan()).arm(dispatcher)
+        b = rng.normal(size=(64, 8)).astype(np.float32)
+        health = dispatcher.health_stats()
+        for bias in (np.zeros(operand.r + 1), np.zeros((operand.r, 2))):
+            with pytest.raises(ValueError, match="bias must have shape"):
+                dispatcher.execute(operand, b, bias=bias)
+        assert injector.stats()["calls"] == {}
+        assert dispatcher.health_stats() == health
+        assert dispatcher.cache_stats()["misses"] == 0  # not even ranked
+        dispatcher.execute(operand, b, bias=np.zeros((operand.r, 1)))
+        assert sum(injector.stats()["calls"].values()) == 1
+
+    @pytest.mark.parametrize("c", [1, 16])
+    def test_dense_fallback_demotes_a_nonfinite_slab_to_spatha(self, rng, c):
+        """When cuBLAS serves a V:N:M operand, a non-finite slab runs on
+        ``spatha-plan`` — each slab is its own call, the demoted one on
+        Spatha — and the slab's bits are the plan's own."""
+        from repro.serving.faults import FaultInjector, FaultPlan
+
+        dense = rng.normal(size=(64, 128)).astype(np.float32)
+        vnm = VNMSparseMatrix.from_dense(dense, v=16, n=2, m=8, strict=False)
+        op = SpmmOperand.from_vnm(vnm)
+        dispatcher = KernelDispatcher()
+        dispatcher.dispatch(op, c).backend = "cublas-dense"
+        injector = FaultInjector(FaultPlan()).arm(dispatcher)
+        batch = rng.normal(size=(3, 128, c)).astype(np.float32)
+        batch[1, 7, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = dispatcher.execute(op, batch)
+            assert injector.stats()["calls"] == {"cublas-dense": 2, "spatha-plan": 1}
+            from repro.kernels.spatha import spmm as spatha_spmm
+
+            assert np.array_equal(out[1], spatha_spmm(vnm, batch[1]), equal_nan=True)
+        assert np.isfinite(out[[0, 2]]).all()
+
     def test_dense_only_operand_keeps_dense_on_nonfinite(self):
         """With no sparse backend available the dense fallback still runs
         (NaN is then the honest dense-math answer, same as cublas.gemm)."""
@@ -405,12 +445,14 @@ class ScriptedFailureBackend(Backend):
     """
 
     name = "scripted"
-    format = "dense"
 
     def __init__(self, failing: bool = True):
         self.failing = failing
         self.execute_calls = 0
         self._inner = CublasDenseBackend()
+
+    def supports(self, operand):
+        return True
 
     def estimate(self, operand, c, gpu):
         result = self._inner.estimate(operand, c, gpu)
@@ -432,11 +474,12 @@ class ScriptedFailureBackend(Backend):
 @pytest.mark.faults
 class TestFailoverAndQuarantine:
     def _dispatcher(self, failing=True, failure_threshold=2, probe_interval=3):
-        dispatcher = KernelDispatcher(
-            failure_threshold=failure_threshold, probe_interval=probe_interval
-        )
         scripted = ScriptedFailureBackend(failing=failing)
-        dispatcher.register(scripted)
+        dispatcher = KernelDispatcher(
+            backends=[*default_backends(), scripted],
+            failure_threshold=failure_threshold,
+            probe_interval=probe_interval,
+        )
         return dispatcher, scripted
 
     def test_failover_output_is_bit_exact_fallback(self, operand, rng):
@@ -665,7 +708,7 @@ class TestNarrowedTunerException:
         assert issubclass(UnsupportedTilingError, ValueError)
         dense = rng.normal(size=(32, 64))
         pruned = apply_mask(dense, vnm_mask(dense, v=8, n=2, m=8)).astype(np.float32)
-        op = SpmmOperand.from_dense(pruned, formats=("vnm",), v=8, n=2, m=8)
+        op = SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(pruned, v=8, n=2, m=8))
         decision = KernelDispatcher().dispatch(op, 16)
         assert "spatha-plan" in decision.costs
         assert decision.costs["spatha-plan"] > 0

@@ -16,7 +16,12 @@ from repro.formats.nm import NMSparseMatrix
 from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels import clasp, cublas, cusparse, cusparselt, sputnik
 from repro.kernels.common import GemmProblem, reference_matmul_fp16
-from repro.kernels.dispatch import FORMAT_BLOCKED_ELL, FORMAT_CSR, FORMAT_DENSE, FORMAT_VNM, KernelDispatcher, SpmmOperand
+from repro.kernels.dispatch import (
+    CublasDenseBackend,
+    KernelDispatcher,
+    SpathaPlanBackend,
+    SpmmOperand,
+)
 from repro.kernels.spatha import Spatha, spmm as spatha_spmm, estimate_time as spatha_time
 from repro.pruning.masks import apply_mask
 from repro.pruning.nm import nm_mask
@@ -61,15 +66,16 @@ class TestNumericalConsistency:
         assert np.allclose(out_spatha, out_sputnik, atol=2e-2, rtol=1e-2)
 
 
-#: The dispatch-consistency matrix: every cell is one (storage format,
-#: V:N:M pattern, shape bucket) combination.  Shapes are chosen so their C
-#: falls into three distinct dispatcher shape buckets (<=8, <=32, <=128),
-#: and the R/K dimensions are compatible with every pattern's (V, M) and
-#: with the Blocked-ELL block size.
-DISPATCH_FORMATS = (FORMAT_VNM, FORMAT_CSR, FORMAT_BLOCKED_ELL, FORMAT_DENSE)
+#: The dispatch-consistency matrix: every cell is one (operand and backend,
+#: V:N:M pattern, shape bucket) combination.  ``vnm`` runs a V:N:M operand on
+#: Spatha's plan, ``vnm-fallback`` the same operand on the dense cuBLAS
+#: fallback alone, ``dense`` a dense operand (whose one candidate is cuBLAS).
+#: Shapes are chosen so their C falls into three distinct dispatcher shape
+#: buckets (<=8, <=32, <=128), and the R/K dimensions are compatible with
+#: every pattern's (V, M).
+DISPATCH_KINDS = ("vnm", "vnm-fallback", "dense")
 DISPATCH_PATTERNS = ((8, 2, 4), (16, 2, 8), (8, 1, 8), (16, 2, 16))  # (V, N, M)
 DISPATCH_SHAPES = ((32, 64, 6), (64, 128, 24), (64, 128, 96))  # (R, K, C)
-_ELL_BLOCK = 8
 
 
 def _pruned_operand_matrix(rng, r, k, v, n, m):
@@ -77,25 +83,21 @@ def _pruned_operand_matrix(rng, r, k, v, n, m):
     return apply_mask(dense, vnm_mask(dense, v=v, n=n, m=m)).astype(np.float32)
 
 
-def _direct_backend_call(fmt, pruned, v, n, m, b):
+def _direct_backend_call(backend, pruned, v, n, m, b):
     """Invoke the backend library directly, bypassing the dispatcher."""
-    if fmt == FORMAT_VNM:
+    if backend == "spatha-plan":
         return spatha_spmm(VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m, strict=True), b)
-    if fmt == FORMAT_CSR:
-        return sputnik.spmm(CSRMatrix.from_dense(pruned), b)
-    if fmt == FORMAT_BLOCKED_ELL:
-        return cusparse.spmm(BlockedEllMatrix.from_dense(pruned, b=_ELL_BLOCK), b)
-    assert fmt == FORMAT_DENSE
+    assert backend == "cublas-dense"
     return cublas.gemm(pruned, b)
 
 
 class TestDispatchConsistencyMatrix:
     """Every dispatch decision must be provably output-identical to calling
-    the chosen backend directly, across the full (format, pattern, shape
-    bucket) matrix, and numerically consistent with the dense fp16
+    the chosen backend directly, across the full (operand kind, pattern,
+    shape bucket) matrix, and numerically consistent with the dense fp16
     reference."""
 
-    @pytest.mark.parametrize("fmt", DISPATCH_FORMATS)
+    @pytest.mark.parametrize("fmt", DISPATCH_KINDS)
     @pytest.mark.parametrize("pattern", DISPATCH_PATTERNS, ids=lambda p: "v%d_%d:%d" % p)
     @pytest.mark.parametrize("shape", DISPATCH_SHAPES, ids=lambda s: "%dx%dx%d" % s)
     def test_dispatcher_bit_matches_direct_backend(self, rng, fmt, pattern, shape):
@@ -103,25 +105,18 @@ class TestDispatchConsistencyMatrix:
         r, k, c = shape
         pruned = _pruned_operand_matrix(rng, r, k, v, n, m)
         b = rng.normal(size=(k, c)).astype(np.float32)
-        kwargs = dict(v=v, n=n, m=m) if fmt == FORMAT_VNM else {}
-        operand = SpmmOperand.from_dense(
-            pruned, formats=(fmt,), block_size=_ELL_BLOCK, allow_dense=False, **kwargs
-        )
-        if fmt == FORMAT_DENSE:
+        if fmt == "dense":
             operand = SpmmOperand(dense=pruned)
-        dispatcher = KernelDispatcher()
+        else:
+            operand = SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m, strict=True))
+        # One backend per dispatcher: the dispatcher must route to it and
+        # reproduce its direct invocation bit for bit.
+        backend = SpathaPlanBackend() if fmt == "vnm" else CublasDenseBackend()
+        dispatcher = KernelDispatcher(backends=[backend])
         decision = dispatcher.dispatch(operand, c)
-        # Single-format operand: the dispatcher must route to this format's
-        # backend and reproduce its direct invocation bit for bit.
-        expected_backend = {
-            FORMAT_VNM: "spatha-plan",
-            FORMAT_CSR: "sputnik-csr",
-            FORMAT_BLOCKED_ELL: "cusparse-blocked-ell",
-            FORMAT_DENSE: "cublas-dense",
-        }[fmt]
-        assert decision.backend == expected_backend
+        assert decision.backend == backend.name
         out = dispatcher.execute(operand, b)
-        direct = _direct_backend_call(fmt, pruned, v, n, m, b)
+        direct = _direct_backend_call(backend.name, pruned, v, n, m, b)
         assert np.array_equal(out, direct)
         # ... and stay within the existing fp16 tolerances of the dense
         # reference on the same pruned operand.
@@ -131,34 +126,48 @@ class TestDispatchConsistencyMatrix:
     @pytest.mark.parametrize("pattern", DISPATCH_PATTERNS, ids=lambda p: "v%d_%d:%d" % p)
     @pytest.mark.parametrize("shape", DISPATCH_SHAPES, ids=lambda s: "%dx%dx%d" % s)
     def test_multi_format_choice_is_perf_model_argmin(self, rng, pattern, shape):
-        """With every format available the dispatcher must pick the argmin
-        of the directly-computed tuner/perf-model estimates — and still be
-        bit-identical to that backend's direct call."""
+        """With both candidates available the dispatcher must pick the
+        argmin of the directly-computed tuner/perf-model estimates — and
+        still be bit-identical to that backend's direct call."""
         v, n, m = pattern
         r, k, c = shape
         pruned = _pruned_operand_matrix(rng, r, k, v, n, m)
         b = rng.normal(size=(k, c)).astype(np.float32)
-        operand = SpmmOperand.from_dense(
-            pruned,
-            formats=(FORMAT_VNM, FORMAT_CSR, FORMAT_BLOCKED_ELL),
-            v=v,
-            n=n,
-            m=m,
-            block_size=_ELL_BLOCK,
-        )
+        operand = SpmmOperand.from_vnm(VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m, strict=True))
         dispatcher = KernelDispatcher()
         decision = dispatcher.dispatch(operand, c)
         # argmin over the same estimators, invoked directly per backend.
         direct_costs = {
             name: dispatcher.backend(name).estimate(operand, c, dispatcher.gpu).time_us
-            for name in ("spatha-plan", "sputnik-csr", "cusparse-blocked-ell", "cublas-dense")
+            for name in ("spatha-plan", "cublas-dense")
         }
         assert decision.backend == min(direct_costs, key=direct_costs.get)
         assert decision.costs == pytest.approx(direct_costs)
         out = dispatcher.execute(operand, b)
-        fmt = dispatcher.backend(decision.backend).format
-        direct = _direct_backend_call(fmt, pruned, v, n, m, b)
+        direct = _direct_backend_call(decision.backend, pruned, v, n, m, b)
         assert np.array_equal(out, direct)
+
+
+class TestBaselinesOnTheMatrix:
+    """The paper's Fig. 12-13 baselines, Sputnik's CSR and cuSPARSE's
+    Blocked-ELL, called directly on every cell's pruned operand: each
+    agrees with the dense fp16 reference and with Spatha's product."""
+
+    @pytest.mark.parametrize("library", ["sputnik-csr", "cusparse-blocked-ell"])
+    @pytest.mark.parametrize("pattern", DISPATCH_PATTERNS, ids=lambda p: "v%d_%d:%d" % p)
+    @pytest.mark.parametrize("shape", DISPATCH_SHAPES, ids=lambda s: "%dx%dx%d" % s)
+    def test_baseline_matches_reference_and_spatha(self, rng, library, pattern, shape):
+        v, n, m = pattern
+        r, k, c = shape
+        pruned = _pruned_operand_matrix(rng, r, k, v, n, m)
+        b = rng.normal(size=(k, c)).astype(np.float32)
+        if library == "sputnik-csr":
+            out = sputnik.spmm(CSRMatrix.from_dense(pruned), b)
+        else:
+            out = cusparse.spmm(BlockedEllMatrix.from_dense(pruned, b=8), b)
+        assert np.allclose(out, reference_matmul_fp16(pruned, b), atol=5e-2, rtol=5e-3)
+        spatha = _direct_backend_call("spatha-plan", pruned, v, n, m, b)
+        assert np.allclose(out, spatha, atol=5e-2, rtol=5e-3)
 
 
 class TestPerformanceOrderings:

@@ -50,7 +50,7 @@ class TestDenseLinear:
         layer = init_dense_linear(8, 16)
         p = layer.operand.problem(40)
         assert (p.r, p.k, p.c) == (8, 16, 40)
-        assert layer.operand.formats == ("dense",)
+        assert layer.operand.vnm is None and layer.operand.pattern is None
 
     def test_modelled_time_positive(self, gpu):
         layer = init_dense_linear(64, 64)

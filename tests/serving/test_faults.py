@@ -84,7 +84,7 @@ def make_requests(rng, token_counts, prefix="req", **kwargs):
 
 class TestFaultPlan:
     def test_seeded_plan_replays_identically(self):
-        backends = ("cublas-dense", "spatha-plan", "sputnik-csr")
+        backends = ("cublas-dense", "spatha-plan")
         a = FaultPlan.seeded(backends, seed=FAULT_SEED, failure_rate=0.2, latency_rate=0.1)
         b = FaultPlan.seeded(backends, seed=FAULT_SEED, failure_rate=0.2, latency_rate=0.1)
         assert a.specs == b.specs
@@ -204,6 +204,84 @@ class TestInjectorFailover:
         assert all(b is not o for b, o in zip(dispatcher.backends, originals))
         injector.disarm(dispatcher)
         assert dispatcher.backends == originals
+
+
+class TestTwoBackendChain:
+    """The failover chain has two links: a V:N:M projection walks from its
+    ranked-first backend to the other one, a dense projection has nowhere
+    to go.  The failing call moves with ``FAULT_SEED``, so the CI chaos
+    matrix places it on a different request per seed."""
+
+    N = 6
+
+    @staticmethod
+    def _serve_one_by_one(engine, requests):
+        results = {}
+        for req in requests:
+            results.update(engine.serve([req]))
+        return results
+
+    @pytest.mark.parametrize("offset", range(3))
+    def test_vnm_projection_fails_when_both_candidates_fail_on_one_call(
+        self, vnm_weight, rng, offset
+    ):
+        requests = make_requests(rng, [8] * self.N, prefix="chain")
+        expected = self._serve_one_by_one(
+            ServingEngine(vnm_weight, dispatcher=KernelDispatcher()), requests
+        )
+        dispatcher = KernelDispatcher()
+        engine = ServingEngine(vnm_weight, dispatcher=dispatcher)
+        first, second = dispatcher.dispatch(engine.operand, 8).order
+        assert {first, second} == {"spatha-plan", "cublas-dense"}
+        victim = (FAULT_SEED + offset) % self.N
+        plan = FaultPlan(
+            [FaultSpec(first, "transient", at_call=victim), FaultSpec(second, "transient", at_call=0)]
+        )
+        injector = FaultInjector(plan).arm(dispatcher)
+        results = self._serve_one_by_one(engine, requests)
+        for i, req in enumerate(requests):
+            outcome = engine.outcomes[req.request_id]
+            if i != victim:
+                assert outcome.ok
+                assert np.array_equal(results[req.request_id], expected[req.request_id])
+                continue
+            assert outcome.status == OUTCOME_FAILED
+            assert "all candidate backends failed" in outcome.detail
+            assert f"{first}: injected fault on {first} (call {victim})" in outcome.detail
+            assert f"{second}: injected fault on {second} (call 0)" in outcome.detail
+        assert (injector.calls(first), injector.calls(second)) == (self.N, 1)
+        health = dispatcher.health_stats()
+        assert (health["failures"], health["failovers"]) == (2, 0)
+
+    @pytest.mark.parametrize("offset", range(3))
+    def test_dense_projection_fails_on_its_first_failure(self, vnm_weight, rng, offset):
+        operand = SpmmOperand(dense=vnm_weight.to_dense())
+        requests = make_requests(rng, [8] * self.N, prefix="dense")
+        expected = self._serve_one_by_one(
+            ServingEngine(operand, dispatcher=KernelDispatcher()), requests
+        )
+        dispatcher = KernelDispatcher()
+        engine = ServingEngine(operand, dispatcher=dispatcher)
+        assert dispatcher.dispatch(operand, 8).order == ["cublas-dense"]
+        victim = (FAULT_SEED + offset) % self.N
+        plan = FaultPlan(
+            [FaultSpec("cublas-dense", "transient", at_call=victim), FaultSpec("spatha-plan", "persistent")]
+        )
+        injector = FaultInjector(plan).arm(dispatcher)
+        results = self._serve_one_by_one(engine, requests)
+        for i, req in enumerate(requests):
+            outcome = engine.outcomes[req.request_id]
+            if i != victim:
+                assert outcome.ok
+                assert np.array_equal(results[req.request_id], expected[req.request_id])
+                continue
+            assert outcome.status == OUTCOME_FAILED
+            assert outcome.detail.endswith(
+                f"all candidate backends failed: cublas-dense: injected fault on cublas-dense (call {victim})"
+            )
+        assert injector.calls("spatha-plan") == 0
+        health = dispatcher.health_stats()
+        assert (health["failures"], health["failovers"]) == (1, 0)
 
 
 class TestEngineOutcomes:

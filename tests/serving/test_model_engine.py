@@ -521,7 +521,7 @@ class TestModelEngineApi:
         assert set(per_layer) == {name for name, _ in engine.encoder.named_linear_layers()}
         assert all(t > 0 for t in per_layer.values())
         backends = {e.meta["backend"] for e in engine.trace.executions}
-        assert backends <= {"spatha-plan", "cublas-dense", "sputnik-csr", "cusparse-blocked-ell"}
+        assert backends <= {"spatha-plan", "cublas-dense"}
         assert engine.stats()["modelled_kernel_time_us"] == pytest.approx(
             sum(per_layer.values())
         )

@@ -1,0 +1,244 @@
+#!/usr/bin/env python
+"""Historic-regression mutant gate: re-introduce fixed bugs, expect the tests to catch them.
+
+Each row of :data:`MUTANTS` is a small source patch that puts back one bug
+this repository has already fixed (CHANGES.md records each fix), plus the
+test files that must catch (kill) it.  The tool copies
+``src/`` and ``tests/`` into a temporary directory, checks that every row's
+tests pass on the unpatched copy, then applies each patch in turn and runs
+its tests with ``-x``::
+
+    python tools/mutants.py            # every row
+    python tools/mutants.py NAME ...   # the named rows
+
+A mutant is killed when pytest reports a failing test.  The tool exits 1
+if any mutant survives, or if a patch no longer applies (the code it
+targets changed: update the row, or retire it in writing).  About 20 s
+on one core.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import List, Sequence, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    #: Row name (what the command line selects), naming the bug put back.
+    name: str
+    #: Source file, relative to the repository root.
+    path: str
+    #: ``(old, new)`` replacements; each ``old`` must occur exactly once.
+    patches: Tuple[Tuple[str, str], ...]
+    #: Test files (or node ids) that must kill the mutant.
+    tests: Tuple[str, ...]
+
+
+MUTANTS: Tuple[Mutant, ...] = (
+    Mutant(
+        "async-window-closes-at-next-arrival",
+        "src/repro/serving/engine.py",
+        ((
+            "                        self.batcher.next_event_us(),\n",
+            "                        None if admitted < len(queue) else self.batcher.next_event_us(),\n",
+        ),),
+        ("tests/serving/test_batcher.py",),
+    ),
+    Mutant(
+        "decoder-duplicate-submit-of-held-id",
+        "src/repro/serving/decoder.py",
+        ((
+            "if rid in self._residents or rid in self._preempted or self.batcher.is_queued(rid):",
+            "if self.batcher.is_queued(rid):",
+        ),),
+        ("tests/serving/test_decoder.py",),
+    ),
+    Mutant(
+        "sharded-estimate-charges-on-a-query",
+        "src/repro/serving/sharded.py",
+        ((
+            "    def attribute_modelled(self, operand: SpmmOperand, time_us: float) -> None:\n",
+            "    def estimate(self, operand, c, backend=None):\n"
+            "        result = super().estimate(operand, c, backend)\n"
+            "        self.shard_modelled_us[self.shard_of(operand)] += result.time_us\n"
+            "        return result\n\n"
+            "    def attribute_modelled(self, operand: SpmmOperand, time_us: float) -> None:\n",
+        ),),
+        ("tests/serving/test_sharded.py",),
+    ),
+    Mutant(
+        "length-groups-run-longest-first",
+        "src/repro/serving/model_engine.py",
+        (("        for tokens in sorted(groups):\n", "        for tokens in sorted(groups, reverse=True):\n"),),
+        ("tests/serving/test_length_groups.py",),
+    ),
+    Mutant(
+        "decoder-batcher-prices-one-kv-block",
+        "src/repro/serving/decoder.py",
+        (("            return -(-total // block_size)\n", "            return 1\n"),),
+        ("tests/serving/test_decoder.py",),
+    ),
+    Mutant(
+        "keep-n-of-4-ties-go-to-the-later-position",
+        "src/repro/formats/vnm.py",
+        (("        np.greater(aj, ai).view(np.uint8)\n", "        np.greater_equal(aj, ai).view(np.uint8)\n"),),
+        ("tests/formats/test_vnm_select.py",),
+    ),
+    Mutant(
+        "keep-n-of-4-without-the-nan-map",
+        "src/repro/formats/vnm.py",
+        (("    np.fmax(mag, -1, out=mag)\n", ""),),
+        ("tests/formats/test_vnm_select.py",),
+    ),
+    Mutant(
+        "quantize-chunk-finite-flag-not-cleared",
+        "src/repro/formats/base.py",
+        ((
+            "        finite &= _round_into(flat_x[lo:hi], flat_out[lo:hi], scratch[: hi - lo])[1]\n",
+            "        _round_into(flat_x[lo:hi], flat_out[lo:hi], scratch[: hi - lo])\n",
+        ),),
+        ("tests/formats/test_quantize_fp16.py",),
+    ),
+    Mutant(
+        "copy-on-write-keeps-the-shared-block",
+        "src/repro/models/kv_cache.py",
+        ((
+            "                cache._release_block(block_id)\n                cache.cow_copies += 1\n",
+            "                cache._refcount[block_id] -= 1\n                cache.cow_copies += 1\n",
+        ),),
+        ("tests/models/test_kv_cache.py",),
+    ),
+    Mutant(
+        "nonfinite-screen-demotes-the-whole-batch",
+        "src/repro/kernels/common.py",
+        ((
+            "    if b.ndim == 2:\n        return safe(b)\n    return np.stack(",
+            "    return safe(b)\n    return np.stack(",
+        ),),
+        ("tests/kernels/test_dispatch.py",),
+    ),
+    Mutant(
+        "dense-fallback-skips-the-demotion-to-spatha",
+        "src/repro/kernels/dispatch.py",
+        ((
+            "        if name != CublasDenseBackend.name or spatha not in decision.costs or fp16_finite(b):\n",
+            "        if True:\n",
+        ),),
+        ("tests/kernels/test_dispatch.py",),
+    ),
+    Mutant(
+        "breaker-walk-stops-at-the-first-failure",
+        "src/repro/kernels/dispatch.py",
+        ((
+            "                    first_failed = name\n                continue\n",
+            "                    first_failed = name\n                break\n",
+        ),),
+        ("tests/kernels/test_dispatch.py",),
+    ),
+    Mutant(
+        "bias-checked-after-the-kernel",
+        "src/repro/kernels/dispatch.py",
+        (
+            (
+                "        r = operand.r\n"
+                "        if bias is not None:\n"
+                "            bias = np.asarray(bias, dtype=np.float32)\n"
+                "            if bias.shape not in {(r,), (r, 1)}:\n"
+                '                raise ValueError(f"bias must have shape ({r},), got {bias.shape}")\n'
+                "        decision = self.dispatch(",
+                "        r = operand.r\n        decision = self.dispatch(",
+            ),
+            (
+                "        if bias is not None:\n            out += bias.reshape(r, 1)\n",
+                "        if bias is not None:\n"
+                "            bias = np.asarray(bias, dtype=np.float32)\n"
+                "            if bias.shape not in {(r,), (r, 1)}:\n"
+                '                raise ValueError(f"bias must have shape ({r},), got {bias.shape}")\n'
+                "            out += bias.reshape(r, 1)\n",
+            ),
+        ),
+        ("tests/kernels/test_dispatch.py",),
+    ),
+)
+
+
+def apply(mutant: Mutant, source: str) -> str:
+    """``source`` with every patch of ``mutant`` applied (each ``old`` once)."""
+    for old, new in mutant.patches:
+        count = source.count(old)
+        if count != 1:
+            raise ValueError(f"{mutant.name}: patch target found {count} times in {mutant.path}")
+        source = source.replace(old, new)
+    return source
+
+
+def run_tests(root: Path, tests: Sequence[str]) -> Tuple[int, str]:
+    """pytest ``-x`` on ``tests`` in ``root``; its return code and last line."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode, lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def main(argv: Sequence[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}; known: {[m.name for m in MUTANTS]}")
+        return 2
+    start = time.perf_counter()
+    bad: List[str] = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        root = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(REPO / part, root / part, ignore=ignore)
+        shutil.copy(REPO / "pytest.ini", root / "pytest.ini")
+        baseline = sorted({t for m in chosen for t in m.tests})
+        code, last = run_tests(root, baseline)
+        if code != 0:
+            print(f"baseline: the unpatched tests do not pass ({last})")
+            return 1
+        for mutant in chosen:
+            target = root / mutant.path
+            original = target.read_text()
+            try:
+                target.write_text(apply(mutant, original))
+            except ValueError as exc:
+                print(f"STALE     {mutant.name}: {exc}")
+                bad.append(mutant.name)
+                continue
+            try:
+                code, last = run_tests(root, mutant.tests)
+            finally:
+                target.write_text(original)
+            # 1: tests ran and one failed.  Anything else (an import or
+            # collection error, no tests) is not a kill.
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR {code}"
+            print(f"{verdict:<9} {mutant.name}: {last}")
+            if code != 1:
+                bad.append(mutant.name)
+    elapsed = time.perf_counter() - start
+    print(f"{len(chosen) - len(bad)} of {len(chosen)} mutants killed in {elapsed:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
