@@ -30,7 +30,7 @@ from repro.formats.cvse import CVSEMatrix
 from repro.formats.vnm import VNMSparseMatrix, vnm_select, vnm_select_reference
 from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels import cusparse, sputnik
-from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
+from repro.kernels.dispatch import KernelDispatcher
 from repro.kernels.spatha import SpmmPlan, spmm_loop_reference
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
@@ -42,7 +42,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ServingEngine,
     ShardingConfig,
     bursty_arrivals,
     decode_reference,
@@ -319,52 +318,6 @@ def bench_pruning(entries, rows, cols, rng):
             vec_repeats=1,
         )
     )
-
-
-def bench_serving(entries, size, num_requests, tokens, rng):
-    """Dynamic batching vs per-request dispatch (measured requests/s).
-
-    Both paths execute the same requests through the same warmed dispatcher;
-    the reference serves them one window per request, the batched path one
-    window for all of them.  Outputs are bit-identical by construction
-    (slab-exact batching), so the speedup is a pure throughput gain.
-    """
-    dense = rng.normal(size=(size, size)).astype(np.float32)
-    a = VNMSparseMatrix.from_dense(dense, v=16, n=2, m=4, strict=False)
-    requests = [
-        Request(f"bench-{i:04d}", rng.normal(size=(tokens, size)).astype(np.float32))
-        for i in range(num_requests)
-    ]
-    dispatcher = KernelDispatcher()
-    engine = ServingEngine(a, dispatcher=dispatcher)
-    # Warm the plan and the dispatch decision of the traffic's bucket so
-    # neither path pays one-time preparation inside the timed region.
-    engine.dispatcher.warm(engine.operand, cs=(engine.batcher.token_bucket(tokens),))
-
-    def serve_sequential():
-        out = {}
-        for request in requests:
-            out.update(engine.serve([request]))
-        return np.concatenate([out[r.request_id] for r in requests])
-
-    def serve_batched():
-        out = engine.serve(requests)
-        return np.concatenate([out[r.request_id] for r in requests])
-
-    entry = _entry(
-        "serving.dynamic_batching",
-        f"{size}x{size} 16:2:4 {num_requests}r x {tokens}t",
-        serve_sequential,
-        serve_batched,
-        _array_diff,
-    )
-    entry["requests_per_s_sequential"] = round(num_requests / entry["_reference_s_raw"], 1)
-    entry["requests_per_s_batched"] = round(num_requests / entry["_vectorized_s_raw"], 1)
-    print(
-        f"{'':28s} {'':28s} throughput {entry['requests_per_s_sequential']:9.1f} -> "
-        f"{entry['requests_per_s_batched']:9.1f} req/s"
-    )
-    entries.append(entry)
 
 
 def bench_model_serving(entries, hidden, intermediate, num_layers, num_requests, lengths, rng):
@@ -831,15 +784,16 @@ def bench_model_serving_faulted(
 
 
 def bench_model_serving_slo(
-    entries, hidden, features, num_low, num_high, max_tokens, rng,
+    entries, hidden, num_low, num_high, max_tokens, rng,
 ):
     """Strict-priority SLO scheduling vs FCFS under a bursty two-tenant overload.
 
     The same merged trace — a best-effort tenant with Pareto-tailed lengths
     bursting far past capacity, plus a smaller high-priority tenant, both
     with tight deadlines and a bounded admission queue — replays twice
-    through :func:`simulate` (the real chunk planner and per-class
-    admission arithmetic on the modelled kernel clock): once FCFS, once
+    through :func:`simulate` on a one-layer 16:2:8 encoder (the real chunk
+    planner and per-class admission arithmetic, every projection of every
+    length group charged on the modelled kernel clock): once FCFS, once
     under ``SchedulingConfig(policy="priority")``.
 
     ``speedup`` for this entry is the high class's tail-latency ratio,
@@ -849,14 +803,15 @@ def bench_model_serving_slo(
     scheduler buys; it is above 1.0 under overload by construction and,
     because the simulator is seeded end to end, exactly reproducible —
     which is what the trend gate pins.  ``bit_exact`` comes from a live
-    priority-scheduled :class:`ModelServingEngine` pass: scheduling
-    reorders execution, so every completed output must still equal the
-    direct forward bit for bit.
+    priority-scheduled :class:`ModelServingEngine` pass over the same
+    encoder: scheduling reorders execution, so every completed output must
+    still equal the direct forward bit for bit.
     """
-    dense = rng.normal(size=(hidden, features)).astype(np.float32)
-    operand = SpmmOperand.from_vnm(
-        VNMSparseMatrix.from_dense(dense, v=16, n=2, m=8, strict=False)
+    cfg = tiny_config(
+        hidden_size=hidden, num_layers=1, num_heads=4, intermediate_size=2 * hidden
     )
+    encoder = TransformerEncoder.init(cfg, seed=0)
+    sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
     lengths = pareto_lengths(
         num_low, alpha=1.5, min_tokens=4, max_tokens=max_tokens, seed=3
     )
@@ -875,20 +830,15 @@ def bench_model_serving_slo(
     scheduling = SchedulingConfig(policy="priority", class_weights=(1, 4))
     sim_config = ServingConfig(padding="ladder", max_queue_depth=24, shed_policy="drop-expired")
 
-    ref_t, fcfs = _time(lambda: simulate(operand, trace, sim_config), 1)
+    ref_t, fcfs = _time(lambda: simulate(encoder, trace, sim_config), 1)
     vec_t, prio = _time(
-        lambda: simulate(operand, trace, replace(sim_config, scheduling_policy=scheduling)), 1
+        lambda: simulate(encoder, trace, replace(sim_config, scheduling_policy=scheduling)), 1
     )
     fcfs_high, prio_high = fcfs.per_class()[1], prio.per_class()[1]
     prio_low = prio.per_class()[0]
 
-    # The live-engine certificate: priority scheduling on a real encoder,
+    # The live-engine certificate: priority scheduling on the same encoder,
     # mixed classes, every output compared against the direct forward.
-    cfg = tiny_config(
-        hidden_size=hidden, num_layers=1, num_heads=4, intermediate_size=2 * hidden
-    )
-    encoder = TransformerEncoder.init(cfg, seed=0)
-    sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
     engine = ModelServingEngine(
         encoder,
         config=ServingConfig(
@@ -910,7 +860,7 @@ def bench_model_serving_slo(
 
     entry = {
         "op": "serving.encoder_slo",
-        "shape": f"k{features} {num_low}+{num_high}r bursty/pareto d300us",
+        "shape": f"h{hidden} {num_low}+{num_high}r bursty/pareto d300us",
         "reference_s": round(ref_t, 6),
         "vectorized_s": round(vec_t, 6),
         "speedup": round(
@@ -1056,7 +1006,6 @@ def main():
         bench_vnm_select(entries, [(64, 64)], [(1, 2, 8)], rng)
         bench_vnm_select(entries, [(256, 256)], [(64, 2, 8)], rng)
         bench_pruning(entries, 16, 64, rng)
-        bench_serving(entries, size=256, num_requests=16, tokens=4, rng=rng)
         bench_model_serving(
             entries, hidden=64, intermediate=128, num_layers=1,
             num_requests=12, lengths=[8, 8, 16], rng=rng,
@@ -1079,7 +1028,7 @@ def main():
             fault_seed=0, rng=rng,
         )
         bench_model_serving_slo(
-            entries, hidden=64, features=128, num_low=60, num_high=16,
+            entries, hidden=64, num_low=60, num_high=16,
             max_tokens=32, rng=rng,
         )
         bench_decoder_continuous(
@@ -1104,10 +1053,6 @@ def main():
             rng,
         )
         bench_pruning(entries, 32, 128, rng)
-        # Decode-style traffic (many small requests) is where dynamic
-        # batching pays on this CPU engine: per-request dispatch overhead
-        # amortises across the window while outputs stay bit-identical.
-        bench_serving(entries, size=1024, num_requests=64, tokens=4, rng=rng)
         # Model-level serving on a BERT-shaped (hidden x 4*hidden FFN)
         # encoder: one batched forward per exact-length bucket vs N
         # per-request forwards, bit-identical outputs either way.
@@ -1157,7 +1102,7 @@ def main():
         # deadline violations concentrate in the best-effort class; a live
         # priority-scheduled engine pass certifies the bits.
         bench_model_serving_slo(
-            entries, hidden=64, features=128, num_low=160, num_high=40,
+            entries, hidden=64, num_low=160, num_high=40,
             max_tokens=64, rng=rng,
         )
         # Decoder serving: each generated token re-touches the whole prefix

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Quickstart: end-to-end encoder serving on the BERT-large configuration.
 
-One level up from ``examples/serving_throughput.py`` (which serves a single
-FFN projection): here the whole transformer encoder is the served unit.
-The walk-through:
+The longer tour after ``examples/serving_throughput.py`` (one layer at
+16:2:8): the whole transformer encoder is the served unit.  The
+walk-through:
 
 1. instantiate a BERT-large-configured encoder (two of the 24 layers, the
    same trick the paper uses to fit the GPT-3 study on one GPU) and
@@ -28,7 +28,8 @@ The walk-through:
    deterministic per-request completion metadata and, once more, the same
    bits, and
 7. sweep exact vs padded bucketing x held (async) vs continuous
-   scheduling on the modelled GPU for the capacity view.
+   scheduling on the modelled GPU for the capacity view: the simulator
+   replays the encoder just served.
 
 Run with::
 
@@ -41,7 +42,6 @@ import numpy as np
 
 from repro.evaluation.reporting import format_table
 from repro.integration import VNMSparsifier, sparsify_encoder
-from repro.kernels.dispatch import SpmmOperand
 from repro.models import BERT_LARGE, TransformerEncoder
 from repro.serving import (
     ModelServingEngine,
@@ -187,12 +187,9 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 7. Exact vs padded bucketing x held (async) vs continuous
-    #    scheduling on the modelled GPU (FFN operand).
+    #    scheduling on the modelled GPU: the simulator replays the encoder
+    #    just served, call for call, on the engine's warm dispatcher.
     # ------------------------------------------------------------------
-    operand = SpmmOperand.from_vnm(
-        next(lin for name, lin in encoder.named_sparse_layers() if name.endswith("ffn.output")).operand.vnm,
-        name="bert-large.ffn.output",
-    )
     sim_requests = [
         SimulatedRequest(f"sim-{i:05d}", tokens=lengths[i % len(lengths)], arrival_us=i * 40.0)
         for i in range(256)
@@ -203,9 +200,10 @@ def main() -> None:
         for policy in ("async", "continuous"):
             for report in (
                 simulate(
-                    operand,
+                    encoder,
                     sim_requests,
                     ServingConfig(scheduling=policy, padding=bucketing, window_us=w),
+                    dispatcher=engine.dispatcher,
                 )
                 for w in windows
             ):
@@ -226,7 +224,7 @@ def main() -> None:
     print(
         format_table(
             [
-                "bucketing", "policy", "window", "kernels", "mean batch",
+                "bucketing", "policy", "window", "micro-batches", "mean batch",
                 "req/s", "p95 lat (us)", "p99 lat (us)",
             ],
             rows,

@@ -98,13 +98,6 @@ class ExecutionTrace:
             out[e.category] += e.time_us
         return out
 
-    def time_by_kernel(self) -> Dict[str, float]:
-        """Total time (us) per kernel name."""
-        out: Dict[str, float] = {}
-        for e in self.executions:
-            out[e.kernel] = out.get(e.kernel, 0.0) + e.time_us
-        return out
-
     def gemm_time_us(self) -> float:
         """Total time spent in (Sp)GEMM kernels."""
         return self.time_by_category()["gemm"]
@@ -112,12 +105,3 @@ class ExecutionTrace:
     def comm_time_us(self) -> float:
         """Total time spent in modelled inter-device communication."""
         return self.time_by_category()["comm"]
-
-    def summary(self) -> Dict[str, object]:
-        """Dictionary summary suitable for JSON/CSV emission."""
-        return {
-            "num_kernels": len(self.executions),
-            "total_time_ms": self.total_time_ms,
-            "time_by_category_us": self.time_by_category(),
-            "time_by_kernel_us": self.time_by_kernel(),
-        }

@@ -1,22 +1,21 @@
 """Dynamic-batching serving layer on top of the kernel dispatcher.
 
 This package turns the per-call SpMM machinery into a request-serving
-subsystem (the ROADMAP's "heavy traffic" direction):
+subsystem (the ROADMAP's "heavy traffic" direction).  Two engines share one
+core, and the simulator replays the first on the modelled clock:
 
 * :mod:`~repro.serving.batcher` — the request and micro-batch types:
-  requests whose activation shapes fall into the same bucket are padded to
-  the bucket boundary and stacked into one batched 3-D RHS.
+  requests whose lengths fall into the same bucket (ladder rung) share a
+  micro-batch; nothing is padded.
 * :mod:`~repro.serving.engine` — ``EngineCore``, the one intake / step /
-  replay / outcome / stats implementation all three engines subclass, and
-  the single-operator :class:`ServingEngine`: each micro-batch runs through
-  the warmed :class:`~repro.kernels.dispatch.KernelDispatcher` and records
-  its modelled execution into an :class:`~repro.hardware.trace.ExecutionTrace`.
+  replay / outcome / stats implementation both engines (and the
+  simulator's modelled engine) subclass.
 * :mod:`~repro.serving.model_engine` — model-level serving:
   :class:`ModelServingEngine` routes whole
   :class:`~repro.models.transformer.TransformerEncoder` forward passes
-  through the dispatcher per micro-batch, with an engine-scoped plan
-  registry (cross-request reuse, hit/miss counters) and a per-layer
-  modelled trace.
+  through the dispatcher per micro-batch, one forward per equal-length
+  group, with an engine-scoped plan registry (cross-request reuse,
+  hit/miss counters) and a per-layer modelled trace.
 * :mod:`~repro.serving.continuous` — the one batcher:
   :class:`ContinuousBatcher` buckets requests by shape and schedules one
   micro-batch per engine step, so requests join compatible open ladder
@@ -41,20 +40,21 @@ subsystem (the ROADMAP's "heavy traffic" direction):
 * :mod:`~repro.serving.config` — :class:`ServingConfig`, the one typed
   home for engine knobs (scheduling, padding, admission control, KV
   geometry, warming, sharding), plus the :func:`create_engine` factory.
-* :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO
-  simulator on the modelled GPU: :func:`simulate` runs a ``ServingEngine``
-  whose micro-batch charges modelled kernel time instead of running,
+* :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO/sharding
+  simulator on the modelled GPU: :func:`simulate` runs a
+  ``ModelServingEngine`` whose micro-batch charges the live forward's
+  calls — length groups, projections in forward order, the failover
+  walk, a sharded dispatcher's collectives — instead of running them,
   driven by the engine core's own step loop under the same
   :class:`ServingConfig` an engine reads; one :class:`SimReport`.
 
 The core guarantee, property-tested end to end: batched execution of N
-compatible requests is bit-identical to N sequential single-request calls —
-per operator (the engine canonicalises every request to its bucket shape,
-and the dispatcher's batched path is slab-bit-exact) *and* per model, in
-both batching modes (``padding="exact"`` stacks same-length sequences
-only, where every operator of the encoder is slab-exact over the batch
-dimension; ``padding="ladder"`` lets ragged lengths share a ladder rung
-and runs the micro-batch as equal-length groups, each at its true shape).
+compatible requests is bit-identical to N sequential single-request
+``encoder.forward`` calls, in both batching modes (``padding="exact"``
+stacks same-length sequences only, where every operator of the encoder is
+slab-exact over the batch dimension; ``padding="ladder"`` lets ragged
+lengths share a ladder rung and runs the micro-batch as equal-length
+groups, each at its true shape).
 """
 
 from .batcher import DEFAULT_TOKEN_BUCKETS, BucketKey, MicroBatch, Request
@@ -72,7 +72,6 @@ from .continuous import (
     plan_slo_batch_reference,
 )
 from .decoder import DecodeRequest, DecoderServingEngine, decode_reference
-from .engine import ServingEngine
 from .sharded import PLACEMENT_POLICIES, ShardedDispatcher
 from .faults import (
     OUTCOME_FAILED,
@@ -130,7 +129,6 @@ __all__ = [
     "ShardedDispatcher",
     "ShardingConfig",
     "ServingConfig",
-    "ServingEngine",
     "SimReport",
     "SimulatedRequest",
     "bursty_arrivals",

@@ -5,7 +5,7 @@ engine, KV geometry on the decoder, admission control on the continuous
 batcher, now shard topology — until constructing a server meant threading
 the same half-dozen knobs through three different signatures.
 :class:`ServingConfig` consolidates them into one frozen dataclass accepted
-by all three engines (``config=...``), with :func:`create_engine` as the
+by both engines and the simulator (``config=...``), with :func:`create_engine` as the
 one-call front door.  The config is the only path: the engines take no
 ``padding=`` / ``block_size=`` / ``capacity_blocks=`` / ``kv_budget_blocks=``
 / ``batcher=`` keywords of their own, and every engine builds its one batcher
@@ -40,6 +40,9 @@ from ..hardware.spec import NVLINK, GPUSpec, InterconnectSpec
 
 #: Scheduling modes of the default batcher: no hold, or the window_us hold.
 SCHEDULING_MODES = ("async", "continuous")
+
+#: What an engine serves: one-shot encoder requests, or multi-step decodes.
+ENGINE_KINDS = ("encoder", "decoder")
 
 @dataclass(frozen=True)
 class ShardingConfig:
@@ -164,20 +167,20 @@ class ServingConfig:
     # ------------------------------------------------------------------
     # Derived builders the engines call
     # ------------------------------------------------------------------
-    def build_batcher(self, kind: str = "operand", kv_cost: Optional[Callable] = None):
+    def build_batcher(self, kind: str = "encoder", kv_cost: Optional[Callable] = None):
         """The :class:`ContinuousBatcher` of an engine of ``kind``.
 
-        ``kind`` is ``"operand"`` (single-operator engine), ``"encoder"``
-        (model engine) or ``"decoder"`` (``kv_cost`` prices the KV budget).
-        The buckets are ``(1,)`` for an encoder with ``padding="exact"``
-        (every longer length is its own exact bucket), else
-        ``token_buckets`` or the default powers-of-two ladder.
+        ``kind`` is ``"encoder"`` (model engine and simulator) or
+        ``"decoder"`` (``kv_cost`` prices the KV budget).  The buckets are
+        ``(1,)`` for an encoder with ``padding="exact"`` (every longer
+        length is its own exact bucket), else ``token_buckets`` or the
+        default powers-of-two ladder.
         ``scheduling="async"`` sets the ``window_us`` hold; admission
         control and the scheduling policy bind under either mode.  Only a
         decoder holds KV: its budget is ``kv_budget_blocks``, else the
         whole cache, and any other kind rejects a ``kv_budget_blocks``.
         """
-        if kind not in ("operand", "encoder", "decoder"):
+        if kind not in ENGINE_KINDS:
             raise ValueError(f"unknown engine kind {kind!r}")
         kv_budget = self.kv_budget_blocks
         if kind == "decoder":
@@ -221,33 +224,24 @@ class ServingConfig:
         )
 
 
-def create_engine(target, config: Optional[ServingConfig] = None, kind: Optional[str] = None, **kwargs):
-    """Build the right serving engine for ``target`` from one config.
+def create_engine(target, config: Optional[ServingConfig] = None, kind: str = "encoder", **kwargs):
+    """Build the serving engine of ``kind`` for the encoder ``target``.
 
-    ``target`` is an encoder (→ :class:`ModelServingEngine`; pass
-    ``kind="decoder"`` for the KV-cache decode engine) or a sparse operand /
-    :class:`~repro.formats.vnm.VNMSparseMatrix` (→ the single-operator
-    :class:`ServingEngine`).  Extra keyword arguments (``dispatcher=``,
-    ``bias=``) pass through to the engine constructor; an explicit
+    ``kind="encoder"`` (default) is the :class:`ModelServingEngine`,
+    ``kind="decoder"`` the KV-cache decode engine.  Extra keyword arguments
+    (``dispatcher=``) pass through to the engine constructor; an explicit
     ``dispatcher`` wins over the config's default.
     """
     # Late imports: the engine modules import this one for the config type.
     from .decoder import DecoderServingEngine
-    from .engine import ServingEngine
     from .model_engine import ModelServingEngine
     from ..models.transformer import TransformerEncoder
 
-    config = config if config is not None else ServingConfig()
-    if kind is None:
-        kind = "encoder" if isinstance(target, TransformerEncoder) else "operand"
-    if kind not in ("operand", "encoder", "decoder"):
-        raise ValueError(
-            f"unknown engine kind {kind!r}; expected 'operand', 'encoder' or 'decoder'"
-        )
-    if kind == "operand":
-        return ServingEngine(target, config=config, **kwargs)
+    if kind not in ENGINE_KINDS:
+        raise ValueError(f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}")
     if not isinstance(target, TransformerEncoder):
         raise TypeError(f"kind={kind!r} needs a TransformerEncoder target, got {type(target).__name__}")
+    config = config if config is not None else ServingConfig()
     if kind == "encoder":
         return ModelServingEngine(target, config=config, **kwargs)
     return DecoderServingEngine(target, config=config, **kwargs)

@@ -1,37 +1,23 @@
-"""The serving execution front-end: one engine core, and the operator engine.
+"""The serving execution front-end: one engine core.
 
-:class:`EngineCore` is the request lifecycle all three serving engines run
-— intake, the one step-loop driver, fault isolation, per-request outcomes
+:class:`EngineCore` is the request lifecycle every serving engine runs —
+intake, the one step loop, fault isolation, per-request outcomes
 and the shared ``stats()`` blocks are written once here, and an engine
 supplies only what it serves (see the class docstring for its two hooks).
-:class:`~repro.serving.model_engine.ModelServingEngine` and
-:class:`~repro.serving.decoder.DecoderServingEngine` subclass it from
-their own modules; this module also holds the smallest engine:
+Two engines subclass it from their own modules:
+:class:`~repro.serving.model_engine.ModelServingEngine` serves an encoder
+(the simulator's modelled engine is one, on the modelled clock) and
+:class:`~repro.serving.decoder.DecoderServingEngine` decodes with a paged
+KV cache.
 
-``ServingEngine`` glues the pieces into a request/response loop around one
-operator (a weight and optional bias — one ``Linear``'s worth of work,
-which is what LLM serving fans out millions of times):
-
-1. requests are queued into the
-   :class:`~repro.serving.continuous.ContinuousBatcher`;
-2. each ``step`` pops one shape-bucketed micro-batch, executes it as one
-   batched 3-D kernel call through the (warmed)
-   :class:`~repro.kernels.dispatch.KernelDispatcher`, and splits the result
-   back per request;
-3. every batched call is also recorded into an
-   :class:`~repro.hardware.trace.ExecutionTrace` with the dispatched
-   backend's modelled time at the batch's true column count, so serving
-   runs produce the same trace records the evaluation harness aggregates.
-
-Because every request executes at its bucket shape and the dispatcher's
-batched path is slab-bit-exact, ``serve(requests)`` returns bit-identical
-outputs whether the requests arrive together, in any order, or one by one —
-and under any hold or step cadence of the one ``step`` loop.
+Because scheduling never touches numerics, ``serve(requests)`` returns
+bit-identical outputs whether the requests arrive together, in any order,
+or one by one — and under any hold or step cadence of the one ``step``
+loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
@@ -47,15 +33,7 @@ from .faults import (
     RequestOutcome,
     outcome_counts,
 )
-from ..formats.vnm import VNMSparseMatrix
-from ..hardware.trace import ExecutionTrace
-from ..kernels.dispatch import (
-    BackendExecutionError,
-    KernelDispatcher,
-    SpmmOperand,
-    default_dispatcher,
-)
-from ..models.layers import Linear
+from ..kernels.dispatch import BackendExecutionError, KernelDispatcher
 
 
 class EngineCore:
@@ -66,8 +44,9 @@ class EngineCore:
     per-request outcomes and the normalized ``stats()`` blocks live here
     once.  A subclass says what it serves through two hooks:
 
-    * :meth:`_execute_batch` — the numerics of one micro-batch (one batched
-      kernel call, one batched encoder forward).  Every step funnels
+    * :meth:`_execute_batch` — the numerics of one micro-batch (one
+      encoder forward per length group; on the modelled clock, their
+      charge).  Every step funnels
       through it, which is why scheduling can never touch a request's bits.
     * :meth:`_run_step` — what one continuous step runs.  The default pops
       one micro-batch and completes it inside the step: a one-shot request
@@ -129,14 +108,9 @@ class EngineCore:
         if dispatcher is None:
             dispatcher = self.config.build_dispatcher(name=name)  # None unless sharded
         if dispatcher is None:
-            # One operator shares the process-wide dispatcher; a served model
-            # gets a private one, so two engines never share memoized dispatch
+            # A private dispatcher: two engines never share memoized dispatch
             # signatures unless explicitly given one dispatcher.
-            dispatcher = (
-                default_dispatcher()
-                if kind == "operand"
-                else KernelDispatcher(name=f"{name}.dispatcher")
-            )
+            dispatcher = KernelDispatcher(name=f"{name}.dispatcher")
         self.dispatcher = dispatcher
         self.batcher = self.config.build_batcher(kind=kind, kv_cost=kv_cost)
         self.total_requests = 0
@@ -404,142 +378,4 @@ class EngineCore:
             "dispatch_health": self.dispatcher.health_stats(),
             "admission": self.batcher.admission_stats(),
             "sharding": self.dispatcher.sharding_stats(),
-        }
-
-
-class ServingEngine(EngineCore):
-    """Dynamic-batching server for one sparse linear operator.
-
-    An :class:`EngineCore` whose micro-batch is one batched kernel call.
-
-    Parameters
-    ----------
-    operand:
-        The sparse LHS, either an :class:`SpmmOperand` or a bare
-        :class:`VNMSparseMatrix` (wrapped automatically).
-    bias:
-        Optional output bias fused into every request's result.
-    dispatcher:
-        Kernel dispatcher to execute through (defaults to the shared
-        process-wide one).
-    config:
-        The :class:`~repro.serving.config.ServingConfig`: it supplies the
-        batcher (the bucket ladder, held per ``scheduling``), the engine
-        name, the warming policy — ``warm`` builds the operand's execution plan
-        eagerly so the first window does not pay the plan build,
-        ``warm_buckets`` pre-ranks the dispatch decisions of those token
-        buckets so the first request of those shapes also skips the
-        cost-model sweep — and, when its sharding block is enabled, a
-        sharded dispatcher.  An explicitly passed ``dispatcher`` wins over
-        the config's default.
-    """
-
-    #: The engine kind the config builds the batcher and dispatcher for.
-    kind = "operand"
-
-    def __init__(
-        self,
-        operand,
-        bias: Optional[np.ndarray] = None,
-        dispatcher: Optional[KernelDispatcher] = None,
-        config: Optional["ServingConfig"] = None,
-    ) -> None:
-        super().__init__(self.kind, "serving", config, dispatcher)
-        if isinstance(operand, VNMSparseMatrix):
-            operand = SpmmOperand.from_vnm(operand, name=self.name)
-        if not isinstance(operand, SpmmOperand):
-            raise TypeError("operand must be an SpmmOperand or VNMSparseMatrix")
-        self.operand = operand
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float32)
-        self.trace = ExecutionTrace()
-        self.total_batches = 0
-        if self.config.warm:
-            self.dispatcher.warm(self.operand, cs=self.config.warm_buckets)
-
-    # ------------------------------------------------------------------
-    # Request intake
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_layer(
-        cls, layer, config: Optional[ServingConfig] = None, dispatcher: Optional[KernelDispatcher] = None
-    ) -> "ServingEngine":
-        """Build an engine serving a :class:`~repro.models.layers.Linear` —
-        V:N:M or dense, the operand is the layer's own (named after the
-        layer unless ``config`` names it).
-
-        Rejects any other argument up front and stamps the layer's input
-        width on the engine so mismatched requests fail at intake with a
-        readable message instead of deep inside the kernel with a
-        broadcast error.
-        """
-        if not isinstance(layer, Linear):
-            raise TypeError(
-                f"for_layer needs a Linear layer, got {type(layer).__name__}; wrap a "
-                f"bare weight in an SpmmOperand and use ServingEngine(...) directly"
-            )
-        config = config if config is not None else ServingConfig()
-        if config.name is None:
-            config = replace(config, name=layer.name)
-        return cls(
-            operand=layer.operand,
-            bias=layer.bias,
-            dispatcher=dispatcher if dispatcher is not None else layer.dispatcher,
-            config=config,
-        )
-
-    def _validate(self, request: Request) -> None:
-        if request.features != self.operand.k:
-            raise ValueError(
-                f"request features ({request.features}) != operand K ({self.operand.k})"
-            )
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _execute_batch(self, batch: MicroBatch) -> Dict[str, np.ndarray]:
-        if batch.key.features != self.operand.k:
-            # Requests that bypassed submit() (queued straight on the
-            # batcher) used to surface here as an opaque broadcast error
-            # deep inside the chosen kernel.
-            raise ValueError(
-                f"{self.name}: micro-batch feature width ({batch.key.features}) does not "
-                f"match the served layer's input width (operand K = {self.operand.k}); "
-                f"submit requests with activations of shape (tokens, {self.operand.k})"
-            )
-        rhs = batch.stacked_rhs()  # (B, K, C_bucket)
-        out = self.dispatcher.execute(self.operand, rhs, bias=self.bias)
-        backend = self.dispatcher.dispatch(self.operand, batch.key.token_bucket).backend
-        modelled = self.dispatcher.estimate(self.operand, batch.padded_tokens, backend=backend)
-        self.dispatcher.attribute_modelled(self.operand, modelled.time_us)
-        self._record(batch, backend, modelled)
-        return batch.split_output(out)
-
-    def _record(self, batch: MicroBatch, backend: str, modelled, **meta) -> None:
-        """Trace one executed micro-batch at ``backend``'s modelled time."""
-        execution = modelled.as_execution(category="gemm")
-        execution.meta.update(
-            serving=self.name,
-            backend=backend,
-            batch_size=batch.batch_size,
-            token_bucket=batch.key.token_bucket,
-            **meta,
-        )
-        self.trace.record(execution)
-        self.total_batches += 1
-        self.total_requests += batch.batch_size
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """Counters + the modelled-kernel trace summary."""
-        return {
-            "requests": self.total_requests,
-            "batches": self.total_batches,
-            "mean_batch_size": (self.total_requests / self.total_batches)
-            if self.total_batches
-            else 0.0,
-            **self._shared_stats(),
-            "modelled_kernel_time_us": self.trace.total_time_us,
-            "trace": self.trace.summary(),
         }

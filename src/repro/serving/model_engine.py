@@ -1,9 +1,8 @@
-"""Model-level serving: route whole encoder forward passes, not one layer.
+"""Model-level serving: route whole encoder forward passes.
 
-:class:`~repro.serving.engine.ServingEngine` serves a single sparse
-operator; real inference traffic wants the *model*.  ``ModelServingEngine``
-closes that gap: requests are ragged ``(tokens, hidden)`` activation
-sequences, and a micro-batch runs one batched
+Inference traffic wants the *model*, not one operator.
+``ModelServingEngine`` serves it: requests are ragged ``(tokens, hidden)``
+activation sequences, and a micro-batch runs one batched
 :meth:`~repro.models.transformer.TransformerEncoder.forward` per distinct
 sequence length in it — every projection executing through the engine's
 kernel dispatcher on its batched RHS path — whose rows are then handed
@@ -39,7 +38,8 @@ summation order of the valid rows, see :mod:`repro.models.attention`).
 is one group; ``padding="ladder"`` rounds lengths up a powers-of-two
 ladder, so one step takes every length that shares a rung — fuller
 steps, same bits.  The modelled trace charges the ``B × rung`` launch a
-GPU would run.
+GPU would run.  :func:`length_groups` is the one grouping rule; the
+simulator (:mod:`repro.serving.simulate`) charges the same groups.
 
 Orthogonally to the padding mode, the step loop of
 :class:`~repro.serving.engine.EngineCore` and its batcher's hold decide
@@ -61,6 +61,20 @@ from ..kernels.dispatch import KernelDispatcher
 from ..kernels.spatha import SpmmPlan
 from ..models.layers import Linear
 from ..models.transformer import TransformerEncoder
+
+
+def length_groups(batch: MicroBatch) -> List[List[Request]]:
+    """The micro-batch's equal-length groups, shortest first.
+
+    One encoder forward per group: every sequence runs at its true shape,
+    so no padded row reaches a GEMM or a softmax, and each output is
+    bit-for-bit its sequential forward.  The live engine runs the groups
+    in this order and the simulator charges them in it.
+    """
+    groups: Dict[int, List[Request]] = {}
+    for req in batch.requests:
+        groups.setdefault(req.tokens, []).append(req)
+    return [groups[tokens] for tokens in sorted(groups)]
 
 
 class ModelServingEngine(EngineCore):
@@ -114,10 +128,7 @@ class ModelServingEngine(EngineCore):
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         self.padding = self.config.padding
-        encoder.set_dispatcher(self.dispatcher)
-        # Sharded dispatchers solve placement for the encoder they serve:
-        # every projection's operand is bound to its owning shard up front.
-        self.dispatcher.bind_encoder(encoder)
+        self._route(encoder)
         self.trace = ExecutionTrace()
         self.total_batches = 0
         #: Token-level padding accounting (ladder mode; exact mode pads 0).
@@ -137,6 +148,14 @@ class ModelServingEngine(EngineCore):
                 cs=self.config.warm_buckets,
             )
             self.plans.update(self.encoder.spmm_plan_registry())
+
+    def _route(self, encoder: TransformerEncoder) -> None:
+        """Take the encoder's execution routing: every projection executes
+        through this engine's dispatcher, and a sharded dispatcher solves
+        placement for the encoder (each projection's operand bound to its
+        owning shard up front)."""
+        encoder.set_dispatcher(self.dispatcher)
+        self.dispatcher.bind_encoder(encoder)
 
     # ------------------------------------------------------------------
     # Plan cache
@@ -224,23 +243,19 @@ class ModelServingEngine(EngineCore):
                 )
             if lin.operand.vnm is not None:
                 self._plan_for(qualified_name, lin)  # cross-request plan reuse
-        # One forward per distinct length, shortest first: every sequence
-        # runs at its true shape, so no padded row reaches a GEMM or a
-        # softmax, and each output is bit-for-bit its sequential forward.
-        groups: Dict[int, List[Request]] = {}
-        for req in batch.requests:
-            groups.setdefault(req.tokens, []).append(req)
         outputs: Dict[str, np.ndarray] = {}
-        for tokens in sorted(groups):
-            group = groups[tokens]
+        for group in length_groups(batch):
             out = self.encoder.forward(np.stack([req.activations for req in group]))
             outputs.update((req.request_id, out[i].copy()) for i, req in enumerate(group))
         self._record_layer_executions(batch)
+        self._count_served(batch)
+        return outputs
+
+    def _count_served(self, batch: MicroBatch) -> None:
         self.total_batches += 1
         self.total_requests += batch.batch_size
         self.total_valid_tokens += batch.valid_tokens
         self.total_padded_tokens += batch.padded_tokens
-        return outputs
 
     # ------------------------------------------------------------------
     # Introspection

@@ -148,8 +148,10 @@ class ShardedDispatcher(KernelDispatcher):
 
         One ``comm``-category :class:`KernelExecution` per placement comm
         event; also advances the cumulative :attr:`comm_time_us` /
-        :attr:`comm_calls` counters so engines without an execution trace
-        (the decoder) still report communication totals.
+        :attr:`comm_calls` counters.  The encoder engine calls it once per
+        micro-batch and the simulator once per length group.  The decoder
+        never calls it: a decode step records no modelled communication
+        yet, so a sharded decoder reports ``comm_time_us`` 0.0.
         """
         kernels: List[KernelExecution] = []
         for event in self.comm_events:

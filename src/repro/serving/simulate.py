@@ -1,15 +1,20 @@
-"""Throughput/latency simulation of the serving stack on the modelled GPU.
+"""Throughput/latency simulation of the encoder serving stack on the modelled GPU.
 
 The engines execute real numerics; this module answers the capacity
 questions — *what does a batch window buy? who sheds under overload? what
-does a flaky backend cost?* — without moving any data.  It is an executor
-of the live engine: :class:`ModelledEngine` is a
-:class:`~repro.serving.engine.ServingEngine` whose micro-batch charges the
-dispatched backend's modelled kernel time to one serial stream, and
-shape-only requests go through the engine core's own step loop.  Intake,
-shedding, deadline expiry, bisection of a failed micro-batch, outcomes and
-the failover walk (:meth:`~repro.kernels.dispatch.CircuitBreaker.walk`)
-are therefore the live engine's, written once.
+does a flaky backend cost? how does a sharded encoder load its devices?*
+— without moving any data.  It is an executor of the live engine:
+:class:`ModelledEngine` is a
+:class:`~repro.serving.model_engine.ModelServingEngine` whose micro-batch
+charges, instead of running, the calls the live forward would make — each
+length group (shortest first, the live grouping), each projection in
+forward order, each call priced at its group's true column count on the
+backend the failover walk
+(:meth:`~repro.kernels.dispatch.CircuitBreaker.walk`) lands on, and a
+sharded dispatcher's collectives per group — to one serial stream.
+Shape-only requests go through the engine core's own step loop, so intake,
+shedding, deadline expiry, bisection of a failed micro-batch and outcomes
+are the live engine's, written once.
 
 :func:`simulate` is the one entry point: it reads the same
 :class:`~repro.serving.config.ServingConfig` an engine reads (a missing
@@ -17,7 +22,7 @@ config is ``ServingConfig()``), takes an optional fault plan, and returns
 one :class:`SimReport` carrying that config.  A sweep is a comprehension
 over ``dataclasses.replace(config, ...)``; offered load is a traffic
 transform (:func:`compress_arrivals`) beside the arrival generators.
-Every launch is recorded as a
+Every launch of a served micro-batch is recorded as a
 :class:`~repro.hardware.trace.KernelExecution`.  Larger windows trade
 queueing delay for kernel efficiency, because the modelled SpMM time is
 strongly sublinear in C.
@@ -30,12 +35,13 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .batcher import Request
+from .batcher import MicroBatch, Request
 from .config import ServingConfig
-from .engine import ServingEngine
 from .faults import OUTCOME_OK, OUTCOME_SHED, OUTCOME_STATES, OUTCOME_TIMED_OUT, FaultInjector, FaultPlan
-from ..hardware.trace import ExecutionTrace
+from .model_engine import ModelServingEngine, length_groups
+from ..hardware.trace import ExecutionTrace, KernelExecution
 from ..kernels.dispatch import BackendExecutionError, CircuitBreaker, KernelDispatcher, SpmmOperand
+from ..models.transformer import TransformerEncoder
 
 
 @dataclass(frozen=True)
@@ -324,8 +330,10 @@ class SimReport:
 
     num_requests: int
     makespan_us: float
-    #: Chunks charged to the modelled executor (served or failed).
+    #: Micro-batches charged to the modelled executor (served or failed).
     num_batches: int = 0
+    #: Micro-batches served (each is many traced launches).
+    served_batches: int = 0
     #: Terminal state per request id (one of OUTCOME_STATES).
     outcomes: Dict[str, str] = field(default_factory=dict)
     #: Completion latency (finish - arrival) of the ok requests only.
@@ -344,6 +352,10 @@ class SimReport:
     readmissions: int = 0
     injected_failures: int = 0
     injected_latency_us: float = 0.0
+    #: The dispatcher's ``sharding_stats()`` after the run: per-shard
+    #: modelled load and comm totals (cumulative over every run that
+    #: shared the dispatcher).
+    sharding: Dict[str, object] = field(default_factory=dict)
 
     def counts(self) -> Dict[str, int]:
         """Requests per terminal state (all four keys always present)."""
@@ -379,9 +391,9 @@ class SimReport:
 
     @property
     def mean_batch_size(self) -> float:
-        """Mean size of the batches a backend actually served."""
-        sizes = [e.meta["batch_size"] for e in self.trace.executions]
-        return sum(sizes) / len(sizes) if sizes else 0.0
+        """Mean size of the served micro-batches (every request of a
+        served micro-batch completes ``ok``)."""
+        return len(self.latencies_us) / self.served_batches if self.served_batches else 0.0
 
     @property
     def kernel_time_us(self) -> float:
@@ -469,37 +481,45 @@ class SimReport:
         }
 
 
-class ModelledEngine(ServingEngine):
-    """A :class:`ServingEngine` on the modelled clock: the live lifecycle, no data moved.
+class ModelledEngine(ModelServingEngine):
+    """A :class:`ModelServingEngine` on the modelled clock: the live lifecycle, no data moved.
 
     A micro-batch never reaches a kernel.  It is charged to one serial
     stream, from when both the stream and the batch are ready
-    (``busy_until_us``), through the live failover walk with a modelled
-    attempt: each candidate costs its modelled kernel time at the batch's
-    padded column count plus any latency ``plan`` injects, and fails when
-    ``plan`` says so.  A served batch is traced on the backend that served
-    it, and its output per request is the instant it finished.
+    (``busy_until_us``), call by call in the live forward's order: its
+    length groups shortest first (:func:`length_groups`), and within a
+    group every projection in ``named_linear_layers()`` order.  Each call
+    goes through the live failover walk with a modelled attempt: a
+    candidate costs its modelled kernel time at the group's
+    ``group_size × tokens`` columns plus any latency ``plan`` injects (and
+    is charged to the projection's shard), and fails when ``plan`` says
+    so.  After its projections a group's collectives, which a sharded
+    dispatcher prices for the group's tokens, are charged too.  When every
+    candidate of a call fails, the micro-batch fails there (and is
+    bisected, as live).  A served micro-batch's launches are traced, each
+    on the backend that served it, and its output per request is the
+    instant it finished.
 
-    ``config`` is read as a model engine reads it (the batcher and the
-    default dispatcher are those of ``kind="encoder"``: a private or, under
-    a sharded config, a sharded one; an unnamed engine is ``"simulate"``),
-    with ``warm`` off: it never builds a plan or runs an SpMM.  Each run
-    owns its :class:`CircuitBreaker`, with the dispatcher's thresholds, so
-    a dispatcher shared across a sweep carries decisions and estimates
+    ``config`` is read as the live engine reads it (its batcher, and a
+    private or, under a sharded config, a sharded dispatcher; an unnamed
+    engine is ``"simulate"``), with ``warm`` off: it never builds a plan
+    or runs an SpMM.  The dispatcher is bound to the encoder's placement,
+    but the encoder's layers are never re-routed, so a live engine serving
+    the same encoder keeps serving it.  Each run owns its
+    :class:`CircuitBreaker`, with the dispatcher's thresholds, so a
+    dispatcher shared across a sweep carries decisions and estimates
     between runs, never backend health.
     """
 
-    kind = "encoder"
-
     def __init__(
         self,
-        operand: SpmmOperand,
+        encoder: TransformerEncoder,
         config: ServingConfig,
         dispatcher: Optional[KernelDispatcher] = None,
         plan: Optional[FaultPlan] = None,
     ) -> None:
         config = replace(config, name=config.name or "simulate", warm=False)
-        super().__init__(operand, dispatcher=dispatcher, config=config)
+        super().__init__(encoder, dispatcher=dispatcher, config=config)
         self.injector = FaultInjector(plan if plan is not None else FaultPlan())
         # The dispatcher's thresholds; the health is this run's own.
         shared = self.dispatcher.breaker
@@ -507,46 +527,75 @@ class ModelledEngine(ServingEngine):
         #: Micro-batches charged to the stream, served or failed.
         self.charged_batches = 0
 
+    def _route(self, encoder: TransformerEncoder) -> None:
+        # Placement only: the layers keep whichever dispatcher serves them.
+        self.dispatcher.bind_encoder(encoder)
+
     def _run_batch(self, batch, now_us: float = 0.0) -> Dict[str, float]:
         # The stream takes the batch once both are ready.
         self.busy_until_us = max(self.busy_until_us, now_us)
         return super()._run_batch(batch, now_us)
 
-    def _execute_batch(self, batch) -> Dict[str, float]:
-        self.charged_batches += 1
-        start_us = self.busy_until_us
+    def _charge(self, operand: SpmmOperand, columns: int):
+        """The modelled attempt of one call at ``columns`` columns, for
+        :meth:`CircuitBreaker.walk`."""
 
         def charge(name: str):
             fault, call = self.injector.on_call(name)
-            modelled = self.dispatcher.estimate(self.operand, batch.padded_tokens, backend=name)
-            self.dispatcher.attribute_modelled(self.operand, modelled.time_us)
+            modelled = self.dispatcher.estimate(operand, columns, backend=name)
+            self.dispatcher.attribute_modelled(operand, modelled.time_us)
             self.busy_until_us += modelled.time_us + fault.latency_us
             if fault.fail:
                 raise BackendExecutionError(f"injected fault on {name} (call {call})", backend=name)
             return modelled
 
-        decision = self.dispatcher.dispatch(self.operand, batch.key.token_bucket)
-        served, _, modelled = self.breaker.walk(decision, charge, self.name)
-        ids = tuple(req.request_id for req in batch.requests)
-        self._record(batch, served, modelled, start_us=start_us, request_ids=ids)
-        return dict.fromkeys(ids, self.busy_until_us)
+        return charge
+
+    def _execute_batch(self, batch: MicroBatch) -> Dict[str, float]:
+        self.charged_batches += 1
+        launches: List[KernelExecution] = []
+        for group in length_groups(batch):
+            tokens, size = group[0].tokens, len(group)
+            for qualified_name, lin in self.encoder.named_linear_layers():
+                decision = self.dispatcher.dispatch(lin.operand, tokens)
+                served, _, modelled = self.breaker.walk(
+                    decision, self._charge(lin.operand, size * tokens), self.name
+                )
+                execution = modelled.as_execution(category="gemm")
+                execution.meta.update(
+                    serving=self.name,
+                    layer=qualified_name,
+                    backend=served,
+                    batch_size=size,
+                    tokens=tokens,
+                )
+                launches.append(execution)
+            for execution in self.dispatcher.comm_kernels(size * tokens, size):
+                execution.meta["serving"] = self.name
+                self.busy_until_us += execution.time_us
+                launches.append(execution)
+        self.trace.extend(launches)
+        self._count_served(batch)
+        return dict.fromkeys((req.request_id for req in batch.requests), self.busy_until_us)
 
 
 def simulate(
-    operand: SpmmOperand,
+    encoder: TransformerEncoder,
     requests: Sequence[SimulatedRequest],
     config: Optional[ServingConfig] = None,
     plan: Optional[FaultPlan] = None,
     dispatcher: Optional[KernelDispatcher] = None,
 ) -> SimReport:
-    """Replay shape-only ``requests`` on a :class:`ModelledEngine`; report the run.
+    """Replay shape-only ``requests`` on a :class:`ModelledEngine` over
+    ``encoder``; report the run.
 
     ``config`` (default ``ServingConfig()``) drives the run the way it
     drives a live engine: ``scheduling`` picks the step loop with or
     without the ``window_us`` hold, ``padding`` the bucketing,
     ``token_buckets`` / ``max_batch_size`` / ``max_queue_depth`` /
     ``shed_policy`` / ``scheduling_policy`` the batcher, ``sharding`` the
-    dispatcher.  ``plan`` injects faults per (backend, call index).  A
+    dispatcher.  ``plan`` injects faults per (backend, call index), the
+    indices a live engine armed with the same plan sees.  A
     ``dispatcher`` shared across runs keeps its decision and estimate
     caches warm, as in a long-running server; the circuit breaker takes
     its thresholds and starts healthy every run.  Sweeps are
@@ -556,10 +605,12 @@ def simulate(
     if not requests:
         raise ValueError("requests must be non-empty")
     config = config if config is not None else ServingConfig()
-    engine = ModelledEngine(operand, config, dispatcher, plan)
+    engine = ModelledEngine(encoder, config, dispatcher, plan)
     # Shape-only payloads: row-slices of one zero-stride view, so a
     # simulated request of any size costs no memory for its "activations".
-    blank = np.broadcast_to(np.float32(0.0), (max(r.tokens for r in requests), operand.k))
+    blank = np.broadcast_to(
+        np.float32(0.0), (max(r.tokens for r in requests), engine.hidden_size)
+    )
     finished = engine.serve_continuous(
         [
             Request(r.request_id, blank[: r.tokens], r.arrival_us, r.deadline_us, r.priority_class)
@@ -571,6 +622,7 @@ def simulate(
         num_requests=len(requests),
         makespan_us=engine.busy_until_us,
         num_batches=engine.charged_batches,
+        served_batches=engine.total_batches,
         outcomes={rid: outcome.status for rid, outcome in engine.outcomes.items()},
         latencies_us={rid: t - arrival_us[rid] for rid, t in finished.items()},
         classes={r.request_id: r.priority_class for r in requests},
@@ -582,4 +634,5 @@ def simulate(
         readmissions=engine.breaker.readmissions,
         injected_failures=engine.injector.injected_failures,
         injected_latency_us=engine.injector.injected_latency_us,
+        sharding=engine.dispatcher.sharding_stats(),
     )

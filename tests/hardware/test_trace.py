@@ -52,22 +52,8 @@ class TestExecutionTrace:
         trace.record(make_exec(category="gemm", time_us=6))
         assert trace.comm_time_us() == 4
 
-    def test_time_by_kernel(self):
-        trace = ExecutionTrace()
-        trace.record(make_exec(kernel="a", time_us=5))
-        trace.record(make_exec(kernel="a", time_us=5))
-        trace.record(make_exec(kernel="b", time_us=1))
-        assert trace.time_by_kernel() == {"a": 10, "b": 1}
-
     def test_gemm_time(self):
         trace = ExecutionTrace()
         trace.record(make_exec(category="gemm", time_us=7))
         trace.record(make_exec(category="other", time_us=3))
         assert trace.gemm_time_us() == 7
-
-    def test_summary_schema(self):
-        trace = ExecutionTrace([make_exec()])
-        summary = trace.summary()
-        assert summary["num_kernels"] == 1
-        assert "time_by_category_us" in summary
-        assert "time_by_kernel_us" in summary

@@ -99,7 +99,9 @@ def test_run_bench_quick_path_survives_without_scipy(no_scipy):
     run_bench.bench_baseline_kernels(entries, 32, rng)
     run_bench.bench_formats(entries, 32, rng)
     run_bench.bench_pruning(entries, 8, 32, rng)
-    run_bench.bench_serving(entries, size=64, num_requests=4, tokens=8, rng=rng)
+    run_bench.bench_model_serving(
+        entries, hidden=32, intermediate=64, num_layers=1, num_requests=4, lengths=[8], rng=rng
+    )
     assert len(entries) >= 10
     for entry in entries:
         assert np.isfinite(entry["max_abs_diff"])

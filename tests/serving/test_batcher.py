@@ -3,9 +3,9 @@ single-request == batched-request equivalence guarantee.
 
 The central property — batched execution of N compatible requests is
 bit-identical to N sequential single-request calls — is asserted with
-``np.array_equal`` (no tolerance): the engine canonicalises every request
-to its bucket shape and the dispatcher's batched path is slab-bit-exact, so
-equality must be exact.
+``np.array_equal`` (no tolerance): the engine runs every request at its
+true length and every operator of the encoder is slab-exact over the
+batch dimension, so equality must be exact.
 """
 
 from dataclasses import replace
@@ -13,16 +13,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.formats.vnm import VNMSparseMatrix
 from repro.hardware.trace import ExecutionTrace
-from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
-from repro.pruning.masks import apply_mask
-from repro.pruning.vnm import vnm_mask
+from repro.integration import VNMSparsifier, sparsify_encoder
+from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     ContinuousBatcher,
+    FaultPlan,
+    FaultSpec,
+    ModelServingEngine,
     Request,
     ServingConfig,
-    ServingEngine,
     SimulatedRequest,
     simulate,
     uniform_arrivals,
@@ -30,21 +30,24 @@ from repro.serving import (
 from repro.serving.batcher import BucketKey
 
 
-K_FEATURES = 128
+K_FEATURES = 64
 #: The held (async) window over the padded ladder.
 HELD = ServingConfig(scheduling="async", padding="ladder")
+#: The live engines' ladder (lengths share a rung, each runs at its own shape).
+LADDER = ServingConfig(padding="ladder")
+
+
+def make_encoder(seed=0):
+    """A tiny one-layer encoder, every projection 16:2:8."""
+    cfg = tiny_config(hidden_size=K_FEATURES, num_layers=1, num_heads=4, intermediate_size=128)
+    encoder = TransformerEncoder.init(cfg, seed=seed)
+    sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
+    return encoder
 
 
 @pytest.fixture
-def vnm_weight(rng):
-    dense = rng.normal(size=(64, K_FEATURES))
-    pruned = apply_mask(dense, vnm_mask(dense, v=16, n=2, m=8)).astype(np.float32)
-    return VNMSparseMatrix.from_dense(pruned, v=16, n=2, m=8, strict=True)
-
-
-@pytest.fixture
-def bias(rng):
-    return rng.normal(size=64).astype(np.float32)
+def encoder():
+    return make_encoder()
 
 
 def make_requests(rng, token_counts, prefix="req"):
@@ -54,16 +57,17 @@ def make_requests(rng, token_counts, prefix="req"):
     ]
 
 
-def fresh_engine(vnm_weight, bias, **kwargs):
-    return ServingEngine(vnm_weight, bias=bias, dispatcher=KernelDispatcher(), **kwargs)
+def fresh_engine(encoder, config=LADDER):
+    return ModelServingEngine(encoder, config=config)
 
 
-def held_engine(vnm_weight, bias, token_buckets, window_us, **knobs):
+def held_engine(encoder, token_buckets, window_us, **knobs):
     """An engine whose buckets are held ``window_us`` (``scheduling="async"``)."""
     config = ServingConfig(
-        scheduling="async", token_buckets=token_buckets, window_us=window_us, **knobs
+        scheduling="async", padding="ladder", token_buckets=token_buckets,
+        window_us=window_us, **knobs
     )
-    return fresh_engine(vnm_weight, bias, config=config)
+    return fresh_engine(encoder, config)
 
 
 class TestBucketing:
@@ -121,21 +125,6 @@ class TestBucketing:
             batcher.submit(r)
         sizes = [b.batch_size for b in batcher.drain()]
         assert sizes == [2, 2, 1]
-
-    def test_stacked_rhs_pads_and_split_trims(self, rng):
-        batcher = ContinuousBatcher(token_buckets=(8,))
-        reqs = make_requests(rng, [3, 8])
-        for r in reqs:
-            batcher.submit(r)
-        (batch,) = batcher.drain()
-        rhs = batch.stacked_rhs()
-        assert rhs.shape == (2, K_FEATURES, 8)
-        assert np.array_equal(rhs[0, :, :3], reqs[0].activations.T)
-        assert np.all(rhs[0, :, 3:] == 0.0)
-        out = rhs.transpose(0, 2, 1) @ np.zeros((K_FEATURES, 7), dtype=np.float32)
-        split = batch.split_output(out.transpose(0, 2, 1))
-        assert split["req-0000"].shape == (3, 7)
-        assert split["req-0001"].shape == (8, 7)
 
     def test_duplicate_request_id_rejected(self, rng):
         batcher = ContinuousBatcher()
@@ -198,83 +187,71 @@ class TestBucketing:
 
 
 class TestServingEngineEquivalence:
-    def test_batched_equals_sequential_bitwise(self, rng, vnm_weight, bias):
+    def test_batched_equals_sequential_bitwise(self, rng, encoder):
         """The acceptance property: N compatible requests executed in one
         batched window == N sequential single-request calls, bit for bit."""
         reqs = make_requests(rng, [5, 17, 17, 17, 30, 32])
-        batched = fresh_engine(vnm_weight, bias).serve(reqs)
+        batched = fresh_engine(encoder).serve(reqs)
         sequential = {}
-        solo = fresh_engine(vnm_weight, bias)
+        solo = fresh_engine(encoder)
         for r in reqs:
             sequential.update(solo.serve([r]))
         assert set(batched) == set(sequential)
         for rid in batched:
             assert np.array_equal(batched[rid], sequential[rid]), rid
 
-    def test_outputs_match_direct_layer_math(self, rng, vnm_weight, bias):
-        """Per-request outputs equal the dispatcher's direct 2-D execution
-        of that request at its bucket shape, and are fp16-close to the
-        dense reference."""
+    def test_outputs_match_direct_forward(self, rng, encoder):
+        """Per-request outputs equal the encoder's own forward of that
+        request alone, at its true length."""
         reqs = make_requests(rng, [5, 17])
-        results = fresh_engine(vnm_weight, bias).serve(reqs)
-        dispatcher = KernelDispatcher()
-        operand = SpmmOperand.from_vnm(vnm_weight)
-        dense = vnm_weight.to_dense()
-        batcher = ContinuousBatcher()
+        results = fresh_engine(encoder).serve(reqs)
         for req in reqs:
-            bucket = batcher.token_bucket(req.tokens)
-            rhs = np.zeros((K_FEATURES, bucket), dtype=np.float32)
-            rhs[:, : req.tokens] = req.activations.T
-            direct = dispatcher.execute(operand, rhs, bias=bias)[:, : req.tokens].T
+            direct = encoder.forward(req.activations[None])[0]
             assert np.array_equal(results[req.request_id], direct)
-            reference = (
-                np.asarray(dense, dtype=np.float16).astype(np.float32)
-                @ np.asarray(req.activations.T, dtype=np.float16).astype(np.float32)
-            ).T + bias
-            assert np.allclose(results[req.request_id], reference, atol=5e-2, rtol=5e-3)
 
-    def test_arrival_order_does_not_change_outputs(self, rng, vnm_weight, bias):
+    def test_arrival_order_does_not_change_outputs(self, rng, encoder):
         reqs = make_requests(rng, [17, 5, 17, 30, 17, 64, 3])
         orderings = [reqs, list(reversed(reqs)), sorted(reqs, key=lambda r: r.tokens)]
-        outputs = [fresh_engine(vnm_weight, bias).serve(order) for order in orderings]
+        outputs = [fresh_engine(encoder).serve(order) for order in orderings]
         for result in outputs[1:]:
             assert set(result) == set(outputs[0])
             for rid in result:
                 assert np.array_equal(result[rid], outputs[0][rid]), rid
 
-    def test_single_vs_many_windows_equivalent(self, rng, vnm_weight, bias):
+    def test_single_vs_many_windows_equivalent(self, rng, encoder):
         """Splitting the same requests across several flush windows must not
         change any output."""
         reqs = make_requests(rng, [5, 17, 17, 30, 33, 64])
-        one_window = fresh_engine(vnm_weight, bias).serve(reqs)
-        engine = fresh_engine(vnm_weight, bias)
+        one_window = fresh_engine(encoder).serve(reqs)
+        engine = fresh_engine(encoder)
         two_windows = dict(engine.serve(reqs[:3]))
         two_windows.update(engine.serve(reqs[3:]))
         for rid in one_window:
             assert np.array_equal(one_window[rid], two_windows[rid]), rid
 
-    def test_trace_records_batched_kernels(self, rng, vnm_weight, bias):
-        engine = fresh_engine(vnm_weight, bias)
+    def test_trace_records_batched_kernels(self, rng, encoder):
+        engine = fresh_engine(encoder)
         engine.serve(make_requests(rng, [17, 17, 17, 60]))
         assert isinstance(engine.trace, ExecutionTrace)
         assert engine.total_requests == 4
-        assert engine.total_batches == 2  # bucket 32 (x3) + bucket 64
-        assert len(engine.trace.executions) == 2
+        assert engine.total_batches == 2  # rung 32 (x3) + rung 64
+        projections = len(list(encoder.named_linear_layers()))
+        assert len(engine.trace.executions) == 2 * projections
         sizes = sorted(e.meta["batch_size"] for e in engine.trace.executions)
-        assert sizes == [1, 3]
+        assert sizes == [1] * projections + [3] * projections
         assert engine.trace.total_time_us > 0
         stats = engine.stats()
         assert stats["requests"] == 4 and stats["batches"] == 2
 
-    def test_feature_mismatch_rejected(self, rng, vnm_weight):
-        engine = fresh_engine(vnm_weight, None)
+    def test_feature_mismatch_rejected(self, rng, encoder):
+        engine = fresh_engine(encoder)
         with pytest.raises(ValueError):
             engine.submit(Request("bad", rng.normal(size=(4, K_FEATURES + 1)).astype(np.float32)))
 
-    def test_serve_is_atomic_on_invalid_request(self, rng, vnm_weight):
+    def test_serve_is_atomic_on_invalid_request(self, rng, encoder):
         """A rejected request must not strand earlier requests of the same
         serve() call in the queue (they would leak into a later window)."""
-        engine = fresh_engine(vnm_weight, None)
+        engine = fresh_engine(encoder)
         good = make_requests(rng, [4])[0]
         bad = Request("bad", rng.normal(size=(4, K_FEATURES + 1)).astype(np.float32))
         with pytest.raises(ValueError):
@@ -288,26 +265,11 @@ class TestServingEngineEquivalence:
             engine.serve([good, good])
         assert engine.batcher.pending == 0
 
-    @pytest.mark.parametrize("weight", ["vnm", "dense"])
-    def test_for_layer_constructor(self, rng, vnm_weight, bias, weight):
-        """A V:N:M and a dense ``Linear`` are both servable operands."""
-        from repro.models.layers import Linear
-
-        operand = (
-            SpmmOperand.from_vnm(vnm_weight)
-            if weight == "vnm"
-            else SpmmOperand(dense=vnm_weight.to_dense())
-        )
-        layer = Linear(operand, bias=bias, dispatcher=KernelDispatcher())
-        engine = ServingEngine.for_layer(layer)
-        (req,) = make_requests(rng, [6])
-        out = engine.serve([req])[req.request_id]
-        assert np.allclose(out, layer.forward(req.activations), atol=1e-6)
-
-    def test_warm_prebuilds_plan(self, vnm_weight):
-        assert ("spmm_plan", "auto") not in vnm_weight._memo
-        fresh_engine(vnm_weight, None)
-        assert ("spmm_plan", "auto") in vnm_weight._memo
+    def test_warm_prebuilds_plan(self, encoder):
+        layers = [lin.operand.vnm for _, lin in encoder.named_sparse_layers()]
+        assert layers and all(("spmm_plan", "auto") not in m._memo for m in layers)
+        fresh_engine(encoder)
+        assert all(("spmm_plan", "auto") in m._memo for m in layers)
 
 
 class TestHoldRule:
@@ -328,7 +290,7 @@ class TestHoldRule:
             for r, a in zip(reqs, arrivals)
         ]
 
-    def test_outputs_invariant_to_arrival_order_and_window(self, rng, vnm_weight, bias):
+    def test_outputs_invariant_to_arrival_order_and_window(self, rng, encoder):
         """Every (window size, arrival order) combination produces the
         one-window outputs, bit for bit.
 
@@ -337,7 +299,7 @@ class TestHoldRule:
         the max ladder rung -> exact singleton bucket)."""
         lengths = [5, 17, 17, 32, 33, 200]
         reqs = make_requests(rng, lengths)
-        baseline = fresh_engine(vnm_weight, bias).serve(reqs)
+        baseline = fresh_engine(encoder).serve(reqs)
 
         arrival_patterns = [
             [0.0, 10.0, 20.0, 30.0, 40.0, 50.0],
@@ -346,7 +308,7 @@ class TestHoldRule:
         ]
         for window_us in (25.0, 300.0, 5000.0):
             for arrivals in arrival_patterns:
-                engine = held_engine(vnm_weight, bias, (8, 32, 64), window_us)
+                engine = held_engine(encoder, (8, 32, 64), window_us)
                 results = engine.serve_continuous(self._timed(reqs, arrivals))
                 assert set(results) == set(baseline)
                 for rid in baseline:
@@ -356,8 +318,8 @@ class TestHoldRule:
                         rid,
                     )
 
-    def test_hold_releases_only_waited_buckets(self, rng, vnm_weight):
-        engine = held_engine(vnm_weight, None, (8, 32), 100.0)
+    def test_hold_releases_only_waited_buckets(self, rng, encoder):
+        engine = held_engine(encoder, (8, 32), 100.0)
         batcher = engine.batcher
         early, late = self._timed(make_requests(rng, [5, 20]), [0.0, 90.0])
         engine.submit(early)
@@ -375,9 +337,9 @@ class TestHoldRule:
         assert batcher.pending == 0
         assert batcher.next_event_us() is None
 
-    def test_bucket_deadline_tracks_oldest_member(self, rng, vnm_weight):
+    def test_bucket_deadline_tracks_oldest_member(self, rng, encoder):
         """A late same-bucket joiner must not extend the bucket's hold."""
-        engine = held_engine(vnm_weight, None, (8, 32), 100.0)
+        engine = held_engine(encoder, (8, 32), 100.0)
         first, second = self._timed(make_requests(rng, [17, 20]), [10.0, 95.0])
         engine.submit(first)
         engine.submit(second)
@@ -386,11 +348,11 @@ class TestHoldRule:
         results = engine.step(110.0)
         assert set(results) == {first.request_id, second.request_id}
 
-    def test_full_rung_is_not_held(self, rng, vnm_weight):
+    def test_full_rung_is_not_held(self, rng, encoder):
         """Arrivals that fill the rung's free slots release the bucket at
         once, long before the hold would end; the rest of the queue waits
         on its own head's window."""
-        engine = held_engine(vnm_weight, None, (8,), 1000.0, max_batch_size=2)
+        engine = held_engine(encoder, (8,), 1000.0, max_batch_size=2)
         batcher = engine.batcher
         reqs = self._timed(make_requests(rng, [4, 4, 4]), [0.0, 10.0, 20.0])
         for req in reqs:
@@ -402,8 +364,8 @@ class TestHoldRule:
         assert batcher.next_event_us() == 1020.0  # the third's own window
         assert set(engine.step(1020.0)) == {reqs[2].request_id}
 
-    def test_ids_free_after_held_bucket_runs(self, rng, vnm_weight):
-        engine = held_engine(vnm_weight, None, (8,), 10.0)
+    def test_ids_free_after_held_bucket_runs(self, rng, encoder):
+        engine = held_engine(encoder, (8,), 10.0)
         (req,) = make_requests(rng, [4])
         engine.submit(req)
         engine.step(1000.0)
@@ -411,8 +373,8 @@ class TestHoldRule:
         with pytest.raises(ValueError):
             engine.submit(req)  # but not while it is pending
 
-    def _serve_held(self, rng, vnm_weight, tokens, arrivals, deadlines=None):
-        engine = held_engine(vnm_weight, None, (8, 64), 100.0)
+    def _serve_held(self, rng, encoder, tokens, arrivals, deadlines=None):
+        engine = held_engine(encoder, (8, 64), 100.0)
         deadlines = deadlines or [None] * len(tokens)
         engine.serve_continuous(
             Request(rid, rng.normal(size=(t, K_FEATURES)).astype(np.float32), arrival_us=a, deadline_us=d)
@@ -420,47 +382,44 @@ class TestHoldRule:
         )
         return engine
 
-    def test_closes_windows_at_their_deadlines(self, rng, vnm_weight):
+    def test_closes_windows_at_their_deadlines(self, rng, encoder):
         """Bucket 64 (d) closes at 0+100.  Bucket 8 opens at a's 99, b (150)
         joins before the 199 deadline, c (250) opens a fresh window that
         closes at 350: every window closes at its own deadline, not at
         whichever arrival happens to come next."""
         engine = self._serve_held(
-            rng, vnm_weight, tokens=[4, 4, 4, 40], arrivals=[99.0, 150.0, 250.0, 0.0]
+            rng, encoder, tokens=[4, 4, 4, 40], arrivals=[99.0, 150.0, 250.0, 0.0]
         )
         closed = {rid: outcome.completed_us for rid, outcome in engine.outcomes.items()}
         assert closed == {"d": 100.0, "a": 199.0, "b": 199.0, "c": 350.0}
         assert engine.total_batches == 3
 
-    def test_window_closes_on_time_before_a_late_arrival(self, rng, vnm_weight):
+    def test_window_closes_on_time_before_a_late_arrival(self, rng, encoder):
         """Regression: a window used to close only at the next arrival, so a
         request whose window closed at 100 us with a 150 us deadline was
         recorded ``timed_out`` when the next request arrived at 1000 us."""
         engine = self._serve_held(
-            rng, vnm_weight, tokens=[4, 4], arrivals=[0.0, 1000.0], deadlines=[150.0, None]
+            rng, encoder, tokens=[4, 4], arrivals=[0.0, 1000.0], deadlines=[150.0, None]
         )
         assert engine.outcomes["a"].status == "ok"
         assert engine.outcomes["a"].completed_us == 100.0
         assert engine.outcomes["b"].completed_us == 1100.0
 
-    def test_arrival_at_the_close_instant_joins_the_chunk(self, rng, vnm_weight):
+    def test_arrival_at_the_close_instant_joins_the_chunk(self, rng, encoder):
         """Arrivals are inclusive: a request landing exactly when its
         bucket's hold ends is admitted before that step and rides along."""
-        engine = held_engine(vnm_weight, None, (8,), 100.0)
+        engine = held_engine(encoder, (8,), 100.0)
         reqs = self._timed(make_requests(rng, [4, 4]), [0.0, 100.0])
         engine.serve_continuous(reqs)
         assert engine.total_batches == 1
         assert {o.completed_us for o in engine.outcomes.values()} == {100.0}
 
-    def test_simulated_async_policy_order_invariant(self, vnm_weight):
-        from repro.kernels.dispatch import SpmmOperand
-
-        operand = SpmmOperand.from_vnm(vnm_weight)
+    def test_simulated_async_policy_order_invariant(self, encoder):
         reqs = uniform_arrivals(24, rate_rps=20000, tokens=[9, 17, 33])
         shuffled = list(reversed(reqs))
         config = replace(HELD, window_us=400.0)
-        a = simulate(operand, reqs, config)
-        b = simulate(operand, shuffled, config)
+        a = simulate(encoder, reqs, config)
+        b = simulate(encoder, shuffled, config)
         assert a.summary() == b.summary()
         assert a.config.scheduling == "async"
         assert a.num_requests == 24
@@ -469,52 +428,31 @@ class TestHoldRule:
         # against the per-request baseline's service component).
         assert all(v >= 0 for v in a.latencies_us.values())
 
-    def test_sweep_accepts_async_policy(self, vnm_weight):
-        from repro.kernels.dispatch import SpmmOperand
-
-        operand = SpmmOperand.from_vnm(vnm_weight)
+    def test_sweep_accepts_async_policy(self, encoder):
         reqs = uniform_arrivals(12, rate_rps=50000, tokens=[17])
-        reports = [simulate(operand, reqs, replace(HELD, window_us=w)) for w in [0.0, 200.0]]
+        reports = [simulate(encoder, reqs, replace(HELD, window_us=w)) for w in [0.0, 200.0]]
         assert [r.config.scheduling for r in reports] == ["async", "async"]
 
 
-class TestForLayerValidation:
-    """Satellite fix: mismatched shapes fail loudly at intake, not deep in
-    the kernel, and unsupported layer types are rejected up front."""
+class TestIntakeValidation:
+    """Mismatched shapes fail loudly at intake or at the step, never deep
+    in a kernel."""
 
-    def test_for_layer_rejects_what_is_not_a_linear(self, vnm_weight):
-        with pytest.raises(TypeError, match="Linear"):
-            ServingEngine.for_layer(vnm_weight)
-
-    def test_bypassing_submit_still_fails_with_clear_error(self, rng, vnm_weight):
+    def test_bypassing_submit_still_fails_with_clear_error(self, rng, encoder):
         """A request queued straight on the batcher (skipping submit's
         check) used to die inside the kernel with a broadcast error; now
-        the flush rejects the micro-batch with a readable message."""
-        engine = fresh_engine(vnm_weight, None)
+        the step rejects the micro-batch with a readable message."""
+        engine = fresh_engine(encoder)
         bad = Request("bad", rng.normal(size=(4, K_FEATURES + 1)).astype(np.float32))
         engine.batcher.submit(bad)
-        with pytest.raises(ValueError, match="input width"):
+        with pytest.raises(ValueError, match="hidden size"):
             engine.serve([])
-
-    def test_for_layer_engine_validates_request_width(self, rng, vnm_weight, bias):
-        from repro.models.layers import Linear
-
-        layer = Linear(SpmmOperand.from_vnm(vnm_weight), bias=bias, dispatcher=KernelDispatcher())
-        engine = ServingEngine.for_layer(layer)
-        with pytest.raises(ValueError, match=f"operand K \\({K_FEATURES}\\)"):
-            engine.submit(
-                Request("bad", rng.normal(size=(4, K_FEATURES + 1)).astype(np.float32))
-            )
 
 
 class TestServingSimulation:
-    @pytest.fixture
-    def operand(self, vnm_weight):
-        return SpmmOperand.from_vnm(vnm_weight)
-
-    def test_report_accounting(self, operand):
+    def test_report_accounting(self, encoder):
         reqs = uniform_arrivals(40, rate_rps=100000, tokens=[17, 33])
-        report = simulate(operand, reqs, replace(HELD, window_us=500.0))
+        report = simulate(encoder, reqs, replace(HELD, window_us=500.0))
         assert report.num_requests == 40
         assert report.num_batches <= 40
         assert len(report.latencies_us) == 40
@@ -524,42 +462,116 @@ class TestServingSimulation:
         summary = report.summary()
         assert summary["requests"] == 40
 
-    def test_batching_amortises_kernel_time(self, operand):
+    def test_batching_amortises_kernel_time(self, encoder):
         """More window -> fewer, bigger batches -> less total modelled
         kernel time (the sublinear-in-C amortisation batching exists for)."""
         reqs = uniform_arrivals(64, rate_rps=200000, tokens=[17])
-        per_request = simulate(operand, reqs, replace(HELD, window_us=0.0, max_batch_size=1))
-        batched = simulate(operand, reqs, replace(HELD, window_us=2000.0))
+        per_request = simulate(encoder, reqs, replace(HELD, window_us=0.0, max_batch_size=1))
+        batched = simulate(encoder, reqs, replace(HELD, window_us=2000.0))
         assert per_request.num_batches == 64
         assert batched.num_batches < 16
         assert batched.kernel_time_us < per_request.kernel_time_us
         assert batched.mean_batch_size > 4
 
-    def test_saturated_throughput_improves_with_window(self, operand):
+    def test_saturated_throughput_improves_with_window(self, encoder):
         """Under a backlog (all requests queued at t=0) batching must beat
         per-request dispatch on requests/s."""
         reqs = [SimulatedRequest(f"r{i:04d}", tokens=17, arrival_us=0.0) for i in range(128)]
-        per_request = simulate(operand, reqs, replace(HELD, window_us=0.0, max_batch_size=1))
-        batched = simulate(operand, reqs, replace(HELD, window_us=50.0))
+        per_request = simulate(encoder, reqs, replace(HELD, window_us=0.0, max_batch_size=1))
+        batched = simulate(encoder, reqs, replace(HELD, window_us=50.0))
         assert batched.throughput_rps > per_request.throughput_rps
 
-    def test_sweep_returns_one_report_per_window(self, operand):
+    def test_sweep_returns_one_report_per_window(self, encoder):
         reqs = uniform_arrivals(20, rate_rps=50000, tokens=[9, 17])
         windows = [0.0, 200.0, 1000.0]
-        reports = [simulate(operand, reqs, replace(HELD, window_us=w)) for w in windows]
+        reports = [simulate(encoder, reqs, replace(HELD, window_us=w)) for w in windows]
         assert [r.config.window_us for r in reports] == windows
 
-    def test_trace_meta_records_backend_and_batch(self, operand):
+    def test_trace_meta_records_backend_and_batch(self, encoder):
         reqs = uniform_arrivals(8, rate_rps=100000, tokens=[17])
-        report = simulate(operand, reqs, replace(HELD, window_us=1000.0))
+        report = simulate(encoder, reqs, replace(HELD, window_us=1000.0))
+        layers = [name for name, _ in encoder.named_linear_layers()]
+        assert [e.meta["layer"] for e in report.trace.executions] == layers * report.num_batches
         for e in report.trace.executions:
             assert e.category == "gemm"
             assert e.meta["backend"] in {"spatha-plan", "cublas-dense"}
             assert e.meta["batch_size"] >= 1
 
-    def test_validation(self, operand):
+    def test_mean_batch_size_counts_micro_batches_not_trace_events(self, encoder):
+        """One micro-batch of four on rung 16, run as two length groups
+        (three 9s, one 12): twelve launches, one batch of four."""
+        reqs = [SimulatedRequest(f"m{i}", tokens=t) for i, t in enumerate([9, 9, 12, 9])]
+        report = simulate(encoder, reqs, replace(HELD, window_us=0.0))
+        projections = len(list(encoder.named_linear_layers()))
+        assert report.num_batches == report.served_batches == 1
+        assert len(report.trace.executions) == 2 * projections
+        assert [e.meta["batch_size"] for e in report.trace.executions] == (
+            [3] * projections + [1] * projections
+        )
+        assert report.mean_batch_size == 4.0
+        assert report.summary()["mean_batch_size"] == 4.0
+
+    def test_simulating_a_served_encoder_leaves_its_engine_serving(self, rng, encoder):
+        """The simulator binds its dispatcher's placement but never
+        re-routes the encoder's layers, so the live engine that owns them
+        serves its next batch through its own dispatcher."""
+        live = fresh_engine(encoder)
+        first = make_requests(rng, [5, 9], prefix="before")
+        live.serve(first)
+        simulate(encoder, uniform_arrivals(6, rate_rps=50000, tokens=[9, 17]), HELD)
+        assert all(lin.dispatcher is live.dispatcher for _, lin in encoder.named_linear_layers())
+        after = make_requests(rng, [5, 9], prefix="after")
+        results = live.serve(after)
+        assert set(results) == {r.request_id for r in after}
+        for req in after:
+            assert np.array_equal(results[req.request_id], encoder.forward(req.activations[None])[0])
+
+    def test_simulate_needs_an_encoder(self, encoder):
+        """There is no single-operator simulation: one projection's operand
+        is refused up front."""
+        _, projection = next(encoder.named_linear_layers())
+        with pytest.raises(TypeError, match="TransformerEncoder"):
+            simulate(projection.operand, [SimulatedRequest("r", tokens=4)], HELD)
+
+    def test_single_device_report_carries_the_zeroed_sharding_block(self, encoder):
+        report = simulate(encoder, uniform_arrivals(4, rate_rps=50000, tokens=[9]), HELD)
+        assert report.sharding["tp_degree"] == 1
+        assert report.sharding["per_shard_modelled_us"] == []
+        assert report.sharding["comm_time_us"] == 0.0
+        assert all(e.category == "gemm" for e in report.trace.executions)
+
+    def test_injected_latency_lengthens_the_makespan_exactly(self, encoder):
+        """A latency fault on one call delays the serial stream by exactly
+        its spike: it fails nothing and adds no launch."""
+        reqs = [SimulatedRequest(f"l{i}", tokens=12) for i in range(3)]
+        clean = simulate(encoder, reqs, HELD)
+        backend = clean.trace.executions[0].meta["backend"]
+        plan = FaultPlan([FaultSpec(backend, "latency", at_call=0, latency_us=40.0)])
+        slow = simulate(encoder, reqs, HELD, plan)
+        assert slow.injected_latency_us == 40.0 and slow.injected_failures == 0
+        assert slow.makespan_us == pytest.approx(clean.makespan_us + 40.0)
+        assert slow.outcomes == clean.outcomes
+        assert slow.kernel_time_us == pytest.approx(clean.kernel_time_us)
+
+    def test_a_failed_call_is_charged_but_only_served_batches_are_traced(self, encoder):
+        """Every candidate of the first call fails: the micro-batch's
+        attempts are charged to the stream, then its two halves are served
+        and traced; the failed micro-batch leaves no launch behind."""
+        reqs = [SimulatedRequest(f"f{i}", tokens=12) for i in range(4)]
+        plan = FaultPlan(
+            [FaultSpec(n, "transient", at_call=0) for n in ("spatha-plan", "cublas-dense")]
+        )
+        report = simulate(encoder, reqs, HELD, plan)
+        projections = len(list(encoder.named_linear_layers()))
+        assert report.counts()["ok"] == 4
+        assert report.num_batches == 3 and report.served_batches == 2
+        assert len(report.trace.executions) == 2 * projections
+        assert report.mean_batch_size == 2.0
+        assert report.makespan_us > report.kernel_time_us
+
+    def test_validation(self, encoder):
         with pytest.raises(ValueError):
-            simulate(operand, [], replace(HELD, window_us=10.0))
+            simulate(encoder, [], replace(HELD, window_us=10.0))
         with pytest.raises(ValueError):
             SimulatedRequest("r", tokens=0)
         with pytest.raises(ValueError):

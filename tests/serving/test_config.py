@@ -2,8 +2,8 @@
 
 Pins the api_redesign contract: every serving engine constructs from a
 :class:`ServingConfig` (directly or through :func:`create_engine`), the
-legacy per-engine keywords are gone (they raise ``TypeError``), and all
-three engines report one
+legacy per-engine keywords are gone (they raise ``TypeError``), and both
+engines report one
 normalized ``stats()`` schema — the ``outcomes`` / ``admission`` /
 ``continuous`` / ``dispatch_health`` / ``sharding`` blocks are always
 present, zeroed when the corresponding feature is unused.
@@ -17,12 +17,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.formats.vnm import VNMSparseMatrix
 from repro.integration import VNMSparsifier, sparsify_encoder
-from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
+from repro.kernels.dispatch import KernelDispatcher
 from repro.models import TransformerEncoder, tiny_config
-from repro.pruning.masks import apply_mask
-from repro.pruning.vnm import vnm_mask
 from repro.serving import (
     ContinuousBatcher,
     DecodeRequest,
@@ -34,7 +31,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ServingEngine,
     ShardedDispatcher,
     ShardingConfig,
     SimulatedRequest,
@@ -49,15 +45,6 @@ HIDDEN = 64
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xBEEF)
-
-
-@pytest.fixture
-def operand(rng):
-    dense = rng.normal(size=(64, 128))
-    pruned = apply_mask(dense, vnm_mask(dense, v=16, n=2, m=8)).astype(np.float32)
-    return SpmmOperand.from_vnm(
-        VNMSparseMatrix.from_dense(pruned, v=16, n=2, m=8, strict=True)
-    )
 
 
 def make_encoder(seed=0, num_layers=1):
@@ -104,7 +91,7 @@ class TestServingConfig:
     def test_build_batcher_is_always_continuous(self):
         """One batcher for every engine kind; ``"async"`` only adds the
         ``window_us`` hold."""
-        for kind in ("operand", "encoder", "decoder"):
+        for kind in ("encoder", "decoder"):
             plain = ServingConfig().build_batcher(kind=kind)
             held = ServingConfig(scheduling="async", window_us=250.0).build_batcher(kind=kind)
             assert isinstance(plain, ContinuousBatcher) and plain.window_us == 0.0
@@ -115,9 +102,8 @@ class TestServingConfig:
         encoder, else ``token_buckets`` or the default ladder."""
         ladder = ContinuousBatcher.ladder().token_buckets
         assert ServingConfig().build_batcher(kind="encoder").token_buckets == (1,)
-        for kind in ("operand", "decoder"):
-            assert ServingConfig().build_batcher(kind=kind).token_buckets == ladder
-        for kind in ("operand", "encoder", "decoder"):
+        assert ServingConfig().build_batcher(kind="decoder").token_buckets == ladder
+        for kind in ("encoder", "decoder"):
             laddered = ServingConfig(padding="ladder").build_batcher(kind=kind)
             assert laddered.token_buckets == ladder
             custom = ServingConfig(padding="ladder", token_buckets=(4, 8))
@@ -150,21 +136,28 @@ class TestServingConfig:
 
 
 class TestCreateEngine:
-    def test_routes_by_target_and_kind(self, operand):
+    def test_routes_by_target_and_kind(self):
         encoder = make_encoder()
-        assert isinstance(create_engine(operand), ServingEngine)
         assert isinstance(create_engine(encoder), ModelServingEngine)
         assert isinstance(create_engine(encoder, kind="decoder"), DecoderServingEngine)
-        with pytest.raises(TypeError):
-            create_engine(operand, kind="decoder")
-        with pytest.raises(ValueError):
-            create_engine(operand, kind="banana")
+        _, projection = next(encoder.named_linear_layers())
+        for kind in ("encoder", "decoder"):
+            with pytest.raises(TypeError, match="TransformerEncoder"):
+                create_engine(projection.operand, kind=kind)
+        for kind in ("operand", "banana"):
+            with pytest.raises(ValueError, match="unknown engine kind"):
+                create_engine(encoder, kind=kind)
 
-    def test_config_drives_all_three_engines(self, operand, rng):
+    def test_build_batcher_rejects_an_unknown_kind(self):
+        for kind in ("operand", "banana"):
+            with pytest.raises(ValueError, match="unknown engine kind"):
+                ServingConfig().build_batcher(kind=kind)
+
+    def test_config_drives_both_engines(self, rng):
         config = ServingConfig(name="cfg-driven", scheduling="continuous", step_us=10.0)
-        op_engine = create_engine(operand, config=config)
-        assert op_engine.name == "cfg-driven"
-        assert isinstance(op_engine.batcher, ContinuousBatcher)
+        named = create_engine(make_encoder(), config=config)
+        assert named.name == "cfg-driven"
+        assert isinstance(named.batcher, ContinuousBatcher)
         model_engine = create_engine(make_encoder(), config=ServingConfig(padding="ladder"))
         assert model_engine.padding == "ladder"
         decoder = create_engine(
@@ -178,10 +171,10 @@ class TestCreateEngine:
         out = model_engine.serve([Request("r0", x)])
         assert out["r0"].shape == (5, HIDDEN)
 
-    def test_explicit_kwargs_win_over_config(self, operand):
+    def test_explicit_kwargs_win_over_config(self):
         dispatcher = KernelDispatcher()
         engine = create_engine(
-            operand,
+            make_encoder(),
             config=ServingConfig(sharding=ShardingConfig(tp_degree=2)),
             dispatcher=dispatcher,
         )
@@ -240,35 +233,30 @@ ZEROED_ADMISSION = {
     "policy": "fcfs",
     "per_class": {0: ZEROED_CLASS},
 }
-ENGINE_KINDS = ("operand", "encoder", "decoder")
+ENGINE_KINDS = ("encoder", "decoder")
 
 
-def build_engine(kind, operand, config=None, **kwargs):
-    """One engine of ``kind`` through the front door, on a private
-    dispatcher (the operand engine's default is the process-wide one, which
-    a fault-injecting test must not arm)."""
-    target = operand if kind == "operand" else make_encoder()
-    kwargs.setdefault("dispatcher", KernelDispatcher())
-    return create_engine(target, config=config, kind=kind, **kwargs)
+def build_engine(kind, config=None, **kwargs):
+    """One engine of ``kind`` through the front door."""
+    return create_engine(make_encoder(), config=config, kind=kind, **kwargs)
 
 
 def make_request(kind, rid, rng, tokens, arrival_us=0.0):
     if kind == "decoder":
         prompt = rng.normal(size=(tokens, HIDDEN)).astype(np.float32)
         return DecodeRequest(rid, prompt, new_tokens=2, arrival_us=arrival_us)
-    width = 128 if kind == "operand" else HIDDEN
     return Request(
-        rid, rng.normal(size=(tokens, width)).astype(np.float32), arrival_us=arrival_us
+        rid, rng.normal(size=(tokens, HIDDEN)).astype(np.float32), arrival_us=arrival_us
     )
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 class TestEngineCoreContract:
-    """What all three engines inherit from the one ``EngineCore``, asserted
+    """What both engines inherit from the one ``EngineCore``, asserted
     once per kind instead of once per engine module."""
 
-    def test_shared_stats_blocks_and_zeroed_schemas(self, kind, operand):
-        engine = build_engine(kind, operand)
+    def test_shared_stats_blocks_and_zeroed_schemas(self, kind):
+        engine = build_engine(kind)
         stats = engine.stats()
         for block in NORMALIZED_BLOCKS:
             assert isinstance(stats[block], dict), f"{kind} lacks {block!r}"
@@ -279,26 +267,25 @@ class TestEngineCoreContract:
         budget = ServingConfig().capacity_blocks if kind == "decoder" else None
         assert stats["admission"] == {**ZEROED_ADMISSION, "kv_budget_blocks": budget}
 
-    def test_continuous_batcher_reports_the_same_schema(self, kind, operand):
-        engine = build_engine(kind, operand, ServingConfig(scheduling="continuous"))
+    def test_continuous_batcher_reports_the_same_schema(self, kind):
+        engine = build_engine(kind, ServingConfig(scheduling="continuous"))
         admission = engine.stats()["admission"]
         assert set(admission) == set(ZEROED_ADMISSION)
         assert admission["policy"] == "fcfs"
         assert admission["per_class"] == {0: ZEROED_CLASS}
 
-    def test_sharded_dispatcher_is_one_kernel_dispatcher(self, kind, operand):
+    def test_sharded_dispatcher_is_one_kernel_dispatcher(self, kind):
         """Sharding is a placement on one dispatcher: the engine holds a
         ``KernelDispatcher`` whatever the topology, with one memo and one
         breaker for every shard."""
-        target = operand if kind == "operand" else make_encoder()
         config = ServingConfig(sharding=ShardingConfig(tp_degree=2))
-        engine = create_engine(target, config=config, kind=kind)
+        engine = create_engine(make_encoder(), config=config, kind=kind)
         assert isinstance(engine.dispatcher, ShardedDispatcher)
         assert isinstance(engine.dispatcher, KernelDispatcher)
         assert engine.stats()["sharding"]["tp_degree"] == 2
 
     def test_replay_with_no_ok_request_terminates_with_one_outcome_each(
-        self, kind, operand, rng
+        self, kind, rng
     ):
         """Every backend fails every call, so every executed batch yields no
         ``ok`` request.  The replay still terminates, every request holds
@@ -306,7 +293,7 @@ class TestEngineCoreContract:
         advances by ``step_us`` after an *executed* step even when nothing
         came out ok (the one-step engines used to advance only ``if out``,
         which ran the second rung's batch at t=0)."""
-        engine = build_engine(kind, operand, ServingConfig(scheduling="continuous", step_us=10.0))
+        engine = build_engine(kind, ServingConfig(scheduling="continuous", step_us=10.0))
         plan = FaultPlan(
             [FaultSpec(backend.name, "persistent") for backend in engine.dispatcher.backends]
         )
@@ -323,7 +310,7 @@ class TestEngineCoreContract:
         assert engine.batcher.pending == 0
         assert engine.stats()["admission"]["occupied_slots"] == 0
 
-    def test_dropped_engine_dies_by_refcount(self, kind, operand, rng):
+    def test_dropped_engine_dies_by_refcount(self, kind, rng):
         """No reference cycle through the engine: the decoder used to hand
         its batcher a bound method (engine -> batcher -> engine), so a
         dropped decode engine kept two KV stores and its encoder alive until
@@ -333,7 +320,7 @@ class TestEngineCoreContract:
         memoized on its matrix used to point back at it).  The decoder's KV
         store goes with it: every K/V extent it ever handed out and every
         registered prefix that holds one."""
-        engine = build_engine(kind, operand)
+        engine = build_engine(kind)
         extents = []
         if kind == "decoder":
             take = engine.kv._take_extents
@@ -346,11 +333,10 @@ class TestEngineCoreContract:
             engine.kv._take_extents = spy
         assert len(engine.serve([make_request(kind, "r0", rng, 5)])) == 1
         refs = [weakref.ref(engine)]
-        if kind != "operand":  # the fixture keeps the operand's plan alive
-            plans = list(engine.encoder.spmm_plan_registry().values())
-            assert plans
-            refs += [weakref.ref(p) for p in plans] + [weakref.ref(p.dense16) for p in plans]
-            del plans
+        plans = list(engine.encoder.spmm_plan_registry().values())
+        assert plans
+        refs += [weakref.ref(p) for p in plans] + [weakref.ref(p.dense16) for p in plans]
+        del plans
         if kind == "decoder":
             del engine.kv._take_extents, take, spy  # they hold the cache
             entries = list(engine.kv._prefixes.values())
@@ -404,9 +390,9 @@ class TestNormalizedStatsSchema:
         assert block["tp_degree"] == 2
         assert block["comm_time_us"] > 0.0
 
-    def test_outcome_block_consistent(self, operand, rng):
-        engine = create_engine(operand)
-        engine.serve([Request("r0", rng.normal(size=(4, 128)).astype(np.float32))])
+    def test_outcome_block_consistent(self, rng):
+        engine = create_engine(make_encoder())
+        engine.serve([Request("r0", rng.normal(size=(4, HIDDEN)).astype(np.float32))])
         outcomes = engine.stats()["outcomes"]
         assert outcomes["ok"] == 1
 
@@ -444,25 +430,29 @@ class TestNormalizedStatsSchema:
 
 
 class TestConfigDrivenSimulation:
-    def test_config_selects_policy_and_sharding(self, operand, rng):
+    @pytest.fixture
+    def encoder(self):
+        return make_encoder()
+
+    def test_config_selects_policy_and_sharding(self, encoder, rng):
         requests = [
             SimulatedRequest(f"s{i}", tokens=8, arrival_us=20.0 * i) for i in range(6)
         ]
         report = simulate(
-            operand,
+            encoder,
             requests,
             ServingConfig(scheduling="continuous", padding="exact", window_us=100.0),
         )
         assert report.config.scheduling == "continuous"
         assert report.config.padding == "exact"
         sharded = simulate(
-            operand,
+            encoder,
             requests,
             ServingConfig(sharding=ShardingConfig(tp_degree=2), window_us=100.0),
         )
         assert sharded.num_requests == 6
 
-    def test_config_admission_knobs_are_honoured(self, operand):
+    def test_config_admission_knobs_are_honoured(self, encoder):
         """Regression: the simulator's config path used to drop the
         admission/SLO knobs silently (200/200 served on a trace where the
         same bound sheds most of the load)."""
@@ -470,18 +460,18 @@ class TestConfigDrivenSimulation:
         config = ServingConfig(
             scheduling="continuous", padding="ladder", window_us=0.0, max_queue_depth=2
         )
-        report = simulate(operand, requests, config)
-        chaos = simulate(operand, requests, config, FaultPlan())
-        unbounded = simulate(operand, requests, replace(config, max_queue_depth=None))
+        report = simulate(encoder, requests, config)
+        chaos = simulate(encoder, requests, config, FaultPlan())
+        unbounded = simulate(encoder, requests, replace(config, max_queue_depth=None))
         assert report.counts()["shed"] == chaos.counts()["shed"] > 0
         assert report.outcomes == chaos.outcomes
         assert unbounded.counts()["shed"] == 0
 
-    def test_config_knobs_the_simulation_cannot_honour_raise(self, operand):
+    def test_config_knobs_the_simulation_cannot_honour_raise(self, encoder):
         requests = [SimulatedRequest("s0", tokens=8, arrival_us=0.0)]
         with pytest.raises(ValueError, match="kv_budget_blocks"):
             simulate(
-                operand, requests, ServingConfig(scheduling="continuous", kv_budget_blocks=4)
+                encoder, requests, ServingConfig(scheduling="continuous", kv_budget_blocks=4)
             )
 
     def test_serve_continuous_step_from_config(self, rng):

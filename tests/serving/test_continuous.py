@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.integration import VNMSparsifier, sparsify_encoder
-from repro.kernels.dispatch import SpmmOperand
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving.continuous import _arrival_rank
 from repro.serving import (
@@ -22,7 +21,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ServingEngine,
     simulate,
     uniform_arrivals,
 )
@@ -321,28 +319,6 @@ class TestContinuousServingBitExactness:
             sequential = engine.encoder.forward(request.activations[None])[0]
             assert np.array_equal(results[request.request_id], sequential), request.request_id
 
-    def test_single_operator_engine_serves_continuously(self, rng, vnm_matrix):
-        """The step loop is engine-agnostic: the single-operator engine
-        serves the same bits continuously as in one window."""
-        operand = SpmmOperand.from_vnm(vnm_matrix)
-        requests = [
-            Request(f"op-{i}", rng.normal(size=(t, operand.k)).astype(np.float32),
-                    arrival_us=i * 30.0)
-            for i, t in enumerate([5, 17, 17, 30])
-        ]
-        baseline = ServingEngine(operand).serve(requests)
-        engine = ServingEngine(operand, config=ServingConfig(step_us=50.0))
-        results = engine.serve_continuous(requests)
-        for rid in baseline:
-            assert np.array_equal(results[rid], baseline[rid]), rid
-        assert engine.steps_executed >= 1
-        assert set(engine.completions) == {r.request_id for r in requests}
-        # Both engines surface the step-loop counters the same way.
-        assert engine.stats()["continuous"] == {
-            "steps": engine.steps_executed,
-            "completions": len(requests),
-        }
-
 
 def run_slo_golden_cell(rng, padding, policy, arrivals, step_us, classes=None):
     """One priority golden cell: SLO-scheduled continuous serving must stay
@@ -518,56 +494,54 @@ def ladder(scheduling, window_us):
 
 class TestContinuousSimulation:
     @pytest.fixture
-    def operand(self, rng):
-        encoder = make_encoder()
-        _, layer = next(iter(encoder.named_sparse_layers()))
-        return SpmmOperand.from_vnm(layer.operand.vnm)
+    def encoder(self):
+        return make_encoder()
 
-    def test_p99_latency_beats_async_at_equal_offered_load(self, operand):
+    def test_p99_latency_beats_async_at_equal_offered_load(self, encoder):
         """The acceptance property of the continuous policy: same arrival
         schedule, every request served by both policies, and the continuous
         p99 completion latency is no worse than the held (async) loop's."""
         requests = uniform_arrivals(64, rate_rps=5000, tokens=[3, 9, 17, 33])
-        async_report = simulate(operand, requests, ladder("async", 2000.0))
-        cont_report = simulate(operand, requests, ladder("continuous", 2000.0))
+        async_report = simulate(encoder, requests, ladder("async", 2000.0))
+        cont_report = simulate(encoder, requests, ladder("continuous", 2000.0))
         assert cont_report.num_requests == async_report.num_requests == 64
         assert len(cont_report.latencies_us) == 64
         assert cont_report.p99_latency_us <= async_report.p99_latency_us
         assert cont_report.mean_latency_us <= async_report.mean_latency_us
         assert cont_report.config.scheduling == "continuous"
 
-    def test_arrival_order_invariant_summary(self, operand):
+    def test_arrival_order_invariant_summary(self, encoder):
         requests = uniform_arrivals(24, rate_rps=20000, tokens=[9, 17, 33])
-        a = simulate(operand, requests, ladder("continuous", 400.0))
-        b = simulate(operand, list(reversed(requests)), ladder("continuous", 400.0))
+        a = simulate(encoder, requests, ladder("continuous", 400.0))
+        b = simulate(encoder, list(reversed(requests)), ladder("continuous", 400.0))
         assert a.summary() == b.summary()
 
-    def test_backlog_still_batches(self, operand):
+    def test_backlog_still_batches(self, encoder):
         """All requests queued at t=0: the continuous scheduler must form
         multi-request batches (it admits everything arrived), not degrade
         to per-request dispatch."""
         requests = [
             uniform_arrivals(32, rate_rps=1e9, tokens=[17])[i] for i in range(32)
         ]
-        report = simulate(operand, requests, ladder("continuous", 100.0))
+        report = simulate(encoder, requests, ladder("continuous", 100.0))
         assert report.num_batches < 32
         assert report.mean_batch_size > 1.0
 
-    def test_window_value_is_irrelevant_including_zero(self, operand):
+    def test_window_value_is_irrelevant_including_zero(self, encoder):
         """Regression: the continuous policy has no windows to disable —
         window_us=0 must run the same executor-driven schedule as any
         other value, not fall back to per-request dispatch."""
         requests = [
             uniform_arrivals(32, rate_rps=1e9, tokens=[17])[i] for i in range(32)
         ]
-        zero = simulate(operand, requests, ladder("continuous", 0.0))
-        some = simulate(operand, requests, ladder("continuous", 100.0))
+        zero = simulate(encoder, requests, ladder("continuous", 0.0))
+        some = simulate(encoder, requests, ladder("continuous", 100.0))
         assert zero.num_batches == some.num_batches < 32
         assert zero.latencies_us == some.latencies_us
 
-    def test_sweep_accepts_continuous_policy(self, operand):
+    def test_sweep_accepts_continuous_policy(self, encoder):
         requests = uniform_arrivals(12, rate_rps=50000, tokens=[17])
-        reports = [simulate(operand, requests, ladder("continuous", w)) for w in [100.0, 2000.0]]
+        reports = [simulate(encoder, requests, ladder("continuous", w)) for w in [100.0, 2000.0]]
         assert [r.config.scheduling for r in reports] == ["continuous", "continuous"]
         # Nothing waits on the window, so the sweep rows coincide (the
         # recorded window_us is the only difference).

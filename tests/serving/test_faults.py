@@ -20,12 +20,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.formats.vnm import VNMSparseMatrix
 from repro.integration import VNMSparsifier, sparsify_encoder
-from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
+from repro.kernels.dispatch import KernelDispatcher
 from repro.models import TransformerEncoder, tiny_config
-from repro.pruning.masks import apply_mask
-from repro.pruning.vnm import vnm_mask
 from repro.serving import (
     OUTCOME_FAILED,
     OUTCOME_SHED,
@@ -39,7 +36,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ServingEngine,
     SimReport,
     SimulatedRequest,
     decode_reference,
@@ -55,27 +51,48 @@ FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 #: The chaos simulator's config: the continuous step loop over the padded ladder.
 LADDER = ServingConfig(padding="ladder")
 
-K_FEATURES = 128
 HIDDEN = 64
 
 
-@pytest.fixture
-def vnm_weight(rng):
-    dense = rng.normal(size=(64, K_FEATURES))
-    pruned = apply_mask(dense, vnm_mask(dense, v=16, n=2, m=8)).astype(np.float32)
-    return VNMSparseMatrix.from_dense(pruned, v=16, n=2, m=8, strict=True)
+def make_encoder(sparse=True, seed=0):
+    """A tiny one-layer encoder, every projection 16:2:8 (``sparse``) or
+    every projection dense."""
+    cfg = tiny_config(hidden_size=HIDDEN, num_layers=1, num_heads=4, intermediate_size=128)
+    encoder = TransformerEncoder.init(cfg, seed=seed)
+    if sparse:
+        sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
+    return encoder
+
+
+#: Dispatched calls per forward of one length group: the six projections.
+PROJECTIONS = 6
+
+
+def make_engine(encoder=None, dispatcher=None, **knobs):
+    """A ladder-padded encoder engine (a fresh sparse encoder by default)."""
+    return ModelServingEngine(
+        encoder if encoder is not None else make_encoder(),
+        dispatcher=dispatcher,
+        config=ServingConfig(padding="ladder", **knobs),
+    )
 
 
 @pytest.fixture
-def operand(vnm_weight):
-    return SpmmOperand.from_vnm(vnm_weight)
+def encoder():
+    return make_encoder()
+
+
+@pytest.fixture
+def operand(encoder):
+    """One V:N:M projection, for the dispatcher-level failover tests."""
+    return dict(encoder.named_linear_layers())["encoder.layer.0.attention.query"].operand
 
 
 def make_requests(rng, token_counts, prefix="req", **kwargs):
     return [
         Request(
             f"{prefix}-{i:04d}",
-            rng.normal(size=(t, K_FEATURES)).astype(np.float32),
+            rng.normal(size=(t, HIDDEN)).astype(np.float32),
             **kwargs,
         )
         for i, t in enumerate(token_counts)
@@ -134,15 +151,15 @@ class TestFaultPlan:
 
 
 class TestInjectorFailover:
-    def test_ok_output_under_faults_is_bit_exact_fault_free(self, vnm_weight, rng):
+    def test_ok_output_under_faults_is_bit_exact_fault_free(self, rng):
         """Transient faults on the chosen backend change who serves, never
         the bits: the faulted engine's outputs equal the fault-free ones."""
         requests = make_requests(rng, [5, 12, 30, 7])
-        baseline = ServingEngine(vnm_weight, dispatcher=KernelDispatcher()).serve(requests)
+        baseline = make_engine().serve(requests)
 
         dispatcher = KernelDispatcher()
-        engine = ServingEngine(vnm_weight, dispatcher=dispatcher)
-        chosen = dispatcher.dispatch(engine.operand, 8).backend
+        engine = make_engine(dispatcher=dispatcher)
+        chosen = dispatcher.dispatch(engine.encoder.layers[0].attention.query.operand, 8).backend
         plan = FaultPlan([FaultSpec(backend=chosen, kind="transient", at_call=0, count=2)])
         FaultInjector(plan).arm(dispatcher)
 
@@ -163,7 +180,7 @@ class TestInjectorFailover:
         plan = FaultPlan([FaultSpec(backend=decision.backend, kind="persistent")])
         FaultInjector(plan).arm(dispatcher)
 
-        b = rng.normal(size=(K_FEATURES, 8)).astype(np.float32)
+        b = rng.normal(size=(HIDDEN, 8)).astype(np.float32)
         out = dispatcher.execute(operand, b)
         direct = dispatcher.backend(fallback).inner.execute(operand, b)
         assert np.array_equal(out, direct)
@@ -182,7 +199,7 @@ class TestInjectorFailover:
         plan = FaultPlan([FaultSpec(backend=victim, kind="transient", at_call=0, count=2)])
         injector = FaultInjector(plan).arm(dispatcher)
 
-        b = rng.normal(size=(K_FEATURES, 8)).astype(np.float32)
+        b = rng.normal(size=(HIDDEN, 8)).astype(np.float32)
         dispatcher.execute(operand, b)  # fail 1 -> failover
         dispatcher.execute(operand, b)  # fail 2 -> quarantined
         assert dispatcher.breaker.is_quarantined(victim)
@@ -222,20 +239,25 @@ class TestTwoBackendChain:
         return results
 
     @pytest.mark.parametrize("offset", range(3))
-    def test_vnm_projection_fails_when_both_candidates_fail_on_one_call(
-        self, vnm_weight, rng, offset
-    ):
+    def test_vnm_projection_fails_when_both_candidates_fail_on_one_call(self, rng, offset):
         requests = make_requests(rng, [8] * self.N, prefix="chain")
-        expected = self._serve_one_by_one(
-            ServingEngine(vnm_weight, dispatcher=KernelDispatcher()), requests
-        )
+        expected = self._serve_one_by_one(make_engine(), requests)
         dispatcher = KernelDispatcher()
-        engine = ServingEngine(vnm_weight, dispatcher=dispatcher)
-        first, second = dispatcher.dispatch(engine.operand, 8).order
+        engine = make_engine(dispatcher=dispatcher)
+        orders = [
+            dispatcher.dispatch(lin.operand, 8).order
+            for _, lin in engine.encoder.named_linear_layers()
+        ]
+        # The victim's first call (its query projection) walks from
+        # ``first`` to ``second``; each backend's call index there counts
+        # the projections it ranks first in every earlier forward.
+        first, second = orders[0]
         assert {first, second} == {"spatha-plan", "cublas-dense"}
+        per_forward = {name: sum(order[0] == name for order in orders) for name in orders[0]}
         victim = (FAULT_SEED + offset) % self.N
+        calls = {name: victim * per_forward[name] for name in orders[0]}
         plan = FaultPlan(
-            [FaultSpec(first, "transient", at_call=victim), FaultSpec(second, "transient", at_call=0)]
+            [FaultSpec(name, "transient", at_call=call) for name, call in calls.items()]
         )
         injector = FaultInjector(plan).arm(dispatcher)
         results = self._serve_one_by_one(engine, requests)
@@ -247,25 +269,25 @@ class TestTwoBackendChain:
                 continue
             assert outcome.status == OUTCOME_FAILED
             assert "all candidate backends failed" in outcome.detail
-            assert f"{first}: injected fault on {first} (call {victim})" in outcome.detail
-            assert f"{second}: injected fault on {second} (call 0)" in outcome.detail
-        assert (injector.calls(first), injector.calls(second)) == (self.N, 1)
+            for name, call in calls.items():
+                assert f"{name}: injected fault on {name} (call {call})" in outcome.detail
+        for name in (first, second):
+            assert injector.calls(name) == (self.N - 1) * per_forward[name] + 1
         health = dispatcher.health_stats()
         assert (health["failures"], health["failovers"]) == (2, 0)
 
     @pytest.mark.parametrize("offset", range(3))
-    def test_dense_projection_fails_on_its_first_failure(self, vnm_weight, rng, offset):
-        operand = SpmmOperand(dense=vnm_weight.to_dense())
+    def test_dense_projection_fails_on_its_first_failure(self, rng, offset):
         requests = make_requests(rng, [8] * self.N, prefix="dense")
-        expected = self._serve_one_by_one(
-            ServingEngine(operand, dispatcher=KernelDispatcher()), requests
-        )
+        expected = self._serve_one_by_one(make_engine(make_encoder(sparse=False)), requests)
         dispatcher = KernelDispatcher()
-        engine = ServingEngine(operand, dispatcher=dispatcher)
-        assert dispatcher.dispatch(operand, 8).order == ["cublas-dense"]
+        engine = make_engine(make_encoder(sparse=False), dispatcher=dispatcher)
+        for _, lin in engine.encoder.named_linear_layers():
+            assert dispatcher.dispatch(lin.operand, 8).order == ["cublas-dense"]
         victim = (FAULT_SEED + offset) % self.N
+        call = victim * PROJECTIONS + 2
         plan = FaultPlan(
-            [FaultSpec("cublas-dense", "transient", at_call=victim), FaultSpec("spatha-plan", "persistent")]
+            [FaultSpec("cublas-dense", "transient", at_call=call), FaultSpec("spatha-plan", "persistent")]
         )
         injector = FaultInjector(plan).arm(dispatcher)
         results = self._serve_one_by_one(engine, requests)
@@ -277,16 +299,17 @@ class TestTwoBackendChain:
                 continue
             assert outcome.status == OUTCOME_FAILED
             assert outcome.detail.endswith(
-                f"all candidate backends failed: cublas-dense: injected fault on cublas-dense (call {victim})"
+                f"all candidate backends failed: cublas-dense: injected fault on cublas-dense (call {call})"
             )
         assert injector.calls("spatha-plan") == 0
+        assert injector.calls("cublas-dense") == (self.N - 1) * PROJECTIONS + 3
         health = dispatcher.health_stats()
         assert (health["failures"], health["failovers"]) == (1, 0)
 
 
 class TestEngineOutcomes:
-    def test_expired_deadline_reports_timed_out(self, vnm_weight, rng):
-        engine = ServingEngine(vnm_weight, dispatcher=KernelDispatcher())
+    def test_expired_deadline_reports_timed_out(self, rng):
+        engine = make_engine()
         live, doomed = make_requests(rng, [5, 5], prefix="dl")
         doomed = Request(
             doomed.request_id, doomed.activations, arrival_us=0.0, deadline_us=10.0
@@ -300,12 +323,8 @@ class TestEngineOutcomes:
         assert outcome.completed_us == 10.0  # the deadline, not the step clock
         assert engine.outcomes[live.request_id].ok
 
-    def test_overload_sheds_newest_and_records_outcomes(self, vnm_weight, rng):
-        engine = ServingEngine(
-            vnm_weight,
-            dispatcher=KernelDispatcher(),
-            config=ServingConfig(max_batch_size=4, max_queue_depth=2),
-        )
+    def test_overload_sheds_newest_and_records_outcomes(self, rng):
+        engine = make_engine(max_batch_size=4, max_queue_depth=2)
         requests = make_requests(rng, [5, 5, 5], prefix="ovl")
         for req in requests:
             engine.submit(req)
@@ -319,15 +338,15 @@ class TestEngineOutcomes:
         assert stats["shed"] == 1
         assert stats["shed_policy"] == "reject-newest"
 
-    def test_poisoned_payload_is_isolated_from_batchmates(self, vnm_weight, rng):
+    def test_poisoned_payload_is_isolated_from_batchmates(self, rng):
         """A payload corrupted *after* admission (submit-time validation
         can't see it) fails alone; its micro-batch peers complete with
         outputs bit-identical to a clean run."""
         requests = make_requests(rng, [5, 5, 5], prefix="poison")
-        baseline = ServingEngine(vnm_weight, dispatcher=KernelDispatcher()).serve(
+        baseline = make_engine().serve(
             [Request(r.request_id, r.activations.copy()) for r in requests]
         )
-        engine = ServingEngine(vnm_weight, dispatcher=KernelDispatcher())
+        engine = make_engine()
         for req in requests:
             engine.submit(req)
         requests[1].activations[0, 0] = np.nan  # corrupt in place, post-admission
@@ -339,9 +358,9 @@ class TestEngineOutcomes:
         assert outcome.status == OUTCOME_FAILED
         assert "non-finite" in outcome.detail
 
-    def test_all_backends_failing_reports_failed_not_crash(self, vnm_weight, rng):
+    def test_all_backends_failing_reports_failed_not_crash(self, rng):
         dispatcher = KernelDispatcher()
-        engine = ServingEngine(vnm_weight, dispatcher=dispatcher)
+        engine = make_engine(dispatcher=dispatcher)
         names = [b.name for b in dispatcher.backends]
         plan = FaultPlan([FaultSpec(backend=n, kind="persistent") for n in names])
         FaultInjector(plan).arm(dispatcher)
@@ -353,17 +372,17 @@ class TestEngineOutcomes:
             assert outcome.status == OUTCOME_FAILED
             assert "all candidate backends failed" in outcome.detail
 
-    def test_error_mid_step_still_records_an_outcome(self, vnm_weight, rng):
+    def test_error_mid_step_still_records_an_outcome(self, rng):
         """Regression: a non-backend error raised while a popped micro-batch
         ran left its requests with no outcome — gone from the queue and
         from the books.  They now record ``failed``, naming the exception
         class, before the error propagates."""
-        engine = ServingEngine(vnm_weight, dispatcher=KernelDispatcher())
+        engine = make_engine()
         (good,) = make_requests(rng, [4], prefix="good")
-        bad = Request("bad", rng.normal(size=(4, K_FEATURES + 1)).astype(np.float32))
+        bad = Request("bad", rng.normal(size=(4, HIDDEN + 1)).astype(np.float32))
         engine.submit(good)
         engine.batcher.submit(bad)  # bypasses the engine's width check
-        with pytest.raises(ValueError, match="input width"):
+        with pytest.raises(ValueError, match="feature width"):
             engine.step(0.0)  # "bad" ranks first and raises
         engine.step(0.0)
         engine.step(0.0)
@@ -373,9 +392,9 @@ class TestEngineOutcomes:
         assert engine.outcomes["bad"].detail.startswith("ValueError: ")
         assert engine.outcomes[good.request_id].ok
 
-    def test_submit_rejects_non_finite_payload_by_name(self, vnm_weight, rng):
-        engine = ServingEngine(vnm_weight, dispatcher=KernelDispatcher())
-        bad = rng.normal(size=(5, K_FEATURES)).astype(np.float32)
+    def test_submit_rejects_non_finite_payload_by_name(self, rng):
+        engine = make_engine()
+        bad = rng.normal(size=(5, HIDDEN)).astype(np.float32)
         bad[2, 7] = np.inf
         with pytest.raises(ValueError, match="nf-0666.*non-finite"):
             engine.submit(Request("nf-0666", bad))
@@ -687,19 +706,19 @@ class TestChaosSimulation:
             deadline_after_us=deadline_after_us,
         )
 
-    def test_two_replays_are_identical(self, operand):
+    def test_two_replays_are_identical(self, encoder):
         plan = FaultPlan.seeded(
             ("cublas-dense", "spatha-plan"), seed=FAULT_SEED, failure_rate=0.15,
             latency_rate=0.1,
         )
         config = replace(LADDER, max_queue_depth=8, shed_policy="drop-expired")
-        first = simulate(operand, self._requests(deadline_after_us=4000.0), config, plan)
-        second = simulate(operand, self._requests(deadline_after_us=4000.0), config, plan)
+        first = simulate(encoder, self._requests(deadline_after_us=4000.0), config, plan)
+        second = simulate(encoder, self._requests(deadline_after_us=4000.0), config, plan)
         assert first.summary() == second.summary()
         assert first.outcomes == second.outcomes
         assert first.latencies_us == second.latencies_us
 
-    def test_pinned_outcome_counts_for_explicit_plan(self, operand):
+    def test_pinned_outcome_counts_for_explicit_plan(self, encoder):
         """The deterministic chaos scenario the ISSUE pins: an explicit
         fault plan plus overload produces EXACT outcome counts, stable
         across replays (this test is the replay — it must never flake)."""
@@ -710,16 +729,17 @@ class TestChaosSimulation:
             for i in range(12)
         ]
         # Call 0 of EVERY backend fails and the burst overflows the depth-4
-        # queue (4 shed).  The first chunk exhausts the whole ranking on
-        # call 0, so the engine bisects it, as a live engine does: each half
-        # of 2 is served on the next call of the top backend, and the late
-        # chunk after them (8 ok over 4 charged batches).
+        # queue (4 shed).  The first chunk's first projection exhausts the
+        # whole ranking on call 0, so the engine bisects it, as a live
+        # engine does: each half of 2 is served on the next calls of the
+        # top backend, and the late chunk after them (8 ok over 4 charged
+        # batches).
         backends = [b.name for b in KernelDispatcher().backends]
         plan = FaultPlan(
             [FaultSpec(backend=n, kind="transient", at_call=0, count=1) for n in backends]
         )
         reports = [
-            simulate(operand, requests, replace(LADDER, max_queue_depth=4), plan)
+            simulate(encoder, requests, replace(LADDER, max_queue_depth=4), plan)
             for _ in range(2)
         ]
         assert reports[0].counts() == reports[1].counts()
@@ -728,7 +748,7 @@ class TestChaosSimulation:
         assert reports[0].availability == 8 / 12
         assert reports[0].summary() == reports[1].summary()
 
-    def test_deadlines_are_judged_before_execution(self, operand):
+    def test_deadlines_are_judged_before_execution(self, encoder):
         """The live engine's deadline rule: a request that starts executing
         completes ``ok`` however late it finishes, and one whose deadline
         passes while it waits queued is ``timed_out``.  Both arrive at t=0
@@ -737,12 +757,12 @@ class TestChaosSimulation:
             SimulatedRequest("a", tokens=12, deadline_us=1.0),
             SimulatedRequest("b", tokens=40, deadline_us=1.0),
         ]
-        report = simulate(operand, requests, LADDER, FaultPlan())
+        report = simulate(encoder, requests, LADDER, FaultPlan())
         assert report.outcomes == {"a": "ok", "b": "timed_out"}
         assert report.num_batches == 1
         assert report.latencies_us["a"] > 1.0
 
-    def test_per_class_breakout_replays_identically_under_fault_seed(self, operand):
+    def test_per_class_breakout_replays_identically_under_fault_seed(self, encoder):
         """Chaos + priority traffic (the ISSUE's SLO satellite): two replays
         of a seeded fault plan over a two-class trace produce identical
         per-class outcome breakdowns."""
@@ -760,8 +780,8 @@ class TestChaosSimulation:
             return sorted(low + high, key=lambda r: (r.arrival_us, r.request_id))
 
         config = replace(LADDER, max_queue_depth=8, shed_policy="drop-expired")
-        first = simulate(operand, trace(), config, plan)
-        second = simulate(operand, trace(), config, plan)
+        first = simulate(encoder, trace(), config, plan)
+        second = simulate(encoder, trace(), config, plan)
         assert first.per_class() == second.per_class()
         assert set(first.per_class()) == {0, 1}
         per_class = first.per_class()
@@ -772,7 +792,7 @@ class TestChaosSimulation:
             assert per_class[0][state] + per_class[1][state] == total[state]
         assert "per_class" in first.summary()
 
-    def test_pinned_per_class_counts_for_explicit_plan(self, operand):
+    def test_pinned_per_class_counts_for_explicit_plan(self, encoder):
         """Two-class pinned cell: with every backend's call 0 failing and a
         depth-4 queue, the burst overflow sheds, the first chunk fails on
         call 0 and its bisected halves are served on the next calls, and the
@@ -792,7 +812,7 @@ class TestChaosSimulation:
             [FaultSpec(backend=n, kind="transient", at_call=0, count=1) for n in backends]
         )
         reports = [
-            simulate(operand, requests, replace(LADDER, max_queue_depth=4), plan)
+            simulate(encoder, requests, replace(LADDER, max_queue_depth=4), plan)
             for _ in range(2)
         ]
         assert reports[0].per_class() == reports[1].per_class()
@@ -809,47 +829,51 @@ class TestChaosSimulation:
             assert per_class[cls]["shed_rate"] == pytest.approx(2 / 6)
             assert per_class[cls]["violation_rate"] == 0.0
 
-    def test_fault_free_plan_is_fully_available(self, operand):
-        report = simulate(operand, self._requests(n=16), LADDER, FaultPlan())
+    def test_fault_free_plan_is_fully_available(self, encoder):
+        report = simulate(encoder, self._requests(n=16), LADDER, FaultPlan())
         assert report.counts() == {"ok": 16, "failed": 0, "timed_out": 0, "shed": 0}
         assert report.availability == 1.0
         assert report.failovers == 0
         assert report.injected_failures == 0
 
-    def test_quarantine_surfaces_in_report(self, operand):
-        # Persistently fail whichever backend wins the traffic's buckets so
-        # the breaker actually sees consecutive failures.
-        chosen = {
-            KernelDispatcher().dispatch(operand, c).backend for c in (8, 16, 32)
+    @staticmethod
+    def _top_ranked(encoder):
+        """The backends the traffic's lengths rank first, over every projection."""
+        return {
+            KernelDispatcher().dispatch(lin.operand, c).backend
+            for _, lin in encoder.named_linear_layers()
+            for c in (5, 7, 12, 30)
         }
-        plan = FaultPlan([FaultSpec(backend=n, kind="persistent") for n in chosen])
+
+    def test_quarantine_surfaces_in_report(self, encoder):
+        # Persistently fail a backend that wins traffic so the breaker
+        # actually sees consecutive failures.
+        assert "spatha-plan" in self._top_ranked(encoder)
+        plan = FaultPlan([FaultSpec(backend="spatha-plan", kind="persistent")])
         dispatcher = KernelDispatcher(failure_threshold=2, probe_interval=2)
-        report = simulate(operand, self._requests(n=16), LADDER, plan, dispatcher)
+        report = simulate(encoder, self._requests(n=16), LADDER, plan, dispatcher)
         assert report.quarantines >= 1
         assert report.failovers >= 1
         assert report.availability == 1.0  # fallback ranking absorbs it
 
-    def test_backend_health_does_not_carry_across_runs(self, operand):
+    def test_backend_health_does_not_carry_across_runs(self, encoder):
         """A dispatcher shared across runs carries decisions and estimates,
-        never backend health: after a run that left the winning backend
+        never backend health: after a run that left a winning backend
         quarantined (a probe interval longer than the run), a fault-free
         run replays exactly as on a fresh dispatcher."""
-        chosen = {
-            KernelDispatcher().dispatch(operand, c).backend for c in (8, 16, 32)
-        }
-        plan = FaultPlan([FaultSpec(backend=n, kind="persistent") for n in chosen])
+        plan = FaultPlan([FaultSpec(backend="spatha-plan", kind="persistent")])
         shared = KernelDispatcher(failure_threshold=2, probe_interval=100)
-        assert simulate(operand, self._requests(n=16), LADDER, plan, shared).quarantines >= 1
-        after = simulate(operand, self._requests(n=16), LADDER, dispatcher=shared)
+        assert simulate(encoder, self._requests(n=16), LADDER, plan, shared).quarantines >= 1
+        after = simulate(encoder, self._requests(n=16), LADDER, dispatcher=shared)
         fresh = simulate(
-            operand, self._requests(n=16), LADDER,
+            encoder, self._requests(n=16), LADDER,
             dispatcher=KernelDispatcher(failure_threshold=2, probe_interval=100),
         )
         assert after.outcomes == fresh.outcomes
         assert after.latencies_us == fresh.latencies_us
         backends = [e.meta["backend"] for e in after.trace.executions]
         assert backends == [e.meta["backend"] for e in fresh.trace.executions]
-        assert set(backends) == chosen
+        assert set(backends) == self._top_ranked(encoder)
 
     def test_p999_on_known_distribution(self):
         """p999 satellite: pin the extreme tail on a synthetic distribution

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.integration import VNMSparsifier, sparsify_encoder
+from repro.kernels.dispatch import KernelDispatcher
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     ContinuousBatcher,
@@ -22,7 +23,11 @@ from repro.serving import (
     Request,
     ServingConfig,
     ShardingConfig,
+    SimulatedRequest,
+    simulate,
 )
+from repro.serving.batcher import BucketKey, MicroBatch
+from repro.serving.model_engine import length_groups
 
 HIDDEN = 64
 
@@ -73,6 +78,18 @@ def assert_sequential_bits(encoder, requests, results):
     for req in requests:
         expected = encoder.forward(req.activations[None])[0]
         assert results[req.request_id].tobytes() == expected.tobytes()
+
+
+#: Compositions of one 16-token rung and the ``(size, tokens)`` groups each
+#: runs as, shortest first.
+RUNG_COMPOSITIONS = [
+    ([16, 12, 9], [(1, 9), (1, 12), (1, 16)]),
+    ([12, 12, 12], [(3, 12)]),
+    ([9, 16, 9, 16, 9], [(3, 9), (2, 16)]),
+    ([13], [(1, 13)]),
+    ([15, 10, 14, 11, 13, 12], [(1, t) for t in range(10, 16)]),
+]
+RUNG_COMPOSITION_IDS = ["descending", "one-length", "interleaved", "single", "all-distinct"]
 
 
 class TestLadder:
@@ -142,17 +159,7 @@ class TestGroupedExecution:
         for row, (_, out) in itertools.product(results.values(), calls):
             assert not np.shares_memory(row, out)
 
-    @pytest.mark.parametrize(
-        "lengths,groups",
-        [
-            ([16, 12, 9], [(1, 9), (1, 12), (1, 16)]),
-            ([12, 12, 12], [(3, 12)]),
-            ([9, 16, 9, 16, 9], [(3, 9), (2, 16)]),
-            ([13], [(1, 13)]),
-            ([15, 10, 14, 11, 13, 12], [(1, t) for t in range(10, 16)]),
-        ],
-        ids=["descending", "one-length", "interleaved", "single", "all-distinct"],
-    )
+    @pytest.mark.parametrize("lengths,groups", RUNG_COMPOSITIONS, ids=RUNG_COMPOSITION_IDS)
     def test_group_calls_follow_the_lengths_not_the_arrival_order(self, rng, lengths, groups):
         """Every composition of one 16-token rung: one call per distinct
         length, shortest first, each stacking all of that length's requests."""
@@ -235,6 +242,48 @@ class TestGroupedExecution:
             assert execution.time_us == charged.time_us
         assert engine.stats()["padding"]["valid_tokens"] == 37
         assert engine.stats()["padding"]["bucket_tokens"] == 48
+
+
+    def test_length_groups_are_shortest_first_in_batch_order(self, rng):
+        """The one grouping rule, over every arrival order of a ragged
+        batch: groups by length, shortest first, each keeping the
+        micro-batch's order, together exactly the micro-batch."""
+        for order in itertools.permutations(make_requests(rng, [9, 12, 9, 16, 12])):
+            batch = MicroBatch(key=BucketKey(HIDDEN, 16), requests=list(order))
+            groups = length_groups(batch)
+            assert [group[0].tokens for group in groups] == [9, 12, 16]
+            for group in groups:
+                assert {req.tokens for req in group} == {group[0].tokens}
+                assert group == [req for req in order if req.tokens == group[0].tokens]
+            assert sorted(r.request_id for g in groups for r in g) == sorted(
+                r.request_id for r in order
+            )
+
+    @pytest.mark.parametrize("lengths,groups", RUNG_COMPOSITIONS, ids=RUNG_COMPOSITION_IDS)
+    def test_simulator_charges_the_groups_the_engine_runs(self, lengths, groups):
+        """The simulator walks the calls the engine makes for the same rung:
+        one launch per projection per group, groups shortest first, each at
+        the group's true ``size × tokens`` columns — not the ``B × rung``
+        launch the live trace records."""
+        encoder = make_encoder()
+        dispatcher = KernelDispatcher()
+        requests = [SimulatedRequest(f"s{i}", tokens=t) for i, t in enumerate(lengths)]
+        config = ServingConfig(padding="ladder", token_buckets=(8, 16))
+        report = simulate(encoder, requests, config, dispatcher=dispatcher)
+        layers = list(encoder.named_linear_layers())
+        assert report.num_batches == report.served_batches == 1
+        launches = report.trace.executions
+        assert [e.meta["layer"] for e in launches] == [name for name, _ in layers] * len(groups)
+        assert [(e.meta["batch_size"], e.meta["tokens"]) for e in launches] == [
+            group for group in groups for _ in layers
+        ]
+        for execution, (_, lin) in zip(launches, layers * len(groups)):
+            size, tokens = execution.meta["batch_size"], execution.meta["tokens"]
+            backend = dispatcher.dispatch(lin.operand, tokens).backend
+            assert execution.meta["backend"] == backend
+            charged = dispatcher.estimate(lin.operand, size * tokens, backend=backend)
+            assert execution.time_us == charged.time_us
+        assert report.makespan_us == pytest.approx(report.kernel_time_us)
 
 
 class TestIntake:

@@ -30,7 +30,6 @@ from repro.serving import (
     ModelServingEngine,
     Request,
     ServingConfig,
-    ServingEngine,
     ShardedDispatcher,
     ShardingConfig,
     SimulatedRequest,
@@ -324,17 +323,6 @@ class TestShardedDispatcherSurface:
             ShardedDispatcher(placement_policy="magic")
 
 
-def bound_projection(num_shards=2):
-    """A dispatcher bound to a one-layer encoder, and a ``HIDDEN``-wide
-    projection of it that the placement put on the last shard it uses."""
-    dispatcher = ShardedDispatcher(num_shards=num_shards)
-    encoder = make_encoder((16, 2, 8), 1)
-    dispatcher.bind_encoder(encoder)
-    layers = [lin for _, lin in encoder.named_sparse_layers() if lin.operand.k == HIDDEN]
-    lin = max(layers, key=lambda lin: dispatcher.shard_of(lin.operand))
-    return dispatcher, lin
-
-
 class TestLoadAttribution:
     """Per-shard modelled load is what the engines recorded, each launch
     charged to the shard that owns its projection, by every engine."""
@@ -355,36 +343,59 @@ class TestLoadAttribution:
         assert all(us > 0.0 for us in owed)
         assert engine.dispatcher.shard_modelled_us == pytest.approx(owed, abs=1e-9)
 
-    def test_operand_engine_charges_the_owning_shard(self, rng):
-        dispatcher, lin = bound_projection()
-        owner = dispatcher.shard_of(lin.operand)
-        engine = ServingEngine.for_layer(lin, dispatcher=dispatcher)
-        engine.serve(make_requests(rng, [4, 8, 8, 13]))
-        expected = [0.0, 0.0]
-        expected[owner] = engine.trace.gemm_time_us()
-        assert expected[owner] > 0.0
-        assert dispatcher.shard_modelled_us == pytest.approx(expected, abs=1e-9)
+    def test_simulator_charges_each_projection_to_its_owner(self):
+        """The simulator binds the encoder's placement: each traced launch
+        is charged to the shard that owns its projection, both shards
+        carry load, and the collectives are charged per length group."""
+        encoder = make_encoder((16, 2, 8), 2)
+        config = ServingConfig(padding="ladder", sharding=ShardingConfig(tp_degree=2))
+        requests = [
+            SimulatedRequest(f"s{i}", tokens=t, arrival_us=10.0 * i)
+            for i, t in enumerate([3, 9, 12, 16, 17])
+        ]
+        report = simulate(encoder, requests, config)
+        placement = ShardedDispatcher(num_shards=2)
+        placement.bind_encoder(encoder)
+        layers = dict(encoder.named_linear_layers())
+        owed = [0.0, 0.0]
+        for execution in report.trace.executions:
+            if execution.category == "gemm":
+                owed[placement.shard_of(layers[execution.meta["layer"]].operand)] += execution.time_us
+        sharding = report.sharding
+        assert sharding["tp_degree"] == 2
+        assert all(us > 0.0 for us in sharding["per_shard_modelled_us"])
+        assert sharding["per_shard_modelled_us"] == pytest.approx(owed, abs=1e-2)
+        comm = [e for e in report.trace.executions if e.category == "comm"]
+        assert comm and sharding["comm_time_us"] > 0.0
+        assert sharding["comm_time_us"] == pytest.approx(sum(e.time_us for e in comm), abs=1e-2)
+        # Every length group (one launch of the first projection each)
+        # charges the placement's collectives once.
+        first = next(iter(layers))
+        groups = sum(1 for e in report.trace.executions if e.category == "gemm" and e.meta["layer"] == first)
+        assert sharding["comm_events"] == len(comm) == len(placement.comm_events) * groups
 
     def test_modelled_engine_charges_every_attempt(self):
         """The simulator charges failed attempts too: with one injected
-        failure the owning shard carries more than the traced (served)
-        time — exactly the serial stream's makespan — and estimates made
-        along the way add nothing."""
-        dispatcher, lin = bound_projection()
-        owner = dispatcher.shard_of(lin.operand)
+        failure the shards carry more than the traced (served) GEMM time —
+        with the collectives, exactly the serial stream's makespan — and
+        estimates made along the way add nothing."""
+        encoder = make_encoder((16, 2, 8), 1)
+        dispatcher = ShardedDispatcher(num_shards=2)
         requests = [SimulatedRequest(f"s{i}", tokens=8) for i in range(6)]
         config = ServingConfig(padding="ladder")
-        clean = simulate(lin.operand, requests, config, dispatcher=dispatcher)
+        clean = simulate(encoder, requests, config, dispatcher=dispatcher)
         assert sum(dispatcher.shard_modelled_us) == pytest.approx(clean.trace.gemm_time_us())
-        before = list(dispatcher.shard_modelled_us)
-        chosen = dispatcher.dispatch(lin.operand, 8).backend
+        before, comm_before = list(dispatcher.shard_modelled_us), dispatcher.comm_time_us
+        _, first = next(encoder.named_linear_layers())
+        chosen = dispatcher.dispatch(first.operand, 8).backend
         plan = FaultPlan([FaultSpec(backend=chosen, kind="transient", at_call=0, count=1)])
-        faulted = simulate(lin.operand, requests, config, plan, dispatcher=dispatcher)
+        faulted = simulate(encoder, requests, config, plan, dispatcher=dispatcher)
         charged = [after - b for after, b in zip(dispatcher.shard_modelled_us, before)]
+        comm = dispatcher.comm_time_us - comm_before
         assert faulted.injected_failures == 1 and faulted.failovers == 1
-        assert charged[owner] > faulted.trace.gemm_time_us()
-        assert charged[owner] == pytest.approx(faulted.makespan_us)
-        assert charged[1 - owner] == 0.0
+        assert sum(charged) > faulted.trace.gemm_time_us()
+        assert sum(charged) + comm == pytest.approx(faulted.makespan_us)
+        assert comm == pytest.approx(faulted.trace.total_time_us - faulted.trace.gemm_time_us())
 
     def test_single_device_dispatcher_attributes_nothing(self, rng):
         encoder = make_encoder((16, 2, 8), 1)

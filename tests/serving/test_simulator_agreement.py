@@ -1,15 +1,25 @@
 """The simulator agrees with the live engine it predicts.
 
 A trace runs through :class:`~repro.serving.simulate.ModelledEngine`, then
-replays on a live :class:`~repro.serving.engine.ServingEngine` whose
-dispatcher is armed with the same fault plan, stepped at every instant the
-modelled engine stepped (arrivals up to that instant submitted first).
-The two must agree on every completion record (step, rung, batch size,
-instant), every request's terminal state and the shed set — over random
-arrivals, token counts, deadlines, priority classes, scheduling policies,
-bounded queues, shed policies and fault plans.  What differs is only what
+replays on a live :class:`~repro.serving.model_engine.ModelServingEngine`
+over the same encoder, whose dispatcher is armed with the same fault plan,
+stepped at every instant the modelled engine stepped (arrivals up to that
+instant submitted first).  The two must agree on every completion record
+(step, rung, batch size, instant), every request's terminal state, the
+shed set and every backend's injector call count — over random arrivals,
+token counts, deadlines, priority classes, scheduling policies, bounded
+queues, shed policies, exact and ladder padding, one and two shards, and
+fault plans.  The call counts agree only because the modelled engine walks
+the forward's own call sequence: length groups shortest first, each
+group's projections in forward order.  With exact padding and no faults
+the modelled launches — every projection's GEMM and every collective —
+are also the live trace's, launch for launch.  What differs is only what
 each executes: real kernels behind the dispatcher's failover walk, or
 modelled charges behind the same walk.
+
+The encoder keeps its attention projections dense (one candidate,
+``cublas-dense``) and its FFN V:N:M (two candidates), so a walk out of
+forward order moves the backends' call counters.
 """
 
 from dataclasses import replace
@@ -19,35 +29,34 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.formats.vnm import VNMSparseMatrix
-from repro.kernels.dispatch import CircuitBreaker, KernelDispatcher, SpmmOperand
-from repro.pruning.masks import apply_mask
-from repro.pruning.vnm import vnm_mask
+from repro.integration import VNMSparsifier, sparsify_encoder
+from repro.kernels.dispatch import CircuitBreaker, KernelDispatcher
+from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
+    ModelServingEngine,
     Request,
     SchedulingConfig,
     ServingConfig,
-    ServingEngine,
+    ShardedDispatcher,
+    ShardingConfig,
 )
 from repro.serving.continuous import SHED_POLICIES
 from repro.serving.simulate import ModelledEngine
 
-K = 32
+HIDDEN = 32
 
-_dense = np.random.default_rng(0).normal(size=(32, K))
-OPERAND = SpmmOperand.from_vnm(
-    VNMSparseMatrix.from_dense(
-        apply_mask(_dense, vnm_mask(_dense, v=16, n=2, m=8)).astype(np.float32),
-        v=16, n=2, m=8, strict=True,
-    )
+ENCODER = TransformerEncoder.init(
+    tiny_config(hidden_size=HIDDEN, num_layers=1, num_heads=2, intermediate_size=64), seed=0
 )
-#: One dispatcher for every example: decisions and estimates are pure, so
-#: sharing them is the sweep contract; backend health is reset per example.
-DISPATCHER = KernelDispatcher()
-BACKENDS = [b.name for b in DISPATCHER.backends]
+sparsify_encoder(ENCODER, VNMSparsifier(n=2, m=8, v=16), weight_filter=lambda name: ".ffn." in name)
+#: One dispatcher per TP degree for every example: decisions and estimates
+#: are pure, so sharing them is the sweep contract; backend health is reset
+#: per example.
+DISPATCHERS = {1: KernelDispatcher(), 2: ShardedDispatcher(num_shards=2)}
+BACKENDS = [b.name for b in DISPATCHERS[1].backends]
 
 SCHEDULINGS = [
     SchedulingConfig(),
@@ -57,20 +66,38 @@ SCHEDULINGS = [
 
 
 def _request(rid, tokens, arrival_us=0.0, deadline_us=None, priority_class=0):
-    return Request(rid, np.ones((tokens, K), dtype=np.float32), arrival_us, deadline_us, priority_class)
+    return Request(rid, np.ones((tokens, HIDDEN), dtype=np.float32), arrival_us, deadline_us, priority_class)
 
 
 def _every_backend_fails(call):
     return FaultPlan([FaultSpec(backend=n, kind="transient", at_call=call) for n in BACKENDS])
 
 
-#: Three rungs of three slots, FCFS, unbounded; examples vary the admission knobs.
-CONFIG = ServingConfig(padding="ladder", token_buckets=(8, 16, 32), max_batch_size=3, warm=False)
+def _config(padding="ladder", tp_degree=1, **knobs):
+    """Three slots per micro-batch, unbounded FCFS unless ``knobs`` say
+    otherwise; the ladder is three rungs."""
+    return ServingConfig(
+        padding=padding,
+        token_buckets=(8, 16, 32) if padding == "ladder" else None,
+        max_batch_size=3,
+        warm=False,
+        sharding=ShardingConfig(tp_degree=tp_degree),
+        **knobs,
+    )
+
+
 #: Pinned cells for the rules the simulator used to get wrong: a chunk every
 #: backend fails is bisected (not failed whole), and a deadline is judged
-#: before execution (a chunk that starts late still completes ``ok``).
-BISECTION = ([_request(f"b{i}", 12) for i in range(4)], _every_backend_fails(0), CONFIG)
-DEADLINES = ([_request("a", 12, deadline_us=1.0), _request("b", 30, deadline_us=1.0)], FaultPlan(), CONFIG)
+#: before execution (a chunk that starts late still completes ``ok``) —
+#: and a fault-free sharded exact-length run, where the modelled launches
+#: must be the live trace's.
+BISECTION = ([_request(f"b{i}", 12) for i in range(4)], _every_backend_fails(0), _config())
+DEADLINES = ([_request("a", 12, deadline_us=1.0), _request("b", 30, deadline_us=1.0)], FaultPlan(), _config())
+SHARDED_EXACT = (
+    [_request(f"s{i}", t, 10.0 * i) for i, t in enumerate([5, 5, 12, 5, 30])],
+    FaultPlan(),
+    _config("exact", tp_degree=2),
+)
 
 
 @st.composite
@@ -100,8 +127,9 @@ def traces(draw):
             st.builds(_every_backend_fails, st.integers(0, 2)),
         )
     )
-    config = replace(
-        CONFIG,
+    config = _config(
+        draw(st.sampled_from(["exact", "ladder"])),
+        draw(st.sampled_from([1, 2])),
         scheduling_policy=draw(st.sampled_from(SCHEDULINGS)),
         max_queue_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
         shed_policy=draw(st.sampled_from(SHED_POLICIES)),
@@ -128,14 +156,31 @@ def _records(engine):
     return completions, {rid: o.status for rid, o in engine.outcomes.items()}
 
 
+def _launches(trace):
+    """Every modelled launch: its kind, time and what it was charged for."""
+    return [
+        (
+            e.category,
+            e.kernel,
+            e.time_us,
+            e.meta.get("layer"),
+            e.meta.get("backend"),
+            e.meta["batch_size"],
+            e.meta["tokens"],
+        )
+        for e in trace.executions
+    ]
+
+
 def check_agreement(trace):
     requests, plan, config = trace
-    modelled = _SteppedModelledEngine(OPERAND, config, DISPATCHER, plan)
+    dispatcher = DISPATCHERS[config.sharding.tp_degree]
+    modelled = _SteppedModelledEngine(ENCODER, replace(config, name="agreement"), dispatcher, plan)
     modelled.serve_continuous(requests)
 
-    live = ServingEngine(OPERAND, dispatcher=DISPATCHER, config=config)
-    DISPATCHER.breaker = CircuitBreaker()
-    injector = FaultInjector(plan).arm(DISPATCHER)
+    live = ModelServingEngine(ENCODER, dispatcher=dispatcher, config=replace(config, name="agreement"))
+    dispatcher.breaker = CircuitBreaker()
+    injector = FaultInjector(plan).arm(dispatcher)
     try:
         order = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
         submitted = 0
@@ -145,13 +190,18 @@ def check_agreement(trace):
                 submitted += 1
             live.step(now_us)
     finally:
-        injector.disarm(DISPATCHER)
+        injector.disarm(dispatcher)
 
     assert submitted == len(requests)
     assert live.batcher.pending == 0
     assert _records(live) == _records(modelled)
     assert set(modelled.outcomes) == {r.request_id for r in requests}
     assert injector.stats()["calls"] == modelled.injector.stats()["calls"]
+    if config.padding == "exact" and not plan.specs:
+        # One group per micro-batch at its true length: each micro-batch's
+        # modelled GEMMs and collectives are the live trace's, in order.
+        assert _launches(modelled.trace) == _launches(live.trace)
+        assert modelled.total_batches == live.total_batches
 
 
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -161,6 +211,7 @@ _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(trace=traces())
 @example(trace=BISECTION)
 @example(trace=DEADLINES)
+@example(trace=SHARDED_EXACT)
 def test_simulator_agrees_with_live_engine(trace):
     check_agreement(trace)
 
@@ -170,5 +221,18 @@ def test_simulator_agrees_with_live_engine(trace):
 @given(trace=traces())
 @example(trace=BISECTION)
 @example(trace=DEADLINES)
+@example(trace=SHARDED_EXACT)
 def test_simulator_agrees_with_live_engine_large(trace):
     check_agreement(trace)
+
+
+def test_sharded_exact_cell_charges_both_shards_and_comm():
+    """The pinned sharded cell exercises what the property compares: both
+    shards carry modelled load and the collectives are charged."""
+    requests, plan, config = SHARDED_EXACT
+    modelled = ModelledEngine(ENCODER, config, ShardedDispatcher(num_shards=2), plan)
+    modelled.serve_continuous(requests)
+    stats = modelled.dispatcher.sharding_stats()
+    assert all(us > 0.0 for us in stats["per_shard_modelled_us"])
+    assert stats["comm_time_us"] > 0.0
+    assert any(e.category == "comm" for e in modelled.trace.executions)

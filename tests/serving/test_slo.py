@@ -21,10 +21,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.formats.vnm import VNMSparseMatrix
-from repro.pruning.masks import apply_mask
-from repro.pruning.vnm import vnm_mask
-from repro.kernels.dispatch import SpmmOperand
+from repro.integration import VNMSparsifier, sparsify_encoder
+from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     BucketKey,
     ContinuousBatcher,
@@ -41,18 +39,18 @@ from repro.serving import (
     plan_slo_batch_reference,
     simulate,
 )
+from repro.serving.simulate import ModelledEngine
 
 HIDDEN = 64
-K_FEATURES = 128
 
 
 @pytest.fixture
-def operand(rng):
-    dense = rng.normal(size=(64, K_FEATURES))
-    pruned = apply_mask(dense, vnm_mask(dense, v=16, n=2, m=8)).astype(np.float32)
-    return SpmmOperand.from_vnm(
-        VNMSparseMatrix.from_dense(pruned, v=16, n=2, m=8, strict=True)
-    )
+def encoder():
+    """A tiny one-layer encoder, every projection 16:2:8."""
+    cfg = tiny_config(hidden_size=HIDDEN, num_layers=1, num_heads=4, intermediate_size=128)
+    encoder = TransformerEncoder.init(cfg, seed=0)
+    sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
+    return encoder
 
 
 def payload(rng, tokens):
@@ -639,7 +637,7 @@ def two_tenant_overload():
 
 class TestSimulatorMatchesLiveEngine:
     """The simulator schedules on the engines' own ``ContinuousBatcher``, so
-    a live engine stepped at the simulator's chunk start times must run the
+    a live engine stepped at the simulator's step instants must run the
     identical chunk sequence and shed the identical requests."""
 
     @pytest.mark.parametrize(
@@ -651,7 +649,7 @@ class TestSimulatorMatchesLiveEngine:
         ],
         ids=lambda s: s.policy,
     )
-    def test_chunk_sequence_and_sheds_agree(self, operand, rng, scheduling):
+    def test_chunk_sequence_and_sheds_agree(self, encoder, rng, scheduling):
         trace = merge_arrivals(
             bursty_arrivals(
                 90, base_rate_rps=50_000.0, burst_rate_rps=2_000_000.0,
@@ -667,36 +665,37 @@ class TestSimulatorMatchesLiveEngine:
             scheduling="continuous", padding="ladder", max_queue_depth=6,
             scheduling_policy=scheduling,
         )
-        report = simulate(operand, trace, config)
-        simulated = [
-            (e.meta["token_bucket"], e.meta["batch_size"], e.meta["request_ids"])
-            for e in report.trace.executions
+        requests = [
+            Request(
+                sim.request_id,
+                rng.normal(size=(sim.tokens, HIDDEN)).astype(np.float32),
+                arrival_us=sim.arrival_us,
+                priority_class=sim.priority_class,
+            )
+            for sim in trace
         ]
-        assert report.counts()["shed"] > 0  # the bound genuinely bites
+        modelled = ModelledEngine(encoder, config)
+        modelled.serve_continuous(requests)
+        steps = {}
+        for rid, record in modelled.completions.items():
+            steps.setdefault(record.step, (record.completed_us, record.rung, record.batch_size, []))[3].append(rid)
+        simulated = [(rung, size, sorted(ids)) for _, (_, rung, size, ids) in sorted(steps.items())]
+        outcomes = {rid: o.status for rid, o in modelled.outcomes.items()}
+        assert list(outcomes.values()).count("shed") > 0  # the bound genuinely bites
 
-        engine = create_engine(operand, config)
+        engine = create_engine(encoder, config)
         live = []
         submitted = 0
-        for execution in report.trace.executions:
-            now_us = execution.meta["start_us"]
-            while submitted < len(trace) and trace[submitted].arrival_us <= now_us:
-                sim = trace[submitted]
+        for _, (now_us, _, _, _) in sorted(steps.items()):
+            while submitted < len(requests) and requests[submitted].arrival_us <= now_us:
+                engine.submit(requests[submitted])
                 submitted += 1
-                engine.submit(
-                    Request(
-                        sim.request_id,
-                        rng.normal(size=(sim.tokens, K_FEATURES)).astype(np.float32),
-                        arrival_us=sim.arrival_us,
-                        priority_class=sim.priority_class,
-                    )
-                )
-            ran = tuple(engine.step(now_us))
+            ran = sorted(engine.step(now_us))
             record = engine.completions[ran[0]]
             live.append((record.rung, record.batch_size, ran))
         assert submitted == len(trace) and engine.batcher.pending == 0
         assert live == simulated
-        shed = {rid for rid, state in report.outcomes.items() if state == "shed"}
-        assert {rid for rid, o in engine.outcomes.items() if o.status == "shed"} == shed
+        assert {rid: o.status for rid, o in engine.outcomes.items()} == outcomes
 
 
 class TestSimulateSLO:
@@ -705,30 +704,30 @@ class TestSimulateSLO:
         CONFIG, scheduling_policy=SchedulingConfig(policy="priority", class_weights=(1, 4))
     )
 
-    def test_priority_beats_fcfs_for_the_high_class(self, operand):
+    def test_priority_beats_fcfs_for_the_high_class(self, encoder):
         """The acceptance criterion: under the seeded bursty two-tenant
         overload, strict priority puts the high class's p99 strictly below
         FCFS's, and shed/violations concentrate in the low class."""
         trace = two_tenant_overload()
-        fcfs = simulate(operand, trace, self.CONFIG)
-        prio = simulate(operand, trace, self.PRIORITY)
+        fcfs = simulate(encoder, trace, self.CONFIG)
+        prio = simulate(encoder, trace, self.PRIORITY)
         f, p = fcfs.per_class(), prio.per_class()
         assert p[1]["p99_latency_us"] < f[1]["p99_latency_us"]
         assert p[1]["violation_rate"] <= p[0]["violation_rate"]
         assert p[1]["shed_rate"] <= p[0]["shed_rate"]
         assert p[0]["shed"] + p[1]["shed"] > 0  # genuinely overloaded
 
-    def test_replays_identically(self, operand):
+    def test_replays_identically(self, encoder):
         trace = two_tenant_overload()
-        runs = [simulate(operand, trace, self.PRIORITY) for _ in range(2)]
+        runs = [simulate(encoder, trace, self.PRIORITY) for _ in range(2)]
         assert runs[0].outcomes == runs[1].outcomes
         assert runs[0].latencies_us == runs[1].latencies_us
         assert runs[0].summary() == runs[1].summary()
 
-    def test_weighted_fair_does_not_starve_the_low_class(self, operand):
+    def test_weighted_fair_does_not_starve_the_low_class(self, encoder):
         trace = two_tenant_overload()
         report = simulate(
-            operand, trace,
+            encoder, trace,
             replace(
                 self.CONFIG,
                 scheduling_policy=SchedulingConfig(policy="weighted-fair", class_weights=(1, 4)),
@@ -738,12 +737,12 @@ class TestSimulateSLO:
         assert per_class[0]["ok"] > 0
         assert per_class[1]["ok"] > 0
 
-    def test_per_class_block_is_normalized(self, operand):
+    def test_per_class_block_is_normalized(self, encoder):
         """Configured-but-unused classes appear with zeroed counts and NaN
         percentiles — never silently missing, never fake 0.0 latencies."""
         reqs = [SimulatedRequest("only-0", tokens=8)]
         report = simulate(
-            operand, reqs,
+            encoder, reqs,
             ServingConfig(padding="ladder", scheduling_policy=SchedulingConfig(class_weights=(1, 1, 1))),
         )
         per_class = report.per_class()
@@ -755,10 +754,10 @@ class TestSimulateSLO:
         assert per_class[0]["ok"] == 1
         assert not np.isnan(per_class[0]["p99_latency_us"])
 
-    def test_brownout_sweep_degrades_monotonically_in_sheds(self, operand):
+    def test_brownout_sweep_degrades_monotonically_in_sheds(self, encoder):
         trace = two_tenant_overload()
         reports = [
-            simulate(operand, compress_arrivals(trace, factor), self.PRIORITY)
+            simulate(encoder, compress_arrivals(trace, factor), self.PRIORITY)
             for factor in [0.5, 1.0, 2.0, 4.0]
         ]
         sheds = [r.shed_rate for r in reports]
@@ -770,7 +769,7 @@ class TestSimulateSLO:
             per_class = report.per_class()
             assert per_class[1]["shed_rate"] <= per_class[0]["shed_rate"]
 
-    def test_per_class_queue_bounds_shed_only_that_class(self, operand):
+    def test_per_class_queue_bounds_shed_only_that_class(self, encoder):
         reqs = merge_arrivals(
             [SimulatedRequest(f"l-{i}", tokens=8, arrival_us=0.0) for i in range(6)],
             [
@@ -779,7 +778,7 @@ class TestSimulateSLO:
             ],
         )
         report = simulate(
-            operand, reqs,
+            encoder, reqs,
             ServingConfig(
                 padding="ladder",
                 scheduling_policy=SchedulingConfig(policy="priority", class_queue_depths=(2, None)),
@@ -789,12 +788,12 @@ class TestSimulateSLO:
         assert per_class[0]["shed"] == 4  # 6 offered, bound 2
         assert per_class[1]["shed"] == 0
 
-    def test_validation(self, operand):
+    def test_validation(self, encoder):
         reqs = [SimulatedRequest("v-0", tokens=4)]
         with pytest.raises(ValueError, match="load_factor"):
             compress_arrivals(reqs, 0.0)
         with pytest.raises(ValueError, match="non-empty"):
-            simulate(operand, [])
+            simulate(encoder, [])
 
     def test_compress_arrivals_keeps_deadline_offsets(self):
         reqs = [

@@ -79,8 +79,20 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "length-groups-run-longest-first",
         "src/repro/serving/model_engine.py",
-        (("        for tokens in sorted(groups):\n", "        for tokens in sorted(groups, reverse=True):\n"),),
+        ((
+            "    return [groups[tokens] for tokens in sorted(groups)]\n",
+            "    return [groups[tokens] for tokens in sorted(groups, reverse=True)]\n",
+        ),),
         ("tests/serving/test_length_groups.py",),
+    ),
+    Mutant(
+        "modelled-engine-walks-projections-out-of-forward-order",
+        "src/repro/serving/simulate.py",
+        ((
+            "            for qualified_name, lin in self.encoder.named_linear_layers():\n",
+            "            for qualified_name, lin in reversed(list(self.encoder.named_linear_layers())):\n",
+        ),),
+        ("tests/serving/test_simulator_agreement.py",),
     ),
     Mutant(
         "decoder-batcher-prices-one-kv-block",
