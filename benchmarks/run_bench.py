@@ -42,7 +42,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ShardingConfig,
     bursty_arrivals,
     decode_reference,
     merge_arrivals,
@@ -405,7 +404,7 @@ def bench_model_serving_sharded(
     engine = ModelServingEngine(
         build_encoder(),
         config=ServingConfig(
-            sharding=ShardingConfig(tp_degree=tp_degree),
+            tp_degree=tp_degree,
             name="bench-sharded",
             warm_buckets=sorted(set(lengths)),
         ),
@@ -452,7 +451,6 @@ def bench_model_serving_sharded(
     total_us = stats["modelled_kernel_time_us"]
     entry["sharding"] = {
         "tp_degree": sharding["tp_degree"],
-        "placement_policy": sharding["placement_policy"],
         "load_balance": sharding["load_balance"],
         "cut_bytes_per_token": sharding["cut_bytes_per_token"],
         "comm_time_us": sharding["comm_time_us"],

@@ -42,7 +42,6 @@ from .roofline import KernelCost, compute_cycles_cuda_core, compute_cycles_tenso
 from .spec import (
     NVLINK,
     PCIE4,
-    DeviceGroupSpec,
     GPUSpec,
     InterconnectSpec,
     MemorySpec,
@@ -81,7 +80,6 @@ __all__ = [
     "roofline_cost",
     "NVLINK",
     "PCIE4",
-    "DeviceGroupSpec",
     "GPUSpec",
     "InterconnectSpec",
     "MemorySpec",

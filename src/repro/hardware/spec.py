@@ -182,30 +182,6 @@ PCIE4 = InterconnectSpec(name="PCIe 4.0 x16", bandwidth_gbps=25.0, latency_us=15
 NVLINK = InterconnectSpec()
 
 
-@dataclass(frozen=True)
-class DeviceGroupSpec:
-    """A group of identical simulated devices joined by one interconnect.
-
-    The hardware description of the sharded serving tier: ``count``
-    devices, each modelled by ``gpu``, exchanging activations over
-    ``link``.  ``count=1`` degenerates to the single-device substrate every
-    other cost model assumes.
-    """
-
-    gpu: GPUSpec
-    count: int = 1
-    link: InterconnectSpec = NVLINK
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-    @property
-    def aggregate_dense_fp16_tc_tflops(self) -> float:
-        """Whole-group peak dense FP16 tensor-core throughput."""
-        return self.gpu.dense_fp16_tc_tflops * self.count
-
-
 def rtx3090() -> GPUSpec:
     """The GPU used throughout the paper's evaluation (GA102, Ampere).
 

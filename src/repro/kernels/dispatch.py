@@ -709,7 +709,6 @@ class KernelDispatcher:
         """The sharded dispatcher's stats schema, zeroed."""
         return {
             "tp_degree": 1,
-            "placement_policy": None,
             "per_shard_calls": [],
             "per_shard_modelled_us": [],
             "load_balance": None,

@@ -17,10 +17,12 @@ output projections) with a ring all-reduce model over the interconnect:
   :func:`partition_round_robin` — balanced min-cut assignment of graph
   nodes to shards: among assignments at least as load-balanced as
   round-robin, minimise the activation bytes crossing shard boundaries.
-  The heuristic (greedy moves + Kernighan-Lin-style swaps seeded with
-  round-robin) delegates to the brute-force exact solver whenever the
-  assignment space is small enough to enumerate, and by construction is
-  never worse than round-robin on cut traffic.
+  :func:`partition_min_cut` enumerates every assignment when the space is
+  small enough (exact); above that it runs greedy moves + Kernighan-Lin
+  style swaps seeded with round-robin, which stop at a local optimum —
+  never worse than round-robin on cut traffic, not always the minimum.
+  The serving tier always places with it; round-robin is the balance
+  baseline it is defined against.
 * :func:`placement_comm_events` — the communication a placement implies
   under Megatron semantics: a cut edge into a column-parallel node is a
   point-to-point send/recv; a row-parallel node whose inputs span several
@@ -34,15 +36,10 @@ single-GPU SpMM advantage survives once communication enters the picture.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..hardware.spec import (  # noqa: F401  (re-exported for back-compat)
-    NVLINK,
-    PCIE4,
-    DeviceGroupSpec,
-    InterconnectSpec,
-)
+from ..hardware.spec import NVLINK, PCIE4, InterconnectSpec  # noqa: F401  (re-exported)
 
 #: Wire bytes per activation element (FP16 on the interconnect, matching
 #: the tensor-core compute precision the kernels model).
@@ -153,24 +150,6 @@ class LayerGraph:
             if e.src not in known or e.dst not in known:
                 raise ValueError(f"edge {e.src!r} -> {e.dst!r} references unknown node")
 
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(n.name for n in self.nodes)
-
-    @property
-    def total_weight(self) -> float:
-        return sum(n.weight for n in self.nodes)
-
-    @property
-    def total_edge_bytes(self) -> float:
-        return sum(e.bytes_per_token for e in self.edges)
-
-    def node(self, name: str) -> GraphNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
-
     def in_edges(self, name: str) -> Tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.dst == name)
 
@@ -234,7 +213,6 @@ class Placement:
     graph: LayerGraph
     num_shards: int
     assignment: Tuple[int, ...]
-    policy: str = "round_robin"
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -243,13 +221,6 @@ class Placement:
             raise ValueError("assignment must cover every graph node")
         if any(s < 0 or s >= self.num_shards for s in self.assignment):
             raise ValueError("assignment references an out-of-range shard")
-
-    def shard_of(self, name: str) -> int:
-        """Shard owning the named node."""
-        for node, shard in zip(self.graph.nodes, self.assignment):
-            if node.name == name:
-                return shard
-        raise KeyError(name)
 
     def as_dict(self) -> Dict[str, int]:
         """Node name -> shard mapping."""
@@ -307,7 +278,7 @@ def partition_round_robin(graph: LayerGraph, num_shards: int) -> Placement:
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     assignment = tuple(i % num_shards for i in range(len(graph.nodes)))
-    return Placement(graph=graph, num_shards=num_shards, assignment=assignment, policy="round_robin")
+    return Placement(graph=graph, num_shards=num_shards, assignment=assignment)
 
 
 def _balance_cap(graph: LayerGraph, num_shards: int) -> float:
@@ -347,9 +318,7 @@ def partition_min_cut_reference(graph: LayerGraph, num_shards: int) -> Placement
             "use partition_min_cut"
         )
     assignment = _exhaustive_assignment(graph, num_shards)
-    return Placement(
-        graph=graph, num_shards=num_shards, assignment=assignment, policy="min_cut_reference"
-    )
+    return Placement(graph=graph, num_shards=num_shards, assignment=assignment)
 
 
 def _refine_assignment(graph: LayerGraph, num_shards: int, start: Sequence[int]) -> Tuple[int, ...]:
@@ -403,10 +372,12 @@ def partition_min_cut(
     """Balanced min-cut placement.
 
     Delegates to the exact enumerator whenever the assignment space fits in
-    ``exhaustive_limit`` (so small graphs are provably optimal); otherwise
-    runs the greedy/KL refinement seeded with round-robin, which is never
-    worse than round-robin on cut traffic.  Set ``exhaustive_limit=0`` to
-    force the heuristic path.
+    ``exhaustive_limit`` (so small graphs get the minimum); otherwise runs
+    the greedy/KL refinement seeded with round-robin.  A large graph thus
+    gets a local optimum, not the minimum: within the round-robin balance
+    cap, no single move or pairwise swap improves its (cut, spread) key,
+    and its cut is never worse than round-robin's.  Set
+    ``exhaustive_limit=0`` to force the heuristic path.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -415,7 +386,7 @@ def partition_min_cut(
     else:
         rr = tuple(i % num_shards for i in range(len(graph.nodes)))
         assignment = _refine_assignment(graph, num_shards, rr)
-    return Placement(graph=graph, num_shards=num_shards, assignment=assignment, policy="min_cut")
+    return Placement(graph=graph, num_shards=num_shards, assignment=assignment)
 
 
 # ----------------------------------------------------------------------

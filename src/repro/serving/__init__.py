@@ -39,7 +39,7 @@ core, and the simulator replays the first on the modelled clock:
   model.
 * :mod:`~repro.serving.config` — :class:`ServingConfig`, the one typed
   home for engine knobs (scheduling, padding, admission control, KV
-  geometry, warming, sharding), plus the :func:`create_engine` factory.
+  geometry, warming, ``tp_degree``), plus the :func:`create_engine` factory.
 * :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO/sharding
   simulator on the modelled GPU: :func:`simulate` runs a
   ``ModelServingEngine`` whose micro-batch charges the live forward's
@@ -61,7 +61,6 @@ from .batcher import DEFAULT_TOKEN_BUCKETS, BucketKey, MicroBatch, Request
 from .config import (
     SCHEDULING_MODES,
     ServingConfig,
-    ShardingConfig,
     create_engine,
 )
 from .continuous import (
@@ -72,7 +71,7 @@ from .continuous import (
     plan_slo_batch_reference,
 )
 from .decoder import DecodeRequest, DecoderServingEngine, decode_reference
-from .sharded import PLACEMENT_POLICIES, ShardedDispatcher
+from .sharded import ShardedDispatcher
 from .faults import (
     OUTCOME_FAILED,
     OUTCOME_OK,
@@ -108,7 +107,6 @@ __all__ = [
     "OUTCOME_SHED",
     "OUTCOME_STATES",
     "OUTCOME_TIMED_OUT",
-    "PLACEMENT_POLICIES",
     "SCHEDULING_MODES",
     "SCHEDULING_POLICIES",
     "BackendExecutionError",
@@ -127,7 +125,6 @@ __all__ = [
     "RequestOutcome",
     "SchedulingConfig",
     "ShardedDispatcher",
-    "ShardingConfig",
     "ServingConfig",
     "SimReport",
     "SimulatedRequest",

@@ -18,9 +18,9 @@ waits for company up to ``window_us`` after its oldest arrival), and the
 admission-control knobs (``max_queue_depth`` / ``shed_policy`` /
 ``kv_budget_blocks``) and ``scheduling_policy`` bind to it under either
 mode.  Sharding is too:
-``sharding=ShardingConfig(tp_degree=4)`` makes the engines build a
-:class:`~repro.serving.sharded.ShardedDispatcher` and solve min-cut
-placement at construction.
+``tp_degree=4`` makes the engines build a
+:class:`~repro.serving.sharded.ShardedDispatcher` and solve balanced
+min-cut placement at construction.
 """
 
 from __future__ import annotations
@@ -35,43 +35,14 @@ from .continuous import (
     ContinuousBatcher,
     SchedulingConfig,
 )
-from .sharded import PLACEMENT_POLICIES, ShardedDispatcher
-from ..hardware.spec import NVLINK, GPUSpec, InterconnectSpec
+from .sharded import ShardedDispatcher
+from ..hardware.spec import GPUSpec
 
 #: Scheduling modes of the default batcher: no hold, or the window_us hold.
 SCHEDULING_MODES = ("async", "continuous")
 
 #: What an engine serves: one-shot encoder requests, or multi-step decodes.
 ENGINE_KINDS = ("encoder", "decoder")
-
-@dataclass(frozen=True)
-class ShardingConfig:
-    """Shard topology for multi-device serving.
-
-    ``tp_degree=1`` (default) means unsharded single-device serving; above
-    1 the engines build a :class:`~repro.serving.sharded.ShardedDispatcher`
-    over that many simulated devices joined by ``link``, with projections
-    assigned by ``placement_policy``.
-    """
-
-    tp_degree: int = 1
-    link: InterconnectSpec = NVLINK
-    placement_policy: str = "min_cut"
-
-    def __post_init__(self) -> None:
-        if self.tp_degree < 1:
-            raise ValueError("tp_degree must be >= 1")
-        if self.placement_policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"placement_policy must be one of {PLACEMENT_POLICIES}, "
-                f"got {self.placement_policy!r}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this config asks for an actual multi-shard split."""
-        return self.tp_degree > 1
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -89,9 +60,6 @@ class ServingConfig:
         Model-engine batching policy: ``"exact"`` buckets by exact length;
         ``"ladder"`` shares a ladder rung between lengths (each length
         still runs at its true shape).
-    token_buckets:
-        Bucket ladder override (``None`` keeps the engine kind's default
-        ladder).
     max_batch_size:
         Per-micro-batch size cap.
     window_us:
@@ -110,9 +78,10 @@ class ServingConfig:
     warm / warm_buckets:
         Eager plan building and the bucket sizes pre-ranked at
         construction.
-    sharding:
-        Shard topology (:class:`ShardingConfig`); ``tp_degree=1`` default
-        is single-device.
+    tp_degree:
+        Simulated devices the encoder is split across; ``1`` (default) is
+        single-device, above 1 the engines place its projections by
+        balanced min-cut and price the comm over ``NVLINK``.
     scheduling_policy:
         SLO-aware scheduling knobs
         (:class:`~repro.serving.continuous.SchedulingConfig`): cross-class
@@ -123,7 +92,6 @@ class ServingConfig:
     name: Optional[str] = None
     scheduling: str = "continuous"
     padding: str = "exact"
-    token_buckets: Optional[Tuple[int, ...]] = None
     max_batch_size: int = 64
     window_us: float = 1000.0
     step_us: float = 0.0
@@ -134,7 +102,7 @@ class ServingConfig:
     capacity_blocks: int = 512
     warm: bool = True
     warm_buckets: Tuple[int, ...] = ()
-    sharding: ShardingConfig = field(default_factory=ShardingConfig)
+    tp_degree: int = 1
     scheduling_policy: SchedulingConfig = field(default_factory=SchedulingConfig)
 
     def __post_init__(self) -> None:
@@ -144,8 +112,6 @@ class ServingConfig:
             )
         if self.padding not in ("exact", "ladder"):
             raise ValueError(f"padding must be 'exact' or 'ladder', got {self.padding!r}")
-        if self.token_buckets is not None:
-            object.__setattr__(self, "token_buckets", tuple(int(b) for b in self.token_buckets))
         object.__setattr__(self, "warm_buckets", tuple(int(b) for b in self.warm_buckets))
         if self.window_us < 0:
             raise ValueError("window_us must be non-negative")
@@ -159,8 +125,8 @@ class ServingConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.block_size < 1 or self.capacity_blocks < 1:
             raise ValueError("block_size and capacity_blocks must be >= 1")
-        if not isinstance(self.sharding, ShardingConfig):
-            raise TypeError("sharding must be a ShardingConfig")
+        if self.tp_degree < 1:
+            raise ValueError("tp_degree must be >= 1")
         if not isinstance(self.scheduling_policy, SchedulingConfig):
             raise TypeError("scheduling_policy must be a SchedulingConfig")
 
@@ -173,8 +139,8 @@ class ServingConfig:
         ``kind`` is ``"encoder"`` (model engine and simulator) or
         ``"decoder"`` (``kv_cost`` prices the KV budget).  The buckets are
         ``(1,)`` for an encoder with ``padding="exact"`` (every longer
-        length is its own exact bucket), else ``token_buckets`` or the
-        default powers-of-two ladder.
+        length is its own exact bucket), else the default powers-of-two
+        ladder.
         ``scheduling="async"`` sets the ``window_us`` hold; admission
         control and the scheduling policy bind under either mode.  Only a
         decoder holds KV: its budget is ``kv_budget_blocks``, else the
@@ -189,17 +155,9 @@ class ServingConfig:
             raise ValueError(
                 f"kv_budget_blocks is decode admission; {kind!r} requests hold no KV"
             )
-        if kind == "encoder" and self.padding == "exact":
-            if self.token_buckets is not None:
-                raise ValueError(
-                    "token_buckets cannot be combined with padding='exact' "
-                    "(exact mode serves every length at its own singleton bucket)"
-                )
-            buckets = (1,)
-        else:
-            buckets = DEFAULT_TOKEN_BUCKETS if self.token_buckets is None else self.token_buckets
+        exact_lengths = kind == "encoder" and self.padding == "exact"
         return ContinuousBatcher(
-            token_buckets=buckets,
+            (1,) if exact_lengths else DEFAULT_TOKEN_BUCKETS,
             max_batch_size=self.max_batch_size,
             max_queue_depth=self.max_queue_depth,
             shed_policy=self.shed_policy,
@@ -210,18 +168,11 @@ class ServingConfig:
         )
 
     def build_dispatcher(self, gpu: Optional[GPUSpec] = None, name: str = "serving"):
-        """A sharded dispatcher when sharding is enabled, else ``None``
+        """A sharded dispatcher when ``tp_degree > 1``, else ``None``
         (the engine keeps its own single-device default)."""
-        sharding = self.sharding
-        if not sharding.enabled:
+        if self.tp_degree == 1:
             return None
-        return ShardedDispatcher(
-            num_shards=sharding.tp_degree,
-            gpu=gpu,
-            link=sharding.link,
-            placement_policy=sharding.placement_policy,
-            name=f"{name}.sharded",
-        )
+        return ShardedDispatcher(num_shards=self.tp_degree, gpu=gpu, name=f"{name}.sharded")
 
 
 def create_engine(target, config: Optional[ServingConfig] = None, kind: str = "encoder", **kwargs):

@@ -97,17 +97,15 @@ class SchedulingConfig:
     ``(arrival_us, request_id)`` rank, so it resumes deterministically and
     bit-exactly once a slot frees up.
 
-    ``class_weights[c]`` is class ``c``'s weighted-fair share (and, with
-    ``max_queue_depth``, its proportional slice of the admission bound);
-    ``class_queue_depths[c]`` bounds class ``c``'s queue outright (``None``
-    entries inherit the weighted split).  Classes beyond either tuple get
-    weight 1 and no dedicated bound.
+    ``class_weights[c]`` is class ``c``'s weighted-fair share and, with
+    ``max_queue_depth``, its proportional slice of the admission bound.
+    Classes beyond the tuple get weight 1; without ``class_weights`` no
+    class has a dedicated bound.
     """
 
     policy: str = POLICY_FCFS
     preemption: bool = False
     class_weights: Tuple[int, ...] = ()
-    class_queue_depths: Tuple[Optional[int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.policy not in SCHEDULING_POLICIES:
@@ -116,24 +114,16 @@ class SchedulingConfig:
             )
         if not isinstance(self.class_weights, tuple):
             object.__setattr__(self, "class_weights", tuple(self.class_weights))
-        if not isinstance(self.class_queue_depths, tuple):
-            object.__setattr__(self, "class_queue_depths", tuple(self.class_queue_depths))
         for weight in self.class_weights:
             if not isinstance(weight, int) or weight < 1:
                 raise ValueError(f"class_weights must be ints >= 1, got {self.class_weights!r}")
-        for depth in self.class_queue_depths:
-            if depth is not None and (not isinstance(depth, int) or depth < 1):
-                raise ValueError(
-                    f"class_queue_depths entries must be None or ints >= 1, "
-                    f"got {self.class_queue_depths!r}"
-                )
         if self.policy == POLICY_WEIGHTED_FAIR and not self.class_weights:
             raise ValueError("weighted-fair scheduling requires class_weights")
 
     @property
     def num_classes(self) -> int:
         """Classes the config explicitly names (≥ 1; class 0 always exists)."""
-        return max(len(self.class_weights), len(self.class_queue_depths), 1)
+        return max(len(self.class_weights), 1)
 
     def weight_of(self, priority_class: int) -> int:
         """Weighted-fair share of one class (1 beyond ``class_weights``)."""
@@ -146,15 +136,11 @@ class SchedulingConfig:
     ) -> Optional[int]:
         """One class's admission bound (``None`` = no dedicated bound).
 
-        An explicit ``class_queue_depths`` entry wins; otherwise, when both
-        ``max_queue_depth`` and ``class_weights`` are set, the global bound
-        is split proportionally to the weights (rounded up, so every
-        weighted class can queue at least one request) — the class-weighted
-        bounded queues of the SLO admission controller.
+        When both ``max_queue_depth`` and ``class_weights`` are set, the
+        global bound is split proportionally to the weights (rounded up, so
+        every weighted class can queue at least one request) — the
+        class-weighted bounded queues of the SLO admission controller.
         """
-        depths = self.class_queue_depths
-        if priority_class < len(depths) and depths[priority_class] is not None:
-            return depths[priority_class]
         if max_queue_depth is not None and self.class_weights:
             share = self.weight_of(priority_class)
             return -(-max_queue_depth * share // sum(self.class_weights))  # ceil

@@ -110,8 +110,8 @@ class ModelServingEngine(EngineCore):
         neither the plan build nor the tuner sweep.  ``padding`` picks the batcher's buckets
         (``"exact"`` lengths or the ``"ladder"`` rungs, held per
         ``scheduling``); either is bit-exact per request, because each
-        micro-batch runs as equal-length groups.  When its ``sharding``
-        block is enabled, the engine builds a
+        micro-batch runs as equal-length groups.  When its ``tp_degree`` is
+        above 1, the engine builds a
         :class:`~repro.serving.sharded.ShardedDispatcher` and solves
         min-cut placement for the encoder at construction.
     """

@@ -13,7 +13,7 @@ FLOP load stays balanced while the activation bytes crossing shard
 boundaries are minimised — and the traffic a placement implies (ring
 all-reduces into row-parallel projections whose inputs span shards,
 point-to-point send/recv for every other cut edge) is priced with the
-:class:`~repro.hardware.spec.InterconnectSpec` ring model and recorded as
+ring model over :data:`~repro.hardware.spec.NVLINK` and recorded as
 ``comm``-category kernels on the serving trace.
 
 The bit-exactness guarantee is preserved by construction: sharding changes
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..hardware.spec import NVLINK, GPUSpec, InterconnectSpec
+from ..hardware.spec import NVLINK, GPUSpec
 from ..hardware.trace import KernelExecution
 from ..kernels.dispatch import KernelDispatcher, SpmmOperand
 from ..models.distributed import (
@@ -37,17 +37,8 @@ from ..models.distributed import (
     Placement,
     encoder_layer_graph,
     partition_min_cut,
-    partition_round_robin,
     placement_comm_events,
 )
-
-#: Placement policies accepted by :meth:`ShardedDispatcher.bind_encoder`.
-PLACEMENT_POLICIES = ("min_cut", "round_robin")
-
-_PLACEMENT_SOLVERS = {
-    "min_cut": partition_min_cut,
-    "round_robin": partition_round_robin,
-}
 
 
 class ShardedDispatcher(KernelDispatcher):
@@ -67,29 +58,19 @@ class ShardedDispatcher(KernelDispatcher):
         self,
         num_shards: int = 2,
         gpu: Optional[GPUSpec] = None,
-        link: InterconnectSpec = NVLINK,
-        placement_policy: str = "min_cut",
         name: str = "sharded",
         **dispatcher_kwargs,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if placement_policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {placement_policy!r}; known: {PLACEMENT_POLICIES}"
-            )
         super().__init__(gpu=gpu, name=name, **dispatcher_kwargs)
         self.num_shards = num_shards
-        self.link = link
-        self.placement_policy = placement_policy
         #: The placement solved by the last :meth:`bind_encoder` call.
         self.placement: Optional[Placement] = None
         #: Comm events one full forward pass implies under the placement.
         self.comm_events: Tuple[CommEvent, ...] = ()
         #: Operand identity -> owning shard index.
         self._owner: Dict[int, int] = {}
-        #: Operand identity -> qualified layer name (diagnostics).
-        self._layer: Dict[int, str] = {}
         #: Executes routed to each shard.
         self.shard_calls: List[int] = [0] * num_shards
         #: Modelled kernel time attributed to each shard by
@@ -105,18 +86,17 @@ class ShardedDispatcher(KernelDispatcher):
     def bind_encoder(self, encoder) -> Placement:
         """Solve placement for ``encoder`` and take ownership of its operands.
 
-        Builds the encoder's layer graph, partitions it with the configured
-        policy, and maps every projection's operand — V:N:M or dense, each
+        Builds the encoder's layer graph, partitions it by balanced min-cut,
+        and maps every projection's operand — V:N:M or dense, each
         dispatches — to its shard.  Returns the solved :class:`Placement`.
         """
         graph = encoder_layer_graph(encoder)
-        placement = _PLACEMENT_SOLVERS[self.placement_policy](graph, self.num_shards)
+        placement = partition_min_cut(graph, self.num_shards)
         owner_by_name = placement.as_dict()
-        self._owner.clear()
-        self._layer.clear()
-        for qualified, lin in encoder.named_linear_layers():
-            self._owner[id(lin.operand)] = owner_by_name[qualified]
-            self._layer[id(lin.operand)] = qualified
+        self._owner = {
+            id(lin.operand): owner_by_name[qualified]
+            for qualified, lin in encoder.named_linear_layers()
+        }
         self.placement = placement
         self.comm_events = placement_comm_events(placement)
         return placement
@@ -124,10 +104,6 @@ class ShardedDispatcher(KernelDispatcher):
     def shard_of(self, operand: SpmmOperand) -> int:
         """Owning shard of an operand (0 for unbound operands)."""
         return self._owner.get(id(operand), 0)
-
-    def layer_of(self, operand: SpmmOperand) -> Optional[str]:
-        """Qualified layer name the operand was bound as, if any."""
-        return self._layer.get(id(operand))
 
     def execute(
         self, operand: SpmmOperand, b: np.ndarray, bias: Optional[np.ndarray] = None
@@ -155,7 +131,7 @@ class ShardedDispatcher(KernelDispatcher):
         """
         kernels: List[KernelExecution] = []
         for event in self.comm_events:
-            time_us = event.time_us(tokens, self.link)
+            time_us = event.time_us(tokens, NVLINK)
             kernels.append(
                 KernelExecution(
                     kernel="allreduce" if event.kind == "all_reduce" else "send_recv",
@@ -184,7 +160,6 @@ class ShardedDispatcher(KernelDispatcher):
         max_us, mean_us = max(modelled), sum(modelled) / len(modelled)
         return {
             "tp_degree": self.num_shards,
-            "placement_policy": placement.policy if placement else self.placement_policy,
             "per_shard_calls": list(self.shard_calls),
             "per_shard_modelled_us": [round(us, 3) for us in modelled],
             "load_balance": round(max_us / mean_us, 4) if mean_us > 0 else (

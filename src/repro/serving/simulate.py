@@ -592,9 +592,8 @@ def simulate(
     ``config`` (default ``ServingConfig()``) drives the run the way it
     drives a live engine: ``scheduling`` picks the step loop with or
     without the ``window_us`` hold, ``padding`` the bucketing,
-    ``token_buckets`` / ``max_batch_size`` / ``max_queue_depth`` /
-    ``shed_policy`` / ``scheduling_policy`` the batcher, ``sharding`` the
-    dispatcher.  ``plan`` injects faults per (backend, call index), the
+    ``max_batch_size`` / ``max_queue_depth`` / ``shed_policy`` /
+    ``scheduling_policy`` the batcher, ``tp_degree`` the dispatcher.  ``plan`` injects faults per (backend, call index), the
     indices a live engine armed with the same plan sees.  A
     ``dispatcher`` shared across runs keeps its decision and estimate
     caches warm, as in a long-running server; the circuit breaker takes

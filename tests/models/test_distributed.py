@@ -46,6 +46,7 @@ from repro.models.distributed import (
     GraphEdge,
     GraphNode,
     LayerGraph,
+    Placement,
     encoder_layer_graph,
     parallelism_style,
     partition_min_cut,
@@ -114,13 +115,43 @@ class TestLayerGraph:
         assert in_q1 == {"encoder.layer.0.ffn.output"}
 
 
+def assert_balanced_local_optimum(placement, label):
+    """``placement`` respects round-robin's balance cap, and no single move
+    or pairwise swap that also respects it improves its (cut, spread) key.
+    Node weights and edge bytes of :func:`random_graph` are integers, so
+    every key compares exactly."""
+    graph, num_shards = placement.graph, placement.num_shards
+    cap = partition_round_robin(graph, num_shards).load_spread
+    assert placement.load_spread <= cap
+
+    def key(assignment):
+        neighbour = Placement(graph=graph, num_shards=num_shards, assignment=assignment)
+        return neighbour.cut_bytes_per_token, neighbour.load_spread
+
+    best = key(placement.assignment)
+    neighbours = []
+    for i in range(len(graph.nodes)):
+        for shard in range(num_shards):
+            moved = list(placement.assignment)
+            moved[i] = shard
+            neighbours.append(tuple(moved))
+        for j in range(i + 1, len(graph.nodes)):
+            swapped = list(placement.assignment)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            neighbours.append(tuple(swapped))
+    for neighbour in neighbours:
+        cut, spread = key(neighbour)
+        assert spread > cap or (cut, spread) >= best, (
+            f"{label}: {neighbour} improves on {placement.assignment}"
+        )
+
+
 class TestPlacement:
     def test_round_robin_assignment(self):
         rng = np.random.default_rng(0)
         graph = random_graph(rng, 6)
         placement = partition_round_robin(graph, 3)
         assert placement.assignment == (0, 1, 2, 0, 1, 2)
-        assert placement.policy == "round_robin"
         assert len(placement.shard_loads) == 3
 
     def test_single_shard_has_no_cut(self):
@@ -140,9 +171,11 @@ class TestPlacement:
             # Balance feasibility: never spreads load more than round-robin.
             assert exact.load_spread <= rr.load_spread + 1e-9
 
-    def test_heuristic_matches_exact_on_small_graphs(self):
-        """Property test: on graphs small enough to enumerate, the heuristic
-        placement must equal the brute-force optimum exactly."""
+    def test_small_graph_path_is_exact(self):
+        """Property test: at most 8 nodes on at most 4 shards is at most
+        4**8 assignments, within the default ``exhaustive_limit``, so
+        ``partition_min_cut`` enumerates them and must return the
+        brute-force optimum exactly."""
         rng = np.random.default_rng(3)
         for trial in range(25):
             num_nodes = int(rng.integers(2, 9))  # <= 8 nodes
@@ -154,6 +187,36 @@ class TestPlacement:
                 f"trial {trial}: heuristic {heur.assignment} != exact {exact.assignment}"
             )
             assert heur.cut_bytes_per_token == exact.cut_bytes_per_token
+
+    def test_forced_heuristic_is_a_local_optimum(self):
+        """With the exhaustive path disabled, the refinement guarantees a
+        local optimum, not the minimum: the result respects round-robin's
+        balance cap, and no single move or pairwise swap that also respects
+        it improves the (cut, spread) key.  Graphs are drawn from the law
+        of the exact-path test above, plus larger ones.  Node weights and
+        edge bytes are integers, so every key compares exactly."""
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            num_nodes = int(rng.integers(2, 9 if trial < 25 else 13))
+            num_shards = int(rng.integers(2, 5))
+            graph = random_graph(rng, num_nodes, edge_prob=float(rng.uniform(0.2, 0.8)))
+            heur = partition_min_cut(graph, num_shards, exhaustive_limit=0)
+            assert_balanced_local_optimum(heur, f"trial {trial}")
+
+    def test_large_graph_gets_a_balanced_local_optimum(self):
+        """Graphs too large for the default ``exhaustive_limit`` take the
+        heuristic path unforced, and keep its guarantees: the balance cap,
+        local optimality, and a cut no worse than round-robin's."""
+        rng = np.random.default_rng(6)
+        for trial in range(6):
+            num_nodes = int(rng.integers(18, 31))
+            num_shards = int(rng.integers(2, 9))
+            assert num_shards ** num_nodes > 1 << 17  # beyond the exact path
+            graph = random_graph(rng, num_nodes, edge_prob=float(rng.uniform(0.1, 0.4)))
+            placement = partition_min_cut(graph, num_shards)
+            assert_balanced_local_optimum(placement, f"trial {trial}")
+            rr = partition_round_robin(graph, num_shards)
+            assert placement.cut_bytes_per_token <= rr.cut_bytes_per_token
 
     def test_forced_heuristic_never_worse_than_round_robin(self):
         """With the exhaustive fallback disabled, the refinement loop must

@@ -61,12 +61,10 @@ def fresh_engine(encoder, config=LADDER):
     return ModelServingEngine(encoder, config=config)
 
 
-def held_engine(encoder, token_buckets, window_us, **knobs):
-    """An engine whose buckets are held ``window_us`` (``scheduling="async"``)."""
-    config = ServingConfig(
-        scheduling="async", padding="ladder", token_buckets=token_buckets,
-        window_us=window_us, **knobs
-    )
+def held_engine(encoder, window_us, **knobs):
+    """A default-ladder engine whose buckets are held ``window_us``
+    (``scheduling="async"``)."""
+    config = ServingConfig(scheduling="async", padding="ladder", window_us=window_us, **knobs)
     return fresh_engine(encoder, config)
 
 
@@ -295,8 +293,8 @@ class TestHoldRule:
         one-window outputs, bit for bit.
 
         Lengths cover the bucket boundaries: 32 (exact bucket), 33
-        (bucket + 1, the first length of the next rung) and 200 (beyond
-        the max ladder rung -> exact singleton bucket)."""
+        (bucket + 1, the first length of the next rung) and 200 (alone on
+        the 256 rung)."""
         lengths = [5, 17, 17, 32, 33, 200]
         reqs = make_requests(rng, lengths)
         baseline = fresh_engine(encoder).serve(reqs)
@@ -308,7 +306,7 @@ class TestHoldRule:
         ]
         for window_us in (25.0, 300.0, 5000.0):
             for arrivals in arrival_patterns:
-                engine = held_engine(encoder, (8, 32, 64), window_us)
+                engine = held_engine(encoder, window_us)
                 results = engine.serve_continuous(self._timed(reqs, arrivals))
                 assert set(results) == set(baseline)
                 for rid in baseline:
@@ -319,7 +317,7 @@ class TestHoldRule:
                     )
 
     def test_hold_releases_only_waited_buckets(self, rng, encoder):
-        engine = held_engine(encoder, (8, 32), 100.0)
+        engine = held_engine(encoder, 100.0)
         batcher = engine.batcher
         early, late = self._timed(make_requests(rng, [5, 20]), [0.0, 90.0])
         engine.submit(early)
@@ -339,7 +337,7 @@ class TestHoldRule:
 
     def test_bucket_deadline_tracks_oldest_member(self, rng, encoder):
         """A late same-bucket joiner must not extend the bucket's hold."""
-        engine = held_engine(encoder, (8, 32), 100.0)
+        engine = held_engine(encoder, 100.0)
         first, second = self._timed(make_requests(rng, [17, 20]), [10.0, 95.0])
         engine.submit(first)
         engine.submit(second)
@@ -352,7 +350,7 @@ class TestHoldRule:
         """Arrivals that fill the rung's free slots release the bucket at
         once, long before the hold would end; the rest of the queue waits
         on its own head's window."""
-        engine = held_engine(encoder, (8,), 1000.0, max_batch_size=2)
+        engine = held_engine(encoder, 1000.0, max_batch_size=2)
         batcher = engine.batcher
         reqs = self._timed(make_requests(rng, [4, 4, 4]), [0.0, 10.0, 20.0])
         for req in reqs:
@@ -365,7 +363,7 @@ class TestHoldRule:
         assert set(engine.step(1020.0)) == {reqs[2].request_id}
 
     def test_ids_free_after_held_bucket_runs(self, rng, encoder):
-        engine = held_engine(encoder, (8,), 10.0)
+        engine = held_engine(encoder, 10.0)
         (req,) = make_requests(rng, [4])
         engine.submit(req)
         engine.step(1000.0)
@@ -374,7 +372,7 @@ class TestHoldRule:
             engine.submit(req)  # but not while it is pending
 
     def _serve_held(self, rng, encoder, tokens, arrivals, deadlines=None):
-        engine = held_engine(encoder, (8, 64), 100.0)
+        engine = held_engine(encoder, 100.0)
         deadlines = deadlines or [None] * len(tokens)
         engine.serve_continuous(
             Request(rid, rng.normal(size=(t, K_FEATURES)).astype(np.float32), arrival_us=a, deadline_us=d)
@@ -408,7 +406,7 @@ class TestHoldRule:
     def test_arrival_at_the_close_instant_joins_the_chunk(self, rng, encoder):
         """Arrivals are inclusive: a request landing exactly when its
         bucket's hold ends is admitted before that step and rides along."""
-        engine = held_engine(encoder, (8,), 100.0)
+        engine = held_engine(encoder, 100.0)
         reqs = self._timed(make_requests(rng, [4, 4]), [0.0, 100.0])
         engine.serve_continuous(reqs)
         assert engine.total_batches == 1

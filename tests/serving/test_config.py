@@ -32,7 +32,6 @@ from repro.serving import (
     SchedulingConfig,
     ServingConfig,
     ShardedDispatcher,
-    ShardingConfig,
     SimulatedRequest,
     create_engine,
     simulate,
@@ -61,7 +60,7 @@ class TestServingConfig:
         config = ServingConfig()
         assert config.scheduling == "continuous"
         assert config.padding == "exact"
-        assert not config.sharding.enabled
+        assert config.tp_degree == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -82,11 +81,7 @@ class TestServingConfig:
 
     def test_sharding_validation(self):
         with pytest.raises(ValueError):
-            ShardingConfig(tp_degree=0)
-        with pytest.raises(ValueError):
-            ShardingConfig(placement_policy="magic")
-        with pytest.raises(TypeError):
-            ServingConfig(sharding="2-way")
+            ServingConfig(tp_degree=0)
 
     def test_build_batcher_is_always_continuous(self):
         """One batcher for every engine kind; ``"async"`` only adds the
@@ -99,19 +94,13 @@ class TestServingConfig:
 
     def test_build_batcher_picks_the_buckets(self):
         """The one place buckets are chosen: ``(1,)`` for an exact-length
-        encoder, else ``token_buckets`` or the default ladder."""
+        encoder, else the default ladder."""
         ladder = ContinuousBatcher.ladder().token_buckets
         assert ServingConfig().build_batcher(kind="encoder").token_buckets == (1,)
         assert ServingConfig().build_batcher(kind="decoder").token_buckets == ladder
         for kind in ("encoder", "decoder"):
             laddered = ServingConfig(padding="ladder").build_batcher(kind=kind)
             assert laddered.token_buckets == ladder
-            custom = ServingConfig(padding="ladder", token_buckets=(4, 8))
-            assert custom.build_batcher(kind=kind).token_buckets == (4, 8)
-
-    def test_exact_padding_rejects_token_buckets(self):
-        with pytest.raises(ValueError):
-            ServingConfig(token_buckets=(8, 16)).build_batcher(kind="encoder")
 
     def test_scheduling_policy_type_checked(self):
         with pytest.raises(TypeError):
@@ -128,9 +117,7 @@ class TestServingConfig:
 
     def test_build_dispatcher_only_when_sharded(self):
         assert ServingConfig().build_dispatcher() is None
-        dispatcher = ServingConfig(
-            sharding=ShardingConfig(tp_degree=2)
-        ).build_dispatcher()
+        dispatcher = ServingConfig(tp_degree=2).build_dispatcher()
         assert isinstance(dispatcher, ShardedDispatcher)
         assert dispatcher.num_shards == 2
 
@@ -175,7 +162,7 @@ class TestCreateEngine:
         dispatcher = KernelDispatcher()
         engine = create_engine(
             make_encoder(),
-            config=ServingConfig(sharding=ShardingConfig(tp_degree=2)),
+            config=ServingConfig(tp_degree=2),
             dispatcher=dispatcher,
         )
         assert engine.dispatcher is dispatcher
@@ -211,7 +198,6 @@ ZEROED_CLASS = {"shed": 0, "expired": 0, "pending": 0}
 #: A single-device dispatcher is the tp_degree=1 case of the sharded schema.
 ZEROED_SHARDING = {
     "tp_degree": 1,
-    "placement_policy": None,
     "per_shard_calls": [],
     "per_shard_modelled_us": [],
     "load_balance": None,
@@ -278,7 +264,7 @@ class TestEngineCoreContract:
         """Sharding is a placement on one dispatcher: the engine holds a
         ``KernelDispatcher`` whatever the topology, with one memo and one
         breaker for every shard."""
-        config = ServingConfig(sharding=ShardingConfig(tp_degree=2))
+        config = ServingConfig(tp_degree=2)
         engine = create_engine(make_encoder(), config=config, kind=kind)
         assert isinstance(engine.dispatcher, ShardedDispatcher)
         assert isinstance(engine.dispatcher, KernelDispatcher)
@@ -380,9 +366,7 @@ def test_bench_sized_encoder_engine_leaves_no_cyclic_garbage(rng):
 
 class TestNormalizedStatsSchema:
     def test_sharding_block_live_when_sharded(self, rng):
-        engine = create_engine(
-            make_encoder(), config=ServingConfig(sharding=ShardingConfig(tp_degree=2))
-        )
+        engine = create_engine(make_encoder(), config=ServingConfig(tp_degree=2))
         x = rng.normal(size=(6, HIDDEN)).astype(np.float32)
         engine.serve([Request("r0", x)])
         block = engine.stats()["sharding"]
@@ -445,11 +429,7 @@ class TestConfigDrivenSimulation:
         )
         assert report.config.scheduling == "continuous"
         assert report.config.padding == "exact"
-        sharded = simulate(
-            encoder,
-            requests,
-            ServingConfig(sharding=ShardingConfig(tp_degree=2), window_us=100.0),
-        )
+        sharded = simulate(encoder, requests, ServingConfig(tp_degree=2, window_us=100.0))
         assert sharded.num_requests == 6
 
     def test_config_admission_knobs_are_honoured(self, encoder):

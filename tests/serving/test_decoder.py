@@ -3,8 +3,8 @@
 The guarantee under test is the decode analogue of the serving property:
 KV-cached decoding through :class:`DecoderServingEngine` is **bit-for-bit**
 the full causal recompute (:func:`decode_reference`) at every generated
-position — across arrival interleavings, step cadences, exact/ladder bucket
-policies, layer counts and prompt lengths.  The full grid runs ``slow``;
+position — across arrival interleavings, step cadences, layer counts and
+prompt lengths, on the default bucket ladder.  The full grid runs ``slow``;
 a four-cell smoke stays in tier-1.
 
 The rest pins the serving mechanics the cache adds: prefix sharing (same
@@ -51,10 +51,8 @@ def make_decode_requests(rng, prompt_lengths, new_tokens, arrivals):
     ]
 
 
-def decoder_engine(encoder, padding="ladder", **kwargs):
-    """A decoder on the default ladder, or on exact-length buckets."""
-    if padding == "exact":
-        kwargs["token_buckets"] = (1,)
+def decoder_engine(encoder, **kwargs):
+    """A decoder (on the default ladder: its one bucket policy)."""
     return DecoderServingEngine(encoder, config=ServingConfig(**kwargs))
 
 
@@ -69,12 +67,10 @@ def arrivals_for(pattern, n):
     raise ValueError(pattern)
 
 
-def run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us):
+def run_golden_cell(rng, num_layers, prompt_lengths, pattern, step_us):
     """One golden-matrix cell: serve cached, compare against recompute."""
     encoder = make_encoder(num_layers=num_layers)
-    engine = decoder_engine(
-        encoder, padding=padding, block_size=4, capacity_blocks=256, step_us=step_us
-    )
+    engine = decoder_engine(encoder, block_size=4, capacity_blocks=256, step_us=step_us)
     new_tokens = [3 + (i % 3) for i in range(len(prompt_lengths))]
     requests = make_decode_requests(
         rng, prompt_lengths, new_tokens, arrivals_for(pattern, len(prompt_lengths))
@@ -87,7 +83,7 @@ def run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us):
         assert got.shape == (req.new_tokens, HIDDEN)
         assert np.array_equal(got, expected), (
             f"cached decode diverged from full recompute for {req.request_id} "
-            f"(padding={padding}, layers={num_layers}, pattern={pattern}, "
+            f"(layers={num_layers}, pattern={pattern}, "
             f"step_us={step_us})"
         )
     # Every decode's blocks were reclaimed; only registered prompt prefixes
@@ -98,33 +94,30 @@ def run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us):
     assert engine.batcher.admission_stats()["occupied_slots"] == 0
 
 
-#: Tier-1 smoke: four cells spanning both padding modes, both layer counts,
-#: all three arrival patterns and both cadence regimes.
+#: Tier-1 smoke: four cells spanning both layer counts, all three arrival
+#: patterns and both cadence regimes.
 GOLDEN_SMOKE = [
-    ("ladder", 1, (5, 12), "together", 0.0),
-    ("ladder", 2, (3, 9, 17), "staggered", 7.0),
-    ("exact", 1, (6, 6, 11), "reversed", 0.0),
-    ("exact", 2, (4, 2), "staggered", 3.0),
+    (1, (5, 12), "together", 0.0),
+    (2, (3, 9, 17), "staggered", 7.0),
+    (1, (6, 6, 11), "reversed", 0.0),
+    (2, (4, 2), "staggered", 3.0),
 ]
 
 
 class TestGoldenDecodeMatrix:
-    @pytest.mark.parametrize(
-        "padding,num_layers,prompt_lengths,pattern,step_us", GOLDEN_SMOKE
-    )
-    def test_smoke_cells(self, rng, padding, num_layers, prompt_lengths, pattern, step_us):
-        run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us)
+    @pytest.mark.parametrize("num_layers,prompt_lengths,pattern,step_us", GOLDEN_SMOKE)
+    def test_smoke_cells(self, rng, num_layers, prompt_lengths, pattern, step_us):
+        run_golden_cell(rng, num_layers, prompt_lengths, pattern, step_us)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("padding", ["ladder", "exact"])
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize(
         "prompt_lengths", [(5,), (5, 12, 30, 7), (2, 2, 9, 9, 17)]
     )
     @pytest.mark.parametrize("pattern", ["together", "staggered", "reversed"])
     @pytest.mark.parametrize("step_us", [0.0, 4.5])
-    def test_full_grid(self, rng, padding, num_layers, prompt_lengths, pattern, step_us):
-        run_golden_cell(rng, padding, num_layers, prompt_lengths, pattern, step_us)
+    def test_full_grid(self, rng, num_layers, prompt_lengths, pattern, step_us):
+        run_golden_cell(rng, num_layers, prompt_lengths, pattern, step_us)
 
 
 class TestDecodeReference:

@@ -22,7 +22,6 @@ from repro.serving import (
     ModelServingEngine,
     Request,
     ServingConfig,
-    ShardingConfig,
     SimulatedRequest,
     simulate,
 )
@@ -51,11 +50,8 @@ def make_requests(rng, lengths, arrivals=None):
 
 
 def ladder_engine(encoder):
-    """A ladder engine on the two rungs 8 and 16 (longer requests run at
-    their own exact bucket)."""
-    return ModelServingEngine(
-        encoder, config=ServingConfig(padding="ladder", token_buckets=(8, 16))
-    )
+    """A ladder engine on the default rungs (8, 16, 32, ...)."""
+    return ModelServingEngine(encoder, config=ServingConfig(padding="ladder"))
 
 
 def spy_forward(encoder):
@@ -117,7 +113,7 @@ class TestLadder:
 
 
 class TestGroupedExecution:
-    # the shortest, a rung, rung+1, max-1, max, beyond, twice the max
+    # the shortest, then each side of the 8-, 16- and 32-token rungs
     @pytest.mark.parametrize("tokens", [1, 8, 9, 15, 16, 17, 32])
     def test_boundary_lengths_round_trip_bit_exact(self, rng, tokens):
         encoder = make_encoder()
@@ -206,7 +202,7 @@ class TestGroupedExecution:
                 padding="ladder",
                 scheduling=scheduling,
                 step_us=10.0,
-                sharding=ShardingConfig(tp_degree=tp_degree),
+                tp_degree=tp_degree,
             ),
         )
         lengths = [3, 12, 9, 3, 16, 5, 12, 20]
@@ -268,7 +264,7 @@ class TestGroupedExecution:
         encoder = make_encoder()
         dispatcher = KernelDispatcher()
         requests = [SimulatedRequest(f"s{i}", tokens=t) for i, t in enumerate(lengths)]
-        config = ServingConfig(padding="ladder", token_buckets=(8, 16))
+        config = ServingConfig(padding="ladder")
         report = simulate(encoder, requests, config, dispatcher=dispatcher)
         layers = list(encoder.named_linear_layers())
         assert report.num_batches == report.served_batches == 1

@@ -34,7 +34,6 @@ from repro.serving import (
     ModelServingEngine,
     Request,
     ServingConfig,
-    ShardingConfig,
     create_engine,
     decode_reference,
 )
@@ -552,8 +551,8 @@ class TestModelEngineApi:
                 expected = decode_reference(encoder, request.prompt, request.new_tokens)
                 assert np.array_equal(served[request.request_id], expected)
             return
-        sharding = ShardingConfig(tp_degree=2 if kind == "encoder-tp2" else 1)
-        engine = ModelServingEngine(encoder, config=ServingConfig(sharding=sharding))
+        tp_degree = 2 if kind == "encoder-tp2" else 1
+        engine = ModelServingEngine(encoder, config=ServingConfig(tp_degree=tp_degree))
         requests = make_requests(rng, lengths)
         batched = engine.serve(requests)
         stats = engine.stats()
@@ -563,7 +562,7 @@ class TestModelEngineApi:
             owner = engine.dispatcher.placement.as_dict()
             expected = [0, 0]
             for name, lin in encoder.named_linear_layers():
-                assert engine.dispatcher.layer_of(lin.operand) == name
+                assert engine.dispatcher.shard_of(lin.operand) == owner[name]
                 expected[owner[name]] += forwards
             assert stats["sharding"]["per_shard_calls"] == expected
         for request in requests:

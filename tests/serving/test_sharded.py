@@ -20,6 +20,12 @@ from repro.hardware.spec import NVLINK, PCIE4
 from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels.dispatch import CublasDenseBackend, KernelDispatcher
 from repro.models import TransformerEncoder, tiny_config
+from repro.models.distributed import (
+    encoder_layer_graph,
+    partition_min_cut,
+    partition_round_robin,
+    placement_comm_events,
+)
 from repro.serving import (
     ContinuousBatcher,
     DecodeRequest,
@@ -31,7 +37,6 @@ from repro.serving import (
     Request,
     ServingConfig,
     ShardedDispatcher,
-    ShardingConfig,
     SimulatedRequest,
     simulate,
 )
@@ -63,14 +68,14 @@ def make_requests(rng, lengths, prefix="req"):
     ]
 
 
-def sharded_dispatcher(num_shards, backend, policy="min_cut"):
+def sharded_dispatcher(num_shards, backend):
     kwargs = {}
     if backend == "cublas-dense":
         kwargs["backends"] = [CublasDenseBackend()]
-    return ShardedDispatcher(num_shards=num_shards, placement_policy=policy, **kwargs)
+    return ShardedDispatcher(num_shards=num_shards, **kwargs)
 
 
-def assert_sharded_golden_cell(num_shards, pattern, padding, backend, rng, policy="min_cut"):
+def assert_sharded_golden_cell(num_shards, pattern, padding, backend, rng):
     """One grid cell: sharded serving == single-device twin, bit for bit."""
     lengths = [3, 7, 7, 12] if padding == "exact" else [3, 7, 9, 12, 16, 17]
     # The twin runs unsharded on its own single-device dispatcher.
@@ -83,7 +88,7 @@ def assert_sharded_golden_cell(num_shards, pattern, padding, backend, rng, polic
     encoder = make_encoder(pattern, 2)
     engine = ModelServingEngine(
         encoder,
-        dispatcher=sharded_dispatcher(num_shards, backend, policy),
+        dispatcher=sharded_dispatcher(num_shards, backend),
         config=ServingConfig(padding=padding, name=f"sharded-{num_shards}-{backend}"),
     )
     requests = make_requests(rng, lengths)
@@ -93,7 +98,7 @@ def assert_sharded_golden_cell(num_shards, pattern, padding, backend, rng, polic
         single_device = twin.forward(request.activations[None])[0]
         assert np.array_equal(batched[request.request_id], single_device), (
             f"sharded cell (shards={num_shards}, pattern={pattern}, "
-            f"padding={padding}, backend={backend}, policy={policy}) "
+            f"padding={padding}, backend={backend}) "
             f"diverged on {request.request_id} (tokens={request.tokens})"
         )
     # Every projection routed somewhere; all shards carried work.  Exact
@@ -101,7 +106,6 @@ def assert_sharded_golden_cell(num_shards, pattern, padding, backend, rng, polic
     # attention additionally groups by true length, so calls only grow.
     stats = engine.stats()["sharding"]
     assert stats["tp_degree"] == num_shards
-    assert stats["placement_policy"] == policy
     if padding == "exact":
         assert sum(stats["per_shard_calls"]) == engine.stats()["batches"] * 12
     else:
@@ -147,10 +151,6 @@ class TestShardedGoldenMatrix:
     def test_full_matrix(self, rng, num_shards, pattern, padding, backend):
         assert_sharded_golden_cell(num_shards, pattern, padding, backend, rng)
 
-    @pytest.mark.parametrize("policy", ["round_robin"])
-    def test_alternate_placement_policies_stay_exact(self, rng, policy):
-        assert_sharded_golden_cell(2, (16, 2, 8), "exact", "auto", rng, policy=policy)
-
     def test_continuous_batching_cell(self, rng):
         """Sharding composes with the continuous step loop, bit for bit."""
         twin = make_encoder((16, 2, 8), 2)
@@ -184,7 +184,7 @@ class TestShardedGoldenMatrix:
         )
         sharded = DecoderServingEngine(
             make_encoder((16, 2, 8), 2),
-            config=ServingConfig(sharding=ShardingConfig(tp_degree=2)),
+            config=ServingConfig(tp_degree=2),
         )
         assert isinstance(sharded.dispatcher, ShardedDispatcher)
         jobs = [
@@ -215,7 +215,7 @@ def test_fault_injection_composes_with_sharding(rng):
     for tp_degree in (1, 2):
         engine = ModelServingEngine(
             make_encoder((16, 2, 8), 2),
-            config=ServingConfig(padding="ladder", sharding=ShardingConfig(tp_degree=tp_degree)),
+            config=ServingConfig(padding="ladder", tp_degree=tp_degree),
         )
         originals = list(engine.dispatcher.backends)
         plan = FaultPlan.seeded(["spatha-plan"], seed=FAULT_SEED, failure_rate=0.5)
@@ -251,7 +251,6 @@ class TestShardedDispatcherSurface:
         _, lin = next(iter(encoder.named_linear_layers()))
         operand = lin.operand
         assert dispatcher.shard_of(operand) == 0
-        assert dispatcher.layer_of(operand) is None
 
     def test_bind_assigns_every_projection(self):
         dispatcher = ShardedDispatcher(num_shards=2)
@@ -264,7 +263,22 @@ class TestShardedDispatcherSurface:
             operand = getattr(lin, "operand", None)
             if operand is not None:
                 assert dispatcher.shard_of(operand) == owners[name]
-                assert dispatcher.layer_of(operand) == name
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_bind_places_by_balanced_min_cut(self, num_shards):
+        """Placement has one policy: the bound placement is
+        ``partition_min_cut`` of the encoder's layer graph, within
+        round-robin's balance cap and never cutting more than it, and the
+        comm events are that placement's."""
+        dispatcher = ShardedDispatcher(num_shards=num_shards)
+        encoder = make_encoder((16, 2, 8), 2)
+        placement = dispatcher.bind_encoder(encoder)
+        graph = encoder_layer_graph(encoder)
+        assert placement.assignment == partition_min_cut(graph, num_shards).assignment
+        rr = partition_round_robin(graph, num_shards)
+        assert placement.cut_bytes_per_token <= rr.cut_bytes_per_token
+        assert placement.load_spread <= rr.load_spread
+        assert dispatcher.comm_events == placement_comm_events(placement)
 
     def test_warm_many_groups_per_shard(self):
         dispatcher = ShardedDispatcher(num_shards=2)
@@ -283,14 +297,16 @@ class TestShardedDispatcherSurface:
         dispatcher.clear_cache()  # no-op on fresh shards, must not raise
 
     def test_slower_link_costs_more_comm(self):
-        encoder_a = make_encoder((16, 2, 8), 2)
-        encoder_b = make_encoder((16, 2, 8), 2)
-        fast = ShardedDispatcher(num_shards=2, link=NVLINK)
-        slow = ShardedDispatcher(num_shards=2, link=PCIE4)
-        fast.bind_encoder(encoder_a)
-        slow.bind_encoder(encoder_b)
-        t_fast = sum(k.time_us for k in fast.comm_kernels(tokens=64))
-        t_slow = sum(k.time_us for k in slow.comm_kernels(tokens=64))
+        """Each comm kernel is its event's ring-model time over ``NVLINK``;
+        the same events over the slower ``PCIE4`` cost more."""
+        dispatcher = ShardedDispatcher(num_shards=2)
+        dispatcher.bind_encoder(make_encoder((16, 2, 8), 2))
+        kernels = dispatcher.comm_kernels(tokens=64)
+        assert len(kernels) == len(dispatcher.comm_events) > 0
+        for kernel, event in zip(kernels, dispatcher.comm_events):
+            assert kernel.time_us == event.time_us(64, NVLINK)
+        t_fast = sum(k.time_us for k in kernels)
+        t_slow = sum(event.time_us(64, PCIE4) for event in dispatcher.comm_events)
         assert t_slow > t_fast > 0.0
 
     def test_estimate_is_a_query_not_a_charge(self, rng):
@@ -298,7 +314,7 @@ class TestShardedDispatcherSurface:
         asks the dispatcher for an estimate."""
         encoder = make_encoder((16, 2, 8), 1)
         engine = ModelServingEngine(
-            encoder, config=ServingConfig(sharding=ShardingConfig(tp_degree=2))
+            encoder, config=ServingConfig(tp_degree=2)
         )
         engine.serve(make_requests(rng, [8, 8, 8, 8]))
         before = engine.dispatcher.sharding_stats()
@@ -319,8 +335,6 @@ class TestShardedDispatcherSurface:
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardedDispatcher(num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedDispatcher(placement_policy="magic")
 
 
 class TestLoadAttribution:
@@ -331,7 +345,7 @@ class TestLoadAttribution:
         encoder = make_encoder((16, 2, 8), 2)
         engine = ModelServingEngine(
             encoder,
-            config=ServingConfig(padding="ladder", sharding=ShardingConfig(tp_degree=2)),
+            config=ServingConfig(padding="ladder", tp_degree=2),
         )
         engine.serve(make_requests(rng, [3, 9, 12, 16, 17]))
         layers = dict(encoder.named_sparse_layers())
@@ -348,7 +362,7 @@ class TestLoadAttribution:
         is charged to the shard that owns its projection, both shards
         carry load, and the collectives are charged per length group."""
         encoder = make_encoder((16, 2, 8), 2)
-        config = ServingConfig(padding="ladder", sharding=ShardingConfig(tp_degree=2))
+        config = ServingConfig(padding="ladder", tp_degree=2)
         requests = [
             SimulatedRequest(f"s{i}", tokens=t, arrival_us=10.0 * i)
             for i, t in enumerate([3, 9, 12, 16, 17])

@@ -41,7 +41,6 @@ from repro.serving import (
     SchedulingConfig,
     ServingConfig,
     ShardedDispatcher,
-    ShardingConfig,
 )
 from repro.serving.continuous import SHED_POLICIES
 from repro.serving.simulate import ModelledEngine
@@ -75,14 +74,9 @@ def _every_backend_fails(call):
 
 def _config(padding="ladder", tp_degree=1, **knobs):
     """Three slots per micro-batch, unbounded FCFS unless ``knobs`` say
-    otherwise; the ladder is three rungs."""
+    otherwise; ``"ladder"`` is the default ladder."""
     return ServingConfig(
-        padding=padding,
-        token_buckets=(8, 16, 32) if padding == "ladder" else None,
-        max_batch_size=3,
-        warm=False,
-        sharding=ShardingConfig(tp_degree=tp_degree),
-        **knobs,
+        padding=padding, max_batch_size=3, warm=False, tp_degree=tp_degree, **knobs
     )
 
 
@@ -174,7 +168,7 @@ def _launches(trace):
 
 def check_agreement(trace):
     requests, plan, config = trace
-    dispatcher = DISPATCHERS[config.sharding.tp_degree]
+    dispatcher = DISPATCHERS[config.tp_degree]
     modelled = _SteppedModelledEngine(ENCODER, replace(config, name="agreement"), dispatcher, plan)
     modelled.serve_continuous(requests)
 

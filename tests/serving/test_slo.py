@@ -72,7 +72,6 @@ class TestSchedulingConfig:
             {"policy": "lifo"},
             {"class_weights": (0,)},
             {"class_weights": (1, -2)},
-            {"class_queue_depths": (0,)},
             {"policy": "weighted-fair"},  # weights are mandatory for WF
         ],
     )
@@ -80,20 +79,16 @@ class TestSchedulingConfig:
         with pytest.raises(ValueError):
             SchedulingConfig(**kwargs)
 
-    def test_queue_bounds_explicit_and_weight_derived(self):
-        explicit = SchedulingConfig(class_queue_depths=(2, None))
-        assert explicit.queue_bound_of(0) == 2
-        assert explicit.queue_bound_of(1) is None  # explicitly unbounded
-        assert explicit.queue_bound_of(7) is None  # beyond the tuple
-        # Weight-derived split: ceil(max_queue_depth * w_c / sum(w)).
+    def test_queue_bounds_are_weight_derived(self):
+        # The split: ceil(max_queue_depth * w_c / sum(w)).
         derived = SchedulingConfig(class_weights=(1, 3))
+        assert derived.num_classes == 2
         assert derived.queue_bound_of(0, max_queue_depth=8) == 2
         assert derived.queue_bound_of(1, max_queue_depth=8) == 6
+        assert derived.queue_bound_of(7, max_queue_depth=8) == 2  # weight 1 beyond the tuple
         assert derived.queue_bound_of(0, max_queue_depth=None) is None
-        # Explicit depth wins over the derived split.
-        both = SchedulingConfig(class_weights=(1, 3), class_queue_depths=(5,))
-        assert both.queue_bound_of(0, max_queue_depth=8) == 5
-        assert both.queue_bound_of(1, max_queue_depth=8) == 6
+        # Without weights no class has a bound of its own.
+        assert SchedulingConfig().queue_bound_of(0, max_queue_depth=8) is None
 
 
 class TestReferencePlanner:
@@ -198,7 +193,7 @@ SHED_CONFIGS = {
     "reject-newest": ({}, {"max_queue_depth": 6, "shed_policy": "reject-newest"}),
     "drop-expired": ({}, {"max_queue_depth": 6, "shed_policy": "drop-expired"}),
     "class-bounds": (
-        {"class_queue_depths": (3, None, None, None)},
+        {"class_weights": (3, 1, 1, 1)},
         {"max_queue_depth": 8, "shed_policy": "reject-newest"},
     ),
     # Footprints of 1-3 blocks against 6: chunks are cut by the KV budget.
@@ -407,10 +402,8 @@ class TestBatcherChunkSequenceProperty:
 
 class TestPerClassAdmission:
     def test_class_bound_sheds_only_that_class(self, rng):
-        scheduling = SchedulingConfig(
-            policy="priority", class_queue_depths=(1, None)
-        )
-        batcher = ContinuousBatcher.ladder(scheduling=scheduling)
+        scheduling = SchedulingConfig(policy="priority", class_weights=(1, 3))
+        batcher = ContinuousBatcher.ladder(scheduling=scheduling, max_queue_depth=4)
         assert batcher.submit(Request("low-0", payload(rng, 5))) is not None
         assert batcher.submit(Request("low-1", payload(rng, 5))) is None  # bound 1
         assert batcher.submit(
@@ -781,11 +774,12 @@ class TestSimulateSLO:
             encoder, reqs,
             ServingConfig(
                 padding="ladder",
-                scheduling_policy=SchedulingConfig(policy="priority", class_queue_depths=(2, None)),
+                max_queue_depth=6,
+                scheduling_policy=SchedulingConfig(policy="priority", class_weights=(1, 2)),
             ),
         )
         per_class = report.per_class()
-        assert per_class[0]["shed"] == 4  # 6 offered, bound 2
+        assert per_class[0]["shed"] == 4  # 6 offered, bound ceil(6 * 1/3) = 2
         assert per_class[1]["shed"] == 0
 
     def test_validation(self, encoder):
