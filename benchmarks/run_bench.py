@@ -30,7 +30,6 @@ from repro.formats.cvse import CVSEMatrix
 from repro.formats.vnm import VNMSparseMatrix, vnm_select, vnm_select_reference
 from repro.integration import VNMSparsifier, sparsify_encoder
 from repro.kernels import cusparse, sputnik
-from repro.kernels.dispatch import KernelDispatcher
 from repro.kernels.spatha import SpmmPlan, spmm_loop_reference
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
@@ -368,102 +367,6 @@ def bench_model_serving(entries, hidden, intermediate, num_layers, num_requests,
         f"{'':28s} {'':28s} throughput {entry['requests_per_s_sequential']:9.1f} -> "
         f"{entry['requests_per_s_batched']:9.1f} req/s  "
         f"(plan cache {stats['plan_cache']['hits']} hits / {stats['plan_cache']['misses']} misses)"
-    )
-    entries.append(entry)
-
-
-def bench_model_serving_sharded(
-    entries, hidden, intermediate, num_layers, num_requests, lengths, tp_degree, rng
-):
-    """Sharded serving: batched windows vs per-request forwards, both on a
-    ``tp_degree``-way split encoder.
-
-    The encoder is partitioned across ``tp_degree`` simulated devices by
-    balanced min-cut placement (one kernel dispatcher per shard) and served
-    through the same window loop as ``serving.encoder``; the reference path
-    serves one request per window, the batched path serves the whole window
-    at once, so the measured gap is the dynamic-batching gain *under
-    sharding* and holds the >= 1.0 serving floor by construction.  Sharding
-    itself is bit-neutral — each projection's SpMM runs unsplit on its
-    owning shard — which the entry pins twice: sequential-vs-batched
-    (``bit_exact``) and sharded-vs-single-device twin
-    (``single_device_bit_exact``).  The interconnect cost the placement
-    implies (ring all-reduces into spanning row-parallel projections,
-    send/recv on other cut edges) is modelled, recorded on the trace, and
-    reported as ``modelled_comm_fraction`` of total modelled kernel time.
-    """
-    def build_encoder():
-        cfg = tiny_config(
-            hidden_size=hidden, num_layers=num_layers, num_heads=4,
-            intermediate_size=intermediate,
-        )
-        encoder = TransformerEncoder.init(cfg, seed=0)
-        sparsify_encoder(encoder, VNMSparsifier(n=2, m=8, v=16))
-        return encoder
-
-    engine = ModelServingEngine(
-        build_encoder(),
-        config=ServingConfig(
-            tp_degree=tp_degree,
-            name="bench-sharded",
-            warm_buckets=sorted(set(lengths)),
-        ),
-    )
-    requests = [
-        Request(f"shd-{i:04d}", rng.normal(size=(lengths[i % len(lengths)], hidden)).astype(np.float32))
-        for i in range(num_requests)
-    ]
-
-    def serve_sequential():
-        out = {}
-        for request in requests:
-            out.update(engine.serve([request]))
-        return np.concatenate([out[r.request_id] for r in requests])
-
-    def serve_batched():
-        out = engine.serve(requests)
-        return np.concatenate([out[r.request_id] for r in requests])
-
-    entry = _entry(
-        "serving.encoder_sharded",
-        f"h{hidden}/i{intermediate} L{num_layers} tp{tp_degree} {num_requests}r",
-        serve_sequential,
-        serve_batched,
-        _array_diff,
-    )
-    entry["requests_per_s_sequential"] = round(num_requests / entry["_reference_s_raw"], 1)
-    entry["requests_per_s_batched"] = round(num_requests / entry["_vectorized_s_raw"], 1)
-
-    # Bit-neutrality of the shard split itself: one more (untimed) batched
-    # window against a single-device twin of the same initialisation.
-    twin = build_encoder()
-    twin.set_dispatcher(KernelDispatcher())
-    sharded_out = serve_batched()
-    twin_out = np.concatenate(
-        [twin.forward(r.activations[None])[0] for r in requests]
-    )
-    single_diff = _array_diff(twin_out, sharded_out)
-    entry["single_device_max_abs_diff"] = float(single_diff)
-    entry["single_device_bit_exact"] = bool(single_diff == 0.0)
-
-    stats = engine.stats()
-    sharding = stats["sharding"]
-    total_us = stats["modelled_kernel_time_us"]
-    entry["sharding"] = {
-        "tp_degree": sharding["tp_degree"],
-        "load_balance": sharding["load_balance"],
-        "cut_bytes_per_token": sharding["cut_bytes_per_token"],
-        "comm_time_us": sharding["comm_time_us"],
-        "modelled_comm_fraction": round(sharding["comm_time_us"] / total_us, 4)
-        if total_us > 0
-        else 0.0,
-    }
-    print(
-        f"{'':28s} {'':28s} throughput {entry['requests_per_s_sequential']:9.1f} -> "
-        f"{entry['requests_per_s_batched']:9.1f} req/s  "
-        f"(load balance {sharding['load_balance']:.3f}, modelled comm "
-        f"{entry['sharding']['modelled_comm_fraction'] * 100:.1f}%, "
-        f"single-device {'bit-exact' if entry['single_device_bit_exact'] else 'DIVERGED'})"
     )
     entries.append(entry)
 
@@ -1008,10 +911,6 @@ def main():
             entries, hidden=64, intermediate=128, num_layers=1,
             num_requests=12, lengths=[8, 8, 16], rng=rng,
         )
-        bench_model_serving_sharded(
-            entries, hidden=64, intermediate=128, num_layers=1,
-            num_requests=12, lengths=[8, 8, 16], tp_degree=2, rng=rng,
-        )
         bench_model_serving_padded(
             entries, hidden=64, intermediate=128, num_layers=1,
             num_requests=24, max_len=24, rng=rng,
@@ -1057,15 +956,6 @@ def main():
         bench_model_serving(
             entries, hidden=256, intermediate=1024, num_layers=2,
             num_requests=48, lengths=[8, 8, 8, 16, 16, 32], rng=rng,
-        )
-        # The same serving comparison with the encoder min-cut split across
-        # four simulated devices: the batching gain survives sharding, the
-        # split is bit-neutral against a single-device twin, and the entry
-        # reports per-shard load balance plus the modelled interconnect
-        # share of total kernel time.
-        bench_model_serving_sharded(
-            entries, hidden=256, intermediate=1024, num_layers=2,
-            num_requests=48, lengths=[8, 8, 8, 16, 16, 32], tp_degree=4, rng=rng,
         )
         # Ragged-length traffic (uniform 1..48): exact-length bucketing
         # fragments into near-singleton buckets, the padded ladder refills

@@ -40,10 +40,7 @@ from .occupancy import (
 )
 from .roofline import KernelCost, compute_cycles_cuda_core, compute_cycles_tensor_core, roofline_cost
 from .spec import (
-    NVLINK,
-    PCIE4,
     GPUSpec,
-    InterconnectSpec,
     MemorySpec,
     a100_sxm,
     rtx3090,
@@ -78,10 +75,7 @@ __all__ = [
     "compute_cycles_cuda_core",
     "compute_cycles_tensor_core",
     "roofline_cost",
-    "NVLINK",
-    "PCIE4",
     "GPUSpec",
-    "InterconnectSpec",
     "MemorySpec",
     "a100_sxm",
     "rtx3090",

@@ -153,35 +153,6 @@ class GPUSpec:
         return dataclasses.replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class InterconnectSpec:
-    """Point-to-point interconnect between the devices of one shard group.
-
-    Used by the distributed latency model (ring all-reduce pricing in
-    :mod:`repro.models.distributed`) and by the sharded serving path
-    (:mod:`repro.serving.sharded`) to cost the activation traffic that
-    crosses device boundaries.
-    """
-
-    name: str = "NVLink3 (x4)"
-    #: Per-direction bandwidth per device, GB/s.
-    bandwidth_gbps: float = 100.0
-    #: Per-message latency, microseconds.
-    latency_us: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0:
-            raise ValueError("bandwidth_gbps must be positive")
-        if self.latency_us < 0:
-            raise ValueError("latency_us must be non-negative")
-
-
-#: PCIe 4.0 x16 fallback interconnect (consumer multi-GPU boxes).
-PCIE4 = InterconnectSpec(name="PCIe 4.0 x16", bandwidth_gbps=25.0, latency_us=15.0)
-#: NVLink-class interconnect (the default).
-NVLINK = InterconnectSpec()
-
-
 def rtx3090() -> GPUSpec:
     """The GPU used throughout the paper's evaluation (GA102, Ampere).
 

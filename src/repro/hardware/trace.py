@@ -25,8 +25,7 @@ class KernelExecution:
     category:
         Operator category used for latency breakdowns: ``"gemm"``,
         ``"matmul"`` (attention score/context batched matmuls),
-        ``"softmax"``, ``"comm"`` (modelled inter-device collectives) or
-        ``"other"``.
+        ``"softmax"`` or ``"other"``.
     time_us:
         Modelled execution time in microseconds.
     flops:
@@ -51,7 +50,7 @@ class KernelExecution:
     def __post_init__(self) -> None:
         if self.time_us < 0:
             raise ValueError("time_us must be non-negative")
-        if self.category not in {"gemm", "matmul", "softmax", "comm", "other"}:
+        if self.category not in {"gemm", "matmul", "softmax", "other"}:
             raise ValueError(f"unknown category {self.category!r}")
 
     @property
@@ -90,10 +89,10 @@ class ExecutionTrace:
     def time_by_category(self) -> Dict[str, float]:
         """Total time (us) per operator category.
 
-        Always returns all five categories so latency-breakdown plots have a
+        Always returns all four categories so latency-breakdown plots have a
         stable schema even when a category is absent.
         """
-        out = {"gemm": 0.0, "matmul": 0.0, "softmax": 0.0, "comm": 0.0, "other": 0.0}
+        out = {"gemm": 0.0, "matmul": 0.0, "softmax": 0.0, "other": 0.0}
         for e in self.executions:
             out[e.category] += e.time_us
         return out
@@ -101,7 +100,3 @@ class ExecutionTrace:
     def gemm_time_us(self) -> float:
         """Total time spent in (Sp)GEMM kernels."""
         return self.time_by_category()["gemm"]
-
-    def comm_time_us(self) -> float:
-        """Total time spent in modelled inter-device communication."""
-        return self.time_by_category()["comm"]

@@ -688,35 +688,6 @@ class KernelDispatcher:
         self._decisions.clear()
         self._estimates.clear()
 
-    # ------------------------------------------------------------------
-    # The sharded surface at tp_degree=1
-    # ------------------------------------------------------------------
-    # :class:`~repro.serving.sharded.ShardedDispatcher` subclasses this with
-    # a shard placement; one device is the degenerate topology — nothing to
-    # place, no traffic — so the serving engines call the same methods
-    # on either and never ask which one they hold.
-    def bind_encoder(self, encoder) -> None:
-        """Nothing to place on a single device."""
-
-    def attribute_modelled(self, operand: SpmmOperand, time_us: float) -> None:
-        """One device owns every operand: nothing to attribute."""
-
-    def comm_kernels(self, tokens: int, batch_size: int = 1) -> List:
-        """No shard boundary, no modelled collectives."""
-        return []
-
-    def sharding_stats(self) -> Dict[str, object]:
-        """The sharded dispatcher's stats schema, zeroed."""
-        return {
-            "tp_degree": 1,
-            "per_shard_calls": [],
-            "per_shard_modelled_us": [],
-            "load_balance": None,
-            "cut_bytes_per_token": 0.0,
-            "comm_time_us": 0.0,
-            "comm_events": 0,
-        }
-
 
 _DEFAULT_DISPATCHER: Optional[KernelDispatcher] = None
 

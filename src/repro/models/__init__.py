@@ -9,26 +9,6 @@ from .config import (
     ModelConfig,
     tiny_config,
 )
-from .distributed import (
-    COLUMN_PARALLEL,
-    NVLINK,
-    PCIE4,
-    ROW_PARALLEL,
-    CommEvent,
-    GraphEdge,
-    GraphNode,
-    InterconnectSpec,
-    LayerGraph,
-    Placement,
-    allreduce_time_us,
-    encoder_layer_graph,
-    parallelism_style,
-    partition_min_cut,
-    partition_min_cut_reference,
-    partition_round_robin,
-    placement_comm_events,
-    send_recv_time_us,
-)
 from .functional import (
     attention_context,
     attention_scores,
@@ -59,24 +39,6 @@ __all__ = [
     "GPT3_175B",
     "ModelConfig",
     "tiny_config",
-    "COLUMN_PARALLEL",
-    "NVLINK",
-    "PCIE4",
-    "ROW_PARALLEL",
-    "CommEvent",
-    "GraphEdge",
-    "GraphNode",
-    "InterconnectSpec",
-    "LayerGraph",
-    "Placement",
-    "allreduce_time_us",
-    "encoder_layer_graph",
-    "parallelism_style",
-    "partition_min_cut",
-    "partition_min_cut_reference",
-    "partition_round_robin",
-    "placement_comm_events",
-    "send_recv_time_us",
     "attention_context",
     "attention_scores",
     "gelu",

@@ -31,20 +31,14 @@ core, and the simulator replays the first on the modelled clock:
   admission, rows in sequence-owned extents attention reads in place,
   prefix sharing); cached decoding is bit-for-bit the per-step
   full causal recompute (:func:`decode_reference`).
-* :mod:`~repro.serving.sharded` — multi-device serving:
-  :class:`ShardedDispatcher` is a kernel dispatcher with a placement: it
-  splits an encoder across N simulated devices by balanced min-cut
-  placement, counts each projection's SpMM against its owner and prices
-  the implied all-reduce / send-recv traffic with the interconnect ring
-  model.
 * :mod:`~repro.serving.config` — :class:`ServingConfig`, the one typed
   home for engine knobs (scheduling, padding, admission control, KV
-  geometry, warming, ``tp_degree``), plus the :func:`create_engine` factory.
-* :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO/sharding
+  geometry, warming), plus the :func:`create_engine` factory.
+* :mod:`~repro.serving.simulate` — throughput/latency/chaos/SLO
   simulator on the modelled GPU: :func:`simulate` runs a
   ``ModelServingEngine`` whose micro-batch charges the live forward's
   calls — length groups, projections in forward order, the failover
-  walk, a sharded dispatcher's collectives — instead of running them,
+  walk — instead of running them,
   driven by the engine core's own step loop under the same
   :class:`ServingConfig` an engine reads; one :class:`SimReport`.
 
@@ -71,7 +65,6 @@ from .continuous import (
     plan_slo_batch_reference,
 )
 from .decoder import DecodeRequest, DecoderServingEngine, decode_reference
-from .sharded import ShardedDispatcher
 from .faults import (
     OUTCOME_FAILED,
     OUTCOME_OK,
@@ -124,7 +117,6 @@ __all__ = [
     "Request",
     "RequestOutcome",
     "SchedulingConfig",
-    "ShardedDispatcher",
     "ServingConfig",
     "SimReport",
     "SimulatedRequest",

@@ -2,8 +2,8 @@
 
 The serving engines grew one keyword at a time — padding mode on the model
 engine, KV geometry on the decoder, admission control on the continuous
-batcher, now shard topology — until constructing a server meant threading
-the same half-dozen knobs through three different signatures.
+batcher — until constructing a server meant threading the same
+half-dozen knobs through three different signatures.
 :class:`ServingConfig` consolidates them into one frozen dataclass accepted
 by both engines and the simulator (``config=...``), with :func:`create_engine` as the
 one-call front door.  The config is the only path: the engines take no
@@ -17,10 +17,7 @@ step loop; ``scheduling="async"`` adds the ``window_us`` hold (a bucket
 waits for company up to ``window_us`` after its oldest arrival), and the
 admission-control knobs (``max_queue_depth`` / ``shed_policy`` /
 ``kv_budget_blocks``) and ``scheduling_policy`` bind to it under either
-mode.  Sharding is too:
-``tp_degree=4`` makes the engines build a
-:class:`~repro.serving.sharded.ShardedDispatcher` and solve balanced
-min-cut placement at construction.
+mode.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ from .continuous import (
     ContinuousBatcher,
     SchedulingConfig,
 )
-from .sharded import ShardedDispatcher
-from ..hardware.spec import GPUSpec
 
 #: Scheduling modes of the default batcher: no hold, or the window_us hold.
 SCHEDULING_MODES = ("async", "continuous")
@@ -78,10 +73,6 @@ class ServingConfig:
     warm / warm_buckets:
         Eager plan building and the bucket sizes pre-ranked at
         construction.
-    tp_degree:
-        Simulated devices the encoder is split across; ``1`` (default) is
-        single-device, above 1 the engines place its projections by
-        balanced min-cut and price the comm over ``NVLINK``.
     scheduling_policy:
         SLO-aware scheduling knobs
         (:class:`~repro.serving.continuous.SchedulingConfig`): cross-class
@@ -102,7 +93,6 @@ class ServingConfig:
     capacity_blocks: int = 512
     warm: bool = True
     warm_buckets: Tuple[int, ...] = ()
-    tp_degree: int = 1
     scheduling_policy: SchedulingConfig = field(default_factory=SchedulingConfig)
 
     def __post_init__(self) -> None:
@@ -125,8 +115,6 @@ class ServingConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.block_size < 1 or self.capacity_blocks < 1:
             raise ValueError("block_size and capacity_blocks must be >= 1")
-        if self.tp_degree < 1:
-            raise ValueError("tp_degree must be >= 1")
         if not isinstance(self.scheduling_policy, SchedulingConfig):
             raise TypeError("scheduling_policy must be a SchedulingConfig")
 
@@ -167,21 +155,14 @@ class ServingConfig:
             window_us=self.window_us if self.scheduling == "async" else 0.0,
         )
 
-    def build_dispatcher(self, gpu: Optional[GPUSpec] = None, name: str = "serving"):
-        """A sharded dispatcher when ``tp_degree > 1``, else ``None``
-        (the engine keeps its own single-device default)."""
-        if self.tp_degree == 1:
-            return None
-        return ShardedDispatcher(num_shards=self.tp_degree, gpu=gpu, name=f"{name}.sharded")
-
 
 def create_engine(target, config: Optional[ServingConfig] = None, kind: str = "encoder", **kwargs):
     """Build the serving engine of ``kind`` for the encoder ``target``.
 
     ``kind="encoder"`` (default) is the :class:`ModelServingEngine`,
     ``kind="decoder"`` the KV-cache decode engine.  Extra keyword arguments
-    (``dispatcher=``) pass through to the engine constructor; an explicit
-    ``dispatcher`` wins over the config's default.
+    (``dispatcher=``) pass through to the engine constructor; without one
+    the engine builds its own private dispatcher.
     """
     # Late imports: the engine modules import this one for the config type.
     from .decoder import DecoderServingEngine

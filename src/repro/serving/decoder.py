@@ -196,7 +196,7 @@ class DecoderServingEngine(EngineCore):
         A :class:`~repro.serving.config.ServingConfig` holding the shared
         :class:`~repro.models.kv_cache.PagedKVCache` geometry
         (``block_size`` / ``capacity_blocks``), the batcher and its
-        admission control, warming and sharding knobs; the defaults apply
+        admission control and warming knobs; the defaults apply
         without one.  A request's KV footprint is ``ceil((prompt +
         new_tokens) / block_size)`` blocks, reserved against
         ``kv_budget_blocks`` (default: the whole cache) when it is
@@ -234,8 +234,6 @@ class DecoderServingEngine(EngineCore):
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         encoder.set_dispatcher(self.dispatcher)
-        # Sharded dispatchers solve placement for the encoder they serve.
-        self.dispatcher.bind_encoder(encoder)
         self.kv = PagedKVCache(
             num_layers=len(encoder.layers),
             num_heads=encoder.config.num_heads,

@@ -82,10 +82,8 @@ class EngineCore:
 
     Collaborators are written-down interfaces, not probed capabilities:
     the batcher is the one :meth:`ServingConfig.build_batcher` builds for
-    the engine ``kind``, and every dispatcher is a
-    :class:`~repro.kernels.dispatch.KernelDispatcher` answering
-    ``sharding_stats`` / ``comm_kernels`` / ``bind_encoder`` (a single
-    device is the ``tp_degree=1`` case).
+    the engine ``kind``, and the dispatcher is a
+    :class:`~repro.kernels.dispatch.KernelDispatcher`.
     """
 
     def __init__(
@@ -98,15 +96,13 @@ class EngineCore:
     ) -> None:
         """Resolve the shared knobs: ``config`` supplies the name (``name``
         is the engine class's default label), warming policy, the batcher of
-        engine ``kind`` (``kv_cost`` prices a decoder's KV budget) and the
-        default (sharded) dispatcher; an explicit ``dispatcher`` wins.
+        engine ``kind`` (``kv_cost`` prices a decoder's KV budget); without an
+        explicit ``dispatcher`` the engine builds a private one.
         Warming (``config.warm`` / ``config.warm_buckets``) is each
         subclass's last constructor line (what it warms only exists once the
         subclass is wired up)."""
         self.config = config if config is not None else ServingConfig()
         self.name = name = self.config.name or name
-        if dispatcher is None:
-            dispatcher = self.config.build_dispatcher(name=name)  # None unless sharded
         if dispatcher is None:
             # A private dispatcher: two engines never share memoized dispatch
             # signatures unless explicitly given one dispatcher.
@@ -363,8 +359,7 @@ class EngineCore:
         """The normalized blocks every engine's ``stats()`` carries.
 
         Always present with one schema, zeroed when the feature is unused
-        (unbounded admission reports zero counts, a single-device
-        dispatcher the ``tp_degree=1`` sharding block) — consumers keyed on
+        (unbounded admission reports zero counts) — consumers keyed on
         these blocks must not break when the serving policy changes
         underneath them.  ``continuous.completions`` counts every request
         completed by a step, whichever replay (``serve`` included) drove it.
@@ -377,5 +372,4 @@ class EngineCore:
             "outcomes": outcome_counts(self.outcomes.values()),
             "dispatch_health": self.dispatcher.health_stats(),
             "admission": self.batcher.admission_stats(),
-            "sharding": self.dispatcher.sharding_stats(),
         }

@@ -110,10 +110,7 @@ class ModelServingEngine(EngineCore):
         neither the plan build nor the tuner sweep.  ``padding`` picks the batcher's buckets
         (``"exact"`` lengths or the ``"ladder"`` rungs, held per
         ``scheduling``); either is bit-exact per request, because each
-        micro-batch runs as equal-length groups.  When its ``tp_degree`` is
-        above 1, the engine builds a
-        :class:`~repro.serving.sharded.ShardedDispatcher` and solves
-        min-cut placement for the encoder at construction.
+        micro-batch runs as equal-length groups.
     """
 
     def __init__(
@@ -151,11 +148,8 @@ class ModelServingEngine(EngineCore):
 
     def _route(self, encoder: TransformerEncoder) -> None:
         """Take the encoder's execution routing: every projection executes
-        through this engine's dispatcher, and a sharded dispatcher solves
-        placement for the encoder (each projection's operand bound to its
-        owning shard up front)."""
+        through this engine's dispatcher."""
         encoder.set_dispatcher(self.dispatcher)
-        self.dispatcher.bind_encoder(encoder)
 
     # ------------------------------------------------------------------
     # Plan cache
@@ -196,13 +190,12 @@ class ModelServingEngine(EngineCore):
     # ------------------------------------------------------------------
     def _record_layer_executions(self, batch: MicroBatch) -> None:
         """Model one kernel launch per projection at the padded ``B × rung``
-        a GPU would run, attributing each to its owning shard."""
+        a GPU would run."""
         seq = batch.key.token_bucket
         total_tokens = batch.batch_size * seq
         for qualified_name, lin in self.encoder.named_linear_layers():
             backend = self.dispatcher.dispatch(lin.operand, seq).backend
             modelled = self.dispatcher.estimate(lin.operand, total_tokens, backend=backend)
-            self.dispatcher.attribute_modelled(lin.operand, modelled.time_us)
             execution = modelled.as_execution(category="gemm")
             execution.meta.update(
                 {
@@ -213,11 +206,6 @@ class ModelServingEngine(EngineCore):
                     "tokens": seq,
                 }
             )
-            self.trace.record(execution)
-        # Sharded serving: one comm-category kernel per collective the
-        # placement implies for this batch's token volume.
-        for execution in self.dispatcher.comm_kernels(total_tokens, batch.batch_size):
-            execution.meta["serving"] = self.name
             self.trace.record(execution)
 
     def _execute_batch(self, batch: MicroBatch) -> Dict[str, np.ndarray]:

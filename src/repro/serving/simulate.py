@@ -2,16 +2,15 @@
 
 The engines execute real numerics; this module answers the capacity
 questions — *what does a batch window buy? who sheds under overload? what
-does a flaky backend cost? how does a sharded encoder load its devices?*
-— without moving any data.  It is an executor of the live engine:
-:class:`ModelledEngine` is a
+does a flaky backend cost?* — without moving any data.  It is an executor
+of the live engine: :class:`ModelledEngine` is a
 :class:`~repro.serving.model_engine.ModelServingEngine` whose micro-batch
 charges, instead of running, the calls the live forward would make — each
 length group (shortest first, the live grouping), each projection in
 forward order, each call priced at its group's true column count on the
 backend the failover walk
-(:meth:`~repro.kernels.dispatch.CircuitBreaker.walk`) lands on, and a
-sharded dispatcher's collectives per group — to one serial stream.
+(:meth:`~repro.kernels.dispatch.CircuitBreaker.walk`) lands on — to one
+serial stream.
 Shape-only requests go through the engine core's own step loop, so intake,
 shedding, deadline expiry, bisection of a failed micro-batch and outcomes
 are the live engine's, written once.
@@ -352,10 +351,6 @@ class SimReport:
     readmissions: int = 0
     injected_failures: int = 0
     injected_latency_us: float = 0.0
-    #: The dispatcher's ``sharding_stats()`` after the run: per-shard
-    #: modelled load and comm totals (cumulative over every run that
-    #: shared the dispatcher).
-    sharding: Dict[str, object] = field(default_factory=dict)
 
     def counts(self) -> Dict[str, int]:
         """Requests per terminal state (all four keys always present)."""
@@ -491,21 +486,17 @@ class ModelledEngine(ModelServingEngine):
     group every projection in ``named_linear_layers()`` order.  Each call
     goes through the live failover walk with a modelled attempt: a
     candidate costs its modelled kernel time at the group's
-    ``group_size × tokens`` columns plus any latency ``plan`` injects (and
-    is charged to the projection's shard), and fails when ``plan`` says
-    so.  After its projections a group's collectives, which a sharded
-    dispatcher prices for the group's tokens, are charged too.  When every
-    candidate of a call fails, the micro-batch fails there (and is
-    bisected, as live).  A served micro-batch's launches are traced, each
-    on the backend that served it, and its output per request is the
-    instant it finished.
+    ``group_size × tokens`` columns plus any latency ``plan`` injects, and
+    fails when ``plan`` says so.  When every candidate of a call fails,
+    the micro-batch fails there (and is bisected, as live).  A served
+    micro-batch's launches are traced, each on the backend that served
+    it, and its output per request is the instant it finished.
 
     ``config`` is read as the live engine reads it (its batcher, and a
-    private or, under a sharded config, a sharded dispatcher; an unnamed
-    engine is ``"simulate"``), with ``warm`` off: it never builds a plan
-    or runs an SpMM.  The dispatcher is bound to the encoder's placement,
-    but the encoder's layers are never re-routed, so a live engine serving
-    the same encoder keeps serving it.  Each run owns its
+    private dispatcher unless one is passed; an unnamed engine is
+    ``"simulate"``), with ``warm`` off: it never builds a plan or runs an
+    SpMM.  The encoder's layers are never re-routed, so a live engine
+    serving the same encoder keeps serving it.  Each run owns its
     :class:`CircuitBreaker`, with the dispatcher's thresholds, so a
     dispatcher shared across a sweep carries decisions and estimates
     between runs, never backend health.
@@ -528,8 +519,8 @@ class ModelledEngine(ModelServingEngine):
         self.charged_batches = 0
 
     def _route(self, encoder: TransformerEncoder) -> None:
-        # Placement only: the layers keep whichever dispatcher serves them.
-        self.dispatcher.bind_encoder(encoder)
+        # Never re-route: the layers keep whichever dispatcher serves them.
+        pass
 
     def _run_batch(self, batch, now_us: float = 0.0) -> Dict[str, float]:
         # The stream takes the batch once both are ready.
@@ -543,7 +534,6 @@ class ModelledEngine(ModelServingEngine):
         def charge(name: str):
             fault, call = self.injector.on_call(name)
             modelled = self.dispatcher.estimate(operand, columns, backend=name)
-            self.dispatcher.attribute_modelled(operand, modelled.time_us)
             self.busy_until_us += modelled.time_us + fault.latency_us
             if fault.fail:
                 raise BackendExecutionError(f"injected fault on {name} (call {call})", backend=name)
@@ -570,10 +560,6 @@ class ModelledEngine(ModelServingEngine):
                     tokens=tokens,
                 )
                 launches.append(execution)
-            for execution in self.dispatcher.comm_kernels(size * tokens, size):
-                execution.meta["serving"] = self.name
-                self.busy_until_us += execution.time_us
-                launches.append(execution)
         self.trace.extend(launches)
         self._count_served(batch)
         return dict.fromkeys((req.request_id for req in batch.requests), self.busy_until_us)
@@ -593,8 +579,9 @@ def simulate(
     drives a live engine: ``scheduling`` picks the step loop with or
     without the ``window_us`` hold, ``padding`` the bucketing,
     ``max_batch_size`` / ``max_queue_depth`` / ``shed_policy`` /
-    ``scheduling_policy`` the batcher, ``tp_degree`` the dispatcher.  ``plan`` injects faults per (backend, call index), the
-    indices a live engine armed with the same plan sees.  A
+    ``scheduling_policy`` the batcher.  ``plan`` injects faults per
+    (backend, call index), the indices a live engine armed with the same
+    plan sees.  A
     ``dispatcher`` shared across runs keeps its decision and estimate
     caches warm, as in a long-running server; the circuit breaker takes
     its thresholds and starts healthy every run.  Sweeps are
@@ -633,5 +620,4 @@ def simulate(
         readmissions=engine.breaker.readmissions,
         injected_failures=engine.injector.injected_failures,
         injected_latency_us=engine.injector.injected_latency_us,
-        sharding=engine.dispatcher.sharding_stats(),
     )

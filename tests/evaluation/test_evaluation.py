@@ -132,6 +132,17 @@ class TestFigureHarnesses:
         rows = result.as_rows()
         assert rows[0]["sparsity"] == "75% (2:8)"
 
+    @pytest.mark.parametrize("v,m", [(64, 8), (128, 16), (64, 32)])
+    def test_figure15_bars_are_the_four_categories_and_total(self, v, m):
+        from repro.models.config import BERT_BASE
+
+        out = figure15_end_to_end(v_values=(v,), m_values=(m,),
+                                  models=(("bert-base", BERT_BASE, 2, 1),), seq_len=64)
+        for bars in out["bert-base"].values():
+            assert list(bars) == ["gemm", "matmul", "softmax", "other", "total"]
+            parts = sum(bars[c] for c in ("gemm", "matmul", "softmax", "other"))
+            assert parts == pytest.approx(bars["total"])
+
     def test_figure15_reduced(self):
         from repro.models.config import BERT_BASE
 

@@ -1,8 +1,13 @@
 """Tests for the kernel execution trace records."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.hardware.trace import ExecutionTrace, KernelExecution
+
+#: Fig. 15's four bars, the only categories a launch may carry.
+CATEGORIES = ("gemm", "matmul", "softmax", "other")
 
 
 def make_exec(kernel="spatha_spmm", category="gemm", time_us=100.0, flops=1e9):
@@ -10,9 +15,10 @@ def make_exec(kernel="spatha_spmm", category="gemm", time_us=100.0, flops=1e9):
 
 
 class TestKernelExecution:
-    def test_valid_categories_only(self):
+    @pytest.mark.parametrize("category", ["convolution", "comm"])
+    def test_valid_categories_only(self, category):
         with pytest.raises(ValueError):
-            KernelExecution(kernel="x", category="convolution", time_us=1.0)
+            KernelExecution(kernel="x", category=category, time_us=1.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -41,16 +47,32 @@ class TestExecutionTrace:
         trace = ExecutionTrace()
         trace.record(make_exec(category="gemm", time_us=10))
         cats = trace.time_by_category()
-        assert set(cats) == {"gemm", "matmul", "softmax", "comm", "other"}
+        assert set(cats) == set(CATEGORIES)
         assert cats["gemm"] == 10
         assert cats["softmax"] == 0
-        assert cats["comm"] == 0
 
-    def test_comm_time(self):
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_each_category_is_accepted_and_totalled(self, category):
         trace = ExecutionTrace()
-        trace.record(make_exec(kernel="allreduce", category="comm", time_us=4))
-        trace.record(make_exec(category="gemm", time_us=6))
-        assert trace.comm_time_us() == 4
+        trace.record(make_exec(category=category, time_us=5))
+        trace.record(make_exec(category=category, time_us=2))
+        cats = trace.time_by_category()
+        assert cats[category] == 7
+        assert sum(cats.values()) == trace.total_time_us == 7
+
+    def test_empty_trace_reads_zero(self):
+        trace = ExecutionTrace()
+        assert trace.time_by_category() == dict.fromkeys(CATEGORIES, 0.0)
+        assert trace.total_time_us == 0.0
+        assert trace.gemm_time_us() == 0.0
+
+    @given(st.lists(st.tuples(st.sampled_from(CATEGORIES), st.integers(0, 1000)), max_size=20))
+    def test_categories_partition_the_total(self, launches):
+        trace = ExecutionTrace()
+        trace.extend(make_exec(category=c, time_us=float(t)) for c, t in launches)
+        cats = trace.time_by_category()
+        assert sum(cats.values()) == trace.total_time_us
+        assert cats["gemm"] == trace.gemm_time_us()
 
     def test_gemm_time(self):
         trace = ExecutionTrace()

@@ -1,5 +1,7 @@
 """Tests for the end-to-end latency model and benchmark workloads."""
 
+from collections import Counter
+
 import pytest
 
 from repro.hardware.trace import ExecutionTrace
@@ -73,6 +75,27 @@ class TestInferenceTrace:
     def test_latency_breakdown_units(self, dense_trace):
         breakdown = latency_breakdown_ms(dense_trace)
         assert sum(breakdown.values()) == pytest.approx(dense_trace.total_time_ms)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [SparsityPlan(), SparsityPlan(v=64, n=2, m=8), SparsityPlan(v=64, n=2, m=32)],
+        ids=lambda plan: plan.label,
+    )
+    def test_breakdown_is_the_four_figure15_bars(self, plan):
+        trace = model_inference_trace(BERT_BASE, batch_size=2, seq_len=64, num_layers=1, plan=plan)
+        breakdown = latency_breakdown_ms(trace)
+        assert list(breakdown) == ["gemm", "matmul", "softmax", "other"]
+        assert all(ms > 0 for ms in breakdown.values())
+        assert sum(breakdown.values()) == pytest.approx(trace.total_time_ms)
+
+    @pytest.mark.parametrize("config", [BERT_BASE, BERT_LARGE, GPT3_175B], ids=lambda c: c.name)
+    def test_launches_per_layer_by_category(self, config):
+        """Per layer: six projection GEMMs, the two attention matmuls,
+        one softmax and one launch for everything else."""
+        trace = model_inference_trace(config, batch_size=1, seq_len=32, num_layers=2)
+        assert Counter(e.category for e in trace.executions) == {
+            "gemm": 12, "matmul": 4, "softmax": 2, "other": 2,
+        }
 
 
 class TestWorkloads:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.hardware.trace import ExecutionTrace
 from repro.integration import VNMSparsifier, sparsify_encoder
+from repro.kernels.dispatch import KernelDispatcher
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     ContinuousBatcher,
@@ -510,9 +511,9 @@ class TestServingSimulation:
         assert report.summary()["mean_batch_size"] == 4.0
 
     def test_simulating_a_served_encoder_leaves_its_engine_serving(self, rng, encoder):
-        """The simulator binds its dispatcher's placement but never
-        re-routes the encoder's layers, so the live engine that owns them
-        serves its next batch through its own dispatcher."""
+        """The simulator never re-routes the encoder's layers, so the live
+        engine that owns them serves its next batch through its own
+        dispatcher."""
         live = fresh_engine(encoder)
         first = make_requests(rng, [5, 9], prefix="before")
         live.serve(first)
@@ -524,19 +525,41 @@ class TestServingSimulation:
         for req in after:
             assert np.array_equal(results[req.request_id], encoder.forward(req.activations[None])[0])
 
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    @pytest.mark.parametrize("padding", ["exact", "ladder"])
+    def test_a_stream_that_never_idles_spans_its_traced_kernel_time(
+        self, encoder, padding, max_batch_size
+    ):
+        """Everything arrives at t=0 and nothing fails: the serial stream
+        is busy from the first launch to the last, so the makespan is the
+        traced kernel time, launch by launch."""
+        reqs = [SimulatedRequest(f"n{i}", tokens=t) for i, t in enumerate([3, 9, 9, 17, 33, 12])]
+        config = ServingConfig(padding=padding, max_batch_size=max_batch_size)
+        report = simulate(encoder, reqs, config)
+        assert report.counts()["ok"] == len(reqs)
+        assert report.makespan_us == pytest.approx(report.trace.total_time_us, rel=1e-12)
+        assert max(report.latencies_us.values()) == pytest.approx(report.makespan_us, rel=1e-12)
+
+    @pytest.mark.parametrize("padding", ["exact", "ladder"])
+    def test_each_simulated_launch_is_an_estimate_at_the_groups_columns(self, encoder, padding):
+        """A launch costs the dispatcher's estimate for its projection at
+        ``batch_size × tokens`` columns on the backend that served it."""
+        dispatcher = KernelDispatcher()
+        reqs = [SimulatedRequest(f"c{i}", tokens=t) for i, t in enumerate([5, 5, 9, 14, 14, 14])]
+        report = simulate(encoder, reqs, ServingConfig(padding=padding), dispatcher=dispatcher)
+        operands = {name: lin.operand for name, lin in encoder.named_linear_layers()}
+        assert report.trace.executions
+        for e in report.trace.executions:
+            columns = e.meta["batch_size"] * e.meta["tokens"]
+            expected = dispatcher.estimate(operands[e.meta["layer"]], columns, backend=e.meta["backend"])
+            assert e.time_us == expected.time_us
+
     def test_simulate_needs_an_encoder(self, encoder):
         """There is no single-operator simulation: one projection's operand
         is refused up front."""
         _, projection = next(encoder.named_linear_layers())
         with pytest.raises(TypeError, match="TransformerEncoder"):
             simulate(projection.operand, [SimulatedRequest("r", tokens=4)], HELD)
-
-    def test_single_device_report_carries_the_zeroed_sharding_block(self, encoder):
-        report = simulate(encoder, uniform_arrivals(4, rate_rps=50000, tokens=[9]), HELD)
-        assert report.sharding["tp_degree"] == 1
-        assert report.sharding["per_shard_modelled_us"] == []
-        assert report.sharding["comm_time_us"] == 0.0
-        assert all(e.category == "gemm" for e in report.trace.executions)
 
     def test_injected_latency_lengthens_the_makespan_exactly(self, encoder):
         """A latency fault on one call delays the serial stream by exactly

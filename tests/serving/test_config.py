@@ -3,16 +3,15 @@
 Pins the api_redesign contract: every serving engine constructs from a
 :class:`ServingConfig` (directly or through :func:`create_engine`), the
 legacy per-engine keywords are gone (they raise ``TypeError``), and both
-engines report one
-normalized ``stats()`` schema — the ``outcomes`` / ``admission`` /
-``continuous`` / ``dispatch_health`` / ``sharding`` blocks are always
+engines report one normalized ``stats()`` schema — the ``outcomes`` /
+``admission`` / ``continuous`` / ``dispatch_health`` blocks are always
 present, zeroed when the corresponding feature is unused.
 """
 
 import gc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ShardedDispatcher,
     SimulatedRequest,
     create_engine,
     simulate,
@@ -55,12 +53,22 @@ def make_encoder(seed=0, num_layers=1):
     return encoder
 
 
+#: Every option a caller sets, and nothing else: a new field needs a caller.
+SERVING_OPTIONS = (
+    "name", "scheduling", "padding", "max_batch_size", "window_us", "step_us",
+    "max_queue_depth", "shed_policy", "kv_budget_blocks", "block_size",
+    "capacity_blocks", "warm", "warm_buckets", "scheduling_policy",
+)
+
+
 class TestServingConfig:
     def test_defaults_validate(self):
         config = ServingConfig()
         assert config.scheduling == "continuous"
         assert config.padding == "exact"
-        assert config.tp_degree == 1
+
+    def test_fields_are_the_options_callers_set(self):
+        assert tuple(f.name for f in fields(ServingConfig)) == SERVING_OPTIONS
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -72,16 +80,16 @@ class TestServingConfig:
             {"step_us": -1.0},
             {"max_batch_size": 0},
             {"block_size": 0},
+            {"capacity_blocks": 0},
+            {"max_batch_size": -3},
+            {"scheduling": "Continuous"},
+            {"padding": ""},
             {"shed_policy": "coin-flip"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ServingConfig(**kwargs)
-
-    def test_sharding_validation(self):
-        with pytest.raises(ValueError):
-            ServingConfig(tp_degree=0)
 
     def test_build_batcher_is_always_continuous(self):
         """One batcher for every engine kind; ``"async"`` only adds the
@@ -114,12 +122,6 @@ class TestServingConfig:
             ).build_batcher()
             assert batcher.scheduling is active
             assert batcher.max_queue_depth == 4
-
-    def test_build_dispatcher_only_when_sharded(self):
-        assert ServingConfig().build_dispatcher() is None
-        dispatcher = ServingConfig(tp_degree=2).build_dispatcher()
-        assert isinstance(dispatcher, ShardedDispatcher)
-        assert dispatcher.num_shards == 2
 
 
 class TestCreateEngine:
@@ -158,14 +160,14 @@ class TestCreateEngine:
         out = model_engine.serve([Request("r0", x)])
         assert out["r0"].shape == (5, HIDDEN)
 
-    def test_explicit_kwargs_win_over_config(self):
+    def test_explicit_dispatcher_is_the_engines(self):
         dispatcher = KernelDispatcher()
-        engine = create_engine(
-            make_encoder(),
-            config=ServingConfig(tp_degree=2),
-            dispatcher=dispatcher,
-        )
-        assert engine.dispatcher is dispatcher
+        for kind in ENGINE_KINDS:
+            engine = create_engine(make_encoder(), kind=kind, dispatcher=dispatcher)
+            assert engine.dispatcher is dispatcher
+            assert all(
+                lin.dispatcher is dispatcher for _, lin in engine.encoder.named_linear_layers()
+            )
 
 
 class TestDeprecatedKwargs:
@@ -193,19 +195,8 @@ class TestDeprecatedKwargs:
 
 
 #: Normalized stats blocks every engine must expose, feature used or not.
-NORMALIZED_BLOCKS = ("outcomes", "admission", "continuous", "dispatch_health", "sharding")
+NORMALIZED_BLOCKS = ("outcomes", "admission", "continuous", "dispatch_health")
 ZEROED_CLASS = {"shed": 0, "expired": 0, "pending": 0}
-#: A single-device dispatcher is the tp_degree=1 case of the sharded schema.
-ZEROED_SHARDING = {
-    "tp_degree": 1,
-    "per_shard_calls": [],
-    "per_shard_modelled_us": [],
-    "load_balance": None,
-    "cut_bytes_per_token": 0.0,
-    "comm_time_us": 0.0,
-    "comm_events": 0,
-}
-SHARDING_KEYS = set(ZEROED_SHARDING)
 #: What an unbounded batcher reports before any traffic.
 ZEROED_ADMISSION = {
     "max_queue_depth": None,
@@ -220,6 +211,19 @@ ZEROED_ADMISSION = {
     "per_class": {0: ZEROED_CLASS},
 }
 ENGINE_KINDS = ("encoder", "decoder")
+#: Each engine's whole ``stats()`` key set: the shared blocks plus its own.
+STATS_KEYS = {
+    "encoder": {
+        "requests", "batches", "mean_batch_size", "padding", "plan_cache",
+        "dispatch_cache", "modelled_kernel_time_us", "per_layer_time_us",
+        "sparse_projections", *NORMALIZED_BLOCKS,
+    },
+    "decoder": {
+        "requests", "cache", "decode_steps", "prefills", "prefills_skipped",
+        "preemptions", "resumes", "preempted_parked", "residents", "stacking",
+        *NORMALIZED_BLOCKS,
+    },
+}
 
 
 def build_engine(kind, config=None, **kwargs):
@@ -248,10 +252,26 @@ class TestEngineCoreContract:
             assert isinstance(stats[block], dict), f"{kind} lacks {block!r}"
         assert stats["continuous"] == {"steps": 0, "completions": 0}
         assert stats["outcomes"] == {"ok": 0, "failed": 0, "timed_out": 0, "shed": 0}
-        assert stats["sharding"] == ZEROED_SHARDING
         # A decoder's KV budget defaults to the whole cache.
         budget = ServingConfig().capacity_blocks if kind == "decoder" else None
         assert stats["admission"] == {**ZEROED_ADMISSION, "kv_budget_blocks": budget}
+
+    def test_stats_keys_are_the_documented_schema(self, kind):
+        assert set(build_engine(kind).stats()) == STATS_KEYS[kind]
+
+    def test_engine_without_a_dispatcher_builds_a_private_one(self, kind):
+        """Two engines never share memoized signatures unless handed one
+        dispatcher: each builds its own, named after it, and routes every
+        projection of its encoder through it."""
+        first, second = build_engine(kind), build_engine(kind)
+        assert type(first.dispatcher) is KernelDispatcher
+        assert first.dispatcher is not second.dispatcher
+        assert first.dispatcher.name == f"{first.name}.dispatcher"
+        for engine in (first, second):
+            assert all(
+                lin.dispatcher is engine.dispatcher
+                for _, lin in engine.encoder.named_linear_layers()
+            )
 
     def test_continuous_batcher_reports_the_same_schema(self, kind):
         engine = build_engine(kind, ServingConfig(scheduling="continuous"))
@@ -259,16 +279,6 @@ class TestEngineCoreContract:
         assert set(admission) == set(ZEROED_ADMISSION)
         assert admission["policy"] == "fcfs"
         assert admission["per_class"] == {0: ZEROED_CLASS}
-
-    def test_sharded_dispatcher_is_one_kernel_dispatcher(self, kind):
-        """Sharding is a placement on one dispatcher: the engine holds a
-        ``KernelDispatcher`` whatever the topology, with one memo and one
-        breaker for every shard."""
-        config = ServingConfig(tp_degree=2)
-        engine = create_engine(make_encoder(), config=config, kind=kind)
-        assert isinstance(engine.dispatcher, ShardedDispatcher)
-        assert isinstance(engine.dispatcher, KernelDispatcher)
-        assert engine.stats()["sharding"]["tp_degree"] == 2
 
     def test_replay_with_no_ok_request_terminates_with_one_outcome_each(
         self, kind, rng
@@ -365,15 +375,6 @@ def test_bench_sized_encoder_engine_leaves_no_cyclic_garbage(rng):
 
 
 class TestNormalizedStatsSchema:
-    def test_sharding_block_live_when_sharded(self, rng):
-        engine = create_engine(make_encoder(), config=ServingConfig(tp_degree=2))
-        x = rng.normal(size=(6, HIDDEN)).astype(np.float32)
-        engine.serve([Request("r0", x)])
-        block = engine.stats()["sharding"]
-        assert set(block) == SHARDING_KEYS
-        assert block["tp_degree"] == 2
-        assert block["comm_time_us"] > 0.0
-
     def test_outcome_block_consistent(self, rng):
         engine = create_engine(make_encoder())
         engine.serve([Request("r0", rng.normal(size=(4, HIDDEN)).astype(np.float32))])
@@ -418,7 +419,7 @@ class TestConfigDrivenSimulation:
     def encoder(self):
         return make_encoder()
 
-    def test_config_selects_policy_and_sharding(self, encoder, rng):
+    def test_config_selects_policy(self, encoder, rng):
         requests = [
             SimulatedRequest(f"s{i}", tokens=8, arrival_us=20.0 * i) for i in range(6)
         ]
@@ -429,8 +430,25 @@ class TestConfigDrivenSimulation:
         )
         assert report.config.scheduling == "continuous"
         assert report.config.padding == "exact"
-        sharded = simulate(encoder, requests, ServingConfig(tp_degree=2, window_us=100.0))
-        assert sharded.num_requests == 6
+        assert report.num_requests == 6
+
+    @pytest.mark.parametrize("padding", ["exact", "ladder"])
+    def test_a_shared_dispatcher_reproduces_the_private_report(self, encoder, padding):
+        """Decisions and estimates are pure: a dispatcher shared across a
+        sweep (warm memo on the second run) gives every run the report a
+        private one gives."""
+        requests = uniform_arrivals(24, rate_rps=200_000, tokens=[3, 9, 17, 33])
+        config = ServingConfig(padding=padding, max_batch_size=4)
+        private = simulate(encoder, requests, config)
+        shared = KernelDispatcher()
+        for _ in range(2):
+            report = simulate(encoder, requests, config, dispatcher=shared)
+            assert report.makespan_us == private.makespan_us
+            assert report.latencies_us == private.latencies_us
+            assert report.outcomes == private.outcomes
+            assert [e.time_us for e in report.trace.executions] == [
+                e.time_us for e in private.trace.executions
+            ]
 
     def test_config_admission_knobs_are_honoured(self, encoder):
         """Regression: the simulator's config path used to drop the

@@ -188,28 +188,41 @@ class TestGroupedExecution:
         assert padding["bucket_tokens"] == padding["valid_tokens"] == 31
         assert_sequential_bits(encoder, requests, results)
 
-    @pytest.mark.parametrize("tp_degree", [1, 2], ids=["tp1", "tp2"])
     @pytest.mark.parametrize("scheduling", ["continuous", "async"])
     @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
-    def test_staggered_ragged_traffic_is_bit_exact(self, rng, sparse, scheduling, tp_degree):
+    def test_staggered_ragged_traffic_is_bit_exact(self, rng, sparse, scheduling):
         """Arrivals spread over the step loop, with and without the async
-        hold, on one device and two: the micro-batches each schedule forms
-        differ, every output is still the request's own forward."""
+        hold: the micro-batches each schedule forms differ, every output is
+        still the request's own forward."""
         encoder = make_encoder(num_layers=2, sparse=sparse)
         engine = ModelServingEngine(
             encoder,
-            config=ServingConfig(
-                padding="ladder",
-                scheduling=scheduling,
-                step_us=10.0,
-                tp_degree=tp_degree,
-            ),
+            config=ServingConfig(padding="ladder", scheduling=scheduling, step_us=10.0),
         )
         lengths = [3, 12, 9, 3, 16, 5, 12, 20]
         requests = make_requests(rng, lengths, arrivals=[0.0, 0.0, 5.0, 5.0, 40.0, 41.0, 90.0, 90.0])
         results = engine.serve_continuous(requests)
         assert_sequential_bits(encoder, requests, results)
         assert engine.stats()["padding"]["valid_tokens"] == sum(lengths)
+
+    @pytest.mark.parametrize("scheduling", ["continuous", "async"])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_staggered_exact_traffic_is_bit_exact(self, rng, sparse, scheduling):
+        """The same staggered arrivals over exact-length buckets: equal
+        lengths that arrive apart share a micro-batch only when both are
+        queued at a step, and every output is still the request's own
+        forward."""
+        encoder = make_encoder(num_layers=2, sparse=sparse)
+        engine = ModelServingEngine(
+            encoder,
+            config=ServingConfig(padding="exact", scheduling=scheduling, step_us=10.0),
+        )
+        lengths = [3, 12, 12, 3, 16, 5, 12, 3]
+        requests = make_requests(rng, lengths, arrivals=[0.0, 0.0, 5.0, 5.0, 40.0, 41.0, 90.0, 90.0])
+        results = engine.serve_continuous(requests)
+        assert_sequential_bits(encoder, requests, results)
+        assert engine.stats()["padding"]["valid_tokens"] == sum(lengths)
+        assert engine.stats()["padding"]["bucket_tokens"] == sum(lengths)
 
     @pytest.mark.parametrize("padding", ["exact", "ladder"])
     def test_each_output_owns_its_rows(self, rng, padding):

@@ -525,12 +525,52 @@ class TestModelEngineApi:
             sum(per_layer.values())
         )
 
-    @pytest.mark.parametrize("kind", ["encoder", "decoder", "encoder-tp2"])
+    @pytest.mark.parametrize("batch_size,tokens", [(1, 8), (3, 8), (2, 24), (4, 16)])
+    @pytest.mark.parametrize("pattern", [(16, 2, 8), None], ids=["sparse", "dense"])
+    def test_each_launch_is_the_dispatchers_estimate(self, rng, pattern, batch_size, tokens):
+        """One same-length window: one ``gemm`` launch per projection, in
+        forward order, each the dispatcher's estimate at ``B × S`` columns
+        on the backend its signature ranks first."""
+        if pattern is None:
+            cfg = tiny_config(hidden_size=HIDDEN, num_layers=1, num_heads=4, intermediate_size=128)
+            encoder = TransformerEncoder.init(cfg, seed=0)
+        else:
+            encoder = make_encoder(pattern, 1)
+        engine = ModelServingEngine(encoder, config=ServingConfig(name="launches"))
+        engine.serve(make_requests(rng, [tokens] * batch_size))
+        layers = list(encoder.named_linear_layers())
+        assert len(engine.trace.executions) == len(layers)
+        for (name, lin), e in zip(layers, engine.trace.executions):
+            backend = engine.dispatcher.dispatch(lin.operand, tokens).backend
+            expected = engine.dispatcher.estimate(lin.operand, batch_size * tokens, backend=backend)
+            assert e.category == "gemm" and e.time_us == expected.time_us
+            assert {k: e.meta[k] for k in ("serving", "layer", "backend", "batch_size", "tokens")} == {
+                "serving": "launches",
+                "layer": name,
+                "backend": backend,
+                "batch_size": batch_size,
+                "tokens": tokens,
+            }
+
+    @pytest.mark.parametrize("rung", [8, 16, 32])
+    def test_on_rung_lengths_trace_alike_under_both_paddings(self, rng, rung):
+        """Lengths that sit on a ladder rung form the same micro-batches
+        either way, so both engines model the same launches."""
+        requests = make_requests(rng, [rung] * 3)
+        traces = []
+        for padding in ("exact", "ladder"):
+            engine = ModelServingEngine(
+                make_encoder((16, 2, 8), 1), config=ServingConfig(padding=padding, name="rung")
+            )
+            engine.serve(requests)
+            traces.append([(e.kernel, e.time_us, e.meta) for e in engine.trace.executions])
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("kind", ["encoder", "decoder"])
     def test_mixed_dense_sparse_encoder_stays_bit_exact(self, rng, kind):
         """Only the FFN sparsified: the attention projections run dense
         through the same dispatcher, and every engine still serves the
-        sequential bits; a sharded engine counts all six projections'
-        calls per forward, dense ones included."""
+        sequential bits."""
         cfg = tiny_config(hidden_size=HIDDEN, num_layers=2, num_heads=4, intermediate_size=128)
         encoder = TransformerEncoder.init(cfg, seed=3)
         sparsify_encoder(
@@ -551,20 +591,9 @@ class TestModelEngineApi:
                 expected = decode_reference(encoder, request.prompt, request.new_tokens)
                 assert np.array_equal(served[request.request_id], expected)
             return
-        tp_degree = 2 if kind == "encoder-tp2" else 1
-        engine = ModelServingEngine(encoder, config=ServingConfig(tp_degree=tp_degree))
+        engine = ModelServingEngine(encoder)
         requests = make_requests(rng, lengths)
         batched = engine.serve(requests)
-        stats = engine.stats()
-        if kind == "encoder-tp2":
-            forwards = len(set(lengths))  # one forward per distinct length
-            assert sum(stats["sharding"]["per_shard_calls"]) == 12 * forwards
-            owner = engine.dispatcher.placement.as_dict()
-            expected = [0, 0]
-            for name, lin in encoder.named_linear_layers():
-                assert engine.dispatcher.shard_of(lin.operand) == owner[name]
-                expected[owner[name]] += forwards
-            assert stats["sharding"]["per_shard_calls"] == expected
         for request in requests:
             sequential = encoder.forward(request.activations[None])[0]
             assert np.array_equal(batched[request.request_id], sequential)

@@ -8,14 +8,14 @@ instant submitted first).  The two must agree on every completion record
 (step, rung, batch size, instant), every request's terminal state, the
 shed set and every backend's injector call count — over random arrivals,
 token counts, deadlines, priority classes, scheduling policies, bounded
-queues, shed policies, exact and ladder padding, one and two shards, and
-fault plans.  The call counts agree only because the modelled engine walks
-the forward's own call sequence: length groups shortest first, each
-group's projections in forward order.  With exact padding and no faults
-the modelled launches — every projection's GEMM and every collective —
-are also the live trace's, launch for launch.  What differs is only what
-each executes: real kernels behind the dispatcher's failover walk, or
-modelled charges behind the same walk.
+queues, shed policies, exact and ladder padding, and fault plans.  The
+call counts agree only because the modelled engine walks the forward's
+own call sequence: length groups shortest first, each group's
+projections in forward order.  With exact padding and no faults the
+modelled launches — every projection's GEMM — are also the live trace's,
+launch for launch.  What differs is only what each executes: real
+kernels behind the dispatcher's failover walk, or modelled charges
+behind the same walk.
 
 The encoder keeps its attention projections dense (one candidate,
 ``cublas-dense``) and its FFN V:N:M (two candidates), so a walk out of
@@ -40,7 +40,6 @@ from repro.serving import (
     Request,
     SchedulingConfig,
     ServingConfig,
-    ShardedDispatcher,
 )
 from repro.serving.continuous import SHED_POLICIES
 from repro.serving.simulate import ModelledEngine
@@ -51,11 +50,10 @@ ENCODER = TransformerEncoder.init(
     tiny_config(hidden_size=HIDDEN, num_layers=1, num_heads=2, intermediate_size=64), seed=0
 )
 sparsify_encoder(ENCODER, VNMSparsifier(n=2, m=8, v=16), weight_filter=lambda name: ".ffn." in name)
-#: One dispatcher per TP degree for every example: decisions and estimates
-#: are pure, so sharing them is the sweep contract; backend health is reset
-#: per example.
-DISPATCHERS = {1: KernelDispatcher(), 2: ShardedDispatcher(num_shards=2)}
-BACKENDS = [b.name for b in DISPATCHERS[1].backends]
+#: One dispatcher for every example: decisions and estimates are pure, so
+#: sharing them is the sweep contract; backend health is reset per example.
+DISPATCHER = KernelDispatcher()
+BACKENDS = [b.name for b in DISPATCHER.backends]
 
 SCHEDULINGS = [
     SchedulingConfig(),
@@ -72,25 +70,23 @@ def _every_backend_fails(call):
     return FaultPlan([FaultSpec(backend=n, kind="transient", at_call=call) for n in BACKENDS])
 
 
-def _config(padding="ladder", tp_degree=1, **knobs):
+def _config(padding="ladder", **knobs):
     """Three slots per micro-batch, unbounded FCFS unless ``knobs`` say
     otherwise; ``"ladder"`` is the default ladder."""
-    return ServingConfig(
-        padding=padding, max_batch_size=3, warm=False, tp_degree=tp_degree, **knobs
-    )
+    return ServingConfig(padding=padding, max_batch_size=3, warm=False, **knobs)
 
 
 #: Pinned cells for the rules the simulator used to get wrong: a chunk every
 #: backend fails is bisected (not failed whole), and a deadline is judged
 #: before execution (a chunk that starts late still completes ``ok``) —
-#: and a fault-free sharded exact-length run, where the modelled launches
-#: must be the live trace's.
+#: and a fault-free exact-length run, where the modelled launches must be
+#: the live trace's.
 BISECTION = ([_request(f"b{i}", 12) for i in range(4)], _every_backend_fails(0), _config())
 DEADLINES = ([_request("a", 12, deadline_us=1.0), _request("b", 30, deadline_us=1.0)], FaultPlan(), _config())
-SHARDED_EXACT = (
+EXACT = (
     [_request(f"s{i}", t, 10.0 * i) for i, t in enumerate([5, 5, 12, 5, 30])],
     FaultPlan(),
-    _config("exact", tp_degree=2),
+    _config("exact"),
 )
 
 
@@ -123,7 +119,6 @@ def traces(draw):
     )
     config = _config(
         draw(st.sampled_from(["exact", "ladder"])),
-        draw(st.sampled_from([1, 2])),
         scheduling_policy=draw(st.sampled_from(SCHEDULINGS)),
         max_queue_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
         shed_policy=draw(st.sampled_from(SHED_POLICIES)),
@@ -168,7 +163,7 @@ def _launches(trace):
 
 def check_agreement(trace):
     requests, plan, config = trace
-    dispatcher = DISPATCHERS[config.tp_degree]
+    dispatcher = DISPATCHER
     modelled = _SteppedModelledEngine(ENCODER, replace(config, name="agreement"), dispatcher, plan)
     modelled.serve_continuous(requests)
 
@@ -193,7 +188,7 @@ def check_agreement(trace):
     assert injector.stats()["calls"] == modelled.injector.stats()["calls"]
     if config.padding == "exact" and not plan.specs:
         # One group per micro-batch at its true length: each micro-batch's
-        # modelled GEMMs and collectives are the live trace's, in order.
+        # modelled GEMMs are the live trace's, in order.
         assert _launches(modelled.trace) == _launches(live.trace)
         assert modelled.total_batches == live.total_batches
 
@@ -205,9 +200,33 @@ _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(trace=traces())
 @example(trace=BISECTION)
 @example(trace=DEADLINES)
-@example(trace=SHARDED_EXACT)
+@example(trace=EXACT)
 def test_simulator_agrees_with_live_engine(trace):
     check_agreement(trace)
+
+
+#: Fault-free exact-length traces, pinned: ``(tokens, arrival_us, class)``
+#: per request.  Same-instant arrivals share a micro-batch, spread ones take
+#: their own steps, and a queue longer than ``max_batch_size`` is chunked; a
+#: trace with a second class runs under strict priority.
+EXACT_CELLS = {
+    "one-request": [(7, 0.0, 0)],
+    "same-length-burst": [(9, 0.0, 0)] * 5,
+    "ragged-burst": [(3, 0.0, 0), (12, 0.0, 0), (3, 0.0, 0), (30, 0.0, 0), (12, 0.0, 0)],
+    "spread": [(5, 0.0, 0), (5, 40.0, 0), (17, 80.0, 0), (5, 120.0, 0)],
+    "ties-on-a-grid": [(8, 0.0, 0), (8, 5.0, 0), (16, 5.0, 0), (8, 10.0, 0), (16, 10.0, 0), (36, 10.0, 0)],
+    "two-classes": [(6, 0.0, 0), (6, 0.0, 1), (11, 0.0, 0), (6, 20.0, 1)],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(EXACT_CELLS))
+def test_exact_fault_free_cells_agree_launch_for_launch(cell):
+    requests = [
+        _request(f"x{i}", tokens, arrival, priority_class=cls)
+        for i, (tokens, arrival, cls) in enumerate(EXACT_CELLS[cell])
+    ]
+    scheduling = SCHEDULINGS[1] if any(r.priority_class for r in requests) else SCHEDULINGS[0]
+    check_agreement((requests, FaultPlan(), _config("exact", scheduling_policy=scheduling)))
 
 
 @pytest.mark.slow
@@ -215,18 +234,7 @@ def test_simulator_agrees_with_live_engine(trace):
 @given(trace=traces())
 @example(trace=BISECTION)
 @example(trace=DEADLINES)
-@example(trace=SHARDED_EXACT)
+@example(trace=EXACT)
 def test_simulator_agrees_with_live_engine_large(trace):
     check_agreement(trace)
 
-
-def test_sharded_exact_cell_charges_both_shards_and_comm():
-    """The pinned sharded cell exercises what the property compares: both
-    shards carry modelled load and the collectives are charged."""
-    requests, plan, config = SHARDED_EXACT
-    modelled = ModelledEngine(ENCODER, config, ShardedDispatcher(num_shards=2), plan)
-    modelled.serve_continuous(requests)
-    stats = modelled.dispatcher.sharding_stats()
-    assert all(us > 0.0 for us in stats["per_shard_modelled_us"])
-    assert stats["comm_time_us"] > 0.0
-    assert any(e.category == "comm" for e in modelled.trace.executions)

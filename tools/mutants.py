@@ -64,19 +64,6 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/serving/test_decoder.py",),
     ),
     Mutant(
-        "sharded-estimate-charges-on-a-query",
-        "src/repro/serving/sharded.py",
-        ((
-            "    def attribute_modelled(self, operand: SpmmOperand, time_us: float) -> None:\n",
-            "    def estimate(self, operand, c, backend=None):\n"
-            "        result = super().estimate(operand, c, backend)\n"
-            "        self.shard_modelled_us[self.shard_of(operand)] += result.time_us\n"
-            "        return result\n\n"
-            "    def attribute_modelled(self, operand: SpmmOperand, time_us: float) -> None:\n",
-        ),),
-        ("tests/serving/test_sharded.py",),
-    ),
-    Mutant(
         "length-groups-run-longest-first",
         "src/repro/serving/model_engine.py",
         ((
