@@ -219,7 +219,6 @@ def test_perf_batcher_plan_vs_reference(run_once, policy, queued):
                 class_of=lambda r: r.priority_class,
                 deadline_of=lambda r: r.deadline_us,
                 policy=policy,
-                served_by_class=dict(batcher._served_by_class),
             )
             t1 = time.perf_counter()
             batch = batcher.next_batch(100.0)

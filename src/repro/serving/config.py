@@ -76,8 +76,8 @@ class ServingConfig:
     scheduling_policy:
         SLO-aware scheduling knobs
         (:class:`~repro.serving.continuous.SchedulingConfig`): cross-class
-        arbitration (``"fcfs"`` / ``"priority"`` / ``"weighted-fair"``),
-        preemption of held rungs, per-class queue bounds.
+        arbitration (``"fcfs"`` / ``"priority"``) and per-class queue
+        bounds.
     """
 
     name: Optional[str] = None

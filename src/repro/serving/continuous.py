@@ -11,8 +11,8 @@ pass):
   even though its new batchmates have been queued since earlier steps;
 * each step executes **one** micro-batch: the single most urgent
   bucket chunk among everything arrived (oldest first across rungs
-  under FCFS; by class, then earliest deadline, under the SLO policies of
-  :class:`SchedulingConfig`);
+  under FCFS; by class, then earliest deadline, under the strict-priority
+  policy of :class:`SchedulingConfig`);
 * completed sequences leave at the end of their step without blocking the
   rung — requests of the same rung that did not fit the chunk stay queued
   and are eligible again at the very next step, merged with whatever
@@ -25,10 +25,10 @@ the rung's free slots, whichever comes first.  ``window_us = 0`` (the
 default) holds nothing.  A whole window (``serve``) is the step loop run
 until the queue is empty.
 
-Every policy is planned by one pass over the batcher's per-bucket queues,
+Both policies are planned by one pass over the batcher's per-bucket queues,
 kept sorted by ``(arrival_us, request_id)`` at admission: FCFS compares the
-bucket heads (O(non-empty buckets) plus the chunk), the class policies
-collect each bucket's arrived prefix (O(arrived)).  A bucket's key is known
+bucket heads (O(non-empty buckets) plus the chunk), strict priority
+collects each bucket's arrived prefix (O(arrived)).  A bucket's key is known
 from its queue, so no request is re-bucketed per step.
 :func:`plan_slo_batch_reference` spells the same policies out over a flat
 item list, and the chunk-sequence property test in
@@ -65,8 +65,7 @@ SHED_POLICIES: Tuple[str, ...] = (SHED_REJECT_NEWEST, SHED_DROP_EXPIRED)
 #: SLO-aware chunk-selection policies (cross-class arbitration).
 POLICY_FCFS = "fcfs"
 POLICY_PRIORITY = "priority"
-POLICY_WEIGHTED_FAIR = "weighted-fair"
-SCHEDULING_POLICIES: Tuple[str, ...] = (POLICY_FCFS, POLICY_PRIORITY, POLICY_WEIGHTED_FAIR)
+SCHEDULING_POLICIES: Tuple[str, ...] = (POLICY_FCFS, POLICY_PRIORITY)
 
 _NO_DEADLINE = float("inf")
 
@@ -76,35 +75,23 @@ class SchedulingConfig:
     """SLO-aware scheduling knobs (:class:`ContinuousBatcher` and the
     engines' :class:`~repro.serving.config.ServingConfig`).
 
-    ``policy`` arbitrates *across* priority classes; *within* the chosen
-    class, the two class policies select earliest-deadline-first (requests
-    without a deadline rank last, then oldest arrival, ties by id):
+    ``policy`` arbitrates *across* priority classes:
 
     * ``"fcfs"`` (default) — classes and deadlines are ignored: the
       bucket whose head has the oldest ``(arrival_us, request_id)`` runs,
       its arrived members oldest first.
     * ``"priority"`` — strict priority: the highest populated class with
       schedulable work always wins (larger ``priority_class`` = more
-      urgent; a steady stream of high-class work can starve class 0).
-    * ``"weighted-fair"`` — deficit-style weighted fairness: the class
-      with the smallest served-requests-to-weight ratio wins (ties go to
-      the higher class), so best-effort traffic keeps a guaranteed share
-      under sustained high-class load.  Requires ``class_weights``.
+      urgent; a steady stream of high-class work can starve class 0), and
+      *within* it earliest-deadline-first (requests without a deadline
+      rank last, then oldest arrival, ties by id).
 
-    ``preemption`` lets a higher class evict lower-class holders of a
-    *full* rung (multi-step decode sequences): the victim releases its
-    slot but keeps its KV blocks and re-queues at its original
-    ``(arrival_us, request_id)`` rank, so it resumes deterministically and
-    bit-exactly once a slot frees up.
-
-    ``class_weights[c]`` is class ``c``'s weighted-fair share and, with
-    ``max_queue_depth``, its proportional slice of the admission bound.
-    Classes beyond the tuple get weight 1; without ``class_weights`` no
-    class has a dedicated bound.
+    ``class_weights[c]`` is class ``c``'s proportional slice of the
+    ``max_queue_depth`` admission bound.  Classes beyond the tuple get
+    weight 1; without ``class_weights`` no class has a dedicated bound.
     """
 
     policy: str = POLICY_FCFS
-    preemption: bool = False
     class_weights: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -117,8 +104,6 @@ class SchedulingConfig:
         for weight in self.class_weights:
             if not isinstance(weight, int) or weight < 1:
                 raise ValueError(f"class_weights must be ints >= 1, got {self.class_weights!r}")
-        if self.policy == POLICY_WEIGHTED_FAIR and not self.class_weights:
-            raise ValueError("weighted-fair scheduling requires class_weights")
 
     @property
     def num_classes(self) -> int:
@@ -126,7 +111,7 @@ class SchedulingConfig:
         return max(len(self.class_weights), 1)
 
     def weight_of(self, priority_class: int) -> int:
-        """Weighted-fair share of one class (1 beyond ``class_weights``)."""
+        """Queue-bound share of one class (1 beyond ``class_weights``)."""
         if priority_class < len(self.class_weights):
             return self.class_weights[priority_class]
         return 1
@@ -179,25 +164,6 @@ class CompletionRecord:
         return self.completed_us - self.arrival_us
 
 
-def _wf_wins(challenger, incumbent, served_by_class, weights) -> bool:
-    """Deficit-style weighted-fair arbitration between two classes.
-
-    The class with the smaller ``served / weight`` ratio wins (compared by
-    cross-multiplication so the decision is exact integer arithmetic, never
-    float division); ties go to the *higher* class.  ``incumbent is None``
-    always loses.
-    """
-    if incumbent is None:
-        return True
-    if challenger == incumbent:
-        return False
-    lhs = served_by_class.get(challenger, 0) * weights(incumbent)
-    rhs = served_by_class.get(incumbent, 0) * weights(challenger)
-    if lhs != rhs:
-        return lhs < rhs
-    return challenger > incumbent
-
-
 def plan_slo_batch_reference(
     items,
     key_of,
@@ -207,8 +173,6 @@ def plan_slo_batch_reference(
     class_of=None,
     deadline_of=None,
     policy: str = POLICY_FCFS,
-    class_weights: Tuple[int, ...] = (),
-    served_by_class=None,
     capacity_of=None,
     window_us: float = 0.0,
     now_us: Optional[float] = None,
@@ -237,26 +201,22 @@ def plan_slo_batch_reference(
        first (ids are unique, so the rank is total and the plan
        deterministic).
        ``"priority"`` restricts candidates to the highest schedulable
-       class.  ``"weighted-fair"`` restricts to the class with the
-       smallest ``served_by_class[c] / class_weights[c]`` ratio (exact
-       integer comparison, ties to the higher class) — ``served_by_class``
-       is the caller's cumulative served counter, read-only here.
+       class.
     4. **EDF within the class**: candidates are ranked by
        ``(deadline_us or +inf, arrival_us, id)`` — tightest deadline
        first, deadline-free requests fall back to FCFS order.  The winning
        bucket is the one whose most urgent member wins, and its chunk is
        its candidates in that same urgency order, capped per (1).
     5. **KV cut** (``kv_room`` given): ``need_of(item)`` is the KV blocks
-       an item still has to reserve (0 once it holds them: preempted work).
-       Walking a bucket's candidates in chunk order, an item whose need
-       exceeds the blocks left of ``kv_room`` cuts the chunk — no later
-       item with a need joins it — and a bucket whose chunk is empty is
-       not a candidate.  Under a class policy a class none of whose
-       buckets has a non-empty chunk drops out and the next class is
-       arbitrated.
+       an item reserves when it is scheduled.  Walking a bucket's
+       candidates in chunk order, an item whose need exceeds the blocks
+       left of ``kv_room`` cuts the chunk — no later item joins it — and a
+       bucket whose chunk is empty is not a candidate.  Under
+       ``"priority"`` a class none of whose buckets has a non-empty chunk
+       drops out and the next class is arbitrated.
 
-    A non-FCFS chunk is **class-pure** (only the winning class's members),
-    keeping strictness strict and the weighted-fair accounting exact.
+    A ``"priority"`` chunk is **class-pure** (only the winning class's
+    members), keeping strictness strict.
     Returns ``(key, chunk)`` or ``None`` when nothing is schedulable.
     """
     if policy not in SCHEDULING_POLICIES:
@@ -265,7 +225,6 @@ def plan_slo_batch_reference(
         raise ValueError("a hold (window_us > 0) needs now_us")
     class_of = class_of if class_of is not None else (lambda item: 0)
     deadline_of = deadline_of if deadline_of is not None else (lambda item: None)
-    served_by_class = served_by_class if served_by_class is not None else {}
 
     def capacity(key) -> int:
         cap = max_batch_size if capacity_of is None else min(max_batch_size, capacity_of(key))
@@ -278,8 +237,7 @@ def plan_slo_batch_reference(
         for item in members:
             need = need_of(item)
             if need > room:
-                room = 0
-                continue
+                break
             room -= need
             chunk.append(item)
             if len(chunk) == cap:
@@ -322,9 +280,6 @@ def plan_slo_batch_reference(
         best = best_chunk(schedulable, lambda item: (arrival_of(item), id_of(item)))
         return (best[1], best[2]) if best is not None else None
 
-    def weight(cls: int) -> int:
-        return class_weights[cls] if cls < len(class_weights) else 1
-
     def rank(item):
         deadline = deadline_of(item)
         return (
@@ -335,13 +290,7 @@ def plan_slo_batch_reference(
 
     classes = {class_of(item) for item in schedulable}
     while classes:
-        if policy == POLICY_PRIORITY:
-            winner = max(classes)
-        else:  # weighted-fair
-            winner = None
-            for cls in classes:
-                if _wf_wins(cls, winner, served_by_class, weight):
-                    winner = cls
+        winner = max(classes)
         best = best_chunk([item for item in schedulable if class_of(item) == winner], rank)
         if best is not None:
             return best[1], best[2]
@@ -355,7 +304,7 @@ def _arrival_rank(request: Request) -> Tuple[float, str]:
 
 
 def _edf_rank(request: Request) -> Tuple[float, float, str]:
-    """Within-class order of the SLO policies: tightest deadline first,
+    """Within-class order of ``"priority"``: tightest deadline first,
     deadline-free requests last, then oldest arrival, ties by id."""
     deadline = request.deadline_us
     return (
@@ -413,8 +362,8 @@ class ContinuousBatcher:
     admission, so a bucket's arrived members are a prefix of its queue and
     its head is its oldest request.  One planner, :meth:`_plan`, serves
     every :class:`SchedulingConfig` policy from those queues: FCFS compares
-    the heads of the schedulable buckets, the class policies pick a class
-    over the arrived prefixes and then rank by deadline.  Deadlines live in
+    the heads of the schedulable buckets, strict priority picks the highest
+    class over the arrived prefixes and then ranks by deadline.  Deadlines live in
     a lazy heap (so :meth:`expire_due` is a no-op when nothing carries a
     deadline).  The emitted chunk sequence is identical to the
     :func:`plan_slo_batch_reference` specification, property-tested.
@@ -450,9 +399,8 @@ class ContinuousBatcher:
     does not fit the blocks left unreserved (a bucket whose chunk is cut
     to nothing waits, like a full rung), so nothing is ever shed for KV;
     only a request whose footprint exceeds the whole budget is refused at
-    submit (:meth:`take_failed`).  Preempted work keeps its reservation
-    and is never cut.  Reservations are returned by :meth:`release_kv`
-    when the engine frees the sequence's blocks.  Both default off,
+    submit (:meth:`take_failed`).  Reservations are returned by
+    :meth:`release_kv` when the engine frees the sequence's blocks.  Both default off,
     leaving single-step engines untouched.
     """
 
@@ -500,9 +448,8 @@ class ContinuousBatcher:
         #: Footprints of queued requests that hold no reservation yet.
         self._kv_need: Dict[str, int] = {}
         #: Rung slots held by in-flight multi-step sequences: per-rung list
-        #: of ``(priority_class, request_id)`` — the held count and what
-        #: preemption arbitrates on.
-        self._holders: Dict[BucketKey, List[Tuple[int, str]]] = {}
+        #: of holder request ids.
+        self._holders: Dict[BucketKey, List[str]] = {}
         #: Requests shed/evicted since the last take_*; drivers drain these
         #: into RequestOutcomes.
         self.shed_log: List[Request] = []
@@ -518,9 +465,6 @@ class ContinuousBatcher:
         self.total_expired_by_class: Dict[int, int] = {}
         #: Live queue depth per class (admission bookkeeping).
         self._pending_by_class: Dict[int, int] = {}
-        #: Cumulative requests scheduled per class — the weighted-fair
-        #: deficit state :meth:`_plan` arbitrates on.
-        self._served_by_class: Dict[int, int] = {}
         #: non-empty per-bucket queues, each sorted by (arrival_us, request_id).
         self._buckets: Dict[BucketKey, List[Request]] = {}
         #: live queued requests by id (the queue depth and the duplicate-id
@@ -699,9 +643,9 @@ class ContinuousBatcher:
 
     def _take(self, key: BucketKey, requests: List[Request]) -> None:
         """Remove queued ``requests`` from bucket ``key``, dropping the
-        bucket once empty; KV reservations stay.  A prefix of the queue
-        (every FCFS chunk) is one slice deletion, anything else one
-        filtering pass by identity."""
+        bucket once empty; the caller settles their KV footprints.  A
+        prefix of the queue (every FCFS chunk) is one slice deletion,
+        anything else one filtering pass by identity."""
         bucket = self._buckets[key]
         if all(map(is_, bucket, requests)):
             del bucket[: len(requests)]
@@ -717,7 +661,6 @@ class ContinuousBatcher:
         """Remove one queued request for good (expiry/shedding eviction)."""
         self._take(self.bucket_key(request), [request])
         self._kv_need.pop(request.request_id, None)
-        self.release_kv(request.request_id)  # preempted work's reservation returns now
 
     def take_shed(self) -> List[Request]:
         """Drain the shed log (requests refused admission since last call)."""
@@ -780,75 +723,29 @@ class ContinuousBatcher:
     # ------------------------------------------------------------------
     def acquire_slot(self, key: BucketKey, request: Request) -> None:
         """Mark one rung slot held by ``request``, an in-flight multi-step
-        sequence (who holds it is what :meth:`preemption_victim` reads)."""
-        self._holders.setdefault(key, []).append((request.priority_class, request.request_id))
+        sequence."""
+        self._holders.setdefault(key, []).append(request.request_id)
 
     def release_slot(self, key: BucketKey, request_id: str) -> None:
-        """Return the rung slot ``request_id`` holds (sequence completed,
-        failed, evicted or preempted)."""
+        """Return the rung slot ``request_id`` holds (sequence completed or
+        failed)."""
         holders = self._holders.get(key, [])
-        for i, (_, holder) in enumerate(holders):
-            if holder == request_id:
-                del holders[i]
-                if not holders:
-                    del self._holders[key]
-                return
-        raise RuntimeError(f"{request_id!r} holds no slot on rung {key}")
+        if request_id not in holders:
+            raise RuntimeError(f"{request_id!r} holds no slot on rung {key}")
+        holders.remove(request_id)
+        if not holders:
+            del self._holders[key]
 
     def occupied_slots(self, key: BucketKey) -> int:
         """Slots currently held on one rung."""
         return len(self._holders.get(key, ()))
 
-    def preemption_victim(self, key: BucketKey, priority_class: int) -> Optional[str]:
-        """The id of the slot holder a ``priority_class`` arrival may evict.
-
-        Deterministic choice among holders of strictly lower class: lowest
-        class first, ties by smallest request id.  ``None`` when every
-        holder is at least as important (no preemption).
-        """
-        candidates = [h for h in self._holders.get(key, ()) if h[0] < priority_class]
-        return min(candidates)[1] if candidates else None
-
-    def preemption_target(self, now_us: float) -> Optional[Tuple[BucketKey, Request]]:
-        """The queued request that preemption should make room for, if any.
-
-        With preemption enabled, plans the policy's chunk *ignoring* slot
-        occupancy; when that chunk's rung is in fact fully held, its most
-        urgent member is returned with the rung key — the driving engine
-        then asks :meth:`preemption_victim` whom to evict.  ``None`` when
-        preemption is off, nothing is queued, or the chosen rung has a free
-        slot anyway (normal scheduling will take it).
-        """
-        if not self.scheduling.preemption:
-            return None
-        planned = self._plan(now_us, occupancy=False)
-        if planned is None:
-            return None
-        key, chunk = planned
-        if self.occupied_slots(key) < self.max_batch_size:
-            return None
-        return key, chunk[0]
-
-    def requeue(self, request: Request) -> BucketKey:
-        """Re-admit preempted work, bypassing admission control entirely.
-
-        A preempted sequence was already admitted once (and still holds its
-        KV reservation), so it must never be shed on the way back in, nor
-        cut by the KV budget when it is scheduled again.  It re-enters its
-        bucket at its original ``(arrival_us, request_id)`` rank — the
-        deterministic re-queue the preemption golden cells pin.
-        """
-        if request.request_id in self._by_id:
-            raise ValueError(f"duplicate request_id {request.request_id!r}")
-        return self._enqueue(request, 0)
-
     def release_kv(self, request_id: str) -> int:
         """Return a request's KV-budget reservation; returns the blocks freed.
 
         Engines call this when the sequence's cache blocks are actually
-        freed (completion or failure); the expiry of a queued preempted
-        request calls it internally.  Unknown ids are a harmless no-op (the
-        request never reserved)."""
+        freed (completion or failure).  Unknown ids are a harmless no-op
+        (the request never reserved)."""
         cost = self._kv_cost_by_id.pop(request_id, 0)
         self.kv_reserved -= cost
         return cost
@@ -868,12 +765,12 @@ class ContinuousBatcher:
     def expire_due(self, now_us: float) -> List[Request]:
         """Remove and return queued requests whose deadline passed at ``now_us``.
 
-        Returned in ``request_id`` order; evicted ids become reusable and
-        their KV reservations return; expiry is strict ``deadline_us <
-        now_us`` and deadline-less requests never expire.  Driven off the
-        lazy deadline heap: when nothing queued carries a deadline — the
-        common case — this is a constant-time no-op instead of a full queue
-        scan per step.
+        Returned in ``request_id`` order; evicted ids become reusable (a
+        queued request holds no KV reservation); expiry is strict
+        ``deadline_us < now_us`` and deadline-less requests never expire.
+        Driven off the lazy deadline heap: when nothing queued carries a
+        deadline — the common case — this is a constant-time no-op instead
+        of a full queue scan per step.
         """
         heap = self._deadline_heap
         expired: List[Request] = []
@@ -893,33 +790,29 @@ class ContinuousBatcher:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _plan(
-        self, now_us: float, occupancy: bool = True
-    ) -> Optional[Tuple[BucketKey, List[Request]]]:
+    def _plan(self, now_us: float) -> Optional[Tuple[BucketKey, List[Request]]]:
         """The policy's chunk at ``now_us`` as ``(key, requests)``, or ``None``.
 
         A bucket is a candidate when its head has arrived (inclusive:
-        ``arrival_us <= now_us``), its rung has a free slot — all of
-        ``max_batch_size`` when ``occupancy`` is off, otherwise minus the
-        slots :meth:`acquire_slot` holds — and the hold lets it go: no
-        hold (``window_us == 0``), or its head has waited ``window_us``, or
-        its arrived prefix fills the free slots.  A chunk never exceeds its
-        rung's free slots.
+        ``arrival_us <= now_us``), its rung has a free slot
+        (``max_batch_size`` minus the slots :meth:`acquire_slot` holds) and
+        the hold lets it go: no hold (``window_us == 0``), or its head has
+        waited ``window_us``, or its arrived prefix fills the free slots.  A
+        chunk never exceeds its rung's free slots.
 
         * FCFS: the candidate whose head ranks first by ``(arrival_us,
           request_id)`` wins, and its chunk is its arrived prefix.
-        * Priority / weighted-fair: the winning class is chosen over every
-          candidate's arrived members (the highest class, or
-          :func:`_wf_wins` on the served-per-weight deficit); among that
-          class's members the bucket holding the best EDF rank wins, and
-          its chunk is its class members in EDF order — class-pure.
+        * Priority: the highest class among every candidate's arrived
+          members wins; among that class's members the bucket holding the
+          best EDF rank wins, and its chunk is its class members in EDF
+          order — class-pure.
 
         Under a KV budget every chunk is :meth:`_kv_cut`; a bucket whose
         chunk is cut to nothing is not a candidate, and a class with no
         candidate bucket drops out of the arbitration.
         """
         policy = self.scheduling.policy
-        holders = self._holders if occupancy else None
+        holders = self._holders
         hold = self.window_us
         room = self._kv_room()
         best = None
@@ -938,13 +831,8 @@ class ContinuousBatcher:
                 continue  # held: the head is inside its window, slots unfilled
             if policy == POLICY_FCFS:
                 head = bucket[0]
-                if room is not None and self._kv_need.get(head.request_id, 0) > room:
-                    # The head's blocks cannot be had: only preempted work runs.
-                    cut = bisect_right(bucket, now_us, key=_arrival_us)
-                    chunk = self._kv_cut(bucket[:cut], free, room)
-                    if not chunk:
-                        continue
-                    head = chunk[0]
+                if room is not None and self._kv_need[head.request_id] > room:
+                    continue  # the head's blocks cannot be had: the chunk is empty
                 rank = _arrival_rank(head)
                 if best is None or rank < best[0]:
                     best = (rank, key, bucket, free)
@@ -959,13 +847,7 @@ class ContinuousBatcher:
             return key, self._kv_cut(bucket[:cut], free, room)
         classes = {r.priority_class for _, members, _ in arrived for r in members}
         while classes:
-            if policy == POLICY_PRIORITY:
-                winner = max(classes)
-            else:  # weighted-fair
-                winner = None
-                for cls in classes:
-                    if _wf_wins(cls, winner, self._served_by_class, self.scheduling.weight_of):
-                        winner = cls
+            winner = max(classes)
             for key, members, free in arrived:
                 members = [r for r in members if r.priority_class == winner]
                 if not members:
@@ -994,19 +876,16 @@ class ContinuousBatcher:
 
         Unbudgeted (``room`` is ``None``), simply the first ``free``.
         Otherwise a request whose footprint exceeds the ``room`` still
-        unreserved cuts the chunk — no later request with a footprint joins
-        it this step — while preempted work, which holds its blocks
-        already, is never cut.
+        unreserved cuts the chunk: no later request joins it this step.
         """
         if room is None:
             return members[:free]
         need_of = self._kv_need
         chunk: List[Request] = []
         for request in members:
-            need = need_of.get(request.request_id, 0)
+            need = need_of[request.request_id]
             if need > room:
-                room = 0  # the cut
-                continue
+                break
             room -= need
             chunk.append(request)
             if len(chunk) == free:
@@ -1015,9 +894,9 @@ class ContinuousBatcher:
 
     def _kv_start(self, bucket: List[Request], room: int) -> Optional[float]:
         """The earliest arrival in ``bucket`` that can open a chunk under
-        the KV ``room``: preempted work, or the head of a scheduling order
-        (the bucket head; per class, its EDF head under a class policy)
-        whose footprint fits.  ``None`` when only a release can open it."""
+        the KV ``room``: the head of a scheduling order (the bucket head;
+        per class, its EDF head under ``"priority"``) whose footprint fits.
+        ``None`` when only a release can open it."""
         need_of = self._kv_need
         if self.scheduling.policy == POLICY_FCFS:
             heads = [bucket[0]]
@@ -1028,8 +907,7 @@ class ContinuousBatcher:
                 if cls not in by_class or _edf_rank(request) < _edf_rank(by_class[cls]):
                     by_class[cls] = request
             heads = list(by_class.values())
-        starts = [r.arrival_us for r in heads if need_of.get(r.request_id, 0) <= room]
-        starts.extend(r.arrival_us for r in bucket if r.request_id not in need_of)
+        starts = [r.arrival_us for r in heads if need_of[r.request_id] <= room]
         return min(starts, default=None)
 
     def next_batch(self, now_us: float) -> Optional[MicroBatch]:
@@ -1047,11 +925,8 @@ class ContinuousBatcher:
             return None
         key, chunk = planned
         self._take(key, chunk)
-        served = self._served_by_class
         need_of = self._kv_need
-        for request in chunk:  # FCFS chunks may mix classes
-            cls = request.priority_class
-            served[cls] = served.get(cls, 0) + 1
+        for request in chunk:
             need = need_of.pop(request.request_id, 0)
             if need:
                 self._kv_cost_by_id[request.request_id] = need
@@ -1099,8 +974,8 @@ class ContinuousBatcher:
 
         Each bucket (in bucket-key order) sliced into ``max_batch_size``
         chunks in its ``(arrival_us, request_id)`` order — no clock, no
-        hold.  All queue state is reset: ids become reusable and KV
-        reservations return.
+        hold, no KV reservation (a queued request holds none).  All queue
+        state is reset: ids become reusable.
         """
         size = self.max_batch_size
         batches = [
@@ -1110,8 +985,6 @@ class ContinuousBatcher:
             )
             for lo in range(0, len(bucket), size)
         ]
-        for rid in self._by_id:
-            self.release_kv(rid)
         self._kv_need.clear()
         self._buckets.clear()
         self._by_id.clear()

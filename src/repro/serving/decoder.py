@@ -34,6 +34,9 @@ serves that shape of traffic on top of the continuous-batching scheduler:
   a resident that reaches ``new_tokens`` leaves its step with a
   :class:`~repro.serving.continuous.CompletionRecord`, frees its KV
   blocks, returns its rung slot and releases its KV-budget reservation.
+  A resident is never preempted: it keeps its slot and blocks until it
+  completes or fails, and queued work of any class waits for a free slot
+  and for its whole KV footprint.
 
 Bit-exactness is inherited, not re-proven.  The causal forward of a
 sequence is *defined* as per-position true-shape execution:
@@ -173,6 +176,9 @@ class DecoderServingEngine(EngineCore):
       residents that reach their ``new_tokens`` complete, free their KV
       blocks and return their slot and KV-budget reservation.  The step
       returns the completed requests' ``(new_tokens, hidden)`` outputs.
+      Only completion or failure ends a residency: the scheduler's
+      policy decides which queued prompt gets the next free slot, never
+      which resident leaves.
 
     Prefix sharing: requests submitted with a byte-identical prompt share
     the prompt's cache blocks.  The first registers them (plus the
@@ -242,16 +248,10 @@ class DecoderServingEngine(EngineCore):
             capacity_blocks=knobs.capacity_blocks,
         )
         #: ``_residents`` (from the core) holds the in-flight decodes, in
-        #: admission order — the advance order.  Preempted decodes park here
-        #: with their KV blocks and generated state intact, keyed by request
-        #: id; they resume bit-exactly when their re-queued request is
-        #: scheduled again.
-        self._preempted: Dict[str, _Resident] = {}
+        #: admission order — the advance order.
         self.total_decode_steps = 0
         self.prefills = 0
         self.prefills_skipped = 0
-        self.preemptions = 0
-        self.resumes = 0
         #: What ran as a slab stack: decode steps and the slabs (residents)
         #: in them, prompt positions prefilled layer-major, and decode steps
         #: that rolled back to the per-resident loop after a stack raised.
@@ -272,11 +272,11 @@ class DecoderServingEngine(EngineCore):
             raise TypeError("submit expects a DecodeRequest")
         rid = request.request_id
         # The batcher forgets an id once it is popped, so it cannot see a
-        # resident or parked holder; checked before any state changes.
-        if rid in self._residents or rid in self._preempted or self.batcher.is_queued(rid):
+        # resident; checked before any state changes.
+        if rid in self._residents or self.batcher.is_queued(rid):
             raise ValueError(
                 f"{self.name}: duplicate request_id {rid!r}: the engine still holds "
-                f"a request with that id (queued, decoding or preempted)"
+                f"a request with that id (queued or decoding)"
             )
         if request.prompt.shape[1] != self.hidden_size:
             raise ValueError(
@@ -308,8 +308,6 @@ class DecoderServingEngine(EngineCore):
         appends generated positions).  Returns the requests completed at
         this step: ``{request_id: (new_tokens, hidden)}``.
         """
-        self._free_evicted_parked()
-        self._preempt_for(now_us)
         step_index = self.steps_executed
         batch = self.batcher.next_batch(now_us)
         newly: List[_Resident] = []
@@ -327,58 +325,11 @@ class DecoderServingEngine(EngineCore):
             self.steps_executed += 1
         return results
 
-    def _preempt_for(self, now_us: float) -> None:
-        """Evict lower-class residents blocking the policy's chosen rung.
-
-        Only acts when the batcher's :class:`SchedulingConfig` enables
-        preemption: while the most urgent schedulable chunk sits on a fully
-        held rung with a strictly lower-class holder, that holder releases
-        its slot, parks in ``_preempted`` *keeping its KV blocks, feed and
-        generated rows*, and its request re-queues at its original
-        ``(arrival_us, request_id)`` rank — so the preempted decode resumes
-        bit-exactly once a slot frees up again.  Occupancy strictly drops
-        every iteration, so the loop terminates.
-        """
-        while True:
-            target = self.batcher.preemption_target(now_us)
-            if target is None:
-                return
-            key, head = target
-            victim_rid = self.batcher.preemption_victim(key, head.priority_class)
-            if victim_rid is None or victim_rid not in self._residents:
-                return
-            resident = self._residents.pop(victim_rid)
-            self.batcher.release_slot(key, victim_rid)
-            self._preempted[victim_rid] = resident
-            self.batcher.requeue(resident.request)
-            self.preemptions += 1
-
-    def _free_evicted_parked(self) -> None:
-        """Tear down preempted decodes the queue has since evicted.
-
-        A preempted decode waits in the queue like any request, so its
-        deadline can pass before a slot frees up; when the batcher evicts
-        it (the core's expiry and admission hooks ran just before this
-        step's body), its parked KV blocks must be freed too (the eviction
-        already returned its budget reservation).
-        """
-        for rid in [r for r in self._preempted if not self.batcher.is_queued(r)]:
-            del self._preempted[rid]
-            self.kv.free(rid)
-            self._new_tokens.pop(rid, None)
-
     def _admit_resident(
         self, req: Request, key: BucketKey, now_us: float
     ) -> Optional[_Resident]:
         """Prefill (or prefix-attach) one popped request; pin its rung slot."""
         rid = req.request_id
-        parked = self._preempted.pop(rid, None)
-        if parked is not None:
-            # Resuming a preempted decode: KV blocks, feed and generated
-            # rows were retained, so no prefill — just re-pin the slot.
-            self.batcher.acquire_slot(key, req)
-            self.resumes += 1
-            return parked
         new_tokens = self._new_tokens.get(rid)
         if new_tokens is None:
             raise ValueError(
@@ -511,9 +462,8 @@ class DecoderServingEngine(EngineCore):
             "prefills": self.prefills,
             "prefills_skipped": self.prefills_skipped,
             "residents": len(self._residents),
-            "preemptions": self.preemptions,
-            "resumes": self.resumes,
-            "preempted_parked": len(self._preempted),
+            # Nothing preempts; the key stays while bench/ reads it (ROADMAP 2(a0)).
+            "preemptions": 0,
             "stacking": dict(self.stacking),
             **self._shared_stats(),
             "cache": self.cache_stats(),

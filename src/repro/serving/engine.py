@@ -51,8 +51,8 @@ class EngineCore:
     * :meth:`_run_step` — what one continuous step runs.  The default pops
       one micro-batch and completes it inside the step: a one-shot request
       is the one-step case of the resident lifecycle.  The decoder
-      overrides it with preempt -> admit -> advance, where a request stays
-      resident across steps (Orca's iteration-level scheduling).
+      overrides it with admit -> advance, where a request stays resident
+      across steps (Orca's iteration-level scheduling).
 
     (``_validate`` is the intake check: the feature width an engine
     accepts.)  The driver is scheduling-only — the batcher's hold and the

@@ -115,7 +115,7 @@ class TestServingConfig:
             ServingConfig(scheduling_policy="priority")
 
     def test_admission_and_policy_bind_under_every_mode(self):
-        active = SchedulingConfig(policy="priority", preemption=True)
+        active = SchedulingConfig(policy="priority", class_weights=(1, 2))
         for scheduling in ("async", "continuous"):
             batcher = ServingConfig(
                 scheduling=scheduling, max_queue_depth=4, scheduling_policy=active
@@ -220,7 +220,7 @@ STATS_KEYS = {
     },
     "decoder": {
         "requests", "cache", "decode_steps", "prefills", "prefills_skipped",
-        "preemptions", "resumes", "preempted_parked", "residents", "stacking",
+        "preemptions", "residents", "stacking",
         *NORMALIZED_BLOCKS,
     },
 }

@@ -320,17 +320,17 @@ class TestContinuousServingBitExactness:
             assert np.array_equal(results[request.request_id], sequential), request.request_id
 
 
-def run_slo_golden_cell(rng, padding, policy, arrivals, step_us, classes=None):
-    """One priority golden cell: SLO-scheduled continuous serving must stay
-    bit-for-bit N sequential forwards — the scheduling policy only reorders
-    *when* requests run, never their numbers."""
+def run_slo_golden_cell(rng, padding, arrivals, step_us):
+    """One priority golden cell: strict-priority continuous serving must
+    stay bit-for-bit N sequential forwards — the scheduling policy only
+    reorders *when* requests run, never their numbers."""
     lengths = [1, 5, 7, 8, 9, 12, 17, 17]
     requests = make_requests(rng, lengths)
     baseline = ModelServingEngine(
         make_encoder(), config=ServingConfig(padding=padding)
     ).serve(requests)
-    classes = classes if classes is not None else [i % 3 for i in range(len(lengths))]
-    scheduling = SchedulingConfig(policy=policy, class_weights=(1, 2, 4))
+    classes = [i % 3 for i in range(len(lengths))]
+    scheduling = SchedulingConfig(policy="priority", class_weights=(1, 2, 4))
     engine = continuous_engine(padding, step_us=step_us, scheduling_policy=scheduling)
     timed = [
         Request(r.request_id, r.activations, arrival_us=a, priority_class=c)
@@ -339,48 +339,41 @@ def run_slo_golden_cell(rng, padding, policy, arrivals, step_us, classes=None):
     results = engine.serve_continuous(timed)
     assert set(results) == set(baseline)
     for rid in baseline:
-        assert np.array_equal(results[rid], baseline[rid]), (
-            padding, policy, arrivals, step_us, rid,
-        )
-    assert engine.batcher.admission_stats()["policy"] == policy
+        assert np.array_equal(results[rid], baseline[rid]), (padding, arrivals, step_us, rid)
+    assert engine.batcher.admission_stats()["policy"] == "priority"
 
 
 class TestSLOSchedulingBitExactness:
-    """The golden-matrix cells the SLO tentpole adds: priority and
-    weighted-fair scheduling reorder execution but preserve every bit.
-    Scheduling is numerics-free — these cells pin that it stays so."""
+    """The golden-matrix cells of SLO scheduling: strict priority reorders
+    execution but preserves every bit.  Scheduling is numerics-free —
+    these cells pin that it stays so, one smoke cell per arrival pattern."""
 
     ARRIVAL_PATTERNS = TestContinuousServingBitExactness.ARRIVAL_PATTERNS
 
     @pytest.mark.parametrize(
-        "padding,policy,pattern_idx,step_us",
+        "padding,pattern_idx,step_us",
         [
-            ("ladder", "priority", 0, 0.0),
-            ("ladder", "weighted-fair", 1, 75.0),
-            ("exact", "priority", 2, 75.0),
-            ("exact", "weighted-fair", 3, 0.0),
+            ("ladder", 0, 0.0),
+            ("ladder", 1, 75.0),
+            ("exact", 2, 75.0),
+            ("exact", 3, 0.0),
         ],
         ids=[
             "ladder-priority-burst",
-            "ladder-wf-trickle",
+            "ladder-priority-trickle",
             "exact-priority-reversed",
-            "exact-wf-clumps",
+            "exact-priority-clumps",
         ],
     )
-    def test_smoke_cells(self, rng, padding, policy, pattern_idx, step_us):
-        run_slo_golden_cell(
-            rng, padding, policy, self.ARRIVAL_PATTERNS[pattern_idx], step_us
-        )
+    def test_smoke_cells(self, rng, padding, pattern_idx, step_us):
+        run_slo_golden_cell(rng, padding, self.ARRIVAL_PATTERNS[pattern_idx], step_us)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("padding", ["ladder", "exact"])
-    @pytest.mark.parametrize("policy", ["priority", "weighted-fair"])
     @pytest.mark.parametrize("pattern_idx", [0, 1, 2, 3])
     @pytest.mark.parametrize("step_us", [0.0, 75.0, 1500.0])
-    def test_full_grid(self, rng, padding, policy, pattern_idx, step_us):
-        run_slo_golden_cell(
-            rng, padding, policy, self.ARRIVAL_PATTERNS[pattern_idx], step_us
-        )
+    def test_full_grid(self, rng, padding, pattern_idx, step_us):
+        run_slo_golden_cell(rng, padding, self.ARRIVAL_PATTERNS[pattern_idx], step_us)
 
     def test_priority_reorders_execution_but_not_bits(self, rng):
         """The policy visibly changes the schedule (the high class completes

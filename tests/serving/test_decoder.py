@@ -5,7 +5,8 @@ KV-cached decoding through :class:`DecoderServingEngine` is **bit-for-bit**
 the full causal recompute (:func:`decode_reference`) at every generated
 position — across arrival interleavings, step cadences, layer counts and
 prompt lengths, on the default bucket ladder.  The full grid runs ``slow``;
-a four-cell smoke stays in tier-1.
+a four-cell smoke stays in tier-1, and again under strict priority and
+under a KV budget that defers.
 
 The rest pins the serving mechanics the cache adds: prefix sharing (same
 bits, skipped prefill, copy-on-write isolation), rung occupancy across
@@ -39,15 +40,17 @@ def make_encoder(num_layers=1, seed=0):
     return encoder
 
 
-def make_decode_requests(rng, prompt_lengths, new_tokens, arrivals):
+def make_decode_requests(rng, prompt_lengths, new_tokens, arrivals, classes=None):
+    classes = classes if classes is not None else [0] * len(prompt_lengths)
     return [
         DecodeRequest(
             f"dec-{i:04d}",
             rng.normal(size=(p, HIDDEN)).astype(np.float32),
             new_tokens=n,
             arrival_us=a,
+            priority_class=c,
         )
-        for i, (p, n, a) in enumerate(zip(prompt_lengths, new_tokens, arrivals))
+        for i, (p, n, a, c) in enumerate(zip(prompt_lengths, new_tokens, arrivals, classes))
     ]
 
 
@@ -67,13 +70,28 @@ def arrivals_for(pattern, n):
     raise ValueError(pattern)
 
 
-def run_golden_cell(rng, num_layers, prompt_lengths, pattern, step_us):
-    """One golden-matrix cell: serve cached, compare against recompute."""
+def run_golden_cell(
+    rng, num_layers, prompt_lengths, pattern, step_us, policy="fcfs", kv_budget=False
+):
+    """One golden-matrix cell: serve cached, compare against recompute.
+
+    ``policy="priority"`` alternates the requests' classes; ``kv_budget``
+    budgets exactly the largest footprint, so a request that does not fit
+    beside the residents waits for their blocks to return."""
     encoder = make_encoder(num_layers=num_layers)
-    engine = decoder_engine(encoder, block_size=4, capacity_blocks=256, step_us=step_us)
     new_tokens = [3 + (i % 3) for i in range(len(prompt_lengths))]
+    footprints = [-(-(p + n) // 4) for p, n in zip(prompt_lengths, new_tokens)]
+    engine = decoder_engine(
+        encoder,
+        block_size=4,
+        capacity_blocks=256,
+        step_us=step_us,
+        kv_budget_blocks=max(footprints) if kv_budget else None,
+        scheduling_policy=SchedulingConfig(policy=policy),
+    )
+    classes = [i % 2 for i in range(len(prompt_lengths))] if policy == "priority" else None
     requests = make_decode_requests(
-        rng, prompt_lengths, new_tokens, arrivals_for(pattern, len(prompt_lengths))
+        rng, prompt_lengths, new_tokens, arrivals_for(pattern, len(prompt_lengths)), classes
     )
     results = engine.serve_continuous(requests)
     assert sorted(results) == sorted(r.request_id for r in requests)
@@ -84,7 +102,7 @@ def run_golden_cell(rng, num_layers, prompt_lengths, pattern, step_us):
         assert np.array_equal(got, expected), (
             f"cached decode diverged from full recompute for {req.request_id} "
             f"(layers={num_layers}, pattern={pattern}, "
-            f"step_us={step_us})"
+            f"step_us={step_us}, policy={policy}, kv_budget={kv_budget})"
         )
     # Every decode's blocks were reclaimed; only registered prompt prefixes
     # keep references alive.
@@ -108,6 +126,19 @@ class TestGoldenDecodeMatrix:
     @pytest.mark.parametrize("num_layers,prompt_lengths,pattern,step_us", GOLDEN_SMOKE)
     def test_smoke_cells(self, rng, num_layers, prompt_lengths, pattern, step_us):
         run_golden_cell(rng, num_layers, prompt_lengths, pattern, step_us)
+
+    @pytest.mark.parametrize(
+        "policy,kv_budget",
+        [("fcfs", True), ("priority", False), ("priority", True)],
+        ids=["fcfs-kv-budget", "priority", "priority-kv-budget"],
+    )
+    @pytest.mark.parametrize("num_layers,prompt_lengths,pattern,step_us", GOLDEN_SMOKE)
+    def test_scheduling_cells(
+        self, rng, num_layers, prompt_lengths, pattern, step_us, policy, kv_budget
+    ):
+        """Scheduling moves decodes, never their bits: the smoke cells
+        again under strict priority and under a KV budget that defers."""
+        run_golden_cell(rng, num_layers, prompt_lengths, pattern, step_us, policy, kv_budget)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("num_layers", [1, 2])
@@ -228,6 +259,39 @@ class TestRungOccupancy:
             )
         assert engine.batcher.occupied_slots(key_ab) == 0
 
+    def test_higher_class_waits_for_a_held_slot(self, rng):
+        """Under strict priority a resident keeps its slot to completion:
+        a higher-class arrival waits for it, then runs ahead of older
+        queued lower-class work, and every output is the reference."""
+        encoder = make_encoder()
+        engine = DecoderServingEngine(
+            encoder,
+            config=ServingConfig(
+                max_batch_size=1,
+                step_us=1.0,
+                block_size=4,
+                scheduling_policy=SchedulingConfig(policy="priority"),
+            ),
+        )
+        requests = [
+            DecodeRequest(rid, rng.normal(size=(tokens, HIDDEN)).astype(np.float32),
+                          new_tokens=4, arrival_us=arrival, priority_class=cls)
+            for rid, tokens, arrival, cls in [
+                ("low-a", 5, 0.0, 0), ("low-b", 6, 1.0, 0), ("high", 7, 2.0, 1),
+            ]
+        ]
+        # One rung (prompts of 5-7 tokens bucket to 8), one slot.
+        assert len({engine.batcher.bucket_key(r.as_request()) for r in requests}) == 1
+        results = engine.serve_continuous(requests)
+        done = sorted(engine.completions, key=lambda rid: engine.completions[rid].completed_us)
+        assert done == ["low-a", "high", "low-b"]
+        for req in requests:
+            expected = decode_reference(encoder, req.prompt, req.new_tokens)
+            assert np.array_equal(results[req.request_id], expected), req.request_id
+        assert engine.stats()["preemptions"] == 0
+        assert engine.cache_stats()["sequences"] == 0
+        assert engine.batcher.admission_stats()["occupied_slots"] == 0
+
     def test_completion_frees_slot_and_kv_reservation(self, rng):
         engine = DecoderServingEngine(
             make_encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=64)
@@ -275,6 +339,33 @@ class TestKVBudgetAdmission:
         assert engine.stats()["admission"]["shed"] == 0
         assert engine.batcher.kv_reserved == 0
 
+    def test_a_queued_decode_expires_holding_no_reservation(self, rng):
+        """A decode waiting for blocks holds none: when its deadline passes
+        in the queue it times out, and the budget and the cache still hold
+        exactly the resident's footprint."""
+        engine = DecoderServingEngine(
+            make_encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=4)
+        )
+        resident = DecodeRequest(
+            "kv-resident", rng.normal(size=(5, HIDDEN)).astype(np.float32), 6
+        )  # ceil(11 / 4) = 3 blocks
+        waiter = DecodeRequest(
+            "kv-waiter", rng.normal(size=(6, HIDDEN)).astype(np.float32), 2, deadline_us=2.0
+        )  # 2 blocks, 1 left
+        engine.submit(resident)
+        engine.submit(waiter)
+        for now in (0.0, 1.0, 2.0, 3.0):
+            engine.step(now)
+        assert engine.outcomes["kv-waiter"].status == "timed_out"
+        assert "kv-resident" in engine._residents
+        assert engine.batcher.kv_reserved == 3
+        assert engine.cache_stats()["sequences"] == 1
+        results = engine.serve_continuous([])
+        assert np.array_equal(
+            results["kv-resident"], decode_reference(engine.encoder, resident.prompt, 6)
+        )
+        assert engine.batcher.kv_reserved == 0
+
     def test_budget_admits_again_after_release(self, rng):
         engine = DecoderServingEngine(
             make_encoder(), config=ServingConfig(block_size=4, kv_budget_blocks=2)
@@ -285,128 +376,6 @@ class TestKVBudgetAdmission:
         assert engine.submit(later) is not None
         results = engine.serve_continuous([])
         assert "kvr-1" in results
-
-
-class TestPreemptionGoldenCells:
-    """The SLO tentpole's decode guarantee: a preempted resident releases
-    its rung slot but KEEPS its KV blocks, and resumes bit-exactly from
-    them — preemption moves work, never numerics."""
-
-    def _engine(self, **scheduling_kwargs):
-        scheduling = SchedulingConfig(
-            policy="priority", preemption=True, **scheduling_kwargs
-        )
-        return DecoderServingEngine(
-            make_encoder(),
-            config=ServingConfig(
-                max_batch_size=1,
-                step_us=1.0,
-                block_size=4,
-                capacity_blocks=128,
-                scheduling_policy=scheduling,
-            ),
-        )
-
-    def test_preempted_decode_resumes_bit_exact_from_retained_kv(self, rng):
-        encoder = make_encoder()
-        engine = self._engine()
-        low = DecodeRequest(
-            "low", rng.normal(size=(5, HIDDEN)).astype(np.float32),
-            new_tokens=6, arrival_us=0.0,
-        )
-        high = DecodeRequest(
-            "high", rng.normal(size=(6, HIDDEN)).astype(np.float32),
-            new_tokens=2, arrival_us=2.0, priority_class=1,
-        )
-        # Same rung (prompts 5 and 6 both bucket to 8), one slot: the high
-        # class can only run by evicting the mid-flight low decode.
-        key = engine.batcher.bucket_key(low.as_request())
-        assert key == engine.batcher.bucket_key(high.as_request())
-        results = engine.serve_continuous([low, high])
-        assert engine.preemptions >= 1
-        assert engine.resumes >= 1
-        # The high class finished first despite arriving mid-decode...
-        assert (
-            engine.completions["high"].completed_us
-            < engine.completions["low"].completed_us
-        )
-        # ... and BOTH outputs are bit-for-bit the fault-free recompute —
-        # the resumed decode continued from its retained blocks exactly.
-        for req in (low, high):
-            expected = decode_reference(encoder, req.prompt, req.new_tokens)
-            assert np.array_equal(results[req.request_id], expected), req.request_id
-        # Everything reclaimed: slots, KV blocks, budget, parking lot.
-        stats = engine.stats()
-        assert stats["preempted_parked"] == 0
-        assert engine.cache_stats()["sequences"] == 0
-        assert engine.batcher.kv_reserved == 0
-        assert engine.batcher.admission_stats()["occupied_slots"] == 0
-
-    def test_preemption_runs_are_deterministic(self, rng):
-        def run():
-            local = np.random.default_rng(21)
-            engine = self._engine()
-            reqs = [
-                DecodeRequest(
-                    f"det-{i}", local.normal(size=(5 + i % 2, HIDDEN)).astype(np.float32),
-                    new_tokens=3 + i % 3, arrival_us=float(i),
-                    priority_class=i % 2,
-                )
-                for i in range(5)
-            ]
-            engine.serve_continuous(reqs)
-            return (
-                engine.preemptions,
-                engine.resumes,
-                {rid: (rec.step, rec.completed_us) for rid, rec in engine.completions.items()},
-            )
-
-        assert run() == run()
-
-    def test_preempted_then_expired_decode_frees_parked_kv(self, rng):
-        """A preempted decode whose deadline passes while parked is torn
-        down completely: timed_out outcome, parked KV blocks freed, budget
-        reservation returned (the `_expire_pending` override)."""
-        engine = self._engine()
-        low = DecodeRequest(
-            "doomed", rng.normal(size=(5, HIDDEN)).astype(np.float32),
-            new_tokens=12, arrival_us=0.0, deadline_us=4.0,
-        )
-        high = DecodeRequest(
-            "vip", rng.normal(size=(6, HIDDEN)).astype(np.float32),
-            new_tokens=8, arrival_us=1.0, priority_class=1,
-        )
-        results = engine.serve_continuous([low, high])
-        assert engine.preemptions >= 1
-        assert engine.resumes == 0  # the victim never came back
-        assert engine.outcomes["doomed"].status == "timed_out"
-        assert "doomed" not in results
-        expected = decode_reference(make_encoder(), high.prompt, high.new_tokens)
-        assert np.array_equal(results["vip"], expected)
-        assert engine.stats()["preempted_parked"] == 0
-        assert engine.cache_stats()["sequences"] == 0
-        assert engine.batcher.kv_reserved == 0
-        assert engine.batcher.admission_stats()["occupied_slots"] == 0
-
-    def test_no_preemption_within_the_same_class(self, rng):
-        """Equal classes never evict each other: the second request waits
-        for the slot like plain FCFS."""
-        engine = self._engine()
-        a = DecodeRequest(
-            "peer-a", rng.normal(size=(5, HIDDEN)).astype(np.float32),
-            new_tokens=4, arrival_us=0.0, priority_class=1,
-        )
-        b = DecodeRequest(
-            "peer-b", rng.normal(size=(6, HIDDEN)).astype(np.float32),
-            new_tokens=2, arrival_us=1.0, priority_class=1,
-        )
-        results = engine.serve_continuous([a, b])
-        assert engine.preemptions == 0
-        assert len(results) == 2
-        assert (
-            engine.completions["peer-a"].completed_us
-            < engine.completions["peer-b"].completed_us
-        )
 
 
 class TestCacheLifecycle:
@@ -596,13 +565,11 @@ class TestDecoderIntakeAndStats:
         assert stats["continuous"]["steps"] == engine.steps_executed
         admission = stats["admission"]
         assert admission["kv_budget_blocks"] == 32
-        # SLO scheduling unused: FCFS policy, one zeroed per-class block,
-        # and the preemption counters sit at zero — normalized, not absent.
+        # SLO scheduling unused: FCFS policy, one zeroed per-class block.
+        # Nothing preempts; the retired counter reads a constant zero.
         assert admission["policy"] == "fcfs"
         assert admission["per_class"] == {0: {"shed": 0, "expired": 0, "pending": 0}}
         assert stats["preemptions"] == 0
-        assert stats["resumes"] == 0
-        assert stats["preempted_parked"] == 0
         assert stats["cache"]["block_size"] == engine.kv.block_size
         assert stats["outcomes"]["ok"] == 1
         # One 5-token layer-major prefill, two one-resident stacked steps.

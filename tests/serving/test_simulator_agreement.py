@@ -58,7 +58,6 @@ BACKENDS = [b.name for b in DISPATCHER.backends]
 SCHEDULINGS = [
     SchedulingConfig(),
     SchedulingConfig(policy="priority", class_weights=(1, 3)),
-    SchedulingConfig(policy="weighted-fair", class_weights=(1, 3)),
 ]
 
 

@@ -1,12 +1,11 @@
 """SLO-aware scheduling: the reference planner, the batcher's chunk-sequence
-property, preemption mechanics, traffic models, and the per-class overload
-acceptance criterion.
+property, traffic models, and the per-class overload acceptance criterion.
 
 The property at the centre: the live :class:`ContinuousBatcher` emits
 exactly the chunk sequence of the loop-form specification
-:func:`plan_slo_batch_reference`, under every policy — across random
-arrivals, priority classes, deadlines, shed policies, held rung slots and
-preemption re-queues.  Scheduling stays numerics-free, so these tests are
+:func:`plan_slo_batch_reference`, under both policies — across random
+arrivals, priority classes, deadlines, shed policies, KV budgets and held
+rung slots.  Scheduling stays numerics-free, so these tests are
 pure bookkeeping; the bit-exactness cells live in ``test_continuous.py``
 and ``test_decoder.py``.
 
@@ -61,7 +60,6 @@ class TestSchedulingConfig:
     def test_defaults_are_inactive_fcfs(self):
         config = SchedulingConfig()
         assert config.policy == "fcfs"
-        assert not config.preemption
         assert config.num_classes == 1
         assert config.weight_of(3) == 1
         assert config.queue_bound_of(0) is None
@@ -72,12 +70,20 @@ class TestSchedulingConfig:
             {"policy": "lifo"},
             {"class_weights": (0,)},
             {"class_weights": (1, -2)},
-            {"policy": "weighted-fair"},  # weights are mandatory for WF
+            {"policy": "weighted-fair"},
+            # The retired weighted fair-share policy, with the weights it took.
+            {"policy": "weighted-fair", "class_weights": (1, 3)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SchedulingConfig(**kwargs)
+
+    def test_has_no_preemption_knob(self):
+        # Scheduling reserves a request's whole KV footprint, so exhaustion
+        # defers work and a resident is never evicted for a higher class.
+        with pytest.raises(TypeError):
+            SchedulingConfig(**{"preemption": True})
 
     def test_queue_bounds_are_weight_derived(self):
         # The split: ceil(max_queue_depth * w_c / sum(w)).
@@ -159,25 +165,6 @@ class TestReferencePlanner:
         # Tightest deadline first; deadline-free requests sort last.
         assert [it[0] for it in chunk] == ["tight", "loose"]
 
-    def test_weighted_fair_serves_the_most_underserved_class(self):
-        key = BucketKey(features=4, token_bucket=8)
-        items = [("a0", key, 0.0, 0, None), ("a1", key, 0.0, 1, None)]
-        kwargs = dict(
-            key_of=lambda it: it[1],
-            arrival_of=lambda it: it[2],
-            id_of=lambda it: it[0],
-            max_batch_size=1,
-            class_of=lambda it: it[3],
-            policy="weighted-fair",
-            class_weights=(1, 3),
-        )
-        # 3:1 service so far matches the weights exactly: tie, higher class.
-        _, chunk = plan_slo_batch_reference(items, served_by_class={0: 1, 1: 3}, **kwargs)
-        assert chunk[0][0] == "a1"
-        # Class 1 over its share: the low class wins its turn.
-        _, chunk = plan_slo_batch_reference(items, served_by_class={0: 1, 1: 6}, **kwargs)
-        assert chunk[0][0] == "a0"
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             plan_slo_batch_reference(
@@ -198,6 +185,16 @@ SHED_CONFIGS = {
     ),
     # Footprints of 1-3 blocks against 6: chunks are cut by the KV budget.
     "kv-budget": ({}, {"kv_budget_blocks": 6, "kv_cost": lambda r: 1 + r.tokens // 8}),
+    # Both at once: admission evicts expired requests from a budgeted queue.
+    "kv-budget-drop-expired": (
+        {},
+        {
+            "max_queue_depth": 6,
+            "shed_policy": "drop-expired",
+            "kv_budget_blocks": 6,
+            "kv_cost": lambda r: 1 + r.tokens // 8,
+        },
+    ),
 }
 
 
@@ -208,20 +205,17 @@ class TestBatcherChunkSequenceProperty:
 
     @pytest.mark.parametrize("window_us", [0.0, 150.0])
     @pytest.mark.parametrize("shed", list(SHED_CONFIGS))
-    @pytest.mark.parametrize("policy", ["fcfs", "priority", "weighted-fair"])
+    @pytest.mark.parametrize("policy", ["fcfs", "priority"])
     def test_chunk_sequence_matches_reference_planner(self, rng, policy, shed, window_us):
         """Random arrivals, classes, deadlines and step cadences, with rung
         slots randomly held (by outside holders and by scheduled requests)
-        and released, and held requests randomly preempted back into the
-        queue, with and without a hold.  The mirror replays the same events
-        on a flat pending list and passes the held slots as the
+        and released, with and without a hold.  The mirror replays the same
+        events on a flat pending list and passes the held slots as the
         reference's ``capacity_of`` and, under a KV budget, the blocks left
         unreserved as its ``kv_room`` (a scheduled request holds its
-        footprint until it leaves its slot for good).  An idle step always
-        leaves ``next_event_us`` past the clock."""
+        footprint until it leaves its slot).  An idle step always leaves
+        ``next_event_us`` past the clock."""
         scheduling_kwargs, shed_kwargs = SHED_CONFIGS[shed]
-        if policy == "weighted-fair":
-            scheduling_kwargs = {**scheduling_kwargs, "class_weights": (1, 2, 4, 1)}
         scheduling = SchedulingConfig(policy=policy, **scheduling_kwargs)
         for _ in range(3):
             batcher = ContinuousBatcher.ladder(
@@ -242,7 +236,6 @@ class TestBatcherChunkSequenceProperty:
                 for i, (t, a) in enumerate(zip(lengths, arrivals))
             ]
             mirror = {}
-            mirror_served = {}
             #: per rung: holder id -> the held request (None: outside holder)
             held = {}
             cadence = float(rng.uniform(20.0, 120.0))
@@ -257,18 +250,14 @@ class TestBatcherChunkSequenceProperty:
                         mirror[request.request_id] = request
                 for evicted in batcher.expired_log[before:]:
                     mirror.pop(evicted.request_id, None)
-                # Slot churn: releases (some of them preemptions that put
-                # the holder back in the queue) and outside acquisitions.
+                # Slot churn: releases (a released holder returns its KV
+                # reservation) and outside acquisitions.
                 for key in list(held):
                     for rid in list(held[key]):
                         if rng.random() < 0.25:
                             batcher.release_slot(key, rid)
-                            request = held[key].pop(rid)
-                            if request is not None and rng.random() < 0.5:
-                                batcher.requeue(request)
-                                mirror[rid] = request
-                            else:
-                                batcher.release_kv(rid)
+                            del held[key][rid]
+                            batcher.release_kv(rid)
                     if not held[key]:
                         del held[key]
                 if i < len(reqs) and rng.random() < 0.3:
@@ -291,14 +280,10 @@ class TestBatcherChunkSequenceProperty:
                     class_of=lambda r: r.priority_class,
                     deadline_of=lambda r: r.deadline_us,
                     policy=scheduling.policy,
-                    class_weights=scheduling.class_weights,
-                    served_by_class=mirror_served,
                     capacity_of=lambda k: batcher.max_batch_size - len(held.get(k, ())),
                     window_us=window_us,
                     now_us=now,
-                    need_of=lambda r: (
-                        0 if r.request_id in batcher._kv_cost_by_id else batcher._kv_cost_of(r)
-                    ),
+                    need_of=batcher._kv_cost_of,
                     kv_room=(
                         None
                         if batcher.kv_budget_blocks is None
@@ -319,8 +304,6 @@ class TestBatcherChunkSequenceProperty:
                     ]
                     for r in batch.requests:
                         mirror.pop(r.request_id)
-                        cls = r.priority_class
-                        mirror_served[cls] = mirror_served.get(cls, 0) + 1
                         if rng.random() < 0.5:  # becomes a multi-step resident
                             batcher.acquire_slot(batch.key, r)
                             held.setdefault(batch.key, {})[r.request_id] = r
@@ -383,6 +366,38 @@ class TestBatcherChunkSequenceProperty:
                 now = event
             assert batcher.pending == 0
 
+    def test_kv_cut_is_strict_within_a_bucket(self, rng):
+        """FCFS: a head whose footprint does not fit holds its whole bucket,
+        even when a later member would fit, and only a release opens it."""
+        batcher = ContinuousBatcher.ladder(kv_budget_blocks=4, kv_cost=lambda r: r.tokens // 2)
+        # One rung; footprints of 3, 2 and 1 blocks.
+        batcher.submit(Request("big", payload(rng, 6), arrival_us=0.0))
+        batcher.submit(Request("wide", payload(rng, 4), arrival_us=1.0))
+        batcher.submit(Request("narrow", payload(rng, 2), arrival_us=2.0))
+        assert [r.request_id for r in batcher.next_batch(0.0).requests] == ["big"]
+        # One block left: "narrow" would fit, but "wide" heads the bucket.
+        assert batcher.next_batch(5.0) is None
+        assert batcher.next_event_us() is None
+        batcher.release_kv("big")
+        assert [r.request_id for r in batcher.next_batch(5.0).requests] == ["wide", "narrow"]
+
+    def test_kv_cut_drops_a_class_under_priority(self, rng):
+        """Priority: a class none of whose chunks fits the KV room drops out
+        of the arbitration, and the next class runs."""
+        batcher = ContinuousBatcher.ladder(
+            scheduling=SchedulingConfig(policy="priority"),
+            kv_budget_blocks=4,
+            kv_cost=lambda r: r.tokens // 2,
+        )
+        batcher.submit(Request("hold", payload(rng, 4)))  # 2 blocks, scheduled below
+        assert [r.request_id for r in batcher.next_batch(0.0).requests] == ["hold"]
+        batcher.submit(Request("high", payload(rng, 6), priority_class=1))  # 3 blocks
+        batcher.submit(Request("low", payload(rng, 2)))  # 1 block
+        assert [r.request_id for r in batcher.next_batch(0.0).requests] == ["low"]
+        assert batcher.next_batch(0.0) is None
+        batcher.release_kv("hold")
+        assert [r.request_id for r in batcher.next_batch(0.0).requests] == ["high"]
+
     def test_scheduled_chunks_keep_their_kv_reservation(self, rng):
         """Leaving the queue to execute reserves the KV footprint, and only
         ``release_kv`` returns it (a queued request holds none)."""
@@ -434,70 +449,15 @@ class TestPerClassAdmission:
 
     def test_admission_stats_carry_policy_and_per_class(self, rng):
         batcher = ContinuousBatcher.ladder(
-            scheduling=SchedulingConfig(policy="weighted-fair", class_weights=(1, 2))
+            scheduling=SchedulingConfig(policy="priority", class_weights=(1, 2))
         )
         batcher.submit(Request("r0", payload(rng, 5), priority_class=1))
         stats = batcher.admission_stats()
-        assert stats["policy"] == "weighted-fair"
+        assert stats["policy"] == "priority"
         assert stats["per_class"] == {
             0: {"shed": 0, "expired": 0, "pending": 0},
             1: {"shed": 0, "expired": 0, "pending": 1},
         }
-
-
-class TestPreemptionMechanics:
-    def _batcher(self, **kwargs):
-        scheduling = SchedulingConfig(policy="priority", preemption=True, **kwargs)
-        return ContinuousBatcher.ladder(max_batch_size=1, scheduling=scheduling)
-
-    def test_victim_is_lowest_class_then_smallest_id(self, rng):
-        batcher = self._batcher()
-        key = BucketKey(features=HIDDEN, token_bucket=8)
-        batcher.acquire_slot(key, Request("b", payload(rng, 5), priority_class=0))
-        batcher.acquire_slot(key, Request("a", payload(rng, 5), priority_class=0))
-        batcher.acquire_slot(key, Request("c", payload(rng, 5), priority_class=1))
-        assert batcher.preemption_victim(key, priority_class=2) == "a"
-        assert batcher.preemption_victim(key, priority_class=1) == "a"
-        # Nothing strictly below class 0 exists.
-        assert batcher.preemption_victim(key, priority_class=0) is None
-        batcher.release_slot(key, "a")
-        assert batcher.preemption_victim(key, priority_class=1) == "b"
-
-    def test_target_requires_full_rung_and_enabled_preemption(self, rng):
-        batcher = self._batcher()
-        high = Request("high", payload(rng, 5), priority_class=1)
-        batcher.submit(high)
-        key = batcher.bucket_key(high)
-        # Free slots: the request can simply be scheduled — no preemption.
-        assert batcher.preemption_target(0.0) is None
-        batcher.acquire_slot(key, Request("low", payload(rng, 5), priority_class=0))
-        target = batcher.preemption_target(0.0)
-        assert target is not None
-        got_key, head = target
-        assert got_key == key and head.request_id == "high"
-        # Disabled preemption never proposes a target.
-        off = ContinuousBatcher.ladder(
-            max_batch_size=1, scheduling=SchedulingConfig(policy="priority")
-        )
-        off.submit(Request("h2", payload(rng, 5), priority_class=1))
-        off.acquire_slot(off.bucket_key(high), Request("l2", payload(rng, 5)))
-        assert off.preemption_target(0.0) is None
-
-    def test_requeue_bypasses_admission_and_rejects_duplicates(self, rng):
-        batcher = ContinuousBatcher.ladder(
-            max_queue_depth=1,
-            scheduling=SchedulingConfig(policy="priority", preemption=True),
-        )
-        filler = Request("filler", payload(rng, 5))
-        batcher.submit(filler)
-        preempted = Request("preempted", payload(rng, 5), priority_class=0)
-        # The queue is at its global bound, but a preempted resident must
-        # always be able to come back.
-        batcher.requeue(preempted)
-        assert batcher.is_queued("preempted")
-        assert batcher.pending == 2
-        with pytest.raises(ValueError, match="preempted"):
-            batcher.requeue(preempted)
 
 
 class TestTrafficModels:
@@ -638,7 +598,6 @@ class TestSimulatorMatchesLiveEngine:
         [
             SchedulingConfig(),
             SchedulingConfig(policy="priority", class_weights=(1, 4)),
-            SchedulingConfig(policy="weighted-fair", class_weights=(1, 3)),
         ],
         ids=lambda s: s.policy,
     )
@@ -716,19 +675,6 @@ class TestSimulateSLO:
         assert runs[0].outcomes == runs[1].outcomes
         assert runs[0].latencies_us == runs[1].latencies_us
         assert runs[0].summary() == runs[1].summary()
-
-    def test_weighted_fair_does_not_starve_the_low_class(self, encoder):
-        trace = two_tenant_overload()
-        report = simulate(
-            encoder, trace,
-            replace(
-                self.CONFIG,
-                scheduling_policy=SchedulingConfig(policy="weighted-fair", class_weights=(1, 4)),
-            ),
-        )
-        per_class = report.per_class()
-        assert per_class[0]["ok"] > 0
-        assert per_class[1]["ok"] > 0
 
     def test_per_class_block_is_normalized(self, encoder):
         """Configured-but-unused classes appear with zeroed counts and NaN

@@ -58,7 +58,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "decoder-duplicate-submit-of-held-id",
         "src/repro/serving/decoder.py",
         ((
-            "if rid in self._residents or rid in self._preempted or self.batcher.is_queued(rid):",
+            "if rid in self._residents or self.batcher.is_queued(rid):",
             "if self.batcher.is_queued(rid):",
         ),),
         ("tests/serving/test_decoder.py",),
