@@ -165,6 +165,11 @@ class _PagedSequence:
         """Allocate the slot for the next token position (COW if shared)."""
         cache = self.cache
         position = self.length
+        if position == self.keys.shape[1]:
+            raise RuntimeError(
+                f"sequence {self.seq_id!r} is full: its extents, sized at "
+                f"create(), hold {position} tokens"
+            )
         block_index = position // cache.block_size
         if block_index == len(self.block_ids):
             self.block_ids.append(cache._alloc_block())
@@ -176,18 +181,8 @@ class _PagedSequence:
                 self.block_ids[block_index] = cache._alloc_block()
                 cache._release_block(block_id)
                 cache.cow_copies += 1
-        if position == self.keys.shape[1]:
-            self._reserve(2 * position)
         self.length += 1
         return position
-
-    def _reserve(self, tokens: int) -> None:
-        """Move the written rows into extents of at least ``tokens`` rows."""
-        keys, values = self.keys, self.values
-        self.keys, self.values = self.cache._take_extents(tokens)
-        self.keys[:, : self.length] = keys[:, : self.length]
-        self.values[:, : self.length] = values[:, : self.length]
-        self.cache._recycle(keys, values)
 
     def truncate(self, length: int) -> None:
         """Forget the positions past ``length`` (undo a step that raised).
@@ -319,11 +314,12 @@ class PagedKVCache:
 
     # -- sequences ----------------------------------------------------------
 
-    def create(self, seq_id: str, tokens: Optional[int] = None) -> _PagedSequence:
-        """Open a sequence; ``tokens`` sizes its extents once (else: one block, doubling)."""
+    def create(self, seq_id: str, tokens: int) -> _PagedSequence:
+        """Open a sequence whose extents hold ``tokens`` positions, sized
+        once: an ``extend`` past them raises."""
         if seq_id in self._sequences:
             raise ValueError(f"sequence {seq_id!r} already exists")
-        keys, values = self._take_extents(self.block_size if tokens is None else tokens)
+        keys, values = self._take_extents(tokens)
         sequence = _PagedSequence(self, seq_id, keys, values)
         self._sequences[seq_id] = sequence
         return sequence
@@ -374,8 +370,8 @@ class PagedKVCache:
 
         The prompt's rows are copied in once.  Returns the entry (length +
         cached final-position output) on a hit, ``None`` on a miss.  The
-        sequence must be empty: sharing replaces prefill, it cannot splice
-        into a decoded sequence.
+        sequence must be empty (sharing replaces prefill, it cannot splice
+        into a decoded sequence) and sized for at least the prompt.
         """
         entry = self._prefixes.get(fingerprint)
         if entry is None:
@@ -383,8 +379,6 @@ class PagedKVCache:
         sequence = self._sequences[seq_id]
         if sequence.length != 0:
             raise RuntimeError(f"sequence {seq_id!r} is not empty; cannot attach a prefix")
-        if sequence.keys.shape[1] < entry.length:
-            sequence._reserve(entry.length)
         sequence.keys[:, : entry.length] = entry.keys
         sequence.values[:, : entry.length] = entry.values
         for block_id in entry.block_ids:

@@ -85,7 +85,6 @@ from .simulate import (
     SimulatedRequest,
     bursty_arrivals,
     compress_arrivals,
-    diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
     poisson_arrivals,
@@ -124,7 +123,6 @@ __all__ = [
     "compress_arrivals",
     "create_engine",
     "decode_reference",
-    "diurnal_arrivals",
     "merge_arrivals",
     "outcome_counts",
     "pareto_lengths",

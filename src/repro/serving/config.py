@@ -23,7 +23,7 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .batcher import DEFAULT_TOKEN_BUCKETS
 from .continuous import (
@@ -121,24 +121,35 @@ class ServingConfig:
     # ------------------------------------------------------------------
     # Derived builders the engines call
     # ------------------------------------------------------------------
-    def build_batcher(self, kind: str = "encoder", kv_cost: Optional[Callable] = None):
+    def build_batcher(self, kind: str = "encoder"):
         """The :class:`ContinuousBatcher` of an engine of ``kind``.
 
         ``kind`` is ``"encoder"`` (model engine and simulator) or
-        ``"decoder"`` (``kv_cost`` prices the KV budget).  The buckets are
-        ``(1,)`` for an encoder with ``padding="exact"`` (every longer
-        length is its own exact bucket), else the default powers-of-two
-        ladder.
+        ``"decoder"``.  The buckets are ``(1,)`` for an encoder with
+        ``padding="exact"`` (every longer length is its own exact bucket),
+        else the default powers-of-two ladder.
         ``scheduling="async"`` sets the ``window_us`` hold; admission
         control and the scheduling policy bind under either mode.  Only a
         decoder holds KV: its budget is ``kv_budget_blocks``, else the
-        whole cache, and any other kind rejects a ``kv_budget_blocks``.
+        whole cache, and a request's footprint is its whole sequence,
+        ``ceil((prompt + new_tokens) / block_size)`` blocks, read off the
+        queued decode job.  Any other kind rejects a ``kv_budget_blocks``.
         """
         if kind not in ENGINE_KINDS:
             raise ValueError(f"unknown engine kind {kind!r}")
         kv_budget = self.kv_budget_blocks
+        kv_cost = None
         if kind == "decoder":
             kv_budget = self.capacity_blocks if kv_budget is None else kv_budget
+            block_size = self.block_size
+
+            def kv_cost(request) -> int:
+                # A request queued without a decode length (not through the
+                # decoder's submit) is priced as a one-token decode; the
+                # engine refuses it when it is scheduled.
+                total = request.tokens + getattr(request, "new_tokens", 1)
+                return -(-total // block_size)
+
         elif kv_budget is not None:
             raise ValueError(
                 f"kv_budget_blocks is decode admission; {kind!r} requests hold no KV"

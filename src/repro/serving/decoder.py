@@ -6,6 +6,9 @@ generates ``new_tokens`` positions one step at a time, each step attending
 to every earlier position of its own sequence.  ``DecoderServingEngine``
 serves that shape of traffic on top of the continuous-batching scheduler:
 
+* **intake** queues the decode job itself: :meth:`DecodeRequest.as_request`
+  carries ``new_tokens`` on the queued request, so the batcher prices the
+  KV footprint from the queue alone, with no side table to keep in step;
 * **admission** pops queued prompts off the
   :class:`~repro.serving.continuous.ContinuousBatcher` exactly as the
   single-step engines do, but a popped request becomes a *resident*: it
@@ -100,14 +103,24 @@ class DecodeRequest:
         object.__setattr__(self, "prompt", prompt)
 
     def as_request(self) -> Request:
-        """The scheduler-facing request (the prompt is what gets bucketed)."""
-        return Request(
+        """The scheduler-facing request: the prompt is what gets bucketed,
+        and the decode length rides along for the KV footprint."""
+        return _DecodeJob(
             request_id=self.request_id,
             activations=self.prompt,
             arrival_us=self.arrival_us,
             deadline_us=self.deadline_us,
             priority_class=self.priority_class,
+            new_tokens=self.new_tokens,
         )
+
+
+@dataclass(frozen=True)
+class _DecodeJob(Request):
+    """A queued decode: the prompt as a :class:`Request`, plus how many
+    positions it generates, so the length lives and dies with the request."""
+
+    new_tokens: int = field(kw_only=True)
 
 
 def decode_reference(
@@ -149,9 +162,8 @@ def decode_reference(
 class _Resident:
     """One in-flight decode: rung slot held, KV sequence live."""
 
-    request: Request
+    request: _DecodeJob
     key: BucketKey
-    new_tokens: int
     #: The next step's input row, ``(1, hidden)`` — the prompt's final
     #: output after prefill, then each step's own output.
     feed: np.ndarray
@@ -204,7 +216,8 @@ class DecoderServingEngine(EngineCore):
         (``block_size`` / ``capacity_blocks``), the batcher and its
         admission control and warming knobs; the defaults apply
         without one.  A request's KV footprint is ``ceil((prompt +
-        new_tokens) / block_size)`` blocks, reserved against
+        new_tokens) / block_size)`` blocks (the config's decoder batcher
+        reads it off the queued job), reserved against
         ``kv_budget_blocks`` (default: the whole cache) when it is
         scheduled: a request that does not fit waits for blocks to return,
         and one whose footprint exceeds the budget fails at submit.
@@ -218,25 +231,7 @@ class DecoderServingEngine(EngineCore):
     ) -> None:
         if not isinstance(encoder, TransformerEncoder):
             raise TypeError("encoder must be a TransformerEncoder")
-        #: new_tokens per submitted request (alive until the request retires).
-        self._new_tokens: Dict[str, int] = {}
-        new_tokens = self._new_tokens
-        knobs = config if config is not None else ServingConfig()
-        block_size = knobs.block_size
-
-        def kv_cost(request: Request) -> int:
-            """Projected block footprint: the whole sequence, prompt + decode.
-
-            Closes over the mapping and the block size, *not* the engine: the
-            batcher keeps this function, and a bound method here made
-            engine -> batcher -> engine a cycle, so a dropped engine (its KV
-            cache + its encoder) waited for the cyclic collector instead of
-            dying by refcount.
-            """
-            total = request.tokens + new_tokens.get(request.request_id, 1)
-            return -(-total // block_size)
-
-        super().__init__("decoder", "decoder-serving", config, dispatcher, kv_cost)
+        super().__init__("decoder", "decoder-serving", config, dispatcher)
         self.encoder = encoder
         self.hidden_size = encoder.config.hidden_size
         encoder.set_dispatcher(self.dispatcher)
@@ -244,8 +239,8 @@ class DecoderServingEngine(EngineCore):
             num_layers=len(encoder.layers),
             num_heads=encoder.config.num_heads,
             head_dim=encoder.config.head_dim,
-            block_size=block_size,
-            capacity_blocks=knobs.capacity_blocks,
+            block_size=self.config.block_size,
+            capacity_blocks=self.config.capacity_blocks,
         )
         #: ``_residents`` (from the core) holds the in-flight decodes, in
         #: admission order — the advance order.
@@ -278,24 +273,7 @@ class DecoderServingEngine(EngineCore):
                 f"{self.name}: duplicate request_id {rid!r}: the engine still holds "
                 f"a request with that id (queued or decoding)"
             )
-        if request.prompt.shape[1] != self.hidden_size:
-            raise ValueError(
-                f"{self.name}: request {request.request_id!r} has feature width "
-                f"{request.prompt.shape[1]}, but the encoder's hidden size is "
-                f"{self.hidden_size}; submit prompts of shape (tokens, {self.hidden_size})"
-            )
-        inner = request.as_request()
-        # The cost function reads new_tokens at admission time, so the
-        # mapping must exist before the batcher sees the request.
-        self._new_tokens[inner.request_id] = request.new_tokens
-        try:
-            key = self.batcher.submit(inner)
-        except Exception:
-            del self._new_tokens[inner.request_id]
-            raise
-        if key is None:  # shed or refused; the outcome lands at the next step
-            del self._new_tokens[inner.request_id]
-        return key
+        return super().submit(request.as_request())
 
     # ------------------------------------------------------------------
     # The multi-step loop
@@ -330,14 +308,13 @@ class DecoderServingEngine(EngineCore):
     ) -> Optional[_Resident]:
         """Prefill (or prefix-attach) one popped request; pin its rung slot."""
         rid = req.request_id
-        new_tokens = self._new_tokens.get(rid)
-        if new_tokens is None:
+        if not isinstance(req, _DecodeJob):
             raise ValueError(
                 f"{self.name}: request {rid!r} was queued without a decode length; "
                 f"submit DecodeRequests through DecoderServingEngine.submit()"
             )
-        # Sized once for the whole sequence, the footprint kv_cost charges.
-        handle = self.kv.create(rid, tokens=req.tokens + new_tokens)
+        # Sized once for the whole sequence, the footprint the batcher charges.
+        handle = self.kv.create(rid, tokens=req.tokens + req.new_tokens)
         fingerprint = prompt_fingerprint(req.activations)
         try:
             entry = self.kv.attach_prefix(fingerprint, rid)
@@ -359,14 +336,11 @@ class DecoderServingEngine(EngineCore):
         except (BackendExecutionError, KVCacheExhausted) as exc:
             self.kv.free(rid)
             self.batcher.release_kv(rid)
-            self._new_tokens.pop(rid, None)
             self._record_outcome(rid, OUTCOME_FAILED, str(exc), now_us)
             return None
         self.batcher.acquire_slot(key, req)
         self.total_requests += 1
-        return _Resident(
-            request=req, key=key, new_tokens=new_tokens, feed=feed, handle=handle
-        )
+        return _Resident(request=req, key=key, feed=feed, handle=handle)
 
     def _advance_residents(self, now_us: float, step_index: int) -> Dict[str, np.ndarray]:
         """One decode token for every resident; returns the completions.
@@ -412,7 +386,7 @@ class DecoderServingEngine(EngineCore):
             resident.feed = out
             resident.generated.append(out[0])
             self.total_decode_steps += 1
-            if len(resident.generated) == resident.new_tokens:
+            if len(resident.generated) == resident.request.new_tokens:
                 results[rid] = np.stack(resident.generated)
                 self._retire(resident, OUTCOME_OK, "", now_us)
                 self.completions[rid] = CompletionRecord(
@@ -435,7 +409,6 @@ class DecoderServingEngine(EngineCore):
         self.kv.free(rid)
         self.batcher.release_slot(resident.key, rid)
         self.batcher.release_kv(rid)
-        self._new_tokens.pop(rid, None)
         self._record_outcome(rid, status, detail, now_us)
 
     # ------------------------------------------------------------------

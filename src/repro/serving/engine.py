@@ -18,7 +18,7 @@ loop.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -54,9 +54,12 @@ class EngineCore:
       overrides it with admit -> advance, where a request stays resident
       across steps (Orca's iteration-level scheduling).
 
-    (``_validate`` is the intake check: the feature width an engine
-    accepts.)  The driver is scheduling-only — the batcher's hold and the
-    step cadence change *when* a request executes, never its numbers — so
+    Every request enters through :meth:`submit` and its one intake check,
+    :meth:`_validate` (the served encoder's width); the decoder queues its
+    decode job as a :class:`Request` that carries the decode length.
+
+    The step loop is scheduling-only — the batcher's hold and the step
+    cadence change *when* a request executes, never its numbers — so
     outputs are bit-identical to a single-window ``serve`` of the same
     request set under any of them.
 
@@ -92,12 +95,11 @@ class EngineCore:
         name: str,
         config: Optional[ServingConfig],
         dispatcher: Optional[KernelDispatcher],
-        kv_cost: Optional[Callable[[Request], int]] = None,
     ) -> None:
         """Resolve the shared knobs: ``config`` supplies the name (``name``
-        is the engine class's default label), warming policy, the batcher of
-        engine ``kind`` (``kv_cost`` prices a decoder's KV budget); without an
-        explicit ``dispatcher`` the engine builds a private one.
+        is the engine class's default label), warming policy and the batcher
+        of engine ``kind``; without an explicit ``dispatcher`` the engine
+        builds a private one.
         Warming (``config.warm`` / ``config.warm_buckets``) is each
         subclass's last constructor line (what it warms only exists once the
         subclass is wired up)."""
@@ -108,7 +110,7 @@ class EngineCore:
             # signatures unless explicitly given one dispatcher.
             dispatcher = KernelDispatcher(name=f"{name}.dispatcher")
         self.dispatcher = dispatcher
-        self.batcher = self.config.build_batcher(kind=kind, kv_cost=kv_cost)
+        self.batcher = self.config.build_batcher(kind=kind)
         self.total_requests = 0
         #: Continuous-serving bookkeeping (populated by the step loop).
         self.steps_executed = 0
@@ -125,11 +127,17 @@ class EngineCore:
         self.busy_until_us = 0.0
 
     # ------------------------------------------------------------------
-    # The two hooks (and the intake check)
+    # The intake check and the two hooks
     # ------------------------------------------------------------------
     def _validate(self, request: Request) -> None:
-        """Raise ``ValueError`` when ``request`` is not this engine's width."""
-        raise NotImplementedError
+        """Raise ``ValueError`` when ``request`` is not the width of the
+        encoder served (each engine sets ``hidden_size`` from it)."""
+        if request.features != self.hidden_size:
+            raise ValueError(
+                f"{self.name}: request {request.request_id!r} has feature width "
+                f"{request.features}, but the encoder's hidden size is {self.hidden_size}; "
+                f"submit activations of shape (tokens, {self.hidden_size})"
+            )
 
     def _execute_batch(self, batch: MicroBatch) -> Dict[str, np.ndarray]:
         """One micro-batch's numerics: ``{request_id: output}``."""

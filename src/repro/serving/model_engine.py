@@ -175,17 +175,6 @@ class ModelServingEngine(EngineCore):
         return plan
 
     # ------------------------------------------------------------------
-    # Request intake
-    # ------------------------------------------------------------------
-    def _validate(self, request: Request) -> None:
-        if request.features != self.hidden_size:
-            raise ValueError(
-                f"{self.name}: request {request.request_id!r} has feature width "
-                f"{request.features}, but the encoder's hidden size is {self.hidden_size}; "
-                f"submit activations of shape (tokens, {self.hidden_size})"
-            )
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _record_layer_executions(self, batch: MicroBatch) -> None:

@@ -191,45 +191,6 @@ def bursty_arrivals(
     return _stamp_requests(arrivals, tokens, deadline_after_us, prefix, priority_class)
 
 
-def diurnal_arrivals(
-    num_requests: int,
-    peak_rate_rps: float,
-    trough_rate_rps: float,
-    tokens: Sequence[int],
-    period_us: float = 1e6,
-    seed: int = 0,
-    deadline_after_us: Optional[float] = None,
-    prefix: str = "req",
-    priority_class: int = 0,
-) -> List[SimulatedRequest]:
-    """Seeded diurnal (sinusoidal-rate) arrivals via Poisson thinning.
-
-    A non-homogeneous Poisson process whose instantaneous rate swings
-    sinusoidally between ``trough_rate_rps`` and ``peak_rate_rps`` with
-    period ``period_us`` (the day/night cycle, compressed to simulation
-    scale).  Implemented by thinning: candidates arrive at the peak rate
-    and are accepted with probability ``rate(t) / peak`` — the standard
-    exact sampler for time-varying Poisson processes, deterministic from
-    ``seed``.
-    """
-    _check_traffic_args(num_requests, tokens, deadline_after_us)
-    if trough_rate_rps <= 0 or peak_rate_rps < trough_rate_rps:
-        raise ValueError("need 0 < trough_rate_rps <= peak_rate_rps")
-    if period_us <= 0:
-        raise ValueError("period_us must be positive")
-    rng = np.random.default_rng(int(seed))
-    t = 0.0
-    arrivals: List[float] = []
-    while len(arrivals) < num_requests:
-        t += float(rng.exponential(1e6 / peak_rate_rps))
-        rate = trough_rate_rps + (peak_rate_rps - trough_rate_rps) * 0.5 * (
-            1.0 + np.sin(2.0 * np.pi * t / period_us)
-        )
-        if rng.uniform() < rate / peak_rate_rps:
-            arrivals.append(t)
-    return _stamp_requests(arrivals, tokens, deadline_after_us, prefix, priority_class)
-
-
 def pareto_lengths(
     num_requests: int,
     alpha: float = 1.5,

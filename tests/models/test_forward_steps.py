@@ -48,7 +48,8 @@ def _new_caches(encoder, store, count):
         block_size=BLOCK,
         capacity_blocks=max(count, 1) * 16,
     )
-    return [pool.create(f"seq-{i}") for i in range(count)]
+    # Each sized for its share of the pool, past the longest context drawn.
+    return [pool.create(f"seq-{i}", tokens=16 * BLOCK) for i in range(count)]
 
 
 def _fill(cache, encoder, rows):

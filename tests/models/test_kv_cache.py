@@ -52,7 +52,7 @@ class TestGatherEquivalence:
         and comes back as a fresh contiguous (tokens, heads, head_dim)."""
         reference = LayerKV()
         cache = paged(block_size=3)
-        seq = cache.create("seq")
+        seq = cache.create("seq", tokens=8)
         for t in range(8):
             k, v = kv_pair(rng)
             ref_k, ref_v = reference.append(k, v)
@@ -74,7 +74,7 @@ class TestGatherEquivalence:
         paged_cache = PagedKVCache(
             num_layers=2, num_heads=4, head_dim=8, block_size=4, capacity_blocks=8
         )
-        seq = paged_cache.create("s")
+        seq = paged_cache.create("s", tokens=tokens.shape[0])
         for t in range(tokens.shape[0]):
             ref_out = encoder.forward_step(tokens[t], ref_cache)
             paged_out = encoder.forward_step(tokens[t], seq)
@@ -151,7 +151,7 @@ class TestViewAttentionBits:
 class TestBlockTable:
     def test_alloc_free_roundtrip(self, rng):
         cache = paged(block_size=2, capacity_blocks=4)
-        seq = cache.create("a")
+        seq = cache.create("a", tokens=5)
         for _ in range(5):  # 5 tokens at block_size 2 -> 3 blocks
             seq.extend()
             seq.view(0).append(*kv_pair(rng))
@@ -162,22 +162,22 @@ class TestBlockTable:
         assert cache.cache_stats()["sequences"] == 0
 
     def test_append_requires_extend(self, rng):
-        seq = paged().create("a")
+        seq = paged().create("a", tokens=1)
         with pytest.raises(RuntimeError, match="extend"):
             seq.view(0).append(*kv_pair(rng))
 
     def test_exhaustion_raises(self, rng):
         cache = paged(block_size=1, capacity_blocks=2)
-        seq = cache.create("a")
+        seq = cache.create("a", tokens=3)
         seq.extend(), seq.extend()
         with pytest.raises(RuntimeError, match="exhausted"):
             seq.extend()
 
     def test_duplicate_sequence_rejected(self):
         cache = paged()
-        cache.create("a")
+        cache.create("a", tokens=1)
         with pytest.raises(ValueError, match="already exists"):
-            cache.create("a")
+            cache.create("a", tokens=1)
 
 
 class TestTruncate:
@@ -185,7 +185,7 @@ class TestTruncate:
 
     def test_fresh_tail_block_is_reused_without_a_second_allocation(self, rng):
         cache = paged(block_size=2, capacity_blocks=4, num_layers=2)
-        seq = cache.create("a")
+        seq = cache.create("a", tokens=3)
         rows = [kv_pair(rng) for _ in range(3)]
         for k, v in rows[:2]:  # exactly one full block
             seq.extend()
@@ -210,12 +210,12 @@ class TestTruncate:
 
     def test_copied_on_write_tail_block_is_not_copied_again(self, rng):
         cache = paged(block_size=2, capacity_blocks=8)
-        owner = cache.create("owner")
+        owner = cache.create("owner", tokens=3)
         for _ in range(3):  # two blocks, the second half full
             owner.extend()
             owner.view(0).append(*kv_pair(rng))
         cache.register_prefix("fp", "owner", last_output=np.zeros((1, 4), np.float32))
-        sharer = cache.create("sharer")
+        sharer = cache.create("sharer", tokens=4)
         cache.attach_prefix("fp", "sharer")
         shared_k = sharer.gathered(0)[0].copy()  # a snapshot: gathered() is a view
 
@@ -250,7 +250,7 @@ class TestTruncate:
         assert k.shape[0] == 3 and np.shares_memory(k, keys) and np.shares_memory(v, values)
 
     def test_bounds(self, rng):
-        seq = paged().create("a")
+        seq = paged().create("a", tokens=1)
         seq.extend()
         with pytest.raises(ValueError, match="truncate"):
             seq.truncate(2)
@@ -268,13 +268,13 @@ class TestPrefixSharingMechanics:
 
     def test_attach_shares_blocks_and_cow_isolates(self, rng):
         cache = paged(block_size=2, capacity_blocks=8)
-        owner = cache.create("owner")
+        owner = cache.create("owner", tokens=3)
         self._prefill(cache, owner, rng, 3)  # 2 blocks, second half-full
         fp = prompt_fingerprint(np.arange(6, dtype=np.float32).reshape(3, 2))
         cache.register_prefix(fp, "owner", last_output=np.zeros((1, 4), np.float32))
         in_use_before = cache.blocks_in_use
 
-        sharer = cache.create("sharer")
+        sharer = cache.create("sharer", tokens=4)
         entry = cache.attach_prefix(fp, "sharer")
         assert entry is not None and entry.length == 3
         assert cache.blocks_in_use == in_use_before  # attached, not copied
@@ -292,7 +292,7 @@ class TestPrefixSharingMechanics:
 
     def test_attach_miss_and_nonempty_rejection(self, rng):
         cache = paged()
-        seq = cache.create("busy")
+        seq = cache.create("busy", tokens=1)
         assert cache.attach_prefix("nope", "busy") is None
         self._prefill(cache, seq, rng, 1)
         cache.register_prefix("fp", "busy", last_output=np.zeros((1, 4), np.float32))
@@ -301,7 +301,7 @@ class TestPrefixSharingMechanics:
 
     def test_register_mid_step_rejected(self, rng):
         cache = paged(num_layers=2)
-        seq = cache.create("mid")
+        seq = cache.create("mid", tokens=1)
         seq.extend()
         seq.view(0).append(*kv_pair(rng))  # layer 1 not yet written
         with pytest.raises(RuntimeError, match="mid-step"):
@@ -310,16 +310,16 @@ class TestPrefixSharingMechanics:
     def test_lru_eviction_frees_prefix_blocks(self, rng):
         cache = paged(block_size=1, capacity_blocks=4)
         for i, name in enumerate(["old", "new"]):
-            seq = cache.create(name)
+            seq = cache.create(name, tokens=1)
             self._prefill(cache, seq, rng, 1)
             cache.register_prefix(f"fp-{i}", name, np.zeros((1, 4), np.float32))
             cache.free(name)
         assert cache.blocks_in_use == 2  # registry holds both prompts
-        grabby = cache.create("grabby")
+        grabby = cache.create("grabby", tokens=3)
         self._prefill(cache, grabby, rng, 3)  # forces eviction of "old" first
         stats = cache.cache_stats()
         assert stats["evictions"] == 1
-        assert cache.attach_prefix("fp-0", cache.create("probe-a").seq_id) is None
+        assert cache.attach_prefix("fp-0", cache.create("probe-a", tokens=1).seq_id) is None
         assert cache.attach_prefix("fp-1", "probe-a") is not None
 
     def test_copy_on_write_that_evicts_its_own_prefix_frees_the_block(self, rng):
@@ -329,13 +329,13 @@ class TestPrefixSharingMechanics:
         must return the block to the free list, not leave it held by nobody."""
         cache = paged(block_size=2, capacity_blocks=3)
         for name in ("a", "b"):  # one partial block each, registered, owner gone
-            self._prefill(cache, cache.create(name), rng, 1)
+            self._prefill(cache, cache.create(name, tokens=1), rng, 1)
             cache.register_prefix(f"fp-{name}", name, np.zeros((1, 4), np.float32))
             cache.free(name)
-        sharer = cache.create("sharer")
+        sharer = cache.create("sharer", tokens=2)
         cache.attach_prefix("fp-a", "sharer")
         cache.register_prefix("fp-b", "b", np.zeros((1, 4), np.float32))  # fp-a is now LRU
-        self._prefill(cache, cache.create("filler"), rng, 1)  # the last free block
+        self._prefill(cache, cache.create("filler", tokens=1), rng, 1)  # the last free block
         sharer.extend()  # COW: evicts fp-a (frees nothing), then fp-b
         assert (cache.cow_copies, cache.evictions) == (1, 2)
         held = {b for s in cache._sequences.values() for b in s.block_ids}
@@ -364,18 +364,21 @@ class TestExtentLifetime:
                 seq.view(layer).append(*kv_pair(rng))
         assert seq.keys is keys and seq.values is values
 
-    def test_unsized_sequence_doubles_and_keeps_its_rows(self, rng):
+    def test_extend_past_the_sized_extent_raises(self, rng):
+        """There is no growth path: a full sequence refuses the next
+        position before allocating a block for it, rows and blocks intact."""
         cache = paged(block_size=2, capacity_blocks=8)
-        seq, reference = cache.create("a"), LayerKV()
-        capacities = []
-        for _ in range(9):
+        seq, reference = cache.create("a", tokens=3), LayerKV()  # whole blocks: 4 rows
+        for _ in range(4):
             k, v = kv_pair(rng)
             seq.extend()
-            got_k, got_v = seq.view(0).append(k, v)
-            want_k, want_v = reference.append(k, v)
-            assert np.array_equal(got_k, want_k) and np.array_equal(got_v, want_v)
-            capacities.append(seq.keys.shape[1])
-        assert sorted(set(capacities)) == [2, 4, 8, 16]
+            seq.view(0).append(k, v)
+            want_k, _ = reference.append(k, v)
+        held = list(seq.block_ids)
+        with pytest.raises(RuntimeError, match="full"):
+            seq.extend()
+        assert seq.length == 4 and seq.block_ids == held and cache.blocks_in_use == 2
+        assert np.array_equal(seq.gathered(0)[0], want_k)
 
     def test_free_list_is_bounded_by_live_sequences_and_reused(self, rng):
         cache = paged(block_size=2, capacity_blocks=16)
@@ -394,10 +397,10 @@ class TestExtentLifetime:
 
     def test_registered_rows_are_a_private_copy_of_the_prompt(self, rng):
         """A prefix holds exactly its prompt's rows, not the owner's extent:
-        the owner decodes on, outgrows, frees and has its extents reused by
-        other sequences, and a later sharer still attaches the prompt's bits."""
+        the owner decodes on, frees and has its extents reused by other
+        sequences, and a later sharer still attaches the prompt's bits."""
         cache = paged(block_size=2, capacity_blocks=16)
-        owner = cache.create("owner")  # unsized: grows after registering
+        owner = cache.create("owner", tokens=9)  # the prompt's 3 rows, then 6 decoded
         for _ in range(3):
             owner.extend()
             owner.view(0).append(*kv_pair(rng))
@@ -406,18 +409,18 @@ class TestExtentLifetime:
         entry = cache._prefixes["fp"]
         assert entry.keys.shape == entry.values.shape == (1, 3, HEADS, HEAD_DIM)
         assert not np.shares_memory(entry.keys, owner.keys)
-        for _ in range(6):  # the owner decodes on and outgrows its extents
+        for _ in range(6):  # the owner decodes on past the registered rows
             owner.extend()
             owner.view(0).append(*kv_pair(rng))
-        bystander = cache.create("bystander")
+        bystander = cache.create("bystander", tokens=4)
         cache.free("owner")
         cache.free("bystander")
-        for other in [cache.create(f"o{i}") for i in range(2)]:  # reuse the freed extents
+        for other in [cache.create(f"o{i}", tokens=4) for i in range(2)]:  # reuse the freed extents
             for _ in range(4):
                 other.extend()
                 other.view(0).append(*kv_pair(rng))
         assert np.array_equal(entry.keys[0], prompt_rows)
-        sharer = cache.create("sharer")
+        sharer = cache.create("sharer", tokens=3)
         cache.attach_prefix("fp", "sharer")
         assert np.array_equal(sharer.gathered(0)[0], prompt_rows)
         assert not np.shares_memory(sharer.keys, entry.keys)  # copied once, then private

@@ -378,6 +378,78 @@ class TestKVBudgetAdmission:
         assert "kvr-1" in results
 
 
+def per_request_holders(engine, rid):
+    """The per-request maps that still hold ``rid``: the batcher's queued
+    footprints and reservations, the cache's live sequences, and every dict
+    the engine keeps (its residents among them) bar the terminal records."""
+    maps = {
+        "batcher._kv_need": engine.batcher._kv_need,
+        "batcher._kv_cost_by_id": engine.batcher._kv_cost_by_id,
+        "kv._sequences": engine.kv._sequences,
+    }
+    maps.update(
+        (f"engine.{name}", value)
+        for name, value in vars(engine).items()
+        if isinstance(value, dict) and name not in ("outcomes", "completions")
+    )
+    return sorted(name for name, held in maps.items() if rid in held)
+
+
+class TestNoPerRequestStateOutlivesTheRequest:
+    """Regression: a decode that left the queue without being admitted
+    (timed out queued, or evicted by drop-expired shedding) kept its decode
+    length in an engine-side table forever.  The length now rides on the
+    queued request, so once every request has its outcome no per-request
+    map holds any of them."""
+
+    def test_a_decode_timed_out_in_the_queue_leaves_nothing(self, rng):
+        encoder = make_encoder()
+        engine = decoder_engine(encoder, max_batch_size=1, step_us=10.0)
+        a = DecodeRequest("a", rng.normal(size=(5, HIDDEN)).astype(np.float32), 6)
+        b = DecodeRequest(
+            "b", rng.normal(size=(4, HIDDEN)).astype(np.float32), 2, deadline_us=1.0
+        )
+        results = engine.serve_continuous([a, b])
+        assert engine.outcomes["b"].status == "timed_out"
+        assert np.array_equal(results["a"], decode_reference(encoder, a.prompt, 6))
+        assert per_request_holders(engine, "a") == per_request_holders(engine, "b") == []
+
+    def test_an_evicted_id_resubmitted_before_its_outcome_leaves_nothing(self, rng):
+        """Drop-expired evicts two queued decodes at a later arrival; one id
+        comes straight back (before the step that records the eviction) with
+        another prompt and length, and is served by its own length."""
+        encoder = make_encoder()
+        engine = decoder_engine(
+            encoder,
+            block_size=4,
+            max_batch_size=1,
+            max_queue_depth=2,
+            shed_policy="drop-expired",
+        )
+
+        def job(rid, tokens, new_tokens, arrival_us, deadline_us=None):
+            prompt = rng.normal(size=(tokens, HIDDEN)).astype(np.float32)
+            return DecodeRequest(rid, prompt, new_tokens, arrival_us, deadline_us)
+
+        engine.submit(job("a", 5, 6, 0.0))
+        engine.step(0.0)  # "a" holds the one slot
+        for rid in ("c", "d"):
+            assert engine.submit(job(rid, 3, 2, 0.0, deadline_us=1.0)) is not None
+        assert engine.submit(job("e", 3, 2, 5.0)) is not None  # evicts "c" and "d"
+        # Evicted, but recorded only at the next step.
+        assert [r.request_id for r in engine.batcher.expired_log] == ["c", "d"]
+        assert "c" not in engine.outcomes
+        again = job("c", 6, 3, 5.0)
+        assert engine.submit(again) is not None
+        results = engine.serve_continuous([])
+        assert engine.outcomes["d"].status == "timed_out"
+        assert engine.outcomes["c"].status == engine.outcomes["e"].status == "ok"
+        assert np.array_equal(results["c"], decode_reference(encoder, again.prompt, 3))
+        for rid in "acde":
+            assert per_request_holders(engine, rid) == [], rid
+        assert engine.batcher.kv_reserved == 0
+
+
 class TestCacheLifecycle:
     @pytest.mark.parametrize("kv_budget_blocks", [None, 16], ids=["default", "over-committed"])
     def test_tight_pool_defers_or_fails_alone_with_block_accounting(self, rng, kv_budget_blocks):

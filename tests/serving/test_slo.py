@@ -32,7 +32,6 @@ from repro.serving import (
     bursty_arrivals,
     compress_arrivals,
     create_engine,
-    diurnal_arrivals,
     merge_arrivals,
     pareto_lengths,
     plan_slo_batch_reference,
@@ -466,9 +465,6 @@ class TestTrafficModels:
         assert bursty_arrivals(
             base_rate_rps=1e3, burst_rate_rps=1e4, seed=7, **kwargs
         ) == bursty_arrivals(base_rate_rps=1e3, burst_rate_rps=1e4, seed=7, **kwargs)
-        assert diurnal_arrivals(
-            peak_rate_rps=1e4, trough_rate_rps=1e3, seed=7, **kwargs
-        ) == diurnal_arrivals(peak_rate_rps=1e4, trough_rate_rps=1e3, seed=7, **kwargs)
         assert pareto_lengths(64, seed=7) == pareto_lengths(64, seed=7)
         # A different seed actually changes the draw.
         assert bursty_arrivals(
@@ -512,9 +508,6 @@ class TestTrafficModels:
             (bursty_arrivals, {"base_rate_rps": 0.0, "burst_rate_rps": 1e3}),
             (bursty_arrivals, {"base_rate_rps": 1e3, "burst_rate_rps": 1e4,
                                "mean_dwell_us": 0.0}),
-            (diurnal_arrivals, {"peak_rate_rps": 1e2, "trough_rate_rps": 1e3}),
-            (diurnal_arrivals, {"peak_rate_rps": 1e3, "trough_rate_rps": 1e2,
-                                "period_us": 0.0}),
         ],
     )
     def test_generator_validation(self, factory, kwargs):
@@ -546,21 +539,6 @@ class TestTrafficModels:
         )
         dispersion = counts.var() / counts.mean()
         assert dispersion > 1.5, f"MMPP counts look Poisson (D={dispersion:.2f})"
-
-    @pytest.mark.slow
-    def test_diurnal_statistics(self):
-        """Thinning sanity: realized rate between trough and peak, and the
-        peak half-period carries more arrivals than the trough half."""
-        peak, trough, period = 20_000.0, 2_000.0, 100_000.0
-        stream = diurnal_arrivals(
-            4000, peak_rate_rps=peak, trough_rate_rps=trough, tokens=[4],
-            period_us=period, seed=13,
-        )
-        realized = len(stream) / (stream[-1].arrival_us * 1e-6)
-        assert trough < realized < peak
-        # sin > 0 on [0, period/2): the high-rate half of each cycle.
-        high_half = sum(1 for r in stream if (r.arrival_us % period) < period / 2)
-        assert high_half > 0.6 * len(stream)
 
     @pytest.mark.slow
     def test_pareto_tail_is_heavy(self):

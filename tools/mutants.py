@@ -83,9 +83,22 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "decoder-batcher-prices-one-kv-block",
-        "src/repro/serving/decoder.py",
-        (("            return -(-total // block_size)\n", "            return 1\n"),),
+        "src/repro/serving/config.py",
+        (("                return -(-total // block_size)\n", "                return 1\n"),),
         ("tests/serving/test_decoder.py",),
+    ),
+    Mutant(
+        "evicted-request-keeps-its-kv-footprint",
+        "src/repro/serving/continuous.py",
+        ((
+            "        self._take(self.bucket_key(request), [request])\n"
+            "        self._kv_need.pop(request.request_id, None)\n",
+            "        self._take(self.bucket_key(request), [request])\n",
+        ),),
+        (
+            "tests/serving/test_kv_state_machine.py::TestDecoderKVMachine",
+            "tests/serving/test_decoder.py::TestNoPerRequestStateOutlivesTheRequest",
+        ),
     ),
     Mutant(
         "keep-n-of-4-ties-go-to-the-later-position",
