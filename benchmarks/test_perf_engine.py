@@ -116,7 +116,7 @@ def test_perf_second_order_vnm_vs_loop(run_once):
 
     # The block Fisher is one batched estimator both sides would run; paid
     # once here, like the plan test's warm-up, it would otherwise swamp the
-    # OBS solves compared (its one batched inverse is most of a vectorized call).
+    # OBS solves compared (its one batched solve is most of a vectorized call).
     fisher = estimate_block_fisher(synthetic_gradients(w, num_samples=64), w.shape, block_size=8)
     second_order_vnm_prune(w, v=8, n=2, m=8, fisher=fisher)  # warm
 

@@ -103,6 +103,8 @@ class KernelResult:
     cost: KernelCost
     output: Optional[np.ndarray] = None
     details: Dict[str, object] = field(default_factory=dict)
+    #: ``as_execution``'s modelled scalars, filled on its first call.
+    _exec_scalars: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def time_us(self) -> float:
@@ -151,7 +153,7 @@ class KernelResult:
         still returns a fresh record with a fresh ``meta`` dict, so
         callers may annotate it freely.
         """
-        scalars = getattr(self, "_exec_scalars", None)
+        scalars = self._exec_scalars
         if scalars is None:
             scalars = (
                 self.time_us,

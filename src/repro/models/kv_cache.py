@@ -22,8 +22,12 @@ against:
   extent that attention reads in place — no per-step gather.  Requests
   with a common prompt share its blocks (``prefix_hits``) and copy its rows
   once; appending into a shared partial block takes a private block id
-  (``cow_copies`` — copy-on-write is accounting only).  Registered prefixes
-  are evicted LRU when the pool runs dry (``evictions``).
+  (``cow_copies`` — copy-on-write is accounting only).  A registered prompt
+  reads its rows from its owner's extent while the owner lives; at the
+  owner's release it is kept — its rows copied once — only if a sequence
+  attached to it or its fingerprint was registered before (TinyLFU's
+  one-hit-wonder filter), else dropped with its block references.  Kept
+  prefixes are evicted LRU when the pool runs dry (``evictions``).
 
 Bit-exactness note: :class:`LayerKV` returns fresh contiguous ``(tokens,
 heads, head_dim)`` float32 stacks, the paged store the views
@@ -42,6 +46,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..kernels.common import BoundedCache
+
 __all__ = [
     "KVCacheExhausted",
     "LayerKV",
@@ -56,6 +62,13 @@ def _mapped(shape: Tuple[int, ...]) -> np.ndarray:
     with requests; off the malloc heap they return their pages when dropped
     instead of leaving holes the process's other allocations fragment."""
     return np.frombuffer(mmap.mmap(-1, 4 * int(np.prod(shape))), dtype=np.float32).reshape(shape)
+
+
+def _mapped_copy(rows: np.ndarray) -> np.ndarray:
+    """``rows`` copied into a :func:`_mapped` array of their own."""
+    copy = _mapped(rows.shape)
+    copy[...] = rows
+    return copy
 
 
 class KVCacheExhausted(RuntimeError):
@@ -121,7 +134,7 @@ class SequenceKV:
 
 @dataclass
 class _PrefixEntry:
-    """A registered shared prompt: registry-held block references and rows."""
+    """A registered prompt: registry-held block references and one row source."""
 
     fingerprint: str
     block_ids: List[int]
@@ -129,10 +142,23 @@ class _PrefixEntry:
     #: Encoder output at the final prompt position — what seeds decoding,
     #: cached so sharers skip the whole prefill.
     last_output: np.ndarray
-    #: The prompt's ``(layers, length, heads, head_dim)`` K/V, copied from the
-    #: owner (pinning its whole extent would also hold its decode rows).
-    keys: np.ndarray
-    values: np.ndarray
+    #: The live sequence that registered the prompt: its extent holds the
+    #: prompt's rows, never rewritten after prefill (a rollback never goes
+    #: below the prompt).  ``None`` once the owner is released.
+    owner: Optional["_PagedSequence"]
+    #: Whether the entry outlives its owner: a sequence attached to it, or
+    #: its fingerprint was registered before.
+    keep: bool
+    #: The prompt's ``(layers, length, heads, head_dim)`` K/V, copied at the
+    #: owner's release when kept (pinning the whole extent would also hold
+    #: its decode rows); ``None`` while the owner lives.
+    keys: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
+
+    def rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The prompt's K/V: views of the owner's extent, else the copy."""
+        source = self.owner if self.owner is not None else self
+        return source.keys[:, : self.length], source.values[:, : self.length]
 
 
 class _PagedLayerView:
@@ -160,6 +186,9 @@ class _PagedSequence:
         self.written = [0] * cache.num_layers
         self.keys = keys
         self.values = values
+        #: The fingerprint of the registered prefix whose rows this
+        #: sequence's extent holds, so ``free`` finds the entry directly.
+        self.prefix: Optional[str] = None
 
     def extend(self) -> int:
         """Allocate the slot for the next token position (COW if shared)."""
@@ -253,6 +282,9 @@ class PagedKVCache:
         self._refcount = [0] * capacity_blocks
         self._sequences: Dict[str, _PagedSequence] = {}
         self._prefixes: "OrderedDict[str, _PrefixEntry]" = OrderedDict()
+        #: Fingerprints registered so far (bounded): a second registration
+        #: marks a prompt that recurs, so its entry is kept.
+        self._registered = BoundedCache()
         self.prefix_hits = 0
         self.cow_copies = 0
         self.evictions = 0
@@ -292,9 +324,15 @@ class PagedKVCache:
         """Drop registered prefixes LRU-first until a block frees (or none left)."""
         while self._prefixes and not self._free:
             _, entry = self._prefixes.popitem(last=False)
-            for block_id in entry.block_ids:
-                self._release_block(block_id)
+            if entry.owner is not None:
+                entry.owner.prefix = None
+            self._drop_prefix(entry)
             self.evictions += 1
+
+    def _drop_prefix(self, entry: _PrefixEntry) -> None:
+        """Release the block references of an entry already out of the registry."""
+        for block_id in entry.block_ids:
+            self._release_block(block_id)
 
     def _take_extents(self, tokens: int) -> Tuple[np.ndarray, np.ndarray]:
         """K/V extents of at least ``tokens`` rows: the smallest spare pair
@@ -328,8 +366,20 @@ class PagedKVCache:
         return self._sequences[seq_id]
 
     def free(self, seq_id: str) -> int:
-        """Release a sequence's blocks and extents; returns blocks dereferenced."""
+        """Release a sequence's blocks and extents; returns blocks dereferenced.
+
+        The prefix it registered, if any, is settled first: kept with a copy
+        of the prompt's rows, or dropped (see :meth:`register_prefix`)."""
         sequence = self._sequences.pop(seq_id)
+        if sequence.prefix is not None:
+            entry = self._prefixes[sequence.prefix]
+            sequence.prefix = None
+            if entry.keep:  # copied now: the extent is recycled below
+                entry.keys, entry.values = (_mapped_copy(rows) for rows in entry.rows())
+                entry.owner = None
+            else:
+                del self._prefixes[entry.fingerprint]
+                self._drop_prefix(entry)
         for block_id in sequence.block_ids:
             self._release_block(block_id)
         count = len(sequence.block_ids)
@@ -341,7 +391,14 @@ class PagedKVCache:
     # -- prefix sharing -----------------------------------------------------
 
     def register_prefix(self, fingerprint: str, seq_id: str, last_output: np.ndarray) -> None:
-        """Pin ``seq_id``'s current blocks (and a copy of its rows) as a shareable prompt prefix."""
+        """Pin ``seq_id``'s current blocks as a shareable prompt prefix.
+
+        No rows are copied: sharers read them from ``seq_id``'s extent
+        while it lives.  At its :meth:`free` the entry is kept (its rows
+        copied once) if a sequence attached to it or ``fingerprint`` was
+        registered before, and dropped otherwise, so a prompt seen once
+        holds nothing past its request.
+        """
         if fingerprint in self._prefixes:
             self._prefixes.move_to_end(fingerprint)
             return
@@ -350,28 +407,31 @@ class PagedKVCache:
             raise RuntimeError(
                 f"sequence {seq_id!r} is mid-step; register prefixes between steps"
             )
+        if sequence.prefix is not None:
+            raise RuntimeError(f"sequence {seq_id!r} already owns prefix {sequence.prefix!r}")
         for block_id in sequence.block_ids:
             self._refcount[block_id] += 1
-        shape = (self.num_layers, sequence.length, self.num_heads, self.head_dim)
-        keys, values = _mapped(shape), _mapped(shape)
-        keys[...] = sequence.keys[:, : sequence.length]
-        values[...] = sequence.values[:, : sequence.length]
+        recurs = self._registered.get(fingerprint) is not None
+        self._registered.put(fingerprint, True)
         self._prefixes[fingerprint] = _PrefixEntry(
             fingerprint=fingerprint,
             block_ids=list(sequence.block_ids),
             length=sequence.length,
             last_output=np.array(last_output, dtype=np.float32, copy=True),
-            keys=keys,
-            values=values,
+            owner=sequence,
+            keep=recurs,
         )
+        sequence.prefix = fingerprint
 
     def attach_prefix(self, fingerprint: str, seq_id: str) -> Optional[_PrefixEntry]:
         """Attach a fresh sequence to a registered prefix, sharing its blocks.
 
-        The prompt's rows are copied in once.  Returns the entry (length +
-        cached final-position output) on a hit, ``None`` on a miss.  The
-        sequence must be empty (sharing replaces prefill, it cannot splice
-        into a decoded sequence) and sized for at least the prompt.
+        The prompt's rows are copied in once, from the owner's extent while
+        it lives, else from the entry's copy, and the entry is then kept
+        past its owner.  Returns the entry (length + cached final-position
+        output) on a hit, ``None`` on a miss.  The sequence must be empty
+        (sharing replaces prefill, it cannot splice into a decoded sequence)
+        and sized for at least the prompt.
         """
         entry = self._prefixes.get(fingerprint)
         if entry is None:
@@ -379,8 +439,10 @@ class PagedKVCache:
         sequence = self._sequences[seq_id]
         if sequence.length != 0:
             raise RuntimeError(f"sequence {seq_id!r} is not empty; cannot attach a prefix")
-        sequence.keys[:, : entry.length] = entry.keys
-        sequence.values[:, : entry.length] = entry.values
+        keys, values = entry.rows()
+        sequence.keys[:, : entry.length] = keys
+        sequence.values[:, : entry.length] = values
+        entry.keep = True
         for block_id in entry.block_ids:
             self._refcount[block_id] += 1
         sequence.block_ids = list(entry.block_ids)

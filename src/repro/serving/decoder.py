@@ -23,11 +23,13 @@ serves that shape of traffic on top of the continuous-batching scheduler:
   explicit alloc/free and reference counting (``cache_stats()``), rows in
   K/V extents the sequence owns, sized once from ``prompt + new_tokens``;
 * **prefix sharing**: the first request of a prompt registers its prompt
-  blocks and rows (and the prompt's final-position output) under the
-  prompt's content fingerprint; later requests submitted with the *same*
-  prompt attach to those blocks, copy the rows once and skip prefill
-  entirely (``prefix_hits``); the first append into the shared partial
-  block takes a private block id for it (``cow_copies``);
+  blocks (and the prompt's final-position output) under the prompt's
+  content fingerprint, its rows read from the owner's extent; later
+  requests submitted with the *same* prompt attach to those blocks, copy
+  the rows once and skip prefill entirely (``prefix_hits``); the first
+  append into the shared partial block takes a private block id for it
+  (``cow_copies``).  The entry outlives its owner, with its own copy of
+  the rows, only if it was attached to or the prompt recurs;
 * **decode**: every engine step advances every resident by one token —
   one ``forward_steps`` call on the ``(residents, 1, hidden)`` stack of
   their feeds, so each projection, LayerNorm and GELU runs once per step
@@ -196,7 +198,9 @@ class DecoderServingEngine(EngineCore):
     the prompt's cache blocks.  The first registers them (plus the
     prompt's final-position output) under the prompt's fingerprint; later
     ones attach, copy the prompt's rows once and skip prefill entirely;
-    their divergent decode tails never meet.  Because cached decode equals full
+    their divergent decode tails never meet.  A prompt nobody attached to
+    and seen for the first time is dropped when its request ends, so
+    unique prompts hold no cache memory past their requests.  Because cached decode equals full
     recompute bit for bit, sharers' outputs are unchanged by the sharing —
     only ``cache_stats()['prefix_hits']`` tells them apart.
 

@@ -266,6 +266,15 @@ class TestPrefixSharingMechanics:
             seq.extend()
             seq.view(0).append(*kv_pair(rng))
 
+    def _register_recurring(self, cache, rng, name, fingerprint):
+        """Two short-lived owners register ``fingerprint`` in turn: the
+        prompt recurs, so the second entry outlives its owner."""
+        for _ in range(2):
+            self._prefill(cache, cache.create(name, tokens=1), rng, 1)
+            cache.register_prefix(fingerprint, name, np.zeros((1, 4), np.float32))
+            cache.free(name)
+        assert fingerprint in cache._prefixes
+
     def test_attach_shares_blocks_and_cow_isolates(self, rng):
         cache = paged(block_size=2, capacity_blocks=8)
         owner = cache.create("owner", tokens=3)
@@ -299,6 +308,15 @@ class TestPrefixSharingMechanics:
         with pytest.raises(RuntimeError, match="not empty"):
             cache.attach_prefix("fp", "busy")
 
+    def test_a_sequence_owns_one_prefix(self, rng):
+        cache = paged()
+        self._prefill(cache, cache.create("owner", tokens=1), rng, 1)
+        cache.register_prefix("fp", "owner", np.zeros((1, 4), np.float32))
+        cache.register_prefix("fp", "owner", np.zeros((1, 4), np.float32))  # known: a no-op
+        with pytest.raises(RuntimeError, match="already owns prefix 'fp'"):
+            cache.register_prefix("fp-2", "owner", np.zeros((1, 4), np.float32))
+        assert list(cache._prefixes) == ["fp"]
+
     def test_register_mid_step_rejected(self, rng):
         cache = paged(num_layers=2)
         seq = cache.create("mid", tokens=1)
@@ -310,10 +328,7 @@ class TestPrefixSharingMechanics:
     def test_lru_eviction_frees_prefix_blocks(self, rng):
         cache = paged(block_size=1, capacity_blocks=4)
         for i, name in enumerate(["old", "new"]):
-            seq = cache.create(name, tokens=1)
-            self._prefill(cache, seq, rng, 1)
-            cache.register_prefix(f"fp-{i}", name, np.zeros((1, 4), np.float32))
-            cache.free(name)
+            self._register_recurring(cache, rng, name, f"fp-{i}")
         assert cache.blocks_in_use == 2  # registry holds both prompts
         grabby = cache.create("grabby", tokens=3)
         self._prefill(cache, grabby, rng, 3)  # forces eviction of "old" first
@@ -328,10 +343,8 @@ class TestPrefixSharingMechanics:
         old block is down to the sharer's reference.  Dropping that reference
         must return the block to the free list, not leave it held by nobody."""
         cache = paged(block_size=2, capacity_blocks=3)
-        for name in ("a", "b"):  # one partial block each, registered, owner gone
-            self._prefill(cache, cache.create(name, tokens=1), rng, 1)
-            cache.register_prefix(f"fp-{name}", name, np.zeros((1, 4), np.float32))
-            cache.free(name)
+        for name in ("a", "b"):  # one partial block each, kept, owner gone
+            self._register_recurring(cache, rng, name, f"fp-{name}")
         sharer = cache.create("sharer", tokens=2)
         cache.attach_prefix("fp-a", "sharer")
         cache.register_prefix("fp-b", "b", np.zeros((1, 4), np.float32))  # fp-a is now LRU
@@ -396,29 +409,35 @@ class TestExtentLifetime:
         assert kept is not extents["s3"]
 
     def test_registered_rows_are_a_private_copy_of_the_prompt(self, rng):
-        """A prefix holds exactly its prompt's rows, not the owner's extent:
-        the owner decodes on, frees and has its extents reused by other
-        sequences, and a later sharer still attaches the prompt's bits."""
+        """A kept prefix holds exactly its prompt's rows, not the owner's
+        extent: the owner decodes on, frees and has its extent reused by
+        another sequence, and a later sharer still attaches the prompt's
+        bits."""
         cache = paged(block_size=2, capacity_blocks=16)
         owner = cache.create("owner", tokens=9)  # the prompt's 3 rows, then 6 decoded
         for _ in range(3):
             owner.extend()
             owner.view(0).append(*kv_pair(rng))
         prompt_rows = owner.gathered(0)[0].copy()
+        owner_keys = owner.keys
         cache.register_prefix("fp", "owner", np.zeros((1, 4), np.float32))
         entry = cache._prefixes["fp"]
-        assert entry.keys.shape == entry.values.shape == (1, 3, HEADS, HEAD_DIM)
-        assert not np.shares_memory(entry.keys, owner.keys)
+        early = cache.create("early", tokens=3)
+        cache.attach_prefix("fp", "early")  # shared while the owner lives: kept
+        assert np.array_equal(early.gathered(0)[0], prompt_rows)
         for _ in range(6):  # the owner decodes on past the registered rows
             owner.extend()
             owner.view(0).append(*kv_pair(rng))
         bystander = cache.create("bystander", tokens=4)
-        cache.free("owner")
         cache.free("bystander")
-        for other in [cache.create(f"o{i}", tokens=4) for i in range(2)]:  # reuse the freed extents
-            for _ in range(4):
-                other.extend()
-                other.view(0).append(*kv_pair(rng))
+        cache.free("owner")  # the newest spare: the next create reuses it
+        assert entry.keys.shape == entry.values.shape == (1, 3, HEADS, HEAD_DIM)
+        assert not np.shares_memory(entry.keys, owner_keys)
+        other = cache.create("other", tokens=4)
+        assert other.keys is owner_keys  # the owner's extent, reused
+        for _ in range(4):
+            other.extend()
+            other.view(0).append(*kv_pair(rng))
         assert np.array_equal(entry.keys[0], prompt_rows)
         sharer = cache.create("sharer", tokens=3)
         cache.attach_prefix("fp", "sharer")

@@ -315,7 +315,8 @@ class TestEngineCoreContract:
         their encoder free every warmed plan of its weights with it (a plan
         memoized on its matrix used to point back at it).  The decoder's KV
         store goes with it: every K/V extent it ever handed out and every
-        registered prefix that holds one."""
+        kept prefix with its copy of the prompt's rows (the decoder serves
+        its prompt twice, so the prompt recurs and its entry is kept)."""
         engine = build_engine(kind)
         extents = []
         if kind == "decoder":
@@ -327,7 +328,10 @@ class TestEngineCoreContract:
                 return pair
 
             engine.kv._take_extents = spy
-        assert len(engine.serve([make_request(kind, "r0", rng, 5)])) == 1
+        request = make_request(kind, "r0", rng, 5)
+        assert len(engine.serve([request])) == 1
+        if kind == "decoder":
+            assert len(engine.serve([replace(request, request_id="r1")])) == 1
         refs = [weakref.ref(engine)]
         plans = list(engine.encoder.spmm_plan_registry().values())
         assert plans

@@ -104,7 +104,7 @@ def run_golden_cell(
             f"(layers={num_layers}, pattern={pattern}, "
             f"step_us={step_us}, policy={policy}, kv_budget={kv_budget})"
         )
-    # Every decode's blocks were reclaimed; only registered prompt prefixes
+    # Every decode's blocks were reclaimed; only kept prompt prefixes
     # keep references alive.
     stats = engine.cache_stats()
     assert stats["sequences"] == 0
@@ -226,6 +226,71 @@ class TestPrefixSharing:
         assert engine.prefills == 2
         assert engine.prefills_skipped == 0
         assert engine.cache_stats()["prefix_hits"] == 0
+
+    def test_unique_prompts_leave_no_registry(self, rng):
+        """A prompt seen once is dropped with its request: after N unique
+        prompts the registry holds no entry, no block and no rows, and the
+        pool (two requests' worth) never evicted anything."""
+        engine = decoder_engine(make_encoder(), block_size=4, capacity_blocks=6, step_us=5.0)
+        requests = make_decode_requests(rng, [6] * 8, [2] * 8, [10.0 * i for i in range(8)])
+        results = engine.serve_continuous(requests)
+        for request in requests:
+            want = decode_reference(make_encoder(), request.prompt, request.new_tokens)
+            assert np.array_equal(results[request.request_id], want)
+        stats = engine.cache_stats()
+        assert engine.prefills == 8
+        assert (stats["prefix_entries"], stats["evictions"], stats["blocks_in_use"]) == (0, 0, 0)
+        assert not engine.kv._prefixes
+
+    def test_a_recurring_prompt_is_kept_on_its_second_registration(self, rng):
+        """Served alone three times, a prompt prefills twice: the first
+        entry dies with its request, the second (a repeat) is kept, and
+        the third request attaches to it."""
+        encoder = make_encoder()
+        engine = decoder_engine(encoder, block_size=4)
+        prompt = rng.normal(size=(5, HIDDEN)).astype(np.float32)
+        want = decode_reference(encoder, prompt, 3)
+        for i in range(3):
+            results = engine.serve([DecodeRequest(f"alone-{i}", prompt, new_tokens=3)])
+            assert np.array_equal(results[f"alone-{i}"], want)
+        stats = engine.cache_stats()
+        assert (engine.prefills, stats["prefix_hits"]) == (2, 1)
+        assert stats["prefix_entries"] == 1 and stats["evictions"] == 0
+
+    def test_a_late_sharer_reads_the_kept_copy_not_the_recycled_extent(self, rng):
+        """The kept entry copies the prompt's rows at its owner's release:
+        the owner's extent then goes to another sequence, which overwrites
+        it, and a sharer attaching after that still decodes the reference."""
+        encoder = make_encoder()
+        engine = decoder_engine(encoder, block_size=4, capacity_blocks=64, step_us=5.0)
+        extents = {}
+        create = engine.kv.create
+
+        def spy(seq_id, tokens):
+            sequence = create(seq_id, tokens)
+            extents[seq_id] = sequence.keys
+            return sequence
+
+        engine.kv.create = spy
+        prompt = rng.normal(size=(6, HIDDEN)).astype(np.float32)
+
+        def other(tokens):
+            return rng.normal(size=(tokens, HIDDEN)).astype(np.float32)
+
+        requests = [
+            DecodeRequest("first", prompt, new_tokens=1, arrival_us=0.0),  # dropped: seen once
+            DecodeRequest("bystander", other(3), new_tokens=20, arrival_us=10.0),  # keeps a spare
+            DecodeRequest("owner", prompt, new_tokens=2, arrival_us=10.0),  # a repeat: kept
+            DecodeRequest("recycler", other(5), new_tokens=2, arrival_us=40.0),
+            DecodeRequest("late", prompt, new_tokens=4, arrival_us=45.0),
+        ]
+        results = engine.serve_continuous(requests)
+        del engine.kv.create
+        assert extents["recycler"] is extents["owner"]  # the owner's extent, rewritten
+        for request in requests:
+            want = decode_reference(encoder, request.prompt, request.new_tokens)
+            assert np.array_equal(results[request.request_id], want), request.request_id
+        assert (engine.prefills, engine.cache_stats()["prefix_hits"]) == (4, 1)
 
 
 class TestRungOccupancy:
@@ -552,14 +617,17 @@ class TestCacheLifecycle:
             assert np.array_equal(results[request.request_id], want)
 
     def test_prefix_eviction_frees_pool_under_pressure(self, rng):
-        """When the pool runs dry, registered prefixes are evicted LRU to
-        make room for live sequences (the ``evictions`` counter)."""
+        """When the pool runs dry, kept prefixes are evicted LRU to make
+        room for live sequences (the ``evictions`` counter).  Each prompt is
+        served twice, one request after the other, so it recurs and its
+        entry is kept past the second request."""
         engine = DecoderServingEngine(
             make_encoder(), config=ServingConfig(block_size=2, capacity_blocks=8)
         )
         for i in range(4):
             prompt = rng.normal(size=(4, HIDDEN)).astype(np.float32)
-            engine.serve([DecodeRequest(f"evict-{i}", prompt, new_tokens=2)])
+            for j in range(2):
+                engine.serve([DecodeRequest(f"evict-{i}-{j}", prompt, new_tokens=2)])
         stats = engine.cache_stats()
         assert stats["evictions"] >= 1
         assert stats["sequences"] == 0
@@ -585,6 +653,9 @@ class TestDecoderIntakeAndStats:
         encoder = make_encoder()
         engine = DecoderServingEngine(encoder, config=ServingConfig(block_size=4))
         prompt = rng.normal(size=(5, HIDDEN)).astype(np.float32)
+        # An earlier request of the same prompt: "a"'s is its second
+        # registration, so the prefix is kept past "a" (checked below).
+        engine.serve([DecodeRequest("earlier", prompt, new_tokens=1)])
         original = DecodeRequest("a", prompt, new_tokens=3)
         engine.submit(original)
         if held_as == "resident":
@@ -600,8 +671,8 @@ class TestDecoderIntakeAndStats:
             now += 1.0
         assert engine.outcomes["a"].status == "ok"
         assert np.array_equal(results["a"], decode_reference(encoder, prompt, 3))
-        # Nothing leaked: the only blocks still held are the registered
-        # prompt prefix's.
+        # Nothing leaked: the only blocks still held are the kept prompt
+        # prefix's.
         assert engine.cache_stats()["sequences"] == 0
         assert engine.kv.blocks_in_use == sum(
             len(entry.block_ids) for entry in engine.kv._prefixes.values()

@@ -20,12 +20,19 @@ one terminal outcome.
 
 :class:`DecoderKVMachine` serves :class:`~repro.serving.DecoderServingEngine`
 over a tiny :class:`~repro.models.PagedKVCache`, adding shared-prompt
-submits (prefix attach and copy-on-write) and the stacked step's rollback
-and per-resident fallback under a fault.  It also checks:
+submits (prefix attach and copy-on-write), resubmits of a recent prompt
+(alone, or while its owner still decodes), a submit that is late before
+the next step in the residents' rung (the queue-expiry path, taken every
+time the rule is drawn) and the stacked step's rollback and per-resident
+fallback under a fault.  It also checks:
 
 - block conservation: ``blocks_free + |held| == capacity``, and each
   block's refcount equals its holder count (live sequences plus registered
   prefixes — vLLM's block-manager invariants);
+- each registered prefix has exactly one row source: its live owner's
+  extent, or its own copy of the prompt's rows once the owner is gone —
+  and only a kept entry (shared, or a repeat) outlives its owner; the
+  memo of registered fingerprints stays within ``MEMO_BOUND``;
 - the cache's live sequences are exactly the residents, and every
   per-request map (queued footprints, reservations, live sequences) is
   keyed by queued or resident ids only;
@@ -54,9 +61,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.integration import VNMSparsifier, sparsify_encoder
+from repro.kernels.common import MEMO_BOUND
 from repro.kernels.dispatch import BackendExecutionError
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
@@ -291,6 +299,34 @@ class DecoderKVMachine(_OutcomeMachine):
     def submit_shared(self, which, new_tokens, priority_class):
         self._submit_decode(SHARED_PROMPTS[which], new_tokens, priority_class)
 
+    @rule(back=st.integers(1, 4), new_tokens=st.integers(1, 4))
+    def resubmit_recent_prompt(self, back, new_tokens):
+        """The prompt of the ``back``-th latest submit again: a repeat, so
+        its next registration is kept (or it attaches to a kept entry)."""
+        recent = list(self.submitted.values())[-back:]
+        if recent:
+            self._submit_decode(recent[0].prompt, new_tokens, recent[0].priority_class)
+
+    @precondition(lambda self: self.engine._residents)
+    @rule(which=st.integers(0, 2), new_tokens=st.integers(1, 4))
+    def resubmit_a_residents_prompt(self, which, new_tokens):
+        """A resident's prompt again while its owner decodes: admitted before
+        the owner completes, it attaches to rows read from the owner's extent."""
+        residents = list(self.engine._residents.values())
+        owner = residents[which % len(residents)].request
+        self._submit_decode(owner.activations, new_tokens, owner.priority_class)
+
+    @rule(seed=st.integers(0, 2**16), new_tokens=st.integers(1, 4))
+    def submit_late_behind_the_residents(self, seed, new_tokens):
+        """A request due now, queued in the rung the residents hold (when
+        any do); the clock passes its deadline before the next step, so it
+        times out in the queue, and the expiry must leave nothing behind."""
+        residents = list(self.engine._residents.values())
+        tokens = residents[0].request.tokens if residents else 1 + seed % 9
+        self._submit_decode(_payload(seed, tokens), new_tokens, 0, deadline_us=self.now)
+        self.now += 1.0
+        self._step()
+
     @rule(call=st.integers(0, 40))
     def step_with_fault(self, call):
         """Fail the ``call``-th dispatched projection of the next step."""
@@ -314,6 +350,27 @@ class DecoderKVMachine(_OutcomeMachine):
         assert not set(kv._free) & set(holders)
         for block_id in range(kv.capacity_blocks):
             assert kv._refcount[block_id] == holders[block_id], block_id
+
+    @invariant()
+    def each_prefix_has_one_row_source(self):
+        """An entry reads its rows from its live owner's extent or from its
+        own copy, never both; only a kept entry outlives its owner."""
+        kv = self.engine.kv
+        owned = {s.prefix: s for s in kv._sequences.values() if s.prefix is not None}
+        for fingerprint, entry in kv._prefixes.items():
+            copied = entry.keys is not None and entry.values is not None
+            assert (entry.owner is not None) != copied, fingerprint
+            if entry.owner is not None:
+                assert owned.get(fingerprint) is entry.owner, fingerprint
+            else:
+                assert entry.keep, fingerprint
+                shape = (kv.num_layers, entry.length, kv.num_heads, kv.head_dim)
+                assert entry.keys.shape == entry.values.shape == shape, fingerprint
+        assert set(owned) <= set(kv._prefixes)
+
+    @invariant()
+    def fingerprint_memo_is_bounded(self):
+        assert len(self.engine.kv._registered) <= MEMO_BOUND
 
     @invariant()
     def live_sequences_are_residents(self):
@@ -361,6 +418,7 @@ class DecoderKVMachine(_OutcomeMachine):
         assert cache["sequences"] == 0
         prefix_blocks = {b for e in engine.kv._prefixes.values() for b in e.block_ids}
         assert cache["blocks_in_use"] == len(prefix_blocks)
+        assert all(e.owner is None and e.keep for e in engine.kv._prefixes.values())
         assert engine.batcher.kv_reserved == 0
         assert engine.stats()["admission"]["occupied_slots"] == 0
 

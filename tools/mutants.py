@@ -131,6 +131,30 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/models/test_kv_cache.py",),
     ),
     Mutant(
+        "unshared-prefix-outlives-its-owner",
+        "src/repro/models/kv_cache.py",
+        (("            if entry.keep:  # copied now", "            if True:  # copied now"),),
+        (
+            "tests/serving/test_decoder.py::TestPrefixSharing::test_unique_prompts_leave_no_registry",
+            "tests/serving/test_decoder.py::TestPrefixSharing"
+            "::test_a_recurring_prompt_is_kept_on_its_second_registration",
+        ),
+    ),
+    Mutant(
+        "kept-prefix-skips-its-copy-at-release",
+        "src/repro/models/kv_cache.py",
+        ((
+            "entry.keys, entry.values = (_mapped_copy(rows) for rows in entry.rows())",
+            "entry.keys, entry.values = entry.rows()",
+        ),),
+        (
+            "tests/models/test_kv_cache.py::TestExtentLifetime"
+            "::test_registered_rows_are_a_private_copy_of_the_prompt",
+            "tests/serving/test_decoder.py::TestPrefixSharing"
+            "::test_a_late_sharer_reads_the_kept_copy_not_the_recycled_extent",
+        ),
+    ),
+    Mutant(
         "nonfinite-screen-demotes-the-whole-batch",
         "src/repro/kernels/common.py",
         ((
