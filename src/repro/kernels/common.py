@@ -13,20 +13,19 @@ the sparsified inner dimension, ``C`` output columns):
 
 This module defines :class:`GemmProblem` (the problem description),
 :class:`KernelResult` (the combined functional/performance answer), the
-fp16 matmul reference used by all numerical tests, and the two helpers the
-dispatch route shares: :class:`BoundedCache` (every kernel-layer memo) and
-:func:`demote_nonfinite_slabs` (per-slab demotion once the fp16 screen trips).
+fp16 matmul reference used by all numerical tests, and
+:class:`BoundedCache` (every kernel-layer memo).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
-from ..formats.base import fp16_finite, quantize_fp16
+from ..formats.base import quantize_fp16
 from ..hardware.roofline import KernelCost
 from ..hardware.trace import KernelExecution
 
@@ -233,26 +232,3 @@ class BoundedCache:
 
     def clear(self) -> None:
         self._entries.clear()
-
-
-def demote_nonfinite_slabs(
-    b: np.ndarray,
-    fast: Callable[[np.ndarray], np.ndarray],
-    safe: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Run a RHS the fp16 screen flagged: ``safe`` on its non-finite slabs.
-
-    A dense-GEMM schedule multiplies the decompressed operand's zeros
-    against *every* B row, so a non-finite value in a row the sparse
-    structure never selects would leak NaN (``0 * inf``) into the output;
-    a sparse-format schedule only touches stored entries, like the loop
-    reference.  Callers run ``fast(b)`` directly while the finite flag of
-    the operand rounding (:func:`~repro.formats.base.quantize_fp16_checked`)
-    is set.  Otherwise each slab of a 3-D RHS is screened on its own and
-    run as its own 2-D call: a slab's schedule may depend only on its own
-    values, or one non-finite request would flip its batchmates' schedule
-    and break batched == sequential bit-exactness.
-    """
-    if b.ndim == 2:
-        return safe(b)
-    return np.stack([(fast if fp16_finite(slab) else safe)(slab) for slab in b])

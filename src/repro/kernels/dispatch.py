@@ -11,10 +11,11 @@ kernels are the paper's baselines (:mod:`~repro.kernels.sputnik`,
 
 Design rules, enforced by the consistency tests:
 
-* **Transparency** — ``dispatch`` only *selects*; execution calls the exact
-  public entry point of the chosen backend (``spatha.spmm`` or the
-  ``cublas.gemm`` arithmetic), so the dispatched result is bit-for-bit the
-  result of invoking that backend directly.
+* **Transparency** — ``dispatch`` only *selects*; a candidate attempt
+  calls exactly the chosen backend's ``execute`` (``spatha.spmm``, or the
+  ``cublas.gemm`` arithmetic), so the dispatched result is bit-for-bit
+  ``dispatcher.backend(name).execute`` of the same operand and RHS, for
+  every input.
 * **Cost ranking** — candidates are ranked by the same tuner/perf-model
   estimates the evaluation uses (:class:`~repro.kernels.spatha.tuner.SpathaTuner`
   for Spatha, ``cublas.estimate_time`` for the fallback); the chosen
@@ -27,9 +28,14 @@ Design rules, enforced by the consistency tests:
 * **Slab-exact batching** — a 3-D ``(B, K, C)`` RHS produces, slab for
   slab, the bits of the corresponding 2-D calls (Spatha's plan and the
   dense fallback broadcast one ``matmul``, which runs one GEMM per slab).
-  When the dense fallback serves a V:N:M operand, a non-finite slab is
-  demoted to ``spatha-plan`` for *that slab only*
-  (:func:`~repro.kernels.common.demote_nonfinite_slabs`).
+  The dense fallback of a V:N:M operand is its plan's dense schedule,
+  which runs a slab that is non-finite after the fp16 rounding on the
+  gather schedule, *that slab only* — so an unselected ``inf`` row never
+  leaks ``0 * inf`` into the output, dispatched or called directly.
+* **Fault injection** — an armed
+  :class:`~repro.serving.faults.FaultInjector` is one slot on the
+  dispatcher, consulted once per candidate attempt before the named
+  backend runs; it never wraps or replaces a backend.
 """
 
 from __future__ import annotations
@@ -40,11 +46,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cublas
-from .common import BoundedCache, GemmProblem, KernelResult, demote_nonfinite_slabs
+from .common import BoundedCache, GemmProblem, KernelResult
 from .spatha import SpmmPlan, UnsupportedTilingError
 from .spatha import spmm as spatha_spmm
 from .spatha.tuner import SpathaTuner
-from ..formats.base import fp16_finite, quantize_fp16, quantize_fp16_aligned
+from ..formats.base import quantize_fp16, quantize_fp16_aligned
 from ..formats.vnm import VNMSparseMatrix
 from ..hardware.spec import GPUSpec, rtx3090
 
@@ -254,11 +260,15 @@ class CublasDenseBackend(Backend):
         return cublas.estimate_time(operand.problem(c), gpu=gpu)
 
     def execute(self, operand: SpmmOperand, b: np.ndarray) -> np.ndarray:
+        if operand.vnm is not None:
+            # The plan's dense schedule: the GEMM below on the plan's dense16,
+            # except that a slab non-finite after the fp16 rounding runs on
+            # the gather schedule, which reads only the selected B rows.
+            return SpmmPlan.for_matrix(operand.vnm).execute(b, strategy="dense")
         # Identical arithmetic to cublas.gemm(operand.dense(), slab) — the
         # fp16 rounding of the operand is just hoisted into the memoized
         # dense16 view — so the result stays bit-for-bit the direct call's.
-        # matmul broadcasts (R, K) @ (B, K, C) into one GEMM per slab, the
-        # call the Spatha plan's dense schedule makes.
+        # matmul broadcasts (R, K) @ (B, K, C) into one GEMM per slab.
         return np.matmul(operand.dense16(), quantize_fp16(b))
 
 
@@ -439,6 +449,8 @@ class KernelDispatcher:
     chosen backend's public entry point is invoked on the operand, so
     dispatched results are bit-for-bit the direct-call results.  Pass
     ``backends=[...]`` to run with a subset (a single backend, say).
+    ``injector`` is the armed fault injector (``None`` until
+    :meth:`~repro.serving.faults.FaultInjector.arm` sets it).
     """
 
     def __init__(
@@ -450,7 +462,11 @@ class KernelDispatcher:
         probe_interval: int = 4,
     ) -> None:
         self.gpu = gpu or rtx3090()
-        self.backends = backends if backends is not None else default_backends()
+        #: The registered backends, in registry order.
+        self.backends: List[Backend] = list(backends if backends is not None else default_backends())
+        self._by_name: Dict[str, Backend] = {b.name: b for b in self.backends}
+        #: The armed :class:`~repro.serving.faults.FaultInjector`, if any.
+        self.injector = None
         #: Diagnostic label (serving engines set it to "<engine>.dispatcher");
         #: prefixed onto dispatch errors so a multi-engine process can tell
         #: whose dispatcher rejected an operand.
@@ -472,16 +488,6 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     # Registry
     # ------------------------------------------------------------------
-    @property
-    def backends(self) -> List[Backend]:
-        """The registered backends in registry order (assign to replace them)."""
-        return self._backends
-
-    @backends.setter
-    def backends(self, backends: Sequence[Backend]) -> None:
-        self._backends: List[Backend] = list(backends)
-        self._by_name: Dict[str, Backend] = {b.name: b for b in self._backends}
-
     def backend(self, name: str) -> Backend:
         """Look a backend up by registry name."""
         try:
@@ -572,20 +578,12 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _attempt(self, operand: SpmmOperand, b: np.ndarray, name: str, decision: DispatchDecision) -> np.ndarray:
-        """Run one candidate backend, honouring the non-finite demotion."""
-        backend = self.backend(name)
-        spatha = SpathaPlanBackend.name
-        if name != CublasDenseBackend.name or spatha not in decision.costs or fp16_finite(b):
-            return backend.execute(operand, b)
-        # The dense fallback serving a V:N:M operand: Spatha's plan serves
-        # any slab that is non-finite after the kernels' fp16 rounding.
-        sparse = self.backend(spatha)
-        return demote_nonfinite_slabs(
-            b,
-            lambda rhs: backend.execute(operand, rhs),
-            lambda rhs: sparse.execute(operand, rhs),
-        )
+    def _attempt(self, operand: SpmmOperand, b: np.ndarray, name: str) -> np.ndarray:
+        """Run exactly the candidate ``name``, unless the armed injector
+        fails this attempt first."""
+        if self.injector is not None:
+            self.injector.on_call(name).raise_if_failed()
+        return self.backend(name).execute(operand, b)
 
     def execute(
         self,
@@ -599,9 +597,7 @@ class KernelDispatcher:
         is slab-bit-exact.  Without a bias the result is bit-for-bit the
         chosen backend's direct output; the bias epilogue adds
         ``bias.reshape(R, 1)`` exactly like the Spatha plan does; a
-        malformed bias raises before any backend runs.  A non-finite slab
-        served by the dense fallback of a V:N:M operand is demoted to
-        ``spatha-plan`` (see :meth:`_attempt`).
+        malformed bias raises before any backend runs.
 
         When a candidate raises :class:`BackendExecutionError` the walk
         continues down the cost ranking; the result served by a fallback is
@@ -619,7 +615,7 @@ class KernelDispatcher:
         decision = self.dispatch(operand, b.shape[-1])
         served, first_failed, out = self.breaker.walk(
             decision,
-            lambda name: self._attempt(operand, b, name, decision),
+            lambda name: self._attempt(operand, b, name),
             self.name or "dispatcher",
         )
         if first_failed is not None:

@@ -49,12 +49,11 @@ CPU analogue of that preparation step:
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..common import demote_nonfinite_slabs
-from ...formats.base import quantize_fp16_aligned, quantize_fp16_checked
+from ...formats.base import fp16_finite, quantize_fp16_aligned, quantize_fp16_checked
 from ...formats.vnm import SELECTED_COLUMNS, VNMSparseMatrix, condense, scatter_columns
 
 #: Host cost model of the two schedules, in seconds per unit, fitted on an
@@ -82,6 +81,26 @@ _PANEL_ELEMENT_S = 5.9e-10
 _GATHER_CHUNK_BYTES = 512 * 1024
 
 _STRATEGIES = ("auto", "dense", "gather")
+
+
+def demote_nonfinite_slabs(
+    b: np.ndarray,
+    fast: Callable[[np.ndarray], np.ndarray],
+    safe: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Run a RHS the fp16 screen flagged: ``safe`` on its non-finite slabs.
+
+    The dense schedule multiplies the operand's zeros against *every* B
+    row, so a non-finite value in a row the sparse structure never selects
+    would leak NaN (``0 * inf``); the gather schedule touches only stored
+    entries, like the loop reference.  Each slab of a 3-D RHS is screened
+    and run as its own 2-D call: a slab's schedule may depend only on its
+    own values, or one non-finite request would flip its batchmates'
+    schedule and break batched == sequential bit-exactness.
+    """
+    if b.ndim == 2:
+        return safe(b)
+    return np.stack([(fast if fp16_finite(slab) else safe)(slab) for slab in b])
 
 
 def auto_schedule(r: int, k: int, v: int, kc: int) -> Tuple[str, int, str]:
@@ -222,18 +241,25 @@ class SpmmPlan:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, b: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
+    def execute(
+        self, b: np.ndarray, bias: Optional[np.ndarray] = None, strategy: Optional[str] = None
+    ) -> np.ndarray:
         """``A @ B (+ bias)`` with fp16-operand / fp32-accumulate numerics.
 
         ``b`` may be ``(K, C)`` (returns ``(R, C)``) or a batch
-        ``(B, K, C)`` (returns ``(B, R, C)``).
+        ``(B, K, C)`` (returns ``(B, R, C)``).  ``strategy`` pins
+        ``"dense"`` or ``"gather"`` over :meth:`resolve_strategy` (the
+        dispatcher's dense fallback pins ``"dense"``); a non-finite slab
+        takes the gather schedule either way.
         """
         r, k = self.shape
         b = np.asarray(b)
         if b.ndim not in (2, 3) or b.shape[-2] != k:
             raise ValueError(f"B must have shape ({k}, C) or (batch, {k}, C), got {b.shape}")
+        if strategy not in (None, "dense", "gather"):
+            raise ValueError(f"a pinned strategy is 'dense' or 'gather', got {strategy!r}")
         b16, finite = quantize_fp16_checked(b)
-        if self.resolve_strategy(b.shape[-1]) == "gather":
+        if (strategy or self.resolve_strategy(b.shape[-1])) == "gather":
             out = self._execute_gather(b16)
         elif finite:
             out = self._execute_dense(b16)

@@ -22,8 +22,6 @@ from .magnitude import magnitude_mask
 from .masks import (
     PruningResult,
     apply_mask,
-    check_mask_nm,
-    check_mask_vnm,
     mask_density,
     mask_sparsity,
     validate_weight_matrix,
@@ -41,8 +39,6 @@ __all__ = [
     "magnitude_mask",
     "PruningResult",
     "apply_mask",
-    "check_mask_nm",
-    "check_mask_vnm",
     "mask_density",
     "mask_sparsity",
     "validate_weight_matrix",

@@ -3,8 +3,10 @@
 Every pruner in this subpackage produces a boolean *keep mask* of the same
 shape as the weight matrix (``True`` = weight survives).  This module
 collects the small helpers around those masks: applying them, measuring
-achieved sparsity, validating structural constraints and summarising the
-result of a pruning run.
+achieved sparsity and summarising the result of a pruning run.  A mask's
+N:M / V:N:M structure is checked by the formats' own rules
+(:func:`~repro.formats.nm.check_nm_pattern`,
+:func:`~repro.formats.vnm.check_vnm_pattern`).
 """
 
 from __future__ import annotations
@@ -51,30 +53,6 @@ def mask_sparsity(mask: np.ndarray) -> float:
 def mask_density(mask: np.ndarray) -> float:
     """Fraction of kept (True) entries in a keep mask."""
     return 1.0 - mask_sparsity(mask)
-
-
-def check_mask_nm(mask: np.ndarray, n: int, m: int) -> bool:
-    """True when every row-wise group of ``m`` entries keeps at most ``n``."""
-    arr = np.asarray(mask, dtype=bool)
-    rows, cols = arr.shape
-    if cols % m:
-        return False
-    return bool(np.all(arr.reshape(rows, cols // m, m).sum(axis=2) <= n))
-
-
-def check_mask_vnm(mask: np.ndarray, v: int, n: int, m: int) -> bool:
-    """True when the mask obeys the V:N:M structural constraints."""
-    from ..formats.vnm import SELECTED_COLUMNS
-
-    arr = np.asarray(mask, dtype=bool)
-    rows, cols = arr.shape
-    if rows % v or cols % m:
-        return False
-    blocks = arr.reshape(rows // v, v, cols // m, m)
-    col_used = blocks.any(axis=1)
-    if np.any(col_used.sum(axis=2) > SELECTED_COLUMNS):
-        return False
-    return bool(np.all(blocks.sum(axis=3) <= n))
 
 
 @dataclass(frozen=True)

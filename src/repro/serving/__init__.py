@@ -75,7 +75,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    FaultyBackend,
     RequestOutcome,
     outcome_counts,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "FaultyBackend",
     "MicroBatch",
     "ModelServingEngine",
     "Request",

@@ -24,7 +24,7 @@ exact identity, which the serving tests assert bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +52,11 @@ class Request:
     arrival_us: float = 0.0
     deadline_us: Optional[float] = None
     priority_class: int = 0
+    #: Positions generated past ``activations``: what a decoder's KV
+    #: footprint adds to the prompt.  A decode job carries its own; any
+    #: other request is priced as a one-token decode (a decoder refuses it
+    #: when it is scheduled).
+    new_tokens: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.activations, dtype=np.float32)

@@ -144,10 +144,7 @@ class ServingConfig:
             block_size = self.block_size
 
             def kv_cost(request) -> int:
-                # A request queued without a decode length (not through the
-                # decoder's submit) is priced as a one-token decode; the
-                # engine refuses it when it is scheduled.
-                total = request.tokens + getattr(request, "new_tokens", 1)
+                total = request.tokens + request.new_tokens
                 return -(-total // block_size)
 
         elif kv_budget is not None:

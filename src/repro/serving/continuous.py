@@ -892,23 +892,35 @@ class ContinuousBatcher:
                 break
         return chunk
 
-    def _kv_start(self, bucket: List[Request], room: int) -> Optional[float]:
-        """The earliest arrival in ``bucket`` that can open a chunk under
-        the KV ``room``: the head of a scheduling order (the bucket head;
-        per class, its EDF head under ``"priority"``) whose footprint fits.
-        ``None`` when only a release can open it."""
+    def _kv_start(self, bucket: List[Request], opens: float, room: int) -> Optional[float]:
+        """The earliest instant from ``opens`` on at which ``bucket``'s
+        chunk is not KV-cut to nothing (``None``: only a release opens it).
+
+        FCFS: ``opens``, if the head fits the ``room``.  ``"priority"``: a
+        class's chunk starts at its EDF-first member *among those arrived*,
+        which a later, tighter deadline can replace with one that does not
+        fit — so ``opens`` and each later arrival are tried in turn.
+        """
         need_of = self._kv_need
         if self.scheduling.policy == POLICY_FCFS:
-            heads = [bucket[0]]
-        else:
-            by_class: Dict[int, Request] = {}
-            for request in bucket:
-                cls = request.priority_class
-                if cls not in by_class or _edf_rank(request) < _edf_rank(by_class[cls]):
-                    by_class[cls] = request
-            heads = list(by_class.values())
-        starts = [r.arrival_us for r in heads if need_of[r.request_id] <= room]
-        return min(starts, default=None)
+            return opens if need_of[bucket[0].request_id] <= room else None
+        heads: Dict[int, Request] = {}
+        fitting = set()
+        instant = opens
+        for request in bucket:  # arrival order
+            if request.arrival_us > instant:
+                if fitting:
+                    return instant
+                instant = request.arrival_us
+            cls = request.priority_class
+            head = heads.get(cls)
+            if head is None or _edf_rank(request) < _edf_rank(head):
+                heads[cls] = request
+                if need_of[request.request_id] <= room:
+                    fitting.add(cls)
+                else:
+                    fitting.discard(cls)
+        return instant if fitting else None
 
     def next_batch(self, now_us: float) -> Optional[MicroBatch]:
         """Pop the single most urgent micro-batch at ``now_us`` (or ``None``).
@@ -939,7 +951,7 @@ class ContinuousBatcher:
         Per bucket with a free slot: its head's arrival plus the hold,
         or the arrival of the member that fills the free slots if that is
         sooner (without a hold, simply the head's arrival) — and, under a
-        KV budget, no sooner than :meth:`_kv_start`.  ``None`` when no
+        KV budget, :meth:`_kv_start` from there.  ``None`` when no
         bucket can open by the clock alone (empty queue, or every queued
         rung fully held or KV-cut until a release).  After a step that
         found nothing to run at ``now``, this is strictly later than
@@ -961,10 +973,9 @@ class ContinuousBatcher:
                 if len(bucket) >= free:
                     opens = min(opens, bucket[free - 1].arrival_us)
             if room is not None:
-                start = self._kv_start(bucket, room)
-                if start is None:
+                opens = self._kv_start(bucket, opens, room)
+                if opens is None:
                     continue
-                opens = max(opens, start)
             if event is None or opens < event:
                 event = opens
         return event

@@ -292,15 +292,27 @@ class DecoderServingEngine(EngineCore):
         """
         step_index = self.steps_executed
         batch = self.batcher.next_batch(now_us)
+        unsettled = list(batch.requests) if batch is not None else []
         newly: List[_Resident] = []
-        if batch is not None:
-            for req in batch.requests:
-                resident = self._admit_resident(req, batch.key, now_us)
+        try:
+            while unsettled:
+                resident = self._admit_resident(unsettled[0], batch.key, now_us)
+                unsettled.pop(0)
                 if resident is not None:
                     newly.append(resident)
-        results = self._advance_residents(now_us, step_index)
-        for resident in newly:
-            self._residents[resident.request.request_id] = resident
+            results = self._advance_residents(now_us, step_index)
+        except Exception as exc:
+            # A non-backend error escapes the step, but no popped request
+            # vanishes: the one it hit and those after hold a reservation only.
+            for req in unsettled:
+                self.batcher.release_kv(req.request_id)
+                self._record_outcome(
+                    req.request_id, OUTCOME_FAILED, f"{type(exc).__name__}: {exc}", now_us
+                )
+            raise
+        finally:
+            for resident in newly:
+                self._residents[resident.request.request_id] = resident
         if batch is not None and step_index == self.steps_executed:
             # _advance_residents counts itself; an admission-only step
             # (prefill, nothing yet decoding) is still executed work.
@@ -310,16 +322,21 @@ class DecoderServingEngine(EngineCore):
     def _admit_resident(
         self, req: Request, key: BucketKey, now_us: float
     ) -> Optional[_Resident]:
-        """Prefill (or prefix-attach) one popped request; pin its rung slot."""
+        """Prefill (or prefix-attach) one popped request; pin its rung slot.
+
+        Any error frees the sequence created here.  A backend failure or KV
+        exhaustion then fails the request alone (``None``); any other error
+        propagates, and :meth:`_run_step` settles the request.
+        """
         rid = req.request_id
         if not isinstance(req, _DecodeJob):
             raise ValueError(
                 f"{self.name}: request {rid!r} was queued without a decode length; "
                 f"submit DecodeRequests through DecoderServingEngine.submit()"
             )
+        fingerprint = prompt_fingerprint(req.activations)
         # Sized once for the whole sequence, the footprint the batcher charges.
         handle = self.kv.create(rid, tokens=req.tokens + req.new_tokens)
-        fingerprint = prompt_fingerprint(req.activations)
         try:
             entry = self.kv.attach_prefix(fingerprint, rid)
             if entry is not None:
@@ -337,8 +354,10 @@ class DecoderServingEngine(EngineCore):
                 self.kv.register_prefix(fingerprint, rid, feed)
                 self.prefills += 1
                 self.stacking["prefill_slabs"] += req.tokens
-        except (BackendExecutionError, KVCacheExhausted) as exc:
+        except Exception as exc:
             self.kv.free(rid)
+            if not isinstance(exc, (BackendExecutionError, KVCacheExhausted)):
+                raise
             self.batcher.release_kv(rid)
             self._record_outcome(rid, OUTCOME_FAILED, str(exc), now_us)
             return None
@@ -351,10 +370,11 @@ class DecoderServingEngine(EngineCore):
 
         The feeds run as one ``(residents, 1, hidden)`` slab stack through
         ``forward_steps`` (a lone resident too: a one-slab stack) and the
-        rows scatter back as copies, not views that pin the stack.  A
-        backend failure or KV exhaustion raised for the stack does not say
-        *whose* it is, so the step rolls every sequence back to its pre-step
-        length and re-runs resident by resident through ``forward_step``,
+        rows scatter back as copies, not views that pin the stack.  Any
+        error the stack raises rolls every sequence back to its pre-step
+        length; any but a backend failure or KV exhaustion then propagates.
+        Those two do not say *whose* they are, so the step re-runs resident
+        by resident through ``forward_step``,
         where the error fails exactly the request that hits it — in
         admission order, so a resident retiring earlier in the step still
         frees its blocks for the ones after it.
@@ -372,9 +392,11 @@ class DecoderServingEngine(EngineCore):
             )
             self.stacking["stacked_steps"] += 1
             self.stacking["stacked_slabs"] += batch_size
-        except (BackendExecutionError, KVCacheExhausted):
+        except Exception as exc:
             for resident, length in zip(advancing, lengths):
                 resident.handle.truncate(length)
+            if not isinstance(exc, (BackendExecutionError, KVCacheExhausted)):
+                raise
             outs = None
             self.stacking["fallback_steps"] += 1
         for i, resident in enumerate(advancing):

@@ -13,28 +13,30 @@ story:
   seed (:meth:`FaultPlan.seeded`) with a per-backend sub-seeded
   ``default_rng`` — no wall-clock, no global RNG state, so a plan replays
   identically run after run.  A :class:`FaultInjector` arms a
-  :class:`~repro.kernels.dispatch.KernelDispatcher` by wrapping each
-  registered backend in a :class:`FaultyBackend` proxy that consults the
-  plan before delegating to the real entry point — injected failures
-  therefore exercise the *real* failover/quarantine machinery.
+  :class:`~repro.kernels.dispatch.KernelDispatcher` by taking its one
+  injector slot; the dispatcher consults it once per candidate attempt of
+  its failover walk, before the named backend runs — injected failures
+  therefore exercise the *real* failover/quarantine machinery, and the
+  backends themselves are never wrapped or replaced.
 
 * **Request outcomes** — :class:`RequestOutcome` names the four terminal
   states of a served request (``ok`` / ``failed`` / ``timed_out`` /
   ``shed``).  The engines record one per request instead of silently
   reporting successes only; a request reported ``ok`` is still bit-for-bit
-  its sequential forward (the proxies never touch numerics — a call either
-  raises before the backend runs or returns the backend's exact bits).
+  its sequential forward (injection never touches numerics — an attempt
+  either raises before the backend runs or returns the backend's exact
+  bits).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels.dispatch import Backend, BackendExecutionError, KernelDispatcher
+from ..kernels.dispatch import BackendExecutionError, KernelDispatcher
 
 #: Terminal request states (the only values a RequestOutcome may carry).
 OUTCOME_OK = "ok"
@@ -121,10 +123,20 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultDecision:
-    """What the plan says about one backend call."""
+    """What the plan says about one backend call (equal when the same
+    thing happens, whichever call it is)."""
 
     fail: bool = False
     latency_us: float = 0.0
+    backend: str = field(default="", compare=False)
+    call_index: int = field(default=0, compare=False)
+
+    def raise_if_failed(self) -> None:
+        """Raise the injected :class:`BackendExecutionError` of a failing call."""
+        if self.fail:
+            raise BackendExecutionError(
+                f"injected fault on {self.backend} (call {self.call_index})", backend=self.backend
+            )
 
 
 class FaultPlan:
@@ -198,49 +210,21 @@ class FaultPlan:
                 latency += spec.latency_us
             else:
                 fail = True
-        return FaultDecision(fail=fail, latency_us=latency)
+        return FaultDecision(fail, latency, backend, call_index)
 
     def backends(self) -> Tuple[str, ...]:
         """Backend names this plan ever touches (sorted)."""
         return tuple(sorted({spec.backend for spec in self.specs}))
 
 
-class FaultyBackend(Backend):
-    """A registered backend wrapped to consult the fault plan first.
-
-    Numerics-transparent by construction: ``supports`` / ``estimate`` /
-    ``execute`` delegate to the wrapped backend's own entry points, so a
-    call the plan leaves alone returns the wrapped backend's exact bits,
-    and an injected fault raises *before* the backend runs.
-    """
-
-    def __init__(self, inner: Backend, injector: "FaultInjector") -> None:
-        self.inner = inner
-        self.name = inner.name
-        self._injector = injector
-
-    def supports(self, operand) -> bool:
-        return self.inner.supports(operand)
-
-    def estimate(self, operand, c, gpu):
-        return self.inner.estimate(operand, c, gpu)
-
-    def execute(self, operand, b: np.ndarray) -> np.ndarray:
-        decision, call_index = self._injector.on_call(self.name)
-        if decision.fail:
-            raise BackendExecutionError(
-                f"injected fault on {self.name} (call {call_index})", backend=self.name
-            )
-        return self.inner.execute(operand, b)
-
-
 class FaultInjector:
-    """Drives a :class:`FaultPlan` against live dispatcher backends.
+    """Drives a :class:`FaultPlan` against a live dispatcher.
 
     The injector owns the per-backend call counters (the plan itself stays
     immutable data) and the arming/disarming of a dispatcher.  Counters
-    advance once per *attempted* execute of a wrapped backend, so the call
-    indices the plan is keyed on are exactly the indices a replay sees.
+    advance once per candidate attempt of a failover walk, so the call
+    indices the plan is keyed on are exactly the indices a replay (and the
+    simulator, which counts the same attempts) sees.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -249,7 +233,7 @@ class FaultInjector:
         self.injected_failures = 0
         self.injected_latency_us = 0.0
 
-    def on_call(self, backend: str) -> Tuple[FaultDecision, int]:
+    def on_call(self, backend: str) -> FaultDecision:
         """Advance ``backend``'s call counter and look up its fault."""
         index = self._calls.get(backend, 0)
         self._calls[backend] = index + 1
@@ -257,34 +241,37 @@ class FaultInjector:
         if decision.fail:
             self.injected_failures += 1
         self.injected_latency_us += decision.latency_us
-        return decision, index
+        return decision
 
     def calls(self, backend: str) -> int:
-        """Executes attempted on ``backend`` so far."""
+        """Attempts made on ``backend`` so far."""
         return self._calls.get(backend, 0)
 
-    def wrap(self, backend: Backend) -> FaultyBackend:
-        """Wrap one backend (idempotent: an already-wrapped one is returned)."""
-        if isinstance(backend, FaultyBackend):
-            return backend
-        return FaultyBackend(backend, self)
-
     def arm(self, dispatcher: KernelDispatcher) -> "FaultInjector":
-        """Wrap every registered backend of ``dispatcher`` in place.
+        """Take ``dispatcher``'s injector slot; raises ``ValueError`` when
+        another injector holds it (re-arming by this one is a no-op).
 
         Decisions memoize only backend *names*, never objects, so armed and
         disarmed dispatchers share the same decision cache — arming changes
         execution behaviour, not routing.
         """
-        dispatcher.backends = [self.wrap(b) for b in dispatcher.backends]
+        self._check_owner(dispatcher, "arm")
+        dispatcher.injector = self
         return self
 
     def disarm(self, dispatcher: KernelDispatcher) -> "FaultInjector":
-        """Restore the dispatcher's original (unwrapped) backends."""
-        dispatcher.backends = [
-            b.inner if isinstance(b, FaultyBackend) else b for b in dispatcher.backends
-        ]
+        """Empty ``dispatcher``'s injector slot; raises ``ValueError`` (and
+        leaves it armed) when another injector holds it."""
+        self._check_owner(dispatcher, "disarm")
+        dispatcher.injector = None
         return self
+
+    def _check_owner(self, dispatcher: KernelDispatcher, action: str) -> None:
+        if dispatcher.injector not in (None, self):
+            raise ValueError(
+                f"cannot {action} {dispatcher.name or 'dispatcher'}: another fault "
+                f"injector is armed on it; disarm that one first"
+            )
 
     def stats(self) -> Dict[str, object]:
         """Injection counters: calls per backend plus totals."""
@@ -310,7 +297,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "FaultyBackend",
     "RequestOutcome",
     "outcome_counts",
 ]

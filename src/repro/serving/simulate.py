@@ -39,7 +39,7 @@ from .config import ServingConfig
 from .faults import OUTCOME_OK, OUTCOME_SHED, OUTCOME_STATES, OUTCOME_TIMED_OUT, FaultInjector, FaultPlan
 from .model_engine import ModelServingEngine, length_groups
 from ..hardware.trace import ExecutionTrace, KernelExecution
-from ..kernels.dispatch import BackendExecutionError, CircuitBreaker, KernelDispatcher, SpmmOperand
+from ..kernels.dispatch import CircuitBreaker, KernelDispatcher, SpmmOperand
 from ..models.transformer import TransformerEncoder
 
 
@@ -493,11 +493,10 @@ class ModelledEngine(ModelServingEngine):
         :meth:`CircuitBreaker.walk`."""
 
         def charge(name: str):
-            fault, call = self.injector.on_call(name)
+            fault = self.injector.on_call(name)
             modelled = self.dispatcher.estimate(operand, columns, backend=name)
             self.busy_until_us += modelled.time_us + fault.latency_us
-            if fault.fail:
-                raise BackendExecutionError(f"injected fault on {name} (call {call})", backend=name)
+            fault.raise_if_failed()
             return modelled
 
         return charge
@@ -541,8 +540,9 @@ def simulate(
     without the ``window_us`` hold, ``padding`` the bucketing,
     ``max_batch_size`` / ``max_queue_depth`` / ``shed_policy`` /
     ``scheduling_policy`` the batcher.  ``plan`` injects faults per
-    (backend, call index), the indices a live engine armed with the same
-    plan sees.  A
+    (backend, call index): one index per candidate attempt, the indices a
+    live engine armed with the same plan sees on every input (a live
+    attempt runs exactly the backend it names).  A
     ``dispatcher`` shared across runs keeps its decision and estimate
     caches warm, as in a long-running server; the circuit breaker takes
     its thresholds and starts healthy every run.  Sweeps are

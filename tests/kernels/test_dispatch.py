@@ -402,8 +402,9 @@ class TestDispatchedExecution:
     @pytest.mark.parametrize("c", [1, 16])
     def test_dense_fallback_demotes_a_nonfinite_slab_to_spatha(self, rng, c):
         """When cuBLAS serves a V:N:M operand, a non-finite slab runs on
-        ``spatha-plan`` — each slab is its own call, the demoted one on
-        Spatha — and the slab's bits are the plan's own."""
+        the plan's gather schedule — each slab is its own call — and the
+        slab's bits are Spatha's own.  The walk made one attempt, on
+        ``cublas-dense``, so only its fault counter moved."""
         from repro.serving.faults import FaultInjector, FaultPlan
 
         dense = rng.normal(size=(64, 128)).astype(np.float32)
@@ -416,11 +417,37 @@ class TestDispatchedExecution:
         batch[1, 7, 0] = np.inf
         with np.errstate(invalid="ignore"):
             out = dispatcher.execute(op, batch)
-            assert injector.stats()["calls"] == {"cublas-dense": 2, "spatha-plan": 1}
+            assert injector.stats()["calls"] == {"cublas-dense": 1}
             from repro.kernels.spatha import spmm as spatha_spmm
 
             assert np.array_equal(out[1], spatha_spmm(vnm, batch[1]), equal_nan=True)
         assert np.isfinite(out[[0, 2]]).all()
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["finite", "fp16-overflow"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["2d", "3d"])
+    @pytest.mark.parametrize("backend", ["spatha-plan", "cublas-dense"])
+    def test_dispatched_is_the_named_backend_called_directly(self, rng, backend, batched, overflow):
+        """Regression: a ``cublas-dense`` attempt on a V:N:M operand handed
+        its non-finite slabs to ``spatha-plan`` inside the dispatcher, so
+        ``backend("cublas-dense").execute`` leaked ``0 * inf`` as NaN where
+        the dispatched call was finite.  The attempt now runs exactly the
+        named backend, whose own screen keeps the unselected row out."""
+        vnm = VNMSparseMatrix.from_dense(
+            rng.normal(size=(64, 64)).astype(np.float32), v=16, n=2, m=8, strict=False
+        )
+        op = SpmmOperand.from_vnm(vnm)
+        unselected = sorted(set(range(64)) - set(vnm.selected_column_indices().ravel()))
+        assert unselected  # 4 row blocks each keep 4 of every 8 columns
+        b = rng.normal(size=(3, 64, 5) if batched else (64, 5)).astype(np.float32)
+        if overflow:
+            (b[1] if batched else b)[unselected[0], 2] = 1e6  # rounds to fp16 inf
+        dispatcher = KernelDispatcher()
+        dispatcher.dispatch(op, 5).backend = backend
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = dispatcher.execute(op, b)
+            direct = dispatcher.backend(backend).execute(op, b)
+        assert np.array_equal(out, direct, equal_nan=True)
+        assert np.isfinite(out).all()
 
     def test_dense_only_operand_keeps_dense_on_nonfinite(self):
         """With no sparse backend available the dense fallback still runs
@@ -669,18 +696,6 @@ class TestCircuitBreaker:
         assert breaker.candidate_order(decision) is order is decision.order
         decision.backend = "slow"
         assert breaker.candidate_order(decision) == ["slow", "fast", "mid"]
-
-    def test_backend_lookup_follows_reassignment(self):
-        """The name index is rebuilt whenever the registry list is replaced
-        (the fault injector arms a dispatcher that way)."""
-        dispatcher = KernelDispatcher()
-        dense = dispatcher.backend("cublas-dense")
-        wrapped = type("Wrapped", (CublasDenseBackend,), {})()
-        dispatcher.backends = [wrapped if b is dense else b for b in dispatcher.backends]
-        assert dispatcher.backend("cublas-dense") is wrapped
-        dispatcher.backends = [b for b in dispatcher.backends if b is not wrapped]
-        with pytest.raises(KeyError):
-            dispatcher.backend("cublas-dense")
 
 
 class TestNarrowedTunerException:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.formats.nm import check_nm_pattern
+from repro.formats.vnm import check_vnm_pattern
 from repro.pruning.masks import (
     PruningResult,
     apply_mask,
-    check_mask_nm,
-    check_mask_vnm,
     mask_density,
     mask_sparsity,
     validate_weight_matrix,
@@ -68,18 +68,18 @@ class TestStructuralChecks:
     def test_check_mask_nm(self):
         good = np.array([[True, True, False, False]])
         bad = np.array([[True, True, True, False]])
-        assert check_mask_nm(good, 2, 4)
-        assert not check_mask_nm(bad, 2, 4)
+        assert check_nm_pattern(good, 2, 4)
+        assert not check_nm_pattern(bad, 2, 4)
 
     def test_check_mask_nm_shape_mismatch(self):
-        assert not check_mask_nm(np.ones((1, 6), dtype=bool), 2, 4)
+        assert not check_nm_pattern(np.ones((1, 6), dtype=bool), 2, 4)
 
     def test_check_mask_vnm(self, rng):
         from repro.pruning.vnm import vnm_mask
 
         w = rng.normal(size=(16, 32))
-        assert check_mask_vnm(vnm_mask(w, v=8, n=2, m=8), v=8, n=2, m=8)
-        assert not check_mask_vnm(np.ones((16, 32), dtype=bool), v=8, n=2, m=8)
+        assert check_vnm_pattern(vnm_mask(w, v=8, n=2, m=8), v=8, n=2, m=8)
+        assert not check_vnm_pattern(np.ones((16, 32), dtype=bool), v=8, n=2, m=8)
 
 
 class TestPruningResult:

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.formats.nm import check_nm_pattern
+from repro.formats.vnm import check_vnm_pattern
 from repro.pruning.energy import energy_metric, ideal_energy
 from repro.pruning.magnitude import magnitude_mask
-from repro.pruning.masks import check_mask_nm, check_mask_vnm, mask_sparsity
+from repro.pruning.masks import mask_sparsity
 from repro.pruning.nm import nm_mask
 from repro.pruning.vector_wise import vector_wise_mask
 from repro.pruning.vnm import vnm_mask
@@ -36,7 +38,7 @@ def test_magnitude_mask_hits_exact_sparsity(w, sparsity):
 def test_nm_mask_always_structurally_valid(w, pattern):
     n, m = pattern
     mask = nm_mask(w, n, m)
-    assert check_mask_nm(mask, n, m)
+    assert check_nm_pattern(mask, n, m)
     assert mask_sparsity(mask) == 1 - n / m
 
 
@@ -45,7 +47,7 @@ def test_nm_mask_always_structurally_valid(w, pattern):
 def test_vnm_mask_always_structurally_valid(w, config):
     v, n, m = config
     mask = vnm_mask(w, v=v, n=n, m=m)
-    assert check_mask_vnm(mask, v=v, n=n, m=m)
+    assert check_vnm_pattern(mask, v=v, n=n, m=m)
     assert mask_sparsity(mask) == 1 - n / m
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.pruning.masks import check_mask_nm, check_mask_vnm
+from repro.formats.nm import check_nm_pattern
+from repro.formats.vnm import check_vnm_pattern
 from repro.pruning.nm import nm_mask
 from repro.pruning.masks import apply_mask
 from repro.pruning.second_order.fisher import estimate_block_fisher, synthetic_gradients
@@ -33,7 +34,7 @@ def layer_grads(layer):
 class TestSecondOrderNM:
     def test_mask_obeys_pattern(self, layer, layer_grads):
         res = second_order_nm_prune(layer, n=2, m=8, grads=layer_grads)
-        assert check_mask_nm(res.mask, 2, 8)
+        assert check_nm_pattern(res.mask, 2, 8)
         assert res.sparsity == pytest.approx(0.75)
 
     def test_weight_update_zeroes_pruned(self, layer, layer_grads):
@@ -65,7 +66,7 @@ class TestSecondOrderNM:
 class TestSecondOrderVNM:
     def test_mask_obeys_vnm_pattern(self, layer, layer_grads):
         res = second_order_vnm_prune(layer, v=8, n=2, m=8, grads=layer_grads)
-        assert check_mask_vnm(res.mask, v=8, n=2, m=8)
+        assert check_vnm_pattern(res.mask, v=8, n=2, m=8)
         assert res.sparsity == pytest.approx(0.75)
 
     def test_v1_falls_back_to_nm(self, layer, layer_grads):
@@ -82,7 +83,7 @@ class TestSecondOrderVNM:
     def test_reuses_precomputed_fisher(self, layer, layer_grads):
         fisher = estimate_block_fisher(layer_grads, layer.shape, block_size=8)
         res = second_order_vnm_prune(layer, v=8, n=2, m=8, fisher=fisher)
-        assert check_mask_vnm(res.mask, v=8, n=2, m=8)
+        assert check_vnm_pattern(res.mask, v=8, n=2, m=8)
 
 
 class TestStructureDecayScheduler:
@@ -105,7 +106,7 @@ class TestStructureDecayScheduler:
     def test_gradual_run_reaches_target_sparsity(self, layer, layer_grads):
         run = gradual_vnm_prune(layer, v=8, n_target=2, m=8, steps=3, grads=layer_grads)
         assert run.final.sparsity == pytest.approx(0.75)
-        assert check_mask_vnm(run.final.mask, v=8, n=2, m=8)
+        assert check_vnm_pattern(run.final.mask, v=8, n=2, m=8)
         assert len(run.results) == len(run.schedule)
 
     def test_gradual_beats_or_matches_one_shot(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.formats.vnm import select_block_columns
-from repro.pruning.masks import check_mask_nm, check_mask_vnm, mask_sparsity
+from repro.formats.nm import check_nm_pattern
+from repro.formats.vnm import check_vnm_pattern, select_block_columns
+from repro.pruning.masks import mask_sparsity
 from repro.pruning.nm import nm_mask, nm_pattern_for_sparsity
 from repro.pruning.vector_wise import vector_scores, vector_wise_mask
 from repro.pruning.vnm import pad_to_vnm_shape, vnm_mask, vnm_prune, vnm_sparsity
@@ -47,7 +48,7 @@ class TestNM:
     def test_exact_pattern(self, rng):
         w = rng.normal(size=(16, 32))
         mask = nm_mask(w, 2, 4)
-        assert check_mask_nm(mask, 2, 4)
+        assert check_nm_pattern(mask, 2, 4)
         assert mask_sparsity(mask) == pytest.approx(0.5)
 
     def test_keeps_largest_magnitudes(self):
@@ -58,7 +59,7 @@ class TestNM:
     def test_high_sparsity_patterns(self, rng):
         w = rng.normal(size=(8, 40))
         mask = nm_mask(w, 2, 10)
-        assert check_mask_nm(mask, 2, 10)
+        assert check_nm_pattern(mask, 2, 10)
         assert mask_sparsity(mask) == pytest.approx(0.8)
 
     def test_invalid_pattern(self, rng):
@@ -83,7 +84,7 @@ class TestVNM:
     def test_pattern_constraints_hold(self, rng):
         w = rng.normal(size=(64, 64))
         mask = vnm_mask(w, v=16, n=2, m=16)
-        assert check_mask_vnm(mask, v=16, n=2, m=16)
+        assert check_vnm_pattern(mask, v=16, n=2, m=16)
         assert mask_sparsity(mask) == pytest.approx(1 - 2 / 16)
 
     def test_exactly_n_per_group_per_row(self, rng):
@@ -108,7 +109,7 @@ class TestVNM:
     def test_v_equal_rows_is_single_block(self, rng):
         w = rng.normal(size=(16, 16))
         mask = vnm_mask(w, v=16, n=2, m=8)
-        assert check_mask_vnm(mask, v=16, n=2, m=8)
+        assert check_vnm_pattern(mask, v=16, n=2, m=8)
 
     def test_invalid_configurations(self, rng):
         w = rng.normal(size=(16, 16))
@@ -154,6 +155,6 @@ class TestFigure13Patterns:
     def test_vnm_mask_hits_the_pattern_exactly(self, rng, fig13_pattern):
         _, n, m = fig13_pattern
         mask = vnm_mask(rng.normal(size=(32, 3 * m)), v=16, n=n, m=m)
-        assert check_mask_vnm(mask, v=16, n=n, m=m)
+        assert check_vnm_pattern(mask, v=16, n=n, m=m)
         assert np.all(mask.reshape(32, 3, m).sum(axis=2) == n)
         assert mask_sparsity(mask) == pytest.approx(vnm_sparsity(n, m))

@@ -694,6 +694,64 @@ class TestDecoderIntakeAndStats:
         with pytest.raises(ValueError, match="decode length"):
             engine.step(0.0)
 
+    @pytest.mark.parametrize("bypass_id", ["0-bypass", "z-bypass"], ids=["first", "last"])
+    def test_a_refused_admission_settles_every_popped_request(self, rng, bypass_id):
+        """Regression: a request queued without a decode length raised out
+        of the step after its batchmate ``a`` had been prefilled, and ``a``
+        then held its sequence, rung slot and KV reservation for the life
+        of the engine with no outcome.  Now every popped request ends
+        resident (``a``, served later) or ``failed`` with nothing held —
+        whether the refusal comes before ``a`` is reached or after."""
+        encoder = make_encoder()
+        engine = decoder_engine(encoder, warm=False)
+        a = DecodeRequest("a", rng.normal(size=(5, HIDDEN)).astype(np.float32), 2)
+        engine.submit(a)
+        engine.batcher.submit(Request(bypass_id, rng.normal(size=(6, HIDDEN)).astype(np.float32)))
+        with pytest.raises(ValueError, match="queued without a decode length"):
+            engine.step(0.0)
+        assert engine.outcomes[bypass_id].status == "failed"
+        assert per_request_holders(engine, bypass_id) == []
+        if bypass_id == "0-bypass":  # ``a`` was never reached: failed, nothing held
+            assert engine.outcomes["a"].status == "failed"
+            assert "ValueError" in engine.outcomes["a"].detail
+            assert engine.batcher.kv_reserved == 0
+            assert engine.stats()["admission"]["occupied_slots"] == 0
+        else:  # ``a`` was prefilled: it stays resident and is served
+            assert list(engine._residents) == ["a"] and "a" not in engine.outcomes
+            assert engine.batcher.kv_reserved == 1
+            assert engine.stats()["admission"]["occupied_slots"] == 1
+            results = engine.serve_continuous([])
+            assert engine.outcomes["a"].status == "ok"
+            assert np.array_equal(results["a"], decode_reference(encoder, a.prompt, 2))
+        assert per_request_holders(engine, "a") == []
+        assert engine.batcher.kv_reserved == 0
+
+    def test_any_error_of_the_stacked_decode_rolls_every_resident_back(self, rng, monkeypatch):
+        """Regression: only a backend failure or KV exhaustion rolled the
+        residents back when the stacked decode raised; a ``ValueError`` left
+        ``a`` one position long with a K/V row written, so its next step
+        decoded from a corrupt cache.  The error still propagates."""
+        encoder = make_encoder()
+        engine = decoder_engine(encoder, warm=False)
+        a = DecodeRequest("a", rng.normal(size=(5, HIDDEN)).astype(np.float32), 2)
+        engine.submit(a)
+        engine.step(0.0)  # prefill
+        handle = engine._residents["a"].handle
+        assert (handle.length, handle.written) == (5, [5])
+        layer = encoder.layers[0]
+
+        def broken(hidden):
+            raise ValueError("broken ffn")
+
+        monkeypatch.setattr(layer.ffn, "forward", broken)
+        with pytest.raises(ValueError, match="broken ffn"):
+            engine.step(1.0)  # attention appended a row before the ffn raised
+        assert (handle.length, handle.written) == (5, [5])
+        assert list(engine._residents) == ["a"] and engine.outcomes == {}
+        monkeypatch.undo()
+        results = engine.serve_continuous([])
+        assert np.array_equal(results["a"], decode_reference(encoder, a.prompt, 2))
+
     def test_stats_schema_is_normalized(self, rng):
         engine = DecoderServingEngine(make_encoder(), config=ServingConfig(kv_budget_blocks=32))
         # Present and zeroed before any step — normalized, not absent.

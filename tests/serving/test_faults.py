@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.integration import VNMSparsifier, sparsify_encoder
-from repro.kernels.dispatch import KernelDispatcher
+from repro.kernels.dispatch import BackendExecutionError, KernelDispatcher
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     OUTCOME_FAILED,
@@ -173,7 +173,7 @@ class TestInjectorFailover:
 
     def test_failover_matches_direct_fallback_backend(self, operand, rng):
         """The failover result is bit-for-bit the next-ranked backend
-        invoked directly (through the proxy's untouched inner)."""
+        invoked directly (arming never replaces a backend)."""
         dispatcher = KernelDispatcher()
         decision = dispatcher.dispatch(operand, 8)
         fallback = next(n for n, _ in decision.ranking if n != decision.backend)
@@ -182,7 +182,7 @@ class TestInjectorFailover:
 
         b = rng.normal(size=(HIDDEN, 8)).astype(np.float32)
         out = dispatcher.execute(operand, b)
-        direct = dispatcher.backend(fallback).inner.execute(operand, b)
+        direct = dispatcher.backend(fallback).execute(operand, b)
         assert np.array_equal(out, direct)
         assert decision.failovers == {f"{decision.backend}->{fallback}": 1}
 
@@ -211,16 +211,44 @@ class TestInjectorFailover:
         out = dispatcher.execute(operand, b)  # probe -> healed -> readmitted
         assert not dispatcher.breaker.is_quarantined(victim)
         assert dispatcher.health_stats()["readmissions"] == 1
-        assert np.array_equal(out, dispatcher.backend(victim).inner.execute(operand, b))
+        assert np.array_equal(out, dispatcher.backend(victim).execute(operand, b))
 
     def test_arm_disarm_round_trip(self, operand, rng):
         dispatcher = KernelDispatcher()
         originals = list(dispatcher.backends)
         injector = FaultInjector(FaultPlan([FaultSpec(backend="cublas-dense", kind="persistent")]))
+        assert dispatcher.injector is None
         injector.arm(dispatcher)
-        assert all(b is not o for b, o in zip(dispatcher.backends, originals))
+        assert dispatcher.injector is injector
         injector.disarm(dispatcher)
+        assert dispatcher.injector is None
         assert dispatcher.backends == originals
+
+    def test_a_second_injector_cannot_arm_a_dispatcher(self, operand, rng):
+        """Regression: arming wrapped each backend unless it was wrapped
+        already, so a second injector armed on the same dispatcher kept the
+        first one's proxies and never fired.  The dispatcher has one
+        injector slot: arming a held slot raises, and a disarm by an
+        injector that does not hold it leaves the dispatcher armed."""
+        dispatcher = KernelDispatcher()
+        first = FaultInjector(FaultPlan()).arm(dispatcher)
+        first.arm(dispatcher)  # re-arming by the holder is a no-op
+        second = FaultInjector(
+            FaultPlan([FaultSpec(name, "persistent") for name in ("cublas-dense", "spatha-plan")])
+        )
+        with pytest.raises(ValueError, match="another fault injector"):
+            second.arm(dispatcher)
+        with pytest.raises(ValueError, match="another fault injector"):
+            second.disarm(dispatcher)
+        assert dispatcher.injector is first
+        dispatcher.execute(operand, rng.normal(size=(HIDDEN, 8)).astype(np.float32))
+        assert sum(first.stats()["calls"].values()) == 1
+        assert second.stats()["calls"] == {}
+        first.disarm(dispatcher)
+        second.arm(dispatcher)
+        with pytest.raises(BackendExecutionError, match="all candidate backends failed"):
+            dispatcher.execute(operand, rng.normal(size=(HIDDEN, 8)).astype(np.float32))
+        assert second.stats()["injected_failures"] == 2
 
 
 class TestTwoBackendChain:

@@ -318,30 +318,50 @@ class TestBatcherChunkSequenceProperty:
             assert steps < 10_000, "scheduler failed to drain the schedule"
             assert not mirror and batcher.pending == 0
 
-    @pytest.mark.parametrize("window_us", [0.0, 150.0])
-    @pytest.mark.parametrize("policy", ["fcfs", "priority"])
-    def test_idle_step_moves_next_event_past_now(self, rng, policy, window_us):
+    @pytest.mark.parametrize(
+        "policy, window_us, kv_budget",
+        [
+            pytest.param(policy, window, budget, id=f"{policy}-{window}" + ("-kv-budget" if budget else ""))
+            for policy in ("fcfs", "priority")
+            for window in (0.0, 150.0)
+            for budget in (None, 4)
+        ],
+    )
+    def test_idle_step_moves_next_event_past_now(self, rng, policy, window_us, kv_budget):
         """An idle step never leaves the clock stuck: once ``next_batch``
         finds nothing at ``now``, ``next_event_us()`` is strictly later
-        (``None`` only while every queued rung is fully held) and a batch
-        is schedulable at exactly that instant."""
+        (``None`` only while every queued rung is fully held or KV-cut until
+        a release) and a batch is schedulable at exactly that instant, but
+        at no earlier arrival or hold opening.
+
+        Regression (KV budget, ``"priority"``): a class's EDF head was
+        ranked over the whole bucket, arrived or not, so a tight deadline
+        arriving later hid a fitting head that had arrived earlier, and the
+        event overshot an instant at which a batch was already planned."""
         for _ in range(3):
             batcher = ContinuousBatcher.ladder(
                 max_batch_size=3,
                 window_us=window_us,
                 scheduling=SchedulingConfig(policy=policy),
+                kv_budget_blocks=kv_budget,
+                kv_cost=lambda r: 1 + r.tokens % 4,
             )
-            reqs = [
-                Request(
-                    f"ev-{i:04d}",
-                    payload(rng, int(rng.integers(1, 20))),
-                    arrival_us=float(rng.uniform(0.0, 1000.0)),
-                    priority_class=int(rng.integers(0, 3)),
+            reqs = []
+            for i in range(24):
+                arrival = float(rng.uniform(0.0, 1000.0))
+                deadline = arrival + float(rng.uniform(0.0, 2000.0)) if rng.random() < 0.5 else None
+                reqs.append(
+                    Request(
+                        f"ev-{i:04d}",
+                        payload(rng, int(rng.integers(1, 20))),
+                        arrival_us=arrival,
+                        deadline_us=deadline,
+                        priority_class=int(rng.integers(0, 3)),
+                    )
                 )
-                for i in range(24)
-            ]
             batcher.submit_many(reqs)  # pre-queued, arrivals in the future
             held = []
+            reserved = []
             now, steps = 0.0, 0
             while batcher.pending and steps < 1_000:
                 steps += 1
@@ -353,17 +373,46 @@ class TestBatcherChunkSequenceProperty:
                         held.append((key, outside.request_id))
                 if held and rng.random() < 0.2:
                     batcher.release_slot(*held.pop(0))
-                if batcher.next_batch(now) is not None:
+                if reserved and rng.random() < 0.3:
+                    batcher.release_kv(reserved.pop(0))
+                batch = batcher.next_batch(now)
+                if batch is not None:
+                    reserved.extend(r.request_id for r in batch.requests)
                     now += float(rng.uniform(0.0, 60.0))
                     continue
                 event = batcher.next_event_us()
-                if event is None:  # every queued rung is fully held
-                    batcher.release_slot(*held.pop(0))
+                if event is None:  # every queued rung is fully held or KV-cut
+                    if reserved:
+                        batcher.release_kv(reserved.pop(0))
+                    else:
+                        batcher.release_slot(*held.pop(0))
                     continue
                 assert event > now
-                assert batcher.next_batch(event) is not None
+                queued = [r for r in reqs if batcher.is_queued(r.request_id)]
+                candidates = {r.arrival_us for r in queued} | {
+                    r.arrival_us + window_us for r in queued
+                }
+                for instant in sorted(t for t in candidates if now < t < event):
+                    assert batcher._plan(instant) is None, (instant, event)
+                batch = batcher.next_batch(event)
+                assert batch is not None
+                reserved.extend(r.request_id for r in batch.requests)
                 now = event
             assert batcher.pending == 0
+
+    def test_a_later_tighter_deadline_does_not_postpone_a_fitting_head(self, rng):
+        """Regression: under ``"priority"`` with a KV budget the event ranked
+        each class's EDF head over the whole bucket, so ``b`` (arriving at
+        2.0 with a deadline) hid ``a``, schedulable alone from 1.0."""
+        batcher = ContinuousBatcher.ladder(
+            scheduling=SchedulingConfig(policy="priority"),
+            kv_budget_blocks=10,
+            kv_cost=lambda r: 1,
+        )
+        batcher.submit(Request("a", payload(rng, 4), arrival_us=1.0))
+        batcher.submit(Request("b", payload(rng, 4), arrival_us=2.0, deadline_us=5.0))
+        assert batcher.next_event_us() == 1.0
+        assert [r.request_id for r in batcher.next_batch(1.0).requests] == ["a"]
 
     def test_kv_cut_is_strict_within_a_bucket(self, rng):
         """FCFS: a head whose footprint does not fit holds its whole bucket,

@@ -156,7 +156,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "nonfinite-screen-demotes-the-whole-batch",
-        "src/repro/kernels/common.py",
+        "src/repro/kernels/spatha/plan.py",
         ((
             "    if b.ndim == 2:\n        return safe(b)\n    return np.stack(",
             "    return safe(b)\n    return np.stack(",
@@ -167,10 +167,42 @@ MUTANTS: Tuple[Mutant, ...] = (
         "dense-fallback-skips-the-demotion-to-spatha",
         "src/repro/kernels/dispatch.py",
         ((
-            "        if name != CublasDenseBackend.name or spatha not in decision.costs or fp16_finite(b):\n",
-            "        if True:\n",
+            '            return SpmmPlan.for_matrix(operand.vnm).execute(b, strategy="dense")\n',
+            "            return np.matmul(operand.dense16(), quantize_fp16(b))\n",
         ),),
         ("tests/kernels/test_dispatch.py",),
+    ),
+    Mutant(
+        "second-injector-arms-without-effect",
+        "src/repro/serving/faults.py",
+        ((
+            '        self._check_owner(dispatcher, "arm")\n        dispatcher.injector = self\n',
+            "        if dispatcher.injector is None:\n            dispatcher.injector = self\n",
+        ),),
+        ("tests/serving/test_faults.py::TestInjectorFailover::test_a_second_injector_cannot_arm_a_dispatcher",),
+    ),
+    Mutant(
+        "decoder-admission-error-orphans-a-prefilled-batchmate",
+        "src/repro/serving/decoder.py",
+        ((
+            "        finally:\n            for resident in newly:\n",
+            "        else:\n            for resident in newly:\n",
+        ),),
+        (
+            "tests/serving/test_decoder.py::TestDecoderIntakeAndStats"
+            "::test_a_refused_admission_settles_every_popped_request",
+        ),
+    ),
+    Mutant(
+        "next-event-ranks-edf-heads-over-unarrived-members",
+        "src/repro/serving/continuous.py",
+        (("                if fitting:\n                    return instant\n", ""),),
+        (
+            "tests/serving/test_slo.py::TestBatcherChunkSequenceProperty"
+            "::test_a_later_tighter_deadline_does_not_postpone_a_fitting_head",
+            "tests/serving/test_slo.py::TestBatcherChunkSequenceProperty"
+            "::test_idle_step_moves_next_event_past_now",
+        ),
     ),
     Mutant(
         "breaker-walk-stops-at-the-first-failure",
