@@ -11,7 +11,7 @@ Figure 15.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Mapping
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,9 @@ class KernelExecution:
     bytes_moved:
         DRAM bytes moved.
     meta:
-        Free-form metadata (tile config, sparsity, layer name, ...).
+        Free-form metadata (tile config, sparsity, layer name, ...).  A
+        serving engine's records are shared between launches of one
+        shape, so their ``meta`` is a read-only mapping.
     """
 
     kernel: str
@@ -45,7 +47,7 @@ class KernelExecution:
     flops: float = 0.0
     dense_flops: float = 0.0
     bytes_moved: float = 0.0
-    meta: Dict[str, object] = field(default_factory=dict)
+    meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.time_us < 0:
@@ -73,8 +75,7 @@ class ExecutionTrace:
 
     def extend(self, executions: Iterable[KernelExecution]) -> None:
         """Append several kernel executions."""
-        for e in executions:
-            self.record(e)
+        self.executions.extend(executions)
 
     @property
     def total_time_us(self) -> float:

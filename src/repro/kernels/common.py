@@ -102,8 +102,6 @@ class KernelResult:
     cost: KernelCost
     output: Optional[np.ndarray] = None
     details: Dict[str, object] = field(default_factory=dict)
-    #: ``as_execution``'s modelled scalars, filled on its first call.
-    _exec_scalars: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def time_us(self) -> float:
@@ -146,28 +144,16 @@ class KernelResult:
     def as_execution(self, category: str = "gemm") -> KernelExecution:
         """Convert to a trace record for end-to-end latency accounting.
 
-        The modelled scalars are memoized on the result: the serving
-        engines convert the same (dispatcher-cached) result once per
-        micro-batch, and the cost-model property chain is pure.  Each call
-        still returns a fresh record with a fresh ``meta`` dict, so
-        callers may annotate it freely.
+        Each call returns a fresh record with a fresh ``meta`` (a copy of
+        ``details``), so callers may annotate it freely.
         """
-        scalars = self._exec_scalars
-        if scalars is None:
-            scalars = (
-                self.time_us,
-                self.problem.effective_flops,
-                self.problem.dense_flops,
-                self.cost.gmem_cycles * self.cost.gpu.gmem_bytes_per_cycle,
-            )
-            self._exec_scalars = scalars
         return KernelExecution(
             kernel=self.kernel,
             category=category,
-            time_us=scalars[0],
-            flops=scalars[1],
-            dense_flops=scalars[2],
-            bytes_moved=scalars[3],
+            time_us=self.time_us,
+            flops=self.problem.effective_flops,
+            dense_flops=self.problem.dense_flops,
+            bytes_moved=self.cost.gmem_cycles * self.cost.gpu.gmem_bytes_per_cycle,
             meta=dict(self.details),
         )
 

@@ -377,7 +377,8 @@ class DecoderServingEngine(EngineCore):
         by resident through ``forward_step``,
         where the error fails exactly the request that hits it — in
         admission order, so a resident retiring earlier in the step still
-        frees its blocks for the ones after it.
+        frees its blocks for the ones after it.  Any other error there rolls
+        that resident back to its pre-step length and propagates.
         """
         if not self._residents:
             return {}
@@ -409,6 +410,9 @@ class DecoderServingEngine(EngineCore):
                 except (BackendExecutionError, KVCacheExhausted) as exc:
                     self._retire(resident, OUTCOME_FAILED, str(exc), now_us)
                     continue
+                except Exception:
+                    resident.handle.truncate(lengths[i])
+                    raise
             resident.feed = out
             resident.generated.append(out[0])
             self.total_decode_steps += 1

@@ -22,7 +22,9 @@ request the engine ever serves:
 * **the per-layer trace** — every micro-batch records one modelled
   :class:`~repro.hardware.trace.KernelExecution` per projection, so serving
   runs aggregate into the same per-layer breakdowns the evaluation harness
-  uses (:meth:`per_layer_times`).
+  uses (:meth:`per_layer_times`).  A launch shape's records are built once
+  (frozen, read-only ``meta``) and shared by every launch of that shape,
+  so a launch costs the trace one list slot.
 
 Bit-exactness is the core guarantee, now model-level: serving N requests
 batched is bit-for-bit equal to N sequential ``encoder.forward`` calls.
@@ -49,6 +51,8 @@ the guarantee holds under any hold, cadence and arrival order.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from types import MappingProxyType
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -56,7 +60,8 @@ import numpy as np
 from .batcher import MicroBatch, Request
 from .config import ServingConfig
 from .engine import EngineCore
-from ..hardware.trace import ExecutionTrace
+from ..hardware.trace import ExecutionTrace, KernelExecution
+from ..kernels.common import BoundedCache, KernelResult
 from ..kernels.dispatch import KernelDispatcher
 from ..kernels.spatha import SpmmPlan
 from ..models.layers import Linear
@@ -127,6 +132,10 @@ class ModelServingEngine(EngineCore):
         self.padding = self.config.padding
         self._route(encoder)
         self.trace = ExecutionTrace()
+        #: The shared trace records (:meth:`_launch_record`): a micro-batch's
+        #: tuple per ``(B, rung)`` here, one record per ``(layer, served
+        #: backend, group size, tokens)`` in the simulator.
+        self._launches = BoundedCache()
         self.total_batches = 0
         #: Token-level padding accounting (ladder mode; exact mode pads 0).
         self.total_valid_tokens = 0
@@ -177,25 +186,50 @@ class ModelServingEngine(EngineCore):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _launch_record(
+        self, modelled: KernelResult, layer: str, backend: str, batch_size: int, tokens: int
+    ) -> KernelExecution:
+        """One modelled ``gemm`` launch as the trace keeps it.
+
+        The record is frozen and its ``meta`` read-only, because it is
+        shared: both engines build it once per launch shape, memoize it in
+        ``_launches`` and append that same object for every launch of the
+        shape.  Its content is a pure function of the shape (the estimate
+        memo's key), so sharing changes no value the trace reports.
+        """
+        execution = modelled.as_execution(category="gemm")
+        execution.meta.update(
+            serving=self.name,
+            layer=layer,
+            backend=backend,
+            batch_size=batch_size,
+            tokens=tokens,
+        )
+        return replace(execution, meta=MappingProxyType(execution.meta))
+
     def _record_layer_executions(self, batch: MicroBatch) -> None:
         """Model one kernel launch per projection at the padded ``B × rung``
-        a GPU would run."""
+        a GPU would run.
+
+        A micro-batch's launches are a pure function of ``(B, rung)``, so
+        they are dispatched, estimated and built on the shape's first
+        micro-batch only; later ones append the same records.
+        """
         seq = batch.key.token_bucket
-        total_tokens = batch.batch_size * seq
-        for qualified_name, lin in self.encoder.named_linear_layers():
-            backend = self.dispatcher.dispatch(lin.operand, seq).backend
-            modelled = self.dispatcher.estimate(lin.operand, total_tokens, backend=backend)
-            execution = modelled.as_execution(category="gemm")
-            execution.meta.update(
-                {
-                    "serving": self.name,
-                    "layer": qualified_name,
-                    "backend": backend,
-                    "batch_size": batch.batch_size,
-                    "tokens": seq,
-                }
-            )
-            self.trace.record(execution)
+        shape = (batch.batch_size, seq)
+        launches = self._launches.get(shape)
+        if launches is None:
+            total_tokens = batch.batch_size * seq
+            records = []
+            for qualified_name, lin in self.encoder.named_linear_layers():
+                backend = self.dispatcher.dispatch(lin.operand, seq).backend
+                modelled = self.dispatcher.estimate(lin.operand, total_tokens, backend=backend)
+                records.append(
+                    self._launch_record(modelled, qualified_name, backend, batch.batch_size, seq)
+                )
+            launches = tuple(records)
+            self._launches.put(shape, launches)
+        self.trace.extend(launches)
 
     def _execute_batch(self, batch: MicroBatch) -> Dict[str, np.ndarray]:
         if batch.key.features != self.hidden_size:

@@ -511,14 +511,13 @@ class ModelledEngine(ModelServingEngine):
                 served, _, modelled = self.breaker.walk(
                     decision, self._charge(lin.operand, size * tokens), self.name
                 )
-                execution = modelled.as_execution(category="gemm")
-                execution.meta.update(
-                    serving=self.name,
-                    layer=qualified_name,
-                    backend=served,
-                    batch_size=size,
-                    tokens=tokens,
-                )
+                # The live rule, one launch at a time: the walk decides
+                # the backend, so the memo key names it.
+                key = (qualified_name, served, size, tokens)
+                execution = self._launches.get(key)
+                if execution is None:
+                    execution = self._launch_record(modelled, *key)
+                    self._launches.put(key, execution)
                 launches.append(execution)
         self.trace.extend(launches)
         self._count_served(batch)

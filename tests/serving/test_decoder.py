@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.integration import VNMSparsifier, sparsify_encoder
+from repro.kernels.dispatch import BackendExecutionError
 from repro.models import TransformerEncoder, tiny_config
 from repro.serving import (
     DecodeRequest,
@@ -751,6 +752,48 @@ class TestDecoderIntakeAndStats:
         monkeypatch.undo()
         results = engine.serve_continuous([])
         assert np.array_equal(results["a"], decode_reference(encoder, a.prompt, 2))
+
+    def test_an_error_of_the_per_resident_fallback_rolls_that_resident_back(
+        self, rng, monkeypatch
+    ):
+        """Regression: after a stacked decode's backend failure the step
+        re-runs resident by resident, and a non-backend error there
+        propagated with that resident's sequence one position long.  Now
+        the failing resident is back at its pre-step length; a resident
+        that advanced before it keeps its step, and both decode on to the
+        recompute's bits."""
+        encoder = make_encoder()
+        engine = decoder_engine(encoder, warm=False)
+        requests = {
+            rid: DecodeRequest(rid, rng.normal(size=(5, HIDDEN)).astype(np.float32), 4)
+            for rid in ("a", "b")
+        }
+        for request in requests.values():
+            engine.submit(request)
+        engine.step(0.0)  # prefill both
+        handles = {rid: engine._residents[rid].handle for rid in requests}
+        assert [h.length for h in handles.values()] == [5, 5]
+        lone_step = encoder.forward_step
+
+        def stack_fails(tokens, kv_caches):
+            raise BackendExecutionError("stack down", backend="spatha-plan")
+
+        def b_fails_after_extending(token, kv_cache):
+            if kv_cache is handles["b"]:
+                kv_cache.extend()
+                raise ValueError("broken b")
+            return lone_step(token, kv_cache)
+
+        monkeypatch.setattr(encoder, "forward_steps", stack_fails)
+        monkeypatch.setattr(encoder, "forward_step", b_fails_after_extending)
+        with pytest.raises(ValueError, match="broken b"):
+            engine.step(1.0)
+        assert (handles["a"].length, handles["b"].length) == (6, 5)
+        assert list(engine._residents) == ["a", "b"] and engine.outcomes == {}
+        monkeypatch.undo()
+        results = engine.serve_continuous([])
+        for rid, request in requests.items():
+            assert np.array_equal(results[rid], decode_reference(encoder, request.prompt, 4))
 
     def test_stats_schema_is_normalized(self, rng):
         engine = DecoderServingEngine(make_encoder(), config=ServingConfig(kv_budget_blocks=32))

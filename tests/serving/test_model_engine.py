@@ -18,6 +18,8 @@ regression — two engines with injected dispatchers must never share
 memoized dispatch signatures.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -524,6 +526,46 @@ class TestModelEngineApi:
         assert engine.stats()["modelled_kernel_time_us"] == pytest.approx(
             sum(per_layer.values())
         )
+
+    def test_equal_shape_micro_batches_share_their_records(self, rng):
+        """A ``(B, rung)`` shape's launches are built once: a later
+        micro-batch of the shape appends the very same record objects."""
+        engine = ModelServingEngine(make_encoder((16, 2, 8), 2))
+        engine.serve(make_requests(rng, [9, 9]))
+        engine.serve(make_requests(rng, [17]))
+        engine.serve(make_requests(rng, [9, 9], prefix="again"))
+        first, other, again = (engine.trace.executions[i * 12:(i + 1) * 12] for i in range(3))
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(a is b for a, b in zip(first, other))
+        assert len({id(e) for e in engine.trace.executions}) == 2 * 12
+
+    def test_trace_records_are_read_only(self, rng):
+        """Shared records cannot be annotated in place: their meta is a
+        read-only mapping (and the record itself is frozen)."""
+        engine = ModelServingEngine(make_encoder((16, 2, 8), 1))
+        engine.serve(make_requests(rng, [9]))
+        record = engine.trace.executions[0]
+        with pytest.raises(TypeError):
+            record.meta["layer"] = "elsewhere"
+        assert record.meta["layer"] == "encoder.layer.0.attention.query"
+
+    def test_a_launch_costs_the_trace_one_list_slot(self, rng):
+        """200 one-request micro-batches of one shape: the engine's retained
+        memory grows by well under 100 bytes per modelled launch (a fresh
+        record and meta dict per launch cost ~550)."""
+        engine = ModelServingEngine(make_encoder((16, 2, 8), 2))
+        requests = make_requests(rng, [8] * 201)
+        engine.serve(requests[:1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for req in requests[1:]:
+                engine.serve([req])
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(engine.trace.executions) == 201 * 12
+        assert grown / (200 * 12) < 100
 
     @pytest.mark.parametrize("batch_size,tokens", [(1, 8), (3, 8), (2, 24), (4, 16)])
     @pytest.mark.parametrize("pattern", [(16, 2, 8), None], ids=["sparse", "dense"])

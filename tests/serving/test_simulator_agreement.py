@@ -237,3 +237,27 @@ def test_exact_fault_free_cells_agree_launch_for_launch(cell):
 def test_simulator_agrees_with_live_engine_large(trace):
     check_agreement(trace)
 
+
+def test_modelled_launches_share_one_record_per_key():
+    """The simulator records as the live engine does: a launch is the
+    shared, read-only record of its (layer, served backend, group size,
+    tokens), so a failover's launch is its own record naming the backend
+    that served it, and equal keys append the very same object."""
+    plan = FaultPlan([FaultSpec(backend="cublas-dense", kind="transient", at_call=4)])
+    dispatcher = KernelDispatcher()
+    engine = ModelledEngine(ENCODER, _config("exact", name="shared"), dispatcher, plan)
+    engine.serve_continuous([_request(f"k{i}", 9, 100.0 * i) for i in range(3)])
+    layers = list(ENCODER.named_linear_layers())
+    launches = engine.trace.executions
+    assert len(launches) == 3 * len(layers)
+    first, second, third = (launches[i * len(layers):(i + 1) * len(layers)] for i in range(3))
+    # cuBLAS call 4 is the first FFN projection: it fails over to Spatha.
+    assert [e.meta["backend"] for e in first] == ["cublas-dense"] * 4 + ["spatha-plan", "cublas-dense"]
+    assert [a is b for a, b in zip(first, second)] == [True] * 4 + [False, True]
+    assert all(a is b for a, b in zip(second, third))
+    for (name, lin), e in zip(layers, first):
+        fresh = dispatcher.estimate(lin.operand, 9, backend=e.meta["backend"]).as_execution()
+        fresh.meta.update(serving="shared", layer=name, backend=e.meta["backend"], batch_size=1, tokens=9)
+        assert e == fresh
+        with pytest.raises(TypeError):
+            e.meta["layer"] = "elsewhere"

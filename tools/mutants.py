@@ -237,6 +237,34 @@ MUTANTS: Tuple[Mutant, ...] = (
         ),
         ("tests/kernels/test_dispatch.py",),
     ),
+    Mutant(
+        "trace-builds-a-fresh-record-per-launch",
+        "src/repro/serving/model_engine.py",
+        (
+            ("        launches = self._launches.get(shape)\n", "        launches = None\n"),
+            (
+                "        return replace(execution, meta=MappingProxyType(execution.meta))\n",
+                "        return execution\n",
+            ),
+        ),
+        (
+            "tests/serving/test_model_engine.py::TestModelEngineApi"
+            "::test_equal_shape_micro_batches_share_their_records",
+            "tests/serving/test_model_engine.py::TestModelEngineApi"
+            "::test_trace_records_are_read_only",
+            "tests/serving/test_model_engine.py::TestModelEngineApi"
+            "::test_a_launch_costs_the_trace_one_list_slot",
+        ),
+    ),
+    Mutant(
+        "decoder-fallback-error-leaves-a-partial-step",
+        "src/repro/serving/decoder.py",
+        (("                    resident.handle.truncate(lengths[i])\n", ""),),
+        (
+            "tests/serving/test_decoder.py::TestDecoderIntakeAndStats"
+            "::test_an_error_of_the_per_resident_fallback_rolls_that_resident_back",
+        ),
+    ),
 )
 
 
