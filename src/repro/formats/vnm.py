@@ -26,23 +26,32 @@ Selection
 ---------
 Magnitude V:N:M pruning (:func:`repro.pruning.vnm.vnm_mask`) and the
 compressor (:meth:`VNMSparseMatrix.from_dense`) pick their survivors with
-one routine, :func:`vnm_select`.  Its tie rule: in each block the four
-columns of largest saliency survive and in each row of those the ``n``
-largest magnitudes; equal scores go to the lower position and NaN ranks
-below every number — the order a stable ``argsort`` of the negated scores
-gives.  :func:`vnm_select_reference` is that argsort, kept as the
-executable spec; the two agree bit for bit.  Gathers and scatters between
-an ``R x K`` matrix and its ``R x K/M*4`` selected columns go through one
-flat index built from :meth:`VNMSparseMatrix.selected_column_indices`.
+one routine, :func:`vnm_select`, and one mass rule: a column's saliency in
+its block is its l1 (or l2) mass summed in float64, whatever the input
+dtype, so a float32 weight ranks exactly as its float64 copy would.  The
+tie rule: in each block the four columns of largest saliency survive and
+in each row of those the ``n`` largest magnitudes; equal scores go to the
+lower position and NaN ranks below every number — the order a stable
+``argsort`` of the negated scores gives.  :func:`vnm_select_reference` is
+that argsort, kept as the executable spec; the two agree bit for bit.
+Gathers and scatters between an ``R x K`` matrix and its ``R x K/M*4``
+selected columns go through one flat index built from
+:meth:`VNMSparseMatrix.selected_column_indices`.
+
+A strict compression (``from_dense(strict=True)``) stores every entry
+whose magnitude is above ``tol`` or refuses the matrix: it selects first,
+then compares how many entries above ``tol`` the matrix holds with how
+many it stored.  At ``tol = 0`` on finite input that accepts exactly what
+:func:`check_vnm_pattern`, the public pattern rule, accepts.
 
 The derived views (:meth:`to_condensed`, :meth:`selected_column_indices`,
 :meth:`packed_metadata`) are memoized per instance: the compressed arrays
 never change after construction, so every caller pays the derivation
 once.  The returned arrays are shared and must be treated as read-only.
-The Spatha execution plan takes the indices and the metadata but not the
-fp32 condensed view: it rounds a transient :func:`condense` to fp16, so an
-operand that is only ever executed keeps no fp32 copy of its selected
-columns.
+The Spatha execution plan takes only the indices: it condenses its
+fp16-rounded ``values`` with :func:`condense`, so an operand that is only
+ever executed keeps no fp32 copy of its selected columns and packs no
+metadata.
 """
 
 from __future__ import annotations
@@ -65,8 +74,11 @@ def check_vnm_pattern(matrix: np.ndarray, v: int, n: int, m: int, tol: float = 0
     """True when ``matrix`` obeys the V:N:M pattern.
 
     Two conditions are checked for every ``V x M`` block: (1) non-zeros
-    appear in at most four distinct columns of the block, and (2) every row
-    of the block holds at most ``n`` non-zeros.
+    (magnitudes above ``tol``) appear in at most four distinct columns of
+    the block, and (2) every row of the block holds at most ``n`` of them.
+    :meth:`VNMSparseMatrix.from_dense` with ``strict=True`` asks for more
+    — that its selection store every such entry — and at ``tol = 0`` on
+    finite input the two agree.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2:
@@ -120,9 +132,9 @@ def _argsort_block_columns(arr: np.ndarray, v: int, m: int, norm: str) -> np.nda
     rows, cols = arr.shape
     blocks = arr.reshape(rows // v, v, cols // m, m)
     if norm == "l1":
-        mass = np.abs(blocks).sum(axis=1)
+        mass = np.abs(blocks).sum(axis=1, dtype=np.float64)
     else:
-        mass = np.sqrt((blocks**2).sum(axis=1))
+        mass = np.sqrt(np.square(blocks, dtype=np.float64).sum(axis=1))
     order = np.argsort(-mass, axis=2, kind="stable")[:, :, :SELECTED_COLUMNS]
     return np.sort(order, axis=2)
 
@@ -132,8 +144,8 @@ def select_block_columns(arr: np.ndarray, v: int, m: int, norm: str = "l1") -> n
 
     Returns an int64 array of shape ``(R/V, K/M, 4)`` with the in-block
     indices (ascending) of the four columns of largest ``norm`` mass,
-    summed in ``arr``'s dtype (read-only when M = 4: every column
-    survives and no mass is ranked).
+    summed in float64 whatever ``arr``'s dtype (read-only when M = 4:
+    every column survives and no mass is ranked).
     """
     if m == SELECTED_COLUMNS:
         _check_norm(norm)
@@ -187,14 +199,23 @@ def condense(values: np.ndarray, m_indices: np.ndarray, n: int) -> np.ndarray:
     four, zeros elsewhere.
 
     Not memoized: :meth:`VNMSparseMatrix.to_condensed` caches the result
-    for its callers, while the Spatha plan rounds a transient one to fp16.
+    for its callers, while the Spatha plan condenses its fp16-rounded
+    ``values`` straight into the operand it keeps, so the result is
+    allocated :data:`~repro.formats.base.ALIGNMENT`-byte aligned.
     """
     rows = values.shape[0]
     slots = values.size // n
     index = m_indices.reshape(slots, n) + (np.arange(slots, dtype=np.int64) * SELECTED_COLUMNS)[:, None]
-    condensed = np.zeros(slots * SELECTED_COLUMNS, dtype=np.float32)
+    condensed = empty_aligned(slots * SELECTED_COLUMNS)
+    condensed.fill(0)
     condensed[index] = values.reshape(slots, n)
     return condensed.reshape(rows, -1)
+
+
+def _count_above(arr: np.ndarray, tol: float) -> int:
+    """How many entries of ``arr`` have a magnitude above ``tol`` (NaN
+    never does)."""
+    return int(np.count_nonzero(np.abs(arr) > tol))
 
 
 def _keep_n_of_4(selected: np.ndarray, n: int) -> np.ndarray:
@@ -314,29 +335,34 @@ class VNMSparseMatrix(SparseFormat):
     ) -> "VNMSparseMatrix":
         """Compress a dense matrix into the V:N:M layout.
 
-        With ``strict=True`` the matrix must already obey the V:N:M pattern
-        (typically produced by :mod:`repro.pruning.vnm` or the second-order
-        pruner); a ``ValueError`` is raised otherwise.  With
+        With ``strict=True`` every entry whose magnitude is above ``tol``
+        must be stored (the matrix typically comes from
+        :mod:`repro.pruning.vnm` or the second-order pruner); a
+        ``ValueError`` is raised otherwise — for a matrix that breaks the
+        pattern, and also for one that keeps it but whose selection would
+        drop such an entry (sub-``tol`` columns outweighing it, or a NaN
+        ranking its column last).  With
         ``strict=False`` the compressor itself applies magnitude V:N:M
         pruning: per block it keeps the four columns with the largest L1
         mass and then the ``n`` largest magnitudes per row among them.
-        Either way the survivors come from :func:`vnm_select` (tie rule in
-        the module docstring), which on a strict input recovers the columns
-        and positions that hold the non-zeros.
+        Either way the survivors come from :func:`vnm_select` (mass and
+        tie rules in the module docstring), which on an accepted strict
+        input recovers the columns and positions that hold the non-zeros.
         """
         arr = as_float_matrix(dense)
         rows, cols = arr.shape
         validate_vnm_shape(rows, cols, v, n, m)
-        if strict and not check_vnm_pattern(arr, v, n, m, tol=tol):
-            raise ValueError(
-                f"matrix violates the {v}:{n}:{m} pattern; prune it first or pass strict=False"
-            )
         selection = vnm_select(arr, v, n, m)
         kept = np.flatnonzero(selection.keep)  # ascending: row-major, then position
         stored = (rows, cols // m * n)
+        values = np.take(selection.selected.reshape(-1), kept).reshape(stored)
+        if strict and _count_above(arr, tol) != _count_above(values, tol):
+            raise ValueError(
+                f"matrix violates the {v}:{n}:{m} pattern; prune it first or pass strict=False"
+            )
         return cls(
-            values=np.take(selection.selected.reshape(-1), kept).reshape(stored),
-            m_indices=(kept % SELECTED_COLUMNS).astype(np.uint8).reshape(stored),
+            values=values,
+            m_indices=(kept & (SELECTED_COLUMNS - 1)).astype(np.uint8).reshape(stored),
             column_loc=(selection.columns % m).astype(np.int32),
             v=v,
             n=n,

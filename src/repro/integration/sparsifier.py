@@ -54,9 +54,11 @@ class VNMSparsifier:
         Tensors whose shape is not divisible by (V, M) are zero-padded (the
         padding stays pruned, so it never contributes to the SpMM result)
         and the original shape is recorded on the returned
-        :class:`VNMTensor`.
+        :class:`VNMTensor`.  A float32 tensor is pruned in float32 (see
+        :mod:`repro.pruning.vnm`); the second-order pruner widens to
+        float64 itself.
         """
-        dense = np.asarray(tensor, dtype=np.float64)
+        dense = np.asarray(tensor)
         if dense.ndim != 2:
             raise ValueError("VNMSparsifier expects a 2-D weight tensor")
         original_shape = dense.shape

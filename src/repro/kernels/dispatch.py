@@ -630,7 +630,7 @@ class KernelDispatcher:
         Builds the Spatha plan of a V:N:M operand and, for every
         column count in ``cs``, pre-populates the dispatch decision of its
         shape bucket — so a warmed server pays neither the plan's gather
-        indices and metadata nor the cost-model ranking (including the
+        indices nor the cost-model ranking (including the
         tuner sweep) on its first real request.  The fp16 copy each of the
         plan's schedules reads is rounded on that schedule's first call, so
         a plan holds only the copies its traffic uses.

@@ -9,13 +9,16 @@ real Spatha kernel avoids: the GPU library prepares the operand once
 CPU analogue of that preparation step:
 
 * preparation is paid once per operand.  The absolute gather indices of
-  the selected B rows and the packed 2-bit metadata are the
-  :class:`~repro.formats.vnm.VNMSparseMatrix`'s memoized views, taken at
-  plan construction.  The fp16-rounded operand is prepared per schedule,
-  the first time that schedule runs: the condensed operand for the gather
-  schedule, the dense operand for the dense one.  A plan keeps only the
-  copies its schedules read, so an operand that runs dense at every C
-  holds no condensed copy at all;
+  the selected B rows are the :class:`~repro.formats.vnm.VNMSparseMatrix`'s
+  memoized view, taken at plan construction; the 2-bit metadata is not
+  packed, since a host schedule reads the m-indices directly.  The
+  fp16-rounded operand is prepared per schedule, the first time that
+  schedule runs: the condensed operand for the gather schedule, the dense
+  operand for the dense one.  Either is rounded from the stored
+  ``values`` alone (N of every four condensed slots) and condensed
+  straight into its aligned buffer.  A plan keeps only the copies its
+  schedules read, so an operand that runs dense at every C holds no
+  condensed copy at all;
 * execution is fully batched: no Python loop over row blocks.  Two
   strategies are provided and an ``auto`` mode picks between them per
   (operand, C) with a small host cost model:
@@ -53,7 +56,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ...formats.base import fp16_finite, quantize_fp16_aligned, quantize_fp16_checked
+from ...formats.base import fp16_finite, quantize_fp16, quantize_fp16_checked
 from ...formats.vnm import SELECTED_COLUMNS, VNMSparseMatrix, condense, scatter_columns
 
 #: Host cost model of the two schedules, in seconds per unit, fitted on an
@@ -136,9 +139,9 @@ class SpmmPlan:
     Parameters
     ----------
     matrix:
-        The sparse LHS.  Its gather indices and packed metadata are
-        memoized on the matrix, so several plans for one matrix share them;
-        each plan rounds its own fp16 copies, per schedule, on first use.
+        The sparse LHS.  Its gather indices are memoized on the matrix, so
+        several plans for one matrix share them; each plan rounds its own
+        fp16 copies, per schedule, on first use.
     strategy:
         ``"auto"`` (default), ``"dense"`` or ``"gather"`` — see the module
         docstring.
@@ -159,7 +162,6 @@ class SpmmPlan:
         #: Width of the condensed operand (``K/M * 4``).
         self.condensed_k = matrix.k // matrix.m * SELECTED_COLUMNS
         self.gather_indices = matrix.selected_column_indices()  # (R/V, K/M*4)
-        self.metadata = matrix.packed_metadata()
         # The stored arrays the fp16 copies are rounded from, each the first
         # time its schedule runs.
         self._values = matrix.values
@@ -200,9 +202,12 @@ class SpmmPlan:
     # Derived quantities
     # ------------------------------------------------------------------
     def _round_condensed(self) -> np.ndarray:
-        """A new fp16-rounded condensed operand, 64-byte aligned (no fp32
-        copy is kept)."""
-        return quantize_fp16_aligned(condense(self._values, self._m_indices, self._n))
+        """A new fp16-rounded condensed operand, 64-byte aligned: the stored
+        ``values`` rounded, then condensed.  Rounding maps zero to zero
+        (``-0.0`` to ``-0.0``), so this is the rounded condensed operand
+        bit for bit, at N/4 of the rounding work and with no fp32
+        condensed copy."""
+        return condense(quantize_fp16(self._values), self._m_indices, self._n)
 
     @property
     def condensed16(self) -> np.ndarray:
@@ -218,7 +223,8 @@ class SpmmPlan:
     def dense16(self) -> np.ndarray:
         """The fp16-rounded dense operand the dense schedule reads: built
         the first time that schedule runs, then kept.  A transient rounded
-        condensed operand scattered to its columns, as ``to_dense`` does."""
+        condensed operand scattered to its columns, as ``to_dense`` does
+        with the unrounded one."""
         if self._dense16 is None:
             self._dense16 = scatter_columns(self._round_condensed(), self.gather_indices, self.shape[1])
         return self._dense16

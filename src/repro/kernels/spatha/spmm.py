@@ -3,8 +3,8 @@
 Three execution paths are provided:
 
 * :func:`spmm` — the fast path: a planned, batched schedule
-  (:class:`~repro.kernels.spatha.plan.SpmmPlan`) that prepares the condensed
-  operand, gather indices and packed metadata once per operand and then
+  (:class:`~repro.kernels.spatha.plan.SpmmPlan`) that prepares the
+  fp16-rounded operand and gather indices once per operand and then
   executes every call without Python-level loops.  The RHS may be 2-D
   ``(K, C)`` or a batch ``(B, K, C)``.
 * :func:`spmm_loop_reference` — the retained per-row-block loop of the seed
@@ -73,7 +73,7 @@ def spmm(
     Notes
     -----
     Execution goes through the memoized :class:`SpmmPlan` of ``a``:
-    preparation (condensed operand, gather indices, packed metadata) is paid
+    preparation (fp16-rounded operand, gather indices) is paid
     once per operand, and every call runs as batched array operations with
     no Python loop over row blocks.
     """

@@ -17,12 +17,9 @@ from typing import Optional
 import numpy as np
 
 
-def validate_weight_matrix(weights: np.ndarray) -> np.ndarray:
-    """Canonicalise a weight matrix to a 2-D float64 array.
-
-    Pruning math (especially the second-order saliency scores) is done in
-    float64 for numerical robustness; the resulting masks are dtype-free.
-    """
+def _checked_weights(weights: np.ndarray) -> np.ndarray:
+    """``weights`` as an array, once it is known to be a non-empty 2-D real
+    matrix."""
     arr = np.asarray(weights)
     if arr.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {arr.shape}")
@@ -30,6 +27,32 @@ def validate_weight_matrix(weights: np.ndarray) -> np.ndarray:
         raise ValueError("weights must be non-empty")
     if not np.issubdtype(arr.dtype, np.number) or np.iscomplexobj(arr):
         raise TypeError("weights must be real-valued numeric")
+    return arr
+
+
+def validate_weight_matrix(weights: np.ndarray) -> np.ndarray:
+    """Canonicalise a weight matrix to a 2-D float64 array.
+
+    Pruning math (especially the second-order saliency scores) is done in
+    float64 for numerical robustness; the resulting masks are dtype-free.
+    Magnitude V:N:M pruning, whose arithmetic is exact under widening, takes
+    :func:`magnitude_weight_matrix` instead.
+    """
+    return np.ascontiguousarray(_checked_weights(weights), dtype=np.float64)
+
+
+def magnitude_weight_matrix(weights: np.ndarray) -> np.ndarray:
+    """:func:`validate_weight_matrix`, except that a float32 matrix stays
+    float32 (C-contiguous, shared when it already is).
+
+    Magnitude ranking reads ``|w|`` through comparisons and float64 sums
+    only (:mod:`repro.formats.vnm`), and widening float32 to float64 is
+    exact, so a float32 weight ranks exactly as its float64 copy would,
+    without the copy.
+    """
+    arr = _checked_weights(weights)
+    if arr.dtype == np.float32:
+        return np.ascontiguousarray(arr)
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 

@@ -11,6 +11,9 @@ column selection and row-wise N:M pruning:
 
 Ties and NaN follow the rule stated once in :mod:`repro.formats.vnm`, whose
 :func:`~repro.formats.vnm.vnm_select` both this pruner and the compressor use.
+A float32 weight is pruned in float32 (other dtypes widen to float64): the
+selection only compares magnitudes and sums block masses in float64, so the
+mask is the one its exact float64 copy would get, without making that copy.
 
 The result is a mask that simultaneously realises an arbitrary N:M sparsity
 ratio *and* maps onto the hardware's 2:4 support, which is the format-level
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .masks import PruningResult, apply_mask, validate_weight_matrix
+from .masks import PruningResult, apply_mask, magnitude_weight_matrix
 from ..formats.vnm import scatter_columns, validate_vnm_shape, vnm_select
 
 
@@ -35,7 +38,7 @@ def vnm_mask(weights: np.ndarray, v: int, n: int = 2, m: int = 8, norm: str = "l
     survivors are :func:`repro.formats.vnm.vnm_select`'s (its module
     docstring states the tie rule), scattered back to the full shape.
     """
-    w = validate_weight_matrix(weights)
+    w = magnitude_weight_matrix(weights)
     rows, cols = w.shape
     validate_vnm_shape(rows, cols, v, n, m)
     selection = vnm_select(w, v, n, m, norm)
@@ -64,9 +67,10 @@ def pad_to_vnm_shape(weights: np.ndarray, v: int, m: int) -> tuple[np.ndarray, t
 
     Real model layers do not always have dimensions divisible by the block
     shape (e.g. GPT-2's 1600-wide layers with M=48).  Returns the padded
-    matrix and the original shape so callers can crop results back.
+    matrix (float32 when ``weights`` is, else float64) and the original
+    shape so callers can crop results back.
     """
-    w = validate_weight_matrix(weights)
+    w = magnitude_weight_matrix(weights)
     rows, cols = w.shape
     pad_r = (-rows) % v
     pad_c = (-cols) % m

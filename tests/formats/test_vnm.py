@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.formats.vnm import SELECTED_COLUMNS, VNMSparseMatrix, check_vnm_pattern, validate_vnm_shape
 from repro.pruning.masks import apply_mask
@@ -65,6 +67,26 @@ class TestCompression:
         dense = rng.normal(size=(16, 32)) + 5.0
         with pytest.raises(ValueError):
             VNMSparseMatrix.from_dense(dense, v=8, n=2, m=8, strict=True)
+
+    def test_strict_rejects_an_entry_above_tol_it_would_drop(self):
+        """Four columns of entries below ``tol`` outweigh the one entry above
+        it, so selection would not store that entry."""
+        a = np.zeros((4, 8), dtype=np.float32)
+        a[0, 0] = 0.2
+        a[1:, 1:5] = 0.09
+        assert check_vnm_pattern(a, 4, 2, 8, tol=0.1)
+        with pytest.raises(ValueError, match="violates"):
+            VNMSparseMatrix.from_dense(a, v=4, n=2, m=8, tol=0.1)
+
+    def test_strict_rejects_a_nonzero_beside_a_nan(self):
+        """A NaN gives its column NaN mass, which ranks last, so selection
+        would not store the nonzero in that column."""
+        a = np.zeros((4, 8), dtype=np.float32)
+        a[0, 0] = np.nan
+        a[1, 0] = 1.0
+        assert check_vnm_pattern(a, 4, 2, 8)
+        with pytest.raises(ValueError, match="violates"):
+            VNMSparseMatrix.from_dense(a, v=4, n=2, m=8)
 
     def test_non_strict_prunes_to_pattern(self, rng):
         dense = rng.normal(size=(16, 32)) + 5.0
@@ -198,3 +220,39 @@ class TestFigure13Patterns:
         hit = np.zeros(pruned.shape, dtype=bool)
         hit[rows, cols] = True
         assert not pruned[~hit].any()
+
+
+@st.composite
+def near_pattern_matrices(draw):
+    """A finite weight pruned to ``v:n:m`` (l1 or l2), then with a few
+    entries overwritten, so that some draws keep the pattern and some break
+    it; ``-0.0`` and subnormals ride along."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    v = draw(st.sampled_from([1, 4, 16, 64]))
+    m = draw(st.sampled_from([4, 8, 16]))
+    n = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (v * draw(st.integers(1, 2)), m * draw(st.integers(1, 3)))
+    w = (rng.normal(size=shape) * draw(st.sampled_from([1e-6, 1.0, 6e4]))).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = (-0.0, tiny, -3 * tiny, 1.0)
+    w.flat[rng.integers(0, w.size, size=4)] = rng.choice(specials, size=4)
+    dense = apply_mask(w, vnm_mask(w, v=v, n=n, m=m, norm=draw(st.sampled_from(["l1", "l2"]))))
+    flips = draw(st.integers(0, 3))
+    dense.flat[rng.integers(0, w.size, size=flips)] = rng.choice(specials, size=flips)
+    return dense, v, n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_pattern_matrices())
+def test_strict_raises_exactly_when_the_pattern_check_fails(case):
+    """At ``tol = 0`` on finite input, the one-count strict check accepts
+    exactly the matrices :func:`check_vnm_pattern` accepts (judged on the
+    float32 matrix the compressor stores from)."""
+    dense, v, n, m = case
+    if check_vnm_pattern(dense.astype(np.float32), v, n, m):
+        a = VNMSparseMatrix.from_dense(dense, v=v, n=n, m=m)
+        assert np.array_equal(a.to_dense(), dense.astype(np.float32))
+    else:
+        with pytest.raises(ValueError, match="violates"):
+            VNMSparseMatrix.from_dense(dense, v=v, n=n, m=m)

@@ -7,6 +7,11 @@ the compressed arrays, the condensed and dense views and the plan's fp16
 dense operand — with an independent argsort / ``take_along_axis`` /
 ``put_along_axis`` formulation of each (the oracle below).  Inputs are
 tie-heavy (integer-valued) and carry NaN, +-inf and -0.0.
+
+Block masses are summed in float64 whatever the input dtype (one rule for
+the pruner and the compressor); the oracle can also sum in float32, the
+compressor's rule before that, to show where the two part and that the
+prune -> compress -> plan chain produces the same bytes under both.
 """
 
 import numpy as np
@@ -18,6 +23,7 @@ from repro.formats.base import quantize_fp16
 from repro.formats.vnm import SELECTED_COLUMNS as S
 from repro.formats.vnm import VNMSparseMatrix, vnm_select, vnm_select_reference
 from repro.kernels.spatha import SpmmPlan
+from repro.pruning.masks import apply_mask
 from repro.pruning.vnm import vnm_mask
 
 V_SIZES = (1, 2, 16, 64, 128)
@@ -27,9 +33,10 @@ V_SIZES = (1, 2, 16, 64, 128)
 # The oracle: selection, scatter and gather by argsort, take_along_axis and
 # put_along_axis over (R/V, V, K/M, 4) blocks.
 # ----------------------------------------------------------------------
-def oracle_block_columns(w, v, m, norm):
+def oracle_block_columns(w, v, m, norm, acc=np.float64):
+    """In-block columns of the four largest masses, summed in ``acc``."""
     rows, cols = w.shape
-    blocks = w.reshape(rows // v, v, cols // m, m)
+    blocks = w.reshape(rows // v, v, cols // m, m).astype(acc)
     if norm == "l1":
         mass = np.abs(blocks).sum(axis=1)
     else:
@@ -53,12 +60,12 @@ def oracle_mask(weights, v, n, m, norm):
     return mask.reshape(rows, cols)
 
 
-def oracle_compress(dense, v, n, m):
+def oracle_compress(dense, v, n, m, acc=np.float64):
     arr = np.ascontiguousarray(dense, dtype=np.float32)
     rows, cols = arr.shape
     rb, groups = rows // v, cols // m
     blocks = arr.reshape(rb, v, groups, m)
-    col_order = oracle_block_columns(arr, v, m, "l1")
+    col_order = oracle_block_columns(arr, v, m, "l1", acc)
     selected = np.take_along_axis(
         blocks, np.broadcast_to(col_order[:, None], (rb, v, groups, S)), axis=3
     )
@@ -174,3 +181,67 @@ def test_unknown_norm_is_rejected_at_every_m():
     for m in (4, 8):
         with pytest.raises(ValueError, match="norm"):
             vnm_mask(w, v=2, n=2, m=m, norm="linf")
+
+
+def test_block_masses_are_summed_in_float64():
+    """Column 4 holds one 1.0 and seven entries each adding half an ulp
+    of 1.0 to its l1 (or squared l2) mass, so its float32 sum rounds to
+    1.0, below column 3's single 1 + 2**-23; the exact float64 sums order
+    them the other way.  Pruner and compressor both keep column 4."""
+    for norm, half_ulp in (("l1", 2.0**-24), ("l2", 2.0**-12)):
+        w = np.zeros((8, 8), dtype=np.float32)
+        w[:3, :3] = np.eye(3, dtype=np.float32) * 4
+        w[3, 3] = 1 + 2.0**-23
+        w[:, 4] = half_ulp
+        w[0, 4] = 1.0
+        assert oracle_block_columns(w, 8, 8, norm, acc=np.float32).tolist() == [[[0, 1, 2, 3]]]
+        assert oracle_block_columns(w, 8, 8, norm).tolist() == [[[0, 1, 2, 4]]]
+        assert vnm_mask(w, v=8, n=4, m=8, norm=norm)[:, 3:5].tolist() == [[False, True]] * 8
+        assert vnm_select(w, 8, 4, 8, norm).columns.tolist() == [[0, 1, 2, 4]]
+        if norm == "l1":  # the compressor's norm
+            compressed = VNMSparseMatrix.from_dense(w, v=8, n=4, m=8, strict=False)
+            assert compressed.column_loc.tolist() == [[0, 1, 2, 4]]
+
+
+@st.composite
+def weights(draw):
+    """float32 or float64 normal weights at a drawn scale, with ``-0.0``,
+    subnormals, NaN and +-inf sprinkled in."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    v = draw(st.sampled_from([1, 4, 16, 64]))
+    m = draw(st.sampled_from([4, 8, 16]))
+    n = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (v * draw(st.integers(1, 2)), m * draw(st.integers(1, 3)))
+    w = (rng.normal(size=shape) * draw(st.sampled_from([1e-6, 1.0, 6e4]))).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    for value in (-0.0, tiny, -7 * tiny, np.nan, np.inf, -np.inf):
+        w.flat[rng.integers(0, w.size, size=draw(st.integers(0, 2)))] = value
+    return w, v, n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(weights(), st.sampled_from(["l1", "l2"]))
+def test_prune_compress_and_plan_copies_match_the_float64_recipe(case, norm):
+    """Prune -> compress -> plan, in the weight's own dtype, gives the bytes
+    of the recipe that pruned a float64 copy, checked the pattern, summed
+    the compressor's masses in float32 and rounded the whole condensed
+    operand.  Where that recipe dropped a stored entry (a column whose NaN
+    mass ranks it last), strict compression now refuses instead."""
+    w, v, n, m = case
+    mask = vnm_mask(w, v=v, n=n, m=m, norm=norm)
+    assert same_bytes(mask, oracle_mask(w, v, n, m, norm))
+    pruned = apply_mask(w, mask)
+    values, m_indices, column_loc = oracle_compress(pruned, v, n, m, acc=np.float32)
+    stored32 = np.abs(pruned.astype(np.float32)) > 0
+    if np.count_nonzero(stored32) != np.count_nonzero(np.abs(values) > 0):
+        with pytest.raises(ValueError, match="violates"):
+            VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m)
+        return
+    a = VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m)
+    assert same_bytes(a.values, values)
+    assert same_bytes(a.m_indices, m_indices)
+    assert same_bytes(a.column_loc, column_loc)
+    plan = SpmmPlan(a)
+    assert same_bytes(plan.condensed16, quantize_fp16(oracle_condensed(a)))
+    assert same_bytes(plan.dense16, oracle_dense16(a))

@@ -25,6 +25,14 @@ class TestVNMSparsifier:
         assert vnm.original_shape == (30, 60)
         assert vnm.matrix.shape == (32, 64)
 
+    @pytest.mark.parametrize("method", ["magnitude", "second_order"])
+    def test_float32_tensor_compresses_as_its_float64_copy(self, rng, method):
+        sparsifier = VNMSparsifier(n=2, m=8, v=16, method=method)
+        w = rng.normal(size=(30, 60)).astype(np.float32)
+        got, want = sparsifier.sparsify(w).matrix, sparsifier.sparsify(w.astype(np.float64)).matrix
+        for name in ("values", "m_indices", "column_loc"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_second_order_method(self, rng):
         sparsifier = VNMSparsifier(n=2, m=8, v=16, method="second_order")
         w = rng.normal(size=(16, 32))

@@ -15,6 +15,7 @@ import pytest
 from repro.formats.base import quantize_fp16
 from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
+from repro.formats.metadata import pack_indices
 from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels import cusparse, sputnik
 from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
@@ -163,7 +164,10 @@ class TestSpmmPlanCaching:
         a = make_vnm(rng, 16, 32, 4, 2, 8)
         plan = SpmmPlan.for_matrix(a)
         assert np.array_equal(plan.gather_indices, a.selected_column_indices())
-        assert np.array_equal(plan.metadata, a.packed_metadata())
+        # The plan packs no metadata; the matrix packs its own on request.
+        assert "packed_metadata" not in a._memo
+        assert np.array_equal(a.packed_metadata(), pack_indices(a.m_indices.ravel()))
+        assert a._memo["packed_metadata"] is a.packed_metadata()
         assert plan.condensed_k == a.groups_per_row * 4
 
     @pytest.mark.parametrize("case", VNM_CASES, ids=str)

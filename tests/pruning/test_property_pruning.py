@@ -12,7 +12,7 @@ from repro.pruning.magnitude import magnitude_mask
 from repro.pruning.masks import mask_sparsity
 from repro.pruning.nm import nm_mask
 from repro.pruning.vector_wise import vector_wise_mask
-from repro.pruning.vnm import vnm_mask
+from repro.pruning.vnm import pad_to_vnm_shape, vnm_mask
 
 
 def weight_matrices():
@@ -75,3 +75,31 @@ def test_magnitude_energy_monotone_in_sparsity(w, sparsity):
     if np.abs(w).sum() == 0:
         return
     assert ideal_energy(w, sparsity) >= ideal_energy(w, min(0.99, sparsity + 0.2)) - 1e-9
+
+
+@st.composite
+def scaled_weights(draw):
+    """float32 or float64 normal weights with ``v``, ``m`` and ``n`` drawn,
+    at a drawn scale, with ``-0.0``, subnormals, NaN and +-inf sprinkled in."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    v = draw(st.sampled_from([1, 4, 16, 64]))
+    m = draw(st.sampled_from([4, 8, 16]))
+    n = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (v * draw(st.integers(1, 2)), m * draw(st.integers(1, 3)))
+    w = (rng.normal(size=shape) * draw(st.sampled_from([1e-6, 1.0, 6e4]))).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    for value in (-0.0, tiny, -5 * tiny, np.nan, np.inf, -np.inf):
+        w.flat[rng.integers(0, w.size, size=draw(st.integers(0, 2)))] = value
+    return w, v, n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_weights(), st.sampled_from(["l1", "l2"]))
+def test_vnm_mask_of_a_weight_is_the_mask_of_its_float64_copy(case, norm):
+    """A float32 weight is pruned in float32 and gets its float64 copy's mask."""
+    w, v, n, m = case
+    mask = vnm_mask(w, v=v, n=n, m=m, norm=norm)
+    assert np.array_equal(mask, vnm_mask(w.astype(np.float64), v=v, n=n, m=m, norm=norm))
+    padded, shape = pad_to_vnm_shape(w[:, 1:], v, m)
+    assert padded.dtype == w.dtype and shape == (w.shape[0], w.shape[1] - 1)

@@ -265,6 +265,39 @@ MUTANTS: Tuple[Mutant, ...] = (
             "::test_an_error_of_the_per_resident_fallback_rolls_that_resident_back",
         ),
     ),
+    Mutant(
+        "strict-compression-drops-an-entry-above-tol",
+        "src/repro/formats/vnm.py",
+        ((
+            "        if strict and _count_above(arr, tol) != _count_above(values, tol):\n",
+            "        if strict and not check_vnm_pattern(arr, v, n, m, tol=tol):\n",
+        ),),
+        (
+            "tests/formats/test_vnm.py::TestCompression"
+            "::test_strict_rejects_an_entry_above_tol_it_would_drop",
+        ),
+    ),
+    Mutant(
+        "block-masses-summed-in-the-input-dtype",
+        "src/repro/formats/vnm.py",
+        (
+            ("np.abs(blocks).sum(axis=1, dtype=np.float64)", "np.abs(blocks).sum(axis=1)"),
+            ("np.square(blocks, dtype=np.float64)", "np.square(blocks)"),
+        ),
+        ("tests/formats/test_vnm_select.py::test_block_masses_are_summed_in_float64",),
+    ),
+    Mutant(
+        "plan-condenses-unrounded-values",
+        "src/repro/kernels/spatha/plan.py",
+        ((
+            "condense(quantize_fp16(self._values), self._m_indices, self._n)",
+            "condense(self._values, self._m_indices, self._n)",
+        ),),
+        (
+            "tests/kernels/test_vectorized_engine.py::TestSpmmPlanCaching"
+            "::test_dense16_is_the_rounded_dense_operand",
+        ),
+    ),
 )
 
 
