@@ -220,7 +220,14 @@ def smem_cycles(
         raise ValueError("active_sms must be positive")
     if conflict_factor < 1.0:
         raise ValueError("conflict_factor must be >= 1")
-    tx = tx or TransactionModel()
+    return smem_cycles_array(bytes_moved, gpu, active_sms, tx or TransactionModel(), conflict_factor)
+
+
+def smem_cycles_array(bytes_moved, gpu: GPUSpec, active_sms, tx: TransactionModel, conflict_factor=1.0):
+    """:func:`smem_cycles` without its checks, so it broadcasts over NumPy
+    arrays of launches (``active_sms >= 1`` and ``conflict_factor >= 1``
+    are the caller's to keep).  The one definition of the formula: the
+    scalar call returns exactly what an array entry holds."""
     per_sm_bytes_cycle = gpu.smem_bytes_per_cycle_per_sm * tx.smem_efficiency
     total_bytes_cycle = per_sm_bytes_cycle * active_sms
     return gpu.smem.latency_cycles + conflict_factor * bytes_moved / total_bytes_cycle

@@ -142,12 +142,16 @@ def active_sms(total_blocks: int, resources: BlockResources, gpu: GPUSpec) -> in
     Small GEMMs (few output tiles) cannot occupy the whole chip; their
     memory phases only see the bandwidth of the SMs they actually run on
     when the traffic is SMEM-bound, and they under-utilise DRAM when it is
-    GMEM-bound.
+    GMEM-bound.  A grid of ``total_blocks`` fills ``ceil(total_blocks /
+    blocks_per_sm)`` SMs, at most all of them; a block that fits no SM
+    runs nowhere.
     """
+    if total_blocks < 0:
+        raise ValueError("total_blocks must be non-negative")
     occ = blocks_per_sm(resources, gpu)
     if occ.blocks_per_sm == 0:
         return 0
-    return int(min(gpu.num_sms, math.ceil(total_blocks / occ.blocks_per_sm) if total_blocks else 0, total_blocks if total_blocks else 0)) if total_blocks else 0
+    return min(gpu.num_sms, math.ceil(total_blocks / occ.blocks_per_sm))
 
 
 def latency_hiding_factor(resources: BlockResources, gpu: GPUSpec, pipeline_stages: int = 1) -> float:

@@ -15,14 +15,22 @@ and memory); the ``exposed_fraction`` term charges the portion of the
 non-dominant phase that the kernel's software pipelining could not hide,
 which is how differences in pipelining depth (Spatha's ``batchSize``) and
 occupancy become visible in the final numbers.
+
+:func:`roofline_cost` prices one launch; :func:`roofline_cycles` prices a
+problem's whole list of candidate tilings in one NumPy pass, in the same
+operation order, so each of its entries is bit for bit the scalar cost of
+that candidate.  Auto-tuners rank with the array pass and price only the
+winner with the scalar one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
-from .memory import TrafficRecord, TransactionModel, gmem_cycles, smem_cycles
+import numpy as np
+
+from .memory import TrafficRecord, TransactionModel, gmem_cycles, smem_cycles, smem_cycles_array
 from .occupancy import BlockResources, latency_hiding_factor, wave_efficiency
 from .spec import GPUSpec
 
@@ -204,3 +212,60 @@ def roofline_cost(
     cost.add_component("smem", smem)
     cost.add_component("overhead", overhead)
     return cost
+
+
+class RooflineCycles(NamedTuple):
+    """The :class:`KernelCost` cycle terms of many candidate launches, as arrays."""
+
+    gpu: GPUSpec
+    compute: np.ndarray
+    gmem: np.ndarray
+    smem: np.ndarray
+    overhead: np.ndarray
+    exposed: np.ndarray
+    #: SMs with a resident block (at least 1), per candidate.
+    active_sms: np.ndarray
+
+    def time_us(self) -> np.ndarray:
+        """:meth:`KernelCost.time_us` of every candidate."""
+        dominant = np.maximum(np.maximum(self.compute, self.gmem), self.smem)
+        secondary = self.compute + self.gmem + self.smem - dominant
+        total = self.overhead + dominant + self.exposed * secondary
+        return total / self.gpu.sm_clock_hz * 1e6
+
+
+def roofline_cycles(
+    gpu: GPUSpec,
+    flops: float,
+    gmem_bytes: float,
+    smem_bytes,
+    total_blocks: np.ndarray,
+    blocks_per_sm: np.ndarray,
+    exposed: np.ndarray,
+    sparse_tensor_cores: bool,
+    compute_efficiency: float,
+    gmem_tx: TransactionModel,
+    smem_tx: TransactionModel,
+    extra_overhead_cycles=0.0,
+) -> RooflineCycles:
+    """:func:`roofline_cost` on tensor cores for every candidate at once.
+
+    ``flops`` and ``gmem_bytes`` belong to the problem (a tiling changes
+    neither); ``smem_bytes``, ``total_blocks`` and ``extra_overhead_cycles``
+    may vary per candidate.  ``blocks_per_sm`` (each >= 1: a block that
+    fits no SM is not a candidate) and ``exposed`` (``max(0.05, 1 -
+    latency_hiding_factor(...))``) are per-configuration constants.
+    """
+    compute = compute_cycles_tensor_core(
+        flops, gpu, sparse=sparse_tensor_cores, efficiency=compute_efficiency
+    )
+    w = total_blocks / (blocks_per_sm * gpu.num_sms)  # wave_efficiency
+    compute = compute / np.maximum(w / np.ceil(w), 1e-9)
+
+    n_active = np.maximum(1, np.minimum(gpu.num_sms, np.ceil(total_blocks / blocks_per_sm)))
+    gmem_scale = np.minimum(1.0, n_active / gpu.num_sms * 1.5)
+    gmem = gmem_cycles(gmem_bytes, gpu, gmem_tx) / np.maximum(gmem_scale, 1e-9)
+    smem = smem_cycles_array(smem_bytes, gpu, n_active, smem_tx)
+
+    overhead = gpu.kernel_launch_overhead_us * 1e-6 * gpu.sm_clock_hz + extra_overhead_cycles
+    return RooflineCycles(gpu, compute, gmem, smem, overhead, exposed, n_active)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .common import GemmProblem, KernelResult, reference_matmul_fp16
 from ..hardware.memory import TrafficRecord, TransactionModel, matrix_bytes
-from ..hardware.occupancy import BlockResources
-from ..hardware.roofline import roofline_cost
+from ..hardware.occupancy import BlockResources, blocks_per_sm, latency_hiding_factor
+from ..hardware.roofline import roofline_cost, roofline_cycles
 from ..hardware.spec import GPUSpec, rtx3090
 
 
@@ -55,6 +55,14 @@ class CublasConfig:
         if not 0.0 < self.compute_efficiency <= 1.0:
             raise ValueError("compute_efficiency must be in (0, 1]")
 
+    def block_resources(self) -> BlockResources:
+        """Resource record used by the occupancy model."""
+        return BlockResources(
+            threads=self.threads,
+            registers_per_thread=self.registers_per_thread,
+            smem_bytes=self.smem_bytes,
+        )
+
 
 def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Functional dense GEMM with tensor-core numerics (fp16 x fp16 -> fp32)."""
@@ -66,6 +74,8 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: picks the tile that fills the GPU best for each problem shape, and the
 #: paper's speedups are measured against that well-tuned baseline.
 _CUBLAS_TILE_CANDIDATES = ((256, 128), (128, 256), (128, 128), (128, 64), (64, 128), (64, 64))
+_TILE_R, _TILE_C = (np.array(column, dtype=np.int64) for column in zip(*_CUBLAS_TILE_CANDIDATES))
+_WIDE = TransactionModel(access_bits=128)
 
 
 def estimate_time(
@@ -83,10 +93,46 @@ def estimate_time(
     """
     gpu = gpu or rtx3090()
     if config is None:
-        candidates = [CublasConfig(tile_r=tr, tile_c=tc) for tr, tc in _CUBLAS_TILE_CANDIDATES]
-        results = [_estimate_with_config(problem, gpu, cfg) for cfg in candidates]
-        return min(results, key=lambda res: res.time_us)
+        # The first fastest tile, as min() over the scalar estimates picks.
+        tile_r, tile_c = _CUBLAS_TILE_CANDIDATES[int(np.argmin(_tile_times(problem, gpu)))]
+        config = CublasConfig(tile_r=tile_r, tile_c=tile_c)
     return _estimate_with_config(problem, gpu, config)
+
+
+def _tile_times(problem: GemmProblem, gpu: GPUSpec) -> np.ndarray:
+    """Modelled time (us) of every heuristic tile in one array pass.
+
+    Entry ``i`` is bit for bit ``_estimate_with_config`` on the ``i``-th
+    tile of :data:`_CUBLAS_TILE_CANDIDATES` (the other knobs at their
+    defaults): the same lines, over the tile columns.
+    """
+    config = CublasConfig()
+    resources = config.block_resources()
+    occ = blocks_per_sm(resources, gpu)
+    if occ.blocks_per_sm == 0:
+        raise ValueError(
+            "kernel cannot run: a single thread block exceeds SM resources "
+            f"(limited by {occ.limiting_factor})"
+        )
+    hiding = latency_hiding_factor(resources, gpu, pipeline_stages=config.pipeline_stages)
+    r, k, c = problem.r, problem.k, problem.c
+    a_bytes = matrix_bytes(r, k, problem.precision)
+    b_bytes = matrix_bytes(k, c, problem.precision)
+    smem_each_way = a_bytes * (c / _TILE_C) + b_bytes * (r / _TILE_R)
+    cycles = roofline_cycles(
+        gpu=gpu,
+        flops=2.0 * r * k * c,
+        gmem_bytes=a_bytes + b_bytes + matrix_bytes(r, c, problem.precision),
+        smem_bytes=smem_each_way + smem_each_way,
+        total_blocks=np.maximum(1, -(-r // _TILE_R) * -(-c // _TILE_C)),
+        blocks_per_sm=occ.blocks_per_sm,
+        exposed=max(0.05, 1.0 - hiding),
+        sparse_tensor_cores=False,
+        compute_efficiency=config.compute_efficiency,
+        gmem_tx=_WIDE,
+        smem_tx=_WIDE,
+    )
+    return cycles.time_us()
 
 
 def _estimate_with_config(problem: GemmProblem, gpu: GPUSpec, config: CublasConfig) -> KernelResult:
@@ -107,16 +153,11 @@ def _estimate_with_config(problem: GemmProblem, gpu: GPUSpec, config: CublasConf
     )
 
     total_blocks = max(1, -(-r // config.tile_r) * -(-c // config.tile_c))
-    resources = BlockResources(
-        threads=config.threads,
-        registers_per_thread=config.registers_per_thread,
-        smem_bytes=config.smem_bytes,
-    )
     cost = roofline_cost(
         gpu=gpu,
         flops=flops,
         traffic=traffic,
-        resources=resources,
+        resources=config.block_resources(),
         total_blocks=total_blocks,
         use_tensor_cores=True,
         sparse_tensor_cores=False,

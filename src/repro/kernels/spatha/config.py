@@ -151,6 +151,19 @@ def default_config(v: int = 128, bs_c: int = 64) -> KernelConfig:
     return KernelConfig(bs_r=v, bs_c=bs_c, ws_r=ws_r)
 
 
+#: Thread-block output widths (``BSc``) the auto-tuner searches.
+TUNED_BS_C = (32, 64, 128)
+
+
+def widest_bs_c(c: int) -> int:
+    """The widest ``BSc`` the tuner tries at output width ``c``.
+
+    :func:`candidate_configs` depends on ``c`` through this value alone, so
+    it names the C-class of a candidate list.
+    """
+    return max(bs_c for bs_c in TUNED_BS_C if bs_c <= max(32, c))
+
+
 def candidate_configs(v: int, c: int) -> List[KernelConfig]:
     """Search space the auto-tuner explores for a given V and output width C.
 
@@ -159,8 +172,9 @@ def candidate_configs(v: int, c: int) -> List[KernelConfig]:
     """
     configs: List[KernelConfig] = []
     ws_r = 32 if v >= 32 else max(16, v)
-    for bs_c in (32, 64, 128):
-        if bs_c > max(32, c):
+    widest = widest_bs_c(c)
+    for bs_c in TUNED_BS_C:
+        if bs_c > widest:
             continue
         for ws_c in (16, 32, 64):
             if ws_c > bs_c or bs_c % ws_c:

@@ -5,9 +5,14 @@ per problem ("can be tuned depending on the input dynamics, such as GEMM
 size or the V:N:M format configuration").  The tuner enumerates the
 candidate configurations (:func:`repro.kernels.spatha.config.candidate_configs`)
 and ranks them with the performance model — the simulated analogue of an
-on-device exhaustive search.  Results are cached per problem signature (in a
-:class:`~repro.kernels.common.BoundedCache`) so sweeps that revisit the same
-shape (every figure does) pay the search once.
+on-device exhaustive search.  A problem's whole candidate list is priced in
+one NumPy pass (:func:`~repro.kernels.spatha.perf_model.estimate_times`)
+over a :class:`~repro.kernels.spatha.perf_model.CandidateTable`, built the
+first time a (V, C-class) is tuned; only the winner is priced again by the
+scalar :func:`~repro.kernels.spatha.perf_model.estimate_time`, for its
+:class:`~repro.kernels.common.KernelResult`.  Records are cached per problem
+signature (in a :class:`~repro.kernels.common.BoundedCache`) so sweeps that
+revisit the same shape (every figure does) pay the search once.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .config import KernelConfig, candidate_configs, default_config
-from .perf_model import estimate_time
+import numpy as np
+
+from .config import KernelConfig, candidate_configs, default_config, widest_bs_c
+from .perf_model import CandidateTable, candidate_table, estimate_time, estimate_times
 from .tiles import UnsupportedTilingError
 from ..common import BoundedCache, GemmProblem, KernelResult
 from ...hardware.spec import GPUSpec, rtx3090
@@ -62,10 +69,20 @@ class SpathaTuner:
     def __init__(self, gpu: Optional[GPUSpec] = None) -> None:
         self.gpu = gpu or rtx3090()
         self._cache = BoundedCache()
+        self._tables = BoundedCache()
 
     @staticmethod
     def _signature(problem: GemmProblem) -> Tuple:
         return (problem.r, problem.k, problem.c, problem.v, problem.n, problem.m, problem.precision)
+
+    def _table(self, v: int, c: int) -> CandidateTable:
+        """The candidate table of (V, C-class) on this tuner's GPU."""
+        key = (v, widest_bs_c(c))
+        table = self._tables.get(key)
+        if table is None:
+            table = candidate_table(candidate_configs(v, c), self.gpu)
+            self._tables.put(key, table)
+        return table
 
     def tune(self, problem: GemmProblem) -> TuningRecord:
         """Rank every candidate configuration for ``problem``."""
@@ -76,13 +93,15 @@ class SpathaTuner:
         if record is not None:
             return record
         record = TuningRecord(problem=problem)
-        for config in candidate_configs(problem.v, problem.c):
-            try:
-                result = estimate_time(problem, config=config, gpu=self.gpu)
-            except ValueError:
-                continue  # config incompatible with this problem (e.g. R % BSr)
-            record.results.append((config, result.time_us))
-        if not record.results:
+        table = self._table(problem.v, problem.c)
+        # A row the scalar model would reject is not priced: the table holds
+        # no block that fits no SM, and R % V rejects every row.
+        if table.configs and problem.r % problem.v == 0:
+            times = estimate_times(problem, table, self.gpu)
+            order = np.argsort(times, kind="stable")
+            configs = [table.configs[i] for i in order.tolist()]
+            record.results = list(zip(configs, times[order].tolist()))
+        else:
             try:
                 fallback = default_config(problem.v)
                 result = estimate_time(problem, config=fallback, gpu=self.gpu)
@@ -96,7 +115,6 @@ class SpathaTuner:
                     f"on R={problem.r} ({exc})"
                 ) from exc
             record.results.append((fallback, result.time_us))
-        record.results.sort(key=lambda pair: pair[1])
         self._cache.put(sig, record)
         return record
 

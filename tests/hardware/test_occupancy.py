@@ -105,6 +105,34 @@ class TestActiveSms:
     def test_zero_blocks(self, light_block, gpu):
         assert active_sms(0, light_block, gpu) == 0
 
+    @pytest.mark.parametrize("block", ["light_block", "heavy_block"])
+    def test_pinned_values(self, block, gpu, request):
+        """One SM per ``blocks_per_sm`` blocks, rounded up, at most all of them."""
+        resources = request.getfixturevalue(block)
+        per_sm = blocks_per_sm(resources, gpu).blocks_per_sm
+        assert per_sm == {"light_block": 16, "heavy_block": 1}[block]
+        chip = per_sm * gpu.num_sms
+        expected = {
+            0: 0,
+            1: 1,
+            per_sm: 1,
+            per_sm + 1: 2,
+            chip - per_sm: gpu.num_sms - 1,
+            chip - per_sm + 1: gpu.num_sms,
+            chip: gpu.num_sms,
+            chip + 1: gpu.num_sms,
+        }
+        for total_blocks, sms in expected.items():
+            assert active_sms(total_blocks, resources, gpu) == sms, total_blocks
+
+    def test_a_block_that_fits_no_sm_runs_nowhere(self, gpu):
+        too_big = BlockResources(threads=64, registers_per_thread=32, smem_bytes=gpu.smem.capacity_bytes + 1)
+        assert active_sms(100, too_big, gpu) == 0
+
+    def test_negative_grid_rejected(self, light_block, gpu):
+        with pytest.raises(ValueError):
+            active_sms(-1, light_block, gpu)
+
 
 class TestLatencyHiding:
     def test_deeper_pipeline_hides_more(self, heavy_block, gpu):

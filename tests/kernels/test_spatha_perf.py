@@ -40,8 +40,9 @@ class TestTheoreticalCap:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP 6: the tuned 2:4 Spatha estimate reads 2.0235x cuBLAS (45 tuner "
-        "candidates against one fixed cuBLAS config), above the M/N cap of 2.0",
+        reason="ROADMAP 6: the tuned 2:4 Spatha estimate reads 2.0235x cuBLAS (the best of "
+        "45 tuner candidates against cuBLAS's best of six tile shapes, 64x64 here), above "
+        "the M/N cap of 2.0",
     )
     def test_tuned_2_4_estimate_within_cap(self, gpu):
         p = problem(m=4, v=64)

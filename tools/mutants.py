@@ -298,6 +298,18 @@ MUTANTS: Tuple[Mutant, ...] = (
             "::test_dense16_is_the_rounded_dense_operand",
         ),
     ),
+    Mutant(
+        "candidate-table-keeps-a-block-that-fits-no-sm",
+        "src/repro/kernels/spatha/perf_model.py",
+        (("        if occ == 0:\n            continue\n", ""),),
+        ("tests/kernels/test_perf_model_arrays.py",),
+    ),
+    Mutant(
+        "tuner-ranks-with-an-unstable-sort",
+        "src/repro/kernels/spatha/tuner.py",
+        (('np.argsort(times, kind="stable")', "np.argsort(times)"),),
+        ("tests/kernels/test_perf_model_arrays.py",),
+    ),
 )
 
 
