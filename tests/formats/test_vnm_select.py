@@ -131,8 +131,15 @@ def assert_matches_oracle(w, v, n, m):
 
     pruned = np.where(vnm_mask(w, v=v, n=n, m=m), w, np.float32(0.0))
     for dense, strict in ((pruned, True), (w, False)):
-        a = VNMSparseMatrix.from_dense(dense, v=v, n=n, m=m, strict=strict)
         values, m_indices, column_loc = oracle_compress(dense, v, n, m)
+        if strict and np.count_nonzero(np.abs(dense) > 0) != np.count_nonzero(np.abs(values) > 0):
+            # The pruner kept a NaN column over a tied NaN column it zeroed;
+            # the compressor ranks the kept one's NaN mass below that zero
+            # column, so its selection would drop a stored entry.
+            with pytest.raises(ValueError, match="violates"):
+                VNMSparseMatrix.from_dense(dense, v=v, n=n, m=m, strict=True)
+            continue
+        a = VNMSparseMatrix.from_dense(dense, v=v, n=n, m=m, strict=strict)
         assert same_bytes(a.values, values), strict
         assert same_bytes(a.m_indices, m_indices), strict
         assert same_bytes(a.column_loc, column_loc), strict
