@@ -25,14 +25,7 @@ from .base import (
 from .blocked_ell import BlockedEllMatrix
 from .csr import CSRMatrix
 from .cvse import CVSEMatrix
-from .metadata import (
-    BITS_PER_INDEX,
-    INDICES_PER_WORD,
-    metadata_bytes,
-    pack_indices,
-    unpack_indices,
-    validate_indices,
-)
+from .metadata import BITS_PER_INDEX, metadata_bytes, validate_indices
 from .nm import NMSparseMatrix, check_nm_pattern, nm_violations
 from .vnm import SELECTED_COLUMNS, VNMSparseMatrix, check_vnm_pattern, validate_vnm_shape
 
@@ -47,10 +40,7 @@ __all__ = [
     "CSRMatrix",
     "CVSEMatrix",
     "BITS_PER_INDEX",
-    "INDICES_PER_WORD",
     "metadata_bytes",
-    "pack_indices",
-    "unpack_indices",
     "validate_indices",
     "NMSparseMatrix",
     "check_nm_pattern",

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from .base import FormatFootprint, SparseFormat, as_float_matrix
-from .metadata import metadata_bytes, pack_indices, validate_indices
+from .metadata import metadata_bytes, validate_indices
 from ..hardware.memory import dtype_bytes
 
 
@@ -167,10 +167,6 @@ class NMSparseMatrix(SparseFormat):
     # ------------------------------------------------------------------
     # Extras used by kernels and tests
     # ------------------------------------------------------------------
-    def packed_metadata(self) -> np.ndarray:
-        """Metadata packed into uint32 words, row-major, as hardware expects."""
-        return pack_indices(self.indices.ravel())
-
     @property
     def groups_per_row(self) -> int:
         """Number of M-column groups per row."""

@@ -20,23 +20,28 @@ The compressed representation (Figure 3) consists of three arrays:
 
 ``VNMSparseMatrix`` performs bit-exact compression/decompression and exposes
 the derived quantities the kernels need (a condensed ``R x K/M*4`` view of
-the selected columns, the Figure-7 storage order, footprints).
+the selected columns, the Figure-7 storage order, footprints).  The 2-bit
+``m_indices`` are kept one per byte; :meth:`VNMSparseMatrix.footprint`
+prices them at two bits each (:func:`~repro.formats.metadata.metadata_bytes`).
 
 Selection
 ---------
 Magnitude V:N:M pruning (:func:`repro.pruning.vnm.vnm_mask`) and the
 compressor (:meth:`VNMSparseMatrix.from_dense`) pick their survivors with
-one routine, :func:`vnm_select`, and one mass rule: a column's saliency in
-its block is its l1 (or l2) mass summed in float64, whatever the input
-dtype, so a float32 weight ranks exactly as its float64 copy would.  The
-tie rule: in each block the four columns of largest saliency survive and
-in each row of those the ``n`` largest magnitudes; equal scores go to the
-lower position and NaN ranks below every number — the order a stable
-``argsort`` of the negated scores gives.  :func:`vnm_select_reference` is
-that argsort, kept as the executable spec; the two agree bit for bit.
-Gathers and scatters between an ``R x K`` matrix and its ``R x K/M*4``
-selected columns go through one flat index built from
-:meth:`VNMSparseMatrix.selected_column_indices`.
+one routine, :func:`vnm_select`, and one mass rule.  The compressor stores
+its selection with :meth:`VNMSparseMatrix.from_selection`, which
+:class:`~repro.integration.sparsifier.VNMSparsifier` calls on the pruner's
+own selection, so a weight pruned and compressed in one flow is selected
+once.  The mass rule: a column's saliency in its block is its l1 (or l2)
+mass summed in float64, whatever the input dtype, so a float32 weight ranks
+exactly as its float64 copy would.  The tie rule: in each block the four
+columns of largest saliency survive and in each row of those the ``n``
+largest magnitudes; equal scores go to the lower position and NaN ranks
+below every number — the order a stable ``argsort`` of the negated scores
+gives.  :func:`vnm_select_reference` is that argsort, kept as the
+executable spec; the two agree bit for bit.  Gathers and scatters between
+an ``R x K`` matrix and its ``R x K/M*4`` selected columns go through one
+flat index built from :meth:`VNMSparseMatrix.selected_column_indices`.
 
 A strict compression (``from_dense(strict=True)``) stores every entry
 whose magnitude is above ``tol`` or refuses the matrix: it selects first,
@@ -44,14 +49,13 @@ then compares how many entries above ``tol`` the matrix holds with how
 many it stored.  At ``tol = 0`` on finite input that accepts exactly what
 :func:`check_vnm_pattern`, the public pattern rule, accepts.
 
-The derived views (:meth:`to_condensed`, :meth:`selected_column_indices`,
-:meth:`packed_metadata`) are memoized per instance: the compressed arrays
-never change after construction, so every caller pays the derivation
-once.  The returned arrays are shared and must be treated as read-only.
-The Spatha execution plan takes only the indices: it condenses its
-fp16-rounded ``values`` with :func:`condense`, so an operand that is only
-ever executed keeps no fp32 copy of its selected columns and packs no
-metadata.
+The derived views (:meth:`to_condensed`, :meth:`selected_column_indices`)
+are memoized per instance: the compressed arrays never change after
+construction, so every caller pays the derivation once.  The returned
+arrays are shared and must be treated as read-only.  The Spatha execution
+plan takes only the indices: it condenses its fp16-rounded ``values`` with
+:func:`condense`, so an operand that is only ever executed keeps no fp32
+copy of its selected columns.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .base import FormatFootprint, SparseFormat, as_float_matrix, empty_aligned
-from .metadata import metadata_bytes, pack_indices, validate_indices
+from .metadata import metadata_bytes, validate_indices
 from ..hardware.memory import dtype_bytes
 
 #: Number of columns the vector-wise stage keeps per block; fixed at 4 so
@@ -246,14 +250,16 @@ def _keep_n_of_4(selected: np.ndarray, n: int) -> np.ndarray:
 
 
 def vnm_select(arr: np.ndarray, v: int, n: int, m: int, norm: str = "l1") -> VNMSelection:
-    """V:N:M magnitude selection of a C-contiguous float matrix whose shape
-    suits ``v:n:m`` (the tie rule is in the module docstring).
+    """V:N:M magnitude selection of a C-contiguous float matrix (the tie
+    rule is in the module docstring); ``ValueError`` when its shape does
+    not suit ``v:n:m`` (:func:`validate_vnm_shape`).
 
     The column choice argsorts the small ``(R/V, K/M, M)`` mass array; the
     selected columns move with one flat-index gather and the N:4 stage is
     :func:`_keep_n_of_4`'s six comparisons.  Bit for bit
     :func:`vnm_select_reference`.
     """
+    validate_vnm_shape(*arr.shape, v, n, m)
     columns = _absolute_columns(select_block_columns(arr, v, m, norm), m)
     selected = _gather_columns(arr, columns)
     return VNMSelection(columns, selected, _keep_n_of_4(selected, n))
@@ -314,10 +320,10 @@ class VNMSparseMatrix(SparseFormat):
         # Memo for the derived views (and the kernels' execution plans).  The
         # compressed arrays are immutable after construction, so the cache
         # is only ever invalidated by constructing a new matrix.  Exempt from
-        # the BoundedCache rule: its key set is fixed — the three views
-        # ("condensed", "selected_column_indices", "packed_metadata") plus
-        # one ("spmm_plan", strategy) per SpmmPlan strategy — so it holds at
-        # most six entries whatever the traffic, and dies with the matrix.
+        # the BoundedCache rule: its key set is fixed — the two views
+        # ("condensed", "selected_column_indices") plus one ("spmm_plan",
+        # strategy) per SpmmPlan strategy — so it holds at most five
+        # entries whatever the traffic, and dies with the matrix.
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -348,26 +354,36 @@ class VNMSparseMatrix(SparseFormat):
         Either way the survivors come from :func:`vnm_select` (mass and
         tie rules in the module docstring), which on an accepted strict
         input recovers the columns and positions that hold the non-zeros.
+        The input is cast to float32 before it is ranked; a pruner's own
+        selection is stored with :meth:`from_selection` instead.
         """
         arr = as_float_matrix(dense)
-        rows, cols = arr.shape
-        validate_vnm_shape(rows, cols, v, n, m)
-        selection = vnm_select(arr, v, n, m)
-        kept = np.flatnonzero(selection.keep)  # ascending: row-major, then position
-        stored = (rows, cols // m * n)
-        values = np.take(selection.selected.reshape(-1), kept).reshape(stored)
-        if strict and _count_above(arr, tol) != _count_above(values, tol):
+        matrix = cls.from_selection(vnm_select(arr, v, n, m), v, n, m)
+        if strict and _count_above(arr, tol) != _count_above(matrix.values, tol):
             raise ValueError(
                 f"matrix violates the {v}:{n}:{m} pattern; prune it first or pass strict=False"
             )
+        return matrix
+
+    @classmethod
+    def from_selection(cls, selection: VNMSelection, v: int, n: int, m: int) -> "VNMSparseMatrix":
+        """Store a :func:`vnm_select` selection made with ``v:n:m``: the
+        kept entries become ``values`` (float32), their places among their
+        group's four selected columns ``m_indices``, and the columns
+        ``column_loc``.  Nothing is re-ranked, so the matrix holds exactly
+        the survivors the selection kept.
+        """
+        rows, width = selection.keep.shape
+        kept = np.flatnonzero(selection.keep)  # ascending: row-major, then position
+        stored = (rows, width // SELECTED_COLUMNS * n)
         return cls(
-            values=values,
+            values=np.take(selection.selected.reshape(-1), kept).reshape(stored),
             m_indices=(kept & (SELECTED_COLUMNS - 1)).astype(np.uint8).reshape(stored),
             column_loc=(selection.columns % m).astype(np.int32),
             v=v,
             n=n,
             m=m,
-            k=cols,
+            k=width // SELECTED_COLUMNS * m,
         )
 
     # ------------------------------------------------------------------
@@ -455,19 +471,6 @@ class VNMSparseMatrix(SparseFormat):
         result = self.column_loc.astype(np.int64) + base
         result.setflags(write=False)
         self._memo["selected_column_indices"] = result
-        return result
-
-    def packed_metadata(self) -> np.ndarray:
-        """The 2-bit m-indices packed into uint32 words (row-major).
-
-        Memoized; treat the result as read-only.
-        """
-        cached = self._memo.get("packed_metadata")
-        if cached is not None:
-            return cached
-        result = pack_indices(self.m_indices.ravel())
-        result.setflags(write=False)
-        self._memo["packed_metadata"] = result
         return result
 
     def storage_order_values(self, ws_m: int = 32, mma_k: int = 32) -> np.ndarray:

@@ -14,15 +14,21 @@ from typing import Optional
 import numpy as np
 
 from .vnm_tensor import VNMTensor
-from ..formats.vnm import VNMSparseMatrix
-from ..pruning.masks import apply_mask
+from ..formats.vnm import VNMSparseMatrix, vnm_select
 from ..pruning.second_order.obs_vnm import SecondOrderConfig, second_order_vnm_prune
-from ..pruning.vnm import pad_to_vnm_shape, vnm_mask
+from ..pruning.vnm import pad_to_vnm_shape
 
 
 @dataclass
 class VNMSparsifier:
     """Sparsifier producing V:N:M tensors.
+
+    The magnitude path stores the selection its pruner made: one
+    :func:`~repro.formats.vnm.vnm_select` of the padded weight (the
+    survivors of :func:`~repro.pruning.vnm.vnm_mask`) goes straight to
+    :meth:`~repro.formats.vnm.VNMSparseMatrix.from_selection`, and the
+    pruned copy is never ranked again.  The second-order pruner's weights
+    go through the strict :meth:`~repro.formats.vnm.VNMSparseMatrix.from_dense`.
 
     Parameters
     ----------
@@ -54,9 +60,9 @@ class VNMSparsifier:
         Tensors whose shape is not divisible by (V, M) are zero-padded (the
         padding stays pruned, so it never contributes to the SpMM result)
         and the original shape is recorded on the returned
-        :class:`VNMTensor`.  A float32 tensor is pruned in float32 (see
-        :mod:`repro.pruning.vnm`); the second-order pruner widens to
-        float64 itself.
+        :class:`VNMTensor`.  A float32 tensor is pruned in float32 and any
+        other dtype in float64 (see :mod:`repro.pruning.vnm`); the
+        second-order pruner widens to float64 itself.
         """
         dense = np.asarray(tensor)
         if dense.ndim != 2:
@@ -68,9 +74,8 @@ class VNMSparsifier:
             result = second_order_vnm_prune(
                 padded, v=self.v, n=self.n, m=self.m, config=self.second_order_config, grads=grads
             )
-            pruned = result.pruned_weights
+            matrix = VNMSparseMatrix.from_dense(result.pruned_weights, v=self.v, n=self.n, m=self.m)
         else:
-            pruned = apply_mask(padded, vnm_mask(padded, v=self.v, n=self.n, m=self.m))
-
-        matrix = VNMSparseMatrix.from_dense(pruned, v=self.v, n=self.n, m=self.m, strict=True)
+            selection = vnm_select(padded, self.v, self.n, self.m)
+            matrix = VNMSparseMatrix.from_selection(selection, self.v, self.n, self.m)
         return VNMTensor(matrix=matrix, original_shape=original_shape)

@@ -4,14 +4,14 @@ The seed implementation of :func:`repro.kernels.spatha.spmm.spmm` walked the
 V-row blocks of the operand in a Python loop and re-derived the condensed
 operand and gather indices on every call.  That is exactly the pattern the
 real Spatha kernel avoids: the GPU library prepares the operand once
-(values, column-loc, packed metadata) and then replays the same gather +
+(values, column-loc, 2-bit metadata) and then replays the same gather +
 ``mma.sp`` schedule for every activation batch.  :class:`SpmmPlan` is the
 CPU analogue of that preparation step:
 
 * preparation is paid once per operand.  The absolute gather indices of
   the selected B rows are the :class:`~repro.formats.vnm.VNMSparseMatrix`'s
-  memoized view, taken at plan construction; the 2-bit metadata is not
-  packed, since a host schedule reads the m-indices directly.  The
+  memoized view, taken at plan construction; the m-indices are read as
+  stored, one per byte (no host schedule reads packed words).  The
   fp16-rounded operand is prepared per schedule, the first time that
   schedule runs: the condensed operand for the gather schedule, the dense
   operand for the dense one.  Either is rounded from the stored

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .masks import PruningResult, apply_mask, magnitude_weight_matrix
-from ..formats.vnm import scatter_columns, validate_vnm_shape, vnm_select
+from ..formats.vnm import scatter_columns, vnm_select
 
 
 def vnm_mask(weights: np.ndarray, v: int, n: int = 2, m: int = 8, norm: str = "l1") -> np.ndarray:
@@ -39,10 +39,8 @@ def vnm_mask(weights: np.ndarray, v: int, n: int = 2, m: int = 8, norm: str = "l
     docstring states the tie rule), scattered back to the full shape.
     """
     w = magnitude_weight_matrix(weights)
-    rows, cols = w.shape
-    validate_vnm_shape(rows, cols, v, n, m)
     selection = vnm_select(w, v, n, m, norm)
-    return scatter_columns(selection.keep, selection.columns, cols)
+    return scatter_columns(selection.keep, selection.columns, w.shape[1])
 
 
 def vnm_prune(weights: np.ndarray, v: int, n: int = 2, m: int = 8, norm: str = "l1") -> PruningResult:

@@ -1,16 +1,9 @@
-"""Tests for 2-bit metadata packing/unpacking."""
+"""Tests for 2-bit metadata index validation and byte counts."""
 
 import numpy as np
 import pytest
 
-from repro.formats.metadata import (
-    BITS_PER_INDEX,
-    INDICES_PER_WORD,
-    metadata_bytes,
-    pack_indices,
-    unpack_indices,
-    validate_indices,
-)
+from repro.formats.metadata import BITS_PER_INDEX, metadata_bytes, validate_indices
 
 
 class TestValidateIndices:
@@ -33,50 +26,9 @@ class TestValidateIndices:
             validate_indices(np.array([0.5]), group_size=4)
 
 
-class TestPackUnpack:
-    def test_constants(self):
-        assert BITS_PER_INDEX == 2
-        assert INDICES_PER_WORD == 16
-
-    def test_roundtrip_exact_word(self):
-        idx = np.arange(16) % 4
-        words = pack_indices(idx)
-        assert words.shape == (1,)
-        assert np.array_equal(unpack_indices(words, 16), idx.astype(np.uint8))
-
-    def test_roundtrip_partial_word(self):
-        idx = np.array([3, 2, 1, 0, 3])
-        words = pack_indices(idx)
-        assert words.shape == (1,)
-        assert np.array_equal(unpack_indices(words, 5), idx.astype(np.uint8))
-
-    def test_roundtrip_multiple_words(self):
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, 4, size=1000)
-        words = pack_indices(idx)
-        assert words.shape == (-(-1000 // 16),)
-        assert np.array_equal(unpack_indices(words, 1000), idx.astype(np.uint8))
-
-    def test_little_endian_packing(self):
-        # First index occupies the least-significant bits.
-        words = pack_indices([1, 2])
-        assert words[0] == 1 | (2 << 2)
-
-    def test_empty(self):
-        assert pack_indices([]).size == 0
-        assert unpack_indices(np.zeros(0, dtype=np.uint32), 0).size == 0
-
-    def test_unpack_too_many_raises(self):
-        with pytest.raises(ValueError):
-            unpack_indices(np.zeros(1, dtype=np.uint32), 17)
-
-    def test_unpack_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            unpack_indices(np.zeros(1, dtype=np.uint32), -1)
-
-
 class TestMetadataBytes:
     def test_two_bits_per_value(self):
+        assert BITS_PER_INDEX == 2
         assert metadata_bytes(16) == 4.0
         assert metadata_bytes(1) == 0.25
 

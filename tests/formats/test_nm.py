@@ -83,10 +83,6 @@ class TestDerivedViews:
         assert fp.total_bytes < nm_matrix.dense_bytes("fp16")
         assert fp.metadata_bytes == nm_matrix.nnz * 0.25
 
-    def test_packed_metadata_length(self, nm_matrix):
-        words = nm_matrix.packed_metadata()
-        assert words.size == -(-nm_matrix.nnz // 16)
-
     def test_column_indices_absolute(self, nm_matrix, dense_24):
         cols = nm_matrix.column_indices()
         assert cols.shape == nm_matrix.values.shape

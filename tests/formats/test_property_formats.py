@@ -2,8 +2,8 @@
 
 These check the fundamental invariants the rest of the system relies on:
 compression followed by decompression is the identity on compliant
-matrices, metadata packing is a bijection, and every format's footprint
-accounting is consistent with its stored structures.
+matrices, and every format's footprint accounting is consistent with its
+stored structures.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import CVSEMatrix
-from repro.formats.metadata import pack_indices, unpack_indices
 from repro.formats.nm import NMSparseMatrix, check_nm_pattern
 from repro.formats.vnm import VNMSparseMatrix, check_vnm_pattern
 from repro.kernels.spatha import SpmmPlan
@@ -79,14 +78,6 @@ def test_cvse_roundtrip(dense):
     pruned = apply_mask(dense, vector_wise_mask(dense, 0.5, l=4)).astype(np.float32)
     cvse = CVSEMatrix.from_dense(pruned, l=4)
     assert np.array_equal(cvse.to_dense(), pruned)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=0, max_size=200))
-def test_metadata_pack_unpack_roundtrip(indices):
-    arr = np.asarray(indices, dtype=np.uint8)
-    words = pack_indices(arr)
-    assert np.array_equal(unpack_indices(words, len(indices)), arr)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +180,6 @@ def test_spmm_plan_memo_survives_operand_reconstruction(problem, c):
     # The derived views agree too (they are what the plans share logically).
     assert np.array_equal(a2.to_condensed(), a1.to_condensed())
     assert np.array_equal(a2.selected_column_indices(), a1.selected_column_indices())
-    assert np.array_equal(a2.packed_metadata(), a1.packed_metadata())
     # And the first plan is unaffected by the second operand's existence.
     assert np.array_equal(plan1.execute(b), out1)
 

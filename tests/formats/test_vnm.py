@@ -168,9 +168,6 @@ class TestDerivedViews:
         high = VNMSparseMatrix.from_dense(dense, v=16, n=2, m=16, strict=False)
         assert high.footprint().total_bytes < low.footprint().total_bytes
 
-    def test_packed_metadata_size(self, vnm_matrix):
-        assert vnm_matrix.packed_metadata().size == -(-vnm_matrix.nnz // 16)
-
     def test_storage_order_is_permutation(self, vnm_matrix):
         ordered = vnm_matrix.storage_order_values(ws_m=8, mma_k=32)
         assert ordered.size == vnm_matrix.values.size

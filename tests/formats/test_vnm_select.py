@@ -16,7 +16,7 @@ prune -> compress -> plan chain produces the same bytes under both.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.formats.base import quantize_fp16
@@ -159,6 +159,8 @@ def assert_matches_oracle(w, v, n, m):
     specials=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
 )
+# Two NaN columns in one block: strict compression of the pruned copy refuses it.
+@example(v=2, m=5, n=4, row_blocks=1, groups=2, specials=2, seed=0)
 def test_selection_and_its_products_match_the_argsort_oracle(v, m, n, row_blocks, groups, specials, seed):
     assert_matches_oracle(tie_heavy_matrix(seed, v * row_blocks, m * groups, specials), v, n, m)
 

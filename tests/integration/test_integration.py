@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.formats.vnm import check_vnm_pattern
+from repro.formats.vnm import VNMSparseMatrix, check_vnm_pattern
 from repro.integration.linear import sparsify_encoder
 from repro.integration.sparsifier import VNMSparsifier
 from repro.integration.vnm_tensor import VNMTensor
@@ -11,6 +11,7 @@ from repro.models.config import tiny_config
 from repro.kernels.dispatch import SpmmOperand
 from repro.models.layers import Linear, init_dense_linear
 from repro.models.transformer import TransformerEncoder
+from repro.pruning import apply_mask, vnm_mask
 
 
 class TestVNMSparsifier:
@@ -32,6 +33,42 @@ class TestVNMSparsifier:
         got, want = sparsifier.sparsify(w).matrix, sparsifier.sparsify(w.astype(np.float64)).matrix
         for name in ("values", "m_indices", "column_loc"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("case", ["refused", "dropped"])
+    def test_magnitude_path_stores_a_nan_its_pruner_kept(self, case):
+        """NaN ranks last, and a tie between two NaN goes to the lower one, so
+        the pruner can keep a NaN.  Ranking the pruned copy again would put
+        that NaN below the zeros pruning left.  Refused: column masses 7, 9,
+        NaN, 13, NaN, the pruner keeps columns 0-3, and the kept NaN column
+        would lose its place to the zeroed column 4.  Dropped: of 1, NaN, NaN,
+        2 at 3:4 the pruner keeps the first NaN, which would give way to the
+        zeroed second one."""
+        if case == "refused":
+            w = np.arange(1, 11, dtype=np.float32).reshape(2, 5)
+            w[1, 2] = w[1, 4] = np.nan
+            v, n, m = 2, 4, 5
+        else:
+            w = np.array([[1, np.nan, np.nan, 2]], dtype=np.float32)
+            v, n, m = 1, 3, 4
+        matrix = VNMSparsifier(n=n, m=m, v=v).sparsify(w).matrix
+        expected = apply_mask(w, vnm_mask(w, v=v, n=n, m=m))
+        assert np.array_equal(matrix.to_dense(), expected, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "row, n, m",
+        [([4, 3, 2, 1, 0, 1 + 2.0**-30, 0, 0], 4, 8), ([1, 1 + 2.0**-30, 0, 0], 1, 4)],
+        ids=["column-stage", "n-of-4-stage"],
+    )
+    def test_float64_weight_keeps_its_float64_selection(self, row, n, m):
+        """1 and 1 + 2**-30 tie once rounded to float32, where the lower
+        position wins; in float64 the larger one survives, as in ``vnm_mask``."""
+        w = np.array([row], dtype=np.float64)
+        mask = vnm_mask(w, v=1, n=n, m=m)
+        matrix = VNMSparsifier(n=n, m=m, v=1).sparsify(w).matrix
+        assert np.array_equal(matrix.to_dense() != 0, mask)
+        assert np.array_equal(matrix.to_dense()[mask], w[mask].astype(np.float32))
+        rounded_first = VNMSparseMatrix.from_dense(w, v=1, n=n, m=m, strict=False)
+        assert not np.array_equal(rounded_first.to_dense() != 0, mask)
 
     def test_second_order_method(self, rng):
         sparsifier = VNMSparsifier(n=2, m=8, v=16, method="second_order")

@@ -15,7 +15,6 @@ import pytest
 from repro.formats.base import quantize_fp16
 from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
-from repro.formats.metadata import pack_indices
 from repro.formats.vnm import VNMSparseMatrix
 from repro.kernels import cusparse, sputnik
 from repro.kernels.dispatch import KernelDispatcher, SpmmOperand
@@ -139,17 +138,12 @@ class TestSpmmPlanCaching:
         a = make_vnm(rng, 16, 32, 4, 2, 8)
         assert a.to_condensed() is a.to_condensed()
         assert a.selected_column_indices() is a.selected_column_indices()
-        assert a.packed_metadata() is a.packed_metadata()
 
     def test_memoized_views_are_read_only(self, rng):
         """The shared cached arrays must reject accidental mutation, which
         would otherwise silently corrupt every later kernel call."""
         a = make_vnm(rng, 16, 32, 4, 2, 8)
-        for view in (
-            a.to_condensed(),
-            a.selected_column_indices(),
-            a.packed_metadata(),
-        ):
+        for view in (a.to_condensed(), a.selected_column_indices()):
             with pytest.raises(ValueError):
                 view[...] = 0
 
@@ -164,10 +158,6 @@ class TestSpmmPlanCaching:
         a = make_vnm(rng, 16, 32, 4, 2, 8)
         plan = SpmmPlan.for_matrix(a)
         assert np.array_equal(plan.gather_indices, a.selected_column_indices())
-        # The plan packs no metadata; the matrix packs its own on request.
-        assert "packed_metadata" not in a._memo
-        assert np.array_equal(a.packed_metadata(), pack_indices(a.m_indices.ravel()))
-        assert a._memo["packed_metadata"] is a.packed_metadata()
         assert plan.condensed_k == a.groups_per_row * 4
 
     @pytest.mark.parametrize("case", VNM_CASES, ids=str)

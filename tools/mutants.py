@@ -269,12 +269,32 @@ MUTANTS: Tuple[Mutant, ...] = (
         "strict-compression-drops-an-entry-above-tol",
         "src/repro/formats/vnm.py",
         ((
-            "        if strict and _count_above(arr, tol) != _count_above(values, tol):\n",
+            "        if strict and _count_above(arr, tol) != _count_above(matrix.values, tol):\n",
             "        if strict and not check_vnm_pattern(arr, v, n, m, tol=tol):\n",
         ),),
         (
             "tests/formats/test_vnm.py::TestCompression"
             "::test_strict_rejects_an_entry_above_tol_it_would_drop",
+        ),
+    ),
+    Mutant(
+        "sparsifier-re-selects-its-pruned-copy",
+        "src/repro/integration/sparsifier.py",
+        (
+            (
+                "from ..pruning.vnm import pad_to_vnm_shape\n",
+                "from ..pruning.masks import apply_mask\nfrom ..pruning.vnm import pad_to_vnm_shape, vnm_mask\n",
+            ),
+            (
+                "            selection = vnm_select(padded, self.v, self.n, self.m)\n"
+                "            matrix = VNMSparseMatrix.from_selection(selection, self.v, self.n, self.m)\n",
+                "            pruned = apply_mask(padded, vnm_mask(padded, v=self.v, n=self.n, m=self.m))\n"
+                "            matrix = VNMSparseMatrix.from_dense(pruned, v=self.v, n=self.n, m=self.m)\n",
+            ),
+        ),
+        (
+            "tests/integration/test_integration.py::TestVNMSparsifier"
+            "::test_magnitude_path_stores_a_nan_its_pruner_kept",
         ),
     ),
     Mutant(
