@@ -192,6 +192,24 @@ def test_unknown_norm_is_rejected_at_every_m():
             vnm_mask(w, v=2, n=2, m=m, norm="linf")
 
 
+@pytest.mark.parametrize(
+    "shape, v, n, m, message",
+    [
+        ((6, 16), 4, 2, 8, r"rows \(6\) must be divisible by V \(4\)"),
+        ((8, 12), 4, 2, 8, r"cols \(12\) must be divisible by M \(8\)"),
+        ((8, 16), 4, 5, 8, r"N \(5\) must be <= 4"),
+    ],
+    ids=["rows-not-a-multiple-of-v", "cols-not-a-multiple-of-m", "n-above-4"],
+)
+def test_selection_refuses_a_shape_that_does_not_suit_the_pattern(shape, v, n, m, message):
+    """The selection checks the shape itself, for the pruner and the
+    compressor alike, and says which rule the shape breaks."""
+    w = np.ones(shape, dtype=np.float32)
+    for select in (vnm_select, vnm_mask, VNMSparseMatrix.from_dense):
+        with pytest.raises(ValueError, match=message):
+            select(w, v, n, m)
+
+
 def test_block_masses_are_summed_in_float64():
     """Column 4 holds one 1.0 and seven entries each adding half an ulp
     of 1.0 to its l1 (or squared l2) mass, so its float32 sum rounds to

@@ -12,6 +12,7 @@ from repro.kernels.dispatch import SpmmOperand
 from repro.models.layers import Linear, init_dense_linear
 from repro.models.transformer import TransformerEncoder
 from repro.pruning import apply_mask, vnm_mask
+from repro.pruning.vnm import pad_to_vnm_shape
 
 
 class TestVNMSparsifier:
@@ -69,6 +70,21 @@ class TestVNMSparsifier:
         assert np.array_equal(matrix.to_dense()[mask], w[mask].astype(np.float32))
         rounded_first = VNMSparseMatrix.from_dense(w, v=1, n=n, m=m, strict=False)
         assert not np.array_equal(rounded_first.to_dense() != 0, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("v, n, m", [(64, 2, 4), (64, 2, 8), (128, 2, 16), (64, 2, 32)])
+    def test_magnitude_path_stores_the_bits_of_prune_then_compress(self, rng, v, n, m, dtype):
+        """At every ``spmm_sweep`` pattern, on a padded shape, the stored
+        selection is the pruner's mask, and on finite weights it holds the
+        same bytes as compressing the pruned copy strictly."""
+        w = rng.normal(size=(2 * v - 5, 3 * m + 1)).astype(dtype)
+        matrix = VNMSparsifier(n=n, m=m, v=v).sparsify(w).matrix
+        padded, _ = pad_to_vnm_shape(w, v, m)
+        pruned = apply_mask(padded, vnm_mask(padded, v=v, n=n, m=m))
+        assert np.array_equal(matrix.to_dense(), pruned.astype(np.float32))
+        want = VNMSparseMatrix.from_dense(pruned, v=v, n=n, m=m, strict=True)
+        for name in ("values", "m_indices", "column_loc"):
+            assert getattr(matrix, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_second_order_method(self, rng):
         sparsifier = VNMSparsifier(n=2, m=8, v=16, method="second_order")
